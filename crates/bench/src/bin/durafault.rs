@@ -356,7 +356,6 @@ fn recovery_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult {
     let backend = FaultyBackend::new(StorageFaultSchedule::new(24));
     let policy = StoragePolicy {
         reprobe_interval_slots: 256, // probe quickly: bench, not production
-        ..StoragePolicy::default()
     };
     let mut session = open_session(&dir, cell, Some(&backend), policy);
     let mut feed = Feed::new(cell, slots * 16, 16);

@@ -28,7 +28,7 @@
 
 use crate::fleet::FleetSnapshot;
 use crate::observe::Capture;
-use crate::persist::FaultKind;
+use crate::persist::{splitmix64, FaultKind};
 use crate::scope::SyncState;
 use crate::supervise::{RestartCause, SlotOutcome, Supervisor};
 use nr_phy::types::Rnti;
@@ -41,14 +41,6 @@ use std::time::Instant;
 /// [`run_child`](crate::supervise::run_child) arms the scripted faults it
 /// describes.
 pub const CHAOS_PLAN_FILE: &str = "chaos_plan.json";
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 // ---------------------------------------------------------------------------
 // Hang injection

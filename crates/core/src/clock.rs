@@ -44,7 +44,6 @@ impl ClockLock {
 
 /// Timing-recovery loop knobs (`clock.*` in the config surface).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
 pub struct ClockRecoveryConfig {
     /// Proportional gain of the PI loop (per measurement).
     pub kp: f64,

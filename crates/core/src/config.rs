@@ -54,19 +54,13 @@ pub struct ScopeConfig {
     /// ladder). Disabled by default: offline replay has no slot deadline.
     pub governor: GovernorConfig,
     /// Stage-2 RNTI admission control (untrusted-air hardening).
-    /// Defaulted so configs written before the hardening still parse.
-    #[serde(default)]
     pub admission: AdmissionConfig,
     /// Timing-recovery loop knobs (`clock.*`). The loop itself activates
     /// lazily, on the first clock observable from the front end — a
     /// session that never receives one behaves exactly as before.
-    /// Defaulted so configs written before clock hardening still parse.
-    #[serde(default)]
     pub clock: ClockRecoveryConfig,
     /// Liveness-supervision knobs (`supervise.*`): heartbeat cadence, hang
-    /// deadline, and the restart-storm circuit breaker. Defaulted so
-    /// configs written before liveness supervision still parse.
-    #[serde(default)]
+    /// deadline, and the restart-storm circuit breaker.
     pub supervise: SuperviseConfig,
 }
 
@@ -75,7 +69,6 @@ pub struct ScopeConfig {
 /// respawns. Shared across the supervised-child path and (budget/window)
 /// the fleet's per-shard breakers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
 pub struct SuperviseConfig {
     /// Child side: emit a [`ChildMsg::Heartbeat`](crate::supervise::ChildMsg)
     /// if this long has passed since the last line it wrote — keeps a
@@ -98,10 +91,6 @@ pub struct SuperviseConfig {
     /// Slots an open breaker parks the child in lame-duck mode before
     /// granting a single half-open probe restart.
     pub breaker_halfopen_after_slots: u64,
-    /// Bound on waiting for a finishing child to exit before the
-    /// supervisor escalates to SIGKILL ([`ChildHandle::wait_timeout`]
-    /// (crate::supervise::ChildHandle::wait_timeout)).
-    pub wait_timeout_ms: u64,
 }
 
 impl Default for SuperviseConfig {
@@ -113,7 +102,6 @@ impl Default for SuperviseConfig {
             restart_budget_window_slots: 20_000, // 10 s at µ=1
             restart_backoff_slots: 8,
             breaker_halfopen_after_slots: 4_000, // 2 s at µ=1
-            wait_timeout_ms: 5_000,
         }
     }
 }
@@ -151,29 +139,18 @@ impl Default for AdmissionConfig {
 /// loss window becomes unbounded and is reported honestly — and a
 /// background probe re-promotes once the disk recovers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
 pub struct StoragePolicy {
-    /// Write retries (with exponential backoff, on the writer thread —
-    /// never the capture hot path) before a failing batch demotes the
-    /// session to `NonDurable`.
-    pub storage_retry_max: u32,
     /// Slots between disk re-probe attempts while `NonDurable` (a small
     /// test write + fsync to a probe file). Doubles after each failed
     /// probe — the governor's flap-backoff shape — and resets once the
     /// session has climbed back to `Durable`.
     pub reprobe_interval_slots: u64,
-    /// Checkpoints retained by the emergency prune that `ENOSPC`
-    /// triggers before the write is retried (journals wholly covered by
-    /// the kept checkpoints are pruned too).
-    pub emergency_prune_keep: usize,
 }
 
 impl Default for StoragePolicy {
     fn default() -> Self {
         StoragePolicy {
-            storage_retry_max: 4,
             reprobe_interval_slots: 2048, // ~1 s at µ=1
-            emergency_prune_keep: 1,
         }
     }
 }
@@ -198,48 +175,23 @@ pub struct FleetConfig {
     pub restart_backoff_ms: u64,
     /// Cap on the backoff doubling (`base << exp`).
     pub max_restart_backoff_exp: u32,
-    /// A shard healthy this long has its restart backoff reset.
-    pub backoff_calm_ms: u64,
     /// Cross-cell continuity window, in slots: a C-RNTI last active on
     /// cell A within this many slots of a discovery on cell B is matched
     /// as one user handed over, not two.
     pub continuity_window_slots: u64,
-    /// Give every durable shard its own group-commit journal-writer
-    /// thread instead of the default single shared writer. The shared
-    /// writer is the right call on ordinary disks (one thread, batched
-    /// syscalls for all shards); per-shard writers only pay off when
-    /// shard journals live on independent devices. Defaulted off so
-    /// configs written before group commit still parse.
-    #[serde(default)]
-    pub per_shard_journal_writers: bool,
     /// Per-shard restart-storm budget: engine rebuilds the breaker grants
     /// before it opens and the shard is parked in lame-duck mode (a
     /// volatile-degraded engine, no further rebuild attempts until the
     /// half-open probe). Tokens refill at `restart_budget` per
     /// `restart_budget_window_slots` of that shard's feed. 0 disables the
-    /// breaker. Defaulted so pre-breaker configs still parse.
-    #[serde(default = "default_fleet_restart_budget")]
+    /// breaker.
     pub restart_budget: u32,
     /// Slot window (of the shard's own feed) over which the full restart
     /// budget refills.
-    #[serde(default = "default_fleet_restart_budget_window")]
     pub restart_budget_window_slots: u64,
     /// Slots an open shard breaker waits before granting one half-open
     /// probe rebuild.
-    #[serde(default = "default_fleet_breaker_halfopen")]
     pub breaker_halfopen_after_slots: u64,
-}
-
-fn default_fleet_restart_budget() -> u32 {
-    10
-}
-
-fn default_fleet_restart_budget_window() -> u64 {
-    20_000 // 10 s at µ=1
-}
-
-fn default_fleet_breaker_halfopen() -> u64 {
-    4_000 // 2 s at µ=1
 }
 
 impl Default for FleetConfig {
@@ -250,12 +202,10 @@ impl Default for FleetConfig {
             watchdog_ms: 1_000,
             restart_backoff_ms: 5,
             max_restart_backoff_exp: 6,
-            backoff_calm_ms: 10_000,
             continuity_window_slots: 2_000, // 1 s at µ=1
-            per_shard_journal_writers: false,
-            restart_budget: default_fleet_restart_budget(),
-            restart_budget_window_slots: default_fleet_restart_budget_window(),
-            breaker_halfopen_after_slots: default_fleet_breaker_halfopen(),
+            restart_budget: 10,
+            restart_budget_window_slots: 20_000, // 10 s at µ=1
+            breaker_halfopen_after_slots: 4_000, // 2 s at µ=1
         }
     }
 }
@@ -323,43 +273,9 @@ mod tests {
         assert!(c.admission.k >= 2, "one chance CRC pass must not admit");
         assert!(c.admission.window_slots > 0);
         assert!(c.admission.quarantine_max > 0);
-    }
-
-    #[test]
-    fn pre_hardening_config_json_gets_default_admission() {
-        let mut json = ScopeConfig::default().to_json();
-        // Strip the admission object as a pre-PR5 writer would have.
-        let cfg = ScopeConfig::default();
-        let adm = serde_json::to_string(&cfg.admission).expect("serialises");
-        json = json.replace(&format!(",\"admission\":{adm}"), "");
-        assert!(!json.contains("admission"), "field really stripped");
-        let back = ScopeConfig::from_json(&json).expect("old config accepted");
-        assert_eq!(back.admission, AdmissionConfig::default());
-    }
-
-    #[test]
-    fn pre_liveness_config_json_gets_default_supervise() {
-        let mut json = ScopeConfig::default().to_json();
-        let cfg = ScopeConfig::default();
-        let sup = serde_json::to_string(&cfg.supervise).expect("serialises");
-        json = json.replace(&format!(",\"supervise\":{sup}"), "");
-        assert!(!json.contains("supervise"), "field really stripped");
-        let back = ScopeConfig::from_json(&json).expect("old config accepted");
-        assert_eq!(back.supervise, SuperviseConfig::default());
         assert!(
-            back.supervise.hang_deadline_ms > back.supervise.heartbeat_interval_ms,
+            c.supervise.hang_deadline_ms > c.supervise.heartbeat_interval_ms,
             "a heartbeat cadence slower than the hang deadline would flag every slot"
         );
-    }
-
-    #[test]
-    fn pre_clock_config_json_gets_default_clock() {
-        let mut json = ScopeConfig::default().to_json();
-        let cfg = ScopeConfig::default();
-        let clk = serde_json::to_string(&cfg.clock).expect("serialises");
-        json = json.replace(&format!(",\"clock\":{clk}"), "");
-        assert!(!json.contains("\"clock\""), "field really stripped");
-        let back = ScopeConfig::from_json(&json).expect("old config accepted");
-        assert_eq!(back.clock, ClockRecoveryConfig::default());
     }
 }

@@ -127,25 +127,15 @@ pub fn decode_message_slot(
     observed: &[ObservedDci],
     hyp: &Hypotheses,
 ) -> Vec<DecodedDci> {
-    decode_message_slot_metered(ctx, observed, hyp, None)
+    decode_message_slot_budgeted(ctx, observed, hyp, SearchBudget::unlimited(), None).0
 }
 
-/// [`decode_message_slot`] with pipeline instrumentation: the whole-slot
-/// codeword scan is the PDCCH search stage; each codeword's hypothesis
-/// testing is a DCI-decode observation.
-pub fn decode_message_slot_metered(
-    ctx: &DecoderContext,
-    observed: &[ObservedDci],
-    hyp: &Hypotheses,
-    metrics: Option<&Arc<Metrics>>,
-) -> Vec<DecodedDci> {
-    decode_message_slot_budgeted(ctx, observed, hyp, SearchBudget::unlimited(), metrics).0
-}
-
-/// [`decode_message_slot_metered`] under a [`SearchBudget`]: the common
-/// pass (SI/RA/TC + MSG 4 recovery) always runs in full; the budget gates
-/// only the UE-specific pass. Returns the decoded DCIs plus the slot's
-/// offered-work counts for the overload governor.
+/// [`decode_message_slot`] under a [`SearchBudget`], with pipeline
+/// instrumentation: the whole-slot codeword scan is the PDCCH search
+/// stage; each codeword's hypothesis testing is a DCI-decode observation.
+/// The common pass (SI/RA/TC + MSG 4 recovery) always runs in full; the
+/// budget gates only the UE-specific pass. Returns the decoded DCIs plus
+/// the slot's offered-work counts for the overload governor.
 pub fn decode_message_slot_budgeted(
     ctx: &DecoderContext,
     observed: &[ObservedDci],
@@ -333,27 +323,9 @@ pub fn extract_all_candidates(
     out
 }
 
-/// Hypothesis-testing stage over pre-extracted candidates.
-pub fn decode_candidates(
-    ctx: &DecoderContext,
-    candidates: &[ExtractedCandidate],
-    hyp: &Hypotheses,
-) -> Vec<DecodedDci> {
-    decode_candidates_metered(ctx, candidates, hyp, None)
-}
-
-/// [`decode_candidates`] with per-candidate DCI-decode instrumentation.
-pub fn decode_candidates_metered(
-    ctx: &DecoderContext,
-    candidates: &[ExtractedCandidate],
-    hyp: &Hypotheses,
-    metrics: Option<&Arc<Metrics>>,
-) -> Vec<DecodedDci> {
-    decode_candidates_budgeted(ctx, candidates, hyp, SearchBudget::unlimited(), metrics).0
-}
-
-/// [`decode_candidates_metered`] under a [`SearchBudget`]: the common pass
-/// always runs in full; only the UE-specific pass is gated.
+/// Hypothesis-testing stage over pre-extracted candidates, with
+/// per-candidate DCI-decode instrumentation, under a [`SearchBudget`]: the
+/// common pass always runs in full; only the UE-specific pass is gated.
 pub fn decode_candidates_budgeted(
     ctx: &DecoderContext,
     candidates: &[ExtractedCandidate],
@@ -433,39 +405,9 @@ pub fn decode_candidates_budgeted(
 }
 
 /// Decode all DCIs from a received IQ-fidelity resource grid, scanning all
-/// aligned candidate positions at all aggregation levels. Equivalent to
-/// [`extract_all_candidates`] followed by [`decode_candidates`].
-pub fn decode_grid(
-    ctx: &DecoderContext,
-    grid: &ResourceGrid,
-    slot_in_frame: usize,
-    hyp: &Hypotheses,
-) -> Vec<DecodedDci> {
-    decode_grid_metered(ctx, grid, slot_in_frame, hyp, None)
-}
-
-/// [`decode_grid`] with pipeline instrumentation: candidate extraction and
-/// equalisation is the PDCCH search stage; the hypothesis testing records
-/// per-candidate DCI-decode observations.
-pub fn decode_grid_metered(
-    ctx: &DecoderContext,
-    grid: &ResourceGrid,
-    slot_in_frame: usize,
-    hyp: &Hypotheses,
-    metrics: Option<&Arc<Metrics>>,
-) -> Vec<DecodedDci> {
-    decode_grid_budgeted(
-        ctx,
-        grid,
-        slot_in_frame,
-        hyp,
-        SearchBudget::unlimited(),
-        metrics,
-    )
-    .0
-}
-
-/// [`decode_grid_metered`] under a [`SearchBudget`].
+/// aligned candidate positions at all aggregation levels:
+/// [`extract_all_candidates`] (the PDCCH search stage) followed by
+/// [`decode_candidates_budgeted`] under the same [`SearchBudget`].
 pub fn decode_grid_budgeted(
     ctx: &DecoderContext,
     grid: &ResourceGrid,
@@ -835,7 +777,15 @@ mod tests {
                 allow_recovery: false,
                 ..Hypotheses::default()
             };
-            let decoded = decode_grid(&c, &grid, out.slot_in_frame, &hyp);
+            let decoded = decode_grid_budgeted(
+                &c,
+                &grid,
+                out.slot_in_frame,
+                &hyp,
+                SearchBudget::unlimited(),
+                None,
+            )
+            .0;
             let found = decoded
                 .iter()
                 .filter(|d| d.rnti_type == RntiType::C)

@@ -47,7 +47,7 @@ use crate::persist::{
 };
 use crate::scope::{NrScope, SyncState, UeEvent};
 use crate::supervise::{BreakerState, RestartBreaker};
-use crate::worker::{spawn_background, InjectedFault};
+use crate::worker::{lock_clean, spawn_background, InjectedFault};
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -55,7 +55,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -112,6 +112,12 @@ impl ShardSpec {
             load_model: None,
         }
     }
+
+    fn volatile_scope(&self) -> NrScope {
+        let mut scope = NrScope::new(self.scope, self.pci);
+        scope.set_load_model(self.load_model);
+        scope
+    }
 }
 
 /// A shard's decode engine: the bulkheaded unit that is quarantined and
@@ -130,22 +136,15 @@ impl ShardEngine {
     ) -> io::Result<(ShardEngine, Option<RecoveryReport>)> {
         match &spec.persist {
             Some(p) => {
-                let (mut session, report) = match writer {
-                    // Fleet default: every shard's journal batches flow
-                    // through one shared group-commit thread.
-                    Some(w) => {
-                        PersistentSession::open_with_writer(p.clone(), spec.scope, spec.pci, w)?
-                    }
-                    None => PersistentSession::open(p.clone(), spec.scope, spec.pci)?,
-                };
+                // Every shard's journal batches flow through one shared
+                // group-commit thread.
+                let w = writer.expect("a fleet with a durable shard has a journal writer");
+                let (mut session, report) =
+                    PersistentSession::open_with_writer(p.clone(), spec.scope, spec.pci, w)?;
                 session.scope_mut().set_load_model(spec.load_model);
                 Ok((ShardEngine::Durable(Box::new(session)), Some(report)))
             }
-            None => {
-                let mut scope = NrScope::new(spec.scope, spec.pci);
-                scope.set_load_model(spec.load_model);
-                Ok((ShardEngine::Volatile(Box::new(scope)), None))
-            }
+            None => Ok((ShardEngine::Volatile(Box::new(spec.volatile_scope())), None)),
         }
     }
 
@@ -336,10 +335,8 @@ struct FleetShared {
     live_workers: AtomicUsize,
     target_workers: usize,
     /// Shared group-commit journal writer for durable shards (absent when
-    /// there are none, or when
-    /// [`FleetConfig::per_shard_journal_writers`] opts out). Restarted
-    /// shards re-register with the same writer so a rebuild never spawns
-    /// a second thread.
+    /// there are none). Restarted shards re-register with the same writer
+    /// so a rebuild never spawns a second thread.
     journal_writer: Option<JournalWriter>,
 }
 
@@ -397,34 +394,25 @@ pub struct CellRollup {
     /// Completed warm restarts.
     pub restarts: u64,
     /// Hangs detected on this cell (watchdog fences — every wedge is a
-    /// detected hang). Defaulted so pre-liveness rollups parse.
-    #[serde(default)]
+    /// detected hang).
     pub hangs_detected: u64,
     /// Restart-breaker position name (`closed` / `open` / `half_open`).
-    #[serde(default)]
     pub breaker: String,
     /// Times this cell's breaker has opened.
-    #[serde(default)]
     pub breaker_openings: u64,
     /// Durability rung name: `durable` / `durable_degraded` /
     /// `non_durable` for durable shards, `volatile` for shards configured
-    /// without persistence. Defaulted so pre-storage-fault rollups parse.
-    #[serde(default)]
+    /// without persistence.
     pub durability: String,
     /// Honest loss window in slots (`None` = unbounded: the shard is
     /// `NonDurable` or volatile).
-    #[serde(default)]
     pub loss_window_slots: Option<u64>,
     /// Timing-recovery lock rung name (`locked` / `pulling` / `unlocked`),
     /// or `ideal` when the shard's front end has no oscillator model.
-    /// Defaulted so pre-clock rollups parse.
-    #[serde(default)]
     pub clock_lock: String,
     /// Signed clock-drift estimate (ppb) from the shard's recovery loop.
-    #[serde(default)]
     pub clock_drift_ppb: i64,
     /// Integer sample slips commanded by the shard's recovery loop.
-    #[serde(default)]
     pub timing_slips: u64,
 }
 
@@ -446,20 +434,14 @@ pub struct FleetSnapshot {
     pub distinct_users: u64,
     /// Cells configured durable that are currently *not* fully durable
     /// (rung below `Durable`, or running on a volatile fallback after
-    /// their disk died). Defaulted so pre-storage-fault rollups parse.
-    #[serde(default)]
+    /// their disk died).
     pub durability_degraded_cells: u64,
     /// Cells whose timing-recovery loop is currently out of `Locked`
-    /// (`pulling`/`unlocked`; ideal-clock cells don't count). Defaulted
-    /// so pre-clock rollups parse.
-    #[serde(default)]
+    /// (`pulling`/`unlocked`; ideal-clock cells don't count).
     pub clock_unlocked_cells: u64,
     /// Σ integer sample slips across cells.
-    #[serde(default)]
     pub total_timing_slips: u64,
-    /// Cells currently parked behind an open restart breaker. Defaulted
-    /// so pre-liveness rollups parse.
-    #[serde(default)]
+    /// Cells currently parked behind an open restart breaker.
     pub breaker_open_cells: u64,
     /// The matched handover pairs.
     pub matches: Vec<ContinuityMatch>,
@@ -474,17 +456,6 @@ pub struct Fleet {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// Lock that never gives up on poisoning: the protected state is either
-/// rebuilt wholesale (engines) or monotonic counters, and a panic inside
-/// a worker is already quarantined by `catch_unwind` before any fleet
-/// lock unwinds.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 fn now_ns(epoch: Instant) -> u64 {
     Instant::now().duration_since(epoch).as_nanos() as u64
 }
@@ -493,12 +464,10 @@ impl Fleet {
     /// Build every shard's engine (durable shards recover from their own
     /// directories) and start the shared worker pool.
     pub fn new(cfg: FleetConfig, specs: Vec<ShardSpec>) -> io::Result<Fleet> {
-        let journal_writer =
-            if !cfg.per_shard_journal_writers && specs.iter().any(|s| s.persist.is_some()) {
-                Some(JournalWriter::spawn())
-            } else {
-                None
-            };
+        let journal_writer = specs
+            .iter()
+            .any(|s| s.persist.is_some())
+            .then(JournalWriter::spawn);
         let mut shards = Vec::with_capacity(specs.len());
         for spec in specs {
             let (engine, recovery) = ShardEngine::build(&spec, journal_writer.as_ref())?;
@@ -895,12 +864,15 @@ fn refresh_cache_from(cache: &mut CachedStats, engine: &ShardEngine, disk_degrad
     }
 }
 
+/// A shard healthy this long has its restart backoff reset.
+const BACKOFF_CALM: Duration = Duration::from_secs(10);
+
 /// Schedule a warm restart after the current backoff, growing the backoff
 /// for consecutive faults and resetting it after a calm stretch.
 fn schedule_restart(shared: &FleetShared, shard: &Shard, health: ShardHealth, now: Instant) {
     let mut c = lock_clean(&shard.control);
     if let Some(last) = c.last_fault_at {
-        if now.duration_since(last) >= Duration::from_millis(shared.cfg.backoff_calm_ms) {
+        if now.duration_since(last) >= BACKOFF_CALM {
             c.backoff_exp = 0;
         }
     }
@@ -917,6 +889,20 @@ fn schedule_restart(shared: &FleetShared, shard: &Shard, health: ShardHealth, no
     c.last_fault_at = Some(now);
 }
 
+/// A fresh volatile scope for `shard`, adopting the live feed position:
+/// it resumes at the oldest still-queued slot (or just past the newest fed
+/// one when the queue is empty) instead of grinding through thousands of
+/// synthetic gap-fill drops.
+fn volatile_at_feed_position(shard: &Shard) -> NrScope {
+    let mut scope = shard.spec.volatile_scope();
+    let adopt = lock_clean(&shard.queue)
+        .front()
+        .map(|e| e.seq)
+        .unwrap_or_else(|| shard.highest_fed.load(Relaxed).saturating_add(1));
+    scope.fast_forward(adopt);
+    scope
+}
+
 /// Park a shard in lame-duck mode behind an open restart breaker: the
 /// rebuild budget is exhausted, so instead of hot-looping respawns the
 /// shard gets one volatile fallback engine (degraded but still decoding)
@@ -926,13 +912,7 @@ fn park_lame_duck(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) {
     if was_parked && cell.engine.is_some() {
         return; // already parked and still serving
     }
-    let mut scope = NrScope::new(shard.spec.scope, shard.spec.pci);
-    scope.set_load_model(shard.spec.load_model);
-    let adopt = lock_clean(&shard.queue)
-        .front()
-        .map(|e| e.seq)
-        .unwrap_or_else(|| shard.highest_fed.load(Relaxed).saturating_add(1));
-    scope.fast_forward(adopt);
+    let scope = volatile_at_feed_position(shard);
     {
         let m = scope.metrics();
         m.gauge_set(Gauge::RestartBreakerOpen, 1);
@@ -962,18 +942,14 @@ fn park_lame_duck(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) {
 /// fallback after a dead disk), false when the rebuild failed and another
 /// attempt was scheduled.
 fn restart_shard(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) -> bool {
-    match ShardEngine::build(&shard.spec, shared.journal_writer.as_ref()) {
-        Ok((mut engine, recovery)) => {
-            if shard.spec.persist.is_none() {
-                // Volatile cold restart: adopt the live feed position —
-                // resume at the oldest still-queued slot (or just past
-                // the newest fed one when the queue is empty).
-                let adopt = lock_clean(&shard.queue)
-                    .front()
-                    .map(|e| e.seq)
-                    .unwrap_or_else(|| shard.highest_fed.load(Relaxed).saturating_add(1));
-                engine.scope_mut().fast_forward(adopt);
-            }
+    let built = if shard.spec.persist.is_some() {
+        ShardEngine::build(&shard.spec, shared.journal_writer.as_ref())
+    } else {
+        let scope = volatile_at_feed_position(shard);
+        Ok((ShardEngine::Volatile(Box::new(scope)), None))
+    };
+    match built {
+        Ok((engine, recovery)) => {
             engine.scope().metrics().inc(Counter::RestartsTotal);
             cell.engine = Some(engine);
             cell.gen = shard.gen.load(SeqCst);
@@ -1000,13 +976,7 @@ fn restart_shard(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) -> 
                 // volatile fallback engine instead. The shard keeps
                 // decoding, reported durability-degraded (`non_durable`,
                 // unbounded loss window) rather than endlessly Faulted.
-                let mut scope = NrScope::new(shard.spec.scope, shard.spec.pci);
-                scope.set_load_model(shard.spec.load_model);
-                let adopt = lock_clean(&shard.queue)
-                    .front()
-                    .map(|e| e.seq)
-                    .unwrap_or_else(|| shard.highest_fed.load(Relaxed).saturating_add(1));
-                scope.fast_forward(adopt);
+                let scope = volatile_at_feed_position(shard);
                 scope
                     .metrics()
                     .gauge_set(Gauge::DurabilityRung, DurabilityRung::NonDurable as u64);

@@ -22,6 +22,7 @@
 //! structs with JSON export ([`MetricsSnapshot::to_json`]) and a
 //! human-readable table ([`MetricsSnapshot::summary`]).
 
+use crate::worker::lock_clean;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -544,10 +545,7 @@ impl Metrics {
     /// Recorded even when the registry is disabled: an operator who turned
     /// instrumentation off still wants to know *why* durability degraded.
     pub fn note(&self, key: &str, detail: impl Into<String>) {
-        let mut notes = match self.notes.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut notes = lock_clean(&self.notes);
         if let Some(slot) = notes.iter_mut().find(|(k, _)| k == key) {
             slot.1 = detail.into();
             return;
@@ -560,10 +558,7 @@ impl Metrics {
 
     /// Latest detail recorded for a note key, if any.
     pub fn note_detail(&self, key: &str) -> Option<String> {
-        let notes = match self.notes.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let notes = lock_clean(&self.notes);
         notes.iter().find(|(k, _)| k == key).map(|(_, d)| d.clone())
     }
 
@@ -637,10 +632,7 @@ impl Metrics {
                 value: self.gauge(g),
             })
             .collect();
-        let notes = match self.notes.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        };
+        let notes = lock_clean(&self.notes).clone();
         MetricsSnapshot {
             schema_version: crate::SCHEMA_VERSION,
             enabled: self.is_enabled(),
@@ -732,8 +724,6 @@ pub struct MetricsSnapshot {
     /// All stages, in [`Stage::ALL`] (pipeline) order.
     pub stages: Vec<StageSnapshot>,
     /// Keyed diagnostic notes ([`Metrics::note`]), insertion order.
-    /// Defaulted so snapshots written before the storage-fault work parse.
-    #[serde(default)]
     pub notes: Vec<(String, String)>,
 }
 
@@ -1003,7 +993,7 @@ mod tests {
         );
         assert_eq!(snap.note("storage_demotion"), Some("retries exhausted"));
         assert!(snap.summary().contains("note checkpoint_error"));
-        // Round-trips (and pre-notes snapshots still parse via default).
+        // Round-trips.
         let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parses");
         assert_eq!(snap, back);
         // The ledger is bounded: flooding distinct keys evicts the oldest.

@@ -127,24 +127,18 @@ pub struct ScopeStats {
     /// here instead of panicking.
     pub decode_failures: u64,
     /// Broadcast payloads (SIB1 / RRC Setup) the bounded parsers rejected.
-    #[serde(default)]
     pub parse_rejects: u64,
     /// CRC-passing DCIs rejected by stage-1 field-consistency validation.
-    #[serde(default)]
     pub validation_rejects: u64,
     /// Candidate C-RNTIs moved to the quarantine ledger (stage-2
     /// admission control: never corroborated inside the window).
-    #[serde(default)]
     pub ghosts_quarantined: u64,
     /// Integer sample slips commanded by the timing-recovery loop.
-    #[serde(default)]
     pub timing_slips: u64,
     /// Times the timing-recovery loop fell out of `Locked`.
-    #[serde(default)]
     pub clock_lock_losses: u64,
     /// Clock step discontinuities absorbed (oscillator steps and
     /// USRP-overrun gap feed-forwards).
-    #[serde(default)]
     pub clock_steps: u64,
 }
 
@@ -335,9 +329,12 @@ impl NrScope {
         }
     }
 
-    /// Begin capturing per-slot mutations for the crash journal. The
-    /// caller must drain [`NrScope::take_journal_entry`] after every
-    /// capture, or consecutive slots' operations merge into one entry.
+    /// Begin (or, after a durability re-promotion, resume) capturing
+    /// per-slot mutations for the crash journal. The caller must drain
+    /// [`NrScope::take_journal_entry`] after every capture, or consecutive
+    /// slots' operations merge into one entry; slots processed while
+    /// paused were never journalled, so a resuming caller re-anchors with
+    /// a checkpoint.
     pub fn start_journaling(&mut self) {
         self.journaling = true;
     }
@@ -349,13 +346,6 @@ impl NrScope {
     pub fn pause_journaling(&mut self) {
         self.journaling = false;
         self.slot_ops.clear();
-    }
-
-    /// Resume collecting per-slot mutations after a durability
-    /// re-promotion (the caller re-anchors with a checkpoint — slots
-    /// processed while paused were never journalled).
-    pub fn resume_journaling(&mut self) {
-        self.journaling = true;
     }
 
     /// The next slot to be processed — journal replay's idempotence

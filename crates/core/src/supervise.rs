@@ -56,6 +56,10 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// prioritised-recv poll).
 const RECV_POLL: Duration = Duration::from_micros(200);
 
+/// Bound on waiting for a finishing child to exit before the supervisor
+/// escalates to SIGKILL ([`ChildHandle::wait_timeout`]).
+const FINISH_WAIT: Duration = Duration::from_secs(5);
+
 /// Parent → child messages, one JSON object per line on the child's stdin.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum WireMsg {
@@ -102,28 +106,19 @@ pub struct Ack {
     pub tracked: Vec<Rnti>,
     /// Durable watermark: slots below this are in the OS and survive a
     /// `kill -9`. Trails `watermark` by at most the group-commit loss
-    /// window ([`PersistConfig::loss_window_slots`]). Defaults to 0 when
-    /// talking to a pre-group-commit child, which acked only after its
-    /// per-slot flush.
-    #[serde(default)]
+    /// window ([`PersistConfig::loss_window_slots`]).
     pub durable: u64,
     /// Current durability-ladder rung, as
     /// [`DurabilityRung`](crate::persist::DurabilityRung) `as u8`
-    /// (0 = Durable, 1 = DurableDegraded, 2 = NonDurable). Defaults to 0
-    /// for pre-storage-fault children, whose only rung was "durable".
-    #[serde(default)]
+    /// (0 = Durable, 1 = DurableDegraded, 2 = NonDurable).
     pub durability_rung: u8,
     /// The loss window the child honestly promises right now: `Some(n)` =
     /// a `kill -9` loses at most `n` slots; `None` = unbounded (the child
     /// is `NonDurable` — its disk is gone and nothing is being journalled).
-    /// Defaults to `None` for pre-storage-fault children.
-    #[serde(default)]
     pub loss_window: Option<u64>,
     /// Cumulative SI-RNTI DCIs decoded by the child (crash-stable via the
     /// checkpointed stats). The chaos never-go-dark monitor watches this
-    /// advance while broadcast traffic is on the air. Defaults to 0 for
-    /// pre-liveness children.
-    #[serde(default)]
+    /// advance while broadcast traffic is on the air.
     pub si_dcis: u64,
 }
 
@@ -1224,7 +1219,7 @@ impl Supervisor {
                 Ok(None) | Err(_) => break,
             }
         }
-        let _ = child.wait_timeout(Duration::from_millis(self.cfg.wait_timeout_ms.max(1)));
+        let _ = child.wait_timeout(FINISH_WAIT);
         final_slot
     }
 

@@ -96,15 +96,11 @@ pub struct TrackerAux {
     pub ever_seen: Vec<Rnti>,
     /// Distinct-UE discovery count.
     pub total_discovered: u64,
-    /// `probation` as sorted `(rnti, sighting_slots)` pairs. Defaulted so
-    /// pre-hardening snapshots still deserialise.
-    #[serde(default)]
+    /// `probation` as sorted `(rnti, sighting_slots)` pairs.
     pub probation: Vec<(Rnti, Vec<u64>)>,
     /// `quarantine` as sorted `(rnti, entry)` pairs.
-    #[serde(default)]
     pub quarantine: Vec<(Rnti, QuarantineEntry)>,
     /// Lifetime count of counted evictions from the bounded ledger.
-    #[serde(default)]
     pub quarantine_evictions: u64,
 }
 
@@ -742,16 +738,6 @@ mod tests {
         assert!(back.is_quarantined(Rnti(0x4A00)));
         assert_eq!(back.quarantine_reappearances(Rnti(0x4A00)), Some(1));
         assert!(back.is_probationary(Rnti(0x4B00)));
-    }
-
-    #[test]
-    fn pre_hardening_aux_json_still_deserialises() {
-        // A PR 4 era snapshot has no probation/quarantine fields.
-        let old = r#"{"pending_tc":[],"recently_expired":[],"cached_rrc":null,"ever_seen":[],"total_discovered":0}"#;
-        let aux: TrackerAux = serde_json::from_str(old).expect("defaults fill in");
-        assert!(aux.probation.is_empty());
-        assert!(aux.quarantine.is_empty());
-        assert_eq!(aux.quarantine_evictions, 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, Try
 use nr_phy::pdcch::SearchBudget;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -109,6 +109,14 @@ where
         .name(format!("nrscope-{name}"))
         .spawn(f)
         .expect("spawn background thread")
+}
+
+/// Lock that never gives up on poisoning: the protected state is either
+/// rebuilt wholesale (fleet engines) or stays valid at every step
+/// (counters, queues, fault schedules), and a panic inside a fleet worker
+/// is already quarantined by `catch_unwind` before any lock unwinds.
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// [`process_slot`] with pipeline instrumentation: OFDM demod, PDCCH

@@ -341,7 +341,6 @@ fn wedged_journal_writer_demotes_durability_honestly() {
     pcfg.flush_max_slots = 8;
     pcfg.storage = StoragePolicy {
         reprobe_interval_slots: 64,
-        ..StoragePolicy::default()
     };
 
     let (caps, pci) = capture_tape(4_000);

