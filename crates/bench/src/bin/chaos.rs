@@ -33,13 +33,16 @@ use nrscope::chaos::{
     ChaosArms, ChaosSchedule, DriveStats, InvariantMonitor, MonitorStatus,
 };
 use nrscope::observe::Observer;
-use nrscope::supervise::{self, BreakerState, RestartCause, Supervisor};
+use nrscope::supervise::{self, RestartCause, Supervisor};
 use nrscope::{
     ClockRecovery, ClockRecoveryConfig, FaultPlan, Fleet, FleetConfig, HangTarget, InjectedFault,
     Metrics, ScopeConfig, ShardSpec, CHAOS_PLAN_FILE,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use nrscope_bench::gate::{Gate, Mode, Phase};
+use nrscope_bench::scratch_dir;
+use serde::Serialize;
+use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,14 +55,6 @@ const HANG_SLOP_MS: u64 = 1_000;
 /// soak example enforces).
 const PARITY_MIN: f64 = 0.88;
 const PARITY_MAX: f64 = 1.02;
-
-fn session_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("nrscope-bench-chaos-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create session dir");
-    dir
-}
 
 /// The supervised legs' config: deadlines tightened so hang detection is
 /// measured in hundreds of milliseconds, not the production 2 s.
@@ -93,9 +88,10 @@ fn build_gnb(cell: &CellConfig, n_ues: u64, seed: u64) -> Gnb {
     gnb
 }
 
-/// One supervised leg's outcome (baseline and chaos share the shape).
-struct LegResult {
-    name: &'static str,
+/// One supervised leg's columns in the artefact (baseline and chaos
+/// share the shape).
+#[derive(Serialize, Default)]
+struct Leg {
     slots: u64,
     acked: u64,
     lost: u64,
@@ -107,64 +103,10 @@ struct LegResult {
     breaker_final: &'static str,
     parity_ratio: f64,
     monitors: Vec<MonitorStatus>,
-    ok: bool,
-    detail: String,
 }
 
-impl LegResult {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\": \"{name}\", \"slots\": {slots}, \"acked\": {acked}, ",
-                "\"lost\": {lost}, \"hangs_detected\": {hangs}, ",
-                "\"hang_detect_ms_max\": {detect}, \"killed_restarts\": {killed}, ",
-                "\"hang_restarts\": {hrestarts}, \"breaker_openings\": {openings}, ",
-                "\"breaker_final\": \"{breaker}\", \"parity_ratio\": {parity:.4}, ",
-                "\"monitors\": {monitors}, \"ok\": {ok}, \"detail\": {detail}}}"
-            ),
-            name = self.name,
-            slots = self.slots,
-            acked = self.acked,
-            lost = self.lost,
-            hangs = self.hangs_detected,
-            detect = self.hang_detect_ms_max,
-            killed = self.killed_restarts,
-            hrestarts = self.hang_restarts,
-            openings = self.breaker_openings,
-            breaker = self.breaker_final,
-            parity = self.parity_ratio,
-            monitors = serde_json::to_string(&self.monitors).expect("monitor statuses"),
-            ok = self.ok,
-            detail = serde_json::to_string(&self.detail).expect("detail string"),
-        )
-    }
-
-    fn failed(name: &'static str, detail: String) -> LegResult {
-        LegResult {
-            name,
-            slots: 0,
-            acked: 0,
-            lost: 0,
-            hangs_detected: 0,
-            hang_detect_ms_max: 0,
-            killed_restarts: 0,
-            hang_restarts: 0,
-            breaker_openings: 0,
-            breaker_final: "unknown",
-            parity_ratio: 0.0,
-            monitors: Vec::new(),
-            ok: false,
-            detail,
-        }
-    }
-}
-
-fn breaker_name(state: BreakerState) -> &'static str {
-    match state {
-        BreakerState::Closed => "closed",
-        BreakerState::Open => "open",
-        BreakerState::HalfOpen => "half_open",
-    }
+fn failed_leg(name: &'static str, detail: String) -> Phase<Leg> {
+    Phase::new(name, false, detail, Leg::default())
 }
 
 /// Aggregate parity over the leg's observed ranges: Σ estimated bits /
@@ -202,9 +144,9 @@ fn supervised_leg(
     schedule: &ChaosSchedule,
     mut monitors: Vec<Box<dyn InvariantMonitor>>,
     ghosts: Vec<Rnti>,
-) -> LegResult {
+) -> Phase<Leg> {
     let cell = CellConfig::srsran_n41();
-    let dir = session_dir(name);
+    let dir = scratch_dir("chaos", name);
     let scope_cfg = tuned_config(short);
     std::fs::write(dir.join(supervise::CONFIG_FILE), scope_cfg.to_json())
         .expect("write scope config");
@@ -246,10 +188,10 @@ fn supervised_leg(
     let mut sup = Supervisor::new(&exe, &args, &[], scope_cfg.supervise, metrics);
     let hello = match sup.start() {
         Ok(h) => h,
-        Err(e) => return LegResult::failed(name, format!("child failed to start: {e}")),
+        Err(e) => return failed_leg(name, format!("child failed to start: {e}")),
     };
     if hello.report.resumed {
-        return LegResult::failed(name, "first start claimed to resume prior state".into());
+        return failed_leg(name, "first start claimed to resume prior state".into());
     }
 
     let stats = drive_supervised(&mut sup, schedule, &ghosts, &mut monitors, |seq| {
@@ -282,7 +224,7 @@ fn supervised_leg(
         .iter()
         .filter(|e| e.cause == RestartCause::Hang)
         .count() as u64;
-    let breaker_final = breaker_name(sup.breaker_state());
+    let breaker_final = sup.breaker_state().name();
     let _ = sup.finish();
 
     let statuses = monitor_statuses(&monitors);
@@ -323,8 +265,7 @@ fn supervised_leg(
         monitors_green,
     );
     let _ = std::fs::remove_dir_all(&dir);
-    LegResult {
-        name,
+    let leg = Leg {
         slots: stats.slots,
         acked: stats.acked,
         lost: stats.lost_child_down + stats.lost_lame_duck,
@@ -336,49 +277,26 @@ fn supervised_leg(
         breaker_final,
         parity_ratio: parity.unwrap_or(0.0),
         monitors: statuses,
-        ok,
-        detail,
-    }
+    };
+    Phase::new(name, ok, detail, leg)
 }
 
-/// The fleet leg's outcome.
-struct FleetLegResult {
+/// The fleet leg's columns in the artefact.
+#[derive(Serialize, Default)]
+struct FleetLeg {
     slots: u64,
     wedges: u64,
     restarts: u64,
     breaker_open_cells: u64,
     unhealthy_cells: u64,
     monitors: Vec<MonitorStatus>,
-    ok: bool,
-    detail: String,
-}
-
-impl FleetLegResult {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\": \"fleet\", \"slots\": {slots}, \"wedges\": {wedges}, ",
-                "\"restarts\": {restarts}, \"breaker_open_cells\": {open}, ",
-                "\"unhealthy_cells\": {unhealthy}, \"monitors\": {monitors}, ",
-                "\"ok\": {ok}, \"detail\": {detail}}}"
-            ),
-            slots = self.slots,
-            wedges = self.wedges,
-            restarts = self.restarts,
-            open = self.breaker_open_cells,
-            unhealthy = self.unhealthy_cells,
-            monitors = serde_json::to_string(&self.monitors).expect("monitor statuses"),
-            ok = self.ok,
-            detail = serde_json::to_string(&self.detail).expect("detail string"),
-        )
-    }
 }
 
 /// Three shards, one scripted shard hang (a pathological in-flight
 /// delay), a 50 ms watchdog: the hang must be fenced and warm-restarted
 /// while the sibling shards keep advancing (bulkhead isolation), and the
 /// default restart budget must absorb it without parking anything.
-fn fleet_leg(short: bool) -> FleetLegResult {
+fn fleet_leg(short: bool) -> Phase<FleetLeg> {
     let slots: u64 = if short { 4_000 } else { 8_000 };
     let schedule = ChaosSchedule::compose(
         SEED ^ 0xF1EE7,
@@ -401,16 +319,11 @@ fn fleet_leg(short: bool) -> FleetLegResult {
     let fleet = match Fleet::new(cfg, specs) {
         Ok(f) => f,
         Err(e) => {
-            return FleetLegResult {
+            let leg = FleetLeg {
                 slots,
-                wedges: 0,
-                restarts: 0,
-                breaker_open_cells: 0,
-                unhealthy_cells: 0,
-                monitors: Vec::new(),
-                ok: false,
-                detail: format!("fleet failed to start: {e}"),
-            }
+                ..FleetLeg::default()
+            };
+            return Phase::new("fleet", false, format!("fleet failed to start: {e}"), leg);
         }
     };
 
@@ -483,29 +396,38 @@ fn fleet_leg(short: bool) -> FleetLegResult {
          monitors_green={monitors_green}",
         shard_hangs.len()
     );
-    FleetLegResult {
+    let leg = FleetLeg {
         slots,
         wedges,
         restarts,
         breaker_open_cells,
         unhealthy_cells: unhealthy,
         monitors: statuses,
-        ok,
-        detail,
-    }
+    };
+    Phase::new("fleet", ok, detail, leg)
 }
 
-fn main() {
+/// The artefact's header fields.
+#[derive(Serialize)]
+struct Header {
+    seed: u64,
+    horizon_slots: u64,
+    relative_parity: f64,
+    parity_bounds: [f64; 2],
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     if args.len() >= 4 && args[1] == "--child" {
         // Child mode: recover from the session directory, apply any
         // scripted chaos plan found there, and serve slots.
         let pci: u16 = args[3].parse().expect("child PCI argument");
         supervise::run_child(Path::new(&args[2]), Some(Pci(pci))).expect("child pipeline");
-        return;
+        return ExitCode::SUCCESS;
     }
-    let short = args.iter().any(|a| a == "--short");
-    let horizon: u64 = if short { 6_000 } else { 12_000 };
+    let mut gate = Gate::new("chaos", "legs", Mode::from_env());
+    let short = gate.mode.short;
+    let horizon: u64 = gate.mode.pick(6_000, 12_000);
 
     let baseline_schedule = ChaosSchedule::compose(SEED, horizon, ChaosArms::none());
     let chaos_schedule = ChaosSchedule::compose(SEED, horizon, ChaosArms::all());
@@ -524,113 +446,37 @@ fn main() {
     );
     let ghosts = vec![Rnti(HostileConfig::default().persistent_ghost_rnti)];
 
-    let mut panics = 0u64;
-    let mut run_supervised = |name: &'static str,
-                              schedule: &ChaosSchedule,
-                              monitors: Vec<Box<dyn InvariantMonitor>>,
-                              ghosts: Vec<Rnti>|
-     -> LegResult {
-        match catch_unwind(AssertUnwindSafe(|| {
-            supervised_leg(name, short, schedule, monitors, ghosts)
-        })) {
-            Ok(r) => r,
-            Err(_) => {
-                panics += 1;
-                LegResult::failed(name, "leg panicked".into())
-            }
-        }
-    };
-
-    let baseline = run_supervised("baseline", &baseline_schedule, Vec::new(), Vec::new());
-    let chaos = run_supervised(
-        "chaos",
-        &chaos_schedule,
-        standard_monitors(ghosts.clone()),
-        ghosts,
-    );
-    let fleet = match catch_unwind(AssertUnwindSafe(|| fleet_leg(short))) {
-        Ok(r) => r,
-        Err(_) => {
-            panics += 1;
-            FleetLegResult {
-                slots: 0,
-                wedges: 0,
-                restarts: 0,
-                breaker_open_cells: 0,
-                unhealthy_cells: 0,
-                monitors: Vec::new(),
-                ok: false,
-                detail: "fleet leg panicked".into(),
-            }
-        }
-    };
+    let baseline = gate.run("baseline", || {
+        supervised_leg(
+            "baseline",
+            short,
+            &baseline_schedule,
+            Vec::new(),
+            Vec::new(),
+        )
+    });
+    let chaos = gate.run("chaos", || {
+        let monitors = standard_monitors(ghosts.clone());
+        supervised_leg("chaos", short, &chaos_schedule, monitors, ghosts.clone())
+    });
+    gate.run("fleet", || fleet_leg(short));
 
     // Parity under full chaos, relative to the clean baseline.
-    let rel_parity = if baseline.parity_ratio > 0.0 {
-        chaos.parity_ratio / baseline.parity_ratio
+    let relative_parity = if baseline.fields.parity_ratio > 0.0 {
+        chaos.fields.parity_ratio / baseline.fields.parity_ratio
     } else {
         0.0
     };
-    let parity_ok = (PARITY_MIN..=PARITY_MAX).contains(&rel_parity);
-    let all_ok = panics == 0 && baseline.ok && chaos.ok && fleet.ok && parity_ok;
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"chaos\",\n",
-            "  \"short\": {short},\n",
-            "  \"seed\": {seed},\n",
-            "  \"horizon_slots\": {horizon},\n",
-            "  \"relative_parity\": {rel:.4},\n",
-            "  \"parity_bounds\": [{pmin}, {pmax}],\n",
-            "  \"panics\": {panics},\n",
-            "  \"legs\": [\n    {baseline},\n    {chaos},\n    {fleet}\n  ],\n",
-            "  \"gate_ok\": {ok}\n",
-            "}}\n"
-        ),
-        short = short,
-        seed = SEED,
-        horizon = horizon,
-        rel = rel_parity,
-        pmin = PARITY_MIN,
-        pmax = PARITY_MAX,
-        panics = panics,
-        baseline = baseline.to_json(),
-        chaos = chaos.to_json(),
-        fleet = fleet.to_json(),
-        ok = all_ok,
-    );
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-
-    println!("chaos bench ({horizon} slots/leg, short={short})");
-    for leg in [&baseline, &chaos] {
-        println!(
-            "  {:<9} acked {:>6}/{:<6} parity {:.4}  hangs {} (max {} ms)  kills {}  breaker {:<9} {}",
-            leg.name,
-            leg.acked,
-            leg.slots,
-            leg.parity_ratio,
-            leg.hangs_detected,
-            leg.hang_detect_ms_max,
-            leg.killed_restarts,
-            leg.breaker_final,
-            if leg.ok { "ok" } else { "FAIL" }
-        );
-        println!("    {}", leg.detail);
+    if !(PARITY_MIN..=PARITY_MAX).contains(&relative_parity) {
+        gate.breach(format!(
+            "relative parity {relative_parity:.4} outside [{PARITY_MIN}, {PARITY_MAX}]"
+        ));
     }
-    println!(
-        "  fleet     wedges {}  restarts {}  breaker-open cells {}  {}",
-        fleet.wedges,
-        fleet.restarts,
-        fleet.breaker_open_cells,
-        if fleet.ok { "ok" } else { "FAIL" }
-    );
-    println!("    {}", fleet.detail);
-    println!("  relative parity    {rel_parity:.4} (bounds [{PARITY_MIN}, {PARITY_MAX}])");
-    println!("  panics             {panics}");
-    println!("wrote BENCH_chaos.json");
-    if !all_ok {
-        eprintln!("chaos gate breached: see leg details above");
-        std::process::exit(1);
-    }
+    println!("relative parity {relative_parity:.4} (bounds [{PARITY_MIN}, {PARITY_MAX}])");
+    gate.finish(&Header {
+        seed: SEED,
+        horizon_slots: horizon,
+        relative_parity,
+        parity_bounds: [PARITY_MIN, PARITY_MAX],
+    })
 }

@@ -30,8 +30,10 @@ use nrscope::{
     ClockLock, ClockObservable, ClockRecoveryConfig, NrScope, PersistConfig, PersistentSession,
     ScopeConfig,
 };
-use nrscope_bench::capture_seconds;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use nrscope_bench::gate::{Gate, Mode, Phase};
+use nrscope_bench::scratch_dir;
+use serde::Serialize;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use ue_sim::traffic::{TrafficKind, TrafficSource};
 use ue_sim::{MobilityScenario, SimUe};
@@ -70,57 +72,26 @@ fn decoded_dcis(scope: &NrScope) -> u64 {
     s.si_dcis + s.ra_dcis + s.tc_dcis + s.dl_dcis + s.ul_dcis
 }
 
-struct PhaseResult {
-    name: &'static str,
+/// One phase's columns in the artefact.
+#[derive(Serialize, Default)]
+struct Cols {
     slots: u64,
     slots_per_sec: f64,
     lock: &'static str,
     drift_ppb: i64,
     timing_slips: u64,
-    ok: bool,
-    detail: String,
 }
 
-impl PhaseResult {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\": \"{name}\", \"slots\": {slots}, ",
-                "\"slots_per_sec\": {sps:.1}, \"lock\": \"{lock}\", ",
-                "\"drift_ppb\": {drift}, \"timing_slips\": {slips}, ",
-                "\"ok\": {ok}, \"detail\": \"{detail}\"}}"
-            ),
-            name = self.name,
-            slots = self.slots,
-            sps = self.slots_per_sec,
-            lock = self.lock,
-            drift = self.drift_ppb,
-            slips = self.timing_slips,
-            ok = self.ok,
-            detail = self.detail,
-        )
-    }
-
-    fn panicked(name: &'static str) -> PhaseResult {
-        PhaseResult {
-            name,
-            slots: 0,
-            slots_per_sec: 0.0,
-            lock: "panicked",
-            drift_ppb: 0,
-            timing_slips: 0,
-            ok: false,
-            detail: "phase panicked".to_string(),
+impl Cols {
+    /// `slots` processed in `wall` seconds, clock state read from `scope`.
+    fn of(slots: u64, wall: f64, scope: &NrScope) -> Cols {
+        Cols {
+            slots,
+            slots_per_sec: slots as f64 / wall,
+            lock: scope.clock_lock().map_or("ideal", ClockLock::name),
+            drift_ppb: scope.clock_drift_ppb(),
+            timing_slips: scope.stats.timing_slips,
         }
-    }
-}
-
-fn lock_name(lock: Option<ClockLock>) -> &'static str {
-    match lock {
-        Some(ClockLock::Locked) => "locked",
-        Some(ClockLock::Pulling) => "pulling",
-        Some(ClockLock::Unlocked) => "unlocked",
-        None => "ideal",
     }
 }
 
@@ -152,7 +123,7 @@ fn drive_parity_run(cell: &CellConfig, slots: u64, attach_at: u64, ppm: f64) -> 
 
 /// ±20 ppm oscillator: lock held, drift estimate near truth, decoded-DCI
 /// parity with the ideal-clock baseline inside the band.
-fn drift_phase(cell: &CellConfig, slots: u64) -> PhaseResult {
+fn drift_phase(cell: &CellConfig, slots: u64) -> Phase<Cols> {
     let attach_at = 800.min(slots / 4);
     let t0 = Instant::now();
     let base = drive_parity_run(cell, slots, attach_at, 0.0);
@@ -191,22 +162,13 @@ fn drift_phase(cell: &CellConfig, slots: u64) -> PhaseResult {
         plus.clock_drift_ppb(),
         minus.clock_drift_ppb()
     );
-    PhaseResult {
-        name: "drift_20ppm",
-        slots: slots * 3,
-        slots_per_sec: (slots * 3) as f64 / wall,
-        lock: lock_name(plus.clock_lock()),
-        drift_ppb: plus.clock_drift_ppb(),
-        timing_slips: plus.stats.timing_slips,
-        ok,
-        detail,
-    }
+    Phase::new("drift_20ppm", ok, detail, Cols::of(slots * 3, wall, &plus))
 }
 
 /// A 2 µs timing step mid-run: the loop formally drops out of `Locked`
 /// (short pulling horizon), reacquires through the SSB path, and the
 /// excursion stays inside the documented bound.
-fn step_phase(cell: &CellConfig, slots: u64) -> PhaseResult {
+fn step_phase(cell: &CellConfig, slots: u64) -> Phase<Cols> {
     let step_at = (slots / 2) | 1; // odd ⇒ never an SSB slot (those are % 40 == 0)
     let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 13);
     gnb.ue_arrives(cbr_ue(1, 13));
@@ -256,23 +218,19 @@ fn step_phase(cell: &CellConfig, slots: u64) -> PhaseResult {
          lock_losses={} steps={}",
         scope.stats.clock_lock_losses, scope.stats.clock_steps
     );
-    PhaseResult {
-        name: "step_2us_reacquire",
-        slots,
-        slots_per_sec: slots as f64 / wall,
-        lock: lock_name(scope.clock_lock()),
-        drift_ppb: scope.clock_drift_ppb(),
-        timing_slips: scope.stats.timing_slips,
+    Phase::new(
+        "step_2us_reacquire",
         ok,
         detail,
-    }
+        Cols::of(slots, wall, &scope),
+    )
 }
 
 /// Kill -9 straddling the SFN wrap: a persistent session is leaked (no
 /// drop-time drain) a hundred slots before the mod-1024 wrap, resumed,
 /// and must replay + continue exactly — equal to an uninterrupted
 /// reference, with the derived SFN matching air truth on every slot.
-fn wrap_phase(cell: &CellConfig) -> PhaseResult {
+fn wrap_phase(cell: &CellConfig) -> Phase<Cols> {
     const WRAP: u64 = 20_480; // 1024 frames × 20 slots at µ=1
     const SKIP_TO: u64 = 20_200;
     const KILL_AT: u64 = 20_380;
@@ -318,8 +276,7 @@ fn wrap_phase(cell: &CellConfig) -> PhaseResult {
         }
     }
 
-    let dir = std::env::temp_dir().join(format!("nrscope-bench-clockdrift-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("clockdrift", "wrap");
     let cfg = || PersistConfig {
         checkpoint_every_slots: 512,
         ..PersistConfig::new(&dir)
@@ -381,89 +338,29 @@ fn wrap_phase(cell: &CellConfig) -> PhaseResult {
     );
     session.finalize().expect("finalize wrap session");
     let _ = std::fs::remove_dir_all(&dir);
-    PhaseResult {
-        name: "sfn_wrap_kill9",
-        slots: tape.len() as u64,
-        slots_per_sec: tape.len() as f64 / wall,
-        lock: lock_name(reference.clock_lock()),
-        drift_ppb: reference.clock_drift_ppb(),
-        timing_slips: reference.stats.timing_slips,
-        ok,
-        detail,
-    }
+    let cols = Cols::of(tape.len() as u64, wall, &reference);
+    Phase::new("sfn_wrap_kill9", ok, detail, cols)
 }
 
-fn main() {
-    let short = std::env::args().any(|a| a == "--short");
+/// The artefact's header fields.
+#[derive(Serialize)]
+struct Header {
+    phase_slots: u64,
+    parity_band: [f64; 2],
+    reacquire_bound_slots: u64,
+}
+
+fn main() -> ExitCode {
+    let mut gate = Gate::new("clockdrift", "phases", Mode::from_env());
     let cell = CellConfig::srsran_n41();
-    let slot_s = cell.slot_s();
-    let seconds = capture_seconds(if short { 1.5 } else { 4.0 });
     // Enough room for CFO pull-in + attach + a meaningful parity window.
-    let phase_slots = ((seconds / slot_s).round() as u64).max(3_000);
-
-    let mut panics = 0u64;
-    let mut run = |f: &dyn Fn() -> PhaseResult, name: &'static str| -> PhaseResult {
-        match catch_unwind(AssertUnwindSafe(f)) {
-            Ok(r) => r,
-            Err(_) => {
-                panics += 1;
-                PhaseResult::panicked(name)
-            }
-        }
-    };
-    let phases = [
-        run(&|| drift_phase(&cell, phase_slots), "drift_20ppm"),
-        run(&|| step_phase(&cell, phase_slots), "step_2us_reacquire"),
-        run(&|| wrap_phase(&cell), "sfn_wrap_kill9"),
-    ];
-
-    let all_ok = panics == 0 && phases.iter().all(|p| p.ok);
-    let phases_json = phases
-        .iter()
-        .map(|p| format!("    {}", p.to_json()))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"clockdrift\",\n",
-            "  \"short\": {short},\n",
-            "  \"phase_slots\": {phase_slots},\n",
-            "  \"parity_band\": [{pmin}, {pmax}],\n",
-            "  \"reacquire_bound_slots\": {bound},\n",
-            "  \"panics\": {panics},\n",
-            "  \"phases\": [\n{phases}\n  ],\n",
-            "  \"gate_ok\": {ok}\n",
-            "}}\n"
-        ),
-        short = short,
-        phase_slots = phase_slots,
-        pmin = PARITY_MIN,
-        pmax = PARITY_MAX,
-        bound = REACQUIRE_BOUND_SLOTS,
-        panics = panics,
-        phases = phases_json,
-        ok = all_ok,
-    );
-    std::fs::write("BENCH_clockdrift.json", &json).expect("write BENCH_clockdrift.json");
-
-    println!("clockdrift bench ({phase_slots} slots/phase, short={short})");
-    for p in &phases {
-        println!(
-            "  {:<20} {:>9} slots  {:>10.1} slots/s  lock {:<8} drift {:>7} ppb  {}",
-            p.name,
-            p.slots,
-            p.slots_per_sec,
-            p.lock,
-            p.drift_ppb,
-            if p.ok { "ok" } else { "FAIL" }
-        );
-        println!("    {}", p.detail);
-    }
-    println!("  panics             {panics:>10}");
-    println!("wrote BENCH_clockdrift.json");
-    if !all_ok {
-        eprintln!("clockdrift gate breached: see phase details above");
-        std::process::exit(1);
-    }
+    let phase_slots = gate.mode.slots(1.5, 4.0, cell.slot_s(), 3_000);
+    gate.run("drift_20ppm", || drift_phase(&cell, phase_slots));
+    gate.run("step_2us_reacquire", || step_phase(&cell, phase_slots));
+    gate.run("sfn_wrap_kill9", || wrap_phase(&cell));
+    gate.finish(&Header {
+        phase_slots,
+        parity_band: [PARITY_MIN, PARITY_MAX],
+        reacquire_bound_slots: REACQUIRE_BOUND_SLOTS,
+    })
 }

@@ -1,15 +1,18 @@
-//! durafault — storage-fault matrix over the durable pipeline.
+//! durafault — durability gate: clean-disk journaling cost plus the
+//! storage-fault matrix over the durable pipeline.
 //!
-//! Runs the durable session against a seeded `FaultyBackend` through four
-//! fault schedules — transient write-error burst, dead disk (persistent
-//! `EIO`), disk full (`ENOSPC`), and recovery with re-promotion + a
-//! simulated `kill -9` resume — and freezes the results into
-//! `BENCH_durafault.json`.
+//! Runs the durable session on a clean disk against a plain in-memory
+//! scope, then against a seeded `FaultyBackend` through four fault
+//! schedules — transient write-error burst, dead disk (persistent `EIO`),
+//! disk full (`ENOSPC`), and recovery with re-promotion + a simulated
+//! `kill -9` resume — and freezes the results into `BENCH_durafault.json`.
 //!
-//! The gate exits non-zero unless, across every schedule:
+//! The gate exits non-zero unless, across every phase:
 //!   * zero panics escaped any phase;
-//!   * decode throughput stayed within 10% of the clean-disk baseline
-//!     while the disk was faulting (plus the shared noise floor);
+//!   * journaled throughput on a clean disk stayed within 10% of the
+//!     plain-scope run — group commit exists to keep it there — and decode
+//!     throughput while the disk was faulting stayed within 10% of the
+//!     clean-disk durable baseline (both plus the shared noise floor);
 //!   * the durability ladder moved as designed, observed through the
 //!     `durability_rung` gauge — retries without demotion for the
 //!     transient burst, demotion to `NonDurable` for the dead disk, an
@@ -21,52 +24,18 @@
 //! `--short` (or `NRSCOPE_SECONDS`) shrinks the run for CI smoke tests.
 
 use gnb_sim::{CellConfig, Gnb};
-use nr_mac::RoundRobin;
-use nr_phy::channel::ChannelProfile;
-use nrscope::observe::Observer;
+use nrscope::observe::{Capture, Observer};
 use nrscope::{
-    Counter, DurabilityRung, FaultKind, FaultyBackend, Gauge, PersistConfig, PersistentSession,
-    ScopeConfig, StorageFaultSchedule, StoragePolicy,
+    Counter, DurabilityRung, FaultKind, FaultyBackend, Gauge, NrScope, PersistConfig,
+    PersistentSession, ScopeConfig, StorageFaultSchedule, StoragePolicy,
 };
-use nrscope_bench::capture_seconds;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use nrscope_bench::gate::{ratio_holds, Gate, Mode, Phase, NOISE_FLOOR_PCT, RATIO_MIN};
+use nrscope_bench::{cbr_gnb, scratch_dir};
+use serde::Serialize;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ue_sim::traffic::{TrafficKind, TrafficSource};
-use ue_sim::{MobilityScenario, SimUe};
-
-/// Wall-clock noise floor for throughput-ratio comparisons, in percent
-/// (same figure the `pipeline` bench documents).
-const NOISE_FLOOR_PCT: f64 = 3.0;
-
-/// Throughput during faults must stay within 10% of baseline (the
-/// tentpole's headline requirement), noise floor on top.
-fn ratio_min() -> f64 {
-    0.9 * (1.0 - NOISE_FLOOR_PCT / 100.0)
-}
-
-fn build_gnb(cell: &CellConfig, n_ues: usize, active_s: f64, seed: u64) -> Gnb {
-    let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), seed);
-    for i in 0..n_ues {
-        gnb.ue_arrives(SimUe::new(
-            i as u64 + 1,
-            ChannelProfile::Awgn,
-            MobilityScenario::Static,
-            TrafficSource::new(
-                TrafficKind::Cbr {
-                    rate_bps: 3e6,
-                    packet_bytes: 1200,
-                },
-                seed * 1000 + i as u64,
-            ),
-            0.0,
-            active_s,
-            seed * 7777 + i as u64,
-        ));
-    }
-    gnb
-}
 
 /// One phase's cell feed: a gNB + observer pair that survives across
 /// `drive` calls so the tracked-UE population persists through faults.
@@ -81,33 +50,30 @@ impl Feed {
     fn new(cell: &CellConfig, horizon_slots: u64, seed: u64) -> Feed {
         let slot_s = cell.slot_s();
         Feed {
-            gnb: build_gnb(cell, 4, horizon_slots as f64 * slot_s + 10.0, seed),
+            gnb: cbr_gnb(cell, 4, horizon_slots as f64 * slot_s + 10.0, seed),
             observer: Observer::new(cell, 30.0, false, seed ^ 0xD15C),
             slot_s,
             next: 0,
         }
     }
 
-    /// Feed `slots` captures through the session; returns wall seconds.
-    fn drive(&mut self, session: &mut PersistentSession, slots: u64) -> f64 {
+    /// Feed `slots` captures through `sink`; returns wall seconds.
+    fn drive_into(&mut self, slots: u64, mut sink: impl FnMut(&Capture)) -> f64 {
         let t0 = Instant::now();
         for _ in 0..slots {
             let out = self.gnb.step();
-            let cap = self.observer.capture(&out, self.next as f64 * self.slot_s);
-            session.process_capture(&cap);
+            sink(&self.observer.capture(&out, self.next as f64 * self.slot_s));
             self.next += 1;
         }
         t0.elapsed().as_secs_f64()
     }
-}
 
-fn phase_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "nrscope-bench-durafault-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    /// Feed `slots` captures through the session; returns wall seconds.
+    fn drive(&mut self, session: &mut PersistentSession, slots: u64) -> f64 {
+        self.drive_into(slots, |cap| {
+            session.process_capture(cap);
+        })
+    }
 }
 
 fn open_session(
@@ -129,60 +95,39 @@ fn open_session(
     session
 }
 
-/// One fault schedule's outcome.
-struct PhaseResult {
-    name: &'static str,
+/// One phase's columns in the artefact.
+#[derive(Serialize, Default)]
+struct Cols {
     slots: u64,
     slots_per_sec: f64,
     ratio_vs_baseline: f64,
-    retries: u64,
-    demotions: u64,
+    storage_retries: u64,
+    storage_demotions: u64,
     emergency_prunes: u64,
     journal_write_failures: u64,
     final_rung: &'static str,
-    ok: bool,
-    detail: String,
 }
 
-impl PhaseResult {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\": \"{name}\", \"slots\": {slots}, ",
-                "\"slots_per_sec\": {sps:.1}, \"ratio_vs_baseline\": {ratio:.4}, ",
-                "\"storage_retries\": {retries}, \"storage_demotions\": {demotions}, ",
-                "\"emergency_prunes\": {prunes}, \"journal_write_failures\": {jwf}, ",
-                "\"final_rung\": \"{rung}\", \"ok\": {ok}, \"detail\": \"{detail}\"}}"
-            ),
-            name = self.name,
-            slots = self.slots,
-            sps = self.slots_per_sec,
-            ratio = self.ratio_vs_baseline,
-            retries = self.retries,
-            demotions = self.demotions,
-            prunes = self.emergency_prunes,
-            jwf = self.journal_write_failures,
-            rung = self.final_rung,
-            ok = self.ok,
-            detail = self.detail,
-        )
+impl Cols {
+    fn of(slots: u64, sps: f64, ratio: f64, session: &PersistentSession) -> Cols {
+        let m = session.scope().metrics();
+        Cols {
+            slots,
+            slots_per_sec: sps,
+            ratio_vs_baseline: ratio,
+            storage_retries: m.counter(Counter::StorageRetries),
+            storage_demotions: m.counter(Counter::StorageDemotions),
+            emergency_prunes: m.counter(Counter::EmergencyPrunes),
+            journal_write_failures: m.counter(Counter::JournalWriteFailures),
+            final_rung: session.durability_rung().name(),
+        }
     }
-}
-
-fn snapshot_counters(session: &PersistentSession) -> (u64, u64, u64, u64) {
-    let m = session.scope().metrics();
-    (
-        m.counter(Counter::StorageRetries),
-        m.counter(Counter::StorageDemotions),
-        m.counter(Counter::EmergencyPrunes),
-        m.counter(Counter::JournalWriteFailures),
-    )
 }
 
 /// Clean-disk baseline: the yardstick every faulted run is measured
 /// against.
 fn baseline_phase(cell: &CellConfig, slots: u64) -> f64 {
-    let dir = phase_dir("baseline");
+    let dir = scratch_dir("durafault", "baseline");
     let mut session = open_session(&dir, cell, None, StoragePolicy::default());
     let mut feed = Feed::new(cell, slots, 11);
     let wall = feed.drive(&mut session, slots);
@@ -191,10 +136,51 @@ fn baseline_phase(cell: &CellConfig, slots: u64) -> f64 {
     slots as f64 / wall
 }
 
+/// Clean disk, no faults: the same lock-step run through a plain scope
+/// and through a journal-only session (group-commit append + OS flush,
+/// the unavoidable price of losing at most one batch to `kill -9`; no
+/// cadence checkpoints). Journaled throughput must stay within 10% of
+/// plain. Three interleaved pairs, best of each side, so a scheduling
+/// hiccup on a loaded host does not read as a durability regression.
+fn clean_disk_phase(cell: &CellConfig, slots: u64) -> Phase<Cols> {
+    let dir = scratch_dir("durafault", "clean-disk");
+    let (mut plain_sps, mut journal_sps) = (0.0f64, 0.0f64);
+    let mut cols = Cols::default();
+    for _ in 0..3 {
+        let mut scope = NrScope::new(ScopeConfig::default(), Some(cell.pci));
+        let wall = Feed::new(cell, slots, 11).drive_into(slots, |cap| {
+            scope.process_capture(cap);
+        });
+        plain_sps = plain_sps.max(slots as f64 / wall);
+
+        let cfg = PersistConfig {
+            checkpoint_every_slots: u64::MAX,
+            ..PersistConfig::new(&dir)
+        };
+        let (mut session, _) = PersistentSession::open(cfg, ScopeConfig::default(), Some(cell.pci))
+            .expect("open journal-only session");
+        let wall = Feed::new(cell, slots, 11).drive(&mut session, slots);
+        journal_sps = journal_sps.max(slots as f64 / wall);
+        cols = Cols::of(slots, journal_sps, journal_sps / plain_sps, &session);
+        session.finalize().expect("finalize clean-disk");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let ratio = cols.ratio_vs_baseline;
+    let ok = ratio_holds(ratio)
+        && cols.storage_demotions == 0
+        && cols.journal_write_failures == 0
+        && cols.final_rung == DurabilityRung::Durable.name();
+    let detail = format!(
+        "plain={plain_sps:.0}/s journaled={journal_sps:.0}/s ratio={ratio:.3} rung={}",
+        cols.final_rung
+    );
+    Phase::new("clean_disk", ok, detail, cols)
+}
+
 /// Transient burst: a bounded window of write `EIO`s. The ladder must
 /// absorb it with retries — no demotion — and climb back to `Durable`.
-fn transient_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult {
-    let dir = phase_dir("transient");
+fn transient_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> {
+    let dir = scratch_dir("durafault", "transient");
     let backend = FaultyBackend::new(StorageFaultSchedule::new(21));
     let mut session = open_session(&dir, cell, Some(&backend), StoragePolicy::default());
     let mut feed = Feed::new(cell, slots * 2, 13);
@@ -212,42 +198,32 @@ fn transient_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult 
     backend.arm(FaultKind::WriteEio, w..w + 2);
     wall += feed.drive(&mut session, slots - warm);
     session.flush_barrier();
-    let (retries, demotions, prunes, jwf) = snapshot_counters(&session);
+    let sps = slots as f64 / wall;
+    let cols = Cols::of(slots, sps, sps / base_sps, &session);
     let rung = session.durability_rung();
     let gauge = session.scope().metrics().gauge(Gauge::DurabilityRung);
-    let sps = slots as f64 / wall;
-    let ratio = sps / base_sps;
-    let ok = retries >= 1
-        && demotions == 0
+    let ok = cols.storage_retries >= 1
+        && cols.storage_demotions == 0
         && rung == DurabilityRung::Durable
         && gauge == DurabilityRung::Durable as u64
-        && ratio >= ratio_min();
+        && ratio_holds(cols.ratio_vs_baseline);
     let detail = format!(
-        "retries={retries} demotions={demotions} rung={} gauge={gauge} ratio={ratio:.3}",
-        rung.name()
+        "retries={} demotions={} rung={} gauge={gauge} ratio={:.3}",
+        cols.storage_retries,
+        cols.storage_demotions,
+        rung.name(),
+        cols.ratio_vs_baseline
     );
     session.finalize().expect("finalize transient");
     let _ = std::fs::remove_dir_all(&dir);
-    PhaseResult {
-        name: "transient_burst",
-        slots,
-        slots_per_sec: sps,
-        ratio_vs_baseline: ratio,
-        retries,
-        demotions,
-        emergency_prunes: prunes,
-        journal_write_failures: jwf,
-        final_rung: rung.name(),
-        ok,
-        detail,
-    }
+    Phase::new("transient_burst", ok, detail, cols)
 }
 
 /// Dead disk: every write fails from mid-phase on. The session must
 /// demote to `NonDurable` (observed via the gauge), keep decoding at
 /// full speed, and report its loss window as unbounded.
-fn dead_disk_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult {
-    let dir = phase_dir("dead-disk");
+fn dead_disk_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> {
+    let dir = scratch_dir("durafault", "dead-disk");
     let backend = FaultyBackend::new(StorageFaultSchedule::new(22));
     let mut session = open_session(&dir, cell, Some(&backend), StoragePolicy::default());
     let mut feed = Feed::new(cell, slots * 8, 14);
@@ -264,46 +240,35 @@ fn dead_disk_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult 
         wall += feed.drive(&mut session, 64);
         driven += 64;
     }
-    let (retries, demotions, prunes, jwf) = snapshot_counters(&session);
+    let sps = driven as f64 / wall;
+    let cols = Cols::of(driven, sps, sps / base_sps, &session);
     let rung = session.durability_rung();
     let gauge = session.scope().metrics().gauge(Gauge::DurabilityRung);
     let loss = session.reported_loss_window();
-    let sps = driven as f64 / wall;
-    let ratio = sps / base_sps;
-    let ok = demotions >= 1
+    let ok = cols.storage_demotions >= 1
         && rung == DurabilityRung::NonDurable
         && gauge == DurabilityRung::NonDurable as u64
         && loss.is_none()
-        && jwf >= 1
-        && ratio >= ratio_min();
+        && cols.journal_write_failures >= 1
+        && ratio_holds(cols.ratio_vs_baseline);
     let detail = format!(
-        "demotions={demotions} rung={} gauge={gauge} loss_window={loss:?} ratio={ratio:.3}",
-        rung.name()
+        "demotions={} rung={} gauge={gauge} loss_window={loss:?} ratio={:.3}",
+        cols.storage_demotions,
+        rung.name(),
+        cols.ratio_vs_baseline
     );
     // No finalize: the disk is dead, a final checkpoint would (rightly)
     // fail. Drop drains what it can and moves on — exactly the unattended
     // deployment story.
     drop(session);
     let _ = std::fs::remove_dir_all(&dir);
-    PhaseResult {
-        name: "dead_disk",
-        slots: driven,
-        slots_per_sec: sps,
-        ratio_vs_baseline: ratio,
-        retries,
-        demotions,
-        emergency_prunes: prunes,
-        journal_write_failures: jwf,
-        final_rung: rung.name(),
-        ok,
-        detail,
-    }
+    Phase::new("dead_disk", ok, detail, cols)
 }
 
 /// Disk full: one `ENOSPC` write. The ladder must fire the emergency
 /// prune, retry into the reclaimed space, and never demote.
-fn disk_full_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult {
-    let dir = phase_dir("disk-full");
+fn disk_full_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> {
+    let dir = scratch_dir("durafault", "disk-full");
     let backend = FaultyBackend::new(StorageFaultSchedule::new(23));
     let mut session = open_session(&dir, cell, Some(&backend), StoragePolicy::default());
     let mut feed = Feed::new(cell, slots * 2, 15);
@@ -318,41 +283,32 @@ fn disk_full_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult 
     backend.arm(FaultKind::WriteEnospc, w..w + 1);
     wall += feed.drive(&mut session, slots - warm);
     session.flush_barrier();
-    let (retries, demotions, prunes, jwf) = snapshot_counters(&session);
-    let rung = session.durability_rung();
     let sps = slots as f64 / wall;
-    let ratio = sps / base_sps;
-    let ok = prunes >= 1
-        && retries >= 1
-        && demotions == 0
+    let cols = Cols::of(slots, sps, sps / base_sps, &session);
+    let rung = session.durability_rung();
+    let ok = cols.emergency_prunes >= 1
+        && cols.storage_retries >= 1
+        && cols.storage_demotions == 0
         && rung != DurabilityRung::NonDurable
-        && ratio >= ratio_min();
+        && ratio_holds(cols.ratio_vs_baseline);
     let detail = format!(
-        "prunes={prunes} retries={retries} demotions={demotions} rung={} ratio={ratio:.3}",
-        rung.name()
+        "prunes={} retries={} demotions={} rung={} ratio={:.3}",
+        cols.emergency_prunes,
+        cols.storage_retries,
+        cols.storage_demotions,
+        rung.name(),
+        cols.ratio_vs_baseline
     );
     session.finalize().expect("finalize disk-full");
     let _ = std::fs::remove_dir_all(&dir);
-    PhaseResult {
-        name: "disk_full",
-        slots,
-        slots_per_sec: sps,
-        ratio_vs_baseline: ratio,
-        retries,
-        demotions,
-        emergency_prunes: prunes,
-        journal_write_failures: jwf,
-        final_rung: rung.name(),
-        ok,
-        detail,
-    }
+    Phase::new("disk_full", ok, detail, cols)
 }
 
 /// Recovery: dead disk → demotion → the disk comes back → the background
 /// probe re-promotes → a simulated `kill -9` → resume must lose no more
 /// than the loss window the session was reporting at the kill.
-fn recovery_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult {
-    let dir = phase_dir("recovery");
+fn recovery_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> {
+    let dir = scratch_dir("durafault", "recovery");
     let backend = FaultyBackend::new(StorageFaultSchedule::new(24));
     let policy = StoragePolicy {
         reprobe_interval_slots: 256, // probe quickly: bench, not production
@@ -391,7 +347,8 @@ fn recovery_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult {
     driven += tail;
     let wm_at_kill = session.scope().slot_watermark();
     let loss_promised = session.reported_loss_window();
-    let (retries, demotions, prunes, jwf) = snapshot_counters(&session);
+    let sps = timed as f64 / wall;
+    let cols = Cols::of(driven, sps, sps / base_sps, &session);
     std::mem::forget(session);
     // The leaked writer thread drains anything still queued in microseconds;
     // let it settle so reopening reads a quiescent journal.
@@ -404,145 +361,63 @@ fn recovery_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> PhaseResult {
         Some(window) => resumed_slot >= durable_wm && lost <= window,
         None => false, // a re-promoted session must promise a bounded window
     };
-    let sps = timed as f64 / wall;
-    let ratio = sps / base_sps;
     let ok = demoted
         && repromoted
         && gauge == DurabilityRung::Durable as u64
         && honoured
-        && ratio >= ratio_min();
+        && ratio_holds(cols.ratio_vs_baseline);
     let detail = format!(
         "demoted={demoted} repromoted={repromoted} resumed={resumed_slot} \
-         kill_wm={wm_at_kill} lost={lost} window={loss_promised:?} ratio={ratio:.3}"
+         kill_wm={wm_at_kill} lost={lost} window={loss_promised:?} ratio={:.3}",
+        cols.ratio_vs_baseline
     );
     let _ = std::fs::remove_dir_all(&dir);
-    PhaseResult {
-        name: "recovery",
-        slots: driven,
-        slots_per_sec: sps,
-        ratio_vs_baseline: ratio,
-        retries,
-        demotions,
-        emergency_prunes: prunes,
-        journal_write_failures: jwf,
-        final_rung: if repromoted { "durable" } else { "non_durable" },
-        ok,
-        detail,
-    }
+    Phase::new("recovery", ok, detail, cols)
 }
 
-fn main() {
-    let short = std::env::args().any(|a| a == "--short");
-    let cell = CellConfig::srsran_n41();
-    let slot_s = cell.slot_s();
-    let seconds = capture_seconds(if short { 0.6 } else { 3.0 });
-    let phase_slots = ((seconds / slot_s).round() as u64).max(600);
+/// The artefact's header fields.
+#[derive(Serialize)]
+struct Header {
+    phase_slots: u64,
+    noise_floor_pct: f64,
+    ratio_min: f64,
+    baseline_slots_per_sec: f64,
+}
 
-    // Warmup (page-in, allocator), then best-of-N interleaved rounds: the
+fn main() -> ExitCode {
+    let mut gate = Gate::new("durafault", "phases", Mode::from_env());
+    let cell = CellConfig::srsran_n41();
+    let phase_slots = gate.mode.slots(0.6, 3.0, cell.slot_s(), 600);
+
+    // Warmup (page-in, allocator), then best-of-3 interleaved rounds: the
     // baseline is re-measured every round so wall-clock noise hits both
     // sides of each ratio, and each phase keeps its best round. The
-    // baseline is itself a clean durable run, so every ratio compares
-    // durable-vs-durable.
+    // baseline is itself a clean durable run, so every fault-phase ratio
+    // compares durable-vs-durable.
     baseline_phase(&cell, phase_slots / 4);
-    const ROUNDS: usize = 3;
-    let mut panics = 0u64;
     let mut base_sps = 0.0f64;
-    let mut best: [Option<PhaseResult>; 4] = [None, None, None, None];
-    for _ in 0..ROUNDS {
-        let base = baseline_phase(&cell, phase_slots);
-        base_sps = base_sps.max(base);
-        let mut run = |f: &dyn Fn() -> PhaseResult, name: &'static str| -> PhaseResult {
-            match catch_unwind(AssertUnwindSafe(f)) {
-                Ok(r) => r,
-                Err(_) => {
-                    panics += 1;
-                    PhaseResult {
-                        name,
-                        slots: 0,
-                        slots_per_sec: 0.0,
-                        ratio_vs_baseline: 0.0,
-                        retries: 0,
-                        demotions: 0,
-                        emergency_prunes: 0,
-                        journal_write_failures: 0,
-                        final_rung: "panicked",
-                        ok: false,
-                        detail: "phase panicked".to_string(),
-                    }
-                }
-            }
-        };
-        let round = [
-            run(
-                &|| transient_phase(&cell, phase_slots, base),
-                "transient_burst",
-            ),
-            run(&|| dead_disk_phase(&cell, phase_slots, base), "dead_disk"),
-            run(&|| disk_full_phase(&cell, phase_slots, base), "disk_full"),
-            run(&|| recovery_phase(&cell, phase_slots, base), "recovery"),
-        ];
-        for (slot, result) in best.iter_mut().zip(round) {
-            let better = match slot {
-                None => true,
-                Some(prev) => {
-                    (result.ok, result.ratio_vs_baseline) > (prev.ok, prev.ratio_vs_baseline)
-                }
-            };
-            if better {
-                *slot = Some(result);
-            }
-        }
-    }
-    let phases: Vec<PhaseResult> = best.into_iter().map(|p| p.expect("round ran")).collect();
-
-    let all_ok = panics == 0 && phases.iter().all(|p| p.ok);
-    let phases_json = phases
-        .iter()
-        .map(|p| format!("    {}", p.to_json()))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"durafault\",\n",
-            "  \"short\": {short},\n",
-            "  \"phase_slots\": {phase_slots},\n",
-            "  \"noise_floor_pct\": {floor:.1},\n",
-            "  \"ratio_min\": {ratio_min:.4},\n",
-            "  \"baseline_slots_per_sec\": {base_sps:.1},\n",
-            "  \"panics\": {panics},\n",
-            "  \"phases\": [\n{phases}\n  ],\n",
-            "  \"gate_ok\": {ok}\n",
-            "}}\n"
-        ),
-        short = short,
-        phase_slots = phase_slots,
-        floor = NOISE_FLOOR_PCT,
-        ratio_min = ratio_min(),
-        base_sps = base_sps,
-        panics = panics,
-        phases = phases_json,
-        ok = all_ok,
+    gate.best_of(
+        3,
+        |c: &Cols| c.ratio_vs_baseline,
+        |gate| {
+            let base = baseline_phase(&cell, phase_slots);
+            base_sps = base_sps.max(base);
+            vec![
+                gate.attempt("clean_disk", || clean_disk_phase(&cell, phase_slots)),
+                gate.attempt("transient_burst", || {
+                    transient_phase(&cell, phase_slots, base)
+                }),
+                gate.attempt("dead_disk", || dead_disk_phase(&cell, phase_slots, base)),
+                gate.attempt("disk_full", || disk_full_phase(&cell, phase_slots, base)),
+                gate.attempt("recovery", || recovery_phase(&cell, phase_slots, base)),
+            ]
+        },
     );
-    std::fs::write("BENCH_durafault.json", &json).expect("write BENCH_durafault.json");
-
-    println!("durafault bench ({phase_slots} slots/phase, short={short})");
-    println!("  baseline           {base_sps:>10.1} slots/s (durable, clean disk)");
-    for p in &phases {
-        println!(
-            "  {:<16} {:>10.1} slots/s  ratio {:.3}  rung {:<16} {}",
-            p.name,
-            p.slots_per_sec,
-            p.ratio_vs_baseline,
-            p.final_rung,
-            if p.ok { "ok" } else { "FAIL" }
-        );
-        println!("    {}", p.detail);
-    }
-    println!("  panics             {panics:>10}");
-    println!("wrote BENCH_durafault.json");
-    if !all_ok {
-        eprintln!("durafault gate breached: see phase details above");
-        std::process::exit(1);
-    }
+    println!("baseline {base_sps:.1} slots/s (durable, clean disk), {phase_slots} slots/phase");
+    gate.finish(&Header {
+        phase_slots,
+        noise_floor_pct: NOISE_FLOOR_PCT,
+        ratio_min: RATIO_MIN,
+        baseline_slots_per_sec: base_sps,
+    })
 }

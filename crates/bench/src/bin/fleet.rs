@@ -36,8 +36,11 @@ use nrscope::{
     FaultPlan, Fidelity, Fleet, FleetConfig, FleetSnapshot, GovernorConfig, PersistConfig,
     ScopeConfig, ShardSpec,
 };
-use nrscope_bench::capture_seconds;
+use nrscope_bench::gate::{Gate, Mode};
+use nrscope_bench::scratch_dir;
+use serde::Serialize;
 use std::path::Path;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use ue_sim::traffic::{TrafficKind, TrafficSource};
 use ue_sim::{MobilityScenario, SimUe};
@@ -78,23 +81,27 @@ fn fleet_cells(n: usize) -> Vec<CellConfig> {
         .collect()
 }
 
+fn backlogged_ue(id: u64, traffic_seed: u64, ue_seed: u64, horizon_s: f64) -> SimUe {
+    let traffic = TrafficKind::FileDownload {
+        total_bytes: usize::MAX / 2,
+    };
+    SimUe::new(
+        id,
+        ChannelProfile::Awgn,
+        MobilityScenario::Static,
+        TrafficSource::new(traffic, traffic_seed),
+        0.0,
+        horizon_s,
+        ue_seed,
+    )
+}
+
 fn attach_static_ues(sim: &mut MultiCellSim, horizon_s: f64, seed: u64) {
     for lane in 0..sim.len() {
         for k in 0..2u64 {
-            sim.lane_mut(lane).ue_arrives(SimUe::new(
-                lane as u64 * 10 + k + 1,
-                ChannelProfile::Awgn,
-                MobilityScenario::Static,
-                TrafficSource::new(
-                    TrafficKind::FileDownload {
-                        total_bytes: usize::MAX / 2,
-                    },
-                    seed * 1000 + lane as u64 * 10 + k,
-                ),
-                0.0,
-                horizon_s,
-                seed * 7777 + lane as u64 * 10 + k,
-            ));
+            let n = lane as u64 * 10 + k;
+            let ue = backlogged_ue(n + 1, seed * 1000 + n, seed * 7777 + n, horizon_s);
+            sim.lane_mut(lane).ue_arrives(ue);
         }
     }
 }
@@ -103,20 +110,9 @@ fn attach_static_ues(sim: &mut MultiCellSim, horizon_s: f64, seed: u64) {
 const ROAMER_ID: u64 = 999;
 
 fn attach_roamer(sim: &mut MultiCellSim, horizon_s: f64, seed: u64) {
-    sim.lane_mut(0).ue_arrives(SimUe::new(
-        ROAMER_ID,
-        ChannelProfile::Awgn,
-        MobilityScenario::Static,
-        TrafficSource::new(
-            TrafficKind::FileDownload {
-                total_bytes: usize::MAX / 2,
-            },
-            seed * 31 + ROAMER_ID,
-        ),
-        0.0,
-        horizon_s,
-        seed * 131 + ROAMER_ID,
-    ));
+    let (traffic_seed, ue_seed) = (seed * 31 + ROAMER_ID, seed * 131 + ROAMER_ID);
+    let ue = backlogged_ue(ROAMER_ID, traffic_seed, ue_seed, horizon_s);
+    sim.lane_mut(0).ue_arrives(ue);
 }
 
 fn shard_scope_config(ue_expiry_slots: u64) -> ScopeConfig {
@@ -219,8 +215,8 @@ struct PhaseResult {
     parity: Vec<f64>,
     snapshot: FleetSnapshot,
     watermarks: Vec<u64>,
-    recovered_resumed: Vec<bool>,
-    recovered_slot: Vec<u64>,
+    /// Per shard: did its last recovery resume prior state, and where.
+    recovered: Vec<(bool, u64)>,
     wall_s: f64,
 }
 
@@ -359,22 +355,10 @@ fn fleet_phase(script: &Script, dir: &Path, faults: bool, seed: u64) -> PhaseRes
         });
         watermarks.push(fleet.with_scope(i, |s| s.slot_watermark()).unwrap_or(0));
     }
-    let recovered_resumed: Vec<bool> = (0..n)
+    let recovered: Vec<(bool, u64)> = (0..n)
         .map(|i| {
-            fleet
-                .shard_status(i)
-                .last_recovery
-                .map(|r| r.resumed)
-                .unwrap_or(false)
-        })
-        .collect();
-    let recovered_slot: Vec<u64> = (0..n)
-        .map(|i| {
-            fleet
-                .shard_status(i)
-                .last_recovery
-                .map(|r| r.resumed_slot)
-                .unwrap_or(0)
+            let last = fleet.shard_status(i).last_recovery;
+            last.map_or((false, 0), |r| (r.resumed, r.resumed_slot))
         })
         .collect();
     let snapshot = fleet.finish();
@@ -383,46 +367,93 @@ fn fleet_phase(script: &Script, dir: &Path, faults: bool, seed: u64) -> PhaseRes
         parity,
         snapshot,
         watermarks,
-        recovered_resumed,
-        recovered_slot,
+        recovered,
         wall_s,
     }
 }
 
-fn main() {
-    let short = std::env::args().any(|a| a == "--short");
-    // µ=1 slots: 0.5 ms each. Script points scale with the total.
-    let seconds = capture_seconds(if short { 2.75 } else { 5.0 });
-    let total = (seconds / 0.0005).round() as u64;
-    let script = Script::for_total(total);
-    let n = 8usize;
+fn role(shard: usize) -> &'static str {
+    match shard {
+        KILL_SHARD => "killed",
+        WEDGE_SHARD => "wedged",
+        OVERLOAD_SHARD => "overloaded",
+        _ => "healthy",
+    }
+}
 
-    let dir = std::env::temp_dir().join(format!("nrscope-bench-fleet-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+#[derive(Serialize)]
+struct SweepPoint {
+    cells: usize,
+    slots_per_sec_per_cell: f64,
+}
+
+#[derive(Serialize)]
+struct FaultMatrix {
+    killed: usize,
+    wedged: usize,
+    overloaded: usize,
+}
+
+#[derive(Serialize)]
+struct ShardRow {
+    shard: usize,
+    name: String,
+    role: &'static str,
+    base_p99_us: f64,
+    fault_p99_us: f64,
+    parity: f64,
+    watermark: u64,
+    health: String,
+    sync: String,
+    load_rung: String,
+    sheds: u64,
+    panics: u64,
+    wedges: u64,
+    restarts: u64,
+    resumed: bool,
+    resumed_slot: u64,
+}
+
+/// The artefact's header fields.
+#[derive(Serialize)]
+struct Header {
+    cells: usize,
+    slots_per_cell: u64,
+    baseline_wall_s: f64,
+    fault_wall_s: f64,
+    sweep: Vec<SweepPoint>,
+    fault_matrix: FaultMatrix,
+    shards: Vec<ShardRow>,
+    continuations: u64,
+    total_discovered: u64,
+    distinct_users: u64,
+}
+
+/// The three experiments and their assertions: the artefact header plus
+/// every isolation breach found.
+fn run(mode: Mode, script: &Script) -> (Header, Vec<String>) {
+    let n = 8usize;
+    let dir = scratch_dir("fleet", "shards");
 
     // 1. Sweep.
-    let sweep_counts: &[usize] = if short {
-        &[1, 2, 4, 8]
-    } else {
-        &[1, 2, 4, 8, 12]
-    };
-    let sweep_slots: u64 = if short { 1500 } else { 4000 };
-    let sweep: Vec<(usize, f64)> = sweep_counts
+    let sweep_counts: &[usize] = mode.pick(&[1, 2, 4, 8], &[1, 2, 4, 8, 12]);
+    let sweep_slots: u64 = mode.pick(1500, 4000);
+    let sweep: Vec<SweepPoint> = sweep_counts
         .iter()
-        .map(|&c| (c, sweep_point(c, sweep_slots, 40 + c as u64)))
+        .map(|&cells| SweepPoint {
+            cells,
+            slots_per_sec_per_cell: sweep_point(cells, sweep_slots, 40 + cells as u64),
+        })
         .collect();
 
     // 2. Baseline (no faults) and 3. fault matrix — identical otherwise.
-    let base = fleet_phase(&script, &dir.join("base"), false, 17);
-    let fault = fleet_phase(&script, &dir.join("fault"), true, 17);
+    let base = fleet_phase(script, &dir.join("base"), false, 17);
+    let fault = fleet_phase(script, &dir.join("fault"), true, 17);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // ---- Assertions ------------------------------------------------
     let mut breaches: Vec<String> = Vec::new();
-    let faulted = [KILL_SHARD, WEDGE_SHARD, OVERLOAD_SHARD];
     for i in 0..n {
-        let healthy = !faulted.contains(&i);
-        if healthy {
+        if role(i) == "healthy" {
             let limit = (base.p99_us[i] * 1.10 * 1e3) as u64 + P99_FLOOR_NS;
             let got = (fault.p99_us[i] * 1e3) as u64;
             if got > limit {
@@ -456,32 +487,29 @@ fn main() {
                 cell.health, cell.sync, cell.load_rung
             ));
         }
+        if i != OVERLOAD_SHARD && cell.sheds > 0 {
+            breaches.push(format!(
+                "shard {i}: shed {} slots — backpressure leaked across a bulkhead",
+                cell.sheds
+            ));
+        }
     }
     let kill_cell = &fault.snapshot.cells[KILL_SHARD];
-    if kill_cell.panics < 1 || kill_cell.restarts < 1 || !fault.recovered_resumed[KILL_SHARD] {
+    if kill_cell.panics < 1 || kill_cell.restarts < 1 || !fault.recovered[KILL_SHARD].0 {
         breaches.push(format!(
             "killed shard: panics={} restarts={} resumed={} (want ≥1/≥1/true)",
-            kill_cell.panics, kill_cell.restarts, fault.recovered_resumed[KILL_SHARD]
+            kill_cell.panics, kill_cell.restarts, fault.recovered[KILL_SHARD].0
         ));
     }
     let wedge_cell = &fault.snapshot.cells[WEDGE_SHARD];
-    if wedge_cell.wedges < 1 || wedge_cell.restarts < 1 || !fault.recovered_resumed[WEDGE_SHARD] {
+    if wedge_cell.wedges < 1 || wedge_cell.restarts < 1 || !fault.recovered[WEDGE_SHARD].0 {
         breaches.push(format!(
             "wedged shard: wedges={} restarts={} resumed={} (want ≥1/≥1/true)",
-            wedge_cell.wedges, wedge_cell.restarts, fault.recovered_resumed[WEDGE_SHARD]
+            wedge_cell.wedges, wedge_cell.restarts, fault.recovered[WEDGE_SHARD].0
         ));
     }
-    let over_cell = &fault.snapshot.cells[OVERLOAD_SHARD];
-    if over_cell.sheds < 1 {
+    if fault.snapshot.cells[OVERLOAD_SHARD].sheds < 1 {
         breaches.push("overloaded shard: shed no slots (overload not exercised)".into());
-    }
-    for i in 0..n {
-        if i != OVERLOAD_SHARD && fault.snapshot.cells[i].sheds > 0 {
-            breaches.push(format!(
-                "shard {i}: shed {} slots — backpressure leaked across a bulkhead",
-                fault.snapshot.cells[i].sheds
-            ));
-        }
     }
     if fault.snapshot.continuations != 1 {
         breaches.push(format!(
@@ -498,129 +526,66 @@ fn main() {
         ));
     }
 
-    // ---- Report ----------------------------------------------------
-    let sweep_json = sweep
-        .iter()
-        .map(|(c, r)| format!("{{\"cells\": {c}, \"slots_per_sec_per_cell\": {r:.1}}}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let shard_rows = (0..n)
-        .map(|i| {
-            let cell = &fault.snapshot.cells[i];
-            format!(
-                concat!(
-                    "{{\"shard\": {}, \"name\": \"{}\", \"role\": \"{}\", ",
-                    "\"base_p99_us\": {:.1}, \"fault_p99_us\": {:.1}, ",
-                    "\"parity\": {:.4}, \"watermark\": {}, ",
-                    "\"health\": \"{}\", \"sync\": \"{}\", \"load_rung\": \"{}\", ",
-                    "\"sheds\": {}, \"panics\": {}, \"wedges\": {}, \"restarts\": {}, ",
-                    "\"resumed\": {}, \"resumed_slot\": {}}}"
-                ),
-                i,
-                cell.name,
-                match i {
-                    KILL_SHARD => "killed",
-                    WEDGE_SHARD => "wedged",
-                    OVERLOAD_SHARD => "overloaded",
-                    _ => "healthy",
-                },
-                base.p99_us[i],
-                fault.p99_us[i],
-                fault.parity[i],
-                fault.watermarks[i],
-                cell.health,
-                cell.sync,
-                cell.load_rung,
-                cell.sheds,
-                cell.panics,
-                cell.wedges,
-                cell.restarts,
-                fault.recovered_resumed[i],
-                fault.recovered_slot[i],
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let breach_json = breaches
-        .iter()
-        .map(|b| format!("\"{}\"", b.replace('"', "'")))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fleet\",\n",
-            "  \"short\": {short},\n",
-            "  \"cells\": {n},\n",
-            "  \"slots_per_cell\": {total},\n",
-            "  \"baseline_wall_s\": {base_wall:.3},\n",
-            "  \"fault_wall_s\": {fault_wall:.3},\n",
-            "  \"sweep\": [{sweep}],\n",
-            "  \"fault_matrix\": {{\"killed\": {kill}, \"wedged\": {wedge}, \"overloaded\": {over}}},\n",
-            "  \"shards\": [\n    {rows}\n  ],\n",
-            "  \"continuations\": {cont},\n",
-            "  \"total_discovered\": {disc},\n",
-            "  \"distinct_users\": {users},\n",
-            "  \"breaches\": [{breach}]\n",
-            "}}\n"
-        ),
-        short = short,
-        n = n,
-        total = script.total,
-        base_wall = base.wall_s,
-        fault_wall = fault.wall_s,
-        sweep = sweep_json,
-        kill = KILL_SHARD,
-        wedge = WEDGE_SHARD,
-        over = OVERLOAD_SHARD,
-        rows = shard_rows,
-        cont = fault.snapshot.continuations,
-        disc = fault.snapshot.total_discovered,
-        users = fault.snapshot.distinct_users,
-        breach = breach_json,
-    );
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-
-    println!(
-        "fleet bench ({} slots/cell × {n} cells, short={short})",
-        script.total
-    );
-    for (c, r) in &sweep {
-        println!("  sweep {c:>2} cells   {r:>10.1} slots/sec/cell");
-    }
-    println!(
-        "  baseline wall    {:.2} s, fault wall {:.2} s",
-        base.wall_s, fault.wall_s
-    );
-    for i in 0..n {
-        let cell = &fault.snapshot.cells[i];
+    for p in &sweep {
         println!(
-            "  shard {i} ({:>10}) p99 {:>9.1} µs (base {:>9.1}) parity {:.4} sheds {:>4} restarts {}",
-            match i {
-                KILL_SHARD => "killed",
-                WEDGE_SHARD => "wedged",
-                OVERLOAD_SHARD => "overloaded",
-                _ => "healthy",
-            },
-            fault.p99_us[i],
-            base.p99_us[i],
-            fault.parity[i],
-            cell.sheds,
-            cell.restarts,
+            "  sweep {:>2} cells   {:>10.1} slots/sec/cell",
+            p.cells, p.slots_per_sec_per_cell
         );
     }
-    println!(
-        "  continuity: {} continuation(s), {} distinct users ({} admissions)",
-        fault.snapshot.continuations,
-        fault.snapshot.distinct_users,
-        fault.snapshot.total_discovered
-    );
-    println!("wrote BENCH_fleet.json");
-    if !breaches.is_empty() {
-        eprintln!("ISOLATION BREACHES:");
-        for b in &breaches {
-            eprintln!("  - {b}");
-        }
-        std::process::exit(1);
-    }
+    let shards: Vec<ShardRow> = (0..n)
+        .map(|i| {
+            let cell = &fault.snapshot.cells[i];
+            println!(
+                "  shard {i} ({:>10}) p99 {:>9.1} µs (base {:>9.1}) parity {:.4} sheds {:>4} restarts {}",
+                role(i), fault.p99_us[i], base.p99_us[i], fault.parity[i], cell.sheds, cell.restarts,
+            );
+            ShardRow {
+                shard: i,
+                name: cell.name.clone(),
+                role: role(i),
+                base_p99_us: base.p99_us[i],
+                fault_p99_us: fault.p99_us[i],
+                parity: fault.parity[i],
+                watermark: fault.watermarks[i],
+                health: cell.health.clone(),
+                sync: cell.sync.clone(),
+                load_rung: cell.load_rung.clone(),
+                sheds: cell.sheds,
+                panics: cell.panics,
+                wedges: cell.wedges,
+                restarts: cell.restarts,
+                resumed: fault.recovered[i].0,
+                resumed_slot: fault.recovered[i].1,
+            }
+        })
+        .collect();
+    let header = Header {
+        cells: n,
+        slots_per_cell: script.total,
+        baseline_wall_s: base.wall_s,
+        fault_wall_s: fault.wall_s,
+        sweep,
+        fault_matrix: FaultMatrix {
+            killed: KILL_SHARD,
+            wedged: WEDGE_SHARD,
+            overloaded: OVERLOAD_SHARD,
+        },
+        shards,
+        continuations: fault.snapshot.continuations,
+        total_discovered: fault.snapshot.total_discovered,
+        distinct_users: fault.snapshot.distinct_users,
+    };
+    (header, breaches)
+}
+
+fn main() -> ExitCode {
+    let mut gate = Gate::new("fleet", "phases", Mode::from_env());
+    // µ=1 slots: 0.5 ms each. Script points scale with the total.
+    let script = Script::for_total(gate.mode.slots(2.75, 5.0, 0.0005, 0));
+    let mode = gate.mode;
+    let header = gate.guard(|| run(mode, &script)).map(|(header, breaches)| {
+        breaches.into_iter().for_each(|b| gate.breach(b));
+        header
+    });
+    gate.finish(&header)
 }

@@ -8,8 +8,8 @@
 //! mutated decode attempts has been executed — 1M+ in the full run.
 //!
 //! Hard properties checked, process exit 1 on any breach:
-//!   * **no panic** — the soak runs to completion (a panic aborts the
-//!     process, so completion is the proof);
+//!   * **no panic** — the soak runs to completion (a panic is caught,
+//!     counted in the report, and fails the gate);
 //!   * **no ghost UE admitted** — zero false admissions: nothing is ever
 //!     tracked or promoted that the cell did not genuinely serve;
 //!   * **no accounting drift** — every legitimate UE's estimated bits stay
@@ -25,9 +25,12 @@ use nr_phy::channel::ChannelProfile;
 use nr_phy::types::{Rnti, RntiType};
 use nrscope::observe::{ObservedSlot, Observer, PdschPayload};
 use nrscope::{NrScope, ScopeConfig};
+use nrscope_bench::gate::{Gate, Mode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 use std::collections::BTreeSet;
+use std::process::ExitCode;
 use std::time::Instant;
 use ue_sim::traffic::{TrafficKind, TrafficSource};
 use ue_sim::{MobilityScenario, SimUe};
@@ -104,12 +107,30 @@ fn pick_mut<'a, T>(v: &'a mut [T], rng: &mut StdRng) -> Option<&'a mut T> {
     }
 }
 
-fn main() {
-    let short = std::env::args().any(|a| a == "--short");
+/// The artefact's header fields.
+#[derive(Serialize)]
+struct Header {
+    seed: u64,
+    slots: u64,
+    mutated_slots: u64,
+    decode_attempts: u64,
+    wall_s: f64,
+    validation_rejects: u64,
+    parse_rejects: u64,
+    rejects_per_sec: f64,
+    ghosts_quarantined: u64,
+    quarantine_size: usize,
+    false_admissions: u64,
+    worst_parity_ratio: f64,
+    parity_band: [f64; 2],
+    pass: bool,
+}
+
+fn soak(mode: Mode) -> Header {
     let target_attempts: u64 = std::env::var("NRSCOPE_FUZZ_ATTEMPTS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(if short { 60_000 } else { 1_000_000 });
+        .unwrap_or(mode.pick(60_000, 1_000_000));
     let seed: u64 = std::env::var("NRSCOPE_SEED")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -251,55 +272,34 @@ fn main() {
     }
 
     let rejects = scope.stats.validation_rejects + scope.stats.parse_rejects;
-    let rejects_per_sec = rejects as f64 / wall_s;
-    let pass = false_admissions == 0 && parity_ok;
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"adversarial\",\n",
-            "  \"short\": {short},\n",
-            "  \"seed\": {seed},\n",
-            "  \"slots\": {slots},\n",
-            "  \"mutated_slots\": {mutated_slots},\n",
-            "  \"decode_attempts\": {attempts},\n",
-            "  \"wall_s\": {wall:.6},\n",
-            "  \"validation_rejects\": {vrej},\n",
-            "  \"parse_rejects\": {prej},\n",
-            "  \"rejects_per_sec\": {rps:.1},\n",
-            "  \"ghosts_quarantined\": {gq},\n",
-            "  \"quarantine_size\": {qs},\n",
-            "  \"false_admissions\": {fa},\n",
-            "  \"panics\": 0,\n",
-            "  \"worst_parity_ratio\": {wr:.4},\n",
-            "  \"parity_band\": [0.88, 1.02],\n",
-            "  \"pass\": {pass}\n",
-            "}}\n",
-        ),
-        short = short,
-        seed = seed,
-        slots = slots,
-        mutated_slots = mutated_slots,
-        attempts = attempts,
-        wall = wall_s,
-        vrej = scope.stats.validation_rejects,
-        prej = scope.stats.parse_rejects,
-        rps = rejects_per_sec,
-        gq = scope.stats.ghosts_quarantined,
-        qs = scope.quarantined_rntis().len(),
-        fa = false_admissions,
-        wr = worst_ratio,
-        pass = pass,
-    );
-    std::fs::write("BENCH_adversarial.json", &json).expect("write BENCH_adversarial.json");
-    println!("{json}");
     println!(
         "fuzz_decode: {attempts} mutated decode attempts over {slots} slots in {wall_s:.1}s \
-         ({rejects} typed rejects, {false_admissions} false admissions)"
+         ({rejects} typed rejects, {false_admissions} false admissions, parity_ok={parity_ok})"
     );
-    println!("wrote BENCH_adversarial.json");
-    if !pass {
-        eprintln!("fuzz_decode: INVARIANT BREACH (false_admissions={false_admissions}, parity_ok={parity_ok})");
-        std::process::exit(1);
+    Header {
+        seed,
+        slots,
+        mutated_slots,
+        decode_attempts: attempts,
+        wall_s,
+        validation_rejects: scope.stats.validation_rejects,
+        parse_rejects: scope.stats.parse_rejects,
+        rejects_per_sec: rejects as f64 / wall_s,
+        ghosts_quarantined: scope.stats.ghosts_quarantined,
+        quarantine_size: scope.quarantined_rntis().len(),
+        false_admissions,
+        worst_parity_ratio: worst_ratio,
+        parity_band: [0.88, 1.02],
+        pass: false_admissions == 0 && parity_ok,
     }
+}
+
+fn main() -> ExitCode {
+    let mut gate = Gate::new("adversarial", "phases", Mode::from_env());
+    let mode = gate.mode;
+    let header = gate.guard(|| soak(mode));
+    if let Some(Header { pass: false, .. }) = header {
+        gate.breach("invariant breach: a ghost was admitted or legitimate parity drifted".into());
+    }
+    gate.finish(&header)
 }

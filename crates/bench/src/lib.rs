@@ -1,11 +1,19 @@
-//! Shared harness for the figure-reproduction binaries.
+//! Shared code of the bench crate's two families of binaries.
 //!
-//! Every `fig*` binary builds one or more telemetry sessions with this
-//! module, then prints the same series/scalars the corresponding figure in
-//! the paper plots. Durations are scaled down from the paper's 10-minute
-//! captures by default; set `NRSCOPE_SECONDS` to lengthen runs (the
-//! statistics converge quickly because the simulation is deterministic per
-//! seed).
+//! * **Figure bins** (`fig07`–`fig16`): each builds one or more telemetry
+//!   sessions with [`SessionSpec`] / [`run_population`], then prints the
+//!   series and scalars the corresponding figure in the paper plots.
+//!   Durations are scaled down from the paper's 10-minute captures by
+//!   default; set `NRSCOPE_SECONDS` to lengthen runs (the statistics
+//!   converge quickly because the simulation is deterministic per seed).
+//! * **Gate bins** (`chaos`, `clockdrift`, `durafault`, `fleet`,
+//!   `fuzz_decode`): seeded fault soaks on the [`gate`] harness that
+//!   write a `BENCH_<name>.json` and exit non-zero on a breach.
+//!
+//! Neither family is where speed is measured: every performance number
+//! comes from the perf ledger in `benchmark/`.
+
+pub mod gate;
 
 use gnb_sim::{CellConfig, Gnb, Population};
 use nr_mac::{ProportionalFair, RoundRobin, Scheduler};
@@ -13,17 +21,30 @@ use nr_phy::channel::ChannelProfile;
 use nr_phy::types::Rnti;
 use nrscope::observe::Observer;
 use nrscope::{Fidelity, NrScope, ScopeConfig};
+use std::path::PathBuf;
 use ue_sim::arrival::ArrivalConfig;
 use ue_sim::traffic::{TrafficKind, TrafficSource};
 use ue_sim::{MobilityScenario, SimUe};
 
+/// The `NRSCOPE_SECONDS` environment variable, when set to a number.
+pub fn seconds_override() -> Option<f64> {
+    std::env::var("NRSCOPE_SECONDS").ok()?.parse().ok()
+}
+
 /// Simulated capture duration in seconds (paper: 600 s), overridable via
 /// the `NRSCOPE_SECONDS` environment variable.
 pub fn capture_seconds(default_s: f64) -> f64 {
-    std::env::var("NRSCOPE_SECONDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_s)
+    seconds_override().unwrap_or(default_s)
+}
+
+/// A fresh, empty scratch directory for one phase of one bin (whatever an
+/// earlier run left there is removed first).
+pub fn scratch_dir(bin: &str, tag: &str) -> PathBuf {
+    let name = format!("nrscope-bench-{bin}-{}-{tag}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 /// Scheduler choice by name.
@@ -32,6 +53,31 @@ pub fn scheduler(name: &str) -> Box<dyn Scheduler + Send> {
         "pf" => Box::new(ProportionalFair::new()),
         _ => Box::new(RoundRobin::new()),
     }
+}
+
+/// A round-robin cell with `n_ues` static AWGN UEs (ids from 1), each a
+/// 3 Mb/s CBR source active for `active_s` seconds; everything seeded
+/// from `seed`.
+pub fn cbr_gnb(cell: &CellConfig, n_ues: usize, active_s: f64, seed: u64) -> Gnb {
+    let mut gnb = Gnb::new(cell.clone(), scheduler("rr"), seed);
+    for i in 0..n_ues as u64 {
+        gnb.ue_arrives(SimUe::new(
+            i + 1,
+            ChannelProfile::Awgn,
+            MobilityScenario::Static,
+            TrafficSource::new(
+                TrafficKind::Cbr {
+                    rate_bps: 3e6,
+                    packet_bytes: 1200,
+                },
+                seed * 1000 + i,
+            ),
+            0.0,
+            active_s,
+            seed * 7777 + i,
+        ));
+    }
+    gnb
 }
 
 /// A complete telemetry session: cell + sniffer run in lock-step.

@@ -40,6 +40,16 @@ impl ClockLock {
             ClockLock::Unlocked => 2,
         }
     }
+
+    /// Stable snake_case name (the fleet rollup's `clock_lock` column,
+    /// where a scope with no clock model reads `ideal`).
+    pub fn name(self) -> &'static str {
+        match self {
+            ClockLock::Locked => "locked",
+            ClockLock::Pulling => "pulling",
+            ClockLock::Unlocked => "unlocked",
+        }
+    }
 }
 
 /// Timing-recovery loop knobs (`clock.*` in the config surface).

@@ -45,7 +45,7 @@ use crate::observe::{Capture, DropReason};
 use crate::persist::{
     DurabilityRung, JournalWriter, PersistConfig, PersistentSession, RecoveryReport,
 };
-use crate::scope::{NrScope, SyncState, UeEvent};
+use crate::scope::{NrScope, UeEvent};
 use crate::supervise::{BreakerState, RestartBreaker};
 use crate::worker::{lock_clean, spawn_background, InjectedFault};
 use nr_phy::types::{Pci, Rnti};
@@ -829,20 +829,10 @@ fn refresh_cache_from(cache: &mut CachedStats, engine: &ShardEngine, disk_degrad
     cache.dcis = st.si_dcis + st.ra_dcis + st.tc_dcis + st.dl_dcis + st.ul_dcis;
     cache.tracked_ues = scope.tracked_rntis().len() as u64;
     cache.discovered = scope.total_discovered();
-    cache.sync = match scope.sync_state() {
-        SyncState::Synced => "synced",
-        SyncState::Degraded => "degraded",
-        SyncState::Lost => "lost",
-        SyncState::Reacquiring => "reacquiring",
-    };
+    cache.sync = scope.sync_state().name();
     cache.load_rung = scope.governor().rung().name();
     cache.watermark = scope.slot_watermark();
-    cache.clock_lock = match scope.clock_lock() {
-        None => "ideal",
-        Some(crate::ClockLock::Locked) => "locked",
-        Some(crate::ClockLock::Pulling) => "pulling",
-        Some(crate::ClockLock::Unlocked) => "unlocked",
-    };
+    cache.clock_lock = scope.clock_lock().map_or("ideal", crate::ClockLock::name);
     cache.clock_drift_ppb = scope.clock_drift_ppb();
     cache.timing_slips = st.timing_slips;
     match engine {

@@ -10,8 +10,8 @@
 //!   by construction (atomic adds commute);
 //! * when disabled (the `enabled` flag), timers skip even the
 //!   `Instant::now()` call, so the cost is one relaxed atomic load per
-//!   stage entry — the bench (`BENCH_pipeline.json`) verifies the enabled
-//!   overhead stays under 5%;
+//!   stage entry — the enabled overhead is the perf ledger's
+//!   `metrics.overhead_pct` (`benchmark/`);
 //! * histograms use fixed log-linear buckets (8 linear sub-buckets per
 //!   power-of-two octave from 64 ns to ~17 s, plus an explicit overflow
 //!   bucket), so recording is a bit-length computation plus one atomic
@@ -708,8 +708,7 @@ pub struct GaugeSnapshot {
     pub value: u64,
 }
 
-/// A frozen view of the whole registry (JSON schema of
-/// `BENCH_pipeline.json`'s `stages`/`counters` arrays).
+/// A frozen view of the whole registry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Serialisation schema version ([`crate::SCHEMA_VERSION`]); snapshots

@@ -66,6 +66,18 @@ pub enum SyncState {
     Reacquiring,
 }
 
+impl SyncState {
+    /// Stable snake_case name (the fleet rollup's `sync` column).
+    pub fn name(self) -> &'static str {
+        match self {
+            SyncState::Synced => "synced",
+            SyncState::Degraded => "degraded",
+            SyncState::Lost => "lost",
+            SyncState::Reacquiring => "reacquiring",
+        }
+    }
+}
+
 /// Counters the micro-benchmarks read.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ScopeStats {

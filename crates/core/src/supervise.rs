@@ -582,19 +582,14 @@ pub struct ChildHandle {
 }
 
 impl ChildHandle {
-    /// Spawn `exe args…` with piped stdio and wait for its [`Hello`].
-    pub fn spawn(exe: &Path, args: &[String]) -> io::Result<(ChildHandle, Hello)> {
-        ChildHandle::spawn_with_env(exe, args, &[], None)
-    }
-
-    /// Spawn with extra environment variables and an optional bound on
-    /// how long the child may take to announce its [`Hello`] (recovery
-    /// included). `None` waits indefinitely, the pre-liveness behaviour.
+    /// Spawn `exe args…` with piped stdio and extra environment variables,
+    /// and give the child `hello_deadline` to announce its [`Hello`]
+    /// (recovery included).
     pub fn spawn_with_env(
         exe: &Path,
         args: &[String],
         envs: &[(String, String)],
-        hello_deadline: Option<Duration>,
+        hello_deadline: Duration,
     ) -> io::Result<(ChildHandle, Hello)> {
         let mut cmd = Command::new(exe);
         cmd.args(args).stdin(Stdio::piped()).stdout(Stdio::piped());
@@ -640,12 +635,9 @@ impl ChildHandle {
             reader: Some(reader),
             wire_errors,
         };
-        let hello = match hello_deadline {
-            None => handle.recv()?,
-            Some(d) => handle
-                .recv_timeout(d)?
-                .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "no Hello in time"))?,
-        };
+        let hello = handle
+            .recv_timeout(hello_deadline)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "no Hello in time"))?;
         match hello {
             ChildMsg::Hello(h) => Ok((handle, h)),
             other => Err(io::Error::other(format!(
@@ -661,22 +653,10 @@ impl ChildHandle {
         self.stdin.flush()
     }
 
-    /// Receive the child's next message (blocking). EOF — the child died —
-    /// surfaces as `UnexpectedEof`. Framing faults are counted and
-    /// skipped, never surfaced as session errors.
-    pub fn recv(&mut self) -> io::Result<ChildMsg> {
-        loop {
-            match self.frames.recv() {
-                Ok(Frame::Msg(m)) => return Ok(*m),
-                Ok(Frame::Err(_)) => continue,
-                Err(_) => return Err(eof_error()),
-            }
-        }
-    }
-
     /// Receive with a deadline. `Ok(None)` = nothing arrived in time (the
     /// pipe is open but silent — the hang signal); `Err(UnexpectedEof)` =
-    /// the child died.
+    /// the child died. Framing faults are counted and skipped, never
+    /// surfaced as session errors.
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<ChildMsg>> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -708,28 +688,10 @@ impl ChildHandle {
         Ok(())
     }
 
-    /// Wait for the child to exit on its own (after `Finish`/`Done`).
-    /// Unbounded — prefer [`ChildHandle::wait_timeout`], which cannot
-    /// deadlock on a child that wedged on its way out.
-    pub fn wait(self) -> io::Result<std::process::ExitStatus> {
-        let ChildHandle {
-            mut child,
-            stdin,
-            reader,
-            ..
-        } = self;
-        drop(stdin);
-        let status = child.wait()?;
-        if let Some(h) = reader {
-            let _ = h.join();
-        }
-        Ok(status)
-    }
-
-    /// Deadline-bounded wait with SIGKILL escalation: give the child
-    /// `timeout` to exit on its own, then kill it rather than blocking
-    /// the supervisor forever. Returns the exit status and whether the
-    /// escalation fired.
+    /// Deadline-bounded wait (after `Finish`/`Done`) with SIGKILL
+    /// escalation: give the child `timeout` to exit on its own, then kill
+    /// it rather than blocking the supervisor forever. Returns the exit
+    /// status and whether the escalation fired.
     pub fn wait_timeout(self, timeout: Duration) -> io::Result<(std::process::ExitStatus, bool)> {
         let ChildHandle {
             mut child,
@@ -1046,12 +1008,8 @@ impl Supervisor {
 
     /// First spawn. Does not charge the restart budget.
     pub fn start(&mut self) -> io::Result<Hello> {
-        let (handle, hello) = ChildHandle::spawn_with_env(
-            &self.exe,
-            &self.args,
-            &self.envs,
-            Some(self.hello_deadline()),
-        )?;
+        let (handle, hello) =
+            ChildHandle::spawn_with_env(&self.exe, &self.args, &self.envs, self.hello_deadline())?;
         self.child = Some(handle);
         self.restart_log.push(RestartEvent {
             at_seq: 0,
@@ -1200,7 +1158,8 @@ impl Supervisor {
 
     /// Clean shutdown: `Finish`, await `Done`, then a deadline-bounded
     /// wait with SIGKILL escalation. Returns the final durable slot when
-    /// the child finished cleanly.
+    /// the child finished cleanly — `Done` received and the process gone
+    /// without the escalation firing.
     pub fn finish(&mut self) -> Option<u64> {
         let mut child = self.child.take()?;
         self.stats.wire_errors += child.wire_errors();
@@ -1219,8 +1178,10 @@ impl Supervisor {
                 Ok(None) | Err(_) => break,
             }
         }
-        let _ = child.wait_timeout(FINISH_WAIT);
-        final_slot
+        match child.wait_timeout(FINISH_WAIT) {
+            Ok((_, false)) => final_slot,
+            _ => None,
+        }
     }
 
     fn on_child_death(&mut self, seq: u64, cause: RestartCause, why: &str) {
@@ -1261,12 +1222,8 @@ impl Supervisor {
             return false;
         }
         let probing = self.breaker.state() == BreakerState::HalfOpen;
-        match ChildHandle::spawn_with_env(
-            &self.exe,
-            &self.args,
-            &self.envs,
-            Some(self.hello_deadline()),
-        ) {
+        match ChildHandle::spawn_with_env(&self.exe, &self.args, &self.envs, self.hello_deadline())
+        {
             Ok((handle, hello)) => {
                 self.breaker.probe_result(true, seq);
                 if self.lame_duck_noted {

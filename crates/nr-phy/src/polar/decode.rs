@@ -1,8 +1,6 @@
-//! Successive-cancellation (SC) and SC-list (SCL) polar decoding.
-//!
-//! SC is the `O(N log N)` workhorse NR-Scope runs on every PDCCH candidate;
-//! SCL trades CPU for coding gain and is exposed for the ablation bench
-//! (`DESIGN.md` §ablations). LLR convention: positive ⇔ bit 0.
+//! Successive-cancellation (SC) polar decoding: the `O(N log N)`
+//! workhorse NR-Scope runs on every PDCCH candidate. LLR convention:
+//! positive ⇔ bit 0.
 
 /// The check-node ("f") update: `f(a,b) = sign(a)·sign(b)·min(|a|,|b|)`
 /// (min-sum approximation of the boxplus operator).
@@ -65,86 +63,6 @@ fn sc_recurse(llrs: &[f32], info_mask: &[bool], offset: usize, u: &mut [u8], x: 
     }
 }
 
-/// One decoding hypothesis in the list decoder.
-#[derive(Clone)]
-struct Path {
-    /// Input decisions made so far (full length, future positions zero).
-    u: Vec<u8>,
-    /// Path metric (sum of penalties for decisions against the LLR sign);
-    /// smaller is better.
-    metric: f32,
-}
-
-/// SC-list decoding: returns up to `list_size` candidate input vectors,
-/// best metric first. `list_size = 1` degenerates to SC.
-///
-/// This implementation recomputes leaf LLRs per path (O(N²) per path per
-/// codeword). For control-channel sizes (N ≤ 512) that costs tens of
-/// microseconds and keeps the path-management logic obviously correct; the
-/// hot telemetry path uses [`sc_decode`].
-pub fn scl_decode(llrs: &[f32], info_mask: &[bool], list_size: usize) -> Vec<Vec<u8>> {
-    let n = llrs.len();
-    assert_eq!(n, info_mask.len());
-    assert!(n.is_power_of_two());
-    assert!(list_size >= 1);
-    let mut paths = vec![Path {
-        u: vec![0u8; n],
-        metric: 0.0,
-    }];
-    for (pos, &is_info) in info_mask.iter().enumerate() {
-        let mut next: Vec<Path> = Vec::with_capacity(paths.len() * 2);
-        for p in &paths {
-            let llr = leaf_llr(llrs, &p.u, pos);
-            if !is_info {
-                // Frozen: decision forced to zero; penalise disagreement.
-                let mut q = p.clone();
-                if llr < 0.0 {
-                    q.metric += llr.abs();
-                }
-                next.push(q);
-            } else {
-                // Fork on both hypotheses.
-                let mut q0 = p.clone();
-                if llr < 0.0 {
-                    q0.metric += llr.abs();
-                }
-                let mut q1 = p.clone();
-                q1.u[pos] = 1;
-                if llr > 0.0 {
-                    q1.metric += llr;
-                }
-                next.push(q0);
-                next.push(q1);
-            }
-        }
-        next.sort_by(|a, b| a.metric.total_cmp(&b.metric));
-        next.truncate(list_size);
-        paths = next;
-    }
-    paths.into_iter().map(|p| p.u).collect()
-}
-
-/// LLR of input bit `pos` given earlier decisions in `u`, by direct
-/// recursion over the code tree.
-fn leaf_llr(llrs: &[f32], u: &[u8], pos: usize) -> f32 {
-    let n = llrs.len();
-    if n == 1 {
-        return llrs[0];
-    }
-    let half = n / 2;
-    if pos < half {
-        let child: Vec<f32> = (0..half).map(|i| f_op(llrs[i], llrs[i + half])).collect();
-        leaf_llr(&child, &u[..half], pos)
-    } else {
-        // Need the left subtree's re-encoded bits under the decided prefix.
-        let x_left = crate::polar::encode::polar_transform(&u[..half]);
-        let child: Vec<f32> = (0..half)
-            .map(|i| g_op(llrs[i], llrs[i + half], x_left[i]))
-            .collect();
-        leaf_llr(&child, &u[half..], pos - half)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,37 +108,6 @@ mod tests {
         for (i, &b) in u.iter().enumerate() {
             if i != 31 {
                 assert_eq!(b, 0, "frozen bit {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn scl_list1_equals_sc() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 64;
-        let info: Vec<usize> = (24..64).collect();
-        let mask = make_mask(n, &info);
-        for _ in 0..20 {
-            let llrs: Vec<f32> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
-            let sc = sc_decode(&llrs, &mask);
-            let scl = scl_decode(&llrs, &mask, 1);
-            assert_eq!(scl[0], sc);
-        }
-    }
-
-    #[test]
-    fn scl_candidates_are_metric_sorted_and_distinct() {
-        let n = 32;
-        let info: Vec<usize> = (16..32).collect();
-        let mask = make_mask(n, &info);
-        let llrs: Vec<f32> = (0..n).map(|i| ((i as f32 * 0.77).sin()) * 2.0).collect();
-        let cands = scl_decode(&llrs, &mask, 8);
-        assert_eq!(cands.len(), 8);
-        for i in 0..cands.len() {
-            for j in i + 1..cands.len() {
-                assert_ne!(cands[i], cands[j], "duplicate path");
             }
         }
     }

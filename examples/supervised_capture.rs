@@ -24,14 +24,16 @@ use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::phy::types::{Pci, Rnti};
+use nr_scope::scope::chaos::ranges_of;
 use nr_scope::scope::observe::{Capture, Observer};
 use nr_scope::scope::persist::PersistConfig;
-use nr_scope::scope::supervise::{self, ChildHandle, ChildMsg, Hello, WireMsg};
-use nr_scope::scope::{ImpairmentSchedule, ScopeConfig, SyncState};
+use nr_scope::scope::supervise::{self, Hello, RestartCause, SlotOutcome, Supervisor};
+use nr_scope::scope::{ImpairmentSchedule, Metrics, ScopeConfig, SyncState};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const TOTAL_SLOTS: u64 = 12_000;
 const KILLS: [u64; 2] = [4_700, 9_300];
@@ -100,48 +102,19 @@ fn session_dir() -> PathBuf {
         })
 }
 
-fn spawn_child(dir: &Path, pci: Pci) -> (ChildHandle, Hello) {
-    let exe = std::env::current_exe().expect("current exe path");
-    let args = vec![
-        "--child".to_string(),
-        dir.display().to_string(),
-        pci.0.to_string(),
-    ];
-    ChildHandle::spawn(&exe, &args).expect("spawn pipeline child")
-}
-
-/// Compress a per-slot flag vector into maximal half-open ranges.
-fn ranges_of(flags: &[bool]) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut start: Option<u64> = None;
-    for (i, &on) in flags.iter().enumerate() {
-        match (on, start) {
-            (true, None) => start = Some(i as u64),
-            (false, Some(s)) => {
-                out.push((s, i as u64));
-                start = None;
-            }
-            _ => {}
-        }
-    }
-    if let Some(s) = start {
-        out.push((s, flags.len() as u64));
-    }
-    out
-}
-
 fn run_parent() {
     let cell = CellConfig::srsran_n41();
     let dir = session_dir();
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create session dir");
     // The child loads its config from the session directory, exercising
-    // the versioned ScopeConfig round trip on every (re)start.
-    std::fs::write(
-        dir.join(supervise::CONFIG_FILE),
-        ScopeConfig::default().to_json(),
-    )
-    .expect("write scope config");
+    // the versioned ScopeConfig round trip on every (re)start. The restart
+    // backoff is the dead time: the supervisor respawns on the first slot
+    // fed `DEAD_SLOTS` after a kill.
+    let mut scope_cfg = ScopeConfig::default();
+    scope_cfg.supervise.restart_backoff_slots = DEAD_SLOTS;
+    std::fs::write(dir.join(supervise::CONFIG_FILE), scope_cfg.to_json())
+        .expect("write scope config");
     println!(
         "cell {} PCI {} — session dir {}",
         cell.name,
@@ -190,45 +163,60 @@ fn run_parent() {
     // parent can state the exact loss window a SIGKILL is allowed to cost.
     let loss_window = PersistConfig::new(&dir).loss_window_slots();
 
-    let (mut child, hello) = spawn_child(&dir, cell.pci);
+    let exe = std::env::current_exe().expect("current exe path");
+    let args = vec![
+        "--child".to_string(),
+        dir.display().to_string(),
+        cell.pci.0.to_string(),
+    ];
+    let mut sup = Supervisor::new(
+        &exe,
+        &args,
+        &[],
+        scope_cfg.supervise,
+        Arc::new(Metrics::new(true)),
+    );
+    let hello = sup.start().expect("spawn pipeline child");
     if hello.report.resumed {
         violations.push("first start claimed to resume prior state".into());
     }
-    let mut alive = true;
-    let mut respawn_at = 0u64;
+    let mut restarts_seen = sup.restart_log().len();
     let mut pre_kill_tracked: Vec<Rnti> = Vec::new();
     let mut last_durable = 0u64;
     let mut durable_at_kill = 0u64;
-    let mut kill_idx = 0usize;
+    let mut kill_at = 0u64;
 
     for seq in 0..TOTAL_SLOTS {
-        if kill_idx < KILLS.len() && seq == KILLS[kill_idx] {
-            println!(
-                "slot {seq:5}: >>> SIGKILL child (kill #{}) <<<",
-                kill_idx + 1
-            );
-            child.kill().expect("kill child");
-            alive = false;
+        if KILLS.contains(&seq) {
+            println!("slot {seq:5}: >>> SIGKILL child <<<");
+            sup.kill_now(seq);
             durable_at_kill = last_durable;
-            respawn_at = seq + DEAD_SLOTS;
+            kill_at = seq;
         }
-        if !alive && seq == respawn_at {
-            let (new_child, hello) = spawn_child(&dir, cell.pci);
-            child = new_child;
-            alive = true;
-            let kill_at = KILLS[kill_idx];
-            let resumed = hello.report.resumed_slot;
+        let out = gnb.step();
+        let cap = obs.capture(&out, seq as f64 * slot_s);
+        let outcome = sup.feed_slot(seq, &cap);
+
+        // A respawn happened on this slot: check the warm restart.
+        for ev in &sup.restart_log()[restarts_seen..] {
+            let resumed = ev.hello.report.resumed_slot;
             println!(
                 "slot {seq:5}: child respawned — resumed at {} ({} acked slots lost, window {}, snapshot {:?}, {} replayed), {} UEs",
                 resumed,
                 kill_at.saturating_sub(resumed),
                 loss_window,
-                hello.report.snapshot_slot,
-                hello.report.replayed_entries,
-                hello.tracked.len()
+                ev.hello.report.snapshot_slot,
+                ev.hello.report.replayed_entries,
+                ev.hello.tracked.len()
             );
+            if ev.cause != RestartCause::Killed || ev.at_seq != kill_at + DEAD_SLOTS {
+                violations.push(format!(
+                    "slot {seq}: unscripted restart (cause {}, want a respawn {DEAD_SLOTS} slots after the kill at {kill_at})",
+                    ev.cause.name()
+                ));
+            }
             check_recovery(
-                &hello,
+                &ev.hello,
                 kill_at,
                 durable_at_kill,
                 loss_window,
@@ -238,7 +226,7 @@ fn run_parent() {
             // Slots in the lost tail were acknowledged by the dead child
             // but never became durable: the restarted child has no memory
             // of them, so they are not claimable for byte parity.
-            for s in resumed..kill_at.min(TOTAL_SLOTS) {
+            for s in resumed..kill_at {
                 observed[s as usize] = false;
             }
             kill_reports.push(KillReport {
@@ -247,32 +235,35 @@ fn run_parent() {
                 resumed_slot: resumed,
                 durable_at_kill,
                 lost_slots: kill_at.saturating_sub(resumed),
-                snapshot_slot: hello.report.snapshot_slot,
-                replayed_entries: hello.report.replayed_entries,
-                corrupt_checkpoints_skipped: hello.report.corrupt_checkpoints_skipped,
-                journal_entries_discarded: hello.report.journal_entries_discarded,
+                snapshot_slot: ev.hello.report.snapshot_slot,
+                replayed_entries: ev.hello.report.replayed_entries,
+                corrupt_checkpoints_skipped: ev.hello.report.corrupt_checkpoints_skipped,
+                journal_entries_discarded: ev.hello.report.journal_entries_discarded,
                 tracked_before: pre_kill_tracked.clone(),
-                tracked_after: hello.tracked.clone(),
+                tracked_after: ev.hello.tracked.clone(),
                 resynced_after_slots: None,
             });
-            kill_idx += 1;
         }
+        restarts_seen = sup.restart_log().len();
 
-        let out = gnb.step();
-        let cap = obs.capture(&out, seq as f64 * slot_s);
-        if !alive {
-            // Dead time: the cell kept transmitting, nobody was listening.
-            continue;
-        }
-        let front_end_dropped = matches!(cap, Capture::Dropped(_));
-        child
-            .send(&WireMsg::Slot { seq, capture: cap })
-            .expect("send slot");
-        let ack = match child.recv().expect("receive ack") {
-            ChildMsg::Ack(a) => a,
-            other => panic!("expected Ack, got {other:?}"),
+        let ack = match outcome {
+            SlotOutcome::Acked(ack) => ack,
+            SlotOutcome::Lost(cause) => {
+                // Dead time: the cell kept transmitting, nobody was
+                // listening. Anywhere else a lost slot is a crash or hang
+                // nobody scripted.
+                if !KILLS.iter().any(|&k| (k..k + DEAD_SLOTS).contains(&seq)) {
+                    violations.push(format!("slot {seq}: lost outside dead time ({cause:?})"));
+                }
+                continue;
+            }
         };
-        assert_eq!(ack.seq, seq, "lockstep ack sequence");
+        if ack.seq != seq {
+            violations.push(format!(
+                "slot {seq}: acked as {} (lockstep broken)",
+                ack.seq
+            ));
+        }
         // On a healthy disk the child must stay on the top durability
         // rung and keep promising the bounded group-commit loss window —
         // an unbounded (`None`) promise here would mean it silently
@@ -292,8 +283,15 @@ fn run_parent() {
         last_durable = ack.durable;
         let synced = ack.sync == SyncState::Synced;
         synced_at[seq as usize] = synced;
-        observed[seq as usize] = synced && !front_end_dropped;
+        observed[seq as usize] = synced && !matches!(cap, Capture::Dropped(_));
         pre_kill_tracked = ack.tracked;
+    }
+    if kill_reports.len() != KILLS.len() {
+        violations.push(format!(
+            "{} warm restarts for {} kills",
+            kill_reports.len(),
+            KILLS.len()
+        ));
     }
 
     // Fill in how long each warm restart took to get back to Synced.
@@ -317,15 +315,9 @@ fn run_parent() {
 
     // Byte parity audit over the observed ranges.
     let observed_ranges = ranges_of(&observed);
-    child
-        .send(&WireMsg::Report {
-            ranges: observed_ranges.clone(),
-        })
-        .expect("send report request");
-    let reply = match child.recv().expect("receive report") {
-        ChildMsg::Report(r) => r,
-        other => panic!("expected Report, got {other:?}"),
-    };
+    let reply = sup
+        .request_report(observed_ranges.clone())
+        .expect("child answers the report request");
     if reply.total_discovered != 3 {
         violations.push(format!(
             "total_discovered = {} after 2 kills (want 3: no re-discovery double counts)",
@@ -374,18 +366,11 @@ fn run_parent() {
         });
     }
 
-    child.send(&WireMsg::Finish).expect("send finish");
-    match child.recv().expect("receive done") {
-        ChildMsg::Done { final_slot } => println!("child finished at slot {final_slot}"),
-        other => panic!("expected Done, got {other:?}"),
-    }
     // Deadline-bounded: a child that wedges on its way out is killed
-    // rather than deadlocking the soak.
-    let (_, escalated) = child
-        .wait_timeout(std::time::Duration::from_secs(5))
-        .expect("child exit");
-    if escalated {
-        violations.push("clean shutdown needed SIGKILL escalation".into());
+    // rather than deadlocking the soak, and that is not a clean finish.
+    match sup.finish() {
+        Some(final_slot) => println!("child finished at slot {final_slot}"),
+        None => violations.push("clean shutdown failed or needed SIGKILL escalation".into()),
     }
 
     let report = SoakReport {

@@ -204,7 +204,11 @@ fn wedged_shard_is_fenced_and_resumes_at_exact_slot() {
         FleetConfig {
             workers: 2,
             shard_queue_depth: 4096,
-            watchdog_ms: 50,
+            // A slot takes microseconds, so any watchdog fences the
+            // injected stall; 250 ms keeps a sibling the host merely
+            // descheduled for a few tens of ms from being fenced too. The
+            // stall stays 5x the watchdog.
+            watchdog_ms: 250,
             restart_backoff_ms: 2,
             ..FleetConfig::default()
         },
@@ -215,7 +219,7 @@ fn wedged_shard_is_fenced_and_resumes_at_exact_slot() {
         &fleet,
         &lanes,
         1500,
-        FaultPlan::OneShot(InjectedFault::Delay(Duration::from_millis(250))),
+        FaultPlan::OneShot(InjectedFault::Delay(Duration::from_millis(1250))),
     );
 
     let status = fleet.shard_status(0);
