@@ -28,7 +28,7 @@
 
 use crate::fleet::FleetSnapshot;
 use crate::observe::Capture;
-use crate::persist::{splitmix64, FaultKind};
+use crate::persist::FaultKind;
 use crate::scope::SyncState;
 use crate::supervise::{RestartCause, SlotOutcome, Supervisor};
 use nr_phy::types::Rnti;
@@ -275,6 +275,15 @@ pub struct ChaosSchedule {
     pub clock_drift_ppm_per_s: f64,
     /// One scripted timing step `(slot, µs)`.
     pub clock_step: Option<(u64, f64)>,
+}
+
+/// One step of the schedule's seeded PRNG (placement jitter).
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl ChaosSchedule {

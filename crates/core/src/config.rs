@@ -23,33 +23,22 @@ pub struct ScopeConfig {
     pub schema_version: u32,
     /// Observation fidelity.
     pub fidelity: Fidelity,
-    /// Sliding window for bit-rate estimation, in slots (the paper keeps a
-    /// sliding window per UE, §3.2.2; 1 s at µ=1 = 2000 slots).
-    pub rate_window_slots: u64,
     /// Drop a UE from the tracked list after this many slots without any
     /// DCI (idle-release shadowing; cells release after inactivity).
     pub ue_expiry_slots: u64,
     /// Skip PDSCH decoding of RRC Setup after the first UE (§3.1.2's
     /// optimisation; `false` re-decodes every time — the Fig 12 ablation).
     pub skip_rrc_decode: bool,
-    /// Number of DCI worker threads in the Fig 4 pipeline.
-    pub dci_threads: usize,
     /// Consecutive unhealthy slots (no DCI decoded while UEs are expected,
     /// or slots dropped outright) before sync is considered degraded.
     pub degraded_after_slots: u64,
     /// Consecutive unhealthy slots before sync is declared lost and the
     /// cell identity is discarded for re-acquisition.
     pub lost_after_slots: u64,
-    /// Upper bound (exclusive) of the PCI range scanned while re-acquiring
-    /// at message fidelity (IQ fidelity re-detects from PSS/SSS instead).
-    pub pci_scan_max: u16,
     /// Whether the pipeline metrics registry records (counters, gauges,
     /// per-stage latency histograms). Near-zero cost either way; disabling
     /// also skips the per-stage clock reads.
     pub metrics_enabled: bool,
-    /// Per-UE throughput history retention, in slots (bounds the
-    /// estimator's memory; see `throughput::DEFAULT_HISTORY_RETENTION_SLOTS`).
-    pub history_retention_slots: u64,
     /// Overload-governor budget and hysteresis knobs (the degradation
     /// ladder). Disabled by default: offline replay has no slot deadline.
     pub governor: GovernorConfig,
@@ -237,15 +226,11 @@ impl Default for ScopeConfig {
         ScopeConfig {
             schema_version: crate::SCHEMA_VERSION,
             fidelity: Fidelity::Message,
-            rate_window_slots: 2000,
             ue_expiry_slots: 20_000, // 10 s at µ=1
             skip_rrc_decode: true,
-            dci_threads: 4,
             degraded_after_slots: 120,
             lost_after_slots: 400,
-            pci_scan_max: 128,
             metrics_enabled: true,
-            history_retention_slots: crate::throughput::DEFAULT_HISTORY_RETENTION_SLOTS,
             governor: GovernorConfig::default(),
             admission: AdmissionConfig::default(),
             clock: ClockRecoveryConfig::default(),
@@ -263,7 +248,14 @@ mod tests {
         let c = ScopeConfig::default();
         assert_eq!(c.fidelity, Fidelity::Message);
         assert!(c.skip_rrc_decode, "paper §3.1.2 optimisation on by default");
-        assert_eq!(c.dci_threads, 4, "paper evaluates with four DCI threads");
+        assert!(
+            c.metrics_enabled,
+            "the pipeline is measured unless asked not to"
+        );
+        assert!(
+            c.degraded_after_slots < c.lost_after_slots,
+            "sync degrades before it is declared lost"
+        );
         assert!(
             !c.governor.enabled,
             "governor off by default: offline replay has no slot deadline"

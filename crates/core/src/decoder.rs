@@ -1,4 +1,5 @@
-//! Blind PDCCH decoding: turning an observed slot into decoded DCIs.
+//! The slot path's decode stages: IQ front end → candidate extraction →
+//! scan → RNTI hypothesis test (paper Fig 4; cost model Fig 12).
 //!
 //! The sniffer never knows which candidates are occupied. It scans every
 //! aligned candidate position at every aggregation level (IQ fidelity) or
@@ -11,18 +12,26 @@
 //!    recovery for MSG 4s whose RAR was missed;
 //! 2. **known-UE hypotheses** — each tracked C-RNTI with its UE-specific
 //!    descrambling.
+//!
+//! There is one scan loop and one hypothesis tester. The two fidelities
+//! differ only in how a candidate yields hard-decision codewords — the
+//! private `Candidate` trait: a descramble for [`ObservedDci`], an LLR sign
+//! flip plus polar SC decode for [`ExtractedCandidate`].
 
 use crate::metrics::{Counter, Metrics, Stage};
 use crate::observe::ObservedDci;
+use nr_phy::complex::Cf32;
 use nr_phy::crc::{dci_check_crc, dci_recover_rnti};
 use nr_phy::dci::{Dci, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
+use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::{
     extract_candidate, search_space_cinit, AggregationLevel, Coreset, SearchBudget,
 };
 use nr_phy::polar::PolarCode;
 use nr_phy::sequence::gold_bits_cached;
 use nr_phy::types::{Rnti, RntiType};
+use nr_phy::Numerology;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,169 +113,57 @@ pub struct DecoderContext {
     pub ue_sizing: Option<DciSizing>,
 }
 
-impl DecoderContext {
-    fn sizes_for_common(&self) -> [usize; 2] {
-        [
-            self.common_sizing.payload_bits(DciFormat::Dl1_1),
-            self.common_sizing.payload_bits(DciFormat::Ul0_1),
-        ]
-    }
-
-    fn sizes_for_ue(&self) -> Option<[usize; 2]> {
-        let s = self.ue_sizing?;
-        Some([
-            s.payload_bits(DciFormat::Dl1_1),
-            s.payload_bits(DciFormat::Ul0_1),
-        ])
-    }
+/// The payload sizes a search space can carry, one per DCI format.
+fn payload_sizes(sizing: &DciSizing) -> [usize; 2] {
+    [
+        sizing.payload_bits(DciFormat::Dl1_1),
+        sizing.payload_bits(DciFormat::Ul0_1),
+    ]
 }
 
-/// Decode all DCIs in a message-fidelity capture.
-pub fn decode_message_slot(
-    ctx: &DecoderContext,
-    observed: &[ObservedDci],
-    hyp: &Hypotheses,
-) -> Vec<DecodedDci> {
-    decode_message_slot_budgeted(ctx, observed, hyp, SearchBudget::unlimited(), None).0
-}
+/// Carrier widths (PRBs) of the paper's preset cells, tried when the
+/// decoder context knows no width that fits (a cold bootstrap).
+const PRESET_CARRIER_PRBS: [usize; 4] = [51, 52, 79, 24];
 
-/// [`decode_message_slot`] under a [`SearchBudget`], with pipeline
-/// instrumentation: the whole-slot codeword scan is the PDCCH search
-/// stage; each codeword's hypothesis testing is a DCI-decode observation.
-/// The common pass (SI/RA/TC + MSG 4 recovery) always runs in full; the
-/// budget gates only the UE-specific pass. Returns the decoded DCIs plus
-/// the slot's offered-work counts for the overload governor.
-pub fn decode_message_slot_budgeted(
-    ctx: &DecoderContext,
-    observed: &[ObservedDci],
-    hyp: &Hypotheses,
-    budget: SearchBudget,
-    metrics: Option<&Arc<Metrics>>,
-) -> (Vec<DecodedDci>, DecodeWork) {
-    // Per-candidate RAII timers cost two clock reads plus an Arc
-    // clone/drop each, which dominates the instrumentation overhead at
-    // tens of candidates per slot. Chain the readings instead: one
-    // `Instant::now()` per candidate boundary serves as the end of one
-    // DciDecode observation and the start of the next, and the first/last
-    // readings bracket the whole PdcchSearch scan.
-    let timing = metrics.filter(|m| m.is_enabled());
-    let scan_start = timing.map(|_| Instant::now());
-    let mut t_prev: Option<Instant> = None;
-    let mut out = Vec::new();
-    let mut work = DecodeWork::default();
-    for obs in observed {
-        if let Some(m) = timing {
-            let now = Instant::now();
-            if let Some(prev) = t_prev {
-                m.observe(Stage::DciDecode, now - prev);
-            }
-            t_prev = Some(now);
-        }
-        work.candidates += 1;
-        let payload_bits = match obs.scrambled_bits.len().checked_sub(24) {
-            Some(p) => p,
-            None => continue,
-        };
-        if let Some(d) =
-            decode_codeword_common(ctx, obs, hyp, payload_bits, &mut work.validation_rejects)
-        {
-            out.push(d);
-            continue;
-        }
-        // Known-UE pass (UE-specific scrambling per hypothesis), gated by
-        // the governor's search budget.
-        let size_ok = ctx
-            .sizes_for_ue()
-            .is_some_and(|sizes| sizes.contains(&payload_bits));
-        if size_ok && !hyp.c_rntis.is_empty() {
-            if !budget.admits_ue(obs.level, work.ue_candidates) {
-                work.pruned += 1;
-                continue;
-            }
-            work.ue_candidates += 1;
-            work.ue_hypotheses += hyp.c_rntis.len();
-            if let Some(d) = decode_codeword_ue(ctx, obs, hyp, &mut work.validation_rejects) {
-                out.push(d);
-            }
-        }
+/// The IQ front end, shared by the live scope and the pool's workers:
+/// pick the OFDM layout whose slot length matches the buffer, check the
+/// sample count, and demodulate under the `demod` stage. `layout` is the
+/// caller's cache — the scope keeps it for the session, a worker starts
+/// every job with `None`. A layout is picked from the widths the context
+/// already knows (the SIB1 carrier BWP, then the CORESET 0 width the MIB
+/// guarantees) before the presets — how srsRAN's cell search sizes its
+/// FFT. `None` means no layout fits (a truncated capture or an unknown
+/// carrier) and is counted as a layout mismatch.
+pub(crate) fn demodulate_slot(
+    layout: &mut Option<Ofdm>,
+    ctx: Option<&DecoderContext>,
+    samples: &[Cf32],
+    slot_in_frame: usize,
+    metrics: &Arc<Metrics>,
+) -> Option<ResourceGrid> {
+    if layout.is_none() {
+        let known = ctx.into_iter().flat_map(|c| {
+            let sizings = c.ue_sizing.into_iter().chain([c.common_sizing]);
+            sizings.map(|s| s.bwp_prbs)
+        });
+        let widths = known.chain(PRESET_CARRIER_PRBS);
+        *layout = [Numerology::Mu1, Numerology::Mu0]
+            .into_iter()
+            .flat_map(|numer| widths.clone().map(move |prbs| (numer, prbs)))
+            .find(|&(numer, prbs)| {
+                numer.samples_per_slot(numer.fft_size(prbs), slot_in_frame) == samples.len()
+            })
+            .map(|(numer, prbs)| Ofdm::new(numer, prbs));
     }
-    if let Some(m) = timing {
-        let end = Instant::now();
-        if let Some(prev) = t_prev {
-            m.observe(Stage::DciDecode, end - prev);
-        }
-        if let Some(start) = scan_start {
-            m.observe(Stage::PdcchSearch, end - start);
-        }
-    }
-    if let Some(m) = metrics {
-        m.add(Counter::CandidatesScanned, work.candidates as u64);
-        m.add(Counter::DcisDecoded, out.len() as u64);
-        m.add(Counter::CandidatesPruned, work.pruned as u64);
-        m.add(Counter::ValidationRejects, work.validation_rejects as u64);
-    }
-    (out, work)
-}
-
-/// Common-search-space hypotheses against one captured codeword: SI-RNTI,
-/// pending RA-/TC-RNTIs, and the missed-RAR CRC-XOR recovery fallback.
-/// Never pruned by any search budget.
-fn decode_codeword_common(
-    ctx: &DecoderContext,
-    obs: &ObservedDci,
-    hyp: &Hypotheses,
-    payload_bits: usize,
-    rejects: &mut usize,
-) -> Option<DecodedDci> {
-    if hyp.skip_common || !ctx.sizes_for_common().contains(&payload_bits) {
+    let Some(ofdm) = layout
+        .as_ref()
+        .filter(|o| o.samples_per_slot(slot_in_frame) == samples.len())
+    else {
+        metrics.inc(Counter::LayoutMismatches);
         return None;
-    }
-    let common = descramble(
-        &obs.scrambled_bits,
-        search_space_cinit(Rnti(0), false, ctx.pci),
-    );
-    let common_hyps = std::iter::once((Rnti::SI, RntiType::Si))
-        .chain(hyp.ra_rntis.iter().map(|r| (*r, RntiType::Ra)))
-        .chain(hyp.tc_rntis.iter().map(|r| (*r, RntiType::Tc)));
-    for (rnti, rnti_type) in common_hyps {
-        if let Some(payload) = dci_check_crc(&common, rnti.0) {
-            if let Some(d) = unpack(ctx, &payload, false, rnti, rnti_type, obs, rejects) {
-                return Some(d);
-            }
-        }
-    }
-    // Missed-RAR fallback: recover an unknown TC-RNTI from the CRC XOR.
-    if hyp.allow_recovery {
-        if let Some(rnti) = dci_recover_rnti(&common) {
-            let r = Rnti(rnti);
-            if r.is_c_rnti_range() && !hyp.c_rntis.contains(&r) {
-                let payload = common[..payload_bits].to_vec();
-                if let Some(d) = unpack(ctx, &payload, false, r, RntiType::Tc, obs, rejects) {
-                    return Some(d);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Known-UE hypotheses against one captured codeword (the caller has
-/// already checked sizing and the search budget).
-fn decode_codeword_ue(
-    ctx: &DecoderContext,
-    obs: &ObservedDci,
-    hyp: &Hypotheses,
-    rejects: &mut usize,
-) -> Option<DecodedDci> {
-    for &rnti in &hyp.c_rntis {
-        let cw = descramble(&obs.scrambled_bits, search_space_cinit(rnti, true, ctx.pci));
-        if let Some(payload) = dci_check_crc(&cw, rnti.0) {
-            if let Some(d) = unpack(ctx, &payload, true, rnti, RntiType::C, obs, rejects) {
-                return Some(d);
-            }
-        }
-    }
-    None
+    };
+    let _t = metrics.start(Stage::Demod);
+    Some(ofdm.demodulate(samples, slot_in_frame))
 }
 
 /// One equalised candidate extracted from a grid (signal-processing
@@ -323,9 +220,137 @@ pub fn extract_all_candidates(
     out
 }
 
-/// Hypothesis-testing stage over pre-extracted candidates, with
-/// per-candidate DCI-decode instrumentation, under a [`SearchBudget`]: the
-/// common pass always runs in full; only the UE-specific pass is gated.
+/// Where a candidate's hard-decision codewords come from — the one thing
+/// the two fidelities do differently. Everything downstream (hypothesis
+/// order, budget gate, validation, accounting, timing) is shared.
+trait Candidate {
+    /// A blind grid position (IQ) rather than a captured codeword
+    /// (message). Positions at different aggregation levels alias one
+    /// another's CCEs, so one overlapping an already-decoded DCI is
+    /// skipped; and their search cost — extraction — is paid before the
+    /// scan, so the scan itself is not the `pdcch_search` stage.
+    const BLIND: bool;
+    /// Aggregation level.
+    fn level(&self) -> AggregationLevel;
+    /// First CCE.
+    fn cce_start(&self) -> usize;
+    /// Whether a codeword of one of `sizes` payload bits can come out of
+    /// this candidate at all — asked before the search budget is spent.
+    fn fits(&self, sizes: &[usize; 2]) -> bool;
+    /// Hand `test` the hard-decision codeword (with its payload size) for
+    /// each admissible size in `sizes`, descrambled for the common search
+    /// space (`ue: None`) or for one C-RNTI, until it reports a hit.
+    fn codewords<T>(
+        &self,
+        ctx: &DecoderContext,
+        ue: Option<Rnti>,
+        sizes: &[usize; 2],
+        test: impl FnMut(usize, &[u8]) -> Option<T>,
+    ) -> Option<T>;
+}
+
+/// Scrambling identity of the common search space (`None`) or one UE's.
+fn cinit_for(ue: Option<Rnti>, pci: u16) -> u32 {
+    search_space_cinit(ue.unwrap_or(Rnti(0)), ue.is_some(), pci)
+}
+
+/// Message fidelity: the codeword was captured whole, so its length fixes
+/// the payload size and a descramble yields the hard bits.
+impl Candidate for ObservedDci {
+    const BLIND: bool = false;
+
+    fn level(&self) -> AggregationLevel {
+        self.level
+    }
+
+    fn cce_start(&self) -> usize {
+        self.cce_start
+    }
+
+    fn fits(&self, sizes: &[usize; 2]) -> bool {
+        (self.scrambled_bits.len().checked_sub(24)).is_some_and(|p| sizes.contains(&p))
+    }
+
+    fn codewords<T>(
+        &self,
+        ctx: &DecoderContext,
+        ue: Option<Rnti>,
+        sizes: &[usize; 2],
+        mut test: impl FnMut(usize, &[u8]) -> Option<T>,
+    ) -> Option<T> {
+        if !self.fits(sizes) {
+            return None;
+        }
+        let bits = &self.scrambled_bits;
+        let seq = gold_bits_cached(cinit_for(ue, ctx.pci), bits.len());
+        let cw: Vec<u8> = bits.iter().zip(seq.iter()).map(|(b, s)| b ^ s).collect();
+        test(bits.len() - 24, &cw)
+    }
+}
+
+/// IQ fidelity: the LLRs are common-descrambled; a UE hypothesis flips
+/// the signs where its sequence differs (once, shared by both sizes), and
+/// every size shorter than the candidate gets its own polar SC decode.
+impl Candidate for ExtractedCandidate {
+    const BLIND: bool = true;
+
+    fn level(&self) -> AggregationLevel {
+        self.level
+    }
+
+    fn cce_start(&self) -> usize {
+        self.cce_start
+    }
+
+    fn fits(&self, _sizes: &[usize; 2]) -> bool {
+        true
+    }
+
+    fn codewords<T>(
+        &self,
+        ctx: &DecoderContext,
+        ue: Option<Rnti>,
+        sizes: &[usize; 2],
+        mut test: impl FnMut(usize, &[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let flipped: Vec<f32>;
+        let llrs = match ue {
+            None => &self.llrs,
+            Some(_) => {
+                let common_seq = gold_bits_cached(cinit_for(None, ctx.pci), self.llrs.len());
+                let ue_seq = gold_bits_cached(cinit_for(ue, ctx.pci), self.llrs.len());
+                flipped = (self.llrs.iter())
+                    .zip(common_seq.iter().zip(ue_seq.iter()))
+                    .map(|(l, (a, b))| if a == b { *l } else { -*l })
+                    .collect();
+                &flipped
+            }
+        };
+        let e = self.level.bits();
+        (sizes.iter().filter(|&&p| p + 24 < e))
+            .find_map(|&p| test(p, &PolarCode::new(p + 24, e).decode_sc(llrs)))
+    }
+}
+
+/// Hypothesis-testing stage over a message-fidelity capture's codewords
+/// under a [`SearchBudget`]: the common pass (SI/RA/TC + MSG 4 recovery)
+/// always runs in full; the budget gates only the UE-specific pass. The
+/// whole scan is the `pdcch_search` stage — there is no extraction step
+/// to time. Returns the decoded DCIs plus the slot's offered-work counts
+/// for the overload governor.
+pub fn decode_message_slot_budgeted(
+    ctx: &DecoderContext,
+    observed: &[ObservedDci],
+    hyp: &Hypotheses,
+    budget: SearchBudget,
+    metrics: Option<&Arc<Metrics>>,
+) -> (Vec<DecodedDci>, DecodeWork) {
+    scan(ctx, observed, hyp, budget, metrics)
+}
+
+/// Hypothesis-testing stage over pre-extracted IQ candidates (the
+/// `pdcch_search` stage is their extraction, timed by the caller), under
+/// the same [`SearchBudget`] rule as [`decode_message_slot_budgeted`].
 pub fn decode_candidates_budgeted(
     ctx: &DecoderContext,
     candidates: &[ExtractedCandidate],
@@ -333,255 +358,138 @@ pub fn decode_candidates_budgeted(
     budget: SearchBudget,
     metrics: Option<&Arc<Metrics>>,
 ) -> (Vec<DecodedDci>, DecodeWork) {
-    let common_cinit = search_space_cinit(Rnti(0), false, ctx.pci);
-    // Chained per-candidate timing (see decode_message_slot_budgeted):
-    // one clock read per candidate boundary instead of an RAII timer each.
-    let timing = metrics.filter(|m| m.is_enabled());
-    let mut t_prev: Option<Instant> = None;
-    let mut out: Vec<DecodedDci> = Vec::new();
-    let mut work = DecodeWork::default();
-    for cand in candidates {
-        if let Some(m) = timing {
-            let now = Instant::now();
-            if let Some(prev) = t_prev {
-                m.observe(Stage::DciDecode, now - prev);
-            }
-            t_prev = Some(now);
-        }
-        work.candidates += 1;
-        // Skip candidates overlapping an already-decoded DCI (a smaller
-        // aggregation level aliasing into a larger one's CCEs).
-        if out.iter().any(|d| {
-            ranges_overlap(
-                d.cce_start,
-                d.level.cces(),
-                cand.cce_start,
-                cand.level.cces(),
-            )
-        }) {
-            continue;
-        }
-        if let Some(d) = decode_soft_candidate_common(
-            ctx,
-            &cand.llrs,
-            cand.level,
-            cand.cce_start,
-            hyp,
-            &mut work.validation_rejects,
-        ) {
-            out.push(d);
-            continue;
-        }
-        if ctx.sizes_for_ue().is_some() && !hyp.c_rntis.is_empty() {
-            if !budget.admits_ue(cand.level, work.ue_candidates) {
-                work.pruned += 1;
-                continue;
-            }
-            work.ue_candidates += 1;
-            work.ue_hypotheses += hyp.c_rntis.len();
-            if let Some(d) = decode_soft_candidate_ue(
-                ctx,
-                &cand.llrs,
-                cand.level,
-                cand.cce_start,
-                hyp,
-                common_cinit,
-                &mut work.validation_rejects,
-            ) {
-                out.push(d);
-            }
-        }
-    }
-    if let (Some(m), Some(prev)) = (timing, t_prev) {
-        m.observe(Stage::DciDecode, prev.elapsed());
-    }
-    if let Some(m) = metrics {
-        m.add(Counter::CandidatesScanned, work.candidates as u64);
-        m.add(Counter::DcisDecoded, out.len() as u64);
-        m.add(Counter::CandidatesPruned, work.pruned as u64);
-        m.add(Counter::ValidationRejects, work.validation_rejects as u64);
-    }
-    (out, work)
+    scan(ctx, candidates, hyp, budget, metrics)
 }
 
-/// Decode all DCIs from a received IQ-fidelity resource grid, scanning all
-/// aligned candidate positions at all aggregation levels:
-/// [`extract_all_candidates`] (the PDCCH search stage) followed by
-/// [`decode_candidates_budgeted`] under the same [`SearchBudget`].
-pub fn decode_grid_budgeted(
+/// The one scan loop: every candidate through [`test_hypotheses`], with
+/// the work accounting and the stage timing.
+fn scan<C: Candidate>(
     ctx: &DecoderContext,
-    grid: &ResourceGrid,
-    slot_in_frame: usize,
+    candidates: &[C],
     hyp: &Hypotheses,
     budget: SearchBudget,
     metrics: Option<&Arc<Metrics>>,
 ) -> (Vec<DecodedDci>, DecodeWork) {
-    let candidates = {
-        let _t = Metrics::maybe_start(metrics, Stage::PdcchSearch);
-        extract_all_candidates(ctx, grid, slot_in_frame)
-    };
-    decode_candidates_budgeted(ctx, &candidates, hyp, budget, metrics)
+    let metrics: &Metrics = metrics.unwrap_or(Metrics::disabled());
+    // Per-candidate RAII timers cost two clock reads plus an Arc
+    // clone/drop each, which dominates the instrumentation overhead at
+    // tens of candidates per slot. Chain the readings instead: one
+    // `Instant::now()` per candidate ends its `dci_decode` observation
+    // and starts the next one's, and the first and last bracket the scan.
+    let scan_start = metrics.is_enabled().then(Instant::now);
+    let mut t_prev = scan_start;
+    let mut out: Vec<DecodedDci> = Vec::new();
+    let mut work = DecodeWork::default();
+    for cand in candidates {
+        work.candidates += 1;
+        let aliased = C::BLIND
+            && out.iter().any(|d| {
+                let (a, a_len) = (d.cce_start, d.level.cces());
+                let (b, b_len) = (cand.cce_start(), cand.level().cces());
+                a < b + b_len && b < a + a_len
+            });
+        if !aliased {
+            out.extend(test_hypotheses(ctx, cand, hyp, budget, &mut work));
+        }
+        if let Some(prev) = t_prev {
+            let now = Instant::now();
+            metrics.observe(Stage::DciDecode, now - prev);
+            t_prev = Some(now);
+        }
+    }
+    if !C::BLIND {
+        if let Some((start, end)) = scan_start.zip(t_prev) {
+            metrics.observe(Stage::PdcchSearch, end - start);
+        }
+    }
+    metrics.add(Counter::CandidatesScanned, work.candidates as u64);
+    metrics.add(Counter::DcisDecoded, out.len() as u64);
+    metrics.add(Counter::CandidatesPruned, work.pruned as u64);
+    metrics.add(Counter::ValidationRejects, work.validation_rejects as u64);
+    (out, work)
 }
 
-/// Common-search-space hypotheses against one equalised soft candidate (IQ
-/// path): SI/RA/TC plus CRC-XOR recovery. Never pruned by any budget.
-fn decode_soft_candidate_common(
+/// The one hypothesis tester: SI → RA → TC → CRC-XOR recovery in the
+/// common search space (never pruned by any budget), then each tracked
+/// C-RNTI under its own scrambling if the budget admits the candidate.
+/// The first hypothesis whose CRC checks *and* whose payload validates
+/// wins.
+fn test_hypotheses<C: Candidate>(
     ctx: &DecoderContext,
-    llrs_common: &[f32],
-    level: AggregationLevel,
-    cce_start: usize,
+    cand: &C,
     hyp: &Hypotheses,
-    rejects: &mut usize,
+    budget: SearchBudget,
+    work: &mut DecodeWork,
 ) -> Option<DecodedDci> {
-    if hyp.skip_common {
-        return None;
-    }
-    for payload_bits in ctx.sizes_for_common() {
-        let k = payload_bits + 24;
-        if k >= level.bits() {
-            continue;
-        }
-        let code = PolarCode::new(k, level.bits());
-        let cw = code.decode_sc(llrs_common);
-        let common_hyps = std::iter::once((Rnti::SI, RntiType::Si))
-            .chain(hyp.ra_rntis.iter().map(|r| (*r, RntiType::Ra)))
-            .chain(hyp.tc_rntis.iter().map(|r| (*r, RntiType::Tc)));
-        for (rnti, rnti_type) in common_hyps {
-            if let Some(payload) = dci_check_crc(&cw, rnti.0) {
-                if let Some(d) = unpack_at(
-                    ctx, &payload, false, rnti, rnti_type, level, cce_start, rejects,
-                ) {
-                    return Some(d);
-                }
-            }
-        }
-        if hyp.allow_recovery {
-            if let Some(rnti) = dci_recover_rnti(&cw) {
-                let r = Rnti(rnti);
-                if r.is_c_rnti_range() && !hyp.c_rntis.contains(&r) {
-                    let payload = cw[..payload_bits].to_vec();
-                    if let Some(d) = unpack_at(
-                        ctx,
-                        &payload,
-                        false,
-                        r,
-                        RntiType::Tc,
-                        level,
-                        cce_start,
-                        rejects,
-                    ) {
-                        return Some(d);
+    if !hyp.skip_common {
+        let sizing = ctx.common_sizing;
+        let rejects = &mut work.validation_rejects;
+        let hit = cand.codewords(ctx, None, &payload_sizes(&sizing), |payload_bits, cw| {
+            let known = std::iter::once((Rnti::SI, RntiType::Si))
+                .chain(hyp.ra_rntis.iter().map(|r| (*r, RntiType::Ra)))
+                .chain(hyp.tc_rntis.iter().map(|r| (*r, RntiType::Tc)));
+            for (rnti, rnti_type) in known {
+                if let Some(payload) = dci_check_crc(cw, rnti.0) {
+                    let hit = unpack(cand, &payload, &sizing, rnti, rnti_type, rejects);
+                    if hit.is_some() {
+                        return hit;
                     }
                 }
             }
+            // Missed-RAR fallback: recover an unknown TC-RNTI from the
+            // CRC XOR.
+            if !hyp.allow_recovery {
+                return None;
+            }
+            let r = Rnti(dci_recover_rnti(cw)?);
+            if !r.is_c_rnti_range() || hyp.c_rntis.contains(&r) {
+                return None;
+            }
+            unpack(cand, &cw[..payload_bits], &sizing, r, RntiType::Tc, rejects)
+        });
+        if hit.is_some() {
+            return hit;
         }
     }
-    None
-}
-
-/// Known-UE hypotheses against one equalised soft candidate (the caller
-/// has already checked the search budget).
-fn decode_soft_candidate_ue(
-    ctx: &DecoderContext,
-    llrs_common: &[f32],
-    level: AggregationLevel,
-    cce_start: usize,
-    hyp: &Hypotheses,
-    common_cinit: u32,
-    rejects: &mut usize,
-) -> Option<DecodedDci> {
-    let sizes = ctx.sizes_for_ue()?;
-    let common_seq = gold_bits_cached(common_cinit, llrs_common.len());
-    for &rnti in &hyp.c_rntis {
-        let ue_seq = gold_bits_cached(search_space_cinit(rnti, true, ctx.pci), llrs_common.len());
-        let llrs: Vec<f32> = llrs_common
-            .iter()
-            .zip(common_seq.iter().zip(ue_seq.iter()))
-            .map(|(l, (a, b))| if a == b { *l } else { -*l })
-            .collect();
-        for &payload_bits in &sizes {
-            let k = payload_bits + 24;
-            if k >= level.bits() {
-                continue;
-            }
-            let code = PolarCode::new(k, level.bits());
-            let cw = code.decode_sc(&llrs);
-            if let Some(payload) = dci_check_crc(&cw, rnti.0) {
-                if let Some(d) = unpack_at(
-                    ctx,
-                    &payload,
-                    true,
-                    rnti,
-                    RntiType::C,
-                    level,
-                    cce_start,
-                    rejects,
-                ) {
-                    return Some(d);
-                }
-            }
-        }
+    let sizing = ctx.ue_sizing?;
+    let sizes = payload_sizes(&sizing);
+    if hyp.c_rntis.is_empty() || !cand.fits(&sizes) {
+        return None;
     }
-    None
-}
-
-fn ranges_overlap(a_start: usize, a_len: usize, b_start: usize, b_len: usize) -> bool {
-    a_start < b_start + b_len && b_start < a_start + a_len
-}
-
-fn descramble(bits: &[u8], c_init: u32) -> Vec<u8> {
-    let seq = gold_bits_cached(c_init, bits.len());
-    bits.iter().zip(seq.iter()).map(|(b, s)| b ^ s).collect()
-}
-
-fn unpack(
-    ctx: &DecoderContext,
-    payload: &[u8],
-    ue_specific: bool,
-    rnti: Rnti,
-    rnti_type: RntiType,
-    obs: &ObservedDci,
-    rejects: &mut usize,
-) -> Option<DecodedDci> {
-    unpack_at(
-        ctx,
-        payload,
-        ue_specific,
-        rnti,
-        rnti_type,
-        obs.level,
-        obs.cce_start,
-        rejects,
-    )
+    if !budget.admits_ue(cand.level(), work.ue_candidates) {
+        work.pruned += 1;
+        return None;
+    }
+    work.ue_candidates += 1;
+    work.ue_hypotheses += hyp.c_rntis.len();
+    let rejects = &mut work.validation_rejects;
+    hyp.c_rntis.iter().find_map(|&rnti| {
+        cand.codewords(ctx, Some(rnti), &sizes, |_, cw| {
+            let payload = dci_check_crc(cw, rnti.0)?;
+            unpack(cand, &payload, &sizing, rnti, RntiType::C, rejects)
+        })
+    })
 }
 
 /// Stage-1 plausibility gate: every CRC-passing payload, whatever its
 /// provenance (hypothesis match or CRC-XOR recovery), is unpacked with
 /// [`Dci::unpack_validated`] and rejected — counted, never propagated —
 /// when any field contradicts the active cell configuration.
-#[allow(clippy::too_many_arguments)]
-fn unpack_at(
-    ctx: &DecoderContext,
+fn unpack(
+    cand: &impl Candidate,
     payload: &[u8],
-    ue_specific: bool,
+    sizing: &DciSizing,
     rnti: Rnti,
     rnti_type: RntiType,
-    level: AggregationLevel,
-    cce_start: usize,
     rejects: &mut usize,
 ) -> Option<DecodedDci> {
-    let sizing = if ue_specific {
-        ctx.ue_sizing?
-    } else {
-        ctx.common_sizing
-    };
-    match Dci::unpack_validated(payload, &sizing) {
+    match Dci::unpack_validated(payload, sizing) {
         Ok(dci) => Some(DecodedDci {
             rnti,
             rnti_type,
             dci,
-            level,
-            cce_start,
+            level: cand.level(),
+            cce_start: cand.cce_start(),
         }),
         Err(_) => {
             *rejects += 1;
@@ -611,6 +519,11 @@ mod tests {
                 bwp_prbs: cfg.carrier_prbs,
             }),
         }
+    }
+
+    /// Every hypothesis against every codeword: no budget, no metrics.
+    fn decode_all(c: &DecoderContext, dcis: &[ObservedDci], hyp: &Hypotheses) -> Vec<DecodedDci> {
+        decode_message_slot_budgeted(c, dcis, hyp, SearchBudget::unlimited(), None).0
     }
 
     fn loaded_gnb(seed: u64) -> Gnb {
@@ -668,7 +581,7 @@ mod tests {
             if let crate::observe::ObservedSlot::Message { dcis, .. } =
                 obs.observe(&out, s as f64 * 0.0005)
             {
-                let decoded = decode_message_slot(&c, &dcis, &hyp);
+                let decoded = decode_all(&c, &dcis, &hyp);
                 let found_c = decoded
                     .iter()
                     .filter(|d| d.rnti_type == RntiType::C)
@@ -698,7 +611,7 @@ mod tests {
             if let crate::observe::ObservedSlot::Message { dcis, .. } =
                 obs.observe(&out, s as f64 * 0.0005)
             {
-                let decoded = decode_message_slot(&c, &dcis, &hyp);
+                let decoded = decode_all(&c, &dcis, &hyp);
                 assert!(
                     decoded.iter().all(|d| d.rnti_type != RntiType::C),
                     "C-RNTI DCI decoded without knowing the RNTI"
@@ -729,7 +642,7 @@ mod tests {
                     ..Hypotheses::default()
                 };
                 if let crate::observe::ObservedSlot::Message { dcis, .. } = observed {
-                    let decoded = decode_message_slot(&c, &dcis, &hyp);
+                    let decoded = decode_all(&c, &dcis, &hyp);
                     // A marginal capture may fail recovery for this slot;
                     // keep watching for the next MSG 4 instead of dying.
                     let Some(rec) = decoded.iter().find(|d| d.rnti_type == RntiType::Tc) else {
@@ -777,15 +690,10 @@ mod tests {
                 allow_recovery: false,
                 ..Hypotheses::default()
             };
-            let decoded = decode_grid_budgeted(
-                &c,
-                &grid,
-                out.slot_in_frame,
-                &hyp,
-                SearchBudget::unlimited(),
-                None,
-            )
-            .0;
+            let candidates = extract_all_candidates(&c, &grid, out.slot_in_frame);
+            let decoded =
+                decode_candidates_budgeted(&c, &candidates, &hyp, SearchBudget::unlimited(), None)
+                    .0;
             let found = decoded
                 .iter()
                 .filter(|d| d.rnti_type == RntiType::C)

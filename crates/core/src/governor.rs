@@ -82,11 +82,6 @@ impl LoadRung {
             _ => LoadRung::Full,
         }
     }
-
-    /// Construct from the gauge encoding.
-    pub fn from_index(i: u64) -> Option<LoadRung> {
-        LoadRung::ALL.get(i as usize).copied()
-    }
 }
 
 /// Budget and hysteresis knobs for the overload governor.

@@ -8,10 +8,11 @@
 //! * every instrument is a plain `AtomicU64` updated with `Relaxed`
 //!   ordering — no locks, no allocation, shardable across the worker pool
 //!   by construction (atomic adds commute);
-//! * when disabled (the `enabled` flag), timers skip even the
-//!   `Instant::now()` call, so the cost is one relaxed atomic load per
-//!   stage entry — the enabled overhead is the perf ledger's
-//!   `metrics.overhead_pct` (`benchmark/`);
+//! * a registry built disabled is the one way to say "no metrics": its
+//!   instruments are inert and its timers skip even the `Instant::now()`
+//!   call, so the cost is one branch on a plain `bool` per stage entry —
+//!   the enabled overhead is the perf ledger's `metrics.overhead_pct`
+//!   (`benchmark/`);
 //! * histograms use fixed log-linear buckets (8 linear sub-buckets per
 //!   power-of-two octave from 64 ns to ~17 s, plus an explicit overflow
 //!   bucket), so recording is a bit-length computation plus one atomic
@@ -24,8 +25,8 @@
 
 use crate::worker::lock_clean;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Bound on the keyed diagnostic-note ledger ([`Metrics::note`]): one slot
@@ -314,8 +315,8 @@ pub enum Gauge {
     /// 2 = NonDurable).
     DurabilityRung,
     /// Magnitude of the estimated sniffer clock drift, in parts-per-
-    /// billion (gauges are unsigned; the signed value lives in
-    /// [`crate::scope::NrScope::clock`] state and the fleet rollup).
+    /// billion (gauges are unsigned; the signed value is
+    /// [`crate::scope::NrScope::clock_drift_ppb`] and the fleet rollup's).
     ClockDriftPpb,
     /// Current clock-lock rung (0 = Locked, 1 = Pulling, 2 = Unlocked).
     ClockLockState,
@@ -468,7 +469,7 @@ impl StageHisto {
 /// the scope, the observer, the radio front end, and the worker pool.
 #[derive(Debug)]
 pub struct Metrics {
-    enabled: AtomicBool,
+    enabled: bool,
     stages: [StageHisto; Stage::ALL.len()],
     counters: [AtomicU64; Counter::ALL.len()],
     gauges: [AtomicU64; Gauge::ALL.len()],
@@ -488,7 +489,7 @@ impl Metrics {
     /// New registry; `enabled` controls whether instruments record.
     pub fn new(enabled: bool) -> Metrics {
         Metrics {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             stages: Default::default(),
             // `Default` for arrays stops at 32 elements; build in place.
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -502,14 +503,19 @@ impl Metrics {
         Arc::new(Metrics::new(enabled))
     }
 
-    /// Whether instruments currently record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Relaxed)
+    /// The process-wide disabled registry: what a function entered without
+    /// a registry records into (nothing). Holders that can *write* — notes
+    /// record even when disabled — build their own with
+    /// [`Metrics::shared`] instead, so one pool's diagnostics never land
+    /// in another's.
+    pub(crate) fn disabled() -> &'static Arc<Metrics> {
+        static DISABLED: OnceLock<Arc<Metrics>> = OnceLock::new();
+        DISABLED.get_or_init(|| Metrics::shared(false))
     }
 
-    /// Enable or disable recording at runtime (existing values are kept).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Relaxed);
+    /// Whether instruments record (fixed at construction).
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
     }
 
     /// Increment a counter by 1.
@@ -580,15 +586,6 @@ impl Metrics {
             inner: self
                 .is_enabled()
                 .then(|| (Arc::clone(self), stage, Instant::now())),
-        }
-    }
-
-    /// Like [`Metrics::start`] but usable through an `Option<&Arc<_>>`
-    /// (the idiom for plumbed-through optional registries).
-    pub fn maybe_start(metrics: Option<&Arc<Metrics>>, stage: Stage) -> StageTimer {
-        match metrics {
-            Some(m) => m.start(stage),
-            None => StageTimer { inner: None },
         }
     }
 
@@ -1003,8 +1000,12 @@ mod tests {
     }
 
     #[test]
-    fn maybe_start_is_inert_without_a_registry() {
-        let _t = Metrics::maybe_start(None, Stage::DciDecode);
-        // Dropping must not panic or record anywhere.
+    fn the_shared_disabled_registry_is_inert() {
+        let m = Metrics::disabled();
+        m.inc(Counter::DcisDecoded);
+        drop(m.start(Stage::DciDecode));
+        assert!(!m.is_enabled());
+        assert_eq!(m.counter(Counter::DcisDecoded), 0);
+        assert_eq!(m.snapshot().stage("dci_decode").map(|s| s.count), Some(0));
     }
 }

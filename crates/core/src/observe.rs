@@ -116,8 +116,9 @@ pub struct Observer {
     capture_slot: u64,
     /// Remaining slots of an in-progress host stall.
     stall_remaining: u32,
-    /// Pipeline metrics (capture-stage latency, radio counters).
-    metrics: Option<Arc<Metrics>>,
+    /// Pipeline metrics (capture-stage latency, radio counters); the
+    /// disabled registry until [`Observer::set_metrics`].
+    metrics: Arc<Metrics>,
     /// Oscillator truth (drift/CFO injection); `None` = ideal clock.
     clock: Option<ClockModel>,
     /// Receiver-commanded total timing correction (µs). The recovery
@@ -157,7 +158,7 @@ impl Observer {
             schedule: None,
             capture_slot: 0,
             stall_remaining: 0,
-            metrics: None,
+            metrics: Arc::clone(Metrics::disabled()),
             clock: None,
             corr_timing_us: 0.0,
             corr_cfo_hz: 0.0,
@@ -180,12 +181,7 @@ impl Observer {
     /// Record capture-stage latency and radio counters into a shared
     /// pipeline metrics registry.
     pub fn set_metrics(&mut self, metrics: Arc<Metrics>) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Cumulative front-end counters from the virtual USRP.
-    pub fn radio_stats(&self) -> nr_radio::RadioStats {
-        self.usrp.stats()
+        self.metrics = metrics;
     }
 
     /// Script impairments into subsequent [`Observer::capture`] calls.
@@ -200,11 +196,6 @@ impl Observer {
     /// [`Observer::take_clock_observable`].
     pub fn set_clock(&mut self, model: ClockModel) {
         self.clock = Some(model);
-    }
-
-    /// Whether an oscillator model is attached.
-    pub fn has_clock(&self) -> bool {
-        self.clock.is_some()
     }
 
     /// Feedback path from the timing-recovery loop: the loop's current
@@ -263,14 +254,10 @@ impl Observer {
         }
         if imp.agc_kick_db != 0.0 {
             self.usrp.kick_agc_db(imp.agc_kick_db as f32);
-            if let Some(m) = &self.metrics {
-                m.inc(Counter::AgcKicks);
-            }
+            self.metrics.inc(Counter::AgcKicks);
         }
         if imp.snr_penalty_db != 0.0 {
-            if let Some(m) = &self.metrics {
-                m.inc(Counter::InterferenceBursts);
-            }
+            self.metrics.inc(Counter::InterferenceBursts);
             // IQ path: extra noise at the front end. Message path: the
             // corruption model runs at the degraded SNR for this slot.
             self.usrp.inject_snr_penalty_db(imp.snr_penalty_db);
@@ -412,10 +399,8 @@ impl Observer {
 
     /// Observe one slot.
     pub fn observe(&mut self, out: &SlotOutput, t: f64) -> ObservedSlot {
-        let _t = Metrics::maybe_start(self.metrics.as_ref(), Stage::Capture);
-        if let Some(m) = &self.metrics {
-            m.inc(Counter::RadioSlots);
-        }
+        let _t = self.metrics.start(Stage::Capture);
+        self.metrics.inc(Counter::RadioSlots);
         let pdsch = out
             .pdsch
             .iter()
@@ -432,9 +417,8 @@ impl Observer {
         if let Some(renderer) = &self.renderer {
             let tx = renderer.render_iq(out);
             let rx = self.usrp.receive(&tx, t);
-            if let Some(m) = &self.metrics {
-                m.add(Counter::RadioSamples, rx.samples.len() as u64);
-            }
+            self.metrics
+                .add(Counter::RadioSamples, rx.samples.len() as u64);
             return ObservedSlot::Iq {
                 samples: rx.samples,
                 pdsch,

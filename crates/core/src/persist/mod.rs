@@ -50,7 +50,6 @@ pub use codec::{
     crc32, encode_batch, read_journal_bytes, JournalEntry, MicroState, SessionState, SlotOp,
 };
 pub use session::{PersistConfig, PersistentSession, RecoveryReport, SessionStore};
-pub(crate) use storage::splitmix64;
 pub use storage::{
     FaultKind, FaultyBackend, RealBackend, StorageBackend, StorageFaultSchedule, StorageFile,
 };

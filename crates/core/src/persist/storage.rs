@@ -144,82 +144,27 @@ impl FaultKind {
     }
 }
 
-/// Deterministic seeded fault schedule, mirroring `ImpairmentSchedule`:
-/// each fault kind fires inside half-open windows of *operation indices*,
+/// Deterministic fault schedule, mirroring `ImpairmentSchedule`: each
+/// fault kind fires inside half-open windows of *operation indices*,
 /// counted per operation class (writes, fsyncs, renames, opens — each
 /// class has its own counter, shared across every file the backend ever
-/// issues). An optional seeded per-write `EIO` probability adds random
-/// transients on top.
+/// issues). Every fault is scripted; nothing is drawn at random.
 #[derive(Debug, Clone, Default)]
 pub struct StorageFaultSchedule {
-    seed: u64,
     faults: Vec<(FaultKind, Range<u64>)>,
-    write_eio_prob: f64,
-}
-
-/// The crate's one seeded PRNG step (storage fault draws here, chaos
-/// schedule jitter in [`crate::chaos`]).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl StorageFaultSchedule {
-    /// An empty schedule (no faults) with the given random seed.
-    pub fn new(seed: u64) -> StorageFaultSchedule {
-        StorageFaultSchedule {
-            seed,
-            ..StorageFaultSchedule::default()
-        }
+    /// An empty schedule (no faults). The seed is ignored — kept so the
+    /// callers that number their schedules still compile.
+    pub fn new(_seed: u64) -> StorageFaultSchedule {
+        StorageFaultSchedule::default()
     }
 
-    fn with(mut self, kind: FaultKind, window: Range<u64>) -> StorageFaultSchedule {
-        self.faults.push((kind, window));
-        self
-    }
-
-    /// Write ops in `window` fail with `EIO`.
-    pub fn with_write_eio(self, window: Range<u64>) -> StorageFaultSchedule {
-        self.with(FaultKind::WriteEio, window)
-    }
-
-    /// Write ops in `window` land half the buffer, then fail with `EIO`.
-    pub fn with_short_writes(self, window: Range<u64>) -> StorageFaultSchedule {
-        self.with(FaultKind::WriteShort, window)
-    }
-
-    /// Write ops in `window` fail with `ENOSPC`.
-    pub fn with_enospc(self, window: Range<u64>) -> StorageFaultSchedule {
-        self.with(FaultKind::WriteEnospc, window)
-    }
-
-    /// Write ops in `window` report success but drop the bytes.
-    pub fn with_fsync_gate(self, window: Range<u64>) -> StorageFaultSchedule {
-        self.with(FaultKind::WriteFsyncGate, window)
-    }
-
-    /// Fsync ops in `window` fail with `EIO`.
-    pub fn with_fsync_eio(self, window: Range<u64>) -> StorageFaultSchedule {
-        self.with(FaultKind::FsyncEio, window)
-    }
-
-    /// Rename ops in `window` fail with `EIO`.
-    pub fn with_rename_failures(self, window: Range<u64>) -> StorageFaultSchedule {
-        self.with(FaultKind::RenameFail, window)
-    }
-
-    /// Open/create ops in `window` fail with `EIO`.
-    pub fn with_open_failures(self, window: Range<u64>) -> StorageFaultSchedule {
-        self.with(FaultKind::OpenFail, window)
-    }
-
-    /// Every write op additionally fails with `EIO` at probability `p`,
-    /// drawn from the schedule's seed (deterministic per op index).
-    pub fn with_random_write_eio(mut self, p: f64) -> StorageFaultSchedule {
-        self.write_eio_prob = p.clamp(0.0, 1.0);
+    /// Rename ops in `window` fail with `EIO`. Every other fault kind is
+    /// armed at runtime through [`FaultyBackend::arm`].
+    pub fn with_rename_failures(mut self, window: Range<u64>) -> StorageFaultSchedule {
+        self.faults.push((FaultKind::RenameFail, window));
         self
     }
 }
@@ -227,7 +172,6 @@ impl StorageFaultSchedule {
 #[derive(Debug)]
 struct FaultState {
     schedule: StorageFaultSchedule,
-    rng: u64,
     writes: u64,
     fsyncs: u64,
     renames: u64,
@@ -257,11 +201,9 @@ pub struct FaultyBackend {
 impl FaultyBackend {
     /// Wrap the real filesystem with `schedule`.
     pub fn new(schedule: StorageFaultSchedule) -> FaultyBackend {
-        let rng = schedule.seed ^ 0x5357_4F52_4147_4531; // "STORAGE1"
         FaultyBackend {
             state: Arc::new(Mutex::new(FaultState {
                 schedule,
-                rng,
                 writes: 0,
                 fsyncs: 0,
                 renames: 0,
@@ -279,9 +221,7 @@ impl FaultyBackend {
 
     /// Disarm every scheduled fault (the "disk recovered" transition).
     pub fn clear_faults(&self) {
-        let mut s = lock_clean(&self.state);
-        s.schedule.faults.clear();
-        s.schedule.write_eio_prob = 0.0;
+        lock_clean(&self.state).schedule.faults.clear();
     }
 
     /// Write operations attempted so far (faulted or not).
@@ -313,16 +253,7 @@ impl FaultyBackend {
         let mut s = lock_clean(&self.state);
         let i = s.writes;
         s.writes += 1;
-        if let Some(k) = s.fault_at(FaultKind::is_write, i) {
-            return Some(k);
-        }
-        if s.schedule.write_eio_prob > 0.0 {
-            let draw = (splitmix64(&mut s.rng) >> 11) as f64 / (1u64 << 53) as f64;
-            if draw < s.schedule.write_eio_prob {
-                return Some(FaultKind::WriteEio);
-            }
-        }
-        None
+        s.fault_at(FaultKind::is_write, i)
     }
 
     fn next_fsync_fault(&self) -> Option<FaultKind> {

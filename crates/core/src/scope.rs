@@ -4,8 +4,8 @@
 use crate::clock::{ClockEvents, ClockLock, ClockObservable, ClockRecovery};
 use crate::config::ScopeConfig;
 use crate::decoder::{
-    decode_grid_budgeted, decode_message_slot, decode_message_slot_budgeted, DecodeWork,
-    DecodedDci, DecoderContext, Hypotheses,
+    decode_candidates_budgeted, decode_message_slot_budgeted, demodulate_slot,
+    extract_all_candidates, DecodeWork, DecodedDci, DecoderContext, Hypotheses,
 };
 use crate::governor::{LoadModel, LoadRung, OverloadGovernor, SlotVerdict};
 use crate::metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Stage};
@@ -208,6 +208,18 @@ pub struct NrScope {
     clock: Option<ClockRecovery>,
 }
 
+/// Sliding window for bit-rate estimation, in slots (the paper keeps a
+/// sliding window per UE, §3.2.2; 1 s at µ=1).
+const RATE_WINDOW_SLOTS: u64 = 2000;
+
+/// DCI threads a [`SlotJob`] asks its worker for (the paper evaluates with
+/// four; Fig 4).
+const DCI_THREADS: usize = 4;
+
+/// Upper bound (exclusive) of the PCI range scanned while re-acquiring at
+/// message fidelity (IQ fidelity re-detects from PSS/SSS instead).
+const PCI_SCAN_MAX: u16 = 128;
+
 /// Cap on buffered [`UeEvent`]s when nobody drains them (a single-cell
 /// session has no fleet layer): bounded memory beats a silent leak.
 const UE_EVENTS_MAX: usize = 4096;
@@ -257,7 +269,7 @@ impl NrScope {
             cfg,
             cell: CellKnowledge::default(),
             tracker: UeTracker::new(),
-            throughput: ThroughputEstimator::with_retention(cfg.history_retention_slots),
+            throughput: ThroughputEstimator::new(),
             slot: 0,
             records: Vec::new(),
             spare_log: Vec::new(),
@@ -445,7 +457,7 @@ impl NrScope {
                     }
                     if r.counts_for_dl_throughput() {
                         self.throughput
-                            .record(r.rnti, e.seq, r.tbs, self.cfg.rate_window_slots);
+                            .record(r.rnti, e.seq, r.tbs, RATE_WINDOW_SLOTS);
                     }
                     self.records.push(*r);
                 }
@@ -693,7 +705,7 @@ impl NrScope {
             observed,
             ctx,
             hyp: self.hypotheses(),
-            dci_threads: self.cfg.dci_threads,
+            dci_threads: DCI_THREADS,
             fault: None,
             priority: if broadcast_critical {
                 JobPriority::Broadcast
@@ -742,8 +754,7 @@ impl NrScope {
 
     /// Estimated downlink rate for a UE over the configured window.
     pub fn rate_bps(&self, rnti: Rnti, slot_s: f64) -> f64 {
-        self.throughput
-            .rate_bps(rnti, self.cfg.rate_window_slots, slot_s)
+        self.throughput.rate_bps(rnti, RATE_WINDOW_SLOTS, slot_s)
     }
 
     /// Estimated bits for a UE in a slot window (offline evaluation).
@@ -1083,8 +1094,7 @@ impl NrScope {
         if let Some(p) = self.last_pci {
             candidates.push(p.0);
         }
-        candidates
-            .extend((0..self.cfg.pci_scan_max).filter(|c| Some(*c) != self.last_pci.map(|p| p.0)));
+        candidates.extend((0..PCI_SCAN_MAX).filter(|c| Some(*c) != self.last_pci.map(|p| p.0)));
         let hyp = Hypotheses {
             allow_recovery: false,
             ..Hypotheses::default()
@@ -1096,7 +1106,8 @@ impl NrScope {
                 self.metrics.inc(Counter::DecodeFailures);
                 return;
             };
-            let decoded = decode_message_slot(&ctx, dcis, &hyp);
+            let (decoded, _) =
+                decode_message_slot_budgeted(&ctx, dcis, &hyp, SearchBudget::unlimited(), None);
             if decoded.iter().any(|d| d.rnti_type == RntiType::Si) {
                 self.cell.pci = Some(Pci(pci));
                 self.consume(decoded, pdsch, slot);
@@ -1210,46 +1221,22 @@ impl NrScope {
         slot: u64,
         budget: SearchBudget,
     ) -> DecodeWork {
-        // Need SIB1-less bootstrapping: at IQ fidelity we still receive the
-        // MIB bits through the PBCH path once the grid is demodulated; the
-        // demodulator needs the carrier layout, which the sniffer gets by
-        // scanning configuration hypotheses during cell search. Here the
-        // carrier width is taken from SIB1 when known, else from the
-        // hypothesis that matches the sample count (how srsRAN's
-        // cell_search sizes its FFT).
+        // SIB1-less bootstrapping: the demodulator needs the carrier layout
+        // before anything is decoded, so the front end sizes the FFT from
+        // the sample count on the first slot; the layout is then kept for
+        // the session, and a buffer that stops matching it (an overflow
+        // recovered mid-slot) is skipped rather than misparsed.
         let slot_in_frame = self.slot_in_frame();
-        let Some(ofdm) = self.ofdm.as_ref() else {
-            // Bootstrap: infer FFT sizing from the sample count (µ=1 and
-            // µ=0 presets used by the paper's cells).
-            for numer in [nr_phy::Numerology::Mu1, nr_phy::Numerology::Mu0] {
-                for prbs in [51usize, 52, 79, 24] {
-                    let o = Ofdm::new(numer, prbs);
-                    if o.samples_per_slot(slot_in_frame) == samples.len() {
-                        self.ofdm = Some(o);
-                        break;
-                    }
-                }
-                if self.ofdm.is_some() {
-                    break;
-                }
-            }
-            if self.ofdm.is_none() {
-                self.stats.layout_mismatch_slots += 1;
-                self.metrics.inc(Counter::LayoutMismatches);
-                return DecodeWork::default();
-            }
-            return self.process_iq(samples, pdsch, slot, budget);
-        };
-        if samples.len() != ofdm.samples_per_slot(slot_in_frame) {
-            // Truncated capture (overflow recovered mid-slot): the symbol
-            // layout no longer lines up — skip rather than misparse.
+        let known = self.decoder_context();
+        let Some(grid) = demodulate_slot(
+            &mut self.ofdm,
+            known.as_ref(),
+            samples,
+            slot_in_frame,
+            &self.metrics,
+        ) else {
             self.stats.layout_mismatch_slots += 1;
-            self.metrics.inc(Counter::LayoutMismatches);
             return DecodeWork::default();
-        }
-        let grid = {
-            let _t = self.metrics.start(Stage::Demod);
-            ofdm.demodulate(samples, slot_in_frame)
         };
         // Cell search: PSS/SSS on the SSB region whenever not yet locked.
         if self.cell.pci.is_none() {
@@ -1273,15 +1260,12 @@ impl NrScope {
             return DecodeWork::default();
         };
         let hyp = self.hypotheses();
-        let metrics = Arc::clone(&self.metrics);
-        let (decoded, work) = decode_grid_budgeted(
-            &ctx,
-            &grid,
-            self.slot_in_frame(),
-            &hyp,
-            budget,
-            Some(&metrics),
-        );
+        let candidates = {
+            let _t = self.metrics.start(Stage::PdcchSearch);
+            extract_all_candidates(&ctx, &grid, self.slot_in_frame())
+        };
+        let (decoded, work) =
+            decode_candidates_budgeted(&ctx, &candidates, &hyp, budget, Some(&self.metrics));
         self.consume(decoded, pdsch, slot);
         work
     }
@@ -1395,12 +1379,8 @@ impl NrScope {
                                     self.stats.retransmissions += 1;
                                 }
                                 if r.counts_for_dl_throughput() {
-                                    self.throughput.record(
-                                        r.rnti,
-                                        slot,
-                                        r.tbs,
-                                        self.cfg.rate_window_slots,
-                                    );
+                                    self.throughput
+                                        .record(r.rnti, slot, r.tbs, RATE_WINDOW_SLOTS);
                                 }
                                 usages.push(UeUsage {
                                     rnti: r.rnti,

@@ -1019,11 +1019,6 @@ impl Supervisor {
         Ok(hello)
     }
 
-    /// Is a child process currently attached?
-    pub fn child_alive(&self) -> bool {
-        self.child.is_some()
-    }
-
     /// Latest ack, if any slot has been acked.
     pub fn last_ack(&self) -> Option<&Ack> {
         self.last_ack.as_ref()

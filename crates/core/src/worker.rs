@@ -13,8 +13,8 @@
 //! threads.
 
 use crate::decoder::{
-    decode_candidates_budgeted, decode_message_slot_budgeted, extract_all_candidates, DecodeWork,
-    DecodedDci, DecoderContext, ExtractedCandidate, Hypotheses,
+    decode_candidates_budgeted, decode_message_slot_budgeted, demodulate_slot,
+    extract_all_candidates, DecodeWork, DecodedDci, DecoderContext, ExtractedCandidate, Hypotheses,
 };
 use crate::metrics::{Counter, Gauge, Metrics, Stage};
 use crate::observe::ObservedSlot;
@@ -94,7 +94,7 @@ pub struct SlotResult {
 /// Process one slot, sharding the known-UE list across `dci_threads`
 /// OS threads (scoped). Returns the decoded DCIs and the processing time.
 pub fn process_slot(job: &SlotJob) -> SlotResult {
-    process_slot_metered(job, None)
+    run_job(job, Metrics::disabled())
 }
 
 /// Spawn a named auxiliary thread outside the decode pool. Housekeeping
@@ -119,11 +119,11 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// [`process_slot`] with pipeline instrumentation: OFDM demod, PDCCH
-/// candidate extraction, per-candidate DCI decoding, and the whole-slot
-/// envelope all record into `metrics` (atomic adds commute, so shards can
-/// share the registry).
-pub fn process_slot_metered(job: &SlotJob, metrics: Option<&Arc<Metrics>>) -> SlotResult {
+/// [`process_slot`] recording into `metrics` (the pool's workers call
+/// this with the pool's registry): OFDM demod, PDCCH candidate extraction,
+/// per-candidate DCI decoding, and the whole-slot envelope (atomic adds
+/// commute, so shards can share the registry).
+fn run_job(job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
     let start = Instant::now();
     match job.fault {
         Some(InjectedFault::Panic) => panic!("injected fault in slot {}", job.slot),
@@ -135,13 +135,8 @@ pub fn process_slot_metered(job: &SlotJob, metrics: Option<&Arc<Metrics>>) -> Sl
     // (the SIBs/RACH thread role).
     let shards: Vec<Hypotheses> = (0..threads)
         .map(|i| {
-            let c_rntis: Vec<_> = job
-                .hyp
-                .c_rntis
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| j % threads == i)
-                .map(|(_, r)| *r)
+            let c_rntis = (job.hyp.c_rntis.iter().skip(i).step_by(threads))
+                .copied()
                 .collect();
             if i == 0 {
                 Hypotheses {
@@ -153,11 +148,9 @@ pub fn process_slot_metered(job: &SlotJob, metrics: Option<&Arc<Metrics>>) -> Sl
                 }
             } else {
                 Hypotheses {
-                    ra_rntis: Vec::new(),
-                    tc_rntis: Vec::new(),
                     c_rntis,
-                    allow_recovery: false,
                     skip_common: true,
+                    ..Hypotheses::default()
                 }
             }
         })
@@ -166,46 +159,44 @@ pub fn process_slot_metered(job: &SlotJob, metrics: Option<&Arc<Metrics>>) -> Sl
     // candidate extraction/equalisation) runs once per slot; only the
     // per-UE DCI hypothesis testing (the O(m) term) is sharded across
     // threads — exactly the Fig 4 division of labour.
-    let candidates: Option<Vec<ExtractedCandidate>> = match &job.observed {
+    let candidates: Vec<ExtractedCandidate> = match &job.observed {
         ObservedSlot::Iq { samples, .. } => {
-            match ofdm_for(&job.ctx, samples.len(), job.slot_in_frame) {
-                Some(o) => {
-                    let grid = {
-                        let _t = Metrics::maybe_start(metrics, Stage::Demod);
-                        o.demodulate(samples, job.slot_in_frame)
-                    };
-                    let _t = Metrics::maybe_start(metrics, Stage::PdcchSearch);
-                    Some(extract_all_candidates(&job.ctx, &grid, job.slot_in_frame))
-                }
-                None => {
-                    if let Some(m) = metrics {
-                        m.inc(Counter::LayoutMismatches);
-                    }
-                    return SlotResult {
-                        slot: job.slot,
-                        decoded: Vec::new(),
-                        processing: start.elapsed(),
-                        work: DecodeWork::default(),
-                        layout_mismatch: true,
-                    };
-                }
-            }
+            let sif = job.slot_in_frame;
+            let Some(grid) = demodulate_slot(&mut None, Some(&job.ctx), samples, sif, metrics)
+            else {
+                return SlotResult {
+                    slot: job.slot,
+                    decoded: Vec::new(),
+                    processing: start.elapsed(),
+                    work: DecodeWork::default(),
+                    layout_mismatch: true,
+                };
+            };
+            let _t = metrics.start(Stage::PdcchSearch);
+            extract_all_candidates(&job.ctx, &grid, sif)
         }
-        ObservedSlot::Message { .. } => None,
+        ObservedSlot::Message { .. } => Vec::new(),
+    };
+    // One hypothesis shard against the pre-processed slot under the job's
+    // search budget.
+    let run_shard = |hyp: &Hypotheses| match &job.observed {
+        ObservedSlot::Message { dcis, .. } => {
+            decode_message_slot_budgeted(&job.ctx, dcis, hyp, job.budget, Some(metrics))
+        }
+        ObservedSlot::Iq { .. } => {
+            decode_candidates_budgeted(&job.ctx, &candidates, hyp, job.budget, Some(metrics))
+        }
     };
     let mut decoded: Vec<DecodedDci> = Vec::new();
     let mut work = DecodeWork::default();
     if threads == 1 {
         // Single-thread path avoids spawn overhead entirely.
-        let (d, w) = run_shard(job, candidates.as_deref(), &shards[0], metrics);
-        decoded = d;
-        work = w;
+        (decoded, work) = run_shard(&shards[0]);
     } else {
         std::thread::scope(|scope| {
-            let candidates = candidates.as_deref();
             let handles: Vec<_> = shards
                 .iter()
-                .map(|hyp| scope.spawn(move || run_shard(job, candidates, hyp, metrics)))
+                .map(|hyp| scope.spawn(|| run_shard(hyp)))
                 .collect();
             for h in handles {
                 // Re-raise shard panics so the pool's per-job supervision
@@ -221,10 +212,8 @@ pub fn process_slot_metered(job: &SlotJob, metrics: Option<&Arc<Metrics>>) -> Sl
         });
     }
     let processing = start.elapsed();
-    if let Some(m) = metrics {
-        m.observe(Stage::SlotTotal, processing);
-        m.inc(Counter::SlotsProcessed);
-    }
+    metrics.observe(Stage::SlotTotal, processing);
+    metrics.inc(Counter::SlotsProcessed);
     SlotResult {
         slot: job.slot,
         decoded,
@@ -232,58 +221,6 @@ pub fn process_slot_metered(job: &SlotJob, metrics: Option<&Arc<Metrics>>) -> Sl
         work,
         layout_mismatch: false,
     }
-}
-
-/// Run one hypothesis shard against the pre-processed slot under the
-/// job's search budget.
-fn run_shard(
-    job: &SlotJob,
-    candidates: Option<&[ExtractedCandidate]>,
-    hyp: &Hypotheses,
-    metrics: Option<&Arc<Metrics>>,
-) -> (Vec<DecodedDci>, DecodeWork) {
-    match (&job.observed, candidates) {
-        (ObservedSlot::Message { dcis, .. }, _) => {
-            decode_message_slot_budgeted(&job.ctx, dcis, hyp, job.budget, metrics)
-        }
-        (ObservedSlot::Iq { .. }, Some(c)) => {
-            decode_candidates_budgeted(&job.ctx, c, hyp, job.budget, metrics)
-        }
-        (ObservedSlot::Iq { .. }, None) => (Vec::new(), DecodeWork::default()),
-    }
-}
-
-/// Pick the OFDM layout matching a sample count (workers bootstrap the
-/// same way the live scope does). Candidate carrier widths come from the
-/// decoder context — the SIB1-derived carrier BWP first, then the
-/// CORESET 0 width the MIB guarantees — before falling back to the
-/// paper's preset carrier widths for a cold bootstrap. Returns `None`
-/// when no layout fits (a truncated buffer or an unknown carrier), which
-/// the result reports as a layout mismatch.
-fn ofdm_for(
-    ctx: &DecoderContext,
-    n_samples: usize,
-    slot_in_frame: usize,
-) -> Option<nr_phy::ofdm::Ofdm> {
-    let mut widths = Vec::with_capacity(6);
-    if let Some(s) = ctx.ue_sizing {
-        widths.push(s.bwp_prbs);
-    }
-    widths.push(ctx.common_sizing.bwp_prbs);
-    for fallback in [51usize, 52, 79, 24] {
-        if !widths.contains(&fallback) {
-            widths.push(fallback);
-        }
-    }
-    for numer in [nr_phy::Numerology::Mu1, nr_phy::Numerology::Mu0] {
-        for &prbs in &widths {
-            let o = nr_phy::ofdm::Ofdm::new(numer, prbs);
-            if o.samples_per_slot(slot_in_frame) == n_samples {
-                return Some(o);
-            }
-        }
-    }
-    None
 }
 
 /// What `submit` does when the bounded job queue is full.
@@ -374,7 +311,7 @@ struct WorkerEvent {
 }
 
 /// A job plus its enqueue timestamp (taken only when metrics record, so
-/// the disabled path never reads the clock at submit time).
+/// a disabled registry never reads the clock at submit time).
 struct QueuedJob {
     job: SlotJob,
     enqueued: Option<Instant>,
@@ -425,8 +362,9 @@ pub struct WorkerPool {
     cfg: PoolConfig,
     stats: PoolStats,
     quarantined: Vec<SlotJob>,
-    /// Shared pipeline metrics (queue wait, stage latencies, shed counts).
-    metrics: Option<Arc<Metrics>>,
+    /// Pipeline metrics (queue wait, stage latencies, shed counts): the
+    /// caller's shared registry, or the pool's own disabled one.
+    metrics: Arc<Metrics>,
 }
 
 /// Receive the next job, broadcast queue first. Blocks (with a periodic
@@ -467,21 +405,19 @@ fn worker_loop(
     data: Receiver<QueuedJob>,
     tx: Sender<SlotResult>,
     events: Sender<WorkerEvent>,
-    metrics: Option<Arc<Metrics>>,
+    metrics: Arc<Metrics>,
     state: Arc<WorkerState>,
     epoch: Instant,
 ) {
     while let Some(q) = recv_prioritised(&bcast, &data, &state) {
-        if let (Some(m), Some(t)) = (metrics.as_ref(), q.enqueued) {
-            m.observe(Stage::WorkerQueue, t.elapsed());
+        if let Some(t) = q.enqueued {
+            metrics.observe(Stage::WorkerQueue, t.elapsed());
         }
         let job = q.job;
         state
             .busy_since_ns
             .store(epoch.elapsed().as_nanos() as u64 + 1, Relaxed);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            process_slot_metered(&job, metrics.as_ref())
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&job, &metrics)));
         state.busy_since_ns.store(0, Relaxed);
         match outcome {
             Ok(result) => {
@@ -513,18 +449,16 @@ impl WorkerPool {
     }
 
     /// Spawn a pool with explicit queue depth and backpressure policy.
+    /// Nothing is measured (the pool records into a disabled registry of
+    /// its own).
     pub fn with_config(cfg: PoolConfig) -> WorkerPool {
-        WorkerPool::build(cfg, None)
+        WorkerPool::with_metrics(cfg, Metrics::shared(false))
     }
 
     /// Spawn a pool recording into a shared metrics registry: queue wait
     /// (`worker_queue` stage), queue depth, shed/quarantine counts, and
     /// all per-stage decode latencies from inside the workers.
     pub fn with_metrics(cfg: PoolConfig, metrics: Arc<Metrics>) -> WorkerPool {
-        WorkerPool::build(cfg, Some(metrics))
-    }
-
-    fn build(cfg: PoolConfig, metrics: Option<Arc<Metrics>>) -> WorkerPool {
         let (bcast_tx, bcast_rx) = bounded::<QueuedJob>(cfg.job_queue_depth);
         let (data_tx, data_rx) = bounded::<QueuedJob>(cfg.job_queue_depth);
         let (result_tx, result_rx) = unbounded::<SlotResult>();
@@ -570,14 +504,12 @@ impl WorkerPool {
     }
 
     fn gauge_workers_alive(&self) {
-        if let Some(m) = &self.metrics {
-            let alive = self
-                .handles
-                .iter()
-                .filter(|(h, _)| !h.is_finished())
-                .count();
-            m.gauge_set(Gauge::WorkersAlive, alive as u64);
-        }
+        let alive = self
+            .handles
+            .iter()
+            .filter(|(h, _)| !h.is_finished())
+            .count();
+        self.metrics.gauge_set(Gauge::WorkersAlive, alive as u64);
     }
 
     fn queue_len(&self) -> usize {
@@ -592,13 +524,14 @@ impl WorkerPool {
         let events: Vec<WorkerEvent> = self.event_rx.try_iter().collect();
         for ev in events {
             self.stats.worker_panics += 1;
-            if let Some(m) = &self.metrics {
-                m.inc(Counter::WorkerPanics);
-                m.inc(Counter::JobsQuarantined);
-                m.inc(Counter::RestartsTotal);
-            }
+            self.metrics.inc(Counter::WorkerPanics);
+            self.metrics.inc(Counter::JobsQuarantined);
+            self.metrics.inc(Counter::RestartsTotal);
+            self.metrics.note(
+                "worker_panic",
+                format!("slot {}: {}", ev.job.slot, ev.panic_msg),
+            );
             self.quarantined.push(*ev.job);
-            let _ = ev.panic_msg; // kept for debugging via quarantined jobs
             self.stats.respawns += 1;
             self.spawn_worker();
         }
@@ -619,13 +552,11 @@ impl WorkerPool {
                 self.stalled.push((handle, state));
                 self.stats.worker_stalls += 1;
                 self.stats.respawns += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(Counter::WorkerStalls);
-                    // A stall past the watchdog deadline IS a detected
-                    // hang — same class the supervise-layer counts.
-                    m.inc(Counter::HangsDetected);
-                    m.inc(Counter::RestartsTotal);
-                }
+                self.metrics.inc(Counter::WorkerStalls);
+                // A stall past the watchdog deadline IS a detected hang —
+                // same class the supervise-layer counts.
+                self.metrics.inc(Counter::HangsDetected);
+                self.metrics.inc(Counter::RestartsTotal);
                 self.spawn_worker();
             }
         }
@@ -648,35 +579,26 @@ impl WorkerPool {
             JobPriority::Broadcast => bcast_tx,
             JobPriority::Data => data_tx,
         };
-        let enqueued = self
-            .metrics
-            .as_ref()
-            .filter(|m| m.is_enabled())
-            .map(|_| Instant::now());
+        let enqueued = self.metrics.is_enabled().then(Instant::now);
         let mut queued = QueuedJob { job, enqueued };
         loop {
             match tx.try_send(queued) {
                 Ok(()) => {
                     self.stats.submitted += 1;
-                    if let Some(m) = &self.metrics {
-                        m.gauge_set(Gauge::QueueDepth, self.queue_len() as u64);
-                    }
+                    self.metrics
+                        .gauge_set(Gauge::QueueDepth, self.queue_len() as u64);
                     return Ok(());
                 }
                 Err(TrySendError::Full(q)) => match (self.cfg.policy, priority) {
                     (BackpressurePolicy::ShedOldest, JobPriority::Data) => {
                         if self.data_rx.try_recv().is_ok() {
                             self.stats.shed_jobs += 1;
-                            if let Some(m) = &self.metrics {
-                                m.inc(Counter::JobsShed);
-                            }
+                            self.metrics.inc(Counter::JobsShed);
                             if !self.bcast_rx.is_empty() {
                                 // The shed demonstrably protected pending
                                 // broadcast work.
                                 self.stats.priority_sheds += 1;
-                                if let Some(m) = &self.metrics {
-                                    m.inc(Counter::PrioritySheds);
-                                }
+                                self.metrics.inc(Counter::PrioritySheds);
                             }
                         }
                         queued = q;
@@ -771,9 +693,7 @@ impl WorkerPool {
         // The queue is drained (or abandoned) once the pool shuts down;
         // leaving the gauge at its last enqueue value would report phantom
         // backlog with zero workers alive in post-shutdown snapshots.
-        if let Some(m) = &self.metrics {
-            m.gauge_set(Gauge::QueueDepth, 0);
-        }
+        self.metrics.gauge_set(Gauge::QueueDepth, 0);
     }
 }
 
@@ -901,6 +821,7 @@ mod tests {
     fn pool_survives_worker_panic_and_quarantines_the_job() {
         let (job, _) = make_job(1);
         let mut pool = WorkerPool::new(2);
+        let metrics = Arc::clone(&pool.metrics);
         for i in 0..9 {
             let mut j = job.clone();
             j.slot = i;
@@ -914,6 +835,12 @@ mod tests {
         let mut slots: Vec<u64> = results.iter().map(|r| r.slot).collect();
         slots.sort_unstable();
         assert_eq!(slots, vec![0, 1, 2, 3, 5, 6, 7, 8]);
+        // The panic message is kept where an operator looks, even on the
+        // disabled registry a metrics-less pool records into.
+        assert_eq!(
+            metrics.note_detail("worker_panic").as_deref(),
+            Some("slot 4: injected fault in slot 4")
+        );
     }
 
     #[test]

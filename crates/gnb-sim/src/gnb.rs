@@ -87,14 +87,6 @@ pub struct SlotOutput {
     pub pdsch: Vec<(Rnti, PdschContent)>,
 }
 
-/// Attachment state of a UE inside the gNB.
-#[derive(Debug)]
-struct AttachedUe {
-    ue: SimUe,
-    /// Slot the UE connected (MSG 4 sent).
-    connected_slot: u64,
-}
-
 /// In-flight HARQ payload bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
@@ -115,7 +107,7 @@ pub struct Gnb {
     /// UEs waiting for the next PRACH occasion.
     arrival_queue: Vec<SimUe>,
     /// RRC-connected UEs keyed by C-RNTI (BTreeMap for deterministic order).
-    connected: std::collections::BTreeMap<Rnti, AttachedUe>,
+    connected: std::collections::BTreeMap<Rnti, SimUe>,
     harqs: HashMap<Rnti, GnbHarqEntity>,
     in_flight: HashMap<(Rnti, u8), InFlight>,
     scheduler: Box<dyn Scheduler + Send>,
@@ -172,11 +164,6 @@ impl Gnb {
         self.hostile = None;
     }
 
-    /// Whether a hostile profile is armed.
-    pub fn hostile_armed(&self) -> bool {
-        self.hostile.is_some()
-    }
-
     /// Queue a UE to start random access at the next PRACH occasion.
     pub fn ue_arrives(&mut self, ue: SimUe) {
         self.arrival_queue.push(ue);
@@ -188,13 +175,13 @@ impl Gnb {
         let rnti = self
             .connected
             .iter()
-            .find(|(_, a)| a.ue.id == id)
+            .find(|(_, a)| a.id == id)
             .map(|(r, _)| *r)?;
         let att = self.connected.remove(&rnti)?;
         self.rnti_alloc.release(rnti);
         self.harqs.remove(&rnti);
         self.in_flight.retain(|(r, _), _| *r != rnti);
-        Some(att.ue)
+        Some(att)
     }
 
     /// Apply a live configuration change, e.g. a SIB1 content update.
@@ -220,7 +207,7 @@ impl Gnb {
         self.cfg.pci = new_pci;
         let connected = std::mem::take(&mut self.connected);
         for (_, a) in connected {
-            self.arrival_queue.push(a.ue);
+            self.arrival_queue.push(a);
         }
         for (_, ue) in self.rach_pending.drain() {
             self.arrival_queue.push(ue);
@@ -240,12 +227,7 @@ impl Gnb {
 
     /// Access a connected UE by RNTI.
     pub fn ue(&self, rnti: Rnti) -> Option<&SimUe> {
-        self.connected.get(&rnti).map(|a| &a.ue)
-    }
-
-    /// Mutable access to a connected UE.
-    pub fn ue_mut(&mut self, rnti: Rnti) -> Option<&mut SimUe> {
-        self.connected.get_mut(&rnti).map(|a| &mut a.ue)
+        self.connected.get(&rnti)
     }
 
     /// The ground-truth log.
@@ -283,7 +265,7 @@ impl Gnb {
 
         // 1. Application traffic accrues for every attached UE.
         for a in self.connected.values_mut() {
-            a.ue.generate_traffic(dt);
+            a.generate_traffic(dt);
         }
         for ue in self.rach_pending.values_mut() {
             ue.generate_traffic(dt);
@@ -437,13 +419,7 @@ impl Gnb {
                         dci_budget -= 1;
                         // TC-RNTI promotes to C-RNTI: the UE is connected.
                         if let Some(ue) = self.rach_pending.remove(&tc_rnti) {
-                            self.connected.insert(
-                                tc_rnti,
-                                AttachedUe {
-                                    ue,
-                                    connected_slot: slot,
-                                },
-                            );
+                            self.connected.insert(tc_rnti, ue);
                             self.harqs.insert(tc_rnti, GnbHarqEntity::new());
                         }
                     } else {
@@ -466,9 +442,9 @@ impl Gnb {
             .iter()
             .map(|(r, a)| nr_mac::SchedUe {
                 rnti: *r,
-                buffer_bytes: a.ue.dl_buffer,
-                snr_db: a.ue.snr_db_at(t),
-                avg_rate: a.ue.avg_rate,
+                buffer_bytes: a.dl_buffer,
+                snr_db: a.snr_db_at(t),
+                avg_rate: a.avg_rate,
             })
             .collect();
         let allocations = self
@@ -509,17 +485,17 @@ impl Gnb {
             let ul_ues: Vec<Rnti> = self
                 .connected
                 .iter()
-                .filter(|(_, a)| a.ue.ul_buffer > 0)
+                .filter(|(_, a)| a.ul_buffer > 0)
                 .map(|(r, _)| *r)
                 .take(dci_budget)
                 .collect();
             let mut prb_cursor = 0usize;
             for rnti in ul_ues {
                 let att = self.connected.get(&rnti).expect("listed above");
-                let snr = att.ue.snr_db_at(t);
+                let snr = att.snr_db_at(t);
                 let mcs = nr_phy::mcs::select_mcs(self.cfg.mcs_table, snr, 0.1);
                 let entry = self.cfg.mcs_table.entry(mcs).expect("valid MCS");
-                let demand = att.ue.ul_buffer;
+                let demand = att.ul_buffer;
                 let prb_len = ul_span_for(demand, entry, &self.cfg).max(1);
                 if prb_cursor + prb_len > self.cfg.carrier_prbs {
                     break;
@@ -553,7 +529,6 @@ impl Gnb {
                 self.connected
                     .get_mut(&rnti)
                     .expect("listed above")
-                    .ue
                     .consume_uplink((tbs / 8) as usize);
                 self.truth.push(TruthRecord {
                     slot,
@@ -804,7 +779,7 @@ impl Gnb {
         let slot_s = self.cfg.slot_s();
         let att = self.connected.get_mut(&alloc.rnti).expect("connected");
         if !alloc.is_retx {
-            let (bytes, packets) = att.ue.dequeue_for_tx(alloc.payload_bytes());
+            let (bytes, packets) = att.dequeue_for_tx(alloc.payload_bytes());
             self.in_flight.insert(
                 key,
                 InFlight {
@@ -824,14 +799,13 @@ impl Gnb {
             .get_mut(&alloc.rnti)
             .expect("connected UE has HARQ");
         let combining_gain = 3.0 * harq.retx_count(alloc.harq_id) as f64;
-        let p_err = bler(entry, att.ue.snr_db_at(t) + combining_gain);
+        let p_err = bler(entry, att.snr_db_at(t) + combining_gain);
         let ack = self.rng.gen::<f64>() >= p_err;
         let completed = harq.feedback(alloc.harq_id, ack);
         if completed {
             if let Some(f) = self.in_flight.remove(&key) {
                 if ack {
-                    att.ue
-                        .record_delivery(slot, f.bytes, f.packets, f.retransmitted, slot_s);
+                    att.record_delivery(slot, f.bytes, f.packets, f.retransmitted, slot_s);
                 }
                 // On drop (max retx), bytes are simply lost (RLC would
                 // recover them; out of scope).
@@ -961,13 +935,6 @@ impl Gnb {
         let offset = self.cfg.rach.prach_slot_offset as u64;
         let base = slot + 1;
         base + (period + offset - base % period) % period
-    }
-
-    /// Slots since a UE connected (used by tests/evaluation).
-    pub fn connected_duration(&self, rnti: Rnti) -> Option<u64> {
-        self.connected
-            .get(&rnti)
-            .map(|a| self.clock.absolute_slot.saturating_sub(a.connected_slot))
     }
 }
 

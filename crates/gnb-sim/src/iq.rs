@@ -21,7 +21,6 @@ use nr_phy::polar::PolarCode;
 use nr_phy::sequence::gold_bits;
 use nr_phy::sync::{pss_sequence, sss_sequence, SYNC_SEQ_LEN};
 use nr_phy::types::Pci;
-use nr_phy::types::Rnti;
 
 /// Number of bits the PBCH carries after polar coding (E for the MIB).
 pub const PBCH_E_BITS: usize = 864;
@@ -155,16 +154,6 @@ impl IqRenderer {
             }
         }
     }
-}
-
-/// Convenience: total REs occupied by data allocations in a slot (ground
-/// truth for Fig 8 REG-error accounting).
-pub fn data_res_in(out: &SlotOutput) -> usize {
-    out.dcis
-        .iter()
-        .filter(|d| d.alloc.format == nr_phy::dci::DciFormat::Dl1_1 && d.rnti != Rnti::SI)
-        .map(|d| d.alloc.reg_count() * 12)
-        .sum()
 }
 
 #[cfg(test)]

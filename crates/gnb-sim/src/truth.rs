@@ -55,11 +55,6 @@ impl TruthLog {
             .take_while(move |r| r.slot == slot)
     }
 
-    /// Records addressed to one RNTI.
-    pub fn for_rnti(&self, rnti: Rnti) -> impl Iterator<Item = &TruthRecord> {
-        self.records.iter().filter(move |r| r.rnti == rnti)
-    }
-
     /// Count of downlink data DCIs (C-RNTI 1_1) in the log.
     pub fn dl_dci_count(&self) -> usize {
         self.records

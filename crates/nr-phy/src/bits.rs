@@ -32,11 +32,6 @@ impl BitWriter {
         self.bits.push(u8::from(v));
     }
 
-    /// Append raw bits.
-    pub fn put_bits(&mut self, bits: &[u8]) {
-        self.bits.extend_from_slice(bits);
-    }
-
     /// Number of bits written so far.
     pub fn len(&self) -> usize {
         self.bits.len()

@@ -50,17 +50,6 @@ impl TddPattern {
         }
     }
 
-    /// A `DDDSU` pattern (2.5 ms period at µ=1), used by some operators.
-    pub fn dddsu() -> TddPattern {
-        TddPattern {
-            period_slots: 5,
-            dl_slots: 3,
-            ul_slots: 1,
-            special_dl_symbols: 10,
-            special_ul_symbols: 2,
-        }
-    }
-
     /// An FDD carrier modelled as all-downlink on the DL centre frequency
     /// (NR-Scope listens to the downlink carrier only; paper §3).
     pub fn fdd() -> TddPattern {
@@ -181,11 +170,6 @@ impl SlotClock {
     /// Subframe (millisecond within the frame) of the current slot.
     pub fn subframe(&self) -> usize {
         self.slot / self.numerology.slots_per_subframe()
-    }
-
-    /// Whether the current slot is the first of its frame.
-    pub fn is_frame_start(&self) -> bool {
-        self.slot == 0
     }
 }
 

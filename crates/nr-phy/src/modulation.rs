@@ -34,18 +34,6 @@ impl Modulation {
         }
     }
 
-    /// Construct from `Q_m`.
-    pub fn from_bits_per_symbol(qm: usize) -> Option<Modulation> {
-        match qm {
-            1 => Some(Modulation::Bpsk),
-            2 => Some(Modulation::Qpsk),
-            4 => Some(Modulation::Qam16),
-            6 => Some(Modulation::Qam64),
-            8 => Some(Modulation::Qam256),
-            _ => None,
-        }
-    }
-
     /// Short display name matching srsRAN log conventions ("256QAM" etc.).
     pub fn name(self) -> &'static str {
         match self {

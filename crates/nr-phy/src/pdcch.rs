@@ -66,18 +66,6 @@ impl AggregationLevel {
             AggregationLevel::L16,
         ]
     }
-
-    /// Construct from a CCE count.
-    pub fn from_cces(cces: usize) -> Option<AggregationLevel> {
-        match cces {
-            1 => Some(AggregationLevel::L1),
-            2 => Some(AggregationLevel::L2),
-            4 => Some(AggregationLevel::L4),
-            8 => Some(AggregationLevel::L8),
-            16 => Some(AggregationLevel::L16),
-            _ => None,
-        }
-    }
 }
 
 /// A blind-search budget: how much of the UE-specific candidate space a
