@@ -26,9 +26,10 @@ use nr_phy::dci::{Dci, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::{
-    extract_candidate, search_space_cinit, AggregationLevel, Coreset, SearchBudget,
+    extract_candidate_with, search_space_cinit, AggregationLevel, Coreset, CoresetSequences,
+    SearchBudget,
 };
-use nr_phy::polar::PolarCode;
+use nr_phy::polar::{DecodeScratch, PolarCode};
 use nr_phy::sequence::gold_bits_cached;
 use nr_phy::types::{Rnti, RntiType};
 use nr_phy::Numerology;
@@ -188,22 +189,15 @@ pub fn extract_all_candidates(
 ) -> Vec<ExtractedCandidate> {
     let mut out = Vec::new();
     let n_cces = ctx.coreset.n_cces();
+    let fitting = (AggregationLevel::all().into_iter()).take_while(|l| l.cces() <= n_cces);
+    // (A CORESET under one CCE has no candidates; any level will do.)
+    let longest = fitting.clone().last().unwrap_or(AggregationLevel::L1);
     let common_cinit = search_space_cinit(Rnti(0), false, ctx.pci);
-    for level in AggregationLevel::all() {
+    let seqs = CoresetSequences::new(&ctx.coreset, longest, ctx.pci, common_cinit, slot_in_frame);
+    for level in fitting {
         let l = level.cces();
-        if l > n_cces {
-            break;
-        }
         for cce_start in (0..=(n_cces - l)).step_by(l) {
-            let soft = extract_candidate(
-                grid,
-                &ctx.coreset,
-                cce_start,
-                level,
-                ctx.pci,
-                common_cinit,
-                slot_in_frame,
-            );
+            let soft = extract_candidate_with(grid, &ctx.coreset, cce_start, level, &seqs);
             // A candidate with no transmission has pilot SNR near the
             // noise floor — pilots exist only where a DCI is mapped, so an
             // energy gate skips silence cheaply.
@@ -236,13 +230,19 @@ trait Candidate {
     fn cce_start(&self) -> usize;
     /// Whether a codeword of one of `sizes` payload bits can come out of
     /// this candidate at all — asked before the search budget is spent.
-    fn fits(&self, sizes: &[usize; 2]) -> bool;
+    /// A blind position rules nothing out.
+    fn fits(&self, _sizes: &[usize; 2]) -> bool {
+        true
+    }
+    /// Working state one scan keeps across its candidates and hypotheses.
+    type Scratch: Default;
     /// Hand `test` the hard-decision codeword (with its payload size) for
     /// each admissible size in `sizes`, descrambled for the common search
     /// space (`ue: None`) or for one C-RNTI, until it reports a hit.
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
+        scratch: &mut Self::Scratch,
         ue: Option<Rnti>,
         sizes: &[usize; 2],
         test: impl FnMut(usize, &[u8]) -> Option<T>,
@@ -258,6 +258,7 @@ fn cinit_for(ue: Option<Rnti>, pci: u16) -> u32 {
 /// the payload size and a descramble yields the hard bits.
 impl Candidate for ObservedDci {
     const BLIND: bool = false;
+    type Scratch = ();
 
     fn level(&self) -> AggregationLevel {
         self.level
@@ -274,6 +275,7 @@ impl Candidate for ObservedDci {
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
+        _scratch: &mut (),
         ue: Option<Rnti>,
         sizes: &[usize; 2],
         mut test: impl FnMut(usize, &[u8]) -> Option<T>,
@@ -289,10 +291,13 @@ impl Candidate for ObservedDci {
 }
 
 /// IQ fidelity: the LLRs are common-descrambled; a UE hypothesis flips
-/// the signs where its sequence differs (once, shared by both sizes), and
-/// every size shorter than the candidate gets its own polar SC decode.
+/// the signs where its sequence differs (fused into de-rate-matching),
+/// and every size shorter than the candidate gets its own polar SC decode.
 impl Candidate for ExtractedCandidate {
     const BLIND: bool = true;
+    /// Each (K, E) polar code the scan has met, configured once, and the
+    /// polar decoder's working memory.
+    type Scratch = (Vec<PolarCode>, DecodeScratch);
 
     fn level(&self) -> AggregationLevel {
         self.level
@@ -302,33 +307,27 @@ impl Candidate for ExtractedCandidate {
         self.cce_start
     }
 
-    fn fits(&self, _sizes: &[usize; 2]) -> bool {
-        true
-    }
-
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
+        (codes, decode): &mut Self::Scratch,
         ue: Option<Rnti>,
         sizes: &[usize; 2],
         mut test: impl FnMut(usize, &[u8]) -> Option<T>,
     ) -> Option<T> {
-        let flipped: Vec<f32>;
-        let llrs = match ue {
-            None => &self.llrs,
-            Some(_) => {
-                let common_seq = gold_bits_cached(cinit_for(None, ctx.pci), self.llrs.len());
-                let ue_seq = gold_bits_cached(cinit_for(ue, ctx.pci), self.llrs.len());
-                flipped = (self.llrs.iter())
-                    .zip(common_seq.iter().zip(ue_seq.iter()))
-                    .map(|(l, (a, b))| if a == b { *l } else { -*l })
-                    .collect();
-                &flipped
-            }
-        };
         let e = self.level.bits();
-        (sizes.iter().filter(|&&p| p + 24 < e))
-            .find_map(|&p| test(p, &PolarCode::new(p + 24, e).decode_sc(llrs)))
+        let seq = |ue| gold_bits_cached(cinit_for(ue, ctx.pci), e);
+        // The common pass flips nothing: its sequence is the common one.
+        let (common, own) = (seq(None), seq(ue));
+        let flips = common.iter().zip(own.iter());
+        let llrs = (self.llrs.iter().zip(flips)).map(|(l, (a, b))| if a == b { *l } else { -*l });
+        (sizes.iter().filter(|&&p| p + 24 < e)).find_map(|&p| {
+            let at = (codes.iter().position(|c| (c.k, c.e) == (p + 24, e))).unwrap_or_else(|| {
+                codes.push(PolarCode::new(p + 24, e));
+                codes.len() - 1
+            });
+            test(p, codes[at].decode_sc_with(llrs.clone(), decode))
+        })
     }
 }
 
@@ -380,6 +379,7 @@ fn scan<C: Candidate>(
     let mut t_prev = scan_start;
     let mut out: Vec<DecodedDci> = Vec::new();
     let mut work = DecodeWork::default();
+    let mut scratch = C::Scratch::default();
     for cand in candidates {
         work.candidates += 1;
         let aliased = C::BLIND
@@ -389,7 +389,8 @@ fn scan<C: Candidate>(
                 a < b + b_len && b < a + a_len
             });
         if !aliased {
-            out.extend(test_hypotheses(ctx, cand, hyp, budget, &mut work));
+            let hit = test_hypotheses(ctx, cand, &mut scratch, hyp, budget, &mut work);
+            out.extend(hit);
         }
         if let Some(prev) = t_prev {
             let now = Instant::now();
@@ -417,6 +418,7 @@ fn scan<C: Candidate>(
 fn test_hypotheses<C: Candidate>(
     ctx: &DecoderContext,
     cand: &C,
+    scratch: &mut C::Scratch,
     hyp: &Hypotheses,
     budget: SearchBudget,
     work: &mut DecodeWork,
@@ -424,7 +426,8 @@ fn test_hypotheses<C: Candidate>(
     if !hyp.skip_common {
         let sizing = ctx.common_sizing;
         let rejects = &mut work.validation_rejects;
-        let hit = cand.codewords(ctx, None, &payload_sizes(&sizing), |payload_bits, cw| {
+        let sizes = payload_sizes(&sizing);
+        let hit = cand.codewords(ctx, scratch, None, &sizes, |payload_bits, cw| {
             let known = std::iter::once((Rnti::SI, RntiType::Si))
                 .chain(hyp.ra_rntis.iter().map(|r| (*r, RntiType::Ra)))
                 .chain(hyp.tc_rntis.iter().map(|r| (*r, RntiType::Tc)));
@@ -464,7 +467,7 @@ fn test_hypotheses<C: Candidate>(
     work.ue_hypotheses += hyp.c_rntis.len();
     let rejects = &mut work.validation_rejects;
     hyp.c_rntis.iter().find_map(|&rnti| {
-        cand.codewords(ctx, Some(rnti), &sizes, |_, cw| {
+        cand.codewords(ctx, scratch, Some(rnti), &sizes, |_, cw| {
             let payload = dci_check_crc(cw, rnti.0)?;
             unpack(cand, &payload, &sizing, rnti, RntiType::C, rejects)
         })

@@ -1574,18 +1574,14 @@ fn try_decode_pbch(grid: &ResourceGrid, pci: Pci) -> Option<Mib> {
     if power < 0.1 {
         return None;
     }
-    let mut llrs =
-        nr_phy::modulation::demodulate_llr(&rx, nr_phy::modulation::Modulation::Qpsk, 0.1);
+    let llrs = nr_phy::modulation::demodulate_llr(&rx, nr_phy::modulation::Modulation::Qpsk, 0.1);
     let scr = nr_phy::sequence::gold_bits(pci.0 as u32, llrs.len());
-    for (l, s) in llrs.iter_mut().zip(scr) {
-        if s == 1 {
-            *l = -*l;
-        }
-    }
-    let k = nr_rrc::Mib::BITS + 24;
-    let code = nr_phy::polar::PolarCode::new(k, crate::pbch_e_bits());
-    let cw = code.decode_sc(&llrs);
-    let payload = nr_phy::crc::dci_check_crc(&cw, 0)?;
+    // Descrambling is a sign flip, applied as the decoder reads the LLRs.
+    let llrs = (llrs.iter().zip(&scr)).map(|(l, &s)| if s == 1 { -*l } else { *l });
+    let code = nr_phy::polar::PolarCode::new(nr_rrc::Mib::BITS + 24, crate::pbch_e_bits());
+    let mut scratch = nr_phy::polar::DecodeScratch::default();
+    let cw = code.decode_sc_with(llrs, &mut scratch);
+    let payload = nr_phy::crc::dci_check_crc(cw, 0)?;
     Mib::decode(&payload).ok()
 }
 

@@ -10,8 +10,10 @@
 //! RNTI (or RNTI recovery for RACH tracking).
 
 use crate::complex::Cf32;
-use crate::crc::{dci_attach_crc, dci_check_crc, dci_recover_rnti};
-use crate::dmrs::{ls_channel_estimate, noise_estimate, pdcch_dmrs, DATA_PER_REG, DMRS_OFFSETS};
+use crate::crc::dci_attach_crc;
+use crate::dmrs::{
+    ls_channel_estimate, noise_estimate, pdcch_dmrs, DATA_PER_REG, DMRS_OFFSETS, DMRS_PER_REG,
+};
 use crate::grid::ResourceGrid;
 use crate::modulation::{demodulate_llr, modulate, Modulation};
 use crate::polar::PolarCode;
@@ -308,6 +310,45 @@ pub struct CandidateSoftBits {
     pub pilot_snr: f32,
 }
 
+/// The reference sequences every candidate of one CORESET shares in one
+/// slot, generated once: each CORESET symbol's DMRS pilot row (one Gold
+/// warm-up per symbol; a candidate slices it by PRB) and the
+/// payload-descrambling sequence at the longest level's length (a shorter
+/// level's sequence is its prefix).
+#[derive(Debug, Clone)]
+pub struct CoresetSequences {
+    /// Pilots of PRBs `prb_start..prb_start + n_prb`, one row per symbol.
+    dmrs_rows: Vec<Vec<Cf32>>,
+    /// Scrambling bits, `max_level.bits()` of them.
+    scrambling: Vec<u8>,
+}
+
+impl CoresetSequences {
+    /// Generate the sequences of `coreset` in `slot` for candidates up to
+    /// `max_level`; `n_id` and `c_init` as for [`extract_candidate`].
+    pub fn new(
+        coreset: &Coreset,
+        max_level: AggregationLevel,
+        n_id: u16,
+        c_init: u32,
+        slot: usize,
+    ) -> CoresetSequences {
+        let symbols = coreset.symbol_start..coreset.symbol_start + coreset.n_symbols;
+        CoresetSequences {
+            dmrs_rows: symbols
+                .map(|sym| pdcch_dmrs(slot, sym, n_id, coreset.prb_start, coreset.n_prb))
+                .collect(),
+            scrambling: crate::sequence::gold_bits(c_init, max_level.bits()),
+        }
+    }
+
+    /// The three pilots of REG (`sym`, `prb`), both absolute.
+    fn reg_pilots(&self, coreset: &Coreset, sym: usize, prb: usize) -> &[Cf32] {
+        let row = &self.dmrs_rows[sym - coreset.symbol_start];
+        &row[(prb - coreset.prb_start) * DMRS_PER_REG..][..DMRS_PER_REG]
+    }
+}
+
 /// Extract and equalise the soft bits of one candidate from a received
 /// grid, descrambling with `c_init` (callers try the common and per-RNTI
 /// initialisers as appropriate).
@@ -320,12 +361,25 @@ pub fn extract_candidate(
     c_init: u32,
     slot: usize,
 ) -> CandidateSoftBits {
+    let seqs = CoresetSequences::new(coreset, level, n_id, c_init, slot);
+    extract_candidate_with(grid, coreset, cce_start, level, &seqs)
+}
+
+/// [`extract_candidate`] against sequences generated once for the slot:
+/// what a scan over every candidate of the CORESET calls.
+pub fn extract_candidate_with(
+    grid: &ResourceGrid,
+    coreset: &Coreset,
+    cce_start: usize,
+    level: AggregationLevel,
+    seqs: &CoresetSequences,
+) -> CandidateSoftBits {
     let mut rx_pilots = Vec::new();
     let mut ref_pilots = Vec::new();
     let mut data = Vec::new();
     for cce in cce_start..cce_start + level.cces() {
         for (sym, prb) in coreset.cce_regs(cce) {
-            let pilots = pdcch_dmrs(slot, sym, n_id, prb, 1);
+            let pilots = seqs.reg_pilots(coreset, sym, prb);
             let base = prb * crate::numerology::SUBCARRIERS_PER_PRB;
             let mut p = 0;
             for k in 0..crate::numerology::SUBCARRIERS_PER_PRB {
@@ -346,8 +400,7 @@ pub fn extract_candidate(
     let eq: Vec<Cf32> = data.iter().map(|y| *y / h).collect();
     let mut llrs = demodulate_llr(&eq, Modulation::Qpsk, nv / h_pow);
     // Descramble by flipping LLR signs where the scrambling bit is 1.
-    let scr = crate::sequence::gold_bits(c_init, llrs.len());
-    for (l, s) in llrs.iter_mut().zip(scr) {
+    for (l, &s) in llrs.iter_mut().zip(&seqs.scrambling[..level.bits()]) {
         if s == 1 {
             *l = -*l;
         }
@@ -358,72 +411,10 @@ pub fn extract_candidate(
     }
 }
 
-/// Result of a successful blind decode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlindDecodeResult {
-    /// The DCI payload bits (CRC removed).
-    pub payload: Vec<u8>,
-    /// The RNTI that validated the CRC.
-    pub rnti: Rnti,
-    /// Aggregation level the DCI was found at.
-    pub level: AggregationLevel,
-    /// First CCE of the matched candidate.
-    pub cce_start: usize,
-}
-
-/// Attempt to decode one candidate for a specific RNTI and payload size.
-///
-/// Returns `None` when the polar decode fails the RNTI-scrambled CRC.
-pub fn decode_candidate_for_rnti(
-    soft: &CandidateSoftBits,
-    payload_bits: usize,
-    rnti: Rnti,
-    level: AggregationLevel,
-    cce_start: usize,
-) -> Option<BlindDecodeResult> {
-    let k = payload_bits + 24;
-    if k >= level.bits() {
-        return None;
-    }
-    let code = PolarCode::new(k, level.bits());
-    let cw = code.decode_sc(&soft.llrs);
-    let payload = dci_check_crc(&cw, rnti.0)?;
-    Some(BlindDecodeResult {
-        payload,
-        rnti,
-        level,
-        cce_start,
-    })
-}
-
-/// Attempt to decode one candidate and *recover* an unknown RNTI (the RACH
-/// tracking path, §3.1.2): the CRC's unscrambled high bits act as the
-/// confidence check.
-pub fn decode_candidate_recover_rnti(
-    soft: &CandidateSoftBits,
-    payload_bits: usize,
-    level: AggregationLevel,
-    cce_start: usize,
-) -> Option<BlindDecodeResult> {
-    let k = payload_bits + 24;
-    if k >= level.bits() {
-        return None;
-    }
-    let code = PolarCode::new(k, level.bits());
-    let cw = code.decode_sc(&soft.llrs);
-    let rnti = dci_recover_rnti(&cw)?;
-    let payload = cw[..payload_bits].to_vec();
-    Some(BlindDecodeResult {
-        payload,
-        rnti: Rnti(rnti),
-        level,
-        cce_start,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::{dci_check_crc, dci_recover_rnti};
 
     fn coreset() -> Coreset {
         Coreset {
@@ -436,6 +427,11 @@ mod tests {
 
     fn payload(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 11 + 3) % 2) as u8).collect()
+    }
+
+    /// The hard-decision codeword (payload + CRC24) of one candidate.
+    fn decode(soft: &CandidateSoftBits, payload_bits: usize, level: AggregationLevel) -> Vec<u8> {
+        PolarCode::new(payload_bits + 24, level.bits()).decode_sc(&soft.llrs)
     }
 
     #[test]
@@ -463,6 +459,26 @@ mod tests {
         assert_eq!(regs[0], (0, 6));
         assert_eq!(regs[1], (1, 6));
         assert_eq!(regs[2], (0, 7));
+    }
+
+    #[test]
+    fn dmrs_row_slices_equal_the_per_reg_pilots() {
+        // A 2-symbol CORESET off PRB 0: the row is indexed from the
+        // CORESET's first PRB, the Gold sequence from the carrier's.
+        let c = Coreset {
+            prb_start: 6,
+            n_prb: 24,
+            symbol_start: 1,
+            n_symbols: 2,
+        };
+        let seqs = CoresetSequences::new(&c, AggregationLevel::L8, 321, 0x1234, 7);
+        for sym in 1..3 {
+            for prb in 6..30 {
+                let direct = pdcch_dmrs(7, sym, 321, prb, 1);
+                assert_eq!(seqs.reg_pilots(&c, sym, prb), &direct[..], "{sym}/{prb}");
+            }
+        }
+        assert_eq!(seqs.scrambling, crate::sequence::gold_bits(0x1234, 864));
     }
 
     #[test]
@@ -494,10 +510,8 @@ mod tests {
             search_space_cinit(rnti, false, 500),
             3,
         );
-        let res =
-            decode_candidate_for_rnti(&soft, 40, rnti, AggregationLevel::L2, 2).expect("decode");
-        assert_eq!(res.payload, pl);
-        assert_eq!(res.rnti, rnti);
+        let cw = decode(&soft, 40, AggregationLevel::L2);
+        assert_eq!(dci_check_crc(&cw, rnti.0).expect("decode"), pl);
     }
 
     #[test]
@@ -528,9 +542,8 @@ mod tests {
             search_space_cinit(Rnti(0x4601), false, 500),
             0,
         );
-        assert!(
-            decode_candidate_for_rnti(&soft, 40, Rnti(0x4602), AggregationLevel::L4, 0).is_none()
-        );
+        let cw = decode(&soft, 40, AggregationLevel::L4);
+        assert!(dci_check_crc(&cw, 0x4602).is_none());
     }
 
     #[test]
@@ -562,10 +575,9 @@ mod tests {
             search_space_cinit(rnti, false, 123),
             7,
         );
-        let res =
-            decode_candidate_recover_rnti(&soft, 40, AggregationLevel::L4, 4).expect("recovery");
-        assert_eq!(res.rnti, rnti);
-        assert_eq!(res.payload, pl);
+        let cw = decode(&soft, 40, AggregationLevel::L4);
+        assert_eq!(dci_recover_rnti(&cw).expect("recovery"), rnti.0);
+        assert_eq!(cw[..40], pl);
     }
 
     #[test]
@@ -610,9 +622,8 @@ mod tests {
             5,
         );
         assert!(soft.pilot_snr > 10.0, "pilot snr {}", soft.pilot_snr);
-        let res =
-            decode_candidate_for_rnti(&soft, 44, rnti, AggregationLevel::L2, 0).expect("decode");
-        assert_eq!(res.payload, pl);
+        let cw = decode(&soft, 44, AggregationLevel::L2);
+        assert_eq!(dci_check_crc(&cw, rnti.0).expect("decode"), pl);
     }
 
     #[test]

@@ -4,6 +4,18 @@
 //! `b_{n-1}…b_0` is `W(i) = Σ_j b_j · β^j` with `β = 2^{1/4}` — the method
 //! the 3GPP universal reliability sequence was derived from (Huawei
 //! R1-1708833). Larger weight ⇒ more reliable synthetic channel.
+//!
+//! A weight depends on the index alone, never on the code length, so the
+//! order for a mother code of length `N` is the order for the longest one
+//! filtered to indices `< N`. That one order is sorted once per process
+//! (`reliability_table`); configuring a code only walks it.
+
+use super::ratematch::N_MAX_DCI;
+use std::sync::OnceLock;
+
+/// Longest mother code any (K, E) selects (`mother_code_length` clamps to
+/// it): the length the reliability table is sorted for.
+const N_MAX: usize = 1 << N_MAX_DCI;
 
 /// Polarization weight of one index.
 pub fn polarization_weight(index: usize) -> f64 {
@@ -21,49 +33,64 @@ pub fn polarization_weight(index: usize) -> f64 {
     w
 }
 
-/// All indices `0..n` sorted by ascending reliability (least reliable
+/// All indices `0..N_MAX` sorted by ascending reliability (least reliable
 /// first). Ties (which occur only between identical weights of distinct
 /// indices — rare under β-expansion) break by index for determinism.
+/// Sorted on first use, immutable afterwards.
+fn reliability_table() -> &'static [u16; N_MAX] {
+    static TABLE: OnceLock<[u16; N_MAX]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let weights: Vec<f64> = (0..N_MAX).map(polarization_weight).collect();
+        let mut idx: [u16; N_MAX] = std::array::from_fn(|i| i as u16);
+        idx.sort_by(|&a, &b| {
+            weights[a as usize]
+                .total_cmp(&weights[b as usize])
+                .then(a.cmp(&b))
+        });
+        idx
+    })
+}
+
+/// All indices `0..n` sorted by ascending reliability (least reliable
+/// first): the `2^N_MAX_DCI`-entry table filtered to `< n`.
+///
+/// Panics if `n` exceeds `2^N_MAX_DCI`.
 pub fn reliability_order(n: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| {
-        polarization_weight(a)
-            .total_cmp(&polarization_weight(b))
-            .then(a.cmp(&b))
-    });
-    idx
+    assert!(n <= N_MAX, "no reliability order beyond N = {N_MAX}");
+    let table = reliability_table().iter().map(|&i| i as usize);
+    table.filter(|&i| i < n).collect()
 }
 
 /// Choose the `k` information positions for a mother code of length `n`,
 /// excluding `pre_frozen` positions (forced frozen by rate matching).
 /// Returns the positions sorted ascending.
 ///
-/// Panics if fewer than `k` positions remain after pre-freezing.
+/// Panics if fewer than `k` positions remain after pre-freezing, or if `n`
+/// exceeds `2^N_MAX_DCI`.
 pub fn info_positions(n: usize, k: usize, pre_frozen: &[usize]) -> Vec<usize> {
+    assert!(n <= N_MAX, "no reliability order beyond N = {N_MAX}");
     let mut frozen = vec![false; n];
     for &p in pre_frozen {
         frozen[p] = true;
     }
-    let order = reliability_order(n);
     // Walk from the most reliable end, taking k non-pre-frozen positions.
-    let mut picked: Vec<usize> = order
-        .iter()
-        .rev()
-        .copied()
-        .filter(|&p| !frozen[p])
-        .take(k)
-        .collect();
+    let mut picked = vec![false; n];
+    let mut n_picked = 0;
+    let table = reliability_table().iter().rev().map(|&p| p as usize);
+    for p in table.filter(|&p| p < n && !frozen[p]).take(k) {
+        picked[p] = true;
+        n_picked += 1;
+    }
     assert!(
-        picked.len() == k,
+        n_picked == k,
         "not enough usable positions: n={n}, k={k}, pre_frozen={}",
         pre_frozen.len()
     );
-    picked.sort_unstable();
-    picked
+    (0..n).filter(|&p| picked[p]).collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -96,6 +123,83 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.into_iter().all(|b| b));
+    }
+
+    /// The order as the parent computed it on every call: a direct sort
+    /// with the weights re-derived inside the comparator.
+    fn direct_sort(n: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.sort_by(|&a, &b| {
+            polarization_weight(a)
+                .total_cmp(&polarization_weight(b))
+                .then(a.cmp(&b))
+        });
+        idx
+    }
+
+    #[test]
+    fn table_order_equals_the_direct_sort_at_every_length() {
+        for n in 1..=N_MAX {
+            assert_eq!(reliability_order(n), direct_sort(n), "n={n}");
+        }
+    }
+
+    #[test]
+    fn table_is_a_permutation_strictly_ordered_by_weight_then_index() {
+        let table = reliability_table();
+        let mut sorted = table.to_vec();
+        sorted.sort_unstable();
+        assert!(sorted.iter().copied().eq(0..N_MAX as u16), "permutation");
+        // Strict: no two entries compare equal, so the order never depends
+        // on the sort's stability. In exact arithmetic the 512 weights are
+        // distinct (1, β, β², β³ are independent over ℚ), so an equal pair
+        // could only be a rounding artefact — and would have to sit in
+        // index order, the tie-break `reliability_table` documents.
+        for w in table.windows(2) {
+            let (a, b) = (w[0] as usize, w[1] as usize);
+            let key = |i: usize| (polarization_weight(i), i);
+            let (ka, kb) = (key(a), key(b));
+            assert!(
+                ka.0 < kb.0 || (ka.0 == kb.0 && ka.1 < kb.1),
+                "{a} (w={}) must sort strictly before {b} (w={})",
+                ka.0,
+                kb.0
+            );
+        }
+    }
+
+    /// The (K, E) grid the cell really configures: both DCI payload sizes
+    /// of the paper's presets (45/36 bits + CRC24) at the five aggregation
+    /// levels, and the PBCH (36-bit MIB + CRC24 in 864 bits).
+    pub(crate) fn cell_code_grid() -> Vec<(usize, usize)> {
+        let mut grid: Vec<(usize, usize)> = [69usize, 60]
+            .into_iter()
+            .flat_map(|k| [108usize, 216, 432, 864, 1728].map(|e| (k, e)))
+            .collect();
+        grid.push((60, 864));
+        grid
+    }
+
+    #[test]
+    fn info_sets_of_the_cell_grid_match_the_parents() {
+        // CRC-32 over (N as 16 bits, then the info mask) of every code in
+        // the grid, generated on the commit before the table existed.
+        let crc32 = crate::crc::Crc {
+            poly: 0x04C1_1DB7,
+            len: 32,
+        };
+        let mut bits = Vec::new();
+        for (k, e) in cell_code_grid() {
+            let code = crate::polar::PolarCode::new(k, e);
+            bits.extend(crate::crc::crc_to_bits(code.n as u32, 16));
+            let mut mask = vec![0u8; code.n];
+            for &p in &code.info_positions {
+                mask[p] = 1;
+            }
+            assert_eq!(mask.iter().map(|&b| b as usize).sum::<usize>(), k);
+            bits.extend(mask);
+        }
+        assert_eq!(crc32.compute(&bits), 0x8005_2CC6);
     }
 
     #[test]

@@ -8,15 +8,23 @@
 //!   reliability table derived from the same principle; using the
 //!   β-expansion directly keeps the implementation self-contained and is
 //!   transparent to every consumer because encoder and decoder share it
-//!   (documented in `DESIGN.md`).
+//!   (documented in `DESIGN.md`). The order is sorted once per process,
+//!   for the longest mother code; [`PolarCode::new`] only walks it.
 //! * [`encode`] — the Arikan butterfly transform `x = u·F^{⊗n}`.
 //! * [`ratematch`] — mother-code length selection and
 //!   puncture/shorten/repeat rate matching (spec §5.3.1/§5.4.1 selection
 //!   rule; the sub-block interleaver is replaced by natural-order
 //!   puncturing/shortening — see `DESIGN.md`).
-//! * [`decode`] — successive-cancellation (SC) decoding over LLRs.
+//! * [`decode`] — successive-cancellation (SC) decoding over LLRs: one
+//!   allocation-free kernel over an LLR stack of `N − 1` floats (the child
+//!   LLRs of every tree depth, `N/2 + N/4 + … + 1`) and two `N`-byte bit
+//!   buffers, skipping all-frozen subtrees. The textbook recursion it
+//!   replaced, `decode::sc_decode_oracle`, is compiled for tests only and
+//!   is what the kernel is compared with bit for bit.
 //!
-//! The [`PolarCode`] type ties these together for a (K, E) configuration.
+//! The [`PolarCode`] type ties these together for a (K, E) configuration;
+//! a [`DecodeScratch`] carries the decoder's buffers from one decode to
+//! the next, across codes.
 
 pub mod construction;
 pub mod decode;
@@ -81,15 +89,43 @@ impl PolarCode {
     /// Decode `e` channel LLRs (convention `LLR > 0 ⇔ bit 0`) with plain
     /// successive cancellation. Returns the `k` payload bits.
     pub fn decode_sc(&self, llrs: &[f32]) -> Vec<u8> {
-        assert_eq!(llrs.len(), self.e, "LLR length must equal e");
-        let mother = ratematch::deselect(llrs, self.n, self.kind);
-        let u = decode::sc_decode(&mother, &self.info_mask);
-        self.extract_payload(&u)
+        let mut scratch = DecodeScratch::default();
+        self.decode_sc_with(llrs.iter().copied(), &mut scratch)
+            .to_vec()
     }
 
-    fn extract_payload(&self, u: &[u8]) -> Vec<u8> {
-        self.info_positions.iter().map(|&p| u[p]).collect()
+    /// [`PolarCode::decode_sc`] over an LLR iterator, in `scratch`: nothing
+    /// is allocated once the scratch has grown to the longest code it has
+    /// served. The `k` payload bits live in `scratch` until its next use.
+    pub fn decode_sc_with<'a>(
+        &self,
+        llrs: impl ExactSizeIterator<Item = f32>,
+        scratch: &'a mut DecodeScratch,
+    ) -> &'a [u8] {
+        assert_eq!(llrs.len(), self.e, "LLR length must equal e");
+        let DecodeScratch {
+            mother,
+            sc,
+            payload,
+        } = scratch;
+        ratematch::deselect_into(llrs, self.n, self.kind, mother);
+        let u = decode::sc_decode(mother, &self.info_mask, sc);
+        payload.clear();
+        payload.extend(self.info_positions.iter().map(|&p| u[p]));
+        payload
     }
+}
+
+/// Working memory of [`PolarCode::decode_sc_with`], reusable across codes
+/// of any (K, E): a blind-decode scan keeps one for all its hypotheses.
+#[derive(Debug, Clone, Default)]
+pub struct DecodeScratch {
+    /// De-rate-matched mother-code LLRs (length `n`).
+    mother: Vec<f32>,
+    /// The SC kernel's LLR stack and bit buffers.
+    sc: decode::ScScratch,
+    /// The decoded payload bits (length `k`).
+    payload: Vec<u8>,
 }
 
 #[cfg(test)]
@@ -120,6 +156,64 @@ mod tests {
             let rx = code.decode_sc(&bpsk_llrs(&tx, 10.0));
             assert_eq!(rx, payload, "k={k} e={e} kind={:?}", code.kind);
         }
+    }
+
+    /// `decode_sc` as the parent computed it: de-rate-match, then the
+    /// textbook recursion.
+    fn decode_oracle(code: &PolarCode, llrs: &[f32]) -> Vec<u8> {
+        let mut mother = Vec::new();
+        ratematch::deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
+        let u = decode::sc_decode_oracle(&mother, &code.info_mask);
+        code.info_positions.iter().map(|&p| u[p]).collect()
+    }
+
+    #[test]
+    fn sc_kernel_matches_the_oracle_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut kinds = std::collections::HashSet::new();
+        let mut grid = construction::tests::cell_code_grid();
+        grid.extend([(12, 54), (140, 864), (12, 400)]);
+        grid.sort_unstable();
+        grid.dedup();
+        // One scratch for the whole grid: stale stack, `u` and `x` content
+        // from a longer code must never leak into a shorter one's decode.
+        let mut scratch = DecodeScratch::default();
+        for (k, e) in grid {
+            let code = PolarCode::new(k, e);
+            kinds.insert(format!("{:?}", code.kind));
+            let mut rng = StdRng::seed_from_u64((k * 10_000 + e) as u64);
+            for trial in 0..2000 {
+                let payload: Vec<u8> = (0..k).map(|_| rng.gen_range(0..2u8)).collect();
+                // From clean to hopeless: the decision paths differ.
+                let sigma = [0.5f32, 2.0, 4.0, 8.0][trial % 4];
+                let mut llrs: Vec<f32> = (code.encode(&payload).iter())
+                    .map(|&b| (1.0 - 2.0 * f32::from(b)) * 4.0 + sigma * rng.gen_range(-1.0..1.0))
+                    .collect();
+                match trial % 10 {
+                    // Signed zeros, saturated values and exact ties: where
+                    // a reformulated f/g or decision would first diverge.
+                    3 | 7 => {
+                        let specials = [0.0f32, -0.0, 1.0e9, -1.0e9, 4.0, -4.0];
+                        for l in llrs.iter_mut() {
+                            if rng.gen_range(0..4) == 0 {
+                                *l = specials[rng.gen_range(0..specials.len())];
+                            }
+                        }
+                    }
+                    5 => llrs.iter_mut().for_each(|l| *l = -l.abs() - 0.25),
+                    9 => llrs.fill([0.0, -0.0, -1.0e9, 1.0e9][trial / 10 % 4]),
+                    _ => {}
+                }
+                let got = code.decode_sc_with(llrs.iter().copied(), &mut scratch);
+                assert_eq!(
+                    got,
+                    decode_oracle(&code, &llrs),
+                    "k={k} e={e} trial={trial}"
+                );
+            }
+        }
+        assert_eq!(kinds.len(), 3, "Shorten, Puncture and Repeat all covered");
     }
 
     #[test]

@@ -82,30 +82,35 @@ pub fn select(x: &[u8], e: usize, kind: RateMatchKind) -> Vec<u8> {
     }
 }
 
-/// Reassemble mother-code LLRs of length `n` from `e` received LLRs.
-pub fn deselect(llrs: &[f32], n: usize, kind: RateMatchKind) -> Vec<f32> {
+/// Reassemble mother-code LLRs of length `n` from the received LLRs into
+/// `out` (cleared first, so a reused buffer allocates nothing). The input
+/// is an iterator so a caller can fuse a per-LLR step — the UE descrambling
+/// sign flip — into this pass.
+pub fn deselect_into(
+    llrs: impl ExactSizeIterator<Item = f32>,
+    n: usize,
+    kind: RateMatchKind,
+    out: &mut Vec<f32>,
+) {
     let e = llrs.len();
+    out.clear();
     match kind {
         RateMatchKind::Repeat => {
-            let mut out = vec![0.0f32; n];
-            for (i, &l) in llrs.iter().enumerate() {
+            out.resize(n, 0.0);
+            for (i, l) in llrs.enumerate() {
                 out[i % n] += l;
             }
-            out
         }
         RateMatchKind::Shorten => {
-            let mut out = Vec::with_capacity(n);
-            out.extend_from_slice(llrs);
+            out.extend(llrs);
             // Shortened bits are known zero: near-certain "bit = 0" evidence.
             // A large finite value (not f32::MAX) so that repeated g-function
             // additions in the SC decoder can never overflow to inf/NaN.
             out.resize(n, 1.0e9);
-            out
         }
         RateMatchKind::Puncture => {
-            let mut out = vec![0.0f32; n - e];
-            out.extend_from_slice(llrs);
-            out
+            out.resize(n - e, 0.0);
+            out.extend(llrs);
         }
     }
 }
@@ -113,6 +118,12 @@ pub fn deselect(llrs: &[f32], n: usize, kind: RateMatchKind) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn deselect(llrs: &[f32], n: usize, kind: RateMatchKind) -> Vec<f32> {
+        let mut out = vec![7.0; 3]; // stale content must not survive
+        deselect_into(llrs.iter().copied(), n, kind, &mut out);
+        out
+    }
 
     #[test]
     fn dci_typical_sizes() {

@@ -11,8 +11,11 @@
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
-use nr_scope::scope::decoder::DecodedDci;
-use nr_scope::scope::observe::Observer;
+use nr_scope::phy::ofdm::Ofdm;
+use nr_scope::phy::pdcch::{extract_candidate, search_space_cinit, AggregationLevel};
+use nr_scope::phy::types::Rnti;
+use nr_scope::scope::decoder::{extract_all_candidates, DecodedDci};
+use nr_scope::scope::observe::{ObservedSlot, Observer};
 use nr_scope::scope::persist::crc32;
 use nr_scope::scope::worker::{process_slot, SlotJob};
 use nr_scope::scope::{Fidelity, NrScope, ScopeConfig};
@@ -49,11 +52,8 @@ fn canonical(mut decoded: Vec<DecodedDci>) -> String {
         .collect()
 }
 
-/// One seeded session: `n_ues` CBR 3 Mb/s UEs present from slot 0, every
-/// capture decoded three times — by the live scope, and (from the scope's
-/// own job snapshot) by `process_slot` with 1 and with 4 DCI threads,
-/// which must agree with each other slot by slot.
-fn run(fidelity: Fidelity, n_ues: u64, slots: u64, seed: u64) -> Digest {
+/// The paper's srsRAN cell with `n_ues` CBR 3 Mb/s UEs present from slot 0.
+fn loaded_cell(n_ues: u64, seed: u64) -> (CellConfig, Gnb) {
     let cell = CellConfig::srsran_n41();
     let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), seed);
     for i in 1..=n_ues {
@@ -73,6 +73,14 @@ fn run(fidelity: Fidelity, n_ues: u64, slots: u64, seed: u64) -> Digest {
             seed ^ (i << 8),
         ));
     }
+    (cell, gnb)
+}
+
+/// One seeded session: every capture decoded three times — by the live
+/// scope, and (from the scope's own job snapshot) by `process_slot` with
+/// 1 and with 4 DCI threads, which must agree with each other slot by slot.
+fn run(fidelity: Fidelity, n_ues: u64, slots: u64, seed: u64) -> Digest {
+    let (cell, mut gnb) = loaded_cell(n_ues, seed);
     let iq = fidelity == Fidelity::Iq;
     let mut observer = Observer::new(&cell, 30.0, iq, seed);
     // IQ starts cold (PCI from PSS/SSS); message fidelity has no cell
@@ -140,4 +148,57 @@ fn iq_fidelity_cold_start_run_matches_its_golden_digest() {
             worker_crc: 0x9373E79D,
         }
     );
+}
+
+/// `extract_all_candidates` generates a slot's DMRS rows and common Gold
+/// sequence once and slices them; the public per-candidate
+/// `extract_candidate` generates them for its candidate alone. Over a cold
+/// start, the attach and the first data slots the two must agree on every
+/// LLR to the bit and on every energy-gate decision.
+#[test]
+fn slot_extraction_equals_a_loop_over_extract_candidate() {
+    let (cell, mut gnb) = loaded_cell(2, 0xE87);
+    let mut observer = Observer::new(&cell, 12.0, true, 0xE87);
+    let config = ScopeConfig {
+        fidelity: Fidelity::Iq,
+        ..ScopeConfig::default()
+    };
+    let mut scope = NrScope::new(config, None);
+    let ofdm = Ofdm::new(cell.numerology, cell.carrier_prbs);
+    let (mut kept, mut gated) = (0, 0);
+    for s in 0..120 {
+        let observed = observer.observe(&gnb.step(), s as f64 * cell.slot_s());
+        if let (Some(job), ObservedSlot::Iq { samples, .. }) =
+            (scope.slot_job(observed.clone()), &observed)
+        {
+            let (ctx, sif) = (&job.ctx, job.slot_in_frame);
+            let grid = ofdm.demodulate(samples, sif);
+            let common = search_space_cinit(Rnti(0), false, ctx.pci);
+            let n_cces = ctx.coreset.n_cces();
+            let mut expected = Vec::new();
+            let levels = AggregationLevel::all().into_iter();
+            for level in levels.filter(|l| l.cces() <= n_cces) {
+                for cce in (0..=n_cces - level.cces()).step_by(level.cces()) {
+                    let soft =
+                        extract_candidate(&grid, &ctx.coreset, cce, level, ctx.pci, common, sif);
+                    if soft.pilot_snr < 1.5 {
+                        gated += 1;
+                        continue;
+                    }
+                    let bits: Vec<u32> = soft.llrs.iter().map(|l| l.to_bits()).collect();
+                    expected.push((level, cce, bits));
+                }
+            }
+            let got: Vec<_> = (extract_all_candidates(ctx, &grid, sif).iter())
+                .map(|c| {
+                    let bits: Vec<u32> = c.llrs.iter().map(|l| l.to_bits()).collect();
+                    (c.level, c.cce_start, bits)
+                })
+                .collect();
+            assert_eq!(got, expected, "slot {s}");
+            kept += expected.len();
+        }
+        scope.process(&observed);
+    }
+    assert!(kept > 20 && gated > 20, "kept {kept}, gated {gated}");
 }
