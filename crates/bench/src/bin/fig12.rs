@@ -11,7 +11,8 @@ use gnb_sim::CellConfig;
 use nr_phy::dci::DciSizing;
 use nr_phy::pdcch::SearchBudget;
 use nr_phy::types::Rnti;
-use nrscope::decoder::{DecoderContext, Hypotheses};
+use nr_rrc::RrcSetup;
+use nrscope::decoder::{DecoderContext, Hypotheses, UeHypothesis};
 use nrscope::observe::{ObservedSlot, Observer};
 use nrscope::worker::{process_slot, JobPriority, SlotJob};
 use nrscope::Fidelity;
@@ -51,21 +52,26 @@ fn capture(cell: &CellConfig, n_slots: usize, seed: u64) -> Vec<(ObservedSlot, u
 fn mean_processing_us(
     slots: &[(ObservedSlot, usize)],
     ctx: &DecoderContext,
+    rrc: &RrcSetup,
     n_ues: usize,
     threads: usize,
 ) -> f64 {
-    // Hypothesis list of n_ues RNTIs (real ones may be among them; cost is
-    // what matters and it is per-hypothesis).
-    let c_rntis: Vec<Rnti> = (0..n_ues).map(|i| Rnti(0x4601 + i as u16)).collect();
     let mut total_us = 0.0;
     for (observed, slot_in_frame) in slots {
+        // Hypothesis list of n_ues RNTIs (real ones may be among them; cost
+        // is what matters and it is per-hypothesis), each searched where
+        // the cell's RRC Setup puts it — as the scope builds them.
+        let c_rntis: Vec<UeHypothesis> = (0..n_ues)
+            .map(|i| Rnti(0x4601 + i as u16))
+            .map(|r| UeHypothesis::in_search_space(r, rrc, &ctx.coreset, *slot_in_frame))
+            .collect();
         let job = SlotJob {
             slot: 0,
             slot_in_frame: *slot_in_frame,
             observed: observed.clone(),
             ctx: ctx.clone(),
             hyp: Hypotheses {
-                c_rntis: c_rntis.clone(),
+                c_rntis,
                 allow_recovery: true,
                 ..Hypotheses::default()
             },
@@ -98,6 +104,7 @@ fn main() {
         let ctx = DecoderContext {
             coreset: cell.coreset,
             pci: cell.pci.0,
+            numerology: cell.numerology,
             common_sizing: DciSizing {
                 bwp_prbs: cell.coreset.n_prb,
             },
@@ -105,10 +112,11 @@ fn main() {
                 bwp_prbs: cell.carrier_prbs,
             }),
         };
+        let rrc = cell.rrc_setup();
         for threads in [1usize, 4] {
             let series: Vec<(f64, f64)> = [1usize, 2, 4, 8, 16, 32, 64, 128]
                 .iter()
-                .map(|&m| (m as f64, mean_processing_us(&slots, &ctx, m, threads)))
+                .map(|&m| (m as f64, mean_processing_us(&slots, &ctx, &rrc, m, threads)))
                 .collect();
             println!(
                 "{}",

@@ -24,15 +24,17 @@ use nr_phy::complex::Cf32;
 use nr_phy::crc::{dci_check_crc, dci_recover_rnti};
 use nr_phy::dci::{Dci, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
+use nr_phy::numerology::SYMBOLS_PER_SLOT;
 use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::{
-    extract_candidate_with, search_space_cinit, AggregationLevel, Coreset, CoresetSequences,
-    SearchBudget,
+    candidate_cce, extract_candidate_above, search_space_cinit, ue_search_space_y,
+    AggregationLevel, Coreset, CoresetSequences, SearchBudget,
 };
 use nr_phy::polar::{DecodeScratch, PolarCode};
 use nr_phy::sequence::gold_bits_cached;
 use nr_phy::types::{Rnti, RntiType};
 use nr_phy::Numerology;
+use nr_rrc::RrcSetup;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,6 +53,52 @@ pub struct DecodedDci {
     pub cce_start: usize,
 }
 
+/// One C-RNTI hypothesis and where it may sit this slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UeHypothesis {
+    /// The C-RNTI.
+    pub rnti: Rnti,
+    /// The UE's search space in this slot (38.213 §10.1): its aggregation
+    /// level and a bit per admitted first CCE. `None` — no RRC Setup known,
+    /// or a slot clock not to be trusted — offers the RNTI to every
+    /// candidate.
+    pub space: Option<(AggregationLevel, u128)>,
+}
+
+impl UeHypothesis {
+    /// `rnti` offered to every candidate.
+    pub fn anywhere(rnti: Rnti) -> UeHypothesis {
+        UeHypothesis { rnti, space: None }
+    }
+
+    /// `rnti` offered only where the search space its RRC Setup configures
+    /// hashes to on `coreset` in `slot_in_frame` — the positions the gNB
+    /// may place its DCIs at, and the only ones the UE itself monitors.
+    pub fn in_search_space(
+        rnti: Rnti,
+        rrc: &RrcSetup,
+        coreset: &Coreset,
+        slot_in_frame: usize,
+    ) -> UeHypothesis {
+        let (level, n_cces) = (rrc.aggregation_level, coreset.n_cces());
+        if n_cces > u128::BITS as usize {
+            return UeHypothesis::anywhere(rnti);
+        }
+        let n_cand = rrc.candidates_per_level as usize;
+        let y = ue_search_space_y(rnti, 0, slot_in_frame);
+        let starts = (0..n_cand).filter_map(|m| candidate_cce(y, level, m, n_cand, n_cces));
+        UeHypothesis {
+            rnti,
+            space: Some((level, starts.fold(0, |mask, cce| mask | 1 << cce))),
+        }
+    }
+
+    fn admits(&self, level: AggregationLevel, cce_start: usize) -> bool {
+        let bit = 1u128.checked_shl(cce_start as u32).unwrap_or(0);
+        (self.space).is_none_or(|(l, starts)| l == level && starts & bit != 0)
+    }
+}
+
 /// The RNTI hypothesis sets for one slot.
 #[derive(Debug, Clone, Default)]
 pub struct Hypotheses {
@@ -58,8 +106,8 @@ pub struct Hypotheses {
     pub ra_rntis: Vec<Rnti>,
     /// TC-RNTIs learned from decoded RARs.
     pub tc_rntis: Vec<Rnti>,
-    /// Tracked C-RNTIs.
-    pub c_rntis: Vec<Rnti>,
+    /// Tracked C-RNTIs, each with its search space when known.
+    pub c_rntis: Vec<UeHypothesis>,
     /// Accept CRC-XOR-recovered TC-RNTIs not matching any pending RAR
     /// (the missed-RAR fallback).
     pub allow_recovery: bool,
@@ -79,8 +127,8 @@ pub struct DecodeWork {
     pub candidates: usize,
     /// Candidates admitted into the UE-specific pass.
     pub ue_candidates: usize,
-    /// UE-specific RNTI hypotheses offered (admitted candidates × tracked
-    /// C-RNTIs).
+    /// UE-specific RNTI hypotheses offered: over the admitted candidates,
+    /// the C-RNTIs whose search space admits each one.
     pub ue_hypotheses: usize,
     /// Candidates the search budget refused a UE-specific pass.
     pub pruned: usize,
@@ -107,6 +155,9 @@ pub struct DecoderContext {
     pub coreset: Coreset,
     /// Cell identity driving scrambling and DMRS.
     pub pci: u16,
+    /// Subcarrier spacing of the carrier (the MIB's `scs_common`): two
+    /// carriers can share a slot's sample count and differ only here.
+    pub numerology: Numerology,
     /// Common-search-space DCI sizing (initial BWP = CORESET 0).
     pub common_sizing: DciSizing,
     /// UE-specific DCI sizing (carrier BWP, from SIB1); `None` until SIB1
@@ -128,18 +179,21 @@ const PRESET_CARRIER_PRBS: [usize; 4] = [51, 52, 79, 24];
 
 /// The IQ front end, shared by the live scope and the pool's workers:
 /// pick the OFDM layout whose slot length matches the buffer, check the
-/// sample count, and demodulate under the `demod` stage. `layout` is the
-/// caller's cache — the scope keeps it for the session, a worker starts
-/// every job with `None`. A layout is picked from the widths the context
-/// already knows (the SIB1 carrier BWP, then the CORESET 0 width the MIB
-/// guarantees) before the presets — how srsRAN's cell search sizes its
-/// FFT. `None` means no layout fits (a truncated capture or an unknown
-/// carrier) and is counted as a layout mismatch.
+/// sample count, and demodulate the symbols `wanted` marks under the
+/// `demod` stage. `layout` is the caller's cache — the scope keeps it for
+/// the session, a worker starts every job with `None`. A layout is picked
+/// at the context's numerology from the widths it already knows (the SIB1
+/// carrier BWP, then the CORESET 0 width the MIB guarantees) before the
+/// presets — how srsRAN's cell search sizes its FFT; without a context
+/// (a cold bootstrap) both numerologies are tried. `None` means no layout
+/// fits (a truncated capture or an unknown carrier) and is counted as a
+/// layout mismatch.
 pub(crate) fn demodulate_slot(
     layout: &mut Option<Ofdm>,
     ctx: Option<&DecoderContext>,
     samples: &[Cf32],
     slot_in_frame: usize,
+    wanted: &[bool; SYMBOLS_PER_SLOT],
     metrics: &Arc<Metrics>,
 ) -> Option<ResourceGrid> {
     if layout.is_none() {
@@ -150,6 +204,7 @@ pub(crate) fn demodulate_slot(
         let widths = known.chain(PRESET_CARRIER_PRBS);
         *layout = [Numerology::Mu1, Numerology::Mu0]
             .into_iter()
+            .filter(|numer| ctx.is_none_or(|c| c.numerology == *numer))
             .flat_map(|numer| widths.clone().map(move |prbs| (numer, prbs)))
             .find(|&(numer, prbs)| {
                 numer.samples_per_slot(numer.fft_size(prbs), slot_in_frame) == samples.len()
@@ -164,7 +219,13 @@ pub(crate) fn demodulate_slot(
         return None;
     };
     let _t = metrics.start(Stage::Demod);
-    Some(ofdm.demodulate(samples, slot_in_frame))
+    Some(ofdm.demodulate_symbols(samples, slot_in_frame, wanted))
+}
+
+/// The symbols of a slot the CORESET occupies — all a PDCCH decode reads.
+pub(crate) fn coreset_symbols(coreset: &Coreset) -> [bool; SYMBOLS_PER_SLOT] {
+    let span = coreset.symbol_start..coreset.symbol_start + coreset.n_symbols;
+    std::array::from_fn(|sym| span.contains(&sym))
 }
 
 /// One equalised candidate extracted from a grid (signal-processing
@@ -197,18 +258,15 @@ pub fn extract_all_candidates(
     for level in fitting {
         let l = level.cces();
         for cce_start in (0..=(n_cces - l)).step_by(l) {
-            let soft = extract_candidate_with(grid, &ctx.coreset, cce_start, level, &seqs);
             // A candidate with no transmission has pilot SNR near the
             // noise floor — pilots exist only where a DCI is mapped, so an
-            // energy gate skips silence cheaply.
-            if soft.pilot_snr < 1.5 {
-                continue;
-            }
-            out.push(ExtractedCandidate {
+            // energy gate on them skips silence before its data is read.
+            let soft = extract_candidate_above(grid, &ctx.coreset, cce_start, level, &seqs, 1.5);
+            out.extend(soft.map(|soft| ExtractedCandidate {
                 llrs: soft.llrs,
                 level,
                 cce_start,
-            });
+            }));
         }
     }
     out
@@ -411,8 +469,9 @@ fn scan<C: Candidate>(
 }
 
 /// The one hypothesis tester: SI → RA → TC → CRC-XOR recovery in the
-/// common search space (never pruned by any budget), then each tracked
-/// C-RNTI under its own scrambling if the budget admits the candidate.
+/// common search space (never pruned by any budget), then — if the budget
+/// admits the candidate — each tracked C-RNTI whose search space admits
+/// this position, under its own scrambling.
 /// The first hypothesis whose CRC checks *and* whose payload validates
 /// wins.
 fn test_hypotheses<C: Candidate>(
@@ -445,7 +504,7 @@ fn test_hypotheses<C: Candidate>(
                 return None;
             }
             let r = Rnti(dci_recover_rnti(cw)?);
-            if !r.is_c_rnti_range() || hyp.c_rntis.contains(&r) {
+            if !r.is_c_rnti_range() || hyp.c_rntis.iter().any(|ue| ue.rnti == r) {
                 return None;
             }
             unpack(cand, &cw[..payload_bits], &sizing, r, RntiType::Tc, rejects)
@@ -464,9 +523,11 @@ fn test_hypotheses<C: Candidate>(
         return None;
     }
     work.ue_candidates += 1;
-    work.ue_hypotheses += hyp.c_rntis.len();
+    let (level, cce_start) = (cand.level(), cand.cce_start());
+    let offered = (hyp.c_rntis.iter()).filter(|ue| ue.admits(level, cce_start));
+    work.ue_hypotheses += offered.clone().count();
     let rejects = &mut work.validation_rejects;
-    hyp.c_rntis.iter().find_map(|&rnti| {
+    offered.map(|ue| ue.rnti).find_map(|rnti| {
         cand.codewords(ctx, scratch, Some(rnti), &sizes, |_, cw| {
             let payload = dci_check_crc(cw, rnti.0)?;
             unpack(cand, &payload, &sizing, rnti, RntiType::C, rejects)
@@ -515,6 +576,7 @@ mod tests {
         DecoderContext {
             coreset: cfg.coreset,
             pci: cfg.pci.0,
+            numerology: cfg.numerology,
             common_sizing: DciSizing {
                 bwp_prbs: cfg.coreset.n_prb,
             },
@@ -578,7 +640,7 @@ mod tests {
                 continue;
             };
             let hyp = Hypotheses {
-                c_rntis: vec![known],
+                c_rntis: vec![UeHypothesis::anywhere(known)],
                 ..Hypotheses::default()
             };
             if let crate::observe::ObservedSlot::Message { dcis, .. } =
@@ -689,7 +751,7 @@ mod tests {
             let rx = usrp.receive(&tx, s as f64 * 0.0005);
             let grid = ofdm.demodulate(&rx.samples, out.slot_in_frame);
             let hyp = Hypotheses {
-                c_rntis: vec![known],
+                c_rntis: vec![UeHypothesis::anywhere(known)],
                 allow_recovery: false,
                 ..Hypotheses::default()
             };
@@ -729,7 +791,7 @@ mod tests {
                 continue;
             }
             let hyp = Hypotheses {
-                c_rntis: vec![rnti.unwrap_or(Rnti(0x4601))],
+                c_rntis: vec![UeHypothesis::anywhere(rnti.unwrap_or(Rnti(0x4601)))],
                 ..Hypotheses::default()
             };
             if let crate::observe::ObservedSlot::Message { dcis, .. } =
@@ -757,6 +819,57 @@ mod tests {
                 assert_eq!(work.pruned, truth_c, "every UE candidate counted as pruned");
                 return;
             }
+        }
+        panic!("never saw a data DCI");
+    }
+
+    /// The prune is real and its fallback is the exhaustive scan: a C-RNTI
+    /// DCI moved off its search-space hash is invisible to the RNTI's
+    /// known space and still decoded when the space is `None`; left where
+    /// the gNB put it, both find it.
+    #[test]
+    fn off_hash_dci_is_found_only_without_a_search_space() {
+        let mut g = loaded_gnb(8);
+        let cfg = g.cfg.clone();
+        let c = ctx(&cfg);
+        let mut obs = Observer::new(&cfg, 35.0, false, 10);
+        for s in 0..2000 {
+            let out = g.step();
+            let Some(tx) = out.dcis.iter().find(|d| d.rnti_type == RntiType::C) else {
+                continue;
+            };
+            let crate::observe::ObservedSlot::Message { mut dcis, .. } =
+                obs.observe(&out, s as f64 * 0.0005)
+            else {
+                continue;
+            };
+            let with = |ue| Hypotheses {
+                c_rntis: vec![ue],
+                ..Hypotheses::default()
+            };
+            let sif = out.slot_in_frame;
+            let known = with(UeHypothesis::in_search_space(
+                tx.rnti,
+                &cfg.rrc_setup(),
+                &cfg.coreset,
+                sif,
+            ));
+            let unknown = with(UeHypothesis::anywhere(tx.rnti));
+            let finds = |dcis: &[ObservedDci], hyp, cce| {
+                let mut found = decode_all(&c, dcis, hyp).into_iter();
+                found.any(|d| (d.rnti, d.cce_start) == (tx.rnti, cce))
+            };
+            assert!(finds(&dcis, &known, tx.cce_start) && finds(&dcis, &unknown, tx.cce_start));
+            // One level-2 position over: the other half of the CORESET's
+            // positions, which this slot's hash does not admit.
+            let moved = (tx.cce_start + tx.level.cces()) % cfg.coreset.n_cces();
+            dcis.retain(|d| d.cce_start != moved);
+            for d in dcis.iter_mut().filter(|d| d.cce_start == tx.cce_start) {
+                d.cce_start = moved;
+            }
+            assert!(!finds(&dcis, &known, moved), "decoded outside its space");
+            assert!(finds(&dcis, &unknown, moved), "exhaustive fallback lost it");
+            return;
         }
         panic!("never saw a data DCI");
     }

@@ -4,8 +4,8 @@
 use crate::clock::{ClockEvents, ClockLock, ClockObservable, ClockRecovery};
 use crate::config::ScopeConfig;
 use crate::decoder::{
-    decode_candidates_budgeted, decode_message_slot_budgeted, demodulate_slot,
-    extract_all_candidates, DecodeWork, DecodedDci, DecoderContext, Hypotheses,
+    coreset_symbols, decode_candidates_budgeted, decode_message_slot_budgeted, demodulate_slot,
+    extract_all_candidates, DecodeWork, DecodedDci, DecoderContext, Hypotheses, UeHypothesis,
 };
 use crate::governor::{LoadModel, LoadRung, OverloadGovernor, SlotVerdict};
 use crate::metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Stage};
@@ -19,8 +19,9 @@ use crate::worker::{JobPriority, PoolStats, SlotJob};
 use nr_phy::dci::{riv_decode, time_alloc, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::mcs::McsTable;
+use nr_phy::numerology::SYMBOLS_PER_SLOT;
 use nr_phy::ofdm::Ofdm;
-use nr_phy::pdcch::SearchBudget;
+use nr_phy::pdcch::{Coreset, SearchBudget};
 use nr_phy::sync::{detect_pss, detect_sss, SYNC_SEQ_LEN};
 use nr_phy::tbs::{transport_block_size, TbsParams};
 use nr_phy::types::{Pci, Rnti, RntiType};
@@ -703,8 +704,8 @@ impl NrScope {
             slot: self.slot,
             slot_in_frame: self.slot_in_frame(),
             observed,
+            hyp: self.hypotheses(&ctx.coreset),
             ctx,
-            hyp: self.hypotheses(),
             dci_threads: DCI_THREADS,
             fault: None,
             priority: if broadcast_critical {
@@ -873,7 +874,7 @@ impl NrScope {
                     if matches!(self.sync, SyncState::Lost | SyncState::Reacquiring) {
                         self.reacquire_message(dcis, pdsch, slot);
                     } else if let Some(ctx) = self.decoder_context() {
-                        let hyp = self.hypotheses();
+                        let hyp = self.hypotheses(&ctx.coreset);
                         let (decoded, w) = decode_message_slot_budgeted(
                             &ctx,
                             dcis,
@@ -1127,6 +1128,7 @@ impl NrScope {
         Some(DecoderContext {
             coreset: mib.coreset0(),
             pci,
+            numerology: mib.scs_common,
             common_sizing: DciSizing {
                 bwp_prbs: mib.coreset0_n_prb as usize,
             },
@@ -1140,7 +1142,7 @@ impl NrScope {
         self.cell.pci.or(self.assumed_pci)
     }
 
-    fn hypotheses(&self) -> Hypotheses {
+    fn hypotheses(&self, coreset: &Coreset) -> Hypotheses {
         let mut c_rntis = self.tracker.rntis();
         // Probationary RNTIs ride the UE-specific pass: a real UE on
         // probation decodes under its own scrambling and corroborates
@@ -1164,10 +1166,23 @@ impl NrScope {
                 }
             }
         }
+        // Each RNTI is searched where its RRC Setup (its own, else the
+        // cell's UE-invariant cached one) lets the gNB place it. The hash
+        // runs on `slot_in_frame`, so it is trusted only while `Synced`.
+        let slot_in_frame = self.slot_in_frame();
+        let with_space = |rnti| {
+            let own = self.tracker.get(rnti).map(|ue| &ue.rrc);
+            match own.or(self.tracker.cached_rrc()) {
+                Some(rrc) if self.sync == SyncState::Synced => {
+                    UeHypothesis::in_search_space(rnti, rrc, coreset, slot_in_frame)
+                }
+                _ => UeHypothesis::anywhere(rnti),
+            }
+        };
         Hypotheses {
             ra_rntis: self.expected_ra_rntis(),
             tc_rntis: self.tracker.pending_tc_rntis(),
-            c_rntis,
+            c_rntis: c_rntis.into_iter().map(with_space).collect(),
             // CRC-XOR recovery needs a trusted PCI; with sync lost it would
             // invent C-RNTIs from mis-descrambled residue.
             allow_recovery: !matches!(self.sync, SyncState::Lost | SyncState::Reacquiring),
@@ -1228,11 +1243,24 @@ impl NrScope {
         // recovered mid-slot) is skipped rather than misparsed.
         let slot_in_frame = self.slot_in_frame();
         let known = self.decoder_context();
+        // A tracked cell is read at the CORESET and at the PBCH symbols
+        // (attempted every slot, so re-anchoring never waits); the rest
+        // of the slot is transformed only while the MIB or the on-air PCI
+        // is still being searched for.
+        let wanted = match &known {
+            Some(ctx) if self.cell.pci.is_some() => {
+                let mut wanted = coreset_symbols(&ctx.coreset);
+                (wanted[1], wanted[3]) = (true, true);
+                wanted
+            }
+            _ => [true; SYMBOLS_PER_SLOT],
+        };
         let Some(grid) = demodulate_slot(
             &mut self.ofdm,
             known.as_ref(),
             samples,
             slot_in_frame,
+            &wanted,
             &self.metrics,
         ) else {
             self.stats.layout_mismatch_slots += 1;
@@ -1259,7 +1287,7 @@ impl NrScope {
             self.metrics.inc(Counter::DecodeFailures);
             return DecodeWork::default();
         };
-        let hyp = self.hypotheses();
+        let hyp = self.hypotheses(&ctx.coreset);
         let candidates = {
             let _t = self.metrics.start(Stage::PdcchSearch);
             extract_all_candidates(&ctx, &grid, self.slot_in_frame())

@@ -13,7 +13,7 @@
 //! threads.
 
 use crate::decoder::{
-    decode_candidates_budgeted, decode_message_slot_budgeted, demodulate_slot,
+    coreset_symbols, decode_candidates_budgeted, decode_message_slot_budgeted, demodulate_slot,
     extract_all_candidates, DecodeWork, DecodedDci, DecoderContext, ExtractedCandidate, Hypotheses,
 };
 use crate::metrics::{Counter, Gauge, Metrics, Stage};
@@ -162,7 +162,11 @@ fn run_job(job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
     let candidates: Vec<ExtractedCandidate> = match &job.observed {
         ObservedSlot::Iq { samples, .. } => {
             let sif = job.slot_in_frame;
-            let Some(grid) = demodulate_slot(&mut None, Some(&job.ctx), samples, sif, metrics)
+            // A worker reads the CORESET only: cell search and the PBCH are
+            // the scope's.
+            let wanted = coreset_symbols(&job.ctx.coreset);
+            let Some(grid) =
+                demodulate_slot(&mut None, Some(&job.ctx), samples, sif, &wanted, metrics)
             else {
                 return SlotResult {
                     slot: job.slot,
@@ -711,6 +715,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::UeHypothesis;
     use crate::observe::Observer;
     use gnb_sim::{CellConfig, Gnb};
     use nr_mac::RoundRobin;
@@ -720,7 +725,10 @@ mod tests {
     use ue_sim::{MobilityScenario, SimUe};
 
     fn make_job(dci_threads: usize) -> (SlotJob, usize) {
-        let cell = CellConfig::srsran_n41();
+        make_job_on(CellConfig::srsran_n41(), false, dci_threads)
+    }
+
+    fn make_job_on(cell: CellConfig, iq: bool, dci_threads: usize) -> (SlotJob, usize) {
         let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 9);
         for i in 1..=4u64 {
             gnb.ue_arrives(SimUe::new(
@@ -739,7 +747,7 @@ mod tests {
                 i,
             ));
         }
-        let mut obs = Observer::new(&cell, 35.0, false, 2);
+        let mut obs = Observer::new(&cell, 35.0, iq, 2);
         // Run until a slot with multiple C-RNTI DCIs.
         for s in 0..4000u64 {
             let out = gnb.step();
@@ -748,11 +756,12 @@ mod tests {
                 .iter()
                 .filter(|d| d.rnti_type == nr_phy::types::RntiType::C)
                 .count();
-            let observed = obs.observe(&out, s as f64 * 0.0005);
+            let observed = obs.observe(&out, s as f64 * cell.slot_s());
             if n_c >= 2 {
                 let ctx = DecoderContext {
                     coreset: cell.coreset,
                     pci: cell.pci.0,
+                    numerology: cell.numerology,
                     common_sizing: DciSizing {
                         bwp_prbs: cell.coreset.n_prb,
                     },
@@ -760,8 +769,10 @@ mod tests {
                         bwp_prbs: cell.carrier_prbs,
                     }),
                 };
+                let (rrc, sif) = (cell.rrc_setup(), out.slot_in_frame);
+                let in_space = |r| UeHypothesis::in_search_space(r, &rrc, &cell.coreset, sif);
                 let hyp = Hypotheses {
-                    c_rntis: gnb.connected_rntis(),
+                    c_rntis: gnb.connected_rntis().into_iter().map(in_space).collect(),
                     allow_recovery: true,
                     ..Hypotheses::default()
                 };
@@ -799,6 +810,18 @@ mod tests {
         };
         assert_eq!(count(&r1), n_c);
         assert_eq!(count(&r4), n_c, "sharding must not lose DCIs");
+    }
+
+    /// A 10 MHz µ=0 slot and a 20 MHz µ=1 slot are both 15,360 samples: a
+    /// worker, which starts every job with no layout, must take the
+    /// numerology from the job's context, not guess it from the count.
+    #[test]
+    fn mu0_iq_job_is_demodulated_at_its_own_numerology() {
+        let (job, n_c) = make_job_on(CellConfig::tmobile_n25(), true, 1);
+        let r = process_slot(&job);
+        assert!(!r.layout_mismatch);
+        let c_rnti = |d: &&DecodedDci| d.rnti_type == nr_phy::types::RntiType::C;
+        assert_eq!(r.decoded.iter().filter(c_rnti).count(), n_c);
     }
 
     #[test]

@@ -11,7 +11,8 @@ use crate::complex::Cf32;
 #[derive(Debug, Clone)]
 pub struct Fft {
     size: usize,
-    /// Twiddles for the forward transform: `e^{-2πik/N}` for k < N/2.
+    /// Forward twiddles stage by stage, each stage's contiguous: the stage
+    /// of half-length `h` holds `e^{-2πik/2h}` for `k < h` at `h - 1..`.
     twiddles: Vec<Cf32>,
     /// Bit-reversal permutation table.
     bitrev: Vec<u32>,
@@ -24,8 +25,11 @@ impl Fft {
             size.is_power_of_two() && size >= 2,
             "FFT size must be a power of two ≥ 2"
         );
-        let twiddles = (0..size / 2)
-            .map(|k| Cf32::from_angle(-2.0 * std::f32::consts::PI * k as f32 / size as f32))
+        let unit =
+            |k: usize| Cf32::from_angle(-2.0 * std::f32::consts::PI * k as f32 / size as f32);
+        let halves = (0..size.trailing_zeros()).map(|stage| 1usize << stage);
+        let twiddles = halves
+            .flat_map(|half| (0..half).map(move |k| unit(k * (size / (2 * half)))))
             .collect();
         let bits = size.trailing_zeros();
         let bitrev = (0..size as u32)
@@ -45,20 +49,20 @@ impl Fft {
 
     /// In-place forward FFT (no normalisation).
     pub fn forward(&self, data: &mut [Cf32]) {
-        self.run(data, false);
+        self.run::<false>(data);
     }
 
     /// In-place inverse FFT, normalised by `1/N` so that
     /// `inverse(forward(x)) == x`.
     pub fn inverse(&self, data: &mut [Cf32]) {
-        self.run(data, true);
+        self.run::<true>(data);
         let scale = 1.0 / self.size as f32;
         for v in data.iter_mut() {
             *v = v.scale(scale);
         }
     }
 
-    fn run(&self, data: &mut [Cf32], inverse: bool) {
+    fn run<const INVERSE: bool>(&self, data: &mut [Cf32]) {
         assert_eq!(data.len(), self.size, "buffer length must equal FFT size");
         // Bit-reversal reordering.
         for i in 0..self.size {
@@ -68,23 +72,17 @@ impl Fft {
             }
         }
         // Iterative butterflies.
-        let mut len = 2;
-        while len <= self.size {
-            let half = len / 2;
-            let stride = self.size / len;
-            for start in (0..self.size).step_by(len) {
-                for k in 0..half {
-                    let mut w = self.twiddles[k * stride];
-                    if inverse {
-                        w = w.conj();
-                    }
-                    let a = data[start + k];
-                    let b = data[start + k + half] * w;
-                    data[start + k] = a + b;
-                    data[start + k + half] = a - b;
+        let mut half = 1;
+        while half < self.size {
+            let twiddles = &self.twiddles[half - 1..2 * half - 1];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), w) in lo.iter_mut().zip(hi).zip(twiddles) {
+                    let t = *b * if INVERSE { w.conj() } else { *w };
+                    (*a, *b) = (*a + t, *a - t);
                 }
             }
-            len *= 2;
+            half *= 2;
         }
     }
 }
@@ -95,6 +93,57 @@ mod tests {
 
     fn close(a: Cf32, b: Cf32, tol: f32) -> bool {
         (a - b).abs() < tol
+    }
+
+    /// The butterflies as they were first written — one twiddle table
+    /// strided per stage, the direction tested inside the loop — kept as
+    /// the bit-exactness oracle for [`Fft::run`].
+    fn strided_oracle(size: usize, data: &mut [Cf32], inverse: bool) {
+        let bits = size.trailing_zeros();
+        for i in 0..size {
+            let j = (i as u32).reverse_bits() as usize >> (32 - bits);
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= size {
+            let (half, stride) = (len / 2, size / len);
+            for start in (0..size).step_by(len) {
+                for k in 0..half {
+                    let angle = -2.0 * std::f32::consts::PI * (k * stride) as f32 / size as f32;
+                    let w = Cf32::from_angle(angle);
+                    let b = data[start + k + half] * if inverse { w.conj() } else { w };
+                    let a = data[start + k];
+                    data[start + k] = a + b;
+                    data[start + k + half] = a - b;
+                }
+            }
+            len *= 2;
+        }
+    }
+
+    #[test]
+    fn staged_twiddles_are_bit_identical_to_the_strided_loop() {
+        for n in [2usize, 64, 1024, 2048] {
+            let fft = Fft::new(n);
+            let orig: Vec<Cf32> = (0..n)
+                .map(|i| Cf32::new((i as f32 * 0.37).sin() * 3.0, (i as f32 * 1.1).cos()))
+                .collect();
+            for inverse in [false, true] {
+                let (mut fast, mut slow) = (orig.clone(), orig.clone());
+                if inverse {
+                    fft.run::<true>(&mut fast);
+                } else {
+                    fft.run::<false>(&mut fast);
+                }
+                strided_oracle(n, &mut slow, inverse);
+                let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
+                    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+                };
+                assert_eq!(bits(&fast), bits(&slow), "n {n} inverse {inverse}");
+            }
+        }
     }
 
     #[test]

@@ -137,6 +137,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn out_of_range_subcarrier_panics_in_debug() {
         let g = ResourceGrid::new(1);

@@ -93,27 +93,45 @@ impl Ofdm {
     /// `samples` must hold exactly one slot at this configuration. Inverse
     /// of [`Ofdm::modulate`] up to numerical noise.
     pub fn demodulate(&self, samples: &[Cf32], slot_in_frame: usize) -> ResourceGrid {
+        self.demodulate_symbols(samples, slot_in_frame, &[true; SYMBOLS_PER_SLOT])
+    }
+
+    /// [`Ofdm::demodulate`] for the symbols `wanted` marks only: a reader
+    /// of the CORESET and the SSB pays for those FFTs, not for the PDSCH
+    /// symbols nobody reads. Every other symbol of the grid stays zero.
+    pub fn demodulate_symbols(
+        &self,
+        samples: &[Cf32],
+        slot_in_frame: usize,
+        wanted: &[bool; SYMBOLS_PER_SLOT],
+    ) -> ResourceGrid {
         assert_eq!(
             samples.len(),
             self.samples_per_slot(slot_in_frame),
             "sample count must be one slot"
         );
         let mut grid = ResourceGrid::new(self.n_prb);
+        let mut time = vec![Cf32::ZERO; self.fft_size];
         let mut pos = 0;
         let scale = 1.0 / (self.fft_size as f32).sqrt();
-        for sym in 0..SYMBOLS_PER_SLOT {
-            let cp = self.numerology.cp_len(
+        for (sym, &wanted) in wanted.iter().enumerate() {
+            pos += self.numerology.cp_len(
                 self.fft_size,
                 self.numerology.symbol_in_half_subframe(slot_in_frame, sym),
             );
-            pos += cp;
-            let mut time: Vec<Cf32> = samples[pos..pos + self.fft_size].to_vec();
-            pos += self.fft_size;
-            self.fft.forward(&mut time);
-            let out = grid.symbol_mut(sym);
-            for (k, re) in out.iter_mut().enumerate() {
-                *re = time[(self.first_bin() + k) % self.fft_size].scale(scale);
+            if wanted {
+                time.copy_from_slice(&samples[pos..pos + self.fft_size]);
+                self.fft.forward(&mut time);
+                // Grid subcarriers in order: the negative-frequency bins,
+                // then DC upwards.
+                let bins = time[self.first_bin()..]
+                    .iter()
+                    .chain(&time[..self.n_prb * 6]);
+                for (re, bin) in grid.symbol_mut(sym).iter_mut().zip(bins) {
+                    *re = bin.scale(scale);
+                }
             }
+            pos += self.fft_size;
         }
         grid
     }
@@ -148,6 +166,30 @@ mod tests {
                     for k in 0..grid.n_subcarriers() {
                         let d = (grid.get(sym, k) - back.get(sym, k)).abs();
                         assert!(d < 1e-3, "mismatch at sym {sym} sc {k}: {d}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn symbol_set_demodulation_equals_full_demodulation_on_its_symbols() {
+        for (numer, n_prb) in [(Numerology::Mu1, 51), (Numerology::Mu0, 52)] {
+            let ofdm = Ofdm::new(numer, n_prb);
+            for slot in [0usize, 1] {
+                let time = ofdm.modulate(&test_grid(n_prb), slot);
+                let full = ofdm.demodulate(&time, slot);
+                let wanted: [bool; SYMBOLS_PER_SLOT] = std::array::from_fn(|s| s % 5 < 2);
+                let part = ofdm.demodulate_symbols(&time, slot, &wanted);
+                for (sym, wanted) in wanted.into_iter().enumerate() {
+                    let bits = |g: &ResourceGrid| -> Vec<(u32, u32)> {
+                        let res = g.symbol(sym).iter();
+                        res.map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+                    };
+                    if wanted {
+                        assert_eq!(bits(&part), bits(&full), "{numer:?} slot {slot} sym {sym}");
+                    } else {
+                        assert!(bits(&part).iter().all(|&re| re == (0, 0)), "sym {sym}");
                     }
                 }
             }

@@ -16,6 +16,7 @@ use crate::dmrs::{
 };
 use crate::grid::ResourceGrid;
 use crate::modulation::{demodulate_llr, modulate, Modulation};
+use crate::numerology::SUBCARRIERS_PER_PRB;
 use crate::polar::PolarCode;
 use crate::sequence::{pdcch_scrambling_cinit, scramble_in_place};
 use crate::types::Rnti;
@@ -215,18 +216,23 @@ pub fn candidate_cce(
     Some(idx * l)
 }
 
-/// Per-slot `Y` recursion for a UE-specific search space:
-/// `Y_{-1} = C-RNTI`, `Y_s = (A_p · Y_{s-1}) mod 65537`.
+/// Per-slot `Y` of a UE-specific search space: `Y_{-1} = C-RNTI`,
+/// `Y_s = (A_p · Y_{s-1}) mod 65537`, i.e. `A_p^(s+1) · C-RNTI mod 65537`,
+/// computed by square-and-multiply.
 pub fn ue_search_space_y(rnti: Rnti, coreset_index: usize, slot: usize) -> u32 {
     const D: u64 = 65537;
-    let a: u64 = match coreset_index % 3 {
+    let mut a: u64 = match coreset_index % 3 {
         0 => 39827,
         1 => 39829,
         _ => 39839,
     };
-    let mut y = rnti.0 as u64;
-    for _ in 0..=slot {
-        y = (a * y) % D;
+    let (mut y, mut exp) = (rnti.0 as u64, slot + 1);
+    while exp > 0 {
+        if exp & 1 == 1 {
+            y = (a * y) % D;
+        }
+        a = (a * a) % D;
+        exp >>= 1;
     }
     y as u32
 }
@@ -281,9 +287,9 @@ pub fn encode_pdcch(
     for cce in alloc.cce_start..alloc.cce_start + alloc.level.cces() {
         for (sym, prb) in coreset.cce_regs(cce) {
             let pilots = pdcch_dmrs(slot, sym, n_id, prb, 1);
-            let base = prb * crate::numerology::SUBCARRIERS_PER_PRB;
+            let base = prb * SUBCARRIERS_PER_PRB;
             let mut p = 0;
-            for k in 0..crate::numerology::SUBCARRIERS_PER_PRB {
+            for k in 0..SUBCARRIERS_PER_PRB {
                 if DMRS_OFFSETS.contains(&k) {
                     grid.set(sym, base + k, pilots[p]);
                     p += 1;
@@ -365,8 +371,7 @@ pub fn extract_candidate(
     extract_candidate_with(grid, coreset, cce_start, level, &seqs)
 }
 
-/// [`extract_candidate`] against sequences generated once for the slot:
-/// what a scan over every candidate of the CORESET calls.
+/// [`extract_candidate`] against sequences generated once for the slot.
 pub fn extract_candidate_with(
     grid: &ResourceGrid,
     coreset: &Coreset,
@@ -374,30 +379,51 @@ pub fn extract_candidate_with(
     level: AggregationLevel,
     seqs: &CoresetSequences,
 ) -> CandidateSoftBits {
-    let mut rx_pilots = Vec::new();
-    let mut ref_pilots = Vec::new();
-    let mut data = Vec::new();
-    for cce in cce_start..cce_start + level.cces() {
-        for (sym, prb) in coreset.cce_regs(cce) {
-            let pilots = seqs.reg_pilots(coreset, sym, prb);
-            let base = prb * crate::numerology::SUBCARRIERS_PER_PRB;
-            let mut p = 0;
-            for k in 0..crate::numerology::SUBCARRIERS_PER_PRB {
-                if DMRS_OFFSETS.contains(&k) {
-                    rx_pilots.push(grid.get(sym, base + k));
-                    ref_pilots.push(pilots[p]);
-                    p += 1;
-                } else {
-                    data.push(grid.get(sym, base + k));
-                }
-            }
-        }
+    let floor = f32::NEG_INFINITY;
+    match extract_candidate_above(grid, coreset, cce_start, level, seqs, floor) {
+        Some(soft) => soft,
+        None => unreachable!("no pilot SNR compares below -inf"),
+    }
+}
+
+/// [`extract_candidate_with`] gated on the pilots — what a scan over every
+/// candidate of the CORESET calls: the channel and noise estimates come
+/// from the DMRS REs alone, and a candidate whose pilot SNR is below
+/// `min_pilot_snr` returns `None` before any of its data REs is read.
+pub fn extract_candidate_above(
+    grid: &ResourceGrid,
+    coreset: &Coreset,
+    cce_start: usize,
+    level: AggregationLevel,
+    seqs: &CoresetSequences,
+    min_pilot_snr: f32,
+) -> Option<CandidateSoftBits> {
+    let cces = cce_start..cce_start + level.cces();
+    let regs: Vec<(usize, usize)> = cces.flat_map(|cce| coreset.cce_regs(cce)).collect();
+    let mut rx_pilots = Vec::with_capacity(regs.len() * DMRS_PER_REG);
+    let mut ref_pilots = Vec::with_capacity(regs.len() * DMRS_PER_REG);
+    for &(sym, prb) in &regs {
+        let base = prb * SUBCARRIERS_PER_PRB;
+        rx_pilots.extend(DMRS_OFFSETS.map(|k| grid.get(sym, base + k)));
+        ref_pilots.extend_from_slice(seqs.reg_pilots(coreset, sym, prb));
     }
     let h = ls_channel_estimate(&rx_pilots, &ref_pilots);
     let nv = noise_estimate(&rx_pilots, &ref_pilots, h).max(1e-6);
     // Zero-forcing equalisation; noise variance scales by 1/|h|².
     let h_pow = h.norm_sqr().max(1e-9);
-    let eq: Vec<Cf32> = data.iter().map(|y| *y / h).collect();
+    let pilot_snr = h_pow / nv;
+    if pilot_snr < min_pilot_snr {
+        return None;
+    }
+    let data_offsets = (0..SUBCARRIERS_PER_PRB).filter(|k| !DMRS_OFFSETS.contains(k));
+    let eq: Vec<Cf32> = (regs.iter())
+        .flat_map(|&(sym, prb)| {
+            data_offsets
+                .clone()
+                .map(move |k| (sym, prb * SUBCARRIERS_PER_PRB + k))
+        })
+        .map(|(sym, k)| grid.get(sym, k) / h)
+        .collect();
     let mut llrs = demodulate_llr(&eq, Modulation::Qpsk, nv / h_pow);
     // Descramble by flipping LLR signs where the scrambling bit is 1.
     for (l, &s) in llrs.iter_mut().zip(&seqs.scrambling[..level.bits()]) {
@@ -405,10 +431,7 @@ pub fn extract_candidate_with(
             *l = -*l;
         }
     }
-    CandidateSoftBits {
-        llrs,
-        pilot_snr: h_pow / nv,
-    }
+    Some(CandidateSoftBits { llrs, pilot_snr })
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::phy::dci::DciSizing;
 use nr_scope::phy::pdcch::SearchBudget;
 use nr_scope::phy::types::{Pci, RntiType};
-use nr_scope::scope::decoder::{DecoderContext, Hypotheses};
+use nr_scope::scope::decoder::{DecoderContext, Hypotheses, UeHypothesis};
 use nr_scope::scope::observe::Observer;
 use nr_scope::scope::worker::{InjectedFault, JobPriority, PoolConfig, SlotJob, WorkerPool};
 use nr_scope::scope::{BackpressurePolicy, ImpairmentSchedule, NrScope, ScopeConfig, SyncState};
@@ -45,6 +45,7 @@ fn decoder_ctx(cell: &CellConfig) -> DecoderContext {
     DecoderContext {
         coreset: cell.coreset,
         pci: cell.pci.0,
+        numerology: cell.numerology,
         common_sizing: DciSizing {
             bwp_prbs: cell.coreset.n_prb,
         },
@@ -85,7 +86,9 @@ fn chaos_run_self_heals_and_keeps_accuracy() {
     // 1-worker shed-oldest pool with a poisoned job in the mix.
     let ctx = decoder_ctx(&cell);
     let hyp = Hypotheses {
-        c_rntis: gnb.connected_rntis(),
+        c_rntis: (gnb.connected_rntis().into_iter())
+            .map(UeHypothesis::anywhere)
+            .collect(),
         allow_recovery: true,
         ..Hypotheses::default()
     };

@@ -200,12 +200,13 @@ fn drift_and_overload_ladders_coexist() {
         },
         Some(cell.pci),
     );
-    // Sixteen backlogged UEs at this model overflow the 500 µs budget at
-    // Full — the ladder must demote — while the oscillator drifts.
+    // Sixteen backlogged UEs at this model (`tests/overload.rs`'s
+    // `moderate_load`: ~667 µs at Full) overflow the 500 µs budget — the
+    // ladder must demote — while the oscillator drifts.
     scope.set_load_model(Some(LoadModel {
         base: Duration::from_micros(60),
         per_candidate: Duration::from_micros(10),
-        per_ue_hypothesis: Duration::from_micros(14),
+        per_ue_hypothesis: Duration::from_nanos(24_400),
     }));
     run(&mut gnb, &mut obs, &mut scope, 4000, slot_s);
 

@@ -76,9 +76,12 @@ fn loaded_cell(n_ues: u64, seed: u64) -> (CellConfig, Gnb) {
     (cell, gnb)
 }
 
-/// One seeded session: every capture decoded three times — by the live
+/// One seeded session: every capture decoded four times — by the live
 /// scope, and (from the scope's own job snapshot) by `process_slot` with
-/// 1 and with 4 DCI threads, which must agree with each other slot by slot.
+/// 1 and with 4 DCI threads, which must agree with each other slot by
+/// slot, and once more with every C-RNTI's search space stripped: the
+/// exhaustive scan the pruned one has to equal DCI for DCI while offering
+/// fewer hypotheses.
 fn run(fidelity: Fidelity, n_ues: u64, slots: u64, seed: u64) -> Digest {
     let (cell, mut gnb) = loaded_cell(n_ues, seed);
     let iq = fidelity == Fidelity::Iq;
@@ -94,16 +97,29 @@ fn run(fidelity: Fidelity, n_ues: u64, slots: u64, seed: u64) -> Digest {
     );
     let slot_s = cell.slot_s();
     let mut worker_log = String::new();
+    // Slots whose exhaustive scan offers any UE hypothesis, and those of
+    // them on which the pruned scan offers strictly fewer.
+    let (mut loaded, mut fewer) = (0, 0);
     for s in 0..slots {
         let out = gnb.step();
         let observed = observer.observe(&out, s as f64 * slot_s);
         if let Some(job) = scope.slot_job(observed.clone()) {
-            let one = canonical(
-                process_slot(&SlotJob {
-                    dci_threads: 1,
-                    ..job.clone()
-                })
-                .decoded,
+            let mut one_thread = SlotJob {
+                dci_threads: 1,
+                ..job.clone()
+            };
+            let pruned = process_slot(&one_thread);
+            (one_thread.hyp.c_rntis.iter_mut()).for_each(|ue| ue.space = None);
+            let everywhere = process_slot(&one_thread);
+            let (in_space, anywhere) = (pruned.work.ue_hypotheses, everywhere.work.ue_hypotheses);
+            assert!(in_space <= anywhere, "slot {s}: {in_space} > {anywhere}");
+            loaded += usize::from(anywhere > 0);
+            fewer += usize::from(in_space < anywhere);
+            let one = canonical(pruned.decoded);
+            assert_eq!(
+                one,
+                canonical(everywhere.decoded),
+                "slot {s}: the search-space prune changed the decoded set"
             );
             let four = canonical(
                 process_slot(&SlotJob {
@@ -117,6 +133,10 @@ fn run(fidelity: Fidelity, n_ues: u64, slots: u64, seed: u64) -> Digest {
         }
         scope.process(&observed);
     }
+    // (Not all of them: in slots 1 and 12 of a frame the `Y` of these
+    // consecutive RNTIs all share one parity, and a level-2 DCI then sits
+    // where every one of them may.)
+    assert!(fewer * 5 >= loaded * 4, "pruned on {fewer} of {loaded}");
     let records = serde_json::to_string(&scope.records().to_vec()).expect("records serialise");
     let st = scope.stats;
     Digest {

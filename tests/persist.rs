@@ -915,6 +915,13 @@ fn disk_recovery_reprobes_repromotes_and_reanchors() {
     while session.durability_rung() != DurabilityRung::Durable && i < caps.len() {
         session.process_capture(&caps[i]);
         i += 1;
+        // The probe, the re-anchor and the clean batches that climb the
+        // ladder run on the writer thread, on wall clock; the tape runs at
+        // ~15 µs a slot. Let the writer answer what is queued so far, so a
+        // fast host or a slow disk cannot run the tape out first.
+        if i.is_multiple_of(16) {
+            session.flush_barrier();
+        }
     }
     assert_eq!(
         session.durability_rung(),

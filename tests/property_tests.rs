@@ -4,6 +4,7 @@ use nr_scope::phy::bits::{BitReader, BitWriter};
 use nr_scope::phy::crc::{dci_attach_crc, dci_check_crc, dci_recover_rnti};
 use nr_scope::phy::dci::{riv_decode, riv_encode, Dci, DciFormat, DciSizing};
 use nr_scope::phy::mcs::{bler, select_mcs, McsTable};
+use nr_scope::phy::pdcch::ue_search_space_y;
 use nr_scope::phy::polar::ratematch::deselect_into;
 use nr_scope::phy::polar::PolarCode;
 use nr_scope::phy::sequence::{gold_bits, scramble_in_place};
@@ -11,6 +12,7 @@ use nr_scope::phy::tbs::{
     near_quantisation_boundary, transport_block_size, transport_block_size_float_reference,
     transport_block_size_u64, TbsParams,
 };
+use nr_scope::phy::types::Rnti;
 use nr_scope::rrc::{Mib, RrcSetup, Sib1};
 use nr_scope::scope::throughput::RateWindow;
 use proptest::prelude::*;
@@ -96,6 +98,19 @@ proptest! {
         let (u, _) = textbook_sc(&mother, &code.info_mask);
         let expected: Vec<u8> = code.info_positions.iter().map(|&p| u[p]).collect();
         prop_assert_eq!(code.decode_sc(&llrs), expected);
+    }
+
+    #[test]
+    fn search_space_y_closed_form_equals_the_slot_recursion(rnti in 1u16..0xFFFF) {
+        // 38.213 §10.1 as written: Y_{-1} = RNTI, Y_s = A_p · Y_{s-1} mod D,
+        // stepped through every slot of 8 frames at µ=1.
+        for (coreset, a) in [39827u64, 39829, 39839].into_iter().enumerate() {
+            let mut y = rnti as u64;
+            for slot in 0..160 {
+                y = a * y % 65537;
+                prop_assert_eq!(ue_search_space_y(Rnti(rnti), coreset, slot) as u64, y);
+            }
+        }
     }
 
     #[test]
