@@ -16,3 +16,4 @@ pub mod throughput_eval;
 
 pub use matching::{match_dcis, MatchReport};
 pub use stats::{ccdf_points, cdf_points, mean, percentile, r_squared};
+pub use throughput_eval::{parity_ok, PARITY_BAND};

@@ -6,6 +6,17 @@ use nr_phy::types::Rnti;
 use nrscope::NrScope;
 use ue_sim::SimUe;
 
+/// The byte-parity band every gate and test accepts for an
+/// estimate / truth (or faulted / clean) ratio. The floor leaves room for
+/// missed DCIs and dropped slots; the ceiling is what catches a byte
+/// counted twice (a replayed journal, a double-counted retransmission).
+pub const PARITY_BAND: [f64; 2] = [0.88, 1.02];
+
+/// Is `ratio` inside [`PARITY_BAND`]? NaN is not.
+pub fn parity_ok(ratio: f64) -> bool {
+    (PARITY_BAND[0]..=PARITY_BAND[1]).contains(&ratio)
+}
+
 /// Per-window throughput error samples for one UE.
 #[derive(Debug, Clone)]
 pub struct ThroughputErrors {

@@ -1,6 +1,6 @@
 //! chaos — the composed-chaos soak: every fault class armed at once.
 //!
-//! Three legs, frozen into `BENCH_chaos.json`:
+//! Four legs, frozen into `BENCH_chaos.json`:
 //!
 //! 1. **baseline** — a clean supervised run (no faults) that yields the
 //!    byte-parity yardstick.
@@ -10,7 +10,11 @@
 //!    `kill -9`s, a scripted slot-loop hang, and a journal-writer wedge —
 //!    all on one seeded timeline, with the invariant monitors evaluated
 //!    on every fed slot.
-//! 3. **fleet** — a three-shard fleet with a scripted shard hang (a
+//! 3. **kill9** — the kill-restart soak: only the two `kill -9`s armed, so
+//!    the warm restart itself is what is measured — every UE tracked
+//!    before a kill is tracked after the respawn, and the child is
+//!    `Synced` again within [`RESYNC_BOUND`] slots ([`WarmRestartMonitor`]).
+//! 4. **fleet** — a three-shard fleet with a scripted shard hang (a
 //!    pathological in-flight delay) that the watchdog must fence without
 //!    starving the sibling shards (the bulkhead-isolation monitor).
 //!
@@ -18,9 +22,10 @@
 //! panics escape any leg, the scripted hang is detected within the hang
 //! deadline (plus scheduling slop) and the child is restarted, both
 //! kill-9s are survived, the restart breaker never opens under the
-//! default budget, legitimate byte parity under full chaos stays within
-//! `[0.88, 1.02]` of the no-fault baseline, and the fleet leg fences its
-//! hang with zero breaker-parked cells.
+//! default budget, legitimate byte parity under full chaos (and under the
+//! kills alone) stays within `nrscope_analytics::PARITY_BAND` of the
+//! no-fault baseline, and the fleet leg fences its hang with zero
+//! breaker-parked cells.
 //!
 //! `--short` shrinks the horizons for CI smoke tests.
 
@@ -30,31 +35,30 @@ use nr_phy::channel::ChannelProfile;
 use nr_phy::types::{Pci, Rnti};
 use nrscope::chaos::{
     drive_supervised, monitor_statuses, ranges_of, standard_monitors, BulkheadIsolationMonitor,
-    ChaosArms, ChaosSchedule, DriveStats, InvariantMonitor, MonitorStatus,
+    ChaosArms, ChaosObs, ChaosSchedule, DriveStats, InvariantMonitor, MonitorStatus, Violation,
 };
 use nrscope::observe::Observer;
-use nrscope::supervise::{self, RestartCause, Supervisor};
+use nrscope::supervise::{self, RestartCause, SlotOutcome, Supervisor};
 use nrscope::{
     ClockRecovery, ClockRecoveryConfig, FaultPlan, Fleet, FleetConfig, HangTarget, InjectedFault,
-    Metrics, ScopeConfig, ShardSpec, CHAOS_PLAN_FILE,
+    Metrics, ScopeConfig, ShardSpec, StoragePolicy, SyncState, CHAOS_PLAN_FILE,
 };
+use nrscope_analytics::{parity_ok, PARITY_BAND};
 use nrscope_bench::gate::{Gate, Mode, Phase};
 use nrscope_bench::scratch_dir;
 use serde::Serialize;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything scripted derives from this seed (reproducibility rule).
 const SEED: u64 = 0xC0_FFEE;
 /// Hang-detection latency slop on top of the hang deadline: pipe polls,
 /// scheduler jitter, and the force-kill itself.
 const HANG_SLOP_MS: u64 = 1_000;
-/// Parity gate relative to the clean baseline (same bound the supervised
-/// soak example enforces).
-const PARITY_MIN: f64 = 0.88;
-const PARITY_MAX: f64 = 1.02;
+/// A warm restart must be back in `Synced` within this many slots.
+const RESYNC_BOUND: u64 = 800;
 
 /// The supervised legs' config: deadlines tightened so hang detection is
 /// measured in hundreds of milliseconds, not the production 2 s.
@@ -88,8 +92,59 @@ fn build_gnb(cell: &CellConfig, n_ues: u64, seed: u64) -> Gnb {
     gnb
 }
 
-/// One supervised leg's columns in the artefact (baseline and chaos
-/// share the shape).
+/// The kill-only leg's own checks, the two no other gate makes: every UE
+/// tracked before a kill is tracked on the respawned child's first ack,
+/// and the child reports `Synced` within [`RESYNC_BOUND`] slots of it.
+#[derive(Default)]
+struct WarmRestartMonitor {
+    /// Tracked set of the latest ack.
+    tracked: Vec<Rnti>,
+    /// A slot went unacked since then (the child was down).
+    down: bool,
+    /// First ack after a respawn, until an ack reports `Synced`.
+    resync_from: Option<u64>,
+    violation: Option<Violation>,
+}
+
+impl InvariantMonitor for WarmRestartMonitor {
+    fn name(&self) -> &'static str {
+        "warm_restart"
+    }
+
+    fn on_slot(&mut self, obs: &ChaosObs) {
+        let SlotOutcome::Acked(ack) = obs.outcome else {
+            self.down = true;
+            return;
+        };
+        let mut breach = None;
+        if std::mem::take(&mut self.down) {
+            self.resync_from = Some(obs.slot);
+            if let Some(gone) = self.tracked.iter().find(|r| !ack.tracked.contains(r)) {
+                breach = Some(format!("UE {gone} tracked before the kill, not after"));
+            }
+        }
+        if ack.sync == SyncState::Synced {
+            self.resync_from = None;
+        } else if self
+            .resync_from
+            .is_some_and(|from| obs.slot - from > RESYNC_BOUND)
+        {
+            breach = Some(format!("not Synced {RESYNC_BOUND} slots after the respawn"));
+        }
+        if let Some(context) = breach {
+            let slot = obs.slot;
+            self.violation.get_or_insert(Violation { slot, context });
+        }
+        self.tracked.clone_from(&ack.tracked);
+    }
+
+    fn violation(&self) -> Option<&Violation> {
+        self.violation.as_ref()
+    }
+}
+
+/// One supervised leg's columns in the artefact (baseline, chaos and
+/// kill9 share the shape).
 #[derive(Serialize, Default)]
 struct Leg {
     slots: u64,
@@ -194,7 +249,16 @@ fn supervised_leg(
         return failed_leg(name, "first start claimed to resume prior state".into());
     }
 
+    // A soak is a real-time replay. Its faults mix wall-clock durations
+    // (the hang, the writer wedge, the fsync of a re-probe) with intervals
+    // counted in slots (re-probe spacing, monitor windows), and the two
+    // keep the relation they were composed with only while a slot takes a
+    // slot's time: never feed faster than the air interface.
+    let slot_time = Duration::from_secs_f64(slot_s);
+    let mut fed_at = Instant::now();
     let stats = drive_supervised(&mut sup, schedule, &ghosts, &mut monitors, |seq| {
+        std::thread::sleep(slot_time.saturating_sub(fed_at.elapsed()));
+        fed_at = Instant::now();
         for &(a, b) in &hostile_windows {
             if seq == a {
                 gnb.arm_hostile(hostile);
@@ -237,20 +301,22 @@ fn supervised_leg(
         .unwrap_or(0);
     let hang_bound = scope_cfg.supervise.hang_deadline_ms + HANG_SLOP_MS;
 
-    let want_faults = !schedule.kill_slots.is_empty();
-    let mut ok = monitors_green
+    // A faulted leg must have *survived* its script, not dodged it.
+    let hang_scripted = schedule
+        .hangs
+        .hangs
+        .iter()
+        .any(|p| p.target == HangTarget::SlotLoop);
+    let ok = monitors_green
         && parity.is_some()
         && sup_stats.breaker_openings == 0
         && breaker_final == "closed"
-        && stats.final_sync_synced;
-    if want_faults {
-        // The chaos leg must have *survived* its script, not dodged it.
-        ok = ok
-            && killed_restarts >= 2
-            && hang_restarts >= 1
-            && !stats.hang_observations.is_empty()
-            && detect_max <= hang_bound;
-    }
+        && stats.final_sync_synced
+        && killed_restarts >= schedule.kill_slots.len() as u64
+        && (!hang_scripted
+            || (hang_restarts >= 1
+                && !stats.hang_observations.is_empty()
+                && detect_max <= hang_bound));
     let detail = format!(
         "acked={} lost={} hangs={} detect_max={}ms (bound {}ms) kills={} \
          breaker={} parity={:?} monitors_green={}",
@@ -431,6 +497,14 @@ fn main() -> ExitCode {
 
     let baseline_schedule = ChaosSchedule::compose(SEED, horizon, ChaosArms::none());
     let chaos_schedule = ChaosSchedule::compose(SEED, horizon, ChaosArms::all());
+    let kill_schedule = ChaosSchedule::compose(
+        SEED,
+        horizon,
+        ChaosArms {
+            kill9: true,
+            ..ChaosArms::none()
+        },
+    );
     // The chaos-gate preconditions the composition engine promises.
     assert!(
         chaos_schedule.kill_slots.len() >= 2,
@@ -444,6 +518,31 @@ fn main() -> ExitCode {
             .any(|p| p.target == HangTarget::SlotLoop),
         "compose arms a scripted slot-loop hang"
     );
+    if !short {
+        // Every scripted restart meets a re-promoted child: it lands more
+        // than one re-probe interval, plus slack for the demotion, the
+        // probe's I/O and the climb, past the storage fault before it, so
+        // it never resumes from pre-fault state. (`--short` cannot fit two
+        // recoveries; it ends before the never-go-dark window does.)
+        let recovery = StoragePolicy::default().reprobe_interval_slots + 512;
+        let hang_slots = |target| {
+            let hangs = chaos_schedule.hangs.hangs.iter();
+            hangs.filter(move |p| p.target == target).map(|p| p.slot)
+        };
+        let faults: Vec<u64> = (chaos_schedule.storage_windows.iter())
+            .map(|w| w.from_slot)
+            .chain(hang_slots(HangTarget::JournalWriter))
+            .collect();
+        let kills = chaos_schedule.kill_slots.iter().copied();
+        for restart in kills.chain(hang_slots(HangTarget::SlotLoop)) {
+            assert!(
+                faults
+                    .iter()
+                    .all(|&f| f > restart || restart - f > recovery),
+                "restart at slot {restart} lands inside a storage fault's recovery"
+            );
+        }
+    }
     let ghosts = vec![Rnti(HostileConfig::default().persistent_ghost_rnti)];
 
     let baseline = gate.run("baseline", || {
@@ -459,24 +558,39 @@ fn main() -> ExitCode {
         let monitors = standard_monitors(ghosts.clone());
         supervised_leg("chaos", short, &chaos_schedule, monitors, ghosts.clone())
     });
+    let kill9 = gate.run("kill9", || {
+        let mut monitors = standard_monitors(Vec::new());
+        monitors.push(Box::new(WarmRestartMonitor::default()));
+        supervised_leg("kill9", short, &kill_schedule, monitors, Vec::new())
+    });
     gate.run("fleet", || fleet_leg(short));
 
-    // Parity under full chaos, relative to the clean baseline.
-    let relative_parity = if baseline.fields.parity_ratio > 0.0 {
-        chaos.fields.parity_ratio / baseline.fields.parity_ratio
-    } else {
-        0.0
+    // Parity under faults, relative to the clean baseline; the ceiling is
+    // what catches a journal tail replayed (counted) twice.
+    let mut relative = |leg: &Phase<Leg>| {
+        let ratio = if baseline.fields.parity_ratio > 0.0 {
+            leg.fields.parity_ratio / baseline.fields.parity_ratio
+        } else {
+            0.0
+        };
+        if !parity_ok(ratio) {
+            gate.breach(format!(
+                "{} relative parity {ratio:.4} outside {PARITY_BAND:?}",
+                leg.name
+            ));
+        }
+        println!(
+            "{} relative parity {ratio:.4} (bounds {PARITY_BAND:?})",
+            leg.name
+        );
+        ratio
     };
-    if !(PARITY_MIN..=PARITY_MAX).contains(&relative_parity) {
-        gate.breach(format!(
-            "relative parity {relative_parity:.4} outside [{PARITY_MIN}, {PARITY_MAX}]"
-        ));
-    }
-    println!("relative parity {relative_parity:.4} (bounds [{PARITY_MIN}, {PARITY_MAX}])");
+    let relative_parity = relative(&chaos);
+    relative(&kill9);
     gate.finish(&Header {
         seed: SEED,
         horizon_slots: horizon,
         relative_parity,
-        parity_bounds: [PARITY_MIN, PARITY_MAX],
+        parity_bounds: PARITY_BAND,
     })
 }

@@ -9,7 +9,7 @@
 //!   * under ±20 ppm oscillator error (static offset + temperature walk)
 //!     the loop ends `Locked`, the drift estimate lands near truth, and
 //!     decoded-DCI parity against an ideal-clock baseline stays within
-//!     `[0.88, 1.02]`;
+//!     `nrscope_analytics::PARITY_BAND`;
 //!   * a 2 µs timing step is reacquired within a bounded excursion
 //!     (SSB-snap + relock streak — hundreds of slots at most, far inside
 //!     the loop's `max_reacquire_slots` giving-up horizon);
@@ -30,6 +30,7 @@ use nrscope::{
     ClockLock, ClockObservable, ClockRecoveryConfig, NrScope, PersistConfig, PersistentSession,
     ScopeConfig,
 };
+use nrscope_analytics::{parity_ok, PARITY_BAND};
 use nrscope_bench::gate::{Gate, Mode, Phase};
 use nrscope_bench::scratch_dir;
 use serde::Serialize;
@@ -37,12 +38,6 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use ue_sim::traffic::{TrafficKind, TrafficSource};
 use ue_sim::{MobilityScenario, SimUe};
-
-/// Decoded-DCI parity band vs the ideal-clock baseline (the headline
-/// requirement: a corrected oscillator costs at most 12%, and cannot
-/// "gain" more than RNG jitter).
-const PARITY_MIN: f64 = 0.88;
-const PARITY_MAX: f64 = 1.02;
 
 /// Reacquisition bound for the 2 µs step: next SSB (≤ 40 slots) plus the
 /// coarse pull-in and the relock streak, with margin. Far inside the
@@ -145,20 +140,18 @@ fn drift_phase(cell: &CellConfig, slots: u64) -> Phase<Cols> {
     };
     let byte_plus = bits(&plus) as f64 / bits(&base) as f64;
     let byte_minus = bits(&minus) as f64 / bits(&base) as f64;
-    let band = PARITY_MIN..=PARITY_MAX;
     let ok = plus.clock_lock() == Some(ClockLock::Locked)
         && minus.clock_lock() == Some(ClockLock::Locked)
         && (plus.clock_drift_ppb() - 20_000).abs() < 5_000
         && (minus.clock_drift_ppb() + 20_000).abs() < 5_000
-        && band.contains(&ratio_plus)
-        && band.contains(&ratio_minus)
-        && band.contains(&byte_plus)
-        && band.contains(&byte_minus)
+        && [ratio_plus, ratio_minus, byte_plus, byte_minus]
+            .into_iter()
+            .all(parity_ok)
         && plus.stats.timing_slips > 0;
     let detail = format!(
         "dci_ratio_plus={ratio_plus:.3} dci_ratio_minus={ratio_minus:.3} \
          byte_ratio_plus={byte_plus:.3} byte_ratio_minus={byte_minus:.3} \
-         drift_plus={}ppb drift_minus={}ppb band=[{PARITY_MIN},{PARITY_MAX}]",
+         drift_plus={}ppb drift_minus={}ppb band={PARITY_BAND:?}",
         plus.clock_drift_ppb(),
         minus.clock_drift_ppb()
     );
@@ -360,7 +353,7 @@ fn main() -> ExitCode {
     gate.run("sfn_wrap_kill9", || wrap_phase(&cell));
     gate.finish(&Header {
         phase_slots,
-        parity_band: [PARITY_MIN, PARITY_MAX],
+        parity_band: PARITY_BAND,
         reacquire_bound_slots: REACQUIRE_BOUND_SLOTS,
     })
 }

@@ -14,9 +14,9 @@
 //!        - every healthy shard's p99 stays within 10% of its own
 //!          no-fault baseline (plus a small scheduler-granularity floor);
 //!        - every healthy shard's byte parity vs gNB ground truth stays
-//!          in [0.88, 1.02] — and so does the killed and the wedged
+//!          in `PARITY_BAND` — and so does the killed and the wedged
 //!          shard's, which doubles as the exact-slot-resume check (a
-//!          journal replayed twice would push parity past 1.02);
+//!          journal replayed twice would push parity past its ceiling);
 //!        - killed and wedged shards warm-restart from their own
 //!          checkpoints (`restarts ≥ 1`, recovery report `resumed`) and
 //!          every shard's final watermark equals the slots fed;
@@ -36,6 +36,7 @@ use nrscope::{
     FaultPlan, Fidelity, Fleet, FleetConfig, FleetSnapshot, GovernorConfig, PersistConfig,
     ScopeConfig, ShardSpec,
 };
+use nrscope_analytics::{parity_ok, PARITY_BAND};
 use nrscope_bench::gate::{Gate, Mode};
 use nrscope_bench::scratch_dir;
 use serde::Serialize;
@@ -259,7 +260,6 @@ fn fleet_phase(script: &Script, dir: &Path, faults: bool, seed: u64) -> PhaseRes
         workers: 4,
         shard_queue_depth: FAULT_QUEUE_DEPTH,
         watchdog_ms: 80,
-        restart_backoff_ms: 5,
         ..FleetConfig::default()
     };
     let fleet = Fleet::new(cfg, specs).expect("durable fleet");
@@ -467,10 +467,10 @@ fn run(mode: Mode, script: &Script) -> (Header, Vec<String>) {
         }
         // Parity holds on healthy shards AND on the killed/wedged ones
         // (exact-slot resume: replaying the journal twice would push the
-        // estimate past 1.02). The overloaded shard shed real slots.
-        if i != OVERLOAD_SHARD && !(0.88..=1.02).contains(&fault.parity[i]) {
+        // estimate past the ceiling). The overloaded shard shed real slots.
+        if i != OVERLOAD_SHARD && !parity_ok(fault.parity[i]) {
             breaches.push(format!(
-                "shard {i}: parity {:.4} outside [0.88, 1.02]",
+                "shard {i}: parity {:.4} outside {PARITY_BAND:?}",
                 fault.parity[i]
             ));
         }

@@ -13,7 +13,7 @@
 //!   * **no ghost UE admitted** — zero false admissions: nothing is ever
 //!     tracked or promoted that the cell did not genuinely serve;
 //!   * **no accounting drift** — every legitimate UE's estimated bits stay
-//!     inside the parity band [0.88, 1.02] of the gNB truth log.
+//!     inside `nrscope_analytics::PARITY_BAND` of the gNB truth log.
 //!
 //! Results land in `BENCH_adversarial.json` (rejects/sec, attempt counts,
 //! false-admission count). `--short` shrinks the run for CI smoke tests;
@@ -25,6 +25,7 @@ use nr_phy::channel::ChannelProfile;
 use nr_phy::types::{Rnti, RntiType};
 use nrscope::observe::{ObservedSlot, Observer, PdschPayload};
 use nrscope::{NrScope, ScopeConfig};
+use nrscope_analytics::{self as analytics, PARITY_BAND};
 use nrscope_bench::gate::{Gate, Mode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -267,8 +268,8 @@ fn soak(mode: Mode) -> Header {
         if (ra - 1.0).abs() > (worst_ratio - 1.0).abs() {
             worst_ratio = ra;
         }
-        parity_ok &= (0.88..=1.02).contains(&ra);
-        parity_ok &= est_b / truth_b <= 1.02;
+        parity_ok &= analytics::parity_ok(ra);
+        parity_ok &= est_b / truth_b <= PARITY_BAND[1];
     }
 
     let rejects = scope.stats.validation_rejects + scope.stats.parse_rejects;
@@ -289,7 +290,7 @@ fn soak(mode: Mode) -> Header {
         quarantine_size: scope.quarantined_rntis().len(),
         false_admissions,
         worst_parity_ratio: worst_ratio,
-        parity_band: [0.88, 1.02],
+        parity_band: PARITY_BAND,
         pass: false_admissions == 0 && parity_ok,
     }
 }

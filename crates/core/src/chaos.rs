@@ -199,7 +199,7 @@ impl ChaosChildPlan {
 // ---------------------------------------------------------------------------
 
 /// Which fault classes a composed schedule arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosArms {
     /// Front-end impairments (drop probability + a scripted outage).
     pub impairments: bool,
@@ -233,15 +233,7 @@ impl ChaosArms {
 
     /// Nothing armed — the clean baseline the soak is compared against.
     pub fn none() -> ChaosArms {
-        ChaosArms {
-            impairments: false,
-            overload: false,
-            storage: false,
-            clock: false,
-            hostile: false,
-            kill9: false,
-            hangs: false,
-        }
+        ChaosArms::default()
     }
 }
 
@@ -354,9 +346,11 @@ impl ChaosSchedule {
         }
         if arms.hangs {
             // Slot-loop hang long enough that any sane hang_deadline
-            // (default 2 s) expires well before the wedge releases.
+            // (default 2 s) expires well before the wedge releases; late
+            // enough that the first storage window's re-probe has landed
+            // and the restart meets a re-promoted child.
             s.hangs = HangSchedule::new()
-                .wedge_slot_loop(at(350) + jitter(30), 8_000)
+                .wedge_slot_loop(at(380) + jitter(30), 8_000)
                 .wedge_journal_writer(at(560) + jitter(30), 300)
                 .wedge_fleet_shard(1, at(450) + jitter(30), 2_500);
         }

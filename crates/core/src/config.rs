@@ -55,8 +55,8 @@ pub struct ScopeConfig {
 
 /// Liveness-supervision knobs: how the parent decides a child is hung
 /// rather than busy, and how the restart-storm circuit breaker meters
-/// respawns. Shared across the supervised-child path and (budget/window)
-/// the fleet's per-shard breakers.
+/// respawns. The three breaker knobs also size each fleet shard's breaker
+/// (a shard reads them from its own `ShardSpec::scope`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SuperviseConfig {
     /// Child side: emit a [`ChildMsg::Heartbeat`](crate::supervise::ChildMsg)
@@ -145,7 +145,8 @@ impl Default for StoragePolicy {
 }
 
 /// Fleet-level knobs: how N per-cell shard pipelines share one worker
-/// pool while staying isolated failure domains (bulkheads).
+/// pool while staying isolated failure domains (bulkheads). A shard's
+/// restart budget is its own [`SuperviseConfig`], not a fleet knob.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Worker threads shared across all shards. 0 = one per available
@@ -159,28 +160,10 @@ pub struct FleetConfig {
     /// wedged: its engine is fenced off and warm-restarted. 0 disables
     /// the watchdog.
     pub watchdog_ms: u64,
-    /// Base delay before restarting a faulted shard; doubles per
-    /// consecutive fault (exponential backoff).
-    pub restart_backoff_ms: u64,
-    /// Cap on the backoff doubling (`base << exp`).
-    pub max_restart_backoff_exp: u32,
     /// Cross-cell continuity window, in slots: a C-RNTI last active on
     /// cell A within this many slots of a discovery on cell B is matched
     /// as one user handed over, not two.
     pub continuity_window_slots: u64,
-    /// Per-shard restart-storm budget: engine rebuilds the breaker grants
-    /// before it opens and the shard is parked in lame-duck mode (a
-    /// volatile-degraded engine, no further rebuild attempts until the
-    /// half-open probe). Tokens refill at `restart_budget` per
-    /// `restart_budget_window_slots` of that shard's feed. 0 disables the
-    /// breaker.
-    pub restart_budget: u32,
-    /// Slot window (of the shard's own feed) over which the full restart
-    /// budget refills.
-    pub restart_budget_window_slots: u64,
-    /// Slots an open shard breaker waits before granting one half-open
-    /// probe rebuild.
-    pub breaker_halfopen_after_slots: u64,
 }
 
 impl Default for FleetConfig {
@@ -189,12 +172,7 @@ impl Default for FleetConfig {
             workers: 0,
             shard_queue_depth: 64,
             watchdog_ms: 1_000,
-            restart_backoff_ms: 5,
-            max_restart_backoff_exp: 6,
             continuity_window_slots: 2_000, // 1 s at µ=1
-            restart_budget: 10,
-            restart_budget_window_slots: 20_000, // 10 s at µ=1
-            breaker_halfopen_after_slots: 4_000, // 2 s at µ=1
         }
     }
 }

@@ -27,11 +27,18 @@
 //!   watchdog (busy-timestamp fencing, as in [`crate::worker`]'s pool)
 //!   and the engine generation is bumped so the stuck worker discards its
 //!   fenced engine on wake. Either way the shard's engine is quarantined
-//!   and rebuilt — durable shards resume from their own checkpoint +
-//!   journal at the exact slot they had journalled (missed slots are
-//!   gap-filled as drops, the [`crate::supervise`] watermark rule, so
-//!   nothing is double-counted) — with exponential backoff between
-//!   consecutive faults and calm-window decay.
+//!   and rebuilt at the next [`Fleet::supervise`] pass — durable shards
+//!   resume from their own checkpoint + journal at the exact slot they
+//!   had journalled (missed slots are gap-filled as drops by
+//!   [`feed_at_watermark`], so nothing is double-counted).
+//! * **One storm protection.** Every rebuild spends a token of the
+//!   shard's [`RestartBreaker`] (sized by its own `scope.supervise`
+//!   block, clocked by its own feed); a failed rebuild stays pending and
+//!   spends the next. When the budget runs dry — a crash loop, or a dead
+//!   disk under a durable shard — the breaker opens and the shard is
+//!   parked lame-duck on a volatile fallback engine (reported
+//!   `non_durable` if it was durable) until the half-open probe rebuilds
+//!   the real engine.
 //! * **Cross-cell UE continuity.** Shards emit [`UeEvent`]s from the
 //!   existing probation/admission machinery; the fleet matches a C-RNTI
 //!   that went quiet on cell A against a fresh admission on cell B within
@@ -41,12 +48,13 @@
 use crate::config::{FleetConfig, ScopeConfig};
 use crate::governor::LoadModel;
 use crate::metrics::{Counter, Gauge};
-use crate::observe::{Capture, DropReason};
+use crate::observe::Capture;
 use crate::persist::{
     DurabilityRung, JournalWriter, PersistConfig, PersistentSession, RecoveryReport,
 };
 use crate::scope::{NrScope, UeEvent};
-use crate::supervise::{BreakerState, RestartBreaker};
+use crate::supervise::{feed_at_watermark, BreakerState, RestartBreaker, SlotEngine};
+use crate::telemetry::TelemetryRecord;
 use crate::worker::{lock_clean, spawn_background, InjectedFault};
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
@@ -105,11 +113,8 @@ impl ShardSpec {
         persist: PersistConfig,
     ) -> ShardSpec {
         ShardSpec {
-            name: name.into(),
-            pci,
-            scope,
             persist: Some(persist),
-            load_model: None,
+            ..ShardSpec::volatile(name, pci, scope)
         }
     }
 
@@ -161,15 +166,17 @@ impl ShardEngine {
             ShardEngine::Volatile(s) => s,
         }
     }
+}
 
-    fn process(&mut self, cap: &Capture) {
+impl SlotEngine for ShardEngine {
+    fn slot_watermark(&self) -> u64 {
+        self.scope().slot_watermark()
+    }
+
+    fn process_capture(&mut self, cap: &Capture) -> Vec<TelemetryRecord> {
         match self {
-            ShardEngine::Durable(s) => {
-                s.process_capture(cap);
-            }
-            ShardEngine::Volatile(s) => {
-                s.process_capture(cap);
-            }
+            ShardEngine::Durable(s) => s.process_capture(cap),
+            ShardEngine::Volatile(s) => s.process_capture(cap),
         }
     }
 }
@@ -228,21 +235,21 @@ struct QueueEntry {
 struct EngineCell {
     gen: u64,
     engine: Option<ShardEngine>,
+    /// Why the last rebuild failed, kept for the fallback's notes.
+    rebuild_err: Option<String>,
 }
 
 /// Mutable supervisor-side state of one shard.
 struct ShardControl {
+    /// Anything but `Healthy` is a rebuild pending.
     health: ShardHealth,
-    restart_due: Option<Instant>,
-    backoff_exp: u32,
-    last_fault_at: Option<Instant>,
     /// Recovery report of the most recent warm restart.
     last_recovery: Option<RecoveryReport>,
 }
 
 /// Rollup stats refreshed by whichever worker holds the engine — read by
 /// [`Fleet::rollup`] without blocking on a possibly-wedged engine lock.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct CachedStats {
     slots: u64,
     dcis: u64,
@@ -250,7 +257,6 @@ struct CachedStats {
     discovered: u64,
     sync: &'static str,
     load_rung: &'static str,
-    watermark: u64,
     durability: &'static str,
     loss_window: Option<u64>,
     clock_lock: &'static str,
@@ -277,15 +283,11 @@ struct Shard {
     panics: AtomicU64,
     wedges: AtomicU64,
     restarts: AtomicU64,
-    /// A durable shard whose disk died and whose engine was replaced by a
-    /// volatile fallback (restart can't fix a disk). Cleared if a later
-    /// rebuild gets the durable engine back.
-    degraded: AtomicBool,
-    /// Token-bucket restart budget; exhaustion parks the shard lame-duck
-    /// instead of hot-looping rebuilds. Slot clock = `highest_fed`.
+    /// Token-bucket restart budget, slot clock = `highest_fed`. While it
+    /// is open the shard is parked lame-duck on a volatile fallback engine
+    /// (which a durable shard reports as `non_durable`) instead of
+    /// hot-looping rebuilds; the half-open probe is the way back.
     breaker: Mutex<RestartBreaker>,
-    /// Parked behind an open breaker on a volatile fallback engine.
-    lame_duck: AtomicBool,
 }
 
 /// An unmatched continuity edge.
@@ -357,11 +359,10 @@ pub struct ShardStatus {
     pub queue_len: usize,
     /// Recovery report of the latest warm restart, if any.
     pub last_recovery: Option<RecoveryReport>,
-    /// Restart-breaker position.
+    /// Restart-breaker position. Anything but `Closed` means the shard
+    /// is parked lame-duck: serving on a volatile fallback engine, rebuilds
+    /// withheld until the half-open probe.
     pub breaker: BreakerState,
-    /// Parked lame-duck behind an open breaker (serving on a volatile
-    /// fallback engine, rebuilds withheld until the half-open probe).
-    pub lame_duck: bool,
 }
 
 /// One cell's rollup row ([`FleetSnapshot::cells`]).
@@ -471,22 +472,20 @@ impl Fleet {
         let mut shards = Vec::with_capacity(specs.len());
         for spec in specs {
             let (engine, recovery) = ShardEngine::build(&spec, journal_writer.as_ref())?;
-            let mut cache = CachedStats::default();
-            refresh_cache_from(&mut cache, &engine, false);
+            let cache = cached_stats(&engine, spec.persist.is_some());
+            let supervise = spec.scope.supervise;
             shards.push(Shard {
                 spec,
                 queue: Mutex::new(VecDeque::new()),
                 engine: Mutex::new(EngineCell {
                     gen: 0,
                     engine: Some(engine),
+                    rebuild_err: None,
                 }),
                 busy_since_ns: AtomicU64::new(0),
                 gen: AtomicU64::new(0),
                 control: Mutex::new(ShardControl {
                     health: ShardHealth::Healthy,
-                    restart_due: None,
-                    backoff_exp: 0,
-                    last_fault_at: None,
                     last_recovery: recovery,
                 }),
                 fault: Mutex::new(FaultPlan::None),
@@ -497,13 +496,11 @@ impl Fleet {
                 panics: AtomicU64::new(0),
                 wedges: AtomicU64::new(0),
                 restarts: AtomicU64::new(0),
-                degraded: AtomicBool::new(false),
                 breaker: Mutex::new(RestartBreaker::new(
-                    cfg.restart_budget,
-                    cfg.restart_budget_window_slots,
-                    cfg.breaker_halfopen_after_slots,
+                    supervise.restart_budget,
+                    supervise.restart_budget_window_slots,
+                    supervise.breaker_halfopen_after_slots,
                 )),
-                lame_duck: AtomicBool::new(false),
             });
         }
         let cores = std::thread::available_parallelism()
@@ -573,12 +570,12 @@ impl Fleet {
         out
     }
 
-    /// One supervision pass: watchdog wedged shards, run due restarts.
-    /// The driver calls this periodically (every few fed slots, or on a
-    /// timer); it never blocks on a wedged engine.
+    /// One supervision pass: watchdog wedged shards, rebuild quarantined
+    /// ones as their breakers allow. The driver calls this periodically
+    /// (every few fed slots, or on a timer); it never blocks on a wedged
+    /// engine.
     pub fn supervise(&self) {
         let shared = &self.shared;
-        let now = Instant::now();
         let tick_ns = now_ns(shared.epoch);
         for shard in &shared.shards {
             // Watchdog: a slot in flight past the deadline means the
@@ -593,7 +590,7 @@ impl Fleet {
                     shard.gen.fetch_add(1, SeqCst);
                     shard.busy_since_ns.store(0, SeqCst);
                     shard.wedges.fetch_add(1, Relaxed);
-                    schedule_restart(shared, shard, ShardHealth::Wedged, now);
+                    lock_clean(&shard.control).health = ShardHealth::Wedged;
                     shared.live_workers.fetch_add(1, SeqCst);
                     let s = Arc::clone(shared);
                     let handle = spawn_background("fleet-replacement", move || {
@@ -602,49 +599,26 @@ impl Fleet {
                     lock_clean(&self.workers).push(handle);
                 }
             }
-            // Due restarts, metered by the per-shard breaker. `try_lock`:
-            // if a stuck worker still holds the engine, postpone without
-            // charging the backoff — the fault already paid its delay.
-            let due = {
-                let c = lock_clean(&shard.control);
-                c.restart_due.is_some_and(|d| now >= d)
+            // A rebuild is pending while the shard is quarantined, or
+            // parked waiting for its half-open probe. `try_lock`: a stuck
+            // worker still holding the engine postpones it to a later
+            // pass, without touching the budget.
+            let pending = lock_clean(&shard.control).health != ShardHealth::Healthy
+                || lock_clean(&shard.breaker).is_open();
+            if !pending {
+                continue;
+            }
+            let Ok(mut cell) = shard.engine.try_lock() else {
+                continue;
             };
-            if due {
-                match shard.engine.try_lock() {
-                    Ok(mut cell) => {
-                        let now_slot = shard.highest_fed.load(Relaxed);
-                        let granted = lock_clean(&shard.breaker).try_acquire(now_slot);
-                        if !granted {
-                            // Budget exhausted: park lame-duck instead of
-                            // hot-looping rebuilds, and keep the due flag
-                            // set so the half-open probe fires once the
-                            // backoff elapses.
-                            park_lame_duck(shared, shard, &mut cell);
-                            let mut c = lock_clean(&shard.control);
-                            c.restart_due = Some(now + Duration::from_millis(1));
-                        } else {
-                            let probing =
-                                lock_clean(&shard.breaker).state() == BreakerState::HalfOpen;
-                            let ok = restart_shard(shared, shard, &mut cell);
-                            lock_clean(&shard.breaker).probe_result(ok, now_slot);
-                            if ok && (probing || shard.lame_duck.swap(false, Relaxed)) {
-                                shard.lame_duck.store(false, Relaxed);
-                                if let Some(engine) = cell.engine.as_ref() {
-                                    let m = engine.scope().metrics();
-                                    m.gauge_set(Gauge::RestartBreakerOpen, 0);
-                                    m.note(
-                                        "restart_breaker",
-                                        "closed: half-open probe rebuild succeeded",
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        let mut c = lock_clean(&shard.control);
-                        c.restart_due = Some(now + Duration::from_millis(1));
-                    }
-                }
+            let now_slot = shard.highest_fed.load(Relaxed);
+            if lock_clean(&shard.breaker).try_acquire(now_slot) {
+                // A failed rebuild leaves the shard as it was: the next
+                // pass spends the next token.
+                let ok = restart_shard(shared, shard, &mut cell);
+                lock_clean(&shard.breaker).probe_result(ok, now_slot);
+            } else {
+                park_lame_duck(shard, &mut cell);
             }
         }
     }
@@ -680,7 +654,6 @@ impl Fleet {
             queue_len: lock_clean(&s.queue).len(),
             last_recovery: c.last_recovery.clone(),
             breaker: lock_clean(&s.breaker).state(),
-            lame_duck: s.lame_duck.load(Relaxed),
         }
     }
 
@@ -715,7 +688,7 @@ impl Fleet {
             // Refresh from the live scope when the engine is free.
             if let Ok(cell) = s.engine.try_lock() {
                 if let Some(engine) = cell.engine.as_ref() {
-                    refresh_cache_from(&mut lock_clean(&s.cache), engine, s.degraded.load(Relaxed));
+                    s.refresh_cache(engine);
                 }
             }
             let cache = lock_clean(&s.cache).clone();
@@ -802,11 +775,7 @@ impl Fleet {
         for s in &self.shared.shards {
             if let Ok(mut cell) = s.engine.try_lock() {
                 if let Some(engine) = cell.engine.take() {
-                    refresh_cache_from(
-                        &mut lock_clean(&s.cache),
-                        &engine,
-                        s.degraded.load(Relaxed),
-                    );
+                    s.refresh_cache(&engine);
                     // The shard's queue is done for — zero its depth gauge
                     // so a post-shutdown snapshot never reports phantom
                     // backlog (the worker-pool shutdown rule).
@@ -821,62 +790,40 @@ impl Fleet {
     }
 }
 
-/// Update a shard's cached rollup row from its live scope.
-fn refresh_cache_from(cache: &mut CachedStats, engine: &ShardEngine, disk_degraded: bool) {
-    let scope = engine.scope();
-    let st = &scope.stats;
-    cache.slots = st.slots;
-    cache.dcis = st.si_dcis + st.ra_dcis + st.tc_dcis + st.dl_dcis + st.ul_dcis;
-    cache.tracked_ues = scope.tracked_rntis().len() as u64;
-    cache.discovered = scope.total_discovered();
-    cache.sync = scope.sync_state().name();
-    cache.load_rung = scope.governor().rung().name();
-    cache.watermark = scope.slot_watermark();
-    cache.clock_lock = scope.clock_lock().map_or("ideal", crate::ClockLock::name);
-    cache.clock_drift_ppb = scope.clock_drift_ppb();
-    cache.timing_slips = st.timing_slips;
-    match engine {
-        ShardEngine::Durable(s) => {
-            cache.durability = s.durability_rung().name();
-            cache.loss_window = s.reported_loss_window();
-        }
-        ShardEngine::Volatile(_) => {
-            // A volatile fallback after a dead disk is `non_durable` —
-            // spec said durable, the disk disagreed; an always-volatile
-            // shard never promised durability in the first place.
-            cache.durability = if disk_degraded {
-                "non_durable"
-            } else {
-                "volatile"
-            };
-            cache.loss_window = None;
-        }
+impl Shard {
+    /// Update the cached rollup row from the shard's live engine.
+    fn refresh_cache(&self, engine: &ShardEngine) {
+        *lock_clean(&self.cache) = cached_stats(engine, self.spec.persist.is_some());
     }
 }
 
-/// A shard healthy this long has its restart backoff reset.
-const BACKOFF_CALM: Duration = Duration::from_secs(10);
-
-/// Schedule a warm restart after the current backoff, growing the backoff
-/// for consecutive faults and resetting it after a calm stretch.
-fn schedule_restart(shared: &FleetShared, shard: &Shard, health: ShardHealth, now: Instant) {
-    let mut c = lock_clean(&shard.control);
-    if let Some(last) = c.last_fault_at {
-        if now.duration_since(last) >= BACKOFF_CALM {
-            c.backoff_exp = 0;
-        }
+/// A shard's rollup row, read off its live engine. `spec_durable`: the
+/// shard was configured with persistence.
+fn cached_stats(engine: &ShardEngine, spec_durable: bool) -> CachedStats {
+    let scope = engine.scope();
+    let st = &scope.stats;
+    let (durability, loss_window) = match engine {
+        ShardEngine::Durable(s) => (s.durability_rung().name(), s.reported_loss_window()),
+        // A volatile engine under a durable spec is the lame-duck
+        // fallback: `non_durable` — spec said durable, the disk (or a
+        // crash loop) disagreed; an always-volatile shard never promised
+        // durability in the first place.
+        ShardEngine::Volatile(_) if spec_durable => ("non_durable", None),
+        ShardEngine::Volatile(_) => ("volatile", None),
+    };
+    CachedStats {
+        slots: st.slots,
+        dcis: st.si_dcis + st.ra_dcis + st.tc_dcis + st.dl_dcis + st.ul_dcis,
+        tracked_ues: scope.tracked_rntis().len() as u64,
+        discovered: scope.total_discovered(),
+        sync: scope.sync_state().name(),
+        load_rung: scope.governor().rung().name(),
+        durability,
+        loss_window,
+        clock_lock: scope.clock_lock().map_or("ideal", crate::ClockLock::name),
+        clock_drift_ppb: scope.clock_drift_ppb(),
+        timing_slips: st.timing_slips,
     }
-    let exp = c.backoff_exp.min(shared.cfg.max_restart_backoff_exp);
-    let delay = Duration::from_millis(
-        shared
-            .cfg
-            .restart_backoff_ms
-            .saturating_mul(1u64 << exp.min(32)),
-    );
-    c.backoff_exp = (c.backoff_exp + 1).min(shared.cfg.max_restart_backoff_exp);
-    c.health = health;
-    c.restart_due = Some(now + delay);
-    c.last_fault_at = Some(now);
 }
 
 /// A fresh volatile scope for `shard`, adopting the live feed position:
@@ -894,43 +841,49 @@ fn volatile_at_feed_position(shard: &Shard) -> NrScope {
 }
 
 /// Park a shard in lame-duck mode behind an open restart breaker: the
-/// rebuild budget is exhausted, so instead of hot-looping respawns the
-/// shard gets one volatile fallback engine (degraded but still decoding)
-/// and real rebuilds wait for the breaker's half-open probe.
-fn park_lame_duck(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) {
-    let was_parked = shard.lame_duck.swap(true, Relaxed);
-    if was_parked && cell.engine.is_some() {
+/// rebuild budget is exhausted (a crash loop, or a disk that fails every
+/// durable rebuild), so instead of hot-looping respawns the shard gets one
+/// volatile fallback engine (degraded but still decoding) and real
+/// rebuilds wait for the breaker's half-open probe.
+fn park_lame_duck(shard: &Shard, cell: &mut EngineCell) {
+    if cell.engine.is_some() {
         return; // already parked and still serving
     }
     let scope = volatile_at_feed_position(shard);
-    {
-        let m = scope.metrics();
-        m.gauge_set(Gauge::RestartBreakerOpen, 1);
-        m.note(
-            "restart_breaker",
-            format!(
-                "restart budget exhausted ({} per {} slots): shard parked \
-                 lame-duck on a volatile fallback until the half-open probe",
-                shared.cfg.restart_budget, shared.cfg.restart_budget_window_slots
-            ),
-        );
-        if shard.spec.persist.is_some() {
-            m.gauge_set(Gauge::DurabilityRung, DurabilityRung::NonDurable as u64);
-        }
-    }
+    let m = scope.metrics();
+    let budget = shard.spec.scope.supervise;
+    m.gauge_set(Gauge::RestartBreakerOpen, 1);
+    m.note(
+        "restart_breaker",
+        format!(
+            "restart budget exhausted ({} per {} slots): shard parked \
+             lame-duck on a volatile fallback until the half-open probe",
+            budget.restart_budget, budget.restart_budget_window_slots
+        ),
+    );
     if shard.spec.persist.is_some() {
-        shard.degraded.store(true, Relaxed);
+        m.gauge_set(Gauge::DurabilityRung, DurabilityRung::NonDurable as u64);
     }
-    cell.engine = Some(ShardEngine::Volatile(Box::new(scope)));
-    cell.gen = shard.gen.load(SeqCst);
-    let mut c = lock_clean(&shard.control);
-    c.health = ShardHealth::Healthy;
+    if let Some(e) = cell.rebuild_err.take() {
+        m.inc(Counter::StorageDemotions);
+        m.note("storage_demotion", e);
+    }
+    install_engine(shard, cell, ShardEngine::Volatile(Box::new(scope)));
 }
 
-/// Rebuild a shard's engine in place (the caller holds the engine lock).
-/// Returns true when an engine was installed (including the volatile
-/// fallback after a dead disk), false when the rebuild failed and another
-/// attempt was scheduled.
+/// Put a rebuilt engine into service: the shard is `Healthy` again.
+fn install_engine(shard: &Shard, cell: &mut EngineCell, engine: ShardEngine) {
+    engine.scope().metrics().inc(Counter::RestartsTotal);
+    cell.engine = Some(engine);
+    cell.gen = shard.gen.load(SeqCst);
+    cell.rebuild_err = None;
+    shard.restarts.fetch_add(1, Relaxed);
+    lock_clean(&shard.control).health = ShardHealth::Healthy;
+}
+
+/// Rebuild a shard's real engine in place (the caller holds the engine
+/// lock and a breaker token). False when the rebuild failed (I/O under a
+/// durable shard): nothing changes, the rebuild stays pending.
 fn restart_shard(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) -> bool {
     let built = if shard.spec.persist.is_some() {
         ShardEngine::build(&shard.spec, shared.journal_writer.as_ref())
@@ -938,56 +891,34 @@ fn restart_shard(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) -> 
         let scope = volatile_at_feed_position(shard);
         Ok((ShardEngine::Volatile(Box::new(scope)), None))
     };
-    match built {
-        Ok((engine, recovery)) => {
-            engine.scope().metrics().inc(Counter::RestartsTotal);
-            cell.engine = Some(engine);
-            cell.gen = shard.gen.load(SeqCst);
-            shard.restarts.fetch_add(1, Relaxed);
-            // The durable engine is back — if this shard had fallen to a
-            // volatile fallback, it has its disk again.
-            if shard.spec.persist.is_some() {
-                shard.degraded.store(false, Relaxed);
-            }
-            let mut c = lock_clean(&shard.control);
-            c.health = ShardHealth::Healthy;
-            c.restart_due = None;
-            if recovery.is_some() {
-                c.last_recovery = recovery;
-            }
-            true
-        }
+    let (engine, recovery) = match built {
+        Ok(built) => built,
         Err(e) => {
-            let backoff_exhausted =
-                lock_clean(&shard.control).backoff_exp >= shared.cfg.max_restart_backoff_exp;
-            if backoff_exhausted && shard.spec.persist.is_some() {
-                // The disk under a durable shard is dead and restart
-                // can't fix a disk: stop burning restarts and install a
-                // volatile fallback engine instead. The shard keeps
-                // decoding, reported durability-degraded (`non_durable`,
-                // unbounded loss window) rather than endlessly Faulted.
-                let scope = volatile_at_feed_position(shard);
-                scope
-                    .metrics()
-                    .gauge_set(Gauge::DurabilityRung, DurabilityRung::NonDurable as u64);
-                scope.metrics().inc(Counter::StorageDemotions);
-                scope.metrics().note("storage_demotion", e.to_string());
-                shard.degraded.store(true, Relaxed);
-                cell.engine = Some(ShardEngine::Volatile(Box::new(scope)));
-                cell.gen = shard.gen.load(SeqCst);
-                shard.restarts.fetch_add(1, Relaxed);
-                let mut c = lock_clean(&shard.control);
-                c.health = ShardHealth::Healthy;
-                c.restart_due = None;
-                true
-            } else {
-                // Rebuild failed (I/O): treat as another fault — back off
-                // and try again rather than spinning.
-                schedule_restart(shared, shard, ShardHealth::Faulted, Instant::now());
-                false
+            // Said on the fallback a failed half-open probe leaves
+            // serving, else kept for the one `park_lame_duck` installs.
+            match &cell.engine {
+                Some(serving) => {
+                    let why = format!("half-open probe failed: {e}");
+                    serving.scope().metrics().note("restart_breaker", why);
+                }
+                None => cell.rebuild_err = Some(e.to_string()),
             }
+            return false;
         }
+    };
+    if lock_clean(&shard.breaker).state() == BreakerState::HalfOpen {
+        let m = engine.scope().metrics();
+        m.gauge_set(Gauge::RestartBreakerOpen, 0);
+        m.note(
+            "restart_breaker",
+            "closed: half-open probe rebuild succeeded",
+        );
     }
+    install_engine(shard, cell, engine);
+    if recovery.is_some() {
+        lock_clean(&shard.control).last_recovery = recovery;
+    }
+    true
 }
 
 /// Absorb one shard's drained UE events into the continuity matcher.
@@ -1088,8 +1019,8 @@ enum Service {
 }
 
 /// One worker's attempt to service shard `i`: acquire the engine (one
-/// worker per shard at a time), drain up to [`MAX_BATCH`] entries with
-/// watermark gap-fill, catch panics, honour injected faults.
+/// worker per shard at a time), drain up to [`MAX_BATCH`] entries through
+/// [`feed_at_watermark`], catch panics, honour injected faults.
 fn service_shard(shared: &FleetShared, i: usize) -> Service {
     let shard = &shared.shards[i];
     if lock_clean(&shard.queue).is_empty() {
@@ -1137,25 +1068,20 @@ fn service_shard(shared: &FleetShared, i: usize) -> Service {
                 Some(InjectedFault::Delay(d)) => std::thread::sleep(d),
                 None => {}
             }
-            let watermark = engine.scope().slot_watermark();
-            if entry.seq < watermark {
-                // Below the watermark: already folded into the restored
-                // state — never reprocess (the supervise-module rule), so
-                // nothing is double-counted.
-                return false;
-            }
-            // Gap-fill skipped slots as honest drops, then the real one.
-            for _ in watermark..entry.seq {
-                engine.process(&Capture::Dropped(DropReason::Stall));
-            }
-            engine.process(&entry.cap);
-            true
+            // A deep gap-fill is honest work, not a wedge: keep the busy
+            // stamp fresh per filled slot (unless already fenced).
+            feed_at_watermark(engine, entry.seq, &entry.cap, |_, _| {
+                if shard.gen.load(SeqCst) == my_gen {
+                    shard.busy_since_ns.store(now_ns(shared.epoch) + 1, SeqCst);
+                }
+            })
+            .is_some()
         }));
         shard.busy_since_ns.store(0, SeqCst);
         if shard.gen.load(SeqCst) != my_gen {
             // The watchdog fenced this shard while we were inside the
             // slot: our engine is presumed wedged — discard it and let
-            // the supervisor's scheduled restart rebuild from disk.
+            // the supervisor's pending restart rebuild from disk.
             cell.engine = None;
             cell.gen = shard.gen.load(SeqCst);
             return Service::Fenced;
@@ -1183,17 +1109,13 @@ fn service_shard(shared: &FleetShared, i: usize) -> Service {
                 // checkpoint. Siblings never notice.
                 cell.engine = None;
                 shard.panics.fetch_add(1, Relaxed);
-                schedule_restart(shared, shard, ShardHealth::Faulted, Instant::now());
+                lock_clean(&shard.control).health = ShardHealth::Faulted;
                 return Service::Worked;
             }
         }
     }
     if let Some(engine) = cell.engine.as_ref() {
-        refresh_cache_from(
-            &mut lock_clean(&shard.cache),
-            engine,
-            shard.degraded.load(Relaxed),
-        );
+        shard.refresh_cache(engine);
     }
     if worked {
         Service::Worked
@@ -1260,7 +1182,6 @@ mod tests {
             workers: 2,
             shard_queue_depth: 1024,
             watchdog_ms: 50,
-            restart_backoff_ms: 1,
             ..FleetConfig::default()
         }
     }
@@ -1271,6 +1192,33 @@ mod tests {
             dcis: vec![],
             pdsch: vec![],
         })
+    }
+
+    #[test]
+    fn watermark_rule_never_reprocesses_and_gap_fills_exactly() {
+        let mut engine = ShardEngine::Volatile(Box::new(spec("a").volatile_scope()));
+        let counts = |e: &ShardEngine| {
+            let st = e.scope().stats;
+            (e.slot_watermark(), st.slots, st.dropped_slots)
+        };
+        let mut calls = Vec::new();
+        // Equal to the watermark: processed, no gap.
+        assert!(feed_at_watermark(&mut engine, 0, &empty_slot(), |_, n| calls.push(n)).is_some());
+        assert_eq!(counts(&engine), (1, 1, 0));
+        // Above: exactly `seq - watermark` drops, then the slot itself; the
+        // callback once per drop, the engine already advanced past it.
+        let fed = feed_at_watermark(&mut engine, 5, &empty_slot(), |e, n| {
+            assert_eq!(e.slot_watermark(), 1 + n);
+            calls.push(n);
+        });
+        assert!(fed.is_some());
+        assert_eq!(calls, vec![1, 2, 3, 4]);
+        assert_eq!(counts(&engine), (6, 2, 4));
+        // Below: acknowledged without reprocessing — nothing moves, so
+        // nothing is counted twice.
+        assert!(feed_at_watermark(&mut engine, 3, &empty_slot(), |_, n| calls.push(n)).is_none());
+        assert_eq!(counts(&engine), (6, 2, 4));
+        assert_eq!(calls.len(), 4);
     }
 
     #[test]
@@ -1363,11 +1311,11 @@ mod tests {
 
     #[test]
     fn breaker_parks_storming_shard_and_halfopen_probe_recovers() {
-        let mut c = cfg();
-        c.restart_budget = 2;
-        c.restart_budget_window_slots = 1_000_000; // no meaningful refill
-        c.breaker_halfopen_after_slots = 50;
-        let fleet = Fleet::new(c, vec![spec("storm"), spec("calm")]).unwrap();
+        let mut storm = spec("storm");
+        storm.scope.supervise.restart_budget = 2;
+        storm.scope.supervise.restart_budget_window_slots = 1_000_000; // no meaningful refill
+        storm.scope.supervise.breaker_halfopen_after_slots = 50;
+        let fleet = Fleet::new(cfg(), vec![storm, spec("calm")]).unwrap();
         // Keep panicking the shard until the restart budget runs dry and
         // the breaker parks it lame-duck.
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -1381,13 +1329,16 @@ mod tests {
             }
             fleet.supervise();
             std::thread::sleep(Duration::from_millis(2));
-            if fleet.shard_status(0).lame_duck {
+            if fleet.shard_status(0).breaker != BreakerState::Closed {
                 break;
             }
         }
         let st = fleet.shard_status(0);
-        assert!(st.lame_duck, "breaker parked the storming shard");
-        assert_ne!(st.breaker, BreakerState::Closed);
+        assert_ne!(
+            st.breaker,
+            BreakerState::Closed,
+            "breaker parked the storming shard"
+        );
         let snap = fleet.rollup();
         assert_eq!(snap.breaker_open_cells, 1);
         assert!(snap.cells[0].breaker_openings >= 1);
@@ -1403,8 +1354,7 @@ mod tests {
             }
             fleet.supervise();
             std::thread::sleep(Duration::from_millis(2));
-            let st = fleet.shard_status(0);
-            if !st.lame_duck && st.breaker == BreakerState::Closed {
+            if fleet.shard_status(0).breaker == BreakerState::Closed {
                 break;
             }
         }
@@ -1414,7 +1364,6 @@ mod tests {
             BreakerState::Closed,
             "half-open probe closed the breaker"
         );
-        assert!(!st.lame_duck);
         assert!(fleet.quiesce(Duration::from_secs(10)));
         fleet.finish();
     }

@@ -10,7 +10,7 @@
 //! aggregation levels, cap UE-specific attempts) →
 //! [`LoadRung::BroadcastOnly`] (common search space only — SI-/RA-/TC-RNTI
 //! and CRC-XOR recovery, so cell knowledge and RACH-based C-RNTI discovery
-//! survive) → [`LoadRung::Shedding`].
+//! survive), the floor.
 //!
 //! Recovery is staged: a rung is climbed only after a run of consecutive
 //! in-budget slots, and the required run length backs off exponentially
@@ -38,46 +38,32 @@ pub enum LoadRung {
     /// on UE candidate attempts per slot.
     PrunedSearch = 1,
     /// Common search space only: SI/RA/TC decoding and MSG 4 C-RNTI
-    /// recovery continue; per-UE telemetry pauses.
+    /// recovery continue; per-UE telemetry pauses. The floor: no load
+    /// prunes the common search space (the never-go-dark invariant).
     BroadcastOnly = 2,
-    /// Keep-alive floor under extreme overload. Decoding is still
-    /// broadcast-only (the never-go-dark invariant); in addition the worker
-    /// pool may shed queued data-priority jobs.
-    Shedding = 3,
 }
 
 impl LoadRung {
-    /// All rungs, healthiest first.
-    pub const ALL: [LoadRung; 4] = [
-        LoadRung::Full,
-        LoadRung::PrunedSearch,
-        LoadRung::BroadcastOnly,
-        LoadRung::Shedding,
-    ];
-
     /// Stable snake_case name (matches the per-rung stage histograms).
     pub fn name(self) -> &'static str {
         match self {
             LoadRung::Full => "full",
             LoadRung::PrunedSearch => "pruned_search",
             LoadRung::BroadcastOnly => "broadcast_only",
-            LoadRung::Shedding => "shedding",
         }
     }
 
-    /// One rung worse (toward `Shedding`); saturates.
+    /// One rung worse (toward `BroadcastOnly`); saturates.
     pub fn demoted(self) -> LoadRung {
         match self {
             LoadRung::Full => LoadRung::PrunedSearch,
-            LoadRung::PrunedSearch => LoadRung::BroadcastOnly,
-            _ => LoadRung::Shedding,
+            _ => LoadRung::BroadcastOnly,
         }
     }
 
     /// One rung better (toward `Full`); saturates.
     pub fn promoted(self) -> LoadRung {
         match self {
-            LoadRung::Shedding => LoadRung::BroadcastOnly,
             LoadRung::BroadcastOnly => LoadRung::PrunedSearch,
             _ => LoadRung::Full,
         }
@@ -266,7 +252,7 @@ impl OverloadGovernor {
         }
 
         let mut transition = None;
-        if self.over_streak >= self.cfg.demote_after_slots && self.rung != LoadRung::Shedding {
+        if self.over_streak >= self.cfg.demote_after_slots && self.rung != LoadRung::BroadcastOnly {
             let from = self.rung;
             self.rung = self.rung.demoted();
             self.over_streak = 0;
@@ -320,7 +306,7 @@ impl OverloadGovernor {
             LoadRung::PrunedSearch => {
                 SearchBudget::pruned(self.cfg.pruned_min_level, self.cfg.pruned_max_ue_candidates)
             }
-            LoadRung::BroadcastOnly | LoadRung::Shedding => SearchBudget::broadcast_only(),
+            LoadRung::BroadcastOnly => SearchBudget::broadcast_only(),
         }
     }
 }
@@ -371,6 +357,19 @@ mod tests {
         Duration::from_micros(n)
     }
 
+    /// Feed `lat` against a 500 µs budget until a transition lands on the
+    /// rung named `until`.
+    fn run(g: &mut OverloadGovernor, slot: &mut u64, lat: Duration, until: &str) {
+        for _ in 0..10_000 {
+            let v = g.on_slot(*slot, lat, us(500));
+            *slot += 1;
+            if v.transition.is_some_and(|(_, to)| to.name() == until) {
+                return;
+            }
+        }
+        panic!("never reached {until}");
+    }
+
     #[test]
     fn budget_derives_from_numerology() {
         let g = OverloadGovernor::new(GovernorConfig::default());
@@ -414,15 +413,11 @@ mod tests {
         }
         assert_eq!(
             rungs,
-            vec![
-                LoadRung::PrunedSearch,
-                LoadRung::BroadcastOnly,
-                LoadRung::Shedding
-            ],
+            vec![LoadRung::PrunedSearch, LoadRung::BroadcastOnly],
             "one rung at a time, in order"
         );
-        assert_eq!(g.rung(), LoadRung::Shedding);
-        // Shedding is the floor: no further transition.
+        assert_eq!(g.rung(), LoadRung::BroadcastOnly);
+        // BroadcastOnly is the floor: no further transition.
         for s in 64..128 {
             assert_eq!(g.on_slot(s, us(2000), b).transition, None);
         }
@@ -453,7 +448,7 @@ mod tests {
         // out (the EWMA stays hot through each demotion, so degradation
         // keeps going until the floor).
         let mut slot = 0u64;
-        while g.rung() != LoadRung::Shedding {
+        while g.rung() != LoadRung::BroadcastOnly {
             g.on_slot(slot, us(2000), b);
             slot += 1;
             assert!(slot < 100, "ladder reaches the floor under overload");
@@ -464,8 +459,8 @@ mod tests {
         let mut promoted_at = None;
         for _ in 0..400 {
             if let Some((from, to)) = g.on_slot(slot, us(100), b).transition {
-                assert_eq!(from, LoadRung::Shedding);
-                assert_eq!(to, LoadRung::BroadcastOnly);
+                assert_eq!(from, LoadRung::BroadcastOnly);
+                assert_eq!(to, LoadRung::PrunedSearch);
                 promoted_at = Some(slot);
                 break;
             }
@@ -481,21 +476,14 @@ mod tests {
 
     #[test]
     fn flapping_backs_off_exponentially_and_decays() {
-        let mut g = OverloadGovernor::new(cfg());
+        // The climb off the floor is two promotions; a flap window shorter
+        // than the backed-off promotion run lets each take a decay step.
+        let mut g = OverloadGovernor::new(GovernorConfig {
+            flap_window_slots: 60,
+            ..cfg()
+        });
         let b = us(500);
         let mut slot = 0u64;
-        let run = |g: &mut OverloadGovernor, slot: &mut u64, lat: Duration, until: &str| {
-            for _ in 0..10_000 {
-                let v = g.on_slot(*slot, lat, b);
-                *slot += 1;
-                if let Some((_, to)) = v.transition {
-                    if to.name() == until {
-                        return;
-                    }
-                }
-            }
-            panic!("never reached {until}");
-        };
         // Demote to PrunedSearch, recover to Full (no flap yet).
         run(&mut g, &mut slot, us(2000), "pruned_search");
         run(&mut g, &mut slot, us(100), "full");
@@ -525,20 +513,7 @@ mod tests {
             flap_window_slots: 1_000,
             ..cfg()
         });
-        let b = us(500);
         let mut slot = 0u64;
-        let run = |g: &mut OverloadGovernor, slot: &mut u64, lat: Duration, until: &str| {
-            for _ in 0..10_000 {
-                let v = g.on_slot(*slot, lat, b);
-                *slot += 1;
-                if let Some((_, to)) = v.transition {
-                    if to.name() == until {
-                        return;
-                    }
-                }
-            }
-            panic!("never reached {until}");
-        };
         // Mild overload (600 µs against a 500 µs budget) so the EWMA
         // hangover after a demotion clears within a few calm slots and
         // each cycle takes exactly one demotion.
@@ -562,34 +537,22 @@ mod tests {
     #[test]
     fn calm_windows_decay_backoff_stepwise_across_promotions() {
         // A tighter flap window than the promotion runs it gates, so the
-        // climb out of Shedding (80 + 40 + 20 calm slots at backoff 2)
-        // qualifies every promotion for one decay step.
+        // climb off the floor (80 + 40 calm slots at backoff 2) qualifies
+        // every promotion for one decay step.
         let mut g = OverloadGovernor::new(GovernorConfig {
             flap_window_slots: 60,
             ..cfg()
         });
         let b = us(500);
         let mut slot = 0u64;
-        let run = |g: &mut OverloadGovernor, slot: &mut u64, lat: Duration, until: &str| {
-            for _ in 0..10_000 {
-                let v = g.on_slot(*slot, lat, b);
-                *slot += 1;
-                if let Some((_, to)) = v.transition {
-                    if to.name() == until {
-                        return;
-                    }
-                }
-            }
-            panic!("never reached {until}");
-        };
-        // Earn a backoff of 2 by flapping twice at the Broadcast/Shedding
+        // Earn a backoff of 2 by flapping twice at the Pruned/Broadcast
         // boundary (each demotion lands right after a promotion).
-        run(&mut g, &mut slot, us(600), "shedding");
-        run(&mut g, &mut slot, us(100), "broadcast_only");
-        run(&mut g, &mut slot, us(600), "shedding");
+        run(&mut g, &mut slot, us(600), "broadcast_only");
+        run(&mut g, &mut slot, us(100), "pruned_search");
+        run(&mut g, &mut slot, us(600), "broadcast_only");
         assert_eq!(g.backoff_exp(), 1);
-        run(&mut g, &mut slot, us(100), "broadcast_only");
-        run(&mut g, &mut slot, us(600), "shedding");
+        run(&mut g, &mut slot, us(100), "pruned_search");
+        run(&mut g, &mut slot, us(600), "broadcast_only");
         assert_eq!(g.backoff_exp(), 2);
         // Sustained calm: each promotion that lands more than a flap
         // window after the last demotion sheds one exponent step, so the
@@ -607,7 +570,7 @@ mod tests {
         }
         assert_eq!(
             exps,
-            vec![1, 0, 0],
+            vec![1, 0],
             "one decay step per calm promotion on the climb to Full"
         );
         assert_eq!(g.promotion_run(), 20, "fully recovered probe cadence");
@@ -622,8 +585,6 @@ mod tests {
         assert!(!budget.admits_ue(AggregationLevel::L1, 0));
         assert!(budget.admits_ue(AggregationLevel::L2, 0));
         g.force(Some(LoadRung::BroadcastOnly));
-        assert!(g.search_budget().skip_ue);
-        g.force(Some(LoadRung::Shedding));
         // Even at the floor the budget only skips UE decodes — the common
         // search space is never pruned by any rung.
         assert!(g.search_budget().skip_ue);

@@ -40,7 +40,9 @@ pub mod worker;
 /// metrics snapshots, scope configs, checkpoints, journal entries).
 /// Readers reject artefacts stamped with a *newer* version — their field
 /// semantics are unknowable — and accept older ones, relying on serde's
-/// missing-field errors to catch true incompatibilities.
+/// missing-field and shape errors to catch true incompatibilities: such
+/// an artefact is refused whole (a checkpoint from before the three-rung
+/// ladder has four `slots_at_rung` cells, so that session cold-starts).
 pub const SCHEMA_VERSION: u32 = 1;
 
 pub use chaos::{

@@ -62,8 +62,6 @@ pub enum Stage {
     RungPruned,
     /// Slot latency at the `BroadcastOnly` rung.
     RungBroadcast,
-    /// Slot latency at the `Shedding` rung.
-    RungShedding,
     /// Clock-lock reacquisition time (air time from leaving `Locked` to
     /// re-entering it), all governor rungs.
     ClockReacquire,
@@ -73,13 +71,11 @@ pub enum Stage {
     ClockReacquirePruned,
     /// Reacquisition time at the `BroadcastOnly` rung.
     ClockReacquireBroadcast,
-    /// Reacquisition time at the `Shedding` rung.
-    ClockReacquireShedding,
 }
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 17] = [
+    pub const ALL: [Stage; 15] = [
         Stage::Capture,
         Stage::Demod,
         Stage::PdcchSearch,
@@ -91,12 +87,10 @@ impl Stage {
         Stage::RungFull,
         Stage::RungPruned,
         Stage::RungBroadcast,
-        Stage::RungShedding,
         Stage::ClockReacquire,
         Stage::ClockReacquireFull,
         Stage::ClockReacquirePruned,
         Stage::ClockReacquireBroadcast,
-        Stage::ClockReacquireShedding,
     ];
 
     /// Stable snake_case name used in snapshots and JSON.
@@ -113,12 +107,10 @@ impl Stage {
             Stage::RungFull => "rung_full",
             Stage::RungPruned => "rung_pruned_search",
             Stage::RungBroadcast => "rung_broadcast_only",
-            Stage::RungShedding => "rung_shedding",
             Stage::ClockReacquire => "clock_reacquire",
             Stage::ClockReacquireFull => "clock_reacquire_full",
             Stage::ClockReacquirePruned => "clock_reacquire_pruned_search",
             Stage::ClockReacquireBroadcast => "clock_reacquire_broadcast_only",
-            Stage::ClockReacquireShedding => "clock_reacquire_shedding",
         }
     }
 }
@@ -307,7 +299,7 @@ pub enum Gauge {
     TrackedUes,
     /// Live worker threads.
     WorkersAlive,
-    /// Current load-governor rung (0 = Full … 3 = Shedding).
+    /// Current load-governor rung (0 = Full … 2 = BroadcastOnly).
     LoadRung,
     /// Ghost RNTIs currently held in the quarantine ledger.
     QuarantineSize,

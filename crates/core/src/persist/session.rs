@@ -24,8 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What recovery found and did — written as `RECOVERY_report.json` by the
-/// supervisor soak so CI can assert warm-restart invariants.
+/// What recovery found and did — a restarted child reports it in its
+/// [`Hello`](crate::supervise::Hello), a restarted fleet shard in its
+/// `ShardStatus`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecoveryReport {
     /// Serialisation schema version.

@@ -15,7 +15,7 @@ use crate::spare::{slot_data_res, spare_capacity_excluding, SpareShare, UeUsage}
 use crate::telemetry::TelemetryRecord;
 use crate::throughput::ThroughputEstimator;
 use crate::tracker::{Admission, UeTracker};
-use crate::worker::{JobPriority, PoolStats, SlotJob};
+use crate::worker::{JobPriority, SlotJob};
 use nr_phy::dci::{riv_decode, time_alloc, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::mcs::McsTable;
@@ -102,12 +102,6 @@ pub struct ScopeStats {
     pub rrc_skipped: u64,
     /// Slots the front end dropped (overflow or processing stall).
     pub dropped_slots: u64,
-    /// Jobs shed by the worker pool under backpressure (absorbed from
-    /// [`PoolStats`]).
-    pub shed_jobs: u64,
-    /// Worker panics survived by the pool supervisor (absorbed from
-    /// [`PoolStats`]).
-    pub worker_panics: u64,
     /// Slots whose sample layout matched no known carrier configuration.
     pub layout_mismatch_slots: u64,
     /// Transitions back to [`SyncState::Synced`] after degradation.
@@ -125,17 +119,8 @@ pub struct ScopeStats {
     /// PDCCH candidates the search budget refused a UE-specific pass.
     pub pruned_candidates: u64,
     /// Slots processed at each rung, indexed by [`LoadRung`] (Full,
-    /// PrunedSearch, BroadcastOnly, Shedding).
-    pub slots_at_rung: [u64; 4],
-    /// Workers abandoned by the pool watchdog (absorbed from
-    /// [`PoolStats`]).
-    pub worker_stalls: u64,
-    /// Workers still running when the shutdown join timed out (absorbed
-    /// from [`PoolStats`]).
-    pub stuck_workers: u64,
-    /// Data-priority jobs shed while broadcast jobs were protected
-    /// (absorbed from [`PoolStats`]).
-    pub priority_sheds: u64,
+    /// PrunedSearch, BroadcastOnly).
+    pub slots_at_rung: [u64; 3],
     /// Decode attempts abandoned on malformed state or content — counted
     /// here instead of panicking.
     pub decode_failures: u64,
@@ -184,7 +169,7 @@ pub struct NrScope {
     /// Pipeline metrics registry, shared with the observer / worker pool.
     metrics: Arc<Metrics>,
     /// Overload governor: slot-deadline tracking and the degradation
-    /// ladder (Full → PrunedSearch → BroadcastOnly → Shedding).
+    /// ladder (Full → PrunedSearch → BroadcastOnly).
     governor: OverloadGovernor,
     /// Deterministic per-slot cost model. When set, the governor is fed
     /// modelled latency derived from offered decode work instead of wall
@@ -672,16 +657,6 @@ impl NrScope {
         self.governor.search_budget()
     }
 
-    /// Fold the worker pool's lifetime counters into the session stats.
-    /// Call once, at teardown, with the pool's final numbers.
-    pub fn absorb_pool_stats(&mut self, pool: &PoolStats) {
-        self.stats.shed_jobs += pool.shed_jobs;
-        self.stats.worker_panics += pool.worker_panics;
-        self.stats.priority_sheds += pool.priority_sheds;
-        self.stats.worker_stalls += pool.worker_stalls;
-        self.stats.stuck_workers += pool.stuck_workers;
-    }
-
     /// Package an observed slot as a self-contained [`SlotJob`] snapshot
     /// of the session's current decoder state, ready for a
     /// [`crate::WorkerPool`] (the Fig 4 scheduler's "copy of data and
@@ -920,10 +895,8 @@ impl NrScope {
                 self.stats.resyncs += 1;
                 self.metrics.inc(Counter::Resyncs);
             }
-        } else if !matches!(rung, LoadRung::BroadcastOnly | LoadRung::Shedding)
-            && !self.clock_masks_sync()
-        {
-            // At BroadcastOnly and below, UE-pass silence is
+        } else if rung != LoadRung::BroadcastOnly && !self.clock_masks_sync() {
+            // At BroadcastOnly, UE-pass silence is
             // self-inflicted by the governor — feeding it to the sync
             // machine would declare a healthy cell lost and discard the
             // PCI. Broadcast decodes (SI/RA/TC) still reset the streak
@@ -1002,10 +975,7 @@ impl NrScope {
         // is unobservable — freezing expiry keeps C-RNTI knowledge intact
         // through an overload episode instead of discarding it for lack
         // of DCIs the sniffer chose not to decode.
-        let ue_blind = matches!(
-            self.governor.rung(),
-            LoadRung::BroadcastOnly | LoadRung::Shedding
-        );
+        let ue_blind = self.governor.rung() == LoadRung::BroadcastOnly;
         if !ue_blind {
             for (dead, last_active) in
                 self.tracker
@@ -1543,7 +1513,6 @@ fn rung_stage(rung: LoadRung) -> Stage {
         LoadRung::Full => Stage::RungFull,
         LoadRung::PrunedSearch => Stage::RungPruned,
         LoadRung::BroadcastOnly => Stage::RungBroadcast,
-        LoadRung::Shedding => Stage::RungShedding,
     }
 }
 
@@ -1554,7 +1523,6 @@ fn clock_reacquire_stage(rung: LoadRung) -> Stage {
         LoadRung::Full => Stage::ClockReacquireFull,
         LoadRung::PrunedSearch => Stage::ClockReacquirePruned,
         LoadRung::BroadcastOnly => Stage::ClockReacquireBroadcast,
-        LoadRung::Shedding => Stage::ClockReacquireShedding,
     }
 }
 

@@ -30,13 +30,13 @@ use crate::observe::{Capture, DropReason};
 use crate::persist::{FaultyBackend, PersistConfig, PersistentSession, RecoveryReport};
 use crate::scope::SyncState;
 use crate::telemetry::TelemetryRecord;
-use crossbeam::channel::{unbounded, Receiver, TryRecvError};
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,10 +51,6 @@ pub const CONFIG_FILE: &str = "scope_config.json";
 /// next newline — a runaway or corrupted child must not balloon the
 /// parent's memory.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
-
-/// Poll granularity of deadline-bounded reads (matches the worker pool's
-/// prioritised-recv poll).
-const RECV_POLL: Duration = Duration::from_micros(200);
 
 /// Bound on waiting for a finishing child to exit before the supervisor
 /// escalates to SIGKILL ([`ChildHandle::wait_timeout`]).
@@ -391,14 +387,52 @@ impl ChildChaos {
     }
 }
 
+/// Something the watermark rule can drive (a [`PersistentSession`], a
+/// fleet shard's engine): it knows the next slot it expects and processes
+/// exactly that slot's capture.
+pub trait SlotEngine {
+    /// The next slot to be processed.
+    fn slot_watermark(&self) -> u64;
+    /// Process the capture for slot [`SlotEngine::slot_watermark`],
+    /// advancing the watermark by one.
+    fn process_capture(&mut self, cap: &Capture) -> Vec<TelemetryRecord>;
+}
+
+impl SlotEngine for PersistentSession {
+    fn slot_watermark(&self) -> u64 {
+        self.scope().slot_watermark()
+    }
+    fn process_capture(&mut self, cap: &Capture) -> Vec<TelemetryRecord> {
+        PersistentSession::process_capture(self, cap)
+    }
+}
+
+/// The watermark rule — the one place a restarted engine meets a live
+/// feed, shared by [`run_child`] and the fleet's shards. A `seq` below
+/// the watermark was already processed (and journalled) by a previous
+/// incarnation: `None`, nothing reprocessed, so its bytes are never
+/// counted twice. A `seq` above it gap-fills the missed slots as
+/// [`DropReason::Stall`] drops (the engine was down while the air
+/// interface kept moving) — `on_gap_slot(engine, n)` runs after the n-th
+/// drop so a deep fill can prove liveness — then processes `capture`.
+pub fn feed_at_watermark<E: SlotEngine>(
+    engine: &mut E,
+    seq: u64,
+    capture: &Capture,
+    mut on_gap_slot: impl FnMut(&E, u64),
+) -> Option<Vec<TelemetryRecord>> {
+    let gap = seq.checked_sub(engine.slot_watermark())?;
+    for filled in 1..=gap {
+        engine.process_capture(&Capture::Dropped(DropReason::Stall));
+        on_gap_slot(engine, filled);
+    }
+    Some(engine.process_capture(capture))
+}
+
 /// Child main loop: recover the session from `dir`, announce [`Hello`],
-/// then process [`WireMsg`] lines from stdin until `Finish` or EOF.
-///
-/// Replay safety: a `Slot` whose `seq` is below the watermark was already
-/// processed and journalled by a previous incarnation — it is acknowledged
-/// without reprocessing, so its bytes are never counted twice. A `seq`
-/// above the watermark gap-fills the missed slots as dropped captures
-/// (the child was dead while the air interface kept moving).
+/// then process [`WireMsg`] lines from stdin until `Finish` or EOF, each
+/// `Slot` through [`feed_at_watermark`] (a replayed slot is acknowledged
+/// without reprocessing).
 ///
 /// If the session directory holds a [`ChaosChildPlan`]
 /// ([`CHAOS_PLAN_FILE`]), its scripted hangs, overload dwell, and storage
@@ -446,29 +480,20 @@ pub fn run_child(dir: &Path, assumed_pci: Option<Pci>) -> io::Result<()> {
                 if let Some(c) = chaos.as_mut() {
                     apply_child_chaos(c, seq, &mut session, &mut io)?;
                 }
-                let mut produced: Vec<TelemetryRecord> = Vec::new();
-                if seq >= session.scope().slot_watermark() {
-                    let mut filled = 0u64;
-                    while session.scope().slot_watermark() < seq {
-                        session.process_capture(&Capture::Dropped(DropReason::Stall));
-                        filled += 1;
-                        if filled.is_multiple_of(256) {
-                            // Deep gap-fill after a long outage: prove
-                            // liveness so the parent doesn't read hard
-                            // work as a hang.
-                            io.heartbeat_if_due(
-                                session.scope().slot_watermark(),
-                                session.durable_watermark(),
-                            )?;
-                        }
+                // Deep gap-fill after a long outage: prove liveness every
+                // 256 drops so the parent doesn't read hard work as a hang.
+                let mut beat = Ok(());
+                let produced = feed_at_watermark(&mut session, seq, &capture, |s, filled| {
+                    if filled.is_multiple_of(256) && beat.is_ok() {
+                        beat = io.heartbeat_if_due(s.slot_watermark(), s.durable_watermark());
                     }
-                    produced = session.process_capture(&capture);
-                }
+                });
+                beat?;
                 let ack = Ack {
                     seq,
                     watermark: session.scope().slot_watermark(),
                     sync: session.scope().sync_state(),
-                    produced: produced.len() as u64,
+                    produced: produced.map_or(0, |p| p.len() as u64),
                     tracked: session.scope().tracked_rntis(),
                     durable: session.durable_watermark(),
                     durability_rung: session.durability_rung() as u8,
@@ -599,7 +624,7 @@ impl ChildHandle {
         let mut child = cmd.spawn()?;
         let stdin = child.stdin.take().expect("piped child stdin");
         let mut stdout = child.stdout.take().expect("piped child stdout");
-        let (tx, rx) = unbounded::<Frame>();
+        let (tx, rx) = channel::<Frame>();
         let wire_errors = Arc::new(AtomicU64::new(0));
         let errs = Arc::clone(&wire_errors);
         let reader = crate::worker::spawn_background("supervise-reader", move || {
@@ -660,16 +685,12 @@ impl ChildHandle {
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<ChildMsg>> {
         let deadline = Instant::now() + timeout;
         loop {
-            match self.frames.try_recv() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.frames.recv_timeout(left) {
                 Ok(Frame::Msg(m)) => return Ok(Some(*m)),
                 Ok(Frame::Err(_)) => continue,
-                Err(TryRecvError::Disconnected) => return Err(eof_error()),
-                Err(TryRecvError::Empty) => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(RECV_POLL);
-                }
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => return Err(eof_error()),
             }
         }
     }
@@ -774,8 +795,7 @@ pub struct RestartBreaker {
 }
 
 impl RestartBreaker {
-    /// A closed breaker with a full bucket. `capacity == 0` disables the
-    /// breaker (every acquire is granted).
+    /// A closed breaker with a full bucket.
     pub fn new(capacity: u32, window_slots: u64, halfopen_after: u64) -> RestartBreaker {
         RestartBreaker {
             capacity,
@@ -802,9 +822,6 @@ impl RestartBreaker {
     /// reads [`BreakerState::HalfOpen`] is the probe — report its outcome
     /// through [`RestartBreaker::probe_result`].
     pub fn try_acquire(&mut self, now: u64) -> bool {
-        if self.capacity == 0 {
-            return true;
-        }
         match self.state {
             BreakerState::Closed => {
                 self.refill(now);
@@ -961,7 +978,6 @@ pub struct Supervisor {
     death_cause: RestartCause,
     last_ack: Option<Ack>,
     restart_log: Vec<RestartEvent>,
-    lame_duck_noted: bool,
 }
 
 impl Supervisor {
@@ -992,7 +1008,6 @@ impl Supervisor {
             death_cause: RestartCause::Initial,
             last_ack: None,
             restart_log: Vec::new(),
-            lame_duck_noted: false,
         }
     }
 
@@ -1212,7 +1227,6 @@ impl Supervisor {
                         self.cfg.restart_budget, self.cfg.restart_budget_window_slots
                     ),
                 );
-                self.lame_duck_noted = true;
             }
             return false;
         }
@@ -1221,13 +1235,12 @@ impl Supervisor {
         {
             Ok((handle, hello)) => {
                 self.breaker.probe_result(true, seq);
-                if self.lame_duck_noted {
+                if probing {
                     self.metrics.gauge_set(Gauge::RestartBreakerOpen, 0);
                     self.metrics.note(
                         "restart_breaker",
                         format!("half-open probe at slot {seq} succeeded; closed"),
                     );
-                    self.lame_duck_noted = false;
                 }
                 self.child = Some(handle);
                 self.stats.restarts_total += 1;
@@ -1384,15 +1397,6 @@ mod tests {
         // 100 slots later the full budget is back.
         assert!(b.try_acquire(100));
         assert!(b.try_acquire(100));
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn zero_capacity_disables_breaker() {
-        let mut b = RestartBreaker::new(0, 100, 50);
-        for i in 0..1_000 {
-            assert!(b.try_acquire(i));
-        }
         assert_eq!(b.state(), BreakerState::Closed);
     }
 }

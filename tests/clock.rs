@@ -106,7 +106,7 @@ fn twenty_ppm_oscillator_locks_and_keeps_decode_parity() {
     };
     let ratio = dcis(&scope) as f64 / dcis(&base) as f64;
     assert!(
-        (0.88..=1.02).contains(&ratio),
+        nr_scope::analytics::parity_ok(ratio),
         "decode parity ratio {ratio:.3}"
     );
     assert!(scope.stats.timing_slips > 0, "drift forced sample slips");

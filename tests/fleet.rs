@@ -64,12 +64,16 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Feed both lanes with pacing, injecting `fault` on shard 0 at
-/// `fault_at`, then drive supervision until both shards are healthy and
-/// drained.
-fn run_fleet_with_fault(fleet: &Fleet, lanes: &[Vec<Capture>], fault_at: u64, fault: FaultPlan) {
-    let slots = lanes[0].len() as u64;
-    for s in 0..slots {
+/// Feed `range` of both lanes with pacing, injecting `fault` on shard 0
+/// at `fault_at`, and wait for the queues to drain.
+fn feed_slots(
+    fleet: &Fleet,
+    lanes: &[Vec<Capture>],
+    range: std::ops::Range<u64>,
+    fault_at: u64,
+    fault: FaultPlan,
+) {
+    for s in range {
         if s == fault_at {
             fleet.inject_fault(0, fault);
         }
@@ -85,6 +89,13 @@ fn run_fleet_with_fault(fleet: &Fleet, lanes: &[Vec<Capture>], fault_at: u64, fa
         }
     }
     assert!(fleet.quiesce(Duration::from_secs(30)), "fleet drained");
+}
+
+/// Feed both lanes with pacing, injecting `fault` on shard 0 at
+/// `fault_at`, then drive supervision until both shards are healthy and
+/// drained.
+fn run_fleet_with_fault(fleet: &Fleet, lanes: &[Vec<Capture>], fault_at: u64, fault: FaultPlan) {
+    feed_slots(fleet, lanes, 0..lanes[0].len() as u64, fault_at, fault);
     let deadline = Instant::now() + Duration::from_secs(30);
     while Instant::now() < deadline {
         fleet.supervise();
@@ -149,7 +160,6 @@ fn killed_shard_warm_restarts_while_sibling_is_bit_identical() {
         FleetConfig {
             workers: 2,
             shard_queue_depth: 512,
-            restart_backoff_ms: 2,
             ..FleetConfig::default()
         },
         specs,
@@ -209,7 +219,6 @@ fn wedged_shard_is_fenced_and_resumes_at_exact_slot() {
             // descheduled for a few tens of ms from being fenced too. The
             // stall stays 5x the watchdog.
             watchdog_ms: 250,
-            restart_backoff_ms: 2,
             ..FleetConfig::default()
         },
         specs,
@@ -311,10 +320,11 @@ fn cross_cell_handover_is_one_user_in_the_rollup() {
 }
 
 /// A shard whose disk dies is durability-degraded, not restart-looped:
-/// once the restart backoff is exhausted and the durable rebuild still
-/// fails, the supervisor adopts a volatile engine at the queue front —
-/// decode continues, the shard reports Healthy, and the rollup says
-/// `non_durable` with an unbounded loss window instead of lying.
+/// the failing durable rebuilds drain the restart budget, the breaker
+/// opens, and the supervisor parks the shard on a volatile engine at the
+/// queue front — decode continues, the shard reports Healthy, and the
+/// rollup says `non_durable` with an unbounded loss window instead of
+/// lying.
 #[test]
 fn dead_disk_shard_degrades_to_volatile_instead_of_restart_looping() {
     use nr_scope::scope::persist::{FaultKind, FaultyBackend, StorageFaultSchedule};
@@ -347,8 +357,6 @@ fn dead_disk_shard_degrades_to_volatile_instead_of_restart_looping() {
         FleetConfig {
             workers: 2,
             shard_queue_depth: 512,
-            restart_backoff_ms: 2,
-            max_restart_backoff_exp: 2, // exhaust quickly: test, not production
             ..FleetConfig::default()
         },
         specs,
@@ -370,6 +378,12 @@ fn dead_disk_shard_degrades_to_volatile_instead_of_restart_looping() {
     fleet
         .with_scope(0, |scope| {
             assert_eq!(scope.slot_watermark(), slots, "decode caught up fully");
+            // The fallback says *why* it is volatile: the rebuild's I/O
+            // error, not just "budget exhausted".
+            let m = scope.metrics().snapshot();
+            assert_eq!(m.counter("storage_demotions"), Some(1));
+            assert!(m.note("storage_demotion").is_some(), "rebuild error kept");
+            assert!(m.note("restart_breaker").is_some());
         })
         .expect("volatile fallback engine live");
 
@@ -385,6 +399,107 @@ fn dead_disk_shard_degrades_to_volatile_instead_of_restart_looping() {
         snap.cells[1].loss_window_slots.is_some(),
         "healthy sibling still promises a bounded window"
     );
+
+    assert_sibling_untouched(&fleet, &cells, &lanes);
+    fleet.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The way back from the lame-duck fallback: once the disk works again
+/// and the feed passes `breaker_halfopen_after_slots`, the half-open probe
+/// rebuilds the *durable* engine at its journalled watermark and the
+/// breaker closes — the shard is durable again, not volatile for good.
+#[test]
+fn dead_disk_shard_is_probed_back_to_durable_once_the_disk_returns() {
+    use nr_scope::scope::persist::{FaultKind, FaultyBackend, StorageFaultSchedule};
+    use nr_scope::scope::supervise::BreakerState;
+    use std::sync::Arc;
+
+    const PANIC_AT: u64 = 600;
+    // Late enough that a half-open probe has already met the dead disk.
+    const DISK_BACK_AT: u64 = 1800;
+    let slots = 3000u64;
+    let (cells, lanes) = two_lane_captures(slots, 8);
+    let dir = temp_dir("disk-back");
+    let backend = FaultyBackend::new(StorageFaultSchedule::new(12));
+    let mut scope_cfg = ScopeConfig::default();
+    scope_cfg.supervise.breaker_halfopen_after_slots = 500;
+    let specs = cells
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let cfg = PersistConfig {
+                checkpoint_every_slots: 10_000,
+                ..PersistConfig::new(dir.join(format!("shard{i}")))
+            };
+            let cfg = if i == 0 {
+                cfg.with_backend(Arc::new(backend.clone()))
+            } else {
+                cfg
+            };
+            ShardSpec::durable(format!("cell{i}"), Some(c.pci), scope_cfg, cfg)
+        })
+        .collect();
+    let fleet = Fleet::new(
+        FleetConfig {
+            workers: 2,
+            shard_queue_depth: 512,
+            ..FleetConfig::default()
+        },
+        specs,
+    )
+    .expect("fleet");
+    let panic = FaultPlan::OneShot(InjectedFault::Panic);
+
+    // The disk dies; the panic's durable rebuilds all fail, the budget
+    // drains, and the shard is parked on the volatile fallback.
+    backend.arm(FaultKind::OpenFail, backend.opens()..u64::MAX);
+    feed_slots(&fleet, &lanes, 0..DISK_BACK_AT, PANIC_AT, panic);
+    let status = fleet.shard_status(0);
+    assert_eq!(status.breaker, BreakerState::Open, "parked lame-duck");
+    assert_eq!(status.health, ShardHealth::Healthy, "degraded, not faulted");
+    let snap = fleet.rollup();
+    assert_eq!(snap.cells[0].durability, "non_durable");
+    assert_eq!(snap.cells[0].loss_window_slots, None);
+    assert_eq!(snap.breaker_open_cells, 1);
+    let probe_note = fleet.with_scope(0, |scope| {
+        let m = scope.metrics().snapshot();
+        m.note("restart_breaker").map(str::to_owned)
+    });
+    assert!(
+        probe_note
+            .flatten()
+            .is_some_and(|n| n.starts_with("half-open probe failed")),
+        "a failed probe says so on the serving fallback"
+    );
+
+    // The disk comes back; the feed carries the breaker's slot clock past
+    // the half-open backoff and the probe rebuild succeeds.
+    backend.clear_faults();
+    feed_slots(&fleet, &lanes, DISK_BACK_AT..slots, PANIC_AT, panic);
+    let status = fleet.shard_status(0);
+    assert_eq!(status.breaker, BreakerState::Closed, "probe closed it");
+    let recovery = status.last_recovery.expect("durable engine recovered");
+    assert!(recovery.resumed, "from its own checkpoint + journal");
+    assert!(
+        recovery.resumed_slot <= PANIC_AT + 1,
+        "at the journalled watermark, not the fallback's position"
+    );
+    fleet
+        .with_scope(0, |scope| {
+            assert_eq!(scope.slot_watermark(), slots, "gap-filled and caught up");
+            assert!(
+                scope.stats.dropped_slots >= 500,
+                "the lame-duck stretch is accounted as drops, never replayed"
+            );
+        })
+        .expect("durable engine live");
+    let snap = fleet.rollup();
+    assert_eq!(snap.cells[0].durability, "durable");
+    assert!(snap.cells[0].loss_window_slots.is_some());
+    assert_eq!(snap.cells[0].breaker, "closed");
+    assert_eq!(snap.durability_degraded_cells, 0);
+    assert_eq!(snap.breaker_open_cells, 0);
 
     assert_sibling_untouched(&fleet, &cells, &lanes);
     fleet.finish();

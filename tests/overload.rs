@@ -71,9 +71,7 @@ fn moderate_load() -> LoadModel {
 }
 
 /// Spiked per-hypothesis cost: PrunedSearch converges to ~660 µs — over
-/// budget, but not so hot that the EWMA is still over budget for
-/// `demote_after_slots` after the demotion (that would cascade past
-/// BroadcastOnly to Shedding).
+/// budget, so only BroadcastOnly (the floor) fits.
 fn spiked_load() -> LoadModel {
     LoadModel {
         per_ue_hypothesis: Duration::from_micros(39),
@@ -279,10 +277,7 @@ fn outage_while_blind_degrades_sync_but_recovery_composes() {
         let cap = obs.capture(&out, s as f64 * slot_s);
         scope.process_capture(&cap);
         if s == 1490 {
-            saw_blind_before_outage = matches!(
-                scope.load_rung(),
-                LoadRung::BroadcastOnly | LoadRung::Shedding
-            );
+            saw_blind_before_outage = scope.load_rung() == LoadRung::BroadcastOnly;
         }
         if s == 1655 {
             saw_degraded_during_outage = scope.sync_state() != SyncState::Synced;

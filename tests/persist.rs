@@ -77,10 +77,6 @@ fn comparable_session_state(state: &nr_scope::scope::persist::SessionState) -> S
     s.stats.rung_demotions = 0;
     s.stats.rung_promotions = 0;
     s.stats.slots_at_rung = Default::default();
-    s.stats.worker_stalls = 0;
-    s.stats.stuck_workers = 0;
-    s.stats.shed_jobs = 0;
-    s.stats.priority_sheds = 0;
     s.stats.pruned_candidates = 0;
     format!(
         "slot={} cell={} sync={} streak={} stats={} tracker={} throughput={}",
@@ -588,6 +584,77 @@ fn text_format_journal_and_snapshot_are_foreign_bytes() {
     );
     assert!(recovered.tracked_rntis().is_empty());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpoint fixture re-encoded field by field, with `extra` cells
+/// appended to `ScopeStats::slots_at_rung` (0 = the same image again).
+fn checkpoint_with_rung_cells(extra: usize) -> Vec<u8> {
+    use nr_scope::scope::binfmt::{get_content, get_varint, put_content, put_varint};
+    use serde::Content;
+
+    let (bytes, _) = checkpoint_fixture();
+    let old = &bytes[30..]; // past the header
+    let mut pos = 0;
+    let n = get_varint(old, &mut pos).unwrap();
+    let mut payload = Vec::new();
+    put_varint(&mut payload, n);
+    let mut reshaped = 0;
+    for _ in 0..n {
+        let id = old[pos];
+        pos += 1;
+        let len = get_varint(old, &mut pos).unwrap() as usize;
+        let mut field = old[pos..pos + len].to_vec();
+        pos += len;
+        if let Some(Content::Map(mut map)) = get_content(&field, &mut 0) {
+            let cells = map.iter_mut().find(|(k, _)| k == "slots_at_rung");
+            if let Some((_, Content::Seq(cells))) = cells {
+                cells.extend(std::iter::repeat_n(Content::U64(0), extra));
+                field.clear();
+                put_content(&mut field, &Content::Map(map));
+                reshaped += 1;
+            }
+        }
+        payload.push(id);
+        put_varint(&mut payload, field.len() as u64);
+        payload.extend_from_slice(&field);
+    }
+    assert_eq!(
+        reshaped, 1,
+        "exactly the stats field carries the ladder cells"
+    );
+    // Header: magic, [version, kind, slot, base] under the CRC, length, CRC.
+    let mut image = bytes[..22].to_vec();
+    image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    image.extend_from_slice(&crc32(&[&bytes[4..22], &payload[..]].concat()).to_le_bytes());
+    image.extend_from_slice(&payload);
+    image
+}
+
+/// A checkpoint written before the overload ladder lost its fourth rung
+/// carries four `slots_at_rung` cells and no longer matches `ScopeStats`.
+/// A session restarted across that upgrade must refuse it whole — never
+/// half-restore it, never panic — and cold-start.
+#[test]
+fn four_rung_checkpoint_is_refused_whole_and_recovery_cold_starts() {
+    let (_, slot) = checkpoint_fixture();
+    for (extra, resumes) in [(0, true), (1, false)] {
+        let dir = tmp_dir("four-rung-ckpt");
+        let store = SessionStore::new(&dir).unwrap();
+        let image = checkpoint_with_rung_cells(extra);
+        std::fs::write(dir.join(format!("ckpt-{slot:012}.snap")), image).unwrap();
+        let (recovered, report) = store.recover(ScopeConfig::default(), None);
+        if resumes {
+            // Control: the re-encoding itself is faithful.
+            assert_eq!(recovered.slot_watermark(), *slot);
+            assert_eq!(report.corrupt_checkpoints_skipped, 0);
+        } else {
+            assert_eq!(recovered.slot_watermark(), 0, "cold start");
+            assert_eq!(report.snapshot_slot, None);
+            assert_eq!(report.corrupt_checkpoints_skipped, 1);
+            assert!(recovered.tracked_rntis().is_empty());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Persistence × untrusted-air composition: the stage-2 admission state
