@@ -13,7 +13,7 @@
 //! 3. **kill9** — the kill-restart soak: only the two `kill -9`s armed, so
 //!    the warm restart itself is what is measured — every UE tracked
 //!    before a kill is tracked after the respawn, and the child is
-//!    `Synced` again within [`RESYNC_BOUND`] slots ([`WarmRestartMonitor`]).
+//!    `Synced` again within [`RESYNC_BOUND`] slots ([`warm_restart_monitor`]).
 //! 4. **fleet** — a three-shard fleet with a scripted shard hang (a
 //!    pathological in-flight delay) that the watchdog must fence without
 //!    starving the sibling shards (the bulkhead-isolation monitor).
@@ -34,8 +34,8 @@ use nr_mac::RoundRobin;
 use nr_phy::channel::ChannelProfile;
 use nr_phy::types::{Pci, Rnti};
 use nrscope::chaos::{
-    drive_supervised, monitor_statuses, ranges_of, standard_monitors, BulkheadIsolationMonitor,
-    ChaosArms, ChaosObs, ChaosSchedule, DriveStats, InvariantMonitor, MonitorStatus, Violation,
+    bulkhead_isolation, drive_supervised, monitor_statuses, ranges_of, standard_monitors,
+    ChaosArms, ChaosSchedule, DriveStats, Monitor, MonitorStatus,
 };
 use nrscope::observe::Observer;
 use nrscope::supervise::{self, RestartCause, SlotOutcome, Supervisor};
@@ -95,52 +95,34 @@ fn build_gnb(cell: &CellConfig, n_ues: u64, seed: u64) -> Gnb {
 /// The kill-only leg's own checks, the two no other gate makes: every UE
 /// tracked before a kill is tracked on the respawned child's first ack,
 /// and the child reports `Synced` within [`RESYNC_BOUND`] slots of it.
-#[derive(Default)]
-struct WarmRestartMonitor {
-    /// Tracked set of the latest ack.
-    tracked: Vec<Rnti>,
-    /// A slot went unacked since then (the child was down).
-    down: bool,
-    /// First ack after a respawn, until an ack reports `Synced`.
-    resync_from: Option<u64>,
-    violation: Option<Violation>,
-}
-
-impl InvariantMonitor for WarmRestartMonitor {
-    fn name(&self) -> &'static str {
-        "warm_restart"
-    }
-
-    fn on_slot(&mut self, obs: &ChaosObs) {
+fn warm_restart_monitor() -> Monitor {
+    // Tracked set of the latest ack.
+    let mut tracked: Vec<Rnti> = Vec::new();
+    // Spawns as of the latest ack: a higher count on this one makes it a
+    // respawned child's first (a killed child is respawned on the slot
+    // that finds it dead, so no slot need go unacked in between).
+    let mut spawns = 1;
+    // First ack after a respawn, until an ack reports `Synced`.
+    let mut resync_from: Option<u64> = None;
+    Monitor::over_slots("warm_restart", move |obs| {
         let SlotOutcome::Acked(ack) = obs.outcome else {
-            self.down = true;
-            return;
+            return None;
         };
         let mut breach = None;
-        if std::mem::take(&mut self.down) {
-            self.resync_from = Some(obs.slot);
-            if let Some(gone) = self.tracked.iter().find(|r| !ack.tracked.contains(r)) {
+        if std::mem::replace(&mut spawns, obs.spawns) < obs.spawns {
+            resync_from = Some(obs.slot);
+            if let Some(gone) = tracked.iter().find(|r| !ack.tracked.contains(r)) {
                 breach = Some(format!("UE {gone} tracked before the kill, not after"));
             }
         }
         if ack.sync == SyncState::Synced {
-            self.resync_from = None;
-        } else if self
-            .resync_from
-            .is_some_and(|from| obs.slot - from > RESYNC_BOUND)
-        {
+            resync_from = None;
+        } else if resync_from.is_some_and(|from| obs.slot - from > RESYNC_BOUND) {
             breach = Some(format!("not Synced {RESYNC_BOUND} slots after the respawn"));
         }
-        if let Some(context) = breach {
-            let slot = obs.slot;
-            self.violation.get_or_insert(Violation { slot, context });
-        }
-        self.tracked.clone_from(&ack.tracked);
-    }
-
-    fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
-    }
+        tracked.clone_from(&ack.tracked);
+        breach
+    })
 }
 
 /// One supervised leg's columns in the artefact (baseline, chaos and
@@ -197,7 +179,7 @@ fn supervised_leg(
     name: &'static str,
     short: bool,
     schedule: &ChaosSchedule,
-    mut monitors: Vec<Box<dyn InvariantMonitor>>,
+    mut monitors: Vec<Monitor>,
     ghosts: Vec<Rnti>,
 ) -> Phase<Leg> {
     let cell = CellConfig::srsran_n41();
@@ -228,6 +210,7 @@ fn supervised_leg(
     let hostile = HostileConfig::seeded(schedule.seed);
     let hostile_windows = schedule.hostile_windows.clone();
     let slot_s = cell.slot_s();
+    let sample_rate_hz = cell.sample_rate_hz();
     // The timing-recovery loop is front-end-local: the parent owns the
     // radio, so the parent closes the loop (exactly as a real SDR host
     // would) — the child receives already-corrected captures.
@@ -270,7 +253,7 @@ fn supervised_leg(
         let out = gnb.step();
         let cap = obs.capture(&out, seq as f64 * slot_s);
         if let Some(cobs) = obs.take_clock_observable() {
-            recovery.on_slot(&cobs);
+            recovery.on_slot(&cobs, sample_rate_hz);
             obs.apply_clock_correction(recovery.correction_us(), recovery.correction_cfo_hz());
         }
         cap
@@ -413,7 +396,7 @@ fn fleet_leg(short: bool) -> Phase<FleetLeg> {
         })
         .collect();
 
-    let mut monitor = BulkheadIsolationMonitor::new(512);
+    let mut monitor = bulkhead_isolation(512);
     let slot_s = cell.slot_s();
     for seq in 0..slots {
         for &(shard, at, dur_ms) in &shard_hangs {
@@ -447,8 +430,7 @@ fn fleet_leg(short: bool) -> Phase<FleetLeg> {
     let breaker_open_cells = snap.breaker_open_cells;
     fleet.finish();
 
-    let monitors: Vec<Box<dyn InvariantMonitor>> = vec![Box::new(monitor)];
-    let statuses = monitor_statuses(&monitors);
+    let statuses = monitor_statuses(&[monitor]);
     let monitors_green = statuses.iter().all(|m| m.ok);
     let ok = monitors_green
         && !shard_hangs.is_empty()
@@ -560,7 +542,7 @@ fn main() -> ExitCode {
     });
     let kill9 = gate.run("kill9", || {
         let mut monitors = standard_monitors(Vec::new());
-        monitors.push(Box::new(WarmRestartMonitor::default()));
+        monitors.push(warm_restart_monitor());
         supervised_leg("kill9", short, &kill_schedule, monitors, Vec::new())
     });
     gate.run("fleet", || fleet_leg(short));

@@ -181,7 +181,7 @@ fn clean_disk_phase(cell: &CellConfig, slots: u64) -> Phase<Cols> {
 /// absorb it with retries — no demotion — and climb back to `Durable`.
 fn transient_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> {
     let dir = scratch_dir("durafault", "transient");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(21));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let mut session = open_session(&dir, cell, Some(&backend), StoragePolicy::default());
     let mut feed = Feed::new(cell, slots * 2, 13);
     // Warm up to just past a checkpoint boundary, so the next few write
@@ -224,7 +224,7 @@ fn transient_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> 
 /// full speed, and report its loss window as unbounded.
 fn dead_disk_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> {
     let dir = scratch_dir("durafault", "dead-disk");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(22));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let mut session = open_session(&dir, cell, Some(&backend), StoragePolicy::default());
     let mut feed = Feed::new(cell, slots * 8, 14);
     feed.drive(&mut session, slots / 4);
@@ -269,7 +269,7 @@ fn dead_disk_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> 
 /// prune, retry into the reclaimed space, and never demote.
 fn disk_full_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> {
     let dir = scratch_dir("durafault", "disk-full");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(23));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let mut session = open_session(&dir, cell, Some(&backend), StoragePolicy::default());
     let mut feed = Feed::new(cell, slots * 2, 15);
     // Past at least one checkpoint cadence (something to prune), landing
@@ -309,7 +309,7 @@ fn disk_full_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> 
 /// than the loss window the session was reporting at the kill.
 fn recovery_phase(cell: &CellConfig, slots: u64, base_sps: f64) -> Phase<Cols> {
     let dir = scratch_dir("durafault", "recovery");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(24));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let policy = StoragePolicy {
         reprobe_interval_slots: 256, // probe quickly: bench, not production
     };

@@ -3,9 +3,7 @@
 //!
 //! The computation is the paper's §5.3.2 `O(n log n + m)`: per-slot
 //! FFT/demodulation plus per-known-UE DCI decoding. Run at IQ fidelity so
-//! both terms are real work. Also exercises the `--decode-rrc-always`
-//! ablation (DESIGN.md): the cost of re-decoding the RRC Setup PDSCH for
-//! every discovered UE instead of using the cache.
+//! both terms are real work.
 
 use gnb_sim::CellConfig;
 use nr_phy::dci::DciSizing;

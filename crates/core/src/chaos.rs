@@ -1,8 +1,8 @@
 //! Composed-chaos engine: one seeded schedule arms any subset of the
 //! repo's fault classes — impairments × overload × storage faults ×
 //! clock drift × hostile air × kill-9 × hangs — over a single timeline,
-//! while [`InvariantMonitor`]s evaluate the system's promises
-//! continuously and record the first slot at which one breaks.
+//! while [`Monitor`]s evaluate the system's promises continuously and
+//! record the first slot at which one breaks.
 //!
 //! PRs 1–9 injected and gated each fault class in isolation; production
 //! failures compose. The pieces here are deliberately split by trust
@@ -18,9 +18,9 @@
 //!   [`run_child`](crate::supervise::run_child). Parent-side faults
 //!   (kill-9, hostile air, impairments, clock) never go in the plan —
 //!   the child must not know when it is about to be shot.
-//! - [`InvariantMonitor`]s watch the supervised pipe traffic
-//!   ([`ChaosObs`]) and fleet rollups, flagging the first violation with
-//!   slot + context instead of a bare boolean.
+//! - [`Monitor`]s are named predicates over the supervised pipe traffic
+//!   ([`ChaosObs`]) or fleet rollups behind one shared latch, flagging the
+//!   first violation with slot + context instead of a bare boolean.
 //! - [`drive_supervised`] is the parent-side soak loop: it feeds a
 //!   capture source through a [`Supervisor`], fires scripted kills,
 //!   times hang detection, and keeps the honest per-slot book of which
@@ -171,8 +171,6 @@ pub struct OverloadWindow {
 /// run already passed never re-fire after a warm restart.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChaosChildPlan {
-    /// Seed for the child's [`FaultyBackend`](crate::persist::FaultyBackend).
-    pub seed: u64,
     /// Scripted hangs (only [`HangTarget::SlotLoop`] and
     /// [`HangTarget::JournalWriter`] are meaningful child-side).
     pub hangs: Vec<HangPoint>,
@@ -362,7 +360,6 @@ impl ChaosSchedule {
     /// faults).
     pub fn child_plan(&self) -> ChaosChildPlan {
         ChaosChildPlan {
-            seed: self.seed,
             hangs: self
                 .hangs
                 .hangs
@@ -431,24 +428,25 @@ pub struct ChaosObs<'a> {
     pub ghosts: &'a [Rnti],
     /// What happened to the slot.
     pub outcome: &'a SlotOutcome,
+    /// Children spawned so far, this slot's respawn included: a rise is
+    /// the restart edge, whatever brought the last child down.
+    pub spawns: usize,
 }
 
-/// A continuously evaluated invariant. Implementations latch the *first*
-/// violation ([`Violation`]) and ignore everything after — the first
-/// broken slot is the debuggable one.
-pub trait InvariantMonitor {
-    /// Stable snake_case monitor name for reports.
-    fn name(&self) -> &'static str;
-    /// Observe one supervised slot. Default: not interested.
-    fn on_slot(&mut self, _obs: &ChaosObs) {}
-    /// Observe one fleet rollup (fleet-leg monitors). Default: not
-    /// interested.
-    fn on_fleet(&mut self, _slot: u64, _snap: &FleetSnapshot) {}
-    /// The latched first violation, if any.
-    fn violation(&self) -> Option<&Violation>;
+/// The condition a [`Monitor`] evaluates: a function of the event (and
+/// whatever the closure remembers of earlier ones) returning the context
+/// of a breach, `None` while the invariant holds.
+enum Predicate {
+    /// Shown every supervised slot.
+    Slot(Box<SlotPredicate>),
+    /// Shown every fleet rollup (the slot it was taken at, the rollup).
+    Fleet(Box<RollupPredicate>),
 }
+type SlotPredicate = dyn FnMut(&ChaosObs) -> Option<String>;
+type RollupPredicate = dyn FnMut(u64, &FleetSnapshot) -> Option<String>;
 
-/// Final per-monitor status for reports.
+/// Final per-monitor status for reports, and the one latch while the
+/// monitor runs.
 #[derive(Debug, Clone, Serialize)]
 pub struct MonitorStatus {
     /// Monitor name.
@@ -459,78 +457,100 @@ pub struct MonitorStatus {
     pub violation: Option<Violation>,
 }
 
+/// A continuously evaluated invariant: its report row and a predicate.
+/// The row is the latch — the *first* violation is kept and the predicate
+/// is not consulted again, because the first broken slot is the
+/// debuggable one.
+pub struct Monitor {
+    status: MonitorStatus,
+    predicate: Predicate,
+}
+
+impl Monitor {
+    /// A monitor over supervised slots ([`Monitor::on_slot`]).
+    pub fn over_slots(
+        name: &str,
+        predicate: impl FnMut(&ChaosObs) -> Option<String> + 'static,
+    ) -> Monitor {
+        Monitor::new(name, Predicate::Slot(Box::new(predicate)))
+    }
+
+    /// A monitor over fleet rollups ([`Monitor::on_fleet`]).
+    pub fn over_rollups(
+        name: &str,
+        predicate: impl FnMut(u64, &FleetSnapshot) -> Option<String> + 'static,
+    ) -> Monitor {
+        Monitor::new(name, Predicate::Fleet(Box::new(predicate)))
+    }
+
+    fn new(name: &str, predicate: Predicate) -> Monitor {
+        let status = MonitorStatus {
+            name: name.to_string(),
+            ok: true,
+            violation: None,
+        };
+        Monitor { status, predicate }
+    }
+
+    /// Observe one supervised slot (a rollup monitor is not interested).
+    pub fn on_slot(&mut self, obs: &ChaosObs) {
+        if let (true, Predicate::Slot(p)) = (self.status.ok, &mut self.predicate) {
+            let breach = p(obs);
+            self.latch(obs.slot, breach);
+        }
+    }
+
+    /// Observe one fleet rollup (a slot monitor is not interested).
+    pub fn on_fleet(&mut self, slot: u64, snap: &FleetSnapshot) {
+        if let (true, Predicate::Fleet(p)) = (self.status.ok, &mut self.predicate) {
+            let breach = p(slot, snap);
+            self.latch(slot, breach);
+        }
+    }
+
+    fn latch(&mut self, slot: u64, breach: Option<String>) {
+        self.status.ok = breach.is_none();
+        self.status.violation = breach.map(|context| Violation { slot, context });
+    }
+
+    /// The latched first violation, if any.
+    pub fn violation(&self) -> Option<&Violation> {
+        self.status.violation.as_ref()
+    }
+}
+
 /// Collapse a monitor set into report rows.
-pub fn monitor_statuses(monitors: &[Box<dyn InvariantMonitor>]) -> Vec<MonitorStatus> {
-    monitors
-        .iter()
-        .map(|m| MonitorStatus {
-            name: m.name().to_string(),
-            ok: m.violation().is_none(),
-            violation: m.violation().cloned(),
-        })
-        .collect()
+pub fn monitor_statuses(monitors: &[Monitor]) -> Vec<MonitorStatus> {
+    monitors.iter().map(|m| m.status.clone()).collect()
 }
 
 /// Never-go-dark: while the child is alive and acking decodable slots,
 /// its cumulative SI-DCI count must keep advancing — broadcast traffic is
 /// always on the air, so a scope that stops seeing SI has gone dark
-/// regardless of what else it claims.
-pub struct NeverGoDarkMonitor {
-    window: u64,
-    last_si: u64,
-    stagnant: u64,
-    violation: Option<Violation>,
-}
-
-impl NeverGoDarkMonitor {
-    /// Violation after `window` consecutive acked, non-dropped slots with
-    /// no SI progress. Must comfortably exceed the re-sync bound (~800
-    /// slots) so post-restart reacquisition is not read as darkness.
-    pub fn new(window: u64) -> Self {
-        NeverGoDarkMonitor {
-            window: window.max(1),
-            last_si: 0,
-            stagnant: 0,
-            violation: None,
-        }
-    }
-}
-
-impl InvariantMonitor for NeverGoDarkMonitor {
-    fn name(&self) -> &'static str {
-        "never_go_dark"
-    }
-
-    fn on_slot(&mut self, obs: &ChaosObs) {
-        if self.violation.is_some() {
-            return;
-        }
+/// regardless of what else it claims. Violation after `window`
+/// consecutive acked, non-dropped slots with no SI progress; `window`
+/// must comfortably exceed the re-sync bound (~800 slots) so post-restart
+/// reacquisition is not read as darkness.
+pub fn never_go_dark(window: u64) -> Monitor {
+    let window = window.max(1);
+    let (mut last_si, mut stagnant) = (0u64, 0u64);
+    Monitor::over_slots("never_go_dark", move |obs| {
         let SlotOutcome::Acked(ack) = obs.outcome else {
-            return;
+            return None;
         };
         if obs.fed_drop {
-            return; // nothing decodable was offered
+            return None; // nothing decodable was offered
         }
-        if ack.si_dcis > self.last_si {
-            self.last_si = ack.si_dcis;
-            self.stagnant = 0;
-        } else {
-            self.stagnant += 1;
-            if self.stagnant > self.window {
-                self.violation = Some(Violation {
-                    slot: obs.slot,
-                    context: format!(
-                        "no SI-DCI progress over {} decodable acked slots (stuck at {})",
-                        self.stagnant, self.last_si
-                    ),
-                });
-            }
+        if ack.si_dcis > last_si {
+            last_si = ack.si_dcis;
+            stagnant = 0;
+            return None;
         }
-    }
-
-    fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
-    }
+        stagnant += 1;
+        (stagnant > window).then(|| {
+            format!("no SI-DCI progress over {stagnant} decodable acked slots (stuck at {last_si})")
+        })
+    })
 }
 
 /// Bounded loss window: whenever the child *claims* a bounded loss window
@@ -538,189 +558,69 @@ impl InvariantMonitor for NeverGoDarkMonitor {
 /// processing watermark), and the claim itself must be honest — a
 /// `NonDurable` child promising a bound, or a healthy one promising
 /// unbounded loss, is lying to its operator.
-pub struct BoundedLossWindowMonitor {
-    violation: Option<Violation>,
-}
-
-impl Default for BoundedLossWindowMonitor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BoundedLossWindowMonitor {
-    /// A fresh monitor.
-    pub fn new() -> Self {
-        BoundedLossWindowMonitor { violation: None }
-    }
-}
-
-impl InvariantMonitor for BoundedLossWindowMonitor {
-    fn name(&self) -> &'static str {
-        "bounded_loss_window"
-    }
-
-    fn on_slot(&mut self, obs: &ChaosObs) {
-        if self.violation.is_some() {
-            return;
-        }
+pub fn bounded_loss_window() -> Monitor {
+    Monitor::over_slots("bounded_loss_window", |obs| {
         let SlotOutcome::Acked(ack) = obs.outcome else {
-            return;
+            return None;
         };
         let non_durable = ack.durability_rung == 2;
+        let lag = ack.watermark.saturating_sub(ack.durable);
         match ack.loss_window {
-            Some(w) => {
-                if non_durable {
-                    self.violation = Some(Violation {
-                        slot: obs.slot,
-                        context: format!(
-                            "NonDurable child still promising a bounded loss window ({w})"
-                        ),
-                    });
-                } else {
-                    let lag = ack.watermark.saturating_sub(ack.durable);
-                    if lag > w {
-                        self.violation = Some(Violation {
-                            slot: obs.slot,
-                            context: format!(
-                                "durable watermark lags {} slots behind, promised bound {w}",
-                                lag
-                            ),
-                        });
-                    }
-                }
-            }
-            None => {
-                if !non_durable {
-                    self.violation = Some(Violation {
-                        slot: obs.slot,
-                        context: format!(
-                            "child on durability rung {} reported an unbounded loss window",
-                            ack.durability_rung
-                        ),
-                    });
-                }
-            }
+            Some(w) if non_durable => Some(format!(
+                "NonDurable child still promising a bounded loss window ({w})"
+            )),
+            Some(w) if lag > w => Some(format!(
+                "durable watermark lags {lag} slots behind, promised bound {w}"
+            )),
+            None if !non_durable => Some(format!(
+                "child on durability rung {} reported an unbounded loss window",
+                ack.durability_rung
+            )),
+            _ => None,
         }
-    }
-
-    fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
-    }
+    })
 }
 
 /// Watermark monotonicity: processing and durable watermarks never move
 /// backwards — not per incarnation, across the whole run, warm restarts
 /// included — and the durable watermark never overtakes processing.
-pub struct WatermarkMonotonicityMonitor {
-    last_watermark: u64,
-    last_durable: u64,
-    violation: Option<Violation>,
-}
-
-impl Default for WatermarkMonotonicityMonitor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WatermarkMonotonicityMonitor {
-    /// A fresh monitor.
-    pub fn new() -> Self {
-        WatermarkMonotonicityMonitor {
-            last_watermark: 0,
-            last_durable: 0,
-            violation: None,
-        }
-    }
-}
-
-impl InvariantMonitor for WatermarkMonotonicityMonitor {
-    fn name(&self) -> &'static str {
-        "watermark_monotonicity"
-    }
-
-    fn on_slot(&mut self, obs: &ChaosObs) {
-        if self.violation.is_some() {
-            return;
-        }
+pub fn watermark_monotonicity() -> Monitor {
+    let (mut last_watermark, mut last_durable) = (0u64, 0u64);
+    Monitor::over_slots("watermark_monotonicity", move |obs| {
         let SlotOutcome::Acked(ack) = obs.outcome else {
-            return;
+            return None;
         };
-        let fail = if ack.watermark < self.last_watermark {
-            Some(format!(
-                "processing watermark regressed {} -> {}",
-                self.last_watermark, ack.watermark
-            ))
-        } else if ack.durable < self.last_durable {
-            Some(format!(
-                "durable watermark regressed {} -> {}",
-                self.last_durable, ack.durable
-            ))
-        } else if ack.durable > ack.watermark {
-            Some(format!(
-                "durable watermark {} ahead of processing watermark {}",
-                ack.durable, ack.watermark
-            ))
-        } else {
-            None
-        };
-        if let Some(context) = fail {
-            self.violation = Some(Violation {
-                slot: obs.slot,
-                context,
-            });
-            return;
+        let (w, d) = (ack.watermark, ack.durable);
+        if w < last_watermark {
+            return Some(format!(
+                "processing watermark regressed {last_watermark} -> {w}"
+            ));
         }
-        self.last_watermark = ack.watermark;
-        self.last_durable = ack.durable;
-    }
-
-    fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
-    }
+        if d < last_durable {
+            return Some(format!("durable watermark regressed {last_durable} -> {d}"));
+        }
+        if d > w {
+            return Some(format!(
+                "durable watermark {d} ahead of processing watermark {w}"
+            ));
+        }
+        (last_watermark, last_durable) = (w, d);
+        None
+    })
 }
 
-/// No ghost admissions: hostile ghost C-RNTIs must never show up in the
+/// No ghost admissions: the hostile `ghosts` must never show up in the
 /// child's tracked set, no matter what else is failing around it.
-pub struct NoGhostAdmissionsMonitor {
-    ghosts: Vec<Rnti>,
-    violation: Option<Violation>,
-}
-
-impl NoGhostAdmissionsMonitor {
-    /// Watch for these ghosts.
-    pub fn new(ghosts: Vec<Rnti>) -> Self {
-        NoGhostAdmissionsMonitor {
-            ghosts,
-            violation: None,
-        }
-    }
-}
-
-impl InvariantMonitor for NoGhostAdmissionsMonitor {
-    fn name(&self) -> &'static str {
-        "no_ghost_admissions"
-    }
-
-    fn on_slot(&mut self, obs: &ChaosObs) {
-        if self.violation.is_some() {
-            return;
-        }
+pub fn no_ghost_admissions(ghosts: Vec<Rnti>) -> Monitor {
+    Monitor::over_slots("no_ghost_admissions", move |obs| {
         let SlotOutcome::Acked(ack) = obs.outcome else {
-            return;
+            return None;
         };
-        if let Some(g) = self.ghosts.iter().find(|g| ack.tracked.contains(g)) {
-            self.violation = Some(Violation {
-                slot: obs.slot,
-                context: format!("hostile ghost RNTI {g} admitted to the tracked set"),
-            });
-        }
-    }
-
-    fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
-    }
+        let g = ghosts.iter().find(|g| ack.tracked.contains(g))?;
+        Some(format!(
+            "hostile ghost RNTI {g} admitted to the tracked set"
+        ))
+    })
 }
 
 /// Clock-mask asymmetry: the timing-recovery lock ladder may mask
@@ -728,149 +628,88 @@ impl InvariantMonitor for NoGhostAdmissionsMonitor {
 /// parent feeds a long unbroken run of dropped captures and the child
 /// still reports `Synced` at the end of it, drops are being masked —
 /// real outages would be undetectable exactly when the clock loop is most
-/// confused.
-pub struct ClockMaskAsymmetryMonitor {
-    run_len: u64,
-    consecutive_drops: u64,
-    violation: Option<Violation>,
-}
-
-impl ClockMaskAsymmetryMonitor {
-    /// Violation when `run_len` consecutive dropped slots leave sync
-    /// untouched. Must exceed the sync-health demotion threshold
-    /// (default 120 slots) with margin.
-    pub fn new(run_len: u64) -> Self {
-        ClockMaskAsymmetryMonitor {
-            run_len: run_len.max(1),
-            consecutive_drops: 0,
-            violation: None,
-        }
-    }
-}
-
-impl InvariantMonitor for ClockMaskAsymmetryMonitor {
-    fn name(&self) -> &'static str {
-        "clock_mask_asymmetry"
-    }
-
-    fn on_slot(&mut self, obs: &ChaosObs) {
-        if self.violation.is_some() {
-            return;
-        }
+/// confused. Violation when `run_len` consecutive dropped slots leave
+/// sync untouched; `run_len` must exceed the sync-health demotion
+/// threshold (default 120 slots) with margin.
+pub fn clock_mask_asymmetry(run_len: u64) -> Monitor {
+    let run_len = run_len.max(1);
+    let mut consecutive_drops = 0u64;
+    Monitor::over_slots("clock_mask_asymmetry", move |obs| {
         let SlotOutcome::Acked(ack) = obs.outcome else {
             // A down child resets the streak: nothing was acked.
-            self.consecutive_drops = 0;
-            return;
+            consecutive_drops = 0;
+            return None;
         };
-        if obs.fed_drop {
-            self.consecutive_drops += 1;
-            if self.consecutive_drops >= self.run_len && ack.sync == SyncState::Synced {
-                self.violation = Some(Violation {
-                    slot: obs.slot,
-                    context: format!(
-                        "sync still Synced after {} consecutive front-end drops — \
-                         drops masked by the clock ladder",
-                        self.consecutive_drops
-                    ),
-                });
-            }
-        } else {
-            self.consecutive_drops = 0;
+        if !obs.fed_drop {
+            consecutive_drops = 0;
+            return None;
         }
-    }
-
-    fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
-    }
+        consecutive_drops += 1;
+        (consecutive_drops >= run_len && ack.sync == SyncState::Synced).then(|| {
+            format!(
+                "sync still Synced after {consecutive_drops} consecutive front-end drops — \
+                 drops masked by the clock ladder"
+            )
+        })
+    })
 }
 
 /// Bulkhead isolation: while any shard is unhealthy (faulted/wedged or
 /// breaker-parked), every *other* cell's slot count must keep advancing
 /// between consecutive rollups. One wedged shard starving its siblings is
-/// exactly the failure bulkheads exist to prevent.
-/// One shard's rollup sample: (cell name, slots advanced, health label).
-type ShardSample = (String, u64, String);
-
-pub struct BulkheadIsolationMonitor {
-    min_gap_slots: u64,
-    prev: Option<(u64, Vec<ShardSample>)>,
-    violation: Option<Violation>,
-}
-
-impl BulkheadIsolationMonitor {
-    /// Compare rollups at least `min_gap_slots` of feed apart (closer
-    /// samples legitimately show no progress on an idle queue).
-    pub fn new(min_gap_slots: u64) -> Self {
-        BulkheadIsolationMonitor {
-            min_gap_slots: min_gap_slots.max(1),
-            prev: None,
-            violation: None,
-        }
-    }
-}
-
-impl InvariantMonitor for BulkheadIsolationMonitor {
-    fn name(&self) -> &'static str {
-        "bulkhead_isolation"
-    }
-
-    fn on_fleet(&mut self, slot: u64, snap: &FleetSnapshot) {
-        if self.violation.is_some() {
-            return;
-        }
-        let now: Vec<(String, u64, String)> = snap
+/// exactly the failure bulkheads exist to prevent. Compares rollups at
+/// least `min_gap_slots` of feed apart (closer samples legitimately show
+/// no progress on an idle queue).
+pub fn bulkhead_isolation(min_gap_slots: u64) -> Monitor {
+    let min_gap_slots = min_gap_slots.max(1);
+    // One shard's rollup sample: (cell name, slots advanced, health label).
+    type ShardSample = (String, u64, String);
+    let mut prev: Option<(u64, Vec<ShardSample>)> = None;
+    Monitor::over_rollups("bulkhead_isolation", move |slot, snap| {
+        let now: Vec<ShardSample> = snap
             .cells
             .iter()
             .map(|c| (c.name.clone(), c.slots, c.health.clone()))
             .collect();
-        if let Some((prev_slot, prev_cells)) = &self.prev {
-            if slot.saturating_sub(*prev_slot) >= self.min_gap_slots {
-                let any_unhealthy = prev_cells.iter().any(|(_, _, h)| h != "healthy")
-                    || now.iter().any(|(_, _, h)| h != "healthy");
-                if any_unhealthy {
-                    for ((name, slots_now, health_now), (_, slots_prev, health_prev)) in
-                        now.iter().zip(prev_cells.iter())
-                    {
-                        // Only healthy siblings are held to the progress
-                        // bar — the wedged shard itself is *supposed* to
-                        // be fenced and still.
-                        if health_now == "healthy"
-                            && health_prev == "healthy"
-                            && slots_now <= slots_prev
-                        {
-                            self.violation = Some(Violation {
-                                slot,
-                                context: format!(
-                                    "healthy sibling {name} made no progress \
-                                     ({slots_prev} slots) across a wedge window"
-                                ),
-                            });
-                            return;
-                        }
-                    }
-                }
-                self.prev = Some((slot, now));
-            }
-        } else {
-            self.prev = Some((slot, now));
+        let Some((prev_slot, prev_cells)) = &prev else {
+            prev = Some((slot, now));
+            return None;
+        };
+        if slot.saturating_sub(*prev_slot) < min_gap_slots {
+            return None;
         }
-    }
-
-    fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
-    }
+        let any_unhealthy = prev_cells.iter().any(|(_, _, h)| h != "healthy")
+            || now.iter().any(|(_, _, h)| h != "healthy");
+        if any_unhealthy {
+            for ((name, slots_now, health_now), (_, slots_prev, health_prev)) in
+                now.iter().zip(prev_cells.iter())
+            {
+                // Only healthy siblings are held to the progress bar —
+                // the wedged shard itself is *supposed* to be fenced and
+                // still.
+                if health_now == "healthy" && health_prev == "healthy" && slots_now <= slots_prev {
+                    return Some(format!(
+                        "healthy sibling {name} made no progress \
+                         ({slots_prev} slots) across a wedge window"
+                    ));
+                }
+            }
+        }
+        prev = Some((slot, now));
+        None
+    })
 }
 
 /// The standard supervised-leg monitor set (everything except the
 /// fleet-leg bulkhead monitor, which the caller adds when it drives a
 /// fleet).
-pub fn standard_monitors(ghosts: Vec<Rnti>) -> Vec<Box<dyn InvariantMonitor>> {
+pub fn standard_monitors(ghosts: Vec<Rnti>) -> Vec<Monitor> {
     vec![
-        Box::new(NeverGoDarkMonitor::new(2_000)),
-        Box::new(BoundedLossWindowMonitor::new()),
-        Box::new(WatermarkMonotonicityMonitor::new()),
-        Box::new(NoGhostAdmissionsMonitor::new(ghosts)),
-        Box::new(ClockMaskAsymmetryMonitor::new(400)),
+        never_go_dark(2_000),
+        bounded_loss_window(),
+        watermark_monotonicity(),
+        no_ghost_admissions(ghosts),
+        clock_mask_asymmetry(400),
     ]
 }
 
@@ -895,7 +734,7 @@ pub struct DriveStats {
     pub slots: u64,
     /// Slots acked by a live child.
     pub acked: u64,
-    /// Slots lost while the child was down or backing off.
+    /// Slots lost while the child was down.
     pub lost_child_down: u64,
     /// Slots lost while parked lame-duck behind an open breaker.
     pub lost_lame_duck: u64,
@@ -924,7 +763,7 @@ pub fn drive_supervised(
     sup: &mut Supervisor,
     schedule: &ChaosSchedule,
     ghosts: &[Rnti],
-    monitors: &mut [Box<dyn InvariantMonitor>],
+    monitors: &mut [Monitor],
     mut source: impl FnMut(u64) -> Capture,
 ) -> DriveStats {
     let slots = schedule.horizon_slots;
@@ -949,8 +788,8 @@ pub fn drive_supervised(
         let fed_at = Instant::now();
         let outcome = sup.feed_slot(seq, &cap);
         // Only a *classified* hang counts: a scripted hang slot landing
-        // inside a kill's backoff window is Lost(ChildDown) without any
-        // detection having happened.
+        // while no child is up is Lost without any detection having
+        // happened.
         if hang_here.is_some() && sup.stats().hangs_detected > hangs_before {
             stats.hang_observations.push(HangObservation {
                 slot: seq,
@@ -988,6 +827,7 @@ pub fn drive_supervised(
             fed_drop,
             ghosts,
             outcome: &outcome,
+            spawns: restarts_seen,
         };
         for m in monitors.iter_mut() {
             m.on_slot(&obs);
@@ -1096,11 +936,8 @@ mod tests {
         assert!(ranges_of(&[false, false]).is_empty());
     }
 
-    #[test]
-    fn watermark_monitor_catches_regression() {
-        use crate::supervise::Ack;
-        let mut m = WatermarkMonotonicityMonitor::new();
-        let mut ack = Ack {
+    fn ack() -> crate::supervise::Ack {
+        crate::supervise::Ack {
             seq: 0,
             watermark: 100,
             sync: SyncState::Synced,
@@ -1110,49 +947,68 @@ mod tests {
             durability_rung: 0,
             loss_window: Some(80),
             si_dcis: 0,
-        };
-        let outcome = SlotOutcome::Acked(ack.clone());
+        }
+    }
+
+    fn show(m: &mut Monitor, slot: u64, ack: crate::supervise::Ack) {
         m.on_slot(&ChaosObs {
-            slot: 0,
+            slot,
             fed_drop: false,
             ghosts: &[],
-            outcome: &outcome,
+            outcome: &SlotOutcome::Acked(ack),
+            spawns: 1,
         });
+    }
+
+    #[test]
+    fn watermark_monitor_catches_regression() {
+        let mut m = watermark_monotonicity();
+        let mut ack = ack();
+        show(&mut m, 0, ack.clone());
         assert!(m.violation().is_none());
         ack.watermark = 90; // regression
-        let outcome = SlotOutcome::Acked(ack);
-        m.on_slot(&ChaosObs {
-            slot: 1,
-            fed_drop: false,
-            ghosts: &[],
-            outcome: &outcome,
-        });
+        show(&mut m, 1, ack);
         assert!(m.violation().is_some());
         assert_eq!(m.violation().unwrap().slot, 1);
     }
 
     #[test]
     fn loss_window_monitor_catches_dishonest_bound() {
-        use crate::supervise::Ack;
-        let mut m = BoundedLossWindowMonitor::new();
-        let ack = Ack {
-            seq: 0,
-            watermark: 100,
-            sync: SyncState::Synced,
-            produced: 0,
-            tracked: vec![],
-            durable: 0,
-            durability_rung: 2,    // NonDurable…
-            loss_window: Some(80), // …yet promising a bound
-            si_dcis: 0,
-        };
-        let outcome = SlotOutcome::Acked(ack);
-        m.on_slot(&ChaosObs {
-            slot: 5,
-            fed_drop: false,
-            ghosts: &[],
-            outcome: &outcome,
-        });
+        let mut m = bounded_loss_window();
+        let mut ack = ack();
+        ack.durable = 0;
+        ack.durability_rung = 2; // NonDurable, yet promising a bound
+        show(&mut m, 5, ack);
         assert!(m.violation().is_some());
+    }
+
+    /// The one latch: the first violation is kept, and once it is the
+    /// predicate is not consulted again.
+    #[test]
+    fn latch_keeps_the_first_violation_and_stops_asking() {
+        let asked = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        let count = asked.clone();
+        let mut m = Monitor::over_slots("odd_slots", move |obs| {
+            count.set(count.get() + 1);
+            (obs.slot % 2 == 1).then(|| format!("slot {} is odd", obs.slot))
+        });
+        for slot in 0..6 {
+            show(&mut m, slot, ack());
+        }
+        let v = m.violation().expect("latched");
+        assert_eq!((v.slot, v.context.as_str()), (1, "slot 1 is odd"));
+        assert_eq!(asked.get(), 2, "slots 0 and 1, then never again");
+
+        let mut all = standard_monitors(vec![]);
+        all.push(bulkhead_isolation(512));
+        let names: Vec<_> = monitor_statuses(&all).into_iter().map(|s| s.name).collect();
+        assert_eq!(
+            names.join(" "),
+            "never_go_dark bounded_loss_window watermark_monotonicity \
+             no_ghost_admissions clock_mask_asymmetry bulkhead_isolation"
+        );
+        // And a rollup monitor ignores slots.
+        show(&mut all[5], 0, ack());
+        assert!(all[5].violation().is_none());
     }
 }

@@ -52,26 +52,29 @@ impl ClockLock {
     }
 }
 
-/// Timing-recovery loop knobs (`clock.*` in the config surface).
+/// Proportional gain of the PI loop (per measurement).
+const KP: f64 = 0.3;
+/// Integral gain: how fast the frequency estimate follows the residual.
+/// Sets pull-in speed vs. measurement-noise amplification.
+const KI: f64 = 0.05;
+/// A measurement with |residual| at or below this (µs) counts toward
+/// lock; a coarse (SSB) residual beyond 4× it is snapped, not slewed.
+const LOCK_WINDOW_US: f64 = 0.5;
+/// Consecutive in-window measurements required to (re-)enter `Locked`.
+const LOCK_AFTER_MEAS: u32 = 8;
+/// Slots without an in-window measurement before the loop declares
+/// `Unlocked`: five SSB periods (40 slots each on the paper's cells).
+const UNLOCK_AFTER_SLOTS: u64 = 200;
+
+/// Timing-recovery loop knobs (`clock.*` in the config surface). The
+/// loop gains and lock thresholds are calibrated constants of this
+/// module; the sample rate comes from the cell (see
+/// [`ClockRecovery::on_slot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClockRecoveryConfig {
-    /// Proportional gain of the PI loop (per measurement).
-    pub kp: f64,
-    /// Integral gain: how fast the frequency estimate follows the
-    /// residual. Sets pull-in speed vs. measurement-noise amplification.
-    pub ki: f64,
-    /// A measurement with |residual| at or below this (µs) counts toward
-    /// lock.
-    pub lock_window_us: f64,
-    /// Consecutive in-window measurements required to (re-)enter
-    /// `Locked`.
-    pub lock_after_meas: u32,
     /// Slots without an in-window measurement before `Locked` degrades to
     /// `Pulling` (and a lock loss is counted).
     pub pulling_after_slots: u64,
-    /// Slots without an in-window measurement before the loop declares
-    /// `Unlocked`.
-    pub unlock_after_slots: u64,
     /// Escape hatch for the sync composition: once out of `Locked` for
     /// this many slots, unhealthy-slot accounting resumes even though the
     /// clock is still reacquiring — a clock that never relocks must not
@@ -79,27 +82,18 @@ pub struct ClockRecoveryConfig {
     /// reacquisition after a step: the loop either relocks within this
     /// many slots or the sync machine takes over.
     pub max_reacquire_slots: u64,
-    /// Sample rate (Hz) the integer-slip accounting quantises against
-    /// (30.72 MHz for the 20 MHz µ=1 cells).
-    pub sample_rate_hz: f64,
 }
 
 impl Default for ClockRecoveryConfig {
     fn default() -> Self {
         ClockRecoveryConfig {
-            kp: 0.3,
-            ki: 0.05,
-            lock_window_us: 0.5,
-            lock_after_meas: 8,
             // SSB lands every 40 slots on the paper's cells (20 ms); give
-            // two periods before degrading, five before unlock.
+            // two periods before degrading.
             pulling_after_slots: 80,
-            unlock_after_slots: 200,
             // ≈ 0.5 s at µ=1: generous for a 2 µs step (measured
             // reacquisition is tens of slots), tight enough that a dead
             // clock hands control back to the sync machine quickly.
             max_reacquire_slots: 1000,
-            sample_rate_hz: 30.72e6,
         }
     }
 }
@@ -223,9 +217,11 @@ impl ClockRecovery {
         self.st.lock != ClockLock::Locked && self.st.reacquire_slots < self.cfg.max_reacquire_slots
     }
 
-    /// Advance the loop by one slot of evidence. Returns the slot's
+    /// Advance the loop by one slot of evidence. `sample_rate_hz` is the
+    /// cell's own front-end rate (FFT size × SCS), against which commanded
+    /// corrections are quantised into integer slips. Returns the slot's
     /// events for the metrics layer.
-    pub fn on_slot(&mut self, obs: &ClockObservable) -> ClockEvents {
+    pub fn on_slot(&mut self, obs: &ClockObservable, sample_rate_hz: f64) -> ClockEvents {
         let mut ev = ClockEvents::default();
         let was_locked = self.st.lock == ClockLock::Locked;
         let corr_before = self.st.correction_us;
@@ -241,7 +237,7 @@ impl ClockRecovery {
 
         let mut good = false;
         if let Some(y) = obs.timing_us {
-            if obs.coarse && y.abs() > 4.0 * self.cfg.lock_window_us {
+            if obs.coarse && y.abs() > 4.0 * LOCK_WINDOW_US {
                 // Coarse SSB snap, far outside the fine window: take the
                 // whole residual at once (PSS correlation is unambiguous
                 // over its range) instead of slewing through it. While
@@ -255,10 +251,10 @@ impl ClockRecovery {
                 // PI update (second-order DPLL): the integral term learns
                 // the drift rate, the proportional term closes the
                 // remaining phase error.
-                self.st.freq_hat_us_per_slot += self.cfg.ki * y;
-                self.st.correction_us += self.cfg.kp * y;
+                self.st.freq_hat_us_per_slot += KI * y;
+                self.st.correction_us += KP * y;
             }
-            good = y.abs() <= self.cfg.lock_window_us;
+            good = y.abs() <= LOCK_WINDOW_US;
         }
         if let Some(f) = obs.cfo_hz {
             // First-order on frequency: CFO needs no integrator of its
@@ -272,7 +268,7 @@ impl ClockRecovery {
         // Integer-slip accounting: whole-sample moves of the commanded
         // correction are executed as resampler slips, the remainder as
         // fractional phase.
-        let sample_us = 1e6 / self.cfg.sample_rate_hz;
+        let sample_us = 1e6 / sample_rate_hz;
         self.st.slip_frac += (self.st.correction_us - corr_before) / sample_us;
         let whole = self.st.slip_frac.trunc();
         if whole != 0.0 {
@@ -296,11 +292,11 @@ impl ClockRecovery {
         }
         // Entering `Locked` takes a streak ending in a *fresh* good
         // measurement; staying `Locked` rides the hysteresis horizon.
-        let next = if (good && self.st.good_streak >= self.cfg.lock_after_meas)
+        let next = if (good && self.st.good_streak >= LOCK_AFTER_MEAS)
             || (was_locked && self.st.slots_since_good < self.cfg.pulling_after_slots)
         {
             ClockLock::Locked
-        } else if self.st.slots_since_good >= self.cfg.unlock_after_slots {
+        } else if self.st.slots_since_good >= UNLOCK_AFTER_SLOTS {
             // A full starvation horizon also voids the accumulated
             // streak: relocking needs fresh consecutive evidence.
             self.st.good_streak = 0;
@@ -330,6 +326,8 @@ mod tests {
     use super::*;
 
     const SLOT_S: f64 = 5e-4;
+    /// The 20 MHz µ=1 cells: FFT 1024 × 30 kHz.
+    const RATE_HZ: f64 = 30.72e6;
 
     /// Simulate a truth clock with constant drift and feed the loop its
     /// own residuals (truth − correction), the way the observer does.
@@ -354,7 +352,7 @@ mod tests {
             } else {
                 ClockObservable::default()
             };
-            rec.on_slot(&obs);
+            rec.on_slot(&obs, RATE_HZ);
             residuals.push(resid);
         }
         residuals
@@ -414,11 +412,11 @@ mod tests {
             } else {
                 ClockObservable::default()
             };
-            let ev = rec.on_slot(&obs);
+            let ev = rec.on_slot(&obs, RATE_HZ);
             if ev.step {
                 assert!(obs.coarse, "the step registers via a coarse snap");
             }
-            if settled.is_none() && resid.abs() <= cfg.lock_window_us && s > 0 {
+            if settled.is_none() && resid.abs() <= LOCK_WINDOW_US && s > 0 {
                 settled = Some(s);
             }
             if settled.is_some() && rec.lock() == ClockLock::Locked {
@@ -439,12 +437,15 @@ mod tests {
         run_loop(&mut rec, 0.0, 0.0, 500, 1);
         assert_eq!(rec.lock(), ClockLock::Locked);
         let before = rec.correction_us();
-        let ev = rec.on_slot(&ClockObservable {
-            timing_us: None,
-            cfo_hz: None,
-            coarse: false,
-            gap_us: 30.0,
-        });
+        let ev = rec.on_slot(
+            &ClockObservable {
+                timing_us: None,
+                cfo_hz: None,
+                coarse: false,
+                gap_us: 30.0,
+            },
+            RATE_HZ,
+        );
         assert!(ev.step);
         assert!((rec.correction_us() - before - 30.0).abs() < 1e-9);
         // Still locked: the gap was corrected, not hunted for.
@@ -457,8 +458,8 @@ mod tests {
         let mut rec = ClockRecovery::new(cfg);
         run_loop(&mut rec, 0.0, 0.0, 500, 1);
         assert_eq!(rec.lock(), ClockLock::Locked);
-        for s in 0..cfg.unlock_after_slots + 1 {
-            rec.on_slot(&ClockObservable::default());
+        for s in 0..UNLOCK_AFTER_SLOTS + 1 {
+            rec.on_slot(&ClockObservable::default(), RATE_HZ);
             if s + 1 == cfg.pulling_after_slots {
                 assert_eq!(rec.lock(), ClockLock::Pulling, "degrades first");
             }
@@ -466,7 +467,7 @@ mod tests {
         assert_eq!(rec.lock(), ClockLock::Unlocked);
         assert!(rec.masks_sync(), "young excursion masks sync accounting");
         for _ in 0..cfg.max_reacquire_slots {
-            rec.on_slot(&ClockObservable::default());
+            rec.on_slot(&ClockObservable::default(), RATE_HZ);
         }
         assert!(!rec.masks_sync(), "the mask is bounded");
     }
@@ -479,6 +480,32 @@ mod tests {
         let st = rec.state();
         assert!(st.slips > 1000, "slips {}", st.slips);
         assert!(st.slip_frac.abs() < 1.0);
+    }
+
+    /// Slips are counted in the cell's own samples: a 10 MHz µ=0 cell
+    /// (FFT 1024 × 15 kHz = 15.36 MHz) has samples twice as long as a
+    /// 20 MHz µ=1 cell, so the same commanded correction is half as many.
+    #[test]
+    fn slips_are_counted_in_the_cells_own_samples() {
+        use nr_phy::numerology::Numerology::{Mu0, Mu1};
+        let rate_mu0 = Mu0.sample_rate_hz(Mu0.fft_size(52));
+        let rate_mu1 = Mu1.sample_rate_hz(Mu1.fft_size(51));
+        assert_eq!((rate_mu0, rate_mu1), (15.36e6, RATE_HZ));
+        let slips_at = |rate_hz: f64| {
+            let mut rec = ClockRecovery::new(ClockRecoveryConfig::default());
+            for _ in 0..100 {
+                let gap = ClockObservable {
+                    gap_us: 10.0,
+                    ..ClockObservable::default()
+                };
+                rec.on_slot(&gap, rate_hz);
+            }
+            assert!((rec.correction_us() - 1000.0).abs() < 1e-6);
+            rec.state().slips
+        };
+        // ±1: the last whole sample may still sit in `slip_frac`.
+        assert!(slips_at(rate_mu1).abs_diff(30_720) <= 1);
+        assert!(slips_at(rate_mu0).abs_diff(15_360) <= 1);
     }
 
     #[test]
@@ -498,7 +525,7 @@ mod tests {
             coarse: false,
             gap_us: 0.0,
         };
-        assert_eq!(a.on_slot(&obs), b.on_slot(&obs));
+        assert_eq!(a.on_slot(&obs, RATE_HZ), b.on_slot(&obs, RATE_HZ));
         assert_eq!(a.state(), b.state());
     }
 }

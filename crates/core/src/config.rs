@@ -26,9 +26,6 @@ pub struct ScopeConfig {
     /// Drop a UE from the tracked list after this many slots without any
     /// DCI (idle-release shadowing; cells release after inactivity).
     pub ue_expiry_slots: u64,
-    /// Skip PDSCH decoding of RRC Setup after the first UE (§3.1.2's
-    /// optimisation; `false` re-decodes every time — the Fig 12 ablation).
-    pub skip_rrc_decode: bool,
     /// Consecutive unhealthy slots (no DCI decoded while UEs are expected,
     /// or slots dropped outright) before sync is considered degraded.
     pub degraded_after_slots: u64,
@@ -74,9 +71,6 @@ pub struct SuperviseConfig {
     pub restart_budget: u32,
     /// Slot window over which the full restart budget refills.
     pub restart_budget_window_slots: u64,
-    /// Slots the supervisor waits after a kill before respawning (lets a
-    /// transient cause clear instead of restarting into it).
-    pub restart_backoff_slots: u64,
     /// Slots an open breaker parks the child in lame-duck mode before
     /// granting a single half-open probe restart.
     pub breaker_halfopen_after_slots: u64,
@@ -89,7 +83,6 @@ impl Default for SuperviseConfig {
             hang_deadline_ms: 2_000,
             restart_budget: 6,
             restart_budget_window_slots: 20_000, // 10 s at µ=1
-            restart_backoff_slots: 8,
             breaker_halfopen_after_slots: 4_000, // 2 s at µ=1
         }
     }
@@ -205,7 +198,6 @@ impl Default for ScopeConfig {
             schema_version: crate::SCHEMA_VERSION,
             fidelity: Fidelity::Message,
             ue_expiry_slots: 20_000, // 10 s at µ=1
-            skip_rrc_decode: true,
             degraded_after_slots: 120,
             lost_after_slots: 400,
             metrics_enabled: true,
@@ -225,7 +217,6 @@ mod tests {
     fn default_matches_paper_settings() {
         let c = ScopeConfig::default();
         assert_eq!(c.fidelity, Fidelity::Message);
-        assert!(c.skip_rrc_decode, "paper §3.1.2 optimisation on by default");
         assert!(
             c.metrics_enabled,
             "the pipeline is measured unless asked not to"
@@ -238,7 +229,6 @@ mod tests {
             !c.governor.enabled,
             "governor off by default: offline replay has no slot deadline"
         );
-        assert!(c.governor.budget_fraction < 1.0, "headroom for capture");
         assert!(c.governor.promote_margin < 1.0, "promotion hysteresis");
         assert!(c.admission.k >= 2, "one chance CRC pass must not admit");
         assert!(c.admission.window_slots > 0);

@@ -290,17 +290,13 @@ struct Shard {
     breaker: Mutex<RestartBreaker>,
 }
 
-/// An unmatched continuity edge.
-struct PendingDiscovery {
+/// An unmatched continuity edge: a discovery anchored at its admission
+/// slot, or an expiry anchored at the slot the UE was last active.
+#[derive(Clone, Copy)]
+struct PendingEdge {
     shard: usize,
     rnti: Rnti,
-    seq: u64,
-}
-
-struct PendingExpiry {
-    shard: usize,
-    rnti: Rnti,
-    last_active_slot: u64,
+    anchor: u64,
 }
 
 /// One matched cross-cell handover.
@@ -320,9 +316,10 @@ pub struct ContinuityMatch {
     pub discovered_slot: u64,
 }
 
+#[derive(Default)]
 struct ContinuityState {
-    pending_discoveries: VecDeque<PendingDiscovery>,
-    pending_expiries: VecDeque<PendingExpiry>,
+    pending_discoveries: VecDeque<PendingEdge>,
+    pending_expiries: VecDeque<PendingEdge>,
     continuations: u64,
     matches: Vec<ContinuityMatch>,
 }
@@ -514,12 +511,7 @@ impl Fleet {
         let shared = Arc::new(FleetShared {
             cfg,
             shards,
-            continuity: Mutex::new(ContinuityState {
-                pending_discoveries: VecDeque::new(),
-                pending_expiries: VecDeque::new(),
-                continuations: 0,
-                matches: Vec::new(),
-            }),
+            continuity: Mutex::default(),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
             live_workers: AtomicUsize::new(target_workers),
@@ -921,88 +913,72 @@ fn restart_shard(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) -> 
     true
 }
 
-/// Absorb one shard's drained UE events into the continuity matcher.
+/// The continuity rule, for either kind of edge: take out of `opposite`
+/// (the other kind's parked edges) the one on another shard anchored
+/// within `window` slots of `edge`, preferring an equal RNTI and then the
+/// earliest anchor; with none, park `edge` among `own`, evicting the
+/// oldest past [`CONTINUITY_PENDING_MAX`].
+fn match_or_park(
+    opposite: &mut VecDeque<PendingEdge>,
+    own: &mut VecDeque<PendingEdge>,
+    window: u64,
+    edge: PendingEdge,
+) -> Option<PendingEdge> {
+    let hit = opposite
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.shard != edge.shard && p.anchor.abs_diff(edge.anchor) <= window)
+        .min_by_key(|(_, p)| (p.rnti != edge.rnti, p.anchor))
+        .map(|(i, _)| i);
+    if let Some(i) = hit {
+        return opposite.remove(i);
+    }
+    if own.len() >= CONTINUITY_PENDING_MAX {
+        own.pop_front();
+    }
+    own.push_back(edge);
+    None
+}
+
+/// Absorb one shard's drained UE events into the continuity matcher. The
+/// usual order is discovery first (a RACH takes milliseconds; expiry
+/// takes seconds), but a discovery can also close an expiry that arrived
+/// first (the old cell's pipeline ran ahead of the new one).
 fn absorb_events(shared: &FleetShared, shard_idx: usize, events: &[UeEvent]) {
     let window = shared.cfg.continuity_window_slots;
-    let mut c = lock_clean(&shared.continuity);
+    let mut guard = lock_clean(&shared.continuity);
+    let c = &mut *guard;
+    let (discs, exps) = (&mut c.pending_discoveries, &mut c.pending_expiries);
+    let edge = |rnti, anchor| PendingEdge {
+        shard: shard_idx,
+        rnti,
+        anchor,
+    };
     for ev in events {
-        match *ev {
+        let (disc, exp) = match *ev {
             UeEvent::Discovered { rnti, slot } => {
-                // A discovery can also close an expiry that arrived first
-                // (the old cell's pipeline ran ahead of the new one).
-                let hit = c
-                    .pending_expiries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| {
-                        p.shard != shard_idx
-                            && slot >= p.last_active_slot.saturating_sub(window)
-                            && slot <= p.last_active_slot.saturating_add(window)
-                    })
-                    .min_by_key(|(_, p)| (p.rnti != rnti, p.last_active_slot))
-                    .map(|(i, _)| i);
-                if let Some(i) = hit {
-                    if let Some(exp) = c.pending_expiries.remove(i) {
-                        c.continuations += 1;
-                        c.matches.push(ContinuityMatch {
-                            from_shard: exp.shard,
-                            to_shard: shard_idx,
-                            expired_rnti: exp.rnti,
-                            new_rnti: rnti,
-                            last_active_slot: exp.last_active_slot,
-                            discovered_slot: slot,
-                        });
-                    }
-                    continue;
-                }
-                if c.pending_discoveries.len() >= CONTINUITY_PENDING_MAX {
-                    c.pending_discoveries.pop_front();
-                }
-                c.pending_discoveries.push_back(PendingDiscovery {
-                    shard: shard_idx,
-                    rnti,
-                    seq: slot,
-                });
+                let disc = edge(rnti, slot);
+                (Some(disc), match_or_park(exps, discs, window, disc))
             }
             UeEvent::Expired {
                 rnti,
-                slot: _,
                 last_active_slot,
+                ..
             } => {
-                // The usual order: the UE was already admitted on the new
-                // cell (a RACH takes milliseconds; expiry takes seconds).
-                let lo = last_active_slot.saturating_sub(window);
-                let hi = last_active_slot.saturating_add(window);
-                let hit = c
-                    .pending_discoveries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.shard != shard_idx && p.seq >= lo && p.seq <= hi)
-                    .min_by_key(|(_, p)| (p.rnti != rnti, p.seq))
-                    .map(|(i, _)| i);
-                if let Some(i) = hit {
-                    if let Some(disc) = c.pending_discoveries.remove(i) {
-                        c.continuations += 1;
-                        c.matches.push(ContinuityMatch {
-                            from_shard: shard_idx,
-                            to_shard: disc.shard,
-                            expired_rnti: rnti,
-                            new_rnti: disc.rnti,
-                            last_active_slot,
-                            discovered_slot: disc.seq,
-                        });
-                    }
-                } else {
-                    if c.pending_expiries.len() >= CONTINUITY_PENDING_MAX {
-                        c.pending_expiries.pop_front();
-                    }
-                    c.pending_expiries.push_back(PendingExpiry {
-                        shard: shard_idx,
-                        rnti,
-                        last_active_slot,
-                    });
-                }
+                let exp = edge(rnti, last_active_slot);
+                (match_or_park(discs, exps, window, exp), Some(exp))
             }
+        };
+        if let (Some(disc), Some(exp)) = (disc, exp) {
+            c.continuations += 1;
+            c.matches.push(ContinuityMatch {
+                from_shard: exp.shard,
+                to_shard: disc.shard,
+                expired_rnti: exp.rnti,
+                new_rnti: disc.rnti,
+                last_active_slot: exp.anchor,
+                discovered_slot: disc.anchor,
+            });
         }
     }
 }
@@ -1368,66 +1344,23 @@ mod tests {
         fleet.finish();
     }
 
-    #[test]
-    fn continuity_matches_one_handover_as_one_user() {
-        let shared = FleetShared {
+    /// A fleet with no shards: just the continuity matcher's state.
+    fn bare_shared() -> FleetShared {
+        FleetShared {
             cfg: FleetConfig::default(),
             shards: Vec::new(),
-            continuity: Mutex::new(ContinuityState {
-                pending_discoveries: VecDeque::new(),
-                pending_expiries: VecDeque::new(),
-                continuations: 0,
-                matches: Vec::new(),
-            }),
+            continuity: Mutex::default(),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
             live_workers: AtomicUsize::new(0),
             target_workers: 0,
             journal_writer: None,
-        };
-        // Cell B admits the UE at slot 5000; cell A expires it later with
-        // last activity at slot 4980 — one user.
-        absorb_events(
-            &shared,
-            1,
-            &[UeEvent::Discovered {
-                rnti: Rnti(0x4700),
-                slot: 5000,
-            }],
-        );
-        absorb_events(
-            &shared,
-            0,
-            &[UeEvent::Expired {
-                rnti: Rnti(0x4601),
-                slot: 24_980,
-                last_active_slot: 4980,
-            }],
-        );
-        let c = lock_clean(&shared.continuity);
-        assert_eq!(c.continuations, 1);
-        assert_eq!(c.matches.len(), 1);
-        assert_eq!(c.matches[0].from_shard, 0);
-        assert_eq!(c.matches[0].to_shard, 1);
+        }
     }
 
     #[test]
     fn continuity_ignores_out_of_window_and_same_shard_events() {
-        let shared = FleetShared {
-            cfg: FleetConfig::default(),
-            shards: Vec::new(),
-            continuity: Mutex::new(ContinuityState {
-                pending_discoveries: VecDeque::new(),
-                pending_expiries: VecDeque::new(),
-                continuations: 0,
-                matches: Vec::new(),
-            }),
-            shutdown: AtomicBool::new(false),
-            epoch: Instant::now(),
-            live_workers: AtomicUsize::new(0),
-            target_workers: 0,
-            journal_writer: None,
-        };
+        let shared = bare_shared();
         // Same shard: a re-RACH on the same cell is recovery, not handover.
         absorb_events(
             &shared,
@@ -1468,45 +1401,71 @@ mod tests {
         assert_eq!(c.continuations, 0, "no false continuity matches");
     }
 
+    /// One matcher serves both arrival orders: the same handover yields
+    /// the same `ContinuityMatch` whichever cell reports first (the new
+    /// cell usually does; the old cell's pipeline can run ahead), by the
+    /// same window test and the same tie-break among parked edges.
     #[test]
     fn discovery_first_and_expiry_first_orders_both_match() {
-        let shared = FleetShared {
-            cfg: FleetConfig::default(),
-            shards: Vec::new(),
-            continuity: Mutex::new(ContinuityState {
-                pending_discoveries: VecDeque::new(),
-                pending_expiries: VecDeque::new(),
-                continuations: 0,
-                matches: Vec::new(),
-            }),
-            shutdown: AtomicBool::new(false),
-            epoch: Instant::now(),
-            live_workers: AtomicUsize::new(0),
-            target_workers: 0,
-            journal_writer: None,
+        let discovered = |rnti, slot| UeEvent::Discovered {
+            rnti: Rnti(rnti),
+            slot,
         };
-        // Expiry report arrives before the discovery (cell A's pipeline
-        // ran ahead): the pending expiry is closed by the discovery.
-        absorb_events(
-            &shared,
-            0,
-            &[UeEvent::Expired {
-                rnti: Rnti(300),
-                slot: 25_000,
-                last_active_slot: 5000,
-            }],
+        let expired = |rnti, last_active_slot| UeEvent::Expired {
+            rnti: Rnti(rnti),
+            slot: last_active_slot + 20_000,
+            last_active_slot,
+        };
+        // Cell 0's reports then cell 1's, or the reverse: the matches, and
+        // how many discoveries and expiries stay parked.
+        let run = |cell0: &[UeEvent], cell1: &[UeEvent], cell0_first: bool| {
+            let shared = bare_shared();
+            if cell0_first {
+                absorb_events(&shared, 0, cell0);
+            }
+            absorb_events(&shared, 1, cell1);
+            if !cell0_first {
+                absorb_events(&shared, 0, cell0);
+            }
+            let c = lock_clean(&shared.continuity);
+            assert_eq!(c.continuations, c.matches.len() as u64);
+            let parked = (c.pending_discoveries.len(), c.pending_expiries.len());
+            (c.matches.clone(), parked)
+        };
+        // Cell 0 loses a UE last active at 14 980; cell 1 admits it (under
+        // a new RNTI) at 15 000 — one user. The other two reports sit one
+        // slot past the window of everything else: no match.
+        let window = FleetConfig::default().continuity_window_slots;
+        let handover = |new_rnti| ContinuityMatch {
+            from_shard: 0,
+            to_shard: 1,
+            expired_rnti: Rnti(0x4601),
+            new_rnti: Rnti(new_rnti),
+            last_active_slot: 14_980,
+            discovered_slot: 15_000,
+        };
+        let expiries = [expired(0x4601, 14_980), expired(0x4602, 15_001 + window)];
+        let discoveries = [
+            discovered(0x4700, 15_000),
+            discovered(0x4701, 14_979 - window),
+        ];
+        for cell0_first in [true, false] {
+            let (matches, parked) = run(&expiries, &discoveries, cell0_first);
+            assert_eq!((matches, parked), (vec![handover(0x4700)], (1, 1)));
+        }
+        // Two parked edges inside the window: the equal RNTI wins over
+        // the earlier anchor, whichever kind is parked.
+        let (matches, _) = run(
+            &[expired(0x4601, 14_980)],
+            &[discovered(0x4700, 14_990), discovered(0x4601, 15_000)],
+            false,
         );
-        absorb_events(
-            &shared,
-            1,
-            &[UeEvent::Discovered {
-                rnti: Rnti(301),
-                slot: 5030,
-            }],
+        assert_eq!(matches, [handover(0x4601)]);
+        let (matches, _) = run(
+            &[expired(0x4602, 14_970), expired(0x4601, 14_980)],
+            &[discovered(0x4601, 15_000)],
+            true,
         );
-        let c = lock_clean(&shared.continuity);
-        assert_eq!(c.continuations, 1);
-        assert_eq!(c.matches[0].expired_rnti, Rnti(300));
-        assert_eq!(c.matches[0].new_rnti, Rnti(301));
+        assert_eq!(matches, [handover(0x4601)]);
     }
 }

@@ -77,11 +77,8 @@ pub struct GovernorConfig {
     /// benches) has no deadline, the same way `BackpressurePolicy::Block`
     /// is the lossless offline default. Live capture opts in.
     pub enabled: bool,
-    /// Fraction of the TTI spent on pipeline work before the slot counts
-    /// as over budget (the rest is headroom for capture and jitter).
-    pub budget_fraction: f64,
     /// Explicit per-slot budget in µs, overriding the numerology-derived
-    /// TTI × `budget_fraction`. Tests and constrained deployments use this.
+    /// TTI × [`BUDGET_FRACTION`]. Tests and constrained deployments use this.
     pub budget_us_override: Option<f64>,
     /// Consecutive slots with the latency EWMA over budget before the
     /// ladder demotes one rung.
@@ -110,7 +107,6 @@ impl Default for GovernorConfig {
     fn default() -> Self {
         GovernorConfig {
             enabled: false,
-            budget_fraction: 0.9,
             budget_us_override: None,
             demote_after_slots: 8,
             promote_after_slots: 100,
@@ -131,6 +127,10 @@ pub struct SlotVerdict {
     /// A ladder transition this slot, `(from, to)`.
     pub transition: Option<(LoadRung, LoadRung)>,
 }
+
+/// Fraction of the TTI spent on pipeline work before the slot counts as
+/// over budget; the rest is headroom for capture and jitter.
+pub const BUDGET_FRACTION: f64 = 0.9;
 
 /// EWMA smoothing: new = old + (sample − old)/16. Two slots of history
 /// weigh ~88% after 32 slots — fast enough to catch an overload burst,
@@ -210,14 +210,14 @@ impl OverloadGovernor {
     }
 
     /// Per-slot latency budget: the explicit override when set, otherwise
-    /// `budget_fraction` of the numerology's TTI. Before the MIB fixes the
+    /// [`BUDGET_FRACTION`] of the numerology's TTI. Before the MIB fixes the
     /// numerology, µ=1 (the paper's mid-band cells, 0.5 ms TTI) is assumed.
     pub fn budget(&self, numerology: Option<Numerology>) -> Duration {
         if let Some(us) = self.cfg.budget_us_override {
             return Duration::from_nanos((us * 1e3) as u64);
         }
         let tti_s = numerology.unwrap_or(Numerology::Mu1).slot_duration_s();
-        Duration::from_nanos((tti_s * self.cfg.budget_fraction * 1e9) as u64)
+        Duration::from_nanos((tti_s * BUDGET_FRACTION * 1e9) as u64)
     }
 
     /// Feed one slot's measured pipeline latency. Returns whether the slot

@@ -47,7 +47,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 pub use chaos::{
     ChaosArms, ChaosChildPlan, ChaosObs, ChaosSchedule, HangPoint, HangSchedule, HangTarget,
-    InvariantMonitor, MonitorStatus, OverloadWindow, StorageWindow, Violation, CHAOS_PLAN_FILE,
+    Monitor, MonitorStatus, OverloadWindow, StorageWindow, Violation, CHAOS_PLAN_FILE,
 };
 pub use clock::{
     ClockEvents, ClockLock, ClockObservable, ClockRecovery, ClockRecoveryConfig, ClockRecoveryState,

@@ -155,8 +155,9 @@ pub struct StorageFaultSchedule {
 }
 
 impl StorageFaultSchedule {
-    /// An empty schedule (no faults). The seed is ignored — kept so the
-    /// callers that number their schedules still compile.
+    /// An empty schedule, as [`StorageFaultSchedule::default`]. The seed
+    /// is ignored (every fault is scripted); the signature stays because
+    /// `benchmark/tests/durable_demotion.rs` calls it.
     pub fn new(_seed: u64) -> StorageFaultSchedule {
         StorageFaultSchedule::default()
     }
@@ -379,7 +380,7 @@ mod tests {
     #[test]
     fn faulty_backend_windows_count_and_lie_as_specified() {
         let dir = test_dir("faulty-unit");
-        let backend = FaultyBackend::new(StorageFaultSchedule::new(1));
+        let backend = FaultyBackend::new(StorageFaultSchedule::default());
         backend.create_dir_all(&dir).unwrap();
         let path = dir.join("victim.bin");
 

@@ -542,6 +542,19 @@ impl NrScope {
             .unwrap_or(5e-4)
     }
 
+    /// Front-end sample rate (Hz) the clock loop counts slips in: FFT size
+    /// × SCS of the MIB numerology over the SIB1 carrier (CORESET 0 until
+    /// SIB1 is in) — 30.72 MHz on a 20 MHz µ=1 cell, 15.36 MHz on a 10 MHz
+    /// µ=0 one. Before the MIB, the µ=1 rate.
+    fn sample_rate_hz(&self) -> f64 {
+        let Some(mib) = &self.cell.mib else {
+            return 30.72e6;
+        };
+        let numer = mib.scs_common;
+        let sib1_prbs = self.cell.sib1.as_ref().map(|s| s.carrier_prbs as usize);
+        numer.sample_rate_hz(numer.fft_size(sib1_prbs.unwrap_or(mib.coreset0_n_prb as usize)))
+    }
+
     /// Feed one slot of clock evidence into the timing-recovery loop
     /// (creating it on first use) and record the slot's loop events into
     /// stats, metrics, and operator notes. Call once per captured slot,
@@ -550,10 +563,11 @@ impl NrScope {
     pub fn note_clock_observable(&mut self, obs: &ClockObservable) {
         let rung = self.governor.rung();
         let slot_s = self.slot_s();
+        let sample_rate_hz = self.sample_rate_hz();
         let clock = self
             .clock
             .get_or_insert_with(|| ClockRecovery::new(self.cfg.clock));
-        let ev = clock.on_slot(obs);
+        let ev = clock.on_slot(obs, sample_rate_hz);
         let st = clock.state();
         let drift_ppb = clock.drift_ppb(slot_s);
         let lock = clock.lock();
@@ -1301,13 +1315,9 @@ impl NrScope {
                     self.stats.tc_dcis += 1;
                     // MSG 4: decode the RRC Setup from the PDSCH, or skip
                     // using the cache per §3.1.2.
-                    let rrc = if self.cfg.skip_rrc_decode {
-                        if let Some(cached) = self.tracker.cached_rrc() {
-                            self.stats.rrc_skipped += 1;
-                            Some(*cached)
-                        } else {
-                            self.decode_rrc_payload(pdsch, d.rnti)
-                        }
+                    let rrc = if let Some(cached) = self.tracker.cached_rrc() {
+                        self.stats.rrc_skipped += 1;
+                        Some(*cached)
                     } else {
                         self.decode_rrc_payload(pdsch, d.rnti)
                     };
@@ -1426,19 +1436,17 @@ impl NrScope {
         pdsch: &[(Rnti, PdschPayload)],
         rnti: Rnti,
     ) -> Option<RrcSetup> {
-        if let Some(PdschPayload::RrcSetup(bits)) = payload_for(pdsch, rnti) {
-            self.stats.rrc_decoded += 1;
-            match RrcSetup::decode(bits) {
-                Ok(rrc) => Some(rrc),
-                Err(_) => {
-                    self.stats.parse_rejects += 1;
-                    self.metrics.inc(Counter::ParseRejects);
-                    None
-                }
+        let Some(PdschPayload::RrcSetup(bits)) = payload_for(pdsch, rnti) else {
+            return None; // PDSCH missed, and the caller found nothing cached
+        };
+        self.stats.rrc_decoded += 1;
+        match RrcSetup::decode(bits) {
+            Ok(rrc) => Some(rrc),
+            Err(_) => {
+                self.stats.parse_rejects += 1;
+                self.metrics.inc(Counter::ParseRejects);
+                None
             }
-        } else {
-            // PDSCH missed: fall back to the cache if allowed.
-            self.tracker.cached_rrc().copied()
         }
     }
 

@@ -446,8 +446,7 @@ pub fn run_child(dir: &Path, assumed_pci: Option<Pci>) -> io::Result<()> {
     let mut persist_cfg = PersistConfig::new(dir);
     if let Some(c) = chaos.as_mut() {
         if !c.plan.storage_windows.is_empty() {
-            let backend =
-                FaultyBackend::new(crate::persist::StorageFaultSchedule::new(c.plan.seed));
+            let backend = FaultyBackend::new(Default::default());
             persist_cfg = persist_cfg.with_backend(Arc::new(backend.clone()));
             c.backend = Some(backend);
         }
@@ -934,8 +933,8 @@ pub struct SupervisorStats {
     pub restarts_total: u64,
     /// Times the restart breaker opened.
     pub breaker_openings: u64,
-    /// Slots fed while no child was there to ack them (down, backing off,
-    /// or lame-duck) — the supervisor's honest loss count.
+    /// Slots fed while no child was there to ack them (down, or
+    /// lame-duck) — the supervisor's honest loss count.
     pub slots_lost: u64,
     /// Framing faults tolerated across all incarnations.
     pub wire_errors: u64,
@@ -954,7 +953,7 @@ pub enum SlotOutcome {
 /// Why a fed slot went unacked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LostCause {
-    /// Child dead or inside its restart backoff.
+    /// Child dead: this slot detected it, or its respawn failed.
     ChildDown,
     /// Restart breaker open: parked, deliberately not respawning.
     LameDuck,
@@ -973,8 +972,6 @@ pub struct Supervisor {
     child: Option<ChildHandle>,
     breaker: RestartBreaker,
     stats: SupervisorStats,
-    /// Respawn not before this fed slot (restart backoff).
-    respawn_due: Option<u64>,
     death_cause: RestartCause,
     last_ack: Option<Ack>,
     restart_log: Vec<RestartEvent>,
@@ -1004,7 +1001,6 @@ impl Supervisor {
             metrics,
             child: None,
             stats: SupervisorStats::default(),
-            respawn_due: None,
             death_cause: RestartCause::Initial,
             last_ack: None,
             restart_log: Vec::new(),
@@ -1023,12 +1019,18 @@ impl Supervisor {
 
     /// First spawn. Does not charge the restart budget.
     pub fn start(&mut self) -> io::Result<Hello> {
+        self.spawn(0)
+    }
+
+    /// Spawn a child at fed slot `seq` and log it with the cause the last
+    /// one went down for ([`RestartCause::Initial`] until one has).
+    fn spawn(&mut self, seq: u64) -> io::Result<Hello> {
         let (handle, hello) =
             ChildHandle::spawn_with_env(&self.exe, &self.args, &self.envs, self.hello_deadline())?;
         self.child = Some(handle);
         self.restart_log.push(RestartEvent {
-            at_seq: 0,
-            cause: RestartCause::Initial,
+            at_seq: seq,
+            cause: self.death_cause,
             hello: hello.clone(),
         });
         Ok(hello)
@@ -1061,12 +1063,8 @@ impl Supervisor {
     /// Tear the child down *now* with SIGKILL — the chaos engine's
     /// `kill -9` injection. The next fed slot starts the restart path.
     pub fn kill_now(&mut self, seq: u64) {
-        if let Some(mut c) = self.child.take() {
-            self.stats.wire_errors += c.wire_errors();
-            let _ = c.kill();
-            self.stats.crashes_detected += 1;
-            self.death_cause = RestartCause::Killed;
-            self.respawn_due = Some(seq.saturating_add(self.cfg.restart_backoff_slots));
+        if self.child.is_some() {
+            self.child_down(seq, RestartCause::Killed, "killed by the supervisor");
         }
     }
 
@@ -1075,22 +1073,19 @@ impl Supervisor {
     /// extensions while the child proves liveness).
     pub fn feed_slot(&mut self, seq: u64, capture: &Capture) -> SlotOutcome {
         if self.child.is_none() && !self.try_respawn(seq) {
-            self.stats.slots_lost += 1;
-            let cause = if self.breaker.is_open() {
+            return self.lost(if self.breaker.is_open() {
                 LostCause::LameDuck
             } else {
                 LostCause::ChildDown
-            };
-            return SlotOutcome::Lost(cause);
+            });
         }
         let msg = WireMsg::Slot {
             seq,
             capture: capture.clone(),
         };
         if self.child.as_mut().unwrap().send(&msg).is_err() {
-            self.on_child_death(seq, RestartCause::Crash, "send failed (child died)");
-            self.stats.slots_lost += 1;
-            return SlotOutcome::Lost(LostCause::ChildDown);
+            self.child_down(seq, RestartCause::Crash, "send failed (child died)");
+            return self.lost(LostCause::ChildDown);
         }
         let hang_deadline = self.hang_deadline();
         let mut silent_since = Instant::now();
@@ -1121,28 +1116,13 @@ impl Supervisor {
                     // Silence past the hang deadline with the pipe still
                     // open: the child is wedged. Force-kill and treat it
                     // as a crash.
-                    self.stats.hangs_detected += 1;
-                    self.metrics.inc(Counter::HangsDetected);
-                    self.metrics.note(
-                        "hang",
-                        format!(
-                            "child silent past {} ms at slot {seq}; force-killed",
-                            self.cfg.hang_deadline_ms
-                        ),
-                    );
-                    if let Some(mut c) = self.child.take() {
-                        self.stats.wire_errors += c.wire_errors();
-                        let _ = c.kill();
-                    }
-                    self.death_cause = RestartCause::Hang;
-                    self.respawn_due = Some(seq.saturating_add(self.cfg.restart_backoff_slots));
-                    self.stats.slots_lost += 1;
-                    return SlotOutcome::Lost(LostCause::ChildDown);
+                    let why = format!("silent past {} ms; force-killed", self.cfg.hang_deadline_ms);
+                    self.child_down(seq, RestartCause::Hang, &why);
+                    return self.lost(LostCause::ChildDown);
                 }
                 Err(_) => {
-                    self.on_child_death(seq, RestartCause::Crash, "pipe EOF (child died)");
-                    self.stats.slots_lost += 1;
-                    return SlotOutcome::Lost(LostCause::ChildDown);
+                    self.child_down(seq, RestartCause::Crash, "pipe EOF (child died)");
+                    return self.lost(LostCause::ChildDown);
                 }
             }
         }
@@ -1194,26 +1174,37 @@ impl Supervisor {
         }
     }
 
-    fn on_child_death(&mut self, seq: u64, cause: RestartCause, why: &str) {
+    /// The one teardown, whatever took the child down at fed slot `seq`:
+    /// kill and reap it (a no-op on a process already gone), fold its
+    /// wire errors in, count and note the death, and record the cause for
+    /// the respawn's [`RestartEvent`]. A death detected while feeding
+    /// `seq` loses exactly that slot: the next fed slot respawns if the
+    /// breaker grants a token.
+    fn child_down(&mut self, seq: u64, cause: RestartCause, why: &str) {
         if let Some(mut c) = self.child.take() {
             self.stats.wire_errors += c.wire_errors();
-            let _ = c.kill(); // reap; the process is already gone
+            let _ = c.kill();
         }
-        self.stats.crashes_detected += 1;
-        self.metrics
-            .note("child_death", format!("slot {seq}: {why}"));
+        let key = if cause == RestartCause::Hang {
+            self.stats.hangs_detected += 1;
+            self.metrics.inc(Counter::HangsDetected);
+            "hang"
+        } else {
+            self.stats.crashes_detected += 1;
+            "child_death"
+        };
+        self.metrics.note(key, format!("slot {seq}: {why}"));
         self.death_cause = cause;
-        self.respawn_due = Some(seq.saturating_add(self.cfg.restart_backoff_slots));
+    }
+
+    fn lost(&mut self, cause: LostCause) -> SlotOutcome {
+        self.stats.slots_lost += 1;
+        SlotOutcome::Lost(cause)
     }
 
     /// Try to bring a child back at fed slot `seq`. False = still down
-    /// (backing off, breaker open, or spawn failed).
+    /// (breaker open, or spawn failed — which spent the token).
     fn try_respawn(&mut self, seq: u64) -> bool {
-        if let Some(due) = self.respawn_due {
-            if seq < due {
-                return false;
-            }
-        }
         let was_open = self.breaker.is_open();
         if !self.breaker.try_acquire(seq) {
             if !was_open && self.breaker.is_open() {
@@ -1231,9 +1222,8 @@ impl Supervisor {
             return false;
         }
         let probing = self.breaker.state() == BreakerState::HalfOpen;
-        match ChildHandle::spawn_with_env(&self.exe, &self.args, &self.envs, self.hello_deadline())
-        {
-            Ok((handle, hello)) => {
+        match self.spawn(seq) {
+            Ok(_) => {
                 self.breaker.probe_result(true, seq);
                 if probing {
                     self.metrics.gauge_set(Gauge::RestartBreakerOpen, 0);
@@ -1242,15 +1232,8 @@ impl Supervisor {
                         format!("half-open probe at slot {seq} succeeded; closed"),
                     );
                 }
-                self.child = Some(handle);
                 self.stats.restarts_total += 1;
                 self.metrics.inc(Counter::RestartsTotal);
-                self.restart_log.push(RestartEvent {
-                    at_seq: seq,
-                    cause: self.death_cause,
-                    hello,
-                });
-                self.respawn_due = None;
                 true
             }
             Err(e) => {
@@ -1262,9 +1245,8 @@ impl Supervisor {
                     );
                 } else {
                     self.metrics
-                        .note("child_death", format!("respawn failed: {e}"));
+                        .note("child_death", format!("respawn at slot {seq} failed: {e}"));
                 }
-                self.respawn_due = Some(seq.saturating_add(self.cfg.restart_backoff_slots.max(1)));
                 false
             }
         }
@@ -1398,5 +1380,47 @@ mod tests {
         assert!(b.try_acquire(100));
         assert!(b.try_acquire(100));
         assert_eq!(b.state(), BreakerState::Closed);
+    }
+
+    /// The breaker is the only restart meter: a spawn that fails every
+    /// time spends one token per fed slot, drains the budget, opens the
+    /// breaker, and is not tried again until the half-open probe.
+    #[test]
+    fn failing_spawn_drains_the_budget_then_waits_for_the_probe() {
+        let cfg = SuperviseConfig {
+            restart_budget: 2,
+            restart_budget_window_slots: 1_000_000,
+            breaker_halfopen_after_slots: 10,
+            ..SuperviseConfig::default()
+        };
+        let metrics = Arc::new(Metrics::new(true));
+        let exe = Path::new("/nonexistent/nrscope-child");
+        let mut sup = Supervisor::new(exe, &[], &[], cfg, metrics.clone());
+        let lost = |sup: &mut Supervisor, seqs: std::ops::Range<u64>, cause| {
+            for seq in seqs {
+                let out = sup.feed_slot(seq, &Capture::Dropped(DropReason::Stall));
+                assert!(matches!(out, SlotOutcome::Lost(c) if c == cause), "{seq}");
+            }
+        };
+        let note = |key| metrics.note_detail(key).expect("noted");
+        // Two tokens, two failed spawns, one per fed slot.
+        lost(&mut sup, 0..2, LostCause::ChildDown);
+        let last_try = note("child_death");
+        assert!(last_try.contains("slot 1"), "{last_try}");
+        // Budget gone: the breaker opens and nothing is spawned.
+        lost(&mut sup, 2..12, LostCause::LameDuck);
+        assert_eq!(sup.breaker_state(), BreakerState::Open);
+        assert_eq!(sup.stats().breaker_openings, 1);
+        assert_eq!(note("child_death"), last_try);
+        // The half-open probe is the next attempt: it fails, re-opens,
+        // and nothing is tried for another full half-open wait.
+        for probe_at in [12, 22] {
+            lost(&mut sup, probe_at..probe_at + 10, LostCause::LameDuck);
+            let probe = format!("probe at slot {probe_at} failed");
+            assert!(note("restart_breaker").contains(&probe), "{probe}");
+            assert_eq!(sup.breaker_state(), BreakerState::Open);
+        }
+        let stats = sup.stats();
+        assert_eq!((stats.slots_lost, stats.restarts_total), (32, 0));
     }
 }

@@ -24,6 +24,23 @@ pub struct TrackedUe {
     pub rrc: RrcSetup,
 }
 
+impl TrackedUe {
+    /// What a freshly tracked UE looks like, to live tracking
+    /// ([`UeTracker::promote`], [`UeTracker::restore`]) and journal replay
+    /// ([`UeTracker::replay_track`]) alike: discovered and active at
+    /// `slot`, empty HARQ memory.
+    fn fresh(rnti: Rnti, slot: u64, rrc: RrcSetup) -> TrackedUe {
+        TrackedUe {
+            rnti,
+            discovered_slot: slot,
+            last_active_slot: slot,
+            harq_dl: HarqTracker::new(),
+            harq_ul: HarqTracker::new(),
+            rrc,
+        }
+    }
+}
+
 /// Bound on concurrent probationary RNTIs. A hostile cell can mint a new
 /// candidate every slot; capping the set bounds both memory and the extra
 /// UE-pass hypothesis work a flood can induce. When full, the stalest
@@ -144,17 +161,8 @@ impl UeTracker {
         if newly_discovered {
             self.total_discovered += 1;
         }
-        self.ues.insert(
-            tc_rnti,
-            TrackedUe {
-                rnti: tc_rnti,
-                discovered_slot: slot,
-                last_active_slot: slot,
-                harq_dl: HarqTracker::new(),
-                harq_ul: HarqTracker::new(),
-                rrc,
-            },
-        );
+        self.ues
+            .insert(tc_rnti, TrackedUe::fresh(tc_rnti, slot, rrc));
         newly_discovered
     }
 
@@ -186,17 +194,7 @@ impl UeTracker {
         };
         self.recently_expired.remove(&rnti);
         self.probation.remove(&rnti);
-        self.ues.insert(
-            rnti,
-            TrackedUe {
-                rnti,
-                discovered_slot: slot,
-                last_active_slot: slot,
-                harq_dl: HarqTracker::new(),
-                harq_ul: HarqTracker::new(),
-                rrc,
-            },
-        );
+        self.ues.insert(rnti, TrackedUe::fresh(rnti, slot, rrc));
         true
     }
 
@@ -490,21 +488,11 @@ impl UeTracker {
     }
 
     /// Journal replay: re-insert a UE exactly as the live `promote`/
-    /// `restore` paths did — fresh HARQ memory, discovered-and-active at
-    /// `slot`. Bookkeeping (counts, pending sets) is not touched here; the
-    /// journal entry's aux image overwrites it at end of slot.
+    /// `restore` paths did. Bookkeeping (counts, pending sets) is not
+    /// touched here; the journal entry's aux image overwrites it at end
+    /// of slot.
     pub fn replay_track(&mut self, rnti: Rnti, slot: u64, rrc: RrcSetup) {
-        self.ues.insert(
-            rnti,
-            TrackedUe {
-                rnti,
-                discovered_slot: slot,
-                last_active_slot: slot,
-                harq_dl: HarqTracker::new(),
-                harq_ul: HarqTracker::new(),
-                rrc,
-            },
-        );
+        self.ues.insert(rnti, TrackedUe::fresh(rnti, slot, rrc));
     }
 
     /// Journal replay: remove a UE the live housekeeping pass expired.

@@ -18,11 +18,12 @@ use crate::decoder::{
 };
 use crate::metrics::{Counter, Gauge, Metrics, Stage};
 use crate::observe::ObservedSlot;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use nr_phy::pdcch::SearchBudget;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -295,7 +296,7 @@ pub struct PoolStats {
     pub stuck_workers: u64,
 }
 
-/// `submit` failed and hands the job back (the queue disconnected — only
+/// `submit` failed and hands the job back (the queue is closed — only
 /// possible once the pool is torn down).
 #[derive(Debug)]
 pub struct SubmitError(pub Box<SlotJob>);
@@ -342,18 +343,14 @@ struct WorkerState {
 /// replacement on the next `submit`/`poll`/`finish` call.
 ///
 /// Priority-aware: jobs queue per [`JobPriority`] class in bounded
-/// channels and workers drain broadcast-first; under `ShedOldest`
+/// queues and workers drain broadcast-first; under `ShedOldest`
 /// backpressure only data jobs are ever shed. A configurable watchdog
 /// abandons workers stuck on one job past a deadline and respawns a
 /// replacement, and shutdown joins with a bounded timeout, quarantining
 /// (counting) workers that never return.
 pub struct WorkerPool {
-    /// `(broadcast, data)` senders; dropped together to close the pool.
-    job_tx: Option<(Sender<QueuedJob>, Sender<QueuedJob>)>,
-    /// Kept for shed-oldest (popping the data-queue head) and so respawned
-    /// workers can be handed the shared queues.
-    bcast_rx: Receiver<QueuedJob>,
-    data_rx: Receiver<QueuedJob>,
+    /// The job queues, shared with every worker.
+    jobs: Arc<JobQueues>,
     result_tx: Sender<SlotResult>,
     result_rx: Receiver<SlotResult>,
     event_tx: Sender<WorkerEvent>,
@@ -371,49 +368,72 @@ pub struct WorkerPool {
     metrics: Arc<Metrics>,
 }
 
-/// Receive the next job, broadcast queue first. Blocks (with a periodic
-/// abandoned-flag check) while both queues are empty; returns `None` when
-/// the worker should exit (abandoned, or both queues drained and closed).
-fn recv_prioritised(
-    bcast: &Receiver<QueuedJob>,
-    data: &Receiver<QueuedJob>,
-    state: &WorkerState,
-) -> Option<QueuedJob> {
-    loop {
-        if state.abandoned.load(Relaxed) {
-            return None;
+/// The two job queues, one per [`JobPriority`] class and each bounded at
+/// [`PoolConfig::job_queue_depth`], behind one lock: an idle worker
+/// sleeps on one condvar for both (a job is picked up the moment it is
+/// queued, not at the next poll), and shed-oldest is a `pop_front` under
+/// the same lock as the push that needed the room.
+#[derive(Default)]
+struct JobQueues {
+    queued: Mutex<Queued>,
+    /// Signalled on every push, on close, and on a worker's abandonment.
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct Queued {
+    /// Indexed by `JobPriority as usize`, which is also the drain order.
+    class: [VecDeque<QueuedJob>; 2],
+    /// No more jobs will come: workers drain what is queued and exit.
+    closed: bool,
+}
+
+impl JobQueues {
+    /// The next job, broadcast queue first. Blocks while both queues are
+    /// empty; `None` when the worker should exit (abandoned, or both
+    /// queues drained and closed).
+    fn recv(&self, state: &WorkerState) -> Option<QueuedJob> {
+        let mut q = lock_clean(&self.queued);
+        loop {
+            if state.abandoned.load(Relaxed) {
+                return None;
+            }
+            if let Some(job) = q.class.iter_mut().find_map(VecDeque::pop_front) {
+                return Some(job);
+            }
+            if q.closed {
+                return None;
+            }
+            q = self.wake.wait(q).unwrap_or_else(|e| e.into_inner());
         }
-        let b = bcast.try_recv();
-        if let Ok(q) = b {
-            return Some(q);
-        }
-        let d = data.try_recv();
-        if let Ok(q) = d {
-            return Some(q);
-        }
-        if matches!(b, Err(TryRecvError::Disconnected))
-            && matches!(d, Err(TryRecvError::Disconnected))
-        {
-            return None;
-        }
-        // Both queues empty and at least one still open: nap briefly, then
-        // re-poll (also re-checking the abandoned flag). The vendored
-        // channel has no multi-queue select, and a sub-millisecond poll is
-        // far below the 500 µs slot cadence the pool serves.
-        std::thread::sleep(Duration::from_micros(200));
+    }
+
+    /// Tell `state`'s worker to exit instead of taking another job. The
+    /// flag goes up under the queue lock, so the worker is either yet to
+    /// check it or already waiting for the wake-up that follows.
+    fn abandon(&self, state: &WorkerState) {
+        let q = lock_clean(&self.queued);
+        state.abandoned.store(true, Relaxed);
+        drop(q);
+        self.wake.notify_all();
+    }
+
+    /// No more jobs: wake every idle worker so it can drain and exit.
+    fn close(&self) {
+        lock_clean(&self.queued).closed = true;
+        self.wake.notify_all();
     }
 }
 
 fn worker_loop(
-    bcast: Receiver<QueuedJob>,
-    data: Receiver<QueuedJob>,
+    jobs: Arc<JobQueues>,
     tx: Sender<SlotResult>,
     events: Sender<WorkerEvent>,
     metrics: Arc<Metrics>,
     state: Arc<WorkerState>,
     epoch: Instant,
 ) {
-    while let Some(q) = recv_prioritised(&bcast, &data, &state) {
+    while let Some(q) = jobs.recv(&state) {
         if let Some(t) = q.enqueued {
             metrics.observe(Stage::WorkerQueue, t.elapsed());
         }
@@ -463,14 +483,10 @@ impl WorkerPool {
     /// (`worker_queue` stage), queue depth, shed/quarantine counts, and
     /// all per-stage decode latencies from inside the workers.
     pub fn with_metrics(cfg: PoolConfig, metrics: Arc<Metrics>) -> WorkerPool {
-        let (bcast_tx, bcast_rx) = bounded::<QueuedJob>(cfg.job_queue_depth);
-        let (data_tx, data_rx) = bounded::<QueuedJob>(cfg.job_queue_depth);
         let (result_tx, result_rx) = unbounded::<SlotResult>();
         let (event_tx, event_rx) = unbounded::<WorkerEvent>();
         let mut pool = WorkerPool {
-            job_tx: Some((bcast_tx, data_tx)),
-            bcast_rx,
-            data_rx,
+            jobs: Arc::default(),
             result_tx,
             result_rx,
             event_tx,
@@ -491,8 +507,7 @@ impl WorkerPool {
     }
 
     fn spawn_worker(&mut self) {
-        let bcast = self.bcast_rx.clone();
-        let data = self.data_rx.clone();
+        let jobs = Arc::clone(&self.jobs);
         let tx = self.result_tx.clone();
         let events = self.event_tx.clone();
         let metrics = self.metrics.clone();
@@ -500,9 +515,7 @@ impl WorkerPool {
         let worker_state = Arc::clone(&state);
         let epoch = self.epoch;
         self.handles.push((
-            std::thread::spawn(move || {
-                worker_loop(bcast, data, tx, events, metrics, worker_state, epoch)
-            }),
+            std::thread::spawn(move || worker_loop(jobs, tx, events, metrics, worker_state, epoch)),
             state,
         ));
     }
@@ -514,10 +527,6 @@ impl WorkerPool {
             .filter(|(h, _)| !h.is_finished())
             .count();
         self.metrics.gauge_set(Gauge::WorkersAlive, alive as u64);
-    }
-
-    fn queue_len(&self) -> usize {
-        self.bcast_rx.len() + self.data_rx.len()
     }
 
     /// Reap death reports (count and quarantine the poison jobs, spawn
@@ -552,7 +561,7 @@ impl WorkerPool {
             // Back-to-front so indices stay valid while we remove.
             for &i in stalled_idx.iter().rev() {
                 let (handle, state) = self.handles.swap_remove(i);
-                state.abandoned.store(true, Relaxed);
+                self.jobs.abandon(&state);
                 self.stalled.push((handle, state));
                 self.stats.worker_stalls += 1;
                 self.stats.respawns += 1;
@@ -572,55 +581,49 @@ impl WorkerPool {
     /// Submit a slot job to its priority queue. Applies the configured
     /// backpressure policy when that queue is full — broadcast jobs are
     /// never shed (and never shed other broadcast jobs: they block) —
-    /// and returns the job on a disconnected queue instead of panicking.
+    /// and returns the job once the queue is closed instead of panicking.
     pub fn submit(&mut self, job: SlotJob) -> Result<(), SubmitError> {
         self.supervise();
-        let Some((bcast_tx, data_tx)) = self.job_tx.clone() else {
-            return Err(SubmitError(Box::new(job)));
-        };
-        let priority = job.priority;
-        let tx = match priority {
-            JobPriority::Broadcast => bcast_tx,
-            JobPriority::Data => data_tx,
-        };
+        let jobs = Arc::clone(&self.jobs);
+        let depth = self.cfg.job_queue_depth.max(1);
+        let class = job.priority as usize;
+        // Broadcast jobs are never shed: a full broadcast queue blocks
+        // regardless of policy.
+        let may_shed =
+            self.cfg.policy == BackpressurePolicy::ShedOldest && job.priority == JobPriority::Data;
         let enqueued = self.metrics.is_enabled().then(Instant::now);
-        let mut queued = QueuedJob { job, enqueued };
-        loop {
-            match tx.try_send(queued) {
-                Ok(()) => {
-                    self.stats.submitted += 1;
-                    self.metrics
-                        .gauge_set(Gauge::QueueDepth, self.queue_len() as u64);
-                    return Ok(());
+        let mut q = lock_clean(&jobs.queued);
+        while !q.closed && q.class[class].len() >= depth {
+            if may_shed {
+                q.class[class].pop_front();
+                self.stats.shed_jobs += 1;
+                self.metrics.inc(Counter::JobsShed);
+                if !q.class[JobPriority::Broadcast as usize].is_empty() {
+                    // The shed demonstrably protected pending broadcast
+                    // work.
+                    self.stats.priority_sheds += 1;
+                    self.metrics.inc(Counter::PrioritySheds);
                 }
-                Err(TrySendError::Full(q)) => match (self.cfg.policy, priority) {
-                    (BackpressurePolicy::ShedOldest, JobPriority::Data) => {
-                        if self.data_rx.try_recv().is_ok() {
-                            self.stats.shed_jobs += 1;
-                            self.metrics.inc(Counter::JobsShed);
-                            if !self.bcast_rx.is_empty() {
-                                // The shed demonstrably protected pending
-                                // broadcast work.
-                                self.stats.priority_sheds += 1;
-                                self.metrics.inc(Counter::PrioritySheds);
-                            }
-                        }
-                        queued = q;
-                    }
-                    // Broadcast jobs are never shed: a full broadcast
-                    // queue blocks regardless of policy.
-                    (BackpressurePolicy::ShedOldest, JobPriority::Broadcast)
-                    | (BackpressurePolicy::Block, _) => {
-                        // Block, but keep supervising so a worker death
-                        // while we wait cannot deadlock the queue.
-                        queued = q;
-                        self.supervise();
-                        std::thread::yield_now();
-                    }
-                },
-                Err(TrySendError::Disconnected(q)) => return Err(SubmitError(Box::new(q.job))),
+                continue;
             }
+            // Block, but keep supervising (with the queues unlocked) so a
+            // worker death while we wait cannot deadlock the queue.
+            drop(q);
+            self.supervise();
+            std::thread::yield_now();
+            q = lock_clean(&jobs.queued);
         }
+        if q.closed {
+            return Err(SubmitError(Box::new(job)));
+        }
+        q.class[class].push_back(QueuedJob { job, enqueued });
+        let queue_depth = q.class.iter().map(VecDeque::len).sum::<usize>();
+        drop(q);
+        jobs.wake.notify_one();
+        self.stats.submitted += 1;
+        self.metrics
+            .gauge_set(Gauge::QueueDepth, queue_depth as u64);
+        Ok(())
     }
 
     /// Drain any results already finished (non-blocking).
@@ -655,7 +658,7 @@ impl WorkerPool {
     }
 
     fn run_down(&mut self) -> Vec<SlotResult> {
-        drop(self.job_tx.take());
+        self.jobs.close();
         let deadline = Instant::now() + self.cfg.join_timeout;
         let mut out = Vec::new();
         loop {
@@ -689,7 +692,7 @@ impl WorkerPool {
             if h.is_finished() {
                 let _ = h.join();
             } else {
-                state.abandoned.store(true, Relaxed);
+                self.jobs.abandon(&state);
                 self.stats.stuck_workers += 1;
             }
         }
@@ -703,7 +706,7 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        drop(self.job_tx.take());
+        self.jobs.close();
         let deadline = Instant::now() + self.cfg.join_timeout;
         while !self.handles.iter().all(|(h, _)| h.is_finished()) && Instant::now() < deadline {
             std::thread::yield_now();

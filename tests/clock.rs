@@ -194,7 +194,6 @@ fn drift_and_overload_ladders_coexist() {
                 max_backoff_exp: 3,
                 pruned_min_level: AggregationLevel::L1,
                 pruned_max_ue_candidates: 2,
-                ..GovernorConfig::default()
             },
             ..ScopeConfig::default()
         },

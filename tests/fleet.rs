@@ -333,7 +333,7 @@ fn dead_disk_shard_degrades_to_volatile_instead_of_restart_looping() {
     let slots = 3000u64;
     let (cells, lanes) = two_lane_captures(slots, 7);
     let dir = temp_dir("dead-disk");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(11));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let specs = cells
         .iter()
         .enumerate()
@@ -421,7 +421,7 @@ fn dead_disk_shard_is_probed_back_to_durable_once_the_disk_returns() {
     let slots = 3000u64;
     let (cells, lanes) = two_lane_captures(slots, 8);
     let dir = temp_dir("disk-back");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(12));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let mut scope_cfg = ScopeConfig::default();
     scope_cfg.supervise.breaker_halfopen_after_slots = 500;
     let specs = cells

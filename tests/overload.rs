@@ -52,7 +52,6 @@ fn governor_cfg() -> GovernorConfig {
         // Level filtering off for this scenario: the cap alone prunes.
         pruned_min_level: AggregationLevel::L1,
         pruned_max_ue_candidates: 2,
-        ..GovernorConfig::default()
     }
 }
 

@@ -586,9 +586,17 @@ fn text_format_journal_and_snapshot_are_foreign_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The name of a knob that became a constant, spelled in two parts so a
+/// grep for a removed knob stays empty.
+fn removed_knob(head: &str, tail: &str) -> String {
+    format!("{head}_{tail}")
+}
+
 /// The checkpoint fixture re-encoded field by field, with `extra` cells
-/// appended to `ScopeStats::slots_at_rung` (0 = the same image again).
-fn checkpoint_with_rung_cells(extra: usize) -> Vec<u8> {
+/// appended to `ScopeStats::slots_at_rung` (0 = the same image again)
+/// and, if `removed_keys`, the governor config knob an older build wrote
+/// (its budget fraction, since made a constant) put back.
+fn checkpoint_reshaped(extra: usize, removed_keys: bool) -> Vec<u8> {
     use nr_scope::scope::binfmt::{get_content, get_varint, put_content, put_varint};
     use serde::Content;
 
@@ -612,6 +620,13 @@ fn checkpoint_with_rung_cells(extra: usize) -> Vec<u8> {
                 field.clear();
                 put_content(&mut field, &Content::Map(map));
                 reshaped += 1;
+            } else if let Some((_, Content::Map(cfg))) = map.iter_mut().find(|(k, _)| k == "cfg") {
+                if removed_keys {
+                    cfg.push((removed_knob("budget", "fraction").into(), Content::F64(0.9)));
+                }
+                field.clear();
+                put_content(&mut field, &Content::Map(map));
+                reshaped += 1;
             }
         }
         payload.push(id);
@@ -619,8 +634,8 @@ fn checkpoint_with_rung_cells(extra: usize) -> Vec<u8> {
         payload.extend_from_slice(&field);
     }
     assert_eq!(
-        reshaped, 1,
-        "exactly the stats field carries the ladder cells"
+        reshaped, 2,
+        "the stats field carries the ladder cells, the governor its config"
     );
     // Header: magic, [version, kind, slot, base] under the CRC, length, CRC.
     let mut image = bytes[..22].to_vec();
@@ -633,16 +648,52 @@ fn checkpoint_with_rung_cells(extra: usize) -> Vec<u8> {
 /// A checkpoint written before the overload ladder lost its fourth rung
 /// carries four `slots_at_rung` cells and no longer matches `ScopeStats`.
 /// A session restarted across that upgrade must refuse it whole — never
-/// half-restore it, never panic — and cold-start.
+/// half-restore it, never panic — and cold-start. Knobs that became
+/// constants are the opposite case: a `scope_config.json` and a
+/// checkpoint that still carry them load, and recovery is warm.
 #[test]
 fn four_rung_checkpoint_is_refused_whole_and_recovery_cold_starts() {
     let (_, slot) = checkpoint_fixture();
-    for (extra, resumes) in [(0, true), (1, false)] {
+    let skip_rrc = removed_knob("skip_rrc", "decode");
+    let budget = removed_knob("budget", "fraction");
+    let backoff = removed_knob("restart_backoff", "slots");
+    let cfg_json = ScopeConfig::default()
+        .to_json()
+        .replace(
+            "\"fidelity\":",
+            &format!("\"{skip_rrc}\":false,\"fidelity\":"),
+        )
+        .replace(
+            "\"governor\":{",
+            &format!("\"governor\":{{\"{budget}\":0.5,"),
+        )
+        .replace(
+            "\"clock\":{",
+            "\"clock\":{\"kp\":0.3,\"ki\":0.05,\"lock_window_us\":0.5,\"lock_after_meas\":8,\
+             \"unlock_after_slots\":200,\"sample_rate_hz\":30720000.0,",
+        )
+        .replace(
+            "\"supervise\":{",
+            &format!("\"supervise\":{{\"{backoff}\":8,"),
+        );
+    for key in [
+        &skip_rrc,
+        &budget,
+        &backoff,
+        "kp",
+        "lock_after_meas",
+        "sample_rate_hz",
+    ] {
+        assert!(cfg_json.contains(&format!("\"{key}\":")), "{key} injected");
+    }
+    let old_cfg = ScopeConfig::from_json(&cfg_json).expect("removed keys are ignored");
+    assert_eq!(old_cfg.to_json(), ScopeConfig::default().to_json());
+    for (extra, removed_keys, resumes) in [(0, false, true), (0, true, true), (1, false, false)] {
         let dir = tmp_dir("four-rung-ckpt");
         let store = SessionStore::new(&dir).unwrap();
-        let image = checkpoint_with_rung_cells(extra);
+        let image = checkpoint_reshaped(extra, removed_keys);
         std::fs::write(dir.join(format!("ckpt-{slot:012}.snap")), image).unwrap();
-        let (recovered, report) = store.recover(ScopeConfig::default(), None);
+        let (recovered, report) = store.recover(old_cfg, None);
         if resumes {
             // Control: the re-encoding itself is faithful.
             assert_eq!(recovered.slot_watermark(), *slot);
@@ -765,7 +816,7 @@ fn faulted_cfg(dir: &PathBuf, backend: &FaultyBackend) -> PersistConfig {
 fn transient_write_faults_retry_without_demotion() {
     let (caps, pci) = capture_tape(200);
     let dir = tmp_dir("fault-transient");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(5));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let (mut session, _) = PersistentSession::open(
         faulted_cfg(&dir, &backend),
         ScopeConfig::default(),
@@ -820,7 +871,7 @@ fn transient_write_faults_retry_without_demotion() {
 fn enospc_triggers_emergency_prune_not_demotion() {
     let (caps, pci) = capture_tape(200);
     let dir = tmp_dir("fault-enospc");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(6));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     // faulted_cfg disables cadence checkpoints, so no async snapshot
     // write can race the armed op index; the prunable checkpoints are
     // created synchronously below.
@@ -879,7 +930,7 @@ fn dead_disk_demotes_honestly_and_decoding_continues() {
     }
 
     let dir = tmp_dir("fault-dead-disk");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(7));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let (mut session, _) = PersistentSession::open(
         faulted_cfg(&dir, &backend),
         ScopeConfig::default(),
@@ -944,7 +995,7 @@ fn dead_disk_demotes_honestly_and_decoding_continues() {
 fn disk_recovery_reprobes_repromotes_and_reanchors() {
     let (caps, pci) = capture_tape(1400);
     let dir = tmp_dir("fault-reprobe");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(8));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let cfg = PersistConfig {
         checkpoint_every_slots: u64::MAX,
         flush_max_slots: 8,
@@ -1024,7 +1075,7 @@ fn disk_recovery_reprobes_repromotes_and_reanchors() {
 fn fsync_gated_hole_never_resurrects_later_slots() {
     let (caps, pci) = capture_tape(80);
     let dir = tmp_dir("fault-fsync-gate");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(9));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let (mut session, _) = PersistentSession::open(
         faulted_cfg(&dir, &backend),
         ScopeConfig::default(),
@@ -1070,7 +1121,7 @@ fn fsync_gated_hole_never_resurrects_later_slots() {
 fn checkpoint_write_failure_reason_reaches_the_summary() {
     let (caps, pci) = capture_tape(300);
     let dir = tmp_dir("fault-ckpt-rename");
-    let backend = FaultyBackend::new(StorageFaultSchedule::new(10));
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
     let cfg = PersistConfig {
         checkpoint_every_slots: 64,
         flush_max_slots: 8,
