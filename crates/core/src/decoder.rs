@@ -24,17 +24,18 @@ use nr_phy::complex::Cf32;
 use nr_phy::crc::{dci_check_crc, dci_recover_rnti};
 use nr_phy::dci::{Dci, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
+use nr_phy::modulation::{demodulate_llr_into, Modulation};
 use nr_phy::numerology::SYMBOLS_PER_SLOT;
 use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::{
     candidate_cce, extract_candidate_above, search_space_cinit, ue_search_space_y,
-    AggregationLevel, Coreset, CoresetSequences, SearchBudget,
+    AggregationLevel, Coreset, CoresetSequences, ExtractScratch, SearchBudget,
 };
 use nr_phy::polar::{DecodeScratch, PolarCode};
 use nr_phy::sequence::gold_bits_cached;
-use nr_phy::types::{Rnti, RntiType};
+use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_phy::Numerology;
-use nr_rrc::RrcSetup;
+use nr_rrc::{Mib, RrcSetup};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -177,49 +178,144 @@ fn payload_sizes(sizing: &DciSizing) -> [usize; 2] {
 /// decoder context knows no width that fits (a cold bootstrap).
 const PRESET_CARRIER_PRBS: [usize; 4] = [51, 52, 79, 24];
 
-/// The IQ front end, shared by the live scope and the pool's workers:
-/// pick the OFDM layout whose slot length matches the buffer, check the
-/// sample count, and demodulate the symbols `wanted` marks under the
-/// `demod` stage. `layout` is the caller's cache — the scope keeps it for
-/// the session, a worker starts every job with `None`. A layout is picked
-/// at the context's numerology from the widths it already knows (the SIB1
-/// carrier BWP, then the CORESET 0 width the MIB guarantees) before the
-/// presets — how srsRAN's cell search sizes its FFT; without a context
-/// (a cold bootstrap) both numerologies are tried. `None` means no layout
-/// fits (a truncated capture or an unknown carrier) and is counted as a
-/// layout mismatch.
-pub(crate) fn demodulate_slot(
-    layout: &mut Option<Ofdm>,
-    ctx: Option<&DecoderContext>,
-    samples: &[Cf32],
-    slot_in_frame: usize,
-    wanted: &[bool; SYMBOLS_PER_SLOT],
-    metrics: &Arc<Metrics>,
-) -> Option<ResourceGrid> {
-    if layout.is_none() {
+/// Every (K, E) polar code a decoder has met, each configured once, and
+/// the SC decoder's working memory.
+#[derive(Debug, Default)]
+pub(crate) struct PolarCodes {
+    codes: Vec<PolarCode>,
+    scratch: DecodeScratch,
+}
+
+impl PolarCodes {
+    /// SC-decode `e` LLRs to `k` bits, which live here until the next call.
+    fn decode(&mut self, k: usize, e: usize, llrs: impl ExactSizeIterator<Item = f32>) -> &[u8] {
+        let known = self.codes.iter().position(|c| (c.k, c.e) == (k, e));
+        let at = known.unwrap_or_else(|| {
+            self.codes.push(PolarCode::new(k, e));
+            self.codes.len() - 1
+        });
+        self.codes[at].decode_sc_with(llrs, &mut self.scratch)
+    }
+}
+
+/// What the IQ slot path builds once and keeps between slots, each part
+/// keyed by what it was built from: the OFDM plan and the grid it fills
+/// (numerology, carrier width), each polar code (K, E), and working memory
+/// that only grows. None of it is telemetry state — a fresh one decodes
+/// the same, later. The live scope owns one for the session, a pool
+/// thread one for its jobs.
+#[derive(Debug, Default)]
+pub(crate) struct FrontEnd {
+    /// The (numerology, carrier width) planned for, the plan, its grid.
+    layout: Option<((Numerology, usize), Ofdm, ResourceGrid)>,
+    /// The FFT's working buffer.
+    time: Vec<Cf32>,
+    /// The grid symbols the last slot wrote; every other one is zero.
+    filled: [bool; SYMBOLS_PER_SLOT],
+    extract: ExtractScratch,
+    pub(crate) polar: PolarCodes,
+    pbch_llrs: Vec<f32>,
+}
+
+impl FrontEnd {
+    /// Plan for the layout whose slot is `len` samples long — the plan and
+    /// grid kept when they already are that (numerology, width): tried at
+    /// the context's numerology from the widths it knows (the SIB1 carrier
+    /// BWP, then the CORESET 0 width the MIB guarantees) before the presets
+    /// — how srsRAN's cell search sizes its FFT; a cold bootstrap, without
+    /// a context, tries both numerologies.
+    pub(crate) fn plan_layout(&mut self, ctx: Option<&DecoderContext>, len: usize, sif: usize) {
         let known = ctx.into_iter().flat_map(|c| {
             let sizings = c.ue_sizing.into_iter().chain([c.common_sizing]);
             sizings.map(|s| s.bwp_prbs)
         });
         let widths = known.chain(PRESET_CARRIER_PRBS);
-        *layout = [Numerology::Mu1, Numerology::Mu0]
+        let pick = [Numerology::Mu1, Numerology::Mu0]
             .into_iter()
             .filter(|numer| ctx.is_none_or(|c| c.numerology == *numer))
             .flat_map(|numer| widths.clone().map(move |prbs| (numer, prbs)))
-            .find(|&(numer, prbs)| {
-                numer.samples_per_slot(numer.fft_size(prbs), slot_in_frame) == samples.len()
-            })
-            .map(|(numer, prbs)| Ofdm::new(numer, prbs));
+            .find(|&(numer, prbs)| numer.samples_per_slot(numer.fft_size(prbs), sif) == len);
+        if pick != self.layout.as_ref().map(|(key, ..)| *key) {
+            self.layout = pick.map(|key| (key, Ofdm::new(key.0, key.1), ResourceGrid::new(key.1)));
+            self.filled = [false; SYMBOLS_PER_SLOT];
+        }
     }
-    let Some(ofdm) = layout
-        .as_ref()
-        .filter(|o| o.samples_per_slot(slot_in_frame) == samples.len())
-    else {
-        metrics.inc(Counter::LayoutMismatches);
-        return None;
-    };
-    let _t = metrics.start(Stage::Demod);
-    Some(ofdm.demodulate_symbols(samples, slot_in_frame, wanted))
+
+    /// The IQ front end, shared by the live scope and the pool's workers:
+    /// demodulate the symbols `wanted` marks under the `demod` stage; every
+    /// other symbol of the returned grid is zero. A layout is planned when
+    /// there is none: the scope keeps its first for the session, a pool
+    /// thread plans for every job. `None` means no layout fits (a truncated
+    /// capture or an unknown carrier) and is counted as a layout mismatch.
+    pub(crate) fn demodulate_slot(
+        &mut self,
+        ctx: Option<&DecoderContext>,
+        samples: &[Cf32],
+        slot_in_frame: usize,
+        wanted: &[bool; SYMBOLS_PER_SLOT],
+        metrics: &Arc<Metrics>,
+    ) -> Option<&ResourceGrid> {
+        if self.layout.is_none() {
+            self.plan_layout(ctx, samples.len(), slot_in_frame);
+        }
+        let Some((_, ofdm, grid)) = (self.layout.as_mut())
+            .filter(|(_, o, _)| o.samples_per_slot(slot_in_frame) == samples.len())
+        else {
+            metrics.inc(Counter::LayoutMismatches);
+            return None;
+        };
+        let _t = metrics.start(Stage::Demod);
+        for sym in (0..SYMBOLS_PER_SLOT).filter(|&sym| self.filled[sym] && !wanted[sym]) {
+            grid.symbol_mut(sym).fill(Cf32::ZERO);
+        }
+        self.filled = *wanted;
+        ofdm.demodulate_symbols_into(samples, slot_in_frame, wanted, grid, &mut self.time);
+        Some(grid)
+    }
+
+    /// [`extract_all_candidates`] of the slot last demodulated.
+    pub(crate) fn extract_all_candidates(
+        &mut self,
+        ctx: &DecoderContext,
+        sif: usize,
+    ) -> Vec<ExtractedCandidate> {
+        let grid = self.layout.as_ref().map(|(.., grid)| grid);
+        grid.map_or_else(Vec::new, |g| {
+            extract_candidates(ctx, g, sif, &mut self.extract)
+        })
+    }
+
+    /// PBCH (MIB) decode from the slot last demodulated, when it bears an
+    /// SSB; mirrors `gnb_sim::iq::map_ssb`.
+    pub(crate) fn decode_pbch(&mut self, pci: Pci) -> Option<Mib> {
+        let (.., grid) = self.layout.as_ref()?;
+        let n_sc = grid.n_subcarriers();
+        let ssb_width = 240.min(n_sc);
+        let base = (n_sc - ssb_width) / 2;
+        // The PBCH's QPSK symbols: SSB symbol 1, then as much of symbol 3
+        // as the E bits take.
+        let e = crate::pbch_e_bits();
+        let first = ssb_width.min(e / 2);
+        if e / 2 - first > ssb_width {
+            return None;
+        }
+        let (sym1, sym3) = (&grid.symbol(1)[base..], &grid.symbol(3)[base..]);
+        let rx = [&sym1[..first], &sym3[..e / 2 - first]];
+        // Energy gate: an SSB-less slot has nothing here.
+        let power = rx.iter().copied().flatten().map(|v| v.norm_sqr());
+        if power.sum::<f32>() / ((e / 2) as f32) < 0.1 {
+            return None;
+        }
+        let llrs = &mut self.pbch_llrs;
+        llrs.clear();
+        (rx.iter()).for_each(|part| demodulate_llr_into(part, Modulation::Qpsk, 0.1, llrs));
+        let scr = gold_bits_cached(pci.0 as u32, e);
+        // Descrambling is a sign flip, applied as the decoder reads the LLRs.
+        let llrs = (llrs.iter().zip(scr.iter())).map(|(l, &s)| if s == 1 { -*l } else { *l });
+        let cw = self.polar.decode(Mib::BITS + 24, e, llrs);
+        let payload = dci_check_crc(cw, 0)?;
+        Mib::decode(&payload).ok()
+    }
 }
 
 /// The symbols of a slot the CORESET occupies — all a PDCCH decode reads.
@@ -248,6 +344,15 @@ pub fn extract_all_candidates(
     grid: &ResourceGrid,
     slot_in_frame: usize,
 ) -> Vec<ExtractedCandidate> {
+    extract_candidates(ctx, grid, slot_in_frame, &mut ExtractScratch::default())
+}
+
+fn extract_candidates(
+    ctx: &DecoderContext,
+    grid: &ResourceGrid,
+    slot_in_frame: usize,
+    scratch: &mut ExtractScratch,
+) -> Vec<ExtractedCandidate> {
     let mut out = Vec::new();
     let n_cces = ctx.coreset.n_cces();
     let fitting = (AggregationLevel::all().into_iter()).take_while(|l| l.cces() <= n_cces);
@@ -261,7 +366,8 @@ pub fn extract_all_candidates(
             // A candidate with no transmission has pilot SNR near the
             // noise floor — pilots exist only where a DCI is mapped, so an
             // energy gate on them skips silence before its data is read.
-            let soft = extract_candidate_above(grid, &ctx.coreset, cce_start, level, &seqs, 1.5);
+            let soft =
+                extract_candidate_above(grid, &ctx.coreset, cce_start, level, &seqs, 1.5, scratch);
             out.extend(soft.map(|soft| ExtractedCandidate {
                 llrs: soft.llrs,
                 level,
@@ -275,7 +381,7 @@ pub fn extract_all_candidates(
 /// Where a candidate's hard-decision codewords come from — the one thing
 /// the two fidelities do differently. Everything downstream (hypothesis
 /// order, budget gate, validation, accounting, timing) is shared.
-trait Candidate {
+pub(crate) trait Candidate {
     /// A blind grid position (IQ) rather than a captured codeword
     /// (message). Positions at different aggregation levels alias one
     /// another's CCEs, so one overlapping an already-decoded DCI is
@@ -292,15 +398,14 @@ trait Candidate {
     fn fits(&self, _sizes: &[usize; 2]) -> bool {
         true
     }
-    /// Working state one scan keeps across its candidates and hypotheses.
-    type Scratch: Default;
     /// Hand `test` the hard-decision codeword (with its payload size) for
     /// each admissible size in `sizes`, descrambled for the common search
-    /// space (`ue: None`) or for one C-RNTI, until it reports a hit.
+    /// space (`ue: None`) or for one C-RNTI, until it reports a hit; a
+    /// polar decode goes through `polar`.
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
-        scratch: &mut Self::Scratch,
+        polar: &mut PolarCodes,
         ue: Option<Rnti>,
         sizes: &[usize; 2],
         test: impl FnMut(usize, &[u8]) -> Option<T>,
@@ -316,7 +421,6 @@ fn cinit_for(ue: Option<Rnti>, pci: u16) -> u32 {
 /// the payload size and a descramble yields the hard bits.
 impl Candidate for ObservedDci {
     const BLIND: bool = false;
-    type Scratch = ();
 
     fn level(&self) -> AggregationLevel {
         self.level
@@ -333,7 +437,7 @@ impl Candidate for ObservedDci {
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
-        _scratch: &mut (),
+        _polar: &mut PolarCodes,
         ue: Option<Rnti>,
         sizes: &[usize; 2],
         mut test: impl FnMut(usize, &[u8]) -> Option<T>,
@@ -353,9 +457,6 @@ impl Candidate for ObservedDci {
 /// and every size shorter than the candidate gets its own polar SC decode.
 impl Candidate for ExtractedCandidate {
     const BLIND: bool = true;
-    /// Each (K, E) polar code the scan has met, configured once, and the
-    /// polar decoder's working memory.
-    type Scratch = (Vec<PolarCode>, DecodeScratch);
 
     fn level(&self) -> AggregationLevel {
         self.level
@@ -368,7 +469,7 @@ impl Candidate for ExtractedCandidate {
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
-        (codes, decode): &mut Self::Scratch,
+        polar: &mut PolarCodes,
         ue: Option<Rnti>,
         sizes: &[usize; 2],
         mut test: impl FnMut(usize, &[u8]) -> Option<T>,
@@ -379,13 +480,8 @@ impl Candidate for ExtractedCandidate {
         let (common, own) = (seq(None), seq(ue));
         let flips = common.iter().zip(own.iter());
         let llrs = (self.llrs.iter().zip(flips)).map(|(l, (a, b))| if a == b { *l } else { -*l });
-        (sizes.iter().filter(|&&p| p + 24 < e)).find_map(|&p| {
-            let at = (codes.iter().position(|c| (c.k, c.e) == (p + 24, e))).unwrap_or_else(|| {
-                codes.push(PolarCode::new(p + 24, e));
-                codes.len() - 1
-            });
-            test(p, codes[at].decode_sc_with(llrs.clone(), decode))
-        })
+        (sizes.iter().filter(|&&p| p + 24 < e))
+            .find_map(|&p| test(p, polar.decode(p + 24, e, llrs.clone())))
     }
 }
 
@@ -402,12 +498,14 @@ pub fn decode_message_slot_budgeted(
     budget: SearchBudget,
     metrics: Option<&Arc<Metrics>>,
 ) -> (Vec<DecodedDci>, DecodeWork) {
-    scan(ctx, observed, hyp, budget, metrics)
+    let unused = &mut PolarCodes::default();
+    scan(ctx, observed, hyp, budget, metrics, unused)
 }
 
 /// Hypothesis-testing stage over pre-extracted IQ candidates (the
 /// `pdcch_search` stage is their extraction, timed by the caller), under
 /// the same [`SearchBudget`] rule as [`decode_message_slot_budgeted`].
+/// Every polar code the scan meets is configured for it and dropped with it.
 pub fn decode_candidates_budgeted(
     ctx: &DecoderContext,
     candidates: &[ExtractedCandidate],
@@ -415,17 +513,19 @@ pub fn decode_candidates_budgeted(
     budget: SearchBudget,
     metrics: Option<&Arc<Metrics>>,
 ) -> (Vec<DecodedDci>, DecodeWork) {
-    scan(ctx, candidates, hyp, budget, metrics)
+    let polar = &mut PolarCodes::default();
+    scan(ctx, candidates, hyp, budget, metrics, polar)
 }
 
 /// The one scan loop: every candidate through [`test_hypotheses`], with
 /// the work accounting and the stage timing.
-fn scan<C: Candidate>(
+pub(crate) fn scan<C: Candidate>(
     ctx: &DecoderContext,
     candidates: &[C],
     hyp: &Hypotheses,
     budget: SearchBudget,
     metrics: Option<&Arc<Metrics>>,
+    polar: &mut PolarCodes,
 ) -> (Vec<DecodedDci>, DecodeWork) {
     let metrics: &Metrics = metrics.unwrap_or(Metrics::disabled());
     // Per-candidate RAII timers cost two clock reads plus an Arc
@@ -437,7 +537,6 @@ fn scan<C: Candidate>(
     let mut t_prev = scan_start;
     let mut out: Vec<DecodedDci> = Vec::new();
     let mut work = DecodeWork::default();
-    let mut scratch = C::Scratch::default();
     for cand in candidates {
         work.candidates += 1;
         let aliased = C::BLIND
@@ -447,7 +546,7 @@ fn scan<C: Candidate>(
                 a < b + b_len && b < a + a_len
             });
         if !aliased {
-            let hit = test_hypotheses(ctx, cand, &mut scratch, hyp, budget, &mut work);
+            let hit = test_hypotheses(ctx, cand, polar, hyp, budget, &mut work);
             out.extend(hit);
         }
         if let Some(prev) = t_prev {
@@ -477,7 +576,7 @@ fn scan<C: Candidate>(
 fn test_hypotheses<C: Candidate>(
     ctx: &DecoderContext,
     cand: &C,
-    scratch: &mut C::Scratch,
+    polar: &mut PolarCodes,
     hyp: &Hypotheses,
     budget: SearchBudget,
     work: &mut DecodeWork,
@@ -486,7 +585,7 @@ fn test_hypotheses<C: Candidate>(
         let sizing = ctx.common_sizing;
         let rejects = &mut work.validation_rejects;
         let sizes = payload_sizes(&sizing);
-        let hit = cand.codewords(ctx, scratch, None, &sizes, |payload_bits, cw| {
+        let hit = cand.codewords(ctx, polar, None, &sizes, |payload_bits, cw| {
             let known = std::iter::once((Rnti::SI, RntiType::Si))
                 .chain(hyp.ra_rntis.iter().map(|r| (*r, RntiType::Ra)))
                 .chain(hyp.tc_rntis.iter().map(|r| (*r, RntiType::Tc)));
@@ -528,7 +627,7 @@ fn test_hypotheses<C: Candidate>(
     work.ue_hypotheses += offered.clone().count();
     let rejects = &mut work.validation_rejects;
     offered.map(|ue| ue.rnti).find_map(|rnti| {
-        cand.codewords(ctx, scratch, Some(rnti), &sizes, |_, cw| {
+        cand.codewords(ctx, polar, Some(rnti), &sizes, |_, cw| {
             let payload = dci_check_crc(cw, rnti.0)?;
             unpack(cand, &payload, &sizing, rnti, RntiType::C, rejects)
         })
@@ -767,6 +866,39 @@ mod tests {
             return;
         }
         panic!("never saw a data DCI");
+    }
+
+    /// The front end's grid is written in place slot after slot: whatever
+    /// symbol set came before, a slot reads as it would from a fresh grid —
+    /// the symbols asked for and the zeros around them, bit for bit.
+    #[test]
+    fn reused_grid_equals_a_fresh_one_bitwise() {
+        let mut g = loaded_gnb(5);
+        let renderer = gnb_sim::iq::IqRenderer::new(&g.cfg);
+        let ofdm = renderer.ofdm();
+        // Receiver noise: no symbol of any slot is zero on the air.
+        let mut usrp = nr_radio::VirtualUsrp::new(20.0, 0.0, 6);
+        let mut front = FrontEnd::default();
+        let all = [true; SYMBOLS_PER_SLOT];
+        let head = std::array::from_fn(|sym| sym < 4);
+        let odd = std::array::from_fn(|sym| sym % 2 == 1);
+        for wanted in [all, head, odd, head, all, odd] {
+            let out = g.step();
+            let samples = usrp.receive(&renderer.render_iq(&out), 0.0).samples;
+            let sif = out.slot_in_frame;
+            let reused = front
+                .demodulate_slot(None, &samples, sif, &wanted, Metrics::disabled())
+                .expect("a preset layout fits");
+            let fresh = ofdm.demodulate_symbols(&samples, sif, &wanted);
+            for sym in 0..SYMBOLS_PER_SLOT {
+                let bits = |g: &ResourceGrid| -> Vec<(u32, u32)> {
+                    let res = g.symbol(sym).iter();
+                    res.map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+                };
+                assert!(bits(reused) == bits(&fresh), "symbol {sym} of {wanted:?}");
+                assert!(wanted[sym] || bits(reused).iter().all(|&re| re == (0, 0)));
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use crate::clock::{ClockEvents, ClockLock, ClockObservable, ClockRecovery};
 use crate::config::ScopeConfig;
 use crate::decoder::{
-    coreset_symbols, decode_candidates_budgeted, decode_message_slot_budgeted, demodulate_slot,
-    extract_all_candidates, DecodeWork, DecodedDci, DecoderContext, Hypotheses, UeHypothesis,
+    coreset_symbols, decode_message_slot_budgeted, scan, DecodeWork, DecodedDci, DecoderContext,
+    FrontEnd, Hypotheses, UeHypothesis,
 };
 use crate::governor::{LoadModel, LoadRung, OverloadGovernor, SlotVerdict};
 use crate::metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Stage};
@@ -20,7 +20,6 @@ use nr_phy::dci::{riv_decode, time_alloc, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::mcs::McsTable;
 use nr_phy::numerology::SYMBOLS_PER_SLOT;
-use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::{Coreset, SearchBudget};
 use nr_phy::sync::{detect_pss, detect_sss, SYNC_SEQ_LEN};
 use nr_phy::tbs::{transport_block_size, TbsParams};
@@ -155,8 +154,9 @@ pub struct NrScope {
     spare_log: Vec<(u64, Vec<SpareShare>)>,
     /// Counters.
     pub stats: ScopeStats,
-    /// OFDM demodulator (IQ mode), constructed after MIB+SIB1.
-    ofdm: Option<Ofdm>,
+    /// The IQ path's per-session state: OFDM layout (sized from the first
+    /// slot's sample count), grid, decoder tables.
+    front: FrontEnd,
     /// PCI provided out-of-band for message fidelity (cell-search product).
     assumed_pci: Option<Pci>,
     /// Sync-health state machine.
@@ -260,7 +260,7 @@ impl NrScope {
             records: Vec::new(),
             spare_log: Vec::new(),
             stats: ScopeStats::default(),
-            ofdm: None,
+            front: FrontEnd::default(),
             assumed_pci,
             sync: SyncState::default(),
             unhealthy_streak: 0,
@@ -1239,8 +1239,7 @@ impl NrScope {
             }
             _ => [true; SYMBOLS_PER_SLOT],
         };
-        let Some(grid) = demodulate_slot(
-            &mut self.ofdm,
+        let Some(grid) = self.front.demodulate_slot(
             known.as_ref(),
             samples,
             slot_in_frame,
@@ -1252,7 +1251,7 @@ impl NrScope {
         };
         // Cell search: PSS/SSS on the SSB region whenever not yet locked.
         if self.cell.pci.is_none() {
-            if let Some(pci) = detect_cell(&grid) {
+            if let Some(pci) = detect_cell(grid) {
                 self.cell.pci = Some(pci);
             }
         }
@@ -1260,7 +1259,7 @@ impl NrScope {
             return DecodeWork::default();
         };
         // MIB (PBCH) decode when an SSB is present.
-        if let Some(mib) = try_decode_pbch(&grid, pci) {
+        if let Some(mib) = self.front.decode_pbch(pci) {
             self.on_mib(mib, slot);
         }
         if self.cell.mib.is_none() {
@@ -1274,10 +1273,11 @@ impl NrScope {
         let hyp = self.hypotheses(&ctx.coreset);
         let candidates = {
             let _t = self.metrics.start(Stage::PdcchSearch);
-            extract_all_candidates(&ctx, &grid, self.slot_in_frame())
+            self.front
+                .extract_all_candidates(&ctx, self.slot_in_frame())
         };
-        let (decoded, work) =
-            decode_candidates_budgeted(&ctx, &candidates, &hyp, budget, Some(&self.metrics));
+        let (metrics, polar) = (Some(&self.metrics), &mut self.front.polar);
+        let (decoded, work) = scan(&ctx, &candidates, &hyp, budget, metrics, polar);
         self.consume(decoded, pdsch, slot);
         work
     }
@@ -1542,51 +1542,15 @@ fn detect_cell(grid: &ResourceGrid) -> Option<Pci> {
         return None;
     }
     let base = (n_sc - 240.min(n_sc)) / 2 + (240.min(n_sc) - SYNC_SEQ_LEN) / 2;
-    let pss_rx: Vec<_> = (0..SYNC_SEQ_LEN).map(|i| grid.get(0, base + i)).collect();
-    let (nid2, corr) = detect_pss(&pss_rx);
+    let (nid2, corr) = detect_pss(&grid.symbol(0)[base..base + SYNC_SEQ_LEN]);
     if corr < 0.6 {
         return None;
     }
-    let sss_rx: Vec<_> = (0..SYNC_SEQ_LEN).map(|i| grid.get(2, base + i)).collect();
-    let (nid1, corr2) = detect_sss(&sss_rx, nid2);
+    let (nid1, corr2) = detect_sss(&grid.symbol(2)[base..base + SYNC_SEQ_LEN], nid2);
     if corr2 < 0.6 {
         return None;
     }
     Some(Pci::from_parts(nid1, nid2))
-}
-
-/// PBCH (MIB) decode from an SSB-bearing grid, mirroring
-/// `gnb_sim::iq::map_ssb`.
-fn try_decode_pbch(grid: &ResourceGrid, pci: Pci) -> Option<Mib> {
-    let n_sc = grid.n_subcarriers();
-    let ssb_width = 240.min(n_sc);
-    let base = (n_sc - ssb_width) / 2;
-    // Re-harvest the PBCH QPSK symbols from symbols 1 and 3.
-    let mut rx = Vec::with_capacity(2 * ssb_width);
-    for sym in [1usize, 3] {
-        for k in 0..ssb_width {
-            rx.push(grid.get(sym, base + k));
-        }
-    }
-    let needed = crate::pbch_e_bits() / 2;
-    if rx.len() < needed {
-        return None;
-    }
-    rx.truncate(needed);
-    // Energy gate: an SSB-less slot has nothing here.
-    let power: f32 = rx.iter().map(|v| v.norm_sqr()).sum::<f32>() / rx.len() as f32;
-    if power < 0.1 {
-        return None;
-    }
-    let llrs = nr_phy::modulation::demodulate_llr(&rx, nr_phy::modulation::Modulation::Qpsk, 0.1);
-    let scr = nr_phy::sequence::gold_bits(pci.0 as u32, llrs.len());
-    // Descrambling is a sign flip, applied as the decoder reads the LLRs.
-    let llrs = (llrs.iter().zip(&scr)).map(|(l, &s)| if s == 1 { -*l } else { *l });
-    let code = nr_phy::polar::PolarCode::new(nr_rrc::Mib::BITS + 24, crate::pbch_e_bits());
-    let mut scratch = nr_phy::polar::DecodeScratch::default();
-    let cw = code.decode_sc_with(llrs, &mut scratch);
-    let payload = nr_phy::crc::dci_check_crc(cw, 0)?;
-    Mib::decode(&payload).ok()
 }
 
 #[cfg(test)]
@@ -1872,6 +1836,59 @@ mod tests {
             "re-attached UEs tracked under the new cell identity"
         );
         assert_eq!(scope.total_discovered(), 2, "same UEs, not new ones");
+    }
+
+    /// The same restart seen through the IQ front end, whose PBCH constants
+    /// outlive the slot (the scrambling sequence in `gold_bits_cached`, keyed
+    /// by PCI; the polar code in the front end's table): once the PSS/SSS
+    /// search finds the new PCI, the restarted cell's MIB decodes only if
+    /// the sequence read is the new PCI's.
+    #[test]
+    fn iq_scope_decodes_the_mib_of_a_cell_restarted_under_a_new_pci() {
+        let cell = CellConfig::srsran_n41();
+        let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
+        gnb.ue_arrives(SimUe::new(
+            1,
+            ChannelProfile::Awgn,
+            MobilityScenario::Static,
+            TrafficSource::new(
+                TrafficKind::Cbr {
+                    rate_bps: 2e6,
+                    packet_bytes: 1200,
+                },
+                1,
+            ),
+            0.0,
+            60.0,
+            1,
+        ));
+        let mut obs = Observer::new(&cell, 30.0, true, 5);
+        let cfg = ScopeConfig {
+            fidelity: Fidelity::Iq,
+            degraded_after_slots: 10,
+            lost_after_slots: 30,
+            ..ScopeConfig::default()
+        };
+        let mut scope = NrScope::new(cfg, None);
+        let mut run = |slots: std::ops::Range<u64>, scope: &mut NrScope, gnb: &mut Gnb| {
+            for s in slots {
+                let out = gnb.step();
+                scope.process(&obs.observe(&out, s as f64 * cell.slot_s()));
+            }
+        };
+        run(0..120, &mut scope, &mut gnb);
+        assert_eq!(scope.cell.pci, Some(cell.pci));
+        assert_eq!(scope.tracked_rntis(), gnb.connected_rntis());
+        // The tracked UE's silence walks the health machine to Lost, and
+        // cell search runs again.
+        gnb.restart(Pci(7));
+        run(120..400, &mut scope, &mut gnb);
+        assert_eq!(scope.cell.pci, Some(Pci(7)), "new PCI found by PSS/SSS");
+        assert!(
+            scope.cell.frame_anchor_slot >= Some(120),
+            "no MIB decoded under the new PCI: anchor {:?}",
+            scope.cell.frame_anchor_slot
+        );
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! threads.
 
 use crate::decoder::{
-    coreset_symbols, decode_candidates_budgeted, decode_message_slot_budgeted, demodulate_slot,
-    extract_all_candidates, DecodeWork, DecodedDci, DecoderContext, ExtractedCandidate, Hypotheses,
+    coreset_symbols, scan, DecodeWork, DecodedDci, DecoderContext, ExtractedCandidate, FrontEnd,
+    Hypotheses, PolarCodes,
 };
 use crate::metrics::{Counter, Gauge, Metrics, Stage};
 use crate::observe::ObservedSlot;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use nr_phy::pdcch::SearchBudget;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -120,11 +121,23 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+thread_local! {
+    /// The front-end state of the thread's jobs: a pool worker's, or that
+    /// of whoever calls [`process_slot`].
+    static FRONT_END: RefCell<FrontEnd> = RefCell::default();
+}
+
 /// [`process_slot`] recording into `metrics` (the pool's workers call
 /// this with the pool's registry): OFDM demod, PDCCH candidate extraction,
 /// per-candidate DCI decoding, and the whole-slot envelope (atomic adds
 /// commute, so shards can share the registry).
 fn run_job(job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
+    // (A job that panics unwinds out of the borrow, and the state is valid
+    // at every step: the thread's next job finds both as they should be.)
+    FRONT_END.with_borrow_mut(|front| run_job_with(front, job, metrics))
+}
+
+fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
     let start = Instant::now();
     match job.fault {
         Some(InjectedFault::Panic) => panic!("injected fault in slot {}", job.slot),
@@ -166,9 +179,10 @@ fn run_job(job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
             // A worker reads the CORESET only: cell search and the PBCH are
             // the scope's.
             let wanted = coreset_symbols(&job.ctx.coreset);
-            let Some(grid) =
-                demodulate_slot(&mut None, Some(&job.ctx), samples, sif, &wanted, metrics)
-            else {
+            // The layout is the job's, whatever the thread planned before.
+            let ctx = Some(&job.ctx);
+            front.plan_layout(ctx, samples.len(), sif);
+            if (front.demodulate_slot(ctx, samples, sif, &wanted, metrics)).is_none() {
                 return SlotResult {
                     slot: job.slot,
                     decoded: Vec::new(),
@@ -176,32 +190,30 @@ fn run_job(job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
                     work: DecodeWork::default(),
                     layout_mismatch: true,
                 };
-            };
+            }
             let _t = metrics.start(Stage::PdcchSearch);
-            extract_all_candidates(&job.ctx, &grid, sif)
+            front.extract_all_candidates(&job.ctx, sif)
         }
         ObservedSlot::Message { .. } => Vec::new(),
     };
     // One hypothesis shard against the pre-processed slot under the job's
     // search budget.
-    let run_shard = |hyp: &Hypotheses| match &job.observed {
-        ObservedSlot::Message { dcis, .. } => {
-            decode_message_slot_budgeted(&job.ctx, dcis, hyp, job.budget, Some(metrics))
-        }
-        ObservedSlot::Iq { .. } => {
-            decode_candidates_budgeted(&job.ctx, &candidates, hyp, job.budget, Some(metrics))
-        }
+    let (ctx, budget, sink) = (&job.ctx, job.budget, Some(metrics));
+    let run_shard = |hyp: &Hypotheses, polar: &mut PolarCodes| match &job.observed {
+        ObservedSlot::Message { dcis, .. } => scan(ctx, dcis, hyp, budget, sink, polar),
+        ObservedSlot::Iq { .. } => scan(ctx, &candidates, hyp, budget, sink, polar),
     };
     let mut decoded: Vec<DecodedDci> = Vec::new();
     let mut work = DecodeWork::default();
     if threads == 1 {
-        // Single-thread path avoids spawn overhead entirely.
-        (decoded, work) = run_shard(&shards[0]);
+        // Single-thread path avoids spawn overhead entirely, and decodes
+        // with the thread's own polar codes.
+        (decoded, work) = run_shard(&shards[0], &mut front.polar);
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
-                .map(|hyp| scope.spawn(|| run_shard(hyp)))
+                .map(|hyp| scope.spawn(|| run_shard(hyp, &mut PolarCodes::default())))
                 .collect();
             for h in handles {
                 // Re-raise shard panics so the pool's per-job supervision
@@ -816,15 +828,45 @@ mod tests {
     }
 
     /// A 10 MHz µ=0 slot and a 20 MHz µ=1 slot are both 15,360 samples: a
-    /// worker, which starts every job with no layout, must take the
-    /// numerology from the job's context, not guess it from the count.
+    /// worker must take the numerology from the job's context, not guess
+    /// it from the count — nor from the job before. One thread, so one
+    /// front-end state: planned for the first job, kept for the second,
+    /// planned again for each of the others, and found in order by the job
+    /// after the one that panics.
     #[test]
     fn mu0_iq_job_is_demodulated_at_its_own_numerology() {
-        let (job, n_c) = make_job_on(CellConfig::tmobile_n25(), true, 1);
-        let r = process_slot(&job);
-        assert!(!r.layout_mismatch);
-        let c_rnti = |d: &&DecodedDci| d.rnti_type == nr_phy::types::RntiType::C;
-        assert_eq!(r.decoded.iter().filter(c_rnti).count(), n_c);
+        let mu1 = make_job_on(CellConfig::srsran_n41(), true, 1);
+        let mu0 = make_job_on(CellConfig::tmobile_n25(), true, 1);
+        let decodes = |(job, n_c): &(SlotJob, usize)| {
+            let r = process_slot(job);
+            assert!(!r.layout_mismatch);
+            let c_rnti = |d: &&DecodedDci| d.rnti_type == nr_phy::types::RntiType::C;
+            assert_eq!(r.decoded.iter().filter(c_rnti).count(), *n_c);
+        };
+        for job in [&mu1, &mu1, &mu0, &mu1] {
+            decodes(job);
+        }
+        let poisoned = SlotJob {
+            fault: Some(InjectedFault::Panic),
+            ..mu0.0.clone()
+        };
+        assert!(catch_unwind(|| process_slot(&poisoned)).is_err());
+        decodes(&mu0);
+        // Before SIB1 a job names a numerology and no carrier: its layout
+        // is still its own (here the CORESET 0 width, which is this cell's
+        // carrier), not the µ=1 one the thread planned last — the same
+        // candidates as on a thread that has planned nothing.
+        let narrow = CellConfig {
+            carrier_prbs: 48,
+            ..CellConfig::tmobile_n25()
+        };
+        let mut pre_sib1 = make_job_on(narrow, true, 1).0;
+        pre_sib1.ctx.ue_sizing = None;
+        decodes(&mu1);
+        let here = process_slot(&pre_sib1);
+        let fresh = std::thread::scope(|s| s.spawn(|| process_slot(&pre_sib1)).join().unwrap());
+        assert!(!here.layout_mismatch && here.work.candidates > 0);
+        assert_eq!(here.work, fresh.work);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::cell::CellConfig;
 use crate::gnb::{SlotOutput, TxDci};
 use nr_phy::complex::Cf32;
 use nr_phy::crc::dci_attach_crc;
-use nr_phy::dci::time_alloc;
 use nr_phy::grid::ResourceGrid;
 use nr_phy::modulation::{modulate, Modulation};
 use nr_phy::ofdm::Ofdm;
@@ -136,8 +135,6 @@ impl IqRenderer {
     /// Fill a grant's PDSCH region with filler QPSK so occupancy (REG
     /// counts, spare-capacity) is physically present on the grid.
     fn fill_pdsch(&self, grid: &mut ResourceGrid, dci: &TxDci) {
-        let (sym_start, sym_len) = time_alloc(0);
-        let _ = (sym_start, sym_len);
         let a = &dci.alloc;
         let seed = (a.rnti.0 as u32) << 8 | a.harq_id as u32;
         let n_res = a.prb_len * 12 * a.symbol_len;

@@ -40,13 +40,13 @@ pub fn pdcch_dmrs(
     let mut g = GoldSequence::new(pdcch_dmrs_cinit(slot, symbol, n_id));
     // Each PRB consumes 3 pilots = 6 bits; skip to the span start.
     g.skip(prb_start * DMRS_PER_REG * 2);
-    (0..n_prb * DMRS_PER_REG)
-        .map(|_| {
-            let b0 = g.next_bit();
-            let b1 = g.next_bit();
-            pilot(b0, b1)
-        })
-        .collect()
+    let mut pilots = Vec::with_capacity(n_prb * DMRS_PER_REG);
+    // Two bits a pilot, and a word holds an even count of them.
+    g.for_each_word(n_prb * DMRS_PER_REG * 2, |w, k| {
+        let pair = |i| pilot(((w >> i) & 1) as u8, ((w >> (i + 1)) & 1) as u8);
+        pilots.extend((0..k).step_by(2).map(pair));
+    });
+    pilots
 }
 
 /// Least-squares channel estimate from received pilots: averages
@@ -89,6 +89,28 @@ mod tests {
         for v in &p {
             assert!((v.norm_sqr() - 1.0).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn pilot_rows_match_the_pin_taken_on_the_bit_serial_generator() {
+        // CRC-24C over every pilot's two f32 bit patterns, generated on the
+        // tree whose Gold generator stepped one bit at a time.
+        let mut bits: Vec<u8> = Vec::new();
+        for slot in [0usize, 7, 19] {
+            for symbol in 0..3 {
+                for n_id in [0u16, 500, 1007] {
+                    for (prb_start, n_prb) in [(0usize, 48usize), (6, 24), (3, 51)] {
+                        for p in pdcch_dmrs(slot, symbol, n_id, prb_start, n_prb) {
+                            for w in [p.re.to_bits(), p.im.to_bits()] {
+                                bits.extend((0..32).map(|i| ((w >> i) & 1) as u8));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(bits.len(), 637_632);
+        assert_eq!(crate::crc::CRC24C.compute(&bits), 0x18606e);
     }
 
     #[test]

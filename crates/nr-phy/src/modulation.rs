@@ -140,8 +140,38 @@ pub fn modulate(bits: &[u8], modulation: Modulation) -> Vec<Cf32> {
 /// `noise_var` is the complex noise variance per symbol; equalised symbols
 /// should be passed with their post-equalisation noise variance.
 pub fn demodulate_llr(symbols: &[Cf32], modulation: Modulation, noise_var: f32) -> Vec<f32> {
+    let mut llrs = Vec::with_capacity(symbols.len() * modulation.bits_per_symbol());
+    demodulate_llr_into(symbols, modulation, noise_var, &mut llrs);
+    llrs
+}
+
+/// [`demodulate_llr`] appending to the caller's buffer. QPSK — every
+/// control channel — has four points and two bits: each distance is
+/// computed once and the generic search's minima taken in its order.
+pub fn demodulate_llr_into(
+    symbols: &[Cf32],
+    modulation: Modulation,
+    noise_var: f32,
+    llrs: &mut Vec<f32>,
+) {
+    if modulation != Modulation::Qpsk {
+        return demodulate_any(symbols, modulation, noise_var, llrs);
+    }
+    let k = norm(Modulation::Qpsk);
+    let nv = noise_var.max(1e-9);
+    let min = |a: f32, b: f32| f32::INFINITY.min(a).min(b);
+    for &y in symbols {
+        // Bits 00, 01, 10, 11: the first bit signs I, the second Q.
+        let [d0, d1, d2, d3] =
+            [(k, k), (k, -k), (-k, k), (-k, -k)].map(|(i, q)| (y - Cf32::new(i, q)).norm_sqr());
+        llrs.push((min(d2, d3) - min(d0, d1)) / nv);
+        llrs.push((min(d1, d3) - min(d0, d2)) / nv);
+    }
+}
+
+/// The demapper for any order: search the whole constellation per bit.
+fn demodulate_any(symbols: &[Cf32], modulation: Modulation, noise_var: f32, llrs: &mut Vec<f32>) {
     let qm = modulation.bits_per_symbol();
-    let k = norm(modulation);
     let nv = noise_var.max(1e-9);
     // Enumerate the constellation once.
     let points: Vec<(Vec<u8>, Cf32)> = (0..(1usize << qm))
@@ -151,8 +181,6 @@ pub fn demodulate_llr(symbols: &[Cf32], modulation: Modulation, noise_var: f32) 
             (bits, sym)
         })
         .collect();
-    let _ = k;
-    let mut llrs = Vec::with_capacity(symbols.len() * qm);
     for &y in symbols {
         for b in 0..qm {
             let mut min0 = f32::INFINITY;
@@ -168,7 +196,6 @@ pub fn demodulate_llr(symbols: &[Cf32], modulation: Modulation, noise_var: f32) 
             llrs.push((min1 - min0) / nv);
         }
     }
-    llrs
 }
 
 /// Hard-decision demodulation (nearest constellation point).
@@ -244,6 +271,30 @@ mod tests {
         let syms = modulate(&[1, 1], Modulation::Qpsk);
         let llrs = demodulate_llr(&syms, Modulation::Qpsk, 0.1);
         assert!(llrs.iter().all(|&l| l < 0.0));
+    }
+
+    #[test]
+    fn qpsk_arm_equals_the_generic_search_bitwise() {
+        let mut x = 0x9E37_79B9u32;
+        let mut rand = move || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (x >> 8) as f32 / (1 << 23) as f32 - 1.0
+        };
+        let mut symbols: Vec<Cf32> = (0..432).map(|_| Cf32::new(rand(), rand())).collect();
+        let odd = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-30];
+        for re in odd {
+            symbols.extend(odd.map(|im| Cf32::new(re, im)));
+        }
+        for nv in [0.0, 1e-9, 1e-3, 0.1, 7.3, 1e9] {
+            let (mut arm, mut generic) = (Vec::new(), Vec::new());
+            demodulate_llr_into(&symbols, Modulation::Qpsk, nv, &mut arm);
+            demodulate_any(&symbols, Modulation::Qpsk, nv, &mut generic);
+            // (Which NaN an operation yields is not specified; that it is
+            // one is.)
+            let bit = |l: &f32| if l.is_nan() { !0 } else { l.to_bits() };
+            let bits = |v: &[f32]| v.iter().map(bit).collect::<Vec<_>>();
+            assert_eq!(bits(&arm), bits(&generic), "nv = {nv}");
+        }
     }
 
     #[test]

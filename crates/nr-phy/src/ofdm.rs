@@ -105,13 +105,30 @@ impl Ofdm {
         slot_in_frame: usize,
         wanted: &[bool; SYMBOLS_PER_SLOT],
     ) -> ResourceGrid {
+        let mut grid = ResourceGrid::new(self.n_prb);
+        self.demodulate_symbols_into(samples, slot_in_frame, wanted, &mut grid, &mut Vec::new());
+        grid
+    }
+
+    /// [`Ofdm::demodulate_symbols`] into the caller's grid, with `time` as
+    /// the transform's working buffer. Only the symbols `wanted` marks are
+    /// written: a caller that reuses a grid zeroes what an earlier slot
+    /// left in the others.
+    pub fn demodulate_symbols_into(
+        &self,
+        samples: &[Cf32],
+        slot_in_frame: usize,
+        wanted: &[bool; SYMBOLS_PER_SLOT],
+        grid: &mut ResourceGrid,
+        time: &mut Vec<Cf32>,
+    ) {
         assert_eq!(
             samples.len(),
             self.samples_per_slot(slot_in_frame),
             "sample count must be one slot"
         );
-        let mut grid = ResourceGrid::new(self.n_prb);
-        let mut time = vec![Cf32::ZERO; self.fft_size];
+        assert_eq!(grid.n_prb(), self.n_prb);
+        time.resize(self.fft_size, Cf32::ZERO);
         let mut pos = 0;
         let scale = 1.0 / (self.fft_size as f32).sqrt();
         for (sym, &wanted) in wanted.iter().enumerate() {
@@ -121,7 +138,7 @@ impl Ofdm {
             );
             if wanted {
                 time.copy_from_slice(&samples[pos..pos + self.fft_size]);
-                self.fft.forward(&mut time);
+                self.fft.forward(time);
                 // Grid subcarriers in order: the negative-frequency bins,
                 // then DC upwards.
                 let bins = time[self.first_bin()..]
@@ -133,7 +150,6 @@ impl Ofdm {
             }
             pos += self.fft_size;
         }
-        grid
     }
 }
 

@@ -15,7 +15,7 @@ use crate::dmrs::{
     ls_channel_estimate, noise_estimate, pdcch_dmrs, DATA_PER_REG, DMRS_OFFSETS, DMRS_PER_REG,
 };
 use crate::grid::ResourceGrid;
-use crate::modulation::{demodulate_llr, modulate, Modulation};
+use crate::modulation::{demodulate_llr_into, modulate, Modulation};
 use crate::numerology::SUBCARRIERS_PER_PRB;
 use crate::polar::PolarCode;
 use crate::sequence::{pdcch_scrambling_cinit, scramble_in_place};
@@ -178,18 +178,16 @@ impl Coreset {
     /// The REG coordinates (symbol, prb) of one CCE under non-interleaved
     /// CCE-to-REG mapping: REG bundles of 6 laid out time-first within the
     /// CORESET, matching srsRAN's default CORESET configuration.
-    pub fn cce_regs(&self, cce: usize) -> Vec<(usize, usize)> {
+    pub fn cce_regs(&self, cce: usize) -> [(usize, usize); REGS_PER_CCE] {
         assert!(cce < self.n_cces(), "CCE {cce} out of range");
-        (0..REGS_PER_CCE)
-            .map(|i| {
-                let reg = cce * REGS_PER_CCE + i;
-                // Time-first numbering: REG r → symbol r % n_symbols,
-                // PRB offset r / n_symbols.
-                let sym = self.symbol_start + reg % self.n_symbols;
-                let prb = self.prb_start + reg / self.n_symbols;
-                (sym, prb)
-            })
-            .collect()
+        std::array::from_fn(|i| {
+            let reg = cce * REGS_PER_CCE + i;
+            // Time-first numbering: REG r → symbol r % n_symbols,
+            // PRB offset r / n_symbols.
+            let sym = self.symbol_start + reg % self.n_symbols;
+            let prb = self.prb_start + reg / self.n_symbols;
+            (sym, prb)
+        })
     }
 }
 
@@ -318,7 +316,7 @@ pub struct CandidateSoftBits {
 
 /// The reference sequences every candidate of one CORESET shares in one
 /// slot, generated once: each CORESET symbol's DMRS pilot row (one Gold
-/// warm-up per symbol; a candidate slices it by PRB) and the
+/// sequence per symbol; a candidate slices it by PRB) and the
 /// payload-descrambling sequence at the longest level's length (a shorter
 /// level's sequence is its prefix).
 #[derive(Debug, Clone)]
@@ -379,12 +377,17 @@ pub fn extract_candidate_with(
     level: AggregationLevel,
     seqs: &CoresetSequences,
 ) -> CandidateSoftBits {
-    let floor = f32::NEG_INFINITY;
-    match extract_candidate_above(grid, coreset, cce_start, level, seqs, floor) {
+    let (floor, scratch) = (f32::NEG_INFINITY, &mut ExtractScratch::default());
+    match extract_candidate_above(grid, coreset, cce_start, level, seqs, floor, scratch) {
         Some(soft) => soft,
         None => unreachable!("no pilot SNR compares below -inf"),
     }
 }
+
+/// Working memory of [`extract_candidate_above`] — received pilots,
+/// reference pilots, equalised data REs: a scan keeps one for all its
+/// candidates, so one the pilot gate drops allocates nothing.
+pub type ExtractScratch = [Vec<Cf32>; 3];
 
 /// [`extract_candidate_with`] gated on the pilots — what a scan over every
 /// candidate of the CORESET calls: the channel and noise estimates come
@@ -397,34 +400,34 @@ pub fn extract_candidate_above(
     level: AggregationLevel,
     seqs: &CoresetSequences,
     min_pilot_snr: f32,
+    scratch: &mut ExtractScratch,
 ) -> Option<CandidateSoftBits> {
-    let cces = cce_start..cce_start + level.cces();
-    let regs: Vec<(usize, usize)> = cces.flat_map(|cce| coreset.cce_regs(cce)).collect();
-    let mut rx_pilots = Vec::with_capacity(regs.len() * DMRS_PER_REG);
-    let mut ref_pilots = Vec::with_capacity(regs.len() * DMRS_PER_REG);
-    for &(sym, prb) in &regs {
+    let [rx_pilots, ref_pilots, eq] = scratch;
+    let regs = || (cce_start..cce_start + level.cces()).flat_map(|cce| coreset.cce_regs(cce));
+    rx_pilots.clear();
+    ref_pilots.clear();
+    for (sym, prb) in regs() {
         let base = prb * SUBCARRIERS_PER_PRB;
         rx_pilots.extend(DMRS_OFFSETS.map(|k| grid.get(sym, base + k)));
         ref_pilots.extend_from_slice(seqs.reg_pilots(coreset, sym, prb));
     }
-    let h = ls_channel_estimate(&rx_pilots, &ref_pilots);
-    let nv = noise_estimate(&rx_pilots, &ref_pilots, h).max(1e-6);
+    let h = ls_channel_estimate(rx_pilots, ref_pilots);
+    let nv = noise_estimate(rx_pilots, ref_pilots, h).max(1e-6);
     // Zero-forcing equalisation; noise variance scales by 1/|h|².
     let h_pow = h.norm_sqr().max(1e-9);
     let pilot_snr = h_pow / nv;
     if pilot_snr < min_pilot_snr {
         return None;
     }
+    let h_inv = h.inv();
     let data_offsets = (0..SUBCARRIERS_PER_PRB).filter(|k| !DMRS_OFFSETS.contains(k));
-    let eq: Vec<Cf32> = (regs.iter())
-        .flat_map(|&(sym, prb)| {
-            data_offsets
-                .clone()
-                .map(move |k| (sym, prb * SUBCARRIERS_PER_PRB + k))
-        })
-        .map(|(sym, k)| grid.get(sym, k) / h)
-        .collect();
-    let mut llrs = demodulate_llr(&eq, Modulation::Qpsk, nv / h_pow);
+    eq.clear();
+    for (sym, prb) in regs() {
+        let base = prb * SUBCARRIERS_PER_PRB;
+        eq.extend((data_offsets.clone()).map(|k| grid.get(sym, base + k) * h_inv));
+    }
+    let mut llrs = Vec::with_capacity(level.bits());
+    demodulate_llr_into(eq, Modulation::Qpsk, nv / h_pow, &mut llrs);
     // Descramble by flipping LLR signs where the scrambling bit is 1.
     for (l, &s) in llrs.iter_mut().zip(&seqs.scrambling[..level.bits()]) {
         if s == 1 {

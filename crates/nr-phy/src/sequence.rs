@@ -13,9 +13,52 @@
 /// Offset into the m-sequences where the output sequence starts.
 pub const NC: usize = 1600;
 
+/// Bits one word step yields: a register holds `x(n)…x(n+30)` and the
+/// recurrences reach back 31 and forward 3, so `x(n+31)…x(n+58)` are all
+/// functions of the current register.
+const WORD: usize = 28;
+
+/// The `x1` (or `x2`) register `k ≤ 28` bits on: bit i of `f` is the new
+/// `x(n+31+i)`, and `k` of them are shifted in. `k = 1` is the bit-serial
+/// step of the spec.
+#[inline]
+const fn shifted(s: u32, x2: bool, k: usize) -> u32 {
+    debug_assert!(1 <= k && k <= WORD);
+    let f1 = (s >> 3) ^ s;
+    let f = if x2 { f1 ^ (s >> 2) ^ (s >> 1) } else { f1 };
+    ((s >> k) | (f << (31 - k))) & 0x7FFF_FFFF
+}
+
+/// `Nc` bit-serial steps from state `s`: what the tables below are built
+/// with.
+const fn warm_up(mut s: u32, x2: bool) -> u32 {
+    let mut n = 0;
+    while n < NC {
+        s = shifted(s, x2, 1);
+        n += 1;
+    }
+    s
+}
+
+/// `x1` after the warm-up: its initial state is fixed, so a constant.
+const X1_WARM: u32 = warm_up(1, false);
+
+/// `x2` after the warm-up from each single-bit initial state. The LFSR is
+/// linear over GF(2), so the warmed-up register of any `c_init` is the XOR
+/// of the entries its set bits select.
+const X2_WARM_BASIS: [u32; 31] = {
+    let mut basis = [0; 31];
+    let mut i = 0;
+    while i < 31 {
+        basis[i] = warm_up(1 << i, true);
+        i += 1;
+    }
+    basis
+};
+
 /// Iterator-style Gold sequence generator.
 ///
-/// Construction advances both LFSRs past the `Nc` warm-up so that `next_bit`
+/// Construction places both LFSRs past the `Nc` warm-up so that `next_bit`
 /// yields `c(0), c(1), …` directly.
 #[derive(Debug, Clone)]
 pub struct GoldSequence {
@@ -27,43 +70,53 @@ impl GoldSequence {
     /// Create a generator for the given `c_init` (only the low 31 bits are
     /// used, matching the spec's 31-bit initialiser).
     pub fn new(c_init: u32) -> GoldSequence {
-        let mut g = GoldSequence {
-            x1: 1,
-            x2: c_init & 0x7FFF_FFFF,
-        };
-        for _ in 0..NC {
-            g.step();
+        let mut x2 = 0;
+        let mut rest = c_init & 0x7FFF_FFFF;
+        while rest != 0 {
+            x2 ^= X2_WARM_BASIS[rest.trailing_zeros() as usize];
+            rest &= rest - 1;
         }
-        g
+        GoldSequence { x1: X1_WARM, x2 }
     }
 
+    /// Step past the next `k ≤ 28` bits.
     #[inline]
-    fn step(&mut self) {
-        // Register bit k holds x(n+k); compute the new x(n+31) and shift.
-        let n1 = ((self.x1 >> 3) ^ self.x1) & 1;
-        let n2 = ((self.x2 >> 3) ^ (self.x2 >> 2) ^ (self.x2 >> 1) ^ self.x2) & 1;
-        self.x1 = (self.x1 >> 1) | (n1 << 30);
-        self.x2 = (self.x2 >> 1) | (n2 << 30);
+    fn advance(&mut self, k: usize) {
+        (self.x1, self.x2) = (shifted(self.x1, false, k), shifted(self.x2, true, k));
+    }
+
+    /// Hand `f` the next `n` bits in order, up to 28 at a time: a word
+    /// whose bit `j` is the `j`-th of them, and how many it holds.
+    #[inline]
+    pub(crate) fn for_each_word(&mut self, n: usize, mut f: impl FnMut(u32, usize)) {
+        let mut left = n;
+        while left > 0 {
+            let k = left.min(WORD);
+            f(self.x1 ^ self.x2, k);
+            self.advance(k);
+            left -= k;
+        }
     }
 
     /// Produce the next scrambling bit `c(n)`.
     #[inline]
     pub fn next_bit(&mut self) -> u8 {
         let out = ((self.x1 ^ self.x2) & 1) as u8;
-        self.step();
+        self.advance(1);
         out
     }
 
     /// Produce the next `n` bits as a vector.
     pub fn take_bits(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.next_bit()).collect()
+        let mut bits = Vec::with_capacity(n);
+        self.for_each_word(n, |w, k| bits.extend((0..k).map(|j| ((w >> j) & 1) as u8)));
+        bits
     }
 
-    /// Skip `n` bits (cheap fast-forward for offset-indexed sequences).
+    /// Skip `n` bits: a fast-forward for offset-indexed sequences, 28 bits
+    /// per step and nothing generated.
     pub fn skip(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
-        }
+        self.for_each_word(n, |_, _| {});
     }
 }
 
@@ -74,10 +127,10 @@ pub fn gold_bits(c_init: u32, len: usize) -> Vec<u8> {
 
 /// XOR-scramble `bits` in place with the Gold sequence for `c_init`.
 pub fn scramble_in_place(bits: &mut [u8], c_init: u32) {
-    let mut g = GoldSequence::new(c_init);
-    for b in bits.iter_mut() {
-        *b ^= g.next_bit();
-    }
+    let (n, mut bits) = (bits.len(), bits.iter_mut());
+    GoldSequence::new(c_init).for_each_word(n, |w, k| {
+        (bits.by_ref().take(k).enumerate()).for_each(|(j, b)| *b ^= ((w >> j) & 1) as u8);
+    });
 }
 
 /// `c_init` for PDCCH data scrambling (38.211 §7.3.2.3):
@@ -101,6 +154,100 @@ pub fn pdcch_dmrs_cinit(slot: usize, symbol: usize, n_id: u16) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator this module had before it stepped by words: register
+    /// bit k holds `x(n+k)`; a step computes the new `x(n+31)` and shifts.
+    /// The oracle for the warm-up tables and the word steps.
+    struct SerialGold {
+        x1: u32,
+        x2: u32,
+    }
+
+    impl SerialGold {
+        fn new(c_init: u32) -> SerialGold {
+            let mut g = SerialGold {
+                x1: 1,
+                x2: c_init & 0x7FFF_FFFF,
+            };
+            (0..NC).for_each(|_| g.step());
+            g
+        }
+
+        fn step(&mut self) {
+            let n1 = ((self.x1 >> 3) ^ self.x1) & 1;
+            let n2 = ((self.x2 >> 3) ^ (self.x2 >> 2) ^ (self.x2 >> 1) ^ self.x2) & 1;
+            self.x1 = (self.x1 >> 1) | (n1 << 30);
+            self.x2 = (self.x2 >> 1) | (n2 << 30);
+        }
+
+        fn take_bits(&mut self, n: usize) -> Vec<u8> {
+            let bit = |g: &mut SerialGold| {
+                let out = ((g.x1 ^ g.x2) & 1) as u8;
+                g.step();
+                out
+            };
+            (0..n).map(|_| bit(self)).collect()
+        }
+    }
+
+    /// The corner initialisers plus a seeded sample of the 31-bit space.
+    fn c_inits() -> Vec<u32> {
+        let mut x = 0x2545_F491u32;
+        let sample = (0..200).map(move |_| {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            x
+        });
+        [0, 1, 0x7FFF_FFFF, 0xFFFF_FFFF]
+            .into_iter()
+            .chain(sample)
+            .collect()
+    }
+
+    /// Lengths straddling the word (28), the register (31), a machine word
+    /// and the longest PDCCH level.
+    const LENGTHS: [usize; 14] = [0, 1, 27, 28, 29, 30, 31, 32, 33, 56, 57, 863, 864, 865];
+
+    #[test]
+    fn warm_up_tables_equal_sixteen_hundred_serial_steps() {
+        // `x1` starts from 1 whatever `c_init` is; `x2` is `c_init`.
+        assert_eq!(X1_WARM, SerialGold::new(0).x1);
+        for (i, &basis) in X2_WARM_BASIS.iter().enumerate() {
+            assert_eq!(basis, SerialGold::new(1 << i).x2, "basis state {i}");
+        }
+    }
+
+    #[test]
+    fn word_stepping_equals_the_serial_generator() {
+        for c_init in c_inits() {
+            for len in LENGTHS {
+                let serial = SerialGold::new(c_init).take_bits(len);
+                assert_eq!(gold_bits(c_init, len), serial, "{c_init:#x} × {len}");
+                let mut scrambled = vec![0u8; len];
+                scramble_in_place(&mut scrambled, c_init);
+                assert_eq!(scrambled, serial, "scramble {c_init:#x} × {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn skip_and_interleaved_reads_equal_serial_stepping() {
+        for c_init in c_inits() {
+            let serial = SerialGold::new(c_init).take_bits(1000);
+            for n in LENGTHS {
+                let mut g = GoldSequence::new(c_init);
+                g.skip(n);
+                assert_eq!(g.take_bits(100), serial[n..n + 100], "{c_init:#x} skip {n}");
+            }
+            // Single bits between word reads of every phase.
+            let mut g = GoldSequence::new(c_init);
+            let mut got = Vec::new();
+            for n in LENGTHS.into_iter().filter(|n| *n < 60) {
+                got.push(g.next_bit());
+                got.extend(g.take_bits(n));
+            }
+            assert_eq!(got, serial[..got.len()], "{c_init:#x} interleaved");
+        }
+    }
 
     #[test]
     fn sequence_is_deterministic() {
@@ -178,8 +325,8 @@ type GoldCacheMap = std::collections::HashMap<(u32, usize), std::rc::Rc<Vec<u8>>
 thread_local! {
     /// Per-thread memo of generated sequences. Blind decoding re-derives
     /// the same descrambling sequences for every candidate × RNTI
-    /// hypothesis; without this cache the 1600-step Gold warm-up dominates
-    /// the per-slot cost at high UE counts.
+    /// hypothesis; a hit is a map lookup, a miss generates and unpacks the
+    /// whole sequence to one byte per bit again.
     static GOLD_CACHE: std::cell::RefCell<GoldCacheMap> =
         std::cell::RefCell::new(GoldCacheMap::new());
 }

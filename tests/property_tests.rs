@@ -7,7 +7,7 @@ use nr_scope::phy::mcs::{bler, select_mcs, McsTable};
 use nr_scope::phy::pdcch::ue_search_space_y;
 use nr_scope::phy::polar::ratematch::deselect_into;
 use nr_scope::phy::polar::PolarCode;
-use nr_scope::phy::sequence::{gold_bits, scramble_in_place};
+use nr_scope::phy::sequence::{gold_bits, scramble_in_place, GoldSequence};
 use nr_scope::phy::tbs::{
     near_quantisation_boundary, transport_block_size, transport_block_size_float_reference,
     transport_block_size_u64, TbsParams,
@@ -39,6 +39,24 @@ fn textbook_sc(llrs: &[f32], info_mask: &[bool]) -> (Vec<u8>, Vec<u8>) {
     let mut x: Vec<u8> = x_left.iter().zip(&x_right).map(|(l, r)| l ^ r).collect();
     x.extend(x_right);
     (u, x)
+}
+
+/// 38.211 §5.2.1 as written: both m-sequences from their initial states,
+/// one bit at a time through the `Nc` warm-up, then `skip + len` bits of
+/// `c(n)` of which the last `len` are returned. Independent of `nr_phy`'s
+/// generator.
+fn spec_gold(c_init: u32, skip: usize, len: usize) -> Vec<u8> {
+    let (mut x1, mut x2) = (1u32, c_init & 0x7FFF_FFFF);
+    let mut out = Vec::new();
+    for n in 0..1600 + skip + len {
+        if n >= 1600 + skip {
+            out.push(((x1 ^ x2) & 1) as u8);
+        }
+        let (n1, n2) = ((x1 >> 3) ^ x1, (x2 >> 3) ^ (x2 >> 2) ^ (x2 >> 1) ^ x2);
+        x1 = (x1 >> 1) | ((n1 & 1) << 30);
+        x2 = (x2 >> 1) | ((n2 & 1) << 30);
+    }
+    out
 }
 
 proptest! {
@@ -122,6 +140,22 @@ proptest! {
         scramble_in_place(&mut data, c_init);
         scramble_in_place(&mut data, c_init);
         prop_assert_eq!(data, orig);
+    }
+
+    #[test]
+    fn gold_generator_equals_the_spec_recurrence_at_any_offset(
+        c_init in 0u32..u32::MAX,
+        skip in 0usize..200,
+        len in 0usize..900,
+        single in 0usize..40,
+    ) {
+        let spec = spec_gold(c_init, skip, single + len);
+        let mut g = GoldSequence::new(c_init);
+        g.skip(skip);
+        let mut got: Vec<u8> = (0..single).map(|_| g.next_bit()).collect();
+        got.extend(g.take_bits(len));
+        prop_assert_eq!(&got, &spec);
+        prop_assert_eq!(gold_bits(c_init, skip + single + len)[skip..].to_vec(), spec);
     }
 
     #[test]
