@@ -16,12 +16,14 @@
 //! There is one scan loop and one hypothesis tester. The two fidelities
 //! differ only in how a candidate yields hard-decision codewords — the
 //! private `Candidate` trait: a descramble for [`ObservedDci`], an LLR sign
-//! flip plus polar SC decode for [`ExtractedCandidate`].
+//! flip plus polar SC decode for [`ExtractedCandidate`]. A codeword is
+//! tested through its CRC syndrome ([`dci_syndrome`]): one number that
+//! every RNTI hypothesis is compared with.
 
 use crate::metrics::{Counter, Metrics, Stage};
 use crate::observe::ObservedDci;
 use nr_phy::complex::Cf32;
-use nr_phy::crc::{dci_check_crc, dci_recover_rnti};
+use nr_phy::crc::dci_syndrome;
 use nr_phy::dci::{Dci, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::modulation::{demodulate_llr_into, Modulation};
@@ -32,10 +34,11 @@ use nr_phy::pdcch::{
     AggregationLevel, Coreset, CoresetSequences, ExtractScratch, SearchBudget,
 };
 use nr_phy::polar::{DecodeScratch, PolarCode};
-use nr_phy::sequence::gold_bits_cached;
+use nr_phy::sequence::{gold_bits_cached, scrambling_syndrome_cached};
 use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_phy::Numerology;
 use nr_rrc::{Mib, RrcSetup};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -313,8 +316,10 @@ impl FrontEnd {
         // Descrambling is a sign flip, applied as the decoder reads the LLRs.
         let llrs = (llrs.iter().zip(scr.iter())).map(|(l, &s)| if s == 1 { -*l } else { *l });
         let cw = self.polar.decode(Mib::BITS + 24, e, llrs);
-        let payload = dci_check_crc(cw, 0)?;
-        Mib::decode(&payload).ok()
+        if dci_syndrome(cw)? != 0 {
+            return None;
+        }
+        Mib::decode(&cw[..Mib::BITS]).ok()
     }
 }
 
@@ -378,6 +383,9 @@ fn extract_candidates(
     out
 }
 
+/// Makes the payload bits of a codeword whose syndrome a hypothesis matched.
+type PayloadOf<'a> = &'a dyn Fn() -> Cow<'a, [u8]>;
+
 /// Where a candidate's hard-decision codewords come from — the one thing
 /// the two fidelities do differently. Everything downstream (hypothesis
 /// order, budget gate, validation, accounting, timing) is shared.
@@ -398,17 +406,25 @@ pub(crate) trait Candidate {
     fn fits(&self, _sizes: &[usize; 2]) -> bool {
         true
     }
-    /// Hand `test` the hard-decision codeword (with its payload size) for
+    /// The [`dci_syndrome`] of the candidate as captured, when it is hard
+    /// bits already: computed once, it serves every hypothesis.
+    fn raw_syndrome(&self) -> Option<u32> {
+        None
+    }
+    /// Hand `test` the [`dci_syndrome`] of the hard-decision codeword for
     /// each admissible size in `sizes`, descrambled for the common search
-    /// space (`ue: None`) or for one C-RNTI, until it reports a hit; a
-    /// polar decode goes through `polar`.
+    /// space (`ue: None`) or for one C-RNTI, until it reports a hit; the
+    /// payload bits are made only when `test` asks — for a hypothesis the
+    /// syndrome matched. `raw` is this candidate's [`Self::raw_syndrome`];
+    /// a polar decode goes through `polar`.
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
         polar: &mut PolarCodes,
+        raw: Option<u32>,
         ue: Option<Rnti>,
         sizes: &[usize; 2],
-        test: impl FnMut(usize, &[u8]) -> Option<T>,
+        test: impl FnMut(u32, PayloadOf<'_>) -> Option<T>,
     ) -> Option<T>;
 }
 
@@ -418,7 +434,9 @@ fn cinit_for(ue: Option<Rnti>, pci: u16) -> u32 {
 }
 
 /// Message fidelity: the codeword was captured whole, so its length fixes
-/// the payload size and a descramble yields the hard bits.
+/// the payload size, and a descrambling moves its syndrome by the
+/// sequence's own (memoised per thread): a rejected hypothesis is a lookup
+/// and an XOR, and only one that matches descrambles the payload.
 impl Candidate for ObservedDci {
     const BLIND: bool = false;
 
@@ -434,21 +452,30 @@ impl Candidate for ObservedDci {
         (self.scrambled_bits.len().checked_sub(24)).is_some_and(|p| sizes.contains(&p))
     }
 
+    fn raw_syndrome(&self) -> Option<u32> {
+        dci_syndrome(&self.scrambled_bits)
+    }
+
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
         _polar: &mut PolarCodes,
+        raw: Option<u32>,
         ue: Option<Rnti>,
         sizes: &[usize; 2],
-        mut test: impl FnMut(usize, &[u8]) -> Option<T>,
+        mut test: impl FnMut(u32, PayloadOf<'_>) -> Option<T>,
     ) -> Option<T> {
         if !self.fits(sizes) {
             return None;
         }
         let bits = &self.scrambled_bits;
-        let seq = gold_bits_cached(cinit_for(ue, ctx.pci), bits.len());
-        let cw: Vec<u8> = bits.iter().zip(seq.iter()).map(|(b, s)| b ^ s).collect();
-        test(bits.len() - 24, &cw)
+        let c_init = cinit_for(ue, ctx.pci);
+        let syndrome = raw? ^ scrambling_syndrome_cached(c_init, bits.len())?;
+        test(syndrome, &|| {
+            let seq = gold_bits_cached(c_init, bits.len());
+            let payload = bits[..bits.len() - 24].iter().zip(seq.iter());
+            payload.map(|(b, s)| b ^ s).collect()
+        })
     }
 }
 
@@ -470,9 +497,10 @@ impl Candidate for ExtractedCandidate {
         &self,
         ctx: &DecoderContext,
         polar: &mut PolarCodes,
+        _raw: Option<u32>,
         ue: Option<Rnti>,
         sizes: &[usize; 2],
-        mut test: impl FnMut(usize, &[u8]) -> Option<T>,
+        mut test: impl FnMut(u32, PayloadOf<'_>) -> Option<T>,
     ) -> Option<T> {
         let e = self.level.bits();
         let seq = |ue| gold_bits_cached(cinit_for(ue, ctx.pci), e);
@@ -480,8 +508,10 @@ impl Candidate for ExtractedCandidate {
         let (common, own) = (seq(None), seq(ue));
         let flips = common.iter().zip(own.iter());
         let llrs = (self.llrs.iter().zip(flips)).map(|(l, (a, b))| if a == b { *l } else { -*l });
-        (sizes.iter().filter(|&&p| p + 24 < e))
-            .find_map(|&p| test(p, polar.decode(p + 24, e, llrs.clone())))
+        (sizes.iter().filter(|&&p| p + 24 < e)).find_map(|&p| {
+            let cw = polar.decode(p + 24, e, llrs.clone());
+            test(dci_syndrome(cw)?, &|| Cow::Borrowed(&cw[..p]))
+        })
     }
 }
 
@@ -581,32 +611,32 @@ fn test_hypotheses<C: Candidate>(
     budget: SearchBudget,
     work: &mut DecodeWork,
 ) -> Option<DecodedDci> {
+    let raw = cand.raw_syndrome();
     if !hyp.skip_common {
         let sizing = ctx.common_sizing;
         let rejects = &mut work.validation_rejects;
         let sizes = payload_sizes(&sizing);
-        let hit = cand.codewords(ctx, polar, None, &sizes, |payload_bits, cw| {
+        let hit = cand.codewords(ctx, polar, raw, None, &sizes, |syndrome, payload| {
             let known = std::iter::once((Rnti::SI, RntiType::Si))
                 .chain(hyp.ra_rntis.iter().map(|r| (*r, RntiType::Ra)))
                 .chain(hyp.tc_rntis.iter().map(|r| (*r, RntiType::Tc)));
-            for (rnti, rnti_type) in known {
-                if let Some(payload) = dci_check_crc(cw, rnti.0) {
-                    let hit = unpack(cand, &payload, &sizing, rnti, rnti_type, rejects);
-                    if hit.is_some() {
-                        return hit;
-                    }
+            // The codeword checks against the one RNTI its syndrome equals.
+            for (rnti, rnti_type) in known.filter(|(r, _)| syndrome == r.0 as u32) {
+                let hit = unpack(cand, &payload(), &sizing, rnti, rnti_type, rejects);
+                if hit.is_some() {
+                    return hit;
                 }
             }
             // Missed-RAR fallback: recover an unknown TC-RNTI from the
-            // CRC XOR.
+            // CRC XOR — the syndrome itself, when its high 8 bits are clean.
             if !hyp.allow_recovery {
                 return None;
             }
-            let r = Rnti(dci_recover_rnti(cw)?);
+            let r = Rnti(u16::try_from(syndrome).ok()?);
             if !r.is_c_rnti_range() || hyp.c_rntis.iter().any(|ue| ue.rnti == r) {
                 return None;
             }
-            unpack(cand, &cw[..payload_bits], &sizing, r, RntiType::Tc, rejects)
+            unpack(cand, &payload(), &sizing, r, RntiType::Tc, rejects)
         });
         if hit.is_some() {
             return hit;
@@ -627,9 +657,11 @@ fn test_hypotheses<C: Candidate>(
     work.ue_hypotheses += offered.clone().count();
     let rejects = &mut work.validation_rejects;
     offered.map(|ue| ue.rnti).find_map(|rnti| {
-        cand.codewords(ctx, polar, Some(rnti), &sizes, |_, cw| {
-            let payload = dci_check_crc(cw, rnti.0)?;
-            unpack(cand, &payload, &sizing, rnti, RntiType::C, rejects)
+        cand.codewords(ctx, polar, raw, Some(rnti), &sizes, |syndrome, payload| {
+            if syndrome != rnti.0 as u32 {
+                return None;
+            }
+            unpack(cand, &payload(), &sizing, rnti, RntiType::C, rejects)
         })
     })
 }
@@ -1045,6 +1077,157 @@ mod tests {
             }
         }
         panic!("no MSG 4 seen");
+    }
+
+    /// A codeword carrying `payload` under `rnti` as the common search
+    /// space scrambles it, captured whole.
+    fn common_capture(c: &DecoderContext, payload: &[u8], rnti: Rnti) -> ObservedDci {
+        let mut bits = nr_phy::crc::dci_attach_crc(payload, rnti.0);
+        nr_phy::sequence::scramble_in_place(&mut bits, cinit_for(None, c.pci));
+        ObservedDci {
+            scrambled_bits: bits,
+            cce_start: 0,
+            level: AggregationLevel::L2,
+        }
+    }
+
+    /// One syndrome answers SI, RA, TC and recovery — in that order, and a
+    /// CRC match whose payload fails validation still falls through to the
+    /// hypotheses after it, each counting its own reject.
+    #[test]
+    fn common_pass_keeps_its_order_and_falls_through_a_rejected_match() {
+        let cfg = CellConfig::srsran_n41();
+        let c = ctx(&cfg);
+        let x = Rnti(0x4601);
+        let hyp = |ra: &[Rnti], tc: &[Rnti], allow_recovery, tracked: &[Rnti]| Hypotheses {
+            ra_rntis: ra.to_vec(),
+            tc_rntis: tc.to_vec(),
+            c_rntis: tracked.iter().map(|r| UeHypothesis::anywhere(*r)).collect(),
+            allow_recovery,
+            skip_common: false,
+        };
+        let run = |dci: &ObservedDci, hyp: &Hypotheses| {
+            let (found, work) = decode_message_slot_budgeted(
+                &c,
+                std::slice::from_ref(dci),
+                hyp,
+                SearchBudget::unlimited(),
+                None,
+            );
+            let found = found.first().map(|d| (d.rnti, d.rnti_type));
+            (found, work.validation_rejects)
+        };
+        // All ones: a DL format whose RIV no BWP admits.
+        let bad = vec![1u8; payload_sizes(&c.common_sizing)[0]];
+        assert!(Dci::unpack_validated(&bad, &c.common_sizing).is_err());
+        let bad = common_capture(&c, &bad, x);
+        assert_eq!(
+            run(&bad, &hyp(&[x], &[x], true, &[])),
+            (None, 3),
+            "RA, TC, recovery"
+        );
+        assert_eq!(
+            run(&bad, &hyp(&[x, x], &[], true, &[])),
+            (None, 3),
+            "RA twice"
+        );
+        assert_eq!(run(&bad, &hyp(&[x], &[x], false, &[])), (None, 2));
+        assert_eq!(
+            run(&bad, &hyp(&[x], &[], true, &[x])),
+            (None, 1),
+            "tracked: no recovery"
+        );
+        assert_eq!(run(&bad, &hyp(&[Rnti(0x4602)], &[], false, &[])), (None, 0));
+        // A payload that validates goes to the first hypothesis in order.
+        let mut g = loaded_gnb(9);
+        let payload = std::iter::repeat_with(|| g.step())
+            .take(400)
+            .flat_map(|out| out.dcis)
+            .find(|d| d.rnti_type == RntiType::Si)
+            .expect("a SIB1 DCI in 400 slots")
+            .payload_bits;
+        let good = common_capture(&c, &payload, x);
+        assert_eq!(
+            run(&good, &hyp(&[x], &[x], true, &[])).0,
+            Some((x, RntiType::Ra))
+        );
+        assert_eq!(
+            run(&good, &hyp(&[], &[x], true, &[])).0,
+            Some((x, RntiType::Tc))
+        );
+        assert_eq!(
+            run(&good, &hyp(&[], &[], true, &[])).0,
+            Some((x, RntiType::Tc))
+        );
+        assert_eq!(run(&good, &hyp(&[], &[], false, &[])).0, None);
+        assert_eq!(
+            run(&good, &hyp(&[], &[], true, &[x])).0,
+            None,
+            "not re-minted"
+        );
+        let si = common_capture(&c, &payload, Rnti::SI);
+        assert_eq!(
+            run(&si, &hyp(&[x], &[x], true, &[])).0,
+            Some((Rnti::SI, RntiType::Si))
+        );
+    }
+
+    /// A captured C-RNTI DCI with any one bit flipped checks against no
+    /// RNTI of any list, and the UE pass still counts every hypothesis it
+    /// was offered to.
+    #[test]
+    fn one_flipped_bit_is_rejected_for_every_rnti_and_still_counted() {
+        let mut g = loaded_gnb(6);
+        let cfg = g.cfg.clone();
+        let c = ctx(&cfg);
+        let mut obs = Observer::new(&cfg, 35.0, false, 9);
+        for s in 0..2000 {
+            let out = g.step();
+            let Some(tx) = out.dcis.iter().find(|d| d.rnti_type == RntiType::C) else {
+                continue;
+            };
+            let crate::observe::ObservedSlot::Message { dcis, .. } =
+                obs.observe(&out, s as f64 * 0.0005)
+            else {
+                continue;
+            };
+            let Some(dci) = dcis.iter().find(|d| d.cce_start == tx.cce_start) else {
+                continue;
+            };
+            // (Not `rnti ^ 0x8000`: c_init keeps 31 bits, so the two share
+            // a scrambling and differ by exactly one CRC bit.)
+            let others = [0x4001, 0x4002, tx.rnti.0 ^ 1, tx.rnti.0 ^ 0x4000].map(Rnti);
+            let hyp = Hypotheses {
+                ra_rntis: vec![Rnti(0x0001), Rnti(0x0017)],
+                tc_rntis: vec![tx.rnti, Rnti(tx.rnti.0 ^ 2)],
+                c_rntis: (others.iter().chain([&tx.rnti]))
+                    .map(|r| UeHypothesis::anywhere(*r))
+                    .collect(),
+                ..Hypotheses::default()
+            };
+            let run = |dci: &ObservedDci| {
+                let one = std::slice::from_ref(dci);
+                decode_message_slot_budgeted(&c, one, &hyp, SearchBudget::unlimited(), None)
+            };
+            let (clean, work) = run(dci);
+            assert_eq!(clean.len(), 1);
+            assert_eq!((clean[0].rnti, clean[0].rnti_type), (tx.rnti, RntiType::C));
+            assert_eq!((work.ue_candidates, work.ue_hypotheses), (1, 5));
+            for flip in 0..dci.scrambled_bits.len() {
+                let mut bent = dci.clone();
+                bent.scrambled_bits[flip] ^= 1;
+                let (found, work) = run(&bent);
+                assert_eq!(found, Vec::new(), "bit {flip}");
+                assert_eq!(
+                    (work.ue_candidates, work.ue_hypotheses),
+                    (1, 5),
+                    "bit {flip}"
+                );
+                assert_eq!(work.validation_rejects, 0);
+            }
+            return;
+        }
+        panic!("never saw a data DCI");
     }
 
     #[test]

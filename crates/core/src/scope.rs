@@ -778,6 +778,18 @@ impl NrScope {
         nr_phy::frame::sfn_add(self.cell.anchor_sfn, since / spf)
     }
 
+    /// Whether this slot may bear an SSB (see [`ssb_due`]), so the PBCH
+    /// symbols are worth transforming and a MIB decode worth attempting.
+    fn ssb_due(&self) -> bool {
+        #[cfg(test)]
+        if tests::ATTEMPT_PBCH_EVERY_SLOT.get() {
+            return true;
+        }
+        let mib = self.cell.mib.as_ref();
+        let frame = mib.map(|m| m.scs_common.slots_per_frame() as u64);
+        ssb_due(self.cell.frame_anchor_slot.zip(frame), self.slot)
+    }
+
     /// Expected RA-RNTIs for PRACH occasions inside the response window.
     fn expected_ra_rntis(&self) -> Vec<Rnti> {
         let Some(sib1) = &self.cell.sib1 else {
@@ -1227,14 +1239,16 @@ impl NrScope {
         // recovered mid-slot) is skipped rather than misparsed.
         let slot_in_frame = self.slot_in_frame();
         let known = self.decoder_context();
-        // A tracked cell is read at the CORESET and at the PBCH symbols
-        // (attempted every slot, so re-anchoring never waits); the rest
-        // of the slot is transformed only while the MIB or the on-air PCI
-        // is still being searched for.
+        // A tracked cell is read at the CORESET, and at the PBCH symbols
+        // in the slots an SSB is due; the rest of the slot is transformed
+        // only while the MIB or the on-air PCI is still being searched for.
+        let ssb_due = self.ssb_due();
         let wanted = match &known {
             Some(ctx) if self.cell.pci.is_some() => {
                 let mut wanted = coreset_symbols(&ctx.coreset);
-                (wanted[1], wanted[3]) = (true, true);
+                if ssb_due {
+                    (wanted[1], wanted[3]) = (true, true);
+                }
                 wanted
             }
             _ => [true; SYMBOLS_PER_SLOT],
@@ -1258,8 +1272,8 @@ impl NrScope {
         let Some(pci) = self.pci() else {
             return DecodeWork::default();
         };
-        // MIB (PBCH) decode when an SSB is present.
-        if let Some(mib) = self.front.decode_pbch(pci) {
+        // MIB (PBCH) decode when an SSB is due and present.
+        if let Some(mib) = ssb_due.then(|| self.front.decode_pbch(pci)).flatten() {
             self.on_mib(mib, slot);
         }
         if self.cell.mib.is_none() {
@@ -1511,6 +1525,24 @@ impl NrScope {
     }
 }
 
+/// Frames between the SSBs of a cell, as a UE assumes it for cell selection
+/// (38.213 §4.1) — what `gnb_sim` transmits, and no SIB1 field here says
+/// otherwise.
+const SSB_PERIOD_FRAMES: u64 = 2;
+
+/// Whether `slot` may bear an SSB, given the slot of the last MIB decode
+/// and the frame length that MIB gives: there is no anchor yet, or the
+/// anchor lies ahead (a lossy restore), or a whole period has passed. Every
+/// decode re-anchors, so a cell on this period is attempted exactly at its
+/// SSBs; a missed occasion — a dropped slot, noise, a stale PCI, a slip of
+/// the slot count, any other period — leaves every slot due until the next
+/// MIB decodes.
+fn ssb_due(anchor_and_frame: Option<(u64, u64)>, slot: u64) -> bool {
+    anchor_and_frame.is_none_or(|(anchor, slots_per_frame)| {
+        slot < anchor || slot - anchor >= SSB_PERIOD_FRAMES * slots_per_frame
+    })
+}
+
 fn payload_for(pdsch: &[(Rnti, PdschPayload)], rnti: Rnti) -> Option<&PdschPayload> {
     pdsch.iter().find(|(r, _)| *r == rnti).map(|(_, p)| p)
 }
@@ -1564,7 +1596,8 @@ mod tests {
     use ue_sim::traffic::{TrafficKind, TrafficSource};
     use ue_sim::{MobilityScenario, SimUe};
 
-    fn run_session(n_ues: usize, slots: u64, snr_db: f64, fidelity: Fidelity) -> (Gnb, NrScope) {
+    /// The srsRAN cell with `n_ues` 2 Mb/s CBR UEs present from slot 0.
+    fn loaded_cell(n_ues: usize) -> (CellConfig, Gnb) {
         let cell = CellConfig::srsran_n41();
         let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
         for i in 0..n_ues {
@@ -1584,6 +1617,11 @@ mod tests {
                 i as u64 + 1,
             ));
         }
+        (cell, gnb)
+    }
+
+    fn run_session(n_ues: usize, slots: u64, snr_db: f64, fidelity: Fidelity) -> (Gnb, NrScope) {
+        let (cell, mut gnb) = loaded_cell(n_ues);
         let mut obs = Observer::new(&cell, snr_db, fidelity == Fidelity::Iq, 5);
         let mut scope = NrScope::new(
             ScopeConfig {
@@ -1888,6 +1926,131 @@ mod tests {
             scope.cell.frame_anchor_slot >= Some(120),
             "no MIB decoded under the new PCI: anchor {:?}",
             scope.cell.frame_anchor_slot
+        );
+    }
+
+    thread_local! {
+        /// Makes [`NrScope::ssb_due`] say yes in every slot — the scope
+        /// as it was before the SSB schedule, for the tests below to
+        /// compare with.
+        pub(super) static ATTEMPT_PBCH_EVERY_SLOT: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
+    #[test]
+    fn ssb_is_due_without_an_anchor_behind_one_or_a_period_past_it() {
+        let period = |spf| SSB_PERIOD_FRAMES * spf;
+        assert_eq!((period(10), period(20)), (20, 40), "µ=0, µ=1");
+        for spf in [10, 20] {
+            assert!(ssb_due(None, 0) && ssb_due(None, 12_345));
+            for anchor in [0, 7, 4_000] {
+                let due = |slot| ssb_due(Some((anchor, spf)), slot);
+                assert!(!due(anchor), "the anchor slot itself was just decoded");
+                assert!(!due(anchor + 1) && !due(anchor + period(spf) - 1));
+                assert!(due(anchor + period(spf)), "the next SSB");
+                assert!(due(anchor + period(spf) + 1), "and on, once missed");
+                assert!(due(anchor + 3 * period(spf) + 5));
+                assert!(anchor == 0 || (due(anchor - 1) && due(0)), "lossy restore");
+            }
+        }
+    }
+
+    /// One CBR UE on the srsRAN cell, seen through a 30 dB IQ front end,
+    /// and two cold IQ scopes to show it to.
+    fn iq_air() -> (CellConfig, Gnb, Observer, [NrScope; 2]) {
+        let (cell, gnb) = loaded_cell(1);
+        let obs = Observer::new(&cell, 30.0, true, 5);
+        let cfg = ScopeConfig {
+            fidelity: Fidelity::Iq,
+            ..ScopeConfig::default()
+        };
+        let scopes = [NrScope::new(cfg, None), NrScope::new(cfg, None)];
+        (cell, gnb, obs, scopes)
+    }
+
+    /// `cap` into a scope on the SSB schedule and into one attempting the
+    /// PBCH in every slot: same records, same frame anchor, same SFN.
+    fn feed_both(scheduled: &mut NrScope, every_slot: &mut NrScope, cap: &Capture) {
+        ATTEMPT_PBCH_EVERY_SLOT.set(true);
+        let want = every_slot.process_capture(cap);
+        ATTEMPT_PBCH_EVERY_SLOT.set(false);
+        assert_eq!(
+            scheduled.process_capture(cap),
+            want,
+            "slot {}",
+            every_slot.slot
+        );
+        let timing = |s: &NrScope| (s.cell.frame_anchor_slot, s.derived_sfn(), s.slot_in_frame());
+        assert_eq!(
+            timing(scheduled),
+            timing(every_slot),
+            "slot {}",
+            every_slot.slot
+        );
+    }
+
+    #[test]
+    fn ssb_schedule_anchors_and_reports_as_attempting_every_slot_does() {
+        let (cell, mut gnb, mut obs, [mut scheduled, mut every_slot]) = iq_air();
+        let mut anchors = Vec::new();
+        for s in 0..400 {
+            let out = gnb.step();
+            let cap = Capture::Slot(obs.observe(&out, s as f64 * cell.slot_s()));
+            feed_both(&mut scheduled, &mut every_slot, &cap);
+            anchors.extend(scheduled.cell.frame_anchor_slot.filter(|a| *a == s));
+        }
+        assert_eq!(anchors, (0..400).step_by(40).collect::<Vec<u64>>());
+        assert!(scheduled.stats.dl_dcis > 10 && !scheduled.records().is_empty());
+    }
+
+    /// An SSB the front end drops is a missed occasion: every slot after
+    /// it is due, and the next SSB re-anchors — as soon as a scope
+    /// attempting every slot would.
+    #[test]
+    fn dropped_ssb_slot_reanchors_on_the_next_ssb() {
+        let (cell, mut gnb, mut obs, [mut scheduled, mut every_slot]) = iq_air();
+        for s in 0..130 {
+            let out = gnb.step();
+            let cap = match s {
+                80 => Capture::Dropped(crate::observe::DropReason::Overflow),
+                _ => Capture::Slot(obs.observe(&out, s as f64 * cell.slot_s())),
+            };
+            feed_both(&mut scheduled, &mut every_slot, &cap);
+            let anchored = [(79, 40), (80, 40), (119, 40), (120, 120), (129, 120)];
+            for (_, anchor) in anchored.iter().filter(|(at, _)| *at == s) {
+                assert_eq!(scheduled.cell.frame_anchor_slot, Some(*anchor), "slot {s}");
+            }
+        }
+    }
+
+    /// Captures lost without a `Dropped` marker slip the slot count against
+    /// the air. The SSB then expected is not there, so every slot after it
+    /// is due, and the scope is back on the gNB's frame timing within two
+    /// SSB periods of the slip (attempting every slot: within one).
+    #[test]
+    fn unannounced_slip_of_the_slot_count_is_reanchored_within_two_periods() {
+        let (cell, mut gnb, mut obs, [mut scope, _]) = iq_air();
+        let period = SSB_PERIOD_FRAMES * cell.numerology.slots_per_frame() as u64;
+        let mut agrees = Vec::new();
+        for s in 0..100 + 2 * period {
+            if s == 100 {
+                (0..7).for_each(|_| drop(gnb.step()));
+            }
+            let out = gnb.step();
+            let on_air = (out.slot_in_frame, out.sfn);
+            agrees.push((scope.slot_in_frame(), scope.derived_sfn()) == on_air);
+            scope.process(&obs.observe(&out, s as f64 * cell.slot_s()));
+        }
+        assert!(
+            agrees[1..100].iter().all(|a| *a),
+            "on the air's timing before"
+        );
+        assert!(!agrees[100], "the slip is real");
+        assert!(agrees[agrees.len() - 1], "and is anchored out");
+        let back = agrees.iter().rposition(|a| !a).expect("slot 100") as u64 + 1;
+        assert!(
+            back > 100 + period - 7 && back <= 100 + 2 * period,
+            "back at {back}"
         );
     }
 

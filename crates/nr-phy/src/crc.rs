@@ -47,21 +47,27 @@ pub const CRC6: Crc = Crc { poly: 0x21, len: 6 };
 impl Crc {
     /// Compute the CRC over `bits` (each element 0/1), MSB-first.
     pub fn compute(&self, bits: &[u8]) -> u32 {
-        let mut reg: u32 = 0;
+        self.update(0, bits)
+    }
+
+    /// Shift `bits` into `reg`, MSB-first; [`Crc::compute`] starts at zero.
+    pub const fn update(&self, mut reg: u32, bits: &[u8]) -> u32 {
         let top = 1u32 << (self.len - 1);
         let mask = if self.len == 32 {
             u32::MAX
         } else {
             (1u32 << self.len) - 1
         };
-        for &b in bits {
-            debug_assert!(b <= 1);
-            let fb = ((reg & top) != 0) as u32 ^ b as u32;
+        let mut i = 0;
+        while i < bits.len() {
+            debug_assert!(bits[i] <= 1);
+            let fb = ((reg & top) != 0) as u32 ^ bits[i] as u32;
             reg <<= 1;
             if fb != 0 {
                 reg ^= self.poly;
             }
             reg &= mask;
+            i += 1;
         }
         reg
     }
@@ -99,16 +105,17 @@ pub fn bits_to_crc(bits: &[u8]) -> u32 {
     bits.iter().fold(0u32, |acc, &b| (acc << 1) | b as u32)
 }
 
+/// The CRC24C register once the 24 one-bits that precede every DCI payload
+/// (38.212 §7.3.2) have gone through it.
+const DCI_CRC_INIT: u32 = CRC24C.update(0, &[1; 24]);
+
 /// Attach the DCI CRC per 38.212 §7.3.2: compute CRC24C over the payload
 /// preceded by 24 one-bits, then XOR the *last 16* CRC bits with the RNTI.
 ///
 /// Returns `payload ‖ scrambled CRC24` — exactly the bit string that enters
 /// the polar encoder on the gNB side.
 pub fn dci_attach_crc(payload: &[u8], rnti: u16) -> Vec<u8> {
-    let mut padded = vec![1u8; 24];
-    padded.extend_from_slice(payload);
-    let crc = CRC24C.compute(&padded);
-    let mut crc_bits = crc_to_bits(crc, 24);
+    let mut crc_bits = crc_to_bits(CRC24C.update(DCI_CRC_INIT, payload), 24);
     scramble_crc_with_rnti(&mut crc_bits, rnti);
     let mut out = payload.to_vec();
     out.append(&mut crc_bits);
@@ -123,53 +130,40 @@ pub fn scramble_crc_with_rnti(crc_bits: &mut [u8], rnti: u16) {
     }
 }
 
-/// Validate a received DCI codeword against a hypothesised RNTI.
-///
-/// Returns the DCI payload bits if the descrambled CRC matches. This is the
-/// check NR-Scope runs once per (candidate, known-RNTI) pair during blind
-/// decoding.
-pub fn dci_check_crc(codeword: &[u8], rnti: u16) -> Option<Vec<u8>> {
-    if codeword.len() < 24 {
-        return None;
-    }
-    let (payload, crc_rx) = codeword.split_at(codeword.len() - 24);
-    let mut crc_bits = crc_rx.to_vec();
-    scramble_crc_with_rnti(&mut crc_bits, rnti); // XOR is its own inverse
-    let mut padded = vec![1u8; 24];
-    padded.extend_from_slice(payload);
-    if CRC24C.compute(&padded) == bits_to_crc(&crc_bits) {
-        Some(payload.to_vec())
-    } else {
-        None
-    }
+/// `CRC24C` from `init` over all but the last 24 bits, XOR those 24 bits.
+fn crc24c_syndrome(init: u32, bits: &[u8]) -> Option<u32> {
+    let (head, tail) = bits.split_at(bits.len().checked_sub(24)?);
+    Some(CRC24C.update(init, head) ^ bits_to_crc(tail))
+}
+
+/// The syndrome of a received DCI codeword: the CRC recomputed over its
+/// payload XOR the CRC it carries (`None` under 24 bits). It answers every
+/// RNTI hypothesis at once: the codeword checks against RNTI `r` exactly
+/// when the syndrome equals `r`.
+pub fn dci_syndrome(codeword: &[u8]) -> Option<u32> {
+    crc24c_syndrome(DCI_CRC_INIT, codeword)
+}
+
+/// What scrambling with `seq` does to a syndrome. The CRC is GF(2)-linear,
+/// so for equal lengths `dci_syndrome(a ⊕ seq) = dci_syndrome(a) ⊕ this`:
+/// a codeword's syndrome under any descrambling costs one XOR.
+pub fn dci_scrambling_syndrome(seq: &[u8]) -> Option<u32> {
+    crc24c_syndrome(0, seq)
+}
+
+/// Validate a received DCI codeword against a hypothesised RNTI: the DCI
+/// payload bits if the descrambled CRC matches.
+pub fn dci_check_crc(codeword: &[u8], rnti: u16) -> Option<&[u8]> {
+    (dci_syndrome(codeword)? == rnti as u32).then(|| &codeword[..codeword.len() - 24])
 }
 
 /// Recover the RNTI from a correctly received DCI codeword *without knowing
-/// the RNTI in advance* — the paper's §3.1.2 C-RNTI discovery trick.
-///
-/// The transmitter sent `crc_tx = CRC(payload) ⊕ (0^8 ‖ rnti)`; the receiver
-/// recomputes `CRC(payload)` locally, XORs, and reads the RNTI out of the
-/// low 16 bits. The high 8 CRC bits must match exactly, which gives an
-/// 8-bit confidence check against false positives (callers typically add
-/// further consistency checks).
+/// the RNTI in advance* — the paper's §3.1.2 C-RNTI discovery trick: the
+/// transmitter sent `CRC(payload) ⊕ (0^8 ‖ rnti)`, so the syndrome is the
+/// RNTI. Its high 8 bits must be zero, an 8-bit confidence check against
+/// false positives (callers typically add further consistency checks).
 pub fn dci_recover_rnti(codeword: &[u8]) -> Option<u16> {
-    if codeword.len() < 24 {
-        return None;
-    }
-    let (payload, crc_rx) = codeword.split_at(codeword.len() - 24);
-    let mut padded = vec![1u8; 24];
-    padded.extend_from_slice(payload);
-    let crc_local = crc_to_bits(CRC24C.compute(&padded), 24);
-    // The unscrambled high 8 bits must agree, otherwise this wasn't a clean
-    // decode (or not a DCI at all).
-    if crc_local[0..8] != crc_rx[0..8] {
-        return None;
-    }
-    let mut rnti: u16 = 0;
-    for i in 0..16 {
-        rnti = (rnti << 1) | (crc_local[8 + i] ^ crc_rx[8 + i]) as u16;
-    }
-    Some(rnti)
+    u16::try_from(dci_syndrome(codeword)?).ok()
 }
 
 #[cfg(test)]
@@ -178,6 +172,89 @@ mod tests {
 
     fn bits_of(s: &str) -> Vec<u8> {
         s.bytes().map(|b| b - b'0').collect()
+    }
+
+    /// [`dci_check_crc`] as it was before the syndrome: descramble the
+    /// received CRC with the RNTI, recompute over `1^24 ‖ payload`, compare.
+    fn check_crc_oracle(codeword: &[u8], rnti: u16) -> Option<Vec<u8>> {
+        if codeword.len() < 24 {
+            return None;
+        }
+        let (payload, crc_rx) = codeword.split_at(codeword.len() - 24);
+        let mut crc_bits = crc_rx.to_vec();
+        scramble_crc_with_rnti(&mut crc_bits, rnti); // XOR is its own inverse
+        let mut padded = vec![1u8; 24];
+        padded.extend_from_slice(payload);
+        (CRC24C.compute(&padded) == bits_to_crc(&crc_bits)).then(|| payload.to_vec())
+    }
+
+    /// [`dci_recover_rnti`] as it was before the syndrome.
+    fn recover_rnti_oracle(codeword: &[u8]) -> Option<u16> {
+        if codeword.len() < 24 {
+            return None;
+        }
+        let (payload, crc_rx) = codeword.split_at(codeword.len() - 24);
+        let mut padded = vec![1u8; 24];
+        padded.extend_from_slice(payload);
+        let crc_local = crc_to_bits(CRC24C.compute(&padded), 24);
+        // The unscrambled high 8 bits must agree, otherwise this wasn't a
+        // clean decode (or not a DCI at all).
+        if crc_local[0..8] != crc_rx[0..8] {
+            return None;
+        }
+        let low = crc_local[8..].iter().zip(&crc_rx[8..]);
+        Some(low.fold(0, |rnti, (a, b)| (rnti << 1) | (a ^ b) as u16))
+    }
+
+    /// Both entry points against the bodies they replaced: clean codewords,
+    /// 1–3 flipped bits anywhere (so also confined to the high 8 CRC bits),
+    /// the right RNTI, its neighbours, the recovered one and random ones,
+    /// every length from nothing to past the longest DCI.
+    #[test]
+    fn syndrome_entry_points_equal_the_bodies_they_replaced() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(20);
+        for trial in 0..20_000 {
+            let payload: Vec<u8> = (0..trial % 90).map(|_| rng.gen_range(0..2u8)).collect();
+            let rnti: u16 = [0, 1, 0xFFFF, rng.gen()][trial % 4];
+            let mut cw = dci_attach_crc(&payload, rnti);
+            for _ in 0..[0, 0, 1, 2, 3][trial % 5] {
+                let at = rng.gen_range(0..cw.len());
+                cw[at] ^= 1;
+            }
+            if trial % 7 == 0 {
+                cw.truncate(rng.gen_range(0..30));
+            }
+            let recovered = dci_recover_rnti(&cw);
+            assert_eq!(recovered, recover_rnti_oracle(&cw), "{cw:?}");
+            let tried = [
+                rnti,
+                rnti ^ 1,
+                rnti ^ 0x8000,
+                recovered.unwrap_or(7),
+                rng.gen(),
+            ];
+            for r in tried {
+                let got = dci_check_crc(&cw, r).map(<[u8]>::to_vec);
+                assert_eq!(got, check_crc_oracle(&cw, r), "{cw:?} rnti {r:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn scrambling_moves_the_syndrome_by_the_sequence_s_own() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        for len in (0..200).chain([864]) {
+            let mut bits = |n| -> Vec<u8> { (0..n).map(|_| rng.gen_range(0..2u8)).collect() };
+            let (a, seq) = (bits(len), bits(len));
+            let mixed: Vec<u8> = a.iter().zip(&seq).map(|(x, y)| x ^ y).collect();
+            let moved = dci_syndrome(&a).zip(dci_scrambling_syndrome(&seq));
+            assert_eq!(dci_syndrome(&mixed), moved.map(|(s, l)| s ^ l), "{len}");
+            assert_eq!(dci_syndrome(&a).is_some(), len >= 24);
+        }
     }
 
     #[test]
@@ -217,7 +294,7 @@ mod tests {
         let rnti = 0x4601;
         let cw = dci_attach_crc(&payload, rnti);
         assert_eq!(cw.len(), payload.len() + 24);
-        assert_eq!(dci_check_crc(&cw, rnti).as_deref(), Some(&payload[..]));
+        assert_eq!(dci_check_crc(&cw, rnti), Some(&payload[..]));
         // Wrong RNTI must fail.
         assert!(dci_check_crc(&cw, 0x4602).is_none());
     }

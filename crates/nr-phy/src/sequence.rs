@@ -351,3 +351,28 @@ pub fn gold_bits_cached(c_init: u32, len: usize) -> std::rc::Rc<Vec<u8>> {
         seq
     })
 }
+
+thread_local! {
+    /// Per-thread memo of [`scrambling_syndrome_cached`] by (c_init,
+    /// length): what turns a rejected RNTI hypothesis on a captured
+    /// codeword into a lookup and an XOR.
+    static SCRAMBLING_SYNDROMES: std::cell::RefCell<std::collections::HashMap<(u32, usize), u32>> =
+        Default::default();
+}
+
+/// [`crate::crc::dci_scrambling_syndrome`] of `gold_bits(c_init, len)`,
+/// memoised like [`gold_bits_cached`] (`None` under 24 bits).
+pub fn scrambling_syndrome_cached(c_init: u32, len: usize) -> Option<u32> {
+    SCRAMBLING_SYNDROMES.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if let Some(syndrome) = cache.get(&(c_init, len)) {
+            return Some(*syndrome);
+        }
+        if cache.len() >= GOLD_CACHE_CAP {
+            cache.clear();
+        }
+        let syndrome = crate::crc::dci_scrambling_syndrome(&gold_bits(c_init, len))?;
+        cache.insert((c_init, len), syndrome);
+        Some(syndrome)
+    })
+}

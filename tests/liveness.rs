@@ -395,6 +395,10 @@ fn wedged_journal_writer_demotes_durability_honestly() {
         }
         session.process_capture(&caps[seq]);
         seq += 1;
+        // Paced as above: the probe's answer is the writer thread's real
+        // fsync, and the tape must not run out before it comes back
+        // however fast a slot decodes.
+        std::thread::sleep(Duration::from_micros(200));
         if session.durability_rung() != DurabilityRung::NonDurable {
             repromoted = true;
             break;

@@ -1,7 +1,10 @@
 //! Property-based tests on cross-crate invariants (proptest).
 
 use nr_scope::phy::bits::{BitReader, BitWriter};
-use nr_scope::phy::crc::{dci_attach_crc, dci_check_crc, dci_recover_rnti};
+use nr_scope::phy::crc::{
+    bits_to_crc, crc_to_bits, dci_attach_crc, dci_check_crc, dci_recover_rnti,
+    dci_scrambling_syndrome, dci_syndrome, scramble_crc_with_rnti, CRC24C,
+};
 use nr_scope::phy::dci::{riv_decode, riv_encode, Dci, DciFormat, DciSizing};
 use nr_scope::phy::mcs::{bler, select_mcs, McsTable};
 use nr_scope::phy::pdcch::ue_search_space_y;
@@ -59,7 +62,94 @@ fn spec_gold(c_init: u32, skip: usize, len: usize) -> Vec<u8> {
     out
 }
 
+/// The DCI CRC check as 38.212 §7.3.2 states it, one RNTI at a time:
+/// descramble the received CRC's last 16 bits with the RNTI, recompute
+/// CRC24C over 24 ones then the payload, compare. What `dci_check_crc` did
+/// before it read a syndrome.
+fn spec_check(codeword: &[u8], rnti: u16) -> Option<Vec<u8>> {
+    let (payload, crc_rx) = codeword.split_at(codeword.len().checked_sub(24)?);
+    let mut crc_bits = crc_rx.to_vec();
+    scramble_crc_with_rnti(&mut crc_bits, rnti);
+    let padded = [&[1u8; 24][..], payload].concat();
+    (CRC24C.compute(&padded) == bits_to_crc(&crc_bits)).then(|| payload.to_vec())
+}
+
+/// The paper's §3.1.2 recovery bit by bit: the high 8 CRC bits must agree,
+/// the low 16 XOR to the RNTI.
+fn spec_recover(codeword: &[u8]) -> Option<u16> {
+    let (payload, crc_rx) = codeword.split_at(codeword.len().checked_sub(24)?);
+    let padded = [&[1u8; 24][..], payload].concat();
+    let local = crc_to_bits(CRC24C.compute(&padded), 24);
+    let low = local[8..].iter().zip(&crc_rx[8..]);
+    (local[..8] == crc_rx[..8]).then(|| low.fold(0, |r, (a, b)| (r << 1) | (a ^ b) as u16))
+}
+
+/// An RNTI of class `class`: SI, paging, zero (the PBCH's), an RA-RNTI,
+/// the C/TC range, or any `draw`.
+fn rnti_of((class, draw): (u8, u16)) -> u16 {
+    match class {
+        0 => 0xFFFF,
+        1 => 0xFFFE,
+        2 => 0,
+        3 => 1 + draw % 0xFF,
+        4 => 0x0100 + draw % 0xFEF0,
+        _ => draw,
+    }
+}
+
 proptest! {
+    #[test]
+    fn dci_syndrome_answers_every_rnti_as_the_spec_check_does(
+        payload in prop::collection::vec(0u8..2, 0..81),
+        rnti in (0u8..6, 0u16..0xFFFF),
+        other in (0u8..6, 0u16..0xFFFF),
+        flips in prop::collection::vec(0usize..1_000, 0..4),
+        high_crc_flip in 0usize..16,
+        cut in 0usize..240,
+    ) {
+        let (rnti, other) = (rnti_of(rnti), rnti_of(other));
+        let mut cw = dci_attach_crc(&payload, rnti);
+        for at in flips {
+            let at = at % cw.len();
+            cw[at] ^= 1;
+        }
+        // Half the time, a mismatch confined to the unscrambled high 8 CRC
+        // bits.
+        if high_crc_flip < 8 {
+            let at = cw.len() - 24 + high_crc_flip;
+            cw[at] ^= 1;
+        }
+        // One time in ten, shorter than a CRC: no syndrome, nothing checks,
+        // nothing recovers.
+        if cut < 24 {
+            cw.truncate(cut);
+        }
+        let syndrome = dci_syndrome(&cw);
+        prop_assert_eq!(syndrome.is_some(), cw.len() >= 24);
+        let recovered = spec_recover(&cw);
+        prop_assert_eq!(dci_recover_rnti(&cw), recovered);
+        prop_assert_eq!(syndrome.and_then(|s| u16::try_from(s).ok()), recovered);
+        for r in [rnti, other, rnti ^ 1, rnti ^ 0x8000, recovered.unwrap_or(1)] {
+            let checks = spec_check(&cw, r);
+            prop_assert_eq!(syndrome == Some(r as u32), checks.is_some(), "rnti {:#x}", r);
+            prop_assert_eq!(dci_check_crc(&cw, r).map(<[u8]>::to_vec), checks);
+        }
+    }
+
+    #[test]
+    fn scrambling_moves_the_dci_syndrome_by_the_sequence_s_own(
+        a in prop::collection::vec(0u8..2, 0..141),
+        c_init in 0u32..0x8000_0000,
+    ) {
+        let len = a.len();
+        let seq = gold_bits(c_init, len);
+        let mut mixed = a.clone();
+        scramble_in_place(&mut mixed, c_init);
+        let moved = dci_syndrome(&a).zip(dci_scrambling_syndrome(&seq)).map(|(s, l)| s ^ l);
+        prop_assert_eq!(dci_syndrome(&mixed), moved);
+        prop_assert_eq!(moved.is_some(), len >= 24);
+    }
+
     #[test]
     fn crc_rnti_recovery_is_exact_for_any_payload(
         payload in prop::collection::vec(0u8..2, 20..60),
@@ -67,8 +157,7 @@ proptest! {
     ) {
         let cw = dci_attach_crc(&payload, rnti);
         prop_assert_eq!(dci_recover_rnti(&cw), Some(rnti));
-        let checked = dci_check_crc(&cw, rnti);
-        prop_assert_eq!(checked.as_deref(), Some(&payload[..]));
+        prop_assert_eq!(dci_check_crc(&cw, rnti), Some(&payload[..]));
     }
 
     #[test]
