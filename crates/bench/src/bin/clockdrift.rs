@@ -317,11 +317,12 @@ fn wrap_phase(cell: &CellConfig) -> Phase<Cols> {
     let continued = session.scope().session_state();
     let uninterrupted = reference.session_state();
     let exact = continued.slot == uninterrupted.slot
-        && serde_json::to_string(&continued.tracker).unwrap()
-            == serde_json::to_string(&uninterrupted.tracker).unwrap()
-        && continued.clock == uninterrupted.clock
-        && continued.stats.dl_dcis == uninterrupted.stats.dl_dcis
-        && continued.stats.timing_slips == uninterrupted.stats.timing_slips;
+        && serde_json::to_string(&continued.ues).unwrap()
+            == serde_json::to_string(&uninterrupted.ues).unwrap()
+        && continued.micro.tracker_aux == uninterrupted.micro.tracker_aux
+        && continued.micro.clock == uninterrupted.micro.clock
+        && continued.micro.stats.dl_dcis == uninterrupted.micro.stats.dl_dcis
+        && continued.micro.stats.timing_slips == uninterrupted.micro.stats.timing_slips;
     let wrapped = reference.derived_sfn() < 100; // 20,900 slots = SFN 21 after wrap
     let ok = report.resumed && resumed <= KILL_AT && mismatches == 0 && exact && wrapped;
     let detail = format!(

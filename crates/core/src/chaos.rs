@@ -104,31 +104,11 @@ impl HangSchedule {
         HangSchedule::default()
     }
 
-    /// Wedge the supervised child's slot loop at `slot` for `ms`.
-    pub fn wedge_slot_loop(mut self, slot: u64, ms: u64) -> Self {
+    /// Wedge `target` at `slot` for `ms`.
+    pub fn wedge(mut self, target: HangTarget, slot: u64, ms: u64) -> Self {
         self.hangs.push(HangPoint {
             slot,
-            target: HangTarget::SlotLoop,
-            duration_ms: ms,
-        });
-        self
-    }
-
-    /// Wedge the child's journal-writer thread at `slot` for `ms`.
-    pub fn wedge_journal_writer(mut self, slot: u64, ms: u64) -> Self {
-        self.hangs.push(HangPoint {
-            slot,
-            target: HangTarget::JournalWriter,
-            duration_ms: ms,
-        });
-        self
-    }
-
-    /// Wedge fleet shard `shard` at `slot` for `ms`.
-    pub fn wedge_fleet_shard(mut self, shard: usize, slot: u64, ms: u64) -> Self {
-        self.hangs.push(HangPoint {
-            slot,
-            target: HangTarget::FleetShard(shard),
+            target,
             duration_ms: ms,
         });
         self
@@ -348,9 +328,9 @@ impl ChaosSchedule {
             // enough that the first storage window's re-probe has landed
             // and the restart meets a re-promoted child.
             s.hangs = HangSchedule::new()
-                .wedge_slot_loop(at(380) + jitter(30), 8_000)
-                .wedge_journal_writer(at(560) + jitter(30), 300)
-                .wedge_fleet_shard(1, at(450) + jitter(30), 2_500);
+                .wedge(HangTarget::SlotLoop, at(380) + jitter(30), 8_000)
+                .wedge(HangTarget::JournalWriter, at(560) + jitter(30), 300)
+                .wedge(HangTarget::FleetShard(1), at(450) + jitter(30), 2_500);
         }
         s
     }

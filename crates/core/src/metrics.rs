@@ -162,11 +162,9 @@ pub enum Counter {
     JournalWriteFailures,
     /// Group-commit journal batches handed to the OS by the writer thread.
     JournalBatches,
-    /// Delta-encoded snapshots written between full checkpoints.
-    SnapshotDeltasWritten,
-    /// Checkpoints written durably by the background writer.
+    /// Checkpoints written durably (cadence thread, shutdown, re-anchor).
     CheckpointsWritten,
-    /// Checkpoint writes that failed (I/O error in the background writer).
+    /// Checkpoint writes that failed (I/O error).
     CheckpointFailures,
     /// Checkpoint requests skipped because the previous write was still in
     /// flight (the hot path never blocks on the writer).
@@ -208,7 +206,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 36] = [
+    pub const ALL: [Counter; 35] = [
         Counter::SlotsProcessed,
         Counter::SlotsDropped,
         Counter::LayoutMismatches,
@@ -230,7 +228,6 @@ impl Counter {
         Counter::LogWriteFailures,
         Counter::JournalWriteFailures,
         Counter::JournalBatches,
-        Counter::SnapshotDeltasWritten,
         Counter::CheckpointsWritten,
         Counter::CheckpointFailures,
         Counter::CheckpointsSkipped,
@@ -271,7 +268,6 @@ impl Counter {
             Counter::LogWriteFailures => "log_write_failures",
             Counter::JournalWriteFailures => "journal_write_failures",
             Counter::JournalBatches => "journal_batches",
-            Counter::SnapshotDeltasWritten => "snapshot_deltas_written",
             Counter::CheckpointsWritten => "checkpoints_written",
             Counter::CheckpointFailures => "checkpoint_failures",
             Counter::CheckpointsSkipped => "checkpoints_skipped",

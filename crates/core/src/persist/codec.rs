@@ -1,10 +1,10 @@
 //! Every on-disk format of the persistence layer, and nothing else.
 //!
-//! This is the only module that knows a magic number, a header offset or
-//! a snapshot field id: the CRC-32 guard, the wire structs, the `NRSB`
-//! journal batch and the `NRCK` full/delta snapshot. Each artefact has
-//! exactly one encoder and one decoder; bytes that match neither magic
-//! are foreign and rejected like any other corruption.
+//! This is the only module that knows a magic number or a header offset:
+//! the CRC-32 guard, the wire structs, the `NRSB` journal batch and the
+//! `NRCK` snapshot. Each artefact has exactly one encoder and one decoder;
+//! bytes that match neither magic are foreign and rejected like any other
+//! corruption.
 
 use crate::binfmt;
 use crate::clock::ClockRecoveryState;
@@ -13,11 +13,10 @@ use crate::metrics::MetricsSnapshot;
 use crate::scope::{CellKnowledge, ScopeStats, SyncState};
 use crate::telemetry::TelemetryRecord;
 use crate::throughput::ThroughputState;
-use crate::tracker::{TrackerAux, TrackerState};
+use crate::tracker::{TrackedUe, TrackerAux};
 use nr_phy::types::{Pci, Rnti};
 use nr_rrc::RrcSetup;
 use serde::{Deserialize, Serialize};
-use std::io;
 
 /// CRC-32 slice-by-8 lookup tables, built at compile time from the
 /// reflected IEEE polynomial. `CRC32_TABLES[0]` is the classic one-byte
@@ -110,11 +109,11 @@ pub enum SlotOp {
     },
 }
 
-/// End-of-slot continuous state, carried in the *final* record of every
-/// group-commit batch so replay never re-derives sync/governor/stats
-/// decisions (and so cannot drift from what the live run concluded).
-/// Torn batches are discarded whole, so replay always lands on a record
-/// that carries one.
+/// End-of-slot continuous state, carried in every [`SessionState`] and in
+/// the *final* record of every group-commit batch so replay never
+/// re-derives sync/governor/stats decisions (and so cannot drift from
+/// what the live run concluded). Torn batches are discarded whole, so
+/// replay always lands on a record that carries one.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MicroState {
     /// Cell knowledge (PCI, MIB, SIB1, frame anchor).
@@ -153,37 +152,28 @@ pub struct JournalEntry {
     pub micro: Option<MicroState>,
 }
 
-/// The full recoverable image of a session — what a snapshot holds.
+/// The full recoverable image of a session — what a snapshot holds: the
+/// continuous state a journal batch also carries, plus what replay
+/// rebuilds from ops (UE table, throughput windows) and what only a
+/// snapshot keeps (metrics counters, the out-of-band PCI).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionState {
     /// Serialisation schema version ([`crate::SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Next slot to process; doubles as the replay watermark.
     pub slot: u64,
-    /// Cell knowledge.
-    pub cell: CellKnowledge,
-    /// Sync-health machine state.
-    pub sync: SyncState,
-    /// Consecutive unhealthy slots.
-    pub unhealthy_streak: u64,
-    /// Reacquisition PCI hint.
-    pub last_pci: Option<Pci>,
     /// Out-of-band PCI the session was started with.
     pub assumed_pci: Option<Pci>,
-    /// Session counters.
-    pub stats: ScopeStats,
-    /// Overload-governor ladder state.
-    pub governor: OverloadGovernor,
-    /// UE tracker (table + bookkeeping).
-    pub tracker: TrackerState,
+    /// End-of-slot continuous state at `slot`.
+    pub micro: MicroState,
+    /// Tracked UEs sorted by RNTI.
+    pub ues: Vec<TrackedUe>,
     /// Throughput estimator (windows + history).
     pub throughput: ThroughputState,
     /// Metrics counters at snapshot time.
     pub metrics: MetricsSnapshot,
-    /// Timing-recovery loop state (`None` when no clock observables ever
-    /// arrived).
-    pub clock: Option<ClockRecoveryState>,
 }
+
 // ---------------------------------------------------------------------------
 // Journal: the `NRSB` group-commit batch.
 //
@@ -440,240 +430,60 @@ pub fn read_journal_bytes(data: &[u8]) -> (Vec<JournalEntry>, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints: the `NRCK` full / delta snapshot.
+// Checkpoints: the `NRCK` snapshot.
 //
 //   offset  size  field
 //   0       4     magic "NRCK"
 //   4       1     schema version
-//   5       1     kind (0 = full, 1 = delta)
-//   6       8     snapshot slot, u64 LE
-//   14      8     base slot (the full snapshot a delta overlays; equals
-//                 the snapshot slot for fulls), u64 LE
-//   22      4     payload length, u32 LE
-//   26      4     CRC-32 over bytes [4..26) + payload, u32 LE
-//   30      ...   payload
+//   5       8     snapshot slot, u64 LE
+//   13      4     payload length, u32 LE
+//   17      4     CRC-32 over bytes [4..17) + payload, u32 LE
+//   21      ...   payload: the binfmt encoding of one `SessionState`
 //
-// Payload: varint field count, then per field `u8 id | varint len | bytes`
-// where the bytes are the binfmt encoding of that SessionState field. A
-// delta stores only the fields whose encoding differs from its base full
-// snapshot; loading overlays them on the base's fields. The CRC covers
-// the header metadata too, so a bit flip anywhere in the file is caught.
+// Every snapshot is the whole image, so a kept file never depends on
+// another. The CRC covers the header metadata too, so a bit flip anywhere
+// in the file is caught.
 // ---------------------------------------------------------------------------
 
 const SNAP_MAGIC: &[u8; 4] = b"NRCK";
-const SNAP_KIND_FULL: u8 = 0;
-const SNAP_KIND_DELTA: u8 = 1;
-const SNAP_HEADER_LEN: usize = 30;
+const SNAP_HEADER_LEN: usize = 21;
+/// Header bytes under the CRC: version, slot, payload length.
+const SNAP_META: std::ops::Range<usize> = 4..17;
 
-const F_SCHEMA: u8 = 0;
-const F_SLOT: u8 = 1;
-const F_CELL: u8 = 2;
-const F_SYNC: u8 = 3;
-const F_STREAK: u8 = 4;
-const F_LAST_PCI: u8 = 5;
-const F_ASSUMED_PCI: u8 = 6;
-const F_STATS: u8 = 7;
-const F_GOVERNOR: u8 = 8;
-const F_TRACKER: u8 = 9;
-const F_THROUGHPUT: u8 = 10;
-const F_METRICS: u8 = 11;
-const F_CLOCK: u8 = 12;
-/// Field count of a full image.
-const SNAP_FIELDS: usize = 13;
-
-/// A snapshot's `(field id, binfmt bytes)` pairs — opaque outside this
-/// module.
-pub(super) type SnapFields = Vec<(u8, Vec<u8>)>;
-
-pub(super) fn encode_state_fields(state: &SessionState) -> SnapFields {
-    vec![
-        (F_SCHEMA, binfmt::encode_value(&state.schema_version)),
-        (F_SLOT, binfmt::encode_value(&state.slot)),
-        (F_CELL, binfmt::encode_value(&state.cell)),
-        (F_SYNC, binfmt::encode_value(&state.sync)),
-        (F_STREAK, binfmt::encode_value(&state.unhealthy_streak)),
-        (F_LAST_PCI, binfmt::encode_value(&state.last_pci)),
-        (F_ASSUMED_PCI, binfmt::encode_value(&state.assumed_pci)),
-        (F_STATS, binfmt::encode_value(&state.stats)),
-        (F_GOVERNOR, binfmt::encode_value(&state.governor)),
-        (F_TRACKER, binfmt::encode_value(&state.tracker)),
-        (F_THROUGHPUT, binfmt::encode_value(&state.throughput)),
-        (F_METRICS, binfmt::encode_value(&state.metrics)),
-        (F_CLOCK, binfmt::encode_value(&state.clock)),
-    ]
-}
-
-fn state_from_fields(fields: &SnapFields) -> Option<SessionState> {
-    if fields.len() != SNAP_FIELDS {
-        return None;
-    }
-    let get = |id: u8| {
-        fields
-            .iter()
-            .find(|(i, _)| *i == id)
-            .map(|(_, b)| b.as_slice())
-    };
-    Some(SessionState {
-        schema_version: binfmt::decode_value(get(F_SCHEMA)?)?,
-        slot: binfmt::decode_value(get(F_SLOT)?)?,
-        cell: binfmt::decode_value(get(F_CELL)?)?,
-        sync: binfmt::decode_value(get(F_SYNC)?)?,
-        unhealthy_streak: binfmt::decode_value(get(F_STREAK)?)?,
-        last_pci: binfmt::decode_value(get(F_LAST_PCI)?)?,
-        assumed_pci: binfmt::decode_value(get(F_ASSUMED_PCI)?)?,
-        stats: binfmt::decode_value(get(F_STATS)?)?,
-        governor: binfmt::decode_value(get(F_GOVERNOR)?)?,
-        tracker: binfmt::decode_value(get(F_TRACKER)?)?,
-        throughput: binfmt::decode_value(get(F_THROUGHPUT)?)?,
-        metrics: binfmt::decode_value(get(F_METRICS)?)?,
-        clock: binfmt::decode_value(get(F_CLOCK)?)?,
-    })
-}
-
-fn encode_snapshot_payload(fields: &SnapFields) -> Vec<u8> {
-    let mut payload = Vec::new();
-    binfmt::put_varint(&mut payload, fields.len() as u64);
-    for (id, bytes) in fields {
-        payload.push(*id);
-        binfmt::put_varint(&mut payload, bytes.len() as u64);
-        payload.extend_from_slice(bytes);
-    }
-    payload
-}
-
-fn decode_snapshot_payload(payload: &[u8]) -> Option<SnapFields> {
-    let mut pos = 0usize;
-    let n = binfmt::get_varint(payload, &mut pos)? as usize;
-    if n > payload.len().saturating_sub(pos) {
-        return None;
-    }
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = *payload.get(pos)?;
-        pos += 1;
-        let len = binfmt::get_varint(payload, &mut pos)? as usize;
-        let end = pos.checked_add(len)?;
-        if end > payload.len() {
-            return None;
-        }
-        fields.push((id, payload[pos..end].to_vec()));
-        pos = end;
-    }
-    (pos == payload.len()).then_some(fields)
-}
-
-/// The fields of `fields` whose encoding differs from `base` — what a
-/// delta snapshot stores.
-pub(super) fn delta_fields(fields: &SnapFields, base: &SnapFields) -> SnapFields {
-    fields
-        .iter()
-        .filter(|(id, bytes)| {
-            base.iter()
-                .find(|(bid, _)| bid == id)
-                .is_none_or(|(_, bb)| bb != bytes)
-        })
-        .cloned()
-        .collect()
-}
-
-/// Assemble one snapshot file image: a full image when `base_slot` is
-/// `None`, else a delta over the full snapshot at `base_slot`.
-pub(super) fn encode_snapshot(
-    slot: u64,
-    schema_version: u32,
-    base_slot: Option<u64>,
-    fields: &SnapFields,
-) -> Vec<u8> {
-    let payload = encode_snapshot_payload(fields);
-    // Bytes [4..26) of the final file: version, kind, slot, base, length.
-    let mut meta = [0u8; SNAP_HEADER_LEN - 8];
-    meta[0] = schema_version.min(u8::MAX as u32) as u8;
-    meta[1] = match base_slot {
-        None => SNAP_KIND_FULL,
-        Some(_) => SNAP_KIND_DELTA,
-    };
-    meta[2..10].copy_from_slice(&slot.to_le_bytes());
-    meta[10..18].copy_from_slice(&base_slot.unwrap_or(slot).to_le_bytes());
-    meta[18..22].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = crc32_pair(&meta[..18], &payload);
-    let mut image = Vec::with_capacity(SNAP_HEADER_LEN + payload.len());
-    image.extend_from_slice(SNAP_MAGIC);
-    image.extend_from_slice(&meta);
-    image.extend_from_slice(&crc.to_le_bytes());
-    image.extend_from_slice(&payload);
+/// Assemble the snapshot file image of `state`.
+pub(super) fn encode_snapshot(state: &SessionState) -> Vec<u8> {
+    let mut image = vec![0u8; SNAP_HEADER_LEN];
+    binfmt::put_value(&mut image, state);
+    let payload_len = (image.len() - SNAP_HEADER_LEN) as u32;
+    image[..4].copy_from_slice(SNAP_MAGIC);
+    image[4] = state.schema_version.min(u8::MAX as u32) as u8;
+    image[5..13].copy_from_slice(&state.slot.to_le_bytes());
+    image[13..17].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32_pair(&image[SNAP_META], &image[SNAP_HEADER_LEN..]);
+    image[17..21].copy_from_slice(&crc.to_le_bytes());
     image
 }
 
-/// Parse a snapshot's header + payload into its kind, base slot,
-/// and raw fields. Validates magic, schema version, expected slot, exact
-/// payload length, and the CRC (which covers the header metadata too).
-fn parse_snapshot(data: &[u8], expect_slot: u64) -> Option<(u8, u64, SnapFields)> {
+/// Decode the snapshot file `data`, expected to describe `slot`. `None`
+/// for anything torn, corrupt, foreign or future-schema: magic, schema
+/// version, slot, exact payload length and the CRC are checked before the
+/// payload is decoded, and a CRC-valid payload that is not a
+/// [`SessionState`] of that slot is rejected like any other corruption.
+pub(super) fn decode_snapshot(data: &[u8], slot: u64) -> Option<SessionState> {
     if data.len() < SNAP_HEADER_LEN || &data[..4] != SNAP_MAGIC {
         return None;
     }
-    let version = data[4] as u32;
-    if version > crate::SCHEMA_VERSION {
+    if u32::from(data[4]) > crate::SCHEMA_VERSION || read_u64_le(data, 5)? != slot {
         return None;
     }
-    let kind = *data.get(5)?;
-    let slot = read_u64_le(data, 6)?;
-    let base_slot = read_u64_le(data, 14)?;
-    let payload_len = read_u32_le(data, 22)? as usize;
-    let crc = read_u32_le(data, 26)?;
-    let payload = data.get(SNAP_HEADER_LEN..)?;
-    if slot != expect_slot || payload.len() != payload_len {
+    let payload = &data[SNAP_HEADER_LEN..];
+    if payload.len() != read_u32_le(data, 13)? as usize
+        || crc32_pair(&data[SNAP_META], payload) != read_u32_le(data, 17)?
+    {
         return None;
     }
-    if crc32_pair(&data[4..22], payload) != crc {
-        return None;
-    }
-    Some((kind, base_slot, decode_snapshot_payload(payload)?))
-}
-
-/// Decode the snapshot file `data`, expected to describe `slot`. A delta
-/// is overlaid on its base full snapshot, whose bytes `read_base` fetches
-/// by slot. `None` for anything torn, corrupt, foreign, future-schema, or
-/// whose base is itself missing or invalid.
-pub(super) fn decode_snapshot(
-    data: &[u8],
-    slot: u64,
-    read_base: impl FnOnce(u64) -> Option<Vec<u8>>,
-) -> Option<SessionState> {
-    let (kind, base_slot, fields) = parse_snapshot(data, slot)?;
-    let fields = match kind {
-        SNAP_KIND_FULL => fields,
-        SNAP_KIND_DELTA => {
-            let (base_kind, _, mut base) = parse_snapshot(&read_base(base_slot)?, base_slot)?;
-            if base_kind != SNAP_KIND_FULL {
-                return None; // delta chains are depth 1 by construction
-            }
-            for (id, bytes) in fields {
-                match base.iter_mut().find(|(i, _)| *i == id) {
-                    Some(slot_entry) => slot_entry.1 = bytes,
-                    None => base.push((id, bytes)),
-                }
-            }
-            base
-        }
-        _ => return None,
-    };
-    let state = state_from_fields(&fields)?;
-    if state.schema_version > crate::SCHEMA_VERSION || state.slot != slot {
-        return None;
-    }
-    Some(state)
-}
-
-/// Base slot the delta snapshot in `file` overlays, `None` for fulls or
-/// anything unreadable. Header peek only — no payload validation —
-/// because pruning must be conservative even around corrupt files.
-pub(super) fn peek_delta_base(file: &mut impl io::Read) -> Option<u64> {
-    let mut head = [0u8; SNAP_HEADER_LEN];
-    file.read_exact(&mut head).ok()?;
-    if &head[..4] != SNAP_MAGIC || head[5] != SNAP_KIND_DELTA {
-        return None;
-    }
-    read_u64_le(&head, 14)
+    let state: SessionState = binfmt::decode_value(payload)?;
+    (state.schema_version <= crate::SCHEMA_VERSION && state.slot == slot).then_some(state)
 }
 
 #[cfg(test)]
@@ -879,14 +689,14 @@ mod tests {
         let scope = NrScope::new(ScopeConfig::default(), Some(Pci(3)));
         let mut state = scope.session_state();
         state.slot = 42;
-        let image = encode_snapshot(42, state.schema_version, None, &encode_state_fields(&state));
-        assert!(parse_snapshot(&image, 42).is_some(), "image is valid");
+        let image = encode_snapshot(&state);
+        assert!(decode_snapshot(&image, 42).is_some(), "image is valid");
+        assert!(decode_snapshot(&image, 43).is_none(), "wrong slot");
         for cut in 0..image.len() {
             assert!(
-                parse_snapshot(&image[..cut], 42).is_none(),
+                decode_snapshot(&image[..cut], 42).is_none(),
                 "truncated snapshot (len {cut}) accepted"
             );
-            assert!(peek_delta_base(&mut &image[..cut]).is_none());
         }
     }
 }

@@ -8,10 +8,8 @@
 //! * **Snapshots** (`ckpt-<slot>.snap`): a versioned binary image of all
 //!   recoverable state ([`SessionState`]), written atomically
 //!   (tmp + fsync + rename + directory fsync) on a slot-count cadence
-//!   from a background writer thread. Background snapshots are
-//!   delta-encoded: every eighth is a full image, with intermediate
-//!   snapshots storing only the fields that changed since the last full
-//!   one.
+//!   from a background writer thread. Every snapshot is the whole
+//!   image — none depends on another file — and the newest two are kept.
 //! * **Journal** (`journal-<start>.jnl`): an append-only record of every
 //!   slot since the journal file's start, written as CRC-guarded binary
 //!   **group-commit batches**: the hot path appends records to an
@@ -37,7 +35,7 @@
 //! | Module | Holds |
 //! |---|---|
 //! | `storage` | [`StorageBackend`] / [`StorageFile`] / [`RealBackend`] and their seeded [`FaultyBackend`] test double |
-//! | `codec` | every on-disk format: CRC-32, the `NRSB` journal batch, the `NRCK` full/delta snapshot, the wire structs |
+//! | `codec` | every on-disk format: CRC-32, the `NRSB` journal batch, the `NRCK` snapshot, the wire structs |
 //! | `writer` | the group-commit [`JournalWriter`], the checkpoint thread and the [`DurabilityRung`] ladder |
 //! | `session` | [`SessionStore`], [`PersistConfig`], [`PersistentSession`] |
 

@@ -9,15 +9,15 @@ use super::codec::{self, SessionState};
 use super::storage::{RealBackend, StorageBackend};
 use super::writer::{
     demote_non_durable, BatchBuf, CheckpointWriter, DurabilityRung, JournalWriter, SubmitOutcome,
-    WriterCtx, KEEP_CHECKPOINTS, MAX_PROBE_FLAP_EXP, WRITER_QUEUE_DEPTH,
+    WriterCtx, MAX_PROBE_FLAP_EXP, WRITER_QUEUE_DEPTH,
 };
 use crate::config::{ScopeConfig, StoragePolicy};
-use crate::metrics::Counter;
+use crate::metrics::{Counter, Metrics};
 use crate::scope::NrScope;
 use crate::telemetry::TelemetryRecord;
 use nr_phy::types::Pci;
 use serde::{Deserialize, Serialize};
-use std::fs::{self, File};
+use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -47,6 +47,10 @@ pub struct RecoveryReport {
     /// UEs tracked at resume.
     pub recovered_ues: u64,
 }
+
+/// Snapshots retained by routine pruning (the previous one is the
+/// fallback when the newest turns out torn).
+const KEEP_CHECKPOINTS: usize = 2;
 
 const SNAP_PREFIX: &str = "ckpt-";
 const SNAP_SUFFIX: &str = ".snap";
@@ -142,46 +146,59 @@ impl SessionStore {
         slots
     }
 
-    /// Install one encoded snapshot image atomically: write to a temp
-    /// file, fsync it, rename into place, fsync the directory.
-    pub(super) fn install_snapshot(&self, slot: u64, image: &[u8]) -> io::Result<u64> {
-        let tmp = self.dir.join(format!(".tmp-{SNAP_PREFIX}{slot:012}"));
+    /// Write a snapshot atomically: serialise, CRC, write to a temp file,
+    /// fsync it, rename into place, fsync the directory. A crash at any
+    /// point leaves either the old set of snapshots or the old set plus a
+    /// complete new one — never a half-written file under the real name.
+    pub fn write_checkpoint(&self, state: &SessionState) -> io::Result<u64> {
+        let tmp = self
+            .dir
+            .join(format!(".tmp-{SNAP_PREFIX}{:012}", state.slot));
         // One contiguous image, one write op: the whole snapshot is the
         // durability unit, so fault injection (and the device) sees it as
         // a single all-or-nothing append to the tmp file.
         {
             let mut f = self.backend.create(&tmp)?;
-            f.write_all(image)?;
+            f.write_all(&codec::encode_snapshot(state))?;
             f.sync_all()?;
         }
         self.backend
-            .rename(&tmp, self.snapshot_path(slot).as_path())?;
+            .rename(&tmp, self.snapshot_path(state.slot).as_path())?;
         // Persist the rename itself (directory metadata).
         let _ = self.backend.sync_dir(&self.dir);
-        Ok(slot)
+        Ok(state.slot)
     }
 
-    /// Write a **full** snapshot atomically: serialise, CRC, write to a
-    /// temp file, fsync it, rename into place, fsync the directory. A
-    /// crash at any point leaves either the old set of snapshots or the
-    /// old set plus a complete new one — never a half-written file under
-    /// the real name.
-    pub fn write_checkpoint(&self, state: &SessionState) -> io::Result<u64> {
-        let fields = codec::encode_state_fields(state);
-        self.install_snapshot(
-            state.slot,
-            &codec::encode_snapshot(state.slot, state.schema_version, None, &fields),
-        )
+    /// The one checkpoint routine, shared by the cadence thread and the
+    /// synchronous shutdown / re-anchor path: install the snapshot, then
+    /// prune to [`KEEP_CHECKPOINTS`] and count it — or count the failure
+    /// and record *why*, so the summary can show the reason, not just a
+    /// tally.
+    pub(super) fn checkpoint(&self, state: &SessionState, metrics: &Metrics) -> io::Result<u64> {
+        let written = self.write_checkpoint(state);
+        match &written {
+            Ok(_) => {
+                metrics.inc(Counter::CheckpointsWritten);
+                self.prune(KEEP_CHECKPOINTS);
+            }
+            Err(e) => {
+                metrics.inc(Counter::CheckpointFailures);
+                metrics.note("checkpoint_error", e.to_string());
+            }
+        }
+        written
     }
 
     /// Load the newest valid snapshot, walking backwards past torn,
-    /// corrupt, or future-schema files (a delta whose base full snapshot
-    /// is itself missing or corrupt counts as invalid). Returns the state
-    /// (if any) and how many snapshots were rejected on the way.
+    /// corrupt, or future-schema files. Returns the state (if any) and
+    /// how many snapshots were rejected on the way.
     pub fn load_latest(&self) -> (Option<SessionState>, u64) {
         let mut rejected = 0u64;
         for slot in self.snapshot_slots().into_iter().rev() {
-            match self.load_snapshot(slot) {
+            let loaded = fs::read(self.snapshot_path(slot))
+                .ok()
+                .and_then(|data| codec::decode_snapshot(&data, slot));
+            match loaded {
                 Some(state) => return (Some(state), rejected),
                 None => rejected += 1,
             }
@@ -189,36 +206,20 @@ impl SessionStore {
         (None, rejected)
     }
 
-    fn load_snapshot(&self, slot: u64) -> Option<SessionState> {
-        let data = fs::read(self.snapshot_path(slot)).ok()?;
-        codec::decode_snapshot(&data, slot, |base| fs::read(self.snapshot_path(base)).ok())
-    }
-
-    /// Base slot a delta snapshot overlays, `None` for fulls or anything
-    /// unreadable.
-    fn snapshot_base(&self, slot: u64) -> Option<u64> {
-        codec::peek_delta_base(&mut File::open(self.snapshot_path(slot)).ok()?)
-    }
-
-    /// Delete all but the newest `keep` snapshots, always also retaining
-    /// any full snapshot a kept delta is based on, then every journal file
+    /// Delete all but the newest `keep` snapshots, then every journal file
     /// wholly covered by newer ones: a file covers `[its start, next
     /// file's start)`, so it is removable once the next file starts at or
     /// before the oldest retained snapshot.
     pub fn prune(&self, keep: usize) {
-        let slots = self.snapshot_slots();
-        let kept: Vec<u64> = slots.iter().rev().take(keep.max(1)).copied().collect();
-        let needed: Vec<u64> = kept.iter().filter_map(|&s| self.snapshot_base(s)).collect();
-        for &slot in slots.iter().rev().skip(keep.max(1)) {
-            if !needed.contains(&slot) {
-                let _ = self.backend.remove_file(&self.snapshot_path(slot));
-            }
+        for &slot in self.snapshot_slots().iter().rev().skip(keep.max(1)) {
+            let _ = self.backend.remove_file(&self.snapshot_path(slot));
         }
-        let Some(&oldest_needed) = self.snapshot_slots().first() else {
+        // Re-listed: a snapshot whose removal failed still needs its journals.
+        let Some(&oldest_kept) = self.snapshot_slots().first() else {
             return;
         };
         for pair in self.journal_starts().windows(2) {
-            if pair[1] <= oldest_needed {
+            if pair[1] <= oldest_kept {
                 let _ = self.backend.remove_file(&self.journal_path(pair[0]));
             }
         }
@@ -633,14 +634,14 @@ impl PersistentSession {
     /// drained first.
     pub fn checkpoint_now(&mut self) -> io::Result<u64> {
         self.flush_barrier();
-        let slot = self.store.write_checkpoint(&self.scope.session_state())?;
+        let state = self.scope.session_state();
+        let slot = self.store.checkpoint(&state, self.scope.metrics())?;
         self.last_checkpoint_slot = slot;
-        self.store.prune(KEEP_CHECKPOINTS);
         Ok(slot)
     }
 
     /// Clean shutdown: drain the journal through a barrier, write a final
-    /// full checkpoint, then drop — which stops the background writers.
+    /// checkpoint, then drop — which stops the background writers.
     pub fn finalize(mut self) -> io::Result<u64> {
         self.checkpoint_now()
     }
@@ -681,42 +682,6 @@ mod tests {
         fs::write(&path, &data[..data.len() / 2]).unwrap();
         let (loaded, rejected) = store.load_latest();
         assert_eq!(loaded.unwrap().slot, 100, "fell back to previous");
-        assert_eq!(rejected, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delta_snapshot_round_trips_and_keeps_its_base() {
-        let dir = test_dir("delta-snap");
-        let store = SessionStore::new(&dir).unwrap();
-        let scope = NrScope::new(ScopeConfig::default(), Some(Pci(5)));
-        let mut state = scope.session_state();
-        state.slot = 100;
-        let base_fields = codec::encode_state_fields(&state);
-        store.write_checkpoint(&state).unwrap();
-        // A later state differing in slot + a counter.
-        state.slot = 150;
-        state.unhealthy_streak = 9;
-        let fields = codec::encode_state_fields(&state);
-        let delta = codec::delta_fields(&fields, &base_fields);
-        assert!(
-            delta.len() < fields.len(),
-            "delta smaller than a full image"
-        );
-        let image = codec::encode_snapshot(150, state.schema_version, Some(100), &delta);
-        store.install_snapshot(150, &image).unwrap();
-        let (loaded, rejected) = store.load_latest();
-        let loaded = loaded.unwrap();
-        assert_eq!(rejected, 0);
-        assert_eq!(loaded.slot, 150);
-        assert_eq!(loaded.unhealthy_streak, 9);
-        // Pruning to 1 keeps the delta AND the full it needs.
-        store.prune(1);
-        assert_eq!(store.snapshot_slots(), vec![100, 150]);
-        // A delta whose base is destroyed is rejected, falling back cleanly.
-        fs::remove_file(store.snapshot_path(100)).unwrap();
-        let (loaded, rejected) = store.load_latest();
-        assert!(loaded.is_none());
         assert_eq!(rejected, 1);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -5,7 +5,7 @@
 //! encoding, checksumming and every syscall happen on the two threads
 //! here, through the session's [`StorageBackend`](super::StorageBackend).
 
-use super::codec::{self, JournalEntry, MicroState, SessionState, SlotOp, SnapFields};
+use super::codec::{self, JournalEntry, MicroState, SessionState, SlotOp};
 use super::session::SessionStore;
 use super::storage::{is_enospc, StorageFile};
 use crate::metrics::{Counter, Gauge, Metrics};
@@ -93,14 +93,6 @@ const RETRY_BACKOFF_BASE_US: u64 = 500;
 /// before the write is retried (journals wholly covered by the kept
 /// checkpoints are pruned too): fresh state beats history on a full disk.
 const EMERGENCY_PRUNE_KEEP: usize = 1;
-
-/// Snapshots retained by routine pruning (the previous one is the
-/// fallback when the newest turns out torn).
-pub(super) const KEEP_CHECKPOINTS: usize = 2;
-
-/// Delta-snapshot cadence: every K-th background checkpoint is a full
-/// image, the rest store only fields changed since the last full.
-const FULL_SNAPSHOT_EVERY: u64 = 8;
 
 /// Cap on the re-probe flap backoff exponent
 /// (`reprobe_interval_slots << exp`), the governor's demote-fast /
@@ -582,9 +574,8 @@ impl BatchBuf {
 /// depth-1 channel. The hot path hands over a frozen [`SessionState`] and
 /// returns immediately; if the previous write is still in flight the
 /// request is skipped (and counted) rather than queued — a fresher
-/// snapshot is always coming. The thread delta-encodes: a full snapshot
-/// every [`FULL_SNAPSHOT_EVERY`] writes, intermediate ones storing only
-/// the fields whose encoding changed since the last full.
+/// snapshot is always coming. Installing, pruning and accounting are
+/// [`SessionStore::checkpoint`].
 pub(super) struct CheckpointWriter {
     tx: Option<SyncSender<SessionState>>,
     handle: Option<JoinHandle<()>>,
@@ -599,44 +590,9 @@ impl CheckpointWriter {
         let last = Arc::clone(&last_written);
         let m = Arc::clone(&metrics);
         let handle = spawn_background("checkpoint", move || {
-            // (base slot, base field encodings) of the last full snapshot.
-            let mut full_base: Option<(u64, SnapFields)> = None;
-            let mut since_full = 0u64;
             while let Ok(state) = rx.recv() {
-                let fields = codec::encode_state_fields(&state);
-                let base = full_base
-                    .as_ref()
-                    .filter(|_| since_full + 1 < FULL_SNAPSHOT_EVERY);
-                let write_full = base.is_none();
-                let image = match base {
-                    None => codec::encode_snapshot(state.slot, state.schema_version, None, &fields),
-                    Some((base_slot, base_fields)) => codec::encode_snapshot(
-                        state.slot,
-                        state.schema_version,
-                        Some(*base_slot),
-                        &codec::delta_fields(&fields, base_fields),
-                    ),
-                };
-                match store.install_snapshot(state.slot, &image) {
-                    Ok(slot) => {
-                        if write_full {
-                            full_base = Some((state.slot, fields));
-                            since_full = 0;
-                        } else {
-                            since_full += 1;
-                            m.inc(Counter::SnapshotDeltasWritten);
-                        }
-                        last.store(slot, Relaxed);
-                        m.inc(Counter::CheckpointsWritten);
-                        store.prune(KEEP_CHECKPOINTS);
-                    }
-                    Err(e) => {
-                        // A failed write is not a busy-skip: count it
-                        // separately and record *why* so the summary can
-                        // show the reason, not just a tally.
-                        m.inc(Counter::CheckpointFailures);
-                        m.note("checkpoint_error", e.to_string());
-                    }
+                if let Ok(slot) = store.checkpoint(&state, &m) {
+                    last.store(slot, Relaxed);
                 }
             }
         });

@@ -1,7 +1,7 @@
 //! The top-level NR-Scope session: cell search → SIB acquisition →
 //! per-TTI telemetry (paper Fig 2 and Fig 3).
 
-use crate::clock::{ClockEvents, ClockLock, ClockObservable, ClockRecovery};
+use crate::clock::{ClockLock, ClockObservable, ClockRecovery};
 use crate::config::ScopeConfig;
 use crate::decoder::{
     coreset_symbols, decode_message_slot_budgeted, scan, DecodeWork, DecodedDci, DecoderContext,
@@ -302,19 +302,10 @@ impl NrScope {
         let metrics = Metrics::shared(cfg.metrics_enabled);
         metrics.restore_counters(&state.metrics);
         let mut scope = NrScope::with_metrics(cfg, state.assumed_pci, metrics);
-        scope.cell = state.cell.clone();
-        scope.sync = state.sync;
-        scope.unhealthy_streak = state.unhealthy_streak;
-        scope.last_pci = state.last_pci;
-        scope.stats = state.stats;
-        scope.governor = state.governor.clone();
-        scope.governor.set_config(cfg.governor);
-        scope.tracker = UeTracker::from_state(&state.tracker, state.slot);
+        scope.tracker.set_ues(&state.ues, state.slot);
         scope.throughput = ThroughputEstimator::from_state(&state.throughput);
         scope.slot = state.slot;
-        scope.clock = state
-            .clock
-            .map(|st| ClockRecovery::from_state(cfg.clock, st));
+        scope.restore_micro(&state.micro);
         scope
     }
 
@@ -325,18 +316,29 @@ impl NrScope {
         SessionState {
             schema_version: crate::SCHEMA_VERSION,
             slot: self.slot,
-            cell: self.cell.clone(),
-            sync: self.sync,
-            unhealthy_streak: self.unhealthy_streak,
-            last_pci: self.last_pci,
             assumed_pci: self.assumed_pci,
-            stats: self.stats,
-            governor: self.governor.clone(),
-            tracker: self.tracker.state(),
+            micro: self.micro_state(),
+            ues: self.tracker.ues_state(),
             throughput: self.throughput.state(),
             metrics: self.metrics.snapshot(),
-            clock: self.clock.as_ref().map(|c| c.state()),
         }
+    }
+
+    /// Overwrite the continuous state from a frozen image — the one place
+    /// a snapshot's and a journal batch's [`MicroState`] land. The
+    /// governor keeps the operator's current config over the frozen one.
+    fn restore_micro(&mut self, micro: &MicroState) {
+        self.cell = micro.cell.clone();
+        self.sync = micro.sync;
+        self.unhealthy_streak = micro.unhealthy_streak;
+        self.last_pci = micro.last_pci;
+        self.stats = micro.stats;
+        self.governor = micro.governor.clone();
+        self.governor.set_config(self.cfg.governor);
+        self.tracker.set_aux(&micro.tracker_aux);
+        self.clock = micro
+            .clock
+            .map(|st| ClockRecovery::from_state(self.cfg.clock, st));
     }
 
     /// Begin (or, after a durability re-promotion, resume) capturing
@@ -460,17 +462,7 @@ impl NrScope {
         // re-anchors everything, and torn batches are discarded whole, so
         // replay always ends on a record that carries a MicroState.
         if let Some(micro) = &e.micro {
-            self.cell = micro.cell.clone();
-            self.sync = micro.sync;
-            self.unhealthy_streak = micro.unhealthy_streak;
-            self.last_pci = micro.last_pci;
-            self.stats = micro.stats;
-            self.governor = micro.governor.clone();
-            self.governor.set_config(self.cfg.governor);
-            self.tracker.set_aux(&micro.tracker_aux);
-            self.clock = micro
-                .clock
-                .map(|st| ClockRecovery::from_state(self.cfg.clock, st));
+            self.restore_micro(micro);
         }
         // Mirror the live housekeeping cadence for departed-UE history.
         if e.seq.is_multiple_of(512) {
@@ -568,22 +560,9 @@ impl NrScope {
             .clock
             .get_or_insert_with(|| ClockRecovery::new(self.cfg.clock));
         let ev = clock.on_slot(obs, sample_rate_hz);
-        let st = clock.state();
+        let reacquire_slots = clock.state().reacquire_slots;
         let drift_ppb = clock.drift_ppb(slot_s);
         let lock = clock.lock();
-        self.note_clock_events(&ev, st.reacquire_slots, drift_ppb, lock, rung, slot_s);
-    }
-
-    /// Stats/metrics/notes fallout of one clock-loop slot.
-    fn note_clock_events(
-        &mut self,
-        ev: &ClockEvents,
-        reacquire_slots: u64,
-        drift_ppb: i64,
-        lock: ClockLock,
-        rung: LoadRung,
-        slot_s: f64,
-    ) {
         if ev.slipped > 0 {
             self.stats.timing_slips += ev.slipped;
             self.metrics.add(Counter::TimingSlips, ev.slipped);
@@ -1778,25 +1757,7 @@ mod tests {
         // (USRP overflow). With a short idle-release timer both UEs expire
         // mid-outage; afterwards the degraded-mode hypothesis retry must
         // re-track them from their first DCI, with no double-counting.
-        let cell = CellConfig::srsran_n41();
-        let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
-        for i in 0..2u64 {
-            gnb.ue_arrives(SimUe::new(
-                i + 1,
-                ChannelProfile::Awgn,
-                MobilityScenario::Static,
-                TrafficSource::new(
-                    TrafficKind::Cbr {
-                        rate_bps: 2e6,
-                        packet_bytes: 1200,
-                    },
-                    i + 1,
-                ),
-                0.0,
-                60.0,
-                i + 1,
-            ));
-        }
+        let (cell, mut gnb) = loaded_cell(2);
         let mut obs = Observer::new(&cell, 35.0, false, 5);
         obs.set_impairments(crate::observe::ImpairmentSchedule::new(42).with_outage(2000..2160));
         let mut scope = NrScope::new(
@@ -1832,25 +1793,7 @@ mod tests {
         // walk Synced → Degraded → Lost, re-run cell search (SI-RNTI PCI
         // scan at message fidelity), re-read the changed SIB1, and end up
         // tracking the re-attached UEs again.
-        let cell = CellConfig::srsran_n41();
-        let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
-        for i in 0..2u64 {
-            gnb.ue_arrives(SimUe::new(
-                i + 1,
-                ChannelProfile::Awgn,
-                MobilityScenario::Static,
-                TrafficSource::new(
-                    TrafficKind::Cbr {
-                        rate_bps: 2e6,
-                        packet_bytes: 1200,
-                    },
-                    i + 1,
-                ),
-                0.0,
-                60.0,
-                i + 1,
-            ));
-        }
+        let (cell, mut gnb) = loaded_cell(2);
         let mut obs = Observer::new(&cell, 35.0, false, 5);
         let mut scope = NrScope::new(ScopeConfig::default(), Some(cell.pci));
         let slot_s = cell.slot_s();
@@ -1883,23 +1826,7 @@ mod tests {
     /// the sequence read is the new PCI's.
     #[test]
     fn iq_scope_decodes_the_mib_of_a_cell_restarted_under_a_new_pci() {
-        let cell = CellConfig::srsran_n41();
-        let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
-        gnb.ue_arrives(SimUe::new(
-            1,
-            ChannelProfile::Awgn,
-            MobilityScenario::Static,
-            TrafficSource::new(
-                TrafficKind::Cbr {
-                    rate_bps: 2e6,
-                    packet_bytes: 1200,
-                },
-                1,
-            ),
-            0.0,
-            60.0,
-            1,
-        ));
+        let (cell, mut gnb) = loaded_cell(1);
         let mut obs = Observer::new(&cell, 30.0, true, 5);
         let cfg = ScopeConfig {
             fidelity: Fidelity::Iq,

@@ -694,6 +694,21 @@ impl ChildHandle {
         }
     }
 
+    /// Await the reply `pick` accepts, skipping whatever else arrives
+    /// first (late acks, heartbeats). `None` once the pipe stays silent
+    /// for `deadline` or the child dies.
+    fn await_reply<T>(
+        &mut self,
+        deadline: Duration,
+        pick: impl Fn(ChildMsg) -> Option<T>,
+    ) -> Option<T> {
+        loop {
+            if let Some(reply) = pick(self.recv_timeout(deadline).ok()??) {
+                return Some(reply);
+            }
+        }
+    }
+
     /// Framing faults ([`WireError`]) tolerated on this connection so far.
     pub fn wire_errors(&self) -> u64 {
         self.wire_errors.load(Relaxed)
@@ -1132,18 +1147,13 @@ impl Supervisor {
     /// when the child is down or does not answer within the hang deadline
     /// (which then counts as a hang, exactly like a silent slot).
     pub fn request_report(&mut self, ranges: Vec<(u64, u64)>) -> Option<ReportReply> {
-        let child = self.child.as_mut()?;
-        if child.send(&WireMsg::Report { ranges }).is_err() {
-            return None;
-        }
         let deadline = self.hang_deadline();
-        loop {
-            match self.child.as_mut()?.recv_timeout(deadline) {
-                Ok(Some(ChildMsg::Report(r))) => return Some(r),
-                Ok(Some(_)) => continue,
-                _ => return None,
-            }
-        }
+        let child = self.child.as_mut()?;
+        child.send(&WireMsg::Report { ranges }).ok()?;
+        child.await_reply(deadline, |m| match m {
+            ChildMsg::Report(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Clean shutdown: `Finish`, await `Done`, then a deadline-bounded
@@ -1157,17 +1167,10 @@ impl Supervisor {
             let _ = child.kill();
             return None;
         }
-        let mut final_slot = None;
-        loop {
-            match child.recv_timeout(self.hang_deadline()) {
-                Ok(Some(ChildMsg::Done { final_slot: s })) => {
-                    final_slot = Some(s);
-                    break;
-                }
-                Ok(Some(_)) => continue,
-                Ok(None) | Err(_) => break,
-            }
-        }
+        let final_slot = child.await_reply(self.hang_deadline(), |m| match m {
+            ChildMsg::Done { final_slot } => Some(final_slot),
+            _ => None,
+        });
         match child.wait_timeout(FINISH_WAIT) {
             Ok((_, false)) => final_slot,
             _ => None,

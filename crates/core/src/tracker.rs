@@ -121,15 +121,6 @@ pub struct TrackerAux {
     pub quarantine_evictions: u64,
 }
 
-/// Full serialisable tracker image: the UE table plus the bookkeeping.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TrackerState {
-    /// Tracked UEs sorted by RNTI.
-    pub ues: Vec<TrackedUe>,
-    /// RACH-shadowing bookkeeping.
-    pub aux: TrackerAux,
-}
-
 impl UeTracker {
     /// Fresh tracker.
     pub fn new() -> UeTracker {
@@ -460,31 +451,27 @@ impl UeTracker {
         self.quarantine_evictions = aux.quarantine_evictions;
     }
 
-    /// Freeze the whole tracker into a serialisable image.
-    pub fn state(&self) -> TrackerState {
+    /// Freeze the UE table, sorted by RNTI (with [`UeTracker::aux_state`],
+    /// the whole tracker).
+    pub fn ues_state(&self) -> Vec<TrackedUe> {
         let mut ues: Vec<TrackedUe> = self.ues.values().cloned().collect();
         ues.sort_by_key(|u| u.rnti);
-        TrackerState {
-            ues,
-            aux: self.aux_state(),
-        }
+        ues
     }
 
-    /// Rebuild a tracker from a frozen image. `watermark` is the restored
-    /// slot counter: each UE's `last_active_slot` is rebased up to it so a
-    /// UE that was healthy at checkpoint time cannot be instantly expired
-    /// by the first post-restart housekeeping pass (the snapshot may be
-    /// old relative to the journal tail, and wall-clock downtime must not
-    /// count as UE idle time).
-    pub fn from_state(state: &TrackerState, watermark: u64) -> UeTracker {
-        let mut t = UeTracker::new();
-        for ue in &state.ues {
+    /// Replace the UE table with a frozen image. `watermark` is the
+    /// restored slot counter: each UE's `last_active_slot` is rebased up
+    /// to it so a UE that was healthy at checkpoint time cannot be
+    /// instantly expired by the first post-restart housekeeping pass (the
+    /// snapshot may be old relative to the journal tail, and wall-clock
+    /// downtime must not count as UE idle time).
+    pub fn set_ues(&mut self, ues: &[TrackedUe], watermark: u64) {
+        self.ues.clear();
+        for ue in ues {
             let mut ue = ue.clone();
             ue.last_active_slot = ue.last_active_slot.max(watermark);
-            t.ues.insert(ue.rnti, ue);
+            self.ues.insert(ue.rnti, ue);
         }
-        t.set_aux(&state.aux);
-        t
     }
 
     /// Journal replay: re-insert a UE exactly as the live `promote`/
@@ -595,8 +582,9 @@ mod tests {
         t.expire(25_000, 20_000, 100); // both idle UEs expire
         t.promote(Rnti(0x4603), 25_100, rrc());
 
-        let state = t.state();
-        let back = UeTracker::from_state(&state, 0);
+        let mut back = UeTracker::new();
+        back.set_ues(&t.ues_state(), 0);
+        back.set_aux(&t.aux_state());
         assert_eq!(back.rntis(), t.rntis());
         assert_eq!(back.total_discovered, 3);
         assert_eq!(back.aux_state(), t.aux_state());
@@ -610,11 +598,11 @@ mod tests {
     fn restore_rebases_last_active_against_watermark() {
         let mut t = UeTracker::new();
         t.promote(Rnti(0x4601), 100, rrc());
-        let state = t.state();
         // Checkpoint taken at slot ~100; journal tail replayed to 50_000.
         // Without rebasing, the first expiry pass (> 20_000 idle) would
         // silently drop the UE the moment the session resumes.
-        let mut back = UeTracker::from_state(&state, 50_000);
+        let mut back = UeTracker::new();
+        back.set_ues(&t.ues_state(), 50_000);
         assert_eq!(back.get(Rnti(0x4601)).unwrap().last_active_slot, 50_000);
         assert!(back.expire(50_010, 20_000, 100).is_empty());
         assert!(back.contains(Rnti(0x4601)));

@@ -13,7 +13,7 @@ use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::phy::types::Pci;
-use nr_scope::scope::chaos::{ChaosChildPlan, HangSchedule, CHAOS_PLAN_FILE};
+use nr_scope::scope::chaos::{ChaosChildPlan, HangSchedule, HangTarget, CHAOS_PLAN_FILE};
 use nr_scope::scope::observe::{Capture, Observer};
 use nr_scope::scope::persist::{DurabilityRung, PersistConfig, PersistentSession};
 use nr_scope::scope::supervise::{
@@ -146,7 +146,9 @@ fn hung_child_is_detected_within_deadline_and_resumes_at_watermark() {
     // Wedge the slot loop far past the deadline: only a force-kill can
     // end it. Keyed on the fed slot, so it cannot re-fire after restart.
     let plan = ChaosChildPlan {
-        hangs: HangSchedule::new().wedge_slot_loop(HANG_SLOT, 30_000).hangs,
+        hangs: HangSchedule::new()
+            .wedge(HangTarget::SlotLoop, HANG_SLOT, 30_000)
+            .hangs,
         storage_windows: Vec::new(),
         overload_windows: Vec::new(),
     };

@@ -30,11 +30,26 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
+/// Poll `cond` with a 5 s deadline — for the asynchronous checkpoint
+/// worker, where a fixed sleep races thread scheduling under parallel
+/// test load.
+fn wait_until(cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !cond() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Deterministic capture tape: 2 backlogged UEs on the srsRAN cell.
 fn capture_tape(slots: u64) -> (Vec<Capture>, Pci) {
+    loaded_tape(2, 0.05, slots)
+}
+
+/// `n_ues` backlogged UEs arriving `stagger_s` apart on the srsRAN cell.
+fn loaded_tape(n_ues: u64, stagger_s: f64, slots: u64) -> (Vec<Capture>, Pci) {
     let cell = CellConfig::srsran_n41();
     let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 17);
-    for i in 1..=2u64 {
+    for i in 1..=n_ues {
         gnb.ue_arrives(SimUe::new(
             i,
             ChannelProfile::Awgn,
@@ -45,7 +60,7 @@ fn capture_tape(slots: u64) -> (Vec<Capture>, Pci) {
                 },
                 i,
             ),
-            0.05 * i as f64,
+            stagger_s * i as f64,
             600.0,
             i,
         ));
@@ -73,19 +88,21 @@ fn comparable_session_state(state: &nr_scope::scope::persist::SessionState) -> S
     // Wall-clock-derived load stats differ legitimately between any two
     // live runs (a slow fs or a busy core is not a replay bug); the
     // contract covers the deterministic decode state.
-    s.stats.deadline_misses = 0;
-    s.stats.rung_demotions = 0;
-    s.stats.rung_promotions = 0;
-    s.stats.slots_at_rung = Default::default();
-    s.stats.pruned_candidates = 0;
+    let stats = &mut s.micro.stats;
+    stats.deadline_misses = 0;
+    stats.rung_demotions = 0;
+    stats.rung_promotions = 0;
+    stats.slots_at_rung = Default::default();
+    stats.pruned_candidates = 0;
     format!(
-        "slot={} cell={} sync={} streak={} stats={} tracker={} throughput={}",
+        "slot={} cell={} sync={} streak={} stats={} tracker={}{} throughput={}",
         s.slot,
-        serde_json::to_string(&s.cell).unwrap(),
-        serde_json::to_string(&s.sync).unwrap(),
-        s.unhealthy_streak,
-        serde_json::to_string(&s.stats).unwrap(),
-        serde_json::to_string(&s.tracker).unwrap(),
+        serde_json::to_string(&s.micro.cell).unwrap(),
+        serde_json::to_string(&s.micro.sync).unwrap(),
+        s.micro.unhealthy_streak,
+        serde_json::to_string(&s.micro.stats).unwrap(),
+        serde_json::to_string(&s.ues).unwrap(),
+        serde_json::to_string(&s.micro.tracker_aux).unwrap(),
         serde_json::to_string(&s.throughput).unwrap(),
     )
 }
@@ -176,6 +193,82 @@ fn double_recovery_is_idempotent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every kept snapshot is the whole image: after a busy run the store
+/// holds exactly the two newest, each loads with the other gone, and with
+/// either one damaged recovery lands on the other, replays the journal
+/// and continues as the uninterrupted run does.
+#[test]
+fn each_kept_snapshot_recovers_alone_and_covers_for_the_other() {
+    const TOTAL: u64 = 2_000;
+    const CRASH_AT: u64 = 1_750; // not checkpoint-aligned
+    const KEPT: usize = 2; // `KEEP_CHECKPOINTS`
+    let (caps, pci) = loaded_tape(64, 0.002, TOTAL);
+    let mut reference = NrScope::new(ScopeConfig::default(), Some(pci));
+    for cap in &caps {
+        reference.process_capture(cap);
+    }
+    assert!(reference.tracked_rntis().len() >= 60, "a 64-UE cell");
+
+    let dir = tmp_dir("two-whole-snapshots");
+    let cfg = PersistConfig {
+        checkpoint_every_slots: 128,
+        ..PersistConfig::new(&dir)
+    };
+    {
+        let (mut session, _) =
+            PersistentSession::open(cfg, ScopeConfig::default(), Some(pci)).unwrap();
+        for (done, cap) in (1u64..).zip(&caps[..CRASH_AT as usize]) {
+            session.process_capture(cap);
+            // The cadence writer skips a request while it is busy: let each
+            // checkpoint land before the next is due.
+            let m = session.scope().metrics();
+            wait_until(|| m.counter(Counter::CheckpointsWritten) >= done / 128);
+        }
+        let written = session
+            .scope()
+            .metrics()
+            .counter(Counter::CheckpointsWritten);
+        assert!(written >= 8, "only {written} cadence checkpoints landed");
+        // Crash: no finalize.
+    }
+    let store = SessionStore::new(&dir).unwrap();
+    store.prune(KEPT);
+    let kept = store.snapshot_slots();
+    assert_eq!(kept.len(), KEPT, "retention is the newest {KEPT}: {kept:?}");
+    let path = |slot: u64| dir.join(format!("ckpt-{slot:012}.snap"));
+    let images: Vec<Vec<u8>> = kept
+        .iter()
+        .map(|&s| std::fs::read(path(s)).unwrap())
+        .collect();
+
+    for (damaged, survivor) in [(0, 1), (1, 0)] {
+        // Gone altogether: the survivor needs no other file to load.
+        std::fs::remove_file(path(kept[damaged])).unwrap();
+        let (loaded, rejected) = store.load_latest();
+        assert_eq!(loaded.map(|s| s.slot), Some(kept[survivor]));
+        assert_eq!(rejected, 0);
+        // Torn: recovery walks past it, counting it only when it is the
+        // newer one (the older is never looked at once the newer loads).
+        let torn = &images[damaged][..images[damaged].len() / 2];
+        std::fs::write(path(kept[damaged]), torn).unwrap();
+        let (mut scope, report) = store.recover(ScopeConfig::default(), Some(pci));
+        assert_eq!(report.snapshot_slot, Some(kept[survivor]));
+        assert_eq!(report.corrupt_checkpoints_skipped, damaged as u64);
+        assert_eq!(report.resumed_slot, CRASH_AT, "journal tail replayed");
+        for cap in &caps[CRASH_AT as usize..] {
+            scope.process_capture(cap);
+        }
+        assert_eq!(
+            comparable_state(&scope),
+            comparable_state(&reference),
+            "recovery from snapshot {} alone diverged",
+            kept[survivor]
+        );
+        std::fs::write(path(kept[damaged]), &images[damaged]).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn snapshot_newer_than_journal_is_a_defined_state() {
     const TOTAL: u64 = 1_300;
@@ -196,7 +289,7 @@ fn snapshot_newer_than_journal_is_a_defined_state() {
     // restored watermark (there are no journal records to restore the
     // exact value, and a stale clock would expire live UEs) — fold that
     // into the expectation.
-    for ue in &mut expected_state.tracker.ues {
+    for ue in &mut expected_state.ues {
         ue.last_active_slot = ue.last_active_slot.max(TOTAL);
     }
     // Delete every journal file: the snapshot now post-dates all journal
@@ -284,13 +377,19 @@ fn journal_fixture() -> &'static (Vec<u8>, usize) {
     })
 }
 
+/// A 600-slot capture tape, built once.
+fn tape_600() -> &'static (Vec<Capture>, Pci) {
+    static TAPE: OnceLock<(Vec<Capture>, Pci)> = OnceLock::new();
+    TAPE.get_or_init(|| capture_tape(600))
+}
+
 /// A checkpoint file's bytes, built once.
 fn checkpoint_fixture() -> &'static (Vec<u8>, u64) {
     static FIXTURE: OnceLock<(Vec<u8>, u64)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let (caps, pci) = capture_tape(600);
-        let mut scope = NrScope::new(ScopeConfig::default(), Some(pci));
-        for cap in &caps {
+        let (caps, pci) = tape_600();
+        let mut scope = NrScope::new(ScopeConfig::default(), Some(*pci));
+        for cap in caps {
             scope.process_capture(cap);
         }
         let dir = tmp_dir("ckpt-fixture");
@@ -342,6 +441,37 @@ proptest! {
         let (scope, _) = store.recover(ScopeConfig::default(), None);
         prop_assert!(scope.slot_watermark() == *slot || scope.slot_watermark() == 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    /// The one-restore-function claim: a snapshot of a live scope and a
+    /// journal batch of the same run, whose last record carries the same
+    /// `micro_state()`, restore the same continuous state.
+    #[test]
+    fn snapshot_and_batch_replay_restore_the_same_micro_state(slots in 1usize..600) {
+        use nr_scope::scope::binfmt::encode_value;
+
+        let (caps, pci) = tape_600();
+        let mut live = NrScope::new(ScopeConfig::default(), Some(*pci));
+        live.start_journaling();
+        let mut batch: Vec<JournalEntry> = Vec::new();
+        for cap in &caps[..slots] {
+            live.process_capture(cap);
+            if let Some(last) = batch.last_mut() {
+                last.micro = None; // interior records are ops-only
+            }
+            batch.push(live.take_journal_entry().expect("journaling is on"));
+        }
+        let from_snapshot = NrScope::from_state(ScopeConfig::default(), &live.session_state());
+        let mut from_batch = NrScope::new(ScopeConfig::default(), Some(*pci));
+        let (entries, _) = read_journal_bytes(&encode_batch(&batch));
+        for e in &entries {
+            prop_assert!(from_batch.apply_journal_entry(e));
+        }
+        let expected = encode_value(&live.micro_state());
+        prop_assert_eq!(&encode_value(&from_snapshot.micro_state()), &expected);
+        prop_assert_eq!(&encode_value(&from_batch.micro_state()), &expected);
     }
 }
 
@@ -592,57 +722,50 @@ fn removed_knob(head: &str, tail: &str) -> String {
     format!("{head}_{tail}")
 }
 
-/// The checkpoint fixture re-encoded field by field, with `extra` cells
-/// appended to `ScopeStats::slots_at_rung` (0 = the same image again)
-/// and, if `removed_keys`, the governor config knob an older build wrote
-/// (its budget fraction, since made a constant) put back.
+/// A snapshot file image: the checkpoint fixture's `NRCK` header (magic,
+/// version and slot at [0..13), then length and CRC) re-sealed over
+/// `payload`.
+fn resealed_checkpoint(payload: &[u8]) -> Vec<u8> {
+    let (bytes, _) = checkpoint_fixture();
+    let mut image = bytes[..13].to_vec();
+    image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    image.extend_from_slice(&crc32(&[&image[4..17], payload].concat()).to_le_bytes());
+    image.extend_from_slice(payload);
+    image
+}
+
+/// The checkpoint fixture re-encoded, with `extra` cells appended to
+/// `ScopeStats::slots_at_rung` (0 = the same image again) and, if
+/// `removed_keys`, the governor config knob an older build wrote (its
+/// budget fraction, since made a constant) put back.
 fn checkpoint_reshaped(extra: usize, removed_keys: bool) -> Vec<u8> {
-    use nr_scope::scope::binfmt::{get_content, get_varint, put_content, put_varint};
+    use nr_scope::scope::binfmt::{get_content, put_content};
     use serde::Content;
 
-    let (bytes, _) = checkpoint_fixture();
-    let old = &bytes[30..]; // past the header
-    let mut pos = 0;
-    let n = get_varint(old, &mut pos).unwrap();
-    let mut payload = Vec::new();
-    put_varint(&mut payload, n);
-    let mut reshaped = 0;
-    for _ in 0..n {
-        let id = old[pos];
-        pos += 1;
-        let len = get_varint(old, &mut pos).unwrap() as usize;
-        let mut field = old[pos..pos + len].to_vec();
-        pos += len;
-        if let Some(Content::Map(mut map)) = get_content(&field, &mut 0) {
-            let cells = map.iter_mut().find(|(k, _)| k == "slots_at_rung");
-            if let Some((_, Content::Seq(cells))) = cells {
-                cells.extend(std::iter::repeat_n(Content::U64(0), extra));
-                field.clear();
-                put_content(&mut field, &Content::Map(map));
-                reshaped += 1;
-            } else if let Some((_, Content::Map(cfg))) = map.iter_mut().find(|(k, _)| k == "cfg") {
-                if removed_keys {
-                    cfg.push((removed_knob("budget", "fraction").into(), Content::F64(0.9)));
-                }
-                field.clear();
-                put_content(&mut field, &Content::Map(map));
-                reshaped += 1;
-            }
-        }
-        payload.push(id);
-        put_varint(&mut payload, field.len() as u64);
-        payload.extend_from_slice(&field);
+    fn field<'a>(map: &'a mut Content, key: &str) -> &'a mut Content {
+        let Content::Map(map) = map else {
+            panic!("{key}: parent is not a map");
+        };
+        let found = map.iter_mut().find(|(k, _)| k == key);
+        &mut found.unwrap_or_else(|| panic!("no {key} field")).1
     }
-    assert_eq!(
-        reshaped, 2,
-        "the stats field carries the ladder cells, the governor its config"
-    );
-    // Header: magic, [version, kind, slot, base] under the CRC, length, CRC.
-    let mut image = bytes[..22].to_vec();
-    image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    image.extend_from_slice(&crc32(&[&bytes[4..22], &payload[..]].concat()).to_le_bytes());
-    image.extend_from_slice(&payload);
-    image
+
+    let (bytes, _) = checkpoint_fixture();
+    let mut state = get_content(&bytes[21..], &mut 0).expect("fixture payload decodes");
+    let micro = field(&mut state, "micro");
+    let Content::Seq(cells) = field(field(micro, "stats"), "slots_at_rung") else {
+        panic!("the stats field carries the ladder cells");
+    };
+    cells.extend(std::iter::repeat_n(Content::U64(0), extra));
+    let Content::Map(cfg) = field(field(micro, "governor"), "cfg") else {
+        panic!("the governor carries its config");
+    };
+    if removed_keys {
+        cfg.push((removed_knob("budget", "fraction").into(), Content::F64(0.9)));
+    }
+    let mut payload = Vec::new();
+    put_content(&mut payload, &state);
+    resealed_checkpoint(&payload)
 }
 
 /// A checkpoint written before the overload ladder lost its fourth rung
@@ -704,6 +827,31 @@ fn four_rung_checkpoint_is_refused_whole_and_recovery_cold_starts() {
             assert_eq!(report.corrupt_checkpoints_skipped, 1);
             assert!(recovered.tracked_rntis().is_empty());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A snapshot whose header and CRC are in order but whose payload is some
+/// other value — here the `MicroState` a journal batch would carry — is
+/// corruption like any other: rejected, counted, cold start.
+#[test]
+fn crc_valid_snapshot_of_another_type_is_rejected_and_counted() {
+    use nr_scope::scope::binfmt::encode_value;
+
+    let (bytes, slot) = checkpoint_fixture();
+    let scope = NrScope::new(ScopeConfig::default(), None);
+    for (payload, loads) in [
+        (bytes[21..].to_vec(), true), // control: re-sealing is faithful
+        (encode_value(&scope.micro_state()), false),
+        (Vec::new(), false),
+    ] {
+        let dir = tmp_dir("foreign-payload-ckpt");
+        let store = SessionStore::new(&dir).unwrap();
+        let image = resealed_checkpoint(&payload);
+        std::fs::write(dir.join(format!("ckpt-{slot:012}.snap")), image).unwrap();
+        let (recovered, report) = store.recover(ScopeConfig::default(), None);
+        assert_eq!(report.corrupt_checkpoints_skipped, u64::from(!loads));
+        assert_eq!(recovered.slot_watermark(), if loads { *slot } else { 0 });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -1145,10 +1293,7 @@ fn checkpoint_write_failure_reason_reaches_the_summary() {
     // of a fixed sleep, which races thread scheduling under parallel test
     // load.
     let m = session.scope().metrics();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while m.counter(Counter::CheckpointFailures) == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until(|| m.counter(Counter::CheckpointFailures) >= 1);
     assert!(m.counter(Counter::CheckpointFailures) >= 1);
     let snap = m.snapshot();
     assert!(
@@ -1164,7 +1309,41 @@ fn checkpoint_write_failure_reason_reaches_the_summary() {
         DurabilityRung::Durable,
         "journal appends never renamed anything; the rung is untouched"
     );
-    drop(session);
+    // The shutdown checkpoint goes through the same routine: its failure
+    // is returned *and* counted.
+    let m = Arc::clone(m);
+    let failed = m.counter(Counter::CheckpointFailures);
+    assert!(session.finalize().is_err());
+    assert_eq!(m.counter(Counter::CheckpointFailures), failed + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One checkpoint routine: a snapshot installed by the cadence thread, by
+/// `checkpoint_now` or by `finalize` is counted the same way, so the
+/// counter is the number of installs (each is one rename).
+#[test]
+fn every_installed_checkpoint_is_counted_whoever_wrote_it() {
+    let (caps, pci) = capture_tape(300);
+    let dir = tmp_dir("ckpt-accounting");
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
+    let cfg = PersistConfig {
+        checkpoint_every_slots: 64,
+        ..PersistConfig::new(&dir)
+    }
+    .with_backend(Arc::new(backend.clone()));
+    let (mut session, _) = PersistentSession::open(cfg, ScopeConfig::default(), Some(pci)).unwrap();
+    for cap in &caps {
+        session.process_capture(cap);
+    }
+    session.checkpoint_now().unwrap();
+    let m = Arc::clone(session.scope().metrics());
+    session.finalize().unwrap(); // joins the cadence thread
+    assert_eq!(m.counter(Counter::CheckpointFailures), 0);
+    assert!(
+        backend.renames() >= 3,
+        "cadence, sync and final checkpoints"
+    );
+    assert_eq!(m.counter(Counter::CheckpointsWritten), backend.renames());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1271,8 +1450,8 @@ fn clock_loop_state_survives_kill9_and_warm_restart() {
         prefix.process_capture(cap);
     }
     assert_eq!(
-        session.scope().session_state().clock,
-        prefix.session_state().clock,
+        session.scope().micro_state().clock,
+        prefix.micro_state().clock,
         "restored recovery-loop state diverges from the journaled truth"
     );
     assert_eq!(session.scope().clock_drift_ppb(), prefix.clock_drift_ppb());
@@ -1291,8 +1470,8 @@ fn clock_loop_state_survives_kill9_and_warm_restart() {
         "post-restart continuation diverged from the uninterrupted run"
     );
     assert_eq!(
-        session.scope().session_state().clock,
-        reference.session_state().clock
+        session.scope().micro_state().clock,
+        reference.micro_state().clock
     );
     assert_eq!(session.scope().clock_lock(), Some(ClockLock::Locked));
     assert!(
