@@ -1269,8 +1269,7 @@ impl NrScope {
             self.front
                 .extract_all_candidates(&ctx, self.slot_in_frame())
         };
-        let (metrics, polar) = (Some(&self.metrics), &mut self.front.polar);
-        let (decoded, work) = scan(&ctx, &candidates, &hyp, budget, metrics, polar);
+        let (decoded, work) = scan(&ctx, &candidates, &hyp, budget, Some(&self.metrics));
         self.consume(decoded, pdsch, slot);
         work
     }
@@ -1821,7 +1820,7 @@ mod tests {
 
     /// The same restart seen through the IQ front end, whose PBCH constants
     /// outlive the slot (the scrambling sequence in `gold_bits_cached`, keyed
-    /// by PCI; the polar code in the front end's table): once the PSS/SSS
+    /// by PCI; the polar code in the thread's table): once the PSS/SSS
     /// search finds the new PCI, the restarted cell's MIB decodes only if
     /// the sequence read is the new PCI's.
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::decoder::{
     coreset_symbols, scan, DecodeWork, DecodedDci, DecoderContext, ExtractedCandidate, FrontEnd,
-    Hypotheses, PolarCodes,
+    Hypotheses,
 };
 use crate::metrics::{Counter, Gauge, Metrics, Stage};
 use crate::observe::ObservedSlot;
@@ -199,21 +199,21 @@ fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> 
     // One hypothesis shard against the pre-processed slot under the job's
     // search budget.
     let (ctx, budget, sink) = (&job.ctx, job.budget, Some(metrics));
-    let run_shard = |hyp: &Hypotheses, polar: &mut PolarCodes| match &job.observed {
-        ObservedSlot::Message { dcis, .. } => scan(ctx, dcis, hyp, budget, sink, polar),
-        ObservedSlot::Iq { .. } => scan(ctx, &candidates, hyp, budget, sink, polar),
+    let run_shard = |hyp: &Hypotheses| match &job.observed {
+        ObservedSlot::Message { dcis, .. } => scan(ctx, dcis, hyp, budget, sink),
+        ObservedSlot::Iq { .. } => scan(ctx, &candidates, hyp, budget, sink),
     };
     let mut decoded: Vec<DecodedDci> = Vec::new();
     let mut work = DecodeWork::default();
     if threads == 1 {
         // Single-thread path avoids spawn overhead entirely, and decodes
         // with the thread's own polar codes.
-        (decoded, work) = run_shard(&shards[0], &mut front.polar);
+        (decoded, work) = run_shard(&shards[0]);
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
-                .map(|hyp| scope.spawn(|| run_shard(hyp, &mut PolarCodes::default())))
+                .map(|hyp| scope.spawn(|| run_shard(hyp)))
                 .collect();
             for h in handles {
                 // Re-raise shard panics so the pool's per-job supervision

@@ -95,34 +95,6 @@ mod tests {
         (a - b).abs() < tol
     }
 
-    /// The butterflies as they were first written — one twiddle table
-    /// strided per stage, the direction tested inside the loop — kept as
-    /// the bit-exactness oracle for [`Fft::run`].
-    fn strided_oracle(size: usize, data: &mut [Cf32], inverse: bool) {
-        let bits = size.trailing_zeros();
-        for i in 0..size {
-            let j = (i as u32).reverse_bits() as usize >> (32 - bits);
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-        let mut len = 2;
-        while len <= size {
-            let (half, stride) = (len / 2, size / len);
-            for start in (0..size).step_by(len) {
-                for k in 0..half {
-                    let angle = -2.0 * std::f32::consts::PI * (k * stride) as f32 / size as f32;
-                    let w = Cf32::from_angle(angle);
-                    let b = data[start + k + half] * if inverse { w.conj() } else { w };
-                    let a = data[start + k];
-                    data[start + k] = a + b;
-                    data[start + k + half] = a - b;
-                }
-            }
-            len *= 2;
-        }
-    }
-
     #[test]
     fn staged_twiddles_are_bit_identical_to_the_strided_loop() {
         for n in [2usize, 64, 1024, 2048] {
@@ -137,7 +109,7 @@ mod tests {
                 } else {
                     fft.run::<false>(&mut fast);
                 }
-                strided_oracle(n, &mut slow, inverse);
+                crate::oracle::strided_fft_oracle(n, &mut slow, inverse);
                 let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
                     v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
                 };

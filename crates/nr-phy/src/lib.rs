@@ -8,7 +8,7 @@
 //! * CRC family (CRC24A/B/C, CRC16, CRC11, CRC6) with DCI RNTI scrambling,
 //! * Gold / pseudo-random sequences, PSS/SSS synchronisation signals,
 //! * polar coding (encoder, β-expansion construction, rate matching,
-//!   successive-cancellation and list decoding),
+//!   successive-cancellation decoding over a compiled node plan),
 //! * digital modulation BPSK…256QAM with max-log-MAP soft demodulation,
 //! * an in-tree radix-2 FFT and a CP-OFDM modulator/demodulator,
 //! * PDCCH: CORESETs, search spaces, candidate hashing, the full DCI
@@ -39,6 +39,8 @@ pub mod mcs;
 pub mod modulation;
 pub mod numerology;
 pub mod ofdm;
+#[cfg(test)]
+mod oracle;
 pub mod pdcch;
 pub mod polar;
 pub mod sequence;

@@ -125,25 +125,6 @@ pub(crate) mod tests {
         assert!(seen.into_iter().all(|b| b));
     }
 
-    /// The order as the parent computed it on every call: a direct sort
-    /// with the weights re-derived inside the comparator.
-    fn direct_sort(n: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.sort_by(|&a, &b| {
-            polarization_weight(a)
-                .total_cmp(&polarization_weight(b))
-                .then(a.cmp(&b))
-        });
-        idx
-    }
-
-    #[test]
-    fn table_order_equals_the_direct_sort_at_every_length() {
-        for n in 1..=N_MAX {
-            assert_eq!(reliability_order(n), direct_sort(n), "n={n}");
-        }
-    }
-
     #[test]
     fn table_is_a_permutation_strictly_ordered_by_weight_then_index() {
         let table = reliability_table();

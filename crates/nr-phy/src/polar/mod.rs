@@ -16,15 +16,20 @@
 //!   rule; the sub-block interleaver is replaced by natural-order
 //!   puncturing/shortening — see `DESIGN.md`).
 //! * [`decode`] — successive-cancellation (SC) decoding over LLRs: one
-//!   allocation-free kernel over an LLR stack of `N − 1` floats (the child
-//!   LLRs of every tree depth, `N/2 + N/4 + … + 1`) and two `N`-byte bit
-//!   buffers, skipping all-frozen subtrees. The textbook recursion it
-//!   replaced, `decode::sc_decode_oracle`, is compiled for tests only and
-//!   is what the kernel is compared with bit for bit.
+//!   allocation-free walker over an LLR stack of `N − 1` floats (the child
+//!   LLRs of every tree depth, `N/2 + N/4 + … + 1`) and the re-encoded
+//!   codeword, steered by a [`decode::Plan`] compiled once per code —
+//!   every node rate-0 (skipped), rate-1 (resolved by hard decision when
+//!   its LLRs allow) or mixed. The textbook recursion it replaced,
+//!   `crate::oracle::sc_decode_oracle`, is compiled for tests only and is
+//!   what the walker is compared with bit for bit.
 //!
 //! The [`PolarCode`] type ties these together for a (K, E) configuration;
 //! a [`DecodeScratch`] carries the decoder's buffers from one decode to
-//! the next, across codes.
+//! the next, across codes. A decode walks the tree only when it has to:
+//! LLRs whose signs already spell a codeword — every cleanly received DCI —
+//! are answered by a GF(2) transform of the packed sign bits
+//! ([`PolarCode::codeword_with`], with the lemma that makes it exact).
 
 pub mod construction;
 pub mod decode;
@@ -32,6 +37,9 @@ pub mod encode;
 pub mod ratematch;
 
 use ratematch::RateMatchKind;
+
+/// 64-bit words of the longest mother code's hard word.
+const MAX_WORDS: usize = (1 << ratematch::N_MAX_DCI) / 64;
 
 /// A configured polar code carrying payloads of `k` bits in `e` channel bits.
 #[derive(Debug, Clone)]
@@ -48,6 +56,12 @@ pub struct PolarCode {
     pub info_mask: Vec<bool>,
     /// Information positions in increasing order (length `k`).
     pub info_positions: Vec<usize>,
+    /// The SC walk over `info_mask`, compiled.
+    plan: decode::Plan,
+    /// Code positions `0..head` are punctured: no LLR is received for them.
+    head: usize,
+    /// Bit `p % 64` of word `p / 64` set where input `p ≥ head` is frozen.
+    frozen_past_head: [u64; MAX_WORDS],
 }
 
 impl PolarCode {
@@ -65,13 +79,24 @@ impl PolarCode {
         for &p in &info_positions {
             info_mask[p] = true;
         }
+        let head = match kind {
+            RateMatchKind::Puncture => n - e,
+            RateMatchKind::Shorten | RateMatchKind::Repeat => 0,
+        };
+        let mut frozen_past_head = [0; MAX_WORDS];
+        for p in (head..n).filter(|&p| !info_mask[p]) {
+            frozen_past_head[p / 64] |= 1 << (p % 64);
+        }
         PolarCode {
             k,
             e,
             n,
             kind,
+            plan: decode::Plan::compile(&info_mask),
             info_mask,
             info_positions,
+            head,
+            frozen_past_head,
         }
     }
 
@@ -97,23 +122,102 @@ impl PolarCode {
     /// [`PolarCode::decode_sc`] over an LLR iterator, in `scratch`: nothing
     /// is allocated once the scratch has grown to the longest code it has
     /// served. The `k` payload bits live in `scratch` until its next use.
+    ///
+    /// The SC walk is run only when [`PolarCode::codeword_with`] cannot
+    /// answer for it.
     pub fn decode_sc_with<'a>(
         &self,
         llrs: impl ExactSizeIterator<Item = f32>,
         scratch: &'a mut DecodeScratch,
     ) -> &'a [u8] {
-        assert_eq!(llrs.len(), self.e, "LLR length must equal e");
-        let DecodeScratch {
-            mother,
-            sc,
-            payload,
-        } = scratch;
-        ratematch::deselect_into(llrs, self.n, self.kind, mother);
-        let u = decode::sc_decode(mother, &self.info_mask, sc);
-        payload.clear();
-        payload.extend(self.info_positions.iter().map(|&p| u[p]));
-        payload
+        self.deselect(llrs, scratch);
+        if !self.hard_codeword(scratch) {
+            let x = decode::sc_decode(&scratch.mother, &self.plan, &mut scratch.sc);
+            let mut u = pack_signs(x, |x| x);
+            encode::polar_transform_words(&mut u, self.n);
+            self.payload_into(&u, &mut scratch.payload);
+        }
+        &scratch.payload
     }
+
+    /// What [`PolarCode::decode_sc_with`] returns, when the hard decisions
+    /// on `llrs` are a codeword already and say so reliably; `None` when
+    /// only the SC walk can tell.
+    ///
+    /// *Codeword lemma.* De-rate-match `llrs` to the mother code; let none
+    /// of its LLRs past the punctured head be ±0 or NaN, `h` be their sign
+    /// bits, and `v = h·F^{⊗n}` (computed with zeros for the head, which
+    /// `v` past the head does not depend on: `v_i` sums `h_j` over `j ⊇ i`,
+    /// so `j ≥ i`). If `v` is zero at every frozen input past the head,
+    /// SC decodes `v` there (and zero before). Induction over the tree, on
+    /// "a node whose first `q` LLRs are ±0, whose first `q` inputs are
+    /// frozen, whose other LLRs are sign-clean and whose `v` respects its
+    /// frozen set re-encodes to `h` past `q`": the rate-1 lemma's step
+    /// (`decode`'s module docs) with two additions — `f(±0, b) = ±0` hands
+    /// the zeros to the left child with the same `q` (or all of them, when
+    /// it is then all frozen and decides zero), and `g(±0, b, ·) = b`
+    /// exactly, so the right child sees the signs of `b`. A frozen leaf
+    /// past the head decides 0, which is `v` there by assumption.
+    ///
+    /// Each rate matching meets the conditions by construction. *Puncture*:
+    /// the head's LLRs are the +0 `deselect_into` fills in and its inputs
+    /// are pre-frozen. *Shorten*: the tail's `1e9` is a sign-clean 0 at
+    /// positions whose inputs are pre-frozen, and a zero tail of `h` is a
+    /// zero tail of `v` (`F^{⊗n}` is lower triangular). *Repeat*: the test
+    /// is made on the accumulated LLRs, which are what SC decodes.
+    pub fn codeword_with<'a>(
+        &self,
+        llrs: impl ExactSizeIterator<Item = f32>,
+        scratch: &'a mut DecodeScratch,
+    ) -> Option<&'a [u8]> {
+        self.deselect(llrs, scratch);
+        self.hard_codeword(scratch).then_some(&scratch.payload)
+    }
+
+    /// De-rate-match `llrs` into `scratch.mother`; the payload is cleared.
+    fn deselect(&self, llrs: impl ExactSizeIterator<Item = f32>, scratch: &mut DecodeScratch) {
+        assert_eq!(llrs.len(), self.e, "LLR length must equal e");
+        ratematch::deselect_into(llrs, self.n, self.kind, &mut scratch.mother);
+        scratch.payload.clear();
+    }
+
+    /// The codeword lemma on `scratch.mother`: whether it holds, the
+    /// payload then filled in.
+    fn hard_codeword(&self, scratch: &mut DecodeScratch) -> bool {
+        // (Not `all`: this way the scan is branch-free and vectorises.)
+        let received = scratch.mother[self.head..].iter();
+        if !received.fold(true, |clean, &l| clean & decode::sign_clean(l)) {
+            return false;
+        }
+        // The head's LLRs are +0: sign bit clear, as the lemma wants them.
+        let mut v = pack_signs(&scratch.mother, f32::to_bits);
+        encode::polar_transform_words(&mut v, self.n);
+        let frozen = v.iter().zip(&self.frozen_past_head);
+        if frozen.fold(0, |any, (v, f)| any | (v & f)) != 0 {
+            return false;
+        }
+        self.payload_into(&v, &mut scratch.payload);
+        #[cfg(test)]
+        crate::oracle::SHORT_CIRCUITS.set(crate::oracle::SHORT_CIRCUITS.get() + 1);
+        true
+    }
+
+    /// The information bits of the packed input vector `u`.
+    fn payload_into(&self, u: &[u64; MAX_WORDS], payload: &mut Vec<u8>) {
+        let bit = |&p: &usize| (u[p / 64] >> (p % 64)) as u8 & 1;
+        payload.extend(self.info_positions.iter().map(bit));
+    }
+}
+
+/// The sign bits (bit 31 of `bits(v)`) of up to `64 · MAX_WORDS` values,
+/// packed: position `i` at bit `i % 64` of word `i / 64`.
+fn pack_signs<T: Copy>(vals: &[T], bits: impl Fn(T) -> u32) -> [u64; MAX_WORDS] {
+    let mut words = [0u64; MAX_WORDS];
+    for (word, chunk) in words.iter_mut().zip(vals.chunks(64)) {
+        let signs = chunk.iter().enumerate();
+        *word = signs.fold(0, |w, (i, &v)| w | u64::from(bits(v) >> 31) << i);
+    }
+    words
 }
 
 /// Working memory of [`PolarCode::decode_sc_with`], reusable across codes
@@ -122,7 +226,7 @@ impl PolarCode {
 pub struct DecodeScratch {
     /// De-rate-matched mother-code LLRs (length `n`).
     mother: Vec<f32>,
-    /// The SC kernel's LLR stack and bit buffers.
+    /// The SC walker's LLR stack and codeword.
     sc: decode::ScScratch,
     /// The decoded payload bits (length `k`).
     payload: Vec<u8>,
@@ -156,64 +260,6 @@ mod tests {
             let rx = code.decode_sc(&bpsk_llrs(&tx, 10.0));
             assert_eq!(rx, payload, "k={k} e={e} kind={:?}", code.kind);
         }
-    }
-
-    /// `decode_sc` as the parent computed it: de-rate-match, then the
-    /// textbook recursion.
-    fn decode_oracle(code: &PolarCode, llrs: &[f32]) -> Vec<u8> {
-        let mut mother = Vec::new();
-        ratematch::deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
-        let u = decode::sc_decode_oracle(&mother, &code.info_mask);
-        code.info_positions.iter().map(|&p| u[p]).collect()
-    }
-
-    #[test]
-    fn sc_kernel_matches_the_oracle_bit_for_bit() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut kinds = std::collections::HashSet::new();
-        let mut grid = construction::tests::cell_code_grid();
-        grid.extend([(12, 54), (140, 864), (12, 400)]);
-        grid.sort_unstable();
-        grid.dedup();
-        // One scratch for the whole grid: stale stack, `u` and `x` content
-        // from a longer code must never leak into a shorter one's decode.
-        let mut scratch = DecodeScratch::default();
-        for (k, e) in grid {
-            let code = PolarCode::new(k, e);
-            kinds.insert(format!("{:?}", code.kind));
-            let mut rng = StdRng::seed_from_u64((k * 10_000 + e) as u64);
-            for trial in 0..2000 {
-                let payload: Vec<u8> = (0..k).map(|_| rng.gen_range(0..2u8)).collect();
-                // From clean to hopeless: the decision paths differ.
-                let sigma = [0.5f32, 2.0, 4.0, 8.0][trial % 4];
-                let mut llrs: Vec<f32> = (code.encode(&payload).iter())
-                    .map(|&b| (1.0 - 2.0 * f32::from(b)) * 4.0 + sigma * rng.gen_range(-1.0..1.0))
-                    .collect();
-                match trial % 10 {
-                    // Signed zeros, saturated values and exact ties: where
-                    // a reformulated f/g or decision would first diverge.
-                    3 | 7 => {
-                        let specials = [0.0f32, -0.0, 1.0e9, -1.0e9, 4.0, -4.0];
-                        for l in llrs.iter_mut() {
-                            if rng.gen_range(0..4) == 0 {
-                                *l = specials[rng.gen_range(0..specials.len())];
-                            }
-                        }
-                    }
-                    5 => llrs.iter_mut().for_each(|l| *l = -l.abs() - 0.25),
-                    9 => llrs.fill([0.0, -0.0, -1.0e9, 1.0e9][trial / 10 % 4]),
-                    _ => {}
-                }
-                let got = code.decode_sc_with(llrs.iter().copied(), &mut scratch);
-                assert_eq!(
-                    got,
-                    decode_oracle(&code, &llrs),
-                    "k={k} e={e} trial={trial}"
-                );
-            }
-        }
-        assert_eq!(kinds.len(), 3, "Shorten, Puncture and Repeat all covered");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   input positions (the quasi-uniform-puncturing rule), which are exactly
 //!   the inputs the punctured head observes most.
 //! * **Repeat** (`E ≥ N`): transmit the codeword cyclically; the receiver
-//!   accumulates LLRs modulo `N`.
+//!   accumulates LLRs modulo `N`, one pass of the codeword at a time.
 
 /// Maximum mother-code exponent for DCI (N ≤ 512 per 38.212 §7.3.3).
 pub const N_MAX_DCI: u32 = 9;
@@ -96,9 +96,14 @@ pub fn deselect_into(
     out.clear();
     match kind {
         RateMatchKind::Repeat => {
+            // One pass of the codeword at a time: position `i` still adds
+            // LLRs `i`, `i + n`, `i + 2n`, … to zero in that order.
             out.resize(n, 0.0);
-            for (i, l) in llrs.enumerate() {
-                out[i % n] += l;
+            let mut llrs = llrs;
+            while llrs.len() > 0 {
+                for (acc, l) in out.iter_mut().zip(llrs.by_ref()) {
+                    *acc += l;
+                }
             }
         }
         RateMatchKind::Shorten => {

@@ -154,58 +154,7 @@ pub fn pdcch_dmrs_cinit(slot: usize, symbol: usize, n_id: u16) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The generator this module had before it stepped by words: register
-    /// bit k holds `x(n+k)`; a step computes the new `x(n+31)` and shifts.
-    /// The oracle for the warm-up tables and the word steps.
-    struct SerialGold {
-        x1: u32,
-        x2: u32,
-    }
-
-    impl SerialGold {
-        fn new(c_init: u32) -> SerialGold {
-            let mut g = SerialGold {
-                x1: 1,
-                x2: c_init & 0x7FFF_FFFF,
-            };
-            (0..NC).for_each(|_| g.step());
-            g
-        }
-
-        fn step(&mut self) {
-            let n1 = ((self.x1 >> 3) ^ self.x1) & 1;
-            let n2 = ((self.x2 >> 3) ^ (self.x2 >> 2) ^ (self.x2 >> 1) ^ self.x2) & 1;
-            self.x1 = (self.x1 >> 1) | (n1 << 30);
-            self.x2 = (self.x2 >> 1) | (n2 << 30);
-        }
-
-        fn take_bits(&mut self, n: usize) -> Vec<u8> {
-            let bit = |g: &mut SerialGold| {
-                let out = ((g.x1 ^ g.x2) & 1) as u8;
-                g.step();
-                out
-            };
-            (0..n).map(|_| bit(self)).collect()
-        }
-    }
-
-    /// The corner initialisers plus a seeded sample of the 31-bit space.
-    fn c_inits() -> Vec<u32> {
-        let mut x = 0x2545_F491u32;
-        let sample = (0..200).map(move |_| {
-            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            x
-        });
-        [0, 1, 0x7FFF_FFFF, 0xFFFF_FFFF]
-            .into_iter()
-            .chain(sample)
-            .collect()
-    }
-
-    /// Lengths straddling the word (28), the register (31), a machine word
-    /// and the longest PDCCH level.
-    const LENGTHS: [usize; 14] = [0, 1, 27, 28, 29, 30, 31, 32, 33, 56, 57, 863, 864, 865];
+    use crate::oracle::SerialGold;
 
     #[test]
     fn warm_up_tables_equal_sixteen_hundred_serial_steps() {
@@ -213,39 +162,6 @@ mod tests {
         assert_eq!(X1_WARM, SerialGold::new(0).x1);
         for (i, &basis) in X2_WARM_BASIS.iter().enumerate() {
             assert_eq!(basis, SerialGold::new(1 << i).x2, "basis state {i}");
-        }
-    }
-
-    #[test]
-    fn word_stepping_equals_the_serial_generator() {
-        for c_init in c_inits() {
-            for len in LENGTHS {
-                let serial = SerialGold::new(c_init).take_bits(len);
-                assert_eq!(gold_bits(c_init, len), serial, "{c_init:#x} × {len}");
-                let mut scrambled = vec![0u8; len];
-                scramble_in_place(&mut scrambled, c_init);
-                assert_eq!(scrambled, serial, "scramble {c_init:#x} × {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn skip_and_interleaved_reads_equal_serial_stepping() {
-        for c_init in c_inits() {
-            let serial = SerialGold::new(c_init).take_bits(1000);
-            for n in LENGTHS {
-                let mut g = GoldSequence::new(c_init);
-                g.skip(n);
-                assert_eq!(g.take_bits(100), serial[n..n + 100], "{c_init:#x} skip {n}");
-            }
-            // Single bits between word reads of every phase.
-            let mut g = GoldSequence::new(c_init);
-            let mut got = Vec::new();
-            for n in LENGTHS.into_iter().filter(|n| *n < 60) {
-                got.push(g.next_bit());
-                got.extend(g.take_bits(n));
-            }
-            assert_eq!(got, serial[..got.len()], "{c_init:#x} interleaved");
         }
     }
 

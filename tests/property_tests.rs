@@ -208,6 +208,33 @@ proptest! {
     }
 
     #[test]
+    fn polar_hard_codeword_decodes_to_its_info_bits_as_the_textbook_recursion_does(
+        bits in prop::collection::vec(0u8..2, 90..91),
+        k in 25usize..90,
+        level in 0usize..5,
+        magnitudes in prop::collection::vec(0.01f32..30.0, 1728..1729),
+        errors in prop::collection::vec(0usize..1728, 0..3),
+    ) {
+        // LLRs of any magnitude whose signs spell a codeword — the hard
+        // decisions past a punctured head then satisfy the frozen set, and
+        // `decode_sc` answers without an SC walk — and the same with up to
+        // two sign errors, which it has to walk for.
+        let e = 108 << level;
+        let (code, payload) = (PolarCode::new(k, e), &bits[..k]);
+        let mut llrs: Vec<f32> = (code.encode(payload).iter().zip(&magnitudes))
+            .map(|(&b, &m)| if b == 0 { m } else { -m })
+            .collect();
+        errors.iter().for_each(|&i| llrs[i % e] = -llrs[i % e]);
+        let mut mother = Vec::new();
+        deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
+        let (u, _) = textbook_sc(&mother, &code.info_mask);
+        let textbook: Vec<u8> = code.info_positions.iter().map(|&p| u[p]).collect();
+        let got = code.decode_sc(&llrs);
+        prop_assert_eq!(&got, &textbook);
+        prop_assert!(!errors.is_empty() || got == payload);
+    }
+
+    #[test]
     fn search_space_y_closed_form_equals_the_slot_recursion(rnti in 1u16..0xFFFF) {
         // 38.213 §10.1 as written: Y_{-1} = RNTI, Y_s = A_p · Y_{s-1} mod D,
         // stepped through every slot of 8 frames at µ=1.
