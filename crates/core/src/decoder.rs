@@ -13,12 +13,19 @@
 //! 2. **known-UE hypotheses** — each tracked C-RNTI with its UE-specific
 //!    descrambling.
 //!
-//! There is one scan loop and one hypothesis tester. The two fidelities
-//! differ only in how a candidate yields hard-decision codewords — the
-//! private `Candidate` trait: a descramble for [`ObservedDci`], an LLR sign
-//! flip plus polar SC decode for [`ExtractedCandidate`]. A codeword is
-//! tested through its CRC syndrome ([`dci_syndrome`]): one number that
-//! every RNTI hypothesis is compared with.
+//! There is one scan and one hypothesis tester. The two fidelities differ
+//! only in how a candidate yields hard-decision codewords — the private
+//! `Candidate` trait: a descramble for [`ObservedDci`], an LLR sign flip
+//! plus polar decode for [`ExtractedCandidate`]. A codeword is tested
+//! through its CRC syndrome ([`dci_syndrome`]): one number that every RNTI
+//! hypothesis is compared with.
+//!
+//! A blind slot is scanned in two passes, every cheap question before any
+//! expensive one: pass A asks each candidate only what a GF(2) transform
+//! answers — are its hard decisions already a codeword
+//! ([`PolarCode::codeword_with`]) that a hypothesis matches? — and such a
+//! find *claims* its CCEs; pass B spends SC walks only on positions no
+//! claim explains (`scan` says what a walk on an explained one would buy).
 
 use crate::metrics::{Counter, Metrics, Stage};
 use crate::observe::ObservedDci;
@@ -125,6 +132,17 @@ pub struct Hypotheses {
 /// hypothesis set, and [`SearchBudget`] — the overload governor's
 /// [`crate::governor::LoadModel`] maps them to a synthetic latency so the
 /// ladder's dynamics are seed-reproducible in tests.
+///
+/// Of a blind scan's two passes the walking one (B) does the counting.
+/// `candidates` counts every candidate. The codeword-only pass (A) counts
+/// nothing for a candidate it does not claim — a CRC match whose payload
+/// fails validation is no claim: pass B meets it again — and for one it
+/// claims what pass B would have: a UE-pass claim is one of `ue_candidates`
+/// with every admitted C-RNTI in `ue_hypotheses`. Pass A asks its UE
+/// questions only where the budget admits the candidate given the claims
+/// so far — a cap covers claims and walks alike, claims first — and never
+/// counts a refusal (`pruned` is pass B's). A candidate sharing a CCE with
+/// a claim or an earlier find counts in `candidates` alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeWork {
     /// Candidates (codewords or grid positions) scanned.
@@ -406,9 +424,10 @@ type PayloadOf<'a> = &'a dyn Fn() -> Cow<'a, [u8]>;
 pub(crate) trait Candidate {
     /// A blind grid position (IQ) rather than a captured codeword
     /// (message). Positions at different aggregation levels alias one
-    /// another's CCEs, so one overlapping an already-decoded DCI is
-    /// skipped; and their search cost — extraction — is paid before the
-    /// scan, so the scan itself is not the `pdcch_search` stage.
+    /// another's CCEs, so [`scan`] takes a slot of them in two passes and
+    /// skips one overlapping a decoded DCI; and their search cost —
+    /// extraction — is paid before the scan, so the scan itself is not
+    /// the `pdcch_search` stage.
     const BLIND: bool;
     /// Aggregation level.
     fn level(&self) -> AggregationLevel;
@@ -574,8 +593,32 @@ pub fn decode_candidates_budgeted(
     scan(ctx, candidates, hyp, budget, metrics)
 }
 
-/// The one scan loop: every candidate through [`test_hypotheses`], with
-/// the work accounting and the stage timing.
+/// Whether `cand` shares a CCE with any DCI of `found`.
+fn overlaps(found: &[DecodedDci], cand: &impl Candidate) -> bool {
+    let (b, b_len) = (cand.cce_start(), cand.level().cces());
+    (found.iter()).any(|d| d.cce_start < b + b_len && b < d.cce_start + d.level.cces())
+}
+
+/// The one scan: every candidate through [`test_hypotheses`], with the work
+/// accounting and the stage timing — blind candidates in two passes, every
+/// cheap question of the slot before any expensive one.
+///
+/// **Pass A** asks each candidate in order only the codeword test (`walk`
+/// unset): are its hard decisions, under the common scrambling or a
+/// budget-admitted C-RNTI's, a codeword whose CRC a hypothesis matches and
+/// whose payload validates? Such a hit is a *claim*: SC would return that
+/// very codeword, so the DCI is decoded and its CCEs are explained. One
+/// overlapping an earlier claim is not asked.
+///
+/// **Pass B** is the scan proper, SC walks included, over what is left: a
+/// claimed candidate is done, and one sharing a CCE with a claim — earlier
+/// *or later* in order — or with an earlier find is skipped. Positions at
+/// different levels share CCEs, so a DCI lights up the shorter positions
+/// ahead of it in order; a walk there turns noise into a random codeword:
+/// its cost for nothing and, where recovery is allowed, a 2⁻⁸ attempt at a
+/// ghost TC-RNTI that would shadow the real DCI behind it (DESIGN.md,
+/// "Untrusted input"). `out` stays in candidate order; a captured codeword
+/// (`C::BLIND` unset) has no aliases, and pass B is its whole scan.
 pub(crate) fn scan<C: Candidate>(
     ctx: &DecoderContext,
     candidates: &[C],
@@ -588,22 +631,38 @@ pub(crate) fn scan<C: Candidate>(
     // clone/drop each, which dominates the instrumentation overhead at
     // tens of candidates per slot. Chain the readings instead: one
     // `Instant::now()` per candidate ends its `dci_decode` observation
-    // and starts the next one's, and the first and last bracket the scan.
+    // and starts the next one's, and the first and last bracket the scan
+    // (pass A's time lands on the first candidate's observation).
     let scan_start = metrics.is_enabled().then(Instant::now);
     let mut t_prev = scan_start;
     let mut out: Vec<DecodedDci> = Vec::new();
     let mut work = DecodeWork::default();
+    let askable = candidates.iter().filter(|_| C::BLIND);
+    #[cfg(test)]
+    let askable = askable.filter(|_| !tests::WALK_ONLY.get());
+    for cand in askable {
+        if overlaps(&out, cand) {
+            continue;
+        }
+        // Counted as pass B would have counted this candidate, if it claims.
+        let mut counted = work;
+        if let Some(hit) = test_hypotheses(ctx, cand, hyp, budget, false, &mut counted) {
+            out.push(hit);
+            work = counted;
+        }
+    }
+    // Where in `out` a DCI of the candidate in hand belongs.
+    let mut at = 0;
     for cand in candidates {
         work.candidates += 1;
-        let aliased = C::BLIND
-            && out.iter().any(|d| {
-                let (a, a_len) = (d.cce_start, d.level.cces());
-                let (b, b_len) = (cand.cce_start(), cand.level().cces());
-                a < b + b_len && b < a + a_len
-            });
-        if !aliased {
-            let hit = test_hypotheses(ctx, cand, hyp, budget, &mut work);
-            out.extend(hit);
+        let position = (cand.level(), cand.cce_start());
+        if C::BLIND && (out.get(at)).is_some_and(|d| (d.level, d.cce_start) == position) {
+            at += 1;
+        } else if !(C::BLIND && overlaps(&out, cand)) {
+            if let Some(hit) = test_hypotheses(ctx, cand, hyp, budget, true, &mut work) {
+                out.insert(at, hit);
+                at += 1;
+            }
         }
         if let Some(prev) = t_prev {
             let now = Instant::now();
@@ -626,20 +685,19 @@ pub(crate) fn scan<C: Candidate>(
 /// The one hypothesis tester: SI → RA → TC → CRC-XOR recovery in the
 /// common search space (never pruned by any budget), then — if the budget
 /// admits the candidate — each tracked C-RNTI whose search space admits
-/// this position, under its own scrambling.
-/// The first hypothesis whose CRC checks *and* whose payload validates
-/// wins.
+/// this position, under its own scrambling. The first hypothesis whose CRC
+/// checks *and* whose payload validates wins; a CRC match whose payload
+/// does not is counted and passed over.
 ///
-/// A blind candidate's C-RNTIs are first offered, in the same order, to
-/// the polar codeword test alone (`walk` unset): the owner of a cleanly
-/// received DCI is found there without an SC walk for any RNTI ahead of it.
-/// What that changes is only what those walks could have found — a 2⁻²⁴
-/// CRC false alarm on SC's output for a foreign RNTI (DESIGN.md).
+/// With `walk` unset a blind candidate yields a codeword only where its
+/// hard decisions already are one (pass A of [`scan`]): the same questions
+/// in the same order with the same counting, of what needs no SC walk.
 fn test_hypotheses<C: Candidate>(
     ctx: &DecoderContext,
     cand: &C,
     hyp: &Hypotheses,
     budget: SearchBudget,
+    walk: bool,
     work: &mut DecodeWork,
 ) -> Option<DecodedDci> {
     let raw = cand.raw_syndrome();
@@ -648,7 +706,7 @@ fn test_hypotheses<C: Candidate>(
         let rejects = &mut work.validation_rejects;
         let sizes = payload_sizes(&sizing);
         let common = std::iter::once(None);
-        let hit = cand.codewords(ctx, raw, common, &sizes, true, |_, syndrome, payload| {
+        let hit = cand.codewords(ctx, raw, common, &sizes, walk, |_, syndrome, payload| {
             let known = std::iter::once((Rnti::SI, RntiType::Si))
                 .chain(hyp.ra_rntis.iter().map(|r| (*r, RntiType::Ra)))
                 .chain(hyp.tc_rntis.iter().map(|r| (*r, RntiType::Tc)));
@@ -688,36 +746,11 @@ fn test_hypotheses<C: Candidate>(
     let offered = (hyp.c_rntis.iter()).filter(|ue| ue.admits(level, cce_start));
     work.ue_hypotheses += offered.clone().count();
     let offered = offered.map(|ue| Some(ue.rnti));
-    #[cfg(test)]
-    let pretest = C::BLIND && !tests::NO_UE_PRETEST.get();
-    #[cfg(not(test))]
-    let pretest = C::BLIND;
-    for walk in [false, true].into_iter().skip(usize::from(!pretest)) {
-        let mut uncounted = 0;
-        let rejects = match walk {
-            true => &mut work.validation_rejects,
-            false => &mut uncounted,
-        };
-        let first = cand.codewords(
-            ctx,
-            raw,
-            offered.clone(),
-            &sizes,
-            walk,
-            |ue, syndrome, bits| {
-                let rnti = ue.filter(|rnti| syndrome == rnti.0 as u32)?;
-                let hit = unpack(cand, &bits(), &sizing, rnti, RntiType::C, rejects);
-                // The walk tries on past a match it cannot admit; the pre-test
-                // leaves it to the walk, which counts the reject where the
-                // scan without a pre-test would.
-                (hit.is_some() || !walk).then_some(hit)
-            },
-        );
-        if let Some(Some(hit)) = first {
-            return Some(hit);
-        }
-    }
-    None
+    let rejects = &mut work.validation_rejects;
+    cand.codewords(ctx, raw, offered, &sizes, walk, |ue, syndrome, bits| {
+        let rnti = ue.filter(|rnti| syndrome == rnti.0 as u32)?;
+        unpack(cand, &bits(), &sizing, rnti, RntiType::C, rejects)
+    })
 }
 
 /// Stage-1 plausibility gate: every CRC-passing payload, whatever its
@@ -748,16 +781,13 @@ fn unpack(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::observe::tests::loaded_gnb;
     use crate::observe::{scrambling_for, Observer};
-    use gnb_sim::{CellConfig, Gnb};
-    use nr_mac::RoundRobin;
-    use nr_phy::channel::ChannelProfile;
-    use ue_sim::traffic::{TrafficKind, TrafficSource};
-    use ue_sim::{MobilityScenario, SimUe};
+    use gnb_sim::CellConfig;
 
-    fn ctx(cfg: &CellConfig) -> DecoderContext {
+    pub(crate) fn ctx(cfg: &CellConfig) -> DecoderContext {
         DecoderContext {
             coreset: cfg.coreset,
             pci: cfg.pci.0,
@@ -772,35 +802,15 @@ mod tests {
     }
 
     thread_local! {
-        /// Strips [`test_hypotheses`] of its codeword pre-test — the scan
-        /// as it was before it, for the differential below to compare with.
-        pub(super) static NO_UE_PRETEST: std::cell::Cell<bool> =
+        /// Strips [`scan`] of pass A — every position walked in order —
+        /// for the differential below to compare with.
+        pub(super) static WALK_ONLY: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
     }
 
     /// Every hypothesis against every codeword: no budget, no metrics.
     fn decode_all(c: &DecoderContext, dcis: &[ObservedDci], hyp: &Hypotheses) -> Vec<DecodedDci> {
         decode_message_slot_budgeted(c, dcis, hyp, SearchBudget::unlimited(), None).0
-    }
-
-    fn loaded_gnb(seed: u64) -> Gnb {
-        let mut g = Gnb::new(CellConfig::srsran_n41(), Box::new(RoundRobin::new()), seed);
-        g.ue_arrives(SimUe::new(
-            1,
-            ChannelProfile::Awgn,
-            MobilityScenario::Static,
-            TrafficSource::new(
-                TrafficKind::Cbr {
-                    rate_bps: 4e6,
-                    packet_bytes: 1200,
-                },
-                1,
-            ),
-            0.0,
-            10.0,
-            1,
-        ));
-        g
     }
 
     /// The cell of `loaded_gnb(seed)` heard at 35 dB, message fidelity: its
@@ -827,39 +837,17 @@ mod tests {
         (ctx(&cfg), slots)
     }
 
-    /// How many of `types` are C-RNTI DCIs.
-    fn n_c(types: impl Iterator<Item = RntiType>) -> usize {
-        types.filter(|t| *t == RntiType::C).count()
-    }
-
-    #[test]
-    fn message_decode_finds_known_ue_dcis() {
-        let (c, mut slots) = captures((1, 3), RntiType::C);
-        let (out, dcis) = slots.next().expect("a data DCI");
-        let known = (out.dcis.iter()).find(|d| d.rnti_type == RntiType::C);
-        let hyp = Hypotheses {
-            c_rntis: known
-                .map(|d| UeHypothesis::anywhere(d.rnti))
-                .into_iter()
-                .collect(),
+    /// `c_rntis` tracked, each offered to every candidate.
+    fn knowing(c_rntis: &[Rnti]) -> Hypotheses {
+        Hypotheses {
+            c_rntis: c_rntis.iter().map(|r| UeHypothesis::anywhere(*r)).collect(),
             ..Hypotheses::default()
-        };
-        let found_c = n_c(decode_all(&c, &dcis, &hyp).iter().map(|d| d.rnti_type));
-        let truth_c = n_c(out.dcis.iter().map(|d| d.rnti_type));
-        assert_eq!(found_c, truth_c, "all C-RNTI DCIs decoded at 35 dB");
+        }
     }
 
-    #[test]
-    fn unknown_c_rnti_dcis_are_invisible() {
-        // Without the RNTI in the hypothesis set, UE-specific scrambling
-        // hides the DCI — the paper's "if we miss a RACH…" property.
-        let (c, mut slots) = captures((2, 4), RntiType::C);
-        let (_, dcis) = slots.next().expect("a data DCI");
-        let decoded = decode_all(&c, &dcis, &Hypotheses::default()); // knows nothing
-        assert!(
-            decoded.iter().all(|d| d.rnti_type != RntiType::C),
-            "C-RNTI DCI decoded without knowing the RNTI"
-        );
+    /// How many of `types` are C-RNTI DCIs.
+    pub(crate) fn n_c(types: impl Iterator<Item = RntiType>) -> usize {
+        types.filter(|t| *t == RntiType::C).count()
     }
 
     /// A MSG 4 whose RAR was missed yields its TC-RNTI through the CRC XOR
@@ -889,48 +877,139 @@ mod tests {
         }
     }
 
-    /// The IQ blind decode finds the gNB's DCIs at 30 dB, and slot by slot
-    /// the UE pre-test changes neither the decoded list nor a work count:
-    /// against the scan stripped of it, with foreign C-RNTIs ahead of the
-    /// owner — at 30 dB, where it finds every owner, and at 3 dB, where
-    /// hard decisions are almost never a codeword and SC still decodes.
-    #[test]
-    fn iq_decode_finds_the_dcis_and_the_ue_pretest_changes_nothing() {
-        for snr_db in [30.0, 3.0] {
-            let mut g = loaded_gnb(4);
-            let c = ctx(&g.cfg);
-            let renderer = gnb_sim::iq::IqRenderer::new(&g.cfg);
-            let mut usrp = nr_radio::VirtualUsrp::new(snr_db, 0.0, 6);
-            let (mut sent, mut found) = (0, 0);
-            for s in 0..400u64 {
-                let out = g.step();
-                let Some(known) = g.connected_rntis().first().copied() else {
-                    continue;
-                };
-                let rx = usrp.receive(&renderer.render_iq(&out), s as f64 * 0.0005);
-                let grid = renderer.ofdm().demodulate(&rx.samples, out.slot_in_frame);
-                let tracked = [0x4001, 0x4002, 0x4003, known.0].map(Rnti);
-                let hyp = Hypotheses {
-                    c_rntis: tracked.map(UeHypothesis::anywhere).to_vec(),
-                    ..Hypotheses::default()
-                };
-                let candidates = extract_all_candidates(&c, &grid, out.slot_in_frame);
-                let unlimited = SearchBudget::unlimited();
-                let run = || decode_candidates_budgeted(&c, &candidates, &hyp, unlimited, None);
-                NO_UE_PRETEST.set(true);
-                let want = run();
-                NO_UE_PRETEST.set(false);
-                assert_eq!(run(), want, "{snr_db} dB, slot {s}");
-                let c_rnti = |t: RntiType| usize::from(t == RntiType::C);
-                sent += out.dcis.iter().map(|d| c_rnti(d.rnti_type)).sum::<usize>();
-                found += want.0.iter().map(|d| c_rnti(d.rnti_type)).sum::<usize>();
-            }
-            assert!(
-                sent > 100 && found * 2 > sent,
-                "{snr_db} dB: {found} of {sent}"
-            );
-            assert!(snr_db < 30.0 || found == sent, "{found} of {sent} at 30 dB");
+    /// A heard slot's truth, the UE's C-RNTI and the extracted candidates.
+    type IqSlot = (gnb_sim::SlotOutput, Rnti, Vec<ExtractedCandidate>);
+
+    /// `loaded_gnb(4)` heard at `snr_db` through receiver noise `seed`, IQ
+    /// fidelity: of its first 400 slots those with the UE connected.
+    fn iq_slots(snr_db: f64, seed: u64) -> (DecoderContext, Vec<IqSlot>) {
+        let mut g = loaded_gnb(4);
+        let c = ctx(&g.cfg);
+        let renderer = gnb_sim::iq::IqRenderer::new(&g.cfg);
+        let mut usrp = nr_radio::VirtualUsrp::new(snr_db, 0.0, seed);
+        let heard = (0..400).filter_map(|s| {
+            let out = g.step();
+            let known = g.connected_rntis().first().copied()?;
+            let rx = usrp.receive(&renderer.render_iq(&out), s as f64 * 0.0005);
+            let grid = renderer.ofdm().demodulate(&rx.samples, out.slot_in_frame);
+            let candidates = extract_all_candidates(&c, &grid, out.slot_in_frame);
+            Some((out, known, candidates))
+        });
+        let heard = heard.collect();
+        (c, heard)
+    }
+
+    /// Three foreign C-RNTIs ahead of `owner`, each offered everywhere.
+    fn tracking(owner: Rnti, allow_recovery: bool) -> Hypotheses {
+        Hypotheses {
+            allow_recovery,
+            ..knowing(&[0x4001, 0x4002, 0x4003, owner.0].map(Rnti))
         }
+    }
+
+    /// Whether the gNB sent `d` — that RNTI and type at that position.
+    fn was_sent(out: &gnb_sim::SlotOutput, d: &DecodedDci) -> bool {
+        let of = |t: &gnb_sim::TxDci| (t.rnti, t.rnti_type, t.level, t.cce_start);
+        (out.dcis.iter()).any(|t| of(t) == (d.rnti, d.rnti_type, d.level, d.cce_start))
+    }
+
+    /// The two-pass scan against the walk-only one at 30 dB, where pass A
+    /// finds every owner, and at 3 dB, where hard decisions are almost never
+    /// a codeword and SC still decodes. Slot by slot: what the walks find of
+    /// what the gNB sent, the two passes find, the same to the field; they
+    /// find nothing unsent, offer no more hypotheses, count no more rejects.
+    #[test]
+    fn iq_two_pass_scan_finds_what_the_walk_only_scan_finds_and_nothing_unsent() {
+        for snr_db in [30.0, 3.0] {
+            let (c, heard) = iq_slots(snr_db, 6);
+            let (mut sent, mut found) = (0, 0);
+            for (out, known, candidates) in &heard {
+                let (hyp, unlimited) = (tracking(*known, false), SearchBudget::unlimited());
+                let run = || decode_candidates_budgeted(&c, candidates, &hyp, unlimited, None);
+                WALK_ONLY.set(true);
+                let (walked, walk_work) = run();
+                WALK_ONLY.set(false);
+                let (got, work) = run();
+                let at = format!("{snr_db} dB, slot {}", out.slot);
+                let lost = walked.iter().find(|d| was_sent(out, d) && !got.contains(d));
+                assert_eq!(lost, None, "{at}");
+                assert_eq!(got.iter().find(|d| !was_sent(out, d)), None, "{at}");
+                let counts = |w: DecodeWork| [w.ue_hypotheses, w.validation_rejects];
+                assert!(counts(work) <= counts(walk_work), "{at}");
+                assert_eq!(work.candidates, candidates.len(), "{at}");
+                sent += n_c(out.dcis.iter().map(|d| d.rnti_type));
+                found += n_c(got.iter().map(|d| d.rnti_type));
+            }
+            let floor = if snr_db < 30.0 { sent / 2 + 1 } else { sent };
+            assert!(sent > 100 && found >= floor, "{snr_db}: {found} of {sent}");
+        }
+    }
+
+    /// The shorter positions under a DCI mint nothing and shadow nothing:
+    /// every DCI found was sent, there, and every C-RNTI DCI sent is found.
+    /// With recovery allowed an SC walk over one is a 2⁻⁸ attempt per
+    /// codeword at a ghost TC-RNTI, and a ghost found first makes the real
+    /// DCI behind it an alias. (On this noise the walk-only scan mints two
+    /// ghosts, each shadowing a DCI, and counts two more rejects.)
+    #[test]
+    fn alias_positions_under_a_dci_mint_no_ghost_and_shadow_nothing() {
+        let (c, heard) = iq_slots(30.0, 27);
+        let (mut rejects, mut sent, mut found) = (0, 0, 0);
+        for (out, known, candidates) in &heard {
+            let (hyp, unlimited) = (tracking(*known, true), SearchBudget::unlimited());
+            let (got, work) = decode_candidates_budgeted(&c, candidates, &hyp, unlimited, None);
+            assert_eq!(got.iter().find(|d| !was_sent(out, d)), None, "{}", out.slot);
+            rejects += work.validation_rejects;
+            sent += n_c(out.dcis.iter().map(|d| d.rnti_type));
+            found += n_c(got.iter().map(|d| d.rnti_type));
+        }
+        assert!(sent > 100 && found == sent, "{found} of {sent}: shadowed");
+        assert_eq!(rejects, 0, "a garbage codeword reached validation");
+    }
+
+    /// [`DecodeWork`]'s accounting of claims, on slots carrying one level-2
+    /// DCI, the UE's, plus a stray position ahead of it that nothing
+    /// explains (an alias's LLRs, moved): the DCI and the two aliases under
+    /// it are the claim's, the stray is walked.
+    #[test]
+    fn a_claim_is_counted_as_its_walk_would_have_been() {
+        let (c, heard) = iq_slots(30.0, 6);
+        let mut seen = 0;
+        for (out, known, mut candidates) in heard {
+            let [tx] = &out.dcis[..] else { continue };
+            if (tx.rnti, tx.level, candidates.len()) != (known, AggregationLevel::L2, 3) {
+                continue;
+            }
+            seen += 1;
+            let mut stray = candidates[0].clone();
+            stray.cce_start = (tx.cce_start + 2) % c.coreset.n_cces();
+            candidates.insert(0, stray);
+            let (hyp, metrics) = (tracking(known, false), Metrics::shared(true));
+            let run = |budget| {
+                let sink = Some(&metrics);
+                let (got, w) = decode_candidates_budgeted(&c, &candidates, &hyp, budget, sink);
+                let at: Vec<_> = got.iter().map(|d| (d.rnti, d.cce_start)).collect();
+                let ue = (w.ue_candidates, w.ue_hypotheses, w.pruned);
+                (at, (w.candidates, w.validation_rejects), ue)
+            };
+            let (claim, one) = (vec![(tx.rnti, tx.cce_start)], AggregationLevel::L1);
+            let cases = [
+                // The claim and the one position it leaves unexplained.
+                (SearchBudget::unlimited(), claim.clone(), (2, 8, 0)),
+                // A cap of one is the claim's, though the stray comes first.
+                (SearchBudget::pruned(one, 1), claim, (1, 4, 1)),
+                // Pass A asks no UE question and counts nothing: every
+                // position is refused where it always was, in pass B.
+                (SearchBudget::broadcast_only(), vec![], (0, 0, 4)),
+            ];
+            for (budget, at, ue) in cases {
+                assert_eq!(run(budget), (at, (4, 0), ue), "slot {}", out.slot);
+            }
+            // One observation per candidate and scan, whichever pass dealt with it.
+            let timed = metrics.snapshot().stage("dci_decode").map(|s| s.count);
+            assert_eq!(timed, Some(3 * 4));
+        }
+        assert!(seen > 5, "{seen} lone level-2 DCIs");
     }
 
     /// The front end's grid is written in place slot after slot: whatever
@@ -966,6 +1045,9 @@ mod tests {
         }
     }
 
+    /// At 35 dB a slot's C-RNTI DCIs are all decoded by who knows the RNTI,
+    /// none by who does not (the paper's "if we miss a RACH…" property) and
+    /// none under the broadcast-only budget, which counts each as pruned.
     #[test]
     fn search_budget_gates_ue_pass_but_never_broadcast() {
         let (c, mut slots) = captures((6, 9), RntiType::C);
@@ -973,27 +1055,18 @@ mod tests {
         let data_only = |out: &gnb_sim::SlotOutput| n_c(out.dcis.iter().map(|d| d.rnti_type));
         let (out, dcis) = (slots.find(|(out, _)| data_only(out) == out.dcis.len())).expect("one");
         let truth_c = out.dcis.len();
-        let known = (out.dcis.iter()).find(|d| d.rnti_type == RntiType::C);
-        let hyp = Hypotheses {
-            c_rntis: known
-                .map(|d| UeHypothesis::anywhere(d.rnti))
-                .into_iter()
-                .collect(),
-            ..Hypotheses::default()
+        let run = |hyp: &Hypotheses, budget| {
+            let (found, work) = decode_message_slot_budgeted(&c, &dcis, hyp, budget, None);
+            (n_c(found.iter().map(|d| d.rnti_type)), work)
         };
-        let (full, work) =
-            decode_message_slot_budgeted(&c, &dcis, &hyp, SearchBudget::unlimited(), None);
-        let full_c = n_c(full.iter().map(|d| d.rnti_type));
+        let hyp = knowing(&[out.dcis[0].rnti]);
+        let (full_c, work) = run(&hyp, SearchBudget::unlimited());
         assert_eq!(full_c, truth_c, "unlimited budget decodes everything");
         assert_eq!(work.pruned, 0);
         assert!(work.ue_hypotheses >= truth_c);
-
-        let (pruned, work) =
-            decode_message_slot_budgeted(&c, &dcis, &hyp, SearchBudget::broadcast_only(), None);
-        assert!(
-            pruned.iter().all(|d| d.rnti_type != RntiType::C),
-            "broadcast-only budget skips UE decodes"
-        );
+        assert_eq!(run(&knowing(&[]), SearchBudget::unlimited()).0, 0);
+        let (pruned_c, work) = run(&hyp, SearchBudget::broadcast_only());
+        assert_eq!(pruned_c, 0, "broadcast-only budget skips UE decodes");
         assert_eq!(work.ue_candidates, 0);
         assert_eq!(work.pruned, truth_c, "every UE candidate counted as pruned");
     }
@@ -1004,49 +1077,34 @@ mod tests {
     /// the gNB put it, both find it.
     #[test]
     fn off_hash_dci_is_found_only_without_a_search_space() {
-        let mut g = loaded_gnb(8);
-        let cfg = g.cfg.clone();
-        let c = ctx(&cfg);
-        let mut obs = Observer::new(&cfg, 35.0, false, 10);
-        for s in 0..2000 {
-            let out = g.step();
-            let Some(tx) = out.dcis.iter().find(|d| d.rnti_type == RntiType::C) else {
-                continue;
-            };
-            let crate::observe::ObservedSlot::Message { mut dcis, .. } =
-                obs.observe(&out, s as f64 * 0.0005)
-            else {
-                continue;
-            };
-            let with = |ue| Hypotheses {
-                c_rntis: vec![ue],
-                ..Hypotheses::default()
-            };
-            let sif = out.slot_in_frame;
-            let known = with(UeHypothesis::in_search_space(
+        let (c, mut slots) = captures((8, 10), RntiType::C);
+        let (out, mut dcis) = slots.next().expect("a data DCI");
+        let tx = (out.dcis.iter()).find(|d| d.rnti_type == RntiType::C);
+        let (tx, cfg) = (tx.expect("it is there"), CellConfig::srsran_n41());
+        let known = Hypotheses {
+            c_rntis: vec![UeHypothesis::in_search_space(
                 tx.rnti,
                 &cfg.rrc_setup(),
                 &cfg.coreset,
-                sif,
-            ));
-            let unknown = with(UeHypothesis::anywhere(tx.rnti));
-            let finds = |dcis: &[ObservedDci], hyp, cce| {
-                let mut found = decode_all(&c, dcis, hyp).into_iter();
-                found.any(|d| (d.rnti, d.cce_start) == (tx.rnti, cce))
-            };
-            assert!(finds(&dcis, &known, tx.cce_start) && finds(&dcis, &unknown, tx.cce_start));
-            // One level-2 position over: the other half of the CORESET's
-            // positions, which this slot's hash does not admit.
-            let moved = (tx.cce_start + tx.level.cces()) % cfg.coreset.n_cces();
-            dcis.retain(|d| d.cce_start != moved);
-            for d in dcis.iter_mut().filter(|d| d.cce_start == tx.cce_start) {
-                d.cce_start = moved;
-            }
-            assert!(!finds(&dcis, &known, moved), "decoded outside its space");
-            assert!(finds(&dcis, &unknown, moved), "exhaustive fallback lost it");
-            return;
+                out.slot_in_frame,
+            )],
+            ..Hypotheses::default()
+        };
+        let unknown = knowing(&[tx.rnti]);
+        let finds = |dcis: &[ObservedDci], hyp, cce| {
+            let mut found = decode_all(&c, dcis, hyp).into_iter();
+            found.any(|d| (d.rnti, d.cce_start) == (tx.rnti, cce))
+        };
+        assert!(finds(&dcis, &known, tx.cce_start) && finds(&dcis, &unknown, tx.cce_start));
+        // One level-2 position over: the other half of the CORESET's
+        // positions, which this slot's hash does not admit.
+        let moved = (tx.cce_start + tx.level.cces()) % cfg.coreset.n_cces();
+        dcis.retain(|d| d.cce_start != moved);
+        for d in dcis.iter_mut().filter(|d| d.cce_start == tx.cce_start) {
+            d.cce_start = moved;
         }
-        panic!("never saw a data DCI");
+        assert!(!finds(&dcis, &known, moved), "decoded outside its space");
+        assert!(finds(&dcis, &unknown, moved), "exhaustive fallback lost it");
     }
 
     /// A codeword carrying `payload` under `rnti` as the common search
@@ -1072,18 +1130,12 @@ mod tests {
         let hyp = |ra: &[Rnti], tc: &[Rnti], allow_recovery, tracked: &[Rnti]| Hypotheses {
             ra_rntis: ra.to_vec(),
             tc_rntis: tc.to_vec(),
-            c_rntis: tracked.iter().map(|r| UeHypothesis::anywhere(*r)).collect(),
             allow_recovery,
-            skip_common: false,
+            ..knowing(tracked)
         };
         let run = |dci: &ObservedDci, hyp: &Hypotheses| {
-            let (found, work) = decode_message_slot_budgeted(
-                &c,
-                std::slice::from_ref(dci),
-                hyp,
-                SearchBudget::unlimited(),
-                None,
-            );
+            let (one, unlimited) = (std::slice::from_ref(dci), SearchBudget::unlimited());
+            let (found, work) = decode_message_slot_budgeted(&c, one, hyp, unlimited, None);
             let found = found.first().map(|d| (d.rnti, d.rnti_type));
             (found, work.validation_rejects)
         };
@@ -1091,23 +1143,16 @@ mod tests {
         let bad = vec![1u8; payload_sizes(&c.common_sizing)[0]];
         assert!(Dci::unpack_validated(&bad, &c.common_sizing).is_err());
         let bad = common_capture(&c, &bad, x);
-        assert_eq!(
-            run(&bad, &hyp(&[x], &[x], true, &[])),
-            (None, 3),
-            "RA, TC, recovery"
-        );
-        assert_eq!(
-            run(&bad, &hyp(&[x, x], &[], true, &[])),
-            (None, 3),
-            "RA twice"
-        );
-        assert_eq!(run(&bad, &hyp(&[x], &[x], false, &[])), (None, 2));
-        assert_eq!(
-            run(&bad, &hyp(&[x], &[], true, &[x])),
-            (None, 1),
-            "tracked: no recovery"
-        );
-        assert_eq!(run(&bad, &hyp(&[Rnti(0x4602)], &[], false, &[])), (None, 0));
+        let rejected = [
+            (hyp(&[x], &[x], true, &[]), 3),   // RA, TC, recovery
+            (hyp(&[x, x], &[], true, &[]), 3), // RA twice
+            (hyp(&[x], &[x], false, &[]), 2),
+            (hyp(&[x], &[], true, &[x]), 1), // tracked: no recovery
+            (hyp(&[Rnti(0x4602)], &[], false, &[]), 0),
+        ];
+        for (hyp, rejects) in rejected {
+            assert_eq!(run(&bad, &hyp), (None, rejects), "{hyp:?}");
+        }
         // A payload that validates goes to the first hypothesis in order.
         let mut g = loaded_gnb(9);
         let payload = std::iter::repeat_with(|| g.step())
@@ -1117,29 +1162,20 @@ mod tests {
             .expect("a SIB1 DCI in 400 slots")
             .payload_bits;
         let good = common_capture(&c, &payload, x);
-        assert_eq!(
-            run(&good, &hyp(&[x], &[x], true, &[])).0,
-            Some((x, RntiType::Ra))
-        );
-        assert_eq!(
-            run(&good, &hyp(&[], &[x], true, &[])).0,
-            Some((x, RntiType::Tc))
-        );
-        assert_eq!(
-            run(&good, &hyp(&[], &[], true, &[])).0,
-            Some((x, RntiType::Tc))
-        );
-        assert_eq!(run(&good, &hyp(&[], &[], false, &[])).0, None);
-        assert_eq!(
-            run(&good, &hyp(&[], &[], true, &[x])).0,
-            None,
-            "not re-minted"
-        );
+        let (ra, tc) = (Some((x, RntiType::Ra)), Some((x, RntiType::Tc)));
+        let first = [
+            (hyp(&[x], &[x], true, &[]), ra),
+            (hyp(&[], &[x], true, &[]), tc),
+            (hyp(&[], &[], true, &[]), tc),
+            (hyp(&[], &[], false, &[]), None),
+            (hyp(&[], &[], true, &[x]), None), // not re-minted
+        ];
+        for (hyp, first) in first {
+            assert_eq!(run(&good, &hyp).0, first, "{hyp:?}");
+        }
         let si = common_capture(&c, &payload, Rnti::SI);
-        assert_eq!(
-            run(&si, &hyp(&[x], &[x], true, &[])).0,
-            Some((Rnti::SI, RntiType::Si))
-        );
+        let found = run(&si, &hyp(&[x], &[x], true, &[])).0;
+        assert_eq!(found, Some((Rnti::SI, RntiType::Si)));
     }
 
     /// A captured C-RNTI DCI with any one bit flipped checks against no
@@ -1147,57 +1183,35 @@ mod tests {
     /// was offered to.
     #[test]
     fn one_flipped_bit_is_rejected_for_every_rnti_and_still_counted() {
-        let mut g = loaded_gnb(6);
-        let cfg = g.cfg.clone();
-        let c = ctx(&cfg);
-        let mut obs = Observer::new(&cfg, 35.0, false, 9);
-        for s in 0..2000 {
-            let out = g.step();
-            let Some(tx) = out.dcis.iter().find(|d| d.rnti_type == RntiType::C) else {
-                continue;
-            };
-            let crate::observe::ObservedSlot::Message { dcis, .. } =
-                obs.observe(&out, s as f64 * 0.0005)
-            else {
-                continue;
-            };
-            let Some(dci) = dcis.iter().find(|d| d.cce_start == tx.cce_start) else {
-                continue;
-            };
-            // (Not `rnti ^ 0x8000`: c_init keeps 31 bits, so the two share
-            // a scrambling and differ by exactly one CRC bit.)
-            let others = [0x4001, 0x4002, tx.rnti.0 ^ 1, tx.rnti.0 ^ 0x4000].map(Rnti);
-            let hyp = Hypotheses {
-                ra_rntis: vec![Rnti(0x0001), Rnti(0x0017)],
-                tc_rntis: vec![tx.rnti, Rnti(tx.rnti.0 ^ 2)],
-                c_rntis: (others.iter().chain([&tx.rnti]))
-                    .map(|r| UeHypothesis::anywhere(*r))
-                    .collect(),
-                ..Hypotheses::default()
-            };
-            let run = |dci: &ObservedDci| {
-                let one = std::slice::from_ref(dci);
-                decode_message_slot_budgeted(&c, one, &hyp, SearchBudget::unlimited(), None)
-            };
-            let (clean, work) = run(dci);
-            assert_eq!(clean.len(), 1);
-            assert_eq!((clean[0].rnti, clean[0].rnti_type), (tx.rnti, RntiType::C));
-            assert_eq!((work.ue_candidates, work.ue_hypotheses), (1, 5));
-            for flip in 0..dci.scrambled_bits.len() {
-                let mut bent = dci.clone();
-                bent.scrambled_bits[flip] ^= 1;
-                let (found, work) = run(&bent);
-                assert_eq!(found, Vec::new(), "bit {flip}");
-                assert_eq!(
-                    (work.ue_candidates, work.ue_hypotheses),
-                    (1, 5),
-                    "bit {flip}"
-                );
-                assert_eq!(work.validation_rejects, 0);
-            }
-            return;
+        let (c, mut slots) = captures((6, 9), RntiType::C);
+        let (out, dcis) = slots.next().expect("a data DCI");
+        let tx = (out.dcis.iter()).find(|d| d.rnti_type == RntiType::C);
+        let tx = tx.expect("it is there");
+        let dci = dcis.iter().find(|d| d.cce_start == tx.cce_start);
+        let (dci, own) = (dci.expect("captured"), tx.rnti.0);
+        // (Not `rnti ^ 0x8000`: c_init keeps 31 bits, so the two share
+        // a scrambling and differ by exactly one CRC bit.)
+        let hyp = Hypotheses {
+            ra_rntis: vec![Rnti(0x0001), Rnti(0x0017)],
+            tc_rntis: vec![tx.rnti, Rnti(own ^ 2)],
+            ..knowing(&[0x4001, 0x4002, own ^ 1, own ^ 0x4000, own].map(Rnti))
+        };
+        let run = |dci: &ObservedDci| {
+            let one = std::slice::from_ref(dci);
+            decode_message_slot_budgeted(&c, one, &hyp, SearchBudget::unlimited(), None)
+        };
+        let counted = |w: DecodeWork| (w.ue_candidates, w.ue_hypotheses, w.validation_rejects);
+        let (clean, work) = run(dci);
+        assert_eq!(clean.len(), 1);
+        assert_eq!((clean[0].rnti, clean[0].rnti_type), (tx.rnti, RntiType::C));
+        assert_eq!(counted(work), (1, 5, 0));
+        for flip in 0..dci.scrambled_bits.len() {
+            let mut bent = dci.clone();
+            bent.scrambled_bits[flip] ^= 1;
+            let (found, work) = run(&bent);
+            assert_eq!(found, Vec::new(), "bit {flip}");
+            assert_eq!(counted(work), (1, 5, 0), "bit {flip}");
         }
-        panic!("never saw a data DCI");
     }
 
     #[test]

@@ -487,7 +487,7 @@ pub fn scrambling_for(rnti: Rnti, rnti_type: RntiType, pci: u16) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gnb_sim::Gnb;
     use nr_mac::RoundRobin;
@@ -495,7 +495,7 @@ mod tests {
     use ue_sim::traffic::{TrafficKind, TrafficSource};
     use ue_sim::{MobilityScenario, SimUe};
 
-    fn loaded_gnb(seed: u64) -> Gnb {
+    pub(crate) fn loaded_gnb(seed: u64) -> Gnb {
         let mut g = Gnb::new(CellConfig::srsran_n41(), Box::new(RoundRobin::new()), seed);
         g.ue_arrives(SimUe::new(
             1,

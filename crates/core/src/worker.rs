@@ -735,7 +735,6 @@ mod tests {
     use gnb_sim::{CellConfig, Gnb};
     use nr_mac::RoundRobin;
     use nr_phy::channel::ChannelProfile;
-    use nr_phy::dci::DciSizing;
     use ue_sim::traffic::{TrafficKind, TrafficSource};
     use ue_sim::{MobilityScenario, SimUe};
 
@@ -766,24 +765,10 @@ mod tests {
         // Run until a slot with multiple C-RNTI DCIs.
         for s in 0..4000u64 {
             let out = gnb.step();
-            let n_c = out
-                .dcis
-                .iter()
-                .filter(|d| d.rnti_type == nr_phy::types::RntiType::C)
-                .count();
+            let n_c = crate::decoder::tests::n_c(out.dcis.iter().map(|d| d.rnti_type));
             let observed = obs.observe(&out, s as f64 * cell.slot_s());
             if n_c >= 2 {
-                let ctx = DecoderContext {
-                    coreset: cell.coreset,
-                    pci: cell.pci.0,
-                    numerology: cell.numerology,
-                    common_sizing: DciSizing {
-                        bwp_prbs: cell.coreset.n_prb,
-                    },
-                    ue_sizing: Some(DciSizing {
-                        bwp_prbs: cell.carrier_prbs,
-                    }),
-                };
+                let ctx = crate::decoder::tests::ctx(&cell);
                 let (rrc, sif) = (cell.rrc_setup(), out.slot_in_frame);
                 let in_space = |r| UeHypothesis::in_search_space(r, &rrc, &cell.coreset, sif);
                 let hyp = Hypotheses {

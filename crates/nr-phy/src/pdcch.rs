@@ -323,8 +323,8 @@ pub struct CandidateSoftBits {
 pub struct CoresetSequences {
     /// Pilots of PRBs `prb_start..prb_start + n_prb`, one row per symbol.
     dmrs_rows: Vec<Vec<Cf32>>,
-    /// Scrambling bits, `max_level.bits()` of them.
-    scrambling: Vec<u8>,
+    /// Scrambling bits, `max_level.bits()` of them (cell-constant: memoised).
+    scrambling: std::rc::Rc<Vec<u8>>,
 }
 
 impl CoresetSequences {
@@ -342,7 +342,7 @@ impl CoresetSequences {
             dmrs_rows: symbols
                 .map(|sym| pdcch_dmrs(slot, sym, n_id, coreset.prb_start, coreset.n_prb))
                 .collect(),
-            scrambling: crate::sequence::gold_bits(c_init, max_level.bits()),
+            scrambling: crate::sequence::gold_bits_cached(c_init, max_level.bits()),
         }
     }
 
@@ -504,7 +504,7 @@ mod tests {
                 assert_eq!(seqs.reg_pilots(&c, sym, prb), &direct[..], "{sym}/{prb}");
             }
         }
-        assert_eq!(seqs.scrambling, crate::sequence::gold_bits(0x1234, 864));
+        assert_eq!(*seqs.scrambling, crate::sequence::gold_bits(0x1234, 864));
     }
 
     #[test]
