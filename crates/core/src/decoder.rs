@@ -32,13 +32,14 @@ use crate::observe::ObservedDci;
 use nr_phy::complex::Cf32;
 use nr_phy::crc::dci_syndrome;
 use nr_phy::dci::{Dci, DciFormat, DciSizing};
+use nr_phy::dmrs::PilotSums;
 use nr_phy::grid::ResourceGrid;
 use nr_phy::modulation::{demodulate_llr_into, Modulation};
 use nr_phy::numerology::SYMBOLS_PER_SLOT;
 use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::{
-    candidate_cce, extract_candidate_above, search_space_cinit, ue_search_space_y,
-    AggregationLevel, Coreset, CoresetSequences, ExtractScratch, SearchBudget,
+    candidate_cce, cce_pilot_sums, extract_candidate_above, search_space_cinit, ue_search_space_y,
+    AggregationLevel, Coreset, CoresetSequences, SearchBudget, PILOT_SNR_FLOOR,
 };
 use nr_phy::polar::{DecodeScratch, PolarCode};
 use nr_phy::sequence::{gold_bits_cached, scrambling_syndrome_cached};
@@ -246,7 +247,7 @@ pub(crate) struct FrontEnd {
     time: Vec<Cf32>,
     /// The grid symbols the last slot wrote; every other one is zero.
     filled: [bool; SYMBOLS_PER_SLOT],
-    extract: ExtractScratch,
+    cce_sums: Vec<PilotSums>,
     pbch_llrs: Vec<f32>,
 }
 
@@ -314,7 +315,7 @@ impl FrontEnd {
     ) -> Vec<ExtractedCandidate> {
         let grid = self.layout.as_ref().map(|(.., grid)| grid);
         grid.map_or_else(Vec::new, |g| {
-            extract_candidates(ctx, g, sif, &mut self.extract)
+            extract_candidates(ctx, g, sif, &mut self.cce_sums)
         })
     }
 
@@ -381,30 +382,29 @@ pub fn extract_all_candidates(
     grid: &ResourceGrid,
     slot_in_frame: usize,
 ) -> Vec<ExtractedCandidate> {
-    extract_candidates(ctx, grid, slot_in_frame, &mut ExtractScratch::default())
+    extract_candidates(ctx, grid, slot_in_frame, &mut Vec::new())
 }
 
 fn extract_candidates(
     ctx: &DecoderContext,
     grid: &ResourceGrid,
-    slot_in_frame: usize,
-    scratch: &mut ExtractScratch,
+    sif: usize,
+    sums: &mut Vec<PilotSums>,
 ) -> Vec<ExtractedCandidate> {
     let mut out = Vec::new();
-    let n_cces = ctx.coreset.n_cces();
+    let (coreset, n_cces, floor) = (&ctx.coreset, ctx.coreset.n_cces(), PILOT_SNR_FLOOR);
     let fitting = (AggregationLevel::all().into_iter()).take_while(|l| l.cces() <= n_cces);
     // (A CORESET under one CCE has no candidates; any level will do.)
     let longest = fitting.clone().last().unwrap_or(AggregationLevel::L1);
-    let common_cinit = search_space_cinit(Rnti(0), false, ctx.pci);
-    let seqs = CoresetSequences::new(&ctx.coreset, longest, ctx.pci, common_cinit, slot_in_frame);
+    let seqs = CoresetSequences::new(coreset, longest, ctx.pci, cinit_for(None, ctx.pci), sif);
+    // Every pilot is read here, once, for all the levels its CCE is part
+    // of; a position under the floor is dropped before its data is read.
+    sums.clear();
+    sums.extend((0..n_cces).map(|cce| cce_pilot_sums(grid, coreset, &seqs, cce)));
     for level in fitting {
-        let l = level.cces();
-        for cce_start in (0..=(n_cces - l)).step_by(l) {
-            // A candidate with no transmission has pilot SNR near the
-            // noise floor — pilots exist only where a DCI is mapped, so an
-            // energy gate on them skips silence before its data is read.
-            let soft =
-                extract_candidate_above(grid, &ctx.coreset, cce_start, level, &seqs, 1.5, scratch);
+        for (i, cces) in sums.chunks_exact(level.cces()).enumerate() {
+            let cce_start = i * level.cces();
+            let soft = extract_candidate_above(grid, coreset, cce_start, level, &seqs, cces, floor);
             out.extend(soft.map(|soft| ExtractedCandidate {
                 llrs: soft.llrs,
                 level,

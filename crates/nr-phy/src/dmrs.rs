@@ -4,7 +4,10 @@
 //! QPSK pilot derived from the cell-scoped Gold sequence. NR-Scope's channel
 //! estimator (reused conceptually from srsRAN in the paper's implementation,
 //! reimplemented here) uses these pilots for least-squares channel estimates
-//! before demodulating the DCI QPSK symbols.
+//! before demodulating the DCI QPSK symbols: one pass keeps two sums of a
+//! span's pilots ([`PilotSums`]), and gain, noise variance and SNR follow
+//! from the sums in closed form ([`pilot_estimate`]) — of one span or of
+//! several added, which is how every PDCCH level shares one read of a CCE.
 
 use crate::complex::Cf32;
 use crate::sequence::{pdcch_dmrs_cinit, GoldSequence};
@@ -15,6 +18,8 @@ pub const DMRS_OFFSETS: [usize; 3] = [1, 5, 9];
 pub const DMRS_PER_REG: usize = 3;
 /// Number of data REs per REG after DMRS.
 pub const DATA_PER_REG: usize = 9;
+/// Subcarrier offsets within a PRB that carry PDCCH data: the rest.
+pub const DATA_OFFSETS: [usize; DATA_PER_REG] = [0, 2, 3, 4, 6, 7, 8, 10, 11];
 
 /// QPSK map of two scrambling bits onto a unit-power pilot:
 /// `(1-2c(2i))/√2 + j(1-2c(2i+1))/√2`.
@@ -49,33 +54,40 @@ pub fn pdcch_dmrs(
     pilots
 }
 
-/// Least-squares channel estimate from received pilots: averages
-/// `rx/pilot` over the span, returning a single complex gain (flat-fading
-/// estimate over the CORESET span — adequate at PDCCH bandwidths).
-pub fn ls_channel_estimate(rx_pilots: &[Cf32], ref_pilots: &[Cf32]) -> Cf32 {
-    assert_eq!(rx_pilots.len(), ref_pilots.len());
-    assert!(!rx_pilots.is_empty());
-    let sum = rx_pilots
-        .iter()
-        .zip(ref_pilots)
-        .fold(Cf32::ZERO, |acc, (r, p)| acc + *r * p.conj());
-    // Pilots are unit power so |p|² = 1 and the LS estimate is the mean.
-    sum / rx_pilots.len() as f32
+/// What one pass over a span's pilots keeps of them: the correlation
+/// `S = Σ rx·p*` and the received energy `R = Σ|rx|²`. The sums of disjoint
+/// spans add, so a PDCCH candidate's are its CCEs' — each pilot is read
+/// once a slot, whatever the number of levels it serves.
+pub type PilotSums = (Cf32, f32);
+
+/// A flat-fading estimate over one span of pilots.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PilotEstimate {
+    /// Least-squares channel gain: the mean of `rx/p`.
+    pub h: Cf32,
+    /// Residual noise variance, mean `|rx − h·p|²`, floored at 1e-6.
+    pub noise_var: f32,
+    /// `|h|²` (floored at 1e-9) over `noise_var`; 0 where a pilot RE was
+    /// not finite, which any positive floor gates.
+    pub snr: f32,
 }
 
-/// Estimate the residual noise variance after equalisation: mean
-/// `|rx - h·pilot|²`.
-pub fn noise_estimate(rx_pilots: &[Cf32], ref_pilots: &[Cf32], h: Cf32) -> f32 {
-    assert_eq!(rx_pilots.len(), ref_pilots.len());
-    if rx_pilots.is_empty() {
-        return 0.0;
-    }
-    rx_pilots
-        .iter()
-        .zip(ref_pilots)
-        .map(|(r, p)| (*r - h * *p).norm_sqr())
-        .sum::<f32>()
-        / rx_pilots.len() as f32
+/// The estimate over `n` pilots from their sums `(S, R)`. Pilots are unit
+/// power, so the LS gain is the mean `h = S/n`, and at that `h` the
+/// residual `Σ|rx − h·p|²` is `R − |S|²/n`: no second pass over the pilots.
+/// (`f32::max` returns its other operand for a NaN: a residual a NaN RE
+/// poisons reads as the floor, like one the cancellation leaves negative.)
+pub fn pilot_estimate(n: usize, (s, r): PilotSums) -> PilotEstimate {
+    let n = n as f32;
+    let h = s / n;
+    let noise_var = ((r - s.norm_sqr() / n) / n).max(1e-6);
+    // (An infinite RE leaves |h|² infinite over a floored residual.)
+    let snr = if r.is_finite() {
+        h.norm_sqr().max(1e-9) / noise_var
+    } else {
+        0.0
+    };
+    PilotEstimate { h, noise_var, snr }
 }
 
 #[cfg(test)]
@@ -130,36 +142,27 @@ mod tests {
         assert_eq!(&all[4 * DMRS_PER_REG..], &tail[..]);
     }
 
+    /// A pilot RE that is not finite — an AGC transient, a fuzzed grid —
+    /// estimates SNR 0 whatever else the span holds, and the noise floor
+    /// holds: the clamp is written `x.max(floor)`, which is the floor for a
+    /// NaN `x` (a compare-and-select would hand the NaN on).
     #[test]
-    fn ls_estimate_recovers_flat_channel() {
-        let refs = pdcch_dmrs(1, 0, 42, 0, 6);
-        let h = Cf32::from_polar(0.8, -1.2);
-        let rx: Vec<Cf32> = refs.iter().map(|p| *p * h).collect();
-        let est = ls_channel_estimate(&rx, &refs);
-        assert!((est - h).abs() < 1e-5);
-        assert!(noise_estimate(&rx, &refs, est) < 1e-9);
-    }
-
-    #[test]
-    fn noise_estimate_tracks_injected_noise() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(5);
-        let refs = pdcch_dmrs(1, 0, 42, 0, 48);
-        let sigma2 = 0.05f32;
-        let rx: Vec<Cf32> = refs
-            .iter()
-            .map(|p| {
-                let n = Cf32::new(
-                    rng.gen_range(-1.0..1.0) * (1.5 * sigma2).sqrt(),
-                    rng.gen_range(-1.0..1.0) * (1.5 * sigma2).sqrt(),
-                );
-                *p + n
-            })
-            .collect();
-        let h = ls_channel_estimate(&rx, &refs);
-        let nv = noise_estimate(&rx, &refs, h);
-        // Uniform noise with that scaling has variance ≈ sigma2 per axis ×2.
-        assert!(nv > 0.01 && nv < 0.25, "noise estimate {nv}");
+    fn non_finite_pilots_estimate_snr_zero() {
+        let clean = (Cf32::new(10.8, 5.4), 8.2);
+        assert!(pilot_estimate(18, clean).snr > 10.0);
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        for bad in [
+            (nan, 0.0),
+            (0.0, nan),
+            (inf, 0.0),
+            (-inf, 1.0),
+            (inf, inf),
+            (inf, nan),
+        ] {
+            // What the sums read once one RE is `bad`.
+            let (rx, p) = (Cf32::new(bad.0, bad.1), pilot(0, 1));
+            let est = pilot_estimate(18, (clean.0 + rx * p.conj(), clean.1 + rx.norm_sqr()));
+            assert_eq!((est.noise_var, est.snr), (1e-6, 0.0), "{bad:?}");
+        }
     }
 }

@@ -39,8 +39,8 @@ pub mod mcs;
 pub mod modulation;
 pub mod numerology;
 pub mod ofdm;
-#[cfg(test)]
-mod oracle;
+#[doc(hidden)]
+pub mod oracle;
 pub mod pdcch;
 pub mod polar;
 pub mod sequence;

@@ -8,14 +8,20 @@
 //! Decode chain (NR-Scope): channel-estimate from DMRS → equalise → LLR
 //! demap → descramble → polar SC decode → CRC check against each known
 //! RNTI (or RNTI recovery for RACH tracking).
+//!
+//! Extraction reads every RE once: a CCE's pilots are summed once a slot
+//! ([`cce_pilot_sums`]) for every level that shares them, and a candidate
+//! over [`PILOT_SNR_FLOOR`] has its data equalised, demapped and
+//! descrambled as one multiply and a sign-bit XOR. The four-pass chain
+//! this replaced is `oracle.rs`'s reference, with the bounds between them.
 
 use crate::complex::Cf32;
 use crate::crc::dci_attach_crc;
 use crate::dmrs::{
-    ls_channel_estimate, noise_estimate, pdcch_dmrs, DATA_PER_REG, DMRS_OFFSETS, DMRS_PER_REG,
+    pdcch_dmrs, pilot_estimate, PilotSums, DATA_OFFSETS, DATA_PER_REG, DMRS_OFFSETS, DMRS_PER_REG,
 };
 use crate::grid::ResourceGrid;
-use crate::modulation::{demodulate_llr_into, modulate, Modulation};
+use crate::modulation::{modulate, qpsk_llr_gain, Modulation};
 use crate::numerology::SUBCARRIERS_PER_PRB;
 use crate::polar::PolarCode;
 use crate::sequence::{pdcch_scrambling_cinit, scramble_in_place};
@@ -26,6 +32,10 @@ use serde::{Deserialize, Serialize};
 pub const REGS_PER_CCE: usize = 6;
 /// Data bits carried per CCE: 6 REGs × 9 data REs × 2 bits (QPSK).
 pub const BITS_PER_CCE: usize = REGS_PER_CCE * DATA_PER_REG * 2;
+/// The pilot SNR (linear) below which a candidate position is silence:
+/// pilots exist only where a DCI is mapped, so an empty position estimates
+/// an SNR near `1/n` over `n` pilots, a DCI the polar code can decode over 1.
+pub const PILOT_SNR_FLOOR: f32 = 1.5;
 
 /// PDCCH aggregation level: how many CCEs one DCI candidate spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -180,13 +190,23 @@ impl Coreset {
     /// CORESET, matching srsRAN's default CORESET configuration.
     pub fn cce_regs(&self, cce: usize) -> [(usize, usize); REGS_PER_CCE] {
         assert!(cce < self.n_cces(), "CCE {cce} out of range");
-        std::array::from_fn(|i| {
-            let reg = cce * REGS_PER_CCE + i;
-            // Time-first numbering: REG r → symbol r % n_symbols,
-            // PRB offset r / n_symbols.
-            let sym = self.symbol_start + reg % self.n_symbols;
-            let prb = self.prb_start + reg / self.n_symbols;
-            (sym, prb)
+        let mut regs = self.regs_from(cce * REGS_PER_CCE);
+        std::array::from_fn(|_| regs.next().unwrap_or_default())
+    }
+
+    /// The REGs from REG `first` on, without end. Time-first numbering:
+    /// REG r → symbol r % n_symbols, PRB offset r / n_symbols — divided
+    /// out for `first`, stepped from there.
+    pub fn regs_from(&self, first: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (n, mut s, mut p) = (
+            self.n_symbols,
+            first % self.n_symbols,
+            first / self.n_symbols,
+        );
+        std::iter::from_fn(move || {
+            let reg = (self.symbol_start + s, self.prb_start + p);
+            (s, p) = if s + 1 == n { (0, p + 1) } else { (s + 1, p) };
+            Some(reg)
         })
     }
 }
@@ -353,6 +373,28 @@ impl CoresetSequences {
     }
 }
 
+/// The twelve REs of REG (`sym`, `prb`).
+fn reg_res(grid: &ResourceGrid, sym: usize, prb: usize) -> &[Cf32] {
+    &grid.symbol(sym)[prb * SUBCARRIERS_PER_PRB..][..SUBCARRIERS_PER_PRB]
+}
+
+/// The [`PilotSums`] of one CCE: its 18 received pilots against `seqs`'.
+pub fn cce_pilot_sums(
+    grid: &ResourceGrid,
+    coreset: &Coreset,
+    seqs: &CoresetSequences,
+    cce: usize,
+) -> PilotSums {
+    let (mut s, mut r) = (Cf32::ZERO, 0.0);
+    for (sym, prb) in coreset.regs_from(cce * REGS_PER_CCE).take(REGS_PER_CCE) {
+        let (res, pilots) = (reg_res(grid, sym, prb), seqs.reg_pilots(coreset, sym, prb));
+        for (k, p) in DMRS_OFFSETS.iter().zip(pilots) {
+            (s, r) = (s + res[*k] * p.conj(), r + res[*k].norm_sqr());
+        }
+    }
+    (s, r)
+}
+
 /// Extract and equalise the soft bits of one candidate from a received
 /// grid, descrambling with `c_init` (callers try the common and per-RNTI
 /// initialisers as appropriate).
@@ -366,74 +408,48 @@ pub fn extract_candidate(
     slot: usize,
 ) -> CandidateSoftBits {
     let seqs = CoresetSequences::new(coreset, level, n_id, c_init, slot);
-    extract_candidate_with(grid, coreset, cce_start, level, &seqs)
-}
-
-/// [`extract_candidate`] against sequences generated once for the slot.
-pub fn extract_candidate_with(
-    grid: &ResourceGrid,
-    coreset: &Coreset,
-    cce_start: usize,
-    level: AggregationLevel,
-    seqs: &CoresetSequences,
-) -> CandidateSoftBits {
-    let (floor, scratch) = (f32::NEG_INFINITY, &mut ExtractScratch::default());
-    match extract_candidate_above(grid, coreset, cce_start, level, seqs, floor, scratch) {
+    let (cces, floor) = (cce_start..cce_start + level.cces(), f32::NEG_INFINITY);
+    let cces: Vec<_> = (cces.map(|cce| cce_pilot_sums(grid, coreset, &seqs, cce))).collect();
+    match extract_candidate_above(grid, coreset, cce_start, level, &seqs, &cces, floor) {
         Some(soft) => soft,
         None => unreachable!("no pilot SNR compares below -inf"),
     }
 }
 
-/// Working memory of [`extract_candidate_above`] — received pilots,
-/// reference pilots, equalised data REs: a scan keeps one for all its
-/// candidates, so one the pilot gate drops allocates nothing.
-pub type ExtractScratch = [Vec<Cf32>; 3];
-
-/// [`extract_candidate_with`] gated on the pilots — what a scan over every
-/// candidate of the CORESET calls: the channel and noise estimates come
-/// from the DMRS REs alone, and a candidate whose pilot SNR is below
-/// `min_pilot_snr` returns `None` before any of its data REs is read.
+/// [`extract_candidate`] against sequences generated once for the slot and
+/// gated on the pilots — what a scan over every candidate of the CORESET
+/// calls, with `cces` the [`cce_pilot_sums`] of the candidate's CCEs, added
+/// here in CCE order: a candidate whose pilot SNR is below `min_pilot_snr`
+/// returns `None` before any of its data REs is read. One that passes has
+/// them read once: zero forcing (`y/h`) leaves noise of variance `σ′² =
+/// 1/SNR`, the demapper's gain at it is real, and both are the one `w`.
 pub fn extract_candidate_above(
     grid: &ResourceGrid,
     coreset: &Coreset,
     cce_start: usize,
     level: AggregationLevel,
     seqs: &CoresetSequences,
+    cces: &[PilotSums],
     min_pilot_snr: f32,
-    scratch: &mut ExtractScratch,
 ) -> Option<CandidateSoftBits> {
-    let [rx_pilots, ref_pilots, eq] = scratch;
-    let regs = || (cce_start..cce_start + level.cces()).flat_map(|cce| coreset.cce_regs(cce));
-    rx_pilots.clear();
-    ref_pilots.clear();
-    for (sym, prb) in regs() {
-        let base = prb * SUBCARRIERS_PER_PRB;
-        rx_pilots.extend(DMRS_OFFSETS.map(|k| grid.get(sym, base + k)));
-        ref_pilots.extend_from_slice(seqs.reg_pilots(coreset, sym, prb));
-    }
-    let h = ls_channel_estimate(rx_pilots, ref_pilots);
-    let nv = noise_estimate(rx_pilots, ref_pilots, h).max(1e-6);
-    // Zero-forcing equalisation; noise variance scales by 1/|h|².
-    let h_pow = h.norm_sqr().max(1e-9);
-    let pilot_snr = h_pow / nv;
-    if pilot_snr < min_pilot_snr {
+    let sums = (cces.iter()).fold((Cf32::ZERO, 0.0), |(s, r), cce| (s + cce.0, r + cce.1));
+    let est = pilot_estimate(cces.len() * REGS_PER_CCE * DMRS_PER_REG, sums);
+    if est.snr < min_pilot_snr {
         return None;
     }
-    let h_inv = h.inv();
-    let data_offsets = (0..SUBCARRIERS_PER_PRB).filter(|k| !DMRS_OFFSETS.contains(k));
-    eq.clear();
-    for (sym, prb) in regs() {
-        let base = prb * SUBCARRIERS_PER_PRB;
-        eq.extend((data_offsets.clone()).map(|k| grid.get(sym, base + k) * h_inv));
-    }
+    let w = est.h.inv() * qpsk_llr_gain(1.0 / est.snr);
     let mut llrs = Vec::with_capacity(level.bits());
-    demodulate_llr_into(eq, Modulation::Qpsk, nv / h_pow, &mut llrs);
-    // Descramble by flipping LLR signs where the scrambling bit is 1.
-    for (l, &s) in llrs.iter_mut().zip(&seqs.scrambling[..level.bits()]) {
-        if s == 1 {
-            *l = -*l;
+    // Descrambling flips an LLR where the bit is 1: its sign bit.
+    let flip = |llr: f32, s: u8| f32::from_bits(llr.to_bits() ^ (u32::from(s) << 31));
+    let scrambling = seqs.scrambling[..level.bits()].chunks_exact(2 * DATA_PER_REG);
+    for ((sym, prb), scr) in coreset.regs_from(cce_start * REGS_PER_CCE).zip(scrambling) {
+        let res = reg_res(grid, sym, prb);
+        for (k, s) in DATA_OFFSETS.iter().zip(scr.chunks_exact(2)) {
+            let z = res[*k] * w;
+            llrs.extend([flip(z.re, s[0]), flip(z.im, s[1])]);
         }
     }
+    let pilot_snr = est.snr;
     Some(CandidateSoftBits { llrs, pilot_snr })
 }
 
@@ -474,17 +490,25 @@ mod tests {
 
     #[test]
     fn multi_symbol_coreset_is_time_first() {
-        let c = Coreset {
-            prb_start: 6,
-            n_prb: 12,
-            symbol_start: 0,
-            n_symbols: 2,
-        };
-        let regs = c.cce_regs(0);
-        // Time-first: (sym0, prb6), (sym1, prb6), (sym0, prb7), ...
-        assert_eq!(regs[0], (0, 6));
-        assert_eq!(regs[1], (1, 6));
-        assert_eq!(regs[2], (0, 7));
+        for n_symbols in 1..=3 {
+            let c = Coreset {
+                prb_start: 6,
+                n_prb: 12,
+                symbol_start: 1,
+                n_symbols,
+            };
+            // REG r → symbol r % n_symbols, PRB offset r / n_symbols; at 2
+            // symbols (sym1, prb6), (sym2, prb6), (sym1, prb7), ...
+            let divided = |r| (1 + r % n_symbols, 6 + r / n_symbols);
+            for first in 0..c.n_regs() {
+                let (regs, want) = (c.regs_from(first), (first..c.n_regs()).map(divided));
+                assert!(
+                    regs.take(c.n_regs() - first).eq(want),
+                    "{n_symbols}/{first}"
+                );
+            }
+            assert!(c.cce_regs(1).into_iter().eq((6..12).map(divided)));
+        }
     }
 
     #[test]
@@ -507,101 +531,50 @@ mod tests {
         assert_eq!(*seqs.scrambling, crate::sequence::gold_bits(0x1234, 864));
     }
 
+    /// One DCI of `bits` payload bits for `rnti`, sent at `at` in slot
+    /// `slot` of cell `n_id` and extracted there once `through` the channel:
+    /// the payload, the soft bits, the SC-decoded codeword.
+    fn sent_and_heard(
+        (cce_start, level): (usize, AggregationLevel),
+        (rnti, ue_specific): (Rnti, bool),
+        (n_id, slot): (u16, usize),
+        bits: usize,
+        through: impl FnOnce(&mut ResourceGrid),
+    ) -> (Vec<u8>, CandidateSoftBits, Vec<u8>) {
+        let (c, mut grid, pl) = (coreset(), ResourceGrid::new(51), payload(bits));
+        let (alloc, c_init) = (
+            PdcchAllocation {
+                cce_start,
+                level,
+                rnti,
+            },
+            search_space_cinit(rnti, ue_specific, n_id),
+        );
+        encode_pdcch(&mut grid, &c, &alloc, &pl, n_id, c_init, slot);
+        through(&mut grid);
+        let soft = extract_candidate(&grid, &c, cce_start, level, n_id, c_init, slot);
+        let cw = decode(&soft, bits, level);
+        (pl, soft, cw)
+    }
+
     #[test]
     fn encode_decode_clean_channel() {
-        let c = coreset();
-        let mut grid = ResourceGrid::new(51);
-        let rnti = Rnti(0x4601);
-        let pl = payload(40);
-        let alloc = PdcchAllocation {
-            cce_start: 2,
-            level: AggregationLevel::L2,
-            rnti,
-        };
-        encode_pdcch(
-            &mut grid,
-            &c,
-            &alloc,
-            &pl,
-            500,
-            search_space_cinit(rnti, false, 500),
-            3,
-        );
-        let soft = extract_candidate(
-            &grid,
-            &c,
-            2,
-            AggregationLevel::L2,
-            500,
-            search_space_cinit(rnti, false, 500),
-            3,
-        );
-        let cw = decode(&soft, 40, AggregationLevel::L2);
+        let (at, rnti) = ((2, AggregationLevel::L2), Rnti(0x4601));
+        let (pl, _, cw) = sent_and_heard(at, (rnti, false), (500, 3), 40, |_| ());
         assert_eq!(dci_check_crc(&cw, rnti.0).expect("decode"), pl);
     }
 
     #[test]
     fn wrong_rnti_fails_crc() {
-        let c = coreset();
-        let mut grid = ResourceGrid::new(51);
-        let pl = payload(40);
-        let alloc = PdcchAllocation {
-            cce_start: 0,
-            level: AggregationLevel::L4,
-            rnti: Rnti(0x4601),
-        };
-        encode_pdcch(
-            &mut grid,
-            &c,
-            &alloc,
-            &pl,
-            500,
-            search_space_cinit(Rnti(0x4601), false, 500),
-            0,
-        );
-        let soft = extract_candidate(
-            &grid,
-            &c,
-            0,
-            AggregationLevel::L4,
-            500,
-            search_space_cinit(Rnti(0x4601), false, 500),
-            0,
-        );
-        let cw = decode(&soft, 40, AggregationLevel::L4);
+        let (at, rnti) = ((0, AggregationLevel::L4), Rnti(0x4601));
+        let (_, _, cw) = sent_and_heard(at, (rnti, false), (500, 0), 40, |_| ());
         assert!(dci_check_crc(&cw, 0x4602).is_none());
     }
 
     #[test]
     fn rnti_recovery_on_clean_candidate() {
-        let c = coreset();
-        let mut grid = ResourceGrid::new(51);
-        let pl = payload(40);
-        let rnti = Rnti(0x4296);
-        let alloc = PdcchAllocation {
-            cce_start: 4,
-            level: AggregationLevel::L4,
-            rnti,
-        };
-        encode_pdcch(
-            &mut grid,
-            &c,
-            &alloc,
-            &pl,
-            123,
-            search_space_cinit(rnti, false, 123),
-            7,
-        );
-        let soft = extract_candidate(
-            &grid,
-            &c,
-            4,
-            AggregationLevel::L4,
-            123,
-            search_space_cinit(rnti, false, 123),
-            7,
-        );
-        let cw = decode(&soft, 40, AggregationLevel::L4);
+        let (at, rnti) = ((4, AggregationLevel::L4), Rnti(0x4296));
+        let (pl, _, cw) = sent_and_heard(at, (rnti, false), (123, 7), 40, |_| ());
         assert_eq!(dci_recover_rnti(&cw).expect("recovery"), rnti.0);
         assert_eq!(cw[..40], pl);
     }
@@ -611,44 +584,17 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(21);
-        let c = coreset();
-        let mut grid = ResourceGrid::new(51);
-        let pl = payload(44);
-        let rnti = Rnti(0x17A3);
-        let alloc = PdcchAllocation {
-            cce_start: 0,
-            level: AggregationLevel::L2,
-            rnti,
-        };
-        encode_pdcch(
-            &mut grid,
-            &c,
-            &alloc,
-            &pl,
-            77,
-            search_space_cinit(rnti, true, 77),
-            5,
-        );
         // Apply a flat channel (gain+rotation) and mild AWGN.
         let h = Cf32::from_polar(0.7, 2.1);
-        for sym in 0..1 {
-            for k in 0..grid.n_subcarriers() {
-                let v = grid.get(sym, k) * h
-                    + Cf32::new(rng.gen_range(-0.03..0.03), rng.gen_range(-0.03..0.03));
-                grid.set(sym, k, v);
+        let channel = |grid: &mut ResourceGrid| {
+            for re in grid.symbol_mut(0) {
+                let noise = Cf32::new(rng.gen_range(-0.03..0.03), rng.gen_range(-0.03..0.03));
+                *re = *re * h + noise;
             }
-        }
-        let soft = extract_candidate(
-            &grid,
-            &c,
-            0,
-            AggregationLevel::L2,
-            77,
-            search_space_cinit(rnti, true, 77),
-            5,
-        );
+        };
+        let (at, rnti) = ((0, AggregationLevel::L2), Rnti(0x17A3));
+        let (pl, soft, cw) = sent_and_heard(at, (rnti, true), (77, 5), 44, channel);
         assert!(soft.pilot_snr > 10.0, "pilot snr {}", soft.pilot_snr);
-        let cw = decode(&soft, 44, AggregationLevel::L2);
         assert_eq!(dci_check_crc(&cw, rnti.0).expect("decode"), pl);
     }
 
@@ -700,6 +646,9 @@ mod tests {
         // 6 REGs × (12-3) data REs × 2 bits = 108 — the E the paper's DCI
         // encoding implies per CCE.
         assert_eq!(BITS_PER_CCE, 108);
+        let mut offsets: Vec<usize> = DMRS_OFFSETS.into_iter().chain(DATA_OFFSETS).collect();
+        offsets.sort_unstable();
+        assert!(offsets.into_iter().eq(0..12), "pilots + data = the PRB");
         assert_eq!(AggregationLevel::L8.bits(), 864);
     }
 }

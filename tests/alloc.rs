@@ -6,7 +6,8 @@
 //! same on every run. The ceilings are the counts measured when an RNTI
 //! hypothesis became an integer compare on the codeword's CRC syndrome,
 //! plus 10 % — room for a log line, not for a per-hypothesis `Vec` to come
-//! back.
+//! back. Measured again when extraction became one pass over the pilots
+//! and one over a survivor's data: the same counts to the allocation.
 
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
@@ -116,13 +117,16 @@ fn session(n_ues: u64, slots: u64) -> (Vec<SlotCost>, usize) {
 /// allocations a slot in the mean and 33 on the busiest slot when pinned
 /// (239 and 405 while `dci_check_crc` and `dci_recover_rnti` built three
 /// `Vec`s per hypothesis tested). What is left, by call site: one LLR
-/// `Vec` per candidate that passes the pilot gate and the `Vec` of them
-/// (`extract_candidates`, ≈ 12), the slot's DMRS row and the `Vec` holding
-/// it (`CoresetSequences::new`, 2 — the common scrambling sequence is the
-/// thread's memoised one), the RNTI lists of `hypotheses` (5) and
-/// `housekeeping` (1), and per decoded DCI `scan`'s result, the records
-/// `process` returns and the bookkeeping of `consume`. Nothing per
-/// hypothesis, and nothing for `scan`'s claims: they live in its result.
+/// `Vec` per candidate that passes the pilot gate, written once by
+/// `extract_candidate_above`, and the `Vec` of them (`extract_candidates`,
+/// ≈ 12 — the per-CCE pilot sums every gate reads live in the session's
+/// `FrontEnd`, and extraction has no other buffer), the slot's DMRS row
+/// and the `Vec` holding it (`CoresetSequences::new`, 2 — the common
+/// scrambling sequence is the thread's memoised one), the RNTI lists of
+/// `hypotheses` (5) and `housekeeping` (1), and per decoded DCI `scan`'s
+/// result, the records `process` returns and the bookkeeping of `consume`.
+/// Nothing per hypothesis, and nothing for `scan`'s claims: they live in
+/// its result.
 #[test]
 fn tracked_iq_slot_allocates_per_surviving_candidate_not_per_hypothesis() {
     let (costs, tracked) = session(12, 260);
@@ -140,11 +144,11 @@ fn tracked_iq_slot_allocates_per_surviving_candidate_not_per_hypothesis() {
 
 /// A tracked cell's slot with no DCI on the air, 6 when pinned: the slot's
 /// DMRS row (`CoresetSequences::new`, 2) and the RNTI lists of
-/// `hypotheses` and `housekeeping` (4). Nothing per
-/// candidate, nothing for the grid, the FFT or a polar code, nothing for a
-/// PBCH attempt (none is due between SSBs, and its CRC check builds
-/// nothing when one is); `process` returns an empty `Vec`, which
-/// allocates nothing.
+/// `hypotheses` and `housekeeping` (4). Nothing per candidate or for the
+/// pilot sums its fifteen gates read, nothing for the grid, the FFT or a
+/// polar code, nothing for a PBCH attempt (none is due between SSBs, and
+/// its CRC check builds nothing when one is); `process` returns an empty
+/// `Vec`, which allocates nothing.
 #[test]
 fn empty_tracked_iq_slot_allocates_only_its_sequences_and_lists() {
     let (costs, tracked) = session(1, 200);

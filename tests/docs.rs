@@ -2,8 +2,9 @@
 //! backticked `governor.*` / `admission.*` / `clock.*` / `supervise.*`
 //! name in README.md or DESIGN.md that is not a key of
 //! `ScopeConfig::default().to_json()` is a documented option with
-//! nothing behind it.
+//! nothing behind it; a constant's value the docs state is the constant's.
 
+use nr_scope::phy::pdcch::PILOT_SNR_FLOOR;
 use nr_scope::scope::ScopeConfig;
 
 /// The text of JSON object `"block":{…}` inside `json`, braces matched.
@@ -50,4 +51,14 @@ fn every_documented_knob_is_a_config_key() {
         }
     }
     assert!(checked >= 8, "the knob tables were found ({checked} names)");
+}
+
+/// DESIGN.md states the pilot gate's floor beside the constant's name: the
+/// number there is the constant's.
+#[test]
+fn documented_pilot_snr_floor_is_the_constant() {
+    let design = include_str!("../DESIGN.md");
+    let stated = design.split("`pdcch::PILOT_SNR_FLOOR` (").nth(1);
+    let stated = stated.and_then(|rest| rest.split(')').next()?.parse::<f32>().ok());
+    assert_eq!(stated, Some(PILOT_SNR_FLOOR));
 }
