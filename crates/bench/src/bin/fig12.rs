@@ -18,7 +18,7 @@ use nr_phy::types::Rnti;
 use nr_rrc::RrcSetup;
 use nrscope::decoder::{DecoderContext, Hypotheses, UeHypothesis};
 use nrscope::observe::{ObservedSlot, Observer};
-use nrscope::worker::{process_slot, JobPriority, SlotJob};
+use nrscope::worker::{process_slot, SlotJob};
 use nrscope::Fidelity;
 use nrscope_analytics::report;
 use nrscope_bench::SessionSpec;
@@ -95,7 +95,6 @@ fn mean_processing_us(
             },
             dci_threads: threads,
             fault: None,
-            priority: JobPriority::Data,
             budget: SearchBudget::unlimited(),
         };
         let r = process_slot(&job);

@@ -55,7 +55,7 @@ use crate::persist::{
 use crate::scope::{NrScope, UeEvent};
 use crate::supervise::{feed_at_watermark, BreakerState, RestartBreaker, SlotEngine};
 use crate::telemetry::TelemetryRecord;
-use crate::worker::{lock_clean, spawn_background, InjectedFault};
+use crate::worker::{join_by, lock_clean, spawn_background, InjectedFault};
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -752,18 +752,9 @@ impl Fleet {
     /// checkpoint), and return the closing rollup.
     pub fn finish(self) -> FleetSnapshot {
         self.shared.shutdown.store(true, SeqCst);
-        let deadline = Instant::now() + Duration::from_secs(5);
+        // A still-stuck worker is abandoned, not waited for.
         let handles = std::mem::take(&mut *lock_clean(&self.workers));
-        for h in handles {
-            while !h.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if h.is_finished() {
-                let _ = h.join();
-            }
-            // A still-stuck worker is abandoned, exactly like the slot
-            // pool's bounded shutdown join.
-        }
+        join_by(handles, Instant::now() + Duration::from_secs(5));
         for s in &self.shared.shards {
             if let Ok(mut cell) = s.engine.try_lock() {
                 if let Some(engine) = cell.engine.take() {

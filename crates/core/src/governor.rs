@@ -74,8 +74,9 @@ impl LoadRung {
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GovernorConfig {
     /// Master switch. Off by default: offline replay (the test suites, the
-    /// benches) has no deadline, the same way `BackpressurePolicy::Block`
-    /// is the lossless offline default. Live capture opts in.
+    /// benches) has no deadline, and lossless is its default — the way the
+    /// worker pool's full queue blocks rather than sheds. Live capture
+    /// opts in.
     pub enabled: bool,
     /// Explicit per-slot budget in µs, overriding the numerology-derived
     /// TTI × [`BUDGET_FRACTION`]. Tests and constrained deployments use this.

@@ -66,9 +66,7 @@ pub use persist::{
 };
 pub use scope::{NrScope, ScopeStats, SyncState, UeEvent};
 pub use telemetry::TelemetryRecord;
-pub use worker::{
-    BackpressurePolicy, InjectedFault, JobPriority, PoolConfig, PoolStats, WorkerPool,
-};
+pub use worker::{InjectedFault, PoolConfig, PoolStats, WorkerPool};
 
 /// Rate-matched PBCH bit budget. Must equal the renderer's
 /// (`gnb_sim::iq::PBCH_E_BITS`); asserted in integration tests.

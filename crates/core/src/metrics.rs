@@ -138,20 +138,14 @@ pub enum Counter {
     AgcKicks,
     /// Interference bursts (SNR penalties) at the front end.
     InterferenceBursts,
-    /// Jobs shed by the worker pool under backpressure.
-    JobsShed,
-    /// Jobs quarantined after killing a worker.
+    /// Jobs the worker pool quarantined after they panicked.
     JobsQuarantined,
-    /// Worker panics supervised by the pool.
+    /// Job panics caught by the worker pool.
     WorkerPanics,
     /// Slots whose processing latency exceeded the TTI budget.
     DeadlineMisses,
     /// UE-specific PDCCH candidates skipped by the search budget.
     CandidatesPruned,
-    /// Data-priority jobs shed while broadcast jobs were protected.
-    PrioritySheds,
-    /// Workers abandoned by the watchdog after stalling past the deadline.
-    WorkerStalls,
     /// Decode steps that failed gracefully (malformed fields, missing
     /// context) instead of crashing the worker.
     DecodeFailures,
@@ -196,17 +190,16 @@ pub enum Counter {
     /// tracking loop's fine range, including reported overrun gaps).
     ClockSteps,
     /// Hangs detected by liveness supervision: a supervised child silent
-    /// past its hang deadline, or a worker abandoned by a watchdog while
-    /// still holding a slot.
+    /// past its hang deadline.
     HangsDetected,
-    /// Warm restarts completed by any supervisor (child respawns, shard
-    /// engine rebuilds, worker-pool respawns).
+    /// Warm restarts completed by a supervisor (child respawns, fleet
+    /// shard engine rebuilds).
     RestartsTotal,
 }
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 35] = [
+    pub const ALL: [Counter; 32] = [
         Counter::SlotsProcessed,
         Counter::SlotsDropped,
         Counter::LayoutMismatches,
@@ -217,13 +210,10 @@ impl Counter {
         Counter::RadioSamples,
         Counter::AgcKicks,
         Counter::InterferenceBursts,
-        Counter::JobsShed,
         Counter::JobsQuarantined,
         Counter::WorkerPanics,
         Counter::DeadlineMisses,
         Counter::CandidatesPruned,
-        Counter::PrioritySheds,
-        Counter::WorkerStalls,
         Counter::DecodeFailures,
         Counter::LogWriteFailures,
         Counter::JournalWriteFailures,
@@ -257,13 +247,10 @@ impl Counter {
             Counter::RadioSamples => "radio_samples",
             Counter::AgcKicks => "agc_kicks",
             Counter::InterferenceBursts => "interference_bursts",
-            Counter::JobsShed => "jobs_shed",
             Counter::JobsQuarantined => "jobs_quarantined",
             Counter::WorkerPanics => "worker_panics",
             Counter::DeadlineMisses => "deadline_misses",
             Counter::CandidatesPruned => "candidates_pruned",
-            Counter::PrioritySheds => "priority_sheds",
-            Counter::WorkerStalls => "worker_stalls",
             Counter::DecodeFailures => "decode_failures",
             Counter::LogWriteFailures => "log_write_failures",
             Counter::JournalWriteFailures => "journal_write_failures",

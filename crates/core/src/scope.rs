@@ -15,7 +15,7 @@ use crate::spare::{slot_data_res, spare_capacity_excluding, SpareShare, UeUsage}
 use crate::telemetry::TelemetryRecord;
 use crate::throughput::ThroughputEstimator;
 use crate::tracker::{Admission, UeTracker};
-use crate::worker::{JobPriority, SlotJob};
+use crate::worker::SlotJob;
 use nr_phy::dci::{riv_decode, time_alloc, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::mcs::McsTable;
@@ -651,23 +651,11 @@ impl NrScope {
     }
 
     /// Package an observed slot as a self-contained [`SlotJob`] snapshot
-    /// of the session's current decoder state, ready for a
-    /// [`crate::WorkerPool`] (the Fig 4 scheduler's "copy of data and
-    /// state"). `None` until the MIB is known.
+    /// of the session's current decoder state, ready for
+    /// [`crate::worker::process_slot`] or a [`crate::WorkerPool`] (the Fig 4
+    /// scheduler's "copy of data and state"). `None` until the MIB is known.
     pub fn slot_job(&self, observed: ObservedSlot) -> Option<SlotJob> {
         let ctx = self.decoder_context()?;
-        // Slots that may carry broadcast-critical content — an SSB/MIB, a
-        // RACH response window, or a pending MSG 4 — are queued at
-        // broadcast priority so the pool never sheds them before plain
-        // C-RNTI telemetry work (the never-go-dark invariant).
-        let broadcast_critical = matches!(
-            &observed,
-            ObservedSlot::Message {
-                mib_bits: Some(_),
-                ..
-            }
-        ) || !self.expected_ra_rntis().is_empty()
-            || !self.tracker.pending_tc_rntis().is_empty();
         Some(SlotJob {
             slot: self.slot,
             slot_in_frame: self.slot_in_frame(),
@@ -676,11 +664,6 @@ impl NrScope {
             ctx,
             dci_threads: DCI_THREADS,
             fault: None,
-            priority: if broadcast_critical {
-                JobPriority::Broadcast
-            } else {
-                JobPriority::Data
-            },
             budget: self.governor.search_budget(),
         })
     }

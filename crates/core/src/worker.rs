@@ -11,6 +11,12 @@
 //! gathered from the threads"); the common search space (SIB + RACH
 //! hypotheses) runs as its own shard, standing in for the SIBs/RACH
 //! threads.
+//!
+//! [`WorkerPool`] is that pool and nothing more: N threads read one
+//! bounded queue, `submit` blocks while it is full, and a job that panics
+//! is quarantined while its worker takes the next one. No production path
+//! runs it — `NrScope::process` decodes inline, and the multi-cell
+//! [`crate::Fleet`] has its own workers, watchdog and shedding queues.
 
 use crate::decoder::{
     coreset_symbols, scan, DecodeWork, DecodedDci, DecoderContext, ExtractedCandidate, FrontEnd,
@@ -18,18 +24,16 @@ use crate::decoder::{
 };
 use crate::metrics::{Counter, Gauge, Metrics, Stage};
 use crate::observe::ObservedSlot;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use nr_phy::pdcch::SearchBudget;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A scripted fault a test can plant inside one job (chaos testing of the
-/// pool's supervision and backpressure paths).
+/// pool's and the fleet's panic quarantine and backpressure).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InjectedFault {
     /// `process_slot` panics on this job.
@@ -37,20 +41,6 @@ pub enum InjectedFault {
     /// `process_slot` sleeps this long first (a pathologically slow slot,
     /// used to force queue backpressure deterministically).
     Delay(Duration),
-}
-
-/// Priority class for queued slot jobs. The pool keeps one bounded queue
-/// per class and workers drain broadcast-first, so SIB/RACH-critical slots
-/// are never shed behind per-UE telemetry — the queue-level half of the
-/// governor's never-go-dark invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JobPriority {
-    /// Carries broadcast/RACH-critical decoding (SIB1, RAR, MSG 4):
-    /// never shed under backpressure.
-    Broadcast,
-    /// Ordinary per-UE telemetry slot: sheddable under `ShedOldest`.
-    #[default]
-    Data,
 }
 
 /// One slot of work, self-contained (the "copy of data and state").
@@ -68,8 +58,6 @@ pub struct SlotJob {
     pub hyp: Hypotheses,
     /// How many DCI threads to shard across.
     pub dci_threads: usize,
-    /// Queue-priority class (broadcast jobs are never shed).
-    pub priority: JobPriority,
     /// PDCCH search budget from the overload governor (gates only the
     /// UE-specific pass; unlimited by default).
     pub budget: SearchBudget,
@@ -119,6 +107,25 @@ where
 /// is already quarantined by `catch_unwind` before any lock unwinds.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The one bounded shutdown join (the pool's and the fleet's): join each
+/// thread that finishes by `deadline`, and abandon — detach — the rest
+/// instead of hanging the caller on a stuck one. Returns how many were
+/// abandoned.
+pub(crate) fn join_by(handles: impl IntoIterator<Item = JoinHandle<()>>, deadline: Instant) -> u64 {
+    let mut stuck = 0;
+    for h in handles {
+        while !h.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if h.is_finished() {
+            let _ = h.join();
+        } else {
+            stuck += 1;
+        }
+    }
+    stuck
 }
 
 thread_local! {
@@ -240,70 +247,38 @@ fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> 
     }
 }
 
-/// What `submit` does when the bounded job queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Wait for a worker to free a slot (lossless, adds latency) —
-    /// offline re-processing of a recording.
-    #[default]
-    Block,
-    /// Drop the oldest queued job to make room (bounded latency, sheds
-    /// load) — live capture, where a late slot is a useless slot.
-    ShedOldest,
-}
+/// How many submitted jobs may wait for a worker before
+/// [`WorkerPool::submit`] blocks.
+pub const JOB_QUEUE_DEPTH: usize = 256;
 
-/// Worker-pool sizing and backpressure configuration.
+/// How long shutdown (`finish`/drop) waits for the workers to drain.
+const JOIN_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Worker-pool sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Number of worker threads.
     pub workers: usize,
-    /// Bounded job-queue depth (slots waiting for a worker), per priority
-    /// class.
-    pub job_queue_depth: usize,
-    /// What to do when the job queue is full.
-    pub policy: BackpressurePolicy,
-    /// Watchdog deadline for a single job: a worker busy on one job for
-    /// longer is abandoned (its eventual result is still collected) and a
-    /// replacement spawned. `None` disables the watchdog — offline replay
-    /// has no deadline.
-    pub watchdog: Option<Duration>,
-    /// Upper bound on how long shutdown (`finish`/drop) waits for workers
-    /// to drain. Workers still running at the deadline are abandoned and
-    /// counted in [`PoolStats::stuck_workers`] instead of hanging the
-    /// caller forever.
-    pub join_timeout: Duration,
 }
 
 impl PoolConfig {
-    /// Defaults: `workers` threads, 256-deep queues, blocking
-    /// backpressure, no watchdog, 10 s bounded shutdown.
+    /// `workers` threads (at least one).
     pub fn new(workers: usize) -> PoolConfig {
         PoolConfig {
             workers: workers.max(1),
-            job_queue_depth: 256,
-            policy: BackpressurePolicy::Block,
-            watchdog: None,
-            join_timeout: Duration::from_secs(10),
         }
     }
 }
 
-/// Pool health counters (fed into `ScopeStats` by the session driver).
+/// Pool health counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolStats {
-    /// Jobs accepted by `submit`.
-    pub submitted: u64,
-    /// Jobs shed under `BackpressurePolicy::ShedOldest`.
+    /// Jobs shed under backpressure: always 0 — `submit` blocks instead.
+    /// It stays because the perf ledger's `worker.shed_jobs` row reads it;
+    /// the row and the field go together.
     pub shed_jobs: u64,
-    /// Data jobs shed while broadcast jobs were pending (the priority
-    /// queues visibly protected broadcast work).
-    pub priority_sheds: u64,
-    /// Worker panics caught and supervised.
+    /// Jobs that panicked (each one quarantined).
     pub worker_panics: u64,
-    /// Replacement workers spawned after panics or stalls.
-    pub respawns: u64,
-    /// Workers abandoned by the per-job watchdog.
-    pub worker_stalls: u64,
     /// Workers still running when the bounded shutdown gave up on them.
     pub stuck_workers: u64,
 }
@@ -321,12 +296,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A worker died; the supervisor learns which job killed it.
-struct WorkerEvent {
-    job: Box<SlotJob>,
-    panic_msg: String,
-}
-
 /// A job plus its enqueue timestamp (taken only when metrics record, so
 /// a disabled registry never reads the clock at submit time).
 struct QueuedJob {
@@ -334,396 +303,165 @@ struct QueuedJob {
     enqueued: Option<Instant>,
 }
 
-/// Shared per-worker state the supervisor's watchdog reads.
-#[derive(Debug, Default)]
-struct WorkerState {
-    /// Nanoseconds since the pool epoch when the current job started,
-    /// plus 1 (0 = idle).
-    busy_since_ns: AtomicU64,
-    /// Set by the watchdog or bounded shutdown: the worker must exit as
-    /// soon as it regains control instead of taking another job.
-    abandoned: AtomicBool,
+/// What a worker hands back for one job.
+enum Outcome {
+    Done(SlotResult),
+    /// The job panicked; it is quarantined, never retried (a poison slot
+    /// would panic on every worker in turn).
+    Quarantined(Box<SlotJob>),
 }
 
 /// The asynchronous worker pool of Fig 4: jobs in, results out, processed
 /// by `n_workers` OS threads. "The worker pool design enables
 /// asynchronous, on-demand slot data processing" (§4).
 ///
-/// Supervised: each job runs under `catch_unwind`; a panicking worker
-/// reports the offending job (quarantined, not retried — a poison slot
-/// would kill every worker in turn) and dies, and the supervisor spawns a
-/// replacement on the next `submit`/`poll`/`finish` call.
-///
-/// Priority-aware: jobs queue per [`JobPriority`] class in bounded
-/// queues and workers drain broadcast-first; under `ShedOldest`
-/// backpressure only data jobs are ever shed. A configurable watchdog
-/// abandons workers stuck on one job past a deadline and respawns a
-/// replacement, and shutdown joins with a bounded timeout, quarantining
-/// (counting) workers that never return.
+/// The workers share one queue bounded at [`JOB_QUEUE_DEPTH`]; `submit`
+/// blocks while it is full, so nothing is ever shed. Each job runs under
+/// `catch_unwind`: a panicking job is quarantined (counted, and its
+/// message kept as the registry's `worker_panic` note) and the same
+/// worker takes the next job — its thread-local front end is valid after
+/// an unwind. Shutdown joins within a bounded time and counts the workers
+/// it had to abandon.
 pub struct WorkerPool {
-    /// The job queues, shared with every worker.
-    jobs: Arc<JobQueues>,
-    result_tx: Sender<SlotResult>,
-    result_rx: Receiver<SlotResult>,
-    event_tx: Sender<WorkerEvent>,
-    event_rx: Receiver<WorkerEvent>,
-    handles: Vec<(JoinHandle<()>, Arc<WorkerState>)>,
-    /// Workers abandoned by the watchdog, awaiting a (bounded) join.
-    stalled: Vec<(JoinHandle<()>, Arc<WorkerState>)>,
-    /// Reference instant for the `busy_since_ns` encoding.
-    epoch: Instant,
-    cfg: PoolConfig,
-    stats: PoolStats,
+    /// The job queue; `None` once shutdown has closed it.
+    jobs: Option<Sender<QueuedJob>>,
+    done: Receiver<Outcome>,
+    handles: Vec<JoinHandle<()>>,
     quarantined: Vec<SlotJob>,
-    /// Pipeline metrics (queue wait, stage latencies, shed counts): the
+    stuck_workers: u64,
+    /// Pipeline metrics (queue wait, stage latencies, panic counts): the
     /// caller's shared registry, or the pool's own disabled one.
     metrics: Arc<Metrics>,
 }
 
-/// The two job queues, one per [`JobPriority`] class and each bounded at
-/// [`PoolConfig::job_queue_depth`], behind one lock: an idle worker
-/// sleeps on one condvar for both (a job is picked up the moment it is
-/// queued, not at the next poll), and shed-oldest is a `pop_front` under
-/// the same lock as the push that needed the room.
-#[derive(Default)]
-struct JobQueues {
-    queued: Mutex<Queued>,
-    /// Signalled on every push, on close, and on a worker's abandonment.
-    wake: Condvar,
-}
-
-#[derive(Default)]
-struct Queued {
-    /// Indexed by `JobPriority as usize`, which is also the drain order.
-    class: [VecDeque<QueuedJob>; 2],
-    /// No more jobs will come: workers drain what is queued and exit.
-    closed: bool,
-}
-
-impl JobQueues {
-    /// The next job, broadcast queue first. Blocks while both queues are
-    /// empty; `None` when the worker should exit (abandoned, or both
-    /// queues drained and closed).
-    fn recv(&self, state: &WorkerState) -> Option<QueuedJob> {
-        let mut q = lock_clean(&self.queued);
-        loop {
-            if state.abandoned.load(Relaxed) {
-                return None;
-            }
-            if let Some(job) = q.class.iter_mut().find_map(VecDeque::pop_front) {
-                return Some(job);
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.wake.wait(q).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Tell `state`'s worker to exit instead of taking another job. The
-    /// flag goes up under the queue lock, so the worker is either yet to
-    /// check it or already waiting for the wake-up that follows.
-    fn abandon(&self, state: &WorkerState) {
-        let q = lock_clean(&self.queued);
-        state.abandoned.store(true, Relaxed);
-        drop(q);
-        self.wake.notify_all();
-    }
-
-    /// No more jobs: wake every idle worker so it can drain and exit.
-    fn close(&self) {
-        lock_clean(&self.queued).closed = true;
-        self.wake.notify_all();
-    }
-}
-
-fn worker_loop(
-    jobs: Arc<JobQueues>,
-    tx: Sender<SlotResult>,
-    events: Sender<WorkerEvent>,
-    metrics: Arc<Metrics>,
-    state: Arc<WorkerState>,
-    epoch: Instant,
-) {
-    while let Some(q) = jobs.recv(&state) {
-        if let Some(t) = q.enqueued {
+fn worker_loop(jobs: Receiver<QueuedJob>, done: Sender<Outcome>, metrics: Arc<Metrics>) {
+    for QueuedJob { job, enqueued } in &jobs {
+        if let Some(t) = enqueued {
             metrics.observe(Stage::WorkerQueue, t.elapsed());
         }
-        let job = q.job;
-        state
-            .busy_since_ns
-            .store(epoch.elapsed().as_nanos() as u64 + 1, Relaxed);
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&job, &metrics)));
-        state.busy_since_ns.store(0, Relaxed);
-        match outcome {
-            Ok(result) => {
-                if tx.send(result).is_err() {
-                    return;
-                }
-            }
+        let outcome = match catch_unwind(AssertUnwindSafe(|| run_job(&job, &metrics))) {
+            Ok(result) => Outcome::Done(result),
             Err(payload) => {
                 let panic_msg = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "opaque panic".to_string());
-                let _ = events.send(WorkerEvent {
-                    job: Box::new(job),
-                    panic_msg,
-                });
-                // Die; the supervisor respawns a clean replacement.
-                return;
+                metrics.inc(Counter::WorkerPanics);
+                metrics.inc(Counter::JobsQuarantined);
+                metrics.note("worker_panic", format!("slot {}: {panic_msg}", job.slot));
+                Outcome::Quarantined(Box::new(job))
             }
+        };
+        if done.send(outcome).is_err() {
+            return;
         }
     }
 }
 
 impl WorkerPool {
-    /// Spawn a pool with `n_workers` workers and default queueing.
+    /// Spawn a pool with `n_workers` workers. Nothing is measured (the
+    /// pool records into a disabled registry of its own).
     pub fn new(n_workers: usize) -> WorkerPool {
-        WorkerPool::with_config(PoolConfig::new(n_workers))
-    }
-
-    /// Spawn a pool with explicit queue depth and backpressure policy.
-    /// Nothing is measured (the pool records into a disabled registry of
-    /// its own).
-    pub fn with_config(cfg: PoolConfig) -> WorkerPool {
-        WorkerPool::with_metrics(cfg, Metrics::shared(false))
+        WorkerPool::with_metrics(PoolConfig::new(n_workers), Metrics::shared(false))
     }
 
     /// Spawn a pool recording into a shared metrics registry: queue wait
-    /// (`worker_queue` stage), queue depth, shed/quarantine counts, and
+    /// (`worker_queue` stage), queue depth, panic/quarantine counts, and
     /// all per-stage decode latencies from inside the workers.
     pub fn with_metrics(cfg: PoolConfig, metrics: Arc<Metrics>) -> WorkerPool {
-        let (result_tx, result_rx) = unbounded::<SlotResult>();
-        let (event_tx, event_rx) = unbounded::<WorkerEvent>();
-        let mut pool = WorkerPool {
-            jobs: Arc::default(),
-            result_tx,
-            result_rx,
-            event_tx,
-            event_rx,
-            handles: Vec::with_capacity(cfg.workers),
-            stalled: Vec::new(),
-            epoch: Instant::now(),
-            cfg,
-            stats: PoolStats::default(),
+        let (job_tx, job_rx) = bounded::<QueuedJob>(JOB_QUEUE_DEPTH);
+        let (done_tx, done) = unbounded::<Outcome>();
+        let handles = (0..cfg.workers)
+            .map(|_| {
+                let (jobs, tx, metrics) = (job_rx.clone(), done_tx.clone(), metrics.clone());
+                std::thread::spawn(move || worker_loop(jobs, tx, metrics))
+            })
+            .collect();
+        metrics.gauge_set(Gauge::WorkersAlive, cfg.workers as u64);
+        WorkerPool {
+            jobs: Some(job_tx),
+            done,
+            handles,
             quarantined: Vec::new(),
+            stuck_workers: 0,
             metrics,
-        };
-        for _ in 0..cfg.workers {
-            pool.spawn_worker();
         }
-        pool.gauge_workers_alive();
-        pool
     }
 
-    fn spawn_worker(&mut self) {
-        let jobs = Arc::clone(&self.jobs);
-        let tx = self.result_tx.clone();
-        let events = self.event_tx.clone();
-        let metrics = self.metrics.clone();
-        let state = Arc::new(WorkerState::default());
-        let worker_state = Arc::clone(&state);
-        let epoch = self.epoch;
-        self.handles.push((
-            std::thread::spawn(move || worker_loop(jobs, tx, events, metrics, worker_state, epoch)),
-            state,
-        ));
-    }
-
-    fn gauge_workers_alive(&self) {
-        let alive = self
-            .handles
-            .iter()
-            .filter(|(h, _)| !h.is_finished())
-            .count();
-        self.metrics.gauge_set(Gauge::WorkersAlive, alive as u64);
-    }
-
-    /// Reap death reports (count and quarantine the poison jobs, spawn
-    /// replacements) and run the stall watchdog: a worker busy on one job
-    /// past the deadline is abandoned — its eventual result is still
-    /// collected, but a fresh worker takes its queue slot immediately.
-    fn supervise(&mut self) {
-        let events: Vec<WorkerEvent> = self.event_rx.try_iter().collect();
-        for ev in events {
-            self.stats.worker_panics += 1;
-            self.metrics.inc(Counter::WorkerPanics);
-            self.metrics.inc(Counter::JobsQuarantined);
-            self.metrics.inc(Counter::RestartsTotal);
-            self.metrics.note(
-                "worker_panic",
-                format!("slot {}: {}", ev.job.slot, ev.panic_msg),
-            );
-            self.quarantined.push(*ev.job);
-            self.stats.respawns += 1;
-            self.spawn_worker();
-        }
-        if let Some(deadline) = self.cfg.watchdog {
-            let now_ns = self.epoch.elapsed().as_nanos() as u64;
-            let deadline_ns = deadline.as_nanos().min(u64::MAX as u128) as u64;
-            let mut stalled_idx = Vec::new();
-            for (i, (_, state)) in self.handles.iter().enumerate() {
-                let busy = state.busy_since_ns.load(Relaxed);
-                if busy != 0 && now_ns.saturating_sub(busy - 1) > deadline_ns {
-                    stalled_idx.push(i);
-                }
-            }
-            // Back-to-front so indices stay valid while we remove.
-            for &i in stalled_idx.iter().rev() {
-                let (handle, state) = self.handles.swap_remove(i);
-                self.jobs.abandon(&state);
-                self.stalled.push((handle, state));
-                self.stats.worker_stalls += 1;
-                self.stats.respawns += 1;
-                self.metrics.inc(Counter::WorkerStalls);
-                // A stall past the watchdog deadline IS a detected hang —
-                // same class the supervise-layer counts.
-                self.metrics.inc(Counter::HangsDetected);
-                self.metrics.inc(Counter::RestartsTotal);
-                self.spawn_worker();
-            }
-        }
-        // Reap stalled workers that eventually came back.
-        self.stalled.retain(|(h, _)| !h.is_finished());
-        self.gauge_workers_alive();
-    }
-
-    /// Submit a slot job to its priority queue. Applies the configured
-    /// backpressure policy when that queue is full — broadcast jobs are
-    /// never shed (and never shed other broadcast jobs: they block) —
-    /// and returns the job once the queue is closed instead of panicking.
+    /// Queue a slot job, blocking while the queue is full. Hands the job
+    /// back instead of panicking if the queue is closed.
     pub fn submit(&mut self, job: SlotJob) -> Result<(), SubmitError> {
-        self.supervise();
-        let jobs = Arc::clone(&self.jobs);
-        let depth = self.cfg.job_queue_depth.max(1);
-        let class = job.priority as usize;
-        // Broadcast jobs are never shed: a full broadcast queue blocks
-        // regardless of policy.
-        let may_shed =
-            self.cfg.policy == BackpressurePolicy::ShedOldest && job.priority == JobPriority::Data;
-        let enqueued = self.metrics.is_enabled().then(Instant::now);
-        let mut q = lock_clean(&jobs.queued);
-        while !q.closed && q.class[class].len() >= depth {
-            if may_shed {
-                q.class[class].pop_front();
-                self.stats.shed_jobs += 1;
-                self.metrics.inc(Counter::JobsShed);
-                if !q.class[JobPriority::Broadcast as usize].is_empty() {
-                    // The shed demonstrably protected pending broadcast
-                    // work.
-                    self.stats.priority_sheds += 1;
-                    self.metrics.inc(Counter::PrioritySheds);
-                }
-                continue;
-            }
-            // Block, but keep supervising (with the queues unlocked) so a
-            // worker death while we wait cannot deadlock the queue.
-            drop(q);
-            self.supervise();
-            std::thread::yield_now();
-            q = lock_clean(&jobs.queued);
-        }
-        if q.closed {
+        let Some(jobs) = &self.jobs else {
             return Err(SubmitError(Box::new(job)));
-        }
-        q.class[class].push_back(QueuedJob { job, enqueued });
-        let queue_depth = q.class.iter().map(VecDeque::len).sum::<usize>();
-        drop(q);
-        jobs.wake.notify_one();
-        self.stats.submitted += 1;
-        self.metrics
-            .gauge_set(Gauge::QueueDepth, queue_depth as u64);
+        };
+        let enqueued = self.metrics.is_enabled().then(Instant::now);
+        (jobs.send(QueuedJob { job, enqueued })).map_err(|e| SubmitError(Box::new(e.0.job)))?;
+        self.metrics.gauge_set(Gauge::QueueDepth, jobs.len() as u64);
         Ok(())
     }
 
-    /// Drain any results already finished (non-blocking).
+    /// Drain any results already finished (non-blocking), quarantining
+    /// the jobs that panicked.
     pub fn poll(&mut self) -> Vec<SlotResult> {
-        self.supervise();
-        self.result_rx.try_iter().collect()
+        let mut results = Vec::new();
+        for outcome in self.done.try_iter() {
+            match outcome {
+                Outcome::Done(r) => results.push(r),
+                Outcome::Quarantined(job) => self.quarantined.push(*job),
+            }
+        }
+        results
     }
 
     /// Pool health counters so far.
     pub fn stats(&self) -> PoolStats {
-        self.stats
+        PoolStats {
+            shed_jobs: 0,
+            worker_panics: self.quarantined.len() as u64,
+            stuck_workers: self.stuck_workers,
+        }
     }
 
-    /// Jobs that killed a worker (quarantined, never retried).
+    /// Jobs that panicked (quarantined, never retried).
     pub fn quarantined(&self) -> &[SlotJob] {
         &self.quarantined
     }
 
-    /// Close the job queue and wait for all in-flight work; returns the
-    /// remaining results. Worker panics during the drain are supervised
-    /// like any other: counted, quarantined, and the queue is drained by
-    /// replacements.
+    /// Close the job queue and wait (boundedly) for the workers to drain
+    /// it; returns the remaining results.
     pub fn finish(mut self) -> Vec<SlotResult> {
-        self.run_down()
+        self.run_down(JOIN_TIMEOUT)
     }
 
     /// Like [`WorkerPool::finish`], but also returns the final health
     /// counters and the quarantined jobs — the numbers `finish` consumes.
     pub fn finish_with_stats(mut self) -> (Vec<SlotResult>, PoolStats, Vec<SlotJob>) {
-        let out = self.run_down();
-        (out, self.stats, std::mem::take(&mut self.quarantined))
+        let out = self.run_down(JOIN_TIMEOUT);
+        (out, self.stats(), std::mem::take(&mut self.quarantined))
     }
 
-    fn run_down(&mut self) -> Vec<SlotResult> {
-        self.jobs.close();
-        let deadline = Instant::now() + self.cfg.join_timeout;
-        let mut out = Vec::new();
-        loop {
-            self.supervise();
-            out.extend(self.result_rx.try_iter());
-            // Wait for live workers AND watchdog-abandoned ones: a stalled
-            // worker that wakes inside the join timeout still delivers its
-            // result (supervise drops stalled entries once finished).
-            if self.handles.iter().all(|(h, _)| h.is_finished()) && self.stalled.is_empty() {
-                // Final reap: a worker may have died at the very end.
-                self.supervise();
-                if self.handles.iter().all(|(h, _)| h.is_finished()) && self.stalled.is_empty() {
-                    break;
-                }
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::yield_now();
+    /// Close the queue, join the workers by `timeout` from now, and
+    /// collect what they finished. A no-op once the queue is closed.
+    fn run_down(&mut self, timeout: Duration) -> Vec<SlotResult> {
+        // Dropping the sender closes the queue: workers drain what is
+        // queued, then see it disconnected and exit.
+        if self.jobs.take().is_none() {
+            return Vec::new();
         }
-        self.reap_with_deadline();
-        out.extend(self.result_rx.try_iter());
-        out
-    }
-
-    /// Join every finished worker; abandon (and count) the rest instead of
-    /// hanging shutdown on a stuck thread. Abandoned workers carry the
-    /// flag, so they exit on their own if their job ever completes.
-    fn reap_with_deadline(&mut self) {
-        for (h, state) in self.handles.drain(..).chain(self.stalled.drain(..)) {
-            if h.is_finished() {
-                let _ = h.join();
-            } else {
-                self.jobs.abandon(&state);
-                self.stats.stuck_workers += 1;
-            }
-        }
-        self.gauge_workers_alive();
-        // The queue is drained (or abandoned) once the pool shuts down;
-        // leaving the gauge at its last enqueue value would report phantom
-        // backlog with zero workers alive in post-shutdown snapshots.
+        self.stuck_workers = join_by(self.handles.drain(..), Instant::now() + timeout);
+        self.metrics
+            .gauge_set(Gauge::WorkersAlive, self.stuck_workers);
+        // Leaving the gauge at its last enqueue value would report phantom
+        // backlog in post-shutdown snapshots.
         self.metrics.gauge_set(Gauge::QueueDepth, 0);
+        self.poll()
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.jobs.close();
-        let deadline = Instant::now() + self.cfg.join_timeout;
-        while !self.handles.iter().all(|(h, _)| h.is_finished()) && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        self.reap_with_deadline();
+        self.run_down(JOIN_TIMEOUT);
     }
 }
 
@@ -784,7 +522,6 @@ mod tests {
                         ctx,
                         hyp,
                         dci_threads,
-                        priority: JobPriority::Data,
                         budget: SearchBudget::unlimited(),
                         fault: None,
                     },
@@ -897,175 +634,67 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_respawns_after_panic_and_reports_the_poison_slot() {
+    fn worker_runs_the_job_queued_behind_a_panic() {
         let (job, _) = make_job(1);
-        // One worker: the poison job kills it; only a respawned
-        // replacement can process the healthy job queued behind it.
+        // One worker and no respawn: only the worker the poison job
+        // unwound in can process the healthy job queued behind it.
         let mut pool = WorkerPool::new(1);
         let mut poison = job.clone();
         poison.slot = 99;
         poison.fault = Some(InjectedFault::Panic);
         pool.submit(poison).expect("queue open");
         pool.submit(job.clone()).expect("queue open");
-        let mut results = Vec::new();
-        for _ in 0..2000 {
-            results.extend(pool.poll());
-            if !results.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(results.len(), 1, "respawned worker drained the queue");
+        let (results, stats, quarantined) = pool.finish_with_stats();
+        assert_eq!(results.len(), 1, "the worker outlived the panic");
         assert_eq!(results[0].slot, job.slot);
-        let stats = pool.stats();
         assert_eq!(stats.worker_panics, 1);
-        assert_eq!(stats.respawns, 1);
-        assert_eq!(pool.quarantined().len(), 1);
-        assert_eq!(pool.quarantined()[0].slot, 99);
+        assert_eq!(quarantined.len(), 1);
+        assert_eq!(quarantined[0].slot, 99);
     }
 
     #[test]
-    fn shed_oldest_policy_drops_queue_head_and_counts() {
+    fn full_queue_blocks_and_loses_nothing() {
         let (job, _) = make_job(1);
-        let mut pool = WorkerPool::with_config(PoolConfig {
-            job_queue_depth: 2,
-            policy: BackpressurePolicy::ShedOldest,
-            ..PoolConfig::new(1)
-        });
-        // Jam the single worker so the queue actually fills.
-        let mut slow = job.clone();
-        slow.slot = 1000;
-        slow.fault = Some(InjectedFault::Delay(Duration::from_millis(300)));
-        pool.submit(slow).expect("queue open");
-        std::thread::sleep(Duration::from_millis(50)); // worker picks it up
-        for i in 0..6 {
-            let mut j = job.clone();
-            j.slot = i;
-            pool.submit(j).expect("queue open");
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.submitted, 7);
-        assert_eq!(stats.shed_jobs, 4, "queue of 2 kept the newest 2 of 6");
-        let results = pool.finish();
-        let mut slots: Vec<u64> = results.iter().map(|r| r.slot).collect();
-        slots.sort_unstable();
-        assert_eq!(slots, vec![4, 5, 1000], "newest jobs survive the shed");
-    }
-
-    #[test]
-    fn block_policy_is_lossless_under_backpressure() {
-        let (job, _) = make_job(1);
-        let mut pool = WorkerPool::with_config(PoolConfig {
-            job_queue_depth: 2,
-            policy: BackpressurePolicy::Block,
-            ..PoolConfig::new(1)
-        });
-        for i in 0..6 {
-            let mut j = job.clone();
-            j.slot = i;
-            j.fault = Some(InjectedFault::Delay(Duration::from_millis(10)));
-            pool.submit(j).expect("queue open");
-        }
-        let stats = pool.stats();
-        let results = pool.finish();
-        assert_eq!(results.len(), 6, "blocking backpressure loses nothing");
-        assert_eq!(stats.shed_jobs, 0);
-    }
-
-    #[test]
-    fn broadcast_jobs_survive_shedding_and_drain_first() {
-        let (job, _) = make_job(1);
-        let mut pool = WorkerPool::with_config(PoolConfig {
-            job_queue_depth: 2,
-            policy: BackpressurePolicy::ShedOldest,
-            ..PoolConfig::new(1)
-        });
-        // Jam the single worker so both queues actually fill.
-        let mut slow = job.clone();
-        slow.slot = 1000;
-        slow.fault = Some(InjectedFault::Delay(Duration::from_millis(300)));
-        pool.submit(slow).expect("queue open");
-        std::thread::sleep(Duration::from_millis(50)); // worker picks it up
-        for i in 0..2u64 {
-            let mut b = job.clone();
-            b.slot = 100 + i;
-            b.priority = JobPriority::Broadcast;
-            pool.submit(b).expect("queue open");
-        }
-        // Six data jobs through a depth-2 data queue: four shed, and the
-        // sheds happened while broadcast jobs sat protected in their queue.
-        for i in 0..6u64 {
-            let mut j = job.clone();
-            j.slot = i;
-            pool.submit(j).expect("queue open");
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.shed_jobs, 4, "data sheds unchanged by priority");
-        assert_eq!(
-            stats.priority_sheds, 4,
-            "every shed protected pending broadcast work"
-        );
-        let results = pool.finish();
-        let mut slots: Vec<u64> = results.iter().map(|r| r.slot).collect();
-        slots.sort_unstable();
-        assert_eq!(
-            slots,
-            vec![4, 5, 100, 101, 1000],
-            "both broadcast jobs survived; only data was shed"
-        );
-    }
-
-    #[test]
-    fn watchdog_abandons_stalled_worker_and_respawns() {
-        let (job, _) = make_job(1);
-        let mut pool = WorkerPool::with_config(PoolConfig {
-            watchdog: Some(Duration::from_millis(40)),
-            ..PoolConfig::new(1)
-        });
-        // Stall the lone worker far past the watchdog deadline, then queue
-        // a healthy job behind it: only a respawned replacement can run it
-        // before the stalled worker wakes.
-        let mut stuck = job.clone();
-        stuck.slot = 77;
-        stuck.fault = Some(InjectedFault::Delay(Duration::from_millis(400)));
-        pool.submit(stuck).expect("queue open");
-        std::thread::sleep(Duration::from_millis(20)); // worker picks it up
-        pool.submit(job.clone()).expect("queue open");
-        let mut results = Vec::new();
+        let mut pool = WorkerPool::new(1);
+        // Jam the single worker: the last jobs fit only once it is free.
         let start = Instant::now();
-        while results.is_empty() && start.elapsed() < Duration::from_millis(300) {
-            std::thread::sleep(Duration::from_millis(10));
-            results.extend(pool.poll());
+        let mut slow = job.clone();
+        slow.fault = Some(InjectedFault::Delay(Duration::from_millis(200)));
+        pool.submit(slow).expect("queue open");
+        let n = JOB_QUEUE_DEPTH + 8;
+        for i in 0..n {
+            let mut j = job.clone();
+            j.slot = i as u64;
+            pool.submit(j).expect("queue open");
         }
-        assert_eq!(results.len(), 1, "replacement ran the queued job");
-        assert_eq!(results[0].slot, job.slot);
-        let stats = pool.stats();
-        assert_eq!(stats.worker_stalls, 1, "stall detected");
-        assert!(stats.respawns >= 1, "replacement spawned");
-        // The abandoned worker's slot still completes; nothing is lost.
-        let rest = pool.finish();
-        assert!(rest.iter().any(|r| r.slot == 77), "stalled result arrives");
+        assert!(
+            start.elapsed() >= Duration::from_millis(200),
+            "submit waited for the jammed worker"
+        );
+        let (results, stats, _) = pool.finish_with_stats();
+        assert_eq!(results.len(), n + 1, "blocking backpressure loses nothing");
+        assert_eq!(stats.shed_jobs, 0);
     }
 
     #[test]
     fn shutdown_join_is_bounded_and_counts_stuck_workers() {
         let (job, _) = make_job(1);
-        let mut pool = WorkerPool::with_config(PoolConfig {
-            join_timeout: Duration::from_millis(50),
-            ..PoolConfig::new(1)
-        });
+        let mut pool = WorkerPool::new(1);
         let mut stuck = job.clone();
         stuck.fault = Some(InjectedFault::Delay(Duration::from_secs(30)));
         pool.submit(stuck).expect("queue open");
-        std::thread::sleep(Duration::from_millis(20)); // worker picks it up
         let start = Instant::now();
-        let (results, stats, _) = pool.finish_with_stats();
+        let results = pool.run_down(Duration::from_millis(50));
         assert!(
             start.elapsed() < Duration::from_secs(5),
-            "finish returned without waiting the full 30 s stall"
+            "shutdown returned without waiting the full 30 s stall"
         );
         assert!(results.is_empty());
-        assert_eq!(stats.stuck_workers, 1, "the hung worker was abandoned");
+        assert_eq!(
+            pool.stats().stuck_workers,
+            1,
+            "the hung worker was abandoned"
+        );
     }
 
     #[test]

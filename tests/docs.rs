@@ -2,10 +2,12 @@
 //! backticked `governor.*` / `admission.*` / `clock.*` / `supervise.*`
 //! name in README.md or DESIGN.md that is not a key of
 //! `ScopeConfig::default().to_json()` is a documented option with
-//! nothing behind it; a constant's value the docs state is the constant's.
+//! nothing behind it; a counter or gauge the docs name must be one the
+//! metrics registry emits; a constant's value the docs state is the
+//! constant's.
 
 use nr_scope::phy::pdcch::PILOT_SNR_FLOOR;
-use nr_scope::scope::ScopeConfig;
+use nr_scope::scope::{Metrics, ScopeConfig};
 
 /// The text of JSON object `"block":{…}` inside `json`, braces matched.
 fn block<'a>(json: &'a str, block: &str) -> &'a str {
@@ -51,6 +53,69 @@ fn every_documented_knob_is_a_config_key() {
         }
     }
     assert!(checked >= 8, "the knob tables were found ({checked} names)");
+}
+
+/// A doc that calls a backticked snake_case name a counter or a gauge —
+/// "`a` / `b` counters", "`c`, and `d` gauges", "gauge `e`" — names a
+/// metric family `Metrics::snapshot()` must emit (the telemetry audit's
+/// "families not emitted" finding, SNIPPETS.md 2).
+#[test]
+fn every_documented_counter_and_gauge_is_emitted() {
+    let snap = Metrics::shared(true).snapshot();
+    let emitted: Vec<&str> = (snap.counters.iter().map(|c| c.name.as_str()))
+        .chain(snap.gauges.iter().map(|g| g.name.as_str()))
+        .collect();
+    let snake = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_lowercase())
+            && s.chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    let is_kind = |w: &str| ["counter", "counters", "gauge", "gauges"].contains(&w);
+    let mut checked = 0;
+    for (doc, text) in [
+        ("README.md", include_str!("../README.md")),
+        ("DESIGN.md", include_str!("../DESIGN.md")),
+    ] {
+        let pieces: Vec<&str> = text.split('`').collect();
+        // Backticked names joined by nothing but separators, so far.
+        let mut run: Vec<&str> = Vec::new();
+        for i in (1..pieces.len()).step_by(2) {
+            let (before, span) = (pieces[i - 1], pieces[i]);
+            let after = pieces.get(i + 1).copied().unwrap_or("");
+            if !snake(span) {
+                run.clear();
+                continue;
+            }
+            let separator = (before.split(|c: char| c.is_whitespace() || c == ',' || c == '/'))
+                .all(|w| w.is_empty() || w == "and" || w == "or");
+            if !separator {
+                run.clear();
+            }
+            run.push(span);
+            let word_after: String = (after.trim_start().chars())
+                .take_while(char::is_ascii_alphabetic)
+                .collect();
+            let mut word_before = before.trim_end().rsplit(|c: char| !c.is_ascii_alphabetic());
+            let named = if is_kind(&word_after) {
+                std::mem::take(&mut run)
+            } else if before.ends_with(' ') && word_before.next().is_some_and(is_kind) {
+                vec![span]
+            } else {
+                continue;
+            };
+            for name in named {
+                assert!(
+                    emitted.contains(&name),
+                    "{doc} calls `{name}` a counter or gauge; Metrics::snapshot() has no such name"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked >= 20,
+        "the metric names were found ({checked} names)"
+    );
 }
 
 /// DESIGN.md states the pilot gate's floor beside the constant's name: the
