@@ -2,15 +2,14 @@
 //!
 //! The paper's Fig 15 experiment drives 64 emulated UEs through the
 //! Amarisoft channel simulator's AWGN / Pedestrian / Vehicle / Urban
-//! profiles. These modules reproduce that machinery: a white-noise source,
-//! Jakes-style time-correlated Rayleigh fading with 3GPP-flavoured delay
-//! profiles, and a composite per-UE channel that produces both an SNR trace
-//! (message fidelity) and complex gains (IQ fidelity).
+//! profiles. These modules reproduce that machinery: Jakes-style
+//! time-correlated Rayleigh fading with 3GPP-flavoured delay profiles, and
+//! a composite per-UE channel that produces both an SNR trace (message
+//! fidelity) and complex gains (IQ fidelity). The receiver's white noise is
+//! `nr_radio::noise`'s.
 
-mod awgn;
 mod fading;
 mod profile;
 
-pub use awgn::AwgnChannel;
 pub use fading::JakesFader;
 pub use profile::{ChannelProfile, UeChannel};

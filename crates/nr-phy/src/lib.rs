@@ -15,8 +15,8 @@
 //!   encode chain and blind decoding,
 //! * MCS / CQI / TBS tables and the exact 38.214 §5.1.3.2 transport block
 //!   size computation reproduced in the paper's Appendix A,
-//! * statistical channel models (AWGN, Jakes-fading TDL profiles standing
-//!   in for the 3GPP Pedestrian / Vehicle / Urban channels).
+//! * statistical channel models (Jakes-fading TDL profiles standing in
+//!   for the 3GPP Pedestrian / Vehicle / Urban channels, and flat AWGN).
 //!
 //! Everything here is deterministic given a seed and runs on a laptop; see
 //! `DESIGN.md` at the workspace root for the substitution rationale.

@@ -1,10 +1,11 @@
 //! CP-OFDM modulation and demodulation of slot resource grids.
 //!
 //! The gNB side maps a [`ResourceGrid`] to time-domain IQ samples (IFFT +
-//! cyclic prefix per symbol); NR-Scope's receive side inverts it (CP strip +
-//! FFT). Subcarrier 0 of the grid maps to the lowest used frequency: used
-//! subcarriers are centred in the FFT with DC in the middle, the usual SDR
-//! arrangement after downconversion to the channel centre frequency.
+//! cyclic prefix per symbol; a symbol with nothing on it needs no IFFT);
+//! NR-Scope's receive side inverts it (CP strip + FFT). Subcarrier 0 of the
+//! grid maps to the lowest used frequency: used subcarriers are centred in
+//! the FFT with DC in the middle, the usual SDR arrangement after
+//! downconversion to the channel centre frequency.
 
 use crate::complex::Cf32;
 use crate::fft::Fft;
@@ -56,32 +57,38 @@ impl Ofdm {
         self.fft_size - self.n_prb * 6
     }
 
-    /// Map grid subcarrier `k` to its FFT bin.
-    fn bin_of(&self, k: usize) -> usize {
-        (self.first_bin() + k) % self.fft_size
-    }
-
     /// Modulate one slot grid to time-domain samples (with CPs).
+    ///
+    /// A symbol whose REs are all `+0.0` is written as zeros without a
+    /// transform: every butterfly of it computes `+0.0 ± (±0.0) = +0.0`,
+    /// and both scalings keep that, so the skip is bit-exact. (A `−0.0` RE
+    /// takes the transform, whose output can then hold `−0.0`.)
     pub fn modulate(&self, grid: &ResourceGrid, slot_in_frame: usize) -> Vec<Cf32> {
         assert_eq!(grid.n_prb(), self.n_prb);
         let mut out = Vec::with_capacity(self.samples_per_slot(slot_in_frame));
-        let mut freq = vec![Cf32::ZERO; self.fft_size];
+        let mut time = vec![Cf32::ZERO; self.fft_size];
+        // Scale so RE power is preserved through the transform pair.
+        let scale = (self.fft_size as f32).sqrt();
+        let (first_bin, half) = (self.first_bin(), self.n_prb * 6);
         for sym in 0..SYMBOLS_PER_SLOT {
-            freq.iter_mut().for_each(|v| *v = Cf32::ZERO);
-            for (k, &re) in grid.symbol(sym).iter().enumerate() {
-                freq[self.bin_of(k)] = re;
-            }
-            let mut time = freq.clone();
-            self.fft.inverse(&mut time);
-            // Scale so RE power is preserved through the transform pair.
-            let scale = (self.fft_size as f32).sqrt();
-            for v in time.iter_mut() {
-                *v = v.scale(scale);
-            }
             let cp = self.numerology.cp_len(
                 self.fft_size,
                 self.numerology.symbol_in_half_subframe(slot_in_frame, sym),
             );
+            let res = grid.symbol(sym);
+            if res.iter().all(|re| re.re.to_bits() | re.im.to_bits() == 0) {
+                out.resize(out.len() + cp + self.fft_size, Cf32::ZERO);
+                continue;
+            }
+            // Grid subcarriers in order: the negative-frequency bins, then
+            // DC upwards; the guard band between them zero.
+            time[first_bin..].copy_from_slice(&res[..half]);
+            time[..half].copy_from_slice(&res[half..]);
+            time[half..first_bin].fill(Cf32::ZERO);
+            self.fft.inverse(&mut time);
+            for v in time.iter_mut() {
+                *v = v.scale(scale);
+            }
             out.extend_from_slice(&time[self.fft_size - cp..]);
             out.extend_from_slice(&time);
         }

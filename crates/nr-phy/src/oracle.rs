@@ -3,12 +3,14 @@
 //! differential tests that do the comparing (those that need a kernel's
 //! private parts sit beside it and call in here). A kernel that computes
 //! its reference's formula is compared bit for bit. Extraction changed the
-//! formula (one-pass pilot sums, a closed-form demapper), so its references
-//! are compared within bounds derived here, and at the decision level by
-//! `tests/golden.rs` — which is why the extraction references alone are
-//! compiled outside tests (hidden from the docs, called by no binary);
-//! everything else here is `#[cfg(test)]`. The one file CI's PHY line
-//! count leaves out: the count is of the code the slot path runs.
+//! formula (one-pass pilot sums, a closed-form demapper), and so did the
+//! receiver noise (`nr_radio::noise`'s polynomials for libm), so their
+//! references are compared within bounds derived here and in
+//! `nr_radio::noise`, and at the decision level by `tests/golden.rs` —
+//! which is why those references alone are compiled outside tests (hidden
+//! from the docs, called by no binary); everything else here is
+//! `#[cfg(test)]`. The one file CI's PHY line count leaves out: the count
+//! is of the code the slot path runs.
 
 use crate::complex::Cf32;
 use crate::dmrs::{pdcch_dmrs, PilotEstimate, DMRS_OFFSETS};
@@ -22,6 +24,8 @@ use crate::{
         bits_to_crc, crc_to_bits, dci_attach_crc, dci_check_crc, dci_recover_rnti,
         scramble_crc_with_rnti, CRC24C,
     },
+    fft::Fft,
+    numerology::{Numerology, SYMBOLS_PER_SLOT},
     polar::construction::tests::cell_code_grid,
     polar::construction::{polarization_weight, reliability_order},
     polar::ratematch::{self, RateMatchKind},
@@ -142,6 +146,16 @@ pub fn extract_candidate_oracle(
     }
 }
 
+/// Box–Muller through libm, sample by sample, as `nr_radio::VirtualUsrp`
+/// and `channel::AwgnChannel` computed it before `nr_radio::noise`'s
+/// kernel: `rx = tx + r·(cos u2, sin u2)`, `r = sqrt(−2·ln u1)·sigma`.
+pub fn add_noise_libm(tx: &[Cf32], u1: &[f32], u2: &[f32], sigma: f32, rx: &mut [Cf32]) {
+    for (rx, ((tx, u1), u2)) in rx.iter_mut().zip(tx.iter().zip(u1).zip(u2)) {
+        let r = (-2.0 * u1.ln()).sqrt() * sigma;
+        *rx = *tx + Cf32::new(r * u2.cos(), r * u2.sin());
+    }
+}
+
 #[test]
 fn ls_estimate_recovers_flat_channel() {
     let refs = pdcch_dmrs(1, 0, 42, 0, 6);
@@ -177,7 +191,8 @@ fn noise_estimate_tracks_injected_noise() {
 
 /// A 51-PRB grid carrying one DCI at (`cce_start`, `level`) of `coreset`,
 /// every CORESET RE through the flat channel `h` and, `snr_db` given,
-/// complex Gaussian noise that far under the signal.
+/// complex Gaussian noise that far under the signal (libm's Box–Muller
+/// over uniforms drawn `u1` then `u2` per RE).
 #[cfg(test)]
 fn heard(
     coreset: &Coreset,
@@ -187,6 +202,9 @@ fn heard(
     seed: u64,
 ) -> ResourceGrid {
     use crate::pdcch::{encode_pdcch, PdcchAllocation};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::f32::consts::TAU;
     let mut grid = ResourceGrid::new(51);
     let alloc = PdcchAllocation {
         cce_start,
@@ -196,11 +214,13 @@ fn heard(
     let payload: Vec<u8> = (0..40).map(|i| ((i * 11 + 3) % 2) as u8).collect();
     encode_pdcch(&mut grid, coreset, &alloc, &payload, 500, 0x5A5A, 3);
     let sigma2 = snr_db.map_or(0.0, |db| h.norm_sqr() * 10f32.powf(-db / 10.0));
-    let mut noise = crate::channel::AwgnChannel::new(sigma2, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     for sym in coreset.symbol_start..coreset.symbol_start + coreset.n_symbols {
-        for re in grid.symbol_mut(sym) {
-            *re = *re * h + noise.sample();
-        }
+        let tx: Vec<Cf32> = grid.symbol(sym).iter().map(|re| *re * h).collect();
+        let (u1, u2): (Vec<f32>, Vec<f32>) = (tx.iter())
+            .map(|_| (rng.gen_range(f32::EPSILON..1.0), rng.gen_range(0.0..TAU)))
+            .unzip();
+        add_noise_libm(&tx, &u1, &u2, (sigma2 / 2.0).sqrt(), grid.symbol_mut(sym));
     }
     grid
 }
@@ -608,6 +628,83 @@ pub(crate) fn strided_fft_oracle(size: usize, data: &mut [Cf32], inverse: bool) 
             }
         }
         len *= 2;
+    }
+}
+
+/// `Ofdm::modulate` as it was first written: every symbol through the
+/// transform, its bins mapped one subcarrier at a time and cloned.
+#[cfg(test)]
+fn modulate_oracle(
+    numerology: Numerology,
+    n_prb: usize,
+    grid: &ResourceGrid,
+    slot: usize,
+) -> Vec<Cf32> {
+    let fft_size = numerology.fft_size(n_prb);
+    let fft = Fft::new(fft_size);
+    let mut out = Vec::new();
+    let mut freq = vec![Cf32::ZERO; fft_size];
+    for sym in 0..SYMBOLS_PER_SLOT {
+        freq.iter_mut().for_each(|v| *v = Cf32::ZERO);
+        for (k, &re) in grid.symbol(sym).iter().enumerate() {
+            freq[(fft_size - n_prb * 6 + k) % fft_size] = re;
+        }
+        let mut time = freq.clone();
+        fft.inverse(&mut time);
+        let scale = (fft_size as f32).sqrt();
+        for v in time.iter_mut() {
+            *v = v.scale(scale);
+        }
+        let cp = numerology.cp_len(fft_size, numerology.symbol_in_half_subframe(slot, sym));
+        out.extend_from_slice(&time[fft_size - cp..]);
+        out.extend_from_slice(&time);
+    }
+    out
+}
+
+/// The modulator that skips empty symbols and reuses one buffer, to the
+/// bit: on a grid of empty symbols, full ones, `−0.0`-only ones (which
+/// must take the transform: its output holds `−0.0`) and one with a single
+/// RE, at µ = 0, 1 and 2: every slot of µ ≤ 1 holds a long CP, and slot 1
+/// of µ = 2 none.
+#[test]
+fn modulate_equals_the_per_symbol_transform_bitwise() {
+    use crate::ofdm::Ofdm;
+    let mut x = 0x9E37_79B9u32;
+    let mut rand = move || {
+        x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (x >> 8) as f32 / (1 << 23) as f32 - 1.0
+    };
+    let carriers = [
+        (Numerology::Mu1, 51),
+        (Numerology::Mu0, 52),
+        (Numerology::Mu2, 24),
+    ];
+    for (numerology, n_prb) in carriers {
+        let mut grid = ResourceGrid::new(n_prb);
+        for sym in 0..SYMBOLS_PER_SLOT {
+            for re in grid.symbol_mut(sym) {
+                *re = match sym % 4 {
+                    1 => Cf32::new(rand(), rand()),
+                    2 => Cf32::new(-0.0, -0.0),
+                    _ => Cf32::ZERO,
+                };
+            }
+        }
+        grid.set(12, 7, Cf32::new(0.0, -0.25));
+        let ofdm = Ofdm::new(numerology, n_prb);
+        for slot in [0, 1] {
+            let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            let (got, want) = (
+                ofdm.modulate(&grid, slot),
+                modulate_oracle(numerology, n_prb, &grid, slot),
+            );
+            assert_eq!(bits(&got), bits(&want), "{numerology:?}, slot {slot}");
+            let negative_zero = want.iter().any(|c| c.re.to_bits() == 1 << 31);
+            assert!(negative_zero, "a −0.0 symbol transforms to some −0.0");
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 pub mod agc;
 pub mod clock;
 pub mod impairment;
+pub mod noise;
 pub mod resampler;
 pub mod usrp;
 

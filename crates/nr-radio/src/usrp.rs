@@ -1,12 +1,26 @@
 //! The virtual USRP: applies the sniffer's receive channel (placement SNR,
 //! optional fading) and hardware effects (noise, AGC) to the gNB's
 //! transmitted slot waveform, producing what NR-Scope's DSP actually sees.
+//!
+//! The noise is most of what an IQ slot costs to synthesise. Per slot,
+//! `receive` draws every sample's two uniforms from the serial generator
+//! into buffers it keeps, then turns them into Gaussian noise in one
+//! vectorised pass ([`crate::noise::add_noise`]).
+//!
+//! The noise power is set from *each slot's own* mean transmit power
+//! (`sig_power / 10^(snr/10)`), and a silent slot gets a fixed `1e-6`. So
+//! the floor follows cell load: "30 dB" means 30 dB under that slot's
+//! average power, and a PDCCH RE's SNR depends on how much PDSCH shares its
+//! slot. A real front end's floor does not depend on whether the gNB
+//! transmits; changing that moves decisions (ROADMAP items 3 and 5).
 
 use crate::agc::Agc;
+use crate::noise::{add_noise, AddNoise};
 use nr_phy::channel::JakesFader;
 use nr_phy::complex::{mean_power, Cf32};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::f32::consts::TAU;
 
 /// One received slot with its receive-quality metadata.
 #[derive(Debug, Clone)]
@@ -43,6 +57,9 @@ pub struct VirtualUsrp {
     /// scheduled interference bursts reach the front end.
     pending_penalty_db: f64,
     stats: RadioStats,
+    /// The last slot's noise uniforms, kept for their capacity.
+    u1: Vec<f32>,
+    u2: Vec<f32>,
 }
 
 impl VirtualUsrp {
@@ -56,6 +73,8 @@ impl VirtualUsrp {
             rng: StdRng::seed_from_u64(seed ^ 0xB5),
             pending_penalty_db: 0.0,
             stats: RadioStats::default(),
+            u1: Vec::new(),
+            u2: Vec::new(),
         }
     }
 
@@ -85,6 +104,14 @@ impl VirtualUsrp {
 
     /// Receive one slot transmitted as `tx` at absolute time `t` seconds.
     pub fn receive(&mut self, tx: &[Cf32], t: f64) -> RxSlot {
+        self.receive_with(tx, t, add_noise)
+    }
+
+    /// [`VirtualUsrp::receive`] with `noise` in place of [`add_noise`] over
+    /// the same uniform draws: how `tests/golden.rs` holds the kernel
+    /// against libm's formula (`nr_phy::oracle::add_noise_libm`).
+    #[doc(hidden)]
+    pub fn receive_with(&mut self, tx: &[Cf32], t: f64, noise: AddNoise) -> RxSlot {
         // Instantaneous channel: mean SNR plus fading variation.
         let fade_db = match &self.fader {
             Some(f) => 10.0 * (f.gain_at(t).norm_sqr().max(1e-6) as f64).log10(),
@@ -100,15 +127,17 @@ impl VirtualUsrp {
             1e-6
         };
         let sigma = (noise_power / 2.0).sqrt() as f32;
-        let mut samples: Vec<Cf32> = tx
-            .iter()
-            .map(|s| {
-                let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
-                let u2: f32 = self.rng.gen_range(0.0..std::f32::consts::TAU);
-                let r = (-2.0 * u1.ln()).sqrt() * sigma;
-                *s + Cf32::new(r * u2.cos(), r * u2.sin())
-            })
-            .collect();
+        // The generator is serial: draw the slot's uniforms first, `u1`
+        // then `u2` per sample, so the formula runs as one loop.
+        let (u1, u2) = (&mut self.u1, &mut self.u2);
+        u1.resize(tx.len(), 0.0);
+        u2.resize(tx.len(), 0.0);
+        for (u1, u2) in u1.iter_mut().zip(u2.iter_mut()) {
+            *u1 = self.rng.gen_range(f32::EPSILON..1.0);
+            *u2 = self.rng.gen_range(0.0..TAU);
+        }
+        let mut samples = vec![Cf32::ZERO; tx.len()];
+        noise(tx, u1, u2, sigma, &mut samples);
         self.agc.process(&mut samples);
         self.stats.slots_received += 1;
         self.stats.samples_processed += samples.len() as u64;

@@ -8,15 +8,17 @@
 //! and 3"). A digest that moves is a behaviour change; regenerate a
 //! constant only together with the reason the telemetry changed.
 
+use nr_scope::gnb::iq::IqRenderer;
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::phy::ofdm::Ofdm;
-use nr_scope::phy::oracle::extract_candidate_oracle;
+use nr_scope::phy::oracle::{add_noise_libm, extract_candidate_oracle};
 use nr_scope::phy::pdcch::{
     extract_candidate, search_space_cinit, AggregationLevel, Coreset, SearchBudget, PILOT_SNR_FLOOR,
 };
 use nr_scope::phy::types::Rnti;
+use nr_scope::radio::VirtualUsrp;
 use nr_scope::scope::decoder::{
     decode_candidates_budgeted, extract_all_candidates, DecodedDci, ExtractedCandidate,
 };
@@ -261,19 +263,44 @@ fn slot_extraction_equals_a_loop_over_extract_candidate() {
     }
 }
 
+/// Two extractions of one slot against each other, under `job`'s
+/// hypotheses: the pilot gate passes the same positions, and the scan of
+/// either returns the same DCIs and the same work counts. Returns the
+/// candidates compared, those of them with any hard decision moved, and
+/// the DCIs decoded.
+fn same_decisions(
+    job: &SlotJob,
+    got: &[ExtractedCandidate],
+    want: &[ExtractedCandidate],
+    at: &str,
+) -> [usize; 3] {
+    let passed = |cs: &[ExtractedCandidate]| -> Vec<_> {
+        cs.iter().map(|c| (c.level, c.cce_start)).collect()
+    };
+    assert_eq!(passed(got), passed(want), "{at}: the gate moved");
+    let hard =
+        |c: &ExtractedCandidate| -> Vec<u32> { c.llrs.iter().map(|l| l.to_bits() >> 31).collect() };
+    let moved = got.iter().zip(want).filter(|(g, w)| hard(g) != hard(w));
+    let scan = |candidates: &[ExtractedCandidate]| {
+        let unlimited = SearchBudget::unlimited();
+        decode_candidates_budgeted(&job.ctx, candidates, &job.hyp, unlimited, None)
+    };
+    let decoded = scan(got);
+    assert_eq!(decoded, scan(want), "{at}: a decision moved");
+    [got.len(), moved.count(), decoded.0.len()]
+}
+
 /// Extraction changed its arithmetic — per-CCE pilot sums, `4k·y/σ²` — not
 /// its decisions. A tracked two-UE cell heard at 30 dB and at 3 dB, every
 /// slot extracted twice, by the slot path and by `nr_phy::oracle`'s
 /// reference chain (gather → two-pass estimate → equalise → four-distance
-/// demap → descramble) gated at the same floor: the gate passes the same
-/// positions of every slot, and the scan of either extraction returns the
-/// same DCIs and the same work counts, under the scope's own hypotheses.
-/// LLRs agree to rounding, so a hard decision can differ only where an LLR
-/// is within rounding of zero: the candidates with any such bit are
-/// counted and printed.
+/// demap → descramble) gated at the same floor: `same_decisions`, under the
+/// scope's own hypotheses. LLRs agree to rounding, so a hard decision can
+/// differ only where an LLR is within rounding of zero: the candidates with
+/// any such bit are counted and printed.
 #[test]
 fn one_pass_extraction_decides_what_the_reference_chain_decides() {
-    let (mut compared, mut differing, mut decoded) = (0, 0, 0);
+    let mut total = [0; 3];
     for snr_db in [30.0, 3.0] {
         let (cell, mut gnb) = loaded_cell(2, 0x24);
         // The scope tracks the cell at 30 dB whatever the tape is heard at.
@@ -314,30 +341,67 @@ fn one_pass_extraction_decides_what_the_reference_chain_decides() {
                     extract_all_candidates(ctx, &grid, sif),
                     reference.collect::<Vec<_>>(),
                 );
-                let at = format!("{snr_db} dB, slot {s}");
-                let passed = |cs: &[ExtractedCandidate]| -> Vec<_> {
-                    cs.iter().map(|c| (c.level, c.cce_start)).collect()
-                };
-                assert_eq!(passed(&got), passed(&want), "{at}: the gate moved");
-                let hard = |c: &ExtractedCandidate| -> Vec<u32> {
-                    c.llrs.iter().map(|l| l.to_bits() >> 31).collect()
-                };
-                let moved = got.iter().zip(&want).filter(|(g, w)| hard(g) != hard(w));
-                (compared, differing) = (compared + got.len(), differing + moved.count());
-                let scan = |candidates: &[ExtractedCandidate]| {
-                    let unlimited = SearchBudget::unlimited();
-                    decode_candidates_budgeted(ctx, candidates, &job.hyp, unlimited, None)
-                };
-                assert_eq!(scan(&got), scan(&want), "{at}: a decision moved");
-                decoded += scan(&got).0.len();
+                let seen = same_decisions(&job, &got, &want, &format!("{snr_db} dB, slot {s}"));
+                total = std::array::from_fn(|i| total[i] + seen[i]);
             }
             scope.process(&observed);
         }
     }
+    let [compared, differing, decoded] = total;
     println!("{compared} surviving candidates compared, {differing} with a hard decision moved, {decoded} DCIs");
     assert!(
         compared >= 1000 && decoded >= 300,
         "{compared} candidates, {decoded} DCIs"
     );
     assert!(differing * 100 <= compared, "{differing} of {compared}");
+}
+
+/// The receiver noise changed its arithmetic — `nr_radio::noise`'s
+/// polynomials for libm's `ln`, `cos` and `sin`, within 1 and 2 ulp of
+/// exact — not its decisions. A tracked two-UE cell, every slot rendered
+/// once and received twice on the same uniform draws, through the kernel
+/// and through libm's Box–Muller (`nr_phy::oracle::add_noise_libm`), at
+/// 30 dB and at 3 dB: `same_decisions` under the scope's own hypotheses,
+/// and not one candidate with a hard decision moved.
+#[test]
+fn noise_kernel_decides_what_libm_box_muller_decides() {
+    let mut total = [0; 3];
+    for snr_db in [30.0, 3.0] {
+        let (cell, mut gnb) = loaded_cell(2, 0x26);
+        let mut feed = Observer::new(&cell, 30.0, true, 0x26);
+        let renderer = IqRenderer::new(&cell);
+        let mut kernel = VirtualUsrp::new(snr_db, 0.0, 6);
+        let mut libm = VirtualUsrp::new(snr_db, 0.0, 6);
+        let config = ScopeConfig {
+            fidelity: Fidelity::Iq,
+            ..ScopeConfig::default()
+        };
+        let mut scope = NrScope::new(config, None);
+        for s in 0..400 {
+            let (out, t) = (gnb.step(), s as f64 * cell.slot_s());
+            let observed = feed.observe(&out, t);
+            let tx = renderer.render_iq(&out);
+            let heard = [
+                kernel.receive(&tx, t),
+                libm.receive_with(&tx, t, add_noise_libm),
+            ];
+            if let Some(job) = scope.slot_job(observed.clone()) {
+                let sif = job.slot_in_frame;
+                let [got, want] = heard.map(|rx| {
+                    let grid = renderer.ofdm().demodulate(&rx.samples, sif);
+                    extract_all_candidates(&job.ctx, &grid, sif)
+                });
+                let seen = same_decisions(&job, &got, &want, &format!("{snr_db} dB, slot {s}"));
+                total = std::array::from_fn(|i| total[i] + seen[i]);
+            }
+            scope.process(&observed);
+        }
+    }
+    let [compared, moved, decoded] = total;
+    println!("{compared} surviving candidates compared, {moved} with a hard decision moved, {decoded} DCIs");
+    assert!(
+        compared >= 1000 && decoded >= 300,
+        "{compared} candidates, {decoded} DCIs"
+    );
+    assert_eq!(moved, 0, "hard decisions moved");
 }
