@@ -7,9 +7,9 @@
 //! 2. **chaos** — [`ChaosSchedule::compose`] with [`ChaosArms::all`]:
 //!    front-end impairments, child overload dwell, storage-fault windows,
 //!    an oscillator model with a scripted timing step, hostile air, two
-//!    `kill -9`s, a scripted slot-loop hang, and a journal-writer wedge —
-//!    all on one seeded timeline, with the invariant monitors evaluated
-//!    on every fed slot.
+//!    `kill -9`s, a scripted slot-loop hang, and a disk stall under the
+//!    journal writer — all on one seeded timeline, with the invariant
+//!    monitors evaluated on every fed slot.
 //! 3. **kill9** — the kill-restart soak: only the two `kill -9`s armed, so
 //!    the warm restart itself is what is measured — every UE tracked
 //!    before a kill is tracked after the respawn, and the child is
@@ -20,7 +20,9 @@
 //!
 //! The gate exits non-zero unless: every monitor stays green, zero
 //! panics escape any leg, the scripted hang is detected within the hang
-//! deadline (plus scheduling slop) and the child is restarted, both
+//! deadline (plus scheduling slop) and the child is restarted, the disk
+//! stall under the journal writer demotes the child before it ends and
+//! the ladder comes back after it, both
 //! kill-9s are survived, the restart breaker never opens under the
 //! default budget, legitimate byte parity under full chaos (and under the
 //! kills alone) stays within `nrscope_analytics::PARITY_BAND` of the
@@ -28,26 +30,30 @@
 //! breaker-parked cells.
 //!
 //! `--short` shrinks the horizons for CI smoke tests.
+//!
+//! The supervised child is this bin, re-invoked as `--child DIR PCI SEED
+//! HORIZON LEG`: it recomputes the leg's schedule from (seed, horizon,
+//! leg) and runs its child-side faults through
+//! [`ChaosSchedule::child_hook`] on a [`FaultyBackend`].
 
 use gnb_sim::{CellConfig, Gnb, HostileConfig};
 use nr_mac::RoundRobin;
 use nr_phy::channel::ChannelProfile;
 use nr_phy::types::{Pci, Rnti};
-use nrscope::chaos::{
-    bulkhead_isolation, drive_supervised, monitor_statuses, ranges_of, standard_monitors,
-    ChaosArms, ChaosSchedule, DriveStats, Monitor, MonitorStatus,
-};
 use nrscope::observe::Observer;
 use nrscope::supervise::{self, RestartCause, SlotOutcome, Supervisor};
 use nrscope::{
-    ClockRecovery, ClockRecoveryConfig, FaultPlan, Fleet, FleetConfig, HangTarget, InjectedFault,
-    Metrics, ScopeConfig, ShardSpec, StoragePolicy, SyncState, CHAOS_PLAN_FILE,
+    ClockRecovery, ClockRecoveryConfig, FaultyBackend, Fleet, FleetConfig, Metrics, PersistConfig,
+    ScopeConfig, ShardSpec, SlotHook, StoragePolicy, SyncState,
 };
 use nrscope_analytics::{parity_ok, PARITY_BAND};
+use nrscope_bench::chaos::{
+    bulkhead_isolation, drive_supervised, monitor_statuses, ranges_of, standard_monitors,
+    ChaosArms, ChaosSchedule, DriveStats, HangTarget, Monitor, MonitorStatus,
+};
 use nrscope_bench::gate::{Gate, Mode, Phase};
 use nrscope_bench::scratch_dir;
 use serde::Serialize;
-use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,6 +73,19 @@ fn tuned_config(short: bool) -> ScopeConfig {
     cfg.supervise.heartbeat_interval_ms = if short { 50 } else { 100 };
     cfg.supervise.hang_deadline_ms = if short { 400 } else { 800 };
     cfg
+}
+
+/// The fault classes each supervised leg arms. The parent composes its
+/// schedule from this, and so does every child it spawns.
+fn leg_arms(leg: &str) -> ChaosArms {
+    match leg {
+        "chaos" => ChaosArms::all(),
+        "kill9" => ChaosArms {
+            kill9: true,
+            ..ChaosArms::none()
+        },
+        _ => ChaosArms::none(),
+    }
 }
 
 fn build_gnb(cell: &CellConfig, n_ues: u64, seed: u64) -> Gnb {
@@ -139,6 +158,9 @@ struct Leg {
     breaker_openings: u64,
     breaker_final: &'static str,
     parity_ratio: f64,
+    /// Acked slots where the child's rung crossed `NonDurable`: `true` a
+    /// demotion, `false` the way back.
+    non_durable_edges: Vec<(u64, bool)>,
     monitors: Vec<MonitorStatus>,
 }
 
@@ -172,25 +194,22 @@ fn parity_ratio(sup: &mut Supervisor, gnb: &Gnb, stats: &DriveStats) -> Option<f
     Some(est_bits as f64 / truth_bits.max(1) as f64)
 }
 
-/// Run one supervised leg under `schedule`. The baseline passes
-/// [`ChaosArms::none`]-composed schedules (nothing fires); the chaos leg
-/// passes the full composition.
+/// Run supervised leg `name` over `horizon` slots, under the schedule
+/// [`leg_arms`] composes for it: nothing fires on the baseline, the chaos
+/// leg runs the full composition.
 fn supervised_leg(
     name: &'static str,
     short: bool,
-    schedule: &ChaosSchedule,
+    horizon: u64,
     mut monitors: Vec<Monitor>,
     ghosts: Vec<Rnti>,
 ) -> Phase<Leg> {
+    let schedule = ChaosSchedule::compose(SEED, horizon, leg_arms(name));
     let cell = CellConfig::srsran_n41();
     let dir = scratch_dir("chaos", name);
     let scope_cfg = tuned_config(short);
     std::fs::write(dir.join(supervise::CONFIG_FILE), scope_cfg.to_json())
         .expect("write scope config");
-    if schedule.has_child_faults() {
-        std::fs::write(dir.join(CHAOS_PLAN_FILE), schedule.child_plan().to_json())
-            .expect("write chaos plan");
-    }
 
     let mut gnb = build_gnb(&cell, 3, SEED);
     let mut obs = Observer::new(&cell, 35.0, false, SEED ^ 0xD15C);
@@ -221,6 +240,9 @@ fn supervised_leg(
         "--child".to_string(),
         dir.display().to_string(),
         cell.pci.0.to_string(),
+        SEED.to_string(),
+        horizon.to_string(),
+        name.to_string(),
     ];
     let metrics = Arc::new(Metrics::new(true));
     let mut sup = Supervisor::new(&exe, &args, &[], scope_cfg.supervise, metrics);
@@ -233,13 +255,13 @@ fn supervised_leg(
     }
 
     // A soak is a real-time replay. Its faults mix wall-clock durations
-    // (the hang, the writer wedge, the fsync of a re-probe) with intervals
+    // (the hang, the disk stall, the fsync of a re-probe) with intervals
     // counted in slots (re-probe spacing, monitor windows), and the two
     // keep the relation they were composed with only while a slot takes a
     // slot's time: never feed faster than the air interface.
     let slot_time = Duration::from_secs_f64(slot_s);
     let mut fed_at = Instant::now();
-    let stats = drive_supervised(&mut sup, schedule, &ghosts, &mut monitors, |seq| {
+    let stats = drive_supervised(&mut sup, &schedule, &ghosts, &mut monitors, |seq| {
         std::thread::sleep(slot_time.saturating_sub(fed_at.elapsed()));
         fed_at = Instant::now();
         for &(a, b) in &hostile_windows {
@@ -285,11 +307,18 @@ fn supervised_leg(
     let hang_bound = scope_cfg.supervise.hang_deadline_ms + HANG_SLOP_MS;
 
     // A faulted leg must have *survived* its script, not dodged it.
-    let hang_scripted = schedule
-        .hangs
-        .hangs
-        .iter()
-        .any(|p| p.target == HangTarget::SlotLoop);
+    let hang_scripted = (schedule.hangs.iter()).any(|p| p.target == HangTarget::SlotLoop);
+    // A disk stall under the journal writer demotes the child before the
+    // stall ends, and the ladder comes back after it (a re-probe, or a
+    // respawn that recovers durable).
+    let edges = &stats.non_durable_edges;
+    let stall_demoted = (schedule.hangs.iter())
+        .filter(|p| p.target == HangTarget::JournalWriter)
+        .all(|p| {
+            let end = p.slot + (p.duration_ms as f64 * 1e-3 / slot_s) as u64;
+            let demoted = (edges.iter()).position(|&(s, down)| down && (p.slot..end).contains(&s));
+            demoted.is_some_and(|i| i + 1 < edges.len())
+        });
     let ok = monitors_green
         && parity.is_some()
         && sup_stats.breaker_openings == 0
@@ -299,10 +328,11 @@ fn supervised_leg(
         && (!hang_scripted
             || (hang_restarts >= 1
                 && !stats.hang_observations.is_empty()
-                && detect_max <= hang_bound));
+                && detect_max <= hang_bound))
+        && stall_demoted;
     let detail = format!(
         "acked={} lost={} hangs={} detect_max={}ms (bound {}ms) kills={} \
-         breaker={} parity={:?} monitors_green={}",
+         breaker={} parity={:?} non_durable_edges={:?} monitors_green={}",
         stats.acked,
         stats.lost_child_down + stats.lost_lame_duck,
         sup_stats.hangs_detected,
@@ -311,6 +341,7 @@ fn supervised_leg(
         killed_restarts,
         breaker_final,
         parity,
+        edges,
         monitors_green,
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -325,6 +356,7 @@ fn supervised_leg(
         breaker_openings: sup_stats.breaker_openings,
         breaker_final,
         parity_ratio: parity.unwrap_or(0.0),
+        non_durable_edges: stats.non_durable_edges,
         monitors: statuses,
     };
     Phase::new(name, ok, detail, leg)
@@ -386,27 +418,24 @@ fn fleet_leg(short: bool) -> Phase<FleetLeg> {
         .collect();
     // A shard hang longer than the watchdog deadline, capped so the
     // bench's wall clock stays bounded.
-    let shard_hangs: Vec<(usize, u64, u64)> = schedule
-        .hangs
-        .hangs
-        .iter()
+    let shard_hangs: Vec<(usize, u64, u64)> = (schedule.hangs.iter())
         .filter_map(|p| match p.target {
             HangTarget::FleetShard(s) => Some((s % n_shards, p.slot, p.duration_ms.min(1_500))),
             _ => None,
         })
         .collect();
+    for &(shard, at, dur_ms) in &shard_hangs {
+        let stall = move |slot| {
+            if slot == at {
+                std::thread::sleep(Duration::from_millis(dur_ms));
+            }
+        };
+        fleet.set_slot_hook(shard, Some(SlotHook::new(stall)));
+    }
 
     let mut monitor = bulkhead_isolation(512);
     let slot_s = cell.slot_s();
     for seq in 0..slots {
-        for &(shard, at, dur_ms) in &shard_hangs {
-            if seq == at {
-                fleet.inject_fault(
-                    shard,
-                    FaultPlan::OneShot(InjectedFault::Delay(Duration::from_millis(dur_ms))),
-                );
-            }
-        }
         for (shard, (gnb, obs)) in feeds.iter_mut().enumerate() {
             let out = gnb.step();
             let cap = obs.capture(&out, seq as f64 * slot_s);
@@ -466,38 +495,31 @@ struct Header {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    if args.len() >= 4 && args[1] == "--child" {
-        // Child mode: recover from the session directory, apply any
-        // scripted chaos plan found there, and serve slots.
+    if args.len() >= 7 && args[1] == "--child" {
+        // Child mode: recover from the session directory and serve slots,
+        // running the leg's child-side faults recomputed from its seed.
         let pci: u16 = args[3].parse().expect("child PCI argument");
-        supervise::run_child(Path::new(&args[2]), Some(Pci(pci))).expect("child pipeline");
+        let seed: u64 = args[4].parse().expect("child seed argument");
+        let horizon: u64 = args[5].parse().expect("child horizon argument");
+        let schedule = ChaosSchedule::compose(seed, horizon, leg_arms(&args[6]));
+        let backend = FaultyBackend::new(Default::default());
+        let persist = PersistConfig::new(&args[2]).with_backend(Arc::new(backend.clone()));
+        let hook = schedule.child_hook(backend);
+        supervise::run_child(persist, Some(Pci(pci)), Some(hook)).expect("child pipeline");
         return ExitCode::SUCCESS;
     }
     let mut gate = Gate::new("chaos", "legs", Mode::from_env());
     let short = gate.mode.short;
     let horizon: u64 = gate.mode.pick(6_000, 12_000);
 
-    let baseline_schedule = ChaosSchedule::compose(SEED, horizon, ChaosArms::none());
-    let chaos_schedule = ChaosSchedule::compose(SEED, horizon, ChaosArms::all());
-    let kill_schedule = ChaosSchedule::compose(
-        SEED,
-        horizon,
-        ChaosArms {
-            kill9: true,
-            ..ChaosArms::none()
-        },
-    );
+    let chaos_schedule = ChaosSchedule::compose(SEED, horizon, leg_arms("chaos"));
     // The chaos-gate preconditions the composition engine promises.
     assert!(
         chaos_schedule.kill_slots.len() >= 2,
         "compose arms >= 2 kills"
     );
     assert!(
-        chaos_schedule
-            .hangs
-            .hangs
-            .iter()
-            .any(|p| p.target == HangTarget::SlotLoop),
+        (chaos_schedule.hangs.iter()).any(|p| p.target == HangTarget::SlotLoop),
         "compose arms a scripted slot-loop hang"
     );
     if !short {
@@ -508,7 +530,7 @@ fn main() -> ExitCode {
         // recoveries; it ends before the never-go-dark window does.)
         let recovery = StoragePolicy::default().reprobe_interval_slots + 512;
         let hang_slots = |target| {
-            let hangs = chaos_schedule.hangs.hangs.iter();
+            let hangs = chaos_schedule.hangs.iter();
             hangs.filter(move |p| p.target == target).map(|p| p.slot)
         };
         let faults: Vec<u64> = (chaos_schedule.storage_windows.iter())
@@ -528,22 +550,16 @@ fn main() -> ExitCode {
     let ghosts = vec![Rnti(HostileConfig::default().persistent_ghost_rnti)];
 
     let baseline = gate.run("baseline", || {
-        supervised_leg(
-            "baseline",
-            short,
-            &baseline_schedule,
-            Vec::new(),
-            Vec::new(),
-        )
+        supervised_leg("baseline", short, horizon, Vec::new(), Vec::new())
     });
     let chaos = gate.run("chaos", || {
         let monitors = standard_monitors(ghosts.clone());
-        supervised_leg("chaos", short, &chaos_schedule, monitors, ghosts.clone())
+        supervised_leg("chaos", short, horizon, monitors, ghosts.clone())
     });
     let kill9 = gate.run("kill9", || {
         let mut monitors = standard_monitors(Vec::new());
         monitors.push(warm_restart_monitor());
-        supervised_leg("kill9", short, &kill_schedule, monitors, Vec::new())
+        supervised_leg("kill9", short, horizon, monitors, Vec::new())
     });
     gate.run("fleet", || fleet_leg(short));
 

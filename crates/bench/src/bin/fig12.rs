@@ -94,7 +94,7 @@ fn mean_processing_us(
                 ..Hypotheses::default()
             },
             dci_threads: threads,
-            fault: None,
+            hook: None,
             budget: SearchBudget::unlimited(),
         };
         let r = process_slot(&job);

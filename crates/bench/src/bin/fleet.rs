@@ -31,10 +31,9 @@ use gnb_sim::{CellConfig, MultiCellSim};
 use nr_phy::channel::ChannelProfile;
 use nr_phy::types::Pci;
 use nrscope::observe::Observer;
-use nrscope::worker::InjectedFault;
 use nrscope::{
-    FaultPlan, Fidelity, Fleet, FleetConfig, FleetSnapshot, GovernorConfig, PersistConfig,
-    ScopeConfig, ShardSpec,
+    Fidelity, Fleet, FleetConfig, FleetSnapshot, GovernorConfig, PersistConfig, ScopeConfig,
+    ShardSpec, SlotHook,
 };
 use nrscope_analytics::{parity_ok, PARITY_BAND};
 use nrscope_bench::gate::{Gate, Mode};
@@ -263,28 +262,30 @@ fn fleet_phase(script: &Script, dir: &Path, faults: bool, seed: u64) -> PhaseRes
         ..FleetConfig::default()
     };
     let fleet = Fleet::new(cfg, specs).expect("durable fleet");
+    if faults {
+        let (kill_at, wedge_at) = (script.kill_at, script.wedge_at);
+        let kill = move |slot| {
+            if slot == kill_at {
+                panic!("injected shard fault");
+            }
+        };
+        let wedge = move |slot| {
+            if slot == wedge_at {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        };
+        fleet.set_slot_hook(KILL_SHARD, Some(SlotHook::new(kill)));
+        fleet.set_slot_hook(WEDGE_SHARD, Some(SlotHook::new(wedge)));
+    }
 
     let t0 = Instant::now();
     for s in 0..script.total {
-        if faults {
-            if s == script.kill_at {
-                fleet.inject_fault(KILL_SHARD, FaultPlan::OneShot(InjectedFault::Panic));
-            }
-            if s == script.wedge_at {
-                fleet.inject_fault(
-                    WEDGE_SHARD,
-                    FaultPlan::OneShot(InjectedFault::Delay(Duration::from_millis(300))),
-                );
-            }
-            if s == script.overload_on {
-                fleet.inject_fault(
-                    OVERLOAD_SHARD,
-                    FaultPlan::EverySlot(Duration::from_millis(20)),
-                );
-            }
-            if s == script.overload_off {
-                fleet.inject_fault(OVERLOAD_SHARD, FaultPlan::None);
-            }
+        if faults && s == script.overload_on {
+            let overload = |_| std::thread::sleep(Duration::from_millis(20));
+            fleet.set_slot_hook(OVERLOAD_SHARD, Some(SlotHook::new(overload)));
+        }
+        if faults && s == script.overload_off {
+            fleet.set_slot_hook(OVERLOAD_SHARD, None);
         }
         let outs = sim.step();
         for (i, out) in outs.iter().enumerate() {

@@ -4,20 +4,21 @@
 //! while [`Monitor`]s evaluate the system's promises continuously and
 //! record the first slot at which one breaks.
 //!
-//! PRs 1–9 injected and gated each fault class in isolation; production
-//! failures compose. The pieces here are deliberately split by trust
-//! domain:
+//! The harness of the `chaos` gate bin, kept out of `nrscope`: the
+//! sniffer only offers the seams it drives — a [`SlotHook`] on every
+//! slot path and the [`FaultyBackend`] storage double. The pieces are
+//! split by trust domain:
 //!
 //! - [`ChaosSchedule`] is the seeded timeline. [`ChaosSchedule::compose`]
 //!   derives deterministic fault placements from (seed, horizon, armed
-//!   classes), so a failing soak reproduces bit-for-bit from its seed.
-//! - [`ChaosChildPlan`] is the slice of the schedule the *supervised
-//!   child process* executes against itself (scripted hangs, journal
-//!   wedges, overload dwell, storage fault windows), written to
-//!   [`CHAOS_PLAN_FILE`] in the session directory and loaded by
-//!   [`run_child`](crate::supervise::run_child). Parent-side faults
-//!   (kill-9, hostile air, impairments, clock) never go in the plan —
-//!   the child must not know when it is about to be shot.
+//!   classes), so a failing soak reproduces bit-for-bit from its seed —
+//!   and the supervised child, given the same three on its command line,
+//!   recomputes the same timeline.
+//! - [`ChaosSchedule::child_hook`] is the slice the *child process*
+//!   executes against itself (scripted hangs, journal-writer stalls,
+//!   overload dwell, storage fault windows). Parent-side faults (kill-9,
+//!   hostile air, impairments, clock) are not in it — the child must not
+//!   know when it is about to be shot.
 //! - [`Monitor`]s are named predicates over the supervised pipe traffic
 //!   ([`ChaosObs`]) or fleet rollups behind one shared latch, flagging the
 //!   first violation with slot + context instead of a bare boolean.
@@ -26,58 +27,40 @@
 //!   times hang detection, and keeps the honest per-slot book of which
 //!   slots remain claimable for byte parity.
 
-use crate::fleet::FleetSnapshot;
-use crate::observe::Capture;
-use crate::persist::FaultKind;
-use crate::scope::SyncState;
-use crate::supervise::{RestartCause, SlotOutcome, Supervisor};
 use nr_phy::types::Rnti;
 use nr_radio::impairment::ImpairmentSchedule;
-use serde::{Deserialize, Serialize};
-use std::time::Instant;
-
-/// Name of the child-side chaos plan file in the session directory.
-/// Absent in normal runs; when present,
-/// [`run_child`](crate::supervise::run_child) arms the scripted faults it
-/// describes.
-pub const CHAOS_PLAN_FILE: &str = "chaos_plan.json";
+use nrscope::observe::Capture;
+use nrscope::supervise::{LostCause, RestartCause, SlotOutcome, Supervisor};
+use nrscope::{DurabilityRung, FaultKind, FaultyBackend, FleetSnapshot, SlotHook, SyncState};
+use serde::Serialize;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
-// Hang injection
+// Fault placements
 // ---------------------------------------------------------------------------
 
 /// Where a scripted hang wedges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HangTarget {
     /// The supervised child's slot loop stops dead — no acks, no
     /// heartbeats. The supervisor must classify it as a hang within
     /// `hang_deadline` and force-kill.
     SlotLoop,
-    /// The child's journal-writer thread wedges while the slot loop stays
-    /// live: the durability ladder must demote honestly while batches
-    /// back up, and re-promote after the wedge.
+    /// The child's disk stalls under its journal writer while the slot
+    /// loop stays live: the durability ladder must demote honestly while
+    /// batches back up, and re-promote after the stall.
     JournalWriter,
     /// A fleet shard's engine wedges mid-slot; the watchdog must fence it
     /// and siblings must not stall (bulkhead isolation).
     FleetShard(usize),
 }
 
-impl HangTarget {
-    /// Stable snake_case name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            HangTarget::SlotLoop => "slot_loop",
-            HangTarget::JournalWriter => "journal_writer",
-            HangTarget::FleetShard(_) => "fleet_shard",
-        }
-    }
-}
-
 /// One scripted hang: wedge `target` for `duration_ms` when the slot
 /// clock reaches `slot`. Keyed on the *fed* slot sequence, so a hang that
 /// got its process killed never re-fires after the warm restart — the
 /// parent has already moved past the slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HangPoint {
     /// Fed slot at which the wedge starts.
     pub slot: u64,
@@ -87,41 +70,9 @@ pub struct HangPoint {
     pub duration_ms: u64,
 }
 
-/// A scripted set of [`HangPoint`]s — the seeded hang injector, shaped
-/// like the other fault schedules ([`StorageFaultSchedule`],
-/// `ImpairmentSchedule`): build once, hand to the engine.
-///
-/// [`StorageFaultSchedule`]: crate::persist::StorageFaultSchedule
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HangSchedule {
-    /// The scripted hangs, in no particular order.
-    pub hangs: Vec<HangPoint>,
-}
-
-impl HangSchedule {
-    /// An empty schedule.
-    pub fn new() -> HangSchedule {
-        HangSchedule::default()
-    }
-
-    /// Wedge `target` at `slot` for `ms`.
-    pub fn wedge(mut self, target: HangTarget, slot: u64, ms: u64) -> Self {
-        self.hangs.push(HangPoint {
-            slot,
-            target,
-            duration_ms: ms,
-        });
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Child-side plan
-// ---------------------------------------------------------------------------
-
 /// A storage fault armed while the child's fed slot is inside
 /// `[from_slot, until_slot)` (every matching backend operation faults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StorageWindow {
     /// Fault class to arm.
     pub kind: FaultKind,
@@ -132,9 +83,10 @@ pub struct StorageWindow {
 }
 
 /// Scripted decode overload: every slot in `[from_slot, until_slot)`
-/// dwells an extra `dwell_us` — busy, not wedged, so heartbeats keep
-/// flowing and the supervisor must *not* read it as a hang.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// dwells an extra `dwell_us` — busy, not wedged: a dwell is far inside
+/// the heartbeat interval, so the supervisor must *not* read it as a
+/// hang.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadWindow {
     /// First fed slot of the window.
     pub from_slot: u64,
@@ -142,34 +94,6 @@ pub struct OverloadWindow {
     pub until_slot: u64,
     /// Extra per-slot dwell in microseconds.
     pub dwell_us: u64,
-}
-
-/// The child-side slice of a chaos run: scripted hangs, storage windows,
-/// and overload dwell, written to [`CHAOS_PLAN_FILE`] by the parent and
-/// loaded by [`run_child`](crate::supervise::run_child) on every
-/// (re)start. Slot keys are *fed* slot sequence numbers, so points the
-/// run already passed never re-fire after a warm restart.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChaosChildPlan {
-    /// Scripted hangs (only [`HangTarget::SlotLoop`] and
-    /// [`HangTarget::JournalWriter`] are meaningful child-side).
-    pub hangs: Vec<HangPoint>,
-    /// Slot-windowed storage faults.
-    pub storage_windows: Vec<StorageWindow>,
-    /// Scripted overload dwell.
-    pub overload_windows: Vec<OverloadWindow>,
-}
-
-impl ChaosChildPlan {
-    /// Serialize for [`CHAOS_PLAN_FILE`].
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("chaos plan serializes")
-    }
-
-    /// Parse a plan written by [`ChaosChildPlan::to_json`].
-    pub fn from_json(s: &str) -> Result<ChaosChildPlan, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -229,8 +153,9 @@ pub struct ChaosSchedule {
     pub kill_slots: Vec<u64>,
     /// Hostile-air windows `[from, until)` on the parent's gNB.
     pub hostile_windows: Vec<(u64, u64)>,
-    /// Every scripted hang (child- and fleet-targeted).
-    pub hangs: HangSchedule,
+    /// Every scripted hang (child- and fleet-targeted), in no particular
+    /// order.
+    pub hangs: Vec<HangPoint>,
     /// Child-side storage fault windows.
     pub storage_windows: Vec<StorageWindow>,
     /// Child-side overload dwell windows.
@@ -273,7 +198,7 @@ impl ChaosSchedule {
             horizon_slots: h,
             kill_slots: Vec::new(),
             hostile_windows: Vec::new(),
-            hangs: HangSchedule::new(),
+            hangs: Vec::new(),
             storage_windows: Vec::new(),
             overload_windows: Vec::new(),
             impair_drop_prob: 0.0,
@@ -327,36 +252,18 @@ impl ChaosSchedule {
             // (default 2 s) expires well before the wedge releases; late
             // enough that the first storage window's re-probe has landed
             // and the restart meets a re-promoted child.
-            s.hangs = HangSchedule::new()
-                .wedge(HangTarget::SlotLoop, at(380) + jitter(30), 8_000)
-                .wedge(HangTarget::JournalWriter, at(560) + jitter(30), 300)
-                .wedge(HangTarget::FleetShard(1), at(450) + jitter(30), 2_500);
+            let hang = |slot, target, duration_ms| HangPoint {
+                slot,
+                target,
+                duration_ms,
+            };
+            s.hangs = vec![
+                hang(at(380) + jitter(30), HangTarget::SlotLoop, 8_000),
+                hang(at(560) + jitter(30), HangTarget::JournalWriter, 300),
+                hang(at(450) + jitter(30), HangTarget::FleetShard(1), 2_500),
+            ];
         }
         s
-    }
-
-    /// The slice of this schedule the supervised child executes against
-    /// itself (everything except fleet-shard hangs and parent-side
-    /// faults).
-    pub fn child_plan(&self) -> ChaosChildPlan {
-        ChaosChildPlan {
-            hangs: self
-                .hangs
-                .hangs
-                .iter()
-                .filter(|p| !matches!(p.target, HangTarget::FleetShard(_)))
-                .copied()
-                .collect(),
-            storage_windows: self.storage_windows.clone(),
-            overload_windows: self.overload_windows.clone(),
-        }
-    }
-
-    /// True when the child-side plan has anything to do (worth writing
-    /// [`CHAOS_PLAN_FILE`] at all).
-    pub fn has_child_faults(&self) -> bool {
-        let p = self.child_plan();
-        !(p.hangs.is_empty() && p.storage_windows.is_empty() && p.overload_windows.is_empty())
     }
 
     /// The parent-observer impairment schedule, if impairments are armed.
@@ -374,11 +281,53 @@ impl ChaosSchedule {
 
     /// The scripted slot-loop hang at `slot`, if any.
     pub fn slot_loop_hang_at(&self, slot: u64) -> Option<HangPoint> {
-        self.hangs
-            .hangs
-            .iter()
+        (self.hangs.iter())
             .find(|p| p.slot == slot && p.target == HangTarget::SlotLoop)
             .copied()
+    }
+
+    /// The faults the supervised child runs against itself, as the
+    /// [`SlotHook`] its slot loop calls with each fed slot: a slot-loop
+    /// hang sleeps through its duration (no acks, no heartbeats), a
+    /// journal-writer hang stalls `backend`'s writes, an overload window
+    /// dwells, and `backend` has armed exactly the storage windows live
+    /// at the slot. Keyed on the fed slot, so a restarted child — which
+    /// recomputes this schedule from the same seed — never re-fires a
+    /// point the run already passed, and re-arms a window it restarted
+    /// inside.
+    pub fn child_hook(&self, backend: FaultyBackend) -> SlotHook {
+        let hangs = self.hangs.clone();
+        let storage = self.storage_windows.clone();
+        let overload = self.overload_windows.clone();
+        let armed = Mutex::new(Vec::new());
+        SlotHook::new(move |seq| {
+            let live: Vec<FaultKind> = (storage.iter())
+                .filter(|w| (w.from_slot..w.until_slot).contains(&seq))
+                .map(|w| w.kind)
+                .collect();
+            let mut armed = armed.lock().expect("child hook state");
+            if *armed != live {
+                backend.clear_faults();
+                for &kind in &live {
+                    backend.arm(kind, 0..u64::MAX);
+                }
+                *armed = live;
+            }
+            for p in hangs.iter().filter(|p| p.slot == seq) {
+                let dur = Duration::from_millis(p.duration_ms);
+                match p.target {
+                    HangTarget::SlotLoop => std::thread::sleep(dur),
+                    HangTarget::JournalWriter => backend.stall_writes(dur),
+                    // Shard wedges are a fleet-side fault; not ours.
+                    HangTarget::FleetShard(_) => {}
+                }
+            }
+            for w in &overload {
+                if (w.from_slot..w.until_slot).contains(&seq) {
+                    std::thread::sleep(Duration::from_micros(w.dwell_us));
+                }
+            }
+        })
     }
 }
 
@@ -511,13 +460,22 @@ pub fn monitor_statuses(monitors: &[Monitor]) -> Vec<MonitorStatus> {
 /// consecutive acked, non-dropped slots with no SI progress; `window`
 /// must comfortably exceed the re-sync bound (~800 slots) so post-restart
 /// reacquisition is not read as darkness.
+///
+/// Progress is measured per incarnation: a child warm-restarted while
+/// `NonDurable` resumes from an older checkpoint, so its count can fall
+/// below what the previous child reached. The first ack after a respawn
+/// is the new baseline, not a stall until the old maximum is passed.
 pub fn never_go_dark(window: u64) -> Monitor {
     let window = window.max(1);
-    let (mut last_si, mut stagnant) = (0u64, 0u64);
+    let (mut spawns, mut last_si, mut stagnant) = (0usize, 0u64, 0u64);
     Monitor::over_slots("never_go_dark", move |obs| {
         let SlotOutcome::Acked(ack) = obs.outcome else {
             return None;
         };
+        if obs.spawns != spawns {
+            (spawns, last_si, stagnant) = (obs.spawns, ack.si_dcis, 0);
+            return None;
+        }
         if obs.fed_drop {
             return None; // nothing decodable was offered
         }
@@ -698,7 +656,7 @@ pub fn standard_monitors(ghosts: Vec<Rnti>) -> Vec<Monitor> {
 // ---------------------------------------------------------------------------
 
 /// One detected hang, with how it was handled.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HangObservation {
     /// Fed slot the hang was scripted at.
     pub slot: u64,
@@ -708,7 +666,7 @@ pub struct HangObservation {
 }
 
 /// What [`drive_supervised`] measured.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DriveStats {
     /// Slots fed.
     pub slots: u64,
@@ -725,6 +683,10 @@ pub struct DriveStats {
     /// Per-slot parity claimability: acked, synced, not front-end
     /// dropped, and not in a later-lost (never-durable) tail.
     pub observed: Vec<bool>,
+    /// Acked slots whose durability rung crossed the `NonDurable` line:
+    /// `(slot, true)` a demotion, `(slot, false)` a re-promotion (or a
+    /// respawn that came back durable).
+    pub non_durable_edges: Vec<(u64, bool)>,
 }
 
 /// Drive one supervised chaos leg: feed `schedule.horizon_slots` captures
@@ -755,6 +717,7 @@ pub fn drive_supervised(
         hang_observations: Vec::new(),
         final_sync_synced: false,
         observed: vec![false; slots as usize],
+        non_durable_edges: Vec::new(),
     };
     let mut restarts_seen = sup.restart_log().len();
     for seq in 0..slots {
@@ -781,11 +744,15 @@ pub fn drive_supervised(
                 stats.acked += 1;
                 stats.final_sync_synced = ack.sync == SyncState::Synced;
                 stats.observed[seq as usize] = ack.sync == SyncState::Synced && !fed_drop;
+                let non_durable = ack.durability_rung == DurabilityRung::NonDurable as u8;
+                if non_durable != stats.non_durable_edges.last().is_some_and(|e| e.1) {
+                    stats.non_durable_edges.push((seq, non_durable));
+                }
             }
-            SlotOutcome::Lost(crate::supervise::LostCause::ChildDown) => {
+            SlotOutcome::Lost(LostCause::ChildDown) => {
                 stats.lost_child_down += 1;
             }
-            SlotOutcome::Lost(crate::supervise::LostCause::LameDuck) => {
+            SlotOutcome::Lost(LostCause::LameDuck) => {
                 stats.lost_lame_duck += 1;
             }
         }
@@ -817,7 +784,7 @@ pub fn drive_supervised(
 }
 
 /// Compress a per-slot flag vector into maximal half-open ranges (the
-/// shape [`WireMsg::Report`](crate::supervise::WireMsg) wants).
+/// shape [`WireMsg::Report`](nrscope::supervise::WireMsg) wants).
 pub fn ranges_of(flags: &[bool]) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
     let mut start: Option<u64> = None;
@@ -840,6 +807,7 @@ pub fn ranges_of(flags: &[bool]) -> Vec<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nrscope::supervise::Ack;
 
     #[test]
     fn compose_is_deterministic_per_seed() {
@@ -861,18 +829,12 @@ mod tests {
         let s = ChaosSchedule::compose(1, 8_000, ChaosArms::all());
         assert!(s.kill_slots.len() >= 2, "acceptance: ≥ 2 kill-9s");
         assert!(!s.hostile_windows.is_empty());
+        let targets: Vec<_> = s.hangs.iter().map(|p| p.target).collect();
         assert!(
-            s.hangs
-                .hangs
-                .iter()
-                .any(|p| p.target == HangTarget::SlotLoop),
+            targets.contains(&HangTarget::SlotLoop),
             "acceptance: ≥ 1 scripted hang"
         );
-        assert!(s
-            .hangs
-            .hangs
-            .iter()
-            .any(|p| p.target == HangTarget::JournalWriter));
+        assert!(targets.contains(&HangTarget::JournalWriter));
         assert!(s.storage_windows.len() >= 2);
         assert!(!s.overload_windows.is_empty());
         assert!(s.impair_drop_prob > 0.0);
@@ -880,7 +842,7 @@ mod tests {
         // Everything scripted lands inside the horizon.
         let h = s.horizon_slots;
         assert!(s.kill_slots.iter().all(|&k| k < h));
-        assert!(s.hangs.hangs.iter().all(|p| p.slot < h));
+        assert!(s.hangs.iter().all(|p| p.slot < h));
         assert!(s.storage_windows.iter().all(|w| w.until_slot <= h));
     }
 
@@ -889,25 +851,49 @@ mod tests {
         let s = ChaosSchedule::compose(1, 8_000, ChaosArms::none());
         assert!(s.kill_slots.is_empty());
         assert!(s.hostile_windows.is_empty());
-        assert!(s.hangs.hangs.is_empty());
+        assert!(s.hangs.is_empty());
         assert!(s.storage_windows.is_empty());
         assert!(s.overload_windows.is_empty());
         assert_eq!(s.impair_drop_prob, 0.0);
-        assert!(!s.has_child_faults());
     }
 
+    /// The child hook arms a storage window while the fed slot is inside
+    /// it, also in a child restarted mid-window, and stalls the disk at
+    /// the journal-writer hang.
     #[test]
-    fn child_plan_excludes_fleet_hangs() {
+    fn child_hook_arms_live_windows_and_stalls_the_writer() {
         let s = ChaosSchedule::compose(3, 8_000, ChaosArms::all());
-        let plan = s.child_plan();
-        assert!(plan
+        let dir = std::env::temp_dir().join(format!("nrscope-chaos-hook-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("victim.bin");
+        let w = s.storage_windows[0];
+        assert_eq!(w.kind, FaultKind::WriteEio);
+        let writes = |backend: &FaultyBackend| {
+            use nrscope::StorageBackend;
+            backend.create(&path).unwrap().write_all(b"x").is_ok()
+        };
+        let backend = FaultyBackend::new(Default::default());
+        let hook = s.child_hook(backend.clone());
+        hook.call(w.from_slot - 1);
+        assert!(writes(&backend), "before the window");
+        hook.call(w.from_slot);
+        assert!(!writes(&backend), "inside it");
+        hook.call(w.until_slot);
+        assert!(writes(&backend), "past it");
+        // A child restarted inside the window arms it on its first slot.
+        let fresh = FaultyBackend::new(Default::default());
+        s.child_hook(fresh.clone()).call(w.until_slot - 1);
+        assert!(!writes(&fresh));
+
+        let stall = s
             .hangs
             .iter()
-            .all(|p| !matches!(p.target, HangTarget::FleetShard(_))));
-        assert!(plan.hangs.len() < s.hangs.hangs.len());
-        // Round-trips through the plan file format.
-        let back = ChaosChildPlan::from_json(&plan.to_json()).unwrap();
-        assert_eq!(back, plan);
+            .find(|p| p.target == HangTarget::JournalWriter);
+        hook.call(stall.expect("scripted").slot);
+        let t0 = Instant::now();
+        assert!(writes(&backend));
+        assert!(t0.elapsed() >= Duration::from_millis(200), "write stalled");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -916,8 +902,8 @@ mod tests {
         assert!(ranges_of(&[false, false]).is_empty());
     }
 
-    fn ack() -> crate::supervise::Ack {
-        crate::supervise::Ack {
+    fn ack() -> Ack {
+        Ack {
             seq: 0,
             watermark: 100,
             sync: SyncState::Synced,
@@ -930,24 +916,58 @@ mod tests {
         }
     }
 
-    fn show(m: &mut Monitor, slot: u64, ack: crate::supervise::Ack) {
+    fn show(m: &mut Monitor, slot: u64, spawns: usize, ack: Ack) {
         m.on_slot(&ChaosObs {
             slot,
             fed_drop: false,
             ghosts: &[],
             outcome: &SlotOutcome::Acked(ack),
-            spawns: 1,
+            spawns,
         });
+    }
+
+    fn si(si_dcis: u64) -> Ack {
+        Ack { si_dcis, ..ack() }
+    }
+
+    /// A child warm-restarted while `NonDurable` resumes below the run's
+    /// SI maximum: steady SI decodes after the restart are progress, not
+    /// darkness (the old maximum is never passed here).
+    #[test]
+    fn never_go_dark_rebaselines_on_a_restart_whose_count_falls_back() {
+        let mut m = never_go_dark(10);
+        for slot in 0..50 {
+            show(&mut m, slot, 1, si(2 * slot));
+        }
+        for slot in 50..100 {
+            show(&mut m, slot, 2, si(40 + (slot - 50) / 2));
+        }
+        assert!(m.violation().is_none(), "{:?}", m.violation());
+    }
+
+    /// An incarnation that decodes no SI for longer than the window is
+    /// dark, restart or not.
+    #[test]
+    fn never_go_dark_latches_an_incarnation_without_si() {
+        let mut m = never_go_dark(10);
+        for slot in 0..20 {
+            show(&mut m, slot, 1, si(slot));
+        }
+        for slot in 20..40 {
+            show(&mut m, slot, 2, si(5));
+        }
+        let v = m.violation().expect("latched");
+        assert_eq!(v.slot, 31, "the baseline at 20, then 11 slots without SI");
     }
 
     #[test]
     fn watermark_monitor_catches_regression() {
         let mut m = watermark_monotonicity();
         let mut ack = ack();
-        show(&mut m, 0, ack.clone());
+        show(&mut m, 0, 1, ack.clone());
         assert!(m.violation().is_none());
         ack.watermark = 90; // regression
-        show(&mut m, 1, ack);
+        show(&mut m, 1, 1, ack);
         assert!(m.violation().is_some());
         assert_eq!(m.violation().unwrap().slot, 1);
     }
@@ -958,7 +978,7 @@ mod tests {
         let mut ack = ack();
         ack.durable = 0;
         ack.durability_rung = 2; // NonDurable, yet promising a bound
-        show(&mut m, 5, ack);
+        show(&mut m, 5, 1, ack);
         assert!(m.violation().is_some());
     }
 
@@ -973,7 +993,7 @@ mod tests {
             (obs.slot % 2 == 1).then(|| format!("slot {} is odd", obs.slot))
         });
         for slot in 0..6 {
-            show(&mut m, slot, ack());
+            show(&mut m, slot, 1, ack());
         }
         let v = m.violation().expect("latched");
         assert_eq!((v.slot, v.context.as_str()), (1, "slot 1 is odd"));
@@ -988,7 +1008,7 @@ mod tests {
              no_ghost_admissions clock_mask_asymmetry bulkhead_isolation"
         );
         // And a rollup monitor ignores slots.
-        show(&mut all[5], 0, ack());
+        show(&mut all[5], 0, 1, ack());
         assert!(all[5].violation().is_none());
     }
 }

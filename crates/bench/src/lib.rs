@@ -8,11 +8,14 @@
 //!   converge quickly because the simulation is deterministic per seed).
 //! * **Gate bins** (`chaos`, `clockdrift`, `durafault`, `fleet`,
 //!   `fuzz_decode`): seeded fault soaks on the [`gate`] harness that
-//!   write a `BENCH_<name>.json` and exit non-zero on a breach.
+//!   write a `BENCH_<name>.json` and exit non-zero on a breach. The
+//!   `chaos` bin's timeline, monitors and supervised-leg loop are
+//!   [`chaos`].
 //!
 //! Neither family is where speed is measured: every performance number
 //! comes from the perf ledger in `benchmark/`.
 
+pub mod chaos;
 pub mod gate;
 
 use gnb_sim::{CellConfig, Gnb, Population};

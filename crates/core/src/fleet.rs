@@ -24,9 +24,8 @@
 //!   so fleet capacity is restored while the stuck thread drains.
 //! * **Supervised warm restarts.** Panics are caught per slot
 //!   (`catch_unwind`, as in [`crate::worker`]); wedges are detected by a
-//!   watchdog (busy-timestamp fencing, as in [`crate::worker`]'s pool)
-//!   and the engine generation is bumped so the stuck worker discards its
-//!   fenced engine on wake. Either way the shard's engine is quarantined
+//!   watchdog (busy-timestamp fencing) and the engine generation is
+//!   bumped so the stuck worker discards its fenced engine on wake. Either way the shard's engine is quarantined
 //!   and rebuilt at the next [`Fleet::supervise`] pass — durable shards
 //!   resume from their own checkpoint + journal at the exact slot they
 //!   had journalled (missed slots are gap-filled as drops by
@@ -55,7 +54,7 @@ use crate::persist::{
 use crate::scope::{NrScope, UeEvent};
 use crate::supervise::{feed_at_watermark, BreakerState, RestartBreaker, SlotEngine};
 use crate::telemetry::TelemetryRecord;
-use crate::worker::{join_by, lock_clean, spawn_background, InjectedFault};
+use crate::worker::{join_by, lock_clean, spawn_background, SlotHook};
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -203,17 +202,6 @@ impl ShardHealth {
     }
 }
 
-/// Chaos hook: what to do to a shard's next slot(s).
-#[derive(Debug, Clone, Copy)]
-pub enum FaultPlan {
-    /// No injected fault.
-    None,
-    /// Apply once to the next processed slot, then clear.
-    OneShot(InjectedFault),
-    /// Delay every processed slot by this much (sustained overload).
-    EverySlot(Duration),
-}
-
 /// Outcome of [`Fleet::feed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedOutcome {
@@ -275,7 +263,7 @@ struct Shard {
     /// held by a stuck worker.
     gen: AtomicU64,
     control: Mutex<ShardControl>,
-    fault: Mutex<FaultPlan>,
+    hook: Mutex<Option<SlotHook>>,
     cache: Mutex<CachedStats>,
     latencies: Mutex<Vec<u64>>,
     highest_fed: AtomicU64,
@@ -485,7 +473,7 @@ impl Fleet {
                     health: ShardHealth::Healthy,
                     last_recovery: recovery,
                 }),
-                fault: Mutex::new(FaultPlan::None),
+                hook: Mutex::new(None),
                 cache: Mutex::new(cache),
                 latencies: Mutex::new(Vec::new()),
                 highest_fed: AtomicU64::new(0),
@@ -622,10 +610,10 @@ impl Fleet {
         cell.engine.as_ref().map(|e| f(e.scope()))
     }
 
-    /// Inject a fault plan into a shard (chaos testing: kill, wedge, or
-    /// overload exactly one bulkhead).
-    pub fn inject_fault(&self, shard: usize, plan: FaultPlan) {
-        *lock_clean(&self.shared.shards[shard].fault) = plan;
+    /// Set (or clear) the [`SlotHook`] a shard's worker runs before each
+    /// of its slots, inside the shard's panic quarantine.
+    pub fn set_slot_hook(&self, shard: usize, hook: Option<SlotHook>) {
+        *lock_clean(&self.shared.shards[shard].hook) = hook;
     }
 
     /// Drain a shard's enqueue→completion latency samples (ns).
@@ -987,7 +975,7 @@ enum Service {
 
 /// One worker's attempt to service shard `i`: acquire the engine (one
 /// worker per shard at a time), drain up to [`MAX_BATCH`] entries through
-/// [`feed_at_watermark`], catch panics, honour injected faults.
+/// [`feed_at_watermark`] after the shard's [`SlotHook`], catch panics.
 fn service_shard(shared: &FleetShared, i: usize) -> Service {
     let shard = &shared.shards[i];
     if lock_clean(&shard.queue).is_empty() {
@@ -1013,27 +1001,15 @@ fn service_shard(shared: &FleetShared, i: usize) -> Service {
         let Some(entry) = lock_clean(&shard.queue).pop_front() else {
             break;
         };
-        let fault = {
-            let mut f = lock_clean(&shard.fault);
-            match *f {
-                FaultPlan::None => None,
-                FaultPlan::OneShot(x) => {
-                    *f = FaultPlan::None;
-                    Some(x)
-                }
-                FaultPlan::EverySlot(d) => Some(InjectedFault::Delay(d)),
-            }
-        };
+        let hook = lock_clean(&shard.hook).clone();
         shard.busy_since_ns.store(now_ns(shared.epoch) + 1, SeqCst);
         let engine = match cell.engine.as_mut() {
             Some(e) => e,
             None => break,
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some(InjectedFault::Panic) => panic!("injected shard fault"),
-                Some(InjectedFault::Delay(d)) => std::thread::sleep(d),
-                None => {}
+            if let Some(hook) = &hook {
+                hook.call(entry.seq);
             }
             // A deep gap-fill is honest work, not a wedge: keep the busy
             // stamp fresh per filled slot (unless already fenced).
@@ -1208,9 +1184,10 @@ mod tests {
         let mut c = cfg();
         c.shard_queue_depth = 4;
         let fleet = Fleet::new(c, vec![spec("a"), spec("b")]).unwrap();
-        // Wedge shard 0's engine lock indirectly: inject a long delay so
-        // its queue backs up while shard 1 drains freely.
-        fleet.inject_fault(0, FaultPlan::EverySlot(Duration::from_millis(20)));
+        // Wedge shard 0's engine lock indirectly: a long delay every slot
+        // backs its queue up while shard 1 drains freely.
+        let slow = SlotHook::new(|_| std::thread::sleep(Duration::from_millis(20)));
+        fleet.set_slot_hook(0, Some(slow));
         let mut sheds = 0;
         for s in 0..64u64 {
             if fleet.feed(0, s, empty_slot()) == FeedOutcome::ShedOldest {
@@ -1222,7 +1199,7 @@ mod tests {
         assert!(sheds > 0, "slow shard shed its own slots");
         let status = fleet.shard_status(1);
         assert_eq!(status.sheds, 0, "sibling never shed");
-        fleet.inject_fault(0, FaultPlan::None);
+        fleet.set_slot_hook(0, None);
         assert!(fleet.quiesce(Duration::from_secs(10)));
         fleet.finish();
     }
@@ -1230,7 +1207,12 @@ mod tests {
     #[test]
     fn panic_quarantines_one_shard_and_restarts_it() {
         let fleet = Fleet::new(cfg(), vec![spec("a"), spec("b")]).unwrap();
-        fleet.inject_fault(0, FaultPlan::OneShot(InjectedFault::Panic));
+        let once = |slot| {
+            if slot == 0 {
+                panic!("injected shard fault");
+            }
+        };
+        fleet.set_slot_hook(0, Some(SlotHook::new(once)));
         for s in 0..200u64 {
             fleet.feed(0, s, empty_slot());
             fleet.feed(1, s, empty_slot());
@@ -1252,10 +1234,12 @@ mod tests {
     #[test]
     fn wedge_is_fenced_and_the_shard_recovers() {
         let fleet = Fleet::new(cfg(), vec![spec("a"), spec("b")]).unwrap();
-        fleet.inject_fault(
-            0,
-            FaultPlan::OneShot(InjectedFault::Delay(Duration::from_millis(400))),
-        );
+        let stall = |slot| {
+            if slot == 0 {
+                std::thread::sleep(Duration::from_millis(400));
+            }
+        };
+        fleet.set_slot_hook(0, Some(SlotHook::new(stall)));
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut s = 0u64;
         while Instant::now() < deadline {
@@ -1285,10 +1269,11 @@ mod tests {
         let fleet = Fleet::new(cfg(), vec![storm, spec("calm")]).unwrap();
         // Keep panicking the shard until the restart budget runs dry and
         // the breaker parks it lame-duck.
+        let crash = SlotHook::new(|_| panic!("injected shard fault"));
+        fleet.set_slot_hook(0, Some(crash));
         let deadline = Instant::now() + Duration::from_secs(20);
         let mut s = 0u64;
         while Instant::now() < deadline {
-            fleet.inject_fault(0, FaultPlan::OneShot(InjectedFault::Panic));
             for _ in 0..8 {
                 fleet.feed(0, s, empty_slot());
                 fleet.feed(1, s, empty_slot());
@@ -1312,7 +1297,7 @@ mod tests {
         assert_eq!(snap.cells[1].breaker, "closed", "sibling unaffected");
         // Stop injecting and advance the feed past the half-open backoff:
         // the probe rebuild succeeds and the breaker closes.
-        fleet.inject_fault(0, FaultPlan::None);
+        fleet.set_slot_hook(0, None);
         let deadline = Instant::now() + Duration::from_secs(20);
         while Instant::now() < deadline {
             for _ in 0..16 {

@@ -18,7 +18,6 @@
 //! (scheduler + worker pool + result queue) with real threads.
 
 pub mod binfmt;
-pub mod chaos;
 pub mod clock;
 pub mod config;
 pub mod decoder;
@@ -45,17 +44,13 @@ pub mod worker;
 /// ladder has four `slots_at_rung` cells, so that session cold-starts).
 pub const SCHEMA_VERSION: u32 = 1;
 
-pub use chaos::{
-    ChaosArms, ChaosChildPlan, ChaosObs, ChaosSchedule, HangPoint, HangSchedule, HangTarget,
-    Monitor, MonitorStatus, OverloadWindow, StorageWindow, Violation, CHAOS_PLAN_FILE,
-};
 pub use clock::{
     ClockEvents, ClockLock, ClockObservable, ClockRecovery, ClockRecoveryConfig, ClockRecoveryState,
 };
 pub use config::{AdmissionConfig, Fidelity, FleetConfig, ScopeConfig, StoragePolicy};
 pub use fleet::{
-    CellRollup, ContinuityMatch, FaultPlan, FeedOutcome, Fleet, FleetSnapshot, ShardHealth,
-    ShardSpec, ShardStatus,
+    CellRollup, ContinuityMatch, FeedOutcome, Fleet, FleetSnapshot, ShardHealth, ShardSpec,
+    ShardStatus,
 };
 pub use governor::{GovernorConfig, LoadModel, LoadRung, OverloadGovernor};
 pub use metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Stage, StageSnapshot};
@@ -66,7 +61,7 @@ pub use persist::{
 };
 pub use scope::{NrScope, ScopeStats, SyncState, UeEvent};
 pub use telemetry::TelemetryRecord;
-pub use worker::{InjectedFault, PoolConfig, PoolStats, WorkerPool};
+pub use worker::{PoolConfig, PoolStats, SlotHook, WorkerPool};
 
 /// Rate-matched PBCH bit budget. Must equal the renderer's
 /// (`gnb_sim::iq::PBCH_E_BITS`); asserted in integration tests.

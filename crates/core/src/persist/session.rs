@@ -487,19 +487,16 @@ impl PersistentSession {
         self.batch.reset(recycled);
     }
 
-    /// Chaos hook
-    /// ([`HangTarget::JournalWriter`](crate::chaos::HangTarget)): wedge
-    /// this session's journal-writer thread for `dur`. Decode continues;
-    /// batches back up behind the wedge, and once the submit grace runs
-    /// out the ladder demotes honestly ([`DurabilityRung::NonDurable`],
-    /// loss window reported unbounded) until a post-wedge probe
-    /// re-promotes and the session re-anchors on a fresh checkpoint.
+    /// Wedge this session's journal-writer thread for `dur`, on any
+    /// backend. Decode continues; batches back up behind the wedge, and
+    /// once the submit grace runs out the ladder demotes honestly
+    /// ([`DurabilityRung::NonDurable`], loss window reported unbounded)
+    /// until a post-wedge probe re-promotes. The perf ledger's
+    /// `durable_demotion` test drives it on the real filesystem; every
+    /// other fault path stalls a [`FaultyBackend`](super::FaultyBackend)
+    /// with its `stall_writes` instead.
     pub fn inject_writer_wedge(&mut self, dur: Duration) {
-        self.scope.metrics().note(
-            "chaos",
-            format!("journal writer wedged for {} ms", dur.as_millis()),
-        );
-        self.writer.inject_wedge(dur);
+        self.writer.wedge(dur);
     }
 
     /// Seal and drain the in-flight batch, returning once the writer has

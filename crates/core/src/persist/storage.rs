@@ -10,12 +10,12 @@
 //! data that was durably written.
 
 use crate::worker::lock_clean;
-use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// A writable file handle issued by a [`StorageBackend`].
 pub trait StorageFile: Send {
@@ -109,9 +109,8 @@ pub(super) fn is_enospc(e: &io::Error) -> bool {
     e.raw_os_error() == Some(28)
 }
 
-/// One kind of injectable storage fault. Serialisable so a chaos plan can
-/// script storage windows for a supervised child process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One kind of injectable storage fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// `write` fails with `EIO` (transient within its window, persistent
     /// when the window is unbounded).
@@ -178,6 +177,8 @@ struct FaultState {
     renames: u64,
     opens: u64,
     removes: u64,
+    /// Writes attempted before this instant block until it.
+    stall_until: Option<Instant>,
 }
 
 impl FaultState {
@@ -210,6 +211,7 @@ impl FaultyBackend {
                 renames: 0,
                 opens: 0,
                 removes: 0,
+                stall_until: None,
             })),
         }
     }
@@ -218,6 +220,14 @@ impl FaultyBackend {
     /// `backend.writes()..` makes a fault persistent "from now on").
     pub fn arm(&self, kind: FaultKind, window: Range<u64>) {
         lock_clean(&self.state).schedule.faults.push((kind, window));
+    }
+
+    /// Stall the disk for `dur` from now, as a blocked disk would: every
+    /// write attempted before the deadline sleeps until it, then proceeds
+    /// (or meets whatever fault is armed). Nothing fails; whoever writes
+    /// just stops making progress.
+    pub fn stall_writes(&self, dur: Duration) {
+        lock_clean(&self.state).stall_until = Some(Instant::now() + dur);
     }
 
     /// Disarm every scheduled fault (the "disk recovered" transition).
@@ -251,6 +261,10 @@ impl FaultyBackend {
     }
 
     fn next_write_fault(&self) -> Option<FaultKind> {
+        let stall_until = lock_clean(&self.state).stall_until;
+        if let Some(until) = stall_until {
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        }
         let mut s = lock_clean(&self.state);
         let i = s.writes;
         s.writes += 1;
@@ -428,6 +442,14 @@ mod tests {
         backend.arm(FaultKind::RenameFail, twin.renames()..u64::MAX);
         let to = dir.join("renamed.bin");
         assert!(twin.rename(&path, &to).is_err());
+
+        // A stall blocks a write until its deadline, then lets it land.
+        let stall = Duration::from_millis(50);
+        backend.stall_writes(stall);
+        let t0 = Instant::now();
+        f.write_all(b"gggg").unwrap();
+        assert!(t0.elapsed() >= stall, "the write waited out the stall");
+        assert_eq!(f.file_len().unwrap(), 16);
         let _ = fs::remove_dir_all(&dir);
     }
 }

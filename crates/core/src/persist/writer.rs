@@ -161,10 +161,9 @@ enum WriterCmd {
     /// Fire-and-forget — the session observes the outcome through the
     /// shared rung atomic.
     Probe { id: u64 },
-    /// Chaos injection: sleep in-line on the writer thread for the given
-    /// duration, so queued batches back up exactly as they would behind a
-    /// blocked disk driver. The submit path's bounded patience must then
-    /// demote durability honestly instead of stalling the slot loop.
+    /// Sleep in-line on the writer thread, so queued batches back up as
+    /// they would behind a blocked disk
+    /// ([`PersistentSession::inject_writer_wedge`](super::PersistentSession::inject_writer_wedge)).
     Wedge { duration_ms: u64 },
     /// Drain and forget file `id`.
     Close { id: u64, ack: SyncSender<bool> },
@@ -440,11 +439,9 @@ impl JournalWriter {
         self.try_send(WriterCmd::Probe { id }).is_ok()
     }
 
-    /// Chaos hook: wedge the writer thread for `dur`. It sleeps in-line,
-    /// so everything queued behind the wedge backs up exactly like a
-    /// blocked disk driver. Returns `false` if the command could not be
-    /// enqueued (thread gone or queue already full).
-    pub fn inject_wedge(&self, dur: Duration) -> bool {
+    /// Wedge the writer thread for `dur`. Returns `false` if the command
+    /// could not be enqueued (thread gone or queue already full).
+    pub(super) fn wedge(&self, dur: Duration) -> bool {
         self.try_send(WriterCmd::Wedge {
             duration_ms: dur.as_millis() as u64,
         })

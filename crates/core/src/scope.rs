@@ -663,7 +663,7 @@ impl NrScope {
             hyp: self.hypotheses(&ctx.coreset),
             ctx,
             dci_threads: DCI_THREADS,
-            fault: None,
+            hook: None,
             budget: self.governor.search_budget(),
         })
     }

@@ -11,8 +11,8 @@
 //!
 //! Liveness: the child emits [`ChildMsg::Heartbeat`] whenever it has been
 //! busy longer than `supervise.heartbeat_interval_ms` without writing a
-//! line (deep gap-fills, slow slots), so the parent can tell *busy* from
-//! *wedged*. [`ChildHandle::recv_timeout`] bounds every read; the
+//! line (deep gap-fills), so the parent can tell *busy* from *wedged*.
+//! [`ChildHandle::recv_timeout`] bounds every read; the
 //! [`Supervisor`] classifies silence past `supervise.hang_deadline_ms` as
 //! a hang — force-kill, count it, warm-restart exactly like a crash. A
 //! token-bucket [`RestartBreaker`] meters respawns so a crash loop parks
@@ -23,13 +23,13 @@
 //! typed [`WireError`] — counted, the stream re-synced at the next
 //! newline — never an aborted session.
 
-use crate::chaos::{ChaosChildPlan, HangTarget, CHAOS_PLAN_FILE};
 use crate::config::{ScopeConfig, SuperviseConfig};
 use crate::metrics::{Counter, Gauge, Metrics};
 use crate::observe::{Capture, DropReason};
-use crate::persist::{FaultyBackend, PersistConfig, PersistentSession, RecoveryReport};
+use crate::persist::{PersistConfig, PersistentSession, RecoveryReport};
 use crate::scope::SyncState;
 use crate::telemetry::TelemetryRecord;
+use crate::worker::SlotHook;
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, Read, Write};
@@ -337,56 +337,6 @@ impl<W: Write> ChildIo<W> {
     }
 }
 
-/// Child-side chaos state: scripted hangs, overload dwell, and storage
-/// windows from the session directory's plan file (absent in normal runs).
-struct ChildChaos {
-    plan: ChaosChildPlan,
-    backend: Option<FaultyBackend>,
-    storage_armed: Vec<bool>,
-}
-
-impl ChildChaos {
-    fn load(dir: &Path) -> Option<ChildChaos> {
-        let text = std::fs::read_to_string(dir.join(CHAOS_PLAN_FILE)).ok()?;
-        let plan = ChaosChildPlan::from_json(&text).ok()?;
-        let storage_armed = vec![false; plan.storage_windows.len()];
-        Some(ChildChaos {
-            plan,
-            backend: None,
-            storage_armed,
-        })
-    }
-
-    /// Keep the faulty backend's armed windows in step with the slot clock.
-    fn service_storage(&mut self, seq: u64) {
-        let Some(backend) = &self.backend else { return };
-        let mut any_cleared = false;
-        for (i, w) in self.plan.storage_windows.iter().enumerate() {
-            if self.storage_armed[i] && seq >= w.until_slot {
-                self.storage_armed[i] = false;
-                any_cleared = true;
-            }
-        }
-        if any_cleared {
-            // clear_faults drops every armed window, so re-arm the ones
-            // still live (windows are scripted non-overlapping, but stay
-            // correct if they aren't).
-            backend.clear_faults();
-            for (i, w) in self.plan.storage_windows.iter().enumerate() {
-                if self.storage_armed[i] {
-                    backend.arm(w.kind, 0..u64::MAX);
-                }
-            }
-        }
-        for (i, w) in self.plan.storage_windows.iter().enumerate() {
-            if !self.storage_armed[i] && seq >= w.from_slot && seq < w.until_slot {
-                self.storage_armed[i] = true;
-                backend.arm(w.kind, 0..u64::MAX);
-            }
-        }
-    }
-}
-
 /// Something the watermark rule can drive (a [`PersistentSession`], a
 /// fleet shard's engine): it knows the next slot it expects and processes
 /// exactly that slot's capture.
@@ -429,29 +379,21 @@ pub fn feed_at_watermark<E: SlotEngine>(
     Some(engine.process_capture(capture))
 }
 
-/// Child main loop: recover the session from `dir`, announce [`Hello`],
-/// then process [`WireMsg`] lines from stdin until `Finish` or EOF, each
-/// `Slot` through [`feed_at_watermark`] (a replayed slot is acknowledged
-/// without reprocessing).
-///
-/// If the session directory holds a [`ChaosChildPlan`]
-/// ([`CHAOS_PLAN_FILE`]), its scripted hangs, overload dwell, and storage
-/// windows are applied — the seeded fault hooks the chaos engine drives.
-pub fn run_child(dir: &Path, assumed_pci: Option<Pci>) -> io::Result<()> {
-    let scope_cfg = match std::fs::read_to_string(dir.join(CONFIG_FILE)) {
+/// Child main loop: recover the session in `persist.dir` (configured by
+/// its [`CONFIG_FILE`], if present), announce [`Hello`], then process
+/// [`WireMsg`] lines from stdin until `Finish` or EOF, each `Slot` through
+/// `hook` (if any) and [`feed_at_watermark`] (a replayed slot is
+/// acknowledged without reprocessing).
+pub fn run_child(
+    persist: PersistConfig,
+    assumed_pci: Option<Pci>,
+    hook: Option<SlotHook>,
+) -> io::Result<()> {
+    let scope_cfg = match std::fs::read_to_string(persist.dir.join(CONFIG_FILE)) {
         Ok(s) => ScopeConfig::from_json(&s).map_err(io::Error::from)?,
         Err(_) => ScopeConfig::default(),
     };
-    let mut chaos = ChildChaos::load(dir);
-    let mut persist_cfg = PersistConfig::new(dir);
-    if let Some(c) = chaos.as_mut() {
-        if !c.plan.storage_windows.is_empty() {
-            let backend = FaultyBackend::new(Default::default());
-            persist_cfg = persist_cfg.with_backend(Arc::new(backend.clone()));
-            c.backend = Some(backend);
-        }
-    }
-    let (mut session, report) = PersistentSession::open(persist_cfg, scope_cfg, assumed_pci)?;
+    let (mut session, report) = PersistentSession::open(persist, scope_cfg, assumed_pci)?;
     let stdout = io::stdout();
     let mut io = ChildIo {
         out: stdout.lock(),
@@ -476,8 +418,8 @@ pub fn run_child(dir: &Path, assumed_pci: Option<Pci>) -> io::Result<()> {
         };
         match msg {
             WireMsg::Slot { seq, capture } => {
-                if let Some(c) = chaos.as_mut() {
-                    apply_child_chaos(c, seq, &mut session, &mut io)?;
+                if let Some(hook) = &hook {
+                    hook.call(seq);
                 }
                 // Deep gap-fill after a long outage: prove liveness every
                 // 256 drops so the parent doesn't read hard work as a hang.
@@ -530,51 +472,6 @@ pub fn run_child(dir: &Path, assumed_pci: Option<Pci>) -> io::Result<()> {
     // EOF without Finish: the parent died or closed the pipe. State up to
     // the last processed slot is already journalled; checkpoint and leave.
     let _ = session.finalize();
-    Ok(())
-}
-
-/// Apply the chaos plan's scripted faults for fed slot `seq`.
-fn apply_child_chaos<W: Write>(
-    chaos: &mut ChildChaos,
-    seq: u64,
-    session: &mut PersistentSession,
-    io: &mut ChildIo<W>,
-) -> io::Result<()> {
-    chaos.service_storage(seq);
-    for p in &chaos.plan.hangs {
-        if p.slot != seq {
-            continue;
-        }
-        let dur = Duration::from_millis(p.duration_ms);
-        match p.target {
-            // The wedge being simulated: the slot loop stops dead — no
-            // heartbeats, no acks. The parent must detect and kill us.
-            HangTarget::SlotLoop => std::thread::sleep(dur),
-            // The journal writer wedges but the slot loop stays live; the
-            // durability ladder must demote honestly while batches back
-            // up ([`PersistentSession::inject_writer_wedge`]).
-            HangTarget::JournalWriter => session.inject_writer_wedge(dur),
-            // Shard wedges are a fleet-side fault; not ours.
-            HangTarget::FleetShard(_) => {}
-        }
-    }
-    for w in &chaos.plan.overload_windows {
-        if seq >= w.from_slot && seq < w.until_slot {
-            // Busy-but-alive dwell: sleep in sub-interval steps, emitting
-            // heartbeats, exactly like a slow decode would.
-            let mut left = Duration::from_micros(w.dwell_us);
-            let step = io.interval / 2;
-            while !left.is_zero() {
-                let chunk = left.min(step.max(Duration::from_micros(50)));
-                std::thread::sleep(chunk);
-                left = left.saturating_sub(chunk);
-                io.heartbeat_if_due(
-                    session.scope().slot_watermark(),
-                    session.durable_watermark(),
-                )?;
-            }
-        }
-    }
     Ok(())
 }
 
@@ -1261,54 +1158,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_decoder_parses_clean_lines() {
-        let mut d = FrameDecoder::new();
-        let msg = ChildMsg::Done { final_slot: 42 };
-        let line = format!("{}\n", serde_json::to_string(&msg).unwrap());
-        d.push(line.as_bytes());
-        match d.next_frame() {
-            Some(Frame::Msg(m)) => match *m {
-                ChildMsg::Done { final_slot } => assert_eq!(final_slot, 42),
-                other => panic!("wrong message: {other:?}"),
-            },
-            other => panic!("expected Msg, got {other:?}"),
-        }
-        assert!(d.next_frame().is_none());
-        assert_eq!(d.errors(), 0);
-        assert!(d.finish().is_none());
-    }
-
-    #[test]
-    fn frame_decoder_resyncs_after_garbage() {
-        let mut d = FrameDecoder::new();
-        let good = format!(
-            "{}\n",
-            serde_json::to_string(&ChildMsg::Done { final_slot: 7 }).unwrap()
-        );
-        // Garbage, a corrupt JSON line, then a good frame — the good frame
-        // must still come through.
-        d.push(b"\x00\xffnot json at all\n{\"Ack\":{\"seq\":\n");
-        d.push(good.as_bytes());
-        let mut errs = 0;
-        let mut done = false;
-        while let Some(f) = d.next_frame() {
-            match f {
-                Frame::Err(e) => {
-                    assert_eq!(e, WireError::Malformed);
-                    errs += 1;
-                }
-                Frame::Msg(m) => {
-                    assert!(matches!(*m, ChildMsg::Done { final_slot: 7 }));
-                    done = true;
-                }
-            }
-        }
-        assert_eq!(errs, 2, "both garbage lines counted");
-        assert!(done, "stream re-synced to the good frame");
-        assert_eq!(d.errors(), 2);
-    }
-
-    #[test]
     fn frame_decoder_bounds_oversized_lines() {
         let mut d = FrameDecoder::with_max_frame(64);
         // A 10 KiB line with no newline yet must not balloon the buffer.
@@ -1327,51 +1176,6 @@ mod tests {
         );
         d.push(good.as_bytes());
         assert!(matches!(d.next_frame(), Some(Frame::Msg(_))));
-    }
-
-    #[test]
-    fn frame_decoder_truncated_tail_is_typed() {
-        let mut d = FrameDecoder::new();
-        d.push(b"{\"Done\":{\"final_slot\":9");
-        assert!(d.next_frame().is_none());
-        assert_eq!(d.finish(), Some(WireError::Truncated));
-        assert_eq!(d.errors(), 1);
-    }
-
-    #[test]
-    fn breaker_opens_on_exhaustion_and_halfopen_recovers() {
-        let mut b = RestartBreaker::new(2, 1_000_000, 100);
-        assert!(b.try_acquire(0));
-        assert!(b.try_acquire(1));
-        assert_eq!(b.state(), BreakerState::Closed);
-        // Third restart inside the window: bucket empty, breaker opens.
-        assert!(!b.try_acquire(2));
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.openings(), 1);
-        // Parked during backoff.
-        assert!(!b.try_acquire(50));
-        // Past the half-open backoff: one probe granted.
-        assert!(b.try_acquire(103));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        // No second restart while the probe is outstanding.
-        assert!(!b.try_acquire(104));
-        b.probe_result(true, 105);
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.try_acquire(106), "closed with a fresh token");
-    }
-
-    #[test]
-    fn breaker_failed_probe_reopens() {
-        let mut b = RestartBreaker::new(1, 1_000_000, 10);
-        assert!(b.try_acquire(0));
-        assert!(!b.try_acquire(1));
-        assert!(b.try_acquire(12));
-        b.probe_result(false, 12);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.openings(), 2);
-        // Another full backoff before the next probe.
-        assert!(!b.try_acquire(13));
-        assert!(b.try_acquire(23));
     }
 
     #[test]

@@ -32,15 +32,30 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A scripted fault a test can plant inside one job (chaos testing of the
-/// pool's and the fleet's panic quarantine and backpressure).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum InjectedFault {
-    /// `process_slot` panics on this job.
-    Panic,
-    /// `process_slot` sleeps this long first (a pathologically slow slot,
-    /// used to force queue backpressure deterministically).
-    Delay(Duration),
+/// The one seam at slot boundaries: every slot path (a pool job, a fleet
+/// shard's slot, a supervised child's slot) calls it once with the fed
+/// slot, before decoding. Fault injection lives in the caller's closure:
+/// a hook that panics is a crashing slot, one that sleeps a slow or hung
+/// one.
+#[derive(Clone)]
+pub struct SlotHook(Arc<dyn Fn(u64) + Send + Sync>);
+
+impl SlotHook {
+    /// Wrap `f`.
+    pub fn new(f: impl Fn(u64) + Send + Sync + 'static) -> SlotHook {
+        SlotHook(Arc::new(f))
+    }
+
+    /// Run the hook for fed slot `slot`.
+    pub fn call(&self, slot: u64) {
+        (self.0)(slot)
+    }
+}
+
+impl std::fmt::Debug for SlotHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SlotHook")
+    }
 }
 
 /// One slot of work, self-contained (the "copy of data and state").
@@ -61,8 +76,8 @@ pub struct SlotJob {
     /// PDCCH search budget from the overload governor (gates only the
     /// UE-specific pass; unlimited by default).
     pub budget: SearchBudget,
-    /// Scripted fault (tests only; `None` in production paths).
-    pub fault: Option<InjectedFault>,
+    /// Run before the slot is decoded (`None` in production paths).
+    pub hook: Option<SlotHook>,
 }
 
 /// A processed slot.
@@ -146,10 +161,8 @@ fn run_job(job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
 
 fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
     let start = Instant::now();
-    match job.fault {
-        Some(InjectedFault::Panic) => panic!("injected fault in slot {}", job.slot),
-        Some(InjectedFault::Delay(d)) => std::thread::sleep(d),
-        None => {}
+    if let Some(hook) = &job.hook {
+        hook.call(job.slot);
     }
     let threads = job.dci_threads.max(1);
     // Shard the C-RNTI list; the common hypotheses ride with shard 0
@@ -476,6 +489,17 @@ mod tests {
     use ue_sim::traffic::{TrafficKind, TrafficSource};
     use ue_sim::{MobilityScenario, SimUe};
 
+    /// A job hook that panics the way a poison slot does.
+    fn poisoned() -> Option<SlotHook> {
+        Some(SlotHook::new(|slot| {
+            panic!("injected fault in slot {slot}")
+        }))
+    }
+
+    fn sleeps(d: Duration) -> Option<SlotHook> {
+        Some(SlotHook::new(move |_| std::thread::sleep(d)))
+    }
+
     fn make_job(dci_threads: usize) -> (SlotJob, usize) {
         make_job_on(CellConfig::srsran_n41(), false, dci_threads)
     }
@@ -523,7 +547,7 @@ mod tests {
                         hyp,
                         dci_threads,
                         budget: SearchBudget::unlimited(),
-                        fault: None,
+                        hook: None,
                     },
                     n_c,
                 );
@@ -569,10 +593,10 @@ mod tests {
             decodes(job);
         }
         let poisoned = SlotJob {
-            fault: Some(InjectedFault::Panic),
+            hook: poisoned(),
             ..mu0.0.clone()
         };
-        assert!(catch_unwind(|| process_slot(&poisoned)).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| process_slot(&poisoned))).is_err());
         decodes(&mu0);
         // Before SIB1 a job names a numerology and no carrier: its layout
         // is still its own (here the CORESET 0 width, which is this cell's
@@ -616,7 +640,7 @@ mod tests {
             let mut j = job.clone();
             j.slot = i;
             if i == 4 {
-                j.fault = Some(InjectedFault::Panic);
+                j.hook = poisoned();
             }
             pool.submit(j).expect("queue open");
         }
@@ -641,7 +665,7 @@ mod tests {
         let mut pool = WorkerPool::new(1);
         let mut poison = job.clone();
         poison.slot = 99;
-        poison.fault = Some(InjectedFault::Panic);
+        poison.hook = poisoned();
         pool.submit(poison).expect("queue open");
         pool.submit(job.clone()).expect("queue open");
         let (results, stats, quarantined) = pool.finish_with_stats();
@@ -659,7 +683,7 @@ mod tests {
         // Jam the single worker: the last jobs fit only once it is free.
         let start = Instant::now();
         let mut slow = job.clone();
-        slow.fault = Some(InjectedFault::Delay(Duration::from_millis(200)));
+        slow.hook = sleeps(Duration::from_millis(200));
         pool.submit(slow).expect("queue open");
         let n = JOB_QUEUE_DEPTH + 8;
         for i in 0..n {
@@ -681,7 +705,7 @@ mod tests {
         let (job, _) = make_job(1);
         let mut pool = WorkerPool::new(1);
         let mut stuck = job.clone();
-        stuck.fault = Some(InjectedFault::Delay(Duration::from_secs(30)));
+        stuck.hook = sleeps(Duration::from_secs(30));
         pool.submit(stuck).expect("queue open");
         let start = Instant::now();
         let results = pool.run_down(Duration::from_millis(50));

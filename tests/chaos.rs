@@ -12,7 +12,7 @@ use nr_scope::phy::pdcch::SearchBudget;
 use nr_scope::phy::types::{Pci, RntiType};
 use nr_scope::scope::decoder::{DecoderContext, Hypotheses, UeHypothesis};
 use nr_scope::scope::observe::Observer;
-use nr_scope::scope::worker::{InjectedFault, SlotJob, WorkerPool};
+use nr_scope::scope::worker::{SlotHook, SlotJob, WorkerPool};
 use nr_scope::scope::{ImpairmentSchedule, NrScope, ScopeConfig, SyncState};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
@@ -96,22 +96,22 @@ fn chaos_run_self_heals_and_keeps_accuracy() {
         clean_out = gnb.step();
     }
     let observed = obs.observe(&clean_out, 8000.0 * slot_s);
-    let job = |slot: u64, fault: Option<InjectedFault>| SlotJob {
+    let job = |slot: u64, hook: Option<SlotHook>| SlotJob {
         slot,
         slot_in_frame: clean_out.slot_in_frame,
         observed: observed.clone(),
         ctx: ctx.clone(),
         hyp: hyp.clone(),
         dci_threads: 1,
-        fault,
+        hook,
         budget: SearchBudget::unlimited(),
     };
     let mut pool = WorkerPool::new(1);
     for s in [0, 2, 3, 4, 5, 6, 7] {
         pool.submit(job(s, None)).expect("queue open");
     }
-    pool.submit(job(1, Some(InjectedFault::Panic)))
-        .expect("queue open");
+    let poison = SlotHook::new(|slot| panic!("injected fault in slot {slot}"));
+    pool.submit(job(1, Some(poison))).expect("queue open");
     pool.submit(job(9, None)).expect("queue open");
     let (results, pool_stats, quarantined) = pool.finish_with_stats();
     assert_eq!(pool_stats.worker_panics, 1, "one injected panic survived");

@@ -5,9 +5,8 @@
 
 use nr_scope::gnb::{CellConfig, MultiCellSim};
 use nr_scope::phy::channel::ChannelProfile;
-use nr_scope::scope::fleet::{FaultPlan, Fleet, ShardHealth, ShardSpec};
-use nr_scope::scope::worker::InjectedFault;
-use nr_scope::scope::{Capture, FleetConfig, NrScope, PersistConfig, ScopeConfig};
+use nr_scope::scope::fleet::{Fleet, ShardHealth, ShardSpec};
+use nr_scope::scope::{Capture, FleetConfig, NrScope, PersistConfig, ScopeConfig, SlotHook};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
 use std::path::PathBuf;
@@ -64,19 +63,19 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Feed `range` of both lanes with pacing, injecting `fault` on shard 0
-/// at `fault_at`, and wait for the queues to drain.
-fn feed_slots(
-    fleet: &Fleet,
-    lanes: &[Vec<Capture>],
-    range: std::ops::Range<u64>,
-    fault_at: u64,
-    fault: FaultPlan,
-) {
-    for s in range {
-        if s == fault_at {
-            fleet.inject_fault(0, fault);
+/// Shard 0's hook: panic on its slot `at`.
+fn panic_at(at: u64) -> SlotHook {
+    SlotHook::new(move |slot| {
+        if slot == at {
+            panic!("injected shard fault");
         }
+    })
+}
+
+/// Feed `range` of both lanes with pacing, and wait for the queues to
+/// drain.
+fn feed_slots(fleet: &Fleet, lanes: &[Vec<Capture>], range: std::ops::Range<u64>) {
+    for s in range {
         for (i, lane) in lanes.iter().enumerate() {
             fleet.feed(i, s, lane[s as usize].clone());
         }
@@ -91,11 +90,11 @@ fn feed_slots(
     assert!(fleet.quiesce(Duration::from_secs(30)), "fleet drained");
 }
 
-/// Feed both lanes with pacing, injecting `fault` on shard 0 at
-/// `fault_at`, then drive supervision until both shards are healthy and
-/// drained.
-fn run_fleet_with_fault(fleet: &Fleet, lanes: &[Vec<Capture>], fault_at: u64, fault: FaultPlan) {
-    feed_slots(fleet, lanes, 0..lanes[0].len() as u64, fault_at, fault);
+/// Feed both lanes with pacing, `fault` hooked on shard 0, then drive
+/// supervision until both shards are healthy and drained.
+fn run_fleet_with_fault(fleet: &Fleet, lanes: &[Vec<Capture>], fault: SlotHook) {
+    fleet.set_slot_hook(0, Some(fault));
+    feed_slots(fleet, lanes, 0..lanes[0].len() as u64);
     let deadline = Instant::now() + Duration::from_secs(30);
     while Instant::now() < deadline {
         fleet.supervise();
@@ -165,12 +164,7 @@ fn killed_shard_warm_restarts_while_sibling_is_bit_identical() {
         specs,
     )
     .expect("fleet");
-    run_fleet_with_fault(
-        &fleet,
-        &lanes,
-        2000,
-        FaultPlan::OneShot(InjectedFault::Panic),
-    );
+    run_fleet_with_fault(&fleet, &lanes, panic_at(2000));
 
     let status = fleet.shard_status(0);
     assert_eq!(status.panics, 1, "panic was caught");
@@ -224,12 +218,12 @@ fn wedged_shard_is_fenced_and_resumes_at_exact_slot() {
         specs,
     )
     .expect("fleet");
-    run_fleet_with_fault(
-        &fleet,
-        &lanes,
-        1500,
-        FaultPlan::OneShot(InjectedFault::Delay(Duration::from_millis(1250))),
-    );
+    let stall = |slot| {
+        if slot == 1500 {
+            std::thread::sleep(Duration::from_millis(1250));
+        }
+    };
+    run_fleet_with_fault(&fleet, &lanes, SlotHook::new(stall));
 
     let status = fleet.shard_status(0);
     assert!(status.wedges >= 1, "watchdog fenced the stall");
@@ -365,12 +359,7 @@ fn dead_disk_shard_degrades_to_volatile_instead_of_restart_looping() {
     // The disk dies: every file open from now on fails, so the panic's
     // warm restart can never rebuild a durable session.
     backend.arm(FaultKind::OpenFail, backend.opens()..u64::MAX);
-    run_fleet_with_fault(
-        &fleet,
-        &lanes,
-        1000,
-        FaultPlan::OneShot(InjectedFault::Panic),
-    );
+    run_fleet_with_fault(&fleet, &lanes, panic_at(1000));
 
     let status = fleet.shard_status(0);
     assert_eq!(status.health, ShardHealth::Healthy, "degraded, not faulted");
@@ -449,12 +438,12 @@ fn dead_disk_shard_is_probed_back_to_durable_once_the_disk_returns() {
         specs,
     )
     .expect("fleet");
-    let panic = FaultPlan::OneShot(InjectedFault::Panic);
+    fleet.set_slot_hook(0, Some(panic_at(PANIC_AT)));
 
     // The disk dies; the panic's durable rebuilds all fail, the budget
     // drains, and the shard is parked on the volatile fallback.
     backend.arm(FaultKind::OpenFail, backend.opens()..u64::MAX);
-    feed_slots(&fleet, &lanes, 0..DISK_BACK_AT, PANIC_AT, panic);
+    feed_slots(&fleet, &lanes, 0..DISK_BACK_AT);
     let status = fleet.shard_status(0);
     assert_eq!(status.breaker, BreakerState::Open, "parked lame-duck");
     assert_eq!(status.health, ShardHealth::Healthy, "degraded, not faulted");
@@ -476,7 +465,7 @@ fn dead_disk_shard_is_probed_back_to_durable_once_the_disk_returns() {
     // The disk comes back; the feed carries the breaker's slot clock past
     // the half-open backoff and the probe rebuild succeeds.
     backend.clear_faults();
-    feed_slots(&fleet, &lanes, DISK_BACK_AT..slots, PANIC_AT, panic);
+    feed_slots(&fleet, &lanes, DISK_BACK_AT..slots);
     let status = fleet.shard_status(0);
     assert_eq!(status.breaker, BreakerState::Closed, "probe closed it");
     let recovery = status.last_recovery.expect("durable engine recovered");

@@ -1,6 +1,6 @@
 //! Liveness-supervision integration tests: hang detection, restart-storm
-//! circuit breaking, honest durability demotion under a wedged journal
-//! writer, and the tolerant pipe framing.
+//! circuit breaking, honest durability demotion under a disk that stalls
+//! the journal writer, and the tolerant pipe framing.
 //!
 //! The supervised-child tests re-invoke this very test binary as the
 //! child process: [`child_entry`] is an `#[ignore]`d test selected with
@@ -13,14 +13,15 @@ use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::phy::types::Pci;
-use nr_scope::scope::chaos::{ChaosChildPlan, HangSchedule, HangTarget, CHAOS_PLAN_FILE};
 use nr_scope::scope::observe::{Capture, Observer};
-use nr_scope::scope::persist::{DurabilityRung, PersistConfig, PersistentSession};
+use nr_scope::scope::persist::{
+    DurabilityRung, FaultyBackend, PersistConfig, PersistentSession, StorageFaultSchedule,
+};
 use nr_scope::scope::supervise::{
     self, BreakerState, ChildMsg, Frame, FrameDecoder, RestartBreaker, RestartCause, SlotOutcome,
     Supervisor,
 };
-use nr_scope::scope::{Metrics, ScopeConfig, StoragePolicy};
+use nr_scope::scope::{Metrics, ScopeConfig, SlotHook, StoragePolicy};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
 use std::path::{Path, PathBuf};
@@ -29,6 +30,7 @@ use std::time::{Duration, Instant};
 
 const CHILD_DIR_ENV: &str = "NRSCOPE_LIVENESS_CHILD_DIR";
 const CHILD_PCI_ENV: &str = "NRSCOPE_LIVENESS_CHILD_PCI";
+const CHILD_HANG_SLOT_ENV: &str = "NRSCOPE_LIVENESS_CHILD_HANG_SLOT";
 
 /// Scheduling slop allowed on top of the hang deadline: pipe polls, the
 /// force-kill, and CI jitter.
@@ -84,9 +86,10 @@ fn tuned_config() -> ScopeConfig {
 }
 
 /// A supervisor whose child is this test binary re-running
-/// [`child_entry`], with the session directory and PCI in the
-/// environment (the supervisor re-applies them on every warm restart).
-fn spawn_supervisor(dir: &Path, cfg: &ScopeConfig, pci: Pci) -> Supervisor {
+/// [`child_entry`], with the session directory, PCI and the fed slot its
+/// slot loop hangs at (if any) in the environment (the supervisor
+/// re-applies them on every warm restart).
+fn spawn_supervisor(dir: &Path, cfg: &ScopeConfig, pci: Pci, hang_slot: Option<u64>) -> Supervisor {
     let exe = std::env::current_exe().expect("test binary path");
     let args: Vec<String> = [
         "child_entry",
@@ -98,10 +101,13 @@ fn spawn_supervisor(dir: &Path, cfg: &ScopeConfig, pci: Pci) -> Supervisor {
     .iter()
     .map(|s| s.to_string())
     .collect();
-    let envs = vec![
+    let mut envs = vec![
         (CHILD_DIR_ENV.to_string(), dir.display().to_string()),
         (CHILD_PCI_ENV.to_string(), pci.0.to_string()),
     ];
+    if let Some(slot) = hang_slot {
+        envs.push((CHILD_HANG_SLOT_ENV.to_string(), slot.to_string()));
+    }
     Supervisor::new(
         &exe,
         &args,
@@ -124,10 +130,21 @@ fn child_entry() {
         .ok()
         .and_then(|s| s.parse::<u16>().ok())
         .map(Pci);
+    // The slot loop stops dead at the hang slot, far past the deadline:
+    // only a force-kill can end it. Keyed on the fed slot, so it cannot
+    // re-fire after the restart.
+    let hang_slot = std::env::var(CHILD_HANG_SLOT_ENV).ok();
+    let hook = hang_slot.and_then(|s| s.parse::<u64>().ok()).map(|at| {
+        SlotHook::new(move |slot| {
+            if slot == at {
+                std::thread::sleep(Duration::from_secs(30));
+            }
+        })
+    });
     // Start the protocol on a fresh line: libtest's banner shares this
     // stdout, and the parent's tolerant framing skips it as noise.
     println!();
-    supervise::run_child(Path::new(&dir), pci).expect("child pipeline");
+    supervise::run_child(PersistConfig::new(dir), pci, hook).expect("child pipeline");
 }
 
 /// Tentpole contract: a child whose slot loop stops dead (no acks, no
@@ -143,19 +160,9 @@ fn hung_child_is_detected_within_deadline_and_resumes_at_watermark() {
     let dir = tmp_dir("hang");
     let cfg = tuned_config();
     std::fs::write(dir.join(supervise::CONFIG_FILE), cfg.to_json()).expect("write config");
-    // Wedge the slot loop far past the deadline: only a force-kill can
-    // end it. Keyed on the fed slot, so it cannot re-fire after restart.
-    let plan = ChaosChildPlan {
-        hangs: HangSchedule::new()
-            .wedge(HangTarget::SlotLoop, HANG_SLOT, 30_000)
-            .hangs,
-        storage_windows: Vec::new(),
-        overload_windows: Vec::new(),
-    };
-    std::fs::write(dir.join(CHAOS_PLAN_FILE), plan.to_json()).expect("write plan");
 
     let (caps, pci) = capture_tape(SLOTS);
-    let mut sup = spawn_supervisor(&dir, &cfg, pci);
+    let mut sup = spawn_supervisor(&dir, &cfg, pci, Some(HANG_SLOT));
     let hello = sup.start().expect("child starts");
     assert!(!hello.report.resumed, "first start must be a cold start");
 
@@ -277,7 +284,7 @@ fn restart_storm_trips_breaker_and_halfopen_probe_restores_service() {
     std::fs::write(dir.join(supervise::CONFIG_FILE), cfg.to_json()).expect("write config");
 
     let (caps, pci) = capture_tape(SLOTS);
-    let mut sup = spawn_supervisor(&dir, &cfg, pci);
+    let mut sup = spawn_supervisor(&dir, &cfg, pci, None);
     sup.start().expect("child starts");
 
     let mut lame_duck_slots = 0u64;
@@ -327,15 +334,16 @@ fn restart_storm_trips_breaker_and_halfopen_probe_restores_service() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A wedged journal-writer thread must not wedge decode: batches back up
-/// behind it, the ladder demotes to `NonDurable`, and — the honesty
-/// contract — the reported loss window goes unbounded (`None`) instead
-/// of keeping a stale promise. After the wedge a probe re-promotes and
-/// the loss window is bounded again.
+/// A disk that stalls under the journal writer must not wedge decode:
+/// batches back up behind it, the ladder demotes to `NonDurable`, and —
+/// the honesty contract — the reported loss window goes unbounded
+/// (`None`) instead of keeping a stale promise. After the stall a probe
+/// re-promotes and the loss window is bounded again.
 #[test]
 fn wedged_journal_writer_demotes_durability_honestly() {
     let dir = tmp_dir("writer-wedge");
-    let mut pcfg = PersistConfig::new(&dir);
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
+    let mut pcfg = PersistConfig::new(&dir).with_backend(Arc::new(backend.clone()));
     // Small batches and a fast re-probe so the whole ladder round-trip
     // fits in a test: the wedge backs the queue up within ~100 slots.
     pcfg.flush_max_slots = 8;
@@ -357,10 +365,10 @@ fn wedged_journal_writer_demotes_durability_honestly() {
     assert_eq!(session.durability_rung(), DurabilityRung::Durable);
     assert!(session.reported_loss_window().is_some());
 
-    // Drain the run-up's batches first: the wedge command shares the
-    // writer queue and is dropped (fire-and-forget) if the queue is full.
+    // Drain the run-up's batches first, so the stall meets an empty
+    // writer queue.
     assert!(session.flush_barrier());
-    session.inject_writer_wedge(Duration::from_millis(250));
+    backend.stall_writes(Duration::from_millis(250));
     let mut demoted_at = None;
     for _ in 0..2_000 {
         session.process_capture(&caps[seq]);
@@ -387,7 +395,7 @@ fn wedged_journal_writer_demotes_durability_honestly() {
     seq += 1;
     assert_eq!(session.scope().slot_watermark(), wm + 1);
 
-    // Let the wedge expire, then keep feeding slots: the flap-backoff
+    // Let the stall expire, then keep feeding slots: the flap-backoff
     // probe must re-promote and the loss window become bounded again.
     std::thread::sleep(Duration::from_millis(300));
     let mut repromoted = false;
