@@ -19,8 +19,9 @@ use crate::truth::{TruthLog, TruthRecord};
 use nr_mac::{Allocation, GnbHarqEntity, RachEvent, RachProcedure, RntiAllocator, Scheduler};
 use nr_phy::dci::{riv_encode, Dci, DciFormat, DciSizing};
 use nr_phy::frame::{SlotClock, SlotDirection};
-use nr_phy::mcs::{bler, McsEntry};
+use nr_phy::mcs::bler;
 use nr_phy::pdcch::{candidate_cce, ue_search_space_y, AggregationLevel};
+use nr_phy::tbs::{transport_block_size, TbsParams};
 use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_rrc::Mib;
 use rand::rngs::StdRng;
@@ -494,19 +495,22 @@ impl Gnb {
                 let att = self.connected.get(&rnti).expect("listed above");
                 let snr = att.snr_db_at(t);
                 let mcs = nr_phy::mcs::select_mcs(self.cfg.mcs_table, snr, 0.1);
-                let entry = self.cfg.mcs_table.entry(mcs).expect("valid MCS");
-                let demand = att.ul_buffer;
-                let prb_len = ul_span_for(demand, entry, &self.cfg).max(1);
-                if prb_cursor + prb_len > self.cfg.carrier_prbs {
-                    break;
-                }
-                let tbs = nr_phy::tbs::transport_block_size(&nr_phy::tbs::TbsParams {
-                    n_prb: prb_len,
+                let widest = TbsParams {
+                    n_prb: self.cfg.carrier_prbs,
                     n_symbols: self.cfg.data_symbols(),
                     dmrs_per_prb: self.cfg.dmrs_per_prb,
                     overhead_per_prb: self.cfg.x_overhead,
-                    mcs: entry,
+                    mcs: self.cfg.mcs_table.entry(mcs).expect("valid MCS"),
                     layers: 1,
+                };
+                let demand_bits = (att.ul_buffer as u64).saturating_mul(8);
+                let prb_len = nr_mac::scheduler::smallest_span(demand_bits, &widest).max(1);
+                if prb_cursor + prb_len > self.cfg.carrier_prbs {
+                    break;
+                }
+                let tbs = transport_block_size(&TbsParams {
+                    n_prb: prb_len,
+                    ..widest
                 });
                 let alloc = Allocation {
                     rnti,
@@ -936,25 +940,6 @@ impl Gnb {
         let base = slot + 1;
         base + (period + offset - base % period) % period
     }
-}
-
-/// Smallest UL PRB span whose single-layer TBS covers `bytes`.
-fn ul_span_for(bytes: usize, entry: McsEntry, cfg: &CellConfig) -> usize {
-    let bits = (bytes * 8) as u32;
-    for n_prb in 1..=cfg.carrier_prbs {
-        let tbs = nr_phy::tbs::transport_block_size(&nr_phy::tbs::TbsParams {
-            n_prb,
-            n_symbols: cfg.data_symbols(),
-            dmrs_per_prb: cfg.dmrs_per_prb,
-            overhead_per_prb: cfg.x_overhead,
-            mcs: entry,
-            layers: 1,
-        });
-        if tbs >= bits {
-            return n_prb;
-        }
-    }
-    cfg.carrier_prbs
 }
 
 #[cfg(test)]

@@ -53,6 +53,18 @@ impl SchedulerConfig {
             layers: 2,
         }
     }
+
+    /// TBS inputs of a grant at `mcs` across the whole carrier.
+    fn widest_grant(&self, mcs: u8) -> TbsParams {
+        TbsParams {
+            n_prb: self.carrier_prbs,
+            n_symbols: self.symbol_len,
+            dmrs_per_prb: self.dmrs_per_prb,
+            overhead_per_prb: self.overhead_per_prb,
+            mcs: self.mcs_table.entry(mcs).expect("valid MCS"),
+            layers: self.layers,
+        }
+    }
 }
 
 /// Scheduler view of one UE in one TTI.
@@ -108,7 +120,10 @@ fn build_allocation(
         // Reuse the same PRB budget the TBS needs (approximate the original
         // span by recomputing the smallest span that fits the TBS).
         let mcs = select_mcs(cfg.mcs_table, ue.snr_db, cfg.target_bler);
-        let prb_len = smallest_span_for(tbs, mcs, cfg).min(prb_budget).max(1);
+        let widest = cfg.widest_grant(mcs);
+        let prb_len = smallest_span(u64::from(tbs), &widest)
+            .min(prb_budget)
+            .max(1);
         return Some(Allocation {
             rnti: ue.rnti,
             format: DciFormat::Dl1_1,
@@ -130,20 +145,13 @@ fn build_allocation(
     }
     let harq_id = harq.free_process()?;
     let mcs = select_mcs(cfg.mcs_table, ue.snr_db, cfg.target_bler);
+    let widest = cfg.widest_grant(mcs);
     // Shrink the span to what the buffer needs.
-    let needed_bits = (ue.buffer_bytes * 8) as u32;
-    let mut prb_len = prb_budget;
-    let fitted = smallest_span_for(needed_bits, mcs, cfg);
-    if fitted < prb_len {
-        prb_len = fitted.max(1);
-    }
+    let needed_bits = (ue.buffer_bytes as u64).saturating_mul(8);
+    let prb_len = smallest_span(needed_bits, &widest).min(prb_budget).max(1);
     let tbs = transport_block_size(&TbsParams {
         n_prb: prb_len,
-        n_symbols: cfg.symbol_len,
-        dmrs_per_prb: cfg.dmrs_per_prb,
-        overhead_per_prb: cfg.overhead_per_prb,
-        mcs: cfg.mcs_table.entry(mcs).expect("valid MCS"),
-        layers: cfg.layers,
+        ..widest
     });
     if tbs == 0 {
         return None;
@@ -166,24 +174,27 @@ fn build_allocation(
     })
 }
 
-/// Smallest PRB count whose TBS covers `bits` at this MCS (linear scan —
-/// carrier widths are ≤ 275).
-fn smallest_span_for(bits: u32, mcs: u8, cfg: &SchedulerConfig) -> usize {
-    let entry = cfg.mcs_table.entry(mcs).expect("valid MCS");
-    for n_prb in 1..=cfg.carrier_prbs {
-        let tbs = transport_block_size(&TbsParams {
-            n_prb,
-            n_symbols: cfg.symbol_len,
-            dmrs_per_prb: cfg.dmrs_per_prb,
-            overhead_per_prb: cfg.overhead_per_prb,
-            mcs: entry,
-            layers: cfg.layers,
-        });
-        if tbs >= bits {
-            return n_prb;
+/// Smallest PRB count in `1..=widest.n_prb` whose TBS, at `widest`'s other
+/// inputs, covers `bits`; `widest.n_prb` when none does. `bits` saturates
+/// at `u32::MAX`, so a buffer past 512 MiB asks for more than any span
+/// carries and gets the widest one.
+///
+/// A bisection, which returns the first covering span because TBS never
+/// decreases as `n_prb` grows: checked for every input a cell can configure
+/// by `nr_phy::oracle`'s `tbs_is_non_decreasing_in_n_prb_on_the_whole_grid`.
+pub fn smallest_span(bits: u64, widest: &TbsParams) -> usize {
+    let bits = u32::try_from(bits).unwrap_or(u32::MAX);
+    let covers = |n_prb| transport_block_size(&TbsParams { n_prb, ..*widest }) >= bits;
+    let (mut lo, mut hi) = (1, widest.n_prb);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if covers(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
         }
     }
-    cfg.carrier_prbs
+    hi
 }
 
 /// Classic round-robin: rotates priority over UEs each slot and splits the
@@ -413,6 +424,20 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert!(a[0].prb_len <= 2, "tiny buffer should not eat the carrier");
         assert!(a[0].tbs >= 400);
+    }
+
+    /// A backlog past 512 MiB is more bits than a `u32` counts. 512 MiB + 50 B
+    /// wrapped to 400 bits and got the 1-PRB span of a tiny buffer; both it
+    /// and 600 MiB must get the whole budget.
+    #[test]
+    fn backlog_past_512_mib_gets_the_budget_limited_span() {
+        let cfg = SchedulerConfig::typical_20mhz();
+        for bytes in [600 << 20, (512 << 20) + 50] {
+            let mut ues = vec![ue(1, bytes, 25.0)];
+            let mut harqs = HashMap::new();
+            let a = run_sched(&mut RoundRobin::new(), &mut ues, &mut harqs, &cfg, 0);
+            assert_eq!(a[0].prb_len, cfg.carrier_prbs, "{bytes} B");
+        }
     }
 
     #[test]

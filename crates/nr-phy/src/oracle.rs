@@ -1,8 +1,10 @@
 //! Reference implementations the optimised kernels are compared with —
 //! each one the body a kernel replaced, kept as it was written — and the
 //! differential tests that do the comparing (those that need a kernel's
-//! private parts sit beside it and call in here). A kernel that computes
-//! its reference's formula is compared bit for bit. Extraction changed the
+//! private parts sit beside it and call in here), and the check of the one
+//! property a search relies on: TBS non-decreasing in `n_prb`, for
+//! `nr_mac`'s span bisection. A kernel that computes its reference's
+//! formula is compared bit for bit. Extraction changed the
 //! formula (one-pass pilot sums, a closed-form demapper), and so did the
 //! receiver noise (`nr_radio::noise`'s polynomials for libm), so their
 //! references are compared within bounds derived here and in
@@ -25,12 +27,14 @@ use crate::{
         scramble_crc_with_rnti, CRC24C,
     },
     fft::Fft,
+    mcs::{bler, select_mcs, McsTable, MCS_TABLE_256QAM, MCS_TABLE_64QAM},
     numerology::{Numerology, SYMBOLS_PER_SLOT},
     polar::construction::tests::cell_code_grid,
     polar::construction::{polarization_weight, reliability_order},
     polar::ratematch::{self, RateMatchKind},
     polar::{decode, encode, DecodeScratch, PolarCode},
     sequence::{scramble_in_place, GoldSequence, NC},
+    tbs::{transport_block_size, TbsParams},
 };
 
 /// Least-squares channel estimate from received pilots: averages
@@ -1018,4 +1022,78 @@ fn skip_and_interleaved_reads_equal_serial_stepping() {
         }
         assert_eq!(got, serial[..got.len()], "{c_init:#x} interleaved");
     }
+}
+
+/// `mcs::select_mcs` as it was: every entry's BLER evaluated, the highest
+/// index that meets the target kept.
+#[cfg(test)]
+fn select_mcs_full_scan(table: McsTable, snr_db: f64, target_bler: f64) -> u8 {
+    let mut best = 0u8;
+    for idx in 0..=table.max_index() {
+        let Some(entry) = table.entry(idx) else {
+            continue;
+        };
+        if bler(entry, snr_db) <= target_bler {
+            best = idx;
+        }
+    }
+    best
+}
+
+/// The top-down scan and the full one on both tables, three targets, every
+/// SNR from −30 to 50 dB in 0.001 dB steps, and NaN, ±∞ and ±0.
+#[test]
+fn select_mcs_equals_the_full_scan_on_the_grid() {
+    let grid = (-30_000..=50_000).map(|milli_db| f64::from(milli_db) / 1000.0);
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+    for table in [McsTable::Qam64, McsTable::Qam256] {
+        for target in [0.01, 0.1, 0.5] {
+            for snr in grid.clone().chain(specials) {
+                let want = select_mcs_full_scan(table, snr, target);
+                let got = select_mcs(table, snr, target);
+                assert_eq!(got, want, "{table:?}, {snr} dB, target {target}");
+            }
+        }
+    }
+}
+
+/// TBS never falls as `n_prb` grows, which is what lets
+/// `nr_mac::scheduler::smallest_span` bisect. Over every input a cell can
+/// configure: both MCS tables at every index, 1–4 layers, 1–14 symbols,
+/// DMRS {0, 6, 12, 18, 24, 36} and xOverhead {0, 6, 12, 18} REs per PRB,
+/// 1–275 PRBs — 21,067,200 points in release; under debug assertions one
+/// parameter set in 13.
+#[test]
+fn tbs_is_non_decreasing_in_n_prb_on_the_whole_grid() {
+    let stride = if cfg!(debug_assertions) { 13 } else { 1 };
+    let entries = MCS_TABLE_64QAM.iter().chain(&MCS_TABLE_256QAM);
+    let sets = entries.flat_map(|&mcs| {
+        (1..=4).flat_map(move |layers| {
+            (1..=14).flat_map(move |n_symbols| {
+                [0, 6, 12, 18, 24, 36]
+                    .into_iter()
+                    .flat_map(move |dmrs_per_prb| {
+                        [0, 6, 12, 18].map(move |overhead_per_prb| TbsParams {
+                            n_prb: 0,
+                            n_symbols,
+                            dmrs_per_prb,
+                            overhead_per_prb,
+                            mcs,
+                            layers,
+                        })
+                    })
+            })
+        })
+    });
+    let mut points = 0;
+    for set in sets.step_by(stride) {
+        let mut prev = 0;
+        for n_prb in 1..=275 {
+            let tbs = transport_block_size(&TbsParams { n_prb, ..set });
+            assert!(tbs >= prev, "{set:?}: {prev} → {tbs} bits at {n_prb} PRBs");
+            prev = tbs;
+            points += 1;
+        }
+    }
+    assert!(stride > 1 || points == 21_067_200, "{points} points");
 }

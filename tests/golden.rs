@@ -1,4 +1,5 @@
-//! Golden digests of the slot path, one per fidelity.
+//! Golden digests of the slot path, one per fidelity, and of the simulator
+//! that feeds it.
 //!
 //! The constants below were generated on the tree *before* the slot path
 //! was folded into one scan loop and one hypothesis tester, and have to
@@ -10,7 +11,7 @@
 
 use nr_scope::gnb::iq::IqRenderer;
 use nr_scope::gnb::{CellConfig, Gnb};
-use nr_scope::mac::RoundRobin;
+use nr_scope::mac::{ProportionalFair, RoundRobin, Scheduler};
 use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::phy::ofdm::Ofdm;
 use nr_scope::phy::oracle::{add_noise_libm, extract_candidate_oracle};
@@ -202,6 +203,71 @@ fn iq_fidelity_cold_start_run_matches_its_golden_digest() {
             dcis: [1, 2, 2, 58, 57],
             worker_crc: 0x9373E79D,
         }
+    );
+}
+
+/// CRC-32 over every `SlotOutput` (its `Debug` form, slot by slot) and over
+/// the JSON ground-truth log of a 32-UE cell run for 2,000 slots. The UEs
+/// mix the Urban, Pedestrian and Vehicle profiles and the three mobility
+/// scenarios at placements down to 7 dB under the profile's mean, so link
+/// adaptation lands anywhere in the MCS table and HARQ retransmissions
+/// recompute their span; every fourth UE is a backlogged download, whose
+/// span is its PRB budget.
+fn simulator_digest(scheduler: Box<dyn Scheduler + Send>) -> [u32; 2] {
+    let mut gnb = Gnb::new(CellConfig::srsran_n41(), scheduler, 0x51);
+    let profiles = [
+        ChannelProfile::Urban,
+        ChannelProfile::Pedestrian,
+        ChannelProfile::Vehicle,
+    ];
+    for i in 0..32u64 {
+        let traffic = match i % 4 {
+            0 => TrafficKind::FileDownload {
+                total_bytes: usize::MAX / 2,
+            },
+            _ => TrafficKind::Cbr {
+                rate_bps: 3e6,
+                packet_bytes: 1200,
+            },
+        };
+        gnb.ue_arrives(SimUe::new(
+            i,
+            profiles[i as usize % 3],
+            MobilityScenario::all()[i as usize / 3 % 3],
+            TrafficSource::new(traffic, i),
+            -((i % 8) as f64),
+            60.0,
+            i,
+        ));
+    }
+    let slots: Vec<u8> = (0..2000)
+        .flat_map(|_| crc32(format!("{:?}", gnb.step()).as_bytes()).to_le_bytes())
+        .collect();
+    let records = gnb.truth().records();
+    let retx = records.iter().filter(|r| r.alloc.is_retx).count();
+    let low_mcs = records.iter().filter(|r| r.alloc.mcs < 10).count();
+    assert!(
+        retx > 100 && low_mcs > 1000,
+        "{retx} retx, {low_mcs} below MCS 10"
+    );
+    let truth = serde_json::to_string(gnb.truth()).expect("truth serialises");
+    [crc32(&slots), crc32(truth.as_bytes())]
+}
+
+/// The simulator is what every digest above is computed on: its own output
+/// is pinned under both schedulers. Proportional fair ranks every UE by its
+/// link-adapted MCS each slot; round robin only the scheduled ones. The
+/// constants were generated while link adaptation still evaluated the
+/// whole MCS table and the span searches were linear scans.
+#[test]
+fn simulator_run_matches_its_golden_digest_under_both_schedulers() {
+    assert_eq!(
+        simulator_digest(Box::new(RoundRobin::new())),
+        [0x4AB9_89CD, 0x1EB5_D719]
+    );
+    assert_eq!(
+        simulator_digest(Box::new(ProportionalFair::new())),
+        [0x7E31_DE83, 0x6E44_032E]
     );
 }
 

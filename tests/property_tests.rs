@@ -1,5 +1,7 @@
 //! Property-based tests on cross-crate invariants (proptest).
 
+use nr_scope::gnb::CellConfig;
+use nr_scope::mac::scheduler::smallest_span;
 use nr_scope::phy::bits::{BitReader, BitWriter};
 use nr_scope::phy::crc::{
     bits_to_crc, crc_to_bits, dci_attach_crc, dci_check_crc, dci_recover_rnti,
@@ -461,6 +463,68 @@ proptest! {
             let expect = last[harq_id as usize] == Some(ndi);
             prop_assert_eq!(tracker.observe(harq_id, ndi), expect);
             last[harq_id as usize] = Some(ndi);
+        }
+    }
+}
+
+/// Every grant a preset cell issues, across its whole carrier: downlink at
+/// the cell's layers and uplink at one, at every index of its MCS table.
+fn preset_grants() -> Vec<TbsParams> {
+    let presets = [
+        CellConfig::srsran_n41(),
+        CellConfig::mosolab_n48(),
+        CellConfig::amarisoft_n78(),
+        CellConfig::tmobile_n25(),
+        CellConfig::tmobile_n71(),
+    ];
+    let grants = presets.iter().flat_map(|cell| {
+        (0..=cell.mcs_table.max_index()).flat_map(move |mcs| {
+            [cell.layers, 1].map(|layers| TbsParams {
+                n_prb: cell.carrier_prbs,
+                n_symbols: cell.data_symbols(),
+                dmrs_per_prb: cell.dmrs_per_prb,
+                overhead_per_prb: cell.x_overhead,
+                mcs: cell.mcs_table.entry(mcs).unwrap(),
+                layers,
+            })
+        })
+    });
+    grants.collect()
+}
+
+/// The span search as the scheduler and the gNB's uplink each wrote it
+/// before the bisection: the first covering PRB count, else the widest.
+fn linear_span(bits: u32, widest: &TbsParams) -> usize {
+    (1..=widest.n_prb)
+        .find(|&n_prb| transport_block_size(&TbsParams { n_prb, ..*widest }) >= bits)
+        .unwrap_or(widest.n_prb)
+}
+
+/// `smallest_span` returns the linear scan's span only where TBS never
+/// falls as `n_prb` grows: so on every preset's grants (every configurable
+/// input is `nr_phy::oracle`'s release check).
+#[test]
+fn tbs_is_non_decreasing_in_n_prb_for_every_preset_grant() {
+    for widest in preset_grants() {
+        let tbs: Vec<u32> = (1..=widest.n_prb)
+            .map(|n_prb| transport_block_size(&TbsParams { n_prb, ..widest }))
+            .collect();
+        assert!(tbs.windows(2).all(|w| w[0] <= w[1]), "{widest:?}: {tbs:?}");
+    }
+}
+
+/// The bisection against the linear scan at, just under and just over
+/// every span's TBS, and at nothing and at the most a `u32` holds.
+#[test]
+fn span_bisection_equals_the_linear_scan_for_every_preset_grant() {
+    for widest in preset_grants() {
+        for n_prb in 1..=widest.n_prb {
+            let tbs = transport_block_size(&TbsParams { n_prb, ..widest });
+            for bits in [tbs - 1, tbs, tbs + 1, 0, u32::MAX] {
+                let want = linear_span(bits, &widest);
+                let got = smallest_span(u64::from(bits), &widest);
+                assert_eq!(got, want, "{widest:?}, {bits} bits");
+            }
         }
     }
 }
