@@ -27,7 +27,7 @@
 //! find *claims* its CCEs; pass B spends SC walks only on positions no
 //! claim explains (`scan` says what a walk on an explained one would buy).
 
-use crate::metrics::{Counter, Metrics, Stage};
+use crate::metrics::{Metrics, Stage};
 use crate::observe::ObservedDci;
 use nr_phy::complex::Cf32;
 use nr_phy::crc::dci_syndrome;
@@ -280,7 +280,7 @@ impl FrontEnd {
     /// other symbol of the returned grid is zero. A layout is planned when
     /// there is none: the scope keeps its first for the session, a pool
     /// thread plans for every job. `None` means no layout fits (a truncated
-    /// capture or an unknown carrier) and is counted as a layout mismatch.
+    /// capture or an unknown carrier): the caller's layout mismatch.
     pub(crate) fn demodulate_slot(
         &mut self,
         ctx: Option<&DecoderContext>,
@@ -292,12 +292,8 @@ impl FrontEnd {
         if self.layout.is_none() {
             self.plan_layout(ctx, samples.len(), slot_in_frame);
         }
-        let Some((_, ofdm, grid)) = (self.layout.as_mut())
-            .filter(|(_, o, _)| o.samples_per_slot(slot_in_frame) == samples.len())
-        else {
-            metrics.inc(Counter::LayoutMismatches);
-            return None;
-        };
+        let (_, ofdm, grid) = (self.layout.as_mut())
+            .filter(|(_, o, _)| o.samples_per_slot(slot_in_frame) == samples.len())?;
         let _t = metrics.start(Stage::Demod);
         for sym in (0..SYMBOLS_PER_SLOT).filter(|&sym| self.filled[sym] && !wanted[sym]) {
             grid.symbol_mut(sym).fill(Cf32::ZERO);
@@ -675,10 +671,6 @@ pub(crate) fn scan<C: Candidate>(
             metrics.observe(Stage::PdcchSearch, end - start);
         }
     }
-    metrics.add(Counter::CandidatesScanned, work.candidates as u64);
-    metrics.add(Counter::DcisDecoded, out.len() as u64);
-    metrics.add(Counter::CandidatesPruned, work.pruned as u64);
-    metrics.add(Counter::ValidationRejects, work.validation_rejects as u64);
     (out, work)
 }
 

@@ -747,10 +747,6 @@ impl Fleet {
             if let Ok(mut cell) = s.engine.try_lock() {
                 if let Some(engine) = cell.engine.take() {
                     s.refresh_cache(&engine);
-                    // The shard's queue is done for — zero its depth gauge
-                    // so a post-shutdown snapshot never reports phantom
-                    // backlog (the worker-pool shutdown rule).
-                    engine.scope().metrics().gauge_set(Gauge::QueueDepth, 0);
                     if let ShardEngine::Durable(session) = engine {
                         let _ = session.finalize();
                     }

@@ -22,6 +22,13 @@
 //! [`MetricsSnapshot`] freezes the registry into plain serde-serialisable
 //! structs with JSON export ([`MetricsSnapshot::to_json`]) and a
 //! human-readable table ([`MetricsSnapshot::summary`]).
+//!
+//! Each number has one owner. The registry keeps what only it knows: the
+//! stage histograms, the notes, and the [`Counter`]s and [`Gauge`]s of
+//! producers that keep no count of their own. What a scope decides it
+//! counts once, in its `ScopeStats`, and
+//! [`crate::scope::NrScope::metrics_snapshot`] adds those counters and the
+//! scope's gauges to the registry's snapshot when it is taken.
 
 use crate::worker::lock_clean;
 use serde::{Deserialize, Serialize};
@@ -63,19 +70,13 @@ pub enum Stage {
     /// Slot latency at the `BroadcastOnly` rung.
     RungBroadcast,
     /// Clock-lock reacquisition time (air time from leaving `Locked` to
-    /// re-entering it), all governor rungs.
+    /// re-entering it).
     ClockReacquire,
-    /// Reacquisition time while the governor sat at the `Full` rung.
-    ClockReacquireFull,
-    /// Reacquisition time at the `PrunedSearch` rung.
-    ClockReacquirePruned,
-    /// Reacquisition time at the `BroadcastOnly` rung.
-    ClockReacquireBroadcast,
 }
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 15] = [
+    pub const ALL: [Stage; 12] = [
         Stage::Capture,
         Stage::Demod,
         Stage::PdcchSearch,
@@ -88,9 +89,6 @@ impl Stage {
         Stage::RungPruned,
         Stage::RungBroadcast,
         Stage::ClockReacquire,
-        Stage::ClockReacquireFull,
-        Stage::ClockReacquirePruned,
-        Stage::ClockReacquireBroadcast,
     ];
 
     /// Stable snake_case name used in snapshots and JSON.
@@ -108,28 +106,15 @@ impl Stage {
             Stage::RungPruned => "rung_pruned_search",
             Stage::RungBroadcast => "rung_broadcast_only",
             Stage::ClockReacquire => "clock_reacquire",
-            Stage::ClockReacquireFull => "clock_reacquire_full",
-            Stage::ClockReacquirePruned => "clock_reacquire_pruned_search",
-            Stage::ClockReacquireBroadcast => "clock_reacquire_broadcast_only",
         }
     }
 }
 
-/// Monotonic event counters.
+/// Monotonic event counters of the producers that keep no count of their
+/// own: the radio, the worker pool, the telemetry log, the journal and
+/// checkpoint writers, the storage ladder, the supervisor and the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Slots processed by the scope.
-    SlotsProcessed,
-    /// Slots the front end dropped (overflow/stall markers).
-    SlotsDropped,
-    /// Slots whose sample layout matched no known carrier configuration.
-    LayoutMismatches,
-    /// PDCCH candidates scanned (codewords or grid candidates).
-    CandidatesScanned,
-    /// DCIs decoded, all RNTI classes.
-    DcisDecoded,
-    /// Transitions back to `Synced` after degradation.
-    Resyncs,
     /// Slots received by the radio front end.
     RadioSlots,
     /// IQ samples through the virtual USRP.
@@ -142,13 +127,6 @@ pub enum Counter {
     JobsQuarantined,
     /// Job panics caught by the worker pool.
     WorkerPanics,
-    /// Slots whose processing latency exceeded the TTI budget.
-    DeadlineMisses,
-    /// UE-specific PDCCH candidates skipped by the search budget.
-    CandidatesPruned,
-    /// Decode steps that failed gracefully (malformed fields, missing
-    /// context) instead of crashing the worker.
-    DecodeFailures,
     /// Telemetry log writes that failed (sink error) without aborting
     /// capture.
     LogWriteFailures,
@@ -163,16 +141,6 @@ pub enum Counter {
     /// Checkpoint requests skipped because the previous write was still in
     /// flight (the hot path never blocks on the writer).
     CheckpointsSkipped,
-    /// Broadcast payloads (MIB/SIB1/RRC Setup) rejected by the bounded
-    /// parsers (truncated, oversized, or invalid fields).
-    ParseRejects,
-    /// CRC-passing DCIs rejected by stage-1 plausibility validation
-    /// (RIV out of BWP, unknown TDRA row, reserved bits set, illegal
-    /// MCS/RV combination).
-    ValidationRejects,
-    /// Never-corroborated C-RNTIs moved from probation to the quarantine
-    /// ledger by stage-2 admission control.
-    GhostRntisQuarantined,
     /// Journal writes retried after a transient storage error (the retry
     /// runs on the writer thread with exponential backoff — never the
     /// capture hot path).
@@ -182,13 +150,6 @@ pub enum Counter {
     StorageDemotions,
     /// Emergency checkpoint/journal prunes triggered by `ENOSPC`.
     EmergencyPrunes,
-    /// Integer sample slips commanded by the timing-recovery loop.
-    TimingSlips,
-    /// Clock-lock losses (transitions out of `Locked`).
-    ClockLockLosses,
-    /// Clock step discontinuities detected (timing jumps beyond the
-    /// tracking loop's fine range, including reported overrun gaps).
-    ClockSteps,
     /// Hangs detected by liveness supervision: a supervised child silent
     /// past its hang deadline.
     HangsDetected,
@@ -199,37 +160,22 @@ pub enum Counter {
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 32] = [
-        Counter::SlotsProcessed,
-        Counter::SlotsDropped,
-        Counter::LayoutMismatches,
-        Counter::CandidatesScanned,
-        Counter::DcisDecoded,
-        Counter::Resyncs,
+    pub const ALL: [Counter; 17] = [
         Counter::RadioSlots,
         Counter::RadioSamples,
         Counter::AgcKicks,
         Counter::InterferenceBursts,
         Counter::JobsQuarantined,
         Counter::WorkerPanics,
-        Counter::DeadlineMisses,
-        Counter::CandidatesPruned,
-        Counter::DecodeFailures,
         Counter::LogWriteFailures,
         Counter::JournalWriteFailures,
         Counter::JournalBatches,
         Counter::CheckpointsWritten,
         Counter::CheckpointFailures,
         Counter::CheckpointsSkipped,
-        Counter::ParseRejects,
-        Counter::ValidationRejects,
-        Counter::GhostRntisQuarantined,
         Counter::StorageRetries,
         Counter::StorageDemotions,
         Counter::EmergencyPrunes,
-        Counter::TimingSlips,
-        Counter::ClockLockLosses,
-        Counter::ClockSteps,
         Counter::HangsDetected,
         Counter::RestartsTotal,
     ];
@@ -237,64 +183,37 @@ impl Counter {
     /// Stable snake_case name used in snapshots and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            Counter::SlotsProcessed => "slots_processed",
-            Counter::SlotsDropped => "slots_dropped",
-            Counter::LayoutMismatches => "layout_mismatches",
-            Counter::CandidatesScanned => "candidates_scanned",
-            Counter::DcisDecoded => "dcis_decoded",
-            Counter::Resyncs => "resyncs",
             Counter::RadioSlots => "radio_slots",
             Counter::RadioSamples => "radio_samples",
             Counter::AgcKicks => "agc_kicks",
             Counter::InterferenceBursts => "interference_bursts",
             Counter::JobsQuarantined => "jobs_quarantined",
             Counter::WorkerPanics => "worker_panics",
-            Counter::DeadlineMisses => "deadline_misses",
-            Counter::CandidatesPruned => "candidates_pruned",
-            Counter::DecodeFailures => "decode_failures",
             Counter::LogWriteFailures => "log_write_failures",
             Counter::JournalWriteFailures => "journal_write_failures",
             Counter::JournalBatches => "journal_batches",
             Counter::CheckpointsWritten => "checkpoints_written",
             Counter::CheckpointFailures => "checkpoint_failures",
             Counter::CheckpointsSkipped => "checkpoints_skipped",
-            Counter::ParseRejects => "parse_rejects",
-            Counter::ValidationRejects => "validation_rejects",
-            Counter::GhostRntisQuarantined => "ghost_rntis_quarantined",
             Counter::StorageRetries => "storage_retries",
             Counter::StorageDemotions => "storage_demotions",
             Counter::EmergencyPrunes => "emergency_prunes",
-            Counter::TimingSlips => "timing_slips",
-            Counter::ClockLockLosses => "clock_lock_losses",
-            Counter::ClockSteps => "clock_steps",
             Counter::HangsDetected => "hangs_detected",
             Counter::RestartsTotal => "restarts_total",
         }
     }
 }
 
-/// Last-value gauges.
+/// Last-value gauges of the same producers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gauge {
     /// Jobs waiting in the worker pool's bounded queue.
     QueueDepth,
-    /// C-RNTIs currently tracked.
-    TrackedUes,
     /// Live worker threads.
     WorkersAlive,
-    /// Current load-governor rung (0 = Full … 2 = BroadcastOnly).
-    LoadRung,
-    /// Ghost RNTIs currently held in the quarantine ledger.
-    QuarantineSize,
     /// Current durability-ladder rung (0 = Durable, 1 = DurableDegraded,
     /// 2 = NonDurable).
     DurabilityRung,
-    /// Magnitude of the estimated sniffer clock drift, in parts-per-
-    /// billion (gauges are unsigned; the signed value is
-    /// [`crate::scope::NrScope::clock_drift_ppb`] and the fleet rollup's).
-    ClockDriftPpb,
-    /// Current clock-lock rung (0 = Locked, 1 = Pulling, 2 = Unlocked).
-    ClockLockState,
     /// 1 while a restart-storm circuit breaker is open (the child/shard is
     /// parked in lame-duck mode), 0 otherwise.
     RestartBreakerOpen,
@@ -305,15 +224,10 @@ pub enum Gauge {
 
 impl Gauge {
     /// All gauges.
-    pub const ALL: [Gauge; 10] = [
+    pub const ALL: [Gauge; 5] = [
         Gauge::QueueDepth,
-        Gauge::TrackedUes,
         Gauge::WorkersAlive,
-        Gauge::LoadRung,
-        Gauge::QuarantineSize,
         Gauge::DurabilityRung,
-        Gauge::ClockDriftPpb,
-        Gauge::ClockLockState,
         Gauge::RestartBreakerOpen,
         Gauge::HeartbeatLagUs,
     ];
@@ -322,13 +236,8 @@ impl Gauge {
     pub fn name(self) -> &'static str {
         match self {
             Gauge::QueueDepth => "queue_depth",
-            Gauge::TrackedUes => "tracked_ues",
             Gauge::WorkersAlive => "workers_alive",
-            Gauge::LoadRung => "load_rung",
-            Gauge::QuarantineSize => "quarantine_size",
             Gauge::DurabilityRung => "durability_rung",
-            Gauge::ClockDriftPpb => "clock_drift_ppb",
-            Gauge::ClockLockState => "clock_lock_state",
             Gauge::RestartBreakerOpen => "restart_breaker_open",
             Gauge::HeartbeatLagUs => "heartbeat_lag_us",
         }
@@ -466,8 +375,7 @@ impl Metrics {
         Metrics {
             enabled,
             stages: Default::default(),
-            // `Default` for arrays stops at 32 elements; build in place.
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            counters: Default::default(),
             gauges: Default::default(),
             notes: Mutex::new(Vec::new()),
         }
@@ -688,9 +596,11 @@ pub struct MetricsSnapshot {
     pub schema_version: u32,
     /// Whether the registry was recording when frozen.
     pub enabled: bool,
-    /// All counters, in [`Counter::ALL`] order.
+    /// All counters, in [`Counter::ALL`] order; a scope's snapshot appends
+    /// its own.
     pub counters: Vec<CounterSnapshot>,
-    /// All gauges, in [`Gauge::ALL`] order.
+    /// All gauges, in [`Gauge::ALL`] order; a scope's snapshot appends its
+    /// own.
     pub gauges: Vec<GaugeSnapshot>,
     /// All stages, in [`Stage::ALL`] (pipeline) order.
     pub stages: Vec<StageSnapshot>,
@@ -870,17 +780,17 @@ mod tests {
     #[test]
     fn counters_and_gauges_record_when_enabled() {
         let m = Metrics::shared(true);
-        m.inc(Counter::DcisDecoded);
-        m.add(Counter::DcisDecoded, 4);
+        m.inc(Counter::RadioSlots);
+        m.add(Counter::RadioSlots, 4);
         m.gauge_set(Gauge::QueueDepth, 17);
-        assert_eq!(m.counter(Counter::DcisDecoded), 5);
+        assert_eq!(m.counter(Counter::RadioSlots), 5);
         assert_eq!(m.gauge(Gauge::QueueDepth), 17);
     }
 
     #[test]
     fn disabled_registry_records_nothing() {
         let m = Metrics::shared(false);
-        m.inc(Counter::DcisDecoded);
+        m.inc(Counter::RadioSlots);
         m.gauge_set(Gauge::QueueDepth, 9);
         m.observe(Stage::DciDecode, Duration::from_micros(10));
         {
@@ -926,13 +836,13 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_json() {
         let m = Metrics::new(true);
-        m.add(Counter::SlotsProcessed, 123);
+        m.add(Counter::RadioSlots, 123);
         m.observe(Stage::SlotTotal, Duration::from_micros(250));
         let snap = m.snapshot();
         let json = snap.to_json();
         let back = MetricsSnapshot::from_json(&json).expect("parses");
         assert_eq!(snap, back);
-        assert_eq!(back.counter("slots_processed"), Some(123));
+        assert_eq!(back.counter("radio_slots"), Some(123));
     }
 
     #[test]
@@ -977,10 +887,10 @@ mod tests {
     #[test]
     fn the_shared_disabled_registry_is_inert() {
         let m = Metrics::disabled();
-        m.inc(Counter::DcisDecoded);
+        m.inc(Counter::RadioSlots);
         drop(m.start(Stage::DciDecode));
         assert!(!m.is_enabled());
-        assert_eq!(m.counter(Counter::DcisDecoded), 0);
+        assert_eq!(m.counter(Counter::RadioSlots), 0);
         assert_eq!(m.snapshot().stage("dci_decode").map(|s| s.count), Some(0));
     }
 }

@@ -155,7 +155,7 @@ pub struct JournalEntry {
 /// The full recoverable image of a session — what a snapshot holds: the
 /// continuous state a journal batch also carries, plus what replay
 /// rebuilds from ops (UE table, throughput windows) and what only a
-/// snapshot keeps (metrics counters, the out-of-band PCI).
+/// snapshot keeps (the metrics registry's counters, the out-of-band PCI).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionState {
     /// Serialisation schema version ([`crate::SCHEMA_VERSION`]).
@@ -170,7 +170,8 @@ pub struct SessionState {
     pub ues: Vec<TrackedUe>,
     /// Throughput estimator (windows + history).
     pub throughput: ThroughputState,
-    /// Metrics counters at snapshot time.
+    /// The metrics registry's counters at snapshot time; the scope's own
+    /// are `micro.stats`, which journal replay restores exactly.
     pub metrics: MetricsSnapshot,
 }
 

@@ -8,7 +8,7 @@ use crate::decoder::{
     FrontEnd, Hypotheses, UeHypothesis,
 };
 use crate::governor::{LoadModel, LoadRung, OverloadGovernor, SlotVerdict};
-use crate::metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Stage};
+use crate::metrics::{CounterSnapshot, GaugeSnapshot, Metrics, MetricsSnapshot, Stage};
 use crate::observe::{Capture, ObservedSlot, PdschPayload};
 use crate::persist::{JournalEntry, MicroState, SessionState, SlotOp};
 use crate::spare::{slot_data_res, spare_capacity_excluding, SpareShare, UeUsage};
@@ -49,10 +49,10 @@ pub struct CellKnowledge {
 ///
 /// `Synced` is the normal state. Consecutive unhealthy slots (nothing
 /// decoded while UEs are expected, or slots dropped by the front end)
-/// degrade it to `Degraded`, then `Lost` — at which point the cell
-/// identity is discarded — and `Reacquiring`, where cell search re-runs
-/// (PSS/SSS at IQ fidelity, an SI-RNTI PCI scan at message fidelity).
-/// Any successful DCI decode snaps the session back to `Synced`.
+/// degrade it to `Degraded`, then `Reacquiring` — at which point the cell
+/// identity is discarded and cell search re-runs (PSS/SSS at IQ fidelity,
+/// an SI-RNTI PCI scan at message fidelity). Any successful DCI decode
+/// snaps the session back to `Synced`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SyncState {
     /// Decoding normally.
@@ -60,9 +60,8 @@ pub enum SyncState {
     Synced,
     /// Suspiciously quiet: decode failures or drops are accumulating.
     Degraded,
-    /// Sync declared lost; the PCI is no longer trusted.
-    Lost,
-    /// Re-running cell search to find the (possibly new) cell.
+    /// Sync lost: the PCI is no longer trusted, and cell search re-runs to
+    /// find the (possibly new) cell.
     Reacquiring,
 }
 
@@ -72,13 +71,13 @@ impl SyncState {
         match self {
             SyncState::Synced => "synced",
             SyncState::Degraded => "degraded",
-            SyncState::Lost => "lost",
             SyncState::Reacquiring => "reacquiring",
         }
     }
 }
 
-/// Counters the micro-benchmarks read.
+/// The scope's counters: what every reader of a scope's counts reads, the
+/// metrics snapshot included.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ScopeStats {
     /// Slots processed.
@@ -115,6 +114,8 @@ pub struct ScopeStats {
     pub rung_demotions: u64,
     /// Overload-ladder promotions (one rung back up).
     pub rung_promotions: u64,
+    /// PDCCH candidates scanned (codewords or grid positions).
+    pub candidates_scanned: u64,
     /// PDCCH candidates the search budget refused a UE-specific pass.
     pub pruned_candidates: u64,
     /// Slots processed at each rung, indexed by [`LoadRung`] (Full,
@@ -477,9 +478,44 @@ impl NrScope {
         &self.metrics
     }
 
-    /// Freeze the current pipeline metrics.
+    /// Freeze the current pipeline metrics: the registry's instruments,
+    /// then this scope's counters and gauges, read from their owners now —
+    /// exact across a warm restart, and reported with the registry off.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        let st = &self.stats;
+        let counters = [
+            ("slots_processed", st.slots),
+            ("slots_dropped", st.dropped_slots),
+            ("layout_mismatches", st.layout_mismatch_slots),
+            ("candidates_scanned", st.candidates_scanned),
+            ("dcis_decoded", self.dci_total()),
+            ("resyncs", st.resyncs),
+            ("deadline_misses", st.deadline_misses),
+            ("candidates_pruned", st.pruned_candidates),
+            ("decode_failures", st.decode_failures),
+            ("parse_rejects", st.parse_rejects),
+            ("validation_rejects", st.validation_rejects),
+            ("ghost_rntis_quarantined", st.ghosts_quarantined),
+            ("timing_slips", st.timing_slips),
+            ("clock_lock_losses", st.clock_lock_losses),
+            ("clock_steps", st.clock_steps),
+        ];
+        let lock = self.clock_lock().map_or(0, ClockLock::index);
+        let gauges = [
+            ("load_rung", self.governor.rung() as u64),
+            ("tracked_ues", self.tracker.len() as u64),
+            ("quarantine_size", self.tracker.quarantine_len() as u64),
+            ("clock_drift_ppb", self.clock_drift_ppb().unsigned_abs()),
+            ("clock_lock_state", lock),
+        ];
+        let mut snap = self.metrics.snapshot();
+        for (name, value) in counters.map(|(n, v)| (n.to_string(), v)) {
+            snap.counters.push(CounterSnapshot { name, value });
+        }
+        for (name, value) in gauges.map(|(n, v)| (n.to_string(), v)) {
+            snap.gauges.push(GaugeSnapshot { name, value });
+        }
+        snap
     }
 
     /// Current synchronisation health.
@@ -549,11 +585,10 @@ impl NrScope {
 
     /// Feed one slot of clock evidence into the timing-recovery loop
     /// (creating it on first use) and record the slot's loop events into
-    /// stats, metrics, and operator notes. Call once per captured slot,
-    /// *before* [`NrScope::process_capture`], so the lock state composes
-    /// with this slot's sync-health accounting.
+    /// stats, the reacquisition histogram, and operator notes. Call once
+    /// per captured slot, *before* [`NrScope::process_capture`], so the
+    /// lock state composes with this slot's sync-health accounting.
     pub fn note_clock_observable(&mut self, obs: &ClockObservable) {
-        let rung = self.governor.rung();
         let slot_s = self.slot_s();
         let sample_rate_hz = self.sample_rate_hz();
         let clock = self
@@ -562,14 +597,9 @@ impl NrScope {
         let ev = clock.on_slot(obs, sample_rate_hz);
         let reacquire_slots = clock.state().reacquire_slots;
         let drift_ppb = clock.drift_ppb(slot_s);
-        let lock = clock.lock();
-        if ev.slipped > 0 {
-            self.stats.timing_slips += ev.slipped;
-            self.metrics.add(Counter::TimingSlips, ev.slipped);
-        }
+        self.stats.timing_slips += ev.slipped;
         if ev.step {
             self.stats.clock_steps += 1;
-            self.metrics.inc(Counter::ClockSteps);
             self.metrics.note(
                 "clock_step",
                 format!(
@@ -580,7 +610,6 @@ impl NrScope {
         }
         if ev.lost_lock {
             self.stats.clock_lock_losses += 1;
-            self.metrics.inc(Counter::ClockLockLosses);
             self.metrics.note(
                 "clock_unlock",
                 format!(
@@ -590,16 +619,9 @@ impl NrScope {
             );
         }
         if let Some(excursion) = ev.locked {
-            // Reacquisition time, overall and under the rung that was in
-            // force — overload and clock trouble compound, and the
-            // per-rung histograms show where the time went.
             let dur = Duration::from_secs_f64(excursion.max(reacquire_slots) as f64 * slot_s);
             self.metrics.observe(Stage::ClockReacquire, dur);
-            self.metrics.observe(clock_reacquire_stage(rung), dur);
         }
-        self.metrics
-            .gauge_set(Gauge::ClockDriftPpb, drift_ppb.unsigned_abs());
-        self.metrics.gauge_set(Gauge::ClockLockState, lock.index());
     }
 
     /// Convenience for front ends built on [`crate::Observer`]: capture
@@ -636,8 +658,6 @@ impl NrScope {
     /// `None` to resume adaptive behaviour.
     pub fn force_rung(&mut self, rung: Option<LoadRung>) {
         self.governor.force(rung);
-        self.metrics
-            .gauge_set(Gauge::LoadRung, self.governor.rung() as u64);
     }
 
     /// Install (or clear) a deterministic latency model for the governor.
@@ -778,7 +798,6 @@ impl NrScope {
             Capture::Dropped(_) => {
                 self.last_dropped = true;
                 self.stats.dropped_slots += 1;
-                self.metrics.inc(Counter::SlotsDropped);
                 // A dropped slot is the strongest overload signal the
                 // front end can emit: charge the governor double budget.
                 let rung = self.governor.rung();
@@ -818,7 +837,6 @@ impl NrScope {
         let budget = self.governor.search_budget();
         self.stats.slots += 1;
         self.stats.slots_at_rung[rung as usize] += 1;
-        self.metrics.inc(Counter::SlotsProcessed);
         let produced_from = self.records.len();
         let dcis_before = self.dci_total();
         let mut work = DecodeWork::default();
@@ -834,7 +852,7 @@ impl NrScope {
                     }
                 }
                 if self.cell.mib.is_some() {
-                    if matches!(self.sync, SyncState::Lost | SyncState::Reacquiring) {
+                    if self.sync == SyncState::Reacquiring {
                         self.reacquire_message(dcis, pdsch, slot);
                     } else if let Some(ctx) = self.decoder_context() {
                         let hyp = self.hypotheses(&ctx.coreset);
@@ -851,7 +869,6 @@ impl NrScope {
                         // MIB known but no PCI from any source: nothing is
                         // descramblable. Count it instead of panicking.
                         self.stats.decode_failures += 1;
-                        self.metrics.inc(Counter::DecodeFailures);
                     }
                 }
             }
@@ -860,6 +877,7 @@ impl NrScope {
                 work.absorb(&w);
             }
         }
+        self.stats.candidates_scanned += work.candidates as u64;
         self.stats.pruned_candidates += work.pruned as u64;
         self.stats.validation_rejects += work.validation_rejects as u64;
         // Feed the governor: modelled latency when a LoadModel is
@@ -881,7 +899,6 @@ impl NrScope {
             if self.sync != SyncState::Synced {
                 self.sync = SyncState::Synced;
                 self.stats.resyncs += 1;
-                self.metrics.inc(Counter::Resyncs);
             }
         } else if rung != LoadRung::BroadcastOnly && !self.clock_masks_sync() {
             // At BroadcastOnly, UE-pass silence is
@@ -904,11 +921,10 @@ impl NrScope {
         self.records[produced_from..].to_vec()
     }
 
-    /// Record a slot's governor verdict into stats and metrics.
+    /// Record a slot's governor verdict into stats and the rung histogram.
     fn note_governor(&mut self, rung: LoadRung, latency: Duration, verdict: SlotVerdict) {
         if verdict.missed {
             self.stats.deadline_misses += 1;
-            self.metrics.inc(Counter::DeadlineMisses);
         }
         if let Some((from, to)) = verdict.transition {
             if (to as usize) > (from as usize) {
@@ -918,8 +934,6 @@ impl NrScope {
             }
         }
         self.metrics.observe(rung_stage(rung), latency);
-        self.metrics
-            .gauge_set(Gauge::LoadRung, self.governor.rung() as u64);
     }
 
     /// Total DCIs decoded so far, all classes.
@@ -944,7 +958,6 @@ impl NrScope {
         );
         if displaced.is_some() {
             self.stats.ghosts_quarantined += 1;
-            self.metrics.inc(Counter::GhostRntisQuarantined);
         }
         admission
     }
@@ -983,24 +996,18 @@ impl NrScope {
             // ghosts: quarantine them. Frozen while the governor blinds
             // the UE pass — a real UE cannot corroborate itself through
             // decodes the sniffer chose not to attempt.
-            for _ghost in self.tracker.expire_probation(
+            let ghosts = self.tracker.expire_probation(
                 slot,
                 self.cfg.admission.window_slots,
                 self.cfg.admission.quarantine_max,
-            ) {
-                self.stats.ghosts_quarantined += 1;
-                self.metrics.inc(Counter::GhostRntisQuarantined);
-            }
+            );
+            self.stats.ghosts_quarantined += ghosts.len() as u64;
         }
         // Amortised release of departed-UE history (see ThroughputEstimator
         // docs: `record` prunes live UEs; only departures need this).
         if slot.is_multiple_of(512) {
             self.throughput.prune(slot);
         }
-        self.metrics
-            .gauge_set(Gauge::TrackedUes, self.tracker.rntis().len() as u64);
-        self.metrics
-            .gauge_set(Gauge::QuarantineSize, self.tracker.quarantine_len() as u64);
     }
 
     /// Feed one unhealthy slot (nothing decoded, or dropped outright) into
@@ -1027,12 +1034,9 @@ impl NrScope {
                 // trusting the PCI and go back to cell search. The MIB and
                 // SIB1 are kept — the SIB1 re-read on resync will replace
                 // them if the cell actually changed.
-                self.sync = SyncState::Lost;
+                self.sync = SyncState::Reacquiring;
                 self.last_pci = self.cell.pci.or(self.assumed_pci);
                 self.cell.pci = None;
-            }
-            SyncState::Lost => {
-                self.sync = SyncState::Reacquiring;
             }
             _ => {}
         }
@@ -1062,7 +1066,6 @@ impl NrScope {
             let Some(ctx) = self.decoder_context_with(pci) else {
                 // No MIB: nothing is decodable under any PCI hypothesis.
                 self.stats.decode_failures += 1;
-                self.metrics.inc(Counter::DecodeFailures);
                 return;
             };
             let (decoded, _) =
@@ -1143,7 +1146,7 @@ impl NrScope {
             c_rntis: c_rntis.into_iter().map(with_space).collect(),
             // CRC-XOR recovery needs a trusted PCI; with sync lost it would
             // invent C-RNTIs from mis-descrambled residue.
-            allow_recovery: !matches!(self.sync, SyncState::Lost | SyncState::Reacquiring),
+            allow_recovery: self.sync != SyncState::Reacquiring,
             skip_common: false,
         }
     }
@@ -1243,7 +1246,6 @@ impl NrScope {
         }
         let Some(ctx) = self.decoder_context() else {
             self.stats.decode_failures += 1;
-            self.metrics.inc(Counter::DecodeFailures);
             return DecodeWork::default();
         };
         let hyp = self.hypotheses(&ctx.coreset);
@@ -1275,7 +1277,6 @@ impl NrScope {
                                 // malformed SIB1 is counted and dropped,
                                 // never allowed to clobber cell state.
                                 self.stats.parse_rejects += 1;
-                                self.metrics.inc(Counter::ParseRejects);
                             }
                         }
                     }
@@ -1419,7 +1420,6 @@ impl NrScope {
             Ok(rrc) => Some(rrc),
             Err(_) => {
                 self.stats.parse_rejects += 1;
-                self.metrics.inc(Counter::ParseRejects);
                 None
             }
         }
@@ -1441,13 +1441,11 @@ impl NrScope {
             // CRC passed but the frequency allocation is out of range for
             // the carrier: corrupt content — count it, don't crash.
             self.stats.decode_failures += 1;
-            self.metrics.inc(Counter::DecodeFailures);
             return None;
         };
         let Some(entry) = rrc.mcs_table.entry(d.dci.mcs) else {
             // Reserved MCS index in an otherwise valid DCI.
             self.stats.decode_failures += 1;
-            self.metrics.inc(Counter::DecodeFailures);
             return None;
         };
         let (symbol_start, symbol_len) = time_alloc(d.dci.t_alloc);
@@ -1514,16 +1512,6 @@ fn rung_stage(rung: LoadRung) -> Stage {
         LoadRung::Full => Stage::RungFull,
         LoadRung::PrunedSearch => Stage::RungPruned,
         LoadRung::BroadcastOnly => Stage::RungBroadcast,
-    }
-}
-
-/// Per-rung clock-reacquisition histogram: which degradation rung was in
-/// force when the loop finished pulling back in.
-fn clock_reacquire_stage(rung: LoadRung) -> Stage {
-    match rung {
-        LoadRung::Full => Stage::ClockReacquireFull,
-        LoadRung::PrunedSearch => Stage::ClockReacquirePruned,
-        LoadRung::BroadcastOnly => Stage::ClockReacquireBroadcast,
     }
 }
 
@@ -1772,7 +1760,7 @@ mod tests {
     fn cell_restart_under_new_pci_is_reacquired() {
         // Mid-run the cell restarts with a different PCI: every scrambled
         // transmission goes dark for the sniffer. The health machine must
-        // walk Synced → Degraded → Lost, re-run cell search (SI-RNTI PCI
+        // walk Synced → Degraded → Reacquiring, re-run cell search (SI-RNTI PCI
         // scan at message fidelity), re-read the changed SIB1, and end up
         // tracking the re-attached UEs again.
         let (cell, mut gnb) = loaded_cell(2);
@@ -1826,8 +1814,8 @@ mod tests {
         run(0..120, &mut scope, &mut gnb);
         assert_eq!(scope.cell.pci, Some(cell.pci));
         assert_eq!(scope.tracked_rntis(), gnb.connected_rntis());
-        // The tracked UE's silence walks the health machine to Lost, and
-        // cell search runs again.
+        // The tracked UE's silence walks the health machine to
+        // Reacquiring, and cell search runs again.
         gnb.restart(Pci(7));
         run(120..400, &mut scope, &mut gnb);
         assert_eq!(scope.cell.pci, Some(Pci(7)), "new PCI found by PSS/SSS");

@@ -250,7 +250,6 @@ fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> 
     }
     let processing = start.elapsed();
     metrics.observe(Stage::SlotTotal, processing);
-    metrics.inc(Counter::SlotsProcessed);
     SlotResult {
         slot: job.slot,
         decoded,

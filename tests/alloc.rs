@@ -7,7 +7,8 @@
 //! hypothesis became an integer compare on the codeword's CRC syndrome,
 //! plus 10 % — room for a log line, not for a per-hypothesis `Vec` to come
 //! back. Measured again when extraction became one pass over the pilots
-//! and one over a survivor's data: the same counts to the allocation.
+//! and one over a survivor's data: the same counts to the allocation. A
+//! quiet slot is pinned at its count: one allocation more fails.
 
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
@@ -113,17 +114,18 @@ fn session(n_ues: u64, slots: u64) -> (Vec<SlotCost>, usize) {
     (costs, scope.tracked_rntis().len())
 }
 
-/// The benchmark's `iq-dense` population, all twelve attached: 21.2
-/// allocations a slot in the mean and 33 on the busiest slot when pinned
+/// The benchmark's `iq-dense` population, all twelve attached: 20.2
+/// allocations a slot in the mean and 32 on the busiest slot when pinned
 /// (239 and 405 while `dci_check_crc` and `dci_recover_rnti` built three
-/// `Vec`s per hypothesis tested). What is left, by call site: one LLR
+/// `Vec`s per hypothesis tested, 21.2 and 33 while `housekeeping` listed
+/// the tracked RNTIs every slot to count them). What is left, by call site: one LLR
 /// `Vec` per candidate that passes the pilot gate, written once by
 /// `extract_candidate_above`, and the `Vec` of them (`extract_candidates`,
 /// ≈ 12 — the per-CCE pilot sums every gate reads live in the session's
 /// `FrontEnd`, and extraction has no other buffer), the slot's DMRS row
 /// and the `Vec` holding it (`CoresetSequences::new`, 2 — the common
 /// scrambling sequence is the thread's memoised one), the RNTI lists of
-/// `hypotheses` (5) and `housekeeping` (1), and per decoded DCI `scan`'s
+/// `hypotheses` (5), and per decoded DCI `scan`'s
 /// result, the records `process` returns and the bookkeeping of `consume`.
 /// Nothing per hypothesis, and nothing for `scan`'s claims: they live in
 /// its result.
@@ -137,18 +139,18 @@ fn tracked_iq_slot_allocates_per_surviving_candidate_not_per_hypothesis() {
         steady.iter().any(|c| c.records >= 4),
         "the window is loaded"
     );
-    assert!(total <= 24 * steady.len() as u64, "{total} allocations");
+    assert!(total <= 22 * steady.len() as u64, "{total} allocations");
     let worst = steady.iter().map(|c| c.allocs).max();
-    assert!(worst <= Some(37), "busiest slot: {worst:?} allocations");
+    assert!(worst <= Some(35), "busiest slot: {worst:?} allocations");
 }
 
-/// A tracked cell's slot with no DCI on the air, 6 when pinned: the slot's
+/// A tracked cell's slot with no DCI on the air, 5 when pinned: the slot's
 /// DMRS row (`CoresetSequences::new`, 2) and the RNTI lists of
-/// `hypotheses` and `housekeeping` (4). Nothing per candidate or for the
+/// `hypotheses` (3). Nothing per candidate or for the
 /// pilot sums its fifteen gates read, nothing for the grid, the FFT or a
 /// polar code, nothing for a PBCH attempt (none is due between SSBs, and
-/// its CRC check builds nothing when one is); `process` returns an empty
-/// `Vec`, which allocates nothing.
+/// its CRC check builds nothing when one is), nothing in `housekeeping`;
+/// `process` returns an empty `Vec`, which allocates nothing.
 #[test]
 fn empty_tracked_iq_slot_allocates_only_its_sequences_and_lists() {
     let (costs, tracked) = session(1, 200);
@@ -158,5 +160,5 @@ fn empty_tracked_iq_slot_allocates_only_its_sequences_and_lists() {
         .map(|c| c.allocs)
         .collect();
     assert!(quiet.len() > 50, "{} quiet slots", quiet.len());
-    assert!(quiet.iter().all(|&n| n <= 7), "{quiet:?}");
+    assert!(quiet.iter().all(|&n| n <= 5), "{quiet:?}");
 }

@@ -2,12 +2,12 @@
 //! backticked `governor.*` / `admission.*` / `clock.*` / `supervise.*`
 //! name in README.md or DESIGN.md that is not a key of
 //! `ScopeConfig::default().to_json()` is a documented option with
-//! nothing behind it; a counter or gauge the docs name must be one the
-//! metrics registry emits; a constant's value the docs state is the
-//! constant's.
+//! nothing behind it; a counter or gauge the docs name must be one a
+//! scope's metrics snapshot emits; a constant's value the docs state is
+//! the constant's.
 
 use nr_scope::phy::pdcch::PILOT_SNR_FLOOR;
-use nr_scope::scope::{Metrics, ScopeConfig};
+use nr_scope::scope::{NrScope, ScopeConfig};
 
 /// The text of JSON object `"block":{…}` inside `json`, braces matched.
 fn block<'a>(json: &'a str, block: &str) -> &'a str {
@@ -57,11 +57,12 @@ fn every_documented_knob_is_a_config_key() {
 
 /// A doc that calls a backticked snake_case name a counter or a gauge —
 /// "`a` / `b` counters", "`c`, and `d` gauges", "gauge `e`" — names a
-/// metric family `Metrics::snapshot()` must emit (the telemetry audit's
-/// "families not emitted" finding, SNIPPETS.md 2).
+/// metric family `NrScope::metrics_snapshot()` must emit — the registry's
+/// instruments and the scope's own (the telemetry audit's "families not
+/// emitted" finding, SNIPPETS.md 2).
 #[test]
 fn every_documented_counter_and_gauge_is_emitted() {
-    let snap = Metrics::shared(true).snapshot();
+    let snap = NrScope::new(ScopeConfig::default(), None).metrics_snapshot();
     let emitted: Vec<&str> = (snap.counters.iter().map(|c| c.name.as_str()))
         .chain(snap.gauges.iter().map(|g| g.name.as_str()))
         .collect();
@@ -106,7 +107,7 @@ fn every_documented_counter_and_gauge_is_emitted() {
             for name in named {
                 assert!(
                     emitted.contains(&name),
-                    "{doc} calls `{name}` a counter or gauge; Metrics::snapshot() has no such name"
+                    "{doc} calls `{name}` a counter or gauge; a scope's snapshot has no such name"
                 );
                 checked += 1;
             }

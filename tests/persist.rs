@@ -16,7 +16,8 @@ use nr_scope::scope::persist::{
     JournalEntry, PersistConfig, PersistentSession, SessionStore, StorageFaultSchedule,
 };
 use nr_scope::scope::{
-    ClockLock, ClockObservable, Counter, Gauge, NrScope, ScopeConfig, StoragePolicy, SyncState,
+    ClockLock, ClockObservable, ClockRecoveryConfig, Counter, Gauge, NrScope, ScopeConfig,
+    StoragePolicy, SyncState,
 };
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
@@ -1482,6 +1483,159 @@ fn clock_loop_state_survives_kill9_and_warm_restart() {
         session.scope().clock_drift_ppb() > 10_000,
         "drift estimate restored and still tracking ≈15 ppm"
     );
+    session.finalize().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts that every counter and gauge a scope's metrics snapshot reads
+/// from the scope carries the value its owner holds.
+fn assert_snapshot_reads_its_owners(scope: &NrScope) {
+    let snap = scope.metrics_snapshot();
+    let st = &scope.stats;
+    let dcis = st.si_dcis + st.ra_dcis + st.tc_dcis + st.dl_dcis + st.ul_dcis;
+    let lock = scope.clock_lock().map_or(0, ClockLock::index);
+    for (name, owned) in [
+        ("slots_processed", st.slots),
+        ("slots_dropped", st.dropped_slots),
+        ("layout_mismatches", st.layout_mismatch_slots),
+        ("candidates_scanned", st.candidates_scanned),
+        ("dcis_decoded", dcis),
+        ("resyncs", st.resyncs),
+        ("deadline_misses", st.deadline_misses),
+        ("candidates_pruned", st.pruned_candidates),
+        ("decode_failures", st.decode_failures),
+        ("parse_rejects", st.parse_rejects),
+        ("validation_rejects", st.validation_rejects),
+        ("ghost_rntis_quarantined", st.ghosts_quarantined),
+        ("timing_slips", st.timing_slips),
+        ("clock_lock_losses", st.clock_lock_losses),
+        ("clock_steps", st.clock_steps),
+    ] {
+        assert_eq!(snap.counter(name), Some(owned), "counter {name}");
+    }
+    for (name, owned) in [
+        ("load_rung", scope.load_rung() as u64),
+        ("tracked_ues", scope.tracked_rntis().len() as u64),
+        ("quarantine_size", scope.quarantined_rntis().len() as u64),
+        ("clock_drift_ppb", scope.clock_drift_ppb().unsigned_abs()),
+        ("clock_lock_state", lock),
+    ] {
+        assert_eq!(snap.gauge(name), Some(owned), "gauge {name}");
+    }
+}
+
+/// `tests/clock.rs`'s timing step: two CBR UEs, a 5 ppm oscillator that
+/// steps 30 µs at slot 3013, and a 10-slot pulling horizon, so the loop
+/// slips and loses its lock; with rare overrun gaps, which it counts as
+/// steps.
+fn clock_step_run() -> NrScope {
+    let cell = CellConfig::srsran_n41();
+    let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 13);
+    for id in 1..=2 {
+        let cbr = TrafficKind::Cbr {
+            rate_bps: 2e6,
+            packet_bytes: 1200,
+        };
+        let traffic = TrafficSource::new(cbr, id);
+        let (channel, mobility) = (ChannelProfile::Awgn, MobilityScenario::Static);
+        gnb.ue_arrives(SimUe::new(id, channel, mobility, traffic, 0.0, 60.0, id));
+    }
+    let mut obs = Observer::new(&cell, 35.0, false, 5);
+    let model = cell.clock_model(7).with_static_ppm(5.0);
+    obs.set_clock(model.with_step(3013, 30.0).with_gap_prob(0.002, 8.0));
+    let clock = ClockRecoveryConfig {
+        pulling_after_slots: 10,
+        ..ClockRecoveryConfig::default()
+    };
+    let cfg = ScopeConfig {
+        clock,
+        ..ScopeConfig::default()
+    };
+    let mut scope = NrScope::new(cfg, Some(cell.pci));
+    for _ in 0..3_200 {
+        let out = gnb.step();
+        scope.process_observer_slot(&mut obs, &out, out.slot as f64 * cell.slot_s());
+    }
+    scope
+}
+
+/// A scope's counters are counted once, in `ScopeStats`, and its metrics
+/// snapshot reads them there: live, with a clock loop running, with the
+/// registry disabled, and after a warm restart — a snapshot loaded and a
+/// journal tail replayed, where a registry copy restored from the
+/// checkpoint would read the checkpoint's slot instead of the session's.
+#[test]
+fn scope_counters_in_the_metrics_snapshot_survive_a_warm_restart_exactly() {
+    const TOTAL: u64 = 1_300;
+    const EVERY: u64 = 512;
+    let (caps, pci) = capture_tape(TOTAL);
+    let run = |cfg: ScopeConfig| {
+        let mut scope = NrScope::new(cfg, Some(pci));
+        caps.iter().for_each(|cap| drop(scope.process_capture(cap)));
+        scope
+    };
+    let reference = run(ScopeConfig::default());
+    assert_snapshot_reads_its_owners(&reference);
+    let live = reference.metrics_snapshot();
+    assert_eq!(live.counter("slots_processed"), Some(TOTAL));
+    for name in ["dcis_decoded", "candidates_scanned"] {
+        assert!(live.counter(name) > Some(0), "{name}");
+    }
+    assert!(live.gauge("tracked_ues") > Some(0));
+
+    // Disabled: the scope counts anyway, and the registry records nothing.
+    let quiet = run(ScopeConfig {
+        metrics_enabled: false,
+        ..ScopeConfig::default()
+    });
+    assert_snapshot_reads_its_owners(&quiet);
+    let off = quiet.metrics_snapshot();
+    assert!(!off.enabled);
+    for name in ["slots_processed", "dcis_decoded", "candidates_scanned"] {
+        assert_eq!(off.counter(name), live.counter(name), "{name}");
+    }
+    for name in Counter::ALL.map(Counter::name) {
+        assert_eq!(off.counter(name), Some(0), "registry counter {name}");
+    }
+    for name in Gauge::ALL.map(Gauge::name) {
+        assert_eq!(off.gauge(name), Some(0), "registry gauge {name}");
+    }
+    assert!(off.stages.iter().all(|s| s.count == 0));
+
+    // A clock loop: slips, steps and lock losses are the scope's as well.
+    let clocked = clock_step_run();
+    assert_snapshot_reads_its_owners(&clocked);
+    let clock = clocked.metrics_snapshot();
+    for name in ["timing_slips", "clock_steps", "clock_lock_losses"] {
+        assert!(clock.counter(name) > Some(0), "{name}");
+    }
+
+    // Dropped without `finalize` and reopened.
+    let dir = tmp_dir("owned-counters");
+    let cfg = PersistConfig {
+        checkpoint_every_slots: EVERY,
+        ..PersistConfig::new(&dir)
+    };
+    {
+        let (mut session, _) =
+            PersistentSession::open(cfg.clone(), ScopeConfig::default(), Some(pci)).unwrap();
+        for (done, cap) in (1u64..).zip(&caps) {
+            session.process_capture(cap);
+            let m = session.scope().metrics();
+            wait_until(|| m.counter(Counter::CheckpointsWritten) >= done / EVERY);
+        }
+    }
+    let (session, report) =
+        PersistentSession::open(cfg, ScopeConfig::default(), Some(pci)).unwrap();
+    assert_eq!(report.resumed_slot, TOTAL);
+    assert_eq!(report.snapshot_slot, Some(TOTAL / EVERY * EVERY));
+    assert_eq!(report.replayed_entries, TOTAL % EVERY);
+    assert_snapshot_reads_its_owners(session.scope());
+    let restarted = session.scope().metrics_snapshot();
+    for name in ["slots_processed", "dcis_decoded", "candidates_scanned"] {
+        assert_eq!(restarted.counter(name), live.counter(name), "{name}");
+    }
+    assert_eq!(restarted.gauge("tracked_ues"), live.gauge("tracked_ues"));
     session.finalize().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
