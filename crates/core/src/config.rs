@@ -57,7 +57,7 @@ pub struct ScopeConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SuperviseConfig {
     /// Child side: emit a [`ChildMsg::Heartbeat`](crate::supervise::ChildMsg)
-    /// if this long has passed since the last line it wrote — keeps a
+    /// if this long has passed since the last frame it wrote — keeps a
     /// busy-but-alive child (long gap-fill, slow slot) distinguishable
     /// from a wedged one.
     pub heartbeat_interval_ms: u64,

@@ -1,12 +1,10 @@
-//! Every on-disk format of the persistence layer, and nothing else.
-//!
-//! This is the only module that knows a magic number or a header offset:
-//! the CRC-32 guard, the wire structs, the `NRSB` journal batch and the
-//! `NRCK` snapshot. Each artefact has exactly one encoder and one decoder;
-//! bytes that match neither magic are foreign and rejected like any other
-//! corruption.
+//! Every on-disk payload of the persistence layer, and nothing else: the
+//! wire structs, the journal batch and the snapshot. Each is the payload
+//! of one [`binfmt::seal`]ed frame of its own kind, with exactly one
+//! encoder and one decoder; bytes that [`binfmt::open`] does not accept as
+//! that kind are foreign and rejected like any other corruption.
 
-use crate::binfmt;
+use crate::binfmt::{self, FrameKind, Opened};
 use crate::clock::ClockRecoveryState;
 use crate::governor::OverloadGovernor;
 use crate::metrics::MetricsSnapshot;
@@ -17,73 +15,6 @@ use crate::tracker::{TrackedUe, TrackerAux};
 use nr_phy::types::{Pci, Rnti};
 use nr_rrc::RrcSetup;
 use serde::{Deserialize, Serialize};
-
-/// CRC-32 slice-by-8 lookup tables, built at compile time from the
-/// reflected IEEE polynomial. `CRC32_TABLES[0]` is the classic one-byte
-/// table; table `k` advances a byte `k` positions through the register,
-/// so eight bytes fold in with eight independent loads per iteration.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the guard on
-/// every snapshot payload and journal batch. Slice-by-8: the group
-/// commit checksums a multi-KiB payload per batch, so a bitwise loop
-/// (~30x slower per byte) would hand a measurable slice of each slot
-/// budget back to the checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    !crc32_update(0xFFFF_FFFF, data)
-}
-
-/// CRC-32 over the concatenation of two slices (header fields + payload)
-/// without materialising the concatenation.
-fn crc32_pair(a: &[u8], b: &[u8]) -> u32 {
-    !crc32_update(crc32_update(0xFFFF_FFFF, a), b)
-}
 
 /// One state-mutating operation of a processed slot, in occurrence order.
 /// Replaying a slot's ops (then overwriting with its [`MicroState`])
@@ -176,17 +107,11 @@ pub struct SessionState {
 }
 
 // ---------------------------------------------------------------------------
-// Journal: the `NRSB` group-commit batch.
+// Journal: the group-commit batch, the payload of a `FrameKind::Batch`
+// frame.
 //
-//   offset  size  field
-//   0       4     magic "NRSB"
-//   4       1     format version (1)
-//   5       4     payload length, u32 LE
-//   9       4     CRC-32 of payload, u32 LE
-//   13      4     record count, u32 LE
-//   17      ...   payload: `record count` records back to back
-//
-// Each record:
+//   varint  record count
+//   then each record:
 //   varint  seq
 //   u8      flags (bit 0 = slot dropped, bit 1 = MicroState follows ops)
 //   varint  op count
@@ -194,32 +119,13 @@ pub struct SessionState {
 //   [...]   binfmt-encoded MicroState, iff flag bit 1
 //
 // The batch is the durability unit: a torn or bit-flipped batch fails its
-// length or CRC check and is discarded whole, so replay always stops at a
-// batch boundary — whose final record carries the MicroState re-anchor.
+// frame's length or CRC check and is discarded whole, so replay always
+// stops at a batch boundary — whose final record carries the MicroState
+// re-anchor.
 // ---------------------------------------------------------------------------
 
-const BATCH_MAGIC: &[u8; 4] = b"NRSB";
-const BATCH_VERSION: u8 = 1;
-const BATCH_HEADER_LEN: usize = 17;
 const FLAG_DROPPED: u8 = 0b01;
 const FLAG_MICRO: u8 = 0b10;
-
-/// Checked little-endian u32 read: `None` instead of a panic when the
-/// slice is short. Header-length checks at the call sites should make a
-/// short read impossible, but decode paths handle untrusted bytes — a
-/// framing bug must degrade to "corrupt record", never a panic.
-fn read_u32_le(data: &[u8], at: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(
-        data.get(at..at.checked_add(4)?)?.try_into().ok()?,
-    ))
-}
-
-/// Checked little-endian u64 read (see [`read_u32_le`]).
-fn read_u64_le(data: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(
-        data.get(at..at.checked_add(8)?)?.try_into().ok()?,
-    ))
-}
 
 /// Hand-rolled encoding of the journal's hottest value, byte-for-byte
 /// identical to `binfmt::put_value(buf, op)` (pinned by the
@@ -303,16 +209,6 @@ fn put_slot_op(buf: &mut Vec<u8>, op: &SlotOp) {
     binfmt::put_bool(buf, r.is_retx);
 }
 
-fn finish_batch(buf: &mut [u8], n_records: u32) {
-    let payload_len = (buf.len() - BATCH_HEADER_LEN) as u32;
-    let crc = crc32(&buf[BATCH_HEADER_LEN..]);
-    buf[..4].copy_from_slice(BATCH_MAGIC);
-    buf[4] = BATCH_VERSION;
-    buf[5..9].copy_from_slice(&payload_len.to_le_bytes());
-    buf[9..13].copy_from_slice(&crc.to_le_bytes());
-    buf[13..17].copy_from_slice(&n_records.to_le_bytes());
-}
-
 /// Encode a slice of entries as one sealed binary batch (each entry's
 /// `micro` presence is honoured verbatim).
 pub fn encode_batch(entries: &[JournalEntry]) -> Vec<u8> {
@@ -325,50 +221,40 @@ pub fn encode_batch(entries: &[JournalEntry]) -> Vec<u8> {
 /// runs on the writer thread, off the capture hot path — the hot path
 /// only moves already-owned [`JournalEntry`] values into the batch.
 pub(super) fn encode_batch_into(buf: &mut Vec<u8>, entries: &[JournalEntry]) {
-    buf.clear();
-    buf.resize(BATCH_HEADER_LEN, 0);
-    for e in entries {
-        binfmt::put_varint(buf, e.seq);
-        let dropped = if e.dropped { FLAG_DROPPED } else { 0 };
-        let micro = if e.micro.is_some() { FLAG_MICRO } else { 0 };
-        buf.push(dropped | micro);
-        binfmt::put_varint(buf, e.ops.len() as u64);
-        for op in &e.ops {
-            put_slot_op(buf, op);
+    binfmt::seal(FrameKind::Batch, buf, |buf| {
+        binfmt::put_varint(buf, entries.len() as u64);
+        for e in entries {
+            binfmt::put_varint(buf, e.seq);
+            let dropped = if e.dropped { FLAG_DROPPED } else { 0 };
+            let micro = if e.micro.is_some() { FLAG_MICRO } else { 0 };
+            buf.push(dropped | micro);
+            binfmt::put_varint(buf, e.ops.len() as u64);
+            for op in &e.ops {
+                put_slot_op(buf, op);
+            }
+            if let Some(m) = &e.micro {
+                binfmt::put_value(buf, m);
+            }
         }
-        if let Some(m) = &e.micro {
-            binfmt::put_value(buf, m);
-        }
-    }
-    finish_batch(buf, entries.len() as u32);
+    });
 }
 
 /// Parse one batch at the start of `data`. Returns the decoded entries and
 /// the byte length consumed, or `None` for anything torn, corrupt,
-/// non-monotonic, or from a future format version.
+/// non-monotonic, or from another format version.
 fn parse_batch(data: &[u8], prev_seq: Option<u64>) -> Option<(Vec<JournalEntry>, usize)> {
-    if data.len() < BATCH_HEADER_LEN || &data[..4] != BATCH_MAGIC || data[4] != BATCH_VERSION {
+    let Opened::Frame(payload, end) = binfmt::open(FrameKind::Batch, data, usize::MAX) else {
         return None;
-    }
-    let payload_len = read_u32_le(data, 5)? as usize;
-    let crc = read_u32_le(data, 9)?;
-    let n_records = read_u32_le(data, 13)?;
-    let end = BATCH_HEADER_LEN.checked_add(payload_len)?;
-    if end > data.len() {
-        return None; // torn tail
-    }
-    let payload = &data[BATCH_HEADER_LEN..end];
-    if crc32(payload) != crc {
-        return None;
-    }
+    };
+    let mut pos = 0usize;
+    let n_records = binfmt::get_varint(payload, &mut pos)?;
     // The writer never seals an empty batch, and each record costs at
     // least 3 bytes: a count of zero, or one the payload cannot back, is
     // corrupt (and the CRC matching it would be miraculous).
-    if n_records == 0 || n_records as usize > payload_len {
+    if n_records == 0 || n_records > payload.len() as u64 {
         return None;
     }
     let mut entries = Vec::with_capacity(n_records as usize);
-    let mut pos = 0usize;
     let mut prev = prev_seq;
     for _ in 0..n_records {
         let seq = binfmt::get_varint(payload, &mut pos)?;
@@ -431,60 +317,31 @@ pub fn read_journal_bytes(data: &[u8]) -> (Vec<JournalEntry>, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints: the `NRCK` snapshot.
-//
-//   offset  size  field
-//   0       4     magic "NRCK"
-//   4       1     schema version
-//   5       8     snapshot slot, u64 LE
-//   13      4     payload length, u32 LE
-//   17      4     CRC-32 over bytes [4..17) + payload, u32 LE
-//   21      ...   payload: the binfmt encoding of one `SessionState`
-//
-// Every snapshot is the whole image, so a kept file never depends on
-// another. The CRC covers the header metadata too, so a bit flip anywhere
-// in the file is caught.
+// Checkpoints: the snapshot, one `FrameKind::Snapshot` frame filling its
+// file, whose payload is the binfmt encoding of one `SessionState`. Every
+// snapshot is the whole image, so a kept file never depends on another.
 // ---------------------------------------------------------------------------
-
-const SNAP_MAGIC: &[u8; 4] = b"NRCK";
-const SNAP_HEADER_LEN: usize = 21;
-/// Header bytes under the CRC: version, slot, payload length.
-const SNAP_META: std::ops::Range<usize> = 4..17;
 
 /// Assemble the snapshot file image of `state`.
 pub(super) fn encode_snapshot(state: &SessionState) -> Vec<u8> {
-    let mut image = vec![0u8; SNAP_HEADER_LEN];
-    binfmt::put_value(&mut image, state);
-    let payload_len = (image.len() - SNAP_HEADER_LEN) as u32;
-    image[..4].copy_from_slice(SNAP_MAGIC);
-    image[4] = state.schema_version.min(u8::MAX as u32) as u8;
-    image[5..13].copy_from_slice(&state.slot.to_le_bytes());
-    image[13..17].copy_from_slice(&payload_len.to_le_bytes());
-    let crc = crc32_pair(&image[SNAP_META], &image[SNAP_HEADER_LEN..]);
-    image[17..21].copy_from_slice(&crc.to_le_bytes());
+    let mut image = Vec::new();
+    binfmt::seal(FrameKind::Snapshot, &mut image, |b| {
+        binfmt::put_value(b, state)
+    });
     image
 }
 
 /// Decode the snapshot file `data`, expected to describe `slot`. `None`
-/// for anything torn, corrupt, foreign or future-schema: magic, schema
-/// version, slot, exact payload length and the CRC are checked before the
-/// payload is decoded, and a CRC-valid payload that is not a
+/// for anything torn, corrupt, foreign or future-schema: the frame must
+/// open and fill the file, and a CRC-valid payload that is not a
 /// [`SessionState`] of that slot is rejected like any other corruption.
 pub(super) fn decode_snapshot(data: &[u8], slot: u64) -> Option<SessionState> {
-    if data.len() < SNAP_HEADER_LEN || &data[..4] != SNAP_MAGIC {
+    let Opened::Frame(payload, len) = binfmt::open(FrameKind::Snapshot, data, usize::MAX) else {
         return None;
-    }
-    if u32::from(data[4]) > crate::SCHEMA_VERSION || read_u64_le(data, 5)? != slot {
-        return None;
-    }
-    let payload = &data[SNAP_HEADER_LEN..];
-    if payload.len() != read_u32_le(data, 13)? as usize
-        || crc32_pair(&data[SNAP_META], payload) != read_u32_le(data, 17)?
-    {
-        return None;
-    }
+    };
     let state: SessionState = binfmt::decode_value(payload)?;
-    (state.schema_version <= crate::SCHEMA_VERSION && state.slot == slot).then_some(state)
+    (len == data.len() && state.schema_version <= crate::SCHEMA_VERSION && state.slot == slot)
+        .then_some(state)
 }
 
 #[cfg(test)]
@@ -492,14 +349,6 @@ mod tests {
     use super::*;
     use crate::config::ScopeConfig;
     use crate::scope::NrScope;
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32_pair(b"12345", b"6789"), 0xCBF4_3926);
-    }
 
     /// The hand-rolled hot-path encoder must stay byte-for-byte identical
     /// to the derived serialization it shortcuts — journals decode
@@ -590,16 +439,19 @@ mod tests {
         assert!(out[4].micro.is_some(), "trailer micro survives");
     }
 
+    /// Bytes of the frame header every batch starts with.
+    const HEADER_LEN: usize = 13;
+
     #[test]
     fn torn_binary_batch_is_discarded_whole() {
         let mut buf = encode_batch(&[dummy_entry(0), dummy_entry(1)]);
         let good_len = buf.len();
         buf.extend_from_slice(&encode_batch(&[dummy_entry(2), dummy_entry(3)]));
         for cut in [
-            good_len + 3,                    // torn batch header
-            good_len + BATCH_HEADER_LEN + 4, // torn record mid-batch
-            buf.len() - 10,                  // torn inside the final record
-            buf.len() - 1,                   // one byte short of complete
+            good_len + 3,              // torn batch header
+            good_len + HEADER_LEN + 4, // torn record mid-batch
+            buf.len() - 10,            // torn inside the final record
+            buf.len() - 1,             // one byte short of complete
         ] {
             let (entries, discarded) = read_journal_bytes(&buf[..cut]);
             assert_eq!(entries.len(), 2, "cut at {cut}: whole torn batch dropped");
@@ -619,8 +471,8 @@ mod tests {
         good.extend_from_slice(&encode_batch(&[dummy_entry(2)]));
         good.extend_from_slice(&encode_batch(&[dummy_entry(3)]));
         for flip_at in [
-            first_len + BATCH_HEADER_LEN + 2, // payload byte of batch 2
-            first_len + 9,                    // CRC field of batch 2
+            first_len + HEADER_LEN + 2, // payload byte of batch 2
+            first_len + 9,              // CRC field of batch 2
         ] {
             let mut bad = good.clone();
             bad[flip_at] ^= 0x40;
@@ -640,7 +492,7 @@ mod tests {
         let mut buf = encode_batch(&[dummy_entry(0)]);
         let good_len = buf.len();
         buf.extend_from_slice(&encode_batch(&[dummy_entry(1)]));
-        buf[good_len + 4] = BATCH_VERSION + 1;
+        buf[good_len + 4] += 1; // the version byte, after the magic
         let (entries, discarded) = read_journal_bytes(&buf);
         assert_eq!(entries.len(), 1);
         assert_eq!(discarded, 1);
@@ -673,9 +525,7 @@ mod tests {
     }
 
     /// Untrusted-input regression: every truncated prefix of a valid
-    /// batch and snapshot must parse (to rejection) without panicking —
-    /// the raw `try_into().unwrap()` reads these decoders used to do
-    /// would abort on exactly these inputs.
+    /// batch and snapshot must parse (to rejection) without panicking.
     #[test]
     fn truncated_batch_and_snapshot_prefixes_never_panic() {
         let entries: Vec<JournalEntry> = (0..3).map(dummy_entry).collect();

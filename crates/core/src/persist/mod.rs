@@ -28,14 +28,14 @@
 //! garbage) and replays the journal tail on top. Replay is idempotent via
 //! the slot-sequence watermark: entries below the snapshot's slot are
 //! already folded in and skip, so bytes are never double-counted no
-//! matter how snapshot and journal overlap. There is one format per
-//! artefact; bytes that match neither magic are foreign and count as
-//! corruption.
+//! matter how snapshot and journal overlap. Each artefact is one kind of
+//! [`binfmt`](crate::binfmt) frame with one payload format; bytes that do
+//! not open as the expected kind are foreign and count as corruption.
 //!
 //! | Module | Holds |
 //! |---|---|
 //! | `storage` | [`StorageBackend`] / [`StorageFile`] / [`RealBackend`] and their seeded [`FaultyBackend`] test double |
-//! | `codec` | every on-disk format: CRC-32, the `NRSB` journal batch, the `NRCK` snapshot, the wire structs |
+//! | `codec` | every on-disk payload: the journal batch, the snapshot, the wire structs |
 //! | `writer` | the group-commit [`JournalWriter`], the checkpoint thread and the [`DurabilityRung`] ladder |
 //! | `session` | [`SessionStore`], [`PersistConfig`], [`PersistentSession`] |
 
@@ -44,9 +44,8 @@ mod session;
 mod storage;
 mod writer;
 
-pub use codec::{
-    crc32, encode_batch, read_journal_bytes, JournalEntry, MicroState, SessionState, SlotOp,
-};
+pub use crate::binfmt::crc32;
+pub use codec::{encode_batch, read_journal_bytes, JournalEntry, MicroState, SessionState, SlotOp};
 pub use session::{PersistConfig, PersistentSession, RecoveryReport, SessionStore};
 pub use storage::{
     FaultKind, FaultyBackend, RealBackend, StorageBackend, StorageFaultSchedule, StorageFile,

@@ -286,6 +286,20 @@ impl NrScope {
         self.ue_events.push_back(ev);
     }
 
+    /// Admit `rnti` into the tracked set at `slot`: journal the promotion,
+    /// then announce a new UE, or count a re-RACH of one that expired as a
+    /// recovery.
+    fn admit(&mut self, rnti: Rnti, slot: u64, rrc: RrcSetup) {
+        if self.journaling {
+            self.slot_ops.push(SlotOp::Track { rnti, rrc });
+        }
+        if self.tracker.promote(rnti, slot, rrc) {
+            self.push_ue_event(UeEvent::Discovered { rnti, slot });
+        } else {
+            self.stats.recovered_ues += 1;
+        }
+    }
+
     /// Drain the UE lifecycle edges accumulated since the last call.
     pub fn drain_ue_events(&mut self) -> Vec<UeEvent> {
         self.ue_events.drain(..).collect()
@@ -1309,16 +1323,7 @@ impl NrScope {
                                 || self.tracker.was_ever_seen(d.rnti)
                                 || self.admission_check(d.rnti, slot) == Admission::Admit;
                             if corroborated {
-                                if self.journaling {
-                                    self.slot_ops.push(SlotOp::Track { rnti: d.rnti, rrc });
-                                }
-                                if self.tracker.promote(d.rnti, slot, rrc) {
-                                    self.push_ue_event(UeEvent::Discovered { rnti: d.rnti, slot });
-                                } else {
-                                    // Same RNTI re-RACHed after we expired
-                                    // it: a recovery, not a new UE.
-                                    self.stats.recovered_ues += 1;
-                                }
+                                self.admit(d.rnti, slot, rrc);
                             }
                         }
                     }
@@ -1343,14 +1348,7 @@ impl NrScope {
                         // exist), so K such decodes admit the UE.
                         if self.admission_check(d.rnti, slot) == Admission::Admit {
                             if let Some(rrc) = self.tracker.cached_rrc().copied() {
-                                if self.journaling {
-                                    self.slot_ops.push(SlotOp::Track { rnti: d.rnti, rrc });
-                                }
-                                if self.tracker.promote(d.rnti, slot, rrc) {
-                                    self.push_ue_event(UeEvent::Discovered { rnti: d.rnti, slot });
-                                } else {
-                                    self.stats.recovered_ues += 1;
-                                }
+                                self.admit(d.rnti, slot, rrc);
                             }
                         }
                     }

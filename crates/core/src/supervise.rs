@@ -2,27 +2,31 @@
 //! detect death *and hangs*, and resume from the latest valid checkpoint.
 //!
 //! The supervisor (parent) owns the radio front end and feeds captures to
-//! a child over a line-oriented JSONL pipe protocol; the child wraps the
-//! scope in a [`PersistentSession`], whose group-commit journal makes
-//! slots durable in batches — each [`Ack`] reports both the processing
-//! watermark and the durable watermark, so the parent knows exactly which
-//! tail a `kill -9` can cost (bounded by
-//! [`PersistConfig::loss_window_slots`]).
+//! a child over a pipe; the child wraps the scope in a
+//! [`PersistentSession`], whose group-commit journal makes slots durable
+//! in batches — each [`Ack`] reports both the processing watermark and
+//! the durable watermark, so the parent knows exactly which tail a
+//! `kill -9` can cost (bounded by [`PersistConfig::loss_window_slots`]).
+//!
+//! Wire format: every [`WireMsg`] and [`ChildMsg`] is the `binfmt`
+//! encoding of the message in one [`FrameKind::Pipe`] frame — the
+//! journal's codec under the header a journal batch and a snapshot carry.
+//! Parent and child both read through a [`FrameDecoder`]: a frame that
+//! fails its checks is a typed [`WireError`] — counted, one byte skipped,
+//! the scan resumed — never an aborted session, and text on the pipe (a
+//! libtest banner) never begins a frame.
 //!
 //! Liveness: the child emits [`ChildMsg::Heartbeat`] whenever it has been
 //! busy longer than `supervise.heartbeat_interval_ms` without writing a
-//! line (deep gap-fills), so the parent can tell *busy* from *wedged*.
+//! frame (deep gap-fills), so the parent can tell *busy* from *wedged*.
 //! [`ChildHandle::recv_timeout`] bounds every read; the
 //! [`Supervisor`] classifies silence past `supervise.hang_deadline_ms` as
 //! a hang — force-kill, count it, warm-restart exactly like a crash. A
 //! token-bucket [`RestartBreaker`] meters respawns so a crash loop parks
 //! the child in lame-duck mode (slots dropped honestly, one half-open
 //! probe after backoff) instead of restart-storming.
-//!
-//! Framing: a truncated, corrupt, or oversized line from the child is a
-//! typed [`WireError`] — counted, the stream re-synced at the next
-//! newline — never an aborted session.
 
+use crate::binfmt::{self, FrameKind, Opened};
 use crate::config::{ScopeConfig, SuperviseConfig};
 use crate::metrics::{Counter, Gauge, Metrics};
 use crate::observe::{Capture, DropReason};
@@ -32,7 +36,8 @@ use crate::telemetry::TelemetryRecord;
 use crate::worker::SlotHook;
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -46,17 +51,18 @@ use std::time::{Duration, Instant};
 /// restart picks up the operator's current (possibly edited) config.
 pub const CONFIG_FILE: &str = "scope_config.json";
 
-/// Hard bound on one JSONL frame from the child. A line longer than this
-/// is discarded as [`WireError::Oversized`] and the stream re-syncs at the
-/// next newline — a runaway or corrupted child must not balloon the
-/// parent's memory.
-pub const MAX_FRAME_BYTES: usize = 1 << 20;
+/// Hard bound on one pipe frame's payload. A frame declaring more is a
+/// [`WireError::Corrupt`] — a runaway or corrupted peer must not balloon
+/// the reader's memory — and a message encoding to more is refused by its
+/// sender. The largest IQ slot the numerology admits (FFT 4096: 61,440
+/// samples, e.g. a 273-PRB µ1 cell) encodes to about 1.6 MB.
+pub const MAX_FRAME_BYTES: usize = 4 << 20;
 
 /// Bound on waiting for a finishing child to exit before the supervisor
 /// escalates to SIGKILL ([`ChildHandle::wait_timeout`]).
 const FINISH_WAIT: Duration = Duration::from_secs(5);
 
-/// Parent → child messages, one JSON object per line on the child's stdin.
+/// Parent → child messages, one pipe frame each on the child's stdin.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum WireMsg {
     /// One capture for slot `seq`. The child gap-fills any slots it never
@@ -77,7 +83,8 @@ pub enum WireMsg {
     Finish,
 }
 
-/// First line the child prints after recovery — what a warm restart found.
+/// First message the child sends after recovery — what a warm restart
+/// found.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Hello {
     /// UEs tracked immediately after recovery.
@@ -127,24 +134,19 @@ pub struct ReportReply {
     pub total_discovered: u64,
 }
 
-/// Child → parent messages, one JSON object per line on the child's stdout.
+/// Child → parent messages, one pipe frame each on the child's stdout.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ChildMsg {
-    /// Recovery announcement (always the first line).
+    /// Recovery announcement (always the first message).
     Hello(Hello),
     /// Slot acknowledgement.
     Ack(Ack),
     /// Byte-accounting reply.
     Report(ReportReply),
     /// Liveness beacon: emitted between acks whenever the child has been
-    /// busy past its heartbeat interval without writing a line, so the
+    /// busy past its heartbeat interval without writing a frame, so the
     /// parent can tell a deep gap-fill from a wedge.
-    Heartbeat {
-        /// Child watermark at emission.
-        slot: u64,
-        /// Durable watermark at emission.
-        durable_watermark: u64,
-    },
+    Heartbeat,
     /// Clean shutdown complete; the final durable slot.
     Done {
         /// Slot of the final checkpoint.
@@ -153,162 +155,121 @@ pub enum ChildMsg {
 }
 
 // ---------------------------------------------------------------------------
-// Tolerant line framing
+// Tolerant framing
 // ---------------------------------------------------------------------------
 
-/// A framing fault on the supervise pipe. Never fatal: the decoder counts
-/// it and re-syncs at the next newline.
+/// A framing fault on the supervise pipe. Never fatal: the decoder hands
+/// it to its caller to count and scans on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// The stream ended mid-line (EOF without a terminating newline).
-    Truncated,
-    /// A line exceeded [`MAX_FRAME_BYTES`]; its bytes were discarded up to
-    /// the next newline. Carries the number of bytes thrown away so far.
-    Oversized(usize),
-    /// A complete line that did not parse as a protocol message.
+    /// A frame start that failed its checks (magic, version, a length over
+    /// [`MAX_FRAME_BYTES`], CRC): one byte skipped.
+    Corrupt,
+    /// A CRC-valid frame whose payload is not a message of the expected
+    /// type: the frame skipped whole.
     Malformed,
+    /// The stream ended inside a frame.
+    Truncated,
 }
 
-impl WireError {
-    /// Stable snake_case name for notes and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireError::Truncated => "truncated",
-            WireError::Oversized(_) => "oversized",
-            WireError::Malformed => "malformed",
-        }
-    }
-}
-
-/// One decoded frame, or the fault that took its place.
-#[derive(Debug)]
-pub enum Frame {
-    /// A parsed child message.
-    Msg(Box<ChildMsg>),
-    /// A framing fault (counted; the stream is already re-synced).
-    Err(WireError),
-}
-
-/// Incremental, tolerant JSONL decoder for the child's stdout: push raw
-/// pipe bytes in, pop [`Frame`]s out. Garbage between newlines — a
-/// corrupted line, interleaved non-protocol output, a line above
-/// [`MAX_FRAME_BYTES`] — becomes a typed [`WireError`] and the decoder
-/// re-syncs at the next newline instead of poisoning the session.
-pub struct FrameDecoder {
+/// Streaming decoder for one direction of the pipe: raw bytes in, `T`
+/// messages out. Bytes that cannot begin a frame are skipped, and a frame
+/// that fails its checks costs one byte, so every intact frame behind
+/// damage still decodes. A run of failed frame starts with no frame
+/// between them — a damaged frame's own bytes, a torn tail at EOF — is
+/// one fault. It buffers at most one frame — bounded by
+/// [`MAX_FRAME_BYTES`] — plus one read.
+pub struct FrameDecoder<T> {
     buf: Vec<u8>,
-    /// Inside an oversized line: discard until the next newline.
-    skipping: usize,
-    errors: u64,
-    max_frame: usize,
+    eof: bool,
+    in_damage: bool,
+    msg: PhantomData<fn() -> T>,
 }
 
-impl Default for FrameDecoder {
+impl<T: Deserialize> Default for FrameDecoder<T> {
     fn default() -> Self {
-        FrameDecoder::new()
-    }
-}
-
-impl FrameDecoder {
-    /// A decoder with the default [`MAX_FRAME_BYTES`] bound.
-    pub fn new() -> FrameDecoder {
-        FrameDecoder::with_max_frame(MAX_FRAME_BYTES)
-    }
-
-    /// A decoder with a custom frame bound (tests shrink it).
-    pub fn with_max_frame(max_frame: usize) -> FrameDecoder {
         FrameDecoder {
             buf: Vec::new(),
-            skipping: 0,
-            errors: 0,
-            max_frame: max_frame.max(2),
+            eof: false,
+            in_damage: false,
+            msg: PhantomData,
         }
     }
+}
 
-    /// Framing faults seen so far.
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    /// Feed raw bytes; call [`FrameDecoder::next_frame`] until it returns
-    /// `None` to drain.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Next complete frame, if one is buffered.
-    pub fn next_frame(&mut self) -> Option<Frame> {
+impl<T: Deserialize> FrameDecoder<T> {
+    /// The next message from `r`, reading as needed: `None` once `r` is
+    /// exhausted and every buffered frame is drained. Each fault met on
+    /// the way goes to `on_fault`.
+    pub fn read_from(
+        &mut self,
+        r: &mut impl Read,
+        mut on_fault: impl FnMut(WireError),
+    ) -> io::Result<Option<T>> {
         loop {
-            let nl = self.buf.iter().position(|&b| b == b'\n');
-            if self.skipping > 0 {
-                // Mid-oversized-line: throw bytes away until a newline
-                // re-syncs the stream.
-                match nl {
-                    Some(i) => {
-                        let thrown = self.skipping + i;
-                        self.buf.drain(..=i);
-                        self.skipping = 0;
-                        self.errors += 1;
-                        return Some(Frame::Err(WireError::Oversized(thrown)));
-                    }
-                    None => {
-                        self.skipping += self.buf.len();
-                        self.buf.clear();
-                        return None;
-                    }
-                }
-            }
-            match nl {
-                None if self.buf.len() > self.max_frame => {
-                    // No newline yet and already over budget: enter skip
-                    // mode so the buffer cannot grow unboundedly.
-                    self.skipping = self.buf.len();
-                    self.buf.clear();
-                    return None;
-                }
-                None => return None,
-                Some(i) if i > self.max_frame => {
-                    self.buf.drain(..=i);
-                    self.errors += 1;
-                    return Some(Frame::Err(WireError::Oversized(i)));
-                }
-                Some(i) => {
-                    let line: Vec<u8> = self.buf.drain(..=i).collect();
-                    let text = String::from_utf8_lossy(&line[..i]);
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    match serde_json::from_str::<ChildMsg>(trimmed) {
-                        Ok(msg) => return Some(Frame::Msg(Box::new(msg))),
-                        Err(_) => {
-                            self.errors += 1;
-                            return Some(Frame::Err(WireError::Malformed));
-                        }
+            match self.next_frame() {
+                Some(Ok(msg)) => return Ok(Some(msg)),
+                Some(Err(e)) => on_fault(e),
+                None if self.eof => return Ok(None),
+                None => {
+                    let mut chunk = [0u8; 8192];
+                    match r.read(&mut chunk) {
+                        Ok(0) => self.eof = true,
+                        Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e),
                     }
                 }
             }
         }
     }
 
-    /// Signal EOF: leftover bytes that never saw their newline are a
-    /// [`WireError::Truncated`] (the child died mid-write).
-    pub fn finish(&mut self) -> Option<WireError> {
-        if self.skipping > 0 || !self.buf.iter().all(|b| b.is_ascii_whitespace()) {
-            self.buf.clear();
-            self.skipping = 0;
-            self.errors += 1;
-            return Some(WireError::Truncated);
+    /// The next frame in the buffer, or `None` when it needs more bytes.
+    fn next_frame(&mut self) -> Option<Result<T, WireError>> {
+        loop {
+            let start = binfmt::frame_start(&self.buf).unwrap_or(self.buf.len());
+            self.buf.drain(..start);
+            if self.buf.is_empty() {
+                return None;
+            }
+            let fault = match binfmt::open(FrameKind::Pipe, &self.buf, MAX_FRAME_BYTES) {
+                Opened::Frame(payload, len) => {
+                    let msg = binfmt::decode_value(payload).ok_or(WireError::Malformed);
+                    self.buf.drain(..len);
+                    self.in_damage = false;
+                    return Some(msg);
+                }
+                Opened::Short if !self.eof => return None,
+                Opened::Short => WireError::Truncated,
+                Opened::Bad => WireError::Corrupt,
+            };
+            self.buf.drain(..1);
+            if !std::mem::replace(&mut self.in_damage, true) {
+                return Some(Err(fault));
+            }
         }
-        self.buf.clear();
-        None
     }
+}
+
+/// Write `msg` to `out` as one pipe frame, and flush it. A message over
+/// [`MAX_FRAME_BYTES`] is refused before a byte is written: the peer would
+/// drop it as corrupt, and its silence would read as a hang.
+fn send_frame(out: &mut impl Write, msg: &impl Serialize) -> io::Result<()> {
+    let mut frame = Vec::new();
+    let len = binfmt::seal(FrameKind::Pipe, &mut frame, |b| binfmt::put_value(b, msg));
+    if len > MAX_FRAME_BYTES {
+        let why = format!("a {len} B pipe message is over MAX_FRAME_BYTES");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+    }
+    out.write_all(&frame)?;
+    out.flush()
 }
 
 // ---------------------------------------------------------------------------
 // Child main loop
 // ---------------------------------------------------------------------------
 
-/// Child-side writer: tracks when the last line went out so heartbeats
+/// Child-side writer: tracks when the last frame went out so heartbeats
 /// fire only when the pipe has actually been silent.
 struct ChildIo<W: Write> {
     out: W,
@@ -318,20 +279,15 @@ struct ChildIo<W: Write> {
 
 impl<W: Write> ChildIo<W> {
     fn send(&mut self, msg: &ChildMsg) -> io::Result<()> {
-        let json = serde_json::to_string(msg).map_err(io::Error::from)?;
-        writeln!(self.out, "{json}")?;
-        self.out.flush()?;
+        send_frame(&mut self.out, msg)?;
         self.last_write = Instant::now();
         Ok(())
     }
 
     /// Emit a heartbeat iff the pipe has been silent past the interval.
-    fn heartbeat_if_due(&mut self, slot: u64, durable_watermark: u64) -> io::Result<()> {
+    fn heartbeat_if_due(&mut self) -> io::Result<()> {
         if self.last_write.elapsed() >= self.interval {
-            self.send(&ChildMsg::Heartbeat {
-                slot,
-                durable_watermark,
-            })?;
+            self.send(&ChildMsg::Heartbeat)?;
         }
         Ok(())
     }
@@ -381,8 +337,8 @@ pub fn feed_at_watermark<E: SlotEngine>(
 
 /// Child main loop: recover the session in `persist.dir` (configured by
 /// its [`CONFIG_FILE`], if present), announce [`Hello`], then process
-/// [`WireMsg`] lines from stdin until `Finish` or EOF, each `Slot` through
-/// `hook` (if any) and [`feed_at_watermark`] (a replayed slot is
+/// [`WireMsg`] frames from stdin until `Finish` or EOF, each `Slot`
+/// through `hook` (if any) and [`feed_at_watermark`] (a replayed slot is
 /// acknowledged without reprocessing).
 pub fn run_child(
     persist: PersistConfig,
@@ -404,18 +360,11 @@ pub fn run_child(
         tracked: session.scope().tracked_rntis(),
         report,
     }))?;
-    let stdin = io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let msg: WireMsg = match serde_json::from_str(&line) {
-            Ok(m) => m,
-            // Tolerant framing on the child side too: a corrupt line is
-            // skipped and the stream re-syncs at the next newline.
-            Err(_) => continue,
-        };
+    let mut stdin = io::stdin().lock();
+    let mut frames = FrameDecoder::default();
+    // A damaged frame is skipped; the parent's hang deadline covers the
+    // reply it cost.
+    while let Some(msg) = frames.read_from(&mut stdin, |_| {})? {
         match msg {
             WireMsg::Slot { seq, capture } => {
                 if let Some(hook) = &hook {
@@ -424,9 +373,9 @@ pub fn run_child(
                 // Deep gap-fill after a long outage: prove liveness every
                 // 256 drops so the parent doesn't read hard work as a hang.
                 let mut beat = Ok(());
-                let produced = feed_at_watermark(&mut session, seq, &capture, |s, filled| {
+                let produced = feed_at_watermark(&mut session, seq, &capture, |_, filled| {
                     if filled.is_multiple_of(256) && beat.is_ok() {
-                        beat = io.heartbeat_if_due(s.slot_watermark(), s.durable_watermark());
+                        beat = io.heartbeat_if_due();
                     }
                 });
                 beat?;
@@ -479,25 +428,18 @@ pub fn run_child(
 // Parent-side child handle
 // ---------------------------------------------------------------------------
 
-fn eof_error() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::UnexpectedEof,
-        "child closed its stdout (died?)",
-    )
-}
-
-/// Parent-side handle on a spawned pipeline child: tolerant line-framed
+/// Parent-side handle on a spawned pipeline child: tolerant framed
 /// send/recv with deadlines, plus hard kill (SIGKILL — the crash being
 /// simulated, not a clean stop).
 ///
 /// Reads never block the caller directly: a reader thread drains the
-/// child's stdout through a [`FrameDecoder`] into an internal frame
-/// buffer, so [`ChildHandle::recv_timeout`] can give up at a deadline
+/// child's stdout through a [`FrameDecoder`] into an internal message
+/// queue, so [`ChildHandle::recv_timeout`] can give up at a deadline
 /// even while the pipe itself stays open with a hung child behind it.
 pub struct ChildHandle {
     child: Child,
     stdin: ChildStdin,
-    frames: Receiver<Frame>,
+    msgs: Receiver<ChildMsg>,
     reader: Option<JoinHandle<()>>,
     wire_errors: Arc<AtomicU64>,
 }
@@ -520,39 +462,25 @@ impl ChildHandle {
         let mut child = cmd.spawn()?;
         let stdin = child.stdin.take().expect("piped child stdin");
         let mut stdout = child.stdout.take().expect("piped child stdout");
-        let (tx, rx) = channel::<Frame>();
+        let (tx, rx) = channel::<ChildMsg>();
         let wire_errors = Arc::new(AtomicU64::new(0));
         let errs = Arc::clone(&wire_errors);
         let reader = crate::worker::spawn_background("supervise-reader", move || {
-            let mut dec = FrameDecoder::new();
-            let mut buf = [0u8; 8192];
-            loop {
-                match stdout.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => {
-                        dec.push(&buf[..n]);
-                        while let Some(frame) = dec.next_frame() {
-                            if matches!(frame, Frame::Err(_)) {
-                                errs.fetch_add(1, Relaxed);
-                            }
-                            if tx.send(frame).is_err() {
-                                return;
-                            }
-                        }
-                    }
+            let mut frames = FrameDecoder::default();
+            // Ends at EOF (or a failed read), dropping `tx`: the parent
+            // reads the disconnect as EOF.
+            while let Ok(Some(msg)) = frames.read_from(&mut stdout, |_| {
+                errs.fetch_add(1, Relaxed);
+            }) {
+                if tx.send(msg).is_err() {
+                    return;
                 }
             }
-            if let Some(e) = dec.finish() {
-                errs.fetch_add(1, Relaxed);
-                let _ = tx.send(Frame::Err(e));
-            }
-            // Dropping `tx` disconnects the channel: the parent reads the
-            // disconnect as EOF.
         });
         let mut handle = ChildHandle {
             child,
             stdin,
-            frames: rx,
+            msgs: rx,
             reader: Some(reader),
             wire_errors,
         };
@@ -569,9 +497,7 @@ impl ChildHandle {
 
     /// Send one message to the child.
     pub fn send(&mut self, msg: &WireMsg) -> io::Result<()> {
-        let json = serde_json::to_string(msg).map_err(io::Error::from)?;
-        writeln!(self.stdin, "{json}")?;
-        self.stdin.flush()
+        send_frame(&mut self.stdin, msg)
     }
 
     /// Receive with a deadline. `Ok(None)` = nothing arrived in time (the
@@ -579,15 +505,13 @@ impl ChildHandle {
     /// the child died. Framing faults are counted and skipped, never
     /// surfaced as session errors.
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<ChildMsg>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.frames.recv_timeout(left) {
-                Ok(Frame::Msg(m)) => return Ok(Some(*m)),
-                Ok(Frame::Err(_)) => continue,
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(eof_error()),
-            }
+        match self.msgs.recv_timeout(timeout) {
+            Ok(msg) => Ok(Some(msg)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "child closed its stdout (died?)",
+            )),
         }
     }
 
@@ -616,7 +540,9 @@ impl ChildHandle {
     pub fn kill(&mut self) -> io::Result<()> {
         self.child.kill()?;
         self.child.wait()?;
-        self.join_reader();
+        if let Some(h) = self.reader.take() {
+            let _ = h.join();
+        }
         Ok(())
     }
 
@@ -632,31 +558,21 @@ impl ChildHandle {
             ..
         } = self;
         drop(stdin);
-        let join = |r: Option<std::thread::JoinHandle<()>>| {
-            if let Some(h) = r {
-                let _ = h.join();
-            }
-        };
         let deadline = Instant::now() + timeout;
-        loop {
+        let exit = loop {
             if let Some(status) = child.try_wait()? {
-                join(reader);
-                return Ok((status, false));
+                break (status, false);
             }
             if Instant::now() >= deadline {
                 child.kill()?;
-                let status = child.wait()?;
-                join(reader);
-                return Ok((status, true));
+                break (child.wait()?, true);
             }
             std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    fn join_reader(&mut self) {
-        if let Some(h) = self.reader.take() {
+        };
+        if let Some(h) = reader {
             let _ = h.join();
         }
+        Ok(exit)
     }
 }
 
@@ -809,18 +725,6 @@ pub enum RestartCause {
     Crash,
     /// The supervisor killed it deliberately (chaos kill-9 injection).
     Killed,
-}
-
-impl RestartCause {
-    /// Stable snake_case name for notes and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            RestartCause::Initial => "initial",
-            RestartCause::Hang => "hang",
-            RestartCause::Crash => "crash",
-            RestartCause::Killed => "killed",
-        }
-    }
 }
 
 /// One completed (re)spawn, for monitors and reports.
@@ -995,8 +899,8 @@ impl Supervisor {
             seq,
             capture: capture.clone(),
         };
-        if self.child.as_mut().unwrap().send(&msg).is_err() {
-            self.child_down(seq, RestartCause::Crash, "send failed (child died)");
+        if let Err(e) = self.child.as_mut().unwrap().send(&msg) {
+            self.child_down(seq, RestartCause::Crash, &format!("send failed: {e}"));
             return self.lost(LostCause::ChildDown);
         }
         let hang_deadline = self.hang_deadline();
@@ -1004,7 +908,7 @@ impl Supervisor {
         loop {
             let outcome = self.child.as_mut().unwrap().recv_timeout(hang_deadline);
             match outcome {
-                Ok(Some(ChildMsg::Heartbeat { .. })) => {
+                Ok(Some(ChildMsg::Heartbeat)) => {
                     // Busy but alive: record how close it came, reset the
                     // silence clock, keep waiting for the ack.
                     self.metrics.gauge_set(
@@ -1158,24 +1062,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_decoder_bounds_oversized_lines() {
-        let mut d = FrameDecoder::with_max_frame(64);
-        // A 10 KiB line with no newline yet must not balloon the buffer.
-        d.push(&vec![b'x'; 10 * 1024]);
-        assert!(d.next_frame().is_none());
-        assert!(d.buf.len() <= 64, "oversized bytes discarded, not buffered");
-        d.push(b"tail\n");
-        match d.next_frame() {
-            Some(Frame::Err(WireError::Oversized(n))) => assert!(n >= 10 * 1024),
-            other => panic!("expected Oversized, got {other:?}"),
-        }
-        // And the stream is usable again.
-        let good = format!(
-            "{}\n",
-            serde_json::to_string(&ChildMsg::Done { final_slot: 1 }).unwrap()
-        );
-        d.push(good.as_bytes());
-        assert!(matches!(d.next_frame(), Some(Frame::Msg(_))));
+    fn an_oversize_message_is_refused_unsent() {
+        let mut out = Vec::new();
+        let err = send_frame(&mut out, &"a".repeat(MAX_FRAME_BYTES)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
     }
 
     #[test]

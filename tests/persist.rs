@@ -723,16 +723,26 @@ fn removed_knob(head: &str, tail: &str) -> String {
     format!("{head}_{tail}")
 }
 
-/// A snapshot file image: the checkpoint fixture's `NRCK` header (magic,
-/// version and slot at [0..13), then length and CRC) re-sealed over
-/// `payload`.
+/// A snapshot file image: `payload` sealed as one snapshot frame.
 fn resealed_checkpoint(payload: &[u8]) -> Vec<u8> {
-    let (bytes, _) = checkpoint_fixture();
-    let mut image = bytes[..13].to_vec();
-    image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    image.extend_from_slice(&crc32(&[&image[4..17], payload].concat()).to_le_bytes());
-    image.extend_from_slice(payload);
+    use nr_scope::scope::binfmt::{seal, FrameKind};
+
+    let mut image = Vec::new();
+    seal(FrameKind::Snapshot, &mut image, |b| {
+        b.extend_from_slice(payload)
+    });
     image
+}
+
+/// The checkpoint fixture's payload: one binfmt-encoded `SessionState`.
+fn checkpoint_payload() -> &'static [u8] {
+    use nr_scope::scope::binfmt::{open, FrameKind, Opened};
+
+    let (bytes, _) = checkpoint_fixture();
+    match open(FrameKind::Snapshot, bytes, usize::MAX) {
+        Opened::Frame(payload, _) => payload,
+        other => panic!("the fixture is one snapshot frame: {other:?}"),
+    }
 }
 
 /// The checkpoint fixture re-encoded, with `extra` cells appended to
@@ -751,8 +761,7 @@ fn checkpoint_reshaped(extra: usize, removed_keys: bool) -> Vec<u8> {
         &mut found.unwrap_or_else(|| panic!("no {key} field")).1
     }
 
-    let (bytes, _) = checkpoint_fixture();
-    let mut state = get_content(&bytes[21..], &mut 0).expect("fixture payload decodes");
+    let mut state = get_content(checkpoint_payload(), &mut 0).expect("fixture payload decodes");
     let micro = field(&mut state, "micro");
     let Content::Seq(cells) = field(field(micro, "stats"), "slots_at_rung") else {
         panic!("the stats field carries the ladder cells");
@@ -839,10 +848,10 @@ fn four_rung_checkpoint_is_refused_whole_and_recovery_cold_starts() {
 fn crc_valid_snapshot_of_another_type_is_rejected_and_counted() {
     use nr_scope::scope::binfmt::encode_value;
 
-    let (bytes, slot) = checkpoint_fixture();
+    let (_, slot) = checkpoint_fixture();
     let scope = NrScope::new(ScopeConfig::default(), None);
     for (payload, loads) in [
-        (bytes[21..].to_vec(), true), // control: re-sealing is faithful
+        (checkpoint_payload().to_vec(), true), // control: re-sealing is faithful
         (encode_value(&scope.micro_state()), false),
         (Vec::new(), false),
     ] {
