@@ -1,6 +1,6 @@
 //! fleet — multi-cell bulkhead isolation, warm restart, and continuity.
 //!
-//! Three experiments, frozen into `BENCH_fleet.json`:
+//! Four experiments, frozen into `BENCH_fleet.json`:
 //!
 //!   1. **Sweep**: cell count vs sustained slots/sec/cell over one shared
 //!      worker pool (volatile shards, no faults).
@@ -9,8 +9,10 @@
 //!      and byte parity.
 //!   3. **Fault matrix**: the identical run with one shard *killed*
 //!      (injected panic), one *wedged* (injected stall past the
-//!      watchdog), and one *overloaded* (per-slot delay, so it sheds its
-//!      own queue). Asserts, exiting non-zero on breach:
+//!      watchdog), and one *overloaded* (a per-slot delay before decode,
+//!      so its queue backs up past 7/8 of its depth — it decodes its
+//!      backlog broadcast-only — and then fills, so it sheds its own
+//!      queue). Asserts, exiting non-zero on breach:
 //!        - every healthy shard's p99 stays within 10% of its own
 //!          no-fault baseline (plus a small scheduler-granularity floor);
 //!        - every healthy shard's byte parity vs gNB ground truth stays
@@ -21,8 +23,17 @@
 //!          checkpoints (`restarts ≥ 1`, recovery report `resumed`) and
 //!          every shard's final watermark equals the slots fed;
 //!        - every shard ends Healthy / synced / at the `full` rung;
+//!        - the overloaded shard decoded ≥ 1 slot broadcast-only and
+//!          discovered as many UEs as in the no-fault baseline, and every
+//!          other shard decoded none broadcast-only (a backlog never
+//!          crosses a bulkhead);
 //!        - the handed-over C-RNTI is matched cross-cell: exactly one
 //!          continuation, so the fleet counts one user, not two.
+//!   4. **Decode-bound overload** ([`decode_bound`]): one shard fed faster
+//!      than it decodes at `Full`, against a ring that decodes every slot
+//!      at `Full`. In the best of three trials the backlog rule must shed
+//!      fewer slots and discover as many UEs. Both rungs' per-slot costs
+//!      are recorded, bare and in the shard, and at IQ fidelity.
 //!
 //! `--short` shrinks the run for CI; `NRSCOPE_SECONDS` scales the fault
 //! phases (script points are fractions of the total).
@@ -32,15 +43,18 @@ use nr_phy::channel::ChannelProfile;
 use nr_phy::types::Pci;
 use nrscope::observe::Observer;
 use nrscope::{
-    Fidelity, Fleet, FleetConfig, FleetSnapshot, GovernorConfig, PersistConfig, ScopeConfig,
-    ShardSpec, SlotHook,
+    Capture, DropReason, Fidelity, Fleet, FleetConfig, FleetSnapshot, LoadRung, NrScope,
+    PersistConfig, ScopeConfig, ShardSpec, SlotHook, Stage,
 };
 use nrscope_analytics::{parity_ok, PARITY_BAND};
 use nrscope_bench::gate::{Gate, Mode};
-use nrscope_bench::scratch_dir;
+use nrscope_bench::{cbr_gnb, scratch_dir};
 use serde::Serialize;
+use std::collections::VecDeque;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use ue_sim::traffic::{TrafficKind, TrafficSource};
 use ue_sim::{MobilityScenario, SimUe};
@@ -119,11 +133,6 @@ fn shard_scope_config(ue_expiry_slots: u64) -> ScopeConfig {
     ScopeConfig {
         fidelity: Fidelity::Message,
         ue_expiry_slots,
-        governor: GovernorConfig {
-            enabled: true,
-            promote_after_slots: 60,
-            ..GovernorConfig::default()
-        },
         ..ScopeConfig::default()
     }
 }
@@ -173,6 +182,242 @@ fn sweep_point(n_cells: usize, slots: u64, seed: u64) -> f64 {
     slots as f64 / wall
 }
 
+/// The decode-bound leg: 64 CBR UEs attached during 2,000 paced slots
+/// (the perf ledger's `msg-dense` population), 8 more that RACH while the
+/// feed is paced, a ring of 256, and a pace of 0.8 × the bare `Full`
+/// decode cost, so a slot arrives 25 % faster than a scope decodes one.
+const DB_UES: usize = 64;
+const DB_LATE_UES: usize = 8;
+const DB_ATTACH: usize = 2000;
+const DB_DEPTH: usize = 256;
+const DB_PACE: f64 = 0.8;
+
+/// An srsRAN n41 cell's tape: `ues` CBR UEs from slot 0, and a backlogged
+/// one more at each slot of `late`.
+fn tape(ues: usize, late: &[usize], slots: usize, iq: bool) -> (CellConfig, Vec<Capture>) {
+    let cell = CellConfig::srsran_n41();
+    let mut gnb = cbr_gnb(&cell, ues, 600.0, 23);
+    let mut observer = Observer::new(&cell, 30.0, iq, 0xDEC0);
+    let tape = (0..slots)
+        .map(|s| {
+            if let Some(k) = late.iter().position(|&at| at == s) {
+                let id = (ues + k + 1) as u64;
+                gnb.ue_arrives(backlogged_ue(id, id, id, 600.0));
+            }
+            observer.capture(&gnb.step(), s as f64 * cell.slot_s())
+        })
+        .collect();
+    (cell, tape)
+}
+
+/// A bare scope (no fleet) that has decoded `tape[..attach]` at `Full`.
+fn attached_scope(cell: &CellConfig, tape: &[Capture], attach: usize, iq: bool) -> NrScope {
+    let fidelity = if iq { Fidelity::Iq } else { Fidelity::Message };
+    let cfg = ScopeConfig {
+        fidelity,
+        ..shard_scope_config(20_000)
+    };
+    let mut scope = NrScope::new(cfg, Some(cell.pci));
+    tape[..attach]
+        .iter()
+        .for_each(|cap| drop(scope.process_capture(cap)));
+    scope
+}
+
+/// Per-slot cost, µs, of `tape[attach..]` on a bare scope held at `[Full,
+/// BroadcastOnly]`: the fastest of three runs, as a busy host only adds.
+fn bare_costs_us((cell, tape): &(CellConfig, Vec<Capture>), attach: usize, iq: bool) -> [f64; 2] {
+    let run = |rung| {
+        let mut scope = attached_scope(cell, tape, attach, iq);
+        scope.force_rung(Some(rung));
+        let t0 = Instant::now();
+        tape[attach..]
+            .iter()
+            .for_each(|cap| drop(scope.process_capture(cap)));
+        t0.elapsed().as_secs_f64() * 1e6 / (tape.len() - attach) as f64
+    };
+    let fastest = |rung| (0..3).map(|_| run(rung)).fold(f64::INFINITY, f64::min);
+    [LoadRung::Full, LoadRung::BroadcastOnly].map(fastest)
+}
+
+/// Slots a scope decoded broadcast-only (its queue backed up).
+fn blind_slots(scope: &NrScope) -> u64 {
+    scope.stats.slots_at_rung[LoadRung::BroadcastOnly as usize]
+}
+
+/// A scope's median per-slot cost at `[Full, BroadcastOnly]`, µs (its
+/// `rung_full` and `rung_broadcast_only` histograms).
+fn rung_p50_us(scope: &NrScope) -> [f64; 2] {
+    let snap = scope.metrics_snapshot();
+    [Stage::RungFull, Stage::RungBroadcast]
+        .map(|st| snap.stage(st.name()).map_or(0.0, |s| s.p50_us))
+}
+
+/// Feed `tape` a slot every `pace` on average. The feeder sleeps until a
+/// slot is due, then feeds every slot that is: a sleep's overshoot becomes
+/// a short burst, not a slower pace.
+fn paced_feed(tape: &[Capture], pace: Duration, mut feed: impl FnMut(usize, Capture)) {
+    let t0 = Instant::now();
+    for (k, cap) in tape.iter().enumerate() {
+        if let Some(early) = (t0 + pace.mul_f64(k as f64)).checked_duration_since(Instant::now()) {
+            std::thread::sleep(early);
+        }
+        feed(k, cap.clone());
+    }
+}
+
+/// What one side of a decode-bound trial kept of the paced feed: its
+/// sheds, its C-RNTI DCIs (the per-UE telemetry), its UEs discovered, its
+/// broadcast-only slots and [`rung_p50_us`].
+#[derive(Serialize, Default)]
+struct Side {
+    sheds: u64,
+    ue_dcis: u64,
+    discovered: u64,
+    broadcast_only_slots: u64,
+    rung_p50_us: [f64; 2],
+}
+
+impl Side {
+    fn of(scope: &NrScope, sheds: u64) -> Side {
+        Side {
+            sheds,
+            ue_dcis: scope.stats.dl_dcis + scope.stats.ul_dcis,
+            discovered: scope.total_discovered(),
+            broadcast_only_slots: blind_slots(scope),
+            rung_p50_us: rung_p50_us(scope),
+        }
+    }
+}
+
+/// The fleet shard's side of a decode-bound trial: a one-shard volatile
+/// fleet, attached on a paced feed, then fed the rest of `tape` at `pace`.
+fn decode_bound_shard(cell: &CellConfig, tape: &[Capture], pace: Duration) -> Side {
+    let cfg = FleetConfig {
+        workers: 1,
+        shard_queue_depth: DB_DEPTH,
+        watchdog_ms: 0,
+        ..FleetConfig::default()
+    };
+    let spec = ShardSpec::volatile("decode-bound", Some(cell.pci), shard_scope_config(20_000));
+    let fleet = Fleet::new(cfg, vec![spec]).expect("volatile fleet");
+    for (s, cap) in tape[..DB_ATTACH].iter().enumerate() {
+        fleet.feed(0, s as u64, cap.clone());
+        while fleet.shard_status(0).queue_len > 8 {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+    fleet.quiesce(Duration::from_secs(60));
+    paced_feed(&tape[DB_ATTACH..], pace, |k, cap| {
+        fleet.feed(0, (DB_ATTACH + k) as u64, cap);
+    });
+    fleet.quiesce(Duration::from_secs(60));
+    let sheds = fleet.shard_status(0).sheds;
+    let side = fleet.with_scope(0, |scope| Side::of(scope, sheds));
+    fleet.finish();
+    side.unwrap_or_default()
+}
+
+/// The control: a ring of [`DB_DEPTH`] fed `tape[attach..]` at `pace`,
+/// whose one consumer decodes every slot at `Full` (gap-filling what was
+/// shed, as a fleet shard does), and which sheds its oldest entry when
+/// full — a shard without the backlog rule. It pays none of a fleet
+/// shard's other per-slot costs, so it is if anything the faster of the
+/// two.
+fn full_only_ring(mut scope: NrScope, tape: &[Capture], attach: usize, pace: Duration) -> Side {
+    let ring = Mutex::new(VecDeque::with_capacity(DB_DEPTH));
+    let (fed, mut sheds) = (AtomicBool::new(false), 0);
+    std::thread::scope(|threads| {
+        threads.spawn(|| loop {
+            let next = ring.lock().expect("ring").pop_front();
+            match next {
+                Some((seq, cap)) => {
+                    while scope.slot_watermark() < seq {
+                        drop(scope.process_capture(&Capture::Dropped(DropReason::Stall)));
+                    }
+                    drop(scope.process_capture(&cap));
+                }
+                None if fed.load(Ordering::Acquire) => break,
+                None => std::thread::yield_now(),
+            }
+        });
+        paced_feed(&tape[attach..], pace, |k, cap| {
+            let mut q = ring.lock().expect("ring");
+            if q.len() == DB_DEPTH {
+                q.pop_front();
+                sheds += 1;
+            }
+            q.push_back(((attach + k) as u64, cap));
+        });
+        fed.store(true, Ordering::Release);
+    });
+    Side::of(&scope, sheds)
+}
+
+/// The decode-bound leg's record: per-slot costs at `[Full,
+/// BroadcastOnly]`, µs, on a bare scope (at IQ fidelity with 12 UEs too,
+/// for the record: there a blind slot is dearer), and three trials of the
+/// fleet shard and the control, each in turn.
+#[derive(Serialize, Default)]
+struct DecodeBound {
+    slots: usize,
+    bare_us: [f64; 2],
+    bare_iq_us: [f64; 2],
+    shard: Vec<Side>,
+    full_only: Vec<Side>,
+}
+
+/// Decode-bound overload: the shard's own decode holds it back, not a
+/// stall before decode. One volatile shard at message fidelity is fed
+/// [`DB_PACE`] of its bare `Full` cost, measured first on the same host.
+/// A shard that decodes every slot at `Full` cannot keep that pace and
+/// sheds ([`full_only_ring`]); the fleet shard decodes its backlog
+/// broadcast-only, at about 0.6 of the cost.
+fn decode_bound(slots: usize) -> DecodeBound {
+    let late: Vec<usize> = (0..DB_LATE_UES)
+        .map(|k| DB_ATTACH + (2 * k + 1) * slots / (2 * DB_LATE_UES))
+        .collect();
+    let msg = tape(DB_UES, &late, DB_ATTACH + slots, false);
+    let bare_us = bare_costs_us(&msg, DB_ATTACH, false);
+    let pace = Duration::from_secs_f64(DB_PACE * bare_us[0] * 1e-6);
+    let mut db = DecodeBound {
+        slots,
+        bare_us,
+        bare_iq_us: bare_costs_us(&tape(12, &[], 240, true), 120, true),
+        ..DecodeBound::default()
+    };
+    for _ in 0..3 {
+        db.shard.push(decode_bound_shard(&msg.0, &msg.1, pace));
+        let control = attached_scope(&msg.0, &msg.1, DB_ATTACH, false);
+        db.full_only
+            .push(full_only_ring(control, &msg.1, DB_ATTACH, pace));
+    }
+    db
+}
+
+/// The decode-bound leg's breaches. A stall of the host only ever adds
+/// sheds and loses RACHs, to whichever side it hits, so each side is
+/// judged by its best trial.
+fn decode_bound_breaches(db: &DecodeBound) -> Vec<String> {
+    let fewest_sheds = |sides: &[Side]| sides.iter().map(|k| k.sheds).min().unwrap_or(0);
+    let most_found = |sides: &[Side]| sides.iter().map(|k| k.discovered).max().unwrap_or(0);
+    let (rule, control) = (fewest_sheds(&db.shard), fewest_sheds(&db.full_only));
+    let blind = db.shard.iter().any(|k| k.broadcast_only_slots > 0);
+    let mut breaches = Vec::new();
+    if control == 0 || rule >= control || !blind {
+        breaches.push(format!(
+            "decode-bound: the backlog rule shed {rule}, a Full-only ring {control}"
+        ));
+    }
+    let (rule, control) = (most_found(&db.shard), most_found(&db.full_only));
+    if rule < control {
+        breaches.push(format!(
+            "decode-bound: the backlog rule found {rule} UEs, a Full-only ring {control}"
+        ));
+    }
+    breaches
+}
+
 /// The fault script, as slot indices (all fractions of the total so
 /// `NRSCOPE_SECONDS` scales the run).
 struct Script {
@@ -215,6 +460,10 @@ struct PhaseResult {
     parity: Vec<f64>,
     snapshot: FleetSnapshot,
     watermarks: Vec<u64>,
+    /// Per shard: slots decoded broadcast-only (a backed-up queue).
+    broadcast_only: Vec<u64>,
+    /// The overloaded shard's median per-slot cost at each rung, µs.
+    overload_rung_p50_us: [f64; 2],
     /// Per shard: did its last recovery resume prior state, and where.
     recovered: Vec<(bool, u64)>,
     wall_s: f64,
@@ -356,6 +605,11 @@ fn fleet_phase(script: &Script, dir: &Path, faults: bool, seed: u64) -> PhaseRes
         });
         watermarks.push(fleet.with_scope(i, |s| s.slot_watermark()).unwrap_or(0));
     }
+    let broadcast_only = (0..n).map(|i| fleet.with_scope(i, blind_slots).unwrap_or(0));
+    let broadcast_only: Vec<u64> = broadcast_only.collect();
+    let overload_rung_p50_us = fleet
+        .with_scope(OVERLOAD_SHARD, rung_p50_us)
+        .unwrap_or_default();
     let recovered: Vec<(bool, u64)> = (0..n)
         .map(|i| {
             let last = fleet.shard_status(i).last_recovery;
@@ -368,6 +622,8 @@ fn fleet_phase(script: &Script, dir: &Path, faults: bool, seed: u64) -> PhaseRes
         parity,
         snapshot,
         watermarks,
+        broadcast_only,
+        overload_rung_p50_us,
         recovered,
         wall_s,
     }
@@ -407,6 +663,7 @@ struct ShardRow {
     health: String,
     sync: String,
     load_rung: String,
+    broadcast_only_slots: u64,
     sheds: u64,
     panics: u64,
     wedges: u64,
@@ -425,6 +682,11 @@ struct Header {
     sweep: Vec<SweepPoint>,
     fault_matrix: FaultMatrix,
     shards: Vec<ShardRow>,
+    /// The overloaded shard's median per-slot cost at `[Full,
+    /// BroadcastOnly]`, µs: its stall is its hook's, before decode, so a
+    /// blind slot shortens nothing there.
+    overloaded_rung_p50_us: [f64; 2],
+    decode_bound: DecodeBound,
     continuations: u64,
     total_discovered: u64,
     distinct_users: u64,
@@ -452,7 +714,10 @@ fn run(mode: Mode, script: &Script) -> (Header, Vec<String>) {
     let fault = fleet_phase(script, &dir.join("fault"), true, 17);
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut breaches: Vec<String> = Vec::new();
+    // 4. Decode-bound overload.
+    let decode = decode_bound(mode.pick(10_000, 20_000));
+
+    let mut breaches = decode_bound_breaches(&decode);
     for i in 0..n {
         if role(i) == "healthy" {
             let limit = (base.p99_us[i] * 1.10 * 1e3) as u64 + P99_FLOOR_NS;
@@ -494,6 +759,12 @@ fn run(mode: Mode, script: &Script) -> (Header, Vec<String>) {
                 cell.sheds
             ));
         }
+        if i != OVERLOAD_SHARD && fault.broadcast_only[i] > 0 {
+            breaches.push(format!(
+                "shard {i}: decoded {} slots broadcast-only — a backlog crossed a bulkhead",
+                fault.broadcast_only[i]
+            ));
+        }
     }
     let kill_cell = &fault.snapshot.cells[KILL_SHARD];
     if kill_cell.panics < 1 || kill_cell.restarts < 1 || !fault.recovered[KILL_SHARD].0 {
@@ -509,8 +780,19 @@ fn run(mode: Mode, script: &Script) -> (Header, Vec<String>) {
             wedge_cell.wedges, wedge_cell.restarts, fault.recovered[WEDGE_SHARD].0
         ));
     }
-    if fault.snapshot.cells[OVERLOAD_SHARD].sheds < 1 {
+    let overload_cell = &fault.snapshot.cells[OVERLOAD_SHARD];
+    if overload_cell.sheds < 1 {
         breaches.push("overloaded shard: shed no slots (overload not exercised)".into());
+    }
+    if fault.broadcast_only[OVERLOAD_SHARD] < 1 {
+        breaches.push("overloaded shard: decoded no slot broadcast-only".into());
+    }
+    let base_discovered = base.snapshot.cells[OVERLOAD_SHARD].discovered;
+    if overload_cell.discovered < base_discovered {
+        breaches.push(format!(
+            "overloaded shard: discovered {} UEs, {base_discovered} without faults",
+            overload_cell.discovered
+        ));
     }
     if fault.snapshot.continuations != 1 {
         breaches.push(format!(
@@ -533,12 +815,24 @@ fn run(mode: Mode, script: &Script) -> (Header, Vec<String>) {
             p.cells, p.slots_per_sec_per_cell
         );
     }
+    let [full, blind] = fault.overload_rung_p50_us;
+    println!("  overloaded shard: p50 {full:.1} µs a slot at full, {blind:.1} µs broadcast-only");
+    let [full, blind] = decode.bare_us;
+    println!("  decode-bound: bare {full:.2} µs a slot at full, {blind:.2} µs broadcast-only");
+    for (k, c) in decode.shard.iter().zip(&decode.full_only) {
+        println!(
+            "    shard sheds {:>5} UE DCIs {:>6} found {} ({} broadcast-only) | Full-only ring sheds {:>5} UE DCIs {:>6} found {}",
+            k.sheds, k.ue_dcis, k.discovered, k.broadcast_only_slots, c.sheds, c.ue_dcis, c.discovered
+        );
+    }
+    let [full, blind] = decode.bare_iq_us;
+    println!("  iq (12 UEs): bare {full:.1} µs a slot at full, {blind:.1} µs broadcast-only");
     let shards: Vec<ShardRow> = (0..n)
         .map(|i| {
             let cell = &fault.snapshot.cells[i];
             println!(
-                "  shard {i} ({:>10}) p99 {:>9.1} µs (base {:>9.1}) parity {:.4} sheds {:>4} restarts {}",
-                role(i), fault.p99_us[i], base.p99_us[i], fault.parity[i], cell.sheds, cell.restarts,
+                "  shard {i} ({:>10}) p99 {:>9.1} µs (base {:>9.1}) parity {:.4} broadcast-only {:>4} sheds {:>4} restarts {}",
+                role(i), fault.p99_us[i], base.p99_us[i], fault.parity[i], fault.broadcast_only[i], cell.sheds, cell.restarts,
             );
             ShardRow {
                 shard: i,
@@ -551,6 +845,7 @@ fn run(mode: Mode, script: &Script) -> (Header, Vec<String>) {
                 health: cell.health.clone(),
                 sync: cell.sync.clone(),
                 load_rung: cell.load_rung.clone(),
+                broadcast_only_slots: fault.broadcast_only[i],
                 sheds: cell.sheds,
                 panics: cell.panics,
                 wedges: cell.wedges,
@@ -572,6 +867,8 @@ fn run(mode: Mode, script: &Script) -> (Header, Vec<String>) {
             overloaded: OVERLOAD_SHARD,
         },
         shards,
+        overloaded_rung_p50_us: fault.overload_rung_p50_us,
+        decode_bound: decode,
         continuations: fault.snapshot.continuations,
         total_discovered: fault.snapshot.total_discovered,
         distinct_users: fault.snapshot.distinct_users,

@@ -1,7 +1,6 @@
 //! NR-Scope runtime configuration.
 
 use crate::clock::ClockRecoveryConfig;
-use crate::governor::GovernorConfig;
 use serde::{Deserialize, Serialize};
 
 /// At what fidelity the sniffer consumes the cell's emissions.
@@ -36,9 +35,6 @@ pub struct ScopeConfig {
     /// per-stage latency histograms). Near-zero cost either way; disabling
     /// also skips the per-stage clock reads.
     pub metrics_enabled: bool,
-    /// Overload-governor budget and hysteresis knobs (the degradation
-    /// ladder). Disabled by default: offline replay has no slot deadline.
-    pub governor: GovernorConfig,
     /// Stage-2 RNTI admission control (untrusted-air hardening).
     pub admission: AdmissionConfig,
     /// Timing-recovery loop knobs (`clock.*`). The loop itself activates
@@ -124,7 +120,7 @@ impl Default for AdmissionConfig {
 pub struct StoragePolicy {
     /// Slots between disk re-probe attempts while `NonDurable` (a small
     /// test write + fsync to a probe file). Doubles after each failed
-    /// probe — the governor's flap-backoff shape — and resets once the
+    /// probe (a flap backoff) and resets once the
     /// session has climbed back to `Durable`.
     pub reprobe_interval_slots: u64,
 }
@@ -146,8 +142,11 @@ pub struct FleetConfig {
     /// core, capped at the shard count (more workers than shards would
     /// only contend, since a shard admits one worker at a time).
     pub workers: usize,
-    /// Per-shard bounded queue depth. When a shard's queue is full its
-    /// *own* oldest slot is shed — backpressure never crosses a bulkhead.
+    /// Per-shard bounded queue depth. A shard whose backlog is over 7/8
+    /// of it decodes broadcast-only until the backlog is under 7/16
+    /// ([`crate::governor::rung_for_backlog`]); only when its queue is
+    /// full even so is its *own* oldest slot shed — backpressure never
+    /// crosses a bulkhead.
     pub shard_queue_depth: usize,
     /// A shard whose slot has been in flight longer than this is declared
     /// wedged: its engine is fenced off and warm-restarted. 0 disables
@@ -201,7 +200,6 @@ impl Default for ScopeConfig {
             degraded_after_slots: 120,
             lost_after_slots: 400,
             metrics_enabled: true,
-            governor: GovernorConfig::default(),
             admission: AdmissionConfig::default(),
             clock: ClockRecoveryConfig::default(),
             supervise: SuperviseConfig::default(),
@@ -225,11 +223,6 @@ mod tests {
             c.degraded_after_slots < c.lost_after_slots,
             "sync degrades before it is declared lost"
         );
-        assert!(
-            !c.governor.enabled,
-            "governor off by default: offline replay has no slot deadline"
-        );
-        assert!(c.governor.promote_margin < 1.0, "promotion hysteresis");
         assert!(c.admission.k >= 2, "one chance CRC pass must not admit");
         assert!(c.admission.window_slots > 0);
         assert!(c.admission.quarantine_max > 0);

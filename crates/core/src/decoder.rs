@@ -130,9 +130,7 @@ pub struct Hypotheses {
 
 /// How much decode work one slot *offered* the pipeline, regardless of how
 /// far each attempt got. The counts are deterministic for a given capture,
-/// hypothesis set, and [`SearchBudget`] — the overload governor's
-/// [`crate::governor::LoadModel`] maps them to a synthetic latency so the
-/// ladder's dynamics are seed-reproducible in tests.
+/// hypothesis set, and [`SearchBudget`].
 ///
 /// Of a blind scan's two passes the walking one (B) does the counting.
 /// `candidates` counts every candidate. The codeword-only pass (A) counts
@@ -140,10 +138,9 @@ pub struct Hypotheses {
 /// fails validation is no claim: pass B meets it again — and for one it
 /// claims what pass B would have: a UE-pass claim is one of `ue_candidates`
 /// with every admitted C-RNTI in `ue_hypotheses`. Pass A asks its UE
-/// questions only where the budget admits the candidate given the claims
-/// so far — a cap covers claims and walks alike, claims first — and never
-/// counts a refusal (`pruned` is pass B's). A candidate sharing a CCE with
-/// a claim or an earlier find counts in `candidates` alone.
+/// questions only where the budget admits them, and never counts a
+/// refusal (`pruned` is pass B's). A candidate sharing a CCE with a claim
+/// or an earlier find counts in `candidates` alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeWork {
     /// Candidates (codewords or grid positions) scanned.
@@ -563,8 +560,7 @@ impl Candidate for ExtractedCandidate {
 /// under a [`SearchBudget`]: the common pass (SI/RA/TC + MSG 4 recovery)
 /// always runs in full; the budget gates only the UE-specific pass. The
 /// whole scan is the `pdcch_search` stage — there is no extraction step
-/// to time. Returns the decoded DCIs plus the slot's offered-work counts
-/// for the overload governor.
+/// to time. Returns the decoded DCIs plus the slot's offered-work counts.
 pub fn decode_message_slot_budgeted(
     ctx: &DecoderContext,
     observed: &[ObservedDci],
@@ -729,7 +725,7 @@ fn test_hypotheses<C: Candidate>(
     if hyp.c_rntis.is_empty() || !cand.fits(&sizes) {
         return None;
     }
-    if !budget.admits_ue(cand.level(), work.ue_candidates) {
+    if budget.skip_ue {
         work.pruned += 1;
         return None;
     }
@@ -984,12 +980,10 @@ pub(crate) mod tests {
                 let ue = (w.ue_candidates, w.ue_hypotheses, w.pruned);
                 (at, (w.candidates, w.validation_rejects), ue)
             };
-            let (claim, one) = (vec![(tx.rnti, tx.cce_start)], AggregationLevel::L1);
+            let claim = vec![(tx.rnti, tx.cce_start)];
             let cases = [
                 // The claim and the one position it leaves unexplained.
-                (SearchBudget::unlimited(), claim.clone(), (2, 8, 0)),
-                // A cap of one is the claim's, though the stray comes first.
-                (SearchBudget::pruned(one, 1), claim, (1, 4, 1)),
+                (SearchBudget::unlimited(), claim, (2, 8, 0)),
                 // Pass A asks no UE question and counts nothing: every
                 // position is refused where it always was, in pass B.
                 (SearchBudget::broadcast_only(), vec![], (0, 0, 4)),
@@ -999,7 +993,7 @@ pub(crate) mod tests {
             }
             // One observation per candidate and scan, whichever pass dealt with it.
             let timed = metrics.snapshot().stage("dci_decode").map(|s| s.count);
-            assert_eq!(timed, Some(3 * 4));
+            assert_eq!(timed, Some(2 * 4));
         }
         assert!(seen > 5, "{seen} lone level-2 DCIs");
     }

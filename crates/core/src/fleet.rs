@@ -9,14 +9,20 @@
 //! the bulkhead pattern:
 //!
 //! * **Per-shard everything.** Each shard owns a full [`NrScope`] (or a
-//!   durable [`PersistentSession`]) — its own governor, sync-health
+//!   durable [`PersistentSession`]) — its own overload rung, sync-health
 //!   machine, tracker, and persistence directory. Nothing decode-related
 //!   is shared, so no shard can corrupt another's state.
-//! * **Per-shard bounded queues.** A slow shard sheds its *own* oldest
-//!   slots ([`FeedOutcome::ShedOldest`]); backpressure never crosses a
+//! * **Per-shard bounded queues, one overload response.** The queue is
+//!   the only place a backlog can build, so it is the only overload
+//!   signal. After each pop, [`rung_for_backlog`] reads the shard's rung
+//!   off what is left: over 7/8 of `shard_queue_depth` the shard decodes
+//!   its backlog broadcast-only (SI/RA/TC and MSG 4 C-RNTI discovery; at
+//!   message fidelity about 0.6 of a full slot's cost) until the backlog is
+//!   under 7/16. Only a ring that is full even so sheds its *own* oldest
+//!   slot ([`FeedOutcome::ShedOldest`]); backpressure never crosses a
 //!   bulkhead. Shed and gap-filled slots are processed as
-//!   [`Capture::Dropped`], so the shard's governor and sync health see
-//!   honest accounting.
+//!   [`Capture::Dropped`], so the shard's sync health sees honest
+//!   accounting.
 //! * **One worker at a time per shard.** Workers `try_lock` a shard's
 //!   engine before touching its queue, which guarantees per-shard FIFO
 //!   order *and* caps the blast radius of a wedge: a stuck shard can
@@ -45,7 +51,7 @@
 //!   counts the pair as one user handed over, not two.
 
 use crate::config::{FleetConfig, ScopeConfig};
-use crate::governor::LoadModel;
+use crate::governor::rung_for_backlog;
 use crate::metrics::{Counter, Gauge};
 use crate::observe::Capture;
 use crate::persist::{
@@ -88,8 +94,6 @@ pub struct ShardSpec {
     /// When set, the shard is durable: journalled per slot and
     /// warm-restarted from its own checkpoint directory.
     pub persist: Option<PersistConfig>,
-    /// Deterministic latency model fed to the shard's governor.
-    pub load_model: Option<LoadModel>,
 }
 
 impl ShardSpec {
@@ -100,7 +104,6 @@ impl ShardSpec {
             pci,
             scope,
             persist: None,
-            load_model: None,
         }
     }
 
@@ -118,9 +121,7 @@ impl ShardSpec {
     }
 
     fn volatile_scope(&self) -> NrScope {
-        let mut scope = NrScope::new(self.scope, self.pci);
-        scope.set_load_model(self.load_model);
-        scope
+        NrScope::new(self.scope, self.pci)
     }
 }
 
@@ -143,9 +144,8 @@ impl ShardEngine {
                 // Every shard's journal batches flow through one shared
                 // group-commit thread.
                 let w = writer.expect("a fleet with a durable shard has a journal writer");
-                let (mut session, report) =
+                let (session, report) =
                     PersistentSession::open_with_writer(p.clone(), spec.scope, spec.pci, w)?;
-                session.scope_mut().set_load_model(spec.load_model);
                 Ok((ShardEngine::Durable(Box::new(session)), Some(report)))
             }
             None => Ok((ShardEngine::Volatile(Box::new(spec.volatile_scope())), None)),
@@ -361,7 +361,7 @@ pub struct CellRollup {
     pub health: String,
     /// Sync-health state name.
     pub sync: String,
-    /// Governor rung name (the per-shard `load_rung` gauge).
+    /// Overload rung name (the per-shard `load_rung` gauge).
     pub load_rung: String,
     /// Slots processed by the shard's scope.
     pub slots: u64,
@@ -531,7 +531,8 @@ impl Fleet {
 
     /// Enqueue one observation for a shard. `seq` is the shard's absolute
     /// slot index (gap-filled as dropped slots if observations are
-    /// skipped). A full queue sheds the shard's own oldest entry.
+    /// skipped). A queue that is full although its backlog is decoded
+    /// broadcast-only sheds the shard's own oldest entry.
     pub fn feed(&self, shard: usize, seq: u64, cap: Capture) -> FeedOutcome {
         let s = &self.shared.shards[shard];
         s.highest_fed.fetch_max(seq, Relaxed);
@@ -784,7 +785,7 @@ fn cached_stats(engine: &ShardEngine, spec_durable: bool) -> CachedStats {
         tracked_ues: scope.tracked_rntis().len() as u64,
         discovered: scope.total_discovered(),
         sync: scope.sync_state().name(),
-        load_rung: scope.governor().rung().name(),
+        load_rung: scope.load_rung().name(),
         durability,
         loss_window,
         clock_lock: scope.clock_lock().map_or("ideal", crate::ClockLock::name),
@@ -971,7 +972,8 @@ enum Service {
 
 /// One worker's attempt to service shard `i`: acquire the engine (one
 /// worker per shard at a time), drain up to [`MAX_BATCH`] entries through
-/// [`feed_at_watermark`] after the shard's [`SlotHook`], catch panics.
+/// [`feed_at_watermark`] after the shard's [`SlotHook`], each at the rung
+/// [`rung_for_backlog`] reads off the backlog it leaves, catch panics.
 fn service_shard(shared: &FleetShared, i: usize) -> Service {
     let shard = &shared.shards[i];
     if lock_clean(&shard.queue).is_empty() {
@@ -992,10 +994,15 @@ fn service_shard(shared: &FleetShared, i: usize) -> Service {
         // (bounded — feed sheds this shard's own oldest when full).
         return Service::Idle;
     }
+    let depth = shared.cfg.shard_queue_depth.max(1);
     let mut worked = false;
     for _ in 0..MAX_BATCH {
-        let Some(entry) = lock_clean(&shard.queue).pop_front() else {
-            break;
+        let (entry, backlog) = {
+            let mut q = lock_clean(&shard.queue);
+            let Some(entry) = q.pop_front() else {
+                break;
+            };
+            (entry, q.len())
         };
         let hook = lock_clean(&shard.hook).clone();
         shard.busy_since_ns.store(now_ns(shared.epoch) + 1, SeqCst);
@@ -1007,6 +1014,10 @@ fn service_shard(shared: &FleetShared, i: usize) -> Service {
             if let Some(hook) = &hook {
                 hook.call(entry.seq);
             }
+            // The rung changes only for a slot that reaches the engine:
+            // a hook that panics leaves it, and its counters, untouched.
+            let scope = engine.scope_mut();
+            scope.force_rung(Some(rung_for_backlog(scope.load_rung(), backlog, depth)));
             // A deep gap-fill is honest work, not a wedge: keep the busy
             // stamp fresh per filled slot (unless already fenced).
             feed_at_watermark(engine, entry.seq, &entry.cap, |_, _| {

@@ -40,8 +40,10 @@ pub mod worker;
 /// Readers reject artefacts stamped with a *newer* version — their field
 /// semantics are unknowable — and accept older ones, relying on serde's
 /// missing-field and shape errors to catch true incompatibilities: such
-/// an artefact is refused whole (a checkpoint from before the three-rung
-/// ladder has four `slots_at_rung` cells, so that session cold-starts).
+/// an artefact is refused whole (a checkpoint or journal batch from before
+/// the two-rung overload response has three or four `slots_at_rung`
+/// cells, so that session cold-starts). Unknown keys are ignored, so an
+/// older scope config, its `governor` block included, still loads.
 pub const SCHEMA_VERSION: u32 = 1;
 
 pub use clock::{
@@ -52,7 +54,7 @@ pub use fleet::{
     CellRollup, ContinuityMatch, FeedOutcome, Fleet, FleetSnapshot, ShardHealth, ShardSpec,
     ShardStatus,
 };
-pub use governor::{GovernorConfig, LoadModel, LoadRung, OverloadGovernor};
+pub use governor::{rung_for_backlog, GovernorConfig, LoadRung, OverloadGovernor};
 pub use metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Stage, StageSnapshot};
 pub use observe::{Capture, DropReason, ImpairmentSchedule, ObservedDci, ObservedSlot, Observer};
 pub use persist::{

@@ -63,10 +63,8 @@ pub enum Stage {
     WorkerQueue,
     /// Whole-slot processing envelope (everything except capture).
     SlotTotal,
-    /// Slot latency while the load governor sat at the `Full` rung.
+    /// Slot latency at the `Full` rung.
     RungFull,
-    /// Slot latency at the `PrunedSearch` rung.
-    RungPruned,
     /// Slot latency at the `BroadcastOnly` rung.
     RungBroadcast,
     /// Clock-lock reacquisition time (air time from leaving `Locked` to
@@ -76,7 +74,7 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Capture,
         Stage::Demod,
         Stage::PdcchSearch,
@@ -86,7 +84,6 @@ impl Stage {
         Stage::WorkerQueue,
         Stage::SlotTotal,
         Stage::RungFull,
-        Stage::RungPruned,
         Stage::RungBroadcast,
         Stage::ClockReacquire,
     ];
@@ -103,7 +100,6 @@ impl Stage {
             Stage::WorkerQueue => "worker_queue",
             Stage::SlotTotal => "slot_total",
             Stage::RungFull => "rung_full",
-            Stage::RungPruned => "rung_pruned_search",
             Stage::RungBroadcast => "rung_broadcast_only",
             Stage::ClockReacquire => "clock_reacquire",
         }

@@ -6,7 +6,6 @@
 
 use crate::binfmt::{self, FrameKind, Opened};
 use crate::clock::ClockRecoveryState;
-use crate::governor::OverloadGovernor;
 use crate::metrics::MetricsSnapshot;
 use crate::scope::{CellKnowledge, ScopeStats, SyncState};
 use crate::telemetry::TelemetryRecord;
@@ -42,7 +41,7 @@ pub enum SlotOp {
 
 /// End-of-slot continuous state, carried in every [`SessionState`] and in
 /// the *final* record of every group-commit batch so replay never
-/// re-derives sync/governor/stats decisions (and so cannot drift from
+/// re-derives sync/stats decisions (and so cannot drift from
 /// what the live run concluded). Torn batches are discarded whole, so
 /// replay always lands on a record that carries one.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -57,8 +56,6 @@ pub struct MicroState {
     pub last_pci: Option<Pci>,
     /// Session counters.
     pub stats: ScopeStats,
-    /// Overload-governor ladder state.
-    pub governor: OverloadGovernor,
     /// Tracker bookkeeping (pending TC-RNTIs, expiry shadow, RRC cache).
     pub tracker_aux: TrackerAux,
     /// Timing-recovery loop state (`None` when no clock observables ever
@@ -408,7 +405,6 @@ mod tests {
             unhealthy_streak: 0,
             last_pci: None,
             stats: ScopeStats::default(),
-            governor: OverloadGovernor::new(crate::governor::GovernorConfig::default()),
             tracker_aux: TrackerAux::default(),
             clock: None,
         }

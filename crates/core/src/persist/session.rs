@@ -533,7 +533,7 @@ impl PersistentSession {
                     self.next_probe_at = watermark + probe_interval;
                 } else if watermark >= self.next_probe_at {
                     self.writer.probe(self.file_id);
-                    // Governor-style flap backoff: each unanswered probe
+                    // Flap backoff: each unanswered probe
                     // doubles the wait, so a dead disk costs a bounded,
                     // shrinking fraction of writer-thread time.
                     self.probe_flap_exp = (self.probe_flap_exp + 1).min(MAX_PROBE_FLAP_EXP);

@@ -75,8 +75,8 @@ pub(super) fn demote_non_durable(rung: &AtomicU64, metrics: &Metrics, why: impl 
 }
 
 /// Consecutive first-attempt batch writes before `DurableDegraded`
-/// promotes back to `Durable` — the governor's promote-hysteresis shape
-/// applied to disks (one good write after an error streak proves little).
+/// promotes back to `Durable` — promote-slow hysteresis applied to disks
+/// (one good write after an error streak proves little).
 const PROMOTE_CLEAN_BATCHES: u32 = 4;
 
 /// Write retries (on the writer thread — never the capture hot path)
@@ -95,8 +95,8 @@ const RETRY_BACKOFF_BASE_US: u64 = 500;
 const EMERGENCY_PRUNE_KEEP: usize = 1;
 
 /// Cap on the re-probe flap backoff exponent
-/// (`reprobe_interval_slots << exp`), the governor's demote-fast /
-/// promote-slow hysteresis shape: 2048-slot probes degrade to ~2
+/// (`reprobe_interval_slots << exp`), a demote-fast / promote-slow
+/// hysteresis: 2048-slot probes degrade to ~2
 /// minutes between attempts on a disk that stays dead.
 pub(super) const MAX_PROBE_FLAP_EXP: u32 = 6;
 pub(super) const WRITER_QUEUE_DEPTH: usize = 8;

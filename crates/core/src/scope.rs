@@ -7,7 +7,7 @@ use crate::decoder::{
     coreset_symbols, decode_message_slot_budgeted, scan, DecodeWork, DecodedDci, DecoderContext,
     FrontEnd, Hypotheses, UeHypothesis,
 };
-use crate::governor::{LoadModel, LoadRung, OverloadGovernor, SlotVerdict};
+use crate::governor::{LoadRung, OverloadGovernor};
 use crate::metrics::{CounterSnapshot, GaugeSnapshot, Metrics, MetricsSnapshot, Stage};
 use crate::observe::{Capture, ObservedSlot, PdschPayload};
 use crate::persist::{JournalEntry, MicroState, SessionState, SlotOp};
@@ -110,17 +110,18 @@ pub struct ScopeStats {
     pub recovered_ues: u64,
     /// Slots whose pipeline latency exceeded the TTI deadline budget.
     pub deadline_misses: u64,
-    /// Overload-ladder demotions (one rung down).
+    /// Rung changes from `Full` to `BroadcastOnly` (the caller's
+    /// [`NrScope::force_rung`]).
     pub rung_demotions: u64,
-    /// Overload-ladder promotions (one rung back up).
+    /// Rung changes from `BroadcastOnly` back to `Full`.
     pub rung_promotions: u64,
     /// PDCCH candidates scanned (codewords or grid positions).
     pub candidates_scanned: u64,
     /// PDCCH candidates the search budget refused a UE-specific pass.
     pub pruned_candidates: u64,
     /// Slots processed at each rung, indexed by [`LoadRung`] (Full,
-    /// PrunedSearch, BroadcastOnly).
-    pub slots_at_rung: [u64; 3],
+    /// BroadcastOnly).
+    pub slots_at_rung: [u64; 2],
     /// Decode attempts abandoned on malformed state or content — counted
     /// here instead of panicking.
     pub decode_failures: u64,
@@ -169,13 +170,6 @@ pub struct NrScope {
     last_pci: Option<Pci>,
     /// Pipeline metrics registry, shared with the observer / worker pool.
     metrics: Arc<Metrics>,
-    /// Overload governor: slot-deadline tracking and the degradation
-    /// ladder (Full → PrunedSearch → BroadcastOnly).
-    governor: OverloadGovernor,
-    /// Deterministic per-slot cost model. When set, the governor is fed
-    /// modelled latency derived from offered decode work instead of wall
-    /// clock — seed-reproducible overload dynamics for tests and benches.
-    load_model: Option<LoadModel>,
     /// Whether state mutations are being captured for the crash journal.
     journaling: bool,
     /// State-mutating operations of the slot in flight, in order.
@@ -267,8 +261,6 @@ impl NrScope {
             unhealthy_streak: 0,
             last_pci: None,
             metrics,
-            governor: OverloadGovernor::new(cfg.governor),
-            load_model: None,
             journaling: false,
             slot_ops: Vec::new(),
             last_dropped: false,
@@ -340,16 +332,13 @@ impl NrScope {
     }
 
     /// Overwrite the continuous state from a frozen image — the one place
-    /// a snapshot's and a journal batch's [`MicroState`] land. The
-    /// governor keeps the operator's current config over the frozen one.
+    /// a snapshot's and a journal batch's [`MicroState`] land.
     fn restore_micro(&mut self, micro: &MicroState) {
         self.cell = micro.cell.clone();
         self.sync = micro.sync;
         self.unhealthy_streak = micro.unhealthy_streak;
         self.last_pci = micro.last_pci;
         self.stats = micro.stats;
-        self.governor = micro.governor.clone();
-        self.governor.set_config(self.cfg.governor);
         self.tracker.set_aux(&micro.tracker_aux);
         self.clock = micro
             .clock
@@ -406,7 +395,7 @@ impl NrScope {
         ))
     }
 
-    /// Snapshot the end-of-slot continuous state (sync, governor, stats,
+    /// Snapshot the end-of-slot continuous state (sync, stats,
     /// tracker bookkeeping) — what a journal batch's final record carries.
     pub fn micro_state(&self) -> MicroState {
         MicroState {
@@ -415,7 +404,6 @@ impl NrScope {
             unhealthy_streak: self.unhealthy_streak,
             last_pci: self.last_pci,
             stats: self.stats,
-            governor: self.governor.clone(),
             tracker_aux: self.tracker.aux_state(),
             clock: self.clock.as_ref().map(|c| c.state()),
         }
@@ -471,7 +459,7 @@ impl NrScope {
             }
         }
         // End-of-slot continuous state is carried verbatim — replay never
-        // re-derives sync/governor/stats decisions, so it cannot drift
+        // re-derives sync/stats decisions, so it cannot drift
         // from what the live run concluded. Interior records of a binary
         // batch are ops-only (`micro: None`); the batch's final record
         // re-anchors everything, and torn batches are discarded whole, so
@@ -516,7 +504,7 @@ impl NrScope {
         ];
         let lock = self.clock_lock().map_or(0, ClockLock::index);
         let gauges = [
-            ("load_rung", self.governor.rung() as u64),
+            ("load_rung", self.load_rung() as u64),
             ("tracked_ues", self.tracker.len() as u64),
             ("quarantine_size", self.tracker.quarantine_len() as u64),
             ("clock_drift_ppb", self.clock_drift_ppb().unsigned_abs()),
@@ -658,30 +646,27 @@ impl NrScope {
         self.process_capture(&cap)
     }
 
-    /// The degradation-ladder rung currently in force.
+    /// The overload rung in force, kept nowhere but in the counters every
+    /// change bumps (`BroadcastOnly` while demotions outnumber promotions):
+    /// a warm restart, which restores them, resumes at the rung it left.
     pub fn load_rung(&self) -> LoadRung {
-        self.governor.rung()
+        if self.stats.rung_demotions > self.stats.rung_promotions {
+            LoadRung::BroadcastOnly
+        } else {
+            LoadRung::Full
+        }
     }
 
-    /// Read-only view of the overload governor.
-    pub fn governor(&self) -> &OverloadGovernor {
-        &self.governor
-    }
-
-    /// Pin the ladder to a rung (benchmarking per-rung throughput), or
-    /// `None` to resume adaptive behaviour.
+    /// Set the rung the next slots decode at (`None` means `Full`). The
+    /// rung is the caller's input: a fleet shard sets it from its backlog
+    /// after each pop, and nothing else changes it. A change is counted in
+    /// `rung_demotions` / `rung_promotions`.
     pub fn force_rung(&mut self, rung: Option<LoadRung>) {
-        self.governor.force(rung);
-    }
-
-    /// Install (or clear) a deterministic latency model for the governor.
-    pub fn set_load_model(&mut self, model: Option<LoadModel>) {
-        self.load_model = model;
-    }
-
-    /// The PDCCH search budget the current rung imposes.
-    pub fn search_budget(&self) -> SearchBudget {
-        self.governor.search_budget()
+        match (self.load_rung(), rung.unwrap_or(LoadRung::Full)) {
+            (LoadRung::Full, LoadRung::BroadcastOnly) => self.stats.rung_demotions += 1,
+            (LoadRung::BroadcastOnly, LoadRung::Full) => self.stats.rung_promotions += 1,
+            _ => {}
+        }
     }
 
     /// Package an observed slot as a self-contained [`SlotJob`] snapshot
@@ -698,7 +683,7 @@ impl NrScope {
             ctx,
             dci_threads: DCI_THREADS,
             hook: None,
-            budget: self.governor.search_budget(),
+            budget: self.load_rung().search_budget(),
         })
     }
 
@@ -812,15 +797,7 @@ impl NrScope {
             Capture::Dropped(_) => {
                 self.last_dropped = true;
                 self.stats.dropped_slots += 1;
-                // A dropped slot is the strongest overload signal the
-                // front end can emit: charge the governor double budget.
-                let rung = self.governor.rung();
-                let tti = self
-                    .governor
-                    .budget(self.cell.mib.as_ref().map(|m| m.scs_common));
-                let verdict = self.governor.on_dropped_slot(self.slot, tti);
-                self.note_governor(rung, tti * 2, verdict);
-                // Drops are front-end reality, not governor-induced (or
+                // Drops are front-end reality, not rung-induced (or
                 // clock-induced) silence, so they always count against
                 // sync health: the clock mask covers *decode* silence
                 // while pulling in — a front end that stops delivering
@@ -838,17 +815,13 @@ impl NrScope {
     /// Process one observed slot, appending decoded telemetry. Returns the
     /// records produced in this slot.
     pub fn process(&mut self, observed: &ObservedSlot) -> Vec<TelemetryRecord> {
-        // One wall reading serves both the SlotTotal histogram and the
-        // governor's latency feed; with the registry disabled and a
-        // LoadModel supplying latency, the slot path reads no clock at all.
-        let wall_start =
-            (self.metrics.is_enabled() || self.load_model.is_none()).then(Instant::now);
+        // One wall reading serves the deadline check and the SlotTotal
+        // histogram.
+        let wall_start = Instant::now();
         self.last_dropped = false;
         let slot = self.slot;
-        // The rung in force while this slot is decoded; transitions taken
-        // at the end of the slot apply from the next one.
-        let rung = self.governor.rung();
-        let budget = self.governor.search_budget();
+        let rung = self.load_rung();
+        let budget = rung.search_budget();
         self.stats.slots += 1;
         self.stats.slots_at_rung[rung as usize] += 1;
         let produced_from = self.records.len();
@@ -894,17 +867,13 @@ impl NrScope {
         self.stats.candidates_scanned += work.candidates as u64;
         self.stats.pruned_candidates += work.pruned as u64;
         self.stats.validation_rejects += work.validation_rejects as u64;
-        // Feed the governor: modelled latency when a LoadModel is
-        // installed (deterministic tests), wall clock otherwise.
-        let tti = self
-            .governor
-            .budget(self.cell.mib.as_ref().map(|m| m.scs_common));
-        let latency = match &self.load_model {
-            Some(m) => m.latency(&work),
-            None => wall_start.map_or(Duration::ZERO, |t| t.elapsed()),
-        };
-        let verdict = self.governor.on_slot(slot, latency, tti);
-        self.note_governor(rung, latency, verdict);
+        let mut deadline = OverloadGovernor;
+        let tti = deadline.budget(self.cell.mib.as_ref().map(|m| m.scs_common));
+        let latency = wall_start.elapsed();
+        if deadline.on_slot(slot, latency, tti) {
+            self.stats.deadline_misses += 1;
+        }
+        self.metrics.observe(rung_stage(rung), latency);
         // Sync health: a slot that decoded at least one DCI is healthy.
         // The MIB deliberately does not count — its payload carries no
         // cell identity, so it keeps decoding right through a PCI change.
@@ -916,11 +885,11 @@ impl NrScope {
             }
         } else if rung != LoadRung::BroadcastOnly && !self.clock_masks_sync() {
             // At BroadcastOnly, UE-pass silence is
-            // self-inflicted by the governor — feeding it to the sync
+            // self-inflicted by the rung — feeding it to the sync
             // machine would declare a healthy cell lost and discard the
             // PCI. Broadcast decodes (SI/RA/TC) still reset the streak
             // above, so genuine cell loss is detected via SIB silence
-            // once the ladder recovers. Likewise while the clock loop is
+            // once the backlog drains. Likewise while the clock loop is
             // out of lock (bounded by `clock.max_reacquire_slots`):
             // drift-induced silence is the loop's to fix, not a cell
             // outage — but a clock that never relocks hands control back
@@ -929,25 +898,8 @@ impl NrScope {
         }
         self.housekeeping(slot);
         self.slot += 1;
-        if let Some(start) = wall_start {
-            self.metrics.observe(Stage::SlotTotal, start.elapsed());
-        }
+        self.metrics.observe(Stage::SlotTotal, wall_start.elapsed());
         self.records[produced_from..].to_vec()
-    }
-
-    /// Record a slot's governor verdict into stats and the rung histogram.
-    fn note_governor(&mut self, rung: LoadRung, latency: Duration, verdict: SlotVerdict) {
-        if verdict.missed {
-            self.stats.deadline_misses += 1;
-        }
-        if let Some((from, to)) = verdict.transition {
-            if (to as usize) > (from as usize) {
-                self.stats.rung_demotions += 1;
-            } else {
-                self.stats.rung_promotions += 1;
-            }
-        }
-        self.metrics.observe(rung_stage(rung), latency);
     }
 
     /// Total DCIs decoded so far, all classes.
@@ -986,11 +938,11 @@ impl NrScope {
             .as_ref()
             .map(|s| s.rach.ra_response_window as u64 + 8)
             .unwrap_or(32);
-        // While the governor blinds the UE-specific pass, per-UE idleness
+        // While the rung blinds the UE-specific pass, per-UE idleness
         // is unobservable — freezing expiry keeps C-RNTI knowledge intact
         // through an overload episode instead of discarding it for lack
         // of DCIs the sniffer chose not to decode.
-        let ue_blind = self.governor.rung() == LoadRung::BroadcastOnly;
+        let ue_blind = self.load_rung() == LoadRung::BroadcastOnly;
         if !ue_blind {
             for (dead, last_active) in
                 self.tracker
@@ -1007,7 +959,7 @@ impl NrScope {
                 });
             }
             // Probation candidates whose corroboration window lapsed are
-            // ghosts: quarantine them. Frozen while the governor blinds
+            // ghosts: quarantine them. Frozen while the rung blinds
             // the UE pass — a real UE cannot corroborate itself through
             // decodes the sniffer chose not to attempt.
             let ghosts = self.tracker.expire_probation(
@@ -1203,7 +1155,7 @@ impl NrScope {
     }
 
     /// IQ path: synchronise (PSS/SSS), then demodulate and blind-decode.
-    /// Returns the decode work offered (for the governor's load model).
+    /// Returns the decode work offered.
     fn process_iq(
         &mut self,
         samples: &[nr_phy::complex::Cf32],
@@ -1508,7 +1460,6 @@ fn payload_for(pdsch: &[(Rnti, PdschPayload)], rnti: Rnti) -> Option<&PdschPaylo
 fn rung_stage(rung: LoadRung) -> Stage {
     match rung {
         LoadRung::Full => Stage::RungFull,
-        LoadRung::PrunedSearch => Stage::RungPruned,
         LoadRung::BroadcastOnly => Stage::RungBroadcast,
     }
 }

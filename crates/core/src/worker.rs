@@ -73,7 +73,7 @@ pub struct SlotJob {
     pub hyp: Hypotheses,
     /// How many DCI threads to shard across.
     pub dci_threads: usize,
-    /// PDCCH search budget from the overload governor (gates only the
+    /// PDCCH search budget of the scope's rung (gates only the
     /// UE-specific pass; unlimited by default).
     pub budget: SearchBudget,
     /// Run before the slot is decoded (`None` in production paths).
@@ -89,7 +89,7 @@ pub struct SlotResult {
     pub decoded: Vec<DecodedDci>,
     /// Wall-clock processing time (the Fig 12 metric).
     pub processing: Duration,
-    /// Offered-work counts (for the governor's load model).
+    /// Offered-work counts.
     pub work: DecodeWork,
     /// The IQ buffer matched no known carrier layout (truncated capture
     /// or a reconfigured cell) — nothing could be demodulated.
@@ -741,7 +741,7 @@ mod tests {
                 .all(|d| d.rnti_type != nr_phy::types::RntiType::C),
             "broadcast-only budget reaches the shards"
         );
-        assert!(r.work.pruned > 0, "pruned work reported to the governor");
+        assert!(r.work.pruned > 0, "pruned work reported");
     }
 
     #[test]

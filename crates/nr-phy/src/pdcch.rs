@@ -81,81 +81,28 @@ impl AggregationLevel {
     }
 }
 
-/// A blind-search budget: how much of the UE-specific candidate space a
-/// decoder is allowed to spend per slot. The overload governor hands one of
-/// these to the decode path to shed work under deadline pressure while the
-/// *common* search space (SI-/RA-/TC-RNTI plus CRC-XOR RNTI recovery) stays
-/// exhaustive at every rung — the invariant that keeps cell knowledge and
-/// RACH-based C-RNTI discovery alive no matter how overloaded the scope is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A blind-search budget: whether a decoder may spend anything on the
+/// UE-specific candidate space this slot. The overload response hands one
+/// of these to the decode path to shed work when the sniffer is behind,
+/// while the *common* search space (SI-/RA-/TC-RNTI plus CRC-XOR RNTI
+/// recovery) stays exhaustive — the invariant that keeps cell knowledge
+/// and RACH-based C-RNTI discovery alive no matter how far behind the
+/// scope is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SearchBudget {
-    /// Skip UE-specific candidates below this aggregation level. Low levels
-    /// carry the most candidates per CORESET, so pruning them first buys
-    /// the largest latency cut per DCI lost.
-    pub ue_min_level: Option<AggregationLevel>,
-    /// Cap on UE-specific candidate decode attempts per slot.
-    pub max_ue_candidates: Option<usize>,
     /// Skip the UE-specific pass entirely (the BroadcastOnly rung).
     pub skip_ue: bool,
-}
-
-impl Default for SearchBudget {
-    fn default() -> Self {
-        SearchBudget::unlimited()
-    }
 }
 
 impl SearchBudget {
     /// No pruning: the full blind search.
     pub fn unlimited() -> SearchBudget {
-        SearchBudget {
-            ue_min_level: None,
-            max_ue_candidates: None,
-            skip_ue: false,
-        }
-    }
-
-    /// Pruned search: drop UE candidates below `min_level` and cap the
-    /// UE-specific attempts per slot.
-    pub fn pruned(min_level: AggregationLevel, max_ue_candidates: usize) -> SearchBudget {
-        SearchBudget {
-            ue_min_level: Some(min_level),
-            max_ue_candidates: Some(max_ue_candidates),
-            skip_ue: false,
-        }
+        SearchBudget { skip_ue: false }
     }
 
     /// Broadcast-only: common search space only, no UE-specific decodes.
     pub fn broadcast_only() -> SearchBudget {
-        SearchBudget {
-            ue_min_level: None,
-            max_ue_candidates: None,
-            skip_ue: true,
-        }
-    }
-
-    /// Whether a UE-specific candidate at `level` is admitted, given that
-    /// `spent` UE candidates have already been attempted this slot.
-    pub fn admits_ue(&self, level: AggregationLevel, spent: usize) -> bool {
-        if self.skip_ue {
-            return false;
-        }
-        if let Some(min) = self.ue_min_level {
-            if level.cces() < min.cces() {
-                return false;
-            }
-        }
-        if let Some(cap) = self.max_ue_candidates {
-            if spent >= cap {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Whether this budget prunes anything at all.
-    pub fn is_unlimited(&self) -> bool {
-        !self.skip_ue && self.ue_min_level.is_none() && self.max_ue_candidates.is_none()
+        SearchBudget { skip_ue: true }
     }
 }
 
@@ -622,23 +569,12 @@ mod tests {
 
     #[test]
     fn search_budget_admission_rules() {
-        let full = SearchBudget::unlimited();
-        assert!(full.is_unlimited());
-        for level in AggregationLevel::all() {
-            assert!(full.admits_ue(level, 10_000));
-        }
-
-        let pruned = SearchBudget::pruned(AggregationLevel::L2, 3);
-        assert!(!pruned.is_unlimited());
-        assert!(!pruned.admits_ue(AggregationLevel::L1, 0), "L1 pruned");
-        assert!(pruned.admits_ue(AggregationLevel::L2, 0));
-        assert!(pruned.admits_ue(AggregationLevel::L8, 2));
-        assert!(!pruned.admits_ue(AggregationLevel::L8, 3), "cap reached");
-
-        let broadcast = SearchBudget::broadcast_only();
-        for level in AggregationLevel::all() {
-            assert!(!broadcast.admits_ue(level, 0), "no UE decodes at all");
-        }
+        assert_eq!(SearchBudget::default(), SearchBudget::unlimited());
+        assert!(!SearchBudget::unlimited().skip_ue);
+        assert!(
+            SearchBudget::broadcast_only().skip_ue,
+            "no UE decodes at all"
+        );
     }
 
     #[test]

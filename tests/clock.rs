@@ -6,23 +6,20 @@
 //! * Composition with the sync-health machine — a clock step's decode
 //!   silence must not degrade sync, while a genuine front-end outage
 //!   must, clock trouble or not.
-//! * Composition with the overload governor — drift and overload
-//!   demotions coexist without either ladder confusing the other.
+//! * Composition with the overload rung — drift and a broadcast-only
+//!   window coexist without either machine confusing the other.
 //! * Mod-1024 SFN wrap safety: the derived SFN tracks the gNB's air
 //!   truth across multiple wraps of the non-wrapping slot counter.
 
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
-use nr_scope::phy::pdcch::AggregationLevel;
 use nr_scope::scope::observe::Observer;
 use nr_scope::scope::{
-    ClockLock, ClockRecoveryConfig, GovernorConfig, ImpairmentSchedule, LoadModel, NrScope,
-    ScopeConfig, SyncState,
+    ClockLock, ClockRecoveryConfig, ImpairmentSchedule, LoadRung, NrScope, ScopeConfig, SyncState,
 };
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
-use std::time::Duration;
 
 fn cbr_ue(id: u64) -> SimUe {
     SimUe::new(
@@ -184,30 +181,18 @@ fn drift_and_overload_ladders_coexist() {
     let mut scope = NrScope::new(
         ScopeConfig {
             ue_expiry_slots: 100_000,
-            governor: GovernorConfig {
-                enabled: true,
-                budget_us_override: Some(500.0),
-                demote_after_slots: 8,
-                promote_after_slots: 40,
-                promote_margin: 0.8,
-                flap_window_slots: 300,
-                max_backoff_exp: 3,
-                pruned_min_level: AggregationLevel::L1,
-                pruned_max_ue_candidates: 2,
-            },
             ..ScopeConfig::default()
         },
         Some(cell.pci),
     );
-    // Sixteen backlogged UEs at this model (`tests/overload.rs`'s
-    // `moderate_load`: ~667 µs at Full) overflow the 500 µs budget — the
-    // ladder must demote — while the oscillator drifts.
-    scope.set_load_model(Some(LoadModel {
-        base: Duration::from_micros(60),
-        per_candidate: Duration::from_micros(10),
-        per_ue_hypothesis: Duration::from_nanos(24_400),
-    }));
-    run(&mut gnb, &mut obs, &mut scope, 4000, slot_s);
+    // The test holds the scope broadcast-only through a 1,600-slot
+    // window, as a backed-up fleet shard would, while the oscillator
+    // drifts; then it hands back `Full`.
+    run(&mut gnb, &mut obs, &mut scope, 1200, slot_s);
+    scope.force_rung(Some(LoadRung::BroadcastOnly));
+    run(&mut gnb, &mut obs, &mut scope, 1600, slot_s);
+    scope.force_rung(None);
+    run(&mut gnb, &mut obs, &mut scope, 1200, slot_s);
 
     assert!(
         scope.stats.rung_demotions >= 1,

@@ -1,26 +1,29 @@
-//! Overload-soak: a seeded, oversubscribed UE population drives the
-//! governor down the degradation ladder and back. Latency is modelled
-//! (not wall clock) via [`LoadModel`], so the whole scenario — descent,
-//! blind plateau, staged recovery — is deterministic.
+//! Overload: a fleet shard whose queue backs up decodes its backlog
+//! broadcast-only, and sheds a slot only when its ring is full even so.
+//! The shard's one worker is held inside a `SlotHook` — the hook signals
+//! that it has been entered, then blocks until released — while the
+//! feeder queues a window behind it. The backlog, the one overload
+//! signal, is then exact, and so is every rung the drain decodes at.
 //!
-//! The invariant under test at every rung: MSG 4 C-RNTI discovery and
-//! SIB1 tracking never go dark. Two UEs arrive *while the sniffer is
-//! broadcast-only* and must still be discovered through RACH — and once
-//! the load drops they are tracked like everyone else, proving blind
-//! discovery produces usable tracking state.
+//! The invariant under test: MSG 4 C-RNTI discovery and SIB1 tracking
+//! never go dark. Two UEs RACH inside the broadcast-only drain and must
+//! still be discovered through MSG 4, and are tracked like everyone else
+//! once it is over.
 
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
-use nr_scope::phy::pdcch::AggregationLevel;
 use nr_scope::phy::types::{Rnti, RntiType};
 use nr_scope::scope::observe::Observer;
 use nr_scope::scope::{
-    GovernorConfig, ImpairmentSchedule, LoadModel, LoadRung, NrScope, ScopeConfig, SyncState,
+    Fidelity, Fleet, FleetConfig, ImpairmentSchedule, LoadRung, NrScope, PersistConfig,
+    ScopeConfig, ScopeStats, ShardSpec, SlotHook, SyncState,
 };
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
 use std::collections::BTreeSet;
+use std::ops::Range;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn backlogged_ue(id: u64) -> SimUe {
@@ -40,285 +43,307 @@ fn backlogged_ue(id: u64) -> SimUe {
     )
 }
 
-fn governor_cfg() -> GovernorConfig {
-    GovernorConfig {
-        enabled: true,
-        budget_us_override: Some(500.0),
-        demote_after_slots: 8,
-        promote_after_slots: 40,
-        promote_margin: 0.8,
-        flap_window_slots: 300,
-        max_backoff_exp: 3,
-        // Level filtering off for this scenario: the cap alone prunes.
-        pruned_min_level: AggregationLevel::L1,
-        pruned_max_ue_candidates: 2,
+/// A one-shard fleet at message fidelity: one worker, a ring of `depth`,
+/// no watchdog (a held worker is not a wedged one); durable if `persist`.
+fn one_shard_fleet(
+    cell: &CellConfig,
+    depth: usize,
+    ue_expiry_slots: u64,
+    persist: Option<PersistConfig>,
+) -> Fleet {
+    let scope = ScopeConfig {
+        fidelity: Fidelity::Message,
+        ue_expiry_slots,
+        ..ScopeConfig::default()
+    };
+    let cfg = FleetConfig {
+        workers: 1,
+        shard_queue_depth: depth,
+        watchdog_ms: 0,
+        ..FleetConfig::default()
+    };
+    let spec = ShardSpec::volatile("cell", Some(cell.pci), scope);
+    Fleet::new(cfg, vec![ShardSpec { persist, ..spec }]).expect("fleet")
+}
+
+/// The shard's scope, read between drains.
+fn scope<R>(fleet: &Fleet, f: impl FnOnce(&NrScope) -> R) -> R {
+    fleet.with_scope(0, f).expect("the shard has an engine")
+}
+
+/// Slots the shard decoded broadcast-only.
+fn blind_slots(st: &ScopeStats) -> u64 {
+    st.slots_at_rung[LoadRung::BroadcastOnly as usize]
+}
+
+/// The cell on the air and the sniffer's front end, fed slot by slot.
+struct Feed {
+    gnb: Gnb,
+    obs: Observer,
+    slot_s: f64,
+    next: u64,
+}
+
+impl Feed {
+    fn new(cell: &CellConfig, ues: u64) -> Feed {
+        let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
+        for id in 1..=ues {
+            gnb.ue_arrives(backlogged_ue(id));
+        }
+        Feed {
+            gnb,
+            obs: Observer::new(cell, 35.0, false, 5),
+            slot_s: cell.slot_s(),
+            next: 0,
+        }
+    }
+
+    fn push(&mut self, fleet: &Fleet) {
+        let out = self.gnb.step();
+        let cap = self.obs.capture(&out, self.next as f64 * self.slot_s);
+        fleet.feed(0, self.next, cap);
+        self.next += 1;
+    }
+
+    /// `n` slots paced so the backlog stays a few slots deep, then drained.
+    fn paced(&mut self, fleet: &Fleet, n: u64) {
+        for _ in 0..n {
+            self.push(fleet);
+            while fleet.shard_status(0).queue_len > 8 {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+        assert!(fleet.quiesce(Duration::from_secs(60)), "paced feed drained");
+    }
+
+    /// Hold the shard's worker inside its hook on the next slot, queue
+    /// `window` slots behind it (`arrive` runs before each of their gNB
+    /// steps), release, and drain. The hook panics on slot `kill`, if
+    /// given. Returns the held slot.
+    fn held(
+        &mut self,
+        fleet: &Fleet,
+        window: u64,
+        kill: Option<u64>,
+        mut arrive: impl FnMut(u64, &mut Gnb),
+    ) -> u64 {
+        let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let (e, r, at) = (Arc::clone(&entered), Arc::clone(&release), self.next);
+        let hold = move |slot| {
+            if slot == at {
+                e.wait();
+                r.wait();
+            }
+            if Some(slot) == kill {
+                panic!("injected shard fault");
+            }
+        };
+        fleet.set_slot_hook(0, Some(SlotHook::new(hold)));
+        self.push(fleet);
+        entered.wait();
+        for _ in 0..window {
+            arrive(self.next, &mut self.gnb);
+            self.push(fleet);
+        }
+        release.wait();
+        assert!(fleet.quiesce(Duration::from_secs(60)), "backlog drained");
+        fleet.set_slot_hook(0, None);
+        at
+    }
+
+    /// Distinct RNTIs the gNB addressed as `kind` within `slots`.
+    fn truth(&self, kind: RntiType, slots: Range<u64>) -> BTreeSet<Rnti> {
+        let records = self.gnb.truth().records().iter();
+        let hits = records.filter(|r| r.rnti_type == kind && slots.contains(&r.slot));
+        hits.map(|r| r.rnti).collect()
+    }
+
+    /// SI DCIs the gNB sent within `slots`.
+    fn si_sent(&self, slots: Range<u64>) -> u64 {
+        let records = self.gnb.truth().records().iter();
+        records
+            .filter(|r| r.rnti_type == RntiType::Si && slots.contains(&r.slot))
+            .count() as u64
     }
 }
 
-/// Load model calibrated against the seeded population (measured via the
-/// governor EWMA at forced rungs; each C-RNTI is offered only where its
-/// search space admits it, so 16 tracked UEs are ~23.8 hypotheses a slot
-/// at Full and ~14.6 under the cap): Full converges to ~667 µs (over the
-/// 500 µs budget), PrunedSearch (cap 2) to ~444 µs — inside the
-/// 400–500 µs hysteresis band, so the ladder parks there.
-fn moderate_load() -> LoadModel {
-    LoadModel {
-        base: Duration::from_micros(60),
-        per_candidate: Duration::from_micros(10),
-        per_ue_hypothesis: Duration::from_nanos(24_400),
-    }
-}
+/// Ring depth of the main scenario: the drain enters `BroadcastOnly` over
+/// 7/8 of it (a backlog of 225) and leaves under 7/16 (a backlog of 111).
+const DEPTH: usize = 256;
 
-/// Spiked per-hypothesis cost: PrunedSearch converges to ~660 µs — over
-/// budget, so only BroadcastOnly (the floor) fits.
-fn spiked_load() -> LoadModel {
-    LoadModel {
-        per_ue_hypothesis: Duration::from_micros(39),
-        ..moderate_load()
-    }
-}
-
-/// Light per-hypothesis cost: every rung fits comfortably under the
-/// promotion margin even with 18 tracked UEs, so the ladder climbs home.
-fn light_load() -> LoadModel {
-    LoadModel {
-        per_ue_hypothesis: Duration::from_micros(9),
-        ..moderate_load()
-    }
-}
+/// Slots queued behind the held one: more than 7/8 of the depth, and no
+/// more than it, so nothing sheds.
+const WINDOW: u64 = 240;
 
 #[test]
 fn oversubscribed_population_degrades_recovers_and_never_loses_rach() {
     let cell = CellConfig::srsran_n41();
-    let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
-    for id in 1..=16u64 {
-        gnb.ue_arrives(backlogged_ue(id));
-    }
-    let mut obs = Observer::new(&cell, 35.0, false, 5);
-    let mut scope = NrScope::new(
-        ScopeConfig {
-            // Expiry stays out of this scenario (the composition test
-            // exercises it): the hypothesis set must equal the tracked
-            // population so the modelled load is constant per phase.
-            ue_expiry_slots: 100_000,
-            governor: governor_cfg(),
-            ..ScopeConfig::default()
-        },
-        Some(cell.pci),
-    );
-    scope.set_load_model(Some(moderate_load()));
-    let slot_s = cell.slot_s();
+    let fleet = one_shard_fleet(&cell, DEPTH, 20_000, None);
+    let mut feed = Feed::new(&cell, 16);
 
-    // Phase 1 (slots 0..1200): 16 UEs attach; as the tracked count grows
-    // the modelled Full-rung cost crosses the budget and the ladder
-    // demotes, parking at PrunedSearch once all 16 are tracked.
-    let mut all_attached_at = None;
-    let mut first_demotion_at = None;
-    for s in 0..1200u64 {
-        let out = gnb.step();
-        scope.process(&obs.observe(&out, s as f64 * slot_s));
-        if all_attached_at.is_none() && scope.total_discovered() == 16 {
-            all_attached_at = Some(s);
-        }
-        if first_demotion_at.is_none() && scope.load_rung() != LoadRung::Full {
-            first_demotion_at = Some(s);
-        }
-    }
-    let attached = all_attached_at.expect("all 16 UEs discovered despite overload");
-    let demoted = first_demotion_at.expect("overload demoted the ladder");
-    assert!(
-        demoted <= attached + 200,
-        "stable-rung search started within 200 slots of full attach (demoted at {demoted}, attached at {attached})"
-    );
-    assert_eq!(
-        scope.load_rung(),
-        LoadRung::PrunedSearch,
-        "moderate overload parks at PrunedSearch"
-    );
-    assert!(scope.stats.deadline_misses > 0, "overload slots missed");
-    assert!(scope.stats.rung_demotions >= 1);
-    assert!(scope.stats.pruned_candidates > 0, "budget actually pruned");
-    assert_eq!(scope.tracked_rntis(), gnb.connected_rntis());
+    // Sixteen UEs attach on a paced feed: no backlog, no blind slot.
+    feed.paced(&fleet, 1200);
+    let (discovered, blind, si_before) = scope(&fleet, |s| {
+        (s.total_discovered(), blind_slots(&s.stats), s.stats.si_dcis)
+    });
+    assert_eq!((discovered, blind), (16, 0), "paced: all 16 found at Full");
 
-    // Phase 2 (slots 1200..2000): cost spike — only BroadcastOnly fits.
-    // Two NEW UEs arrive mid-blindness; RACH discovery must survive.
-    scope.set_load_model(Some(spiked_load()));
-    let si_before = scope.stats.si_dcis;
-    let mut spike_max_ewma_us = 0.0f64;
-    for s in 1200..2000u64 {
-        if s == 1400 {
+    // UEs 17 and 18 arrive as the window opens: their RACH, RAR and MSG 4
+    // are all queued behind the held slot.
+    let at = feed.held(&fleet, WINDOW, None, |slot, gnb| {
+        if slot == 1201 {
             gnb.ue_arrives(backlogged_ue(17));
             gnb.ue_arrives(backlogged_ue(18));
         }
-        let out = gnb.step();
-        scope.process(&obs.observe(&out, s as f64 * slot_s));
-        spike_max_ewma_us = spike_max_ewma_us.max(scope.governor().ewma_us());
-    }
-    // Bounded latency: an upward probe costs at most a `demote_after_slots`
-    // run of overload before the ladder re-demotes, so even mid-spike the
-    // smoothed latency stays under twice the 500 µs budget (unmitigated
-    // Full search would sit over it, at ~1,015 µs).
-    assert!(
-        spike_max_ewma_us < 1000.0,
-        "spike-phase EWMA peaked at {spike_max_ewma_us:.1} us (2x budget)"
-    );
+    });
+    assert_eq!(at, 1200);
+    // The held slot popped with nothing behind it (Full). The window's
+    // first pop leaves 239 queued: over 224 = 7/8 of 256, so the drain
+    // decodes broadcast-only until a pop leaves 111 < 112 = 7/16 of 256,
+    // which is back at Full: 239 − 111 = 128 slots, seq 1201..=1328.
+    let blind_window = at + 1..at + 1 + 128;
+    let st = scope(&fleet, |s| s.stats);
+    assert_eq!(blind_slots(&st), 128);
     assert_eq!(
-        scope.load_rung(),
-        LoadRung::BroadcastOnly,
-        "spike parks the ladder at BroadcastOnly"
+        fleet.shard_status(0).sheds,
+        0,
+        "a ring that is not full sheds nothing"
     );
+    assert_eq!((st.rung_demotions, st.rung_promotions), (1, 1));
+    assert_eq!(scope(&fleet, |s| s.load_rung()), LoadRung::Full);
+    // Every SI DCI of the window was decoded, the broadcast-only slots'
+    // included: SIB1 tracking continued while blind.
+    let window = at..at + 1 + WINDOW;
+    assert!(feed.si_sent(blind_window.clone()) > 0);
+    assert_eq!(st.si_dcis - si_before, feed.si_sent(window));
     assert_eq!(
-        scope.sync_state(),
+        scope(&fleet, |s| s.sync_state()),
         SyncState::Synced,
-        "governor-induced silence must not degrade sync"
+        "rung-induced silence does not degrade sync"
     );
-    assert!(
-        scope.stats.si_dcis > si_before,
-        "SIB1 tracking stayed alive while blind"
-    );
+    // The two new UEs' MSG 4s fell in broadcast-only slots, and were
+    // discovered there.
+    let late_msg4 = feed.truth(RntiType::Tc, at + 1..feed.next);
+    assert_eq!(late_msg4.len(), 2, "UEs 17 and 18 RACHed in the window");
+    assert_eq!(feed.truth(RntiType::Tc, blind_window), late_msg4);
+    let all_msg4 = feed.truth(RntiType::Tc, 0..feed.next);
     assert_eq!(
-        scope.total_discovered(),
-        18,
-        "UEs that RACHed during blindness were discovered via MSG 4"
-    );
-    assert!(
-        scope.governor().backoff_exp() > 0,
-        "failed upward probes backed off"
-    );
-
-    // Phase 3 (slots 2000..3800): the load drops (per-hypothesis cost
-    // falls back under the budget for the whole population). The ladder
-    // must climb back to Full monotonically — no demotions — and finish
-    // with zero misses over the final 100 slots. The two UEs discovered
-    // while blind are tracked like everyone else.
-    scope.set_load_model(Some(light_load()));
-    let demotions_before = scope.stats.rung_demotions;
-    let mut misses_at_3700 = 0;
-    for s in 2000..3800u64 {
-        let out = gnb.step();
-        scope.process(&obs.observe(&out, s as f64 * slot_s));
-        if s == 3700 {
-            misses_at_3700 = scope.stats.deadline_misses;
-        }
-    }
-    assert_eq!(
-        scope.load_rung(),
-        LoadRung::Full,
-        "ladder returned to Full after the load dropped"
-    );
-    assert_eq!(
-        scope.stats.rung_demotions, demotions_before,
-        "recovery was monotone: no demotions after the load dropped"
-    );
-    assert_eq!(
-        scope.stats.deadline_misses, misses_at_3700,
-        "zero deadline misses over the final 100 slots"
-    );
-    let connected = gnb.connected_rntis();
-    assert_eq!(connected.len(), 18, "all 18 UEs still connected");
-    for r in &connected {
-        assert!(
-            scope.tracked_rntis().contains(r),
-            "UE {r:?} (including the blind-discovered pair) tracked after recovery"
-        );
-    }
-
-    // Ground truth: every RACH in the truth log (distinct MSG 4 TC-RNTI
-    // transmissions) corresponds to a discovery — none went dark at any
-    // rung.
-    let truth_rach: BTreeSet<Rnti> = gnb
-        .truth()
-        .records()
-        .iter()
-        .filter(|r| r.rnti_type == RntiType::Tc)
-        .map(|r| r.rnti)
-        .collect();
-    assert_eq!(
-        scope.total_discovered(),
-        truth_rach.len() as u64,
+        scope(&fleet, |s| s.total_discovered()),
+        all_msg4.len() as u64,
         "MSG 4 C-RNTI discovery succeeded for every RACH in the truth log"
     );
+    let connected = feed.gnb.connected_rntis();
+    assert_eq!(connected.len(), 18);
+    let tracked = scope(&fleet, |s| s.tracked_rntis());
+    for r in &connected {
+        assert!(tracked.contains(r), "UE {r:?} tracked after the drain");
+    }
+
+    // Overfill: 40 slots more than the ring holds queue behind the held
+    // one. Only then does the ring shed — its own oldest, 40 of them —
+    // and the drain still ends at Full.
+    feed.paced(&fleet, 200);
+    let before = scope(&fleet, |s| s.stats);
+    feed.held(&fleet, DEPTH as u64 + 40, None, |_, _| {});
+    assert_eq!(fleet.shard_status(0).sheds, 40, "a full ring sheds");
+    let st = scope(&fleet, |s| s.stats);
+    let dropped = st.dropped_slots - before.dropped_slots;
+    assert_eq!(dropped, 40, "shed slots are gap-filled drops");
+    // The first pop after the gap leaves 255 queued: 255 − 111 = 144
+    // broadcast-only slots.
+    assert_eq!(blind_slots(&st) - blind_slots(&before), 144);
+    assert_eq!(scope(&fleet, |s| s.load_rung()), LoadRung::Full);
+    assert_eq!(scope(&fleet, |s| s.sync_state()), SyncState::Synced);
+    fleet.finish();
 }
 
-/// Satellite: the sync-health machine and the load governor compose. An
-/// outage (dropped slots) mid-blindness must still degrade sync — drops
-/// are front-end reality, not governor-induced silence — and both
-/// machines must recover without double-counting UEs or losing SIB1.
+/// The sync-health machine and the backlog rung compose. An outage
+/// (dropped slots) inside the broadcast-only drain must still degrade
+/// sync — drops are front-end reality, not rung-induced silence — and
+/// both must recover without double-counting UEs or losing SIB1.
 #[test]
 fn outage_while_blind_degrades_sync_but_recovery_composes() {
     let cell = CellConfig::srsran_n41();
-    let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
-    for id in 1..=4u64 {
-        gnb.ue_arrives(backlogged_ue(id));
-    }
-    let mut obs = Observer::new(&cell, 35.0, false, 5);
-    // Outage well inside the blind phase.
-    obs.set_impairments(ImpairmentSchedule::new(42).with_outage(1500..1660));
-    let mut scope = NrScope::new(
-        ScopeConfig {
-            ue_expiry_slots: 1200,
-            governor: governor_cfg(),
-            ..ScopeConfig::default()
-        },
-        Some(cell.pci),
-    );
-    // Heavy per-hypothesis cost from the start: with 4 tracked UEs even
-    // PrunedSearch (~727 µs) is over budget, so the ladder goes blind.
-    scope.set_load_model(Some(LoadModel {
-        per_ue_hypothesis: Duration::from_micros(146),
-        ..moderate_load()
-    }));
-    let slot_s = cell.slot_s();
-    let mut saw_degraded_during_outage = false;
-    let mut saw_blind_before_outage = false;
-    for s in 0..2400u64 {
-        let out = gnb.step();
-        let cap = obs.capture(&out, s as f64 * slot_s);
-        scope.process_capture(&cap);
-        if s == 1490 {
-            saw_blind_before_outage = scope.load_rung() == LoadRung::BroadcastOnly;
-        }
-        if s == 1655 {
-            saw_degraded_during_outage = scope.sync_state() != SyncState::Synced;
-        }
-    }
+    // A ring of 512 and a window of 500: the drain is broadcast-only from
+    // a backlog of 499 down to 224 (7/16 of 512), 276 slots — room for a
+    // 160-slot outage inside it.
+    let fleet = one_shard_fleet(&cell, 512, 1200, None);
+    let mut feed = Feed::new(&cell, 4);
+    feed.obs
+        .set_impairments(ImpairmentSchedule::new(42).with_outage(1440..1600));
+    feed.paced(&fleet, 1400);
+    assert_eq!(scope(&fleet, |s| s.total_discovered()), 4);
+    let at = feed.held(&fleet, 500, None, |_, _| {});
+    let st = scope(&fleet, |s| s.stats);
+    assert_eq!(blind_slots(&st), 276 - 160, "the outage's slots are drops");
+    assert_eq!(st.dropped_slots, 160);
+    let blind_drain = at + 1..at + 1 + 276;
     assert!(
-        saw_blind_before_outage,
-        "governor was blind before the outage"
+        blind_drain.contains(&1440) && blind_drain.contains(&1599),
+        "the outage lies inside the blind drain"
     );
-    assert!(
-        saw_degraded_during_outage,
-        "dropped slots degraded sync even at a blind rung"
-    );
-    assert_eq!(scope.stats.dropped_slots, 160);
-    assert_eq!(scope.sync_state(), SyncState::Synced, "sync recovered");
-    assert!(scope.stats.resyncs >= 1, "resync counted once, not looped");
-    assert!(
-        scope.cell.sib1.is_some(),
-        "SIB1 state survived both machines"
-    );
-
-    // Load drop: lighten the model and thin the population; both ladders
-    // climb home.
-    scope.set_load_model(Some(LoadModel {
-        per_ue_hypothesis: Duration::from_micros(5),
-        ..moderate_load()
-    }));
-    gnb.ue_departs(1);
-    gnb.ue_departs(2);
-    for s in 2400..4200u64 {
-        let out = gnb.step();
-        let cap = obs.capture(&out, s as f64 * slot_s);
-        scope.process_capture(&cap);
-    }
-    assert_eq!(scope.load_rung(), LoadRung::Full, "ladder recovered");
-    assert_eq!(scope.sync_state(), SyncState::Synced);
     assert_eq!(
-        scope.total_discovered(),
-        4,
-        "no UE double-counted across sync x governor transitions"
+        st.resyncs, 1,
+        "drops degraded sync at a blind rung; one resync"
     );
-    for r in &gnb.connected_rntis() {
-        assert!(scope.tracked_rntis().contains(r), "live UE {r:?} tracked");
+    assert_eq!(scope(&fleet, |s| s.sync_state()), SyncState::Synced);
+    assert!(scope(&fleet, |s| s.cell.sib1.is_some()), "SIB1 state kept");
+
+    // Two UEs leave; the rest is paced at Full.
+    feed.gnb.ue_departs(1);
+    feed.gnb.ue_departs(2);
+    feed.paced(&fleet, 600);
+    assert_eq!(scope(&fleet, |s| s.load_rung()), LoadRung::Full);
+    assert_eq!(scope(&fleet, |s| s.sync_state()), SyncState::Synced);
+    assert_eq!(
+        scope(&fleet, |s| s.total_discovered()),
+        4,
+        "no UE double-counted across the sync and rung transitions"
+    );
+    let tracked = scope(&fleet, |s| s.tracked_rntis());
+    for r in &feed.gnb.connected_rntis() {
+        assert!(tracked.contains(r), "live UE {r:?} tracked");
     }
+    fleet.finish();
+}
+
+/// The rung survives a warm restart. A durable shard killed inside its
+/// broadcast-only drain resumes at the rung it left — the rung is read off
+/// the checkpointed demotion and promotion counters — so it neither
+/// counts a second demotion nor decodes the rest of its backlog at `Full`.
+#[test]
+fn durable_shard_killed_mid_drain_resumes_blind_with_paired_counters() {
+    let cell = CellConfig::srsran_n41();
+    let dir = std::env::temp_dir().join(format!("nrscope-overload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = one_shard_fleet(&cell, DEPTH, 20_000, Some(PersistConfig::new(&dir)));
+    let mut feed = Feed::new(&cell, 8);
+    feed.paced(&fleet, 1200);
+    // As in the first test, the window's first pop (seq 1201) leaves 239
+    // queued and enters `BroadcastOnly`. The hook kills the shard on seq
+    // 1264, after 63 blind slots, with 176 queued behind it: inside the
+    // hysteresis band, where the rung depends on the rung it was at.
+    let kill = 1264;
+    let at = feed.held(&fleet, WINDOW, Some(kill), |_, _| {});
+    assert_eq!(at, 1200);
+    let status = fleet.shard_status(0);
+    assert_eq!((status.panics, status.restarts), (1, 1));
+    let report = status.last_recovery.expect("a durable recovery");
+    assert!(report.resumed, "warm restart");
+    assert_eq!(report.resumed_slot, kill, "nothing processed was lost");
+    // The restarted engine resumes blind: the pop of seq 1265 leaves 175,
+    // and the drain stays broadcast-only until a pop leaves 111 (seq
+    // 1329). 63 + 64 blind slots; the killed slot is a gap-filled drop.
+    let st = scope(&fleet, |s| s.stats);
+    assert_eq!(blind_slots(&st), 63 + 64);
+    assert_eq!(st.dropped_slots, 1);
+    assert_eq!(
+        (st.rung_demotions, st.rung_promotions),
+        (1, 1),
+        "one demotion, one promotion, across the restart"
+    );
+    assert_eq!(scope(&fleet, |s| s.load_rung()), LoadRung::Full);
+    assert_eq!(scope(&fleet, |s| s.sync_state()), SyncState::Synced);
+    fleet.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }

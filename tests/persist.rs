@@ -747,8 +747,9 @@ fn checkpoint_payload() -> &'static [u8] {
 
 /// The checkpoint fixture re-encoded, with `extra` cells appended to
 /// `ScopeStats::slots_at_rung` (0 = the same image again) and, if
-/// `removed_keys`, the governor config knob an older build wrote (its
-/// budget fraction, since made a constant) put back.
+/// `removed_keys`, the micro state's `governor` an older build wrote put
+/// back, its config carrying a knob (the budget fraction) since made a
+/// constant.
 fn checkpoint_reshaped(extra: usize, removed_keys: bool) -> Vec<u8> {
     use nr_scope::scope::binfmt::{get_content, put_content};
     use serde::Content;
@@ -767,20 +768,23 @@ fn checkpoint_reshaped(extra: usize, removed_keys: bool) -> Vec<u8> {
         panic!("the stats field carries the ladder cells");
     };
     cells.extend(std::iter::repeat_n(Content::U64(0), extra));
-    let Content::Map(cfg) = field(field(micro, "governor"), "cfg") else {
-        panic!("the governor carries its config");
+    let Content::Map(micro) = micro else {
+        panic!("the micro state is a map");
     };
     if removed_keys {
-        cfg.push((removed_knob("budget", "fraction").into(), Content::F64(0.9)));
+        let cfg = vec![(removed_knob("budget", "fraction").into(), Content::F64(0.9))];
+        let governor = vec![("cfg".into(), Content::Map(cfg))];
+        micro.push(("governor".into(), Content::Map(governor)));
     }
     let mut payload = Vec::new();
     put_content(&mut payload, &state);
     resealed_checkpoint(&payload)
 }
 
-/// A checkpoint written before the overload ladder lost its fourth rung
-/// carries four `slots_at_rung` cells and no longer matches `ScopeStats`.
-/// A session restarted across that upgrade must refuse it whole — never
+/// A checkpoint written before the overload response lost its third rung
+/// carries three `slots_at_rung` cells (and its governor's ladder state),
+/// one from before that four, and neither matches `ScopeStats`. A session
+/// restarted across such an upgrade must refuse it whole — never
 /// half-restore it, never panic — and cold-start. Knobs that became
 /// constants are the opposite case: a `scope_config.json` and a
 /// checkpoint that still carry them load, and recovery is warm.
@@ -797,8 +801,13 @@ fn four_rung_checkpoint_is_refused_whole_and_recovery_cold_starts() {
             &format!("\"{skip_rrc}\":false,\"fidelity\":"),
         )
         .replace(
-            "\"governor\":{",
-            &format!("\"governor\":{{\"{budget}\":0.5,"),
+            "\"admission\":{",
+            &format!(
+                "\"governor\":{{\"{budget}\":0.5,\"enabled\":false,\"budget_us_override\":null,\
+                 \"demote_after_slots\":8,\"promote_after_slots\":100,\"promote_margin\":0.8,\
+                 \"flap_window_slots\":300,\"max_backoff_exp\":3,\"pruned_min_level\":\"L2\",\
+                 \"pruned_max_ue_candidates\":16}},\"admission\":{{"
+            ),
         )
         .replace(
             "\"clock\":{",
@@ -813,6 +822,8 @@ fn four_rung_checkpoint_is_refused_whole_and_recovery_cold_starts() {
         &skip_rrc,
         &budget,
         &backoff,
+        "promote_margin",
+        "pruned_max_ue_candidates",
         "kp",
         "lock_after_meas",
         "sample_rate_hz",
@@ -821,7 +832,15 @@ fn four_rung_checkpoint_is_refused_whole_and_recovery_cold_starts() {
     }
     let old_cfg = ScopeConfig::from_json(&cfg_json).expect("removed keys are ignored");
     assert_eq!(old_cfg.to_json(), ScopeConfig::default().to_json());
-    for (extra, removed_keys, resumes) in [(0, false, true), (0, true, true), (1, false, false)] {
+    // The third case is the three-cell image a build with the
+    // pruned-search rung wrote, governor and all; the fourth is older.
+    let cases = [
+        (0, false, true),
+        (0, true, true),
+        (1, true, false),
+        (2, false, false),
+    ];
+    for (extra, removed_keys, resumes) in cases {
         let dir = tmp_dir("four-rung-ckpt");
         let store = SessionStore::new(&dir).unwrap();
         let image = checkpoint_reshaped(extra, removed_keys);
