@@ -112,7 +112,7 @@ impl UeHypothesis {
 }
 
 /// The RNTI hypothesis sets for one slot.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Hypotheses {
     /// RA-RNTIs of PRACH occasions within the response window.
     pub ra_rntis: Vec<Rnti>,

@@ -26,6 +26,7 @@ use nr_phy::tbs::{transport_block_size, TbsParams};
 use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_rrc::{Mib, RrcSetup, Sib1};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -187,6 +188,22 @@ pub struct NrScope {
     /// the first clock observable — a front end with no oscillator model
     /// never instantiates it, and sync health behaves exactly as before.
     clock: Option<ClockRecovery>,
+    /// The C-RNTI hypotheses, built once per change of their inputs.
+    spaces: RefCell<SearchSpaces>,
+}
+
+/// The C-RNTI hypothesis list, kept between slots. `ues` holds the tracked
+/// RNTIs, sorted, then the probationary ones, each with the RRC Setup it is
+/// searched under (its own, else the cell's UE-invariant cached one).
+/// `rows[s]` is the list for slot `s` of the frame: each RNTI searched where
+/// its RRC Setup lets the gNB place it, built the first time slot `s` reads
+/// it. Both hold for the `key` they were built under: the tracker's
+/// [`UeTracker::generation`], CORESET 0 and the slots per frame.
+#[derive(Default)]
+struct SearchSpaces {
+    key: Option<(u64, Coreset, usize)>,
+    ues: Vec<(Rnti, Option<RrcSetup>)>,
+    rows: Vec<Vec<UeHypothesis>>,
 }
 
 /// Sliding window for bit-rate estimation, in slots (the paper keeps a
@@ -267,6 +284,7 @@ impl NrScope {
             pending_sib1: None,
             ue_events: std::collections::VecDeque::new(),
             clock: None,
+            spaces: RefCell::default(),
         }
     }
 
@@ -1069,47 +1087,53 @@ impl NrScope {
         self.cell.pci.or(self.assumed_pci)
     }
 
+    /// This slot's hypotheses. While `Synced` the C-RNTIs are a row of
+    /// [`SearchSpaces`]. Otherwise the hash, which runs on `slot_in_frame`,
+    /// is not trusted: every RNTI is offered anywhere, and RNTIs that
+    /// expired recently are retried too, so UEs that stayed connected
+    /// through a sniffer-side outage re-track from their first DCI.
     fn hypotheses(&self, coreset: &Coreset) -> Hypotheses {
-        let mut c_rntis = self.tracker.rntis();
-        // Probationary RNTIs ride the UE-specific pass: a real UE on
-        // probation decodes under its own scrambling and corroborates
-        // itself; a ghost never does. Also keeps the recovery path from
-        // re-minting the same candidate for free every slot.
-        for r in self.tracker.probation_rntis() {
-            if !c_rntis.contains(&r) {
-                c_rntis.push(r);
-            }
+        let spf = (self.cell.mib.as_ref()).map_or(1, |m| m.scs_common.slots_per_frame());
+        let key = Some((self.tracker.generation(), *coreset, spf));
+        let mut spaces = self.spaces.borrow_mut();
+        if spaces.key != key {
+            // Probationary RNTIs ride the UE-specific pass: a real UE on
+            // probation decodes under its own scrambling and corroborates
+            // itself; a ghost never does. Also keeps the recovery path from
+            // re-minting the same candidate for free every slot.
+            let probation = self.tracker.probation_rntis().into_iter();
+            let mut rntis = self.tracker.rntis();
+            rntis.extend(probation.filter(|r| !self.tracker.contains(*r)));
+            let cached = self.tracker.cached_rrc().copied();
+            let rrc = |r| self.tracker.get(r).map_or(cached, |ue| Some(ue.rrc));
+            let ues = rntis.into_iter().map(|r| (r, rrc(r))).collect();
+            let rows = vec![Vec::new(); spf];
+            *spaces = SearchSpaces { key, ues, rows };
         }
-        if self.sync != SyncState::Synced {
-            // While unhealthy, also retry RNTIs that expired recently: UEs
-            // that stayed connected through a sniffer-side outage re-track
-            // from their first DCI instead of waiting for fresh RACH.
-            for r in self
-                .tracker
-                .recently_expired(self.slot, self.cfg.ue_expiry_slots)
-            {
-                if !c_rntis.contains(&r) {
-                    c_rntis.push(r);
-                }
+        let SearchSpaces { ues, rows, .. } = &mut *spaces;
+        let c_rntis = if self.sync == SyncState::Synced {
+            let s = self.slot_in_frame();
+            let row = &mut rows[s];
+            if row.len() != ues.len() {
+                *row = (ues.iter())
+                    .map(|(r, rrc)| match rrc {
+                        Some(rrc) => UeHypothesis::in_search_space(*r, rrc, coreset, s),
+                        None => UeHypothesis::anywhere(*r),
+                    })
+                    .collect();
             }
-        }
-        // Each RNTI is searched where its RRC Setup (its own, else the
-        // cell's UE-invariant cached one) lets the gNB place it. The hash
-        // runs on `slot_in_frame`, so it is trusted only while `Synced`.
-        let slot_in_frame = self.slot_in_frame();
-        let with_space = |rnti| {
-            let own = self.tracker.get(rnti).map(|ue| &ue.rrc);
-            match own.or(self.tracker.cached_rrc()) {
-                Some(rrc) if self.sync == SyncState::Synced => {
-                    UeHypothesis::in_search_space(rnti, rrc, coreset, slot_in_frame)
-                }
-                _ => UeHypothesis::anywhere(rnti),
-            }
+            row.clone()
+        } else {
+            let retry = (self.tracker).recently_expired(self.slot, self.cfg.ue_expiry_slots);
+            let listed = |r: &Rnti| ues.iter().any(|(u, _)| u == r);
+            let fresh = retry.into_iter().filter(|r| !listed(r));
+            let rntis = ues.iter().map(|(r, _)| *r).chain(fresh);
+            rntis.map(UeHypothesis::anywhere).collect()
         };
         Hypotheses {
             ra_rntis: self.expected_ra_rntis(),
             tc_rntis: self.tracker.pending_tc_rntis(),
-            c_rntis: c_rntis.into_iter().map(with_space).collect(),
+            c_rntis,
             // CRC-XOR recovery needs a trusted PCI; with sync lost it would
             // invent C-RNTIs from mis-descrambled residue.
             allow_recovery: self.sync != SyncState::Reacquiring,

@@ -61,7 +61,7 @@ pub enum Admission {
 }
 
 /// One quarantine-ledger entry: a candidate C-RNTI that failed probation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct QuarantineEntry {
     /// Slot the RNTI entered the ledger.
     pub quarantined_at: u64,
@@ -96,6 +96,10 @@ pub struct UeTracker {
     pub quarantine_evictions: u64,
     /// Total distinct UEs ever discovered (Fig 10-style accounting).
     pub total_discovered: u64,
+    /// Bumped by every change to what a C-RNTI hypothesis is built from:
+    /// the tracked and probationary RNTIs, a tracked UE's RRC Setup, the
+    /// cached one.
+    generation: u64,
 }
 
 /// Serialisable image of the tracker's bookkeeping (everything except the
@@ -135,7 +139,13 @@ impl UeTracker {
     /// TC-RNTIs currently awaiting MSG 4 (tried as CRC hypotheses on
     /// common-search-space candidates).
     pub fn pending_tc_rntis(&self) -> Vec<Rnti> {
-        self.pending_tc.keys().copied().collect()
+        sorted(self.pending_tc.keys().copied())
+    }
+
+    /// Changes when the hypothesis inputs may have: compare two readings
+    /// to know whether a list built from them still holds.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// MSG 4 for `tc_rnti` decoded: promote it to a tracked C-RNTI.
@@ -148,6 +158,7 @@ impl UeTracker {
         self.probation.remove(&tc_rnti);
         self.quarantine.remove(&tc_rnti);
         self.cached_rrc = Some(rrc);
+        self.generation += 1;
         let newly_discovered = self.ever_seen.insert(tc_rnti);
         if newly_discovered {
             self.total_discovered += 1;
@@ -162,14 +173,8 @@ impl UeTracker {
     /// stayed connected through a sniffer outage are re-tracked without
     /// waiting for fresh RACH traffic.
     pub fn recently_expired(&self, now: u64, window: u64) -> Vec<Rnti> {
-        let mut v: Vec<Rnti> = self
-            .recently_expired
-            .iter()
-            .filter(|(_, at)| now.saturating_sub(**at) <= window)
-            .map(|(r, _)| *r)
-            .collect();
-        v.sort();
-        v
+        let in_window = |(r, at): (&Rnti, &u64)| (now.saturating_sub(*at) <= window).then_some(*r);
+        sorted(self.recently_expired.iter().filter_map(in_window))
     }
 
     /// Re-track an RNTI directly (recovery path: a UE-specific DCI just
@@ -186,6 +191,7 @@ impl UeTracker {
         self.recently_expired.remove(&rnti);
         self.probation.remove(&rnti);
         self.ues.insert(rnti, TrackedUe::fresh(rnti, slot, rrc));
+        self.generation += 1;
         true
     }
 
@@ -230,6 +236,7 @@ impl UeTracker {
             q.reappearances += 1;
             return (Admission::Quarantined, None);
         }
+        self.generation += 1;
         let sightings = self.probation.entry(rnti).or_default();
         sightings.retain(|&s| slot.saturating_sub(s) <= window);
         // One sighting per slot: corroboration requires K *distinct*
@@ -266,17 +273,13 @@ impl UeTracker {
     /// Move probation candidates whose corroboration window lapsed into
     /// the quarantine ledger. Returns the newly quarantined RNTIs, sorted.
     pub fn expire_probation(&mut self, now: u64, window: u64, quarantine_max: usize) -> Vec<Rnti> {
-        let mut lapsed: Vec<Rnti> = self
-            .probation
-            .iter()
-            .filter(|(_, s)| {
-                s.last()
-                    .is_none_or(|&last| now.saturating_sub(last) > window)
-            })
-            .map(|(r, _)| *r)
-            .collect();
-        lapsed.sort();
+        let lapsed = sorted(self.probation.iter().filter_map(|(r, s)| {
+            s.last()
+                .is_none_or(|&last| now.saturating_sub(last) > window)
+                .then_some(*r)
+        }));
         for r in &lapsed {
+            self.generation += 1;
             self.probation.remove(r);
             self.quarantine_insert(*r, now, quarantine_max);
         }
@@ -322,16 +325,12 @@ impl UeTracker {
     /// Probationary RNTIs (sorted) — extra UE-pass hypotheses so a real
     /// UE on probation can corroborate itself.
     pub fn probation_rntis(&self) -> Vec<Rnti> {
-        let mut v: Vec<Rnti> = self.probation.keys().copied().collect();
-        v.sort();
-        v
+        sorted(self.probation.keys().copied())
     }
 
     /// Quarantined RNTIs (sorted).
     pub fn quarantined_rntis(&self) -> Vec<Rnti> {
-        let mut v: Vec<Rnti> = self.quarantine.keys().copied().collect();
-        v.sort();
-        v
+        sorted(self.quarantine.keys().copied())
     }
 
     /// Quarantine-ledger size (exported as a gauge).
@@ -351,9 +350,7 @@ impl UeTracker {
 
     /// All currently tracked RNTIs (sorted, deterministic).
     pub fn rntis(&self) -> Vec<Rnti> {
-        let mut v: Vec<Rnti> = self.ues.keys().copied().collect();
-        v.sort();
-        v
+        sorted(self.ues.keys().copied())
     }
 
     /// Number of tracked UEs.
@@ -366,7 +363,8 @@ impl UeTracker {
         self.ues.is_empty()
     }
 
-    /// Mutable access for HARQ observation and activity updates.
+    /// Mutable access for HARQ observation and activity updates. Not for
+    /// the RRC Setup: a change there would not move [`UeTracker::generation`].
     pub fn get_mut(&mut self, rnti: Rnti) -> Option<&mut TrackedUe> {
         self.ues.get_mut(&rnti)
     }
@@ -394,9 +392,14 @@ impl UeTracker {
             .map(|(r, u)| (*r, u.last_active_slot))
             .collect();
         for (r, _) in &dead {
+            self.generation += 1;
             self.ues.remove(r);
             self.recently_expired.insert(*r, now);
         }
+        // Past the window no reader retries an RNTI: drop it, or the map
+        // grows with every expiry of a long capture.
+        self.recently_expired
+            .retain(|_, at| now.saturating_sub(*at) <= expiry_slots);
         self.pending_tc
             .retain(|_, seen| now.saturating_sub(*seen) <= ra_window_slots);
         dead
@@ -405,34 +408,14 @@ impl UeTracker {
     /// Freeze the bookkeeping (everything but the UE table) into a
     /// serialisable, deterministically-ordered image.
     pub fn aux_state(&self) -> TrackerAux {
-        let mut pending_tc: Vec<(Rnti, u64)> =
-            self.pending_tc.iter().map(|(r, s)| (*r, *s)).collect();
-        pending_tc.sort();
-        let mut recently_expired: Vec<(Rnti, u64)> = self
-            .recently_expired
-            .iter()
-            .map(|(r, s)| (*r, *s))
-            .collect();
-        recently_expired.sort();
-        let mut ever_seen: Vec<Rnti> = self.ever_seen.iter().copied().collect();
-        ever_seen.sort();
-        let mut probation: Vec<(Rnti, Vec<u64>)> = self
-            .probation
-            .iter()
-            .map(|(r, s)| (*r, s.clone()))
-            .collect();
-        probation.sort();
-        let mut quarantine: Vec<(Rnti, QuarantineEntry)> =
-            self.quarantine.iter().map(|(r, e)| (*r, *e)).collect();
-        quarantine.sort_by_key(|(r, _)| *r);
         TrackerAux {
-            pending_tc,
-            recently_expired,
+            pending_tc: sorted(self.pending_tc.iter().map(|(r, s)| (*r, *s))),
+            recently_expired: sorted(self.recently_expired.iter().map(|(r, s)| (*r, *s))),
             cached_rrc: self.cached_rrc,
-            ever_seen,
+            ever_seen: sorted(self.ever_seen.iter().copied()),
             total_discovered: self.total_discovered,
-            probation,
-            quarantine,
+            probation: sorted(self.probation.iter().map(|(r, s)| (*r, s.clone()))),
+            quarantine: sorted(self.quarantine.iter().map(|(r, e)| (*r, *e))),
             quarantine_evictions: self.quarantine_evictions,
         }
     }
@@ -441,6 +424,7 @@ impl UeTracker {
     /// carries the end-of-slot aux verbatim, so promote/restore
     /// bookkeeping differences never accumulate drift).
     pub fn set_aux(&mut self, aux: &TrackerAux) {
+        self.generation += 1;
         self.pending_tc = aux.pending_tc.iter().copied().collect();
         self.recently_expired = aux.recently_expired.iter().copied().collect();
         self.cached_rrc = aux.cached_rrc;
@@ -466,6 +450,7 @@ impl UeTracker {
     /// snapshot may be old relative to the journal tail, and wall-clock
     /// downtime must not count as UE idle time).
     pub fn set_ues(&mut self, ues: &[TrackedUe], watermark: u64) {
+        self.generation += 1;
         self.ues.clear();
         for ue in ues {
             let mut ue = ue.clone();
@@ -479,13 +464,24 @@ impl UeTracker {
     /// touched here; the journal entry's aux image overwrites it at end
     /// of slot.
     pub fn replay_track(&mut self, rnti: Rnti, slot: u64, rrc: RrcSetup) {
+        self.generation += 1;
         self.ues.insert(rnti, TrackedUe::fresh(rnti, slot, rrc));
     }
 
     /// Journal replay: remove a UE the live housekeeping pass expired.
     pub fn replay_expire(&mut self, rnti: Rnti) {
+        self.generation += 1;
         self.ues.remove(&rnti);
     }
+}
+
+/// `items` collected in ascending order: every list the tracker hands out
+/// is sorted, so it reads the same in every process, whatever order its
+/// map iterates in.
+fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut v: Vec<T> = items.collect();
+    v.sort();
+    v
 }
 
 #[cfg(test)]
@@ -562,6 +558,22 @@ mod tests {
         assert!(t.contains(Rnti(10)));
         assert_eq!(t.total_discovered, 2);
         assert!(t.recently_expired(10_100, 2_000).is_empty());
+    }
+
+    #[test]
+    fn recently_expired_keeps_only_the_window() {
+        let (mut t, window) = (UeTracker::new(), 100);
+        for i in 0..1_000u16 {
+            t.promote(Rnti(i), u64::from(i), rrc());
+            t.expire(u64::from(i) + window + 1, window, 10);
+        }
+        // Each UE expired `window + 1` slots after its promotion, the last
+        // at slot 1,100: the map keeps the 101 of the last window.
+        let rntis = |r: std::ops::Range<u16>| r.map(Rnti).collect::<Vec<_>>();
+        let kept: Vec<Rnti> = t.aux_state().recently_expired.iter().map(|e| e.0).collect();
+        assert_eq!(kept, rntis(899..1_000));
+        assert_eq!(t.recently_expired(1_100, window), kept);
+        assert_eq!(t.recently_expired(1_150, window), rntis(949..1_000));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! constant only together with the reason the telemetry changed.
 
 use nr_scope::gnb::iq::IqRenderer;
-use nr_scope::gnb::{CellConfig, Gnb};
+use nr_scope::gnb::{CellConfig, Gnb, HostileConfig};
 use nr_scope::mac::{ProportionalFair, RoundRobin, Scheduler};
 use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::phy::ofdm::Ofdm;
@@ -18,15 +18,19 @@ use nr_scope::phy::oracle::{add_noise_libm, extract_candidate_oracle};
 use nr_scope::phy::pdcch::{
     extract_candidate, search_space_cinit, AggregationLevel, Coreset, SearchBudget, PILOT_SNR_FLOOR,
 };
-use nr_scope::phy::types::Rnti;
+use nr_scope::phy::types::{Pci, Rnti};
 use nr_scope::radio::VirtualUsrp;
+use nr_scope::rrc::RrcSetup;
 use nr_scope::scope::decoder::{
-    decode_candidates_budgeted, extract_all_candidates, DecodedDci, ExtractedCandidate,
+    decode_candidates_budgeted, extract_all_candidates, DecodedDci, ExtractedCandidate, Hypotheses,
+    UeHypothesis,
 };
 use nr_scope::scope::observe::{ObservedSlot, Observer};
 use nr_scope::scope::persist::crc32;
 use nr_scope::scope::worker::{process_slot, SlotJob};
-use nr_scope::scope::{Fidelity, NrScope, ScopeConfig};
+use nr_scope::scope::{
+    Capture, Fidelity, ImpairmentSchedule, NrScope, ScopeConfig, SyncState, UeEvent,
+};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
 
@@ -71,23 +75,20 @@ fn loaded_cell(n_ues: u64, seed: u64) -> (CellConfig, Gnb) {
 fn loaded_gnb(cell: &CellConfig, n_ues: u64, seed: u64) -> Gnb {
     let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), seed);
     for i in 1..=n_ues {
-        gnb.ue_arrives(SimUe::new(
-            i,
-            ChannelProfile::Awgn,
-            MobilityScenario::Static,
-            TrafficSource::new(
-                TrafficKind::Cbr {
-                    rate_bps: 3e6,
-                    packet_bytes: 1200,
-                },
-                seed ^ i,
-            ),
-            0.0,
-            60.0,
-            seed ^ (i << 8),
-        ));
+        gnb.ue_arrives(cbr_ue(i, seed));
     }
     gnb
+}
+
+/// UE `i` of [`loaded_gnb`]: CBR 3 Mb/s, static, AWGN.
+fn cbr_ue(i: u64, seed: u64) -> SimUe {
+    let cbr = TrafficKind::Cbr {
+        rate_bps: 3e6,
+        packet_bytes: 1200,
+    };
+    let traffic = TrafficSource::new(cbr, seed ^ i);
+    let (awgn, fixed) = (ChannelProfile::Awgn, MobilityScenario::Static);
+    SimUe::new(i, awgn, fixed, traffic, 0.0, 60.0, seed ^ (i << 8))
 }
 
 /// Every aligned candidate position of `coreset`, in scan order.
@@ -470,4 +471,159 @@ fn noise_kernel_decides_what_libm_box_muller_decides() {
         "{compared} candidates, {decoded} DCIs"
     );
     assert_eq!(moved, 0, "hard decisions moved");
+}
+
+/// The hypotheses of `scope`'s next slot rebuilt from its frozen state, as
+/// the scope built them in every slot before it kept a search-space table:
+/// the tracked C-RNTIs in order, then the probationary ones, each hashed
+/// into `job`'s slot of the frame from its own RRC Setup (a probationary
+/// one from the cached Setup) while `Synced`; otherwise every RNTI offered
+/// anywhere, with the RNTIs that expired within `ue_expiry_slots` retried.
+fn rebuilt_hypotheses(scope: &NrScope, cfg: &ScopeConfig, job: &SlotJob) -> Hypotheses {
+    let state = scope.session_state();
+    let aux = &state.micro.tracker_aux;
+    let synced = scope.sync_state() == SyncState::Synced;
+    let mut ues: Vec<(Rnti, Option<RrcSetup>)> = (state.ues.iter())
+        .map(|ue| (ue.rnti, Some(ue.rrc)))
+        .collect();
+    for (rnti, _) in &aux.probation {
+        if !ues.iter().any(|(r, _)| r == rnti) {
+            ues.push((*rnti, aux.cached_rrc));
+        }
+    }
+    for (rnti, at) in aux.recently_expired.iter().filter(|_| !synced) {
+        let known = ues.iter().any(|(r, _)| r == rnti);
+        if !known && job.slot.saturating_sub(*at) <= cfg.ue_expiry_slots {
+            ues.push((*rnti, None));
+        }
+    }
+    let (coreset, sif) = (&job.ctx.coreset, job.slot_in_frame);
+    let space = |(rnti, rrc): &(Rnti, Option<RrcSetup>)| match rrc {
+        Some(rrc) if synced => UeHypothesis::in_search_space(*rnti, rrc, coreset, sif),
+        _ => UeHypothesis::anywhere(*rnti),
+    };
+    let rach = scope.cell.sib1.as_ref().map(|sib1| &sib1.rach);
+    let window = rach.map_or(0, |rach| u64::from(rach.ra_response_window) + 4);
+    let occasions = job.slot.saturating_sub(window)..=job.slot;
+    let ra_rntis = occasions.filter(|s| rach.is_some_and(|rach| rach.is_prach_occasion(*s)));
+    Hypotheses {
+        ra_rntis: ra_rntis
+            .map(|s| Rnti::ra_rnti(0, (s % 80) as u32, 0, 0))
+            .collect(),
+        tc_rntis: aux.pending_tc.iter().map(|(rnti, _)| *rnti).collect(),
+        c_rntis: ues.iter().map(space).collect(),
+        allow_recovery: scope.sync_state() != SyncState::Reacquiring,
+        skip_common: false,
+    }
+}
+
+/// What one `search_space_table_…` session went through, counted in slots.
+#[derive(Debug, Default)]
+struct Walked {
+    /// Synced slots whose C-RNTIs came out of the table.
+    table_reads: usize,
+    /// Slots with a probationary RNTI among the C-RNTIs.
+    probation: usize,
+    /// Unsynced slots retrying an RNTI that expired.
+    retries: usize,
+    /// Idle expiries of a UE while the scope was synced.
+    synced_expiries: usize,
+}
+
+/// A seeded message-fidelity session on `cell` in which, every slot, the
+/// scope's hypotheses (read through `slot_job`) equal `rebuilt_hypotheses`.
+/// Four CBR UEs attach; one departs at slot 700 and idles out; a fifth
+/// attaches at 900; a hostile emitter mints ghost TC-RNTIs that sit on
+/// probation and lapse into quarantine; the front end drops slots
+/// 1,500–1,849, long enough for the UEs to expire, which the degraded scope
+/// retries and re-tracks; at 2,600 the scope is rebuilt from its slot-2,400
+/// snapshot and the journal since, and carries on in its place; at 3,000
+/// the cell restarts under PCI 7.
+fn search_space_table_session(cell: CellConfig, seed: u64) -> Walked {
+    let mut gnb = loaded_gnb(&cell, 4, seed);
+    gnb.arm_hostile(HostileConfig {
+        ghost_dci_period: 97,
+        persistent_ghost_period: 251,
+        ..HostileConfig::quiet()
+    });
+    let mut observer = Observer::new(&cell, 30.0, false, seed);
+    observer.set_impairments(ImpairmentSchedule::new(seed).with_outage(1500..1850));
+    let cfg = ScopeConfig {
+        ue_expiry_slots: 300,
+        ..ScopeConfig::default()
+    };
+    let mut scope = NrScope::new(cfg, Some(cell.pci));
+    scope.start_journaling();
+    let (mut snapshot, mut journal) = (None, Vec::new());
+    let mut walked = Walked::default();
+    for s in 0..5500 {
+        match s {
+            700 => drop(gnb.ue_departs(1)),
+            900 => gnb.ue_arrives(cbr_ue(5, seed)),
+            2400 => snapshot = Some(scope.session_state()),
+            3000 => gnb.restart(Pci(7)),
+            _ => {}
+        }
+        let cap = observer.capture(&gnb.step(), s as f64 * cell.slot_s());
+        if let Capture::Slot(observed) = &cap {
+            if s == 2600 {
+                // Read at the snapshot's state first: the replay then has a
+                // table to invalidate.
+                let mut restored = NrScope::from_state(cfg, snapshot.as_ref().expect("taken"));
+                drop(restored.slot_job(observed.clone()));
+                for entry in journal.drain(..) {
+                    assert!(restored.apply_journal_entry(&entry));
+                }
+                assert_eq!(restored.slot_watermark(), scope.slot_watermark());
+                restored.start_journaling();
+                scope = restored;
+            }
+            if let Some(job) = scope.slot_job(observed.clone()) {
+                assert_eq!(job.hyp, rebuilt_hypotheses(&scope, &cfg, &job), "slot {s}");
+                let (tracked, on_probation) = (scope.tracked_rntis(), scope.probationary_rntis());
+                let offered = job.hyp.c_rntis.len();
+                if scope.sync_state() == SyncState::Synced {
+                    walked.table_reads += usize::from(offered > 0);
+                } else {
+                    walked.retries += usize::from(offered > tracked.len() + on_probation.len());
+                }
+                walked.probation += usize::from(!on_probation.is_empty());
+            }
+        }
+        let synced = scope.sync_state() == SyncState::Synced;
+        scope.process_capture(&cap);
+        let expiries = scope.drain_ue_events().into_iter();
+        let idled = expiries.filter(|e| matches!(e, UeEvent::Expired { .. }) && synced);
+        walked.synced_expiries += idled.count();
+        if let Some(entry) = scope.take_journal_entry() {
+            journal.extend(snapshot.is_some().then_some(entry));
+        }
+    }
+    assert!(!scope.quarantined_rntis().is_empty(), "no ghost lapsed");
+    assert!(scope.stats.recovered_ues > 0, "no expired UE re-tracked");
+    assert_eq!(scope.cell.pci, Some(Pci(7)), "restart not reacquired");
+    assert_eq!(scope.sync_state(), SyncState::Synced);
+    walked
+}
+
+/// The search-space table changes no decision: at µ=1 (20 slots a frame)
+/// and at µ=0 (10), through admission, idle expiry, probation and
+/// quarantine, an outage, a warm restart and a cell restart, the scope
+/// offers in every slot what a per-slot rebuild from its state offers.
+#[test]
+fn search_space_table_offers_what_a_per_slot_rebuild_offers() {
+    for (cell, seed) in [
+        (CellConfig::srsran_n41(), 0x5EA),
+        (CellConfig::tmobile_n25(), 0x5EB),
+    ] {
+        let name = cell.name.clone();
+        let walked = search_space_table_session(cell, seed);
+        println!("{name}: {walked:?}");
+        assert!(walked.table_reads > 1000, "{name}: {walked:?}");
+        assert!(
+            walked.probation > 0 && walked.retries > 0,
+            "{name}: {walked:?}"
+        );
+        assert!(walked.synced_expiries > 0, "{name}: {walked:?}");
+    }
 }

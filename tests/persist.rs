@@ -1310,9 +1310,9 @@ fn checkpoint_write_failure_reason_reaches_the_summary() {
     for cap in &caps[..100] {
         session.process_capture(cap);
     }
-    std::thread::sleep(Duration::from_millis(20)); // drain in-flight checkpoints
-                                                   // Checkpoints publish via tmp-file + rename; killing renames fails
-                                                   // every future checkpoint while leaving the journal path untouched.
+    // Once slot 64's checkpoint is in, fail every rename (checkpoints only).
+    let m = session.scope().metrics();
+    wait_until(|| m.counter(Counter::CheckpointsWritten) >= 1);
     backend.arm(FaultKind::RenameFail, backend.renames()..u64::MAX);
     for cap in &caps[100..] {
         session.process_capture(cap);
