@@ -41,7 +41,8 @@ use nr_mac::RoundRobin;
 use nr_phy::channel::ChannelProfile;
 use nr_phy::types::{Pci, Rnti};
 use nrscope::observe::Observer;
-use nrscope::supervise::{self, RestartCause, SlotOutcome, Supervisor};
+use nrscope::restart::RestartCause;
+use nrscope::supervise::{self, SlotOutcome, Supervisor};
 use nrscope::{
     ClockRecovery, ClockRecoveryConfig, FaultyBackend, Fleet, FleetConfig, Metrics, PersistConfig,
     ScopeConfig, ShardSpec, SlotHook, StoragePolicy, SyncState,
@@ -453,7 +454,7 @@ fn fleet_leg(short: bool) -> Phase<FleetLeg> {
     }
     fleet.quiesce(Duration::from_secs(10));
     let snap = fleet.rollup();
-    let wedges: u64 = snap.cells.iter().map(|c| c.hangs_detected).sum();
+    let wedges: u64 = snap.cells.iter().map(|c| c.wedges).sum();
     let restarts: u64 = snap.cells.iter().map(|c| c.restarts).sum();
     let unhealthy = snap.cells.iter().filter(|c| c.health != "healthy").count() as u64;
     let breaker_open_cells = snap.breaker_open_cells;

@@ -30,7 +30,8 @@
 use nr_phy::types::Rnti;
 use nr_radio::impairment::ImpairmentSchedule;
 use nrscope::observe::Capture;
-use nrscope::supervise::{LostCause, RestartCause, SlotOutcome, Supervisor};
+use nrscope::restart::RestartCause;
+use nrscope::supervise::{LostCause, SlotOutcome, Supervisor};
 use nrscope::{DurabilityRung, FaultKind, FaultyBackend, FleetSnapshot, SlotHook, SyncState};
 use serde::Serialize;
 use std::sync::Mutex;

@@ -28,22 +28,20 @@
 //!   order *and* caps the blast radius of a wedge: a stuck shard can
 //!   consume at most one worker, and the supervisor spawns a replacement
 //!   so fleet capacity is restored while the stuck thread drains.
-//! * **Supervised warm restarts.** Panics are caught per slot
-//!   (`catch_unwind`, as in [`crate::worker`]); wedges are detected by a
-//!   watchdog (busy-timestamp fencing) and the engine generation is
-//!   bumped so the stuck worker discards its fenced engine on wake. Either way the shard's engine is quarantined
-//!   and rebuilt at the next [`Fleet::supervise`] pass — durable shards
-//!   resume from their own checkpoint + journal at the exact slot they
-//!   had journalled (missed slots are gap-filled as drops by
-//!   [`feed_at_watermark`], so nothing is double-counted).
-//! * **One storm protection.** Every rebuild spends a token of the
-//!   shard's [`RestartBreaker`] (sized by its own `scope.supervise`
-//!   block, clocked by its own feed); a failed rebuild stays pending and
-//!   spends the next. When the budget runs dry — a crash loop, or a dead
-//!   disk under a durable shard — the breaker opens and the shard is
-//!   parked lame-duck on a volatile fallback engine (reported
-//!   `non_durable` if it was durable) until the half-open probe rebuilds
-//!   the real engine.
+//! * **Supervised warm restarts, one restart machine.** Each shard owns a
+//!   [`RestartBreaker`] (sized by its own `scope.supervise` block,
+//!   clocked by its own feed) and [`Fleet::supervise`] is its driver. It
+//!   detects: a panic is caught per slot (`catch_unwind`, as in
+//!   [`crate::worker`]); a wedge is a busy stamp past the watchdog, and
+//!   the engine generation is bumped so the stuck worker discards its
+//!   fenced engine on wake. It carries out what the machine decides. A
+//!   rebuild resumes a durable shard from its own checkpoint and journal
+//!   at the exact slot it had journalled (missed slots are gap-filled as
+//!   drops by [`feed_at_watermark`], so nothing is double-counted); a
+//!   failed one stays pending and spends the next token. Once a crash
+//!   loop or a dead disk has run the budget dry, the shard is parked
+//!   lame-duck on a volatile fallback engine (reported `non_durable` if
+//!   it was durable) until the half-open probe rebuilds the real one.
 //! * **Cross-cell UE continuity.** Shards emit [`UeEvent`]s from the
 //!   existing probation/admission machinery; the fleet matches a C-RNTI
 //!   that went quiet on cell A against a fresh admission on cell B within
@@ -57,8 +55,9 @@ use crate::observe::Capture;
 use crate::persist::{
     DurabilityRung, JournalWriter, PersistConfig, PersistentSession, RecoveryReport,
 };
+use crate::restart::{Action, BreakerState, RestartBreaker, RestartCause};
 use crate::scope::{NrScope, UeEvent};
-use crate::supervise::{feed_at_watermark, BreakerState, RestartBreaker, SlotEngine};
+use crate::supervise::{feed_at_watermark, SlotEngine};
 use crate::telemetry::TelemetryRecord;
 use crate::worker::{join_by, lock_clean, spawn_background, SlotHook};
 use nr_phy::types::{Pci, Rnti};
@@ -192,6 +191,15 @@ pub enum ShardHealth {
 }
 
 impl ShardHealth {
+    /// The health a restart machine's pending death cause reads as.
+    fn of(down: Option<RestartCause>) -> ShardHealth {
+        match down {
+            None => ShardHealth::Healthy,
+            Some(RestartCause::Hang) => ShardHealth::Wedged,
+            Some(_) => ShardHealth::Faulted,
+        }
+    }
+
     /// Stable snake_case name for snapshots.
     pub fn name(self) -> &'static str {
         match self {
@@ -227,14 +235,6 @@ struct EngineCell {
     rebuild_err: Option<String>,
 }
 
-/// Mutable supervisor-side state of one shard.
-struct ShardControl {
-    /// Anything but `Healthy` is a rebuild pending.
-    health: ShardHealth,
-    /// Recovery report of the most recent warm restart.
-    last_recovery: Option<RecoveryReport>,
-}
-
 /// Rollup stats refreshed by whichever worker holds the engine — read by
 /// [`Fleet::rollup`] without blocking on a possibly-wedged engine lock.
 #[derive(Debug, Clone)]
@@ -262,20 +262,19 @@ struct Shard {
     /// Fence generation: bumped by the watchdog to invalidate the engine
     /// held by a stuck worker.
     gen: AtomicU64,
-    control: Mutex<ShardControl>,
+    /// The shard's restart machine, slot clock = `highest_fed`. While its
+    /// breaker is open the shard is parked lame-duck on a volatile
+    /// fallback engine (which a durable shard reports as `non_durable`)
+    /// instead of hot-looping rebuilds; the half-open probe is the way
+    /// back.
+    restart: Mutex<RestartBreaker>,
+    /// Recovery report of the most recent warm restart.
+    last_recovery: Mutex<Option<RecoveryReport>>,
     hook: Mutex<Option<SlotHook>>,
     cache: Mutex<CachedStats>,
     latencies: Mutex<Vec<u64>>,
     highest_fed: AtomicU64,
     sheds: AtomicU64,
-    panics: AtomicU64,
-    wedges: AtomicU64,
-    restarts: AtomicU64,
-    /// Token-bucket restart budget, slot clock = `highest_fed`. While it
-    /// is open the shard is parked lame-duck on a volatile fallback engine
-    /// (which a durable shard reports as `non_durable`) instead of
-    /// hot-looping rebuilds; the half-open probe is the way back.
-    breaker: Mutex<RestartBreaker>,
 }
 
 /// An unmatched continuity edge: a discovery anchored at its admission
@@ -375,13 +374,10 @@ pub struct CellRollup {
     pub sheds: u64,
     /// Panics quarantined.
     pub panics: u64,
-    /// Watchdog fences.
+    /// Watchdog fences: hangs detected on this cell.
     pub wedges: u64,
     /// Completed warm restarts.
     pub restarts: u64,
-    /// Hangs detected on this cell (watchdog fences — every wedge is a
-    /// detected hang).
-    pub hangs_detected: u64,
     /// Restart-breaker position name (`closed` / `open` / `half_open`).
     pub breaker: String,
     /// Times this cell's breaker has opened.
@@ -458,7 +454,7 @@ impl Fleet {
         for spec in specs {
             let (engine, recovery) = ShardEngine::build(&spec, journal_writer.as_ref())?;
             let cache = cached_stats(&engine, spec.persist.is_some());
-            let supervise = spec.scope.supervise;
+            let restart = RestartBreaker::for_config(&spec.scope.supervise);
             shards.push(Shard {
                 spec,
                 queue: Mutex::new(VecDeque::new()),
@@ -469,23 +465,13 @@ impl Fleet {
                 }),
                 busy_since_ns: AtomicU64::new(0),
                 gen: AtomicU64::new(0),
-                control: Mutex::new(ShardControl {
-                    health: ShardHealth::Healthy,
-                    last_recovery: recovery,
-                }),
+                restart: Mutex::new(restart),
+                last_recovery: Mutex::new(recovery),
                 hook: Mutex::new(None),
                 cache: Mutex::new(cache),
                 latencies: Mutex::new(Vec::new()),
                 highest_fed: AtomicU64::new(0),
                 sheds: AtomicU64::new(0),
-                panics: AtomicU64::new(0),
-                wedges: AtomicU64::new(0),
-                restarts: AtomicU64::new(0),
-                breaker: Mutex::new(RestartBreaker::new(
-                    supervise.restart_budget,
-                    supervise.restart_budget_window_slots,
-                    supervise.breaker_halfopen_after_slots,
-                )),
             });
         }
         let cores = std::thread::available_parallelism()
@@ -551,55 +537,61 @@ impl Fleet {
         out
     }
 
-    /// One supervision pass: watchdog wedged shards, rebuild quarantined
-    /// ones as their breakers allow. The driver calls this periodically
-    /// (every few fed slots, or on a timer); it never blocks on a wedged
-    /// engine.
+    /// One supervision pass: each shard's driver of its restart machine.
+    /// A worker stuck in a slot past the watchdog is a hang: fence its
+    /// engine and spawn a replacement worker. Then carry out what the
+    /// machine decides — rebuild the engine, or park on a volatile
+    /// fallback. The driver calls this periodically (every few fed slots,
+    /// or on a timer); it never blocks on a wedged engine.
     pub fn supervise(&self) {
         let shared = &self.shared;
         let tick_ns = now_ns(shared.epoch);
         for shard in &shared.shards {
-            // Watchdog: a slot in flight past the deadline means the
-            // worker is stuck (infinite loop, pathological slot, hostile
-            // input). Fence the engine so the stuck worker discards it on
-            // wake, and spawn a replacement worker so fleet capacity is
-            // restored immediately.
+            // A slot in flight past the deadline means the worker is stuck
+            // (infinite loop, pathological slot, hostile input): it
+            // discards the fenced engine on wake, and the replacement
+            // restores fleet capacity at once.
             let wd_ms = shared.cfg.watchdog_ms;
-            if wd_ms > 0 {
-                let busy = shard.busy_since_ns.load(SeqCst);
-                if busy != 0 && tick_ns.saturating_sub(busy - 1) > wd_ms.saturating_mul(1_000_000) {
-                    shard.gen.fetch_add(1, SeqCst);
-                    shard.busy_since_ns.store(0, SeqCst);
-                    shard.wedges.fetch_add(1, Relaxed);
-                    lock_clean(&shard.control).health = ShardHealth::Wedged;
-                    shared.live_workers.fetch_add(1, SeqCst);
-                    let s = Arc::clone(shared);
-                    let handle = spawn_background("fleet-replacement", move || {
-                        worker_loop(&s, 0);
-                    });
-                    lock_clean(&self.workers).push(handle);
-                }
+            let busy = shard.busy_since_ns.load(SeqCst);
+            if wd_ms > 0
+                && busy != 0
+                && tick_ns.saturating_sub(busy - 1) > wd_ms.saturating_mul(1_000_000)
+            {
+                shard.gen.fetch_add(1, SeqCst);
+                shard.busy_since_ns.store(0, SeqCst);
+                lock_clean(&shard.restart).went_down(RestartCause::Hang);
+                shared.live_workers.fetch_add(1, SeqCst);
+                let s = Arc::clone(shared);
+                let handle = spawn_background("fleet-replacement", move || {
+                    worker_loop(&s, 0);
+                });
+                lock_clean(&self.workers).push(handle);
             }
-            // A rebuild is pending while the shard is quarantined, or
-            // parked waiting for its half-open probe. `try_lock`: a stuck
-            // worker still holding the engine postpones it to a later
-            // pass, without touching the budget.
-            let pending = lock_clean(&shard.control).health != ShardHealth::Healthy
-                || lock_clean(&shard.breaker).is_open();
-            if !pending {
+            // `try_lock`: a stuck worker still holding the engine postpones
+            // the rebuild to a later pass, without touching the budget.
+            if !lock_clean(&shard.restart).pending() {
                 continue;
             }
             let Ok(mut cell) = shard.engine.try_lock() else {
                 continue;
             };
-            let now_slot = shard.highest_fed.load(Relaxed);
-            if lock_clean(&shard.breaker).try_acquire(now_slot) {
-                // A failed rebuild leaves the shard as it was: the next
-                // pass spends the next token.
-                let ok = restart_shard(shared, shard, &mut cell);
-                lock_clean(&shard.breaker).probe_result(ok, now_slot);
-            } else {
-                park_lame_duck(shard, &mut cell);
+            let now = shard.highest_fed.load(Relaxed);
+            let action = lock_clean(&shard.restart).next(now);
+            let why = match action {
+                Action::Nothing => continue,
+                Action::Park => {
+                    park_lame_duck(shard, &mut cell, now);
+                    String::new()
+                }
+                Action::Rebuild => {
+                    let built = restart_shard(shared, shard, &mut cell);
+                    lock_clean(&shard.restart).rebuilt(built.is_ok(), now);
+                    built.err().unwrap_or_default()
+                }
+            };
+            if let Some(engine) = &cell.engine {
+                let m = engine.scope().metrics();
+                lock_clean(&shard.restart).publish(m, now, &why);
             }
         }
     }
@@ -625,16 +617,16 @@ impl Fleet {
     /// Point-in-time status of one shard.
     pub fn shard_status(&self, shard: usize) -> ShardStatus {
         let s = &self.shared.shards[shard];
-        let c = lock_clean(&s.control);
+        let r = lock_clean(&s.restart);
         ShardStatus {
-            health: c.health,
-            restarts: s.restarts.load(Relaxed),
-            panics: s.panics.load(Relaxed),
-            wedges: s.wedges.load(Relaxed),
+            health: ShardHealth::of(r.cause()),
+            restarts: r.restarts(),
+            panics: r.crashes(),
+            wedges: r.hangs(),
             sheds: s.sheds.load(Relaxed),
             queue_len: lock_clean(&s.queue).len(),
-            last_recovery: c.last_recovery.clone(),
-            breaker: lock_clean(&s.breaker).state(),
+            last_recovery: lock_clean(&s.last_recovery).clone(),
+            breaker: r.state(),
         }
     }
 
@@ -665,7 +657,7 @@ impl Fleet {
     /// the last worker-refreshed cache.
     pub fn rollup(&self) -> FleetSnapshot {
         let mut cells = Vec::with_capacity(self.shared.shards.len());
-        for s in &self.shared.shards {
+        for (i, s) in self.shared.shards.iter().enumerate() {
             // Refresh from the live scope when the engine is free.
             if let Ok(cell) = s.engine.try_lock() {
                 if let Some(engine) = cell.engine.as_ref() {
@@ -673,28 +665,23 @@ impl Fleet {
                 }
             }
             let cache = lock_clean(&s.cache).clone();
-            let health = lock_clean(&s.control).health;
-            let (breaker, breaker_openings) = {
-                let b = lock_clean(&s.breaker);
-                (b.state().name().to_string(), b.openings())
-            };
+            let status = self.shard_status(i);
             cells.push(CellRollup {
                 name: s.spec.name.clone(),
                 pci: s.spec.pci.map(|p| p.0),
-                health: health.name().to_string(),
+                health: status.health.name().to_string(),
                 sync: cache.sync.to_string(),
                 load_rung: cache.load_rung.to_string(),
                 slots: cache.slots,
                 dcis: cache.dcis,
                 tracked_ues: cache.tracked_ues,
                 discovered: cache.discovered,
-                sheds: s.sheds.load(Relaxed),
-                panics: s.panics.load(Relaxed),
-                wedges: s.wedges.load(Relaxed),
-                restarts: s.restarts.load(Relaxed),
-                hangs_detected: s.wedges.load(Relaxed),
-                breaker,
-                breaker_openings,
+                sheds: status.sheds,
+                panics: status.panics,
+                wedges: status.wedges,
+                restarts: status.restarts,
+                breaker: status.breaker.name().to_string(),
+                breaker_openings: lock_clean(&s.restart).openings(),
                 durability: cache.durability.to_string(),
                 loss_window_slots: cache.loss_window,
                 clock_lock: cache.clock_lock.to_string(),
@@ -808,27 +795,17 @@ fn volatile_at_feed_position(shard: &Shard) -> NrScope {
     scope
 }
 
-/// Park a shard in lame-duck mode behind an open restart breaker: the
-/// rebuild budget is exhausted (a crash loop, or a disk that fails every
-/// durable rebuild), so instead of hot-looping respawns the shard gets one
-/// volatile fallback engine (degraded but still decoding) and real
+/// Carry out [`Action::Park`]: the restart budget is exhausted (a crash
+/// loop, or a disk that fails every durable rebuild), so instead of
+/// hot-looping rebuilds a shard with no engine gets a volatile fallback —
+/// degraded but still decoding, a restart to its machine — and real
 /// rebuilds wait for the breaker's half-open probe.
-fn park_lame_duck(shard: &Shard, cell: &mut EngineCell) {
+fn park_lame_duck(shard: &Shard, cell: &mut EngineCell, now: u64) {
     if cell.engine.is_some() {
         return; // already parked and still serving
     }
     let scope = volatile_at_feed_position(shard);
     let m = scope.metrics();
-    let budget = shard.spec.scope.supervise;
-    m.gauge_set(Gauge::RestartBreakerOpen, 1);
-    m.note(
-        "restart_breaker",
-        format!(
-            "restart budget exhausted ({} per {} slots): shard parked \
-             lame-duck on a volatile fallback until the half-open probe",
-            budget.restart_budget, budget.restart_budget_window_slots
-        ),
-    );
     if shard.spec.persist.is_some() {
         m.gauge_set(Gauge::DurabilityRung, DurabilityRung::NonDurable as u64);
     }
@@ -837,56 +814,39 @@ fn park_lame_duck(shard: &Shard, cell: &mut EngineCell) {
         m.note("storage_demotion", e);
     }
     install_engine(shard, cell, ShardEngine::Volatile(Box::new(scope)));
+    lock_clean(&shard.restart).rebuilt(true, now);
 }
 
-/// Put a rebuilt engine into service: the shard is `Healthy` again.
+/// Put a rebuilt engine into service.
 fn install_engine(shard: &Shard, cell: &mut EngineCell, engine: ShardEngine) {
     engine.scope().metrics().inc(Counter::RestartsTotal);
     cell.engine = Some(engine);
     cell.gen = shard.gen.load(SeqCst);
     cell.rebuild_err = None;
-    shard.restarts.fetch_add(1, Relaxed);
-    lock_clean(&shard.control).health = ShardHealth::Healthy;
 }
 
-/// Rebuild a shard's real engine in place (the caller holds the engine
-/// lock and a breaker token). False when the rebuild failed (I/O under a
-/// durable shard): nothing changes, the rebuild stays pending.
-fn restart_shard(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) -> bool {
+/// Carry out [`Action::Rebuild`]: rebuild a shard's real engine in place
+/// (the caller holds the engine lock). `Err(why)` when the rebuild failed
+/// (I/O under a durable shard): nothing changes, and with no engine
+/// serving, `why` is kept for the fallback [`park_lame_duck`] installs.
+fn restart_shard(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) -> Result<(), String> {
     let built = if shard.spec.persist.is_some() {
         ShardEngine::build(&shard.spec, shared.journal_writer.as_ref())
     } else {
         let scope = volatile_at_feed_position(shard);
         Ok((ShardEngine::Volatile(Box::new(scope)), None))
     };
-    let (engine, recovery) = match built {
-        Ok(built) => built,
-        Err(e) => {
-            // Said on the fallback a failed half-open probe leaves
-            // serving, else kept for the one `park_lame_duck` installs.
-            match &cell.engine {
-                Some(serving) => {
-                    let why = format!("half-open probe failed: {e}");
-                    serving.scope().metrics().note("restart_breaker", why);
-                }
-                None => cell.rebuild_err = Some(e.to_string()),
-            }
-            return false;
+    let (engine, recovery) = built.map_err(|e| {
+        if cell.engine.is_none() {
+            cell.rebuild_err = Some(e.to_string());
         }
-    };
-    if lock_clean(&shard.breaker).state() == BreakerState::HalfOpen {
-        let m = engine.scope().metrics();
-        m.gauge_set(Gauge::RestartBreakerOpen, 0);
-        m.note(
-            "restart_breaker",
-            "closed: half-open probe rebuild succeeded",
-        );
-    }
+        e.to_string()
+    })?;
     install_engine(shard, cell, engine);
     if recovery.is_some() {
-        lock_clean(&shard.control).last_recovery = recovery;
+        *lock_clean(&shard.last_recovery) = recovery;
     }
-    true
+    Ok(())
 }
 
 /// The continuity rule, for either kind of edge: take out of `opposite`
@@ -1058,8 +1018,7 @@ fn service_shard(shared: &FleetShared, i: usize) -> Service {
                 // state is suspect) and warm-restart from its own
                 // checkpoint. Siblings never notice.
                 cell.engine = None;
-                shard.panics.fetch_add(1, Relaxed);
-                lock_clean(&shard.control).health = ShardHealth::Faulted;
+                lock_clean(&shard.restart).went_down(RestartCause::Crash);
                 return Service::Worked;
             }
         }

@@ -27,6 +27,7 @@ pub mod log;
 pub mod metrics;
 pub mod observe;
 pub mod persist;
+pub mod restart;
 pub mod scope;
 pub mod spare;
 pub mod supervise;

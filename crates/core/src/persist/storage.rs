@@ -176,7 +176,6 @@ struct FaultState {
     fsyncs: u64,
     renames: u64,
     opens: u64,
-    removes: u64,
     /// Writes attempted before this instant block until it.
     stall_until: Option<Instant>,
 }
@@ -210,7 +209,6 @@ impl FaultyBackend {
                 fsyncs: 0,
                 renames: 0,
                 opens: 0,
-                removes: 0,
                 stall_until: None,
             })),
         }
@@ -240,11 +238,6 @@ impl FaultyBackend {
         lock_clean(&self.state).writes
     }
 
-    /// Fsync operations attempted so far.
-    pub fn fsyncs(&self) -> u64 {
-        lock_clean(&self.state).fsyncs
-    }
-
     /// Rename operations attempted so far.
     pub fn renames(&self) -> u64 {
         lock_clean(&self.state).renames
@@ -253,11 +246,6 @@ impl FaultyBackend {
     /// Open/create operations attempted so far.
     pub fn opens(&self) -> u64 {
         lock_clean(&self.state).opens
-    }
-
-    /// Remove operations attempted so far.
-    pub fn removes(&self) -> u64 {
-        lock_clean(&self.state).removes
     }
 
     fn next_write_fault(&self) -> Option<FaultKind> {
@@ -364,7 +352,6 @@ impl StorageBackend for FaultyBackend {
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        lock_clean(&self.state).removes += 1;
         fs::remove_file(path)
     }
 
@@ -427,7 +414,7 @@ mod tests {
         f.write_all(b"ffff").unwrap();
         f.sync_all().unwrap();
         assert_eq!(f.file_len().unwrap(), 12);
-        assert!(backend.fsyncs() >= 1);
+        assert!(lock_clean(&backend.state).fsyncs >= 1);
 
         // Open-window faults hit create/open_append alike.
         backend.arm(FaultKind::OpenFail, backend.opens()..u64::MAX);

@@ -19,18 +19,20 @@
 //! Liveness: the child emits [`ChildMsg::Heartbeat`] whenever it has been
 //! busy longer than `supervise.heartbeat_interval_ms` without writing a
 //! frame (deep gap-fills), so the parent can tell *busy* from *wedged*.
-//! [`ChildHandle::recv_timeout`] bounds every read; the
-//! [`Supervisor`] classifies silence past `supervise.hang_deadline_ms` as
-//! a hang — force-kill, count it, warm-restart exactly like a crash. A
-//! token-bucket [`RestartBreaker`] meters respawns so a crash loop parks
-//! the child in lame-duck mode (slots dropped honestly, one half-open
-//! probe after backoff) instead of restart-storming.
+//! The [`Supervisor`] is one of the two drivers of the restart machine
+//! ([`crate::restart`]): it bounds every read, and pipe silence past
+//! `supervise.hang_deadline_ms` — awaiting an ack or a report — is a hang,
+//! torn down like a crash (force-kill, count, note). Then it carries out
+//! what its [`RestartBreaker`] decides: respawn at the next fed slot, or,
+//! while a crash loop holds the breaker open, park the child lame-duck
+//! (slots dropped honestly) until the half-open probe.
 
 use crate::binfmt::{self, FrameKind, Opened};
 use crate::config::{ScopeConfig, SuperviseConfig};
 use crate::metrics::{Counter, Gauge, Metrics};
 use crate::observe::{Capture, DropReason};
 use crate::persist::{PersistConfig, PersistentSession, RecoveryReport};
+use crate::restart::{Action, BreakerState, RestartBreaker, RestartCause};
 use crate::scope::SyncState;
 use crate::telemetry::TelemetryRecord;
 use crate::worker::SlotHook;
@@ -38,7 +40,7 @@ use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
@@ -59,7 +61,7 @@ pub const CONFIG_FILE: &str = "scope_config.json";
 pub const MAX_FRAME_BYTES: usize = 4 << 20;
 
 /// Bound on waiting for a finishing child to exit before the supervisor
-/// escalates to SIGKILL ([`ChildHandle::wait_timeout`]).
+/// escalates to SIGKILL ([`Supervisor::finish`]).
 const FINISH_WAIT: Duration = Duration::from_secs(5);
 
 /// Parent → child messages, one pipe frame each on the child's stdin.
@@ -428,41 +430,30 @@ pub fn run_child(
 // Parent-side child handle
 // ---------------------------------------------------------------------------
 
-/// Parent-side handle on a spawned pipeline child: tolerant framed
-/// send/recv with deadlines, plus hard kill (SIGKILL — the crash being
-/// simulated, not a clean stop).
+/// Parent-side handle on a spawned pipeline child: tolerant framed reads
+/// with deadlines, plus hard kill.
 ///
 /// Reads never block the caller directly: a reader thread drains the
 /// child's stdout through a [`FrameDecoder`] into an internal message
-/// queue, so [`ChildHandle::recv_timeout`] can give up at a deadline
-/// even while the pipe itself stays open with a hung child behind it.
-pub struct ChildHandle {
+/// queue, so a read can give up at a deadline even while the pipe itself
+/// stays open with a hung child behind it.
+struct ChildHandle {
     child: Child,
     stdin: ChildStdin,
     msgs: Receiver<ChildMsg>,
-    reader: Option<JoinHandle<()>>,
+    reader: JoinHandle<()>,
+    /// Framing faults ([`WireError`]) tolerated on this connection so far.
     wire_errors: Arc<AtomicU64>,
 }
 
 impl ChildHandle {
-    /// Spawn `exe args…` with piped stdio and extra environment variables,
-    /// and give the child `hello_deadline` to announce its [`Hello`]
-    /// (recovery included).
-    pub fn spawn_with_env(
-        exe: &Path,
-        args: &[String],
-        envs: &[(String, String)],
-        hello_deadline: Duration,
-    ) -> io::Result<(ChildHandle, Hello)> {
-        let mut cmd = Command::new(exe);
-        cmd.args(args).stdin(Stdio::piped()).stdout(Stdio::piped());
-        for (k, v) in envs {
-            cmd.env(k, v);
-        }
-        let mut child = cmd.spawn()?;
+    /// Spawn `cmd` with piped stdio, and give the child `hello_deadline`
+    /// to announce its [`Hello`] (recovery included).
+    fn spawn(cmd: &mut Command, hello_deadline: Duration) -> io::Result<(ChildHandle, Hello)> {
+        let mut child = cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).spawn()?;
         let stdin = child.stdin.take().expect("piped child stdin");
         let mut stdout = child.stdout.take().expect("piped child stdout");
-        let (tx, rx) = channel::<ChildMsg>();
+        let (tx, msgs) = channel::<ChildMsg>();
         let wire_errors = Arc::new(AtomicU64::new(0));
         let errs = Arc::clone(&wire_errors);
         let reader = crate::worker::spawn_background("supervise-reader", move || {
@@ -480,252 +471,69 @@ impl ChildHandle {
         let mut handle = ChildHandle {
             child,
             stdin,
-            msgs: rx,
-            reader: Some(reader),
+            msgs,
+            reader,
             wire_errors,
         };
-        let hello = handle
-            .recv_timeout(hello_deadline)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "no Hello in time"))?;
-        match hello {
-            ChildMsg::Hello(h) => Ok((handle, h)),
-            other => Err(io::Error::other(format!(
-                "child's first message was not Hello: {other:?}"
-            ))),
-        }
-    }
-
-    /// Send one message to the child.
-    pub fn send(&mut self, msg: &WireMsg) -> io::Result<()> {
-        send_frame(&mut self.stdin, msg)
-    }
-
-    /// Receive with a deadline. `Ok(None)` = nothing arrived in time (the
-    /// pipe is open but silent — the hang signal); `Err(UnexpectedEof)` =
-    /// the child died. Framing faults are counted and skipped, never
-    /// surfaced as session errors.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<ChildMsg>> {
-        match self.msgs.recv_timeout(timeout) {
-            Ok(msg) => Ok(Some(msg)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "child closed its stdout (died?)",
-            )),
+        match handle.await_reply(hello_deadline, Some) {
+            Ok(ChildMsg::Hello(h)) => Ok((handle, h)),
+            other => {
+                handle.end(Duration::ZERO);
+                Err(io::Error::other(format!(
+                    "no Hello from the child: {other:?}"
+                )))
+            }
         }
     }
 
     /// Await the reply `pick` accepts, skipping whatever else arrives
-    /// first (late acks, heartbeats). `None` once the pipe stays silent
-    /// for `deadline` or the child dies.
+    /// first (late acks, heartbeats). `Err(Hang)` once the pipe stays
+    /// silent for `deadline` (it is open but nothing comes — the hang
+    /// signal), `Err(Crash)` once the child closes it (it died).
     fn await_reply<T>(
         &mut self,
         deadline: Duration,
-        pick: impl Fn(ChildMsg) -> Option<T>,
-    ) -> Option<T> {
+        mut pick: impl FnMut(ChildMsg) -> Option<T>,
+    ) -> Result<T, RestartCause> {
         loop {
-            if let Some(reply) = pick(self.recv_timeout(deadline).ok()??) {
-                return Some(reply);
+            match self.msgs.recv_timeout(deadline) {
+                Ok(msg) => {
+                    if let Some(reply) = pick(msg) {
+                        return Ok(reply);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => return Err(RestartCause::Hang),
+                Err(RecvTimeoutError::Disconnected) => return Err(RestartCause::Crash),
             }
         }
     }
 
-    /// Framing faults ([`WireError`]) tolerated on this connection so far.
-    pub fn wire_errors(&self) -> u64 {
-        self.wire_errors.load(Relaxed)
-    }
-
-    /// SIGKILL the child and reap it. This is the simulated crash: no
-    /// flush, no destructor, no goodbye.
-    pub fn kill(&mut self) -> io::Result<()> {
-        self.child.kill()?;
-        self.child.wait()?;
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-        Ok(())
-    }
-
-    /// Deadline-bounded wait (after `Finish`/`Done`) with SIGKILL
-    /// escalation: give the child `timeout` to exit on its own, then kill
-    /// it rather than blocking the supervisor forever. Returns the exit
-    /// status and whether the escalation fired.
-    pub fn wait_timeout(self, timeout: Duration) -> io::Result<(std::process::ExitStatus, bool)> {
-        let ChildHandle {
-            mut child,
-            stdin,
-            reader,
-            ..
-        } = self;
-        drop(stdin);
-        let deadline = Instant::now() + timeout;
-        let exit = loop {
-            if let Some(status) = child.try_wait()? {
-                break (status, false);
+    /// End the child: give it `grace` to exit on its own (after
+    /// `Finish`), then SIGKILL and reap it — with no grace, the crash
+    /// being simulated: no flush, no destructor, no goodbye. True when it
+    /// exited within the grace.
+    fn end(mut self, grace: Duration) -> bool {
+        drop(self.stdin);
+        let deadline = Instant::now() + grace;
+        let exited = loop {
+            match self.child.try_wait() {
+                Ok(Some(_)) => break true,
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                _ => break false,
             }
-            if Instant::now() >= deadline {
-                child.kill()?;
-                break (child.wait()?, true);
-            }
-            std::thread::sleep(Duration::from_millis(1));
         };
-        if let Some(h) = reader {
-            let _ = h.join();
-        }
-        Ok(exit)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Restart-storm circuit breaker
-// ---------------------------------------------------------------------------
-
-/// Breaker position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Restarts flow, metered by the token bucket.
-    Closed,
-    /// Budget exhausted: restarts parked (lame-duck) until the half-open
-    /// backoff elapses.
-    Open,
-    /// One probe restart granted; its outcome decides Closed vs Open.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable snake_case name for notes and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
-}
-
-/// Token-bucket restart budget shared by [`Supervisor`] and the fleet's
-/// per-shard supervision: `capacity` restarts refill per `window_slots`
-/// of feed. Exhaustion opens the breaker — the supervised unit is parked
-/// in lame-duck mode instead of hot-looping through respawns — and after
-/// `halfopen_after` slots a single probe restart decides whether to close
-/// it again. Time is whatever monotonic slot count the owner feeds in.
-#[derive(Debug)]
-pub struct RestartBreaker {
-    capacity: u32,
-    window_slots: u64,
-    halfopen_after: u64,
-    tokens: f64,
-    last_refill: u64,
-    state: BreakerState,
-    opened_at: u64,
-    openings: u64,
-}
-
-impl RestartBreaker {
-    /// A closed breaker with a full bucket.
-    pub fn new(capacity: u32, window_slots: u64, halfopen_after: u64) -> RestartBreaker {
-        RestartBreaker {
-            capacity,
-            window_slots: window_slots.max(1),
-            halfopen_after: halfopen_after.max(1),
-            tokens: capacity as f64,
-            last_refill: 0,
-            state: BreakerState::Closed,
-            opened_at: 0,
-            openings: 0,
-        }
-    }
-
-    fn refill(&mut self, now: u64) {
-        if now > self.last_refill {
-            let dt = (now - self.last_refill) as f64;
-            self.tokens = (self.tokens + dt * self.capacity as f64 / self.window_slots as f64)
-                .min(self.capacity as f64);
-            self.last_refill = now;
-        }
-    }
-
-    /// Ask permission to restart at slot `now`. A grant while the state
-    /// reads [`BreakerState::HalfOpen`] is the probe — report its outcome
-    /// through [`RestartBreaker::probe_result`].
-    pub fn try_acquire(&mut self, now: u64) -> bool {
-        match self.state {
-            BreakerState::Closed => {
-                self.refill(now);
-                if self.tokens >= 1.0 {
-                    self.tokens -= 1.0;
-                    true
-                } else {
-                    self.state = BreakerState::Open;
-                    self.opened_at = now;
-                    self.openings += 1;
-                    false
-                }
-            }
-            BreakerState::Open => {
-                if now.saturating_sub(self.opened_at) >= self.halfopen_after {
-                    self.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
-            }
-            // A probe is already outstanding; no second restart until its
-            // outcome lands.
-            BreakerState::HalfOpen => false,
-        }
-    }
-
-    /// Outcome of the half-open probe restart: success closes the breaker
-    /// (with one fresh token — the bucket refills from here), failure
-    /// re-opens it for another full backoff.
-    pub fn probe_result(&mut self, ok: bool, now: u64) {
-        if self.state != BreakerState::HalfOpen {
-            return;
-        }
-        if ok {
-            self.state = BreakerState::Closed;
-            self.tokens = 1.0;
-            self.last_refill = now;
-        } else {
-            self.state = BreakerState::Open;
-            self.opened_at = now;
-            self.openings += 1;
-        }
-    }
-
-    /// Current position.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// True while restarts are parked (Open, or probing Half-Open).
-    pub fn is_open(&self) -> bool {
-        self.state != BreakerState::Closed
-    }
-
-    /// Times the breaker has transitioned to Open.
-    pub fn openings(&self) -> u64 {
-        self.openings
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = self.reader.join();
+        exited
     }
 }
 
 // ---------------------------------------------------------------------------
 // Supervisor
 // ---------------------------------------------------------------------------
-
-/// Why the child last went down (recorded on the following respawn).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RestartCause {
-    /// First spawn of the session.
-    Initial,
-    /// Silence past the hang deadline; the supervisor force-killed it.
-    Hang,
-    /// The child died on its own (EOF / failed write).
-    Crash,
-    /// The supervisor killed it deliberately (chaos kill-9 injection).
-    Killed,
-}
 
 /// One completed (re)spawn, for monitors and reports.
 #[derive(Debug, Clone)]
@@ -738,7 +546,8 @@ pub struct RestartEvent {
     pub hello: Hello,
 }
 
-/// Supervisor counters ([`Supervisor::stats`]).
+/// Supervisor counters ([`Supervisor::stats`]), read off its restart
+/// machine and its own loss and wire counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SupervisorStats {
     /// Hangs classified (silence past the deadline → force-kill).
@@ -775,21 +584,19 @@ pub enum LostCause {
     LameDuck,
 }
 
-/// Hang-aware supervision loop over a [`ChildHandle`]: feeds slots,
-/// classifies silence past the hang deadline as a hang (force-kill +
-/// warm-restart, exactly like a crash), meters respawns through a
-/// [`RestartBreaker`], and keeps honest counts of everything it lost.
+/// The child process's driver of the restart machine: feeds slots over
+/// the pipe, reads silence past the hang deadline as a hang, and carries
+/// out what its [`RestartBreaker`] decides — respawn, or park lame-duck
+/// by dropping slots — keeping honest counts of everything it lost.
 pub struct Supervisor {
-    exe: PathBuf,
-    args: Vec<String>,
-    envs: Vec<(String, String)>,
+    cmd: Command,
     cfg: SuperviseConfig,
     metrics: Arc<Metrics>,
     child: Option<ChildHandle>,
-    breaker: RestartBreaker,
-    stats: SupervisorStats,
-    death_cause: RestartCause,
-    last_ack: Option<Ack>,
+    restart: RestartBreaker,
+    slots_lost: u64,
+    /// Wire errors of the incarnations already gone.
+    wire_errors: u64,
     restart_log: Vec<RestartEvent>,
 }
 
@@ -804,21 +611,19 @@ impl Supervisor {
         cfg: SuperviseConfig,
         metrics: Arc<Metrics>,
     ) -> Supervisor {
+        let mut cmd = Command::new(exe);
+        cmd.args(args).envs(envs.iter().cloned());
+        // Not started: the first spawn is owed, and is no restart.
+        let mut restart = RestartBreaker::for_config(&cfg);
+        restart.went_down(RestartCause::Initial);
         Supervisor {
-            exe: exe.to_path_buf(),
-            args: args.to_vec(),
-            envs: envs.to_vec(),
-            breaker: RestartBreaker::new(
-                cfg.restart_budget,
-                cfg.restart_budget_window_slots,
-                cfg.breaker_halfopen_after_slots,
-            ),
+            cmd,
             cfg,
             metrics,
             child: None,
-            stats: SupervisorStats::default(),
-            death_cause: RestartCause::Initial,
-            last_ack: None,
+            restart,
+            slots_lost: 0,
+            wire_errors: 0,
             restart_log: Vec::new(),
         }
     }
@@ -827,34 +632,40 @@ impl Supervisor {
         Duration::from_millis(self.cfg.hang_deadline_ms.max(1))
     }
 
-    fn hello_deadline(&self) -> Duration {
-        // Recovery (checkpoint load + journal replay) runs before the
-        // first heartbeat can flow, so give Hello a generous multiple.
-        self.hang_deadline() * 10
-    }
-
     /// First spawn. Does not charge the restart budget.
     pub fn start(&mut self) -> io::Result<Hello> {
         self.spawn(0)
     }
 
-    /// Spawn a child at fed slot `seq` and log it with the cause the last
-    /// one went down for ([`RestartCause::Initial`] until one has).
+    /// Spawn a child at fed slot `seq`, report the outcome to the restart
+    /// machine, and log the child with the cause the last one went down
+    /// for ([`RestartCause::Initial`] until one has).
     fn spawn(&mut self, seq: u64) -> io::Result<Hello> {
-        let (handle, hello) =
-            ChildHandle::spawn_with_env(&self.exe, &self.args, &self.envs, self.hello_deadline())?;
+        let cause = self.restart.cause().unwrap_or(RestartCause::Initial);
+        // Recovery (checkpoint load + journal replay) runs before the
+        // first heartbeat can flow, so give Hello a generous multiple.
+        let hello_deadline = self.hang_deadline() * 10;
+        let spawned = ChildHandle::spawn(&mut self.cmd, hello_deadline);
+        self.restart.rebuilt(spawned.is_ok(), seq);
+        let why = spawned.as_ref().err().map(ToString::to_string);
+        self.restart
+            .publish(&self.metrics, seq, why.as_deref().unwrap_or(""));
+        // A failed probe re-opened the breaker and said so.
+        if let (Some(why), false) = (why, self.restart.is_open()) {
+            let note = format!("respawn at slot {seq} failed: {why}");
+            self.metrics.note("child_death", note);
+        }
+        let (handle, hello) = spawned?;
+        if cause != RestartCause::Initial {
+            self.metrics.inc(Counter::RestartsTotal);
+        }
         self.child = Some(handle);
         self.restart_log.push(RestartEvent {
             at_seq: seq,
-            cause: self.death_cause,
+            cause,
             hello: hello.clone(),
         });
         Ok(hello)
-    }
-
-    /// Latest ack, if any slot has been acked.
-    pub fn last_ack(&self) -> Option<&Ack> {
-        self.last_ack.as_ref()
     }
 
     /// Every (re)spawn so far, oldest first.
@@ -864,23 +675,30 @@ impl Supervisor {
 
     /// Counter snapshot (wire errors folded in from the live handle).
     pub fn stats(&self) -> SupervisorStats {
-        let mut s = self.stats;
-        if let Some(c) = &self.child {
-            s.wire_errors += c.wire_errors();
+        let live = self
+            .child
+            .as_ref()
+            .map_or(0, |c| c.wire_errors.load(Relaxed));
+        SupervisorStats {
+            hangs_detected: self.restart.hangs(),
+            crashes_detected: self.restart.crashes(),
+            restarts_total: self.restart.restarts(),
+            breaker_openings: self.restart.openings(),
+            slots_lost: self.slots_lost,
+            wire_errors: self.wire_errors + live,
         }
-        s
     }
 
     /// Breaker position.
     pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
+        self.restart.state()
     }
 
     /// Tear the child down *now* with SIGKILL — the chaos engine's
     /// `kill -9` injection. The next fed slot starts the restart path.
     pub fn kill_now(&mut self, seq: u64) {
         if self.child.is_some() {
-            self.child_down(seq, RestartCause::Killed, "killed by the supervisor");
+            self.child_down(RestartCause::Killed, &format!("slot {seq}"));
         }
     }
 
@@ -888,73 +706,67 @@ impl Supervisor {
     /// slot was lost. Never blocks past the hang deadline (plus heartbeat
     /// extensions while the child proves liveness).
     pub fn feed_slot(&mut self, seq: u64, capture: &Capture) -> SlotOutcome {
-        if self.child.is_none() && !self.try_respawn(seq) {
-            return self.lost(if self.breaker.is_open() {
+        let action = self.restart.next(seq);
+        if action == Action::Park || (action == Action::Rebuild && self.spawn(seq).is_err()) {
+            self.restart.publish(&self.metrics, seq, "");
+            return self.lost(if self.restart.is_open() {
                 LostCause::LameDuck
             } else {
                 LostCause::ChildDown
             });
         }
+        let (deadline, metrics) = (self.hang_deadline(), &self.metrics);
+        let Some(child) = self.child.as_mut() else {
+            return self.lost(LostCause::ChildDown);
+        };
         let msg = WireMsg::Slot {
             seq,
             capture: capture.clone(),
         };
-        if let Err(e) = self.child.as_mut().unwrap().send(&msg) {
-            self.child_down(seq, RestartCause::Crash, &format!("send failed: {e}"));
-            return self.lost(LostCause::ChildDown);
-        }
-        let hang_deadline = self.hang_deadline();
         let mut silent_since = Instant::now();
-        loop {
-            let outcome = self.child.as_mut().unwrap().recv_timeout(hang_deadline);
-            match outcome {
-                Ok(Some(ChildMsg::Heartbeat)) => {
-                    // Busy but alive: record how close it came, reset the
-                    // silence clock, keep waiting for the ack.
-                    self.metrics.gauge_set(
-                        Gauge::HeartbeatLagUs,
-                        silent_since.elapsed().as_micros() as u64,
-                    );
+        let reply = send_frame(&mut child.stdin, &msg).map_err(|_| RestartCause::Crash);
+        let reply = reply.and_then(|()| {
+            child.await_reply(deadline, |m| {
+                // Busy but alive: record how close it came, reset the
+                // silence clock. Stray frames (a late Report, a duplicate
+                // Hello after a race) are skipped, not fatal.
+                if matches!(m, ChildMsg::Heartbeat | ChildMsg::Ack(_)) {
+                    let lag = silent_since.elapsed().as_micros() as u64;
+                    metrics.gauge_set(Gauge::HeartbeatLagUs, lag);
                     silent_since = Instant::now();
                 }
-                Ok(Some(ChildMsg::Ack(ack))) => {
-                    self.metrics.gauge_set(
-                        Gauge::HeartbeatLagUs,
-                        silent_since.elapsed().as_micros() as u64,
-                    );
-                    self.last_ack = Some(ack.clone());
-                    return SlotOutcome::Acked(ack);
+                match m {
+                    ChildMsg::Ack(ack) => Some(ack),
+                    _ => None,
                 }
-                // Stray frames (late Report, duplicate Hello after a race)
-                // are dropped, not fatal.
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    // Silence past the hang deadline with the pipe still
-                    // open: the child is wedged. Force-kill and treat it
-                    // as a crash.
-                    let why = format!("silent past {} ms; force-killed", self.cfg.hang_deadline_ms);
-                    self.child_down(seq, RestartCause::Hang, &why);
-                    return self.lost(LostCause::ChildDown);
-                }
-                Err(_) => {
-                    self.child_down(seq, RestartCause::Crash, "pipe EOF (child died)");
-                    return self.lost(LostCause::ChildDown);
-                }
+            })
+        });
+        match reply {
+            Ok(ack) => SlotOutcome::Acked(ack),
+            Err(cause) => {
+                self.child_down(cause, &format!("slot {seq}"));
+                self.lost(LostCause::ChildDown)
             }
         }
     }
 
     /// Ask the child for a byte-accounting report (parity audits). `None`
     /// when the child is down or does not answer within the hang deadline
-    /// (which then counts as a hang, exactly like a silent slot).
+    /// — which counts as a hang, exactly like a silent slot: the child is
+    /// torn down and the next fed slot respawns it.
     pub fn request_report(&mut self, ranges: Vec<(u64, u64)>) -> Option<ReportReply> {
         let deadline = self.hang_deadline();
         let child = self.child.as_mut()?;
-        child.send(&WireMsg::Report { ranges }).ok()?;
-        child.await_reply(deadline, |m| match m {
-            ChildMsg::Report(r) => Some(r),
-            _ => None,
-        })
+        let sent = send_frame(&mut child.stdin, &WireMsg::Report { ranges });
+        let reply = sent.map_err(|_| RestartCause::Crash).and_then(|()| {
+            child.await_reply(deadline, |m| match m {
+                ChildMsg::Report(r) => Some(r),
+                _ => None,
+            })
+        });
+        reply
+            .map_err(|cause| self.child_down(cause, "report request"))
+            .ok()
     }
 
     /// Clean shutdown: `Finish`, await `Done`, then a deadline-bounded
@@ -963,97 +775,45 @@ impl Supervisor {
     /// without the escalation firing.
     pub fn finish(&mut self) -> Option<u64> {
         let mut child = self.child.take()?;
-        self.stats.wire_errors += child.wire_errors();
-        if child.send(&WireMsg::Finish).is_err() {
-            let _ = child.kill();
-            return None;
-        }
-        let final_slot = child.await_reply(self.hang_deadline(), |m| match m {
-            ChildMsg::Done { final_slot } => Some(final_slot),
-            _ => None,
+        self.wire_errors += child.wire_errors.load(Relaxed);
+        let done = send_frame(&mut child.stdin, &WireMsg::Finish).is_ok();
+        let final_slot = done.then(|| {
+            child.await_reply(self.hang_deadline(), |m| match m {
+                ChildMsg::Done { final_slot } => Some(final_slot),
+                _ => None,
+            })
         });
-        match child.wait_timeout(FINISH_WAIT) {
-            Ok((_, false)) => final_slot,
-            _ => None,
-        }
+        let exited = child.end(if done { FINISH_WAIT } else { Duration::ZERO });
+        final_slot.and_then(Result::ok).filter(|_| exited)
     }
 
-    /// The one teardown, whatever took the child down at fed slot `seq`:
-    /// kill and reap it (a no-op on a process already gone), fold its
-    /// wire errors in, count and note the death, and record the cause for
-    /// the respawn's [`RestartEvent`]. A death detected while feeding
-    /// `seq` loses exactly that slot: the next fed slot respawns if the
-    /// breaker grants a token.
-    fn child_down(&mut self, seq: u64, cause: RestartCause, why: &str) {
-        if let Some(mut c) = self.child.take() {
-            self.stats.wire_errors += c.wire_errors();
-            let _ = c.kill();
+    /// The one teardown, whatever took the child down while the parent was
+    /// `at` something: kill and reap it (a no-op on a process already
+    /// gone), fold its wire errors in, note the death, and report it to
+    /// the restart machine. A death detected while feeding a slot loses
+    /// exactly that slot: the next fed slot respawns if the breaker
+    /// grants a token.
+    fn child_down(&mut self, cause: RestartCause, at: &str) {
+        if let Some(c) = self.child.take() {
+            self.wire_errors += c.wire_errors.load(Relaxed);
+            c.end(Duration::ZERO);
         }
-        let key = if cause == RestartCause::Hang {
-            self.stats.hangs_detected += 1;
-            self.metrics.inc(Counter::HangsDetected);
-            "hang"
-        } else {
-            self.stats.crashes_detected += 1;
-            "child_death"
+        let (key, why) = match cause {
+            RestartCause::Hang => {
+                self.metrics.inc(Counter::HangsDetected);
+                let ms = self.cfg.hang_deadline_ms;
+                ("hang", format!("silent past {ms} ms; force-killed"))
+            }
+            RestartCause::Killed => ("child_death", "killed by the supervisor".into()),
+            _ => ("child_death", "pipe closed (child died)".into()),
         };
-        self.metrics.note(key, format!("slot {seq}: {why}"));
-        self.death_cause = cause;
+        self.metrics.note(key, format!("{at}: {why}"));
+        self.restart.went_down(cause);
     }
 
     fn lost(&mut self, cause: LostCause) -> SlotOutcome {
-        self.stats.slots_lost += 1;
+        self.slots_lost += 1;
         SlotOutcome::Lost(cause)
-    }
-
-    /// Try to bring a child back at fed slot `seq`. False = still down
-    /// (breaker open, or spawn failed — which spent the token).
-    fn try_respawn(&mut self, seq: u64) -> bool {
-        let was_open = self.breaker.is_open();
-        if !self.breaker.try_acquire(seq) {
-            if !was_open && self.breaker.is_open() {
-                // Freshly opened: gauge + operator note, once per opening.
-                self.stats.breaker_openings += 1;
-                self.metrics.gauge_set(Gauge::RestartBreakerOpen, 1);
-                self.metrics.note(
-                    "restart_breaker",
-                    format!(
-                        "open at slot {seq}: budget {} / {} slots exhausted; parking lame-duck",
-                        self.cfg.restart_budget, self.cfg.restart_budget_window_slots
-                    ),
-                );
-            }
-            return false;
-        }
-        let probing = self.breaker.state() == BreakerState::HalfOpen;
-        match self.spawn(seq) {
-            Ok(_) => {
-                self.breaker.probe_result(true, seq);
-                if probing {
-                    self.metrics.gauge_set(Gauge::RestartBreakerOpen, 0);
-                    self.metrics.note(
-                        "restart_breaker",
-                        format!("half-open probe at slot {seq} succeeded; closed"),
-                    );
-                }
-                self.stats.restarts_total += 1;
-                self.metrics.inc(Counter::RestartsTotal);
-                true
-            }
-            Err(e) => {
-                if probing {
-                    self.breaker.probe_result(false, seq);
-                    self.metrics.note(
-                        "restart_breaker",
-                        format!("half-open probe at slot {seq} failed: {e}"),
-                    );
-                } else {
-                    self.metrics
-                        .note("child_death", format!("respawn at slot {seq} failed: {e}"));
-                }
-                false
-            }
-        }
     }
 }
 
@@ -1067,58 +827,5 @@ mod tests {
         let err = send_frame(&mut out, &"a".repeat(MAX_FRAME_BYTES)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn breaker_refills_with_slots() {
-        let mut b = RestartBreaker::new(2, 100, 50);
-        assert!(b.try_acquire(0));
-        assert!(b.try_acquire(0));
-        // 100 slots later the full budget is back.
-        assert!(b.try_acquire(100));
-        assert!(b.try_acquire(100));
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    /// The breaker is the only restart meter: a spawn that fails every
-    /// time spends one token per fed slot, drains the budget, opens the
-    /// breaker, and is not tried again until the half-open probe.
-    #[test]
-    fn failing_spawn_drains_the_budget_then_waits_for_the_probe() {
-        let cfg = SuperviseConfig {
-            restart_budget: 2,
-            restart_budget_window_slots: 1_000_000,
-            breaker_halfopen_after_slots: 10,
-            ..SuperviseConfig::default()
-        };
-        let metrics = Arc::new(Metrics::new(true));
-        let exe = Path::new("/nonexistent/nrscope-child");
-        let mut sup = Supervisor::new(exe, &[], &[], cfg, metrics.clone());
-        let lost = |sup: &mut Supervisor, seqs: std::ops::Range<u64>, cause| {
-            for seq in seqs {
-                let out = sup.feed_slot(seq, &Capture::Dropped(DropReason::Stall));
-                assert!(matches!(out, SlotOutcome::Lost(c) if c == cause), "{seq}");
-            }
-        };
-        let note = |key| metrics.note_detail(key).expect("noted");
-        // Two tokens, two failed spawns, one per fed slot.
-        lost(&mut sup, 0..2, LostCause::ChildDown);
-        let last_try = note("child_death");
-        assert!(last_try.contains("slot 1"), "{last_try}");
-        // Budget gone: the breaker opens and nothing is spawned.
-        lost(&mut sup, 2..12, LostCause::LameDuck);
-        assert_eq!(sup.breaker_state(), BreakerState::Open);
-        assert_eq!(sup.stats().breaker_openings, 1);
-        assert_eq!(note("child_death"), last_try);
-        // The half-open probe is the next attempt: it fails, re-opens,
-        // and nothing is tried for another full half-open wait.
-        for probe_at in [12, 22] {
-            lost(&mut sup, probe_at..probe_at + 10, LostCause::LameDuck);
-            let probe = format!("probe at slot {probe_at} failed");
-            assert!(note("restart_breaker").contains(&probe), "{probe}");
-            assert_eq!(sup.breaker_state(), BreakerState::Open);
-        }
-        let stats = sup.stats();
-        assert_eq!((stats.slots_lost, stats.restarts_total), (32, 0));
     }
 }

@@ -401,7 +401,7 @@ fn dead_disk_shard_degrades_to_volatile_instead_of_restart_looping() {
 #[test]
 fn dead_disk_shard_is_probed_back_to_durable_once_the_disk_returns() {
     use nr_scope::scope::persist::{FaultKind, FaultyBackend, StorageFaultSchedule};
-    use nr_scope::scope::supervise::BreakerState;
+    use nr_scope::scope::restart::BreakerState;
     use std::sync::Arc;
 
     const PANIC_AT: u64 = 600;

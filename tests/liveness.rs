@@ -19,9 +19,10 @@ use nr_scope::scope::persist::{
     DurabilityRung, FaultyBackend, PersistConfig, PersistentSession, SessionStore,
     StorageFaultSchedule,
 };
+use nr_scope::scope::restart::{Action, BreakerState, RestartBreaker, RestartCause};
 use nr_scope::scope::supervise::{
-    self, Ack, BreakerState, ChildMsg, FrameDecoder, Hello, ReportReply, RestartBreaker,
-    RestartCause, SlotOutcome, Supervisor, WireError, WireMsg, MAX_FRAME_BYTES,
+    self, Ack, ChildMsg, FrameDecoder, Hello, ReportReply, SlotOutcome, Supervisor, WireError,
+    WireMsg, MAX_FRAME_BYTES,
 };
 use nr_scope::scope::{Metrics, ScopeConfig, SlotHook, StoragePolicy, SyncState};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
@@ -236,6 +237,47 @@ fn hung_child_is_detected_within_deadline_and_resumes_at_watermark() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A report request the child never answers is a hang, exactly like a
+/// silent slot: counted, the child torn down within the deadline, and the
+/// next fed slot respawns it with the hang as the cause. The child is a
+/// shell that announces a sealed `Hello` and then sleeps.
+#[test]
+fn unanswered_report_request_is_a_hang_and_the_next_slot_respawns() {
+    let dir = tmp_dir("report-hang");
+    let (_, report) = SessionStore::new(dir.join("session"))
+        .expect("store")
+        .recover(ScopeConfig::default(), None);
+    let hello = ChildMsg::Hello(Hello {
+        tracked: Vec::new(),
+        report,
+    });
+    let hello_file = dir.join("hello.bin");
+    std::fs::write(&hello_file, pipe_frame(&hello)).expect("write hello");
+    let mut cfg = tuned_config();
+    cfg.supervise.hang_deadline_ms = 300;
+    let script = format!("cat '{}'; exec sleep 30", hello_file.display());
+    let args = ["-c".to_string(), script];
+    let metrics = Arc::new(Metrics::new(true));
+    let mut sup = Supervisor::new(Path::new("/bin/sh"), &args, &[], cfg.supervise, metrics);
+    sup.start().expect("the shell announces its Hello");
+
+    let asked_at = Instant::now();
+    assert!(sup.request_report(vec![(0, 10)]).is_none());
+    let waited_ms = asked_at.elapsed().as_millis() as u64;
+    assert!(
+        waited_ms <= cfg.supervise.hang_deadline_ms + DETECT_SLOP_MS,
+        "gave up after {waited_ms} ms"
+    );
+    assert_eq!(sup.stats().hangs_detected, 1, "the silence was a hang");
+
+    let (caps, _) = capture_tape(1);
+    sup.feed_slot(0, &caps[0]);
+    let causes: Vec<_> = sup.restart_log().iter().map(|e| e.cause).collect();
+    assert_eq!(causes, [RestartCause::Initial, RestartCause::Hang]);
+    sup.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Breaker state machine at the unit level: exhaustion opens it, it
 /// stays parked through the backoff, a half-open probe is granted once,
 /// a failed probe re-opens, a successful one closes.
@@ -269,6 +311,111 @@ fn restart_breaker_opens_and_halfopen_probe_recovers() {
     assert!(!b.is_open());
     // Closing grants one fresh token; the bucket refills from there.
     assert!(b.try_acquire(300));
+}
+
+/// One restart-machine event, as the enumeration feeds them.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Down(RestartCause),
+    Next,
+    Rebuilt(bool),
+}
+
+const EVENTS: [Event; 5] = [
+    Event::Down(RestartCause::Crash),
+    Event::Down(RestartCause::Hang),
+    Event::Next,
+    Event::Rebuilt(true),
+    Event::Rebuilt(false),
+];
+
+/// The enumerated machine's budget.
+const TOKENS: u64 = 2;
+
+/// What the enumeration has fed a machine so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fed {
+    crashes: u64,
+    hangs: u64,
+    grants: u64,
+    closings: u64,
+    /// A granted rebuild has not reported back.
+    outstanding: bool,
+    /// Slot of the latest opening.
+    opened_at: u64,
+}
+
+/// Feed `m` every continuation of up to `depth` more events, 2 slots
+/// apart, checking the machine's promises after each.
+fn walk(m: &RestartBreaker, fed: Fed, at: u64, depth: u32, seen: &mut u64) {
+    if depth == 0 {
+        return;
+    }
+    for ev in EVENTS {
+        let (mut m, mut fed) = (m.clone(), fed);
+        let now = 2 * at;
+        let (pending, openings) = (m.pending(), m.openings());
+        let (was_open, probing) = (
+            m.state() == BreakerState::Open,
+            m.state() == BreakerState::HalfOpen,
+        );
+        match ev {
+            Event::Down(cause) => {
+                m.went_down(cause);
+                match cause {
+                    RestartCause::Hang => fed.hangs += 1,
+                    _ => fed.crashes += 1,
+                }
+            }
+            Event::Next => match m.next(now) {
+                Action::Rebuild => {
+                    assert!(pending && !fed.outstanding, "{fed:?} {m:?}");
+                    assert!(!was_open || now >= fed.opened_at + 3, "early probe: {m:?}");
+                    fed.grants += 1;
+                    fed.outstanding = true;
+                }
+                Action::Park => assert!(m.is_open(), "parked while closed: {m:?}"),
+                Action::Nothing => assert!(fed.outstanding || !pending, "{fed:?} {m:?}"),
+            },
+            Event::Rebuilt(ok) => {
+                m.rebuilt(ok, now);
+                fed.outstanding = false;
+                fed.closings += u64::from(probing && m.state() == BreakerState::Closed);
+            }
+        }
+        if m.openings() > openings {
+            fed.opened_at = now;
+        }
+        // Each opening buys one probe, and a probe that closes the breaker
+        // hands back one fresh token.
+        let budget = TOKENS + m.openings() + fed.closings;
+        assert!(fed.grants <= budget, "{fed:?} {m:?}");
+        assert_eq!((m.crashes(), m.hangs()), (fed.crashes, fed.hangs));
+        assert!(m.restarts() <= fed.grants + fed.crashes + fed.hangs);
+        *seen += 1;
+        walk(&m, fed, at + 1, depth - 1, seen);
+    }
+}
+
+/// The restart machine, exhaustively: every sequence of up to 7 events on
+/// a 2-token machine whose probe comes 3 slots after opening, from a unit
+/// that is up (a fleet shard's) and from one not yet started (a
+/// supervisor's). A rebuild is granted only while one is owed and none is
+/// outstanding, and a probe no sooner than 3 slots after the opening;
+/// grants stay within the budget, it parks only behind an open breaker,
+/// and its counts are the deaths fed.
+#[test]
+fn every_sequence_of_seven_restart_events_keeps_the_machines_promises() {
+    let started = Instant::now();
+    let mut seen = 0;
+    let mut unstarted = RestartBreaker::new(TOKENS as u32, u64::MAX, 3);
+    unstarted.went_down(RestartCause::Initial);
+    for m in [RestartBreaker::new(TOKENS as u32, u64::MAX, 3), unstarted] {
+        walk(&m, Fed::default(), 0, 7, &mut seen);
+    }
+    assert_eq!(seen, 2 * (5 + 25 + 125 + 625 + 3125 + 15625 + 78125));
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "{took:?}");
 }
 
 /// End-to-end storm breaking: repeated kills exhaust the restart budget,
