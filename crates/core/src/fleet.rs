@@ -10,7 +10,9 @@
 //!
 //! * **Per-shard everything.** Each shard owns a full [`NrScope`] (or a
 //!   durable [`PersistentSession`]) — its own overload rung, sync-health
-//!   machine, tracker, and persistence directory. Nothing decode-related
+//!   machine, tracker, and persistence directory, and a durable shard its
+//!   own journal-writer and checkpoint threads, so a disk stalled under
+//!   one shard holds only that shard's batches. Nothing decode-related
 //!   is shared, so no shard can corrupt another's state.
 //! * **Per-shard bounded queues, one overload response.** The queue is
 //!   the only place a backlog can build, so it is the only overload
@@ -52,9 +54,7 @@ use crate::config::{FleetConfig, ScopeConfig};
 use crate::governor::rung_for_backlog;
 use crate::metrics::{Counter, Gauge};
 use crate::observe::Capture;
-use crate::persist::{
-    DurabilityRung, JournalWriter, PersistConfig, PersistentSession, RecoveryReport,
-};
+use crate::persist::{DurabilityRung, PersistConfig, PersistentSession, RecoveryReport};
 use crate::restart::{Action, BreakerState, RestartBreaker, RestartCause};
 use crate::scope::{NrScope, UeEvent};
 use crate::supervise::{feed_at_watermark, SlotEngine};
@@ -134,17 +134,10 @@ enum ShardEngine {
 }
 
 impl ShardEngine {
-    fn build(
-        spec: &ShardSpec,
-        writer: Option<&JournalWriter>,
-    ) -> io::Result<(ShardEngine, Option<RecoveryReport>)> {
+    fn build(spec: &ShardSpec) -> io::Result<(ShardEngine, Option<RecoveryReport>)> {
         match &spec.persist {
             Some(p) => {
-                // Every shard's journal batches flow through one shared
-                // group-commit thread.
-                let w = writer.expect("a fleet with a durable shard has a journal writer");
-                let (session, report) =
-                    PersistentSession::open_with_writer(p.clone(), spec.scope, spec.pci, w)?;
+                let (session, report) = PersistentSession::open(p.clone(), spec.scope, spec.pci)?;
                 Ok((ShardEngine::Durable(Box::new(session)), Some(report)))
             }
             None => Ok((ShardEngine::Volatile(Box::new(spec.volatile_scope())), None)),
@@ -320,10 +313,6 @@ struct FleetShared {
     epoch: Instant,
     live_workers: AtomicUsize,
     target_workers: usize,
-    /// Shared group-commit journal writer for durable shards (absent when
-    /// there are none). Restarted shards re-register with the same writer
-    /// so a rebuild never spawns a second thread.
-    journal_writer: Option<JournalWriter>,
 }
 
 /// Point-in-time status of one shard ([`Fleet::shard_status`]).
@@ -446,13 +435,9 @@ impl Fleet {
     /// Build every shard's engine (durable shards recover from their own
     /// directories) and start the shared worker pool.
     pub fn new(cfg: FleetConfig, specs: Vec<ShardSpec>) -> io::Result<Fleet> {
-        let journal_writer = specs
-            .iter()
-            .any(|s| s.persist.is_some())
-            .then(JournalWriter::spawn);
         let mut shards = Vec::with_capacity(specs.len());
         for spec in specs {
-            let (engine, recovery) = ShardEngine::build(&spec, journal_writer.as_ref())?;
+            let (engine, recovery) = ShardEngine::build(&spec)?;
             let cache = cached_stats(&engine, spec.persist.is_some());
             let restart = RestartBreaker::for_config(&spec.scope.supervise);
             shards.push(Shard {
@@ -490,7 +475,6 @@ impl Fleet {
             epoch: Instant::now(),
             live_workers: AtomicUsize::new(target_workers),
             target_workers,
-            journal_writer,
         });
         let mut workers = Vec::with_capacity(target_workers);
         for w in 0..target_workers {
@@ -584,7 +568,7 @@ impl Fleet {
                     String::new()
                 }
                 Action::Rebuild => {
-                    let built = restart_shard(shared, shard, &mut cell);
+                    let built = restart_shard(shard, &mut cell);
                     lock_clean(&shard.restart).rebuilt(built.is_ok(), now);
                     built.err().unwrap_or_default()
                 }
@@ -829,9 +813,9 @@ fn install_engine(shard: &Shard, cell: &mut EngineCell, engine: ShardEngine) {
 /// (the caller holds the engine lock). `Err(why)` when the rebuild failed
 /// (I/O under a durable shard): nothing changes, and with no engine
 /// serving, `why` is kept for the fallback [`park_lame_duck`] installs.
-fn restart_shard(shared: &FleetShared, shard: &Shard, cell: &mut EngineCell) -> Result<(), String> {
+fn restart_shard(shard: &Shard, cell: &mut EngineCell) -> Result<(), String> {
     let built = if shard.spec.persist.is_some() {
-        ShardEngine::build(&shard.spec, shared.journal_writer.as_ref())
+        ShardEngine::build(&shard.spec)
     } else {
         let scope = volatile_at_feed_position(shard);
         Ok((ShardEngine::Volatile(Box::new(scope)), None))
@@ -1296,7 +1280,6 @@ mod tests {
             epoch: Instant::now(),
             live_workers: AtomicUsize::new(0),
             target_workers: 0,
-            journal_writer: None,
         }
     }
 

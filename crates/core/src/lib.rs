@@ -59,8 +59,8 @@ pub use governor::{rung_for_backlog, GovernorConfig, LoadRung, OverloadGovernor}
 pub use metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Stage, StageSnapshot};
 pub use observe::{Capture, DropReason, ImpairmentSchedule, ObservedDci, ObservedSlot, Observer};
 pub use persist::{
-    DurabilityRung, FaultKind, FaultyBackend, JournalWriter, PersistConfig, PersistentSession,
-    RealBackend, RecoveryReport, SessionStore, StorageBackend, StorageFaultSchedule, StorageFile,
+    DurabilityRung, FaultKind, FaultyBackend, PersistConfig, PersistentSession, RealBackend,
+    RecoveryReport, SessionStore, StorageBackend, StorageFaultSchedule, StorageFile,
 };
 pub use scope::{NrScope, ScopeStats, SyncState, UeEvent};
 pub use telemetry::TelemetryRecord;

@@ -36,7 +36,7 @@
 //! |---|---|
 //! | `storage` | [`StorageBackend`] / [`StorageFile`] / [`RealBackend`] and their seeded [`FaultyBackend`] test double |
 //! | `codec` | every on-disk payload: the journal batch, the snapshot, the wire structs |
-//! | `writer` | the group-commit [`JournalWriter`], the checkpoint thread and the [`DurabilityRung`] ladder |
+//! | `writer` | a session's group-commit journal-writer thread, its checkpoint thread and the [`DurabilityRung`] ladder |
 //! | `session` | [`SessionStore`], [`PersistConfig`], [`PersistentSession`] |
 
 mod codec;
@@ -50,4 +50,4 @@ pub use session::{PersistConfig, PersistentSession, RecoveryReport, SessionStore
 pub use storage::{
     FaultKind, FaultyBackend, RealBackend, StorageBackend, StorageFaultSchedule, StorageFile,
 };
-pub use writer::{DurabilityRung, JournalWriter};
+pub use writer::DurabilityRung;

@@ -8,8 +8,8 @@
 use super::codec::{self, SessionState};
 use super::storage::{RealBackend, StorageBackend};
 use super::writer::{
-    demote_non_durable, BatchBuf, CheckpointWriter, DurabilityRung, JournalWriter, SubmitOutcome,
-    WriterCtx, MAX_PROBE_FLAP_EXP, WRITER_QUEUE_DEPTH,
+    step_ladder, BatchBuf, CheckpointWriter, DurabilityRung, JournalWriter, LadderEvent,
+    MAX_PROBE_FLAP_EXP, WRITER_QUEUE_DEPTH,
 };
 use crate::config::{ScopeConfig, StoragePolicy};
 use crate::metrics::{Counter, Metrics};
@@ -331,8 +331,6 @@ pub struct PersistentSession {
     store: SessionStore,
     cfg: PersistConfig,
     writer: JournalWriter,
-    /// This session's journal file id within the (possibly shared) writer.
-    file_id: u64,
     /// Watermark up to which the journal is in the OS (exclusive).
     durable: Arc<AtomicU64>,
     batch: BatchBuf,
@@ -344,8 +342,8 @@ pub struct PersistentSession {
     /// silently skip a checkpoint.
     last_checkpoint_slot: u64,
     ckpt: CheckpointWriter,
-    /// Shared durability rung (written by the writer thread's ladder,
-    /// observed here once per slot).
+    /// Durability rung, shared with the writer thread: both step it
+    /// through [`step_ladder`], and it is observed here once per slot.
     rung: Arc<AtomicU64>,
     /// True while `NonDurable` has been observed: journaling is paused
     /// (slot ops are not even collected) and probes are being scheduled.
@@ -359,24 +357,12 @@ pub struct PersistentSession {
 
 impl PersistentSession {
     /// Open (or resume) a durable session in `cfg.dir` with its own
-    /// dedicated journal-writer thread. Recovery is part of opening: the
-    /// returned report says what was restored.
+    /// journal-writer and checkpoint threads. Recovery is part of opening:
+    /// the returned report says what was restored.
     pub fn open(
         cfg: PersistConfig,
         scope_cfg: ScopeConfig,
         assumed_pci: Option<Pci>,
-    ) -> io::Result<(PersistentSession, RecoveryReport)> {
-        Self::open_with_writer(cfg, scope_cfg, assumed_pci, &JournalWriter::spawn())
-    }
-
-    /// Open (or resume) a durable session whose journal batches go
-    /// through `writer` — the fleet path, where every shard shares one
-    /// group-commit thread.
-    pub fn open_with_writer(
-        cfg: PersistConfig,
-        scope_cfg: ScopeConfig,
-        assumed_pci: Option<Pci>,
-        writer: &JournalWriter,
     ) -> io::Result<(PersistentSession, RecoveryReport)> {
         let store = SessionStore::with_backend(&cfg.dir, Arc::clone(&cfg.backend))?;
         let (mut scope, report) = store.recover(scope_cfg, assumed_pci);
@@ -386,13 +372,13 @@ impl PersistentSession {
         let rung = Arc::new(AtomicU64::new(DurabilityRung::Durable as u64));
         // Append mode: re-opening after a crash-before-rotation continues
         // the same file.
-        let file_id = writer.register(WriterCtx {
-            path: store.journal_path(journal_start),
-            durable: Arc::clone(&durable),
-            metrics: Arc::clone(scope.metrics()),
-            store: store.clone(),
-            rung: Arc::clone(&rung),
-        })?;
+        let writer = JournalWriter::spawn(
+            store.clone(),
+            store.journal_path(journal_start),
+            Arc::clone(&durable),
+            Arc::clone(&rung),
+            Arc::clone(scope.metrics()),
+        )?;
         let ckpt = CheckpointWriter::spawn(store.clone(), Arc::clone(scope.metrics()));
         Ok((
             PersistentSession {
@@ -400,8 +386,7 @@ impl PersistentSession {
                 store,
                 last_checkpoint_slot: journal_start,
                 cfg,
-                writer: writer.clone(),
-                file_id,
+                writer,
                 durable,
                 batch: BatchBuf::default(),
                 journal_start,
@@ -463,25 +448,17 @@ impl PersistentSession {
         }
         let records = self.batch.len();
         let entries = self.batch.seal(self.scope.micro_state());
-        match self.writer.submit(self.file_id, entries) {
-            SubmitOutcome::Queued => {}
-            // Writer gone (died or shut down under us) or unresponsive
-            // past the submit grace (wedged thread, queue full): the
-            // records are lost and nothing is draining — that is a
-            // storage demotion, not just a counter bump.
-            // `service_durability` observes the rung next slot, pauses
-            // journaling, schedules probes, and keeps decoding; when a
-            // mere wedge ends, a probe re-promotes and the session
-            // re-anchors with a fresh checkpoint.
-            outcome => {
-                let metrics = self.scope.metrics();
-                metrics.add(Counter::JournalWriteFailures, records);
-                let why = match outcome {
-                    SubmitOutcome::Full => "journal writer unresponsive (queue full past grace)",
-                    _ => "journal writer thread gone",
-                };
-                demote_non_durable(&self.rung, metrics, why);
-            }
+        // Writer gone (died or shut down under us) or unresponsive past
+        // the submit grace (wedged thread, queue full): the records are
+        // lost and nothing is draining — that is a storage demotion, not
+        // just a counter bump. `service_durability` observes the rung
+        // next slot, pauses journaling, schedules probes, and keeps
+        // decoding; when a mere wedge ends, a probe re-promotes and the
+        // session re-anchors with a fresh checkpoint.
+        if let Err(why) = self.writer.submit(entries) {
+            let metrics = self.scope.metrics();
+            metrics.add(Counter::JournalWriteFailures, records);
+            step_ladder(&self.rung, metrics, LadderEvent::Lost, why);
         }
         let recycled = self.writer.pooled_buf();
         self.batch.reset(recycled);
@@ -505,7 +482,7 @@ impl PersistentSession {
     /// tests, benches, and shutdown paths — the hot path never calls it.
     pub fn flush_barrier(&mut self) -> bool {
         self.submit_batch();
-        self.writer.barrier(self.file_id)
+        self.writer.barrier()
     }
 
     /// Observe the durability ladder once per slot: pause journaling on
@@ -532,7 +509,7 @@ impl PersistentSession {
                     self.journaling_paused = true;
                     self.next_probe_at = watermark + probe_interval;
                 } else if watermark >= self.next_probe_at {
-                    self.writer.probe(self.file_id);
+                    self.writer.probe();
                     // Flap backoff: each unanswered probe
                     // doubles the wait, so a dead disk costs a bounded,
                     // shrinking fraction of writer-thread time.
@@ -554,10 +531,7 @@ impl PersistentSession {
                             // State ≤ `slot` is durable via the snapshot;
                             // align the journal and the durable watermark
                             // with it.
-                            if self
-                                .writer
-                                .rotate(self.file_id, self.store.journal_path(slot))
-                            {
+                            if self.writer.rotate(self.store.journal_path(slot)) {
                                 self.journal_start = slot;
                             }
                             self.durable.fetch_max(slot, Relaxed);
@@ -566,7 +540,7 @@ impl PersistentSession {
                             // Disk flapped straight back down: re-demote
                             // and keep probing (backoff still rising).
                             let why = format!("re-anchor checkpoint failed: {e}");
-                            demote_non_durable(&self.rung, self.scope.metrics(), why);
+                            step_ladder(&self.rung, self.scope.metrics(), LadderEvent::Lost, &why);
                             self.scope.pause_journaling();
                             self.journaling_paused = true;
                             self.next_probe_at =
@@ -615,10 +589,7 @@ impl PersistentSession {
         // slot — rotation must never abandon an unflushed tail.
         if !self.journaling_paused && self.ckpt.last_written() > self.journal_start {
             self.submit_batch();
-            if self
-                .writer
-                .rotate(self.file_id, self.store.journal_path(watermark))
-            {
+            if self.writer.rotate(self.store.journal_path(watermark)) {
                 self.journal_start = watermark;
             }
         }
@@ -650,9 +621,9 @@ impl Drop for PersistentSession {
         // drains the tail: seal the in-flight batch and wait for the
         // writer to hand everything to the OS, so an in-process "crash"
         // loses nothing — matching the old flush-per-slot teardown. Only
-        // an actual `kill -9` pays the bounded loss window.
+        // an actual `kill -9` pays the bounded loss window. Dropping the
+        // writer afterwards drains its queue and joins its thread.
         self.submit_batch();
-        self.writer.close(self.file_id);
     }
 }
 

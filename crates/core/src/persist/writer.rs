@@ -1,4 +1,4 @@
-//! The write side: the group-commit [`JournalWriter`] thread, the
+//! The write side: a session's group-commit journal-writer thread, its
 //! background checkpoint thread, and the durability ladder both climb.
 //!
 //! The capture hot path only moves owned records into a [`BatchBuf`];
@@ -11,10 +11,9 @@ use super::storage::{is_enospc, StorageFile};
 use crate::metrics::{Counter, Gauge, Metrics};
 use crate::worker::{lock_clean, spawn_background};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{fence, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -40,6 +39,20 @@ pub enum DurabilityRung {
     NonDurable = 2,
 }
 
+/// What moves the durability ladder ([`DurabilityRung::next`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum LadderEvent {
+    /// A batch write failed (it is being retried).
+    WriteError,
+    /// [`PROMOTE_CLEAN_BATCHES`] first-attempt writes in a row.
+    CleanStreak,
+    /// Journalling stopped: retries exhausted, the writer full past the
+    /// submit grace or gone, or a re-anchor checkpoint failed.
+    Lost,
+    /// The disk probe passed and the journal reopened.
+    ProbeOk,
+}
+
 impl DurabilityRung {
     /// Stable snake_case name used in rollups and JSON.
     pub fn name(self) -> &'static str {
@@ -59,18 +72,53 @@ impl DurabilityRung {
             _ => DurabilityRung::NonDurable,
         }
     }
+
+    /// The ladder's one step: demote fast (one write error), promote
+    /// slow (a clean streak, or a passed probe to the middle rung only),
+    /// and `Lost` from anywhere to the bottom, which only a probe leaves.
+    pub(super) fn next(self, event: LadderEvent) -> DurabilityRung {
+        use DurabilityRung::*;
+        match (self, event) {
+            (_, LadderEvent::Lost) => NonDurable,
+            (Durable, LadderEvent::WriteError) => DurableDegraded,
+            (DurableDegraded, LadderEvent::CleanStreak) => Durable,
+            (NonDurable, LadderEvent::ProbeOk) => DurableDegraded,
+            (rung, _) => rung,
+        }
+    }
 }
 
-/// Drop to `NonDurable`, recording `why`. An atomic swap, because the
-/// writer thread (retries exhausted) and the session (queue full past
-/// grace, writer gone, re-anchor failed) may demote concurrently: one
-/// outage is one demotion, whoever observes it first counts it.
-pub(super) fn demote_non_durable(rung: &AtomicU64, metrics: &Metrics, why: impl Into<String>) {
-    let prev = rung.swap(DurabilityRung::NonDurable as u64, Relaxed);
-    metrics.gauge_set(Gauge::DurabilityRung, DurabilityRung::NonDurable as u64);
-    if prev != DurabilityRung::NonDurable as u64 {
+/// Apply `event` to a session's shared `rung`: the one writer of the rung
+/// atomic and, for the session's metrics, of the `durability_rung` gauge,
+/// `storage_demotions` and the `storage_demotion` note (`why`, read only
+/// on a demotion). A compare-and-swap, because the writer thread and the
+/// session step concurrently: a write error can never lift a demotion
+/// that raced it, and one outage is one demotion, whoever sees it first.
+pub(super) fn step_ladder(rung: &AtomicU64, metrics: &Metrics, event: LadderEvent, why: &str) {
+    let mut cur = rung.load(SeqCst);
+    let to = loop {
+        let to = DurabilityRung::from_u64(cur).next(event);
+        if to as u64 == cur {
+            return;
+        }
+        match rung.compare_exchange_weak(cur, to as u64, SeqCst, SeqCst) {
+            Ok(_) => break to,
+            Err(now) => cur = now,
+        }
+    };
+    if to == DurabilityRung::NonDurable {
         metrics.inc(Counter::StorageDemotions);
         metrics.note("storage_demotion", why);
+    }
+    // Publish what the rung is, not what this step made it: a racing
+    // step may have moved it since, and its gauge write may land first.
+    loop {
+        let shown = rung.load(SeqCst);
+        metrics.gauge_set(Gauge::DurabilityRung, shown);
+        fence(SeqCst);
+        if rung.load(SeqCst) == shown {
+            return;
+        }
     }
 }
 
@@ -108,70 +156,46 @@ const BUF_POOL_MAX: usize = 16;
 /// decoding while storage is stuck.
 const SUBMIT_GRACE_US: u64 = 5_000;
 
-/// What became of a submitted batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum SubmitOutcome {
-    /// Queued on the writer thread.
-    Queued,
-    /// Queue full past [`SUBMIT_GRACE_US`]: the writer is wedged or
-    /// hopelessly behind. The batch was dropped.
-    Full,
-    /// The writer thread is gone (died or shut down).
-    Gone,
-}
-
-/// Everything the writer thread needs to serve one journal file's
-/// durability ladder, bundled so [`WriterCmd::Open`] stays readable.
-pub(super) struct WriterCtx {
-    /// Path currently open (probe recovery reopens it after a fault).
-    pub(super) path: PathBuf,
-    pub(super) durable: Arc<AtomicU64>,
-    pub(super) metrics: Arc<Metrics>,
-    /// The store owning this journal — the emergency-prune and re-probe
-    /// paths act on it (same backend, same fault schedule).
-    pub(super) store: SessionStore,
-    /// Shared durability rung (see [`DurabilityRung`]).
-    pub(super) rung: Arc<AtomicU64>,
-}
-
 enum WriterCmd {
-    /// Register a journal file under `id` and open it for append.
-    Open {
-        id: u64,
-        ctx: Box<WriterCtx>,
-        ack: SyncSender<bool>,
-    },
-    /// Encode and append one sealed batch to file `id`. The records
-    /// arrive unencoded: serialization is the writer thread's job, so the
-    /// capture hot path pays only the move.
-    Batch { id: u64, entries: Vec<JournalEntry> },
-    /// Switch file `id` to a new path. Refused (ack `false`) while the
-    /// old file has an unacknowledged write failure or the new file
-    /// cannot be opened — the caller keeps the old file and retries.
+    /// Encode and append one sealed batch. The records arrive unencoded:
+    /// serialization is the writer thread's job, so the capture hot path
+    /// pays only the move.
+    Batch(Vec<JournalEntry>),
+    /// Switch to a new journal path. Refused (ack `false`) while the old
+    /// file has an unacknowledged write failure or the new file cannot be
+    /// opened — the caller keeps the old file and retries.
     Rotate {
-        id: u64,
         path: PathBuf,
         ack: SyncSender<bool>,
     },
-    /// Ack once every previously queued batch for `id` has been handed to
-    /// the OS (`true` iff all of them succeeded since the last rotation).
-    Barrier { id: u64, ack: SyncSender<bool> },
+    /// Ack once every previously queued batch has been handed to the OS
+    /// (`true` iff all of them succeeded since the last rotation).
+    Barrier(SyncSender<bool>),
     /// While `NonDurable`: test the disk with a probe write, and on
     /// success reopen the journal and climb back to `DurableDegraded`.
     /// Fire-and-forget — the session observes the outcome through the
     /// shared rung atomic.
-    Probe { id: u64 },
+    Probe,
     /// Sleep in-line on the writer thread, so queued batches back up as
     /// they would behind a blocked disk
     /// ([`PersistentSession::inject_writer_wedge`](super::PersistentSession::inject_writer_wedge)).
-    Wedge { duration_ms: u64 },
-    /// Drain and forget file `id`.
-    Close { id: u64, ack: SyncSender<bool> },
+    Wedge(Duration),
 }
 
+/// The journal file the writer thread appends to, and the ladder it
+/// serves.
 struct WriterFile {
-    ctx: WriterCtx,
+    /// Path currently open (probe recovery reopens it after a fault).
+    path: PathBuf,
     file: Box<dyn StorageFile>,
+    /// The store owning this journal — the emergency-prune and re-probe
+    /// paths act on it (same backend, same fault schedule).
+    store: SessionStore,
+    /// The session's durable watermark, advanced per written batch.
+    durable: Arc<AtomicU64>,
+    /// The session's durability rung (see [`DurabilityRung`]).
+    rung: Arc<AtomicU64>,
+    metrics: Arc<Metrics>,
     /// Bytes known good in `file`: a retry truncates back to this before
     /// rewriting, so a short write can never leave a torn batch followed
     /// by a good one.
@@ -186,36 +210,21 @@ struct WriterFile {
 }
 
 impl WriterFile {
-    fn open(ctx: WriterCtx) -> io::Result<WriterFile> {
-        let file = ctx.store.backend().open_append(&ctx.path)?;
-        let committed_len = file.file_len().unwrap_or(0);
-        Ok(WriterFile {
-            ctx,
-            file,
-            committed_len,
-            clean_streak: 0,
-            healthy: true,
-        })
-    }
-
     /// (Re)open `path` for append, committing to whatever it already holds.
     fn reopen(&mut self, path: PathBuf) -> io::Result<()> {
-        let file = self.ctx.store.backend().open_append(&path)?;
+        let file = self.store.backend().open_append(&path)?;
         self.committed_len = file.file_len().unwrap_or(0);
         self.file = file;
-        self.ctx.path = path;
+        self.path = path;
         Ok(())
     }
 
     fn rung(&self) -> DurabilityRung {
-        DurabilityRung::from_u64(self.ctx.rung.load(Relaxed))
+        DurabilityRung::from_u64(self.rung.load(Relaxed))
     }
 
-    fn set_rung(&self, rung: DurabilityRung) {
-        self.ctx.rung.store(rung as u64, Relaxed);
-        self.ctx
-            .metrics
-            .gauge_set(Gauge::DurabilityRung, rung as u64);
+    fn step(&self, event: LadderEvent, why: &str) {
+        step_ladder(&self.rung, &self.metrics, event, why);
     }
 
     /// Append one encoded batch with the ladder's bounded-retry policy.
@@ -224,12 +233,9 @@ impl WriterFile {
     /// exhausted retries demote to `NonDurable` and drop the batch.
     fn append_batch(&mut self, bytes: &[u8], n_records: u64, last_seq: u64) {
         if self.rung() == DurabilityRung::NonDurable {
-            // Demoted (e.g. by writer-death detection racing a recovery):
-            // the batch is lost and counted; the session stops sending
-            // once it observes the rung.
-            self.ctx
-                .metrics
-                .add(Counter::JournalWriteFailures, n_records);
+            // Demoted: the batch is lost and counted; the session stops
+            // sending once it observes the rung.
+            self.metrics.add(Counter::JournalWriteFailures, n_records);
             return;
         }
         let mut pruned = false;
@@ -242,14 +248,12 @@ impl WriterFile {
                     // would need fsync here — same guarantee level the
                     // old flush-per-slot journal offered.)
                     self.committed_len += bytes.len() as u64;
-                    self.ctx.durable.store(last_seq + 1, Relaxed);
-                    self.ctx.metrics.inc(Counter::JournalBatches);
+                    self.durable.store(last_seq + 1, Relaxed);
+                    self.metrics.inc(Counter::JournalBatches);
                     if attempt == 0 {
                         self.clean_streak = self.clean_streak.saturating_add(1);
-                        if self.clean_streak >= PROMOTE_CLEAN_BATCHES
-                            && self.rung() == DurabilityRung::DurableDegraded
-                        {
-                            self.set_rung(DurabilityRung::Durable);
+                        if self.clean_streak >= PROMOTE_CLEAN_BATCHES {
+                            self.step(LadderEvent::CleanStreak, "");
                         }
                     } else {
                         // Succeeded only on retry: stay degraded, restart
@@ -260,28 +264,24 @@ impl WriterFile {
                 }
                 Err(e) => {
                     self.clean_streak = 0;
-                    if self.rung() == DurabilityRung::Durable {
-                        self.set_rung(DurabilityRung::DurableDegraded);
-                    }
+                    self.step(LadderEvent::WriteError, "");
                     if is_enospc(&e) && !pruned {
                         // Disk full: free what the ladder can spare —
                         // old checkpoints and the journals they cover —
                         // then retry the write into the reclaimed space.
                         pruned = true;
-                        self.ctx.store.prune(EMERGENCY_PRUNE_KEEP);
-                        self.ctx.metrics.inc(Counter::EmergencyPrunes);
-                        self.ctx.metrics.note("storage_error", e.to_string());
+                        self.store.prune(EMERGENCY_PRUNE_KEEP);
+                        self.metrics.inc(Counter::EmergencyPrunes);
+                        self.metrics.note("storage_error", e.to_string());
                     }
                     attempt += 1;
                     if attempt > STORAGE_RETRY_MAX {
-                        demote_non_durable(&self.ctx.rung, &self.ctx.metrics, e.to_string());
-                        self.ctx
-                            .metrics
-                            .add(Counter::JournalWriteFailures, n_records);
+                        self.step(LadderEvent::Lost, &e.to_string());
+                        self.metrics.add(Counter::JournalWriteFailures, n_records);
                         self.healthy = false;
                         return;
                     }
-                    self.ctx.metrics.inc(Counter::StorageRetries);
+                    self.metrics.inc(Counter::StorageRetries);
                     // Cut any torn tail back to the last committed batch
                     // boundary before rewriting (failure tolerated: the
                     // reader discards a torn batch whole anyway).
@@ -294,127 +294,90 @@ impl WriterFile {
         }
     }
 
-    /// The `NonDurable` → `DurableDegraded` transition: probe the disk,
-    /// and on success reopen the journal path so appends resume.
+    /// While `NonDurable`: probe the disk, and on success reopen the
+    /// journal path so appends resume.
     fn try_recover(&mut self) {
-        if self.rung() != DurabilityRung::NonDurable || !self.ctx.store.probe_write() {
+        if self.rung() != DurabilityRung::NonDurable || !self.store.probe_write() {
             return;
         }
-        match self.reopen(self.ctx.path.clone()) {
+        match self.reopen(self.path.clone()) {
             Ok(()) => {
                 self.healthy = true;
                 self.clean_streak = 0;
-                self.set_rung(DurabilityRung::DurableDegraded);
+                self.step(LadderEvent::ProbeOk, "");
             }
             Err(e) => {
                 // Probe ok but the journal itself will not reopen: stay
                 // demoted and record why.
-                self.ctx.metrics.note("storage_error", e.to_string());
+                self.metrics.note("storage_error", e.to_string());
             }
         }
     }
 }
 
-struct WriterShared {
-    tx: Mutex<Option<SyncSender<WriterCmd>>>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-    next_id: AtomicU64,
+/// One durable session's group-commit journal writer: a background thread
+/// holding the session's journal file, so a stalled disk holds only that
+/// session's batches. Dropping it drains the queue and joins the thread.
+pub(super) struct JournalWriter {
+    tx: SyncSender<WriterCmd>,
+    handle: Option<JoinHandle<()>>,
     pool: Arc<Mutex<Vec<Vec<JournalEntry>>>>,
 }
 
-impl Drop for WriterShared {
-    fn drop(&mut self) {
-        lock_clean(&self.tx).take();
-        if let Some(h) = lock_clean(&self.handle).take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Shared group-commit journal writer: one background thread serving any
-/// number of journal files (each durable fleet shard registers its own),
-/// so N cells cost one writer thread and batched syscalls instead of N
-/// flush-per-slot streams. Cloning shares the thread; it exits when the
-/// last clone drops.
-#[derive(Clone)]
-pub struct JournalWriter {
-    shared: Arc<WriterShared>,
-}
-
 impl JournalWriter {
-    /// Start a writer thread with no registered files.
-    pub fn spawn() -> JournalWriter {
+    /// Open `path` for append on the caller's thread (so a dead disk fails
+    /// the open, not a later batch), then start the thread that writes it.
+    pub(super) fn spawn(
+        store: SessionStore,
+        path: PathBuf,
+        durable: Arc<AtomicU64>,
+        rung: Arc<AtomicU64>,
+        metrics: Arc<Metrics>,
+    ) -> io::Result<JournalWriter> {
+        let file = store.backend().open_append(&path)?;
+        let mut w = WriterFile {
+            committed_len: file.file_len().unwrap_or(0),
+            path,
+            file,
+            store,
+            durable,
+            rung,
+            metrics,
+            clean_streak: 0,
+            healthy: true,
+        };
         let (tx, rx) = sync_channel::<WriterCmd>(WRITER_QUEUE_DEPTH);
         let pool = Arc::new(Mutex::new(Vec::new()));
-        let pool_for_thread = Arc::clone(&pool);
-        let handle = spawn_background("journal", move || writer_loop(rx, pool_for_thread));
-        JournalWriter {
-            shared: Arc::new(WriterShared {
-                tx: Mutex::new(Some(tx)),
-                handle: Mutex::new(Some(handle)),
-                next_id: AtomicU64::new(1),
-                pool,
-            }),
-        }
-    }
-
-    fn send(&self, cmd: WriterCmd) -> bool {
-        match lock_clean(&self.shared.tx).as_ref() {
-            Some(tx) => tx.send(cmd).is_ok(),
-            None => false,
-        }
-    }
-
-    /// Non-blocking command enqueue: `Full` when the queue is backed up
-    /// (a wedged or hopelessly behind writer), `Gone` when the thread has
-    /// exited. Returns the command on `Full` so the caller can retry.
-    fn try_send(&self, cmd: WriterCmd) -> Result<(), TrySendError<WriterCmd>> {
-        match lock_clean(&self.shared.tx).as_ref() {
-            Some(tx) => tx.try_send(cmd),
-            None => Err(TrySendError::Disconnected(cmd)),
-        }
+        let p = Arc::clone(&pool);
+        let handle = spawn_background("journal", move || writer_loop(rx, &mut w, &p));
+        Ok(JournalWriter {
+            tx,
+            handle: Some(handle),
+            pool,
+        })
     }
 
     fn send_acked(&self, make: impl FnOnce(SyncSender<bool>) -> WriterCmd) -> bool {
         let (ack_tx, ack_rx) = sync_channel(1);
-        self.send(make(ack_tx)) && ack_rx.recv() == Ok(true)
-    }
-
-    /// Register a journal file for append; returns its id.
-    pub(super) fn register(&self, ctx: WriterCtx) -> io::Result<u64> {
-        let id = self.shared.next_id.fetch_add(1, Relaxed);
-        let path = ctx.path.clone();
-        let opened = self.send_acked(|ack| WriterCmd::Open {
-            id,
-            ctx: Box::new(ctx),
-            ack,
-        });
-        if opened {
-            Ok(id)
-        } else {
-            Err(io::Error::other(format!(
-                "journal writer could not open {}",
-                path.display()
-            )))
-        }
+        self.tx.send(make(ack_tx)).is_ok() && ack_rx.recv() == Ok(true)
     }
 
     /// Queue one sealed batch (fire and forget — failures are counted by
-    /// the writer thread against the file's metrics) with bounded
-    /// patience: if the queue stays full past [`SUBMIT_GRACE_US`] the
-    /// batch is given up as [`SubmitOutcome::Full`] rather than blocking
-    /// the slot loop behind a wedged writer — the liveness contract is
-    /// that decode outlives storage, whatever storage is doing.
-    pub(super) fn submit(&self, id: u64, entries: Vec<JournalEntry>) -> SubmitOutcome {
-        let mut cmd = WriterCmd::Batch { id, entries };
+    /// the writer thread) with bounded patience: if the queue stays full
+    /// past [`SUBMIT_GRACE_US`] the batch is given up rather than
+    /// blocking the slot loop behind a wedged writer — the liveness
+    /// contract is that decode outlives storage, whatever storage is
+    /// doing. `Err` says why the batch was dropped.
+    pub(super) fn submit(&self, entries: Vec<JournalEntry>) -> Result<(), &'static str> {
+        let mut cmd = WriterCmd::Batch(entries);
         let deadline = Instant::now() + Duration::from_micros(SUBMIT_GRACE_US);
         loop {
-            match self.try_send(cmd) {
-                Ok(()) => return SubmitOutcome::Queued,
-                Err(TrySendError::Disconnected(_)) => return SubmitOutcome::Gone,
+            match self.tx.try_send(cmd) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Disconnected(_)) => return Err("journal writer thread gone"),
                 Err(TrySendError::Full(c)) => {
                     if Instant::now() >= deadline {
-                        return SubmitOutcome::Full;
+                        return Err("journal writer unresponsive (queue full past grace)");
                     }
                     cmd = c;
                     std::thread::sleep(Duration::from_micros(100));
@@ -423,93 +386,74 @@ impl JournalWriter {
         }
     }
 
-    pub(super) fn rotate(&self, id: u64, path: PathBuf) -> bool {
-        self.send_acked(|ack| WriterCmd::Rotate { id, path, ack })
+    pub(super) fn rotate(&self, path: PathBuf) -> bool {
+        self.send_acked(|ack| WriterCmd::Rotate { path, ack })
     }
 
-    pub(super) fn barrier(&self, id: u64) -> bool {
-        self.send_acked(|ack| WriterCmd::Barrier { id, ack })
+    pub(super) fn barrier(&self) -> bool {
+        self.send_acked(WriterCmd::Barrier)
     }
 
-    /// Queue a disk re-probe for file `id` (fire and forget; the outcome
-    /// lands in the shared rung atomic). Non-blocking: while the writer
-    /// is wedged with a full queue the probe is simply skipped — the
-    /// flap backoff schedules another.
-    pub(super) fn probe(&self, id: u64) -> bool {
-        self.try_send(WriterCmd::Probe { id }).is_ok()
+    /// Queue a disk re-probe (fire and forget; the outcome lands in the
+    /// shared rung atomic). Non-blocking: while the writer is wedged with
+    /// a full queue the probe is simply skipped — the flap backoff
+    /// schedules another.
+    pub(super) fn probe(&self) {
+        let _ = self.tx.try_send(WriterCmd::Probe);
     }
 
-    /// Wedge the writer thread for `dur`. Returns `false` if the command
-    /// could not be enqueued (thread gone or queue already full).
-    pub(super) fn wedge(&self, dur: Duration) -> bool {
-        self.try_send(WriterCmd::Wedge {
-            duration_ms: dur.as_millis() as u64,
-        })
-        .is_ok()
-    }
-
-    pub(super) fn close(&self, id: u64) -> bool {
-        self.send_acked(|ack| WriterCmd::Close { id, ack })
+    /// Wedge the writer thread for `dur` (skipped if the queue is full).
+    pub(super) fn wedge(&self, dur: Duration) {
+        let _ = self.tx.try_send(WriterCmd::Wedge(dur));
     }
 
     /// A recycled record buffer, if one is pooled.
     pub(super) fn pooled_buf(&self) -> Vec<JournalEntry> {
-        lock_clean(&self.shared.pool).pop().unwrap_or_default()
+        lock_clean(&self.pool).pop().unwrap_or_default()
     }
 }
 
-fn writer_loop(rx: Receiver<WriterCmd>, pool: Arc<Mutex<Vec<Vec<JournalEntry>>>>) {
-    let mut files: HashMap<u64, WriterFile> = HashMap::new();
+impl Drop for JournalWriter {
+    /// Close the queue (the thread drains what is queued, then exits) and
+    /// join the thread.
+    fn drop(&mut self) {
+        drop(std::mem::replace(&mut self.tx, sync_channel(0).0));
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+fn writer_loop(rx: Receiver<WriterCmd>, f: &mut WriterFile, pool: &Mutex<Vec<Vec<JournalEntry>>>) {
     // Scratch encode buffer, reused across batches: it grows once to the
     // steady-state batch size and never reallocates after.
     let mut scratch: Vec<u8> = Vec::new();
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            WriterCmd::Open { id, ctx, ack } => {
-                let opened = WriterFile::open(*ctx).map(|f| files.insert(id, f));
-                let _ = ack.send(opened.is_ok());
-            }
-            WriterCmd::Batch { id, mut entries } => {
-                if let (Some(f), Some(last)) = (files.get_mut(&id), entries.last()) {
+            WriterCmd::Batch(mut entries) => {
+                if let Some(last) = entries.last() {
                     codec::encode_batch_into(&mut scratch, &entries);
                     f.append_batch(&scratch, entries.len() as u64, last.seq);
                 }
                 entries.clear();
-                let mut p = lock_clean(&pool);
+                let mut p = lock_clean(pool);
                 if p.len() < BUF_POOL_MAX {
                     p.push(entries);
                 }
             }
-            WriterCmd::Rotate { id, path, ack } => {
-                let ok = match files.get_mut(&id) {
-                    Some(f) => {
-                        // Everything queued before this command has been
-                        // written (in-order channel); refuse the switch if
-                        // any of it failed so the caller retries instead
-                        // of silently abandoning the old file's tail.
-                        let was_healthy = f.healthy;
-                        f.healthy = true;
-                        was_healthy && f.reopen(path).is_ok()
-                    }
-                    None => false,
-                };
-                let _ = ack.send(ok);
+            WriterCmd::Rotate { path, ack } => {
+                // Everything queued before this command has been written
+                // (in-order channel); refuse the switch if any of it
+                // failed so the caller retries instead of silently
+                // abandoning the old file's tail.
+                let was_healthy = std::mem::replace(&mut f.healthy, true);
+                let _ = ack.send(was_healthy && f.reopen(path).is_ok());
             }
-            WriterCmd::Barrier { id, ack } => {
-                let _ = ack.send(files.get(&id).is_some_and(|f| f.healthy));
+            WriterCmd::Barrier(ack) => {
+                let _ = ack.send(f.healthy);
             }
-            WriterCmd::Probe { id } => {
-                if let Some(f) = files.get_mut(&id) {
-                    f.try_recover();
-                }
-            }
-            WriterCmd::Wedge { duration_ms } => {
-                std::thread::sleep(Duration::from_millis(duration_ms));
-            }
-            WriterCmd::Close { id, ack } => {
-                files.remove(&id);
-                let _ = ack.send(true);
-            }
+            WriterCmd::Probe => f.try_recover(),
+            WriterCmd::Wedge(dur) => std::thread::sleep(dur),
         }
     }
 }
@@ -627,5 +571,94 @@ impl Drop for CheckpointWriter {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use DurabilityRung::*;
+    use LadderEvent::*;
+
+    const RUNGS: [DurabilityRung; 3] = [Durable, DurableDegraded, NonDurable];
+    const EVENTS: [LadderEvent; 4] = [WriteError, CleanStreak, Lost, ProbeOk];
+
+    /// The whole 3×4 table DESIGN.md draws, a row per rung.
+    #[test]
+    fn next_is_the_documented_table() {
+        let (d, dd, nd) = (Durable, DurableDegraded, NonDurable);
+        let table = [[dd, d, nd, d], [dd, d, nd, dd], [nd, nd, nd, dd]];
+        for (from, row) in RUNGS.into_iter().zip(table) {
+            for (event, to) in EVENTS.into_iter().zip(row) {
+                assert_eq!(from.next(event), to, "{from:?} on {event:?}");
+            }
+        }
+    }
+
+    /// Every step of every sequence of up to 8 events from each rung.
+    fn walk(from: DurabilityRung, depth: u32, steps: &mut u64) {
+        if depth == 0 {
+            return;
+        }
+        for event in EVENTS {
+            let to = from.next(event);
+            *steps += 1;
+            if event == Lost {
+                assert_eq!(to, NonDurable, "Lost from {from:?}");
+            }
+            if from == NonDurable && to != NonDurable {
+                assert_eq!(event, ProbeOk, "only a probe leaves NonDurable");
+            }
+            if to == Durable && from != Durable {
+                assert_eq!(
+                    (from, event),
+                    (DurableDegraded, CleanStreak),
+                    "only a clean streak from DurableDegraded reaches Durable"
+                );
+            }
+            walk(to, depth - 1, steps);
+        }
+    }
+
+    #[test]
+    fn every_sequence_of_up_to_8_events_keeps_the_ladder_rules() {
+        let mut steps = 0;
+        for from in RUNGS {
+            walk(from, 8, &mut steps);
+        }
+        // 3 rungs × (4 + 4² + … + 4⁸) steps.
+        assert_eq!(steps, 3 * (4u64.pow(9) - 4) / 3);
+    }
+
+    /// One `Lost` racing 100k write errors and clean streaks: the
+    /// demotion is never lifted, and it is counted and noted once.
+    #[test]
+    fn a_racing_demotion_sticks_and_counts_once() {
+        let rung = Arc::new(AtomicU64::new(Durable as u64));
+        let metrics = Arc::new(Metrics::new(true));
+        let done = Arc::new(AtomicU64::new(0));
+        let flapper = {
+            let (rung, metrics, done) =
+                (Arc::clone(&rung), Arc::clone(&metrics), Arc::clone(&done));
+            std::thread::spawn(move || {
+                for i in 0..100_000u64 {
+                    let event = if i % 2 == 0 { WriteError } else { CleanStreak };
+                    step_ladder(&rung, &metrics, event, "flap");
+                    done.store(i, Relaxed);
+                }
+            })
+        };
+        while done.load(Relaxed) < 50_000 && !flapper.is_finished() {
+            std::hint::spin_loop();
+        }
+        step_ladder(&rung, &metrics, Lost, "lost");
+        flapper.join().unwrap();
+        assert_eq!(DurabilityRung::from_u64(rung.load(SeqCst)), NonDurable);
+        assert_eq!(metrics.gauge(Gauge::DurabilityRung), NonDurable as u64);
+        assert_eq!(metrics.counter(Counter::StorageDemotions), 1);
+        assert_eq!(
+            metrics.note_detail("storage_demotion").as_deref(),
+            Some("lost")
+        );
     }
 }

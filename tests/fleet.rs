@@ -494,3 +494,67 @@ fn dead_disk_shard_is_probed_back_to_durable_once_the_disk_returns() {
     fleet.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A disk stalled under one durable shard demotes that shard only: each
+/// durable session has its own journal-writer thread, so the stall holds
+/// only shard 0's batches and the sibling's keep landing.
+#[test]
+fn stalled_disk_under_one_shard_never_demotes_its_sibling() {
+    use nr_scope::scope::persist::{FaultyBackend, StorageFaultSchedule};
+    use std::sync::Arc;
+
+    let slots = 2000u64;
+    let (cells, lanes) = two_lane_captures(slots, 9);
+    let dir = temp_dir("stalled-disk");
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
+    let specs = cells
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            // Batches seal by count only, and no cadence checkpoint or
+            // rotation blocks a worker on the writer.
+            let cfg = PersistConfig {
+                checkpoint_every_slots: 100_000,
+                flush_max_latency_us: 10_000_000,
+                ..PersistConfig::new(dir.join(format!("shard{i}")))
+            };
+            let cfg = if i == 0 {
+                cfg.with_backend(Arc::new(backend.clone()))
+            } else {
+                cfg
+            };
+            ShardSpec::durable(format!("cell{i}"), Some(c.pci), ScopeConfig::default(), cfg)
+        })
+        .collect();
+    let fleet = Fleet::new(
+        FleetConfig {
+            workers: 2,
+            shard_queue_depth: 512,
+            ..FleetConfig::default()
+        },
+        specs,
+    )
+    .expect("fleet");
+    feed_slots(&fleet, &lanes, 0..500);
+    backend.stall_writes(Duration::from_secs(2));
+    feed_slots(&fleet, &lanes, 500..slots);
+
+    let demotions = |shard| {
+        fleet
+            .with_scope(shard, |scope| {
+                scope.metrics().snapshot().counter("storage_demotions")
+            })
+            .flatten()
+            .expect("engine live and counting")
+    };
+    assert!(demotions(0) >= 1, "the stalled shard demoted");
+    assert_eq!(demotions(1), 0, "the sibling never demoted");
+    let snap = fleet.rollup();
+    assert_eq!(snap.cells[1].durability, "durable");
+    assert!(
+        snap.cells[1].loss_window_slots.is_some(),
+        "the sibling still promises a bounded window"
+    );
+    fleet.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}

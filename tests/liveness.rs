@@ -418,6 +418,51 @@ fn every_sequence_of_seven_restart_events_keeps_the_machines_promises() {
     assert!(took < Duration::from_secs(1), "{took:?}");
 }
 
+/// The step past the 7-event enumeration: once a half-open probe closes
+/// the breaker, exactly one rebuild is granted before deaths open it
+/// again — the probe hands back one fresh token, not the whole budget.
+#[test]
+fn a_closing_probe_refunds_exactly_one_rebuild() {
+    let mut m = RestartBreaker::new(2, u64::MAX, 3);
+    let mut now = 0;
+    // Exhaustion: two rebuilds spend the bucket, the third death opens it.
+    for _ in 0..2 {
+        m.went_down(RestartCause::Crash);
+        assert_eq!(m.next(now), Action::Rebuild);
+        m.rebuilt(true, now);
+        now += 1;
+    }
+    m.went_down(RestartCause::Crash);
+    assert_eq!(m.next(now), Action::Park);
+    assert_eq!((m.state(), m.openings()), (BreakerState::Open, 1));
+    // The half-open probe, 3 slots after the opening, succeeds.
+    now += 3;
+    assert_eq!(m.next(now), Action::Rebuild);
+    assert_eq!(m.state(), BreakerState::HalfOpen);
+    m.rebuilt(true, now);
+    assert_eq!(m.state(), BreakerState::Closed);
+    // Deaths until it parks again.
+    let mut grants = 0;
+    loop {
+        now += 1;
+        m.went_down(RestartCause::Crash);
+        match m.next(now) {
+            Action::Rebuild => {
+                grants += 1;
+                m.rebuilt(true, now);
+            }
+            Action::Park => break,
+            Action::Nothing => panic!("a death with nothing outstanding owes an action"),
+        }
+        assert!(grants <= 2, "the closed breaker kept granting");
+    }
+    assert_eq!(
+        grants, 1,
+        "one rebuild between the close and the re-opening"
+    );
+    assert_eq!((m.state(), m.openings()), (BreakerState::Open, 2));
+}
+
 /// End-to-end storm breaking: repeated kills exhaust the restart budget,
 /// the supervisor parks lame-duck (slots honestly reported lost, not
 /// blocked on), and the half-open probe brings the pipeline back.
