@@ -5,6 +5,11 @@
 //! FFT/demodulation plus per-known-UE DCI decoding. Run at IQ fidelity so
 //! both terms are real work.
 //!
+//! The `n log n` term first, on its own: one CORESET symbol's demodulation
+//! (FFT plus bin mapping) at FFT 1024, 2048 and 4096 — the 20, 40 and
+//! 100 MHz carriers at 30 kHz — with the constant `a` of `a·n·log2 n`
+//! fitted through the origin by least squares.
+//!
 //! Two hypothesis lists per carrier: one headed by the cell's own C-RNTIs
 //! (every DCI is claimed within the first few tries — the flat series),
 //! and a *foreign* one disjoint from them, so every DCI in the slot costs
@@ -13,8 +18,13 @@
 
 use gnb_sim::CellConfig;
 use nr_phy::dci::DciSizing;
+use nr_phy::fft::FftScratch;
+use nr_phy::grid::ResourceGrid;
+use nr_phy::numerology::SYMBOLS_PER_SLOT;
+use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::SearchBudget;
 use nr_phy::types::Rnti;
+use nr_phy::{Cf32, Numerology};
 use nr_rrc::RrcSetup;
 use nrscope::decoder::{DecoderContext, Hypotheses, UeHypothesis};
 use nrscope::observe::{ObservedSlot, Observer};
@@ -22,6 +32,7 @@ use nrscope::worker::{process_slot, SlotJob};
 use nrscope::Fidelity;
 use nrscope_analytics::report;
 use nrscope_bench::SessionSpec;
+use std::time::Instant;
 use ue_sim::traffic::TrafficKind;
 
 /// First C-RNTI of the list headed by the cell's own UEs.
@@ -31,6 +42,43 @@ const FOREIGN_RNTI_BASE: u16 = 0x9001;
 /// Hypothesis-list lengths swept; the foreign series runs all of them,
 /// the cell's own stops at 128 as the paper's figure does.
 const LIST_LENS: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
+
+/// Carrier widths (PRBs at µ = 1) whose FFTs are 1024, 2048 and 4096.
+const DEMOD_PRBS: [usize; 3] = [51, 106, 273];
+
+/// (FFT size, median µs) of demodulating symbol 0 alone (a 1-symbol
+/// CORESET's slot path) of one slot on each `DEMOD_PRBS` carrier at µ = 1,
+/// with the grid and the FFT's planes reused as the scope reuses them. The
+/// carriers take turns, so a change of host speed reaches all three alike.
+fn coreset_demod_us() -> Vec<(f64, f64)> {
+    let wanted: [bool; SYMBOLS_PER_SLOT] = std::array::from_fn(|sym| sym == 0);
+    let mut plans: Vec<_> = DEMOD_PRBS
+        .iter()
+        .map(|&n_prb| {
+            let ofdm = Ofdm::new(Numerology::Mu1, n_prb);
+            let samples: Vec<Cf32> = (0..ofdm.samples_per_slot(0))
+                .map(|i| Cf32::new((i as f32 * 0.37).sin(), (i as f32 * 1.1).cos()))
+                .collect();
+            let (grid, scratch) = (ResourceGrid::new(n_prb), FftScratch::default());
+            (ofdm, samples, grid, scratch, Vec::new())
+        })
+        .collect();
+    for _ in 0..3000 {
+        for (ofdm, samples, grid, scratch, us) in &mut plans {
+            let start = Instant::now();
+            ofdm.demodulate_symbols_into(samples, 0, &wanted, grid, scratch);
+            us.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    let median = |mut us: Vec<f64>| {
+        us.sort_by(f64::total_cmp);
+        us[us.len() / 2]
+    };
+    let sizes = plans
+        .into_iter()
+        .map(|(ofdm, .., us)| (ofdm.fft_size() as f64, median(us)));
+    sizes.collect()
+}
 
 /// Capture a handful of IQ slots (with live DCIs) from a loaded cell, and
 /// the C-RNTIs connected to it.
@@ -111,7 +159,21 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let model = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(model.split(':').nth(1)?.trim().to_string())
+        });
+    println!("host {}", cpu.as_deref().unwrap_or("unknown CPU"));
     println!("host_cores {cores}  (the paper's 4-thread speedup needs >= 4 cores; on fewer, sharding only adds overhead)");
+    let demod = coreset_demod_us();
+    let n_log_n = |n: f64| n * n.log2();
+    let a_us = demod.iter().map(|&(n, us)| us * n_log_n(n)).sum::<f64>()
+        / demod.iter().map(|&(n, _)| n_log_n(n).powi(2)).sum::<f64>();
+    let title = "CORESET-symbol demodulation vs FFT size (us)";
+    println!("{}", report::series(title, &demod, demod.len()));
+    println!("fit a·n·log2(n): a = {:.3} ns", a_us * 1e3);
     let cases = [
         ("Amarisoft 20MHz", CellConfig::amarisoft_n78(), 1u64),
         ("T-Mobile 10MHz", CellConfig::tmobile_n25(), 2u64),

@@ -240,8 +240,8 @@ impl PolarCodes {
 pub(crate) struct FrontEnd {
     /// The (numerology, carrier width) planned for, the plan, its grid.
     layout: Option<((Numerology, usize), Ofdm, ResourceGrid)>,
-    /// The FFT's working buffer.
-    time: Vec<Cf32>,
+    /// The FFT's working planes.
+    fft: nr_phy::fft::FftScratch,
     /// The grid symbols the last slot wrote; every other one is zero.
     filled: [bool; SYMBOLS_PER_SLOT],
     cce_sums: Vec<PilotSums>,
@@ -296,7 +296,7 @@ impl FrontEnd {
             grid.symbol_mut(sym).fill(Cf32::ZERO);
         }
         self.filled = *wanted;
-        ofdm.demodulate_symbols_into(samples, slot_in_frame, wanted, grid, &mut self.time);
+        ofdm.demodulate_symbols_into(samples, slot_in_frame, wanted, grid, &mut self.fft);
         Some(grid)
     }
 

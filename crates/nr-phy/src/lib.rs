@@ -10,7 +10,9 @@
 //! * polar coding (encoder, β-expansion construction, rate matching,
 //!   successive-cancellation decoding over a compiled node plan),
 //! * digital modulation BPSK…256QAM with max-log-MAP soft demodulation,
-//! * an in-tree radix-2 FFT and a CP-OFDM modulator/demodulator,
+//! * an in-tree radix-2 FFT — one kernel over split `re`/`im` planes that
+//!   the compiler vectorises, bit-exact against the textbook loop — and a
+//!   CP-OFDM modulator/demodulator,
 //! * PDCCH: CORESETs, search spaces, candidate hashing, the full DCI
 //!   encode chain and blind decoding,
 //! * MCS / CQI / TBS tables and the exact 38.214 §5.1.3.2 transport block

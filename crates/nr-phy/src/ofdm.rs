@@ -8,7 +8,7 @@
 //! downconversion to the channel centre frequency.
 
 use crate::complex::Cf32;
-use crate::fft::Fft;
+use crate::fft::{with_scratch, Fft, FftScratch};
 use crate::grid::ResourceGrid;
 use crate::numerology::{Numerology, SYMBOLS_PER_SLOT};
 
@@ -65,32 +65,32 @@ impl Ofdm {
     /// takes the transform, whose output can then hold `−0.0`.)
     pub fn modulate(&self, grid: &ResourceGrid, slot_in_frame: usize) -> Vec<Cf32> {
         assert_eq!(grid.n_prb(), self.n_prb);
+        let n = self.fft_size;
         let mut out = Vec::with_capacity(self.samples_per_slot(slot_in_frame));
-        let mut time = vec![Cf32::ZERO; self.fft_size];
-        // Scale so RE power is preserved through the transform pair.
-        let scale = (self.fft_size as f32).sqrt();
+        let mut freq = vec![Cf32::ZERO; n];
+        // Normalised by `1/N` as `Fft::inverse` does, then scaled so RE
+        // power is preserved through the transform pair.
+        let (inverse, scale) = (1.0 / n as f32, (n as f32).sqrt());
         let (first_bin, half) = (self.first_bin(), self.n_prb * 6);
         for sym in 0..SYMBOLS_PER_SLOT {
             let cp = self.numerology.cp_len(
-                self.fft_size,
+                n,
                 self.numerology.symbol_in_half_subframe(slot_in_frame, sym),
             );
             let res = grid.symbol(sym);
             if res.iter().all(|re| re.re.to_bits() | re.im.to_bits() == 0) {
-                out.resize(out.len() + cp + self.fft_size, Cf32::ZERO);
+                out.resize(out.len() + cp + n, Cf32::ZERO);
                 continue;
             }
             // Grid subcarriers in order: the negative-frequency bins, then
-            // DC upwards; the guard band between them zero.
-            time[first_bin..].copy_from_slice(&res[..half]);
-            time[..half].copy_from_slice(&res[half..]);
-            time[half..first_bin].fill(Cf32::ZERO);
-            self.fft.inverse(&mut time);
-            for v in time.iter_mut() {
-                *v = v.scale(scale);
-            }
-            out.extend_from_slice(&time[self.fft_size - cp..]);
-            out.extend_from_slice(&time);
+            // DC upwards; the guard band between them stays zero.
+            freq[first_bin..].copy_from_slice(&res[..half]);
+            freq[..half].copy_from_slice(&res[half..]);
+            with_scratch(|scratch| {
+                let (re, im) = self.fft.transform(&freq, true, scratch);
+                let sample = |i: usize| Cf32::new(re[i] * inverse * scale, im[i] * inverse * scale);
+                out.extend((n - cp..n).chain(0..n).map(sample));
+            });
         }
         out
     }
@@ -112,14 +112,14 @@ impl Ofdm {
         slot_in_frame: usize,
         wanted: &[bool; SYMBOLS_PER_SLOT],
     ) -> ResourceGrid {
-        let mut grid = ResourceGrid::new(self.n_prb);
-        self.demodulate_symbols_into(samples, slot_in_frame, wanted, &mut grid, &mut Vec::new());
+        let (mut grid, mut scratch) = (ResourceGrid::new(self.n_prb), FftScratch::default());
+        self.demodulate_symbols_into(samples, slot_in_frame, wanted, &mut grid, &mut scratch);
         grid
     }
 
-    /// [`Ofdm::demodulate_symbols`] into the caller's grid, with `time` as
-    /// the transform's working buffer. Only the symbols `wanted` marks are
-    /// written: a caller that reuses a grid zeroes what an earlier slot
+    /// [`Ofdm::demodulate_symbols`] into the caller's grid, with `scratch`
+    /// as the transform's working planes. Only the symbols `wanted` marks
+    /// are written: a caller that reuses a grid zeroes what an earlier slot
     /// left in the others.
     pub fn demodulate_symbols_into(
         &self,
@@ -127,7 +127,7 @@ impl Ofdm {
         slot_in_frame: usize,
         wanted: &[bool; SYMBOLS_PER_SLOT],
         grid: &mut ResourceGrid,
-        time: &mut Vec<Cf32>,
+        scratch: &mut FftScratch,
     ) {
         assert_eq!(
             samples.len(),
@@ -135,24 +135,25 @@ impl Ofdm {
             "sample count must be one slot"
         );
         assert_eq!(grid.n_prb(), self.n_prb);
-        time.resize(self.fft_size, Cf32::ZERO);
         let mut pos = 0;
         let scale = 1.0 / (self.fft_size as f32).sqrt();
+        let (first_bin, half) = (self.first_bin(), self.n_prb * 6);
         for (sym, &wanted) in wanted.iter().enumerate() {
             pos += self.numerology.cp_len(
                 self.fft_size,
                 self.numerology.symbol_in_half_subframe(slot_in_frame, sym),
             );
             if wanted {
-                time.copy_from_slice(&samples[pos..pos + self.fft_size]);
-                self.fft.forward(time);
+                let symbol = &samples[pos..pos + self.fft_size];
+                let (re, im) = self.fft.transform(symbol, false, scratch);
                 // Grid subcarriers in order: the negative-frequency bins,
                 // then DC upwards.
-                let bins = time[self.first_bin()..]
-                    .iter()
-                    .chain(&time[..self.n_prb * 6]);
-                for (re, bin) in grid.symbol_mut(sym).iter_mut().zip(bins) {
-                    *re = bin.scale(scale);
+                let (below_dc, from_dc) = grid.symbol_mut(sym).split_at_mut(half);
+                for (res, bins) in [(below_dc, first_bin..), (from_dc, 0..)] {
+                    let bins = re[bins.clone()].iter().zip(&im[bins]);
+                    for (out, (&r, &i)) in res.iter_mut().zip(bins) {
+                        *out = Cf32::new(r * scale, i * scale);
+                    }
                 }
             }
             pos += self.fft_size;
@@ -164,6 +165,13 @@ impl Ofdm {
 mod tests {
     use super::*;
     use crate::modulation::{modulate as qam, Modulation};
+
+    /// 20 MHz at µ = 1 and at µ = 0, and 100 MHz at µ = 1 (FFT 4096).
+    const CARRIERS: [(Numerology, usize); 3] = [
+        (Numerology::Mu1, 51),
+        (Numerology::Mu0, 52),
+        (Numerology::Mu1, 273),
+    ];
 
     fn test_grid(n_prb: usize) -> ResourceGrid {
         let mut g = ResourceGrid::new(n_prb);
@@ -179,7 +187,7 @@ mod tests {
 
     #[test]
     fn modulate_demodulate_round_trip() {
-        for (numer, n_prb) in [(Numerology::Mu1, 51), (Numerology::Mu0, 52)] {
+        for (numer, n_prb) in CARRIERS {
             let ofdm = Ofdm::new(numer, n_prb);
             let grid = test_grid(n_prb);
             for slot in [0usize, 1] {
@@ -197,7 +205,7 @@ mod tests {
 
     #[test]
     fn symbol_set_demodulation_equals_full_demodulation_on_its_symbols() {
-        for (numer, n_prb) in [(Numerology::Mu1, 51), (Numerology::Mu0, 52)] {
+        for (numer, n_prb) in CARRIERS {
             let ofdm = Ofdm::new(numer, n_prb);
             for slot in [0usize, 1] {
                 let time = ofdm.modulate(&test_grid(n_prb), slot);
@@ -229,6 +237,9 @@ mod tests {
         // half-millisecond slot, the USRP-style rate the paper's tool runs.
         assert_eq!(ofdm.fft_size(), 1024);
         assert_eq!(time.len(), 15360);
+        // The 100 MHz carrier: 273 PRBs at µ=1.
+        let wide = Ofdm::new(Numerology::Mu1, 273);
+        assert_eq!((wide.fft_size(), wide.samples_per_slot(0)), (4096, 61_440));
     }
 
     #[test]

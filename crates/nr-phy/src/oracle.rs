@@ -607,8 +607,9 @@ impl SerialGold {
 }
 
 /// The FFT butterflies as they were first written — one twiddle table
-/// strided per stage, the direction tested inside the loop — kept as
-/// the bit-exactness oracle for `Fft::run`.
+/// strided per stage, the direction tested inside the loop, interleaved
+/// samples swapped in place — kept as the bit-exactness oracle for the
+/// split-format kernel, `Fft::transform`.
 #[cfg(test)]
 pub(crate) fn strided_fft_oracle(size: usize, data: &mut [Cf32], inverse: bool) {
     let bits = size.trailing_zeros();
@@ -632,6 +633,62 @@ pub(crate) fn strided_fft_oracle(size: usize, data: &mut [Cf32], inverse: bool) 
             }
         }
         len *= 2;
+    }
+}
+
+/// The split-format kernel, to the bit, at every size from 2 to 4096 in
+/// both directions: on random samples, on samples spanning ±1e6 down to
+/// ±1e-6, and on samples of `+0.0` and `−0.0` only, whose outputs are
+/// zeros whose signs a reordered sum or a skipped multiply would flip.
+/// Both through `Fft::transform`'s planes and through `forward`/`inverse`.
+#[test]
+fn split_kernel_equals_the_strided_transform_bitwise() {
+    let mut x = 0x2545_F491u32;
+    let mut rand = move || {
+        x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (x >> 8) as f32 / (1 << 23) as f32 - 1.0
+    };
+    let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    };
+    let mut scratch = crate::fft::FftScratch::default();
+    for size in (1..=12).map(|b| 1usize << b) {
+        let fft = Fft::new(size);
+        let random: Vec<Cf32> = (0..size).map(|_| Cf32::new(rand(), rand())).collect();
+        let wide: Vec<Cf32> = (0..size)
+            .map(|i| Cf32::new(rand() * 10f32.powi(i as i32 % 13 - 6), -rand() * 1e6))
+            .collect();
+        let mut zero = || if rand() < 0.0 { -0.0 } else { 0.0 };
+        let zeros: Vec<Cf32> = (0..size).map(|_| Cf32::new(zero(), zero())).collect();
+        // `(−0.0, −1.0)` but for `(−0.0, h)` at the head, in bit-reversed
+        // order, of the first upper half of the stage of half-length `h`:
+        // every sum on the way keeps a real part of `−0.0`, and the stage's
+        // first butterfly multiplies `(−0.0, 1.0)` by `(1, −0.0)` — whose
+        // real part is `+0.0`, and `−0.0` if the multiply were skipped.
+        let heads = (0..size.trailing_zeros()).map(|stage| {
+            let mut x = vec![Cf32::new(-0.0, -1.0); size];
+            x[size >> (stage + 1)] = Cf32::new(-0.0, (1 << stage) as f32);
+            (x, "a stage's head")
+        });
+        let classes = [(random, "random"), (wide, "wide"), (zeros, "signed zeros")];
+        for (input, name) in classes.into_iter().chain(heads) {
+            for inverse in [false, true] {
+                let mut want = input.clone();
+                strided_fft_oracle(size, &mut want, inverse);
+                let (re, im) = fft.transform(&input, inverse, &mut scratch);
+                let got: Vec<Cf32> = re.iter().zip(im).map(|(&r, &i)| Cf32::new(r, i)).collect();
+                assert_eq!(bits(&got), bits(&want), "{size} {name}, inverse {inverse}");
+                let mut in_place = input.clone();
+                if inverse {
+                    fft.inverse(&mut in_place);
+                    want.iter_mut()
+                        .for_each(|v| *v = v.scale(1.0 / size as f32));
+                } else {
+                    fft.forward(&mut in_place);
+                }
+                assert_eq!(bits(&in_place), bits(&want), "{size} {name}, in place");
+            }
+        }
     }
 }
 
@@ -670,7 +727,7 @@ fn modulate_oracle(
 /// bit: on a grid of empty symbols, full ones, `−0.0`-only ones (which
 /// must take the transform: its output holds `−0.0`) and one with a single
 /// RE, at µ = 0, 1 and 2: every slot of µ ≤ 1 holds a long CP, and slot 1
-/// of µ = 2 none.
+/// of µ = 2 none; and on the 100 MHz µ = 1 carrier (273 PRBs, FFT 4096).
 #[test]
 fn modulate_equals_the_per_symbol_transform_bitwise() {
     use crate::ofdm::Ofdm;
@@ -683,6 +740,7 @@ fn modulate_equals_the_per_symbol_transform_bitwise() {
         (Numerology::Mu1, 51),
         (Numerology::Mu0, 52),
         (Numerology::Mu2, 24),
+        (Numerology::Mu1, 273),
     ];
     for (numerology, n_prb) in carriers {
         let mut grid = ResourceGrid::new(n_prb);
