@@ -13,9 +13,9 @@
 //!   few slots (the Fig 14a ramp) instead of climbing toward truth over a
 //!   full window length.
 
-use nr_phy::types::Rnti;
+use nr_phy::types::{HashMap, Rnti};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Sliding-window rate estimator for one UE.
 #[derive(Debug, Clone, Default)]
@@ -111,8 +111,8 @@ impl ThroughputEstimator {
     /// Fresh estimator retaining `retention_slots` of per-UE history.
     pub fn with_retention(retention_slots: u64) -> ThroughputEstimator {
         ThroughputEstimator {
-            windows: HashMap::new(),
-            history: HashMap::new(),
+            windows: HashMap::default(),
+            history: HashMap::default(),
             retention_slots: retention_slots.max(1),
             newest_slot: 0,
         }

@@ -2,10 +2,9 @@
 //! watcher that feeds it, and per-UE HARQ/NDI state.
 
 use nr_mac::HarqTracker;
-use nr_phy::types::Rnti;
+use nr_phy::types::{HashMap, HashSet, Rnti};
 use nr_rrc::RrcSetup;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Telemetry-side state for one tracked UE.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -385,12 +384,9 @@ impl UeTracker {
         expiry_slots: u64,
         ra_window_slots: u64,
     ) -> Vec<(Rnti, u64)> {
-        let dead: Vec<(Rnti, u64)> = self
-            .ues
-            .iter()
-            .filter(|(_, u)| now.saturating_sub(u.last_active_slot) > expiry_slots)
-            .map(|(r, u)| (*r, u.last_active_slot))
-            .collect();
+        let last_active = |u: &TrackedUe| (u.rnti, u.last_active_slot);
+        let idle = |&(_, at): &(Rnti, u64)| now.saturating_sub(at) > expiry_slots;
+        let dead = sorted(self.ues.values().map(last_active).filter(idle));
         for (r, _) in &dead {
             self.generation += 1;
             self.ues.remove(r);
@@ -729,11 +725,15 @@ mod tests {
     }
 
     #[test]
-    fn rntis_are_sorted() {
-        let mut t = UeTracker::new();
-        for r in [9u16, 3, 7] {
-            t.promote(Rnti(r), 0, rrc());
+    fn rntis_and_ues_expiring_in_one_slot_are_sorted() {
+        let want = [0x0102, 0x4601, 0x4603].map(Rnti);
+        for order in [[0x4603, 0x4601, 0x0102], [0x0102, 0x4603, 0x4601]] {
+            let mut t = UeTracker::new();
+            for r in order {
+                t.promote(Rnti(r), 0, rrc());
+            }
+            assert_eq!(t.rntis(), want);
+            assert_eq!(t.expire(1000, 500, 100), want.map(|r| (r, 0)));
         }
-        assert_eq!(t.rntis(), vec![Rnti(3), Rnti(7), Rnti(9)]);
     }
 }

@@ -151,6 +151,63 @@ pub fn pdcch_dmrs_cinit(slot: usize, symbol: usize, n_id: u16) -> u32 {
         as u32
 }
 
+/// A per-thread memo keyed by (c_init, length).
+type Memo<V> = std::cell::RefCell<crate::types::HashMap<(u32, usize), V>>;
+
+thread_local! {
+    /// Per-thread memo of generated sequences. Blind decoding re-derives
+    /// the same descrambling sequences for every candidate × RNTI
+    /// hypothesis; a hit is a map lookup, a miss generates and unpacks the
+    /// whole sequence to one byte per bit again.
+    static GOLD_CACHE: Memo<std::rc::Rc<Vec<u8>>> = Default::default();
+    /// Per-thread memo of [`scrambling_syndrome_cached`]: what turns a
+    /// rejected RNTI hypothesis on a captured codeword into a lookup and an
+    /// XOR.
+    static SCRAMBLING_SYNDROMES: Memo<Option<u32>> = Default::default();
+}
+
+/// Upper bound on the entries of each memo per thread (a sequence is
+/// ~100 B; this bounds the cache to a few MB even with thousands of
+/// tracked UEs). A full memo is emptied before its next insert.
+const GOLD_CACHE_CAP: usize = 16_384;
+
+/// `memo`'s value for (`c_init`, `len`), made by `make` on a miss.
+fn memoised<V: Clone>(
+    memo: &'static std::thread::LocalKey<Memo<V>>,
+    c_init: u32,
+    len: usize,
+    make: impl FnOnce() -> V,
+) -> V {
+    memo.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if let Some(v) = cache.get(&(c_init, len)) {
+            return v.clone();
+        }
+        if cache.len() >= GOLD_CACHE_CAP {
+            cache.clear();
+        }
+        let v = make();
+        cache.insert((c_init, len), v.clone());
+        v
+    })
+}
+
+/// Cached variant of [`gold_bits`] for hot decode loops. Returns a shared
+/// handle; contents are identical to `gold_bits(c_init, len)`.
+pub fn gold_bits_cached(c_init: u32, len: usize) -> std::rc::Rc<Vec<u8>> {
+    memoised(&GOLD_CACHE, c_init, len, || {
+        std::rc::Rc::new(gold_bits(c_init, len))
+    })
+}
+
+/// [`crate::crc::dci_scrambling_syndrome`] of `gold_bits(c_init, len)`,
+/// memoised like [`gold_bits_cached`] (`None` under 24 bits).
+pub fn scrambling_syndrome_cached(c_init: u32, len: usize) -> Option<u32> {
+    memoised(&SCRAMBLING_SYNDROMES, c_init, len, || {
+        crate::crc::dci_scrambling_syndrome(&gold_bits(c_init, len))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +283,34 @@ mod tests {
     }
 
     #[test]
+    fn cached_syndrome_matches_uncached() {
+        use crate::dci::{DciFormat, DciSizing};
+        use crate::types::Rnti;
+        let uncached = |c_init, len| crate::crc::dci_scrambling_syndrome(&gold_bits(c_init, len));
+        let sizing = DciSizing { bwp_prbs: 51 };
+        let ue_lens = [DciFormat::Dl1_1, DciFormat::Ul0_1].map(|f| sizing.payload_bits(f) + 24);
+        // Both UE codeword lengths of every C-RNTI under one PCI: 131,038
+        // keys, so the memo fills and is emptied seven times on the way and
+        // each key is read once as a miss and once as a hit.
+        for rnti in Rnti::C_RNTI_FIRST..=Rnti::C_RNTI_LAST {
+            let c_init = pdcch_scrambling_cinit(rnti, 500);
+            for len in ue_lens {
+                let want = uncached(c_init, len);
+                assert!(want.is_some(), "len {len}");
+                for _miss_then_hit in 0..2 {
+                    assert_eq!(scrambling_syndrome_cached(c_init, len), want, "{len}");
+                }
+            }
+        }
+        for len in [0, 1, 23] {
+            assert_eq!(uncached(7, len), None);
+            for _miss_then_hit in 0..2 {
+                assert_eq!(scrambling_syndrome_cached(7, len), None);
+            }
+        }
+    }
+
+    #[test]
     fn dmrs_cinit_distinguishes_symbols_and_slots() {
         let a = pdcch_dmrs_cinit(0, 0, 500);
         let b = pdcch_dmrs_cinit(0, 1, 500);
@@ -233,62 +318,4 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
     }
-}
-
-/// Key: (c_init, length). Value: the generated sequence, shared.
-type GoldCacheMap = std::collections::HashMap<(u32, usize), std::rc::Rc<Vec<u8>>>;
-
-thread_local! {
-    /// Per-thread memo of generated sequences. Blind decoding re-derives
-    /// the same descrambling sequences for every candidate × RNTI
-    /// hypothesis; a hit is a map lookup, a miss generates and unpacks the
-    /// whole sequence to one byte per bit again.
-    static GOLD_CACHE: std::cell::RefCell<GoldCacheMap> =
-        std::cell::RefCell::new(GoldCacheMap::new());
-}
-
-/// Upper bound on cached sequences per thread (entries are ~100 B; this
-/// bounds the cache to a few MB even with thousands of tracked UEs).
-const GOLD_CACHE_CAP: usize = 16_384;
-
-/// Cached variant of [`gold_bits`] for hot decode loops. Returns a shared
-/// handle; contents are identical to `gold_bits(c_init, len)`.
-pub fn gold_bits_cached(c_init: u32, len: usize) -> std::rc::Rc<Vec<u8>> {
-    GOLD_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(seq) = cache.get(&(c_init, len)) {
-            return seq.clone();
-        }
-        if cache.len() >= GOLD_CACHE_CAP {
-            cache.clear();
-        }
-        let seq = std::rc::Rc::new(gold_bits(c_init, len));
-        cache.insert((c_init, len), seq.clone());
-        seq
-    })
-}
-
-thread_local! {
-    /// Per-thread memo of [`scrambling_syndrome_cached`] by (c_init,
-    /// length): what turns a rejected RNTI hypothesis on a captured
-    /// codeword into a lookup and an XOR.
-    static SCRAMBLING_SYNDROMES: std::cell::RefCell<std::collections::HashMap<(u32, usize), u32>> =
-        Default::default();
-}
-
-/// [`crate::crc::dci_scrambling_syndrome`] of `gold_bits(c_init, len)`,
-/// memoised like [`gold_bits_cached`] (`None` under 24 bits).
-pub fn scrambling_syndrome_cached(c_init: u32, len: usize) -> Option<u32> {
-    SCRAMBLING_SYNDROMES.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(syndrome) = cache.get(&(c_init, len)) {
-            return Some(*syndrome);
-        }
-        if cache.len() >= GOLD_CACHE_CAP {
-            cache.clear();
-        }
-        let syndrome = crate::crc::dci_scrambling_syndrome(&gold_bits(c_init, len))?;
-        cache.insert((c_init, len), syndrome);
-        Some(syndrome)
-    })
 }

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A Radio Network Temporary Identifier — the 16-bit handle the RAN uses to
 /// address one UE (or one broadcast function) on the air interface.
@@ -47,6 +48,52 @@ impl fmt::Display for Rnti {
         write!(f, "0x{:04x}", self.0)
     }
 }
+
+/// The hasher of every map the slot path reads, keyed by small integers:
+/// RNTIs and `(c_init, length)` pairs. Std's randomly seeded SipHash took
+/// about a third of a rejected RNTI hypothesis's time. Each integer is
+/// folded in by a rotate-xor-multiply step, and `finish` applies
+/// splitmix64's finalizer, so every key bit reaches the low bits a table
+/// picks its bucket by. It is unseeded: each such map keyed by RNTIs an
+/// attacker can choose is bounded in size (DESIGN.md, "Untrusted input").
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FixedHasher(u64);
+
+impl FixedHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.fold(u64::from(b)));
+    }
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.fold(u64::from(n));
+    }
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// A `HashMap` under [`FixedHasher`] (build one with `default()`).
+pub type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FixedHasher>>;
+/// A `HashSet` under [`FixedHasher`] (build one with `default()`).
+pub type HashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FixedHasher>>;
 
 /// What role an RNTI plays when scrambling a given DCI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -107,6 +154,7 @@ impl fmt::Display for Pci {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
 
     #[test]
     fn ra_rnti_formula_matches_spec_example() {
@@ -122,6 +170,28 @@ mod tests {
         assert!(!Rnti::P.is_c_rnti_range());
         assert!(!Rnti(0).is_c_rnti_range());
         assert!(Rnti(0x4601).is_c_rnti_range());
+    }
+
+    #[test]
+    fn fixed_hasher_spreads_the_keys_an_adversary_would_pick() {
+        // Distinct values of the low byte hashbrown picks a bucket by. A
+        // random function puts n keys in 256·(1 − (255/256)ⁿ) of them: 162
+        // for 256 keys, 251 for 1,024. Without the finalizer the fold alone
+        // puts RNTIs sharing a low byte in 1, and the memo keys in 32.
+        fn low_bytes<K: std::hash::Hash>(keys: impl Iterator<Item = K>) -> usize {
+            let build = BuildHasherDefault::<FixedHasher>::default();
+            let mut seen: Vec<u64> = keys.map(|k| build.hash_one(k) & 0xff).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
+        }
+        let cinit = |r: u16| crate::sequence::pdcch_scrambling_cinit(r, 500);
+        let low_byte_shared = low_bytes((0..=255u16).map(|k| Rnti(k << 8)));
+        let high_byte_shared = low_bytes((0..=255u16).map(|k| Rnti(0x4600 | k)));
+        let memo_keys = low_bytes((1..=1024).map(|r| (cinit(r), 140usize)));
+        assert!(low_byte_shared >= 128, "{low_byte_shared} of 256 keys");
+        assert!(high_byte_shared >= 128, "{high_byte_shared} of 256 keys");
+        assert!(memo_keys >= 200, "{memo_keys} of 1,024 keys");
     }
 
     #[test]
