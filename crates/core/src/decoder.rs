@@ -15,10 +15,10 @@
 //!
 //! There is one scan and one hypothesis tester. The two fidelities differ
 //! only in how a candidate yields hard-decision codewords — the private
-//! `Candidate` trait: a descramble for [`ObservedDci`], an LLR sign flip
-//! plus polar decode for [`ExtractedCandidate`]. A codeword is tested
-//! through its CRC syndrome ([`dci_syndrome`]): one number that every RNTI
-//! hypothesis is compared with.
+//! `Candidate` trait: a descramble for [`ObservedDci`], a polar decode for
+//! [`ExtractedCandidate`]. A codeword is tested through its CRC syndrome
+//! ([`dci_syndrome`]): one number that every RNTI hypothesis is compared
+//! with.
 //!
 //! A blind slot is scanned in two passes, every cheap question before any
 //! expensive one: pass A asks each candidate only what a GF(2) transform
@@ -26,6 +26,8 @@
 //! ([`PolarCode::codeword_with`]) that a hypothesis matches? — and such a
 //! find *claims* its CCEs; pass B spends SC walks only on positions no
 //! claim explains (`scan` says what a walk on an explained one would buy).
+//! Pass A transforms a candidate's signs once per mother layout; a C-RNTI
+//! then costs an XOR of its memoised flip word ([`PolarCode::flip_word`]).
 
 use crate::metrics::{Metrics, Stage};
 use crate::observe::ObservedDci;
@@ -41,8 +43,9 @@ use nr_phy::pdcch::{
     candidate_cce, cce_pilot_sums, extract_candidate_above, search_space_cinit, ue_search_space_y,
     AggregationLevel, Coreset, CoresetSequences, SearchBudget, PILOT_SNR_FLOOR,
 };
-use nr_phy::polar::{DecodeScratch, PolarCode};
-use nr_phy::sequence::{gold_bits_cached, scrambling_syndrome_cached};
+use nr_phy::polar::ratematch::RateMatchKind;
+use nr_phy::polar::{DecodeScratch, HardWord, PolarCode};
+use nr_phy::sequence::{gold_bits_cached, memoised, scrambling_syndrome_cached, Memo};
 use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_phy::Numerology;
 use nr_rrc::{Mib, RrcSetup};
@@ -197,38 +200,49 @@ fn payload_sizes(sizing: &DciSizing) -> [usize; 2] {
 /// decoder context knows no width that fits (a cold bootstrap).
 const PRESET_CARRIER_PRBS: [usize; 4] = [51, 52, 79, 24];
 
-/// Every (K, E) polar code a thread has met, each configured once, and
-/// the SC decoder's working memory.
+/// Every (K, E) polar code a thread has met, each configured once, the SC
+/// decoder's working memory, and the candidate in hand as one UE
+/// descrambles it.
 #[derive(Debug, Default)]
 struct PolarCodes {
     codes: Vec<PolarCode>,
     scratch: DecodeScratch,
+    ue_llrs: Vec<f32>,
 }
 
 thread_local! {
-    /// This thread's polar codes, and the candidate in hand as one UE
-    /// descrambles it — kept like the thread's Gold sequences
+    /// This thread's polar codes, kept like its Gold sequences
     /// ([`gold_bits_cached`]): none of it is telemetry state.
-    static POLAR_CODES: std::cell::RefCell<(PolarCodes, Vec<f32>)> = Default::default();
+    static POLAR_CODES: std::cell::RefCell<PolarCodes> = Default::default();
+    /// Pass A's flip words ([`PolarCode::flip_word`]) per (UE `c_init`,
+    /// index in `POLAR_CODES`), memoised like the Gold sequences: the
+    /// `c_init`'s low 16 bits are the PCI, so it names the cell's sequence
+    /// too.
+    static FLIP_WORDS: Memo<Option<HardWord>> = Default::default();
 }
 
 impl PolarCodes {
-    /// Polar-decode `llrs` to `k` bits, which live here until the next
-    /// call: by SC, or — `walk` unset — only if their hard decisions are a
-    /// codeword as they stand ([`PolarCode::codeword_with`]), which is what
-    /// SC would then return.
-    fn decode(&mut self, k: usize, llrs: &[f32], walk: bool) -> Option<&[u8]> {
-        let known = (self.codes.iter()).position(|c| (c.k, c.e) == (k, llrs.len()));
-        let at = known.unwrap_or_else(|| {
-            self.codes.push(PolarCode::new(k, llrs.len()));
+    /// Where the (`k`, `e`) code is in `codes`, configured on first use.
+    fn code(&mut self, k: usize, e: usize) -> usize {
+        let known = (self.codes.iter()).position(|c| (c.k, c.e) == (k, e));
+        known.unwrap_or_else(|| {
+            self.codes.push(PolarCode::new(k, e));
             self.codes.len() - 1
-        });
-        let (code, llrs) = (&self.codes[at], llrs.iter().copied());
-        match walk {
-            true => Some(code.decode_sc_with(llrs, &mut self.scratch)),
-            false => code.codeword_with(llrs, &mut self.scratch),
-        }
+        })
     }
+
+    /// SC-decode `llrs` to `k` bits, which live here until the next call.
+    fn decode(&mut self, k: usize, llrs: &[f32]) -> &[u8] {
+        let at = self.code(k, llrs.len());
+        self.codes[at].decode_sc_with(llrs.iter().copied(), &mut self.scratch)
+    }
+}
+
+/// Where UE scrambling `c_init` differs from the cell's, bit by bit.
+fn flips(c_init: u32, pci: u16, e: usize) -> impl ExactSizeIterator<Item = bool> {
+    let seq = |c_init| gold_bits_cached(c_init, e);
+    let (cell, own) = (seq(cinit_for(None, pci)), seq(c_init));
+    (0..e).map(move |i| cell[i] != own[i])
 }
 
 /// What the IQ slot path builds once and keeps between slots, each part
@@ -341,8 +355,8 @@ impl FrontEnd {
         for (l, &s) in llrs.iter_mut().zip(scr.iter()) {
             *l = if s == 1 { -*l } else { *l };
         }
-        POLAR_CODES.with_borrow_mut(|(polar, _)| {
-            let cw = polar.decode(Mib::BITS + 24, llrs, true)?;
+        POLAR_CODES.with_borrow_mut(|polar| {
+            let cw = polar.decode(Mib::BITS + 24, llrs);
             let mib = (dci_syndrome(cw)? == 0).then(|| Mib::decode(&cw[..Mib::BITS]));
             mib?.ok()
         })
@@ -444,7 +458,8 @@ pub(crate) trait Candidate {
     /// asks — for a hypothesis the syndrome matched. `raw` is this
     /// candidate's [`Self::raw_syndrome`]; a polar decode, with `walk`
     /// unset, yields a codeword only where the hard decisions already are
-    /// one ([`PolarCode::codeword_with`]).
+    /// one ([`PolarCode::codeword_of`] the hard word, which a C-RNTI moves
+    /// by its flip word), and computes nothing when `scramblings` is empty.
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
@@ -510,9 +525,12 @@ impl Candidate for ObservedDci {
 }
 
 /// IQ fidelity: the LLRs are common-descrambled, which is how the common
-/// pass decodes them; a UE hypothesis flips the signs where its sequence
-/// differs from the common one, once for all its sizes, and every size
-/// shorter than the candidate gets its own polar decode.
+/// pass decodes them, and every size shorter than the candidate gets its
+/// own polar code. A walk (pass B) flips the signs where a UE's sequence
+/// differs from the common one, once for all its sizes. Pass A computes
+/// one hard word per mother layout, shared by the sizes, and a C-RNTI XORs
+/// its flip word onto it — except under Repeat, where it takes the hard
+/// word of its flipped LLRs.
 impl Candidate for ExtractedCandidate {
     const BLIND: bool = true;
 
@@ -528,27 +546,61 @@ impl Candidate for ExtractedCandidate {
         &self,
         ctx: &DecoderContext,
         _raw: Option<u32>,
-        mut scramblings: impl Iterator<Item = Option<Rnti>>,
+        scramblings: impl Iterator<Item = Option<Rnti>>,
         sizes: &[usize; 2],
         walk: bool,
         mut test: impl FnMut(Option<Rnti>, u32, PayloadOf<'_>) -> Option<T>,
     ) -> Option<T> {
         let e = self.level.bits();
-        let seq = |ue| gold_bits_cached(cinit_for(ue, ctx.pci), e);
-        // Looked up for the first UE of the call, not at all for none.
-        let mut common = None;
-        POLAR_CODES.with_borrow_mut(|(polar, ue_llrs)| {
-            scramblings.find_map(|ue| {
-                let llrs = ue.map_or(&self.llrs, |_| {
-                    let (common, own) = (common.get_or_insert_with(|| seq(None)), seq(ue));
-                    let flips = common.iter().zip(own.iter());
-                    let llrs = self.llrs.iter().zip(flips);
-                    ue_llrs.clear();
-                    ue_llrs.extend(llrs.map(|(l, (a, b))| if a == b { *l } else { -*l }));
-                    &*ue_llrs
+        let mut scramblings = scramblings.peekable();
+        scramblings.peek()?;
+        POLAR_CODES.with_borrow_mut(|polar| {
+            // Per size that fits: its payload bits, its code and, in pass A,
+            // the hard word of the LLRs as extracted, one per mother layout.
+            let mut fits: [Option<(usize, usize, Option<HardWord>)>; 2] = [None; 2];
+            for (i, &p) in sizes.iter().enumerate().filter(|(_, &p)| p + 24 < e) {
+                let at = polar.code(p + 24, e);
+                let layout = |at: usize| (polar.codes[at].n, polar.codes[at].kind);
+                let shared = fits.iter().flatten().find(|f| layout(f.1) == layout(at));
+                let hard = shared.map(|f| f.2).unwrap_or_else(|| match walk {
+                    true => None,
+                    false => {
+                        polar.codes[at].hard_word(self.llrs.iter().copied(), &mut polar.scratch)
+                    }
                 });
-                (sizes.iter().filter(|&&p| p + 24 < e)).find_map(|&p| {
-                    let cw = polar.decode(p + 24, llrs, walk)?;
+                fits[i] = Some((p, at, hard));
+            }
+            let (codes, scratch, ue_llrs) = (&polar.codes, &mut polar.scratch, &mut polar.ue_llrs);
+            let repeat = |at: usize| codes[at].kind == RateMatchKind::Repeat;
+            let flip_llrs = walk || fits.iter().flatten().any(|f| repeat(f.1));
+            scramblings.find_map(|ue| {
+                let c_init = cinit_for(ue, ctx.pci);
+                let llrs = match ue.is_some() && flip_llrs {
+                    false => &self.llrs,
+                    true => {
+                        let flipped = self.llrs.iter().zip(flips(c_init, ctx.pci, e));
+                        ue_llrs.clear();
+                        ue_llrs.extend(flipped.map(|(l, f)| if f { -l } else { *l }));
+                        &*ue_llrs
+                    }
+                };
+                fits.iter().flatten().find_map(|&(p, at, hard)| {
+                    let (code, llrs) = (&codes[at], llrs.iter().copied());
+                    let cw = if walk {
+                        code.decode_sc_with(llrs, scratch)
+                    } else {
+                        let v = match ue {
+                            None => hard?,
+                            Some(_) if repeat(at) => code.hard_word(llrs, scratch)?,
+                            Some(_) => {
+                                let hard = hard?;
+                                let word = || code.flip_word(flips(c_init, ctx.pci, e));
+                                let flip = memoised(&FLIP_WORDS, c_init, at, word)?;
+                                std::array::from_fn(|w| hard[w] ^ flip[w])
+                            }
+                        };
+                        code.codeword_of(&v, scratch)?
+                    };
                     test(ue, dci_syndrome(cw)?, &|| Cow::Borrowed(&cw[..p]))
                 })
             })
@@ -953,6 +1005,65 @@ pub(crate) mod tests {
         }
         assert!(sent > 100 && found == sent, "{found} of {sent}: shadowed");
         assert_eq!(rejects, 0, "a garbage codeword reached validation");
+    }
+
+    /// Pass A's answers for `cand` under each of `ues` and both UE sizes
+    /// against `codeword_with` on LLRs sign-flipped where the UE's sequence
+    /// differs from the cell's: the same codewords, in order, to the payload
+    /// and syndrome. Returns how many came through a flip word.
+    fn pass_a_vs_flipped(c: &DecoderContext, cand: &ExtractedCandidate, ues: &[Rnti]) -> usize {
+        let e = cand.level.bits();
+        let sizes = payload_sizes(&c.ue_sizing.expect("SIB1"));
+        let (mut got, offered) = (Vec::new(), ues.iter().map(|&r| Some(r)));
+        cand.codewords(c, None, offered, &sizes, false, |ue, syndrome, payload| {
+            got.push((ue, syndrome, payload().into_owned()));
+            None::<()>
+        });
+        let (mut want, mut through, mut scratch) = (Vec::new(), 0, DecodeScratch::default());
+        let seq = |ue| nr_phy::sequence::gold_bits(cinit_for(ue, c.pci), e);
+        let flip = |(l, (a, b)): (&f32, (u8, u8))| if a == b { *l } else { -l };
+        let codes: Vec<_> = (sizes.iter().filter(|&&p| p + 24 < e))
+            .map(|&p| (p, PolarCode::new(p + 24, e)))
+            .collect();
+        for &rnti in ues {
+            let flips = seq(None).into_iter().zip(seq(Some(rnti)));
+            let flipped: Vec<f32> = cand.llrs.iter().zip(flips).map(flip).collect();
+            for (p, code) in &codes {
+                if let Some(cw) = code.codeword_with(flipped.iter().copied(), &mut scratch) {
+                    let syndrome = dci_syndrome(cw).expect("24 bits");
+                    want.push((Some(rnti), syndrome, cw[..*p].to_vec()));
+                    through += usize::from(code.kind != RateMatchKind::Repeat);
+                }
+            }
+        }
+        assert_eq!(got, want, "{:?} at CCE {}", cand.level, cand.cce_start);
+        through
+    }
+
+    /// Pass A's flip words answer what flipped LLRs answer, for every
+    /// candidate of a 30 dB and a 3 dB tape under every tracked C-RNTI, and
+    /// for one candidate under more C-RNTIs than the flip-word memo holds,
+    /// so that its clear-and-refill path is compared too.
+    #[test]
+    fn pass_a_flip_words_answer_what_flipped_llrs_answer() {
+        for snr_db in [30.0, 3.0] {
+            let (c, heard) = iq_slots(snr_db, 6);
+            let mut through = 0;
+            for (_, known, candidates) in &heard {
+                let hyp = tracking(*known, false);
+                let ues: Vec<_> = hyp.c_rntis.iter().map(|u| u.rnti).collect();
+                for cand in candidates {
+                    through += pass_a_vs_flipped(&c, cand, &ues);
+                }
+            }
+            assert!(snr_db < 30.0 || through >= 100, "{through} via flip words");
+            let cand = (heard[0].2.iter()).find(|c| c.level == AggregationLevel::L2);
+            let cap = nr_phy::sequence::GOLD_CACHE_CAP as u16;
+            let many: Vec<_> = (1..=cap + 100).map(Rnti).collect();
+            pass_a_vs_flipped(&c, cand.expect("a level-2 candidate"), &many);
+            // Each C-RNTI added a flip word: the memo was emptied on the way.
+            assert!(FLIP_WORDS.with_borrow(|m| m.len()) < many.len());
+        }
     }
 
     /// [`DecodeWork`]'s accounting of claims, on slots carrying one level-2

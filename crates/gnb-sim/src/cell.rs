@@ -103,7 +103,8 @@ impl CellConfig {
     }
 
     /// The Amarisoft Callbox: band n78 TDD, 3489.42 MHz, 30 kHz SCS,
-    /// 20 MHz, with a bigger CORESET so 64 emulated UEs can be scheduled.
+    /// 20 MHz. Its CORESET is srsRAN's (48 PRBs, 1 symbol: 8 CCEs), so at
+    /// most 4 level-2 DCIs a slot, however many UEs are attached.
     pub fn amarisoft_n78() -> CellConfig {
         CellConfig {
             name: "Amari Callbox".into(),

@@ -901,6 +901,73 @@ fn sc_kernel_matches_the_oracle_bit_for_bit() {
         .all(|&(clean, dirty)| clean > 500 && dirty > 500));
 }
 
+/// What negating LLRs does to the hard word is an XOR of the flip word:
+/// `hard_word(flipped) = hard_word(llrs) ⊕ flip_word(flips)`, `None` on
+/// both sides together, and `codeword_of` that XOR is `codeword_with` on
+/// the flipped LLRs, bit for bit — on noisy codewords, with ±0, NaN and
+/// ±1e9 sprinkled in, under random flips and under codeword-shaped ones
+/// (which keep a codeword one). Under Repeat there is no flip word.
+#[test]
+fn flip_word_is_what_a_sign_flip_does_to_the_hard_word() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut grid = cell_code_grid();
+    grid.extend([(12, 54), (140, 864)]);
+    let mut scratch = DecodeScratch::default();
+    let mut rng = StdRng::seed_from_u64(37);
+    // Per rate matching: hard words, sign-unclean LLRs, codewords found.
+    let mut seen = std::collections::HashMap::new();
+    for (k, e) in grid {
+        let code = PolarCode::new(k, e);
+        let bits = |rng: &mut StdRng, n| (0..n).map(|_| rng.gen_range(0..2u8)).collect::<Vec<_>>();
+        for trial in 0..400 {
+            let (payload, other) = (bits(&mut rng, k), bits(&mut rng, k));
+            let flips: Vec<bool> = match trial % 2 {
+                0 => bits(&mut rng, e).iter().map(|&b| b == 1).collect(),
+                _ => code.encode(&other).iter().map(|&b| b == 1).collect(),
+            };
+            let sigma = [0.5f32, 2.0, 8.0][trial % 3];
+            let mut llrs: Vec<f32> = (code.encode(&payload).iter())
+                .map(|&b| (1.0 - 2.0 * f32::from(b)) * 4.0 + sigma * rng.gen_range(-1.0..1.0))
+                .collect();
+            if trial % 5 == 4 {
+                let specials = [0.0f32, -0.0, f32::NAN, 1.0e9, -1.0e9];
+                for l in llrs.iter_mut() {
+                    if rng.gen_range(0..16) == 0 {
+                        *l = specials[rng.gen_range(0..specials.len())];
+                    }
+                }
+            }
+            let flipped: Vec<f32> = (llrs.iter().zip(&flips))
+                .map(|(l, &f)| if f { -l } else { *l })
+                .collect();
+            let Some(word) = code.flip_word(flips.iter().copied()) else {
+                assert_eq!(code.kind, RateMatchKind::Repeat, "k={k} e={e}");
+                continue;
+            };
+            assert_ne!(code.kind, RateMatchKind::Repeat);
+            let at = format!("k={k} e={e} trial={trial}");
+            let hard = code.hard_word(llrs.iter().copied(), &mut scratch);
+            let moved = hard.map(|h| -> [u64; 8] { std::array::from_fn(|i| h[i] ^ word[i]) });
+            assert_eq!(
+                code.hard_word(flipped.iter().copied(), &mut scratch),
+                moved,
+                "{at}"
+            );
+            let via = moved.and_then(|v| code.codeword_of(&v, &mut scratch).map(<[u8]>::to_vec));
+            let direct = code.codeword_with(flipped.iter().copied(), &mut scratch);
+            assert_eq!(via.as_deref(), direct, "{at}");
+            let tally = seen.entry(format!("{:?}", code.kind)).or_insert([0; 3]);
+            tally[usize::from(hard.is_some()) + usize::from(via.is_some())] += 1;
+        }
+    }
+    assert_eq!(seen.len(), 2, "Shorten and Puncture both covered");
+    assert!(
+        seen.values().all(|t| t.iter().all(|&n| n > 100)),
+        "{seen:?}"
+    );
+}
+
 /// The walker with no short-circuit before it: every plan branch
 /// (rate-0 skip, resolved and descended rate-1 nodes, the four-leaf
 /// unroll) on codewords, noise and the special values, for the cell's

@@ -29,7 +29,9 @@
 //! the next, across codes. A decode walks the tree only when it has to:
 //! LLRs whose signs already spell a codeword — every cleanly received DCI —
 //! are answered by a GF(2) transform of the packed sign bits
-//! ([`PolarCode::codeword_with`], with the lemma that makes it exact).
+//! ([`PolarCode::codeword_with`], with the lemma that makes it exact). The
+//! transform is linear, so a sign flip of the LLRs — another scrambling —
+//! moves that word by an XOR ([`PolarCode::flip_word`]).
 
 pub mod construction;
 pub mod decode;
@@ -40,6 +42,11 @@ use ratematch::RateMatchKind;
 
 /// 64-bit words of the longest mother code's hard word.
 const MAX_WORDS: usize = (1 << ratematch::N_MAX_DCI) / 64;
+
+/// A mother code's `n` bits packed, position `i` at bit `i % 64` of word
+/// `i / 64`: what [`PolarCode::hard_word`] and [`PolarCode::flip_word`]
+/// return.
+pub type HardWord = [u64; MAX_WORDS];
 
 /// A configured polar code carrying payloads of `k` bits in `e` channel bits.
 #[derive(Debug, Clone)]
@@ -130,8 +137,8 @@ impl PolarCode {
         llrs: impl ExactSizeIterator<Item = f32>,
         scratch: &'a mut DecodeScratch,
     ) -> &'a [u8] {
-        self.deselect(llrs, scratch);
-        if !self.hard_codeword(scratch) {
+        let v = self.hard_word(llrs, scratch);
+        if v.is_none_or(|v| self.codeword_of(&v, scratch).is_none()) {
             let x = decode::sc_decode(&scratch.mother, &self.plan, &mut scratch.sc);
             let mut u = pack_signs(x, |x| x);
             encode::polar_transform_words(&mut u, self.n);
@@ -142,7 +149,8 @@ impl PolarCode {
 
     /// What [`PolarCode::decode_sc_with`] returns, when the hard decisions
     /// on `llrs` are a codeword already and say so reliably; `None` when
-    /// only the SC walk can tell.
+    /// only the SC walk can tell: [`PolarCode::codeword_of`] the
+    /// [`PolarCode::hard_word`].
     ///
     /// *Codeword lemma.* De-rate-match `llrs` to the mother code; let none
     /// of its LLRs past the punctured head be ±0 or NaN, `h` be their sign
@@ -170,48 +178,79 @@ impl PolarCode {
         llrs: impl ExactSizeIterator<Item = f32>,
         scratch: &'a mut DecodeScratch,
     ) -> Option<&'a [u8]> {
-        self.deselect(llrs, scratch);
-        self.hard_codeword(scratch).then_some(&scratch.payload)
+        let v = self.hard_word(llrs, scratch)?;
+        self.codeword_of(&v, scratch)
     }
 
-    /// De-rate-match `llrs` into `scratch.mother`; the payload is cleared.
-    fn deselect(&self, llrs: impl ExactSizeIterator<Item = f32>, scratch: &mut DecodeScratch) {
+    /// The lemma's `v` for `llrs`, de-rate-matched into `scratch`; `None`
+    /// when an LLR past the head is ±0 or NaN. It depends on the code only
+    /// through its mother layout (`n`, `kind`) and `e`.
+    pub fn hard_word(
+        &self,
+        llrs: impl ExactSizeIterator<Item = f32>,
+        scratch: &mut DecodeScratch,
+    ) -> Option<HardWord> {
         assert_eq!(llrs.len(), self.e, "LLR length must equal e");
         ratematch::deselect_into(llrs, self.n, self.kind, &mut scratch.mother);
-        scratch.payload.clear();
-    }
-
-    /// The codeword lemma on `scratch.mother`: whether it holds, the
-    /// payload then filled in.
-    fn hard_codeword(&self, scratch: &mut DecodeScratch) -> bool {
         // (Not `all`: this way the scan is branch-free and vectorises.)
         let received = scratch.mother[self.head..].iter();
         if !received.fold(true, |clean, &l| clean & decode::sign_clean(l)) {
-            return false;
+            return None;
         }
         // The head's LLRs are +0: sign bit clear, as the lemma wants them.
         let mut v = pack_signs(&scratch.mother, f32::to_bits);
         encode::polar_transform_words(&mut v, self.n);
-        let frozen = v.iter().zip(&self.frozen_past_head);
-        if frozen.fold(0, |any, (v, f)| any | (v & f)) != 0 {
-            return false;
-        }
-        self.payload_into(&v, &mut scratch.payload);
-        #[cfg(test)]
-        crate::oracle::SHORT_CIRCUITS.set(crate::oracle::SHORT_CIRCUITS.get() + 1);
-        true
+        Some(v)
     }
 
-    /// The information bits of the packed input vector `u`.
-    fn payload_into(&self, u: &[u64; MAX_WORDS], payload: &mut Vec<u8>) {
+    /// The payload of the hard word `v`, into `scratch`, when `v` is zero
+    /// at every frozen input past the head: the lemma's conclusion.
+    pub fn codeword_of<'a>(
+        &self,
+        v: &HardWord,
+        scratch: &'a mut DecodeScratch,
+    ) -> Option<&'a [u8]> {
+        let frozen = v.iter().zip(&self.frozen_past_head);
+        if frozen.fold(0, |any, (v, f)| any | (v & f)) != 0 {
+            return None;
+        }
+        self.payload_into(v, &mut scratch.payload);
+        #[cfg(test)]
+        crate::oracle::SHORT_CIRCUITS.set(crate::oracle::SHORT_CIRCUITS.get() + 1);
+        Some(&scratch.payload)
+    }
+
+    /// What negating the LLRs that `flips` marks does to the hard word:
+    /// `hard_word(flipped) = hard_word(llrs) ⊕ flip_word(flips)`, with
+    /// `None` on both sides together, since negation keeps `|l|`. `F^{⊗n}`
+    /// is linear, and a received LLR's sign lands at `head + i` of the
+    /// mother code (the head is `0` when shortened). `None` under Repeat,
+    /// where a flipped copy need not flip the sign of the sum it joins.
+    pub fn flip_word(&self, flips: impl ExactSizeIterator<Item = bool>) -> Option<HardWord> {
+        assert_eq!(flips.len(), self.e, "flip length must equal e");
+        if self.kind == RateMatchKind::Repeat {
+            return None;
+        }
+        let mut w = [0; MAX_WORDS];
+        for (p, flip) in (self.head..).zip(flips) {
+            w[p / 64] |= u64::from(flip) << (p % 64);
+        }
+        encode::polar_transform_words(&mut w, self.n);
+        Some(w)
+    }
+
+    /// The information bits of the packed input vector `u`, in place of
+    /// `payload`'s.
+    fn payload_into(&self, u: &HardWord, payload: &mut Vec<u8>) {
         let bit = |&p: &usize| (u[p / 64] >> (p % 64)) as u8 & 1;
+        payload.clear();
         payload.extend(self.info_positions.iter().map(bit));
     }
 }
 
 /// The sign bits (bit 31 of `bits(v)`) of up to `64 · MAX_WORDS` values,
 /// packed: position `i` at bit `i % 64` of word `i / 64`.
-fn pack_signs<T: Copy>(vals: &[T], bits: impl Fn(T) -> u32) -> [u64; MAX_WORDS] {
+fn pack_signs<T: Copy>(vals: &[T], bits: impl Fn(T) -> u32) -> HardWord {
     let mut words = [0u64; MAX_WORDS];
     for (word, chunk) in words.iter_mut().zip(vals.chunks(64)) {
         let signs = chunk.iter().enumerate();

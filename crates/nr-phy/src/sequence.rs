@@ -151,8 +151,9 @@ pub fn pdcch_dmrs_cinit(slot: usize, symbol: usize, n_id: u16) -> u32 {
         as u32
 }
 
-/// A per-thread memo keyed by (c_init, length).
-type Memo<V> = std::cell::RefCell<crate::types::HashMap<(u32, usize), V>>;
+/// A per-thread memo keyed by `c_init` and one more number its values
+/// depend on — for the two below, the sequence length.
+pub type Memo<V> = std::cell::RefCell<crate::types::HashMap<(u32, usize), V>>;
 
 thread_local! {
     /// Per-thread memo of generated sequences. Blind decoding re-derives
@@ -169,25 +170,25 @@ thread_local! {
 /// Upper bound on the entries of each memo per thread (a sequence is
 /// ~100 B; this bounds the cache to a few MB even with thousands of
 /// tracked UEs). A full memo is emptied before its next insert.
-const GOLD_CACHE_CAP: usize = 16_384;
+pub const GOLD_CACHE_CAP: usize = 16_384;
 
-/// `memo`'s value for (`c_init`, `len`), made by `make` on a miss.
-fn memoised<V: Clone>(
+/// `memo`'s value for (`c_init`, `key`), made by `make` on a miss.
+pub fn memoised<V: Clone>(
     memo: &'static std::thread::LocalKey<Memo<V>>,
     c_init: u32,
-    len: usize,
+    key: usize,
     make: impl FnOnce() -> V,
 ) -> V {
     memo.with(|cache| {
         let mut cache = cache.borrow_mut();
-        if let Some(v) = cache.get(&(c_init, len)) {
+        if let Some(v) = cache.get(&(c_init, key)) {
             return v.clone();
         }
         if cache.len() >= GOLD_CACHE_CAP {
             cache.clear();
         }
         let v = make();
-        cache.insert((c_init, len), v.clone());
+        cache.insert((c_init, key), v.clone());
         v
     })
 }
