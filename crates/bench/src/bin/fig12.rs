@@ -26,7 +26,7 @@ use nr_phy::pdcch::SearchBudget;
 use nr_phy::types::Rnti;
 use nr_phy::{Cf32, Numerology};
 use nr_rrc::RrcSetup;
-use nrscope::decoder::{DecoderContext, Hypotheses, UeHypothesis};
+use nrscope::decoder::{DecoderContext, Hypotheses, UeHypothesis, UeRow};
 use nrscope::observe::{ObservedSlot, Observer};
 use nrscope::worker::{process_slot, SlotJob};
 use nrscope::Fidelity;
@@ -127,7 +127,7 @@ fn mean_processing_us(
         // Hypothesis list of n_ues RNTIs from `first_rnti` up, each
         // searched where the cell's RRC Setup puts it — as the scope
         // builds them.
-        let c_rntis: Vec<UeHypothesis> = (0..n_ues)
+        let c_rntis: UeRow = (0..n_ues)
             .map(|i| Rnti(first_rnti + i as u16))
             .map(|r| UeHypothesis::in_search_space(r, rrc, &ctx.coreset, *slot_in_frame))
             .collect();

@@ -28,6 +28,11 @@
 //! claim explains (`scan` says what a walk on an explained one would buy).
 //! Pass A transforms a candidate's signs once per mother layout; a C-RNTI
 //! then costs an XOR of its memoised flip word ([`PolarCode::flip_word`]).
+//!
+//! A captured codeword asks no C-RNTI in turn: a UE matches it exactly
+//! when its syndrome equals the UE's CRC *key*, so the UE pass is one
+//! lookup in the [`UeRow`]'s key index and a count of what the position
+//! admits.
 
 use crate::metrics::{Metrics, Stage};
 use crate::observe::ObservedDci;
@@ -50,7 +55,7 @@ use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_phy::Numerology;
 use nr_rrc::{Mib, RrcSetup};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One successfully decoded DCI.
@@ -114,6 +119,195 @@ impl UeHypothesis {
     }
 }
 
+/// The C-RNTI hypotheses of one slot, in list order, shared: a clone is a
+/// reference count. It dereferences to the list, and no one changes it in
+/// place ([`UeRow::respaced`] makes a new row), so what it derives can
+/// never go stale: the [`KeyIndex`] a message-fidelity UE pass reads, each
+/// half built the first time a captured codeword asks for it.
+#[derive(Clone, Default)]
+pub struct UeRow(Arc<Row>);
+
+#[derive(Default)]
+struct Row {
+    ues: Vec<UeHypothesis>,
+    admitted: OnceLock<Admitted>,
+    /// Shared by every row that lists the same RNTIs in the same order.
+    keys: Arc<OnceLock<Keys>>,
+}
+
+/// How many UEs of a row each position admits: those searched anywhere,
+/// plus, per level and first CCE under 128, those whose mask has it.
+#[derive(Debug, PartialEq)]
+struct Admitted {
+    anywhere: usize,
+    at: Box<[[u32; 128]; 5]>,
+}
+
+/// The CRC keys of a list of C-RNTIs under one PCI. A C-RNTI `r` matches a
+/// codeword of `n` bits exactly when the codeword's raw syndrome equals
+/// `r ⊕ L(seq_r, n)`, its key at `n`: per distinct UE codeword length,
+/// every (key, list index) pair, sorted, so the UEs that raw syndrome can
+/// match are one run, in list order.
+#[derive(Debug, Clone, PartialEq)]
+struct Keys {
+    pci: u16,
+    by_len: Vec<(usize, Vec<(u32, u32)>)>,
+}
+
+impl Keys {
+    fn new(ues: &[UeHypothesis], pci: u16, lengths: &[usize]) -> Keys {
+        let by_len = (lengths.iter()).map(|&n| {
+            let key = |ue: &UeHypothesis| {
+                let syndrome = scrambling_syndrome_cached(cinit_for(Some(ue.rnti), pci), n)?;
+                Some(ue.rnti.0 as u32 ^ syndrome)
+            };
+            let keyed = ues
+                .iter()
+                .enumerate()
+                .filter_map(|(i, ue)| Some((key(ue)?, i as u32)));
+            let mut pairs: Vec<(u32, u32)> = keyed.collect();
+            pairs.sort_unstable();
+            (n, pairs)
+        });
+        Keys {
+            pci,
+            by_len: by_len.collect(),
+        }
+    }
+
+    fn serves(&self, pci: u16, lengths: &[usize]) -> bool {
+        self.pci == pci && self.by_len.iter().map(|(n, _)| n).eq(lengths)
+    }
+
+    /// The list indices whose key at `n` bits is `raw`, in list order.
+    fn holding(&self, n: usize, raw: u32) -> impl Iterator<Item = usize> + '_ {
+        let pairs = (self.by_len.iter()).find(|(len, _)| *len == n);
+        let pairs = pairs.map_or(&[][..], |(_, pairs)| pairs);
+        let from = pairs.partition_point(|&(key, _)| key < raw);
+        (pairs[from..].iter())
+            .take_while(move |&&(key, _)| key == raw)
+            .map(|&(_, i)| i as usize)
+    }
+}
+
+/// What a message-fidelity UE pass reads of a [`UeRow`] under one
+/// context ([`UeRow::key_index`]): equal for two rows exactly when a
+/// captured codeword offers, matches and tests the same UEs under both.
+#[derive(Debug, PartialEq)]
+pub struct KeyIndex<'a> {
+    keys: Cow<'a, Keys>,
+    admitted: &'a Admitted,
+}
+
+impl UeRow {
+    /// The same RNTIs in the same order, each searched where `space` says
+    /// (given its index and hypothesis), sharing this row's CRC keys.
+    pub fn respaced(
+        &self,
+        mut space: impl FnMut(usize, &UeHypothesis) -> Option<(AggregationLevel, u128)>,
+    ) -> UeRow {
+        let respace = |(i, ue): (usize, &UeHypothesis)| UeHypothesis {
+            rnti: ue.rnti,
+            space: space(i, ue),
+        };
+        UeRow(Arc::new(Row {
+            ues: self.iter().enumerate().map(respace).collect(),
+            admitted: OnceLock::new(),
+            keys: Arc::clone(&self.0.keys),
+        }))
+    }
+
+    /// Every `of`-th UE from the `i`-th: one DCI thread's share. The whole
+    /// row is this row, index and all.
+    pub fn shard(&self, i: usize, of: usize) -> UeRow {
+        match (i, of) {
+            (0, 1) => self.clone(),
+            _ => self.iter().skip(i).step_by(of).copied().collect(),
+        }
+    }
+
+    /// The row's key index under `ctx`; `None` until SIB1 sizes the UEs'
+    /// DCIs.
+    pub fn key_index(&self, ctx: &DecoderContext) -> Option<KeyIndex<'_>> {
+        let sizes = payload_sizes(&ctx.ue_sizing?);
+        Some(KeyIndex {
+            keys: self.keys(ctx.pci, &sizes),
+            admitted: self.admitted(),
+        })
+    }
+
+    fn admitted(&self) -> &Admitted {
+        self.0.admitted.get_or_init(|| {
+            let mut counts = Admitted {
+                anywhere: 0,
+                at: Box::new([[0; 128]; 5]),
+            };
+            for ue in self.iter() {
+                let Some((level, mut mask)) = ue.space else {
+                    counts.anywhere += 1;
+                    continue;
+                };
+                while mask != 0 {
+                    counts.at[level as usize][mask.trailing_zeros() as usize] += 1;
+                    mask &= mask - 1;
+                }
+            }
+            counts
+        })
+    }
+
+    /// How many of the row's UEs the position admits.
+    fn admitting(&self, level: AggregationLevel, cce_start: usize) -> usize {
+        let counts = self.admitted();
+        let at = counts.at[level as usize].get(cce_start);
+        counts.anywhere + at.map_or(0, |&n| n as usize)
+    }
+
+    /// The CRC keys under `pci` at the UE codeword lengths of `sizes`: the
+    /// ones the row shares, built by the first to ask, unless they were
+    /// built under another PCI or sizing; then a fresh set. Equal DL and
+    /// UL sizes are one length, whose UEs are asked once.
+    fn keys(&self, pci: u16, sizes: &[usize; 2]) -> Cow<'_, Keys> {
+        let lengths = sizes.map(|p| p + 24);
+        let lengths = &lengths[..if sizes[0] == sizes[1] { 1 } else { 2 }];
+        let fresh = || Keys::new(self, pci, lengths);
+        let shared = self.0.keys.get_or_init(fresh);
+        match shared.serves(pci, lengths) {
+            true => Cow::Borrowed(shared),
+            false => Cow::Owned(fresh()),
+        }
+    }
+}
+
+impl std::ops::Deref for UeRow {
+    type Target = [UeHypothesis];
+
+    fn deref(&self) -> &[UeHypothesis] {
+        &self.0.ues
+    }
+}
+
+impl FromIterator<UeHypothesis> for UeRow {
+    fn from_iter<I: IntoIterator<Item = UeHypothesis>>(ues: I) -> UeRow {
+        UeRow(Arc::new(Row {
+            ues: ues.into_iter().collect(),
+            ..Row::default()
+        }))
+    }
+}
+
+impl PartialEq for UeRow {
+    fn eq(&self, other: &UeRow) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl std::fmt::Debug for UeRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The RNTI hypothesis sets for one slot.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Hypotheses {
@@ -121,8 +315,9 @@ pub struct Hypotheses {
     pub ra_rntis: Vec<Rnti>,
     /// TC-RNTIs learned from decoded RARs.
     pub tc_rntis: Vec<Rnti>,
-    /// Tracked C-RNTIs, each with its search space when known.
-    pub c_rntis: Vec<UeHypothesis>,
+    /// Tracked C-RNTIs, each with its search space when known: a shared
+    /// row that carries its key index.
+    pub c_rntis: UeRow,
     /// Accept CRC-XOR-recovered TC-RNTIs not matching any pending RAR
     /// (the missed-RAR fallback).
     pub allow_recovery: bool,
@@ -469,6 +664,43 @@ pub(crate) trait Candidate {
         walk: bool,
         test: impl FnMut(Option<Rnti>, u32, PayloadOf<'_>) -> Option<T>,
     ) -> Option<T>;
+    /// The UE pass over `ues`: hand `test` each C-RNTI this position
+    /// admits whose CRC matches one of the candidate's codewords, in list
+    /// order, until it reports a hit. Returns the hit and how many C-RNTIs
+    /// the position admits. A blind position walks the list ([`each_ue`]).
+    fn ues<T>(
+        &self,
+        ctx: &DecoderContext,
+        raw: Option<u32>,
+        ues: &UeRow,
+        sizes: &[usize; 2],
+        walk: bool,
+        test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
+    ) -> (Option<T>, usize) {
+        each_ue(self, ctx, raw, ues, sizes, walk, test)
+    }
+}
+
+/// The per-UE loop: each C-RNTI of `ues` the position admits, counted, its
+/// scrambling's codewords tested in turn.
+fn each_ue<T, C: Candidate + ?Sized>(
+    cand: &C,
+    ctx: &DecoderContext,
+    raw: Option<u32>,
+    ues: &[UeHypothesis],
+    sizes: &[usize; 2],
+    walk: bool,
+    mut test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
+) -> (Option<T>, usize) {
+    let (level, cce_start) = (cand.level(), cand.cce_start());
+    let admitted = ues.iter().filter(|ue| ue.admits(level, cce_start));
+    let (mut admitted, mut asked) = (admitted.map(|ue| Some(ue.rnti)), 0);
+    let counted = admitted.by_ref().inspect(|_| asked += 1);
+    let hit = cand.codewords(ctx, raw, counted, sizes, walk, |ue, syndrome, bits| {
+        test(ue.filter(|rnti| syndrome == rnti.0 as u32)?, bits)
+    });
+    // Those after a hit are offered too.
+    (hit, asked + admitted.count())
 }
 
 /// Scrambling identity of the common search space (`None`) or one UE's.
@@ -476,10 +708,19 @@ fn cinit_for(ue: Option<Rnti>, pci: u16) -> u32 {
     search_space_cinit(ue.unwrap_or(Rnti(0)), ue.is_some(), pci)
 }
 
+/// The payload bits of a captured codeword under the scrambling `c_init`.
+fn descrambled<'a>(bits: &[u8], c_init: u32) -> Cow<'a, [u8]> {
+    let seq = gold_bits_cached(c_init, bits.len());
+    let payload = bits[..bits.len() - 24].iter().zip(seq.iter());
+    payload.map(|(b, s)| b ^ s).collect()
+}
+
 /// Message fidelity: the codeword was captured whole, so its length fixes
 /// the payload size, and a descrambling moves its syndrome by the
-/// sequence's own (memoised per thread): a rejected hypothesis is a lookup
-/// and an XOR, and only one that matches descrambles the payload.
+/// sequence's own (memoised per thread). The common pass is that XOR; the
+/// UE pass asks no C-RNTI in turn: the row's keys hold the UEs the raw
+/// syndrome matches, and the row's masks how many the position admits.
+/// Only a UE that matches descrambles the payload.
 impl Candidate for ObservedDci {
     const BLIND: bool = false;
 
@@ -515,12 +756,34 @@ impl Candidate for ObservedDci {
         scramblings.find_map(|ue| {
             let c_init = cinit_for(ue, ctx.pci);
             let syndrome = raw? ^ scrambling_syndrome_cached(c_init, bits.len())?;
-            test(ue, syndrome, &|| {
-                let seq = gold_bits_cached(c_init, bits.len());
-                let payload = bits[..bits.len() - 24].iter().zip(seq.iter());
-                payload.map(|(b, s)| b ^ s).collect()
-            })
+            test(ue, syndrome, &|| descrambled(bits, c_init))
         })
+    }
+
+    fn ues<T>(
+        &self,
+        ctx: &DecoderContext,
+        raw: Option<u32>,
+        ues: &UeRow,
+        sizes: &[usize; 2],
+        _walk: bool,
+        mut test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
+    ) -> (Option<T>, usize) {
+        #[cfg(test)]
+        if tests::PER_UE.get() {
+            return each_ue(self, ctx, raw, ues, sizes, _walk, test);
+        }
+        let (level, cce_start, bits) = (self.level, self.cce_start, &self.scrambled_bits);
+        let hit = raw.and_then(|raw| {
+            let keys = ues.keys(ctx.pci, sizes);
+            let matched = keys.holding(bits.len(), raw).map(|i| &ues[i]);
+            let mut admitted = matched.filter(|ue| ue.admits(level, cce_start));
+            admitted.find_map(|ue| {
+                let c_init = cinit_for(Some(ue.rnti), ctx.pci);
+                test(ue.rnti, &|| descrambled(bits, c_init))
+            })
+        });
+        (hit, ues.admitting(level, cce_start))
     }
 }
 
@@ -782,15 +1045,12 @@ fn test_hypotheses<C: Candidate>(
         return None;
     }
     work.ue_candidates += 1;
-    let (level, cce_start) = (cand.level(), cand.cce_start());
-    let offered = (hyp.c_rntis.iter()).filter(|ue| ue.admits(level, cce_start));
-    work.ue_hypotheses += offered.clone().count();
-    let offered = offered.map(|ue| Some(ue.rnti));
     let rejects = &mut work.validation_rejects;
-    cand.codewords(ctx, raw, offered, &sizes, walk, |ue, syndrome, bits| {
-        let rnti = ue.filter(|rnti| syndrome == rnti.0 as u32)?;
+    let (hit, offered) = cand.ues(ctx, raw, &hyp.c_rntis, &sizes, walk, |rnti, bits| {
         unpack(cand, &bits(), &sizing, rnti, RntiType::C, rejects)
-    })
+    });
+    work.ue_hypotheses += offered;
+    hit
 }
 
 /// Stage-1 plausibility gate: every CRC-passing payload, whatever its
@@ -846,6 +1106,10 @@ pub(crate) mod tests {
         /// for the differential below to compare with.
         pub(super) static WALK_ONLY: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+        /// Makes a captured codeword's UE pass the per-UE loop
+        /// ([`each_ue`]), the oracle its key lookup is compared with.
+        pub(super) static PER_UE: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
     }
 
     /// Every hypothesis against every codeword: no budget, no metrics.
@@ -853,11 +1117,12 @@ pub(crate) mod tests {
         decode_message_slot_budgeted(c, dcis, hyp, SearchBudget::unlimited(), None).0
     }
 
-    /// The cell of `loaded_gnb(seed)` heard at 35 dB, message fidelity: its
-    /// decoder context, and of its first 2000 slots those carrying a DCI of
-    /// `kind`, each with the codewords captured from it.
+    /// The cell of `loaded_gnb(seed)` heard at `snr_db`, message fidelity:
+    /// its decoder context, and of its first 2000 slots those carrying a
+    /// DCI of `kind`, each with the codewords captured from it.
     fn captures(
         (seed, obs_seed): (u64, u64),
+        snr_db: f64,
         kind: RntiType,
     ) -> (
         DecoderContext,
@@ -865,7 +1130,7 @@ pub(crate) mod tests {
     ) {
         let mut g = loaded_gnb(seed);
         let cfg = g.cfg.clone();
-        let mut obs = Observer::new(&cfg, 35.0, false, obs_seed);
+        let mut obs = Observer::new(&cfg, snr_db, false, obs_seed);
         let slots = (0..2000).filter_map(move |s| {
             let out = g.step();
             let sent = out.dcis.iter().any(|d| d.rnti_type == kind);
@@ -899,7 +1164,7 @@ pub(crate) mod tests {
             ((3, 5), SearchBudget::unlimited()),
             ((7, 8), SearchBudget::broadcast_only()),
         ] {
-            let (c, slots) = captures(seeds, RntiType::Tc);
+            let (c, slots) = captures(seeds, 35.0, RntiType::Tc);
             let hyp = Hypotheses {
                 allow_recovery: true,
                 ..Hypotheses::default()
@@ -1147,7 +1412,7 @@ pub(crate) mod tests {
     /// none under the broadcast-only budget, which counts each as pruned.
     #[test]
     fn search_budget_gates_ue_pass_but_never_broadcast() {
-        let (c, mut slots) = captures((6, 9), RntiType::C);
+        let (c, mut slots) = captures((6, 9), 35.0, RntiType::C);
         // (A slot of data DCIs alone: any other would count as pruned too.)
         let data_only = |out: &gnb_sim::SlotOutput| n_c(out.dcis.iter().map(|d| d.rnti_type));
         let (out, dcis) = (slots.find(|(out, _)| data_only(out) == out.dcis.len())).expect("one");
@@ -1174,17 +1439,19 @@ pub(crate) mod tests {
     /// the gNB put it, both find it.
     #[test]
     fn off_hash_dci_is_found_only_without_a_search_space() {
-        let (c, mut slots) = captures((8, 10), RntiType::C);
+        let (c, mut slots) = captures((8, 10), 35.0, RntiType::C);
         let (out, mut dcis) = slots.next().expect("a data DCI");
         let tx = (out.dcis.iter()).find(|d| d.rnti_type == RntiType::C);
         let (tx, cfg) = (tx.expect("it is there"), CellConfig::srsran_n41());
         let known = Hypotheses {
-            c_rntis: vec![UeHypothesis::in_search_space(
+            c_rntis: [UeHypothesis::in_search_space(
                 tx.rnti,
                 &cfg.rrc_setup(),
                 &cfg.coreset,
                 out.slot_in_frame,
-            )],
+            )]
+            .into_iter()
+            .collect(),
             ..Hypotheses::default()
         };
         let unknown = knowing(&[tx.rnti]);
@@ -1207,8 +1474,14 @@ pub(crate) mod tests {
     /// A codeword carrying `payload` under `rnti` as the common search
     /// space scrambles it, captured whole.
     fn common_capture(c: &DecoderContext, payload: &[u8], rnti: Rnti) -> ObservedDci {
+        captured(c, payload, rnti, None)
+    }
+
+    /// A codeword carrying `payload` under `rnti`, scrambled as the common
+    /// search space (`ue` unset) or UE `ue` does, captured whole at CCE 0.
+    fn captured(c: &DecoderContext, payload: &[u8], rnti: Rnti, ue: Option<Rnti>) -> ObservedDci {
         let mut bits = nr_phy::crc::dci_attach_crc(payload, rnti.0);
-        nr_phy::sequence::scramble_in_place(&mut bits, cinit_for(None, c.pci));
+        nr_phy::sequence::scramble_in_place(&mut bits, cinit_for(ue, c.pci));
         ObservedDci {
             scrambled_bits: bits,
             cce_start: 0,
@@ -1280,7 +1553,7 @@ pub(crate) mod tests {
     /// was offered to.
     #[test]
     fn one_flipped_bit_is_rejected_for_every_rnti_and_still_counted() {
-        let (c, mut slots) = captures((6, 9), RntiType::C);
+        let (c, mut slots) = captures((6, 9), 35.0, RntiType::C);
         let (out, dcis) = slots.next().expect("a data DCI");
         let tx = (out.dcis.iter()).find(|d| d.rnti_type == RntiType::C);
         let tx = tx.expect("it is there");
@@ -1308,6 +1581,194 @@ pub(crate) mod tests {
             let (found, work) = run(&bent);
             assert_eq!(found, Vec::new(), "bit {flip}");
             assert_eq!(counted(work), (1, 5, 0), "bit {flip}");
+        }
+    }
+
+    /// `run` with a captured codeword's UE pass indexed and then per UE
+    /// ([`each_ue`]): the two answers, equal field by field.
+    fn indexed_as_per_ue<T: PartialEq + std::fmt::Debug>(at: &str, run: impl Fn() -> T) -> T {
+        PER_UE.set(true);
+        let per_ue = run();
+        PER_UE.set(false);
+        let indexed = run();
+        assert_eq!(indexed, per_ue, "{at}");
+        indexed
+    }
+
+    /// A slot's scan, indexed and per UE.
+    fn scan_both(c: &DecoderContext, dcis: &[ObservedDci], hyp: &Hypotheses, at: &str) -> usize {
+        let unlimited = SearchBudget::unlimited();
+        let (found, _) = indexed_as_per_ue(at, || {
+            decode_message_slot_budgeted(c, dcis, hyp, unlimited, None)
+        });
+        n_c(found.iter().map(|d| d.rnti_type))
+    }
+
+    /// The first codeword length from `n` up at which two C-RNTIs share a
+    /// key under `c`'s PCI, and such a pair. A key is affine in the RNTI
+    /// (its sequence starts from `rnti << 16 | pci`, and the CRC is
+    /// linear), so two collide exactly when their XOR is in the kernel of
+    /// the unit RNTIs' images, which elimination finds or rules out. Under
+    /// the test PCI no DCI length has one: 334 bits is the first.
+    fn equal_keys(c: &DecoderContext, n: usize) -> (usize, Rnti, Rnti) {
+        for n in n..1000 {
+            let seq = |r: u16| nr_phy::sequence::gold_bits(cinit_for(Some(Rnti(r)), c.pci), n);
+            let syndrome = |r: u16| nr_phy::crc::dci_scrambling_syndrome(&seq(r)).unwrap();
+            let image = |r: u16| r as u32 ^ syndrome(r) ^ syndrome(0);
+            // Per leading bit: a reduced image and the RNTI bits it sums.
+            let mut basis: [Option<(u32, u16)>; 24] = [None; 24];
+            let kernel = (0..16).find_map(|b| {
+                let (mut v, mut sum) = (image(1 << b), 1u16 << b);
+                for bit in (0..24).rev() {
+                    match basis[bit].filter(|_| v >> bit & 1 == 1) {
+                        Some((w, s)) => (v, sum) = (v ^ w, sum ^ s),
+                        None if v >> bit & 1 == 0 => {}
+                        None => {
+                            basis[bit] = Some((v, sum));
+                            return None;
+                        }
+                    }
+                }
+                Some(sum)
+            });
+            let pairs = kernel
+                .into_iter()
+                .flat_map(|d| (0x4000..0xFFF0).map(move |r| (r, r ^ d)));
+            let mut pairs = pairs.filter(|&(_, later)| Rnti(later).is_c_rnti_range());
+            if let Some((a, b)) = pairs.next() {
+                return (n, Rnti(a), Rnti(b));
+            }
+        }
+        panic!("no length under 1000 with equal keys under PCI {}", c.pci)
+    }
+
+    /// The indexed UE pass answers what the per-UE loop answers, to the
+    /// decoded DCIs and every work count: on every candidate of a 24 dB and
+    /// a 3 dB tape, each also moved past CCE 127, under C-RNTIs in search
+    /// spaces and anywhere; on two C-RNTIs with equal keys, the earlier one's
+    /// payload rejected (a pair exists first at 334 bits, where no DCI
+    /// format has a size, so "valid" there means "as sent"); with the DL
+    /// and UL sizes equal; and on one row carried across a PCI change and a
+    /// SIB1 width change.
+    #[test]
+    fn indexed_ue_pass_answers_what_the_per_ue_loop_answers() {
+        let cfg = CellConfig::srsran_n41();
+        let (rrc, coreset) = (cfg.rrc_setup(), cfg.coreset);
+        for snr_db in [24.0, 3.0] {
+            let (c, slots) = captures((6, 9), snr_db, RntiType::C);
+            let slots: Vec<_> = slots.collect();
+            let tx = (slots.iter())
+                .find_map(|(out, _)| out.dcis.iter().find(|d| d.rnti_type == RntiType::C));
+            let owner = tx.expect("a C-RNTI DCI").rnti;
+            let rntis = [Rnti(0x4001), owner, Rnti(0x4002), Rnti(0x4003)];
+            // One key map for every slot, as the scope's table shares it.
+            let anywhere: UeRow = rntis.into_iter().map(UeHypothesis::anywhere).collect();
+            let (mut candidates, mut found) = (0, 0);
+            for (out, mut dcis) in slots {
+                let sif = out.slot_in_frame;
+                let hyp = Hypotheses {
+                    c_rntis: anywhere.respaced(|i, ue| {
+                        let space = UeHypothesis::in_search_space(ue.rnti, &rrc, &coreset, sif);
+                        (i != 0).then_some(space.space?)
+                    }),
+                    allow_recovery: true,
+                    ..Hypotheses::default()
+                };
+                let at = format!("{snr_db} dB, slot {}", out.slot);
+                found += scan_both(&c, &dcis, &hyp, &at);
+                for d in dcis.iter_mut() {
+                    d.cce_start += 128;
+                }
+                assert_eq!(
+                    scan_both(&c, &dcis, &hyp, &at),
+                    0,
+                    "{at}: found past CCE 127"
+                );
+                candidates += 2 * dcis.len();
+            }
+            assert!(candidates > 1000, "{snr_db} dB: {candidates} candidates");
+            assert!(snr_db < 24.0 || found > 300, "{found} C-RNTI DCIs");
+        }
+
+        // Two C-RNTIs whose keys collide, offered a codeword the later one
+        // sent, whose sizes are the DL and UL ones at once. Its payload is
+        // "valid" only as sent: the earlier one's is a counted reject.
+        let (c, _) = captures((6, 9), 35.0, RntiType::C);
+        let (n, earlier, later) = equal_keys(&c, 24);
+        let payload: Vec<u8> = (0..n - 24).map(|i| u8::from(i % 3 == 0)).collect();
+        let dci = captured(&c, &payload, later, Some(later));
+        let pass = |ues: &[UeHypothesis], sizes: [usize; 2]| {
+            indexed_as_per_ue(&format!("{ues:?} under {sizes:?}"), || {
+                let (row, raw): (UeRow, _) = (ues.iter().copied().collect(), dci.raw_syndrome());
+                let mut rejects = 0;
+                let (hit, offered) = dci.ues(&c, raw, &row, &sizes, true, |rnti, bits| {
+                    let valid = *bits() == payload[..];
+                    rejects += usize::from(!valid);
+                    valid.then_some(rnti)
+                });
+                (hit, offered, rejects)
+            })
+        };
+        let (first, second) = (
+            UeHypothesis::anywhere(earlier),
+            UeHypothesis::anywhere(later),
+        );
+        let elsewhere = UeHypothesis {
+            space: Some((AggregationLevel::L2, 1 << 2)),
+            ..first
+        };
+        let cases = [
+            (vec![first, second], (Some(later), 2, 1)),
+            (vec![second, first], (Some(later), 2, 0)),
+            (vec![elsewhere, second], (Some(later), 1, 0)),
+            (vec![first, second, second], (Some(later), 3, 1)),
+            (vec![first], (None, 1, 1)),
+        ];
+        for (ues, want) in cases {
+            let p = n - 24;
+            assert_eq!(pass(&ues, [p, p]), want, "{ues:?} at {n} bits");
+            assert_eq!(
+                pass(&ues, [p, p + 1]),
+                want,
+                "{ues:?}: the UL size moved it"
+            );
+        }
+
+        // One row across a PCI change, then a SIB1 width change: the keys
+        // built under the first context serve neither of the others.
+        let (c, mut slots) = captures((6, 9), 35.0, RntiType::C);
+        let sizing = c.ue_sizing.expect("SIB1");
+        let grant = slots.find_map(|(out, _)| {
+            let dl = out.dcis.into_iter().find(|d| d.rnti_type == RntiType::C);
+            dl.filter(|d| d.payload_bits.len() == payload_sizes(&sizing)[0])
+        });
+        let (owner, payload) = grant.map(|d| (d.rnti, d.payload_bits)).expect("a DL grant");
+        let hyp = Hypotheses {
+            c_rntis: [Rnti(0x4001), owner]
+                .map(UeHypothesis::anywhere)
+                .into_iter()
+                .collect(),
+            ..Hypotheses::default()
+        };
+        let moved = DecoderContext {
+            pci: c.pci + 1,
+            ..c.clone()
+        };
+        let wider = DciSizing {
+            bwp_prbs: sizing.bwp_prbs + 55,
+        };
+        let widened = DecoderContext {
+            ue_sizing: Some(wider),
+            ..moved.clone()
+        };
+        let mut grant = Dci::unpack_validated(&payload, &sizing).expect("a grant");
+        grant.f_alloc = 0;
+        let wide = grant.pack(&wider);
+        assert_ne!(wide.len(), payload.len());
+        for (ctx, payload) in [(&c, &payload), (&moved, &payload), (&widened, &wide)] {
+            let dcis = [captured(ctx, payload, owner, Some(owner))];
+            let at = format!("PCI {}, {:?}", ctx.pci, ctx.ue_sizing);
+            assert_eq!(scan_both(ctx, &dcis, &hyp, &at), 1, "{at}");
         }
     }
 

@@ -5,7 +5,7 @@ use crate::clock::{ClockLock, ClockObservable, ClockRecovery};
 use crate::config::ScopeConfig;
 use crate::decoder::{
     coreset_symbols, decode_message_slot_budgeted, scan, DecodeWork, DecodedDci, DecoderContext,
-    FrontEnd, Hypotheses, UeHypothesis,
+    FrontEnd, Hypotheses, UeHypothesis, UeRow,
 };
 use crate::governor::{LoadRung, OverloadGovernor};
 use crate::metrics::{CounterSnapshot, GaugeSnapshot, Metrics, MetricsSnapshot, Stage};
@@ -195,15 +195,18 @@ pub struct NrScope {
 /// The C-RNTI hypothesis list, kept between slots. `ues` holds the tracked
 /// RNTIs, sorted, then the probationary ones, each with the RRC Setup it is
 /// searched under (its own, else the cell's UE-invariant cached one).
-/// `rows[s]` is the list for slot `s` of the frame: each RNTI searched where
-/// its RRC Setup lets the gNB place it, built the first time slot `s` reads
-/// it. Both hold for the `key` they were built under: the tracker's
-/// [`UeTracker::generation`], CORESET 0 and the slots per frame.
+/// `anywhere` offers each of them to every candidate. `rows[s]` is the row
+/// for slot `s` of the frame: each RNTI searched where its RRC Setup lets
+/// the gNB place it, built the first time slot `s` reads it. Every row
+/// shares `anywhere`'s CRC keys, built at most once. All of it holds for
+/// the `key` it was built under: the tracker's [`UeTracker::generation`],
+/// CORESET 0, the slots per frame, the PCI and the UE DCI sizing.
 #[derive(Default)]
 struct SearchSpaces {
-    key: Option<(u64, Coreset, usize)>,
+    key: Option<(u64, Coreset, usize, u16, Option<DciSizing>)>,
     ues: Vec<(Rnti, Option<RrcSetup>)>,
-    rows: Vec<Vec<UeHypothesis>>,
+    anywhere: UeRow,
+    rows: Vec<Option<UeRow>>,
 }
 
 /// Sliding window for bit-rate estimation, in slots (the paper keeps a
@@ -697,7 +700,7 @@ impl NrScope {
             slot: self.slot,
             slot_in_frame: self.slot_in_frame(),
             observed,
-            hyp: self.hypotheses(&ctx.coreset),
+            hyp: self.hypotheses(&ctx),
             ctx,
             dci_threads: DCI_THREADS,
             hook: None,
@@ -860,7 +863,7 @@ impl NrScope {
                     if self.sync == SyncState::Reacquiring {
                         self.reacquire_message(dcis, pdsch, slot);
                     } else if let Some(ctx) = self.decoder_context() {
-                        let hyp = self.hypotheses(&ctx.coreset);
+                        let hyp = self.hypotheses(&ctx);
                         let (decoded, w) = decode_message_slot_budgeted(
                             &ctx,
                             dcis,
@@ -1092,9 +1095,10 @@ impl NrScope {
     /// is not trusted: every RNTI is offered anywhere, and RNTIs that
     /// expired recently are retried too, so UEs that stayed connected
     /// through a sniffer-side outage re-track from their first DCI.
-    fn hypotheses(&self, coreset: &Coreset) -> Hypotheses {
+    fn hypotheses(&self, ctx: &DecoderContext) -> Hypotheses {
         let spf = (self.cell.mib.as_ref()).map_or(1, |m| m.scs_common.slots_per_frame());
-        let key = Some((self.tracker.generation(), *coreset, spf));
+        let (generation, coreset) = (self.tracker.generation(), &ctx.coreset);
+        let key = Some((generation, *coreset, spf, ctx.pci, ctx.ue_sizing));
         let mut spaces = self.spaces.borrow_mut();
         if spaces.key != key {
             // Probationary RNTIs ride the UE-specific pass: a real UE on
@@ -1106,29 +1110,42 @@ impl NrScope {
             rntis.extend(probation.filter(|r| !self.tracker.contains(*r)));
             let cached = self.tracker.cached_rrc().copied();
             let rrc = |r| self.tracker.get(r).map_or(cached, |ue| Some(ue.rrc));
-            let ues = rntis.into_iter().map(|r| (r, rrc(r))).collect();
-            let rows = vec![Vec::new(); spf];
-            *spaces = SearchSpaces { key, ues, rows };
+            let ues: Vec<_> = rntis.into_iter().map(|r| (r, rrc(r))).collect();
+            let anywhere = ues.iter().map(|(r, _)| UeHypothesis::anywhere(*r));
+            *spaces = SearchSpaces {
+                key,
+                anywhere: anywhere.collect(),
+                ues,
+                rows: vec![None; spf],
+            };
         }
-        let SearchSpaces { ues, rows, .. } = &mut *spaces;
+        let SearchSpaces {
+            ues,
+            anywhere,
+            rows,
+            ..
+        } = &mut *spaces;
         let c_rntis = if self.sync == SyncState::Synced {
             let s = self.slot_in_frame();
-            let row = &mut rows[s];
-            if row.len() != ues.len() {
-                *row = (ues.iter())
-                    .map(|(r, rrc)| match rrc {
-                        Some(rrc) => UeHypothesis::in_search_space(*r, rrc, coreset, s),
-                        None => UeHypothesis::anywhere(*r),
-                    })
-                    .collect();
-            }
+            let row = rows[s].get_or_insert_with(|| {
+                anywhere.respaced(|i, ue| {
+                    let rrc = ues[i].1.as_ref()?;
+                    UeHypothesis::in_search_space(ue.rnti, rrc, coreset, s).space
+                })
+            });
+            // Shared, not copied: a reference count.
             row.clone()
         } else {
             let retry = (self.tracker).recently_expired(self.slot, self.cfg.ue_expiry_slots);
             let listed = |r: &Rnti| ues.iter().any(|(u, _)| u == r);
-            let fresh = retry.into_iter().filter(|r| !listed(r));
-            let rntis = ues.iter().map(|(r, _)| *r).chain(fresh);
-            rntis.map(UeHypothesis::anywhere).collect()
+            let mut fresh = retry.into_iter().filter(|r| !listed(r)).peekable();
+            match fresh.peek() {
+                None => anywhere.clone(),
+                Some(_) => {
+                    let rntis = ues.iter().map(|(r, _)| *r).chain(fresh);
+                    rntis.map(UeHypothesis::anywhere).collect()
+                }
+            }
         };
         Hypotheses {
             ra_rntis: self.expected_ra_rntis(),
@@ -1238,7 +1255,7 @@ impl NrScope {
             self.stats.decode_failures += 1;
             return DecodeWork::default();
         };
-        let hyp = self.hypotheses(&ctx.coreset);
+        let hyp = self.hypotheses(&ctx);
         let candidates = {
             let _t = self.metrics.start(Stage::PdcchSearch);
             self.front

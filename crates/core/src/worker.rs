@@ -169,9 +169,7 @@ fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> 
     // (the SIBs/RACH thread role).
     let shards: Vec<Hypotheses> = (0..threads)
         .map(|i| {
-            let c_rntis = (job.hyp.c_rntis.iter().skip(i).step_by(threads))
-                .copied()
-                .collect();
+            let c_rntis = job.hyp.c_rntis.shard(i, threads);
             if i == 0 {
                 Hypotheses {
                     ra_rntis: job.hyp.ra_rntis.clone(),

@@ -1,4 +1,4 @@
-//! Heap allocations of the IQ slot path, pinned.
+//! Heap allocations of the slot path, pinned.
 //!
 //! Its own test binary because it replaces the global allocator with a
 //! counting one. The counts are per thread, so the harness's other test
@@ -73,6 +73,11 @@ struct SlotCost {
 /// 3 Mb/s UEs present from slot 0 (the benchmark's `iq-dense` at 12, its
 /// `iq-sparse` at 1): the allocations of every `NrScope::process` call.
 fn session(n_ues: u64, slots: u64) -> (Vec<SlotCost>, usize) {
+    session_at(Fidelity::Iq, n_ues, slots)
+}
+
+fn session_at(fidelity: Fidelity, n_ues: u64, slots: u64) -> (Vec<SlotCost>, usize) {
+    let iq = fidelity == Fidelity::Iq;
     let cell = CellConfig::srsran_n41();
     let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 1);
     for i in 1..=n_ues {
@@ -92,12 +97,12 @@ fn session(n_ues: u64, slots: u64) -> (Vec<SlotCost>, usize) {
             i << 8,
         ));
     }
-    let mut observer = Observer::new(&cell, 30.0, true, 1);
+    let mut observer = Observer::new(&cell, 30.0, iq, 1);
     let cfg = ScopeConfig {
-        fidelity: Fidelity::Iq,
+        fidelity,
         ..ScopeConfig::default()
     };
-    let mut scope = NrScope::new(cfg, None);
+    let mut scope = NrScope::new(cfg, (!iq).then_some(cell.pci));
     let mut costs = Vec::new();
     for s in 0..slots {
         let out = gnb.step();
@@ -118,14 +123,17 @@ fn session(n_ues: u64, slots: u64) -> (Vec<SlotCost>, usize) {
 /// allocations a slot in the mean and 32 on the busiest slot when pinned
 /// (239 and 405 while `dci_check_crc` and `dci_recover_rnti` built three
 /// `Vec`s per hypothesis tested, 21.2 and 33 while `housekeeping` listed
-/// the tracked RNTIs every slot to count them). What is left, by call site: one LLR
+/// the tracked RNTIs every slot to count them), 18.2 and 30 since
+/// `hypotheses` shares the C-RNTI row instead of cloning it. What is left,
+/// by call site: one LLR
 /// `Vec` per candidate that passes the pilot gate, written once by
 /// `extract_candidate_above`, and the `Vec` of them (`extract_candidates`,
 /// ≈ 12 — the per-CCE pilot sums every gate reads live in the session's
 /// `FrontEnd`, and extraction has no other buffer), the slot's DMRS row
 /// and the `Vec` holding it (`CoresetSequences::new`, 2 — the common
 /// scrambling sequence is the thread's memoised one), the RNTI lists of
-/// `hypotheses` (5), and per decoded DCI `scan`'s
+/// `hypotheses` (the RA-RNTI list, and the TC-RNTI list while a RAR is
+/// pending), and per decoded DCI `scan`'s
 /// result, the records `process` returns and the bookkeeping of `consume`.
 /// Nothing per hypothesis, and nothing for `scan`'s claims: they live in
 /// its result.
@@ -144,9 +152,10 @@ fn tracked_iq_slot_allocates_per_surviving_candidate_not_per_hypothesis() {
     assert!(worst <= Some(35), "busiest slot: {worst:?} allocations");
 }
 
-/// A tracked cell's slot with no DCI on the air, 5 when pinned: the slot's
-/// DMRS row (`CoresetSequences::new`, 2) and the RNTI lists of
-/// `hypotheses` (3). Nothing per candidate or for the
+/// A tracked cell's slot with no DCI on the air, 3 when pinned: the slot's
+/// DMRS row (`CoresetSequences::new`, 2) and the RA-RNTI list of
+/// `hypotheses` (5 when first pinned, 4 while `hypotheses` cloned the
+/// C-RNTI row). Nothing per candidate or for the
 /// pilot sums its fifteen gates read, nothing for the grid, the FFT or a
 /// polar code, nothing for a PBCH attempt (none is due between SSBs, and
 /// its CRC check builds nothing when one is), nothing in `housekeeping`;
@@ -160,5 +169,37 @@ fn empty_tracked_iq_slot_allocates_only_its_sequences_and_lists() {
         .map(|c| c.allocs)
         .collect();
     assert!(quiet.len() > 50, "{} quiet slots", quiet.len());
-    assert!(quiet.iter().all(|&n| n <= 5), "{quiet:?}");
+    assert!(quiet.iter().all(|&n| n <= 3), "{quiet:?}");
+}
+
+/// A tracked message-fidelity cell allocates per slot what it decodes, not
+/// what it tracks: the same at 8 and at 64 UEs, all attached (the
+/// benchmark's `msg-dense` population is 64). A slot with no DCI on the air
+/// allocates 1, the slot's RA-RNTI list; a slot that decodes allocates, in
+/// the most common case, 5 plus one per record. Nothing per UE, and
+/// nothing for the C-RNTI row: `hypotheses` hands out the table's row,
+/// shared (every count was one higher while it cloned the row each slot),
+/// and the row's key index is built once per table, not per slot.
+#[test]
+fn steady_message_slot_allocates_the_same_at_8_and_64_tracked_ues() {
+    for n_ues in [8, 64] {
+        let (costs, tracked) = session_at(Fidelity::Message, n_ues, 1200);
+        assert_eq!(tracked, n_ues as usize, "every UE attached");
+        let steady = &costs[800..];
+        let quiet: Vec<u64> = (steady.iter().filter(|c| c.sent == 0))
+            .map(|c| c.allocs)
+            .collect();
+        assert!(quiet.len() > 50, "{n_ues} UEs: {} quiet slots", quiet.len());
+        assert!(quiet.iter().all(|&n| n == 1), "{n_ues} UEs: {quiet:?}");
+        let mut past_records = std::collections::BTreeMap::new();
+        for c in steady.iter().filter(|c| c.records > 0) {
+            *past_records.entry(c.allocs - c.records as u64).or_insert(0) += 1;
+        }
+        let mode = past_records.iter().max_by_key(|(_, seen)| **seen);
+        assert_eq!(
+            mode.map(|(n, _)| *n),
+            Some(5),
+            "{n_ues} UEs: {past_records:?}"
+        );
+    }
 }

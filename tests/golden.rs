@@ -141,7 +141,7 @@ fn run(fidelity: Fidelity, n_ues: u64, slots: u64, seed: u64) -> Digest {
                 ..job.clone()
             };
             let pruned = process_slot(&one_thread);
-            (one_thread.hyp.c_rntis.iter_mut()).for_each(|ue| ue.space = None);
+            one_thread.hyp.c_rntis = one_thread.hyp.c_rntis.respaced(|_, _| None);
             let everywhere = process_slot(&one_thread);
             let (in_space, anywhere) = (pruned.work.ue_hypotheses, everywhere.work.ue_hypotheses);
             assert!(in_space <= anywhere, "slot {s}: {in_space} > {anywhere}");
@@ -531,7 +531,8 @@ struct Walked {
 }
 
 /// A seeded message-fidelity session on `cell` in which, every slot, the
-/// scope's hypotheses (read through `slot_job`) equal `rebuilt_hypotheses`.
+/// scope's hypotheses (read through `slot_job`) equal `rebuilt_hypotheses`,
+/// down to the C-RNTI row's key index.
 /// Four CBR UEs attach; one departs at slot 700 and idles out; a fifth
 /// attaches at 900; a hostile emitter mints ghost TC-RNTIs that sit on
 /// probation and lapse into quarantine; the front end drops slots
@@ -579,7 +580,16 @@ fn search_space_table_session(cell: CellConfig, seed: u64) -> Walked {
                 scope = restored;
             }
             if let Some(job) = scope.slot_job(observed.clone()) {
-                assert_eq!(job.hyp, rebuilt_hypotheses(&scope, &cfg, &job), "slot {s}");
+                let rebuilt = rebuilt_hypotheses(&scope, &cfg, &job);
+                assert_eq!(job.hyp, rebuilt, "slot {s}");
+                // The key index the scope's row carries, built at most once
+                // per table, against one built from the rebuilt list.
+                let (held, fresh) = (&job.hyp.c_rntis, &rebuilt.c_rntis);
+                assert_eq!(
+                    held.key_index(&job.ctx),
+                    fresh.key_index(&job.ctx),
+                    "slot {s}"
+                );
                 let (tracked, on_probation) = (scope.tracked_rntis(), scope.probationary_rntis());
                 let offered = job.hyp.c_rntis.len();
                 if scope.sync_state() == SyncState::Synced {
@@ -609,7 +619,8 @@ fn search_space_table_session(cell: CellConfig, seed: u64) -> Walked {
 /// The search-space table changes no decision: at µ=1 (20 slots a frame)
 /// and at µ=0 (10), through admission, idle expiry, probation and
 /// quarantine, an outage, a warm restart and a cell restart, the scope
-/// offers in every slot what a per-slot rebuild from its state offers.
+/// offers in every slot what a per-slot rebuild from its state offers, and
+/// the key index it hands out is the one that rebuild's list derives.
 #[test]
 fn search_space_table_offers_what_a_per_slot_rebuild_offers() {
     for (cell, seed) in [
