@@ -134,8 +134,9 @@ pub enum Counter {
     CheckpointsWritten,
     /// Checkpoint writes that failed (I/O error).
     CheckpointFailures,
-    /// Checkpoint requests skipped because the previous write was still in
-    /// flight (the hot path never blocks on the writer).
+    /// Checkpoint cadence points the checkpoint thread could not take (it
+    /// had not yet taken the previous state): no state is built for them,
+    /// and the hot path never blocks on the thread.
     CheckpointsSkipped,
     /// Journal writes retried after a transient storage error (the retry
     /// runs on the writer thread with exponential backoff — never the

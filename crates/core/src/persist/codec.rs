@@ -423,6 +423,77 @@ mod tests {
         }
     }
 
+    /// A snapshot whose throughput history shares its chunks with a live
+    /// estimator — pruned inside a chunk, recorded past after the freeze —
+    /// encodes to the bytes of the same samples held as flat `Vec`s, the
+    /// type the history had before it was chunked, and decodes back to
+    /// them.
+    #[test]
+    fn shared_history_snapshot_encodes_as_flat_samples() {
+        use crate::metrics::MetricsSnapshot;
+        use crate::throughput::ThroughputEstimator;
+        use crate::tracker::TrackedUe;
+
+        #[derive(Serialize)]
+        struct FlatThroughput {
+            windows: Vec<(Rnti, Vec<(u64, u64)>)>,
+            history: Vec<(Rnti, Vec<(u64, u64)>)>,
+            retention_slots: u64,
+            newest_slot: u64,
+        }
+        #[derive(Serialize)]
+        struct FlatSessionState {
+            schema_version: u32,
+            slot: u64,
+            assumed_pci: Option<Pci>,
+            micro: MicroState,
+            ues: Vec<TrackedUe>,
+            throughput: FlatThroughput,
+            metrics: MetricsSnapshot,
+        }
+
+        let mut live = ThroughputEstimator::with_retention(1000);
+        for slot in 0..1200u64 {
+            for rnti in (1..=3).filter(|r| slot % r == 0) {
+                live.record(Rnti(rnti as u16), slot, 1000 + slot as u32, 50);
+            }
+        }
+        let mut state = NrScope::new(ScopeConfig::default(), Some(Pci(1))).session_state();
+        state.throughput = live.state();
+        for slot in 1200..1300u64 {
+            live.record(Rnti(1), slot, 7, 50);
+        }
+        let flat = |h: &crate::throughput::History| h.iter().copied().collect::<Vec<_>>();
+        let t = &state.throughput;
+        let expected = FlatSessionState {
+            schema_version: state.schema_version,
+            slot: state.slot,
+            assumed_pci: state.assumed_pci,
+            micro: state.micro.clone(),
+            ues: state.ues.clone(),
+            throughput: FlatThroughput {
+                windows: t.windows.clone(),
+                history: t.history.iter().map(|(r, h)| (*r, flat(h))).collect(),
+                retention_slots: t.retention_slots,
+                newest_slot: t.newest_slot,
+            },
+            metrics: state.metrics.clone(),
+        };
+        let history = &expected.throughput.history;
+        assert_eq!(history.len(), 3);
+        assert!(history.iter().all(|(_, h)| h.len() > 300));
+        let mut image = Vec::new();
+        binfmt::seal(FrameKind::Snapshot, &mut image, |b| {
+            binfmt::put_value(b, &expected)
+        });
+        assert!(encode_snapshot(&state) == image, "snapshot bytes moved");
+        let back = decode_snapshot(&image, state.slot).expect("decodes");
+        let back: Vec<_> = (back.throughput.history.iter())
+            .map(|(r, h)| (*r, flat(h)))
+            .collect();
+        assert_eq!(&back, history);
+    }
+
     #[test]
     fn binary_batch_round_trip() {
         let entries: Vec<JournalEntry> = (0..5)

@@ -20,8 +20,10 @@
 //!   `kill -9` loses at most the bounded tail that was not yet handed
 //!   to the OS — a configurable loss window instead of the old
 //!   flush-per-slot lose-at-most-one guarantee, at ~25× less hot-path
-//!   cost. Checkpoint, rotation, and shutdown act as barriers that seal
-//!   and drain the in-flight batch first.
+//!   cost. A synchronous checkpoint (shutdown, the re-anchor after an
+//!   outage) is a barrier that seals and drains the in-flight batch
+//!   first; the writer rotates its own file at a batch boundary after
+//!   each checkpoint, so no other slot waits on it.
 //!
 //! Recovery loads the newest *valid* snapshot (torn or corrupt ones are
 //! detected by CRC + length prefix and skipped — never panic, never load

@@ -333,9 +333,11 @@ pub struct PersistentSession {
     writer: JournalWriter,
     /// Watermark up to which the journal is in the OS (exclusive).
     durable: Arc<AtomicU64>,
+    /// Newest slot durably checkpointed, shared with both threads: the
+    /// checkpoint thread and a re-anchor publish it, and the journal
+    /// writer rotates its file on it.
+    checkpointed: Arc<AtomicU64>,
     batch: BatchBuf,
-    /// Start slot of the journal file currently being appended.
-    journal_start: u64,
     /// Watermark at which the checkpoint cadence last fired. Cadence
     /// triggers on `watermark - last >= cadence`, not divisibility, so a
     /// gap-fill resume that jumps the watermark past a multiple cannot
@@ -369,17 +371,23 @@ impl PersistentSession {
         scope.start_journaling();
         let journal_start = scope.slot_watermark();
         let durable = Arc::new(AtomicU64::new(journal_start));
+        let checkpointed = Arc::new(AtomicU64::new(0));
         let rung = Arc::new(AtomicU64::new(DurabilityRung::Durable as u64));
         // Append mode: re-opening after a crash-before-rotation continues
         // the same file.
         let writer = JournalWriter::spawn(
             store.clone(),
-            store.journal_path(journal_start),
+            journal_start,
             Arc::clone(&durable),
+            Arc::clone(&checkpointed),
             Arc::clone(&rung),
             Arc::clone(scope.metrics()),
         )?;
-        let ckpt = CheckpointWriter::spawn(store.clone(), Arc::clone(scope.metrics()));
+        let ckpt = CheckpointWriter::spawn(
+            store.clone(),
+            Arc::clone(&checkpointed),
+            Arc::clone(scope.metrics()),
+        );
         Ok((
             PersistentSession {
                 scope,
@@ -388,8 +396,8 @@ impl PersistentSession {
                 cfg,
                 writer,
                 durable,
+                checkpointed,
                 batch: BatchBuf::default(),
-                journal_start,
                 ckpt,
                 rung,
                 journaling_paused: false,
@@ -477,9 +485,10 @@ impl PersistentSession {
     }
 
     /// Seal and drain the in-flight batch, returning once the writer has
-    /// handed everything queued so far to the OS (`true` iff every batch
-    /// since the last rotation succeeded). A durability barrier for
-    /// tests, benches, and shutdown paths — the hot path never calls it.
+    /// handed everything queued so far to the OS (`true` iff no batch has
+    /// been lost since the journal was last opened healthy). A durability
+    /// barrier for tests, benches, and shutdown paths — the hot path never
+    /// calls it.
     pub fn flush_barrier(&mut self) -> bool {
         self.submit_batch();
         self.writer.barrier()
@@ -528,12 +537,10 @@ impl PersistentSession {
                     self.scope.start_journaling();
                     match self.checkpoint_now() {
                         Ok(slot) => {
-                            // State ≤ `slot` is durable via the snapshot;
-                            // align the journal and the durable watermark
-                            // with it.
-                            if self.writer.rotate(self.store.journal_path(slot)) {
-                                self.journal_start = slot;
-                            }
+                            // State ≤ `slot` is durable via the snapshot:
+                            // the writer starts a journal file at its next
+                            // batch, and the durable watermark aligns.
+                            self.checkpointed.fetch_max(slot, Relaxed);
                             self.durable.fetch_max(slot, Relaxed);
                         }
                         Err(e) => {
@@ -558,9 +565,10 @@ impl PersistentSession {
 
     /// Process one capture durably: decode, append the slot to the
     /// group-commit batch (sealed to the writer thread on buffer-full or
-    /// latency deadline), and kick the checkpoint cadence. Journal write
-    /// failures are counted in metrics, never raised — losing durability
-    /// must not stop capture.
+    /// latency deadline), and kick the checkpoint cadence. Nothing here
+    /// waits on either thread: the journal writer rotates its own file
+    /// after a checkpoint. Journal write failures are counted in metrics,
+    /// never raised — losing durability must not stop capture.
     pub fn process_capture(&mut self, cap: &crate::observe::Capture) -> Vec<TelemetryRecord> {
         let records = self.scope.process_capture(cap);
         self.service_durability();
@@ -577,21 +585,7 @@ impl PersistentSession {
                 >= self.cfg.checkpoint_every_slots
         {
             self.last_checkpoint_slot = watermark;
-            self.ckpt.try_submit(self.scope.session_state());
-        }
-        // Once a checkpoint newer than this journal file's start is
-        // durable, rotate: replay will start from that snapshot, so new
-        // entries belong in a file aligned with it and older files become
-        // prunable. The in-flight batch holds records *below* the rotation
-        // point, so it is sealed into the old file first (a barrier); the
-        // writer refuses the switch if any of the old file's batches
-        // failed, in which case we keep the old file and retry on a later
-        // slot — rotation must never abandon an unflushed tail.
-        if !self.journaling_paused && self.ckpt.last_written() > self.journal_start {
-            self.submit_batch();
-            if self.writer.rotate(self.store.journal_path(watermark)) {
-                self.journal_start = watermark;
-            }
+            self.ckpt.offer(|| self.scope.session_state());
         }
         records
     }

@@ -13,7 +13,7 @@ use crate::worker::{lock_clean, spawn_background};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{fence, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -161,15 +161,9 @@ enum WriterCmd {
     /// serialization is the writer thread's job, so the capture hot path
     /// pays only the move.
     Batch(Vec<JournalEntry>),
-    /// Switch to a new journal path. Refused (ack `false`) while the old
-    /// file has an unacknowledged write failure or the new file cannot be
-    /// opened — the caller keeps the old file and retries.
-    Rotate {
-        path: PathBuf,
-        ack: SyncSender<bool>,
-    },
     /// Ack once every previously queued batch has been handed to the OS
-    /// (`true` iff all of them succeeded since the last rotation).
+    /// (`true` iff no batch has been lost since the journal was last
+    /// opened healthy).
     Barrier(SyncSender<bool>),
     /// While `NonDurable`: test the disk with a probe write, and on
     /// success reopen the journal and climb back to `DurableDegraded`.
@@ -193,6 +187,12 @@ struct WriterFile {
     store: SessionStore,
     /// The session's durable watermark, advanced per written batch.
     durable: Arc<AtomicU64>,
+    /// Newest slot durably checkpointed: by the checkpoint thread, or by
+    /// the session's re-anchor after a storage outage.
+    checkpointed: Arc<AtomicU64>,
+    /// Newest checkpoint the open file already answers for (at first, the
+    /// slot it starts at): a newer one rotates the file.
+    covered: u64,
     /// The session's durability rung (see [`DurabilityRung`]).
     rung: Arc<AtomicU64>,
     metrics: Arc<Metrics>,
@@ -203,9 +203,7 @@ struct WriterFile {
     /// First-attempt successes since the last write error; promotes
     /// `DurableDegraded` → `Durable` at [`PROMOTE_CLEAN_BATCHES`].
     clean_streak: u32,
-    /// False after a failed batch write; a rotation observed while
-    /// unhealthy is refused (the failure is already counted) and the flag
-    /// resets so the next attempt can succeed.
+    /// False from a lost batch until a probe reopens the journal.
     healthy: bool,
 }
 
@@ -225,6 +223,24 @@ impl WriterFile {
 
     fn step(&self, event: LadderEvent, why: &str) {
         step_ladder(&self.rung, &self.metrics, event, why);
+    }
+
+    /// At a batch boundary, once a checkpoint newer than what the open
+    /// file answers for is durable, start a file at the batch's first
+    /// slot: replay from that checkpoint no longer needs the old file, so
+    /// routine pruning can drop it. Not after a lost batch (the old file's
+    /// tail would be abandoned) nor while `NonDurable` (nothing would land
+    /// in the new one). A file that fails to open is retried at the next
+    /// batch; the old one stays open meanwhile.
+    fn rotate_if_checkpointed(&mut self, first_seq: u64) {
+        let checkpoint = self.checkpointed.load(Relaxed);
+        if checkpoint <= self.covered || !self.healthy || self.rung() == DurabilityRung::NonDurable
+        {
+            return;
+        }
+        if self.reopen(self.store.journal_path(first_seq)).is_ok() {
+            self.covered = checkpoint.max(first_seq);
+        }
     }
 
     /// Append one encoded batch with the ladder's bounded-retry policy.
@@ -325,15 +341,19 @@ pub(super) struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Open `path` for append on the caller's thread (so a dead disk fails
-    /// the open, not a later batch), then start the thread that writes it.
+    /// Open the journal file starting at `start` for append on the
+    /// caller's thread (so a dead disk fails the open, not a later batch),
+    /// then start the thread that writes it and rotates it after each
+    /// checkpoint published to `checkpointed`.
     pub(super) fn spawn(
         store: SessionStore,
-        path: PathBuf,
+        start: u64,
         durable: Arc<AtomicU64>,
+        checkpointed: Arc<AtomicU64>,
         rung: Arc<AtomicU64>,
         metrics: Arc<Metrics>,
     ) -> io::Result<JournalWriter> {
+        let path = store.journal_path(start);
         let file = store.backend().open_append(&path)?;
         let mut w = WriterFile {
             committed_len: file.file_len().unwrap_or(0),
@@ -341,6 +361,8 @@ impl JournalWriter {
             file,
             store,
             durable,
+            checkpointed,
+            covered: start,
             rung,
             metrics,
             clean_streak: 0,
@@ -355,11 +377,6 @@ impl JournalWriter {
             handle: Some(handle),
             pool,
         })
-    }
-
-    fn send_acked(&self, make: impl FnOnce(SyncSender<bool>) -> WriterCmd) -> bool {
-        let (ack_tx, ack_rx) = sync_channel(1);
-        self.tx.send(make(ack_tx)).is_ok() && ack_rx.recv() == Ok(true)
     }
 
     /// Queue one sealed batch (fire and forget — failures are counted by
@@ -386,12 +403,9 @@ impl JournalWriter {
         }
     }
 
-    pub(super) fn rotate(&self, path: PathBuf) -> bool {
-        self.send_acked(|ack| WriterCmd::Rotate { path, ack })
-    }
-
     pub(super) fn barrier(&self) -> bool {
-        self.send_acked(WriterCmd::Barrier)
+        let (ack_tx, ack_rx) = sync_channel(1);
+        self.tx.send(WriterCmd::Barrier(ack_tx)).is_ok() && ack_rx.recv() == Ok(true)
     }
 
     /// Queue a disk re-probe (fire and forget; the outcome lands in the
@@ -431,6 +445,9 @@ fn writer_loop(rx: Receiver<WriterCmd>, f: &mut WriterFile, pool: &Mutex<Vec<Vec
     while let Ok(cmd) = rx.recv() {
         match cmd {
             WriterCmd::Batch(mut entries) => {
+                if let Some(first) = entries.first() {
+                    f.rotate_if_checkpointed(first.seq);
+                }
                 if let Some(last) = entries.last() {
                     codec::encode_batch_into(&mut scratch, &entries);
                     f.append_batch(&scratch, entries.len() as u64, last.seq);
@@ -440,14 +457,6 @@ fn writer_loop(rx: Receiver<WriterCmd>, f: &mut WriterFile, pool: &Mutex<Vec<Vec
                 if p.len() < BUF_POOL_MAX {
                     p.push(entries);
                 }
-            }
-            WriterCmd::Rotate { path, ack } => {
-                // Everything queued before this command has been written
-                // (in-order channel); refuse the switch if any of it
-                // failed so the caller retries instead of silently
-                // abandoning the old file's tail.
-                let was_healthy = std::mem::replace(&mut f.healthy, true);
-                let _ = ack.send(was_healthy && f.reopen(path).is_ok());
             }
             WriterCmd::Barrier(ack) => {
                 let _ = ack.send(f.healthy);
@@ -512,55 +521,57 @@ impl BatchBuf {
 }
 
 /// Background checkpoint writer: a single worker thread fed through a
-/// depth-1 channel. The hot path hands over a frozen [`SessionState`] and
-/// returns immediately; if the previous write is still in flight the
-/// request is skipped (and counted) rather than queued — a fresher
-/// snapshot is always coming. Installing, pruning and accounting are
-/// [`SessionStore::checkpoint`].
+/// depth-1 channel. At a cadence point the hot path hands over a frozen
+/// [`SessionState`] and returns immediately — but only when the thread has
+/// taken the previous one: otherwise nothing is built, and the point is
+/// skipped (and counted) rather than queued — a fresher snapshot is always
+/// coming. Installing, pruning and accounting are
+/// [`SessionStore::checkpoint`]; each installed slot is published to the
+/// session's `checkpointed` atomic, which the journal writer rotates on.
 pub(super) struct CheckpointWriter {
     tx: Option<SyncSender<SessionState>>,
     handle: Option<JoinHandle<()>>,
-    last_written: Arc<AtomicU64>,
+    /// Set when a state is handed over, cleared by the thread as it takes
+    /// it: while set, the channel is full and a cadence point builds
+    /// nothing.
+    queued: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
 }
 
 impl CheckpointWriter {
-    pub(super) fn spawn(store: SessionStore, metrics: Arc<Metrics>) -> CheckpointWriter {
+    pub(super) fn spawn(
+        store: SessionStore,
+        checkpointed: Arc<AtomicU64>,
+        metrics: Arc<Metrics>,
+    ) -> CheckpointWriter {
         let (tx, rx) = sync_channel::<SessionState>(1);
-        let last_written = Arc::new(AtomicU64::new(0));
-        let last = Arc::clone(&last_written);
+        let queued = Arc::new(AtomicBool::new(false));
+        let taken = Arc::clone(&queued);
         let m = Arc::clone(&metrics);
         let handle = spawn_background("checkpoint", move || {
             while let Ok(state) = rx.recv() {
+                taken.store(false, Relaxed);
                 if let Ok(slot) = store.checkpoint(&state, &m) {
-                    last.store(slot, Relaxed);
+                    checkpointed.fetch_max(slot, Relaxed);
                 }
             }
         });
         CheckpointWriter {
             tx: Some(tx),
             handle: Some(handle),
-            last_written,
+            queued,
             metrics,
         }
     }
 
-    /// Offer a snapshot; returns immediately. Skipped (and counted) when
-    /// the writer is still busy with the previous one.
-    pub(super) fn try_submit(&self, state: SessionState) {
-        if let Some(tx) = &self.tx {
-            match tx.try_send(state) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    self.metrics.inc(Counter::CheckpointsSkipped);
-                }
-            }
+    /// Offer the snapshot `state` builds; returns immediately. While the
+    /// thread has not yet taken the previous one, `state` is not called
+    /// and the cadence point is counted as skipped.
+    pub(super) fn offer(&self, state: impl FnOnce() -> SessionState) {
+        let Some(tx) = &self.tx else { return };
+        if self.queued.swap(true, Relaxed) || tx.try_send(state()).is_err() {
+            self.metrics.inc(Counter::CheckpointsSkipped);
         }
-    }
-
-    /// Newest slot durably checkpointed by the background thread.
-    pub(super) fn last_written(&self) -> u64 {
-        self.last_written.load(Relaxed)
     }
 }
 

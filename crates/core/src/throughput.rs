@@ -14,8 +14,9 @@
 //!   full window length.
 
 use nr_phy::types::{HashMap, Rnti};
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Sliding-window rate estimator for one UE.
 #[derive(Debug, Clone, Default)]
@@ -72,6 +73,114 @@ impl RateWindow {
     }
 }
 
+/// Samples per sealed [`History`] chunk.
+const CHUNK: usize = 64;
+
+/// A sealed run of [`CHUNK`] samples, shared by reference count.
+type Chunk = Arc<[(u64, u64)]>;
+
+/// One UE's delivered-bits history, `(slot, bits)` in recording order:
+/// sealed chunks of `CHUNK` (64) samples, then an open tail.
+///
+/// A clone — a snapshot's copy — shares the sealed chunks by reference
+/// count (one count for the whole list) and copies only the tail, so
+/// freezing the history costs the same whatever its length. The copy of
+/// the tail is sized for the chunk it becomes, so what a clone allocates
+/// does not depend on where a chunk boundary fell. The live history
+/// copies a held chunk list (one count per chunk) when it next seals or
+/// drops a chunk. A sealed chunk is never written again: pruning inside
+/// one moves `skip` instead. Serialises as the flat `(slot, bits)`
+/// sequence it holds, so the bytes of a snapshot do not depend on where
+/// the chunk boundaries fall.
+#[derive(Debug, Default)]
+pub struct History {
+    sealed: Arc<VecDeque<Chunk>>,
+    /// Samples of the front chunk already pruned (always below its length).
+    skip: usize,
+    /// Never shared, so a push costs a `Vec` push; sealing clears it and
+    /// keeps its buffer.
+    tail: Vec<(u64, u64)>,
+    /// No sample held is older than this slot, so pruning to a horizon at
+    /// or below it reads nothing behind the reference counts.
+    floor: u64,
+}
+
+impl Clone for History {
+    fn clone(&self) -> History {
+        let mut tail = Vec::with_capacity(CHUNK);
+        tail.extend_from_slice(&self.tail);
+        History {
+            sealed: Arc::clone(&self.sealed),
+            skip: self.skip,
+            tail,
+            floor: self.floor,
+        }
+    }
+}
+
+impl History {
+    fn push(&mut self, sample: (u64, u64)) {
+        self.tail.push(sample);
+        if self.tail.len() == CHUNK {
+            Arc::make_mut(&mut self.sealed).push_back(Arc::from(&self.tail[..]));
+            self.tail.clear();
+        }
+    }
+
+    /// Drop samples from the front while they are older than `horizon`.
+    fn prune(&mut self, horizon: u64) {
+        if horizon <= self.floor {
+            return;
+        }
+        let live = |samples: &[(u64, u64)]| samples.iter().position(|&(s, _)| s >= horizon);
+        while let Some(front) = self.sealed.front() {
+            if let Some(i) = live(&front[self.skip..]) {
+                self.skip += i;
+                self.floor = front[self.skip].0;
+                return;
+            }
+            Arc::make_mut(&mut self.sealed).pop_front();
+            self.skip = 0;
+        }
+        let dead = live(&self.tail).unwrap_or(self.tail.len());
+        self.tail.drain(..dead);
+        self.floor = self.tail.first().map_or(0, |s| s.0);
+    }
+
+    /// The samples, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &(u64, u64)> {
+        (self.sealed.iter().flat_map(|c| c.iter()))
+            .skip(self.skip)
+            .chain(&self.tail)
+    }
+
+    /// Number of samples held.
+    pub fn len(&self) -> usize {
+        self.sealed.len() * CHUNK - self.skip + self.tail.len()
+    }
+
+    /// Whether no sample is held.
+    pub fn is_empty(&self) -> bool {
+        self.sealed.is_empty() && self.tail.is_empty()
+    }
+}
+
+impl Serialize for History {
+    fn serialize_content(&self) -> Content {
+        Content::Seq(self.iter().map(Serialize::serialize_content).collect())
+    }
+}
+
+impl Deserialize for History {
+    fn deserialize_content(c: &Content) -> Result<History, DeError> {
+        let mut h = History::default();
+        (Vec::<(u64, u64)>::deserialize_content(c)?)
+            .into_iter()
+            .for_each(|s| h.push(s));
+        Ok(h)
+    }
+}
+
 /// Default history retention: 60 s of µ=1 slots. Bounds per-UE memory for
 /// the ROADMAP's long-running/many-UE scenarios while keeping enough of a
 /// tail for offline evaluation windows.
@@ -79,7 +188,7 @@ pub const DEFAULT_HISTORY_RETENTION_SLOTS: u64 = 120_000;
 
 /// Per-UE rate bookkeeping plus cell-total accounting.
 ///
-/// The per-UE history ring is bounded by a retention horizon (default
+/// The per-UE [`History`] is bounded by a retention horizon (default
 /// [`DEFAULT_HISTORY_RETENTION_SLOTS`]): samples older than
 /// `newest_slot - retention` are pruned, and a departed UE's history is
 /// released entirely once it ages out — the estimator's memory is
@@ -88,8 +197,8 @@ pub const DEFAULT_HISTORY_RETENTION_SLOTS: u64 = 120_000;
 pub struct ThroughputEstimator {
     windows: HashMap<Rnti, RateWindow>,
     /// Per-(UE, slot) delivered bits, for time-series export (Fig 14a).
-    /// Front-pruned to the retention horizon.
-    history: HashMap<Rnti, VecDeque<(u64, u64)>>,
+    /// Front-pruned to the retention horizon; shared with snapshots.
+    history: HashMap<Rnti, History>,
     /// History retention horizon in slots.
     retention_slots: u64,
     /// Newest slot seen by any `record` (drives pruning of idle UEs).
@@ -126,11 +235,8 @@ impl ThroughputEstimator {
             .or_default()
             .push(slot, tbs_bits as u64, window_slots);
         let h = self.history.entry(rnti).or_default();
-        h.push_back((slot, tbs_bits as u64));
-        let horizon = slot.saturating_sub(self.retention_slots);
-        while h.front().is_some_and(|&(s, _)| s < horizon) {
-            h.pop_front();
-        }
+        h.push((slot, tbs_bits as u64));
+        h.prune(slot.saturating_sub(self.retention_slots));
     }
 
     /// Prune every UE's history to the retention horizon at `current_slot`
@@ -142,9 +248,7 @@ impl ThroughputEstimator {
         self.newest_slot = self.newest_slot.max(current_slot);
         let horizon = current_slot.saturating_sub(self.retention_slots);
         self.history.retain(|rnti, h| {
-            while h.front().is_some_and(|&(s, _)| s < horizon) {
-                h.pop_front();
-            }
+            h.prune(horizon);
             // Keep live UEs (they may simply be idle); drop departed ones
             // once nothing of their history remains.
             !h.is_empty() || self.windows.contains_key(rnti)
@@ -195,7 +299,9 @@ impl ThroughputEstimator {
     }
 
     /// Freeze the estimator into a serialisable, deterministically-ordered
-    /// image (maps become RNTI-sorted vectors).
+    /// image (maps become RNTI-sorted vectors). The history is shared, not
+    /// copied: a reference count and a tail of under `CHUNK` samples per
+    /// UE.
     pub fn state(&self) -> ThroughputState {
         let mut windows: Vec<(Rnti, Vec<(u64, u64)>)> = self
             .windows
@@ -203,11 +309,8 @@ impl ThroughputEstimator {
             .map(|(r, w)| (*r, w.samples.iter().copied().collect()))
             .collect();
         windows.sort_by_key(|(r, _)| *r);
-        let mut history: Vec<(Rnti, Vec<(u64, u64)>)> = self
-            .history
-            .iter()
-            .map(|(r, h)| (*r, h.iter().copied().collect()))
-            .collect();
+        let mut history: Vec<(Rnti, History)> =
+            self.history.iter().map(|(r, h)| (*r, h.clone())).collect();
         history.sort_by_key(|(r, _)| *r);
         ThroughputState {
             windows,
@@ -229,8 +332,8 @@ impl ThroughputEstimator {
                 w.push(slot, bits, u64::MAX);
             }
         }
-        for (rnti, samples) in &state.history {
-            e.history.insert(*rnti, samples.iter().copied().collect());
+        for (rnti, h) in &state.history {
+            e.history.insert(*rnti, h.clone());
         }
         e
     }
@@ -241,8 +344,9 @@ impl ThroughputEstimator {
 pub struct ThroughputState {
     /// Live rate windows: `(rnti, (slot, bits) samples)`, RNTI-sorted.
     pub windows: Vec<(Rnti, Vec<(u64, u64)>)>,
-    /// Per-UE delivered-bits history, RNTI-sorted.
-    pub history: Vec<(Rnti, Vec<(u64, u64)>)>,
+    /// Per-UE delivered-bits history, RNTI-sorted; on disk, each UE's
+    /// flat `(slot, bits)` sequence.
+    pub history: Vec<(Rnti, History)>,
     /// History retention horizon, slots.
     pub retention_slots: u64,
     /// Newest slot seen by any `record`.
@@ -422,6 +526,133 @@ mod tests {
             restored.rate_bps(Rnti(1), 2000, 0.0005),
             live.rate_bps(Rnti(1), 2000, 0.0005)
         );
+    }
+
+    /// The flat estimator the shared history replaced: one `VecDeque` per
+    /// UE, pruned from the front.
+    #[derive(Clone, Default)]
+    struct Flat {
+        windows: std::collections::BTreeMap<Rnti, RateWindow>,
+        history: std::collections::BTreeMap<Rnti, VecDeque<(u64, u64)>>,
+    }
+
+    impl Flat {
+        fn record(&mut self, rnti: Rnti, slot: u64, bits: u64, retention: u64) {
+            self.windows.entry(rnti).or_default().push(slot, bits, 50);
+            let h = self.history.entry(rnti).or_default();
+            h.push_back((slot, bits));
+            let horizon = slot.saturating_sub(retention);
+            while h.front().is_some_and(|&(s, _)| s < horizon) {
+                h.pop_front();
+            }
+        }
+
+        fn prune(&mut self, slot: u64, retention: u64) {
+            let horizon = slot.saturating_sub(retention);
+            self.history.retain(|rnti, h| {
+                while h.front().is_some_and(|&(s, _)| s < horizon) {
+                    h.pop_front();
+                }
+                !h.is_empty() || self.windows.contains_key(rnti)
+            });
+        }
+    }
+
+    /// `e` answers every query as the flat model does.
+    fn agrees(e: &ThroughputEstimator, flat: &Flat, now: u64, why: &str) {
+        let rntis: Vec<Rnti> = flat.history.keys().copied().collect();
+        assert_eq!(e.rntis(), rntis, "{why}");
+        for r in (0..8).map(Rnti) {
+            let h = flat.history.get(&r);
+            assert_eq!(e.history_len(r), h.map_or(0, |h| h.len()), "{why} {r}");
+            for lo in [0, now.saturating_sub(90), now.saturating_sub(7)] {
+                let want: u64 = h.map_or(0, |h| {
+                    h.iter()
+                        .filter(|(s, _)| (lo..now).contains(s))
+                        .map(|p| p.1)
+                        .sum()
+                });
+                assert_eq!(e.bits_in(r, lo..now), want, "{why} {r} {lo}..{now}");
+            }
+            let rate = flat.windows.get(&r).map_or(0.0, |w| w.rate_bps(50, 0.0005));
+            assert_eq!(e.rate_bps(r, 50, 0.0005), rate, "{why} {r}");
+        }
+        for (r, h) in &e.history {
+            assert_eq!(h.iter().count(), h.len(), "{why} {r}");
+            assert!(h.sealed.iter().all(|c| c.len() == CHUNK), "{why} {r}");
+            assert!(h.sealed.front().is_none_or(|c| h.skip < c.len()), "{why}");
+        }
+    }
+
+    /// Seeded random runs of `record`, `prune`, `forget`, `state` and
+    /// `from_state` against the flat model, compared at every step; every
+    /// snapshot taken is held while recording goes on, and must still read
+    /// as the model did when it was taken. Small retentions put pruning
+    /// inside a chunk and across several; long gaps age departed UEs out.
+    #[test]
+    fn shared_history_answers_as_the_flat_history_did() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut seen = [false; 4]; // split chunk, dropped chunk, copied list, aged-out UE
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let retention = [60, 200, 600][seed as usize % 3];
+            let mut e = ThroughputEstimator::with_retention(retention);
+            let mut flat = Flat::default();
+            let mut held: Vec<(ThroughputState, Flat, u64)> = Vec::new();
+            let mut now = 0u64;
+            for step in 0..3000 {
+                let why = format!("seed {seed} step {step}");
+                let rnti = Rnti(rng.gen_range(0..4u16));
+                match rng.gen_range(0..1000u32) {
+                    0..=799 => {
+                        now += rng.gen_range(0..2u64);
+                        let bits = rng.gen_range(1..100_000u32);
+                        let chunks = e.history.get(&rnti).map_or(0, |h| h.sealed.len());
+                        let shared = e
+                            .history
+                            .get(&rnti)
+                            .is_some_and(|h| Arc::strong_count(&h.sealed) > 1);
+                        e.record(rnti, now, bits, 50);
+                        flat.record(rnti, now, bits as u64, retention);
+                        let h = &e.history[&rnti];
+                        seen[0] |= h.skip > 0;
+                        seen[1] |= h.sealed.len() < chunks;
+                        seen[2] |= shared && Arc::strong_count(&h.sealed) == 1;
+                    }
+                    800..=849 => {
+                        if rng.gen_bool(0.06) {
+                            now += rng.gen_range(retention..3 * retention);
+                        }
+                        let before = flat.history.len();
+                        e.prune(now);
+                        flat.prune(now, retention);
+                        seen[3] |= flat.history.len() < before;
+                    }
+                    850..=899 => {
+                        e.forget(rnti);
+                        flat.windows.remove(&rnti);
+                    }
+                    900..=959 => held.push((e.state(), flat.clone(), now)),
+                    _ => e = ThroughputEstimator::from_state(&e.state()),
+                }
+                agrees(&e, &flat, now + 1, &why);
+            }
+            for (i, (state, then, at)) in held.iter().enumerate() {
+                let restored = ThroughputEstimator::from_state(state);
+                agrees(
+                    &restored,
+                    then,
+                    at + 1,
+                    &format!("seed {seed} snapshot {i}"),
+                );
+                for ((r, h), (fr, fh)) in state.history.iter().zip(&then.history) {
+                    assert_eq!(r, fr);
+                    assert!(h.iter().eq(fh.iter()), "seed {seed} snapshot {i} {r}");
+                }
+            }
+        }
+        assert_eq!(seen, [true; 4], "split, dropped, copied, aged out");
     }
 
     #[test]

@@ -1248,6 +1248,45 @@ fn disk_recovery_reprobes_repromotes_and_reanchors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A journal disk that stalls just after a checkpoint lands costs decode
+/// nothing: the journal writer rotates its own file at a batch boundary, so
+/// the slot thread never waits on it, and the stall reaches the ladder
+/// through the submit grace like any other. (While the slot thread sent the
+/// rotation and waited for its answer, one `process_capture` took the whole
+/// 1.5 s stall and the rung stayed `Durable`.)
+#[test]
+fn a_stalled_journal_never_blocks_decode_when_a_checkpoint_lands() {
+    let (caps, pci) = capture_tape(700);
+    let dir = tmp_dir("stall-after-checkpoint");
+    let backend = FaultyBackend::new(StorageFaultSchedule::default());
+    let cfg = PersistConfig {
+        checkpoint_every_slots: 512,
+        ..faulted_cfg(&dir, &backend)
+    };
+    let (mut session, _) = PersistentSession::open(cfg, ScopeConfig::default(), Some(pci)).unwrap();
+    for cap in &caps[..513] {
+        session.process_capture(cap);
+    }
+    let store = SessionStore::new(&dir).unwrap();
+    wait_until(|| !store.snapshot_slots().is_empty());
+    assert_eq!(store.snapshot_slots(), vec![512], "test premise");
+    backend.stall_writes(Duration::from_millis(1500));
+    let mut worst = Duration::ZERO;
+    for cap in &caps[513..] {
+        let t = std::time::Instant::now();
+        session.process_capture(cap);
+        worst = worst.max(t.elapsed());
+    }
+    assert!(
+        worst < Duration::from_millis(250),
+        "one slot waited {worst:?} on the stalled journal"
+    );
+    assert_eq!(session.durability_rung(), DurabilityRung::NonDurable);
+    assert_eq!(session.reported_loss_window(), None);
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn fsync_gated_hole_never_resurrects_later_slots() {
     let (caps, pci) = capture_tape(80);
