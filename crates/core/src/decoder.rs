@@ -440,15 +440,22 @@ fn flips(c_init: u32, pci: u16, e: usize) -> impl ExactSizeIterator<Item = bool>
     (0..e).map(move |i| cell[i] != own[i])
 }
 
+/// Each slot-in-frame's CORESET sequences, built the first time that slot
+/// of the frame is extracted.
+type SlotSequences = Vec<Option<CoresetSequences>>;
+
 /// What the IQ slot path builds once and keeps between slots, each part
 /// keyed by what it was built from: the OFDM plan and the grid it fills
-/// (numerology, carrier width), and working memory that only grows. None
-/// of it is telemetry state — a fresh one decodes the same, later. The
-/// live scope owns one for the session, a pool thread one for its jobs.
+/// (numerology, carrier width), each slot-in-frame's CORESET pilots and
+/// common scrambling (CORESET, PCI), and working memory that only grows.
+/// None of it is telemetry state — a fresh one decodes the same, later.
+/// The live scope owns one for the session, a pool thread one for its jobs.
 #[derive(Debug, Default)]
 pub(crate) struct FrontEnd {
     /// The (numerology, carrier width) planned for, the plan, its grid.
     layout: Option<((Numerology, usize), Ofdm, ResourceGrid)>,
+    /// The (CORESET, PCI) the sequences were built for, and the sequences.
+    pilots: Option<((Coreset, u16), SlotSequences)>,
     /// The FFT's working planes.
     fft: nr_phy::fft::FftScratch,
     /// The grid symbols the last slot wrote; every other one is zero.
@@ -515,10 +522,19 @@ impl FrontEnd {
         ctx: &DecoderContext,
         sif: usize,
     ) -> Vec<ExtractedCandidate> {
-        let grid = self.layout.as_ref().map(|(.., grid)| grid);
-        grid.map_or_else(Vec::new, |g| {
-            extract_candidates(ctx, g, sif, &mut self.cce_sums)
-        })
+        let Some((.., grid)) = self.layout.as_ref() else {
+            return Vec::new();
+        };
+        let key = (ctx.coreset, ctx.pci);
+        let slots = match &mut self.pilots {
+            Some((built, slots)) if *built == key => slots,
+            pilots => &mut pilots.insert((key, Vec::new())).1,
+        };
+        if slots.len() <= sif {
+            slots.resize_with(sif + 1, || None);
+        }
+        let seqs = slots[sif].get_or_insert_with(|| coreset_sequences(ctx, sif));
+        extract_candidates(ctx, grid, seqs, &mut self.cce_sums)
     }
 
     /// PBCH (MIB) decode from the slot last demodulated, when it bears an
@@ -584,29 +600,42 @@ pub fn extract_all_candidates(
     grid: &ResourceGrid,
     slot_in_frame: usize,
 ) -> Vec<ExtractedCandidate> {
-    extract_candidates(ctx, grid, slot_in_frame, &mut Vec::new())
+    let seqs = coreset_sequences(ctx, slot_in_frame);
+    extract_candidates(ctx, grid, &seqs, &mut Vec::new())
+}
+
+/// The aggregation levels whose candidates fit in `coreset`.
+fn fitting_levels(coreset: &Coreset) -> impl Iterator<Item = AggregationLevel> + Clone {
+    let n_cces = coreset.n_cces();
+    (AggregationLevel::all().into_iter()).take_while(move |l| l.cces() <= n_cces)
+}
+
+/// The pilots of the context's CORESET in slot `sif`, and its common
+/// scrambling at the longest level that fits.
+fn coreset_sequences(ctx: &DecoderContext, sif: usize) -> CoresetSequences {
+    let (coreset, pci) = (&ctx.coreset, ctx.pci);
+    // (A CORESET under one CCE has no candidates; any level will do.)
+    let longest = fitting_levels(coreset).last();
+    let longest = longest.unwrap_or(AggregationLevel::L1);
+    CoresetSequences::new(coreset, longest, pci, cinit_for(None, pci), sif)
 }
 
 fn extract_candidates(
     ctx: &DecoderContext,
     grid: &ResourceGrid,
-    sif: usize,
+    seqs: &CoresetSequences,
     sums: &mut Vec<PilotSums>,
 ) -> Vec<ExtractedCandidate> {
     let mut out = Vec::new();
     let (coreset, n_cces, floor) = (&ctx.coreset, ctx.coreset.n_cces(), PILOT_SNR_FLOOR);
-    let fitting = (AggregationLevel::all().into_iter()).take_while(|l| l.cces() <= n_cces);
-    // (A CORESET under one CCE has no candidates; any level will do.)
-    let longest = fitting.clone().last().unwrap_or(AggregationLevel::L1);
-    let seqs = CoresetSequences::new(coreset, longest, ctx.pci, cinit_for(None, ctx.pci), sif);
     // Every pilot is read here, once, for all the levels its CCE is part
     // of; a position under the floor is dropped before its data is read.
     sums.clear();
-    sums.extend((0..n_cces).map(|cce| cce_pilot_sums(grid, coreset, &seqs, cce)));
-    for level in fitting {
+    sums.extend((0..n_cces).map(|cce| cce_pilot_sums(grid, coreset, seqs, cce)));
+    for level in fitting_levels(coreset) {
         for (i, cces) in sums.chunks_exact(level.cces()).enumerate() {
             let cce_start = i * level.cces();
-            let soft = extract_candidate_above(grid, coreset, cce_start, level, &seqs, cces, floor);
+            let soft = extract_candidate_above(grid, coreset, cce_start, level, seqs, cces, floor);
             out.extend(soft.map(|soft| ExtractedCandidate {
                 llrs: soft.llrs,
                 level,
@@ -1405,6 +1434,55 @@ pub(crate) mod tests {
                 assert!(wanted[sym] || bits(reused).iter().all(|&re| re == (0, 0)));
             }
         }
+    }
+
+    /// The front end keeps each slot-in-frame's CORESET sequences for the
+    /// (CORESET, PCI) they were built for: in every slot of two frames, the
+    /// kept ones equal freshly built ones, and what the front end extracts
+    /// equals the public [`extract_all_candidates`] bit for bit — under the
+    /// cell's PCI, after a restart under a new one, and over a second
+    /// CORESET symbol.
+    #[test]
+    fn kept_coreset_sequences_equal_fresh_ones_in_every_slot() {
+        let mut g = loaded_gnb(5);
+        let renderer = gnb_sim::iq::IqRenderer::new(&g.cfg);
+        let mut usrp = nr_radio::VirtualUsrp::new(20.0, 0.0, 6);
+        let mut front = FrontEnd::default();
+        let bits = |cands: Vec<ExtractedCandidate>| -> Vec<_> {
+            let llrs =
+                |c: ExtractedCandidate| c.llrs.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            cands
+                .into_iter()
+                .map(|c| (c.level, c.cce_start, llrs(c)))
+                .collect()
+        };
+        let (spf, all) = (g.cfg.numerology.slots_per_frame(), [true; SYMBOLS_PER_SLOT]);
+        let mut extracted = 0;
+        for phase in 0..3 {
+            if phase == 1 {
+                g.restart(Pci(7));
+            }
+            let mut c = ctx(&g.cfg);
+            if phase == 2 {
+                c.coreset.n_symbols = 2;
+            }
+            for _ in 0..2 * spf {
+                let out = g.step();
+                let samples = usrp.receive(&renderer.render_iq(&out), 0.0).samples;
+                let sif = out.slot_in_frame;
+                let grid =
+                    front.demodulate_slot(Some(&c), &samples, sif, &all, Metrics::disabled());
+                let grid = grid.expect("the cell's layout").clone();
+                let got = bits(front.extract_all_candidates(&c, sif));
+                let (key, kept) = front.pilots.as_ref().expect("built");
+                let fresh = Some(coreset_sequences(&c, sif));
+                assert_eq!(*key, (c.coreset, c.pci));
+                assert!(kept[sif] == fresh, "slot {sif}, phase {phase}");
+                assert_eq!(got, bits(extract_all_candidates(&c, &grid, sif)));
+                extracted += got.len();
+            }
+        }
+        assert!(extracted > 50, "{extracted} candidates");
     }
 
     /// At 35 dB a slot's C-RNTI DCIs are all decoded by who knows the RNTI,

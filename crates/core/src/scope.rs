@@ -1212,8 +1212,8 @@ impl NrScope {
         let slot_in_frame = self.slot_in_frame();
         let known = self.decoder_context();
         // A tracked cell is read at the CORESET, and at the PBCH symbols
-        // in the slots an SSB is due; the rest of the slot is transformed
-        // only while the MIB or the on-air PCI is still being searched for.
+        // in the slots an SSB is due; while the MIB or the on-air PCI is
+        // still being searched for, at the SSB's symbols too.
         let ssb_due = self.ssb_due();
         let wanted = match &known {
             Some(ctx) if self.cell.pci.is_some() => {
@@ -1223,7 +1223,7 @@ impl NrScope {
                 }
                 wanted
             }
-            _ => [true; SYMBOLS_PER_SLOT],
+            _ => search_symbols(known.as_ref()),
         };
         let Some(grid) = self.front.demodulate_slot(
             known.as_ref(),
@@ -1505,6 +1505,22 @@ fn rung_stage(rung: LoadRung) -> Stage {
     }
 }
 
+/// The symbols of an SSB, at the head of its slot.
+const SSB_SYMBOLS: usize = 4;
+
+/// The symbols a searching slot reads: the SSB's four (PSS, PBCH, SSS,
+/// PBCH), and the CORESET's, decoded in the same slot once the cell is
+/// found — CORESET 0 starts at symbol 0 and spans at most four.
+fn search_symbols(known: Option<&DecoderContext>) -> [bool; SYMBOLS_PER_SLOT] {
+    #[cfg(test)]
+    if tests::WHOLE_SEARCH_SLOT.get() {
+        return [true; SYMBOLS_PER_SLOT];
+    }
+    let mut wanted = known.map_or_else(Default::default, |ctx| coreset_symbols(&ctx.coreset));
+    wanted[..SSB_SYMBOLS].fill(true);
+    wanted
+}
+
 /// PSS/SSS cell detection on a demodulated grid (SSB centred in the
 /// carrier, as rendered by `gnb_sim::iq`).
 fn detect_cell(grid: &ResourceGrid) -> Option<Pci> {
@@ -1513,15 +1529,12 @@ fn detect_cell(grid: &ResourceGrid) -> Option<Pci> {
         return None;
     }
     let base = (n_sc - 240.min(n_sc)) / 2 + (240.min(n_sc) - SYNC_SEQ_LEN) / 2;
-    let (nid2, corr) = detect_pss(&grid.symbol(0)[base..base + SYNC_SEQ_LEN]);
-    if corr < 0.6 {
-        return None;
-    }
-    let (nid1, corr2) = detect_sss(&grid.symbol(2)[base..base + SYNC_SEQ_LEN], nid2);
-    if corr2 < 0.6 {
-        return None;
-    }
-    Some(Pci::from_parts(nid1, nid2))
+    // Each gate passes only a correlation at or above it: a NaN one (a NaN
+    // or ±∞ in the block) locks onto nothing.
+    let block = |sym| &grid.symbol(sym)[base..base + SYNC_SEQ_LEN];
+    let (nid2, corr) = detect_pss(block(0));
+    let (nid1, corr) = (corr >= 0.6).then(|| detect_sss(block(2), nid2))?;
+    (corr >= 0.6).then(|| Pci::from_parts(nid1, nid2))
 }
 
 #[cfg(test)]
@@ -1822,6 +1835,10 @@ mod tests {
         /// compare with.
         pub(super) static ATTEMPT_PBCH_EVERY_SLOT: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+        /// Makes [`search_symbols`] every symbol of the slot —
+        /// the searching scope as it was before it read the SSB's alone.
+        pub(super) static WHOLE_SEARCH_SLOT: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
     }
 
     #[test]
@@ -1939,6 +1956,93 @@ mod tests {
             back > 100 + period - 7 && back <= 100 + 2 * period,
             "back at {back}"
         );
+    }
+
+    /// A searching scope transforms the SSB's symbols and the CORESET's
+    /// alone: against one transforming the whole slot while it searches,
+    /// the same records and counters in every slot (but the wall-clock
+    /// deadline misses), from a cold start and through a restart of the
+    /// cell under a new PCI.
+    #[test]
+    fn search_slot_reads_what_a_whole_slot_reads() {
+        let (cell, mut gnb) = loaded_cell(1);
+        let mut obs = Observer::new(&cell, 30.0, true, 5);
+        let cfg = ScopeConfig {
+            fidelity: Fidelity::Iq,
+            degraded_after_slots: 10,
+            lost_after_slots: 30,
+            ..ScopeConfig::default()
+        };
+        let [mut head, mut whole] = [NrScope::new(cfg, None), NrScope::new(cfg, None)];
+        let counters = |s: &NrScope| {
+            let stats = ScopeStats {
+                deadline_misses: 0,
+                ..s.stats
+            };
+            (format!("{stats:?}"), s.cell.pci, s.cell.frame_anchor_slot)
+        };
+        let (mut searching, mut records) = (0, 0);
+        for s in 0..400 {
+            if s == 120 {
+                gnb.restart(Pci(7));
+            }
+            let cap = Capture::Slot(obs.observe(&gnb.step(), s as f64 * cell.slot_s()));
+            searching += usize::from(head.cell.pci.is_none() || head.cell.mib.is_none());
+            WHOLE_SEARCH_SLOT.set(true);
+            let want = whole.process_capture(&cap);
+            WHOLE_SEARCH_SLOT.set(false);
+            let got = head.process_capture(&cap);
+            assert_eq!(got, want, "slot {s}");
+            assert_eq!(counters(&head), counters(&whole), "slot {s}");
+            records += got.len();
+        }
+        assert_eq!(head.cell.pci, Some(Pci(7)), "the new PCI found");
+        assert!(head.cell.frame_anchor_slot >= Some(120), "and its MIB");
+        assert!(
+            searching > 10 && records > 20,
+            "{searching} slots searched, {records} records"
+        );
+    }
+
+    /// A NaN or ±∞ in the PSS's symbol or the SSS's makes that correlation
+    /// NaN, and a NaN correlation passes no gate: the grid names no cell,
+    /// and a cold IQ scope fed the slot stays unlocked.
+    #[test]
+    fn non_finite_ssb_symbol_locks_onto_no_cell() {
+        let (cell, mut gnb, mut obs, _) = iq_air();
+        let ObservedSlot::Iq { samples, pdsch } = obs.observe(&gnb.step(), 0.0) else {
+            panic!("an IQ slot");
+        };
+        let ofdm = gnb_sim::iq::IqRenderer::new(&cell).ofdm().clone();
+        let grid = ofdm.demodulate(&samples, 0);
+        assert_eq!(detect_cell(&grid), Some(cell.pci), "slot 0 bears the SSB");
+        let cfg = ScopeConfig {
+            fidelity: Fidelity::Iq,
+            ..ScopeConfig::default()
+        };
+        let locks = |samples: Vec<nr_phy::complex::Cf32>| {
+            let mut scope = NrScope::new(cfg, None);
+            let pdsch = pdsch.clone();
+            scope.process(&ObservedSlot::Iq { samples, pdsch });
+            scope.cell.pci
+        };
+        assert_eq!(locks(samples.clone()), Some(cell.pci));
+        // Where the symbol's FFT window starts in the slot's samples.
+        let (numer, n) = (cell.numerology, ofdm.fft_size());
+        let cp = |sym| numer.cp_len(n, numer.symbol_in_half_subframe(0, sym));
+        let window = |sym| (0..sym).map(|k| cp(k) + n).sum::<usize>() + cp(sym);
+        let n_sc = grid.n_subcarriers();
+        let ssb = (n_sc - 240) / 2 + (240 - SYNC_SEQ_LEN) / 2;
+        for sym in [0, 2] {
+            for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut heard = grid.clone();
+                heard.symbol_mut(sym)[ssb + 60].im = v;
+                assert_eq!(detect_cell(&heard), None, "{v} in symbol {sym}");
+                let mut tampered = samples.clone();
+                tampered[window(sym) + n / 2].re = v;
+                assert_eq!(locks(tampered), None, "{v} in symbol {sym}'s samples");
+            }
+        }
     }
 
     #[test]

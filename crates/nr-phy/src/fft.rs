@@ -25,7 +25,7 @@ pub struct Fft {
     /// half-length `h` holds `e^{-2πik/2h}` for `k < h` at `h - 1..`. Three
     /// tables of `size - 1` back to back: the real parts, the imaginary
     /// parts, and their negations (`w.conj()`, for the inverse).
-    twiddles: Vec<f32>,
+    pub(crate) twiddles: Vec<f32>,
     /// Bit-reversal permutation table.
     bitrev: Vec<u32>,
 }
@@ -52,12 +52,15 @@ impl Fft {
             size.is_power_of_two() && size >= 2,
             "FFT size must be a power of two ≥ 2"
         );
+        // Every stage's twiddle is one of the `size / 2` unit twiddles
+        // `e^{-2πij/size}`, computed once and gathered.
         let unit =
-            |k: usize| Cf32::from_angle(-2.0 * std::f32::consts::PI * k as f32 / size as f32);
+            |j: usize| Cf32::from_angle(-2.0 * std::f32::consts::PI * j as f32 / size as f32);
+        let units = &(0..size / 2).map(unit).collect::<Vec<_>>();
         let bits = size.trailing_zeros();
         let stages = || {
             let halves = (0..bits).map(|stage| 1usize << stage);
-            halves.flat_map(|half| (0..half).map(move |k| unit(k * (size / (2 * half)))))
+            halves.flat_map(|half| (0..half).map(move |k| units[k * (size / (2 * half))]))
         };
         let mut twiddles = Vec::with_capacity(3 * (size - 1));
         twiddles.extend(stages().map(|w| w.re));

@@ -34,7 +34,9 @@ use crate::{
     polar::ratematch::{self, RateMatchKind},
     polar::{decode, encode, DecodeScratch, PolarCode},
     sequence::{scramble_in_place, GoldSequence, NC},
+    sync::{correlate, detect_pss, detect_sss, pss_sequence, sss_sequence, SYNC_SEQ_LEN},
     tbs::{transport_block_size, TbsParams},
+    types::Pci,
 };
 
 /// Least-squares channel estimate from received pilots: averages
@@ -688,6 +690,176 @@ fn split_kernel_equals_the_strided_transform_bitwise() {
                 }
                 assert_eq!(bits(&in_place), bits(&want), "{size} {name}, in place");
             }
+        }
+    }
+}
+
+/// `Fft::new`'s twiddles as they were first built: each stage's computed
+/// from its own angles, `3·(size − 1)` `from_angle`s — the table it now
+/// gathers from the `size / 2` unit twiddles.
+#[cfg(test)]
+fn staged_twiddles_oracle(size: usize) -> Vec<f32> {
+    let unit = |k: usize| Cf32::from_angle(-2.0 * std::f32::consts::PI * k as f32 / size as f32);
+    let bits = size.trailing_zeros();
+    let stages = || {
+        let halves = (0..bits).map(|stage| 1usize << stage);
+        halves.flat_map(|half| (0..half).map(move |k| unit(k * (size / (2 * half)))))
+    };
+    let mut twiddles = Vec::with_capacity(3 * (size - 1));
+    twiddles.extend(stages().map(|w| w.re));
+    twiddles.extend(stages().map(|w| w.im));
+    twiddles.extend(stages().map(|w| w.conj().im));
+    twiddles
+}
+
+/// The gathered twiddle table, to the bit, at every size from 2 to 4096.
+#[test]
+fn gathered_twiddles_equal_the_staged_construction_bitwise() {
+    for size in (1..=12).map(|b| 1usize << b) {
+        let bits = |t: &[f32]| t.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        let want = staged_twiddles_oracle(size);
+        assert_eq!(bits(&Fft::new(size).twiddles), bits(&want), "size {size}");
+    }
+}
+
+/// The m-sequence `x(i+7) = x(i+tap) + x(i)` from `x(0..7) = init`, run
+/// as the PSS and SSS ran their LFSRs on every call before the tables.
+#[cfg(test)]
+fn lfsr_oracle(init: [u8; 7], tap: usize) -> [u8; SYNC_SEQ_LEN + 7] {
+    let mut x = [0u8; SYNC_SEQ_LEN + 7];
+    x[..7].copy_from_slice(&init);
+    for i in 0..SYNC_SEQ_LEN {
+        x[i + 7] = x[i + tap] ^ x[i];
+    }
+    x
+}
+
+/// `pss_sequence` as it was first written.
+#[cfg(test)]
+fn pss_sequence_oracle(nid2: u16) -> Vec<Cf32> {
+    let x = lfsr_oracle([0, 1, 1, 0, 1, 1, 1], 4);
+    (0..SYNC_SEQ_LEN)
+        .map(|n| {
+            let m = (n + 43 * nid2 as usize) % SYNC_SEQ_LEN;
+            Cf32::new(1.0 - 2.0 * x[m] as f32, 0.0)
+        })
+        .collect()
+}
+
+/// `sss_sequence` as it was first written.
+#[cfg(test)]
+fn sss_sequence_oracle(pci: Pci) -> Vec<Cf32> {
+    let (nid1, nid2) = (pci.nid1() as usize, pci.nid2() as usize);
+    let x0 = lfsr_oracle([1, 0, 0, 0, 0, 0, 0], 4);
+    let x1 = lfsr_oracle([1, 0, 0, 0, 0, 0, 0], 1);
+    let (m0, m1) = (15 * (nid1 / 112) + 5 * nid2, nid1 % 112);
+    (0..SYNC_SEQ_LEN)
+        .map(|n| {
+            let a = 1.0 - 2.0 * x0[(n + m0) % SYNC_SEQ_LEN] as f32;
+            let b = 1.0 - 2.0 * x1[(n + m1) % SYNC_SEQ_LEN] as f32;
+            Cf32::new(a * b, 0.0)
+        })
+        .collect()
+}
+
+/// `detect_pss` as it was: one freshly generated reference and one
+/// `correlate` per hypothesis.
+#[cfg(test)]
+fn detect_pss_oracle(rx: &[Cf32]) -> (u16, f32) {
+    (0..3u16)
+        .map(|nid2| (nid2, correlate(rx, &pss_sequence_oracle(nid2))))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap_or((0, 0.0))
+}
+
+/// `detect_sss` as it was: the 336 group hypotheses, each a freshly
+/// generated reference and one `correlate`.
+#[cfg(test)]
+fn detect_sss_oracle(rx: &[Cf32], nid2: u16) -> (u16, f32) {
+    (0..336u16)
+        .map(|nid1| {
+            let p = Pci::from_parts(nid1, nid2);
+            (nid1, correlate(rx, &sss_sequence_oracle(p)))
+        })
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap_or((0, 0.0))
+}
+
+/// The table-read PSS and SSS of every NID2 and PCI, to the bit.
+#[test]
+fn sync_tables_equal_the_generated_sequences_bitwise() {
+    let bits =
+        |v: Vec<Cf32>| -> Vec<_> { v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect() };
+    for nid2 in 0..3 {
+        assert_eq!(bits(pss_sequence(nid2)), bits(pss_sequence_oracle(nid2)));
+    }
+    for pci in (0..1008).map(Pci) {
+        assert_eq!(
+            bits(sss_sequence(pci)),
+            bits(sss_sequence_oracle(pci)),
+            "{pci}"
+        );
+    }
+}
+
+/// Cell search against the tables, to the bit: `(nid, corr.to_bits())` of
+/// `detect_pss` and of `detect_sss` under every NID2 equal the
+/// per-hypothesis search's on clean, noisy, phase-rotated and scaled
+/// blocks of several cells, on random blocks, on all-zero blocks and on
+/// blocks of `±0.0`. With a NaN or ±∞ in the block, both correlate to
+/// NaN or to the same bits.
+#[test]
+fn table_cell_search_equals_the_per_hypothesis_search_bitwise() {
+    let mut x = 0x9E37_79B9u32;
+    let mut rand = move || {
+        x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (x >> 8) as f32 / (1 << 23) as f32 - 1.0
+    };
+    let mut blocks: Vec<Vec<Cf32>> = Vec::new();
+    for pci in [Pci(0), Pci(1), Pci(335), Pci(500), Pci(1007)] {
+        for clean in [pss_sequence(pci.nid2()), sss_sequence(pci)] {
+            let rot = Cf32::from_angle(rand() * 3.0);
+            let noisy: Vec<Cf32> = (clean.iter())
+                .map(|s| *s + Cf32::new(rand(), rand()))
+                .collect();
+            blocks.push(clean.iter().map(|s| *s * rot).collect());
+            for scale in [1e-20, 3.7, 1e15] {
+                blocks.push(noisy.iter().map(|s| s.scale(scale)).collect());
+            }
+            blocks.extend([clean, noisy]);
+        }
+    }
+    let mut zero = || if rand() < 0.0 { -0.0 } else { 0.0 };
+    blocks.push(vec![Cf32::ZERO; SYNC_SEQ_LEN]);
+    blocks.push(
+        (0..SYNC_SEQ_LEN)
+            .map(|_| Cf32::new(zero(), zero()))
+            .collect(),
+    );
+    blocks.push(
+        (0..SYNC_SEQ_LEN)
+            .map(|_| Cf32::new(rand(), rand()))
+            .collect(),
+    );
+    let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for (i, v) in special.into_iter().enumerate() {
+        let mut block = blocks[i].clone();
+        (block[40 * i].re, block[3].im) = (v, -v);
+        blocks.push(block);
+    }
+    let same = |got: (u16, f32), want: (u16, f32)| {
+        (got.1.is_nan() && want.1.is_nan())
+            || (got.0, got.1.to_bits()) == (want.0, want.1.to_bits())
+    };
+    for (i, rx) in blocks.iter().enumerate() {
+        let (got, want) = (detect_pss(rx), detect_pss_oracle(rx));
+        assert!(same(got, want), "block {i}: PSS {got:?} against {want:?}");
+        for nid2 in 0..3 {
+            let (got, want) = (detect_sss(rx, nid2), detect_sss_oracle(rx, nid2));
+            assert!(
+                same(got, want),
+                "block {i}, NID2 {nid2}: SSS {got:?} against {want:?}"
+            );
         }
     }
 }

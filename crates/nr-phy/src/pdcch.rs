@@ -286,12 +286,13 @@ pub struct CandidateSoftBits {
 /// sequence per symbol; a candidate slices it by PRB) and the
 /// payload-descrambling sequence at the longest level's length (a shorter
 /// level's sequence is its prefix).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoresetSequences {
     /// Pilots of PRBs `prb_start..prb_start + n_prb`, one row per symbol.
     dmrs_rows: Vec<Vec<Cf32>>,
-    /// Scrambling bits, `max_level.bits()` of them (cell-constant: memoised).
-    scrambling: std::rc::Rc<Vec<u8>>,
+    /// Scrambling bits, `max_level.bits()` of them (cell-constant: copied
+    /// from the thread's memo, so that a front end may keep and move it).
+    scrambling: Vec<u8>,
 }
 
 impl CoresetSequences {
@@ -309,7 +310,7 @@ impl CoresetSequences {
             dmrs_rows: symbols
                 .map(|sym| pdcch_dmrs(slot, sym, n_id, coreset.prb_start, coreset.n_prb))
                 .collect(),
-            scrambling: crate::sequence::gold_bits_cached(c_init, max_level.bits()),
+            scrambling: crate::sequence::gold_bits_cached(c_init, max_level.bits()).to_vec(),
         }
     }
 
