@@ -11,12 +11,14 @@ use crate::scope::{CellKnowledge, ScopeStats, SyncState};
 use crate::telemetry::TelemetryRecord;
 use crate::throughput::ThroughputState;
 use crate::tracker::{TrackedUe, TrackerAux};
+use nr_mac::NUM_HARQ_PROCESSES;
 use nr_phy::types::{Pci, Rnti};
 use nr_rrc::RrcSetup;
 use serde::{Deserialize, Serialize};
 
-/// One state-mutating operation of a processed slot, in occurrence order.
-/// Replaying a slot's ops (then overwriting with its [`MicroState`])
+/// One state-mutating operation of a processed slot, in occurrence order:
+/// what the live slot handed `NrScope::apply`. Replay hands each to the
+/// same function (then overwrites with the batch's [`MicroState`]), so it
 /// reconstructs the scope exactly as the live run left it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum SlotOp {
@@ -29,8 +31,8 @@ pub enum SlotOp {
         /// The RRC Setup its state was built from.
         rrc: RrcSetup,
     },
-    /// A telemetry record was produced (activity, HARQ memory, and
-    /// throughput-window side effects are re-derived from the record).
+    /// A telemetry record was produced: it stamps its UE's activity and
+    /// HARQ memory, and a new downlink block enters its throughput window.
     Record(TelemetryRecord),
     /// Housekeeping expired an idle UE.
     Expire {
@@ -242,7 +244,8 @@ pub(super) fn encode_batch_into(buf: &mut Vec<u8>, entries: &[JournalEntry]) {
 
 /// Parse one batch at the start of `data`. Returns the decoded entries and
 /// the byte length consumed, or `None` for anything torn, corrupt,
-/// non-monotonic, or from another format version.
+/// non-monotonic, naming a HARQ process no UE has, or from another format
+/// version.
 fn parse_batch(data: &[u8], prev_seq: Option<u64>) -> Option<(Vec<JournalEntry>, usize)> {
     let Opened::Frame(payload, end) = binfmt::open(FrameKind::Batch, data, usize::MAX) else {
         return None;
@@ -276,7 +279,12 @@ fn parse_batch(data: &[u8], prev_seq: Option<u64>) -> Option<(Vec<JournalEntry>,
         }
         let mut ops = Vec::with_capacity(n_ops);
         for _ in 0..n_ops {
-            ops.push(binfmt::get_value::<SlotOp>(payload, &mut pos)?);
+            let op = binfmt::get_value::<SlotOp>(payload, &mut pos)?;
+            // A record names one of its UE's HARQ processes, or is corrupt.
+            if matches!(&op, SlotOp::Record(r) if usize::from(r.harq_id) >= NUM_HARQ_PROCESSES) {
+                return None;
+            }
+            ops.push(op);
         }
         let micro = if flags & FLAG_MICRO != 0 {
             Some(binfmt::get_value::<MicroState>(payload, &mut pos)?)

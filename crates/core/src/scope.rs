@@ -171,9 +171,9 @@ pub struct NrScope {
     last_pci: Option<Pci>,
     /// Pipeline metrics registry, shared with the observer / worker pool.
     metrics: Arc<Metrics>,
-    /// Whether state mutations are being captured for the crash journal.
+    /// Whether [`NrScope::apply`] keeps each op for the crash journal.
     journaling: bool,
-    /// State-mutating operations of the slot in flight, in order.
+    /// The ops [`NrScope::apply`]d in the slot in flight, in order.
     slot_ops: Vec<SlotOp>,
     /// Whether the most recent capture was a front-end drop marker.
     last_dropped: bool,
@@ -299,18 +299,61 @@ impl NrScope {
         self.ue_events.push_back(ev);
     }
 
-    /// Admit `rnti` into the tracked set at `slot`: journal the promotion,
-    /// then announce a new UE, or count a re-RACH of one that expired as a
-    /// recovery.
+    /// Admit `rnti` into the tracked set at `slot`, then announce a new
+    /// UE, or count a re-RACH of one that expired as a recovery.
     fn admit(&mut self, rnti: Rnti, slot: u64, rrc: RrcSetup) {
-        if self.journaling {
-            self.slot_ops.push(SlotOp::Track { rnti, rrc });
-        }
-        if self.tracker.promote(rnti, slot, rrc) {
+        let newly_discovered = self.tracker.promote(rnti, rrc);
+        self.apply(SlotOp::Track { rnti, rrc }, slot);
+        if newly_discovered {
             self.push_ue_event(UeEvent::Discovered { rnti, slot });
         } else {
             self.stats.recovered_ues += 1;
         }
+    }
+
+    /// The one change to session state: the tracked-UE table, a UE's
+    /// activity and HARQ memory, the throughput windows and the records
+    /// log. The slot path calls it as it decides each op, and journal
+    /// replay calls it for each op it reads, so a warm restart rebuilds
+    /// what the live run built. While journaling the op is kept for the
+    /// slot's journal entry.
+    fn apply(&mut self, op: SlotOp, slot: u64) {
+        match &op {
+            SlotOp::Track { rnti, rrc } => self.tracker.track(*rnti, slot, *rrc),
+            SlotOp::Record(r) => {
+                if let Some(ue) = self.tracker.get_mut(r.rnti) {
+                    ue.last_active_slot = slot;
+                    let harq = match r.format {
+                        DciFormat::Dl1_1 => &mut ue.harq_dl,
+                        DciFormat::Ul0_1 => &mut ue.harq_ul,
+                    };
+                    harq.observe(r.harq_id, r.ndi);
+                }
+                if r.counts_for_dl_throughput() {
+                    self.throughput
+                        .record(r.rnti, slot, r.tbs, RATE_WINDOW_SLOTS);
+                }
+                self.records.push(*r);
+            }
+            SlotOp::Expire { rnti } => {
+                self.tracker.untrack(*rnti);
+                self.throughput.forget(*rnti);
+            }
+        }
+        if self.journaling {
+            self.slot_ops.push(op);
+        }
+    }
+
+    /// End slot `slot`: release departed UEs' throughput history every
+    /// 512th slot (`record` prunes live UEs; only departures need this),
+    /// then move the watermark past it. Every live slot and every replayed
+    /// one ends here.
+    fn end_slot(&mut self, slot: u64) {
+        if slot.is_multiple_of(512) {
+            self.throughput.prune(slot);
+        }
+        self.slot = slot + 1;
     }
 
     /// Drain the UE lifecycle edges accumulated since the last call.
@@ -443,41 +486,18 @@ impl NrScope {
         })
     }
 
-    /// Replay one journal entry on top of a restored snapshot. Entries at
+    /// Replay one journal entry on top of a restored snapshot, through
+    /// the live slot's own `apply` and end of slot. Entries at
     /// or past the watermark apply exactly once (returns `true`); entries
     /// below it are already part of the snapshot and are skipped — the
     /// idempotence that makes `snapshot + journal tail` safe when the two
-    /// overlap.
+    /// overlap. Replay on a journaling scope would journal the ops again.
     pub fn apply_journal_entry(&mut self, e: &JournalEntry) -> bool {
         if e.seq < self.slot {
             return false;
         }
         for op in &e.ops {
-            match op {
-                SlotOp::Track { rnti, rrc } => self.tracker.replay_track(*rnti, e.seq, *rrc),
-                SlotOp::Record(r) => {
-                    if let Some(ue) = self.tracker.get_mut(r.rnti) {
-                        ue.last_active_slot = e.seq;
-                        match r.format {
-                            DciFormat::Dl1_1 => {
-                                ue.harq_dl.observe(r.harq_id, r.ndi);
-                            }
-                            DciFormat::Ul0_1 => {
-                                ue.harq_ul.observe(r.harq_id, r.ndi);
-                            }
-                        }
-                    }
-                    if r.counts_for_dl_throughput() {
-                        self.throughput
-                            .record(r.rnti, e.seq, r.tbs, RATE_WINDOW_SLOTS);
-                    }
-                    self.records.push(*r);
-                }
-                SlotOp::Expire { rnti } => {
-                    self.tracker.replay_expire(*rnti);
-                    self.throughput.forget(*rnti);
-                }
-            }
+            self.apply(op.clone(), e.seq);
         }
         // End-of-slot continuous state is carried verbatim — replay never
         // re-derives sync/stats decisions, so it cannot drift
@@ -488,11 +508,7 @@ impl NrScope {
         if let Some(micro) = &e.micro {
             self.restore_micro(micro);
         }
-        // Mirror the live housekeeping cadence for departed-UE history.
-        if e.seq.is_multiple_of(512) {
-            self.throughput.prune(e.seq);
-        }
-        self.slot = e.seq + 1;
+        self.end_slot(e.seq);
         true
     }
 
@@ -827,7 +843,7 @@ impl NrScope {
                 // feed-forward path absorbs without an excursion.
                 self.note_unhealthy_slot();
                 self.housekeeping(self.slot);
-                self.slot += 1;
+                self.end_slot(self.slot);
                 Vec::new()
             }
         }
@@ -918,7 +934,7 @@ impl NrScope {
             self.note_unhealthy_slot();
         }
         self.housekeeping(slot);
-        self.slot += 1;
+        self.end_slot(slot);
         self.metrics.observe(Stage::SlotTotal, wall_start.elapsed());
         self.records[produced_from..].to_vec()
     }
@@ -949,8 +965,8 @@ impl NrScope {
         admission
     }
 
-    /// Housekeeping: expire idle UEs, stale RACH state, and (periodically)
-    /// aged-out throughput history of departed UEs.
+    /// Housekeeping: expire idle UEs, stale RACH state and lapsed
+    /// probation.
     fn housekeeping(&mut self, slot: u64) {
         let _t = self.metrics.start(Stage::Tracking);
         let ra_window = self
@@ -969,10 +985,7 @@ impl NrScope {
                 self.tracker
                     .expire(slot, self.cfg.ue_expiry_slots, ra_window)
             {
-                if self.journaling {
-                    self.slot_ops.push(SlotOp::Expire { rnti: dead });
-                }
-                self.throughput.forget(dead);
+                self.apply(SlotOp::Expire { rnti: dead }, slot);
                 self.push_ue_event(UeEvent::Expired {
                     rnti: dead,
                     slot,
@@ -989,11 +1002,6 @@ impl NrScope {
                 self.cfg.admission.quarantine_max,
             );
             self.stats.ghosts_quarantined += ghosts.len() as u64;
-        }
-        // Amortised release of departed-UE history (see ThroughputEstimator
-        // docs: `record` prunes live UEs; only departures need this).
-        if slot.is_multiple_of(512) {
-            self.throughput.prune(slot);
         }
     }
 
@@ -1322,40 +1330,31 @@ impl NrScope {
                     }
                 }
                 RntiType::C => {
-                    if !self.tracker.contains(d.rnti) && self.tracker.restore(d.rnti, slot) {
-                        // A recently-expired hypothesis decoded: the UE
-                        // was connected all along — re-track it in place.
-                        self.stats.recovered_ues += 1;
-                        if self.journaling {
-                            if let Some(ue) = self.tracker.get(d.rnti) {
-                                let rrc = ue.rrc;
-                                self.slot_ops.push(SlotOp::Track { rnti: d.rnti, rrc });
-                            }
-                        }
-                    } else if !self.tracker.contains(d.rnti) && self.tracker.is_probationary(d.rnti)
-                    {
-                        // A probationary RNTI decoded under its own
-                        // UE-specific scrambling — exactly the
-                        // corroboration stage 2 demands. Ghost RNTIs
-                        // never produce these (their scrambling doesn't
-                        // exist), so K such decodes admit the UE.
-                        if self.admission_check(d.rnti, slot) == Admission::Admit {
-                            if let Some(rrc) = self.tracker.cached_rrc().copied() {
-                                self.admit(d.rnti, slot, rrc);
+                    if !self.tracker.contains(d.rnti) {
+                        if let Some(rrc) = self.tracker.restore(d.rnti) {
+                            // A recently-expired hypothesis decoded: the UE
+                            // was connected all along — re-track it in place.
+                            self.stats.recovered_ues += 1;
+                            self.apply(SlotOp::Track { rnti: d.rnti, rrc }, slot);
+                        } else if self.tracker.is_probationary(d.rnti) {
+                            // A probationary RNTI decoded under its own
+                            // UE-specific scrambling — exactly the
+                            // corroboration stage 2 demands. Ghost RNTIs
+                            // never produce these (their scrambling doesn't
+                            // exist), so K such decodes admit the UE.
+                            if self.admission_check(d.rnti, slot) == Admission::Admit {
+                                if let Some(rrc) = self.tracker.cached_rrc().copied() {
+                                    self.admit(d.rnti, slot, rrc);
+                                }
                             }
                         }
                     }
-                    let record = self.telemetry_for(&d, slot, sfn);
-                    if let Some(r) = record {
+                    if let Some(r) = self.telemetry_for(&d, slot, sfn) {
                         match r.format {
                             DciFormat::Dl1_1 => {
                                 self.stats.dl_dcis += 1;
                                 if r.is_retx {
                                     self.stats.retransmissions += 1;
-                                }
-                                if r.counts_for_dl_throughput() {
-                                    self.throughput
-                                        .record(r.rnti, slot, r.tbs, RATE_WINDOW_SLOTS);
                                 }
                                 usages.push(UeUsage {
                                     rnti: r.rnti,
@@ -1368,10 +1367,7 @@ impl NrScope {
                                 self.stats.ul_dcis += 1;
                             }
                         }
-                        if self.journaling {
-                            self.slot_ops.push(SlotOp::Record(r));
-                        }
-                        self.records.push(r);
+                        self.apply(SlotOp::Record(r), slot);
                     }
                 }
                 RntiType::P => {}
@@ -1416,18 +1412,14 @@ impl NrScope {
         }
     }
 
-    /// Translate a decoded C-RNTI DCI into a telemetry record.
-    ///
-    /// UE state (activity, HARQ memory) is mutated only after every
-    /// content check has passed: a record is returned exactly when its
-    /// side effects happened. Journal replay re-derives those side effects
-    /// from the record alone, so a half-applied rejected DCI (activity
-    /// bumped, HARQ advanced, no record) would silently diverge the
-    /// restored session from the live one.
+    /// Translate a decoded C-RNTI DCI into a telemetry record. It reads the
+    /// UE's state and changes none of it (it only counts corrupt content):
+    /// a UE's state changes exactly when [`NrScope::apply`] takes a record.
     fn telemetry_for(&mut self, d: &DecodedDci, slot: u64, sfn: u32) -> Option<TelemetryRecord> {
         let sib1 = self.cell.sib1.as_ref()?;
         let carrier = sib1.carrier_prbs as usize;
-        let rrc = self.tracker.get(d.rnti)?.rrc;
+        let ue = self.tracker.get(d.rnti)?;
+        let rrc = ue.rrc;
         let Some((prb_start, prb_len)) = riv_decode(d.dci.f_alloc, carrier) else {
             // CRC passed but the frequency allocation is out of range for
             // the carrier: corrupt content — count it, don't crash.
@@ -1440,16 +1432,11 @@ impl NrScope {
             return None;
         };
         let (symbol_start, symbol_len) = time_alloc(d.dci.t_alloc);
-        let layers = match d.dci.format {
-            DciFormat::Dl1_1 => rrc.max_mimo_layers as usize,
-            DciFormat::Ul0_1 => 1,
+        let (layers, harq) = match d.dci.format {
+            DciFormat::Dl1_1 => (rrc.max_mimo_layers as usize, &ue.harq_dl),
+            DciFormat::Ul0_1 => (1, &ue.harq_ul),
         };
-        let ue = self.tracker.get_mut(d.rnti)?;
-        ue.last_active_slot = slot;
-        let is_retx = match d.dci.format {
-            DciFormat::Dl1_1 => ue.harq_dl.observe(d.dci.harq_id, d.dci.ndi),
-            DciFormat::Ul0_1 => ue.harq_ul.observe(d.dci.harq_id, d.dci.ndi),
-        };
+        let is_retx = harq.is_retx(d.dci.harq_id, d.dci.ndi);
         let tbs = transport_block_size(&TbsParams {
             n_prb: prb_len,
             n_symbols: symbol_len,

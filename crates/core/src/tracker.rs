@@ -23,23 +23,6 @@ pub struct TrackedUe {
     pub rrc: RrcSetup,
 }
 
-impl TrackedUe {
-    /// What a freshly tracked UE looks like, to live tracking
-    /// ([`UeTracker::promote`], [`UeTracker::restore`]) and journal replay
-    /// ([`UeTracker::replay_track`]) alike: discovered and active at
-    /// `slot`, empty HARQ memory.
-    fn fresh(rnti: Rnti, slot: u64, rrc: RrcSetup) -> TrackedUe {
-        TrackedUe {
-            rnti,
-            discovered_slot: slot,
-            last_active_slot: slot,
-            harq_dl: HarqTracker::new(),
-            harq_ul: HarqTracker::new(),
-            rrc,
-        }
-    }
-}
-
 /// Bound on concurrent probationary RNTIs. A hostile cell can mint a new
 /// candidate every slot; capping the set bounds both memory and the extra
 /// UE-pass hypothesis work a flood can induce. When full, the stalest
@@ -147,11 +130,12 @@ impl UeTracker {
         self.generation
     }
 
-    /// MSG 4 for `tc_rnti` decoded: promote it to a tracked C-RNTI.
-    /// `rrc` is the decoded (or cached) RRC Setup. Returns `true` when
-    /// this is a first discovery, `false` for a rediscovery (the RNTI was
-    /// tracked before and expired — recovery, not a new UE).
-    pub fn promote(&mut self, tc_rnti: Rnti, slot: u64, rrc: RrcSetup) -> bool {
+    /// MSG 4 for `tc_rnti` decoded: the bookkeeping of its promotion to a
+    /// tracked C-RNTI, which the caller then [`UeTracker::track`]s. `rrc`
+    /// is the decoded (or cached) RRC Setup. Returns `true` when this is a
+    /// first discovery, `false` for a rediscovery (the RNTI was tracked
+    /// before and expired — recovery, not a new UE).
+    pub fn promote(&mut self, tc_rnti: Rnti, rrc: RrcSetup) -> bool {
         self.pending_tc.remove(&tc_rnti);
         self.recently_expired.remove(&tc_rnti);
         self.probation.remove(&tc_rnti);
@@ -162,8 +146,6 @@ impl UeTracker {
         if newly_discovered {
             self.total_discovered += 1;
         }
-        self.ues
-            .insert(tc_rnti, TrackedUe::fresh(tc_rnti, slot, rrc));
         newly_discovered
     }
 
@@ -176,22 +158,21 @@ impl UeTracker {
         sorted(self.recently_expired.iter().filter_map(in_window))
     }
 
-    /// Re-track an RNTI directly (recovery path: a UE-specific DCI just
-    /// decoded for a recently-expired RNTI proves the UE never left).
-    /// Does not touch `total_discovered` — the UE was already counted.
-    /// No-op without a cached RRC Setup to rebuild the UE state from.
-    pub fn restore(&mut self, rnti: Rnti, slot: u64) -> bool {
+    /// The bookkeeping of re-tracking an RNTI directly (recovery path: a
+    /// UE-specific DCI just decoded for a recently-expired RNTI proves the
+    /// UE never left). Returns the cached RRC Setup the caller
+    /// [`UeTracker::track`]s it under; `None`, and nothing done, for an
+    /// RNTI never promoted or without a cached Setup. Does not touch
+    /// `total_discovered` — the UE was already counted.
+    pub fn restore(&mut self, rnti: Rnti) -> Option<RrcSetup> {
         if !self.ever_seen.contains(&rnti) {
-            return false;
+            return None;
         }
-        let Some(rrc) = self.cached_rrc else {
-            return false;
-        };
+        let rrc = self.cached_rrc?;
         self.recently_expired.remove(&rnti);
         self.probation.remove(&rnti);
-        self.ues.insert(rnti, TrackedUe::fresh(rnti, slot, rrc));
         self.generation += 1;
-        true
+        Some(rrc)
     }
 
     /// The cached RRC Setup, if any UE has been decoded yet.
@@ -373,11 +354,12 @@ impl UeTracker {
         self.ues.get(&rnti)
     }
 
-    /// Expire UEs idle longer than `expiry_slots`, and stale pending
-    /// TC-RNTIs whose MSG 4 never appeared within `ra_window_slots`.
-    /// Returns the expired RNTIs with the slot each was last seen active
-    /// (the cross-cell continuity matcher anchors on the activity edge,
-    /// not the much-later expiry sweep).
+    /// Find UEs idle longer than `expiry_slots` and note them recently
+    /// expired, and drop stale pending TC-RNTIs whose MSG 4 never appeared
+    /// within `ra_window_slots`. Returns the idle RNTIs with the slot each
+    /// was last seen active (the cross-cell continuity matcher anchors on
+    /// the activity edge, not the much-later expiry sweep); the caller
+    /// [`UeTracker::untrack`]s each.
     pub fn expire(
         &mut self,
         now: u64,
@@ -388,8 +370,6 @@ impl UeTracker {
         let idle = |&(_, at): &(Rnti, u64)| now.saturating_sub(at) > expiry_slots;
         let dead = sorted(self.ues.values().map(last_active).filter(idle));
         for (r, _) in &dead {
-            self.generation += 1;
-            self.ues.remove(r);
             self.recently_expired.insert(*r, now);
         }
         // Past the window no reader retries an RNTI: drop it, or the map
@@ -455,17 +435,24 @@ impl UeTracker {
         }
     }
 
-    /// Journal replay: re-insert a UE exactly as the live `promote`/
-    /// `restore` paths did. Bookkeeping (counts, pending sets) is not
-    /// touched here; the journal entry's aux image overwrites it at end
-    /// of slot.
-    pub fn replay_track(&mut self, rnti: Rnti, slot: u64, rrc: RrcSetup) {
+    /// Enter `rnti` into the UE table as a fresh UE: discovered and active
+    /// at `slot`, empty HARQ memory, searched under `rrc`.
+    pub fn track(&mut self, rnti: Rnti, slot: u64, rrc: RrcSetup) {
         self.generation += 1;
-        self.ues.insert(rnti, TrackedUe::fresh(rnti, slot, rrc));
+        let (harq_dl, harq_ul) = (HarqTracker::new(), HarqTracker::new());
+        let ue = TrackedUe {
+            rnti,
+            discovered_slot: slot,
+            last_active_slot: slot,
+            harq_dl,
+            harq_ul,
+            rrc,
+        };
+        self.ues.insert(rnti, ue);
     }
 
-    /// Journal replay: remove a UE the live housekeeping pass expired.
-    pub fn replay_expire(&mut self, rnti: Rnti) {
+    /// Remove `rnti` from the UE table.
+    pub fn untrack(&mut self, rnti: Rnti) {
         self.generation += 1;
         self.ues.remove(&rnti);
     }
@@ -488,6 +475,20 @@ mod tests {
         gnb_sim::CellConfig::srsran_n41().rrc_setup()
     }
 
+    /// Promote and track `rnti`, as the scope admits a UE.
+    fn admit(t: &mut UeTracker, rnti: Rnti, slot: u64) -> bool {
+        let newly_discovered = t.promote(rnti, rrc());
+        t.track(rnti, slot, rrc());
+        newly_discovered
+    }
+
+    /// Expire idle UEs and untrack each, as the scope's housekeeping does.
+    fn expire(t: &mut UeTracker, now: u64, expiry: u64, ra_window: u64) -> Vec<(Rnti, u64)> {
+        let dead = t.expire(now, expiry, ra_window);
+        dead.iter().for_each(|(r, _)| t.untrack(*r));
+        dead
+    }
+
     #[test]
     fn rar_then_promote_flow() {
         let mut t = UeTracker::new();
@@ -495,7 +496,7 @@ mod tests {
         t.rar_seen(tc, 10);
         assert_eq!(t.pending_tc_rntis(), vec![tc]);
         assert!(!t.contains(tc));
-        t.promote(tc, 17, rrc());
+        admit(&mut t, tc, 17);
         assert!(t.contains(tc));
         assert!(t.pending_tc_rntis().is_empty());
         assert_eq!(t.total_discovered, 1);
@@ -505,10 +506,10 @@ mod tests {
     #[test]
     fn expiry_removes_idle_ues() {
         let mut t = UeTracker::new();
-        t.promote(Rnti(1), 0, rrc());
-        t.promote(Rnti(2), 0, rrc());
+        admit(&mut t, Rnti(1), 0);
+        admit(&mut t, Rnti(2), 0);
         t.get_mut(Rnti(2)).unwrap().last_active_slot = 900;
-        let dead = t.expire(1000, 500, 100);
+        let dead = expire(&mut t, 1000, 500, 100);
         assert_eq!(dead, vec![(Rnti(1), 0)]);
         assert!(t.contains(Rnti(2)));
     }
@@ -518,39 +519,40 @@ mod tests {
         let mut t = UeTracker::new();
         t.rar_seen(Rnti(5), 0);
         t.rar_seen(Rnti(6), 95);
-        t.expire(100, 1000, 20);
+        expire(&mut t, 100, 1000, 20);
         assert_eq!(t.pending_tc_rntis(), vec![Rnti(6)]);
     }
 
     #[test]
     fn rediscovery_after_expiry_is_not_double_counted() {
         let mut t = UeTracker::new();
-        assert!(t.promote(Rnti(0x4601), 100, rrc()), "first discovery");
+        assert!(admit(&mut t, Rnti(0x4601), 100), "first discovery");
         assert_eq!(t.total_discovered, 1);
-        let dead = t.expire(30_000, 20_000, 100);
+        let dead = expire(&mut t, 30_000, 20_000, 100);
         assert_eq!(dead, vec![(Rnti(0x4601), 100)]);
         assert!(!t.contains(Rnti(0x4601)));
         // The UE RACHes again after the outage: same RNTI, same UE.
-        assert!(!t.promote(Rnti(0x4601), 30_500, rrc()), "rediscovery");
+        assert!(!admit(&mut t, Rnti(0x4601), 30_500), "rediscovery");
         assert!(t.contains(Rnti(0x4601)));
         assert_eq!(t.total_discovered, 1, "no double count");
         // A genuinely new UE still counts.
-        assert!(t.promote(Rnti(0x4602), 30_600, rrc()));
+        assert!(admit(&mut t, Rnti(0x4602), 30_600));
         assert_eq!(t.total_discovered, 2);
     }
 
     #[test]
     fn recently_expired_window_and_restore() {
         let mut t = UeTracker::new();
-        t.promote(Rnti(10), 0, rrc());
-        t.promote(Rnti(11), 0, rrc());
+        admit(&mut t, Rnti(10), 0);
+        admit(&mut t, Rnti(11), 0);
         t.get_mut(Rnti(11)).unwrap().last_active_slot = 7_000;
-        t.expire(10_000, 4_000, 100); // expires Rnti(10) only
+        expire(&mut t, 10_000, 4_000, 100); // expires Rnti(10) only
         assert_eq!(t.recently_expired(10_000, 2_000), vec![Rnti(10)]);
         // Outside the retry window the hypothesis is dropped.
         assert!(t.recently_expired(13_000, 2_000).is_empty());
         // Restore re-tracks from the cached RRC without re-counting.
-        assert!(t.restore(Rnti(10), 10_050));
+        let cached = t.restore(Rnti(10)).expect("cached RRC Setup");
+        t.track(Rnti(10), 10_050, cached);
         assert!(t.contains(Rnti(10)));
         assert_eq!(t.total_discovered, 2);
         assert!(t.recently_expired(10_100, 2_000).is_empty());
@@ -560,8 +562,8 @@ mod tests {
     fn recently_expired_keeps_only_the_window() {
         let (mut t, window) = (UeTracker::new(), 100);
         for i in 0..1_000u16 {
-            t.promote(Rnti(i), u64::from(i), rrc());
-            t.expire(u64::from(i) + window + 1, window, 10);
+            admit(&mut t, Rnti(i), u64::from(i));
+            expire(&mut t, u64::from(i) + window + 1, window, 10);
         }
         // Each UE expired `window + 1` slots after its promotion, the last
         // at slot 1,100: the map keeps the 101 of the last window.
@@ -575,7 +577,7 @@ mod tests {
     #[test]
     fn restore_without_cached_rrc_is_a_noop() {
         let mut t = UeTracker::new();
-        assert!(!t.restore(Rnti(3), 10));
+        assert!(t.restore(Rnti(3)).is_none());
         assert!(!t.contains(Rnti(3)));
         assert_eq!(t.total_discovered, 0);
     }
@@ -584,11 +586,11 @@ mod tests {
     fn state_round_trip_preserves_everything() {
         let mut t = UeTracker::new();
         t.rar_seen(Rnti(0x5000), 40);
-        t.promote(Rnti(0x4601), 100, rrc());
-        t.promote(Rnti(0x4602), 200, rrc());
+        admit(&mut t, Rnti(0x4601), 100);
+        admit(&mut t, Rnti(0x4602), 200);
         t.get_mut(Rnti(0x4601)).unwrap().harq_dl.observe(3, 1);
-        t.expire(25_000, 20_000, 100); // both idle UEs expire
-        t.promote(Rnti(0x4603), 25_100, rrc());
+        expire(&mut t, 25_000, 20_000, 100); // both idle UEs expire
+        admit(&mut t, Rnti(0x4603), 25_100);
 
         let mut back = UeTracker::new();
         back.set_ues(&t.ues_state(), 0);
@@ -605,14 +607,14 @@ mod tests {
     #[test]
     fn restore_rebases_last_active_against_watermark() {
         let mut t = UeTracker::new();
-        t.promote(Rnti(0x4601), 100, rrc());
+        admit(&mut t, Rnti(0x4601), 100);
         // Checkpoint taken at slot ~100; journal tail replayed to 50_000.
         // Without rebasing, the first expiry pass (> 20_000 idle) would
         // silently drop the UE the moment the session resumes.
         let mut back = UeTracker::new();
         back.set_ues(&t.ues_state(), 50_000);
         assert_eq!(back.get(Rnti(0x4601)).unwrap().last_active_slot, 50_000);
-        assert!(back.expire(50_010, 20_000, 100).is_empty());
+        assert!(expire(&mut back, 50_010, 20_000, 100).is_empty());
         assert!(back.contains(Rnti(0x4601)));
     }
 
@@ -702,7 +704,7 @@ mod tests {
         t.expire_probation(500, 100, 64);
         assert!(t.is_quarantined(r));
         // A full RACH procedure (RAR + MSG 4) later proves the UE real.
-        t.promote(r, 600, rrc());
+        admit(&mut t, r, 600);
         assert!(!t.is_quarantined(r));
         assert!(t.contains(r));
     }
@@ -730,10 +732,10 @@ mod tests {
         for order in [[0x4603, 0x4601, 0x0102], [0x0102, 0x4603, 0x4601]] {
             let mut t = UeTracker::new();
             for r in order {
-                t.promote(Rnti(r), 0, rrc());
+                admit(&mut t, Rnti(r), 0);
             }
             assert_eq!(t.rntis(), want);
-            assert_eq!(t.expire(1000, 500, 100), want.map(|r| (r, 0)));
+            assert_eq!(expire(&mut t, 1000, 500, 100), want.map(|r| (r, 0)));
         }
     }
 }

@@ -183,10 +183,14 @@ impl HarqTracker {
     /// The first observation on a process can't be classified and counts as
     /// a new transmission, matching the paper's warm-up behaviour.
     pub fn observe(&mut self, harq_id: u8, ndi: u8) -> bool {
-        let slot = &mut self.last_ndi[harq_id as usize];
-        let retx = matches!(*slot, Some(prev) if prev == ndi);
-        *slot = Some(ndi);
+        let retx = self.is_retx(harq_id, ndi);
+        self.last_ndi[harq_id as usize] = Some(ndi);
         retx
+    }
+
+    /// What [`HarqTracker::observe`] would answer, without storing the NDI.
+    pub fn is_retx(&self, harq_id: u8, ndi: u8) -> bool {
+        self.last_ndi[harq_id as usize] == Some(ndi)
     }
 
     /// Forget all state (UE left the RAN).
@@ -306,5 +310,14 @@ mod tests {
         assert!(!t.observe(0, 1));
         assert!(!t.observe(1, 1), "different process, no retx flag");
         assert!(t.observe(0, 1));
+    }
+
+    #[test]
+    fn is_retx_answers_as_observe_without_storing() {
+        let mut t = HarqTracker::new();
+        assert!(!t.is_retx(2, 0));
+        assert!(!t.is_retx(2, 0), "a query stores nothing");
+        assert!(!t.observe(2, 0));
+        assert!(t.is_retx(2, 0) && !t.is_retx(2, 1));
     }
 }

@@ -26,7 +26,7 @@ use nr_scope::scope::decoder::{
     UeHypothesis,
 };
 use nr_scope::scope::observe::{ObservedSlot, Observer};
-use nr_scope::scope::persist::crc32;
+use nr_scope::scope::persist::{crc32, encode_batch, read_journal_bytes, JournalEntry};
 use nr_scope::scope::worker::{process_slot, SlotJob};
 use nr_scope::scope::{
     Capture, Fidelity, ImpairmentSchedule, NrScope, ScopeConfig, SyncState, UeEvent,
@@ -528,6 +528,72 @@ struct Walked {
     retries: usize,
     /// Idle expiries of a UE while the scope was synced.
     synced_expiries: usize,
+    /// Batch boundaries at which a `Replica` matched the live scope.
+    replayed_batches: usize,
+}
+
+/// Journal entries a durable session seals into one batch.
+const BATCH_SLOTS: usize = 128;
+
+/// A scope rebuilt beside a live one from the live scope's slot-0 state and
+/// the live scope's own journal, batch by batch, and held equal to it at
+/// every batch boundary.
+struct Replica {
+    scope: NrScope,
+    batch: Vec<JournalEntry>,
+    batches: usize,
+}
+
+impl Replica {
+    /// A replica of `live`, which has processed no slot yet.
+    fn of(live: &NrScope, cfg: ScopeConfig) -> Replica {
+        assert_eq!(live.slot_watermark(), 0);
+        let scope = NrScope::from_state(cfg, &live.session_state());
+        let (batch, batches) = (Vec::new(), 0);
+        Replica {
+            scope,
+            batch,
+            batches,
+        }
+    }
+
+    /// Take `live`'s journal entry of the slot it just processed. At a
+    /// batch boundary, replay the batch as the writer seals it (interior
+    /// entries ops-only, through the journal's bytes), then compare: the
+    /// session state less the metrics registry (a wall clock fills it; the
+    /// counters ride each batch's `MicroState` verbatim), the records (a
+    /// live scope warm-restarted from a snapshot holds only the newest of
+    /// them), and no `UeEvent` out of the replay.
+    fn follow(&mut self, live: &NrScope, entry: JournalEntry) {
+        self.batch.push(entry);
+        if self.batch.len() < BATCH_SLOTS {
+            return;
+        }
+        let last = self.batch.len() - 1;
+        for e in &mut self.batch[..last] {
+            e.micro = None;
+        }
+        let (entries, torn) = read_journal_bytes(&encode_batch(&self.batch));
+        assert_eq!((entries.len(), torn), (BATCH_SLOTS, 0));
+        self.batch.clear();
+        for e in &entries {
+            assert!(self.scope.apply_journal_entry(e));
+        }
+        let slot = live.slot_watermark();
+        let decode_state = |scope: &NrScope| {
+            let s = scope.session_state();
+            let state = ((s.slot, s.assumed_pci), (s.micro, s.ues), s.throughput);
+            serde_json::to_string(&state).expect("state serialises")
+        };
+        assert_eq!(decode_state(&self.scope), decode_state(live), "slot {slot}");
+        assert!(
+            self.scope.records().ends_with(live.records()),
+            "slot {slot}: records differ"
+        );
+        let events = self.scope.drain_ue_events();
+        assert!(events.is_empty(), "slot {slot}: replay emitted {events:?}");
+        self.batches += 1;
+    }
 }
 
 /// A seeded message-fidelity session on `cell` in which, every slot, the
@@ -539,8 +605,9 @@ struct Walked {
 /// 1,500–1,849, long enough for the UEs to expire, which the degraded scope
 /// retries and re-tracks; at 2,600 the scope is rebuilt from its slot-2,400
 /// snapshot and the journal since, and carries on in its place; at 3,000
-/// the cell restarts under PCI 7.
-fn search_space_table_session(cell: CellConfig, seed: u64) -> Walked {
+/// the cell restarts under PCI 7. With `replay`, a `Replica` follows the
+/// scope's journal, across the warm restart too.
+fn search_space_table_session(cell: CellConfig, seed: u64, replay: bool) -> Walked {
     let mut gnb = loaded_gnb(&cell, 4, seed);
     gnb.arm_hostile(HostileConfig {
         ghost_dci_period: 97,
@@ -555,6 +622,7 @@ fn search_space_table_session(cell: CellConfig, seed: u64) -> Walked {
     };
     let mut scope = NrScope::new(cfg, Some(cell.pci));
     scope.start_journaling();
+    let mut replica = replay.then(|| Replica::of(&scope, cfg));
     let (mut snapshot, mut journal) = (None, Vec::new());
     let mut walked = Walked::default();
     for s in 0..5500 {
@@ -606,9 +674,13 @@ fn search_space_table_session(cell: CellConfig, seed: u64) -> Walked {
         let idled = expiries.filter(|e| matches!(e, UeEvent::Expired { .. }) && synced);
         walked.synced_expiries += idled.count();
         if let Some(entry) = scope.take_journal_entry() {
-            journal.extend(snapshot.is_some().then_some(entry));
+            journal.extend(snapshot.is_some().then(|| entry.clone()));
+            if let Some(replica) = &mut replica {
+                replica.follow(&scope, entry);
+            }
         }
     }
+    walked.replayed_batches = replica.map_or(0, |r| r.batches);
     assert!(!scope.quarantined_rntis().is_empty(), "no ghost lapsed");
     assert!(scope.stats.recovered_ues > 0, "no expired UE re-tracked");
     assert_eq!(scope.cell.pci, Some(Pci(7)), "restart not reacquired");
@@ -628,7 +700,7 @@ fn search_space_table_offers_what_a_per_slot_rebuild_offers() {
         (CellConfig::tmobile_n25(), 0x5EB),
     ] {
         let name = cell.name.clone();
-        let walked = search_space_table_session(cell, seed);
+        let walked = search_space_table_session(cell, seed, false);
         println!("{name}: {walked:?}");
         assert!(walked.table_reads > 1000, "{name}: {walked:?}");
         assert!(
@@ -637,4 +709,39 @@ fn search_space_table_offers_what_a_per_slot_rebuild_offers() {
         );
         assert!(walked.synced_expiries > 0, "{name}: {walked:?}");
     }
+}
+
+/// One apply path: at every batch boundary of a run, the run's slot-0
+/// state plus a replay of its own journal is the live scope — through the
+/// hostile message session on both cells (ghosts in probation and
+/// quarantine, an outage into `Reacquiring`, a departure and an arrival,
+/// the warm restart at slot 2,600, the cell restart under PCI 7) and an
+/// IQ-fidelity cold start.
+#[test]
+fn journal_replay_rebuilds_the_live_scope_at_every_batch_boundary() {
+    for (cell, seed) in [
+        (CellConfig::srsran_n41(), 0x5EA),
+        (CellConfig::tmobile_n25(), 0x5EB),
+    ] {
+        let name = cell.name.clone();
+        let walked = search_space_table_session(cell, seed, true);
+        assert_eq!(walked.replayed_batches, 5500 / BATCH_SLOTS, "{name}");
+    }
+    let (cell, mut gnb) = loaded_cell(2, 0x601D);
+    let mut observer = Observer::new(&cell, 30.0, true, 0x601D);
+    let cfg = ScopeConfig {
+        fidelity: Fidelity::Iq,
+        ..ScopeConfig::default()
+    };
+    let mut scope = NrScope::new(cfg, None);
+    scope.start_journaling();
+    let mut replica = Replica::of(&scope, cfg);
+    for s in 0..3 * BATCH_SLOTS {
+        let cap = observer.capture(&gnb.step(), s as f64 * cell.slot_s());
+        scope.process_capture(&cap);
+        let entry = scope.take_journal_entry().expect("journaling is on");
+        replica.follow(&scope, entry);
+    }
+    assert_eq!(replica.batches, 3);
+    assert_eq!(scope.tracked_rntis().len(), 2, "IQ: both UEs tracked");
 }

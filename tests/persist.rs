@@ -13,7 +13,7 @@ use nr_scope::phy::types::{Pci, Rnti};
 use nr_scope::scope::observe::{Capture, Observer};
 use nr_scope::scope::persist::{
     crc32, encode_batch, read_journal_bytes, DurabilityRung, FaultKind, FaultyBackend,
-    JournalEntry, PersistConfig, PersistentSession, SessionStore, StorageFaultSchedule,
+    JournalEntry, PersistConfig, PersistentSession, SessionStore, SlotOp, StorageFaultSchedule,
 };
 use nr_scope::scope::{
     ClockLock, ClockObservable, ClockRecoveryConfig, Counter, Gauge, NrScope, ScopeConfig,
@@ -614,6 +614,37 @@ proptest! {
         for (i, e) in got.iter().enumerate() {
             prop_assert_eq!(e.seq, i as u64, "recovered prefix must be gapless");
         }
+    }
+}
+
+/// A CRC-valid batch whose record names a HARQ process past a UE's sixteen
+/// is corrupt like any other: recovery discards it and everything after
+/// it, counts it, resumes at the batch boundary before it, and never
+/// panics.
+#[test]
+fn record_naming_harq_process_16_or_255_is_discarded_at_the_batch_boundary() {
+    let (_, _, entries) = batched_fixture();
+    let is_record = |e: &JournalEntry| e.ops.iter().any(|op| matches!(op, SlotOp::Record(_)));
+    let at = (4 * BATCH..entries.len())
+        .find(|&i| is_record(&entries[i]))
+        .expect("the fixture decodes DCIs");
+    let boundary = (at / BATCH * BATCH) as u64;
+    for harq_id in [16u8, 255] {
+        let mut entries = entries.clone();
+        for op in &mut entries[at].ops {
+            if let SlotOp::Record(r) = op {
+                r.harq_id = harq_id;
+            }
+        }
+        let journal: Vec<u8> = entries.chunks(BATCH).flat_map(encode_batch).collect();
+        let dir = tmp_dir(&format!("harq-id-{harq_id}"));
+        let store = SessionStore::new(&dir).unwrap();
+        std::fs::write(store.journal_path(0), journal).unwrap();
+        let (scope, report) = store.recover(ScopeConfig::default(), None);
+        assert_eq!(report.journal_entries_discarded, 1, "harq_id {harq_id}");
+        assert_eq!(report.replayed_entries, boundary, "harq_id {harq_id}");
+        assert_eq!(scope.slot_watermark(), boundary, "harq_id {harq_id}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
