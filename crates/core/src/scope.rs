@@ -808,6 +808,24 @@ impl NrScope {
         ssb_due(self.cell.frame_anchor_slot.zip(frame), self.slot)
     }
 
+    /// Whether the cell's TDD pattern gives this slot no downlink symbol,
+    /// so no PDCCH can be in it (38.213 §11.1) and the slot is not read.
+    /// Only a decoded TDD SIB1 says so, never in a slot an SSB may bear —
+    /// a lost or moved frame timing leaves every slot due until a MIB
+    /// re-anchors it — and never while the cell is searched for again,
+    /// since a restarted cell's SSB need not fall where the old one's did.
+    fn uplink_slot(&self) -> bool {
+        #[cfg(test)]
+        if tests::READ_UPLINK_SLOTS.get() {
+            return false;
+        }
+        self.cell.sib1.as_ref().is_some_and(|sib1| {
+            !sib1.effective_pattern().has_downlink(self.slot_in_frame())
+                && !self.ssb_due()
+                && self.sync != SyncState::Reacquiring
+        })
+    }
+
     /// Expected RA-RNTIs for PRACH occasions inside the response window.
     fn expected_ra_rntis(&self) -> Vec<Rnti> {
         let Some(sib1) = &self.cell.sib1 else {
@@ -875,7 +893,7 @@ impl NrScope {
                         self.on_mib(mib, slot);
                     }
                 }
-                if self.cell.mib.is_some() {
+                if self.cell.mib.is_some() && !self.uplink_slot() {
                     if self.sync == SyncState::Reacquiring {
                         self.reacquire_message(dcis, pdsch, slot);
                     } else if let Some(ctx) = self.decoder_context() {
@@ -1212,6 +1230,9 @@ impl NrScope {
         slot: u64,
         budget: SearchBudget,
     ) -> DecodeWork {
+        if self.uplink_slot() {
+            return DecodeWork::default();
+        }
         // SIB1-less bootstrapping: the demodulator needs the carrier layout
         // before anything is decoded, so the front end sizes the FFT from
         // the sample count on the first slot; the layout is then kept for
@@ -1826,6 +1847,10 @@ mod tests {
         /// the searching scope as it was before it read the SSB's alone.
         pub(super) static WHOLE_SEARCH_SLOT: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+        /// Makes [`NrScope::uplink_slot`] say no in every slot — the scope
+        /// as it was before it skipped the TDD pattern's uplink slots.
+        pub(super) static READ_UPLINK_SLOTS: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
     }
 
     #[test]
@@ -1989,6 +2014,152 @@ mod tests {
             searching > 10 && records > 20,
             "{searching} slots searched, {records} records"
         );
+    }
+
+    /// A scope on the srsRAN cell's frame timing, anchored at slot 0, with
+    /// `sib1` decoded and in `sync`: which of `slots` it skips.
+    fn skips(sib1: Option<Sib1>, sync: SyncState, slots: std::ops::Range<u64>) -> Vec<u64> {
+        let cell = CellConfig::srsran_n41();
+        let mut scope = NrScope::new(ScopeConfig::default(), Some(cell.pci));
+        scope.on_mib(cell.mib(0), 0);
+        (scope.cell.sib1, scope.sync) = (sib1, sync);
+        let skipped = |s: &u64| {
+            scope.slot = *s;
+            scope.uplink_slot()
+        };
+        slots.filter(skipped).collect()
+    }
+
+    /// Only a TDD SIB1's uplink slots between SSBs are skipped: not before
+    /// SIB1, not on an FDD cell, not once an SSB is due, not while the cell
+    /// is searched for again.
+    #[test]
+    fn only_a_tdd_cell_s_uplink_slot_between_ssbs_is_skipped() {
+        let sib1 = CellConfig::srsran_n41().sib1();
+        let dddddddsuu = nr_phy::TddPattern::dddddddsuu();
+        assert_eq!(sib1.tdd, dddddddsuu, "on a frame of 20 slots");
+        let fdd = Sib1 {
+            duplex: nr_rrc::sib1::Duplex::Fdd,
+            ..sib1.clone()
+        };
+        let (synced, degraded) = (SyncState::Synced, SyncState::Degraded);
+        let uplink = [8, 9, 18, 19, 28, 29, 38, 39];
+        assert_eq!(skips(Some(sib1.clone()), synced, 0..40), uplink);
+        assert_eq!(skips(Some(sib1.clone()), degraded, 0..40), uplink);
+        assert_eq!(skips(None, synced, 0..40), [], "no SIB1 yet");
+        assert_eq!(skips(Some(fdd), synced, 0..40), [], "FDD");
+        assert_eq!(skips(Some(sib1.clone()), synced, 40..120), [], "an SSB due");
+        let reacquiring = SyncState::Reacquiring;
+        assert_eq!(skips(Some(sib1), reacquiring, 0..40), [], "searching");
+    }
+
+    /// Every slot of `air(slot)` into a scope that skips the TDD pattern's
+    /// uplink slots and into one reading them: in every slot the same
+    /// records, counters (but the wall-clock deadline misses), sync state,
+    /// tracked RNTIs and cell timing. Returns the skipping scope and the
+    /// number of slots it skipped.
+    fn skip_against_read(
+        cfg: ScopeConfig,
+        pci: Option<Pci>,
+        slots: u64,
+        mut air: impl FnMut(u64) -> Capture,
+    ) -> (NrScope, usize) {
+        let [mut skipping, mut reading] = [NrScope::new(cfg, pci), NrScope::new(cfg, pci)];
+        let state = |s: &NrScope| {
+            let stats = ScopeStats {
+                deadline_misses: 0,
+                ..s.stats
+            };
+            let timing = (s.cell.pci, s.cell.frame_anchor_slot);
+            (format!("{stats:?}"), s.sync, s.tracked_rntis(), timing)
+        };
+        let mut skipped = 0;
+        for s in 0..slots {
+            let cap = air(s);
+            skipped += usize::from(skipping.uplink_slot());
+            READ_UPLINK_SLOTS.set(true);
+            let want = reading.process_capture(&cap);
+            READ_UPLINK_SLOTS.set(false);
+            assert_eq!(skipping.process_capture(&cap), want, "slot {s}");
+            assert_eq!(state(&skipping), state(&reading), "slot {s}");
+        }
+        (skipping, skipped)
+    }
+
+    /// Skipping an uplink slot changes no decision: from an IQ cold start,
+    /// on the 12-UE IQ cell, through the hostile message session (ghosts,
+    /// an outage that expires the UEs, a cell restart under a new PCI), and
+    /// through a restart whose new frame timing puts the SSB in a slot the
+    /// old anchor calls uplink — found again in the same slot both ways.
+    #[test]
+    fn an_uplink_slot_decides_what_a_read_one_decides() {
+        let iq = ScopeConfig {
+            fidelity: Fidelity::Iq,
+            ..ScopeConfig::default()
+        };
+        for n_ues in [1, 12] {
+            let (cell, mut gnb) = loaded_cell(n_ues);
+            let mut obs = Observer::new(&cell, 30.0, true, 5);
+            let slots = if n_ues == 1 { 400 } else { 160 };
+            let (scope, skipped) = skip_against_read(iq, None, slots, |s| {
+                Capture::Slot(obs.observe(&gnb.step(), s as f64 * cell.slot_s()))
+            });
+            assert_eq!(scope.tracked_rntis().len(), n_ues, "{n_ues} UEs");
+            assert!(skipped >= slots as usize / 8, "{n_ues} UEs: {skipped}");
+        }
+
+        let (cell, mut gnb) = loaded_cell(4);
+        gnb.arm_hostile(gnb_sim::HostileConfig {
+            ghost_dci_period: 97,
+            persistent_ghost_period: 251,
+            ..gnb_sim::HostileConfig::quiet()
+        });
+        let mut obs = Observer::new(&cell, 30.0, false, 5);
+        let outage = nr_radio::ImpairmentSchedule::new(5).with_outage(1000..1350);
+        obs.set_impairments(outage);
+        let cfg = ScopeConfig {
+            ue_expiry_slots: 300,
+            ..ScopeConfig::default()
+        };
+        let (scope, skipped) = skip_against_read(cfg, Some(cell.pci), 2400, |s| {
+            if s == 1800 {
+                gnb.restart(Pci(7));
+            }
+            obs.capture(&gnb.step(), s as f64 * cell.slot_s())
+        });
+        assert!(scope.stats.ghosts_quarantined > 0 && scope.stats.recovered_ues > 0);
+        assert_eq!(scope.cell.pci, Some(Pci(7)), "the restart reacquired");
+        assert!(skipped > 300, "{skipped} skipped");
+
+        // A restart at slot 130 that also slips the gNB two slots ahead: its
+        // SSBs fall in slots 158, 198, … — slot 18 of a frame to the anchor
+        // of slot 120, uplink. Under the same PCI the first one due (198) is
+        // read and re-anchors the scope; under a new PCI, which the scope
+        // drops by then, the search reads every slot and finds it in 198.
+        let cell = CellConfig::srsran_n41();
+        assert!(!cell.sib1().tdd.has_downlink((158 - 120) % 20));
+        for (pci, lost_after_slots) in [(cell.pci, 400), (Pci(7), 30)] {
+            let (cell, mut gnb) = loaded_cell(1);
+            let mut obs = Observer::new(&cell, 30.0, true, 5);
+            let cfg = ScopeConfig {
+                degraded_after_slots: 10,
+                lost_after_slots,
+                ..iq
+            };
+            let mut ssbs = Vec::new();
+            let (scope, _) = skip_against_read(cfg, None, 200, |s| {
+                if s == 130 {
+                    gnb.restart(pci);
+                    (0..2).for_each(|_| drop(gnb.step()));
+                }
+                let out = gnb.step();
+                ssbs.extend(out.mib.is_some().then_some(s));
+                Capture::Slot(obs.observe(&out, s as f64 * cell.slot_s()))
+            });
+            assert_eq!(ssbs, [0, 40, 80, 120, 158, 198], "{pci:?}");
+            let found = (scope.cell.pci, scope.cell.frame_anchor_slot);
+            assert_eq!(found, (Some(pci), Some(198)), "{pci:?}");
+        }
     }
 
     /// A NaN or ±∞ in the PSS's symbol or the SSS's makes that correlation

@@ -297,11 +297,18 @@ mod tests {
 
     #[test]
     fn sib1_and_rrc_round_trip_through_codec() {
-        let cfg = CellConfig::amarisoft_n78();
-        let sib = cfg.sib1();
-        assert_eq!(Sib1::decode(&sib.encode()).unwrap(), sib);
-        let setup = cfg.rrc_setup();
-        assert_eq!(RrcSetup::decode(&setup.encode()).unwrap(), setup);
+        for cfg in [
+            CellConfig::srsran_n41(),
+            CellConfig::mosolab_n48(),
+            CellConfig::amarisoft_n78(),
+            CellConfig::tmobile_n25(),
+            CellConfig::tmobile_n71(),
+        ] {
+            let sib = cfg.sib1();
+            assert_eq!(Sib1::decode(&sib.encode()), Ok(sib));
+            let setup = cfg.rrc_setup();
+            assert_eq!(RrcSetup::decode(&setup.encode()).unwrap(), setup);
+        }
     }
 
     #[test]

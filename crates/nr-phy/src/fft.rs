@@ -16,6 +16,7 @@
 
 use crate::complex::Cf32;
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// A planned FFT of a fixed power-of-two size (forward and inverse).
 #[derive(Debug, Clone)]
@@ -45,6 +46,21 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut FftScratch) -> R) -> R {
     SCRATCH.with_borrow_mut(f)
 }
 
+/// The size whose unit twiddles every plan up to it gathers.
+const SHARED_UNITS: usize = 4096;
+
+/// The `size / 2` unit twiddles `e^{-2πij/size}`, `j < size / 2`.
+fn unit_twiddles(size: usize) -> Vec<Cf32> {
+    let unit = |j: usize| Cf32::from_angle(-2.0 * std::f32::consts::PI * j as f32 / size as f32);
+    (0..size / 2).map(unit).collect()
+}
+
+/// [`unit_twiddles`] of [`SHARED_UNITS`], computed once a process.
+fn shared_unit_twiddles() -> &'static [Cf32] {
+    static UNITS: OnceLock<Vec<Cf32>> = OnceLock::new();
+    UNITS.get_or_init(|| unit_twiddles(SHARED_UNITS))
+}
+
 impl Fft {
     /// Plan an FFT of `size` points. Panics if `size` is not a power of two.
     pub fn new(size: usize) -> Fft {
@@ -53,19 +69,29 @@ impl Fft {
             "FFT size must be a power of two ≥ 2"
         );
         // Every stage's twiddle is one of the `size / 2` unit twiddles
-        // `e^{-2πij/size}`, computed once and gathered.
-        let unit =
-            |j: usize| Cf32::from_angle(-2.0 * std::f32::consts::PI * j as f32 / size as f32);
-        let units = &(0..size / 2).map(unit).collect::<Vec<_>>();
-        let bits = size.trailing_zeros();
-        let stages = || {
-            let halves = (0..bits).map(|stage| 1usize << stage);
-            halves.flat_map(|half| (0..half).map(move |k| units[k * (size / (2 * half))]))
+        // `e^{-2πij/size}`, gathered from one table. Up to 4096 points it is
+        // the process's 4096-point table, read every `4096 / size`-th:
+        // `j·(4096/size)` and `/4096` scale the angle by the same power of
+        // two, so each entry is `e^{-2πij/size}` to the bit.
+        let own;
+        let (units, stride) = if size <= SHARED_UNITS {
+            (shared_unit_twiddles(), SHARED_UNITS / size)
+        } else {
+            own = unit_twiddles(size);
+            (&own[..], 1)
         };
-        let mut twiddles = Vec::with_capacity(3 * (size - 1));
-        twiddles.extend(stages().map(|w| w.re));
-        twiddles.extend(stages().map(|w| w.im));
-        twiddles.extend(stages().map(|w| w.conj().im));
+        let bits = size.trailing_zeros();
+        let mut twiddles = vec![0.0; 3 * (size - 1)];
+        let (re, rest) = twiddles.split_at_mut(size - 1);
+        let (im, conj_im) = rest.split_at_mut(size - 1);
+        for half in (0..bits).map(|stage| 1usize << stage) {
+            let step = size / (2 * half) * stride;
+            for k in 0..half {
+                let w = units[k * step];
+                (re[half - 1 + k], im[half - 1 + k]) = (w.re, w.im);
+                conj_im[half - 1 + k] = w.conj().im;
+            }
+        }
         let bitrev = (0..size as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();

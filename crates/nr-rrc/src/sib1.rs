@@ -12,6 +12,7 @@ use crate::rach::RachConfigCommon;
 use crate::DecodeError;
 use nr_phy::bits::{BitReader, BitWriter};
 use nr_phy::frame::TddPattern;
+use nr_phy::numerology::SYMBOLS_PER_SLOT;
 use nr_phy::Numerology;
 use serde::{Deserialize, Serialize};
 
@@ -91,7 +92,13 @@ impl Sib1 {
         let ul_slots = r.get(5).ok_or(DecodeError::Truncated)? as usize;
         let special_dl_symbols = r.get(4).ok_or(DecodeError::Truncated)? as usize;
         let special_ul_symbols = r.get(4).ok_or(DecodeError::Truncated)? as usize;
-        if period_slots == 0 || dl_slots + ul_slots > period_slots {
+        // A period that does not tile the frame, or a special slot of more
+        // than 14 symbols, is a pattern no slot can be placed in.
+        if period_slots == 0
+            || dl_slots + ul_slots > period_slots
+            || numerology.slots_per_frame() % period_slots != 0
+            || special_dl_symbols + special_ul_symbols > SYMBOLS_PER_SLOT
+        {
             return Err(DecodeError::InvalidField("tdd"));
         }
         let tdd = TddPattern {
@@ -169,6 +176,31 @@ mod tests {
             Sib1::decode(&sib.encode()),
             Err(DecodeError::InvalidField("tdd"))
         );
+    }
+
+    #[test]
+    fn tdd_period_that_does_not_tile_the_frame_rejected() {
+        // 20 slots a frame at µ=1: a 10- or 20-slot period tiles it, 8 not.
+        let mut sib = sample();
+        sib.tdd.period_slots = 8;
+        assert_eq!(
+            Sib1::decode(&sib.encode()),
+            Err(DecodeError::InvalidField("tdd"))
+        );
+        sib.tdd.period_slots = 20;
+        assert!(Sib1::decode(&sib.encode()).is_ok());
+    }
+
+    #[test]
+    fn special_slot_of_more_than_14_symbols_rejected() {
+        let mut sib = sample();
+        (sib.tdd.special_dl_symbols, sib.tdd.special_ul_symbols) = (10, 5);
+        assert_eq!(
+            Sib1::decode(&sib.encode()),
+            Err(DecodeError::InvalidField("tdd"))
+        );
+        (sib.tdd.special_dl_symbols, sib.tdd.special_ul_symbols) = (10, 4);
+        assert!(Sib1::decode(&sib.encode()).is_ok());
     }
 
     #[test]

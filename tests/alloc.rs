@@ -13,6 +13,7 @@
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
+use nr_scope::phy::SlotDirection;
 use nr_scope::scope::observe::Observer;
 use nr_scope::scope::{Fidelity, NrScope, ScopeConfig};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
@@ -74,6 +75,8 @@ struct SlotCost {
     /// DCIs the gNB sent in the slot, any RNTI type.
     sent: usize,
     ssb: bool,
+    /// An uplink slot of the cell's TDD pattern.
+    uplink: bool,
     records: usize,
 }
 
@@ -132,6 +135,7 @@ fn session_with(
             allocs: ALLOCS.get() - before,
             sent: out.dcis.len(),
             ssb: out.mib.is_some(),
+            uplink: out.direction == Some(SlotDirection::Uplink),
             records: records.len(),
         });
         after(&scope, s + 1);
@@ -180,38 +184,52 @@ fn tracked_iq_slot_allocates_per_surviving_candidate_not_per_hypothesis() {
 /// pilot sums its fifteen gates read, nothing for the grid, the FFT or a
 /// polar code, nothing for a PBCH attempt (none is due between SSBs, and
 /// its CRC check builds nothing when one is), nothing in `housekeeping`;
-/// `process` returns an empty `Vec`, which allocates nothing.
+/// `process` returns an empty `Vec`, which allocates nothing. An uplink
+/// slot of the cell's TDD pattern is not read at all: it allocates nothing.
 #[test]
 fn empty_tracked_iq_slot_allocates_only_its_sequences_and_lists() {
     let (costs, tracked) = session(1, 200);
     assert_eq!(tracked, 1);
-    let quiet = |c: &&SlotCost| c.sent == 0 && !c.ssb;
+    let quiet = |c: &&SlotCost| c.sent == 0 && !c.ssb && !c.uplink;
     let quiet: Vec<u64> = (costs[100..].iter().filter(quiet))
         .map(|c| c.allocs)
         .collect();
     assert!(quiet.len() > 50, "{} quiet slots", quiet.len());
     assert!(quiet.iter().all(|&n| n <= 1), "{quiet:?}");
+    let uplink: Vec<u64> = (costs[100..].iter().filter(|c| c.uplink))
+        .map(|c| c.allocs)
+        .collect();
+    assert!(uplink.len() >= 20, "{} uplink slots", uplink.len());
+    assert!(uplink.iter().all(|&n| n == 0), "{uplink:?}");
 }
 
 /// A tracked message-fidelity cell allocates per slot what it decodes, not
 /// what it tracks: the same at 8 and at 64 UEs, all attached (the
-/// benchmark's `msg-dense` population is 64). A slot with no DCI on the air
-/// allocates 1, the slot's RA-RNTI list; a slot that decodes allocates, in
-/// the most common case, 5 plus one per record. Nothing per UE, and
-/// nothing for the C-RNTI row: `hypotheses` hands out the table's row,
-/// shared (every count was one higher while it cloned the row each slot),
-/// and the row's key index is built once per table, not per slot.
+/// benchmark's `msg-dense` population is 64). A downlink slot with no DCI on
+/// the air allocates 1, the slot's RA-RNTI list, and an uplink slot of the
+/// cell's TDD pattern, which is not decoded, 0; a slot that decodes
+/// allocates, in the most common case, 5 plus one per record. Nothing per
+/// UE, and nothing for the C-RNTI row: `hypotheses` hands out the table's
+/// row, shared (every count was one higher while it cloned the row each
+/// slot), and the row's key index is built once per table, not per slot.
 #[test]
 fn steady_message_slot_allocates_the_same_at_8_and_64_tracked_ues() {
     for n_ues in [8, 64] {
         let (costs, tracked) = session_at(Fidelity::Message, n_ues, 1200);
         assert_eq!(tracked, n_ues as usize, "every UE attached");
         let steady = &costs[800..];
-        let quiet: Vec<u64> = (steady.iter().filter(|c| c.sent == 0))
+        let quiet: Vec<u64> = (steady.iter().filter(|c| c.sent == 0 && !c.uplink))
             .map(|c| c.allocs)
             .collect();
-        assert!(quiet.len() > 50, "{n_ues} UEs: {} quiet slots", quiet.len());
+        let uplink: Vec<u64> = (steady.iter().filter(|c| c.uplink))
+            .map(|c| c.allocs)
+            .collect();
+        // At 64 UEs every downlink slot of the window carries a DCI.
+        let (n_quiet, n_uplink) = (quiet.len(), uplink.len());
+        assert!(n_quiet > 10 || n_ues == 64, "{n_ues} UEs: {n_quiet} quiet");
+        assert!(n_uplink >= 80, "{n_ues} UEs: {n_uplink} uplink");
         assert!(quiet.iter().all(|&n| n == 1), "{n_ues} UEs: {quiet:?}");
+        assert!(uplink.iter().all(|&n| n == 0), "{n_ues} UEs: {uplink:?}");
         let mut past_records = std::collections::BTreeMap::new();
         for c in steady.iter().filter(|c| c.records > 0) {
             *past_records.entry(c.allocs - c.records as u64).or_insert(0) += 1;
