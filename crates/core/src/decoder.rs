@@ -1,5 +1,6 @@
-//! The slot path's decode stages: IQ front end → candidate extraction →
-//! scan → RNTI hypothesis test (paper Fig 4; cost model Fig 12).
+//! The slot path's decode stages: IQ front end → pilot gate → scan (each
+//! gated position demapped when first asked) → RNTI hypothesis test
+//! (paper Fig 4; cost model Fig 12).
 //!
 //! The sniffer never knows which candidates are occupied. It scans every
 //! aligned candidate position at every aggregation level (IQ fidelity) or
@@ -15,8 +16,11 @@
 //!
 //! There is one scan and one hypothesis tester. The two fidelities differ
 //! only in how a candidate yields hard-decision codewords — the private
-//! `Candidate` trait: a descramble for [`ObservedDci`], a polar decode for
-//! [`ExtractedCandidate`]. A codeword is tested through its CRC syndrome
+//! `Candidate` trait: a descramble for [`ObservedDci`], a polar decode of
+//! a blind position's LLRs (the private `Blind` trait: an
+//! [`ExtractedCandidate`], or a slot's gated position, demapped the first
+//! time the scan asks for it — a position an earlier claim explains is
+//! never read). A codeword is tested through its CRC syndrome
 //! ([`dci_syndrome`]): one number that every RNTI hypothesis is compared
 //! with.
 //!
@@ -39,14 +43,14 @@ use crate::observe::ObservedDci;
 use nr_phy::complex::Cf32;
 use nr_phy::crc::dci_syndrome;
 use nr_phy::dci::{Dci, DciFormat, DciSizing};
-use nr_phy::dmrs::PilotSums;
+use nr_phy::dmrs::{PilotEstimate, PilotSums};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::modulation::{demodulate_llr_into, Modulation};
 use nr_phy::numerology::SYMBOLS_PER_SLOT;
 use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::{
-    candidate_cce, cce_pilot_sums, extract_candidate_above, search_space_cinit, ue_search_space_y,
-    AggregationLevel, Coreset, CoresetSequences, SearchBudget, PILOT_SNR_FLOOR,
+    candidate_cce, cce_pilot_sums, demap_candidate, pilot_gate, search_space_cinit,
+    ue_search_space_y, AggregationLevel, Coreset, CoresetSequences, SearchBudget, PILOT_SNR_FLOOR,
 };
 use nr_phy::polar::ratematch::RateMatchKind;
 use nr_phy::polar::{DecodeScratch, HardWord, PolarCode};
@@ -429,7 +433,7 @@ impl PolarCodes {
     /// SC-decode `llrs` to `k` bits, which live here until the next call.
     fn decode(&mut self, k: usize, llrs: &[f32]) -> &[u8] {
         let at = self.code(k, llrs.len());
-        self.codes[at].decode_sc_with(llrs.iter().copied(), &mut self.scratch)
+        self.codes[at].decode_sc_with(llrs, &mut self.scratch)
     }
 }
 
@@ -516,25 +520,26 @@ impl FrontEnd {
         Some(grid)
     }
 
-    /// [`extract_all_candidates`] of the slot last demodulated.
-    pub(crate) fn extract_all_candidates(
-        &mut self,
-        ctx: &DecoderContext,
+    /// The positions of the slot last demodulated that pass the pilot
+    /// gate, each demapped when the scan first asks for it.
+    pub(crate) fn gate_slot<'a>(
+        &'a mut self,
+        ctx: &'a DecoderContext,
         sif: usize,
-    ) -> Vec<ExtractedCandidate> {
+    ) -> Vec<GatedPosition<'a>> {
         let Some((.., grid)) = self.layout.as_ref() else {
             return Vec::new();
         };
         let key = (ctx.coreset, ctx.pci);
-        let slots = match &mut self.pilots {
-            Some((built, slots)) if *built == key => slots,
-            pilots => &mut pilots.insert((key, Vec::new())).1,
-        };
+        if self.pilots.as_ref().is_some_and(|(built, _)| *built != key) {
+            self.pilots = None;
+        }
+        let (_, slots) = self.pilots.get_or_insert_with(|| (key, Vec::new()));
         if slots.len() <= sif {
             slots.resize_with(sif + 1, || None);
         }
         let seqs = slots[sif].get_or_insert_with(|| coreset_sequences(ctx, sif));
-        extract_candidates(ctx, grid, seqs, &mut self.cce_sums)
+        gate(&ctx.coreset, grid, seqs, &mut self.cce_sums)
     }
 
     /// PBCH (MIB) decode from the slot last demodulated, when it bears an
@@ -593,15 +598,22 @@ pub struct ExtractedCandidate {
 }
 
 /// Signal-processing stage: extract and equalise every energetic candidate
-/// of the CORESET (run once per slot; the Fig 4 "one slot data" product
-/// handed to the DCI threads).
+/// of the CORESET (the Fig 4 "one slot data" product handed to the DCI
+/// threads): the slot's pilot gate, then every position it passes
+/// demapped.
 pub fn extract_all_candidates(
     ctx: &DecoderContext,
     grid: &ResourceGrid,
     slot_in_frame: usize,
 ) -> Vec<ExtractedCandidate> {
     let seqs = coreset_sequences(ctx, slot_in_frame);
-    extract_candidates(ctx, grid, &seqs, &mut Vec::new())
+    let gated = gate(&ctx.coreset, grid, &seqs, &mut Vec::new());
+    let demapped = gated.iter().map(|p| ExtractedCandidate {
+        llrs: p.demap(),
+        level: p.level,
+        cce_start: p.cce_start,
+    });
+    demapped.collect()
 }
 
 /// The aggregation levels whose candidates fit in `coreset`.
@@ -620,30 +632,53 @@ fn coreset_sequences(ctx: &DecoderContext, sif: usize) -> CoresetSequences {
     CoresetSequences::new(coreset, longest, pci, cinit_for(None, pci), sif)
 }
 
-fn extract_candidates(
-    ctx: &DecoderContext,
-    grid: &ResourceGrid,
-    seqs: &CoresetSequences,
+/// The pilot gate over every position of the CORESET. Every pilot is read
+/// here, once, for all the levels its CCE is part of; a position under the
+/// floor is dropped before its data is read.
+fn gate<'a>(
+    coreset: &'a Coreset,
+    grid: &'a ResourceGrid,
+    seqs: &'a CoresetSequences,
     sums: &mut Vec<PilotSums>,
-) -> Vec<ExtractedCandidate> {
+) -> Vec<GatedPosition<'a>> {
     let mut out = Vec::new();
-    let (coreset, n_cces, floor) = (&ctx.coreset, ctx.coreset.n_cces(), PILOT_SNR_FLOOR);
-    // Every pilot is read here, once, for all the levels its CCE is part
-    // of; a position under the floor is dropped before its data is read.
     sums.clear();
-    sums.extend((0..n_cces).map(|cce| cce_pilot_sums(grid, coreset, seqs, cce)));
+    sums.extend((0..coreset.n_cces()).map(|cce| cce_pilot_sums(grid, coreset, seqs, cce)));
     for level in fitting_levels(coreset) {
         for (i, cces) in sums.chunks_exact(level.cces()).enumerate() {
-            let cce_start = i * level.cces();
-            let soft = extract_candidate_above(grid, coreset, cce_start, level, seqs, cces, floor);
-            out.extend(soft.map(|soft| ExtractedCandidate {
-                llrs: soft.llrs,
+            out.extend(pilot_gate(cces, PILOT_SNR_FLOOR).map(|est| GatedPosition {
+                slot: (coreset, grid, seqs),
                 level,
-                cce_start,
+                cce_start: i * level.cces(),
+                est,
+                llrs: OnceLock::new(),
             }));
         }
     }
     out
+}
+
+/// A blind position the pilot gate passed, its data demapped the first
+/// time the scan asks for its LLRs: a position whose CCEs an earlier claim
+/// explains is never asked, and never read. The DCI threads of a slot share
+/// it, so the first to ask demaps for all.
+#[derive(Debug)]
+pub(crate) struct GatedPosition<'a> {
+    /// The CORESET, the grid and the sequences it is read from.
+    slot: (&'a Coreset, &'a ResourceGrid, &'a CoresetSequences),
+    level: AggregationLevel,
+    cce_start: usize,
+    /// What its pilots estimate, which the gate passed.
+    est: PilotEstimate,
+    llrs: OnceLock<Vec<f32>>,
+}
+
+impl GatedPosition<'_> {
+    /// The data pass: the position's common-descrambled LLRs.
+    fn demap(&self) -> Vec<f32> {
+        let (coreset, grid, seqs) = self.slot;
+        demap_candidate(grid, coreset, self.cce_start, self.level, seqs, &self.est).llrs
+    }
 }
 
 /// Makes the payload bits of a codeword whose syndrome a hypothesis matched.
@@ -656,9 +691,9 @@ pub(crate) trait Candidate {
     /// A blind grid position (IQ) rather than a captured codeword
     /// (message). Positions at different aggregation levels alias one
     /// another's CCEs, so [`scan`] takes a slot of them in two passes and
-    /// skips one overlapping a decoded DCI; and their search cost —
-    /// extraction — is paid before the scan, so the scan itself is not
-    /// the `pdcch_search` stage.
+    /// skips one overlapping a decoded DCI; and their search cost — the
+    /// pilot gate — is paid before the scan, so the scan itself is not the
+    /// `pdcch_search` stage (a position's demap is timed with its decode).
     const BLIND: bool;
     /// Aggregation level.
     fn level(&self) -> AggregationLevel;
@@ -816,22 +851,52 @@ impl Candidate for ObservedDci {
     }
 }
 
+/// A blind grid position, as the IQ [`Candidate`] body reads it: where it
+/// is, and its common-descrambled LLRs.
+pub(crate) trait Blind {
+    /// Aggregation level and first CCE.
+    fn position(&self) -> (AggregationLevel, usize);
+    /// The LLRs, `level.bits()` of them.
+    fn llrs(&self) -> &[f32];
+}
+
+impl Blind for ExtractedCandidate {
+    fn position(&self) -> (AggregationLevel, usize) {
+        (self.level, self.cce_start)
+    }
+
+    fn llrs(&self) -> &[f32] {
+        &self.llrs
+    }
+}
+
+impl Blind for GatedPosition<'_> {
+    fn position(&self) -> (AggregationLevel, usize) {
+        (self.level, self.cce_start)
+    }
+
+    fn llrs(&self) -> &[f32] {
+        self.llrs.get_or_init(|| self.demap())
+    }
+}
+
 /// IQ fidelity: the LLRs are common-descrambled, which is how the common
 /// pass decodes them, and every size shorter than the candidate gets its
 /// own polar code. A walk (pass B) flips the signs where a UE's sequence
 /// differs from the common one, once for all its sizes. Pass A computes
 /// one hard word per mother layout, shared by the sizes, and a C-RNTI XORs
 /// its flip word onto it — except under Repeat, where it takes the hard
-/// word of its flipped LLRs.
-impl Candidate for ExtractedCandidate {
+/// word of its flipped LLRs. The LLRs are asked for only once there is a
+/// scrambling to try.
+impl<B: Blind> Candidate for B {
     const BLIND: bool = true;
 
     fn level(&self) -> AggregationLevel {
-        self.level
+        self.position().0
     }
 
     fn cce_start(&self) -> usize {
-        self.cce_start
+        self.position().1
     }
 
     fn codewords<T>(
@@ -843,9 +908,12 @@ impl Candidate for ExtractedCandidate {
         walk: bool,
         mut test: impl FnMut(Option<Rnti>, u32, PayloadOf<'_>) -> Option<T>,
     ) -> Option<T> {
-        let e = self.level.bits();
+        let e = self.level().bits();
         let mut scramblings = scramblings.peekable();
         scramblings.peek()?;
+        #[cfg(test)]
+        tests::ASKED.with_borrow_mut(|asked| asked.push(self.position()));
+        let own = self.llrs();
         POLAR_CODES.with_borrow_mut(|polar| {
             // Per size that fits: its payload bits, its code and, in pass A,
             // the hard word of the LLRs as extracted, one per mother layout.
@@ -856,9 +924,7 @@ impl Candidate for ExtractedCandidate {
                 let shared = fits.iter().flatten().find(|f| layout(f.1) == layout(at));
                 let hard = shared.map(|f| f.2).unwrap_or_else(|| match walk {
                     true => None,
-                    false => {
-                        polar.codes[at].hard_word(self.llrs.iter().copied(), &mut polar.scratch)
-                    }
+                    false => polar.codes[at].hard_word(own, &mut polar.scratch),
                 });
                 fits[i] = Some((p, at, hard));
             }
@@ -868,16 +934,16 @@ impl Candidate for ExtractedCandidate {
             scramblings.find_map(|ue| {
                 let c_init = cinit_for(ue, ctx.pci);
                 let llrs = match ue.is_some() && flip_llrs {
-                    false => &self.llrs,
+                    false => own,
                     true => {
-                        let flipped = self.llrs.iter().zip(flips(c_init, ctx.pci, e));
+                        let flipped = own.iter().zip(flips(c_init, ctx.pci, e));
                         ue_llrs.clear();
                         ue_llrs.extend(flipped.map(|(l, f)| if f { -l } else { *l }));
                         &*ue_llrs
                     }
                 };
                 fits.iter().flatten().find_map(|&(p, at, hard)| {
-                    let (code, llrs) = (&codes[at], llrs.iter().copied());
+                    let code = &codes[at];
                     let cw = if walk {
                         code.decode_sc_with(llrs, scratch)
                     } else {
@@ -915,8 +981,8 @@ pub fn decode_message_slot_budgeted(
     scan(ctx, observed, hyp, budget, metrics)
 }
 
-/// Hypothesis-testing stage over pre-extracted IQ candidates (the
-/// `pdcch_search` stage is their extraction, timed by the caller), under
+/// Hypothesis-testing stage over pre-extracted IQ candidates (their
+/// extraction is the caller's to time), under
 /// the same [`SearchBudget`] rule as [`decode_message_slot_budgeted`].
 /// Every polar code the scan meets is configured once per thread.
 pub fn decode_candidates_budgeted(
@@ -1115,6 +1181,7 @@ pub(crate) mod tests {
     use crate::observe::tests::loaded_gnb;
     use crate::observe::{scrambling_for, Observer};
     use gnb_sim::CellConfig;
+    use std::collections::BTreeSet;
 
     pub(crate) fn ctx(cfg: &CellConfig) -> DecoderContext {
         DecoderContext {
@@ -1139,6 +1206,10 @@ pub(crate) mod tests {
         /// ([`each_ue`]), the oracle its key lookup is compared with.
         pub(super) static PER_UE: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+        /// Every blind position whose LLRs a `codewords` call on this
+        /// thread asked for, in order.
+        pub(super) static ASKED: std::cell::RefCell<Vec<(AggregationLevel, usize)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
     }
 
     /// Every hypothesis against every codeword: no budget, no metrics.
@@ -1323,7 +1394,7 @@ pub(crate) mod tests {
             let flips = seq(None).into_iter().zip(seq(Some(rnti)));
             let flipped: Vec<f32> = cand.llrs.iter().zip(flips).map(flip).collect();
             for (p, code) in &codes {
-                if let Some(cw) = code.codeword_with(flipped.iter().copied(), &mut scratch) {
+                if let Some(cw) = code.codeword_with(&flipped, &mut scratch) {
                     let syndrome = dci_syndrome(cw).expect("24 bits");
                     want.push((Some(rnti), syndrome, cw[..*p].to_vec()));
                     through += usize::from(code.kind != RateMatchKind::Repeat);
@@ -1403,6 +1474,98 @@ pub(crate) mod tests {
         assert!(seen > 5, "{seen} lone level-2 DCIs");
     }
 
+    /// `job`'s slot scanned over positions demapped on its first ask and
+    /// over `extract_all_candidates`: the same DCIs and work counts, and
+    /// through `process_slot` at 1 and 4 DCI threads too; the positions
+    /// demapped are those the eager scan asks for, and none under a claim
+    /// pass A makes earlier in order. Returns the positions gated, those
+    /// demapped and those under an earlier claim.
+    fn lazy_against_eager(
+        front: &mut FrontEnd,
+        mut job: crate::worker::SlotJob,
+        at: &str,
+    ) -> [usize; 3] {
+        let (ctx, sif, hyp, budget) = (&job.ctx, job.slot_in_frame, &job.hyp, job.budget);
+        let crate::ObservedSlot::Iq { samples, .. } = &job.observed else {
+            panic!("{at}: an IQ job");
+        };
+        let wanted = coreset_symbols(&ctx.coreset);
+        let grid = front.demodulate_slot(Some(ctx), samples, sif, &wanted, Metrics::disabled());
+        let eager = extract_all_candidates(ctx, &grid.expect("the cell's layout").clone(), sif);
+        let asked = || ASKED.take().into_iter().collect::<BTreeSet<_>>();
+        asked();
+        let want = decode_candidates_budgeted(ctx, &eager, hyp, budget, None);
+        let eager_asked = asked();
+        let positions = front.gate_slot(ctx, sif);
+        assert_eq!(scan(ctx, &positions, hyp, budget, None), want, "{at}");
+        assert_eq!(asked(), eager_asked, "{at}");
+        let demapped = positions.iter().filter(|p| p.llrs.get().is_some());
+        let demapped: BTreeSet<_> = demapped.map(Blind::position).collect();
+        assert_eq!(demapped, eager_asked, "{at}");
+        // Pass A's claims, in order: no position under one is read.
+        let (mut claims, mut under) = (Vec::new(), 0);
+        for (p, c) in positions.iter().zip(&eager) {
+            if overlaps(&claims, p) {
+                assert!(p.llrs.get().is_none(), "{at}: {:?} read", p.position());
+                under += 1;
+            } else if let Some(d) =
+                test_hypotheses(ctx, c, hyp, budget, false, &mut DecodeWork::default())
+            {
+                claims.push(d);
+            }
+        }
+        let counts = [positions.len(), demapped.len(), under];
+        for threads in [1, 4] {
+            job.dci_threads = threads;
+            let mut want = (Vec::new(), DecodeWork::default());
+            for hyp in crate::worker::shards(&job.hyp, threads) {
+                let (d, w) = decode_candidates_budgeted(&job.ctx, &eager, &hyp, job.budget, None);
+                want.0.extend(d);
+                want.1.absorb(&w);
+            }
+            let got = crate::worker::process_slot(&job);
+            assert_eq!((got.decoded, got.work), want, "{at}, {threads} threads");
+        }
+        counts
+    }
+
+    /// A slot's positions demapped on the scan's first ask decide what the
+    /// eager extraction decides ([`lazy_against_eager`]), every slot of the
+    /// 12-UE IQ cell heard at 30 dB and at 3 dB (where pass B walks and
+    /// recovery fires), and a position under an earlier claim is never
+    /// read: 262 of 1,519 at 30 dB.
+    #[test]
+    fn lazily_demapped_scan_decides_what_the_eager_extraction_decides() {
+        let iq = crate::ScopeConfig {
+            fidelity: crate::Fidelity::Iq,
+            ..crate::ScopeConfig::default()
+        };
+        for snr_db in [30.0, 3.0] {
+            let (cell, mut gnb) = crate::scope::tests::loaded_cell(12);
+            // The scope tracks the cell at 30 dB whatever the tape is heard at.
+            let mut feed = Observer::new(&cell, 30.0, true, 5);
+            let mut tape = Observer::new(&cell, snr_db, true, 6);
+            let (mut scope, mut front) = (crate::NrScope::new(iq, None), FrontEnd::default());
+            let mut seen = [0; 3];
+            for s in 0..200 {
+                let (out, t) = (gnb.step(), s as f64 * cell.slot_s());
+                let observed = feed.observe(&out, t);
+                if let Some(job) = scope.slot_job(tape.observe(&out, t)) {
+                    let counts =
+                        lazy_against_eager(&mut front, job, &format!("{snr_db} dB, slot {s}"));
+                    seen = std::array::from_fn(|i| seen[i] + counts[i]);
+                }
+                scope.process(&observed);
+            }
+            let [gated, demapped, under] = seen;
+            println!("{snr_db} dB: {gated} positions gated, {demapped} demapped, {under} under an earlier claim");
+            assert!(
+                under > 100 && demapped + under <= gated,
+                "{snr_db} dB: {seen:?}"
+            );
+        }
+    }
+
     /// The front end's grid is written in place slot after slot: whatever
     /// symbol set came before, a slot reads as it would from a fresh grid —
     /// the symbols asked for and the zeros around them, bit for bit.
@@ -1448,13 +1611,9 @@ pub(crate) mod tests {
         let renderer = gnb_sim::iq::IqRenderer::new(&g.cfg);
         let mut usrp = nr_radio::VirtualUsrp::new(20.0, 0.0, 6);
         let mut front = FrontEnd::default();
-        let bits = |cands: Vec<ExtractedCandidate>| -> Vec<_> {
-            let llrs =
-                |c: ExtractedCandidate| c.llrs.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-            cands
-                .into_iter()
-                .map(|c| (c.level, c.cce_start, llrs(c)))
-                .collect()
+        let bits = |c: ExtractedCandidate| {
+            let llrs = c.llrs.iter().map(|l| l.to_bits());
+            (c.level, c.cce_start, llrs.collect::<Vec<_>>())
         };
         let (spf, all) = (g.cfg.numerology.slots_per_frame(), [true; SYMBOLS_PER_SLOT]);
         let mut extracted = 0;
@@ -1473,12 +1632,21 @@ pub(crate) mod tests {
                 let grid =
                     front.demodulate_slot(Some(&c), &samples, sif, &all, Metrics::disabled());
                 let grid = grid.expect("the cell's layout").clone();
-                let got = bits(front.extract_all_candidates(&c, sif));
+                let gated = front
+                    .gate_slot(&c, sif)
+                    .into_iter()
+                    .map(|p| ExtractedCandidate {
+                        llrs: p.llrs().to_vec(),
+                        level: p.level,
+                        cce_start: p.cce_start,
+                    });
+                let got: Vec<_> = gated.map(bits).collect();
                 let (key, kept) = front.pilots.as_ref().expect("built");
                 let fresh = Some(coreset_sequences(&c, sif));
                 assert_eq!(*key, (c.coreset, c.pci));
                 assert!(kept[sif] == fresh, "slot {sif}, phase {phase}");
-                assert_eq!(got, bits(extract_all_candidates(&c, &grid, sif)));
+                let public = extract_all_candidates(&c, &grid, sif).into_iter();
+                assert_eq!(got, public.map(bits).collect::<Vec<_>>());
                 extracted += got.len();
             }
         }

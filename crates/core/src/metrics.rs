@@ -50,7 +50,8 @@ pub enum Stage {
     Capture,
     /// OFDM demodulation (FFT + CP removal) of an IQ slot.
     Demod,
-    /// PDCCH blind search: candidate extraction/equalisation, or the
+    /// PDCCH blind search: the pilot gate over every candidate position
+    /// (a position's demap is timed with its first decode), or the
     /// whole-slot codeword scan at message fidelity.
     PdcchSearch,
     /// One candidate's DCI hypothesis testing (descramble + polar + CRC).

@@ -1284,13 +1284,14 @@ impl NrScope {
             self.stats.decode_failures += 1;
             return DecodeWork::default();
         };
-        let hyp = self.hypotheses(&ctx);
-        let candidates = {
-            let _t = self.metrics.start(Stage::PdcchSearch);
-            self.front
-                .extract_all_candidates(&ctx, self.slot_in_frame())
+        let (hyp, sif) = (self.hypotheses(&ctx), self.slot_in_frame());
+        let (decoded, work) = {
+            let positions = {
+                let _t = self.metrics.start(Stage::PdcchSearch);
+                self.front.gate_slot(&ctx, sif)
+            };
+            scan(&ctx, &positions, &hyp, budget, Some(&self.metrics))
         };
-        let (decoded, work) = scan(&ctx, &candidates, &hyp, budget, Some(&self.metrics));
         self.consume(decoded, pdsch, slot);
         work
     }
@@ -1546,7 +1547,7 @@ fn detect_cell(grid: &ResourceGrid) -> Option<Pci> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::Fidelity;
     use crate::observe::Observer;
@@ -1557,7 +1558,7 @@ mod tests {
     use ue_sim::{MobilityScenario, SimUe};
 
     /// The srsRAN cell with `n_ues` 2 Mb/s CBR UEs present from slot 0.
-    fn loaded_cell(n_ues: usize) -> (CellConfig, Gnb) {
+    pub(crate) fn loaded_cell(n_ues: usize) -> (CellConfig, Gnb) {
         let cell = CellConfig::srsran_n41();
         let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
         for i in 0..n_ues {

@@ -19,7 +19,7 @@
 //! [`crate::Fleet`] has its own workers, watchdog and shedding queues.
 
 use crate::decoder::{
-    coreset_symbols, scan, DecodeWork, DecodedDci, DecoderContext, ExtractedCandidate, FrontEnd,
+    coreset_symbols, scan, DecodeWork, DecodedDci, DecoderContext, FrontEnd, GatedPosition,
     Hypotheses,
 };
 use crate::metrics::{Counter, Gauge, Metrics, Stage};
@@ -159,39 +159,42 @@ fn run_job(job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
     FRONT_END.with_borrow_mut(|front| run_job_with(front, job, metrics))
 }
 
+/// `hyp` split among `threads` DCI threads: the C-RNTI list sharded, the
+/// common hypotheses riding with shard 0 (the SIBs/RACH thread role).
+pub(crate) fn shards(hyp: &Hypotheses, threads: usize) -> Vec<Hypotheses> {
+    let shard = |i| {
+        let c_rntis = hyp.c_rntis.shard(i, threads);
+        match i {
+            0 => Hypotheses {
+                ra_rntis: hyp.ra_rntis.clone(),
+                tc_rntis: hyp.tc_rntis.clone(),
+                c_rntis,
+                allow_recovery: hyp.allow_recovery,
+                skip_common: false,
+            },
+            _ => Hypotheses {
+                c_rntis,
+                skip_common: true,
+                ..Hypotheses::default()
+            },
+        }
+    };
+    (0..threads).map(shard).collect()
+}
+
 fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
     let start = Instant::now();
     if let Some(hook) = &job.hook {
         hook.call(job.slot);
     }
     let threads = job.dci_threads.max(1);
-    // Shard the C-RNTI list; the common hypotheses ride with shard 0
-    // (the SIBs/RACH thread role).
-    let shards: Vec<Hypotheses> = (0..threads)
-        .map(|i| {
-            let c_rntis = job.hyp.c_rntis.shard(i, threads);
-            if i == 0 {
-                Hypotheses {
-                    ra_rntis: job.hyp.ra_rntis.clone(),
-                    tc_rntis: job.hyp.tc_rntis.clone(),
-                    c_rntis,
-                    allow_recovery: job.hyp.allow_recovery,
-                    skip_common: false,
-                }
-            } else {
-                Hypotheses {
-                    c_rntis,
-                    skip_common: true,
-                    ..Hypotheses::default()
-                }
-            }
-        })
-        .collect();
+    let shards = shards(&job.hyp, threads);
     // Signal processing (the O(n log n) term of §5.3.2 — OFDM demod plus
-    // candidate extraction/equalisation) runs once per slot; only the
-    // per-UE DCI hypothesis testing (the O(m) term) is sharded across
+    // candidate extraction/equalisation) runs once per slot: the pilot gate
+    // here, each position's demap by the first shard that asks for it. Only
+    // the per-UE DCI hypothesis testing (the O(m) term) is sharded across
     // threads — exactly the Fig 4 division of labour.
-    let candidates: Vec<ExtractedCandidate> = match &job.observed {
+    let positions: Vec<GatedPosition> = match &job.observed {
         ObservedSlot::Iq { samples, .. } => {
             let sif = job.slot_in_frame;
             // A worker reads the CORESET only: cell search and the PBCH are
@@ -210,7 +213,7 @@ fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> 
                 };
             }
             let _t = metrics.start(Stage::PdcchSearch);
-            front.extract_all_candidates(&job.ctx, sif)
+            front.gate_slot(&job.ctx, sif)
         }
         ObservedSlot::Message { .. } => Vec::new(),
     };
@@ -219,7 +222,7 @@ fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> 
     let (ctx, budget, sink) = (&job.ctx, job.budget, Some(metrics));
     let run_shard = |hyp: &Hypotheses| match &job.observed {
         ObservedSlot::Message { dcis, .. } => scan(ctx, dcis, hyp, budget, sink),
-        ObservedSlot::Iq { .. } => scan(ctx, &candidates, hyp, budget, sink),
+        ObservedSlot::Iq { .. } => scan(ctx, &positions, hyp, budget, sink),
     };
     let mut decoded: Vec<DecodedDci> = Vec::new();
     let mut work = DecodeWork::default();

@@ -32,7 +32,7 @@ use crate::{
     polar::construction::tests::cell_code_grid,
     polar::construction::{polarization_weight, reliability_order},
     polar::ratematch::{self, RateMatchKind},
-    polar::{decode, encode, DecodeScratch, PolarCode},
+    polar::{decode, encode, DecodeScratch, HardWord, PolarCode},
     sequence::{scramble_in_place, GoldSequence, NC},
     sync::{correlate, detect_pss, detect_sss, pss_sequence, sss_sequence, SYNC_SEQ_LEN},
     tbs::{transport_block_size, TbsParams},
@@ -94,7 +94,7 @@ fn candidate_regs(
     (cce_start..cce_start + level.cces()).flat_map(|cce| coreset.cce_regs(cce))
 }
 
-/// The two-pass estimator `pdcch::extract_candidate_above` had: gather the
+/// The two-pass estimator `pdcch::pilot_gate` replaced: gather the
 /// candidate's received and reference pilots, LS gain, then the residual
 /// at that gain, with the extraction's clamps.
 pub fn candidate_estimate_oracle(
@@ -372,8 +372,8 @@ fn one_pass_extraction_is_the_reference_chain_up_to_scale_and_rounding() {
 #[test]
 fn non_finite_res_gate_the_positions_whose_pilots_read_them() {
     use crate::pdcch::{
-        cce_pilot_sums, extract_candidate, extract_candidate_above, CoresetSequences, BITS_PER_CCE,
-        PILOT_SNR_FLOOR,
+        cce_pilot_sums, demap_candidate, extract_candidate, pilot_gate, CoresetSequences,
+        BITS_PER_CCE, PILOT_SNR_FLOOR,
     };
     let (c, l2) = (&CORESETS[0], AggregationLevel::L2);
     let grid = heard(c, (2, l2), Cf32::new(0.6, -0.5), Some(20.0), 9);
@@ -388,7 +388,8 @@ fn non_finite_res_gate_the_positions_whose_pilots_read_them() {
         let extract = |(level, at): (AggregationLevel, usize)| {
             let floor = PILOT_SNR_FLOOR;
             let cces = &sums[at..at + level.cces()];
-            let soft = extract_candidate_above(grid, c, at, level, &seqs, cces, floor);
+            let est = pilot_gate(cces, floor);
+            let soft = est.map(|est| demap_candidate(grid, c, at, level, &seqs, &est));
             let bits = soft.map(|s| s.llrs.iter().map(|l| l.to_bits()).collect::<Vec<u32>>());
             (level.cces(), at, bits)
         };
@@ -986,6 +987,91 @@ fn decode_oracle(code: &PolarCode, llrs: &[f32]) -> Vec<u8> {
     code.info_positions.iter().map(|&p| u[p]).collect()
 }
 
+/// `PolarCode::hard_word` as it was: de-rate-match into a float copy of
+/// the mother code, check the LLRs past the punctured head for ±0 and NaN,
+/// pack the sign bit of every mother LLR one at a time, transform.
+#[cfg(test)]
+fn hard_word_oracle(code: &PolarCode, llrs: &[f32]) -> Option<HardWord> {
+    let mut mother = Vec::new();
+    ratematch::deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
+    let head = match code.kind {
+        RateMatchKind::Puncture => code.n - code.e,
+        RateMatchKind::Shorten | RateMatchKind::Repeat => 0,
+    };
+    if mother[head..].iter().any(|l| *l == 0.0 || l.is_nan()) {
+        return None;
+    }
+    let mut v = [0u64; 8];
+    for (i, l) in mother.iter().enumerate() {
+        v[i / 64] |= u64::from(l.to_bits() >> 31) << (i % 64);
+    }
+    encode::polar_transform_words(&mut v, code.n);
+    Some(v)
+}
+
+/// The hard word packed from the received LLRs in place against the
+/// float-copy construction, `==` on the word: every code of the cell's grid
+/// and (64, 108/216/432/864), so every rate matching, on random LLRs salted
+/// with ±0, NaN, ±∞ and ±subnormals — none, one, one in sixteen, or two in
+/// sixteen of the sign-clean ones (±∞, ±subnormals). 20,000 draws per code
+/// in an optimised build, 2,000 in a debug one.
+#[test]
+fn packed_hard_word_equals_the_float_copy_construction_bitwise() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut grid = cell_code_grid();
+    grid.extend([108, 216, 432, 864].map(|e| (64, e)));
+    let tiny = f32::from_bits(1);
+    let specials = [
+        0.0f32,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        tiny,
+        -tiny,
+        f32::MIN_POSITIVE / 3.0,
+        -f32::MIN_POSITIVE / 3.0,
+    ];
+    let draws = if cfg!(debug_assertions) {
+        2_000
+    } else {
+        20_000
+    };
+    let mut scratch = DecodeScratch::default();
+    let mut kinds = std::collections::HashSet::new();
+    for (k, e) in grid {
+        let code = PolarCode::new(k, e);
+        kinds.insert(format!("{:?}", code.kind));
+        let mut rng = StdRng::seed_from_u64((k * 10_000 + e) as u64);
+        let mut answered = [0; 2];
+        for draw in 0..draws {
+            let mut llrs: Vec<f32> = (0..e).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
+            // Per draw: how many LLRs in 16 are salted, from which specials.
+            let (per_16, from) = [(0, 0), (0, 0), (1, 0), (2, 3)][draw % 4];
+            for l in llrs.iter_mut() {
+                if rng.gen_range(0..16) < per_16 {
+                    *l = specials[rng.gen_range(from..specials.len())];
+                }
+            }
+            if draw % 4 == 1 {
+                llrs[rng.gen_range(0..e)] = specials[rng.gen_range(0..specials.len())];
+            }
+            let got = code.hard_word(&llrs, &mut scratch);
+            assert!(
+                got == hard_word_oracle(&code, &llrs),
+                "k={k} e={e} draw={draw}"
+            );
+            answered[usize::from(got.is_some())] += 1;
+        }
+        assert!(
+            answered.iter().all(|&n| n > draws / 8),
+            "k={k} e={e}: {answered:?}"
+        );
+    }
+    assert_eq!(kinds.len(), 3, "Shorten, Puncture and Repeat all covered");
+}
+
 #[cfg(test)]
 thread_local! {
     /// Decodes the codeword lemma answered without an SC walk.
@@ -1036,11 +1122,11 @@ fn sc_kernel_matches_the_oracle_bit_for_bit() {
                 _ => {}
             }
             let before = SHORT_CIRCUITS.get();
-            let got = (code.decode_sc_with(llrs.iter().copied(), &mut scratch)).to_vec();
+            let got = (code.decode_sc_with(&llrs, &mut scratch)).to_vec();
             let short = SHORT_CIRCUITS.get() - before;
             let want = decode_oracle(&code, &llrs);
             assert_eq!(got, want, "k={k} e={e} trial={trial}");
-            let alone = code.codeword_with(llrs.iter().copied(), &mut scratch);
+            let alone = code.codeword_with(&llrs, &mut scratch);
             assert_eq!(alone.is_some(), short == 1, "k={k} e={e} trial={trial}");
             assert!(alone.is_none_or(|bits| bits == want));
             // What the receiver decodes, as `deselect_into` hands it over,
@@ -1119,15 +1205,11 @@ fn flip_word_is_what_a_sign_flip_does_to_the_hard_word() {
             };
             assert_ne!(code.kind, RateMatchKind::Repeat);
             let at = format!("k={k} e={e} trial={trial}");
-            let hard = code.hard_word(llrs.iter().copied(), &mut scratch);
+            let hard = code.hard_word(&llrs, &mut scratch);
             let moved = hard.map(|h| -> [u64; 8] { std::array::from_fn(|i| h[i] ^ word[i]) });
-            assert_eq!(
-                code.hard_word(flipped.iter().copied(), &mut scratch),
-                moved,
-                "{at}"
-            );
+            assert_eq!(code.hard_word(&flipped, &mut scratch), moved, "{at}");
             let via = moved.and_then(|v| code.codeword_of(&v, &mut scratch).map(<[u8]>::to_vec));
-            let direct = code.codeword_with(flipped.iter().copied(), &mut scratch);
+            let direct = code.codeword_with(&flipped, &mut scratch);
             assert_eq!(via.as_deref(), direct, "{at}");
             let tally = seen.entry(format!("{:?}", code.kind)).or_insert([0; 3]);
             tally[usize::from(hard.is_some()) + usize::from(via.is_some())] += 1;

@@ -11,14 +11,16 @@
 //!
 //! Extraction reads every RE once: a CCE's pilots are summed once a slot
 //! ([`cce_pilot_sums`]) for every level that shares them, and a candidate
-//! over [`PILOT_SNR_FLOOR`] has its data equalised, demapped and
-//! descrambled as one multiply and a sign-bit XOR. The four-pass chain
+//! over [`PILOT_SNR_FLOOR`] ([`pilot_gate`]) has its data equalised,
+//! demapped and descrambled as one multiply and a sign-bit XOR
+//! ([`demap_candidate`]) — when the scan first asks for it. The four-pass chain
 //! this replaced is `oracle.rs`'s reference, with the bounds between them.
 
 use crate::complex::Cf32;
 use crate::crc::dci_attach_crc;
 use crate::dmrs::{
-    pdcch_dmrs, pilot_estimate, PilotSums, DATA_OFFSETS, DATA_PER_REG, DMRS_OFFSETS, DMRS_PER_REG,
+    pdcch_dmrs, pilot_estimate, PilotEstimate, PilotSums, DATA_OFFSETS, DATA_PER_REG, DMRS_OFFSETS,
+    DMRS_PER_REG,
 };
 use crate::grid::ResourceGrid;
 use crate::modulation::{modulate, qpsk_llr_gain, Modulation};
@@ -356,35 +358,40 @@ pub fn extract_candidate(
     slot: usize,
 ) -> CandidateSoftBits {
     let seqs = CoresetSequences::new(coreset, level, n_id, c_init, slot);
-    let (cces, floor) = (cce_start..cce_start + level.cces(), f32::NEG_INFINITY);
+    let cces = cce_start..cce_start + level.cces();
     let cces: Vec<_> = (cces.map(|cce| cce_pilot_sums(grid, coreset, &seqs, cce))).collect();
-    match extract_candidate_above(grid, coreset, cce_start, level, &seqs, &cces, floor) {
-        Some(soft) => soft,
+    match pilot_gate(&cces, f32::NEG_INFINITY) {
+        Some(est) => demap_candidate(grid, coreset, cce_start, level, &seqs, &est),
         None => unreachable!("no pilot SNR compares below -inf"),
     }
 }
 
-/// [`extract_candidate`] against sequences generated once for the slot and
-/// gated on the pilots — what a scan over every candidate of the CORESET
-/// calls, with `cces` the [`cce_pilot_sums`] of the candidate's CCEs, added
-/// here in CCE order: a candidate whose pilot SNR is below `min_pilot_snr`
-/// returns `None` before any of its data REs is read. One that passes has
-/// them read once: zero forcing (`y/h`) leaves noise of variance `σ′² =
-/// 1/SNR`, the demapper's gain at it is real, and both are the one `w`.
-pub fn extract_candidate_above(
-    grid: &ResourceGrid,
-    coreset: &Coreset,
-    cce_start: usize,
-    level: AggregationLevel,
-    seqs: &CoresetSequences,
-    cces: &[PilotSums],
-    min_pilot_snr: f32,
-) -> Option<CandidateSoftBits> {
+/// The pilot gate of a scan over every candidate of the CORESET: the
+/// [`pilot_estimate`] of a candidate from `cces`, the [`cce_pilot_sums`]
+/// of its CCEs, added here in CCE order — `None` when its SNR is below
+/// `min_pilot_snr`, a position whose data REs need never be read.
+pub fn pilot_gate(cces: &[PilotSums], min_pilot_snr: f32) -> Option<PilotEstimate> {
     let sums = (cces.iter()).fold((Cf32::ZERO, 0.0), |(s, r), cce| (s + cce.0, r + cce.1));
     let est = pilot_estimate(cces.len() * REGS_PER_CCE * DMRS_PER_REG, sums);
     if est.snr < min_pilot_snr {
         return None;
     }
+    Some(est)
+}
+
+/// The data pass of [`extract_candidate`], against sequences generated once
+/// for the slot, of a candidate its [`pilot_gate`] passed with `est`: its
+/// data REs are read once. Zero forcing (`y/h`) leaves noise of variance
+/// `σ′² = 1/SNR`, the demapper's gain at it is real, and both are the one
+/// `w`.
+pub fn demap_candidate(
+    grid: &ResourceGrid,
+    coreset: &Coreset,
+    cce_start: usize,
+    level: AggregationLevel,
+    seqs: &CoresetSequences,
+    est: &PilotEstimate,
+) -> CandidateSoftBits {
     let w = est.h.inv() * qpsk_llr_gain(1.0 / est.snr);
     let mut llrs = Vec::with_capacity(level.bits());
     // Descrambling flips an LLR where the bit is 1: its sign bit.
@@ -398,7 +405,7 @@ pub fn extract_candidate_above(
         }
     }
     let pilot_snr = est.snr;
-    Some(CandidateSoftBits { llrs, pilot_snr })
+    CandidateSoftBits { llrs, pilot_snr }
 }
 
 #[cfg(test)]

@@ -30,8 +30,12 @@
 //! LLRs whose signs already spell a codeword — every cleanly received DCI —
 //! are answered by a GF(2) transform of the packed sign bits
 //! ([`PolarCode::codeword_with`], with the lemma that makes it exact). The
-//! transform is linear, so a sign flip of the LLRs — another scrambling —
-//! moves that word by an XOR ([`PolarCode::flip_word`]).
+//! sign bits are packed straight from the received LLRs, sixteen a step,
+//! at their mother-code positions ([`PolarCode::hard_word`]): only
+//! repetition, whose copies add, is de-rate-matched first; a punctured head
+//! or a shortened tail is a run of zero bits, which is what its LLRs' signs
+//! would be. The transform is linear, so a sign flip of the LLRs — another
+//! scrambling — moves that word by an XOR ([`PolarCode::flip_word`]).
 
 pub mod construction;
 pub mod decode;
@@ -122,25 +126,22 @@ impl PolarCode {
     /// successive cancellation. Returns the `k` payload bits.
     pub fn decode_sc(&self, llrs: &[f32]) -> Vec<u8> {
         let mut scratch = DecodeScratch::default();
-        self.decode_sc_with(llrs.iter().copied(), &mut scratch)
-            .to_vec()
+        self.decode_sc_with(llrs, &mut scratch).to_vec()
     }
 
-    /// [`PolarCode::decode_sc`] over an LLR iterator, in `scratch`: nothing
-    /// is allocated once the scratch has grown to the longest code it has
-    /// served. The `k` payload bits live in `scratch` until its next use.
+    /// [`PolarCode::decode_sc`] in `scratch`: nothing is allocated once the
+    /// scratch has grown to the longest code it has served. The `k` payload
+    /// bits live in `scratch` until its next use.
     ///
-    /// The SC walk is run only when [`PolarCode::codeword_with`] cannot
-    /// answer for it.
-    pub fn decode_sc_with<'a>(
-        &self,
-        llrs: impl ExactSizeIterator<Item = f32>,
-        scratch: &'a mut DecodeScratch,
-    ) -> &'a [u8] {
+    /// The LLRs are de-rate-matched and the SC walk is run only when
+    /// [`PolarCode::codeword_with`] cannot answer for it.
+    pub fn decode_sc_with<'a>(&self, llrs: &[f32], scratch: &'a mut DecodeScratch) -> &'a [u8] {
         let v = self.hard_word(llrs, scratch);
         if v.is_none_or(|v| self.codeword_of(&v, scratch).is_none()) {
-            let x = decode::sc_decode(&scratch.mother, &self.plan, &mut scratch.sc);
-            let mut u = pack_signs(x, |x| x);
+            let mother = &mut scratch.mother;
+            ratematch::deselect_into(llrs.iter().copied(), self.n, self.kind, mother);
+            let x = decode::sc_decode(mother, &self.plan, &mut scratch.sc);
+            let mut u = pack_at(x, 0, |x| x != 0);
             encode::polar_transform_words(&mut u, self.n);
             self.payload_into(&u, &mut scratch.payload);
         }
@@ -167,38 +168,46 @@ impl PolarCode {
     /// exactly, so the right child sees the signs of `b`. A frozen leaf
     /// past the head decides 0, which is `v` there by assumption.
     ///
-    /// Each rate matching meets the conditions by construction. *Puncture*:
-    /// the head's LLRs are the +0 `deselect_into` fills in and its inputs
-    /// are pre-frozen. *Shorten*: the tail's `1e9` is a sign-clean 0 at
-    /// positions whose inputs are pre-frozen, and a zero tail of `h` is a
-    /// zero tail of `v` (`F^{⊗n}` is lower triangular). *Repeat*: the test
-    /// is made on the accumulated LLRs, which are what SC decodes.
+    /// Each rate matching meets the conditions by construction, and under
+    /// two of them the condition can be checked on the received LLRs.
+    /// *Puncture*: the head's LLRs are the +0 that `deselect_into` fills in
+    /// (sign bit clear) and its inputs are pre-frozen; past it lie the
+    /// received LLRs. *Shorten*: the received LLRs come first, and the
+    /// tail's `1e9` is a sign-clean 0 at positions whose inputs are
+    /// pre-frozen, and a zero tail of `h` is a zero tail of `v` (`F^{⊗n}` is
+    /// lower triangular). *Repeat*: the test is made on the accumulated
+    /// LLRs, which are what SC decodes.
     pub fn codeword_with<'a>(
         &self,
-        llrs: impl ExactSizeIterator<Item = f32>,
+        llrs: &[f32],
         scratch: &'a mut DecodeScratch,
     ) -> Option<&'a [u8]> {
         let v = self.hard_word(llrs, scratch)?;
         self.codeword_of(&v, scratch)
     }
 
-    /// The lemma's `v` for `llrs`, de-rate-matched into `scratch`; `None`
-    /// when an LLR past the head is ±0 or NaN. It depends on the code only
-    /// through its mother layout (`n`, `kind`) and `e`.
-    pub fn hard_word(
-        &self,
-        llrs: impl ExactSizeIterator<Item = f32>,
-        scratch: &mut DecodeScratch,
-    ) -> Option<HardWord> {
+    /// The lemma's `v` for `llrs`; `None` when an LLR past the head is ±0
+    /// or NaN. The received LLRs are read in place — their signs land at
+    /// `head + i` of the mother code — except under Repeat, where `scratch`
+    /// accumulates them first. It depends on the code only through its
+    /// mother layout (`n`, `kind`) and `e`.
+    pub fn hard_word(&self, llrs: &[f32], scratch: &mut DecodeScratch) -> Option<HardWord> {
         assert_eq!(llrs.len(), self.e, "LLR length must equal e");
-        ratematch::deselect_into(llrs, self.n, self.kind, &mut scratch.mother);
+        let received = match self.kind {
+            RateMatchKind::Repeat => {
+                let mother = &mut scratch.mother;
+                ratematch::deselect_into(llrs.iter().copied(), self.n, self.kind, mother);
+                &mother[..]
+            }
+            RateMatchKind::Puncture | RateMatchKind::Shorten => llrs,
+        };
         // (Not `all`: this way the scan is branch-free and vectorises.)
-        let received = scratch.mother[self.head..].iter();
-        if !received.fold(true, |clean, &l| clean & decode::sign_clean(l)) {
+        let clean = (received.iter()).fold(true, |c, &l| c & decode::sign_clean(l));
+        if !clean {
             return None;
         }
-        // The head's LLRs are +0: sign bit clear, as the lemma wants them.
-        let mut v = pack_signs(&scratch.mother, f32::to_bits);
+        // On a clean LLR `l < 0.0` is its sign bit.
+        let mut v = pack_at(received, self.head, |l| l < 0.0);
         encode::polar_transform_words(&mut v, self.n);
         Some(v)
     }
@@ -248,13 +257,22 @@ impl PolarCode {
     }
 }
 
-/// The sign bits (bit 31 of `bits(v)`) of up to `64 · MAX_WORDS` values,
-/// packed: position `i` at bit `i % 64` of word `i / 64`.
-fn pack_signs<T: Copy>(vals: &[T], bits: impl Fn(T) -> u32) -> HardWord {
+/// `one(v)` of up to `64 · MAX_WORDS − head` values, packed from position
+/// `head` on: value `i` at bit `p % 64` of word `p / 64`, `p = head + i`.
+/// Sixteen values a step, each step's bits shifted into place whole.
+fn pack_at<T: Copy>(vals: &[T], head: usize, one: impl Fn(T) -> bool) -> HardWord {
+    let bits =
+        |vals: &[T]| (vals.iter().enumerate()).fold(0, |b, (i, &v)| b | u32::from(one(v)) << i);
+    let (steps, tail) = vals.as_chunks::<16>();
+    let tail = (!tail.is_empty()).then(|| bits(tail));
+    let steps = steps.iter().map(|step| bits(step)).chain(tail);
     let mut words = [0u64; MAX_WORDS];
-    for (word, chunk) in words.iter_mut().zip(vals.chunks(64)) {
-        let signs = chunk.iter().enumerate();
-        *word = signs.fold(0, |w, (i, &v)| w | u64::from(bits(v) >> 31) << i);
+    for (p, bits) in (head..).step_by(16).zip(steps) {
+        let placed = u128::from(bits) << (p % 64);
+        words[p / 64] |= placed as u64;
+        if let Some(next) = words.get_mut(p / 64 + 1) {
+            *next |= (placed >> 64) as u64;
+        }
     }
     words
 }

@@ -7,7 +7,9 @@
 //! hypothesis became an integer compare on the codeword's CRC syndrome,
 //! plus 10 % — room for a log line, not for a per-hypothesis `Vec` to come
 //! back. Measured again when extraction became one pass over the pilots
-//! and one over a survivor's data: the same counts to the allocation. A
+//! and one over a survivor's data: the same counts to the allocation. The
+//! tracked IQ slot's ceilings were set again to its counts plus 10 % when a
+//! gated position came to be demapped only when the scan asks for it. A
 //! quiet slot is pinned at its count: one allocation more fails.
 
 use nr_scope::gnb::{CellConfig, Gnb};
@@ -143,21 +145,22 @@ fn session_with(
     (costs, scope.tracked_rntis().len())
 }
 
-/// The benchmark's `iq-dense` population, all twelve attached: 20.2
-/// allocations a slot in the mean and 32 on the busiest slot when pinned
+/// The benchmark's `iq-dense` population, all twelve attached: 14.3
+/// allocations a slot in the mean and 25 on the busiest slot when pinned
 /// (239 and 405 while `dci_check_crc` and `dci_recover_rnti` built three
 /// `Vec`s per hypothesis tested, 21.2 and 33 while `housekeeping` listed
 /// the tracked RNTIs every slot to count them), 18.2 and 30 since
-/// `hypotheses` shares the C-RNTI row instead of cloning it, 16.2 and 28
-/// since the front end keeps each slot-in-frame's CORESET sequences. What
-/// is left, by call site: one LLR
-/// `Vec` per candidate that passes the pilot gate, written once by
-/// `extract_candidate_above`, and the `Vec` of them (`extract_candidates`,
-/// ≈ 12 — the per-CCE pilot sums every gate reads and the CORESET's DMRS
-/// rows and common scrambling live in the session's `FrontEnd`, and
-/// extraction has no other buffer), the RNTI lists of
-/// `hypotheses` (the RA-RNTI list, and the TC-RNTI list while a RAR is
-/// pending), and per decoded DCI `scan`'s
+/// `hypotheses` shares the C-RNTI row instead of cloning it, 16.0 and 28
+/// since the front end keeps each slot-in-frame's CORESET sequences,
+/// 14.3 and 25 since a gated position is demapped only when the scan asks
+/// for it. What is left, by call site: one LLR `Vec` per position the scan
+/// asks for, written once by `demap_candidate` (a position sharing a CCE
+/// with an earlier claim is never asked, and allocates nothing), and the
+/// `Vec` of the positions the pilot gate passes (`gate`; the per-CCE
+/// pilot sums every gate reads and the CORESET's DMRS rows and common
+/// scrambling live in the session's `FrontEnd`, and extraction has no
+/// other buffer), the RNTI lists of `hypotheses` (the RA-RNTI list, and
+/// the TC-RNTI list while a RAR is pending), and per decoded DCI `scan`'s
 /// result, the records `process` returns and the bookkeeping of `consume`.
 /// Nothing per hypothesis, and nothing for `scan`'s claims: they live in
 /// its result.
@@ -171,9 +174,12 @@ fn tracked_iq_slot_allocates_per_surviving_candidate_not_per_hypothesis() {
         steady.iter().any(|c| c.records >= 4),
         "the window is loaded"
     );
-    assert!(total <= 20 * steady.len() as u64, "{total} allocations");
+    assert!(
+        total * 10 <= 157 * steady.len() as u64,
+        "{total} allocations"
+    );
     let worst = steady.iter().map(|c| c.allocs).max();
-    assert!(worst <= Some(33), "busiest slot: {worst:?} allocations");
+    assert!(worst <= Some(27), "busiest slot: {worst:?} allocations");
 }
 
 /// A tracked cell's slot with no DCI on the air, 1 when pinned: the
