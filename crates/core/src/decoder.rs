@@ -47,7 +47,7 @@ use nr_phy::dmrs::{PilotEstimate, PilotSums};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::modulation::{demodulate_llr_into, Modulation};
 use nr_phy::numerology::SYMBOLS_PER_SLOT;
-use nr_phy::ofdm::Ofdm;
+use nr_phy::ofdm::{Deferred, Ofdm};
 use nr_phy::pdcch::{
     candidate_cce, cce_pilot_sums, demap_candidate, pilot_gate, search_space_cinit,
     ue_search_space_y, AggregationLevel, Coreset, CoresetSequences, SearchBudget, PILOT_SNR_FLOOR,
@@ -464,8 +464,17 @@ pub(crate) struct FrontEnd {
     fft: nr_phy::fft::FftScratch,
     /// The grid symbols the last slot wrote; every other one is zero.
     filled: [bool; SYMBOLS_PER_SLOT],
+    /// Those of them at their pilot class alone, until the gate completes
+    /// them.
+    deferred: Deferred,
+    /// The registry the last slot records into, when it records.
+    metrics: Option<Arc<Metrics>>,
     cce_sums: Vec<PilotSums>,
+    passed: Vec<Passed>,
     pbch_llrs: Vec<f32>,
+    /// Slots read pilots first, and those of them the gate completed.
+    #[cfg(test)]
+    pub(crate) pilot_reads: [usize; 2],
 }
 
 impl FrontEnd {
@@ -506,30 +515,84 @@ impl FrontEnd {
         wanted: &[bool; SYMBOLS_PER_SLOT],
         metrics: &Arc<Metrics>,
     ) -> Option<&ResourceGrid> {
+        let none = [false; SYMBOLS_PER_SLOT];
+        self.read(ctx, samples, slot_in_frame, wanted, &none, metrics)
+    }
+
+    /// [`FrontEnd::demodulate_slot`] of a slot read for its PDCCH: the
+    /// symbols `whole` marks, and the CORESET's others at their pilot class
+    /// alone ([`Ofdm::demodulate_pilot_class_into`]) — which
+    /// [`FrontEnd::gate_slot`] completes if it passes a position, so a slot
+    /// with no PDCCH on the air costs under half a transform a CORESET
+    /// symbol.
+    pub(crate) fn demodulate_pilots_first(
+        &mut self,
+        ctx: &DecoderContext,
+        samples: &[Cf32],
+        slot_in_frame: usize,
+        whole: &[bool; SYMBOLS_PER_SLOT],
+        metrics: &Arc<Metrics>,
+    ) -> Option<&ResourceGrid> {
+        let coreset = coreset_symbols(&ctx.coreset);
+        #[cfg(test)]
+        let whole =
+            &std::array::from_fn(|sym| whole[sym] || (tests::WHOLE_CORESET.get() && coreset[sym]));
+        let pilots: [bool; SYMBOLS_PER_SLOT] =
+            std::array::from_fn(|sym| coreset[sym] && !whole[sym]);
+        #[cfg(test)]
+        {
+            self.pilot_reads[0] += usize::from(pilots.contains(&true));
+        }
+        self.read(Some(ctx), samples, slot_in_frame, whole, &pilots, metrics)
+    }
+
+    /// Demodulate the symbols `whole` marks, and those `pilots` marks at
+    /// their pilot class alone, zeroing what an earlier slot left in the
+    /// others.
+    fn read(
+        &mut self,
+        ctx: Option<&DecoderContext>,
+        samples: &[Cf32],
+        slot_in_frame: usize,
+        whole: &[bool; SYMBOLS_PER_SLOT],
+        pilots: &[bool; SYMBOLS_PER_SLOT],
+        metrics: &Arc<Metrics>,
+    ) -> Option<&ResourceGrid> {
         if self.layout.is_none() {
             self.plan_layout(ctx, samples.len(), slot_in_frame);
         }
+        self.deferred.clear();
+        self.metrics = metrics.is_enabled().then(|| Arc::clone(metrics));
         let (_, ofdm, grid) = (self.layout.as_mut())
             .filter(|(_, o, _)| o.samples_per_slot(slot_in_frame) == samples.len())?;
         let _t = metrics.start(Stage::Demod);
-        for sym in (0..SYMBOLS_PER_SLOT).filter(|&sym| self.filled[sym] && !wanted[sym]) {
+        let read = std::array::from_fn(|sym| whole[sym] || pilots[sym]);
+        for sym in (0..SYMBOLS_PER_SLOT).filter(|&sym| self.filled[sym] && !read[sym]) {
             grid.symbol_mut(sym).fill(Cf32::ZERO);
         }
-        self.filled = *wanted;
-        ofdm.demodulate_symbols_into(samples, slot_in_frame, wanted, grid, &mut self.fft);
+        self.filled = read;
+        ofdm.demodulate_symbols_into(samples, slot_in_frame, whole, grid, &mut self.fft);
+        if pilots.contains(&true) {
+            let (fft, deferred) = (&mut self.fft, &mut self.deferred);
+            ofdm.demodulate_pilot_class_into(samples, slot_in_frame, pilots, grid, fft, deferred);
+        }
         Some(grid)
     }
 
     /// The positions of the slot last demodulated that pass the pilot
-    /// gate, each demapped when the scan first asks for it.
+    /// gate, each demapped when the scan first asks for it. The gate is
+    /// the `pdcch_search` stage; when it passes a position, the symbols
+    /// still at their pilot class are completed first, under `demod`.
     pub(crate) fn gate_slot<'a>(
         &'a mut self,
         ctx: &'a DecoderContext,
         sif: usize,
     ) -> Vec<GatedPosition<'a>> {
-        let Some((.., grid)) = self.layout.as_ref() else {
+        let Some((_, ofdm, grid)) = self.layout.as_mut() else {
             return Vec::new();
         };
+        let timer = |stage| self.metrics.as_ref().map(|m| m.start(stage));
+        let search = timer(Stage::PdcchSearch);
         let key = (ctx.coreset, ctx.pci);
         if self.pilots.as_ref().is_some_and(|(built, _)| *built != key) {
             self.pilots = None;
@@ -539,7 +602,18 @@ impl FrontEnd {
             slots.resize_with(sif + 1, || None);
         }
         let seqs = slots[sif].get_or_insert_with(|| coreset_sequences(ctx, sif));
-        gate(&ctx.coreset, grid, seqs, &mut self.cce_sums)
+        let passed = &mut self.passed;
+        gate(&ctx.coreset, grid, seqs, &mut self.cce_sums, passed);
+        drop(search);
+        if !passed.is_empty() && !self.deferred.is_empty() {
+            let _t = timer(Stage::Demod);
+            ofdm.complete_into(&mut self.deferred, grid, &mut self.fft);
+            #[cfg(test)]
+            {
+                self.pilot_reads[1] += 1;
+            }
+        }
+        positions((&ctx.coreset, grid, seqs), passed)
     }
 
     /// PBCH (MIB) decode from the slot last demodulated, when it bears an
@@ -607,7 +681,9 @@ pub fn extract_all_candidates(
     slot_in_frame: usize,
 ) -> Vec<ExtractedCandidate> {
     let seqs = coreset_sequences(ctx, slot_in_frame);
-    let gated = gate(&ctx.coreset, grid, &seqs, &mut Vec::new());
+    let mut passed = Vec::new();
+    gate(&ctx.coreset, grid, &seqs, &mut Vec::new(), &mut passed);
+    let gated = positions((&ctx.coreset, grid, &seqs), &passed);
     let demapped = gated.iter().map(|p| ExtractedCandidate {
         llrs: p.demap(),
         level: p.level,
@@ -632,30 +708,45 @@ fn coreset_sequences(ctx: &DecoderContext, sif: usize) -> CoresetSequences {
     CoresetSequences::new(coreset, longest, pci, cinit_for(None, pci), sif)
 }
 
-/// The pilot gate over every position of the CORESET. Every pilot is read
-/// here, once, for all the levels its CCE is part of; a position under the
-/// floor is dropped before its data is read.
-fn gate<'a>(
-    coreset: &'a Coreset,
-    grid: &'a ResourceGrid,
-    seqs: &'a CoresetSequences,
+/// A position the pilot gate passed: its level, its first CCE and what its
+/// pilots estimate.
+type Passed = (AggregationLevel, usize, PilotEstimate);
+
+/// The pilot gate over every position of the CORESET, into `passed`. Every
+/// pilot is read here, once, for all the levels its CCE is part of; a
+/// position under the floor is dropped before its data is read. It reads
+/// the pilot REs alone.
+fn gate(
+    coreset: &Coreset,
+    grid: &ResourceGrid,
+    seqs: &CoresetSequences,
     sums: &mut Vec<PilotSums>,
-) -> Vec<GatedPosition<'a>> {
-    let mut out = Vec::new();
+    passed: &mut Vec<Passed>,
+) {
     sums.clear();
     sums.extend((0..coreset.n_cces()).map(|cce| cce_pilot_sums(grid, coreset, seqs, cce)));
+    passed.clear();
     for level in fitting_levels(coreset) {
         for (i, cces) in sums.chunks_exact(level.cces()).enumerate() {
-            out.extend(pilot_gate(cces, PILOT_SNR_FLOOR).map(|est| GatedPosition {
-                slot: (coreset, grid, seqs),
-                level,
-                cce_start: i * level.cces(),
-                est,
-                llrs: OnceLock::new(),
-            }));
+            let est = pilot_gate(cces, PILOT_SNR_FLOOR);
+            passed.extend(est.map(|est| (level, i * level.cces(), est)));
         }
     }
-    out
+}
+
+/// The positions `passed` names, in `slot`.
+fn positions<'a>(
+    slot: (&'a Coreset, &'a ResourceGrid, &'a CoresetSequences),
+    passed: &[Passed],
+) -> Vec<GatedPosition<'a>> {
+    let position = |&(level, cce_start, est): &Passed| GatedPosition {
+        slot,
+        level,
+        cce_start,
+        est,
+        llrs: OnceLock::new(),
+    };
+    passed.iter().map(position).collect()
 }
 
 /// A blind position the pilot gate passed, its data demapped the first
@@ -1206,10 +1297,24 @@ pub(crate) mod tests {
         /// ([`each_ue`]), the oracle its key lookup is compared with.
         pub(super) static PER_UE: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+        /// Makes [`FrontEnd::demodulate_pilots_first`] demodulate the
+        /// CORESET's symbols whole — the front end as it was before it
+        /// read their pilots first, for the differentials to compare with.
+        pub(crate) static WHOLE_CORESET: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
         /// Every blind position whose LLRs a `codewords` call on this
         /// thread asked for, in order.
         pub(super) static ASKED: std::cell::RefCell<Vec<(AggregationLevel, usize)>> =
             const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// The grid `front` read the last slot into, and the symbols of it
+    /// still at their pilot class alone.
+    pub(crate) fn last_read(
+        front: &FrontEnd,
+    ) -> Option<(&ResourceGrid, &[bool; SYMBOLS_PER_SLOT])> {
+        let (.., grid) = front.layout.as_ref()?;
+        Some((grid, front.deferred.symbols()))
     }
 
     /// Every hypothesis against every codeword: no budget, no metrics.

@@ -48,7 +48,8 @@ const NOTES_MAX: usize = 16;
 pub enum Stage {
     /// Radio front end: rendering/receiving one slot (nr-radio + observer).
     Capture,
-    /// OFDM demodulation (FFT + CP removal) of an IQ slot.
+    /// OFDM demodulation (FFT + CP removal) of an IQ slot, and the
+    /// completion of CORESET symbols read at their pilot class first.
     Demod,
     /// PDCCH blind search: the pilot gate over every candidate position
     /// (a position's demap is timed with its first decode), or the

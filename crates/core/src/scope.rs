@@ -1240,27 +1240,23 @@ impl NrScope {
         // recovered mid-slot) is skipped rather than misparsed.
         let slot_in_frame = self.slot_in_frame();
         let known = self.decoder_context();
-        // A tracked cell is read at the CORESET, and at the PBCH symbols
-        // in the slots an SSB is due; while the MIB or the on-air PCI is
-        // still being searched for, at the SSB's symbols too.
+        // A tracked cell is read at the CORESET — its pilots first, the
+        // rest once the gate passes a position — and whole at the PBCH
+        // symbols in the slots an SSB is due; while the MIB or the on-air
+        // PCI is still being searched for, whole at the SSB's symbols too.
         let ssb_due = self.ssb_due();
-        let wanted = match &known {
+        let (front, metrics) = (&mut self.front, &self.metrics);
+        let grid = match &known {
             Some(ctx) if self.cell.pci.is_some() => {
-                let mut wanted = coreset_symbols(&ctx.coreset);
-                if ssb_due {
-                    (wanted[1], wanted[3]) = (true, true);
-                }
-                wanted
+                let pbch = std::array::from_fn(|sym| ssb_due && (sym == 1 || sym == 3));
+                front.demodulate_pilots_first(ctx, samples, slot_in_frame, &pbch, metrics)
             }
-            _ => search_symbols(known.as_ref()),
+            _ => {
+                let wanted = search_symbols(known.as_ref());
+                front.demodulate_slot(known.as_ref(), samples, slot_in_frame, &wanted, metrics)
+            }
         };
-        let Some(grid) = self.front.demodulate_slot(
-            known.as_ref(),
-            samples,
-            slot_in_frame,
-            &wanted,
-            &self.metrics,
-        ) else {
+        let Some(grid) = grid else {
             self.stats.layout_mismatch_slots += 1;
             return DecodeWork::default();
         };
@@ -1286,10 +1282,7 @@ impl NrScope {
         };
         let (hyp, sif) = (self.hypotheses(&ctx), self.slot_in_frame());
         let (decoded, work) = {
-            let positions = {
-                let _t = self.metrics.start(Stage::PdcchSearch);
-                self.front.gate_slot(&ctx, sif)
-            };
+            let positions = self.front.gate_slot(&ctx, sif);
             scan(&ctx, &positions, &hyp, budget, Some(&self.metrics))
         };
         self.consume(decoded, pdsch, slot);
@@ -1559,7 +1552,11 @@ pub(crate) mod tests {
 
     /// The srsRAN cell with `n_ues` 2 Mb/s CBR UEs present from slot 0.
     pub(crate) fn loaded_cell(n_ues: usize) -> (CellConfig, Gnb) {
-        let cell = CellConfig::srsran_n41();
+        loaded(CellConfig::srsran_n41(), n_ues)
+    }
+
+    /// `cell` with `n_ues` 2 Mb/s CBR UEs present from slot 0.
+    fn loaded(cell: CellConfig, n_ues: usize) -> (CellConfig, Gnb) {
         let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 11);
         for i in 0..n_ues {
             gnb.ue_arrives(SimUe::new(
@@ -2160,6 +2157,158 @@ pub(crate) mod tests {
             assert_eq!(ssbs, [0, 40, 80, 120, 158, 198], "{pci:?}");
             let found = (scope.cell.pci, scope.cell.frame_anchor_slot);
             assert_eq!(found, (Some(pci), Some(198)), "{pci:?}");
+        }
+    }
+
+    /// A grid read pilots first against the same slot's read whole: the
+    /// same bits in every symbol, but that a symbol still at its pilot
+    /// class alone has them at its subcarriers `≡ 1 (mod 4)` only, and
+    /// `+0.0` at the others.
+    fn same_grid(first: &FrontEnd, whole: &FrontEnd, at: &str) {
+        use crate::decoder::tests::last_read;
+        let (Some((got, deferred)), Some((want, _))) = (last_read(first), last_read(whole)) else {
+            assert!(
+                last_read(first).is_none() && last_read(whole).is_none(),
+                "{at}"
+            );
+            return;
+        };
+        for (sym, &deferred) in deferred.iter().enumerate() {
+            let bits = |g: &ResourceGrid| -> Vec<(u32, u32)> {
+                let res = g.symbol(sym).iter();
+                res.map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+            };
+            let (got, want) = (bits(got), bits(want));
+            if !deferred {
+                assert!(got == want, "{at}: symbol {sym}");
+                continue;
+            }
+            for (g, (got, want)) in got.iter().zip(&want).enumerate() {
+                let want = if g % 4 == 1 { *want } else { (0, 0) };
+                assert_eq!(*got, want, "{at}: symbol {sym}, subcarrier {g}");
+            }
+        }
+    }
+
+    /// Every slot of `air(slot)` into a scope that reads the CORESET's
+    /// pilots first and into one that demodulates it whole
+    /// (`decoder::tests::WHOLE_CORESET`), and every job the first would
+    /// hand the pool through `worker::run_job_with` both ways: in every
+    /// slot the same records, counters (but the wall-clock deadline
+    /// misses), sync state, tracked RNTIs and cell timing, the jobs' same
+    /// decoded DCIs and work, and grids [`same_grid`] holds equal. Returns
+    /// the scope reading pilots first, and the slots read pilots first and
+    /// those of them completed, by the scope and by the jobs.
+    fn pilots_first_against_whole(
+        cfg: ScopeConfig,
+        slots: u64,
+        mut air: impl FnMut(u64) -> Capture,
+    ) -> (NrScope, [[usize; 2]; 2]) {
+        use crate::decoder::tests::WHOLE_CORESET;
+        let [mut first, mut whole] = [NrScope::new(cfg, None), NrScope::new(cfg, None)];
+        let [mut first_jobs, mut whole_jobs] = [FrontEnd::default(), FrontEnd::default()];
+        let state = |s: &NrScope| {
+            let stats = ScopeStats {
+                deadline_misses: 0,
+                ..s.stats
+            };
+            let timing = (s.cell.pci, s.cell.frame_anchor_slot);
+            (format!("{stats:?}"), s.sync, s.tracked_rntis(), timing)
+        };
+        for s in 0..slots {
+            let (cap, at) = (air(s), format!("slot {s}"));
+            let observed = match &cap {
+                Capture::Slot(observed) => Some(observed.clone()),
+                Capture::Dropped(_) => None,
+            };
+            if let Some(job) = observed.and_then(|o| first.slot_job(o)) {
+                let metrics = Metrics::disabled();
+                WHOLE_CORESET.set(true);
+                let want = crate::worker::run_job_with(&mut whole_jobs, &job, metrics);
+                WHOLE_CORESET.set(false);
+                let got = crate::worker::run_job_with(&mut first_jobs, &job, metrics);
+                assert_eq!(
+                    (got.decoded, got.work),
+                    (want.decoded, want.work),
+                    "{at}: job"
+                );
+                same_grid(&first_jobs, &whole_jobs, &format!("{at}: job"));
+            }
+            WHOLE_CORESET.set(true);
+            let want = whole.process_capture(&cap);
+            WHOLE_CORESET.set(false);
+            assert_eq!(first.process_capture(&cap), want, "{at}");
+            assert_eq!(state(&first), state(&whole), "{at}");
+            same_grid(&first.front, &whole.front, &at);
+        }
+        let counts = [first.front.pilot_reads, first_jobs.pilot_reads];
+        (first, counts)
+    }
+
+    /// Reading the CORESET's pilots first, and the rest only when the gate
+    /// passes a position, changes no decision and no bit a decode reads
+    /// ([`pilots_first_against_whole`]): from IQ cold starts through cell
+    /// search on the 1-UE and the 12-UE cell, each heard at two noise
+    /// seeds, on a 4-UE cell whose 2-symbol CORESET shares symbol 1 with
+    /// the PBCH, and through a restart of the cell under a new PCI. Every
+    /// UE is tracked, and slots whose gate passes nothing, left at the
+    /// pilot class alone, occur on both paths.
+    #[test]
+    fn pilots_first_slot_decides_what_a_whole_coreset_decides() {
+        let iq = ScopeConfig {
+            fidelity: Fidelity::Iq,
+            ..ScopeConfig::default()
+        };
+        let mut seen = [[0; 2]; 2];
+        let mut add = |(scope, counts): (NrScope, [[usize; 2]; 2]), n_ues, at: &str| {
+            assert_eq!(scope.tracked_rntis().len(), n_ues, "{at}");
+            println!(
+                "{at}: [read pilots first, completed] scope {:?}, jobs {:?}",
+                counts[0], counts[1]
+            );
+            for (seen, counts) in seen.iter_mut().zip(counts) {
+                *seen = std::array::from_fn(|i| seen[i] + counts[i]);
+            }
+        };
+        let on_air = |cell: &CellConfig, gnb: &mut Gnb, obs: &mut Observer, s: u64| {
+            Capture::Slot(obs.observe(&gnb.step(), s as f64 * cell.slot_s()))
+        };
+        for (n_ues, seed) in [(1, 1), (1, 7), (12, 1), (12, 7)] {
+            let (cell, mut gnb) = loaded_cell(n_ues);
+            let mut obs = Observer::new(&cell, 30.0, true, seed);
+            let slots = if n_ues == 1 { 400 } else { 200 };
+            let run =
+                pilots_first_against_whole(iq, slots, |s| on_air(&cell, &mut gnb, &mut obs, s));
+            add(run, n_ues, &format!("{n_ues} UEs, seed {seed}"));
+        }
+        // A 2-symbol CORESET: its symbol 1 is the PBCH's too, read whole
+        // in the slots an SSB is due.
+        let mut cell = CellConfig::srsran_n41();
+        cell.coreset.n_symbols = 2;
+        let (cell, mut gnb) = loaded(cell, 4);
+        let mut obs = Observer::new(&cell, 30.0, true, 5);
+        let run = pilots_first_against_whole(iq, 200, |s| on_air(&cell, &mut gnb, &mut obs, s));
+        add(run, 4, "4 UEs, a 2-symbol CORESET");
+        let (cell, mut gnb) = loaded_cell(1);
+        let mut obs = Observer::new(&cell, 30.0, true, 5);
+        let cfg = ScopeConfig {
+            degraded_after_slots: 10,
+            lost_after_slots: 30,
+            ..iq
+        };
+        let run = pilots_first_against_whole(cfg, 400, |s| {
+            if s == 120 {
+                gnb.restart(Pci(7));
+            }
+            on_air(&cell, &mut gnb, &mut obs, s)
+        });
+        assert_eq!(run.0.cell.pci, Some(Pci(7)), "the new PCI found");
+        add(run, 1, "restart under a new PCI");
+        for (path, [read, completed]) in ["scope", "jobs"].into_iter().zip(seen) {
+            assert!(
+                read > completed && completed > 100,
+                "{path}: {read} read, {completed} completed"
+            );
         }
     }
 

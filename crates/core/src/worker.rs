@@ -19,12 +19,12 @@
 //! [`crate::Fleet`] has its own workers, watchdog and shedding queues.
 
 use crate::decoder::{
-    coreset_symbols, scan, DecodeWork, DecodedDci, DecoderContext, FrontEnd, GatedPosition,
-    Hypotheses,
+    scan, DecodeWork, DecodedDci, DecoderContext, FrontEnd, GatedPosition, Hypotheses,
 };
 use crate::metrics::{Counter, Gauge, Metrics, Stage};
 use crate::observe::ObservedSlot;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use nr_phy::numerology::SYMBOLS_PER_SLOT;
 use nr_phy::pdcch::SearchBudget;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -182,7 +182,11 @@ pub(crate) fn shards(hyp: &Hypotheses, threads: usize) -> Vec<Hypotheses> {
     (0..threads).map(shard).collect()
 }
 
-fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> SlotResult {
+pub(crate) fn run_job_with(
+    front: &mut FrontEnd,
+    job: &SlotJob,
+    metrics: &Arc<Metrics>,
+) -> SlotResult {
     let start = Instant::now();
     if let Some(hook) = &job.hook {
         hook.call(job.slot);
@@ -197,13 +201,13 @@ fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> 
     let positions: Vec<GatedPosition> = match &job.observed {
         ObservedSlot::Iq { samples, .. } => {
             let sif = job.slot_in_frame;
-            // A worker reads the CORESET only: cell search and the PBCH are
-            // the scope's.
-            let wanted = coreset_symbols(&job.ctx.coreset);
+            // A worker reads the CORESET only, its pilots first: cell
+            // search and the PBCH are the scope's.
+            let none = [false; SYMBOLS_PER_SLOT];
             // The layout is the job's, whatever the thread planned before.
-            let ctx = Some(&job.ctx);
-            front.plan_layout(ctx, samples.len(), sif);
-            if (front.demodulate_slot(ctx, samples, sif, &wanted, metrics)).is_none() {
+            front.plan_layout(Some(&job.ctx), samples.len(), sif);
+            let read = front.demodulate_pilots_first(&job.ctx, samples, sif, &none, metrics);
+            if read.is_none() {
                 return SlotResult {
                     slot: job.slot,
                     decoded: Vec::new(),
@@ -212,7 +216,6 @@ fn run_job_with(front: &mut FrontEnd, job: &SlotJob, metrics: &Arc<Metrics>) -> 
                     layout_mismatch: true,
                 };
             }
-            let _t = metrics.start(Stage::PdcchSearch);
             front.gate_slot(&job.ctx, sif)
         }
         ObservedSlot::Message { .. } => Vec::new(),

@@ -13,6 +13,18 @@
 //! `t = b·w`, `(a + t, a − t)` with the textbook operation order, and the
 //! inverse reads `w.conj()` from a negated-`im` table, so every output bit
 //! equals `oracle::strided_fft_oracle`'s.
+//!
+//! One residue class of the output bins (mod 4) can be computed on its
+//! own. A stage of half-length `h ≥ 4` pairs positions `h` apart inside
+//! blocks of `2h`, so it never mixes classes: after the first two stages,
+//! the positions `4q + c` are an independent `N/4`-point transform whose
+//! stage of half-length `h/4` reads twiddles `h − 1 + 4k + c` of the
+//! whole plan. Its inputs are stages 1–2 of the four quarter-spaced samples
+//! `x[j], x[j + N/2], x[j + N/4], x[j + 3N/4]` (`Fft::class_inputs`),
+//! which the bit-reversal puts at positions `4q..4q + 4` for `j` the
+//! `N/4`-point reversal of `q`; its plan is `Fft::class_plan`, and it
+//! runs through the one kernel. Its output `q` is bin `4q + c`, to the
+//! bit.
 
 use crate::complex::Cf32;
 use std::cell::RefCell;
@@ -80,11 +92,10 @@ impl Fft {
             own = unit_twiddles(size);
             (&own[..], 1)
         };
-        let bits = size.trailing_zeros();
         let mut twiddles = vec![0.0; 3 * (size - 1)];
         let (re, rest) = twiddles.split_at_mut(size - 1);
         let (im, conj_im) = rest.split_at_mut(size - 1);
-        for half in (0..bits).map(|stage| 1usize << stage) {
+        for half in (0..size.trailing_zeros()).map(|stage| 1usize << stage) {
             let step = size / (2 * half) * stride;
             for k in 0..half {
                 let w = units[k * step];
@@ -92,13 +103,67 @@ impl Fft {
                 conj_im[half - 1 + k] = w.conj().im;
             }
         }
-        let bitrev = (0..size as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits))
-            .collect();
         Fft {
             size,
             twiddles,
-            bitrev,
+            bitrev: bit_reversal(size),
+        }
+    }
+
+    /// The `N/4`-point plan of residue class `class` (mod 4) of this
+    /// plan's output bins: the same kernel on this plan's twiddles of that
+    /// class, stage by stage. Its input is that class's block of
+    /// [`Fft::class_inputs`]; its output `q` is bin `4q + class` of the
+    /// forward transform. Panics below 8 points.
+    pub(crate) fn class_plan(&self, class: usize) -> Fft {
+        let n = self.size;
+        assert!(n >= 8 && class < 4, "a class plan needs 8 points or more");
+        let size = n / 4;
+        let mut twiddles = vec![0.0; 3 * (size - 1)];
+        let parts = self.twiddles.chunks_exact(n - 1);
+        for (out, table) in twiddles.chunks_exact_mut(size - 1).zip(parts) {
+            for half in (0..size.trailing_zeros()).map(|stage| 1usize << stage) {
+                for k in 0..half {
+                    out[half - 1 + k] = table[4 * half - 1 + 4 * k + class];
+                }
+            }
+        }
+        Fft {
+            size,
+            twiddles,
+            bitrev: bit_reversal(size),
+        }
+    }
+
+    /// Stages 1–2 of the forward transform of `input` (one symbol's
+    /// samples, `size` of them), split by output class: `out`'s block `c`
+    /// of `size / 4` is the input of class `c`'s plan ([`Fft::class_plan`]).
+    pub(crate) fn class_inputs(&self, input: &[Cf32], out: &mut [Cf32]) {
+        let n = self.size;
+        assert!(n >= 8, "a class plan needs 8 points or more");
+        assert_eq!(
+            (input.len(), out.len()),
+            (n, n),
+            "buffer length must equal FFT size"
+        );
+        let w = |k: usize| (self.twiddles[k], self.twiddles[n - 1 + k]);
+        let (w0, w1, w2) = (w(0), w(1), w(2));
+        let m = n / 4;
+        // Each quarter as a slice of exactly `m`, indexed: the loop
+        // vectorises (as a chain of zipped iterators it ran ≈ 3× slower at
+        // FFT 1024).
+        let x = |q: usize| &input[q * m..][..m];
+        let (x0, x1, x2, x3) = (x(0), x(2), x(1), x(3));
+        let (lo, hi) = out.split_at_mut(2 * m);
+        let ((c0, c1), (c2, c3)) = (lo.split_at_mut(m), hi.split_at_mut(m));
+        let (c0, c1, c2, c3) = (&mut c0[..m], &mut c1[..m], &mut c2[..m], &mut c3[..m]);
+        let pair = |v: Cf32| (v.re, v.im);
+        for j in 0..m {
+            let [p0, p1] = butterfly(pair(x0[j]), pair(x1[j]), w0);
+            let [p2, p3] = butterfly(pair(x2[j]), pair(x3[j]), w0);
+            let ([q0, q2], [q1, q3]) = (butterfly(p0, p2, w1), butterfly(p1, p3, w2));
+            (c0[j], c1[j]) = (Cf32::new(q0.0, q0.1), Cf32::new(q1.0, q1.1));
+            (c2[j], c3[j]) = (Cf32::new(q2.0, q2.1), Cf32::new(q3.0, q3.1));
         }
     }
 
@@ -138,8 +203,12 @@ impl Fft {
     ) -> (&'s [f32], &'s [f32]) {
         let n = self.size;
         assert_eq!(input.len(), n, "buffer length must equal FFT size");
-        scratch.0.resize(2 * n, 0.0);
-        let (re, im) = scratch.0.split_at_mut(n);
+        // The planes only grow: a class plan's transform takes a prefix, so
+        // a whole one after it does not zero them again.
+        if scratch.0.len() < 2 * n {
+            scratch.0.resize(2 * n, 0.0);
+        }
+        let (re, im) = scratch.0[..2 * n].split_at_mut(n);
         let (w_re, w_im) = self.twiddles.split_at(n - 1);
         let w_im = &w_im[if inverse { n - 1 } else { 0 }..][..n - 1];
         // Up to 16 points, all stages run in registers; past that, three or
@@ -174,6 +243,14 @@ impl Fft {
         }
         (re, im)
     }
+}
+
+/// The bit-reversal permutation of `size` points.
+fn bit_reversal(size: usize) -> Vec<u32> {
+    let bits = size.trailing_zeros();
+    (0..size as u32)
+        .map(|i| i.reverse_bits() >> (32 - bits))
+        .collect()
 }
 
 /// The butterfly: `t = b·w`, then `(a + t, a − t)`, each part computed as

@@ -6,11 +6,27 @@
 //! grid maps to the lowest used frequency: used subcarriers are centred in
 //! the FFT with DC in the middle, the usual SDR arrangement after
 //! downconversion to the channel centre frequency.
+//!
+//! A reader of the PDCCH can demodulate a symbol in two steps: the FFT
+//! bins of its pilots first, the rest only if they are worth reading. The
+//! PDCCH DMRS sits at grid subcarrier `12n + 4k′ + 1` (38.211 §7.4.1.3.2),
+//! and grid subcarrier `g` is bin `(N − 6·n_prb + g) mod N`, so every pilot
+//! is in one residue class of the bins mod 4 — `(1 − 6·n_prb) mod 4`, 3
+//! for an odd `n_prb` and 1 for an even one — which the FFT computes as an
+//! `N/4`-point transform of its own (the `fft` module's docs).
+//! [`Ofdm::demodulate_pilot_class_into`] transforms that class and
+//! [`Ofdm::complete_into`] the other three: the symbol is then
+//! [`Ofdm::demodulate_symbols`]'s, to the bit.
 
 use crate::complex::Cf32;
+use crate::dmrs::DMRS_OFFSETS;
 use crate::fft::{with_scratch, Fft, FftScratch};
 use crate::grid::ResourceGrid;
 use crate::numerology::{Numerology, SYMBOLS_PER_SLOT};
+
+/// The residue mod 4 of the grid subcarriers that bear the PDCCH DMRS.
+const PILOT_RESIDUE: usize = DMRS_OFFSETS[0] % 4;
+const _: () = assert!(DMRS_OFFSETS[1] % 4 == PILOT_RESIDUE && DMRS_OFFSETS[2] % 4 == PILOT_RESIDUE);
 
 /// OFDM modulator/demodulator for a fixed carrier configuration.
 #[derive(Debug, Clone)]
@@ -19,17 +35,49 @@ pub struct Ofdm {
     n_prb: usize,
     fft_size: usize,
     fft: Fft,
+    /// The plans of the transform's four residue classes of bins mod 4
+    /// ([`Fft::class_plan`]).
+    classes: [Fft; 4],
+}
+
+/// The symbols a pilot-class demodulation left for [`Ofdm::complete_into`],
+/// and each one's class inputs (`Fft::class_inputs`): working memory that
+/// only grows.
+#[derive(Debug, Clone, Default)]
+pub struct Deferred {
+    symbols: [bool; SYMBOLS_PER_SLOT],
+    inputs: Vec<Cf32>,
+}
+
+impl Deferred {
+    /// The symbols awaiting completion.
+    pub fn symbols(&self) -> &[bool; SYMBOLS_PER_SLOT] {
+        &self.symbols
+    }
+
+    /// Whether no symbol awaits completion.
+    pub fn is_empty(&self) -> bool {
+        !self.symbols.contains(&true)
+    }
+
+    /// Forget the symbols: a grid that no longer holds them needs no
+    /// completion.
+    pub fn clear(&mut self) {
+        self.symbols = [false; SYMBOLS_PER_SLOT];
+    }
 }
 
 impl Ofdm {
     /// Configure for a carrier of `n_prb` resource blocks.
     pub fn new(numerology: Numerology, n_prb: usize) -> Ofdm {
         let fft_size = numerology.fft_size(n_prb);
+        let fft = Fft::new(fft_size);
         Ofdm {
             numerology,
             n_prb,
             fft_size,
-            fft: Fft::new(fft_size),
+            classes: std::array::from_fn(|class| fft.class_plan(class)),
+            fft,
         }
     }
 
@@ -55,6 +103,26 @@ impl Ofdm {
         // Used subcarriers occupy bins [-(used/2) .. used/2) around DC; an
         // FFT bin index b < 0 wraps to fft_size + b.
         self.fft_size - self.n_prb * 6
+    }
+
+    /// The residue class of the FFT bins (mod 4) that bears the pilots.
+    fn pilot_class(&self) -> usize {
+        (self.first_bin() + PILOT_RESIDUE) % 4
+    }
+
+    /// Each symbol of slot `slot_in_frame`, and where its FFT window starts
+    /// in the slot's samples: past its cyclic prefix.
+    fn windows(&self, slot_in_frame: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut pos = 0;
+        (0..SYMBOLS_PER_SLOT).map(move |sym| {
+            let numer = self.numerology;
+            pos += numer.cp_len(
+                self.fft_size,
+                numer.symbol_in_half_subframe(slot_in_frame, sym),
+            );
+            pos += self.fft_size;
+            (sym, pos - self.fft_size)
+        })
     }
 
     /// Modulate one slot grid to time-domain samples (with CPs).
@@ -135,28 +203,102 @@ impl Ofdm {
             "sample count must be one slot"
         );
         assert_eq!(grid.n_prb(), self.n_prb);
-        let mut pos = 0;
         let scale = 1.0 / (self.fft_size as f32).sqrt();
         let (first_bin, half) = (self.first_bin(), self.n_prb * 6);
-        for (sym, &wanted) in wanted.iter().enumerate() {
-            pos += self.numerology.cp_len(
-                self.fft_size,
-                self.numerology.symbol_in_half_subframe(slot_in_frame, sym),
-            );
-            if wanted {
-                let symbol = &samples[pos..pos + self.fft_size];
-                let (re, im) = self.fft.transform(symbol, false, scratch);
-                // Grid subcarriers in order: the negative-frequency bins,
-                // then DC upwards.
-                let (below_dc, from_dc) = grid.symbol_mut(sym).split_at_mut(half);
-                for (res, bins) in [(below_dc, first_bin..), (from_dc, 0..)] {
-                    let bins = re[bins.clone()].iter().zip(&im[bins]);
-                    for (out, (&r, &i)) in res.iter_mut().zip(bins) {
-                        *out = Cf32::new(r * scale, i * scale);
-                    }
+        for (sym, at) in self.windows(slot_in_frame).filter(|&(sym, _)| wanted[sym]) {
+            let symbol = &samples[at..at + self.fft_size];
+            let (re, im) = self.fft.transform(symbol, false, scratch);
+            // Grid subcarriers in order: the negative-frequency bins, then
+            // DC upwards.
+            let (below_dc, from_dc) = grid.symbol_mut(sym).split_at_mut(half);
+            for (res, bins) in [(below_dc, first_bin..), (from_dc, 0..)] {
+                let bins = re[bins.clone()].iter().zip(&im[bins]);
+                for (out, (&r, &i)) in res.iter_mut().zip(bins) {
+                    *out = Cf32::new(r * scale, i * scale);
                 }
             }
-            pos += self.fft_size;
+        }
+    }
+
+    /// [`Ofdm::demodulate_symbols_into`] of the symbols `symbols` marks at
+    /// the bins of their pilot class alone: of each, the grid subcarriers
+    /// `≡ 1 (mod 4)` — every PDCCH DMRS RE among them — are written, and
+    /// every other RE is zeroed. `deferred` keeps what completing them
+    /// takes ([`Ofdm::complete_into`]).
+    pub fn demodulate_pilot_class_into(
+        &self,
+        samples: &[Cf32],
+        slot_in_frame: usize,
+        symbols: &[bool; SYMBOLS_PER_SLOT],
+        grid: &mut ResourceGrid,
+        scratch: &mut FftScratch,
+        deferred: &mut Deferred,
+    ) {
+        assert_eq!(
+            samples.len(),
+            self.samples_per_slot(slot_in_frame),
+            "sample count must be one slot"
+        );
+        assert_eq!(grid.n_prb(), self.n_prb);
+        let (n, class) = (self.fft_size, self.pilot_class());
+        deferred.symbols = *symbols;
+        let count = symbols.iter().filter(|&&s| s).count();
+        deferred.inputs.resize(count * n, Cf32::ZERO);
+        let marked = self.windows(slot_in_frame).filter(|&(sym, _)| symbols[sym]);
+        for ((sym, at), inputs) in marked.zip(deferred.inputs.chunks_exact_mut(n)) {
+            self.fft.class_inputs(&samples[at..at + n], inputs);
+            let res = grid.symbol_mut(sym);
+            res.fill(Cf32::ZERO);
+            self.demodulate_class(class, inputs, res, scratch);
+        }
+    }
+
+    /// Complete in `grid` the symbols `deferred` holds: their other three
+    /// classes, transformed from the kept inputs. Each symbol then equals
+    /// [`Ofdm::demodulate_symbols`]'s bit for bit; `deferred` is left
+    /// empty.
+    pub fn complete_into(
+        &self,
+        deferred: &mut Deferred,
+        grid: &mut ResourceGrid,
+        scratch: &mut FftScratch,
+    ) {
+        assert_eq!(grid.n_prb(), self.n_prb);
+        let pilot = self.pilot_class();
+        let marked = (0..SYMBOLS_PER_SLOT).filter(|&sym| deferred.symbols[sym]);
+        for (sym, inputs) in marked.zip(deferred.inputs.chunks_exact(self.fft_size)) {
+            for class in (0..4).filter(|&class| class != pilot) {
+                self.demodulate_class(class, inputs, grid.symbol_mut(sym), scratch);
+            }
+        }
+        deferred.clear();
+    }
+
+    /// Write into `res`, one symbol of the grid, its REs whose bins are in
+    /// `class`, transformed from that class's block of `inputs` (one
+    /// symbol's [`Fft::class_inputs`]).
+    fn demodulate_class(
+        &self,
+        class: usize,
+        inputs: &[Cf32],
+        res: &mut [Cf32],
+        scratch: &mut FftScratch,
+    ) {
+        let quarter = self.fft_size / 4;
+        let plan = &self.classes[class];
+        let (re, im) = plan.transform(&inputs[class * quarter..][..quarter], false, scratch);
+        let scale = 1.0 / (self.fft_size as f32).sqrt();
+        let (first_bin, half) = (self.first_bin(), self.n_prb * 6);
+        // As in `demodulate_symbols_into`, every fourth RE of each run: the
+        // run's first RE of the class is bin `4q + class`, output `q`.
+        let (below_dc, from_dc) = res.split_at_mut(half);
+        for (res, first) in [(below_dc, first_bin), (from_dc, 0)] {
+            let skip = (class + 4 - first % 4) % 4;
+            let q = (first + skip) / 4;
+            let bins = re[q..].iter().zip(&im[q..]);
+            for (out, (&r, &i)) in res[skip..].chunks_mut(4).zip(bins) {
+                out[0] = Cf32::new(r * scale, i * scale);
+            }
         }
     }
 }

@@ -639,30 +639,47 @@ pub(crate) fn strided_fft_oracle(size: usize, data: &mut [Cf32], inverse: bool) 
     }
 }
 
-/// The split-format kernel, to the bit, at every size from 2 to 4096 in
-/// both directions: on random samples, on samples spanning ±1e6 down to
-/// ±1e-6, and on samples of `+0.0` and `−0.0` only, whose outputs are
-/// zeros whose signs a reordered sum or a skipped multiply would flip.
-/// Both through `Fft::transform`'s planes and through `forward`/`inverse`.
-#[test]
-fn split_kernel_equals_the_strided_transform_bitwise() {
-    let mut x = 0x2545_F491u32;
-    let mut rand = move || {
+/// A seeded generator of samples in `[-1, 1)` for the FFT tests.
+#[cfg(test)]
+fn uniform(seed: u32) -> impl FnMut() -> f32 {
+    let mut x = seed;
+    move || {
         x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
         (x >> 8) as f32 / (1 << 23) as f32 - 1.0
-    };
-    let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
-        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
-    };
+    }
+}
+
+/// The FFT tests' input families of `size` samples: random ones, ones
+/// spanning ±1e6 down to ±1e-6, and ones of `+0.0` and `−0.0` only, whose
+/// outputs are zeros whose signs a reordered sum or a skipped multiply
+/// would flip.
+#[cfg(test)]
+fn fft_inputs(size: usize, rand: &mut impl FnMut() -> f32) -> [(Vec<Cf32>, &'static str); 3] {
+    let random: Vec<Cf32> = (0..size).map(|_| Cf32::new(rand(), rand())).collect();
+    let wide: Vec<Cf32> = (0..size)
+        .map(|i| Cf32::new(rand() * 10f32.powi(i as i32 % 13 - 6), -rand() * 1e6))
+        .collect();
+    let mut zero = || if rand() < 0.0 { -0.0 } else { 0.0 };
+    let zeros: Vec<Cf32> = (0..size).map(|_| Cf32::new(zero(), zero())).collect();
+    [(random, "random"), (wide, "wide"), (zeros, "signed zeros")]
+}
+
+/// `v`'s bit patterns.
+#[cfg(test)]
+fn cf32_bits(v: &[Cf32]) -> Vec<(u32, u32)> {
+    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+}
+
+/// The split-format kernel, to the bit, at every size from 2 to 4096 in
+/// both directions, on [`fft_inputs`] and on inputs that catch a skipped
+/// multiply by a `(1, −0.0)` twiddle. Both through `Fft::transform`'s
+/// planes and through `forward`/`inverse`.
+#[test]
+fn split_kernel_equals_the_strided_transform_bitwise() {
+    let mut rand = uniform(0x2545_F491);
     let mut scratch = crate::fft::FftScratch::default();
     for size in (1..=12).map(|b| 1usize << b) {
         let fft = Fft::new(size);
-        let random: Vec<Cf32> = (0..size).map(|_| Cf32::new(rand(), rand())).collect();
-        let wide: Vec<Cf32> = (0..size)
-            .map(|i| Cf32::new(rand() * 10f32.powi(i as i32 % 13 - 6), -rand() * 1e6))
-            .collect();
-        let mut zero = || if rand() < 0.0 { -0.0 } else { 0.0 };
-        let zeros: Vec<Cf32> = (0..size).map(|_| Cf32::new(zero(), zero())).collect();
         // `(−0.0, −1.0)` but for `(−0.0, h)` at the head, in bit-reversed
         // order, of the first upper half of the stage of half-length `h`:
         // every sum on the way keeps a real part of `−0.0`, and the stage's
@@ -673,14 +690,17 @@ fn split_kernel_equals_the_strided_transform_bitwise() {
             x[size >> (stage + 1)] = Cf32::new(-0.0, (1 << stage) as f32);
             (x, "a stage's head")
         });
-        let classes = [(random, "random"), (wide, "wide"), (zeros, "signed zeros")];
-        for (input, name) in classes.into_iter().chain(heads) {
+        for (input, name) in fft_inputs(size, &mut rand).into_iter().chain(heads) {
             for inverse in [false, true] {
                 let mut want = input.clone();
                 strided_fft_oracle(size, &mut want, inverse);
                 let (re, im) = fft.transform(&input, inverse, &mut scratch);
                 let got: Vec<Cf32> = re.iter().zip(im).map(|(&r, &i)| Cf32::new(r, i)).collect();
-                assert_eq!(bits(&got), bits(&want), "{size} {name}, inverse {inverse}");
+                assert_eq!(
+                    cf32_bits(&got),
+                    cf32_bits(&want),
+                    "{size} {name}, inverse {inverse}"
+                );
                 let mut in_place = input.clone();
                 if inverse {
                     fft.inverse(&mut in_place);
@@ -689,7 +709,137 @@ fn split_kernel_equals_the_strided_transform_bitwise() {
                 } else {
                     fft.forward(&mut in_place);
                 }
-                assert_eq!(bits(&in_place), bits(&want), "{size} {name}, in place");
+                assert_eq!(
+                    cf32_bits(&in_place),
+                    cf32_bits(&want),
+                    "{size} {name}, in place"
+                );
+            }
+        }
+    }
+}
+
+/// Random samples with a NaN, a `+∞` or a `−∞` salted in, as a receiver
+/// may hand the front end; the transform spreads each over every bin.
+#[cfg(test)]
+fn salted_inputs(size: usize, rand: &mut impl FnMut() -> f32) -> Vec<(Vec<Cf32>, &'static str)> {
+    let salts = [
+        (f32::NAN, "NaN"),
+        (f32::INFINITY, "+inf"),
+        (f32::NEG_INFINITY, "-inf"),
+    ];
+    let salted = |(v, name)| {
+        let mut x: Vec<Cf32> = (0..size).map(|_| Cf32::new(rand(), rand())).collect();
+        x[size / 3].im = v;
+        (x, name)
+    };
+    salts.map(salted).into()
+}
+
+/// Each residue class of the forward transform's bins (mod 4) on its own,
+/// to the bit, at every size from 8 to 4096: [`Fft::class_inputs`], then
+/// the class's [`Fft::class_plan`], equals the strided transform's bins
+/// `4q + c` — on [`fft_inputs`] and on [`salted_inputs`], so a non-finite
+/// sample reaches a pilot as it reaches the whole transform's bin.
+#[test]
+fn class_transform_equals_the_strided_transform_bitwise() {
+    let mut rand = uniform(0x9E37_79B9);
+    let mut scratch = crate::fft::FftScratch::default();
+    for size in (3..=12).map(|b| 1usize << b) {
+        let fft = Fft::new(size);
+        let mut inputs = vec![Cf32::ZERO; size];
+        let salted = salted_inputs(size, &mut rand);
+        for (input, name) in fft_inputs(size, &mut rand).into_iter().chain(salted) {
+            let mut want = input.clone();
+            strided_fft_oracle(size, &mut want, false);
+            fft.class_inputs(&input, &mut inputs);
+            for (class, inputs) in inputs.chunks_exact(size / 4).enumerate() {
+                let (re, im) = fft.class_plan(class).transform(inputs, false, &mut scratch);
+                let got: Vec<Cf32> = re.iter().zip(im).map(|(&r, &i)| Cf32::new(r, i)).collect();
+                let want: Vec<Cf32> = want[class..].iter().step_by(4).copied().collect();
+                assert_eq!(
+                    cf32_bits(&got),
+                    cf32_bits(&want),
+                    "{size} {name}, class {class}"
+                );
+            }
+        }
+    }
+}
+
+/// A symbol demodulated at its pilot class, then completed, is
+/// `Ofdm::demodulate_symbols`' to the bit, on the carrier layouts a front
+/// end plans for (both pilot classes; FFTs of 512 to 4096 points), in both
+/// CP patterns, into a grid a whole slot was demodulated into before. At
+/// the pilot class alone, the subcarriers `≡ 1 (mod 4)` of each symbol
+/// asked for are already those bits and its others `+0.0`; other symbols
+/// are left as they were. On random samples with a NaN, or a `+∞` and a
+/// `−∞`, salted into symbols asked for.
+#[test]
+fn completed_symbol_equals_the_whole_symbol_demodulation_bitwise() {
+    use crate::ofdm::{Deferred, Ofdm};
+    let layouts = [
+        (Numerology::Mu1, 51),
+        (Numerology::Mu0, 52),
+        (Numerology::Mu0, 79),
+        (Numerology::Mu1, 24),
+        (Numerology::Mu1, 273),
+    ];
+    let mut rand = uniform(0x0BAD_5EED);
+    let (mut scratch, mut deferred) = (crate::fft::FftScratch::default(), Deferred::default());
+    let sets: [[bool; SYMBOLS_PER_SLOT]; 2] = [
+        std::array::from_fn(|sym| sym < 3),
+        std::array::from_fn(|sym| [1, 6, 13].contains(&sym)),
+    ];
+    for (numerology, n_prb) in layouts {
+        let ofdm = Ofdm::new(numerology, n_prb);
+        for slot in [0, 1] {
+            let len = ofdm.samples_per_slot(slot);
+            let mut noise =
+                || -> Vec<Cf32> { (0..len).map(|_| Cf32::new(rand(), rand())).collect() };
+            let before = ofdm.demodulate(&noise(), slot);
+            // Mid-window in symbol 1, and the last sample, symbol 13's.
+            let (n, numer) = (ofdm.fft_size(), numerology);
+            let cp = |sym| numer.cp_len(n, numer.symbol_in_half_subframe(slot, sym));
+            let salted = [cp(0) + n + cp(1) + n / 2, len - 1];
+            for (set, salt) in sets.iter().zip([f32::NAN, f32::INFINITY]) {
+                let mut samples = noise();
+                for (i, v) in salted.into_iter().zip([salt, -salt]) {
+                    samples[i].re = v;
+                }
+                let whole = ofdm.demodulate(&samples, slot);
+                let mut grid = before.clone();
+                ofdm.demodulate_pilot_class_into(
+                    &samples,
+                    slot,
+                    set,
+                    &mut grid,
+                    &mut scratch,
+                    &mut deferred,
+                );
+                assert_eq!(deferred.symbols(), set);
+                let at = format!("{numerology:?} {n_prb} PRBs, slot {slot}, {set:?}");
+                for (sym, &asked) in set.iter().enumerate() {
+                    let (got, want) = (cf32_bits(grid.symbol(sym)), cf32_bits(whole.symbol(sym)));
+                    if !asked {
+                        assert_eq!(
+                            got,
+                            cf32_bits(before.symbol(sym)),
+                            "{at}: symbol {sym} kept"
+                        );
+                        continue;
+                    }
+                    for (g, (got, want)) in got.iter().zip(&want).enumerate() {
+                        let want = if g % 4 == 1 { *want } else { (0, 0) };
+                        assert_eq!(*got, want, "{at}: symbol {sym}, subcarrier {g}");
+                    }
+                }
+                ofdm.complete_into(&mut deferred, &mut grid, &mut scratch);
+                assert!(deferred.is_empty());
+                for sym in (0..SYMBOLS_PER_SLOT).filter(|&sym| set[sym]) {
+                    let (got, want) = (cf32_bits(grid.symbol(sym)), cf32_bits(whole.symbol(sym)));
+                    assert!(got == want, "{at}: symbol {sym} completed");
+                }
             }
         }
     }
@@ -982,7 +1132,7 @@ pub(crate) fn recover_rnti_oracle(codeword: &[u8]) -> Option<u16> {
 #[cfg(test)]
 fn decode_oracle(code: &PolarCode, llrs: &[f32]) -> Vec<u8> {
     let mut mother = Vec::new();
-    ratematch::deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
+    ratematch::deselect_into(llrs, code.n, code.kind, &mut mother);
     let u = sc_decode_oracle(&mother, &code.info_mask);
     code.info_positions.iter().map(|&p| u[p]).collect()
 }
@@ -993,7 +1143,7 @@ fn decode_oracle(code: &PolarCode, llrs: &[f32]) -> Vec<u8> {
 #[cfg(test)]
 fn hard_word_oracle(code: &PolarCode, llrs: &[f32]) -> Option<HardWord> {
     let mut mother = Vec::new();
-    ratematch::deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
+    ratematch::deselect_into(llrs, code.n, code.kind, &mut mother);
     let head = match code.kind {
         RateMatchKind::Puncture => code.n - code.e,
         RateMatchKind::Shorten | RateMatchKind::Repeat => 0,
@@ -1132,7 +1282,7 @@ fn sc_kernel_matches_the_oracle_bit_for_bit() {
             // What the receiver decodes, as `deselect_into` hands it over,
             // past the punctured head.
             let mut mother = Vec::new();
-            ratematch::deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
+            ratematch::deselect_into(&llrs, code.n, code.kind, &mut mother);
             let head =
                 [0, code.n - e.min(code.n)][usize::from(code.kind == RateMatchKind::Puncture)];
             let unclean = mother[head..].iter().any(|l| *l == 0.0 || l.is_nan());
@@ -1310,7 +1460,7 @@ fn repeat_by_passes_equals_the_modulo_loop_bitwise() {
         }
         let bits = |v: &[f32]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
         let mut got = vec![7.0; 3]; // stale content must not survive
-        ratematch::deselect_into(llrs.iter().copied(), n, RateMatchKind::Repeat, &mut got);
+        ratematch::deselect_into(&llrs, n, RateMatchKind::Repeat, &mut got);
         assert_eq!(bits(&got), bits(&want), "e={e} n={n}");
     }
 }

@@ -139,7 +139,7 @@ impl PolarCode {
         let v = self.hard_word(llrs, scratch);
         if v.is_none_or(|v| self.codeword_of(&v, scratch).is_none()) {
             let mother = &mut scratch.mother;
-            ratematch::deselect_into(llrs.iter().copied(), self.n, self.kind, mother);
+            ratematch::deselect_into(llrs, self.n, self.kind, mother);
             let x = decode::sc_decode(mother, &self.plan, &mut scratch.sc);
             let mut u = pack_at(x, 0, |x| x != 0);
             encode::polar_transform_words(&mut u, self.n);
@@ -196,7 +196,7 @@ impl PolarCode {
         let received = match self.kind {
             RateMatchKind::Repeat => {
                 let mother = &mut scratch.mother;
-                ratematch::deselect_into(llrs.iter().copied(), self.n, self.kind, mother);
+                ratematch::deselect_into(llrs, self.n, self.kind, mother);
                 &mother[..]
             }
             RateMatchKind::Puncture | RateMatchKind::Shorten => llrs,

@@ -83,15 +83,8 @@ pub fn select(x: &[u8], e: usize, kind: RateMatchKind) -> Vec<u8> {
 }
 
 /// Reassemble mother-code LLRs of length `n` from the received LLRs into
-/// `out` (cleared first, so a reused buffer allocates nothing). The input
-/// is an iterator so a caller can fuse a per-LLR step — the UE descrambling
-/// sign flip — into this pass.
-pub fn deselect_into(
-    llrs: impl ExactSizeIterator<Item = f32>,
-    n: usize,
-    kind: RateMatchKind,
-    out: &mut Vec<f32>,
-) {
+/// `out` (cleared first, so a reused buffer allocates nothing).
+pub fn deselect_into(llrs: &[f32], n: usize, kind: RateMatchKind, out: &mut Vec<f32>) {
     let e = llrs.len();
     out.clear();
     match kind {
@@ -99,15 +92,14 @@ pub fn deselect_into(
             // One pass of the codeword at a time: position `i` still adds
             // LLRs `i`, `i + n`, `i + 2n`, … to zero in that order.
             out.resize(n, 0.0);
-            let mut llrs = llrs;
-            while llrs.len() > 0 {
-                for (acc, l) in out.iter_mut().zip(llrs.by_ref()) {
+            for pass in llrs.chunks(n) {
+                for (acc, l) in out.iter_mut().zip(pass) {
                     *acc += l;
                 }
             }
         }
         RateMatchKind::Shorten => {
-            out.extend(llrs);
+            out.extend_from_slice(llrs);
             // Shortened bits are known zero: near-certain "bit = 0" evidence.
             // A large finite value (not f32::MAX) so that repeated g-function
             // additions in the SC decoder can never overflow to inf/NaN.
@@ -115,7 +107,7 @@ pub fn deselect_into(
         }
         RateMatchKind::Puncture => {
             out.resize(n - e, 0.0);
-            out.extend(llrs);
+            out.extend_from_slice(llrs);
         }
     }
 }
@@ -126,7 +118,7 @@ mod tests {
 
     fn deselect(llrs: &[f32], n: usize, kind: RateMatchKind) -> Vec<f32> {
         let mut out = vec![7.0; 3]; // stale content must not survive
-        deselect_into(llrs.iter().copied(), n, kind, &mut out);
+        deselect_into(llrs, n, kind, &mut out);
         out
     }
 

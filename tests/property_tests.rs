@@ -203,7 +203,7 @@ proptest! {
             llrs[i % e] = [0.0, -0.0, 1.0e9, -1.0e9][j % 4];
         }
         let mut mother = Vec::new();
-        deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
+        deselect_into(&llrs, code.n, code.kind, &mut mother);
         let (u, _) = textbook_sc(&mother, &code.info_mask);
         let expected: Vec<u8> = code.info_positions.iter().map(|&p| u[p]).collect();
         prop_assert_eq!(code.decode_sc(&llrs), expected);
@@ -228,7 +228,7 @@ proptest! {
             .collect();
         errors.iter().for_each(|&i| llrs[i % e] = -llrs[i % e]);
         let mut mother = Vec::new();
-        deselect_into(llrs.iter().copied(), code.n, code.kind, &mut mother);
+        deselect_into(&llrs, code.n, code.kind, &mut mother);
         let (u, _) = textbook_sc(&mother, &code.info_mask);
         let textbook: Vec<u8> = code.info_positions.iter().map(|&p| u[p]).collect();
         let got = code.decode_sc(&llrs);
