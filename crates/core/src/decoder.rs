@@ -30,13 +30,12 @@
 //! ([`PolarCode::codeword_with`]) that a hypothesis matches? — and such a
 //! find *claims* its CCEs; pass B spends SC walks only on positions no
 //! claim explains (`scan` says what a walk on an explained one would buy).
-//! Pass A transforms a candidate's signs once per mother layout; a C-RNTI
-//! then costs an XOR of its memoised flip word ([`PolarCode::flip_word`]).
 //!
-//! A captured codeword asks no C-RNTI in turn: a UE matches it exactly
-//! when its syndrome equals the UE's CRC *key*, so the UE pass is one
-//! lookup in the [`UeRow`]'s key index and a count of what the position
-//! admits.
+//! A UE pass asks which C-RNTI makes the codeword valid — one GF(2) solve
+//! ([`nr_phy::solve`]), looked up in the [`UeRow`] — instead of trying each:
+//! of pass A's hard word per code, of a captured codeword's raw syndrome.
+//! Pass B's walks, and pass A under Repeat (levels 8 and 16), still try
+//! each C-RNTI in turn.
 
 use crate::metrics::{Metrics, Stage};
 use crate::observe::ObservedDci;
@@ -52,9 +51,9 @@ use nr_phy::pdcch::{
     candidate_cce, cce_pilot_sums, demap_candidate, pilot_gate, search_space_cinit,
     ue_search_space_y, AggregationLevel, Coreset, CoresetSequences, SearchBudget, PILOT_SNR_FLOOR,
 };
-use nr_phy::polar::ratematch::RateMatchKind;
 use nr_phy::polar::{DecodeScratch, HardWord, PolarCode};
-use nr_phy::sequence::{gold_bits_cached, memoised, scrambling_syndrome_cached, Memo};
+use nr_phy::sequence::{gold_bits_cached, scrambling_syndrome_cached};
+use nr_phy::solve::{FlipSolve, RntiSolve};
 use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_phy::Numerology;
 use nr_rrc::{Mib, RrcSetup};
@@ -126,8 +125,8 @@ impl UeHypothesis {
 /// The C-RNTI hypotheses of one slot, in list order, shared: a clone is a
 /// reference count. It dereferences to the list, and no one changes it in
 /// place ([`UeRow::respaced`] makes a new row), so what it derives can
-/// never go stale: the [`KeyIndex`] a message-fidelity UE pass reads, each
-/// half built the first time a captured codeword asks for it.
+/// never go stale: how many UEs each position admits, and where each RNTI
+/// is listed, each built the first time a UE pass asks for it.
 #[derive(Clone, Default)]
 pub struct UeRow(Arc<Row>);
 
@@ -135,8 +134,9 @@ pub struct UeRow(Arc<Row>);
 struct Row {
     ues: Vec<UeHypothesis>,
     admitted: OnceLock<Admitted>,
-    /// Shared by every row that lists the same RNTIs in the same order.
-    keys: Arc<OnceLock<Keys>>,
+    /// Every (RNTI, list index) pair, sorted: shared by every row that
+    /// lists the same RNTIs in the same order.
+    listed: Arc<OnceLock<Vec<(u16, u32)>>>,
 }
 
 /// How many UEs of a row each position admits: those searched anywhere,
@@ -147,65 +147,9 @@ struct Admitted {
     at: Box<[[u32; 128]; 5]>,
 }
 
-/// The CRC keys of a list of C-RNTIs under one PCI. A C-RNTI `r` matches a
-/// codeword of `n` bits exactly when the codeword's raw syndrome equals
-/// `r ⊕ L(seq_r, n)`, its key at `n`: per distinct UE codeword length,
-/// every (key, list index) pair, sorted, so the UEs that raw syndrome can
-/// match are one run, in list order.
-#[derive(Debug, Clone, PartialEq)]
-struct Keys {
-    pci: u16,
-    by_len: Vec<(usize, Vec<(u32, u32)>)>,
-}
-
-impl Keys {
-    fn new(ues: &[UeHypothesis], pci: u16, lengths: &[usize]) -> Keys {
-        let by_len = (lengths.iter()).map(|&n| {
-            let key = |ue: &UeHypothesis| {
-                let syndrome = scrambling_syndrome_cached(cinit_for(Some(ue.rnti), pci), n)?;
-                Some(ue.rnti.0 as u32 ^ syndrome)
-            };
-            let keyed = ues
-                .iter()
-                .enumerate()
-                .filter_map(|(i, ue)| Some((key(ue)?, i as u32)));
-            let mut pairs: Vec<(u32, u32)> = keyed.collect();
-            pairs.sort_unstable();
-            (n, pairs)
-        });
-        Keys {
-            pci,
-            by_len: by_len.collect(),
-        }
-    }
-
-    fn serves(&self, pci: u16, lengths: &[usize]) -> bool {
-        self.pci == pci && self.by_len.iter().map(|(n, _)| n).eq(lengths)
-    }
-
-    /// The list indices whose key at `n` bits is `raw`, in list order.
-    fn holding(&self, n: usize, raw: u32) -> impl Iterator<Item = usize> + '_ {
-        let pairs = (self.by_len.iter()).find(|(len, _)| *len == n);
-        let pairs = pairs.map_or(&[][..], |(_, pairs)| pairs);
-        let from = pairs.partition_point(|&(key, _)| key < raw);
-        (pairs[from..].iter())
-            .take_while(move |&&(key, _)| key == raw)
-            .map(|&(_, i)| i as usize)
-    }
-}
-
-/// What a message-fidelity UE pass reads of a [`UeRow`] under one
-/// context ([`UeRow::key_index`]): equal for two rows exactly when a
-/// captured codeword offers, matches and tests the same UEs under both.
-#[derive(Debug, PartialEq)]
-pub struct KeyIndex<'a> {
-    keys: Cow<'a, Keys>,
-    admitted: &'a Admitted,
-}
-
 impl UeRow {
     /// The same RNTIs in the same order, each searched where `space` says
-    /// (given its index and hypothesis), sharing this row's CRC keys.
+    /// (given its index and hypothesis), sharing this row's RNTI index.
     pub fn respaced(
         &self,
         mut space: impl FnMut(usize, &UeHypothesis) -> Option<(AggregationLevel, u128)>,
@@ -217,7 +161,7 @@ impl UeRow {
         UeRow(Arc::new(Row {
             ues: self.iter().enumerate().map(respace).collect(),
             admitted: OnceLock::new(),
-            keys: Arc::clone(&self.0.keys),
+            listed: Arc::clone(&self.0.listed),
         }))
     }
 
@@ -228,16 +172,6 @@ impl UeRow {
             (0, 1) => self.clone(),
             _ => self.iter().skip(i).step_by(of).copied().collect(),
         }
-    }
-
-    /// The row's key index under `ctx`; `None` until SIB1 sizes the UEs'
-    /// DCIs.
-    pub fn key_index(&self, ctx: &DecoderContext) -> Option<KeyIndex<'_>> {
-        let sizes = payload_sizes(&ctx.ue_sizing?);
-        Some(KeyIndex {
-            keys: self.keys(ctx.pci, &sizes),
-            admitted: self.admitted(),
-        })
     }
 
     fn admitted(&self) -> &Admitted {
@@ -267,19 +201,22 @@ impl UeRow {
         counts.anywhere + at.map_or(0, |&n| n as usize)
     }
 
-    /// The CRC keys under `pci` at the UE codeword lengths of `sizes`: the
-    /// ones the row shares, built by the first to ask, unless they were
-    /// built under another PCI or sizing; then a fresh set. Equal DL and
-    /// UL sizes are one length, whose UEs are asked once.
-    fn keys(&self, pci: u16, sizes: &[usize; 2]) -> Cow<'_, Keys> {
-        let lengths = sizes.map(|p| p + 24);
-        let lengths = &lengths[..if sizes[0] == sizes[1] { 1 } else { 2 }];
-        let fresh = || Keys::new(self, pci, lengths);
-        let shared = self.0.keys.get_or_init(fresh);
-        match shared.serves(pci, lengths) {
-            true => Cow::Borrowed(shared),
-            false => Cow::Owned(fresh()),
-        }
+    /// The UEs listing `rnti`, in list order — one lookup — or, for
+    /// `None`, every UE.
+    fn listing(&self, rnti: Option<Rnti>) -> impl Iterator<Item = &UeHypothesis> {
+        let run = rnti.map(|Rnti(r)| {
+            let listed = self.0.listed.get_or_init(|| {
+                let pairs = self.iter().enumerate().map(|(i, ue)| (ue.rnti.0, i as u32));
+                let mut pairs: Vec<_> = pairs.collect();
+                pairs.sort_unstable();
+                pairs
+            });
+            let from = listed.partition_point(|&(listed, _)| listed < r);
+            let run = (listed[from..].iter()).take_while(move |&&(listed, _)| listed == r);
+            run.map(|&(_, i)| &self[i as usize])
+        });
+        let every = rnti.is_none().then(|| self.iter());
+        run.into_iter().flatten().chain(every.into_iter().flatten())
     }
 }
 
@@ -320,7 +257,7 @@ pub struct Hypotheses {
     /// TC-RNTIs learned from decoded RARs.
     pub tc_rntis: Vec<Rnti>,
     /// Tracked C-RNTIs, each with its search space when known: a shared
-    /// row that carries its key index.
+    /// row that carries its RNTI index.
     pub c_rntis: UeRow,
     /// Accept CRC-XOR-recovered TC-RNTIs not matching any pending RAR
     /// (the missed-RAR fallback).
@@ -399,12 +336,13 @@ fn payload_sizes(sizing: &DciSizing) -> [usize; 2] {
 /// decoder context knows no width that fits (a cold bootstrap).
 const PRESET_CARRIER_PRBS: [usize; 4] = [51, 52, 79, 24];
 
-/// Every (K, E) polar code a thread has met, each configured once, the SC
-/// decoder's working memory, and the candidate in hand as one UE
-/// descrambles it.
+/// Every (K, E) polar code a thread has met, configured once with its
+/// [`FlipSolve`]; the [`RntiSolve::crc_keys`] of each codeword length met;
+/// the SC decoder's working memory; the candidate as one UE descrambles it.
 #[derive(Debug, Default)]
 struct PolarCodes {
-    codes: Vec<PolarCode>,
+    codes: Vec<(PolarCode, Option<FlipSolve>)>,
+    keys: Vec<(usize, RntiSolve<1>)>,
     scratch: DecodeScratch,
     ue_llrs: Vec<f32>,
 }
@@ -413,27 +351,53 @@ thread_local! {
     /// This thread's polar codes, kept like its Gold sequences
     /// ([`gold_bits_cached`]): none of it is telemetry state.
     static POLAR_CODES: std::cell::RefCell<PolarCodes> = Default::default();
-    /// Pass A's flip words ([`PolarCode::flip_word`]) per (UE `c_init`,
-    /// index in `POLAR_CODES`), memoised like the Gold sequences: the
-    /// `c_init`'s low 16 bits are the PCI, so it names the cell's sequence
-    /// too.
-    static FLIP_WORDS: Memo<Option<HardWord>> = Default::default();
 }
+
+/// A payload size that fits a blind candidate, where its code is in
+/// [`PolarCodes`], and the hard word of the LLRs as extracted, if asked.
+type Fit = (usize, usize, Option<HardWord>);
 
 impl PolarCodes {
     /// Where the (`k`, `e`) code is in `codes`, configured on first use.
     fn code(&mut self, k: usize, e: usize) -> usize {
-        let known = (self.codes.iter()).position(|c| (c.k, c.e) == (k, e));
+        let known = (self.codes.iter()).position(|(c, _)| (c.k, c.e) == (k, e));
         known.unwrap_or_else(|| {
-            self.codes.push(PolarCode::new(k, e));
+            let code = PolarCode::new(k, e);
+            let solve = FlipSolve::polar(&code);
+            self.codes.push((code, solve));
             self.codes.len() - 1
         })
+    }
+
+    /// The CRC-key system at `n` bits, built on first use.
+    fn keys(&mut self, n: usize) -> Option<&RntiSolve<1>> {
+        if !self.keys.iter().any(|(len, _)| *len == n) {
+            self.keys.push((n, RntiSolve::crc_keys(n)?));
+        }
+        (self.keys.iter()).find_map(|(len, keys)| (*len == n).then_some(keys))
     }
 
     /// SC-decode `llrs` to `k` bits, which live here until the next call.
     fn decode(&mut self, k: usize, llrs: &[f32]) -> &[u8] {
         let at = self.code(k, llrs.len());
-        self.codes[at].decode_sc_with(llrs, &mut self.scratch)
+        self.codes[at].0.decode_sc_with(llrs, &mut self.scratch)
+    }
+
+    /// Each size of `sizes` whose codeword is shorter than `e` channel bits,
+    /// and, given the LLRs, their hard word: one per mother layout, shared
+    /// by the sizes.
+    fn fitting(&mut self, sizes: &[usize; 2], e: usize, llrs: Option<&[f32]>) -> [Option<Fit>; 2] {
+        let mut fits: [Option<Fit>; 2] = [None; 2];
+        for (i, &p) in sizes.iter().enumerate().filter(|(_, &p)| p + 24 < e) {
+            let at = self.code(p + 24, e);
+            let layout = |at: usize| (self.codes[at].0.n, self.codes[at].0.kind);
+            let shared = fits.iter().flatten().find(|f| layout(f.1) == layout(at));
+            let hard = shared.map(|f| f.2).unwrap_or_else(|| {
+                llrs.and_then(|llrs| self.codes[at].0.hard_word(llrs, &mut self.scratch))
+            });
+            fits[i] = Some((p, at, hard));
+        }
+        fits
     }
 }
 
@@ -808,8 +772,9 @@ pub(crate) trait Candidate {
     /// asks — for a hypothesis the syndrome matched. `raw` is this
     /// candidate's [`Self::raw_syndrome`]; a polar decode, with `walk`
     /// unset, yields a codeword only where the hard decisions already are
-    /// one ([`PolarCode::codeword_of`] the hard word, which a C-RNTI moves
-    /// by its flip word), and computes nothing when `scramblings` is empty.
+    /// one ([`PolarCode::codeword_of`] the hard word of the LLRs, which a
+    /// C-RNTI sign-flips first), and computes nothing when `scramblings` is
+    /// empty.
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
@@ -822,7 +787,8 @@ pub(crate) trait Candidate {
     /// The UE pass over `ues`: hand `test` each C-RNTI this position
     /// admits whose CRC matches one of the candidate's codewords, in list
     /// order, until it reports a hit. Returns the hit and how many C-RNTIs
-    /// the position admits. A blind position walks the list ([`each_ue`]).
+    /// the position admits: solved where it can be, else per UE
+    /// ([`each_ue`]).
     fn ues<T>(
         &self,
         ctx: &DecoderContext,
@@ -831,9 +797,7 @@ pub(crate) trait Candidate {
         sizes: &[usize; 2],
         walk: bool,
         test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
-    ) -> (Option<T>, usize) {
-        each_ue(self, ctx, raw, ues, sizes, walk, test)
-    }
+    ) -> (Option<T>, usize);
 }
 
 /// The per-UE loop: each C-RNTI of `ues` the position admits, counted, its
@@ -872,10 +836,10 @@ fn descrambled<'a>(bits: &[u8], c_init: u32) -> Cow<'a, [u8]> {
 
 /// Message fidelity: the codeword was captured whole, so its length fixes
 /// the payload size, and a descrambling moves its syndrome by the
-/// sequence's own (memoised per thread). The common pass is that XOR; the
-/// UE pass asks no C-RNTI in turn: the row's keys hold the UEs the raw
-/// syndrome matches, and the row's masks how many the position admits.
-/// Only a UE that matches descrambles the payload.
+/// sequence's own (memoised per thread). The common pass is that XOR; in
+/// the UE pass that syndrome solves to the C-RNTI whose CRC key it is
+/// ([`RntiSolve::crc_keys`]). Only a UE that matches descrambles the
+/// payload.
 impl Candidate for ObservedDci {
     const BLIND: bool = false;
 
@@ -920,20 +884,25 @@ impl Candidate for ObservedDci {
         ctx: &DecoderContext,
         raw: Option<u32>,
         ues: &UeRow,
-        sizes: &[usize; 2],
+        _sizes: &[usize; 2],
         _walk: bool,
         mut test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
     ) -> (Option<T>, usize) {
         #[cfg(test)]
         if tests::PER_UE.get() {
-            return each_ue(self, ctx, raw, ues, sizes, _walk, test);
+            return each_ue(self, ctx, raw, ues, _sizes, _walk, test);
         }
         let (level, cce_start, bits) = (self.level, self.cce_start, &self.scrambled_bits);
-        let hit = raw.and_then(|raw| {
-            let keys = ues.keys(ctx.pci, sizes);
-            let matched = keys.holding(bits.len(), raw).map(|i| &ues[i]);
-            let mut admitted = matched.filter(|ue| ue.admits(level, cce_start));
-            admitted.find_map(|ue| {
+        let common = scrambling_syndrome_cached(cinit_for(None, ctx.pci), bits.len());
+        let hit = POLAR_CODES.with_borrow_mut(|polar| {
+            let (keys, target) = (polar.keys(bits.len())?, [u64::from(raw? ^ common?)]);
+            // Where the kernel is not trivial (334 bits and up) the solve is
+            // a coset, and the row is matched against it in list order.
+            let one = (keys.kernel().is_empty()).then_some(Rnti(keys.solve(&target)?));
+            let coset = |ue: &&UeHypothesis| one.is_some() || keys.solves(&target, ue.rnti.0);
+            let mut matched =
+                (ues.listing(one)).filter(|ue| ue.admits(level, cce_start) && coset(ue));
+            matched.find_map(|ue| {
                 let c_init = cinit_for(Some(ue.rnti), ctx.pci);
                 test(ue.rnti, &|| descrambled(bits, c_init))
             })
@@ -971,14 +940,21 @@ impl Blind for GatedPosition<'_> {
     }
 }
 
+/// `cand`'s LLRs, asked for by the scan.
+fn asked<B: Blind>(cand: &B) -> &[f32] {
+    #[cfg(test)]
+    tests::ASKED.with_borrow_mut(|asked| asked.push(cand.position()));
+    cand.llrs()
+}
+
 /// IQ fidelity: the LLRs are common-descrambled, which is how the common
 /// pass decodes them, and every size shorter than the candidate gets its
-/// own polar code. A walk (pass B) flips the signs where a UE's sequence
-/// differs from the common one, once for all its sizes. Pass A computes
-/// one hard word per mother layout, shared by the sizes, and a C-RNTI XORs
-/// its flip word onto it — except under Repeat, where it takes the hard
-/// word of its flipped LLRs. The LLRs are asked for only once there is a
-/// scrambling to try.
+/// own polar code. A UE hypothesis flips the signs where its sequence
+/// differs from the common one, and a walk (pass B) SC-decodes them. Pass A
+/// computes one hard word per mother layout and solves it per code for the
+/// C-RNTI ([`FlipSolve`]) — but under Repeat, where each C-RNTI takes the
+/// hard word of its flipped LLRs. The LLRs are asked for only once there is
+/// a scrambling to try.
 impl<B: Blind> Candidate for B {
     const BLIND: bool = true;
 
@@ -1001,59 +977,82 @@ impl<B: Blind> Candidate for B {
     ) -> Option<T> {
         let e = self.level().bits();
         let mut scramblings = scramblings.peekable();
-        scramblings.peek()?;
-        #[cfg(test)]
-        tests::ASKED.with_borrow_mut(|asked| asked.push(self.position()));
-        let own = self.llrs();
+        // Only the common pass reads the LLRs as extracted.
+        let common = scramblings.peek()?.is_none();
+        let own = asked(self);
         POLAR_CODES.with_borrow_mut(|polar| {
-            // Per size that fits: its payload bits, its code and, in pass A,
-            // the hard word of the LLRs as extracted, one per mother layout.
-            let mut fits: [Option<(usize, usize, Option<HardWord>)>; 2] = [None; 2];
-            for (i, &p) in sizes.iter().enumerate().filter(|(_, &p)| p + 24 < e) {
-                let at = polar.code(p + 24, e);
-                let layout = |at: usize| (polar.codes[at].n, polar.codes[at].kind);
-                let shared = fits.iter().flatten().find(|f| layout(f.1) == layout(at));
-                let hard = shared.map(|f| f.2).unwrap_or_else(|| match walk {
-                    true => None,
-                    false => polar.codes[at].hard_word(own, &mut polar.scratch),
-                });
-                fits[i] = Some((p, at, hard));
-            }
+            let fits = polar.fitting(sizes, e, (common && !walk).then_some(own));
             let (codes, scratch, ue_llrs) = (&polar.codes, &mut polar.scratch, &mut polar.ue_llrs);
-            let repeat = |at: usize| codes[at].kind == RateMatchKind::Repeat;
-            let flip_llrs = walk || fits.iter().flatten().any(|f| repeat(f.1));
             scramblings.find_map(|ue| {
-                let c_init = cinit_for(ue, ctx.pci);
-                let llrs = match ue.is_some() && flip_llrs {
-                    false => own,
-                    true => {
-                        let flipped = own.iter().zip(flips(c_init, ctx.pci, e));
+                let llrs = match ue {
+                    None => own,
+                    Some(_) => {
+                        let flipped = own.iter().zip(flips(cinit_for(ue, ctx.pci), ctx.pci, e));
                         ue_llrs.clear();
                         ue_llrs.extend(flipped.map(|(l, f)| if f { -l } else { *l }));
                         &*ue_llrs
                     }
                 };
                 fits.iter().flatten().find_map(|&(p, at, hard)| {
-                    let code = &codes[at];
-                    let cw = if walk {
-                        code.decode_sc_with(llrs, scratch)
-                    } else {
-                        let v = match ue {
-                            None => hard?,
-                            Some(_) if repeat(at) => code.hard_word(llrs, scratch)?,
-                            Some(_) => {
-                                let hard = hard?;
-                                let word = || code.flip_word(flips(c_init, ctx.pci, e));
-                                let flip = memoised(&FLIP_WORDS, c_init, at, word)?;
-                                std::array::from_fn(|w| hard[w] ^ flip[w])
-                            }
-                        };
-                        code.codeword_of(&v, scratch)?
+                    let code = &codes[at].0;
+                    let cw = match (walk, ue) {
+                        (true, _) => code.decode_sc_with(llrs, scratch),
+                        (false, None) => code.codeword_of(&hard?, scratch)?,
+                        (false, Some(_)) => {
+                            code.codeword_of(&code.hard_word(llrs, scratch)?, scratch)?
+                        }
                     };
                     test(ue, dci_syndrome(cw)?, &|| Cow::Borrowed(&cw[..p]))
                 })
             })
         })
+    }
+
+    fn ues<T>(
+        &self,
+        ctx: &DecoderContext,
+        raw: Option<u32>,
+        ues: &UeRow,
+        sizes: &[usize; 2],
+        walk: bool,
+        mut test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
+    ) -> (Option<T>, usize) {
+        let ((level, cce_start), e) = (self.position(), self.level().bits());
+        let offered = ues.admitting(level, cce_start);
+        #[cfg(test)]
+        let walk = walk || tests::PER_UE.get();
+        if walk || offered == 0 {
+            return each_ue(self, ctx, raw, ues, sizes, walk, test);
+        }
+        let own = asked(self);
+        let solved = POLAR_CODES.with_borrow_mut(|polar| {
+            let fits = polar.fitting(sizes, e, Some(own));
+            let PolarCodes { codes, scratch, .. } = polar;
+            if fits.iter().flatten().any(|f| codes[f.1].1.is_none()) {
+                return Err(test);
+            }
+            // Per size, the C-RNTI the solve and the CRC name; a coset, or
+            // two RNTIs named by the two sizes, is matched against the row.
+            let named = fits.map(|fit| {
+                let (_, at, hard) = fit?;
+                codes[at].1.as_ref()?.rnti(&codes[at].0, &hard?, scratch)
+            });
+            let one = (named.into_iter().flatten()).reduce(|a, b| a.filter(|_| a == b));
+            let Some(one) = one else { return Ok(None) };
+            let mut matched = ues.listing(one).filter(|ue| ue.admits(level, cce_start));
+            Ok(matched.find_map(|ue| {
+                fits.iter().flatten().find_map(|&(p, at, hard)| {
+                    let (code, solve) = &codes[at];
+                    let cw = solve.as_ref()?.codeword(code, &hard?, ue.rnti, scratch)?;
+                    test(ue.rnti, &|| Cow::Borrowed(&cw[..p]))
+                })
+            }))
+        });
+        // Under Repeat there is no solve: each C-RNTI in turn.
+        match solved {
+            Ok(hit) => (hit, offered),
+            Err(test) => each_ue(self, ctx, raw, ues, sizes, walk, test),
+        }
     }
 }
 
@@ -1293,8 +1292,8 @@ pub(crate) mod tests {
         /// for the differential below to compare with.
         pub(super) static WALK_ONLY: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
-        /// Makes a captured codeword's UE pass the per-UE loop
-        /// ([`each_ue`]), the oracle its key lookup is compared with.
+        /// Makes a UE pass the per-UE loop ([`each_ue`]), the oracle its
+        /// solve is compared with.
         pub(super) static PER_UE: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
         /// Makes [`FrontEnd::demodulate_pilots_first`] demodulate the
@@ -1477,63 +1476,129 @@ pub(crate) mod tests {
         assert_eq!(rejects, 0, "a garbage codeword reached validation");
     }
 
-    /// Pass A's answers for `cand` under each of `ues` and both UE sizes
-    /// against `codeword_with` on LLRs sign-flipped where the UE's sequence
-    /// differs from the cell's: the same codewords, in order, to the payload
-    /// and syndrome. Returns how many came through a flip word.
-    fn pass_a_vs_flipped(c: &DecoderContext, cand: &ExtractedCandidate, ues: &[Rnti]) -> usize {
-        let e = cand.level.bits();
-        let sizes = payload_sizes(&c.ue_sizing.expect("SIB1"));
-        let (mut got, offered) = (Vec::new(), ues.iter().map(|&r| Some(r)));
-        cand.codewords(c, None, offered, &sizes, false, |ue, syndrome, payload| {
-            got.push((ue, syndrome, payload().into_owned()));
-            None::<()>
+    /// The UE pass of `cand` under `row` with `walk` unset, solved and per
+    /// UE (the [`PER_UE`] switch), against `codeword_with` on LLRs
+    /// sign-flipped where each admitted UE's sequence differs from the
+    /// cell's: the same payloads tested in the same order, the same hit (a
+    /// payload that validates), offered count and rejects. And where a
+    /// code's solve names a scrambling, that scrambling makes a codeword.
+    /// Returns how many payloads were tested.
+    fn pass_a_vs_flipped(c: &DecoderContext, cand: &ExtractedCandidate, row: &UeRow) -> usize {
+        let (e, sizing) = (cand.level.bits(), c.ue_sizing.expect("SIB1"));
+        let sizes = payload_sizes(&sizing);
+        let at = format!("{:?} at CCE {}", cand.level, cand.cce_start);
+        let got = indexed_as_per_ue(&at, || {
+            let mut tested = Vec::new();
+            let (hit, offered) = cand.ues(c, None, row, &sizes, false, |rnti, bits| {
+                tested.push((rnti, bits().into_owned()));
+                Dci::unpack_validated(&bits(), &sizing).ok().map(|_| rnti)
+            });
+            (hit, offered, tested)
         });
-        let (mut want, mut through, mut scratch) = (Vec::new(), 0, DecodeScratch::default());
+        let (mut scratch, mut want) = (DecodeScratch::default(), (None, Vec::new()));
         let seq = |ue| nr_phy::sequence::gold_bits(cinit_for(ue, c.pci), e);
-        let flip = |(l, (a, b)): (&f32, (u8, u8))| if a == b { *l } else { -l };
+        let flipped = |rnti| -> Vec<f32> {
+            let flips = seq(None).into_iter().zip(seq(Some(rnti)));
+            let flip = |(l, (a, b)): (&f32, (u8, u8))| if a == b { *l } else { -l };
+            cand.llrs.iter().zip(flips).map(flip).collect()
+        };
         let codes: Vec<_> = (sizes.iter().filter(|&&p| p + 24 < e))
             .map(|&p| (p, PolarCode::new(p + 24, e)))
             .collect();
-        for &rnti in ues {
-            let flips = seq(None).into_iter().zip(seq(Some(rnti)));
-            let flipped: Vec<f32> = cand.llrs.iter().zip(flips).map(flip).collect();
+        for (_, code) in &codes {
+            let hard = code.hard_word(&cand.llrs, &mut scratch);
+            let x = FlipSolve::polar(code)
+                .zip(hard)
+                .and_then(|(s, h)| s.solve(&h));
+            let made = x.map(|x| {
+                code.codeword_with(&flipped(Rnti(x)), &mut scratch)
+                    .is_some()
+            });
+            assert_ne!(made, Some(false), "{at}: the solve named {x:?}");
+        }
+        let admitted = (row.iter()).filter(|ue| ue.admits(cand.level, cand.cce_start));
+        let admitted: Vec<_> = admitted.collect();
+        'ues: for ue in &admitted {
+            let llrs = flipped(ue.rnti);
             for (p, code) in &codes {
-                if let Some(cw) = code.codeword_with(&flipped, &mut scratch) {
-                    let syndrome = dci_syndrome(cw).expect("24 bits");
-                    want.push((Some(rnti), syndrome, cw[..*p].to_vec()));
-                    through += usize::from(code.kind != RateMatchKind::Repeat);
+                let cw = code.codeword_with(&llrs, &mut scratch);
+                if let Some(cw) = cw.filter(|cw| dci_syndrome(cw) == Some(ue.rnti.0 as u32)) {
+                    want.1.push((ue.rnti, cw[..*p].to_vec()));
+                    if Dci::unpack_validated(&cw[..*p], &sizing).is_ok() {
+                        want.0 = Some(ue.rnti);
+                        break 'ues;
+                    }
                 }
             }
         }
-        assert_eq!(got, want, "{:?} at CCE {}", cand.level, cand.cce_start);
-        through
+        assert_eq!(got, (want.0, admitted.len(), want.1), "{at}");
+        got.2.len()
     }
 
-    /// Pass A's flip words answer what flipped LLRs answer, for every
-    /// candidate of a 30 dB and a 3 dB tape under every tracked C-RNTI, and
-    /// for one candidate under more C-RNTIs than the flip-word memo holds,
-    /// so that its clear-and-refill path is compared too.
+    /// Pass A's solve answers what flipped LLRs answer
+    /// ([`pass_a_vs_flipped`]), on every candidate of a 30 dB and a 3 dB
+    /// tape: under the tracked C-RNTIs, the owner listed last and after one
+    /// sharing its scrambling (`owner ^ 0x8000`, whose CRC differs); under
+    /// the same row with the owner searched elsewhere; and, on the first
+    /// slot's candidates, under more C-RNTIs than a Gold-sequence memo
+    /// holds, the owner last.
     #[test]
-    fn pass_a_flip_words_answer_what_flipped_llrs_answer() {
+    fn pass_a_solve_answers_what_flipped_llrs_answer() {
+        let cap = nr_phy::sequence::GOLD_CACHE_CAP as u16;
         for snr_db in [30.0, 3.0] {
             let (c, heard) = iq_slots(snr_db, 6);
-            let mut through = 0;
-            for (_, known, candidates) in &heard {
-                let hyp = tracking(*known, false);
-                let ues: Vec<_> = hyp.c_rntis.iter().map(|u| u.rnti).collect();
+            let mut tested = 0;
+            for (slot, (_, owner, candidates)) in heard.iter().enumerate() {
+                let rntis = [0x4001, 0x4002, owner.0 ^ 0x8000, 0x4003, owner.0].map(Rnti);
+                let tracked = knowing(&rntis).c_rntis;
+                let nowhere = Some((AggregationLevel::L1, 0));
+                let elsewhere = tracked.respaced(|_, ue| nowhere.filter(|_| ue.rnti == *owner));
+                let many: Vec<_> = (1..=cap + 100).chain([owner.0]).map(Rnti).collect();
+                let many = knowing(&many).c_rntis;
                 for cand in candidates {
-                    through += pass_a_vs_flipped(&c, cand, &ues);
+                    tested += pass_a_vs_flipped(&c, cand, &tracked);
+                    pass_a_vs_flipped(&c, cand, &elsewhere);
+                    if slot == 0 {
+                        pass_a_vs_flipped(&c, cand, &many);
+                    }
                 }
             }
-            assert!(snr_db < 30.0 || through >= 100, "{through} via flip words");
-            let cand = (heard[0].2.iter()).find(|c| c.level == AggregationLevel::L2);
-            let cap = nr_phy::sequence::GOLD_CACHE_CAP as u16;
-            let many: Vec<_> = (1..=cap + 100).map(Rnti).collect();
-            pass_a_vs_flipped(&c, cand.expect("a level-2 candidate"), &many);
-            // Each C-RNTI added a flip word: the memo was emptied on the way.
-            assert!(FLIP_WORDS.with_borrow(|m| m.len()) < many.len());
+            assert!(snr_db < 30.0 || tested >= 100, "{tested} payloads tested");
         }
+    }
+
+    /// Where a code's rank falls short of 15 the solve is a coset, and the
+    /// UE pass matches the row against it ([`pass_a_vs_flipped`]): a
+    /// 300,000-PRB width makes the DL payload 70 bits, K = 94 at level 1
+    /// (no preset comes near it), beside a UL code of rank 15. A C-RNTI of
+    /// the sender's coset, listed ahead of it, makes a codeword too, whose
+    /// CRC it fails; only the sender's payload is tested.
+    #[test]
+    fn pass_a_matches_the_row_against_a_coset() {
+        let mut c = ctx(&CellConfig::srsran_n41());
+        c.ue_sizing = Some(DciSizing { bwp_prbs: 300_000 });
+        let code = PolarCode::new(94, 108);
+        let solve = FlipSolve::polar(&code).expect("not Repeat");
+        let (sender, payload) = (Rnti(0x4601), (0..70).map(|i| u8::from(i % 3 == 0)));
+        let payload = nr_phy::crc::dci_attach_crc(&payload.collect::<Vec<_>>(), sender.0);
+        let mut bits = code.encode(&payload);
+        for ue in [Some(sender), None] {
+            nr_phy::sequence::scramble_in_place(&mut bits, cinit_for(ue, c.pci));
+        }
+        let llrs = bits.iter().map(|&b| 1.0 - 2.0 * f32::from(b)).collect();
+        let (level, cce_start) = (AggregationLevel::L1, 0);
+        let cand = ExtractedCandidate {
+            llrs,
+            level,
+            cce_start,
+        };
+        let &[k] = solve.kernel() else {
+            panic!("rank 14")
+        };
+        let hard = code.hard_word(&cand.llrs, &mut DecodeScratch::default());
+        assert!(solve.solves(&hard.expect("clean"), (sender.0 ^ k) & 0x7FFF));
+        let row = [Rnti(sender.0 ^ k), Rnti(0x4002), sender].map(UeHypothesis::anywhere);
+        assert_eq!(pass_a_vs_flipped(&c, &cand, &row.into_iter().collect()), 1);
     }
 
     /// [`DecodeWork`]'s accounting of claims, on slots carrying one level-2

@@ -198,12 +198,12 @@ pub struct NrScope {
 /// `anywhere` offers each of them to every candidate. `rows[s]` is the row
 /// for slot `s` of the frame: each RNTI searched where its RRC Setup lets
 /// the gNB place it, built the first time slot `s` reads it. Every row
-/// shares `anywhere`'s CRC keys, built at most once. All of it holds for
+/// shares `anywhere`'s RNTI index, built at most once. All of it holds for
 /// the `key` it was built under: the tracker's [`UeTracker::generation`],
-/// CORESET 0, the slots per frame, the PCI and the UE DCI sizing.
+/// CORESET 0 and the slots per frame.
 #[derive(Default)]
 struct SearchSpaces {
-    key: Option<(u64, Coreset, usize, u16, Option<DciSizing>)>,
+    key: Option<(u64, Coreset, usize)>,
     ues: Vec<(Rnti, Option<RrcSetup>)>,
     anywhere: UeRow,
     rows: Vec<Option<UeRow>>,
@@ -1124,7 +1124,7 @@ impl NrScope {
     fn hypotheses(&self, ctx: &DecoderContext) -> Hypotheses {
         let spf = (self.cell.mib.as_ref()).map_or(1, |m| m.scs_common.slots_per_frame());
         let (generation, coreset) = (self.tracker.generation(), &ctx.coreset);
-        let key = Some((generation, *coreset, spf, ctx.pci, ctx.ue_sizing));
+        let key = Some((generation, *coreset, spf));
         let mut spaces = self.spaces.borrow_mut();
         if spaces.key != key {
             // Probationary RNTIs ride the UE-specific pass: a real UE on

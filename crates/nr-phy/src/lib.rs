@@ -46,6 +46,7 @@ pub mod oracle;
 pub mod pdcch;
 pub mod polar;
 pub mod sequence;
+pub mod solve;
 pub mod sync;
 pub mod tbs;
 pub mod types;

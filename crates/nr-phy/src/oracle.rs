@@ -1309,14 +1309,16 @@ fn sc_kernel_matches_the_oracle_bit_for_bit() {
         .all(|&(clean, dirty)| clean > 500 && dirty > 500));
 }
 
-/// What negating LLRs does to the hard word is an XOR of the flip word:
-/// `hard_word(flipped) = hard_word(llrs) ⊕ flip_word(flips)`, `None` on
+/// What negating LLRs does to the hard word is an XOR of the hard word of
+/// the flip pattern's signs (±1s, negative where flipped):
+/// `hard_word(flipped) = hard_word(llrs) ⊕ hard_word(±flips)`, `None` on
 /// both sides together, and `codeword_of` that XOR is `codeword_with` on
 /// the flipped LLRs, bit for bit — on noisy codewords, with ±0, NaN and
 /// ±1e9 sprinkled in, under random flips and under codeword-shaped ones
-/// (which keep a codeword one). Under Repeat there is no flip word.
+/// (which keep a codeword one). Not under Repeat, where a flipped copy need
+/// not flip the sum it joins: what `solve::FlipSolve` rests on.
 #[test]
-fn flip_word_is_what_a_sign_flip_does_to_the_hard_word() {
+fn a_sign_flip_moves_the_hard_word_by_the_hard_word_of_its_signs() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut grid = cell_code_grid();
@@ -1349,11 +1351,13 @@ fn flip_word_is_what_a_sign_flip_does_to_the_hard_word() {
             let flipped: Vec<f32> = (llrs.iter().zip(&flips))
                 .map(|(l, &f)| if f { -l } else { *l })
                 .collect();
-            let Some(word) = code.flip_word(flips.iter().copied()) else {
-                assert_eq!(code.kind, RateMatchKind::Repeat, "k={k} e={e}");
+            if code.kind == RateMatchKind::Repeat {
                 continue;
-            };
-            assert_ne!(code.kind, RateMatchKind::Repeat);
+            }
+            let signs: Vec<f32> = flips.iter().map(|&f| if f { -1.0 } else { 1.0 }).collect();
+            let word = code
+                .hard_word(&signs, &mut scratch)
+                .expect("±1 is sign-clean");
             let at = format!("k={k} e={e} trial={trial}");
             let hard = code.hard_word(&llrs, &mut scratch);
             let moved = hard.map(|h| -> [u64; 8] { std::array::from_fn(|i| h[i] ^ word[i]) });

@@ -35,7 +35,11 @@
 //! repetition, whose copies add, is de-rate-matched first; a punctured head
 //! or a shortened tail is a run of zero bits, which is what its LLRs' signs
 //! would be. The transform is linear, so a sign flip of the LLRs — another
-//! scrambling — moves that word by an XOR ([`PolarCode::flip_word`]).
+//! scrambling — moves that word by an XOR, the hard word of the flip
+//! pattern's signs (negation keeps `|l|`, so cleanliness does not move;
+//! under Repeat a flipped copy need not flip the sum it joins), and the
+//! C-RNTIs whose scrambling makes it a codeword are one GF(2) solve
+//! ([`crate::solve::FlipSolve`]).
 
 pub mod construction;
 pub mod decode;
@@ -45,11 +49,10 @@ pub mod ratematch;
 use ratematch::RateMatchKind;
 
 /// 64-bit words of the longest mother code's hard word.
-const MAX_WORDS: usize = (1 << ratematch::N_MAX_DCI) / 64;
+pub(crate) const MAX_WORDS: usize = (1 << ratematch::N_MAX_DCI) / 64;
 
 /// A mother code's `n` bits packed, position `i` at bit `i % 64` of word
-/// `i / 64`: what [`PolarCode::hard_word`] and [`PolarCode::flip_word`]
-/// return.
+/// `i / 64`: what [`PolarCode::hard_word`] returns.
 pub type HardWord = [u64; MAX_WORDS];
 
 /// A configured polar code carrying payloads of `k` bits in `e` channel bits.
@@ -72,7 +75,7 @@ pub struct PolarCode {
     /// Code positions `0..head` are punctured: no LLR is received for them.
     head: usize,
     /// Bit `p % 64` of word `p / 64` set where input `p ≥ head` is frozen.
-    frozen_past_head: [u64; MAX_WORDS],
+    pub(crate) frozen_past_head: [u64; MAX_WORDS],
 }
 
 impl PolarCode {
@@ -227,25 +230,6 @@ impl PolarCode {
         #[cfg(test)]
         crate::oracle::SHORT_CIRCUITS.set(crate::oracle::SHORT_CIRCUITS.get() + 1);
         Some(&scratch.payload)
-    }
-
-    /// What negating the LLRs that `flips` marks does to the hard word:
-    /// `hard_word(flipped) = hard_word(llrs) ⊕ flip_word(flips)`, with
-    /// `None` on both sides together, since negation keeps `|l|`. `F^{⊗n}`
-    /// is linear, and a received LLR's sign lands at `head + i` of the
-    /// mother code (the head is `0` when shortened). `None` under Repeat,
-    /// where a flipped copy need not flip the sign of the sum it joins.
-    pub fn flip_word(&self, flips: impl ExactSizeIterator<Item = bool>) -> Option<HardWord> {
-        assert_eq!(flips.len(), self.e, "flip length must equal e");
-        if self.kind == RateMatchKind::Repeat {
-            return None;
-        }
-        let mut w = [0; MAX_WORDS];
-        for (p, flip) in (self.head..).zip(flips) {
-            w[p / 64] |= u64::from(flip) << (p % 64);
-        }
-        encode::polar_transform_words(&mut w, self.n);
-        Some(w)
     }
 
     /// The information bits of the packed input vector `u`, in place of

@@ -151,9 +151,8 @@ pub fn pdcch_dmrs_cinit(slot: usize, symbol: usize, n_id: u16) -> u32 {
         as u32
 }
 
-/// A per-thread memo keyed by `c_init` and one more number its values
-/// depend on — for the two below, the sequence length.
-pub type Memo<V> = std::cell::RefCell<crate::types::HashMap<(u32, usize), V>>;
+/// A per-thread memo keyed by `c_init` and the sequence length.
+type Memo<V> = std::cell::RefCell<crate::types::HashMap<(u32, usize), V>>;
 
 thread_local! {
     /// Per-thread memo of generated sequences. Blind decoding re-derives
@@ -167,13 +166,14 @@ thread_local! {
     static SCRAMBLING_SYNDROMES: Memo<Option<u32>> = Default::default();
 }
 
-/// Upper bound on the entries of each memo per thread (a sequence is
-/// ~100 B; this bounds the cache to a few MB even with thousands of
-/// tracked UEs). A full memo is emptied before its next insert.
+/// Upper bound on the entries of each memo per thread. A sequence is one
+/// byte a bit, up to 1,728 (a level-16 PDCCH candidate), so this bounds
+/// the sequence memo at about 28 MB a thread even with thousands of
+/// tracked UEs. A full memo is emptied before its next insert.
 pub const GOLD_CACHE_CAP: usize = 16_384;
 
 /// `memo`'s value for (`c_init`, `key`), made by `make` on a miss.
-pub fn memoised<V: Clone>(
+fn memoised<V: Clone>(
     memo: &'static std::thread::LocalKey<Memo<V>>,
     c_init: u32,
     key: usize,

@@ -597,8 +597,7 @@ impl Replica {
 }
 
 /// A seeded message-fidelity session on `cell` in which, every slot, the
-/// scope's hypotheses (read through `slot_job`) equal `rebuilt_hypotheses`,
-/// down to the C-RNTI row's key index.
+/// scope's hypotheses (read through `slot_job`) equal `rebuilt_hypotheses`.
 /// Four CBR UEs attach; one departs at slot 700 and idles out; a fifth
 /// attaches at 900; a hostile emitter mints ghost TC-RNTIs that sit on
 /// probation and lapse into quarantine; the front end drops slots
@@ -650,14 +649,6 @@ fn search_space_table_session(cell: CellConfig, seed: u64, replay: bool) -> Walk
             if let Some(job) = scope.slot_job(observed.clone()) {
                 let rebuilt = rebuilt_hypotheses(&scope, &cfg, &job);
                 assert_eq!(job.hyp, rebuilt, "slot {s}");
-                // The key index the scope's row carries, built at most once
-                // per table, against one built from the rebuilt list.
-                let (held, fresh) = (&job.hyp.c_rntis, &rebuilt.c_rntis);
-                assert_eq!(
-                    held.key_index(&job.ctx),
-                    fresh.key_index(&job.ctx),
-                    "slot {s}"
-                );
                 let (tracked, on_probation) = (scope.tracked_rntis(), scope.probationary_rntis());
                 let offered = job.hyp.c_rntis.len();
                 if scope.sync_state() == SyncState::Synced {
@@ -691,8 +682,7 @@ fn search_space_table_session(cell: CellConfig, seed: u64, replay: bool) -> Walk
 /// The search-space table changes no decision: at µ=1 (20 slots a frame)
 /// and at µ=0 (10), through admission, idle expiry, probation and
 /// quarantine, an outage, a warm restart and a cell restart, the scope
-/// offers in every slot what a per-slot rebuild from its state offers, and
-/// the key index it hands out is the one that rebuild's list derives.
+/// offers in every slot what a per-slot rebuild from its state offers.
 #[test]
 fn search_space_table_offers_what_a_per_slot_rebuild_offers() {
     for (cell, seed) in [
