@@ -31,16 +31,14 @@
 //! find *claims* its CCEs; pass B spends SC walks only on positions no
 //! claim explains (`scan` says what a walk on an explained one would buy).
 //!
-//! A UE pass asks which C-RNTI makes the codeword valid — one GF(2) solve
-//! ([`nr_phy::solve`]), looked up in the [`UeRow`] — instead of trying each:
-//! of pass A's hard word per code, of a captured codeword's raw syndrome.
-//! Pass B's walks, and pass A under Repeat (levels 8 and 16), still try
-//! each C-RNTI in turn.
+//! Which C-RNTI makes a codeword valid is one GF(2) solve ([`nr_phy::solve`]):
+//! per code, of pass A's hard word; of a captured codeword's syndrome, then
+//! looked up in the [`UeRow`]. Pass B and Repeat codes try each C-RNTI.
 
 use crate::metrics::{Metrics, Stage};
 use crate::observe::ObservedDci;
 use nr_phy::complex::Cf32;
-use nr_phy::crc::dci_syndrome;
+use nr_phy::crc::{dci_scrambling_syndrome, dci_syndrome};
 use nr_phy::dci::{Dci, DciFormat, DciSizing};
 use nr_phy::dmrs::{PilotEstimate, PilotSums};
 use nr_phy::grid::ResourceGrid;
@@ -52,8 +50,8 @@ use nr_phy::pdcch::{
     ue_search_space_y, AggregationLevel, Coreset, CoresetSequences, SearchBudget, PILOT_SNR_FLOOR,
 };
 use nr_phy::polar::{DecodeScratch, HardWord, PolarCode};
-use nr_phy::sequence::{gold_bits_cached, scrambling_syndrome_cached};
-use nr_phy::solve::{FlipSolve, RntiSolve};
+use nr_phy::sequence::{gold_bits, gold_bits_cached};
+use nr_phy::solve::{FlipSolve, KeySolve};
 use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_phy::Numerology;
 use nr_rrc::{Mib, RrcSetup};
@@ -201,22 +199,17 @@ impl UeRow {
         counts.anywhere + at.map_or(0, |&n| n as usize)
     }
 
-    /// The UEs listing `rnti`, in list order — one lookup — or, for
-    /// `None`, every UE.
-    fn listing(&self, rnti: Option<Rnti>) -> impl Iterator<Item = &UeHypothesis> {
-        let run = rnti.map(|Rnti(r)| {
-            let listed = self.0.listed.get_or_init(|| {
-                let pairs = self.iter().enumerate().map(|(i, ue)| (ue.rnti.0, i as u32));
-                let mut pairs: Vec<_> = pairs.collect();
-                pairs.sort_unstable();
-                pairs
-            });
-            let from = listed.partition_point(|&(listed, _)| listed < r);
-            let run = (listed[from..].iter()).take_while(move |&&(listed, _)| listed == r);
-            run.map(|&(_, i)| &self[i as usize])
+    /// The UEs listing `rnti`, in list order: one lookup.
+    fn listing(&self, rnti: Rnti) -> impl Iterator<Item = &UeHypothesis> {
+        let listed = self.0.listed.get_or_init(|| {
+            let pairs = self.iter().enumerate().map(|(i, ue)| (ue.rnti.0, i as u32));
+            let mut pairs: Vec<_> = pairs.collect();
+            pairs.sort_unstable();
+            pairs
         });
-        let every = rnti.is_none().then(|| self.iter());
-        run.into_iter().flatten().chain(every.into_iter().flatten())
+        let from = listed.partition_point(|&(listed, _)| listed < rnti.0);
+        let run = (listed[from..].iter()).take_while(move |&&(listed, _)| listed == rnti.0);
+        run.map(|&(_, i)| &self[i as usize])
     }
 }
 
@@ -336,13 +329,13 @@ fn payload_sizes(sizing: &DciSizing) -> [usize; 2] {
 /// decoder context knows no width that fits (a cold bootstrap).
 const PRESET_CARRIER_PRBS: [usize; 4] = [51, 52, 79, 24];
 
-/// Every (K, E) polar code a thread has met, configured once with its
-/// [`FlipSolve`]; the [`RntiSolve::crc_keys`] of each codeword length met;
-/// the SC decoder's working memory; the candidate as one UE descrambles it.
+/// Every (K, E) polar code a thread has met with its [`FlipSolve`]; per
+/// captured length and PCI, the common scrambling's syndrome and the
+/// [`KeySolve`]; the SC scratch; the candidate as one UE descrambles it.
 #[derive(Debug, Default)]
 struct PolarCodes {
-    codes: Vec<(PolarCode, Option<FlipSolve>)>,
-    keys: Vec<(usize, RntiSolve<1>)>,
+    codes: Vec<(Option<FlipSolve>, PolarCode)>,
+    keys: Vec<(usize, u16, Option<u32>, Option<KeySolve>)>,
     scratch: DecodeScratch,
     ue_llrs: Vec<f32>,
 }
@@ -353,59 +346,40 @@ thread_local! {
     static POLAR_CODES: std::cell::RefCell<PolarCodes> = Default::default();
 }
 
-/// A payload size that fits a blind candidate, where its code is in
-/// [`PolarCodes`], and the hard word of the LLRs as extracted, if asked.
-type Fit = (usize, usize, Option<HardWord>);
+/// A size that fits a blind candidate, where its code is in [`PolarCodes`],
+/// its hard word if asked, and what the code's solve, if asked, makes of it.
+type Fit = (usize, usize, Option<HardWord>, Option<Option<Moved>>);
+/// The scrambling a [`FlipSolve`] names, and the hard word it moves to.
+type Moved = (u16, HardWord);
 
 impl PolarCodes {
     /// Where the (`k`, `e`) code is in `codes`, configured on first use.
     fn code(&mut self, k: usize, e: usize) -> usize {
-        let known = (self.codes.iter()).position(|(c, _)| (c.k, c.e) == (k, e));
+        let known = (self.codes.iter()).position(|(_, c)| (c.k, c.e) == (k, e));
         known.unwrap_or_else(|| {
             let code = PolarCode::new(k, e);
-            let solve = FlipSolve::polar(&code);
-            self.codes.push((code, solve));
+            self.codes.push((FlipSolve::polar(&code), code));
             self.codes.len() - 1
         })
     }
 
-    /// The CRC-key system at `n` bits, built on first use.
-    fn keys(&mut self, n: usize) -> Option<&RntiSolve<1>> {
-        if !self.keys.iter().any(|(len, _)| *len == n) {
-            self.keys.push((n, RntiSolve::crc_keys(n)?));
-        }
-        (self.keys.iter()).find_map(|(len, keys)| (*len == n).then_some(keys))
+    /// At `n` bits under `pci`: the common scrambling's syndrome and the
+    /// CRC-key system, built on first use.
+    fn keys(&mut self, n: usize, pci: u16) -> (Option<u32>, Option<&KeySolve>) {
+        let known = (self.keys.iter()).position(|k| (k.0, k.1) == (n, pci));
+        let at = known.unwrap_or_else(|| {
+            let common = dci_scrambling_syndrome(&gold_bits(cinit_for(None, pci), n));
+            self.keys.push((n, pci, common, KeySolve::crc_keys(n)));
+            self.keys.len() - 1
+        });
+        (self.keys[at].2, self.keys[at].3.as_ref())
     }
 
     /// SC-decode `llrs` to `k` bits, which live here until the next call.
     fn decode(&mut self, k: usize, llrs: &[f32]) -> &[u8] {
         let at = self.code(k, llrs.len());
-        self.codes[at].0.decode_sc_with(llrs, &mut self.scratch)
+        self.codes[at].1.decode_sc_with(llrs, &mut self.scratch)
     }
-
-    /// Each size of `sizes` whose codeword is shorter than `e` channel bits,
-    /// and, given the LLRs, their hard word: one per mother layout, shared
-    /// by the sizes.
-    fn fitting(&mut self, sizes: &[usize; 2], e: usize, llrs: Option<&[f32]>) -> [Option<Fit>; 2] {
-        let mut fits: [Option<Fit>; 2] = [None; 2];
-        for (i, &p) in sizes.iter().enumerate().filter(|(_, &p)| p + 24 < e) {
-            let at = self.code(p + 24, e);
-            let layout = |at: usize| (self.codes[at].0.n, self.codes[at].0.kind);
-            let shared = fits.iter().flatten().find(|f| layout(f.1) == layout(at));
-            let hard = shared.map(|f| f.2).unwrap_or_else(|| {
-                llrs.and_then(|llrs| self.codes[at].0.hard_word(llrs, &mut self.scratch))
-            });
-            fits[i] = Some((p, at, hard));
-        }
-        fits
-    }
-}
-
-/// Where UE scrambling `c_init` differs from the cell's, bit by bit.
-fn flips(c_init: u32, pci: u16, e: usize) -> impl ExactSizeIterator<Item = bool> {
-    let seq = |c_init| gold_bits_cached(c_init, e);
-    let (cell, own) = (seq(cinit_for(None, pci)), seq(c_init));
-    (0..e).map(move |i| cell[i] != own[i])
 }
 
 /// Each slot-in-frame's CORESET sequences, built the first time that slot
@@ -770,11 +744,9 @@ pub(crate) trait Candidate {
     /// or one C-RNTI's — and under it each admissible size in `sizes`,
     /// until it reports a hit; the payload bits are made only when `test`
     /// asks — for a hypothesis the syndrome matched. `raw` is this
-    /// candidate's [`Self::raw_syndrome`]; a polar decode, with `walk`
-    /// unset, yields a codeword only where the hard decisions already are
-    /// one ([`PolarCode::codeword_of`] the hard word of the LLRs, which a
-    /// C-RNTI sign-flips first), and computes nothing when `scramblings` is
-    /// empty.
+    /// candidate's [`Self::raw_syndrome`]; with `walk` unset a polar decode
+    /// is only [`PolarCode::codeword_of`] the hard word, and nothing is
+    /// computed when `scramblings` is empty.
     fn codewords<T>(
         &self,
         ctx: &DecoderContext,
@@ -787,8 +759,7 @@ pub(crate) trait Candidate {
     /// The UE pass over `ues`: hand `test` each C-RNTI this position
     /// admits whose CRC matches one of the candidate's codewords, in list
     /// order, until it reports a hit. Returns the hit and how many C-RNTIs
-    /// the position admits: solved where it can be, else per UE
-    /// ([`each_ue`]).
+    /// the position admits. A blind position walks the list ([`each_ue`]).
     fn ues<T>(
         &self,
         ctx: &DecoderContext,
@@ -797,7 +768,9 @@ pub(crate) trait Candidate {
         sizes: &[usize; 2],
         walk: bool,
         test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
-    ) -> (Option<T>, usize);
+    ) -> (Option<T>, usize) {
+        each_ue(self, ctx, raw, ues, sizes, walk, test)
+    }
 }
 
 /// The per-UE loop: each C-RNTI of `ues` the position admits, counted, its
@@ -836,10 +809,8 @@ fn descrambled<'a>(bits: &[u8], c_init: u32) -> Cow<'a, [u8]> {
 
 /// Message fidelity: the codeword was captured whole, so its length fixes
 /// the payload size, and a descrambling moves its syndrome by the
-/// sequence's own (memoised per thread). The common pass is that XOR; in
-/// the UE pass that syndrome solves to the C-RNTI whose CRC key it is
-/// ([`RntiSolve::crc_keys`]). Only a UE that matches descrambles the
-/// payload.
+/// sequence's own: the common pass's XOR, which the UE pass solves for the
+/// C-RNTI ([`KeySolve`]). Only a UE that matches descrambles the payload.
 impl Candidate for ObservedDci {
     const BLIND: bool = false;
 
@@ -871,11 +842,13 @@ impl Candidate for ObservedDci {
         if !self.fits(sizes) {
             return None;
         }
-        let bits = &self.scrambled_bits;
+        let (bits, n) = (&self.scrambled_bits, self.scrambled_bits.len());
+        let common = POLAR_CODES.with_borrow_mut(|polar| polar.keys(n, ctx.pci).0);
+        let own = |c_init| dci_scrambling_syndrome(&gold_bits_cached(c_init, n));
         scramblings.find_map(|ue| {
             let c_init = cinit_for(ue, ctx.pci);
-            let syndrome = raw? ^ scrambling_syndrome_cached(c_init, bits.len())?;
-            test(ue, syndrome, &|| descrambled(bits, c_init))
+            let moved = ue.map_or(common, |_| own(c_init));
+            test(ue, raw? ^ moved?, &|| descrambled(bits, c_init))
         })
     }
 
@@ -884,28 +857,25 @@ impl Candidate for ObservedDci {
         ctx: &DecoderContext,
         raw: Option<u32>,
         ues: &UeRow,
-        _sizes: &[usize; 2],
-        _walk: bool,
+        sizes: &[usize; 2],
+        walk: bool,
         mut test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
     ) -> (Option<T>, usize) {
-        #[cfg(test)]
-        if tests::PER_UE.get() {
-            return each_ue(self, ctx, raw, ues, _sizes, _walk, test);
-        }
         let (level, cce_start, bits) = (self.level, self.cce_start, &self.scrambled_bits);
-        let common = scrambling_syndrome_cached(cinit_for(None, ctx.pci), bits.len());
-        let hit = POLAR_CODES.with_borrow_mut(|polar| {
-            let (keys, target) = (polar.keys(bits.len())?, [u64::from(raw? ^ common?)]);
-            // Where the kernel is not trivial (334 bits and up) the solve is
-            // a coset, and the row is matched against it in list order.
-            let one = (keys.kernel().is_empty()).then_some(Rnti(keys.solve(&target)?));
-            let coset = |ue: &&UeHypothesis| one.is_some() || keys.solves(&target, ue.rnti.0);
-            let mut matched =
-                (ues.listing(one)).filter(|ue| ue.admits(level, cce_start) && coset(ue));
-            matched.find_map(|ue| {
-                let c_init = cinit_for(Some(ue.rnti), ctx.pci);
-                test(ue.rnti, &|| descrambled(bits, c_init))
-            })
+        let named = POLAR_CODES.with_borrow_mut(|polar| {
+            let (common, keys) = polar.keys(bits.len(), ctx.pci);
+            Some(keys?.solve(raw? ^ common?))
+        });
+        #[cfg(test)]
+        let named = named.filter(|_| !tests::PER_UE.get());
+        let Some(named) = named else {
+            return each_ue(self, ctx, raw, ues, sizes, walk, test);
+        };
+        let listed = named.into_iter().flat_map(|r| ues.listing(Rnti(r)));
+        let mut admitted = listed.filter(|ue| ue.admits(level, cce_start));
+        let hit = admitted.find_map(|ue| {
+            let c_init = cinit_for(Some(ue.rnti), ctx.pci);
+            test(ue.rnti, &|| descrambled(bits, c_init))
         });
         (hit, ues.admitting(level, cce_start))
     }
@@ -940,21 +910,13 @@ impl Blind for GatedPosition<'_> {
     }
 }
 
-/// `cand`'s LLRs, asked for by the scan.
-fn asked<B: Blind>(cand: &B) -> &[f32] {
-    #[cfg(test)]
-    tests::ASKED.with_borrow_mut(|asked| asked.push(cand.position()));
-    cand.llrs()
-}
-
 /// IQ fidelity: the LLRs are common-descrambled, which is how the common
 /// pass decodes them, and every size shorter than the candidate gets its
-/// own polar code. A UE hypothesis flips the signs where its sequence
-/// differs from the common one, and a walk (pass B) SC-decodes them. Pass A
-/// computes one hard word per mother layout and solves it per code for the
-/// C-RNTI ([`FlipSolve`]) — but under Repeat, where each C-RNTI takes the
-/// hard word of its flipped LLRs. The LLRs are asked for only once there is
-/// a scrambling to try.
+/// own polar code. Pass A's UE pass solves each code's hard word for the
+/// one scrambling that makes it a codeword ([`FlipSolve`]): a C-RNTI of it
+/// tests the word the solve moved the hard word to, and only under a code
+/// without a solve (Repeat), or in a walk, does a C-RNTI flip the LLRs'
+/// signs. The LLRs are asked for only once there is a scrambling to try.
 impl<B: Blind> Candidate for B {
     const BLIND: bool = true;
 
@@ -977,82 +939,54 @@ impl<B: Blind> Candidate for B {
     ) -> Option<T> {
         let e = self.level().bits();
         let mut scramblings = scramblings.peekable();
-        // Only the common pass reads the LLRs as extracted.
-        let common = scramblings.peek()?.is_none();
-        let own = asked(self);
+        let solved = scramblings.peek()?.is_some() && !walk;
+        #[cfg(test)]
+        let solved = solved && !tests::PER_UE.get();
+        #[cfg(test)]
+        tests::ASKED.with_borrow_mut(|asked| asked.push(self.position()));
+        let own = self.llrs();
         POLAR_CODES.with_borrow_mut(|polar| {
-            let fits = polar.fitting(sizes, e, (common && !walk).then_some(own));
-            let (codes, scratch, ue_llrs) = (&polar.codes, &mut polar.scratch, &mut polar.ue_llrs);
+            // In pass A the hard word is the LLRs' as extracted, one per
+            // mother layout, and its UE pass solves it per code.
+            let mut fits: [Option<Fit>; 2] = [None; 2];
+            for (i, &p) in sizes.iter().enumerate().filter(|(_, &p)| p + 24 < e) {
+                let at = polar.code(p + 24, e);
+                let layout = |at: usize| (polar.codes[at].1.n, polar.codes[at].1.kind);
+                let shared = fits.iter().flatten().find(|f| layout(f.1) == layout(at));
+                let hard = shared.map(|f| f.2).unwrap_or_else(|| match walk {
+                    true => None,
+                    false => polar.codes[at].1.hard_word(own, &mut polar.scratch),
+                });
+                let solve = polar.codes[at].0.as_ref().filter(|_| solved);
+                fits[i] = Some((p, at, hard, solve.map(|s| hard.and_then(|h| s.solve(&h)))));
+            }
+            let (codes, work, ue_llrs) = (&polar.codes, &mut polar.scratch, &mut polar.ue_llrs);
             scramblings.find_map(|ue| {
-                let llrs = match ue {
-                    None => own,
-                    Some(_) => {
-                        let flipped = own.iter().zip(flips(cinit_for(ue, ctx.pci), ctx.pci, e));
+                let x = ue.map(|r| r.0 & 0x7FFF);
+                let asks = |f: &&Fit| f.3.is_none_or(|n| n.map(|n| n.0) == x);
+                let mut asked = fits.iter().flatten().filter(asks);
+                let llrs = match ue.is_some() && asked.clone().any(|f| f.3.is_none()) {
+                    false => own,
+                    true => {
+                        let seq = |ue| gold_bits_cached(cinit_for(ue, ctx.pci), e);
+                        let (cell, seq) = (seq(None), seq(ue));
+                        let flipped = own.iter().zip(cell.iter().zip(seq.iter()));
                         ue_llrs.clear();
-                        ue_llrs.extend(flipped.map(|(l, f)| if f { -l } else { *l }));
+                        ue_llrs.extend(flipped.map(|(l, (c, s))| if c != s { -l } else { *l }));
                         &*ue_llrs
                     }
                 };
-                fits.iter().flatten().find_map(|&(p, at, hard)| {
-                    let code = &codes[at].0;
-                    let cw = match (walk, ue) {
-                        (true, _) => code.decode_sc_with(llrs, scratch),
-                        (false, None) => code.codeword_of(&hard?, scratch)?,
-                        (false, Some(_)) => {
-                            code.codeword_of(&code.hard_word(llrs, scratch)?, scratch)?
-                        }
+                asked.find_map(|&(p, at, hard, named)| {
+                    let (code, word) = (&codes[at].1, named.map_or(hard, |n| n.map(|n| n.1)));
+                    let cw = match (walk, ue.is_some() && named.is_none()) {
+                        (true, _) => code.decode_sc_with(llrs, work),
+                        (false, true) => code.codeword_of(&code.hard_word(llrs, work)?, work)?,
+                        (false, false) => code.codeword_of(&word?, work)?,
                     };
                     test(ue, dci_syndrome(cw)?, &|| Cow::Borrowed(&cw[..p]))
                 })
             })
         })
-    }
-
-    fn ues<T>(
-        &self,
-        ctx: &DecoderContext,
-        raw: Option<u32>,
-        ues: &UeRow,
-        sizes: &[usize; 2],
-        walk: bool,
-        mut test: impl FnMut(Rnti, PayloadOf<'_>) -> Option<T>,
-    ) -> (Option<T>, usize) {
-        let ((level, cce_start), e) = (self.position(), self.level().bits());
-        let offered = ues.admitting(level, cce_start);
-        #[cfg(test)]
-        let walk = walk || tests::PER_UE.get();
-        if walk || offered == 0 {
-            return each_ue(self, ctx, raw, ues, sizes, walk, test);
-        }
-        let own = asked(self);
-        let solved = POLAR_CODES.with_borrow_mut(|polar| {
-            let fits = polar.fitting(sizes, e, Some(own));
-            let PolarCodes { codes, scratch, .. } = polar;
-            if fits.iter().flatten().any(|f| codes[f.1].1.is_none()) {
-                return Err(test);
-            }
-            // Per size, the C-RNTI the solve and the CRC name; a coset, or
-            // two RNTIs named by the two sizes, is matched against the row.
-            let named = fits.map(|fit| {
-                let (_, at, hard) = fit?;
-                codes[at].1.as_ref()?.rnti(&codes[at].0, &hard?, scratch)
-            });
-            let one = (named.into_iter().flatten()).reduce(|a, b| a.filter(|_| a == b));
-            let Some(one) = one else { return Ok(None) };
-            let mut matched = ues.listing(one).filter(|ue| ue.admits(level, cce_start));
-            Ok(matched.find_map(|ue| {
-                fits.iter().flatten().find_map(|&(p, at, hard)| {
-                    let (code, solve) = &codes[at];
-                    let cw = solve.as_ref()?.codeword(code, &hard?, ue.rnti, scratch)?;
-                    test(ue.rnti, &|| Cow::Borrowed(&cw[..p]))
-                })
-            }))
-        });
-        // Under Repeat there is no solve: each C-RNTI in turn.
-        match solved {
-            Ok(hit) => (hit, offered),
-            Err(test) => each_ue(self, ctx, raw, ues, sizes, walk, test),
-        }
     }
 }
 
@@ -1477,12 +1411,10 @@ pub(crate) mod tests {
     }
 
     /// The UE pass of `cand` under `row` with `walk` unset, solved and per
-    /// UE (the [`PER_UE`] switch), against `codeword_with` on LLRs
-    /// sign-flipped where each admitted UE's sequence differs from the
-    /// cell's: the same payloads tested in the same order, the same hit (a
-    /// payload that validates), offered count and rejects. And where a
-    /// code's solve names a scrambling, that scrambling makes a codeword.
-    /// Returns how many payloads were tested.
+    /// UE (the [`PER_UE`] switch), against `codeword_with` on LLRs flipped
+    /// by each admitted UE's scrambling: the same payloads tested in order,
+    /// hit, offered count and rejects; and what a code's solve names makes a
+    /// codeword. Returns the payloads tested.
     fn pass_a_vs_flipped(c: &DecoderContext, cand: &ExtractedCandidate, row: &UeRow) -> usize {
         let (e, sizing) = (cand.level.bits(), c.ue_sizing.expect("SIB1"));
         let sizes = payload_sizes(&sizing);
@@ -1506,15 +1438,12 @@ pub(crate) mod tests {
             .map(|&p| (p, PolarCode::new(p + 24, e)))
             .collect();
         for (_, code) in &codes {
-            let hard = code.hard_word(&cand.llrs, &mut scratch);
-            let x = FlipSolve::polar(code)
-                .zip(hard)
-                .and_then(|(s, h)| s.solve(&h));
-            let made = x.map(|x| {
-                code.codeword_with(&flipped(Rnti(x)), &mut scratch)
-                    .is_some()
-            });
-            assert_ne!(made, Some(false), "{at}: the solve named {x:?}");
+            let solved = FlipSolve::polar(code).zip(code.hard_word(&cand.llrs, &mut scratch));
+            if let Some((x, _)) = solved.and_then(|(solve, hard)| solve.solve(&hard)) {
+                let llrs = flipped(Rnti(x));
+                let made = code.codeword_with(&llrs, &mut scratch).is_some();
+                assert!(made, "{at}: the solve named {x:#x}");
+            }
         }
         let admitted = (row.iter()).filter(|ue| ue.admits(cand.level, cand.cce_start));
         let admitted: Vec<_> = admitted.collect();
@@ -1538,10 +1467,9 @@ pub(crate) mod tests {
     /// Pass A's solve answers what flipped LLRs answer
     /// ([`pass_a_vs_flipped`]), on every candidate of a 30 dB and a 3 dB
     /// tape: under the tracked C-RNTIs, the owner listed last and after one
-    /// sharing its scrambling (`owner ^ 0x8000`, whose CRC differs); under
-    /// the same row with the owner searched elsewhere; and, on the first
-    /// slot's candidates, under more C-RNTIs than a Gold-sequence memo
-    /// holds, the owner last.
+    /// sharing its scrambling (`owner ^ 0x8000`, whose CRC differs); and, on
+    /// the first slot's candidates, under more C-RNTIs than a Gold-sequence
+    /// memo holds, the owner last.
     #[test]
     fn pass_a_solve_answers_what_flipped_llrs_answer() {
         let cap = nr_phy::sequence::GOLD_CACHE_CAP as u16;
@@ -1551,13 +1479,10 @@ pub(crate) mod tests {
             for (slot, (_, owner, candidates)) in heard.iter().enumerate() {
                 let rntis = [0x4001, 0x4002, owner.0 ^ 0x8000, 0x4003, owner.0].map(Rnti);
                 let tracked = knowing(&rntis).c_rntis;
-                let nowhere = Some((AggregationLevel::L1, 0));
-                let elsewhere = tracked.respaced(|_, ue| nowhere.filter(|_| ue.rnti == *owner));
                 let many: Vec<_> = (1..=cap + 100).chain([owner.0]).map(Rnti).collect();
                 let many = knowing(&many).c_rntis;
                 for cand in candidates {
                     tested += pass_a_vs_flipped(&c, cand, &tracked);
-                    pass_a_vs_flipped(&c, cand, &elsewhere);
                     if slot == 0 {
                         pass_a_vs_flipped(&c, cand, &many);
                     }
@@ -1567,37 +1492,28 @@ pub(crate) mod tests {
         }
     }
 
-    /// Where a code's rank falls short of 15 the solve is a coset, and the
-    /// UE pass matches the row against it ([`pass_a_vs_flipped`]): a
-    /// 300,000-PRB width makes the DL payload 70 bits, K = 94 at level 1
-    /// (no preset comes near it), beside a UL code of rank 15. A C-RNTI of
-    /// the sender's coset, listed ahead of it, makes a codeword too, whose
-    /// CRC it fails; only the sender's payload is tested.
+    /// Where a code's rank falls short of 15 it has no solve, and the UE
+    /// pass asks each C-RNTI in turn ([`pass_a_vs_flipped`]): a 300,000-PRB
+    /// width makes the DL payload 70 bits, K = 94 at level 1 (no preset
+    /// comes near), beside a UL code of rank 15. Only the sender's is tested.
     #[test]
-    fn pass_a_matches_the_row_against_a_coset() {
+    fn pass_a_asks_each_ue_where_a_code_has_no_solve() {
         let mut c = ctx(&CellConfig::srsran_n41());
         c.ue_sizing = Some(DciSizing { bwp_prbs: 300_000 });
         let code = PolarCode::new(94, 108);
-        let solve = FlipSolve::polar(&code).expect("not Repeat");
+        assert!(FlipSolve::polar(&code).is_none(), "rank 14");
         let (sender, payload) = (Rnti(0x4601), (0..70).map(|i| u8::from(i % 3 == 0)));
         let payload = nr_phy::crc::dci_attach_crc(&payload.collect::<Vec<_>>(), sender.0);
         let mut bits = code.encode(&payload);
         for ue in [Some(sender), None] {
             nr_phy::sequence::scramble_in_place(&mut bits, cinit_for(ue, c.pci));
         }
-        let llrs = bits.iter().map(|&b| 1.0 - 2.0 * f32::from(b)).collect();
-        let (level, cce_start) = (AggregationLevel::L1, 0);
         let cand = ExtractedCandidate {
-            llrs,
-            level,
-            cce_start,
+            llrs: bits.iter().map(|&b| 1.0 - 2.0 * f32::from(b)).collect(),
+            level: AggregationLevel::L1,
+            cce_start: 0,
         };
-        let &[k] = solve.kernel() else {
-            panic!("rank 14")
-        };
-        let hard = code.hard_word(&cand.llrs, &mut DecodeScratch::default());
-        assert!(solve.solves(&hard.expect("clean"), (sender.0 ^ k) & 0x7FFF));
-        let row = [Rnti(sender.0 ^ k), Rnti(0x4002), sender].map(UeHypothesis::anywhere);
+        let row = [Rnti(0x4002), sender, Rnti(0x4003)].map(UeHypothesis::anywhere);
         assert_eq!(pass_a_vs_flipped(&c, &cand, &row.into_iter().collect()), 1);
     }
 
@@ -2018,6 +1934,23 @@ pub(crate) mod tests {
             decode_message_slot_budgeted(c, dcis, hyp, unlimited, None)
         });
         n_c(found.iter().map(|d| d.rnti_type))
+    }
+
+    /// A respaced row shares the RNTI index of the row it came from, and
+    /// lists for every RNTI the UEs a row built fresh lists, in list order.
+    #[test]
+    fn a_respaced_row_lists_what_a_fresh_row_lists() {
+        let rntis = [0x4001, 0xC001, 0x4002, 0x4001].map(Rnti);
+        let row: UeRow = rntis.into_iter().map(UeHypothesis::anywhere).collect();
+        let listed = |row: &UeRow, r| row.listing(r).copied().collect::<Vec<_>>();
+        let space = Some((AggregationLevel::L2, 0b110));
+        let respaced = row.respaced(|i, _| space.filter(|_| i % 2 == 0));
+        assert!(Arc::ptr_eq(&row.0.listed, &respaced.0.listed));
+        let fresh: UeRow = respaced.iter().copied().collect();
+        assert_eq!(listed(&respaced, Rnti(0x4001)).len(), 2);
+        for r in rntis.into_iter().chain([Rnti(0x7777)]) {
+            assert_eq!(listed(&respaced, r), listed(&fresh, r), "{r:?}");
+        }
     }
 
     /// The first codeword length from `n` up at which two C-RNTIs share a

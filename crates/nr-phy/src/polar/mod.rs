@@ -35,11 +35,7 @@
 //! repetition, whose copies add, is de-rate-matched first; a punctured head
 //! or a shortened tail is a run of zero bits, which is what its LLRs' signs
 //! would be. The transform is linear, so a sign flip of the LLRs — another
-//! scrambling — moves that word by an XOR, the hard word of the flip
-//! pattern's signs (negation keeps `|l|`, so cleanliness does not move;
-//! under Repeat a flipped copy need not flip the sum it joins), and the
-//! C-RNTIs whose scrambling makes it a codeword are one GF(2) solve
-//! ([`crate::solve::FlipSolve`]).
+//! scrambling — moves that word by an XOR ([`crate::solve::FlipSolve`]).
 
 pub mod construction;
 pub mod decode;

@@ -10,6 +10,8 @@
 //! c(n)     = (x1(n + Nc) + x2(n + Nc)) mod 2      Nc = 1600
 //! ```
 
+use std::rc::Rc;
+
 /// Offset into the m-sequences where the output sequence starts.
 pub const NC: usize = 1600;
 
@@ -151,61 +153,34 @@ pub fn pdcch_dmrs_cinit(slot: usize, symbol: usize, n_id: u16) -> u32 {
         as u32
 }
 
-/// A per-thread memo keyed by `c_init` and the sequence length.
-type Memo<V> = std::cell::RefCell<crate::types::HashMap<(u32, usize), V>>;
+type Memo = std::cell::RefCell<crate::types::HashMap<(u32, usize), Rc<Vec<u8>>>>;
 
 thread_local! {
-    /// Per-thread memo of generated sequences. Blind decoding re-derives
-    /// the same descrambling sequences for every candidate × RNTI
-    /// hypothesis; a hit is a map lookup, a miss generates and unpacks the
-    /// whole sequence to one byte per bit again.
-    static GOLD_CACHE: Memo<std::rc::Rc<Vec<u8>>> = Default::default();
-    /// Per-thread memo of [`scrambling_syndrome_cached`]: what turns a
-    /// rejected RNTI hypothesis on a captured codeword into a lookup and an
-    /// XOR.
-    static SCRAMBLING_SYNDROMES: Memo<Option<u32>> = Default::default();
+    /// Per-thread memo of generated sequences, keyed by `c_init` and length:
+    /// blind decoding re-derives the same ones for every candidate × RNTI
+    /// hypothesis, and a miss generates and unpacks one to a byte a bit.
+    static GOLD_CACHE: Memo = Default::default();
 }
 
-/// Upper bound on the entries of each memo per thread. A sequence is one
-/// byte a bit, up to 1,728 (a level-16 PDCCH candidate), so this bounds
-/// the sequence memo at about 28 MB a thread even with thousands of
-/// tracked UEs. A full memo is emptied before its next insert.
+/// Upper bound on the memo's entries per thread. A sequence is one byte a
+/// bit, up to 1,728 (a level-16 PDCCH candidate), so this bounds the memo
+/// at about 28 MB a thread even with thousands of tracked UEs. A full memo
+/// is emptied before its next insert.
 pub const GOLD_CACHE_CAP: usize = 16_384;
 
-/// `memo`'s value for (`c_init`, `key`), made by `make` on a miss.
-fn memoised<V: Clone>(
-    memo: &'static std::thread::LocalKey<Memo<V>>,
-    c_init: u32,
-    key: usize,
-    make: impl FnOnce() -> V,
-) -> V {
-    memo.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(v) = cache.get(&(c_init, key)) {
-            return v.clone();
+/// Cached variant of [`gold_bits`] for hot decode loops. Returns a shared
+/// handle; contents are identical to `gold_bits(c_init, len)`.
+pub fn gold_bits_cached(c_init: u32, len: usize) -> Rc<Vec<u8>> {
+    GOLD_CACHE.with_borrow_mut(|cache| {
+        if let Some(seq) = cache.get(&(c_init, len)) {
+            return Rc::clone(seq);
         }
         if cache.len() >= GOLD_CACHE_CAP {
             cache.clear();
         }
-        let v = make();
-        cache.insert((c_init, key), v.clone());
-        v
-    })
-}
-
-/// Cached variant of [`gold_bits`] for hot decode loops. Returns a shared
-/// handle; contents are identical to `gold_bits(c_init, len)`.
-pub fn gold_bits_cached(c_init: u32, len: usize) -> std::rc::Rc<Vec<u8>> {
-    memoised(&GOLD_CACHE, c_init, len, || {
-        std::rc::Rc::new(gold_bits(c_init, len))
-    })
-}
-
-/// [`crate::crc::dci_scrambling_syndrome`] of `gold_bits(c_init, len)`,
-/// memoised like [`gold_bits_cached`] (`None` under 24 bits).
-pub fn scrambling_syndrome_cached(c_init: u32, len: usize) -> Option<u32> {
-    memoised(&SCRAMBLING_SYNDROMES, c_init, len, || {
-        crate::crc::dci_scrambling_syndrome(&gold_bits(c_init, len))
+        let seq = Rc::new(gold_bits(c_init, len));
+        cache.insert((c_init, len), Rc::clone(&seq));
+        seq
     })
 }
 
@@ -284,29 +259,21 @@ mod tests {
     }
 
     #[test]
-    fn cached_syndrome_matches_uncached() {
+    fn cached_gold_matches_uncached_across_a_full_memo() {
         use crate::dci::{DciFormat, DciSizing};
         use crate::types::Rnti;
-        let uncached = |c_init, len| crate::crc::dci_scrambling_syndrome(&gold_bits(c_init, len));
         let sizing = DciSizing { bwp_prbs: 51 };
         let ue_lens = [DciFormat::Dl1_1, DciFormat::Ul0_1].map(|f| sizing.payload_bits(f) + 24);
         // Both UE codeword lengths of every C-RNTI under one PCI: 131,038
-        // keys, so the memo fills and is emptied seven times on the way and
-        // each key is read once as a miss and once as a hit.
+        // sequences, so the memo fills and is emptied seven times on the way
+        // and each sequence is read once as a miss and once as a hit.
         for rnti in Rnti::C_RNTI_FIRST..=Rnti::C_RNTI_LAST {
             let c_init = pdcch_scrambling_cinit(rnti, 500);
             for len in ue_lens {
-                let want = uncached(c_init, len);
-                assert!(want.is_some(), "len {len}");
+                let want = gold_bits(c_init, len);
                 for _miss_then_hit in 0..2 {
-                    assert_eq!(scrambling_syndrome_cached(c_init, len), want, "{len}");
+                    assert_eq!(*gold_bits_cached(c_init, len), want, "{len}");
                 }
-            }
-        }
-        for len in [0, 1, 23] {
-            assert_eq!(uncached(7, len), None);
-            for _miss_then_hit in 0..2 {
-                assert_eq!(scrambling_syndrome_cached(7, len), None);
             }
         }
     }
