@@ -56,6 +56,7 @@ use nr_phy::types::{Pci, Rnti, RntiType};
 use nr_phy::Numerology;
 use nr_rrc::{Mib, RrcSetup};
 use std::borrow::Cow;
+use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -331,11 +332,11 @@ const PRESET_CARRIER_PRBS: [usize; 4] = [51, 52, 79, 24];
 
 /// Every (K, E) polar code a thread has met with its [`FlipSolve`]; per
 /// captured length and PCI, the common scrambling's syndrome and the
-/// [`KeySolve`]; the SC scratch; the candidate as one UE descrambles it.
+/// length's [`KeySolve`]; the SC scratch; the candidate as one UE descrambles it.
 #[derive(Debug, Default)]
 struct PolarCodes {
     codes: Vec<(Option<FlipSolve>, PolarCode)>,
-    keys: Vec<(usize, u16, Option<u32>, Option<KeySolve>)>,
+    keys: Vec<(usize, u16, Option<u32>, SharedKeys)>,
     scratch: DecodeScratch,
     ue_llrs: Vec<f32>,
 }
@@ -346,6 +347,8 @@ thread_local! {
     static POLAR_CODES: std::cell::RefCell<PolarCodes> = Default::default();
 }
 
+/// A codeword length's CRC-key system, one for every PCI.
+type SharedKeys = Option<Rc<KeySolve>>;
 /// A size that fits a blind candidate, where its code is in [`PolarCodes`],
 /// its hard word if asked, and what the code's solve, if asked, makes of it.
 type Fit = (usize, usize, Option<HardWord>, Option<Option<Moved>>);
@@ -364,15 +367,17 @@ impl PolarCodes {
     }
 
     /// At `n` bits under `pci`: the common scrambling's syndrome and the
-    /// CRC-key system, built on first use.
+    /// CRC-key system, each built on first use, the system once per length.
     fn keys(&mut self, n: usize, pci: u16) -> (Option<u32>, Option<&KeySolve>) {
         let known = (self.keys.iter()).position(|k| (k.0, k.1) == (n, pci));
         let at = known.unwrap_or_else(|| {
             let common = dci_scrambling_syndrome(&gold_bits(cinit_for(None, pci), n));
-            self.keys.push((n, pci, common, KeySolve::crc_keys(n)));
+            let shared = self.keys.iter().find(|k| k.0 == n).map(|k| k.3.clone());
+            let solve = shared.unwrap_or_else(|| KeySolve::crc_keys(n).map(Rc::new));
+            self.keys.push((n, pci, common, solve));
             self.keys.len() - 1
         });
-        (self.keys[at].2, self.keys[at].3.as_ref())
+        (self.keys[at].2, self.keys[at].3.as_deref())
     }
 
     /// SC-decode `llrs` to `k` bits, which live here until the next call.
@@ -1029,12 +1034,16 @@ fn overlaps(found: &[DecodedDci], cand: &impl Candidate) -> bool {
 /// accounting and the stage timing — blind candidates in two passes, every
 /// cheap question of the slot before any expensive one.
 ///
-/// **Pass A** asks each candidate in order only the codeword test (`walk`
-/// unset): are its hard decisions, under the common scrambling or a
-/// budget-admitted C-RNTI's, a codeword whose CRC a hypothesis matches and
-/// whose payload validates? Such a hit is a *claim*: SC would return that
-/// very codeword, so the DCI is decoded and its CCEs are explained. One
-/// overlapping an earlier claim is not asked.
+/// **Pass A** asks each candidate only the codeword test (`walk` unset):
+/// are its hard decisions, under the common scrambling or a budget-admitted
+/// C-RNTI's, a codeword whose CRC a hypothesis matches and whose payload
+/// validates? Such a hit is a *claim*: SC would return that very codeword,
+/// so the DCI is decoded and its CCEs are explained. One overlapping an
+/// earlier claim is not asked. It asks first the positions some tracked
+/// C-RNTI's search space admits, then the rest, each group in candidate
+/// order: a UE's DCI claims before the shorter positions aliasing its CCEs
+/// are read. A UE of unknown space admits every position, and the order is
+/// candidate order.
 ///
 /// **Pass B** is the scan proper, SC walks included, over what is left: a
 /// claimed candidate is done, and one sharing a CCE with a claim — earlier
@@ -1066,7 +1075,11 @@ pub(crate) fn scan<C: Candidate>(
     let askable = candidates.iter().filter(|_| C::BLIND);
     #[cfg(test)]
     let askable = askable.filter(|_| !tests::WALK_ONLY.get());
-    for cand in askable {
+    let searched = |c: &&C| hyp.c_rntis.admitting(c.level(), c.cce_start()) > 0;
+    #[cfg(test)]
+    let searched = |c: &&C| tests::CANDIDATE_ORDER.get() || searched(c);
+    let rest = askable.clone().filter(|c| !searched(c));
+    for cand in askable.filter(searched).chain(rest) {
         if overlaps(&out, cand) {
             continue;
         }
@@ -1077,7 +1090,8 @@ pub(crate) fn scan<C: Candidate>(
             work = counted;
         }
     }
-    // Where in `out` a DCI of the candidate in hand belongs.
+    // Back in candidate order: where in `out` a DCI of the candidate belongs.
+    out.sort_unstable_by_key(|d| (d.level.cces(), d.cce_start));
     let mut at = 0;
     for cand in candidates {
         work.candidates += 1;
@@ -1225,6 +1239,10 @@ pub(crate) mod tests {
         /// Strips [`scan`] of pass A — every position walked in order —
         /// for the differential below to compare with.
         pub(super) static WALK_ONLY: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+        /// Makes [`scan`]'s pass A ask in candidate order, the oracle its
+        /// searched-first order is compared with.
+        pub(super) static CANDIDATE_ORDER: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
         /// Makes a UE pass the per-UE loop ([`each_ue`]), the oracle its
         /// solve is compared with.
@@ -1652,6 +1670,92 @@ pub(crate) mod tests {
         }
     }
 
+    /// `job`'s slot, extracted, scanned with pass A asking a tracked UE's
+    /// search-space positions first and in candidate order (the
+    /// [`CANDIDATE_ORDER`] switch): the same DCIs in the same order and the
+    /// same work, and no position asked that candidate order does not ask.
+    /// Returns the asks of each, searched first and in candidate order.
+    fn searched_first_against_candidate_order(
+        front: &mut FrontEnd,
+        job: &crate::worker::SlotJob,
+        at: &str,
+    ) -> [Vec<(AggregationLevel, usize)>; 2] {
+        let (ctx, sif) = (&job.ctx, job.slot_in_frame);
+        let crate::ObservedSlot::Iq { samples, .. } = &job.observed else {
+            panic!("{at}: an IQ job");
+        };
+        let wanted = coreset_symbols(&ctx.coreset);
+        let grid = front.demodulate_slot(Some(ctx), samples, sif, &wanted, Metrics::disabled());
+        let eager = extract_all_candidates(ctx, grid.expect("the cell's layout"), sif);
+        let run = |in_order| {
+            CANDIDATE_ORDER.set(in_order);
+            ASKED.take();
+            let got = decode_candidates_budgeted(ctx, &eager, &job.hyp, job.budget, None);
+            CANDIDATE_ORDER.set(false);
+            (got, ASKED.take())
+        };
+        let ((want, in_order), (got, searched)) = (run(true), run(false));
+        assert_eq!(got, want, "{at}");
+        let never = searched.iter().find(|p| !in_order.contains(p));
+        assert_eq!(never, None, "{at}: asked only searched first");
+        [searched, in_order]
+    }
+
+    /// Pass A asking a tracked UE's search-space positions first decides
+    /// what candidate order decides ([`searched_first_against_candidate_order`]),
+    /// every slot of the 1-UE and the 12-UE IQ cell heard at 30 dB and at
+    /// 3 dB and of a restart under PCI 7; and under a row whose first UE's
+    /// space is unknown, which admits every position, it asks in candidate
+    /// order, ask for ask.
+    #[test]
+    fn searched_first_pass_a_decides_what_candidate_order_decides() {
+        let iq = crate::ScopeConfig {
+            fidelity: crate::Fidelity::Iq,
+            ..crate::ScopeConfig::default()
+        };
+        let restart = crate::ScopeConfig {
+            degraded_after_slots: 10,
+            lost_after_slots: 30,
+            ..iq
+        };
+        let runs = [(1, 30.0), (1, 3.0), (12, 30.0), (12, 3.0)].map(|(n, snr)| (n, snr, None));
+        let mut asks = [0; 2];
+        for (n_ues, snr_db, restart_at) in runs.into_iter().chain([(1, 30.0, Some(120))]) {
+            let (cell, mut gnb) = crate::scope::tests::loaded_cell(n_ues);
+            // The scope tracks the cell at 30 dB whatever the tape is heard at.
+            let mut feed = Observer::new(&cell, 30.0, true, 5);
+            let mut tape = Observer::new(&cell, snr_db, true, 6);
+            let cfg = if restart_at.is_some() { restart } else { iq };
+            let (mut scope, mut front) = (crate::NrScope::new(cfg, None), FrontEnd::default());
+            let mut seen = [0; 2];
+            for s in 0..if n_ues == 1 { 400 } else { 200 } {
+                if restart_at == Some(s) {
+                    gnb.restart(Pci(7));
+                }
+                let (out, t) = (gnb.step(), s as f64 * cell.slot_s());
+                let observed = feed.observe(&out, t);
+                if let Some(mut job) = scope.slot_job(tape.observe(&out, t)) {
+                    let at = format!("{n_ues} UEs, {snr_db} dB, slot {s}");
+                    let counts = searched_first_against_candidate_order(&mut front, &job, &at);
+                    seen = std::array::from_fn(|i| seen[i] + counts[i].len());
+                    job.hyp.c_rntis =
+                        (job.hyp.c_rntis).respaced(|i, ue| ue.space.filter(|_| i > 0));
+                    let [searched, in_order] =
+                        searched_first_against_candidate_order(&mut front, &job, &at);
+                    assert_eq!(searched, in_order, "{at}: one UE of unknown space");
+                }
+                scope.process(&observed);
+            }
+            if restart_at.is_some() {
+                assert_eq!(scope.cell.pci, Some(Pci(7)), "the new PCI found");
+            }
+            let [searched, in_order] = seen;
+            println!("{n_ues} UEs, {snr_db} dB, restart {restart_at:?}: {searched} asks searched first, {in_order} in candidate order");
+            asks = std::array::from_fn(|i| asks[i] + seen[i]);
+        }
+        assert!(asks[0] < asks[1], "{asks:?}");
+    }
+
     /// The front end's grid is written in place slot after slot: whatever
     /// symbol set came before, a slot reads as it would from a fresh grid —
     /// the symbols asked for and the zeros around them, bit for bit.
@@ -1951,6 +2055,23 @@ pub(crate) mod tests {
         for r in rntis.into_iter().chain([Rnti(0x7777)]) {
             assert_eq!(listed(&respaced, r), listed(&fresh, r), "{r:?}");
         }
+    }
+
+    /// Two PCIs at one codeword length share one key solve, each with its
+    /// own common syndrome; another length builds its own.
+    #[test]
+    fn two_pcis_at_one_length_share_one_key_solve() {
+        let mut polar = PolarCodes::default();
+        let common = [(64, 1), (64, 7), (80, 1)].map(|(n, pci)| polar.keys(n, pci).0);
+        let solve = |n, pci| {
+            let at = polar.keys.iter().find(|k| (k.0, k.1) == (n, pci));
+            let solve = at.and_then(|k| k.3.as_ref());
+            Rc::clone(solve.expect("a solve below 334 bits"))
+        };
+        assert!(Rc::ptr_eq(&solve(64, 1), &solve(64, 7)));
+        assert!(!Rc::ptr_eq(&solve(64, 1), &solve(80, 1)));
+        assert_eq!(polar.keys.len(), 3);
+        assert_ne!(common[0], common[1]);
     }
 
     /// The first codeword length from `n` up at which two C-RNTIs share a
