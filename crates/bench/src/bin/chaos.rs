@@ -31,50 +31,45 @@
 //!
 //! `--short` shrinks the horizons for CI smoke tests.
 //!
-//! The supervised child is this bin, re-invoked as `--child DIR PCI SEED
-//! HORIZON LEG`: it recomputes the leg's schedule from (seed, horizon,
-//! leg) and runs its child-side faults through
-//! [`ChaosSchedule::child_hook`] on a [`FaultyBackend`].
+//! The three supervised legs drive a whole sniffer process through
+//! [`Harness`]: the SIGKILLs, hangs and re-executions are those an
+//! external supervisor deals a deployed sniffer. The child is this bin,
+//! re-invoked as `--child DIR SEED HORIZON LEG FROM`: it recomputes the
+//! leg's schedule and [`Air`] from (seed, horizon, leg), fast-forwards
+//! the air to slot `FROM`, and runs its child-side faults through
+//! [`ChaosSchedule::child_hook`] on a [`FaultyBackend`]. Parity is read
+//! off the finished session directory.
 
 use gnb_sim::{CellConfig, Gnb, HostileConfig};
-use nr_mac::RoundRobin;
-use nr_phy::channel::ChannelProfile;
-use nr_phy::types::{Pci, Rnti};
+use nr_phy::types::Rnti;
+use nrscope::config::SuperviseConfig;
 use nrscope::observe::Observer;
 use nrscope::restart::RestartCause;
-use nrscope::supervise::{self, SlotOutcome, Supervisor};
 use nrscope::{
-    ClockRecovery, ClockRecoveryConfig, FaultyBackend, Fleet, FleetConfig, Metrics, PersistConfig,
-    ScopeConfig, ShardSpec, SlotHook, StoragePolicy, SyncState,
+    FaultyBackend, Fleet, FleetConfig, PersistConfig, ScopeConfig, SessionStore, ShardSpec,
+    SlotHook, StoragePolicy, SyncState,
 };
 use nrscope_analytics::{parity_ok, PARITY_BAND};
 use nrscope_bench::chaos::{
-    bulkhead_isolation, drive_supervised, monitor_statuses, ranges_of, standard_monitors,
-    ChaosArms, ChaosSchedule, DriveStats, HangTarget, Monitor, MonitorStatus,
+    backlogged_gnb, bulkhead_isolation, drive_supervised, monitor_statuses, ranges_of,
+    standard_monitors, Air, ChaosArms, ChaosSchedule, DriveStats, HangTarget, Monitor,
+    MonitorStatus,
 };
+use nrscope_bench::child::{self, Harness, SlotOutcome};
 use nrscope_bench::gate::{Gate, Mode, Phase};
 use nrscope_bench::scratch_dir;
 use serde::Serialize;
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything scripted derives from this seed (reproducibility rule).
 const SEED: u64 = 0xC0_FFEE;
-/// Hang-detection latency slop on top of the hang deadline: pipe polls,
-/// scheduler jitter, and the force-kill itself.
+/// Hang-detection latency slop on top of the hang deadline: scheduler
+/// jitter, and the SIGKILL itself.
 const HANG_SLOP_MS: u64 = 1_000;
 /// A warm restart must be back in `Synced` within this many slots.
 const RESYNC_BOUND: u64 = 800;
-
-/// The supervised legs' config: deadlines tightened so hang detection is
-/// measured in hundreds of milliseconds, not the production 2 s.
-fn tuned_config(short: bool) -> ScopeConfig {
-    let mut cfg = ScopeConfig::default();
-    cfg.supervise.heartbeat_interval_ms = if short { 50 } else { 100 };
-    cfg.supervise.hang_deadline_ms = if short { 400 } else { 800 };
-    cfg
-}
 
 /// The fault classes each supervised leg arms. The parent composes its
 /// schedule from this, and so does every child it spawns.
@@ -87,29 +82,6 @@ fn leg_arms(leg: &str) -> ChaosArms {
         },
         _ => ChaosArms::none(),
     }
-}
-
-fn build_gnb(cell: &CellConfig, n_ues: u64, seed: u64) -> Gnb {
-    let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), seed);
-    for i in 1..=n_ues {
-        gnb.ue_arrives(ue_sim::SimUe::new(
-            i,
-            ChannelProfile::Awgn,
-            ue_sim::MobilityScenario::Static,
-            // Permanent backlog: every slot carries data, so parity
-            // between scope estimate and gNB truth is tight.
-            ue_sim::traffic::TrafficSource::new(
-                ue_sim::traffic::TrafficKind::FileDownload {
-                    total_bytes: 1 << 30,
-                },
-                seed + i,
-            ),
-            0.05 * i as f64,
-            600.0,
-            seed * 31 + i,
-        ));
-    }
-    gnb
 }
 
 /// The kill-only leg's own checks, the two no other gate makes: every UE
@@ -170,27 +142,23 @@ fn failed_leg(name: &'static str, detail: String) -> Phase<Leg> {
 }
 
 /// Aggregate parity over the leg's observed ranges: Σ estimated bits /
-/// Σ ground-truth bits across every connected UE.
-fn parity_ratio(sup: &mut Supervisor, gnb: &Gnb, stats: &DriveStats) -> Option<f64> {
+/// Σ ground-truth bits across every connected UE, the estimate read off
+/// the finished session in `dir`.
+fn parity_ratio(dir: &std::path::Path, gnb: &Gnb, stats: &DriveStats) -> Option<f64> {
     let ranges = ranges_of(&stats.observed);
     if ranges.is_empty() {
         return None;
     }
-    let reply = sup.request_report(ranges.clone())?;
+    let store = SessionStore::new(dir).ok()?;
+    let (scope, _) = store.recover(ScopeConfig::default(), Some(CellConfig::srsran_n41().pci));
     let mut truth_bits = 0u64;
     let mut est_bits = 0u64;
     for rnti in gnb.connected_rntis() {
         let ue = gnb.ue(rnti).expect("connected UE");
-        truth_bits += ranges
-            .iter()
-            .map(|&(a, b)| ue.delivered_bytes_in(a..b) as u64 * 8)
-            .sum::<u64>();
-        est_bits += reply
-            .per_ue
-            .iter()
-            .find(|(r, _)| *r == rnti)
-            .map(|(_, bits)| bits.iter().sum::<u64>())
-            .unwrap_or(0);
+        for &(a, b) in &ranges {
+            truth_bits += ue.delivered_bytes_in(a..b) as u64 * 8;
+            est_bits += scope.estimated_bits(rnti, a..b);
+        }
     }
     Some(est_bits as f64 / truth_bits.max(1) as f64)
 }
@@ -206,48 +174,21 @@ fn supervised_leg(
     ghosts: Vec<Rnti>,
 ) -> Phase<Leg> {
     let schedule = ChaosSchedule::compose(SEED, horizon, leg_arms(name));
-    let cell = CellConfig::srsran_n41();
     let dir = scratch_dir("chaos", name);
-    let scope_cfg = tuned_config(short);
-    std::fs::write(dir.join(supervise::CONFIG_FILE), scope_cfg.to_json())
-        .expect("write scope config");
-
-    let mut gnb = build_gnb(&cell, 3, SEED);
-    let mut obs = Observer::new(&cell, 35.0, false, SEED ^ 0xD15C);
-    if let Some(sched) = schedule.impairment_schedule() {
-        obs.set_impairments(sched);
-    }
-    if schedule.clock_static_ppm != 0.0 {
-        let mut model = cell
-            .clock_model(SEED ^ 0xC10C)
-            .with_static_ppm(schedule.clock_static_ppm)
-            .with_drift_ppm_per_s(schedule.clock_drift_ppm_per_s);
-        if let Some((slot, us)) = schedule.clock_step {
-            model = model.with_step(slot, us);
-        }
-        obs.set_clock(model);
-    }
-    let hostile = HostileConfig::seeded(schedule.seed);
-    let hostile_windows = schedule.hostile_windows.clone();
-    let slot_s = cell.slot_s();
-    let sample_rate_hz = cell.sample_rate_hz();
-    // The timing-recovery loop is front-end-local: the parent owns the
-    // radio, so the parent closes the loop (exactly as a real SDR host
-    // would) — the child receives already-corrected captures.
-    let mut recovery = ClockRecovery::new(ClockRecoveryConfig::default());
-
     let exe = std::env::current_exe().expect("current exe path");
-    let args = vec![
-        "--child".to_string(),
-        dir.display().to_string(),
-        cell.pci.0.to_string(),
-        SEED.to_string(),
-        horizon.to_string(),
-        name.to_string(),
-    ];
-    let metrics = Arc::new(Metrics::new(true));
-    let mut sup = Supervisor::new(&exe, &args, &[], scope_cfg.supervise, metrics);
-    let hello = match sup.start() {
+    let child_dir = dir.clone();
+    let command = move |from: u64| {
+        let mut cmd = Command::new(&exe);
+        cmd.arg("--child").arg(&child_dir);
+        cmd.args([SEED, horizon].map(|n| n.to_string()));
+        cmd.args([name.to_string(), from.to_string()]);
+        cmd
+    };
+    // Silence past the hang deadline is a hang.
+    let hang_ms = if short { 400 } else { 800 };
+    let hang_deadline = Duration::from_millis(hang_ms);
+    let mut harness = Harness::new(command, hang_deadline, &SuperviseConfig::default());
+    let hello = match harness.start() {
         Ok(h) => h,
         Err(e) => return failed_leg(name, format!("child failed to start: {e}")),
     };
@@ -260,42 +201,24 @@ fn supervised_leg(
     // counted in slots (re-probe spacing, monitor windows), and the two
     // keep the relation they were composed with only while a slot takes a
     // slot's time: never feed faster than the air interface.
-    let slot_time = Duration::from_secs_f64(slot_s);
+    let mut air = Air::new(&schedule);
+    let slot_time = Duration::from_secs_f64(CellConfig::srsran_n41().slot_s());
     let mut fed_at = Instant::now();
-    let stats = drive_supervised(&mut sup, &schedule, &ghosts, &mut monitors, |seq| {
+    let stats = drive_supervised(&mut harness, &schedule, &ghosts, &mut monitors, |seq| {
         std::thread::sleep(slot_time.saturating_sub(fed_at.elapsed()));
         fed_at = Instant::now();
-        for &(a, b) in &hostile_windows {
-            if seq == a {
-                gnb.arm_hostile(hostile);
-            }
-            if seq == b {
-                gnb.disarm_hostile();
-            }
-        }
-        let out = gnb.step();
-        let cap = obs.capture(&out, seq as f64 * slot_s);
-        if let Some(cobs) = obs.take_clock_observable() {
-            recovery.on_slot(&cobs, sample_rate_hz);
-            obs.apply_clock_correction(recovery.correction_us(), recovery.correction_cfo_hz());
-        }
-        cap
+        air.step(seq)
     });
 
-    let parity = parity_ratio(&mut sup, &gnb, &stats);
-    let sup_stats = sup.stats();
-    let killed_restarts = sup
-        .restart_log()
-        .iter()
-        .filter(|e| e.cause == RestartCause::Killed)
-        .count() as u64;
-    let hang_restarts = sup
-        .restart_log()
-        .iter()
-        .filter(|e| e.cause == RestartCause::Hang)
-        .count() as u64;
-    let breaker_final = sup.breaker_state().name();
-    let _ = sup.finish();
+    let restarts = |cause| {
+        let log = harness.restart_log().iter();
+        log.filter(|e| e.cause == cause).count() as u64
+    };
+    let (killed_restarts, hang_restarts) =
+        (restarts(RestartCause::Killed), restarts(RestartCause::Hang));
+    let breaker = harness.breaker().clone();
+    let finished = harness.finish();
+    let parity = parity_ratio(&dir, air.gnb(), &stats);
 
     let statuses = monitor_statuses(&monitors);
     let monitors_green = statuses.iter().all(|m| m.ok);
@@ -305,13 +228,14 @@ fn supervised_leg(
         .map(|h| h.detect_ms)
         .max()
         .unwrap_or(0);
-    let hang_bound = scope_cfg.supervise.hang_deadline_ms + HANG_SLOP_MS;
+    let hang_bound = hang_ms + HANG_SLOP_MS;
 
     // A faulted leg must have *survived* its script, not dodged it.
     let hang_scripted = (schedule.hangs.iter()).any(|p| p.target == HangTarget::SlotLoop);
     // A disk stall under the journal writer demotes the child before the
     // stall ends, and the ladder comes back after it (a re-probe, or a
     // respawn that recovers durable).
+    let slot_s = slot_time.as_secs_f64();
     let edges = &stats.non_durable_edges;
     let stall_demoted = (schedule.hangs.iter())
         .filter(|p| p.target == HangTarget::JournalWriter)
@@ -321,9 +245,10 @@ fn supervised_leg(
             demoted.is_some_and(|i| i + 1 < edges.len())
         });
     let ok = monitors_green
+        && finished
         && parity.is_some()
-        && sup_stats.breaker_openings == 0
-        && breaker_final == "closed"
+        && breaker.openings() == 0
+        && !breaker.is_open()
         && stats.final_sync_synced
         && killed_restarts >= schedule.kill_slots.len() as u64
         && (!hang_scripted
@@ -336,11 +261,11 @@ fn supervised_leg(
          breaker={} parity={:?} non_durable_edges={:?} monitors_green={}",
         stats.acked,
         stats.lost_child_down + stats.lost_lame_duck,
-        sup_stats.hangs_detected,
+        breaker.hangs(),
         detect_max,
         hang_bound,
         killed_restarts,
-        breaker_final,
+        breaker.state().name(),
         parity,
         edges,
         monitors_green,
@@ -350,12 +275,12 @@ fn supervised_leg(
         slots: stats.slots,
         acked: stats.acked,
         lost: stats.lost_child_down + stats.lost_lame_duck,
-        hangs_detected: sup_stats.hangs_detected,
+        hangs_detected: breaker.hangs(),
         hang_detect_ms_max: detect_max,
         killed_restarts,
         hang_restarts,
-        breaker_openings: sup_stats.breaker_openings,
-        breaker_final,
+        breaker_openings: breaker.openings(),
+        breaker_final: breaker.state().name(),
         parity_ratio: parity.unwrap_or(0.0),
         non_durable_edges: stats.non_durable_edges,
         monitors: statuses,
@@ -412,7 +337,7 @@ fn fleet_leg(short: bool) -> Phase<FleetLeg> {
     let mut feeds: Vec<(Gnb, Observer)> = (0..n_shards as u64)
         .map(|i| {
             (
-                build_gnb(&cell, 2, SEED + 100 * i),
+                backlogged_gnb(&cell, 2, SEED + 100 * i),
                 Observer::new(&cell, 35.0, false, SEED ^ (0xF00 + i)),
             )
         })
@@ -497,16 +422,18 @@ struct Header {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     if args.len() >= 7 && args[1] == "--child" {
-        // Child mode: recover from the session directory and serve slots,
+        // Child mode: recover from the session directory, catch the air up
+        // to the slot this process was spawned at, and serve slots,
         // running the leg's child-side faults recomputed from its seed.
-        let pci: u16 = args[3].parse().expect("child PCI argument");
-        let seed: u64 = args[4].parse().expect("child seed argument");
-        let horizon: u64 = args[5].parse().expect("child horizon argument");
-        let schedule = ChaosSchedule::compose(seed, horizon, leg_arms(&args[6]));
+        let number = |i: usize| args[i].parse::<u64>().expect("child numeric argument");
+        let schedule = ChaosSchedule::compose(number(3), number(4), leg_arms(&args[5]));
         let backend = FaultyBackend::new(Default::default());
         let persist = PersistConfig::new(&args[2]).with_backend(Arc::new(backend.clone()));
         let hook = schedule.child_hook(backend);
-        supervise::run_child(persist, Some(Pci(pci)), Some(hook)).expect("child pipeline");
+        let mut air = Air::new(&schedule);
+        let pci = Some(CellConfig::srsran_n41().pci);
+        child::serve(persist, pci, number(6), |seq| air.step(seq), Some(hook))
+            .expect("child pipeline");
         return ExitCode::SUCCESS;
     }
     let mut gate = Gate::new("chaos", "legs", Mode::from_env());

@@ -12,27 +12,37 @@
 //! - [`ChaosSchedule`] is the seeded timeline. [`ChaosSchedule::compose`]
 //!   derives deterministic fault placements from (seed, horizon, armed
 //!   classes), so a failing soak reproduces bit-for-bit from its seed —
-//!   and the supervised child, given the same three on its command line,
+//!   and the child process, given the same three on its command line,
 //!   recomputes the same timeline.
+//! - [`Air`] is the leg's radio side — gNB, observer, impairments,
+//!   oscillator model, timing-recovery loop and hostile windows — built
+//!   from the schedule alone. The parent and every child it spawns each
+//!   step their own copy; a child fast-forwards its copy to the slot it
+//!   was spawned at.
 //! - [`ChaosSchedule::child_hook`] is the slice the *child process*
 //!   executes against itself (scripted hangs, journal-writer stalls,
-//!   overload dwell, storage fault windows). Parent-side faults (kill-9,
-//!   hostile air, impairments, clock) are not in it — the child must not
-//!   know when it is about to be shot.
-//! - [`Monitor`]s are named predicates over the supervised pipe traffic
+//!   overload dwell, storage fault windows). Parent-side faults (kill-9)
+//!   are not in it — the child must not know when it is about to be shot.
+//! - [`Monitor`]s are named predicates over the child's acks
 //!   ([`ChaosObs`]) or fleet rollups behind one shared latch, flagging the
 //!   first violation with slot + context instead of a bare boolean.
-//! - [`drive_supervised`] is the parent-side soak loop: it feeds a
-//!   capture source through a [`Supervisor`], fires scripted kills,
-//!   times hang detection, and keeps the honest per-slot book of which
-//!   slots remain claimable for byte parity.
+//! - [`drive_supervised`] is the parent-side soak loop: it clocks a
+//!   [`Harness`] slot by slot, fires scripted kills, times hang detection,
+//!   and keeps the honest per-slot book of which slots remain claimable
+//!   for byte parity.
 
+use crate::child::{Harness, SlotOutcome};
+use gnb_sim::{CellConfig, Gnb, HostileConfig};
+use nr_mac::RoundRobin;
+use nr_phy::channel::ChannelProfile;
 use nr_phy::types::Rnti;
 use nr_radio::impairment::ImpairmentSchedule;
-use nrscope::observe::Capture;
+use nrscope::observe::{Capture, Observer};
 use nrscope::restart::RestartCause;
-use nrscope::supervise::{LostCause, SlotOutcome, Supervisor};
-use nrscope::{DurabilityRung, FaultKind, FaultyBackend, FleetSnapshot, SlotHook, SyncState};
+use nrscope::{
+    ClockRecovery, ClockRecoveryConfig, DurabilityRung, FaultKind, FaultyBackend, FleetSnapshot,
+    SlotHook, SyncState,
+};
 use serde::Serialize;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -44,9 +54,8 @@ use std::time::{Duration, Instant};
 /// Where a scripted hang wedges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HangTarget {
-    /// The supervised child's slot loop stops dead — no acks, no
-    /// heartbeats. The supervisor must classify it as a hang within
-    /// `hang_deadline` and force-kill.
+    /// The child's slot loop stops dead — no acks. The harness must
+    /// classify it as a hang within its hang deadline and SIGKILL it.
     SlotLoop,
     /// The child's disk stalls under its journal writer while the slot
     /// loop stays live: the durability ladder must demote honestly while
@@ -85,8 +94,7 @@ pub struct StorageWindow {
 
 /// Scripted decode overload: every slot in `[from_slot, until_slot)`
 /// dwells an extra `dwell_us` — busy, not wedged: a dwell is far inside
-/// the heartbeat interval, so the supervisor must *not* read it as a
-/// hang.
+/// the hang deadline, so the harness must *not* read it as a hang.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadWindow {
     /// First fed slot of the window.
@@ -114,7 +122,7 @@ pub struct ChaosArms {
     pub clock: bool,
     /// Hostile-air windows (ghost DCIs, malformed fields, SIB spoof).
     pub hostile: bool,
-    /// Scripted SIGKILLs of the supervised child.
+    /// Scripted SIGKILLs of the child process.
     pub kill9: bool,
     /// Scripted hangs (slot loop, journal writer, fleet shard).
     pub hangs: bool,
@@ -150,9 +158,9 @@ pub struct ChaosSchedule {
     pub seed: u64,
     /// Timeline length in fed slots.
     pub horizon_slots: u64,
-    /// Parent slots at which the supervisor SIGKILLs the child.
+    /// Parent slots at which the harness SIGKILLs the child.
     pub kill_slots: Vec<u64>,
-    /// Hostile-air windows `[from, until)` on the parent's gNB.
+    /// Hostile-air windows `[from, until)` on the gNB.
     pub hostile_windows: Vec<(u64, u64)>,
     /// Every scripted hang (child- and fleet-targeted), in no particular
     /// order.
@@ -249,8 +257,8 @@ impl ChaosSchedule {
             s.kill_slots.push(at(800) + jitter(40));
         }
         if arms.hangs {
-            // Slot-loop hang long enough that any sane hang_deadline
-            // (default 2 s) expires well before the wedge releases; late
+            // Slot-loop hang long enough that any sane hang deadline
+            // expires well before the wedge releases; late
             // enough that the first storage window's re-probe has landed
             // and the restart meets a re-promoted child.
             let hang = |slot, target, duration_ms| HangPoint {
@@ -267,7 +275,7 @@ impl ChaosSchedule {
         s
     }
 
-    /// The parent-observer impairment schedule, if impairments are armed.
+    /// The observer's impairment schedule, if impairments are armed.
     pub fn impairment_schedule(&self) -> Option<ImpairmentSchedule> {
         if self.impair_drop_prob == 0.0 && self.impair_outages.is_empty() {
             return None;
@@ -287,9 +295,9 @@ impl ChaosSchedule {
             .copied()
     }
 
-    /// The faults the supervised child runs against itself, as the
+    /// The faults the child process runs against itself, as the
     /// [`SlotHook`] its slot loop calls with each fed slot: a slot-loop
-    /// hang sleeps through its duration (no acks, no heartbeats), a
+    /// hang sleeps through its duration (no acks), a
     /// journal-writer hang stalls `backend`'s writes, an overload window
     /// dwells, and `backend` has armed exactly the storage windows live
     /// at the slot. Keyed on the fed slot, so a restarted child — which
@@ -333,6 +341,110 @@ impl ChaosSchedule {
 }
 
 // ---------------------------------------------------------------------------
+// The air
+// ---------------------------------------------------------------------------
+
+/// A round-robin cell with `n_ues` AWGN UEs (ids from 1), each with a
+/// permanent backlog, so every slot carries data and parity between the
+/// scope's estimate and the gNB's truth is tight.
+pub fn backlogged_gnb(cell: &CellConfig, n_ues: u64, seed: u64) -> Gnb {
+    let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), seed);
+    for i in 1..=n_ues {
+        gnb.ue_arrives(ue_sim::SimUe::new(
+            i,
+            ChannelProfile::Awgn,
+            ue_sim::MobilityScenario::Static,
+            ue_sim::traffic::TrafficSource::new(
+                ue_sim::traffic::TrafficKind::FileDownload {
+                    total_bytes: 1 << 30,
+                },
+                seed + i,
+            ),
+            0.05 * i as f64,
+            600.0,
+            seed * 31 + i,
+        ));
+    }
+    gnb
+}
+
+/// A supervised leg's air on `srsran_n41`: three backlogged UEs, the
+/// observer with the schedule's impairments and oscillator model, the
+/// timing-recovery loop the front end closes (a real SDR host closes it
+/// before the decoder sees a capture), and the hostile windows. Every
+/// piece is seeded from the schedule, so the air is a function of
+/// (schedule, slot): a copy stepped from slot 0 yields the same captures
+/// as any other.
+pub struct Air {
+    gnb: Gnb,
+    obs: Observer,
+    recovery: ClockRecovery,
+    hostile: HostileConfig,
+    hostile_windows: Vec<(u64, u64)>,
+    slot_s: f64,
+    sample_rate_hz: f64,
+}
+
+impl Air {
+    /// The air at slot 0.
+    pub fn new(schedule: &ChaosSchedule) -> Air {
+        let seed = schedule.seed;
+        let cell = CellConfig::srsran_n41();
+        let mut obs = Observer::new(&cell, 35.0, false, seed ^ 0xD15C);
+        if let Some(sched) = schedule.impairment_schedule() {
+            obs.set_impairments(sched);
+        }
+        if schedule.clock_static_ppm != 0.0 {
+            let mut model = cell
+                .clock_model(seed ^ 0xC10C)
+                .with_static_ppm(schedule.clock_static_ppm)
+                .with_drift_ppm_per_s(schedule.clock_drift_ppm_per_s);
+            if let Some((slot, us)) = schedule.clock_step {
+                model = model.with_step(slot, us);
+            }
+            obs.set_clock(model);
+        }
+        Air {
+            gnb: backlogged_gnb(&cell, 3, seed),
+            obs,
+            recovery: ClockRecovery::new(ClockRecoveryConfig::default()),
+            hostile: HostileConfig::seeded(seed),
+            hostile_windows: schedule.hostile_windows.clone(),
+            slot_s: cell.slot_s(),
+            sample_rate_hz: cell.sample_rate_hz(),
+        }
+    }
+
+    /// The cell's gNB: its UEs' delivered bytes are the parity truth.
+    pub fn gnb(&self) -> &Gnb {
+        &self.gnb
+    }
+
+    /// The capture of slot `seq`, the next slot of this air.
+    pub fn step(&mut self, seq: u64) -> Capture {
+        for &(a, b) in &self.hostile_windows {
+            if seq == a {
+                self.gnb.arm_hostile(self.hostile);
+            }
+            if seq == b {
+                self.gnb.disarm_hostile();
+            }
+        }
+        let out = self.gnb.step();
+        let cap = self.obs.capture(&out, seq as f64 * self.slot_s);
+        if let Some(cobs) = self.obs.take_clock_observable() {
+            self.recovery.on_slot(&cobs, self.sample_rate_hz);
+            let (us, cfo_hz) = (
+                self.recovery.correction_us(),
+                self.recovery.correction_cfo_hz(),
+            );
+            self.obs.apply_clock_correction(us, cfo_hz);
+        }
+        cap
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Invariant monitors
 // ---------------------------------------------------------------------------
 
@@ -349,10 +461,13 @@ pub struct Violation {
 pub struct ChaosObs<'a> {
     /// Fed slot sequence.
     pub slot: u64,
-    /// The capture fed this slot was a front-end drop (outage, stall,
-    /// impairment) — the *parent* knows this; the monitors use it to
+    /// The slot's capture was a front-end drop (outage, stall,
+    /// impairment) — the *parent's* air says so; the monitors use it to
     /// check the child never masks drops.
     pub fed_drop: bool,
+    /// [`air_digest`](crate::child::air_digest) of the parent's capture of
+    /// the slot.
+    pub air: u32,
     /// Hostile ghost C-RNTIs on the air this run (empty when hostility is
     /// disarmed).
     pub ghosts: &'a [Rnti],
@@ -367,7 +482,7 @@ pub struct ChaosObs<'a> {
 /// whatever the closure remembers of earlier ones) returning the context
 /// of a breach, `None` while the invariant holds.
 enum Predicate {
-    /// Shown every supervised slot.
+    /// Shown every fed slot.
     Slot(Box<SlotPredicate>),
     /// Shown every fleet rollup (the slot it was taken at, the rollup).
     Fleet(Box<RollupPredicate>),
@@ -397,7 +512,7 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor over supervised slots ([`Monitor::on_slot`]).
+    /// A monitor over fed slots ([`Monitor::on_slot`]).
     pub fn over_slots(
         name: &str,
         predicate: impl FnMut(&ChaosObs) -> Option<String> + 'static,
@@ -422,7 +537,7 @@ impl Monitor {
         Monitor { status, predicate }
     }
 
-    /// Observe one supervised slot (a rollup monitor is not interested).
+    /// Observe one fed slot (a rollup monitor is not interested).
     pub fn on_slot(&mut self, obs: &ChaosObs) {
         if let (true, Predicate::Slot(p)) = (self.status.ok, &mut self.predicate) {
             let breach = p(obs);
@@ -639,6 +754,24 @@ pub fn bulkhead_isolation(min_gap_slots: u64) -> Monitor {
     })
 }
 
+/// One air: every capture a child decodes is the capture the parent's own
+/// air has for that slot. A child re-executed mid-run rebuilds and
+/// fast-forwards its air, so a divergence would make every later verdict
+/// a verdict on other input.
+pub fn air_matches() -> Monitor {
+    Monitor::over_slots("air_matches", |obs| {
+        let SlotOutcome::Acked(ack) = obs.outcome else {
+            return None;
+        };
+        (ack.air != obs.air).then(|| {
+            format!(
+                "child decoded capture {:08x}, the parent's air has {:08x}",
+                ack.air, obs.air
+            )
+        })
+    })
+}
+
 /// The standard supervised-leg monitor set (everything except the
 /// fleet-leg bulkhead monitor, which the caller adds when it drives a
 /// fleet).
@@ -649,6 +782,7 @@ pub fn standard_monitors(ghosts: Vec<Rnti>) -> Vec<Monitor> {
         watermark_monotonicity(),
         no_ghost_admissions(ghosts),
         clock_mask_asymmetry(400),
+        air_matches(),
     ]
 }
 
@@ -661,8 +795,8 @@ pub fn standard_monitors(ghosts: Vec<Rnti>) -> Vec<Monitor> {
 pub struct HangObservation {
     /// Fed slot the hang was scripted at.
     pub slot: u64,
-    /// Wall-clock ms from feeding the hung slot to the supervisor giving
-    /// up on it (the hang-detection latency).
+    /// Wall-clock ms from feeding the hung slot to the harness giving up
+    /// on it (the hang-detection latency).
     pub detect_ms: u64,
 }
 
@@ -690,24 +824,23 @@ pub struct DriveStats {
     pub non_durable_edges: Vec<(u64, bool)>,
 }
 
-/// Drive one supervised chaos leg: feed `schedule.horizon_slots` captures
-/// from `source` through `sup`, firing scripted kills, timing scripted
-/// slot-loop hang detection, and evaluating `monitors` continuously.
-///
-/// `source(seq)` produces the capture for slot `seq` — the caller owns
-/// the gNB/observer wiring (and arms hostile windows itself, since the
-/// air interface lives on its side).
+/// Drive one supervised chaos leg: clock `harness` through
+/// `schedule.horizon_slots` slots, firing scripted kills between slots,
+/// timing scripted slot-loop hang detection, and evaluating `monitors`
+/// continuously. `air(seq)` is the parent's own copy of the leg's air:
+/// its capture says whether the slot was a front-end drop, and its digest
+/// is what the child must have decoded.
 ///
 /// The returned `observed` book already excludes every warm restart's
 /// lost tail (acked-but-not-durable slots the restarted child has no
 /// memory of), so byte parity over its ranges never claims a byte the
 /// system does not hold.
 pub fn drive_supervised(
-    sup: &mut Supervisor,
+    harness: &mut Harness,
     schedule: &ChaosSchedule,
     ghosts: &[Rnti],
     monitors: &mut [Monitor],
-    mut source: impl FnMut(u64) -> Capture,
+    mut air: impl FnMut(u64) -> Capture,
 ) -> DriveStats {
     let slots = schedule.horizon_slots;
     let mut stats = DriveStats {
@@ -720,21 +853,21 @@ pub fn drive_supervised(
         observed: vec![false; slots as usize],
         non_durable_edges: Vec::new(),
     };
-    let mut restarts_seen = sup.restart_log().len();
+    let mut restarts_seen = harness.restart_log().len();
     for seq in 0..slots {
         if schedule.kill_slots.contains(&seq) {
-            sup.kill_now(seq);
+            harness.kill_now();
         }
-        let cap = source(seq);
+        let cap = air(seq);
         let fed_drop = matches!(cap, Capture::Dropped(_));
         let hang_here = schedule.slot_loop_hang_at(seq);
-        let hangs_before = sup.stats().hangs_detected;
+        let hangs_before = harness.breaker().hangs();
         let fed_at = Instant::now();
-        let outcome = sup.feed_slot(seq, &cap);
+        let outcome = harness.feed(seq);
         // Only a *classified* hang counts: a scripted hang slot landing
         // while no child is up is Lost without any detection having
         // happened.
-        if hang_here.is_some() && sup.stats().hangs_detected > hangs_before {
+        if hang_here.is_some() && harness.breaker().hangs() > hangs_before {
             stats.hang_observations.push(HangObservation {
                 slot: seq,
                 detect_ms: fed_at.elapsed().as_millis() as u64,
@@ -750,16 +883,16 @@ pub fn drive_supervised(
                     stats.non_durable_edges.push((seq, non_durable));
                 }
             }
-            SlotOutcome::Lost(LostCause::ChildDown) => {
+            SlotOutcome::ChildDown => {
                 stats.lost_child_down += 1;
             }
-            SlotOutcome::Lost(LostCause::LameDuck) => {
+            SlotOutcome::LameDuck => {
                 stats.lost_lame_duck += 1;
             }
         }
         // A warm restart happened somewhere behind this slot: un-claim the
         // lost tail — slots the dead child acked but never made durable.
-        let log = sup.restart_log();
+        let log = harness.restart_log();
         for ev in &log[restarts_seen..] {
             if ev.cause != RestartCause::Initial {
                 let from = ev.hello.report.resumed_slot.min(slots);
@@ -773,6 +906,7 @@ pub fn drive_supervised(
         let obs = ChaosObs {
             slot: seq,
             fed_drop,
+            air: crate::child::air_digest(&cap),
             ghosts,
             outcome: &outcome,
             spawns: restarts_seen,
@@ -784,8 +918,7 @@ pub fn drive_supervised(
     stats
 }
 
-/// Compress a per-slot flag vector into maximal half-open ranges (the
-/// shape [`WireMsg::Report`](nrscope::supervise::WireMsg) wants).
+/// Compress a per-slot flag vector into maximal half-open ranges.
 pub fn ranges_of(flags: &[bool]) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
     let mut start: Option<u64> = None;
@@ -808,7 +941,7 @@ pub fn ranges_of(flags: &[bool]) -> Vec<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nrscope::supervise::Ack;
+    use crate::child::Ack;
 
     #[test]
     fn compose_is_deterministic_per_seed() {
@@ -903,6 +1036,35 @@ mod tests {
         assert!(ranges_of(&[false, false]).is_empty());
     }
 
+    /// A respawned child rebuilds its air and fast-forwards it to the slot
+    /// it was spawned at: from there to the horizon its captures are bit
+    /// for bit those of an air stepped from slot 0, with every arm on,
+    /// whether it was spawned at slot 0, at a kill or at the hang.
+    #[test]
+    fn a_respawned_childs_air_is_the_uninterrupted_air() {
+        let s = ChaosSchedule::compose(0xC0_FFEE, 2_000, ChaosArms::all());
+        let bytes = |cap: Capture| nrscope::binfmt::encode_value(&cap);
+        let mut air = Air::new(&s);
+        let whole: Vec<Capture> = (0..s.horizon_slots).map(|seq| air.step(seq)).collect();
+        let drops = whole.iter().filter(|c| matches!(c, Capture::Dropped(_)));
+        assert!(drops.count() > 0, "the impairments are on the air");
+        let hang = s
+            .slot_loop_hang_at(s.hangs[0].slot)
+            .expect("slot-loop hang first");
+        let spawns = [0].into_iter().chain(s.kill_slots.iter().copied());
+        for k in spawns.chain([hang.slot]) {
+            let mut respawned = Air::new(&s);
+            (0..k).for_each(|seq| drop(respawned.step(seq)));
+            for seq in k..s.horizon_slots {
+                let (got, want) = (
+                    bytes(respawned.step(seq)),
+                    bytes(whole[seq as usize].clone()),
+                );
+                assert!(got == want, "spawned at {k}: slot {seq} differs");
+            }
+        }
+    }
+
     fn ack() -> Ack {
         Ack {
             seq: 0,
@@ -914,6 +1076,7 @@ mod tests {
             durability_rung: 0,
             loss_window: Some(80),
             si_dcis: 0,
+            air: 0,
         }
     }
 
@@ -921,6 +1084,7 @@ mod tests {
         m.on_slot(&ChaosObs {
             slot,
             fed_drop: false,
+            air: 0,
             ghosts: &[],
             outcome: &SlotOutcome::Acked(ack),
             spawns,
@@ -959,6 +1123,15 @@ mod tests {
         }
         let v = m.violation().expect("latched");
         assert_eq!(v.slot, 31, "the baseline at 20, then 11 slots without SI");
+    }
+
+    #[test]
+    fn air_matches_latches_the_first_foreign_capture() {
+        let mut m = air_matches();
+        show(&mut m, 0, 1, ack());
+        assert!(m.violation().is_none());
+        show(&mut m, 1, 1, Ack { air: 7, ..ack() });
+        assert_eq!(m.violation().map(|v| v.slot), Some(1));
     }
 
     #[test]
@@ -1006,10 +1179,10 @@ mod tests {
         assert_eq!(
             names.join(" "),
             "never_go_dark bounded_loss_window watermark_monotonicity \
-             no_ghost_admissions clock_mask_asymmetry bulkhead_isolation"
+             no_ghost_admissions clock_mask_asymmetry air_matches bulkhead_isolation"
         );
         // And a rollup monitor ignores slots.
-        show(&mut all[5], 0, 1, ack());
-        assert!(all[5].violation().is_none());
+        show(&mut all[6], 0, 1, ack());
+        assert!(all[6].violation().is_none());
     }
 }

@@ -9,13 +9,15 @@
 //! * **Gate bins** (`chaos`, `clockdrift`, `durafault`, `fleet`,
 //!   `fuzz_decode`): seeded fault soaks on the [`gate`] harness that
 //!   write a `BENCH_<name>.json` and exit non-zero on a breach. The
-//!   `chaos` bin's timeline, monitors and supervised-leg loop are
-//!   [`chaos`].
+//!   `chaos` bin's timeline, air, monitors and supervised-leg loop are
+//!   [`chaos`]; the child process it kills and re-executes runs on
+//!   [`child`].
 //!
 //! Neither family is where speed is measured: every performance number
 //! comes from the perf ledger in `benchmark/`.
 
 pub mod chaos;
+pub mod child;
 pub mod gate;
 
 use gnb_sim::{CellConfig, Gnb, Population};

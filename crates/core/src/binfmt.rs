@@ -16,8 +16,8 @@
 //! is capped, and malformed input returns `None` — never a panic, never
 //! an attempt to allocate a length the input cannot back.
 //!
-//! Every byte stream the sniffer writes for a machine — a journal batch, a
-//! snapshot, a supervise-pipe message — is one [`seal`]ed frame around
+//! Every byte stream the sniffer writes for a machine — a journal batch or
+//! a snapshot — is one [`seal`]ed frame around
 //! such a payload, and is read back through [`open`]: this is the only
 //! place a magic number or a header offset appears.
 
@@ -306,14 +306,14 @@ pub fn crc32(data: &[u8]) -> u32 {
 // The frame.
 //
 //   offset  size  field
-//   0       4     magic: 0xFE 'N' 'R' <kind> ('J' batch, 'S' snapshot, 'P' pipe)
+//   0       4     magic: 0xFE 'N' 'R' <kind> ('J' batch, 'S' snapshot)
 //   4       1     format version (2)
 //   5       4     payload length, u32 LE
 //   9       4     CRC-32 over bytes [4..9) ‖ payload, u32 LE
 //   13      ...   payload
 //
-// 0xFE never occurs in UTF-8, so no text (a log line, the libtest banner
-// around a test child) can begin a frame. The CRC covers the version and
+// 0xFE never occurs in UTF-8, so no text (a text-format journal or
+// snapshot) can begin a frame. The CRC covers the version and
 // the length too, so a flip anywhere past the magic is caught. Version 1
 // was the journal's and the snapshot's own headers; a file written under
 // them is foreign bytes.
@@ -327,8 +327,6 @@ pub enum FrameKind {
     Batch,
     /// A checkpoint image.
     Snapshot,
-    /// One supervise-pipe message.
-    Pipe,
 }
 
 const FRAME_LEAD: u8 = 0xFE;
@@ -340,16 +338,14 @@ impl FrameKind {
         let tag = match self {
             FrameKind::Batch => b'J',
             FrameKind::Snapshot => b'S',
-            FrameKind::Pipe => b'P',
         };
         [FRAME_LEAD, b'N', b'R', tag]
     }
 }
 
 /// Write one frame of `kind` into `buf` (cleared first): `payload` appends
-/// the payload, and the header is filled in around it. Returns the payload
-/// length, the figure [`open`]'s bound is checked against.
-pub fn seal(kind: FrameKind, buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> usize {
+/// the payload, and the header is filled in around it.
+pub fn seal(kind: FrameKind, buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     buf.clear();
     buf.extend_from_slice(&kind.magic());
     buf.push(FRAME_VERSION);
@@ -359,48 +355,21 @@ pub fn seal(kind: FrameKind, buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8
     buf[5..9].copy_from_slice(&len.to_le_bytes());
     let crc = !crc32_update(crc32_update(!0, &buf[4..9]), &buf[FRAME_HEADER_LEN..]);
     buf[9..13].copy_from_slice(&crc.to_le_bytes());
-    len as usize
 }
 
-/// What [`open`] found at the start of some bytes.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Opened<'a> {
-    /// A whole, CRC-valid frame: its payload, and the bytes it spans.
-    Frame(&'a [u8], usize),
-    /// Every byte present fits a frame that runs past the input.
-    Short,
-    /// Not a frame of this kind: wrong magic or version, a length over
-    /// the bound, or a CRC mismatch.
-    Bad,
-}
-
-/// Open the frame of `kind` at the start of `data`, whose payload may be
-/// at most `max_payload` bytes. Never panics on any input.
-pub fn open(kind: FrameKind, data: &[u8], max_payload: usize) -> Opened<'_> {
-    let seen = data.len().min(4);
-    if data[..seen] != kind.magic()[..seen] || data.get(4).is_some_and(|&v| v != FRAME_VERSION) {
-        return Opened::Bad;
+/// Open the frame of `kind` at the start of `data`: its payload and the
+/// bytes the frame spans, or `None` for anything else — wrong magic or
+/// version, torn, or a CRC mismatch. Never panics on any input.
+pub fn open(kind: FrameKind, data: &[u8]) -> Option<(&[u8], usize)> {
+    let header = data.first_chunk::<FRAME_HEADER_LEN>()?;
+    if header[..4] != kind.magic() || header[4] != FRAME_VERSION {
+        return None;
     }
-    let Some(header) = data.first_chunk::<FRAME_HEADER_LEN>() else {
-        return Opened::Short;
-    };
     let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
     let crc = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
-    if len > max_payload {
-        return Opened::Bad;
-    }
-    let Some(payload) = data.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
-        return Opened::Short;
-    };
-    if !crc32_update(crc32_update(!0, &header[4..9]), payload) != crc {
-        return Opened::Bad;
-    }
-    Opened::Frame(payload, FRAME_HEADER_LEN + len)
-}
-
-/// Offset of the first byte in `data` that can begin a frame.
-pub fn frame_start(data: &[u8]) -> Option<usize> {
-    data.iter().position(|&b| b == FRAME_LEAD)
+    let payload = data.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len)?;
+    let valid = !crc32_update(crc32_update(!0, &header[4..9]), payload) == crc;
+    valid.then_some((payload, FRAME_HEADER_LEN + len))
 }
 
 #[cfg(test)]
@@ -417,37 +386,21 @@ mod tests {
     #[test]
     fn a_sealed_frame_opens_to_its_payload_and_nothing_else_does() {
         let mut frame = Vec::new();
-        seal(FrameKind::Pipe, &mut frame, |b| {
+        seal(FrameKind::Snapshot, &mut frame, |b| {
             b.extend_from_slice(b"payload")
         });
         let n = frame.len();
-        assert_eq!(
-            open(FrameKind::Pipe, &frame, 7),
-            Opened::Frame(&b"payload"[..], n)
-        );
-        assert_eq!(
-            open(FrameKind::Pipe, &frame, 6),
-            Opened::Bad,
-            "over the bound"
-        );
-        assert_eq!(
-            open(FrameKind::Batch, &frame, 7),
-            Opened::Bad,
-            "another kind"
-        );
+        let payload = Some((&b"payload"[..], n));
+        assert_eq!(open(FrameKind::Snapshot, &frame), payload);
+        assert_eq!(open(FrameKind::Batch, &frame), None, "another kind");
         for cut in 0..n {
-            assert_eq!(
-                open(FrameKind::Pipe, &frame[..cut], 7),
-                Opened::Short,
-                "{cut}"
-            );
+            assert_eq!(open(FrameKind::Snapshot, &frame[..cut]), None, "{cut}");
         }
         for i in 0..n {
             let mut bad = frame.clone();
             bad[i] ^= 0x10;
-            assert_eq!(open(FrameKind::Pipe, &bad, 7), Opened::Bad, "flip at {i}");
+            assert_eq!(open(FrameKind::Snapshot, &bad), None, "flip at {i}");
         }
-        assert_eq!(frame_start(b"text\xFE"), Some(4));
     }
 
     #[test]

@@ -41,33 +41,22 @@ pub struct ScopeConfig {
     /// lazily, on the first clock observable from the front end — a
     /// session that never receives one behaves exactly as before.
     pub clock: ClockRecoveryConfig,
-    /// Liveness-supervision knobs (`supervise.*`): heartbeat cadence, hang
-    /// deadline, and the restart-storm circuit breaker.
+    /// Restart-storm circuit breaker knobs (`supervise.*`).
     pub supervise: SuperviseConfig,
 }
 
-/// Liveness-supervision knobs: how the parent decides a child is hung
-/// rather than busy, and how the restart-storm circuit breaker meters
-/// respawns. The three breaker knobs also size each fleet shard's breaker
-/// (a shard reads them from its own `ShardSpec::scope`).
+/// How the restart-storm circuit breaker meters restarts. They size each
+/// fleet shard's breaker (a shard reads them from its own
+/// `ShardSpec::scope`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SuperviseConfig {
-    /// Child side: emit a [`ChildMsg::Heartbeat`](crate::supervise::ChildMsg)
-    /// if this long has passed since the last frame it wrote — keeps a
-    /// busy-but-alive child (long gap-fill, slow slot) distinguishable
-    /// from a wedged one.
-    pub heartbeat_interval_ms: u64,
-    /// Parent side: pipe silence longer than this classifies the child as
-    /// hung — force-kill and warm-restart, exactly like a crash. Must
-    /// comfortably exceed `heartbeat_interval_ms`.
-    pub hang_deadline_ms: u64,
     /// Token-bucket restart budget: restarts the breaker grants before it
     /// opens. Tokens refill at `restart_budget` per
     /// `restart_budget_window_slots`.
     pub restart_budget: u32,
     /// Slot window over which the full restart budget refills.
     pub restart_budget_window_slots: u64,
-    /// Slots an open breaker parks the child in lame-duck mode before
+    /// Slots an open breaker parks the unit in lame-duck mode before
     /// granting a single half-open probe restart.
     pub breaker_halfopen_after_slots: u64,
 }
@@ -75,8 +64,6 @@ pub struct SuperviseConfig {
 impl Default for SuperviseConfig {
     fn default() -> Self {
         SuperviseConfig {
-            heartbeat_interval_ms: 200,
-            hang_deadline_ms: 2_000,
             restart_budget: 6,
             restart_budget_window_slots: 20_000, // 10 s at µ=1
             breaker_halfopen_after_slots: 4_000, // 2 s at µ=1
@@ -170,8 +157,7 @@ impl Default for FleetConfig {
 }
 
 impl ScopeConfig {
-    /// Serialise to JSON (supervisor runners hand the child its config
-    /// through a file rather than a brittle argv encoding).
+    /// Serialise to JSON (an operator's config file).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("ScopeConfig is always serialisable")
     }
@@ -226,9 +212,5 @@ mod tests {
         assert!(c.admission.k >= 2, "one chance CRC pass must not admit");
         assert!(c.admission.window_slots > 0);
         assert!(c.admission.quarantine_max > 0);
-        assert!(
-            c.supervise.hang_deadline_ms > c.supervise.heartbeat_interval_ms,
-            "a heartbeat cadence slower than the hang deadline would flag every slot"
-        );
     }
 }

@@ -36,7 +36,10 @@
 //!   detects: a panic is caught per slot (`catch_unwind`, as in
 //!   [`crate::worker`]); a wedge is a busy stamp past the watchdog, and
 //!   the engine generation is bumped so the stuck worker discards its
-//!   fenced engine on wake. It carries out what the machine decides. A
+//!   fenced engine on wake. A shard whose slot has begun to unwind is a
+//!   crash, however long the panic hooks take: the fleet's panic hook
+//!   stamps it before the previous hook prints, and the watchdog never
+//!   fences a stamped shard. It carries out what the machine decides. A
 //!   rebuild resumes a durable shard from its own checkpoint and journal
 //!   at the exact slot it had journalled (missed slots are gap-filled as
 //!   drops by [`feed_at_watermark`], so nothing is double-counted); a
@@ -53,21 +56,21 @@
 use crate::config::{FleetConfig, ScopeConfig};
 use crate::governor::rung_for_backlog;
 use crate::metrics::{Counter, Gauge};
-use crate::observe::Capture;
+use crate::observe::{Capture, DropReason};
 use crate::persist::{DurabilityRung, PersistConfig, PersistentSession, RecoveryReport};
 use crate::restart::{Action, BreakerState, RestartBreaker, RestartCause};
 use crate::scope::{NrScope, UeEvent};
-use crate::supervise::{feed_at_watermark, SlotEngine};
 use crate::telemetry::TelemetryRecord;
 use crate::worker::{join_by, lock_clean, spawn_background, SlotHook};
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,6 +125,48 @@ impl ShardSpec {
     fn volatile_scope(&self) -> NrScope {
         NrScope::new(self.scope, self.pci)
     }
+}
+
+/// Something the watermark rule can drive (a fleet shard's engine, a
+/// [`PersistentSession`]): it knows the next slot it expects and processes
+/// exactly that slot's capture.
+pub trait SlotEngine {
+    /// The next slot to be processed.
+    fn slot_watermark(&self) -> u64;
+    /// Process the capture for slot [`SlotEngine::slot_watermark`],
+    /// advancing the watermark by one.
+    fn process_capture(&mut self, cap: &Capture) -> Vec<TelemetryRecord>;
+}
+
+impl SlotEngine for PersistentSession {
+    fn slot_watermark(&self) -> u64 {
+        self.scope().slot_watermark()
+    }
+    fn process_capture(&mut self, cap: &Capture) -> Vec<TelemetryRecord> {
+        PersistentSession::process_capture(self, cap)
+    }
+}
+
+/// The watermark rule — the one place a restarted engine meets a live
+/// feed. A `seq` below the watermark was already processed (and
+/// journalled) by a previous incarnation: `None`, nothing reprocessed, so
+/// its bytes are never counted twice. A `seq` above it gap-fills the
+/// missed slots as [`DropReason::Stall`] drops (the engine was down while
+/// the air interface kept moving) — `on_gap_slot(engine, n)` runs after
+/// the n-th drop so a deep fill can prove liveness — then processes
+/// `capture`.
+pub fn feed_at_watermark<E: SlotEngine>(
+    engine: &mut E,
+    seq: u64,
+    capture: &Capture,
+    mut on_gap_slot: impl FnMut(&E, u64),
+) -> Option<Vec<TelemetryRecord>> {
+    let gap = seq.checked_sub(engine.slot_watermark())?;
+    for filled in 1..=gap {
+        engine.process_capture(&Capture::Dropped(DropReason::Stall));
+        on_gap_slot(engine, filled);
+    }
+    Some(engine.process_capture(capture))
 }
 
 /// A shard's decode engine: the bulkheaded unit that is quarantined and
@@ -255,6 +300,10 @@ struct Shard {
     /// Fence generation: bumped by the watchdog to invalidate the engine
     /// held by a stuck worker.
     gen: AtomicU64,
+    /// Set by the fleet's panic hook when a slot of this shard begins to
+    /// unwind, cleared when the worker leaves the shard: the watchdog
+    /// never fences a shard while it is set.
+    panicking: Arc<AtomicBool>,
     /// The shard's restart machine, slot clock = `highest_fed`. While its
     /// breaker is open the shard is parked lame-duck on a volatile
     /// fallback engine (which a durable shard reports as `non_durable`)
@@ -431,10 +480,54 @@ fn now_ns(epoch: Instant) -> u64 {
     Instant::now().duration_since(epoch).as_nanos() as u64
 }
 
+thread_local! {
+    /// The `panicking` stamp of the shard this thread is serving, if any.
+    static SERVING: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
+}
+
+/// This thread serves a shard until the guard drops, which clears the
+/// shard's stamp (after the worker has reported the batch's crash).
+struct Serving;
+
+impl Serving {
+    fn enter(stamp: &Arc<AtomicBool>) -> Serving {
+        SERVING.with(|s| *s.borrow_mut() = Some(Arc::clone(stamp)));
+        Serving
+    }
+}
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        if let Some(stamp) = SERVING.with(|s| s.borrow_mut().take()) {
+            stamp.store(false, SeqCst);
+        }
+    }
+}
+
+/// Install the fleet's panic hook, once per process, chained to the hook
+/// before it: on a thread serving a shard it stamps the shard's
+/// `panicking` flag, then runs the previous hook (which may take long to
+/// print a backtrace).
+fn install_panic_hook() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            SERVING.with(|s| {
+                if let Some(stamp) = s.borrow().as_ref() {
+                    stamp.store(true, SeqCst);
+                }
+            });
+            previous(info);
+        }));
+    });
+}
+
 impl Fleet {
     /// Build every shard's engine (durable shards recover from their own
     /// directories) and start the shared worker pool.
     pub fn new(cfg: FleetConfig, specs: Vec<ShardSpec>) -> io::Result<Fleet> {
+        install_panic_hook();
         let mut shards = Vec::with_capacity(specs.len());
         for spec in specs {
             let (engine, recovery) = ShardEngine::build(&spec)?;
@@ -450,6 +543,7 @@ impl Fleet {
                 }),
                 busy_since_ns: AtomicU64::new(0),
                 gen: AtomicU64::new(0),
+                panicking: Arc::default(),
                 restart: Mutex::new(restart),
                 last_recovery: Mutex::new(recovery),
                 hook: Mutex::new(None),
@@ -535,9 +629,13 @@ impl Fleet {
             // (infinite loop, pathological slot, hostile input): it
             // discards the fenced engine on wake, and the replacement
             // restores fleet capacity at once.
+            // The stamp is read first: a slot whose unwinding began after
+            // this read was already stuck past the deadline before it.
             let wd_ms = shared.cfg.watchdog_ms;
+            let panicking = shard.panicking.load(SeqCst);
             let busy = shard.busy_since_ns.load(SeqCst);
             if wd_ms > 0
+                && !panicking
                 && busy != 0
                 && tick_ns.saturating_sub(busy - 1) > wd_ms.saturating_mul(1_000_000)
             {
@@ -940,6 +1038,7 @@ fn service_shard(shared: &FleetShared, i: usize) -> Service {
     }
     let depth = shared.cfg.shard_queue_depth.max(1);
     let mut worked = false;
+    let _serving = Serving::enter(&shard.panicking);
     for _ in 0..MAX_BATCH {
         let (entry, backlog) = {
             let mut q = lock_clean(&shard.queue);

@@ -7,8 +7,8 @@
 //! reads the rung off that backlog after each pop: over 7/8 of the queue
 //! depth the shard decodes broadcast-only, and it returns to `Full` once
 //! the backlog is under half that. The worker pool (whose full queue
-//! blocks) and a supervised child (one slot in flight) keep no backlog,
-//! so they always run at `Full`.
+//! blocks) and a sniffer fed one slot at a time keep no backlog, so they
+//! always run at `Full`.
 //!
 //! The rung is the caller's per-slot input, handed to the scope through
 //! [`crate::NrScope::force_rung`]; nothing here is checkpointed. What is

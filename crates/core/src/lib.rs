@@ -30,7 +30,6 @@ pub mod persist;
 pub mod restart;
 pub mod scope;
 pub mod spare;
-pub mod supervise;
 pub mod telemetry;
 pub mod throughput;
 pub mod tracker;

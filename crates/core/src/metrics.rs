@@ -110,7 +110,7 @@ impl Stage {
 
 /// Monotonic event counters of the producers that keep no count of their
 /// own: the radio, the worker pool, the telemetry log, the journal and
-/// checkpoint writers, the storage ladder, the supervisor and the fleet.
+/// checkpoint writers, the storage ladder and the fleet's supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// Slots received by the radio front end.
@@ -149,17 +149,14 @@ pub enum Counter {
     StorageDemotions,
     /// Emergency checkpoint/journal prunes triggered by `ENOSPC`.
     EmergencyPrunes,
-    /// Hangs detected by liveness supervision: a supervised child silent
-    /// past its hang deadline.
-    HangsDetected,
-    /// Warm restarts completed by a supervisor (child respawns, fleet
-    /// shard engine rebuilds).
+    /// Warm restarts completed by a fleet shard's supervisor (engine
+    /// rebuilds and volatile fallbacks).
     RestartsTotal,
 }
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 16] = [
         Counter::RadioSlots,
         Counter::RadioSamples,
         Counter::AgcKicks,
@@ -175,7 +172,6 @@ impl Counter {
         Counter::StorageRetries,
         Counter::StorageDemotions,
         Counter::EmergencyPrunes,
-        Counter::HangsDetected,
         Counter::RestartsTotal,
     ];
 
@@ -197,7 +193,6 @@ impl Counter {
             Counter::StorageRetries => "storage_retries",
             Counter::StorageDemotions => "storage_demotions",
             Counter::EmergencyPrunes => "emergency_prunes",
-            Counter::HangsDetected => "hangs_detected",
             Counter::RestartsTotal => "restarts_total",
         }
     }
@@ -213,22 +208,18 @@ pub enum Gauge {
     /// Current durability-ladder rung (0 = Durable, 1 = DurableDegraded,
     /// 2 = NonDurable).
     DurabilityRung,
-    /// 1 while a restart-storm circuit breaker is open (the child/shard is
-    /// parked in lame-duck mode), 0 otherwise.
+    /// 1 while a fleet shard's restart-storm circuit breaker is open (the
+    /// shard is parked in lame-duck mode), 0 otherwise.
     RestartBreakerOpen,
-    /// Microseconds of pipe silence a child heartbeat (or ack) ended — how
-    /// close the supervised child last came to its hang deadline.
-    HeartbeatLagUs,
 }
 
 impl Gauge {
     /// All gauges.
-    pub const ALL: [Gauge; 5] = [
+    pub const ALL: [Gauge; 4] = [
         Gauge::QueueDepth,
         Gauge::WorkersAlive,
         Gauge::DurabilityRung,
         Gauge::RestartBreakerOpen,
-        Gauge::HeartbeatLagUs,
     ];
 
     /// Stable snake_case name used in snapshots and JSON.
@@ -238,7 +229,6 @@ impl Gauge {
             Gauge::WorkersAlive => "workers_alive",
             Gauge::DurabilityRung => "durability_rung",
             Gauge::RestartBreakerOpen => "restart_breaker_open",
-            Gauge::HeartbeatLagUs => "heartbeat_lag_us",
         }
     }
 }

@@ -4,7 +4,7 @@
 //! encoder and one decoder; bytes that [`binfmt::open`] does not accept as
 //! that kind are foreign and rejected like any other corruption.
 
-use crate::binfmt::{self, FrameKind, Opened};
+use crate::binfmt::{self, FrameKind};
 use crate::clock::ClockRecoveryState;
 use crate::metrics::MetricsSnapshot;
 use crate::scope::{CellKnowledge, ScopeStats, SyncState};
@@ -247,9 +247,7 @@ pub(super) fn encode_batch_into(buf: &mut Vec<u8>, entries: &[JournalEntry]) {
 /// non-monotonic, naming a HARQ process no UE has, or from another format
 /// version.
 fn parse_batch(data: &[u8], prev_seq: Option<u64>) -> Option<(Vec<JournalEntry>, usize)> {
-    let Opened::Frame(payload, end) = binfmt::open(FrameKind::Batch, data, usize::MAX) else {
-        return None;
-    };
+    let (payload, end) = binfmt::open(FrameKind::Batch, data)?;
     let mut pos = 0usize;
     let n_records = binfmt::get_varint(payload, &mut pos)?;
     // The writer never seals an empty batch, and each record costs at
@@ -345,9 +343,7 @@ pub(super) fn encode_snapshot(state: &SessionState) -> Vec<u8> {
 /// open and fill the file, and a CRC-valid payload that is not a
 /// [`SessionState`] of that slot is rejected like any other corruption.
 pub(super) fn decode_snapshot(data: &[u8], slot: u64) -> Option<SessionState> {
-    let Opened::Frame(payload, len) = binfmt::open(FrameKind::Snapshot, data, usize::MAX) else {
-        return None;
-    };
+    let (payload, len) = binfmt::open(FrameKind::Snapshot, data)?;
     let state: SessionState = binfmt::decode_value(payload)?;
     (len == data.len() && state.schema_version <= crate::SCHEMA_VERSION && state.slot == slot)
         .then_some(state)

@@ -24,9 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What recovery found and did — a restarted child reports it in its
-/// [`Hello`](crate::supervise::Hello), a restarted fleet shard in its
-/// `ShardStatus`.
+/// What recovery found and did — a restarted fleet shard reports it in
+/// its `ShardStatus`, a re-executed sniffer process to whoever restarted
+/// it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecoveryReport {
     /// Serialisation schema version.

@@ -1,5 +1,5 @@
 //! The one restart machine: what to do when a supervised unit — a fleet
-//! shard's engine, a supervised child process — has gone down.
+//! shard's engine — has gone down.
 //!
 //! A [`RestartBreaker`] holds the pending death cause, the crash, hang and
 //! restart counts, and a token-bucket circuit breaker. Its driver reports
@@ -10,11 +10,14 @@
 //! breaker gauge and its operator notes. Time is whatever monotonic slot
 //! count the driver feeds in.
 //!
-//! The drivers only detect and carry out: [`Fleet`](crate::fleet::Fleet)
-//! finds a hang by a worker's busy stamp, fences it, rebuilds an engine
-//! and parks on a volatile fallback; [`Supervisor`](crate::supervise::Supervisor)
-//! finds one by pipe silence, kills, respawns, and parks by dropping
-//! slots.
+//! Its one driver in the sniffer, [`Fleet::supervise`], only detects and
+//! carries out: it finds a hang by a worker's busy stamp, fences it,
+//! rebuilds an engine and parks on a volatile fallback. A deployed sniffer
+//! process is restarted by an external supervisor and warm-starts from its
+//! session directory ([`PersistentSession::open`]).
+//!
+//! [`Fleet::supervise`]: crate::fleet::Fleet::supervise
+//! [`PersistentSession::open`]: crate::persist::PersistentSession::open
 
 use crate::config::SuperviseConfig;
 use crate::metrics::{Gauge, Metrics};
@@ -43,16 +46,14 @@ impl BreakerState {
     }
 }
 
-/// Why the unit last went down (a child's [`RestartEvent`] records it).
-///
-/// [`RestartEvent`]: crate::supervise::RestartEvent
+/// Why the unit last went down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RestartCause {
     /// Not started yet: the first build is not a restart.
     Initial,
     /// No progress past the hang deadline; the driver fenced or killed it.
     Hang,
-    /// It died on its own (a panic, EOF, a failed write).
+    /// It died on its own (a panic, a process exit).
     Crash,
     /// The driver killed it deliberately (chaos kill-9 injection).
     Killed,
@@ -71,8 +72,7 @@ pub enum Action {
     Park,
 }
 
-/// The restart machine shared by [`Supervisor`](crate::supervise::Supervisor)
-/// and each fleet shard: `capacity` restarts refill per `window_slots` of
+/// The restart machine of each fleet shard: `capacity` restarts refill per `window_slots` of
 /// feed. Exhaustion opens the breaker — the unit is parked lame-duck
 /// instead of hot-looping through rebuilds — and after `halfopen_after`
 /// slots a single probe rebuild decides whether to close it again.
@@ -120,7 +120,7 @@ impl RestartBreaker {
     }
 
     /// Sized by the three breaker knobs of a `supervise` config block.
-    pub(crate) fn for_config(c: &SuperviseConfig) -> RestartBreaker {
+    pub fn for_config(c: &SuperviseConfig) -> RestartBreaker {
         let (cap, window) = (c.restart_budget, c.restart_budget_window_slots);
         RestartBreaker::new(cap, window, c.breaker_halfopen_after_slots)
     }
@@ -241,7 +241,7 @@ impl RestartBreaker {
     }
 
     /// Why the unit is down (`None` while it is up).
-    pub(crate) fn cause(&self) -> Option<RestartCause> {
+    pub fn cause(&self) -> Option<RestartCause> {
         self.down
     }
 
@@ -285,8 +285,6 @@ impl RestartBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{Capture, DropReason};
-    use crate::supervise::{LostCause, SlotOutcome, Supervisor};
 
     #[test]
     fn breaker_refills_with_slots() {
@@ -340,47 +338,5 @@ mod tests {
             (m.crashes(), m.hangs(), m.restarts(), m.openings()),
             (1, 0, 2, 2)
         );
-    }
-
-    /// The breaker is the only restart meter: a spawn that fails every
-    /// time spends one token per fed slot, drains the budget, opens the
-    /// breaker, and is not tried again until the half-open probe.
-    #[test]
-    fn failing_spawn_drains_the_budget_then_waits_for_the_probe() {
-        let cfg = SuperviseConfig {
-            restart_budget: 2,
-            restart_budget_window_slots: 1_000_000,
-            breaker_halfopen_after_slots: 10,
-            ..SuperviseConfig::default()
-        };
-        let metrics = std::sync::Arc::new(Metrics::new(true));
-        let exe = std::path::Path::new("/nonexistent/nrscope-child");
-        let mut sup = Supervisor::new(exe, &[], &[], cfg, metrics.clone());
-        let lost = |sup: &mut Supervisor, seqs: std::ops::Range<u64>, cause| {
-            for seq in seqs {
-                let out = sup.feed_slot(seq, &Capture::Dropped(DropReason::Stall));
-                assert!(matches!(out, SlotOutcome::Lost(c) if c == cause), "{seq}");
-            }
-        };
-        let note = |key| metrics.note_detail(key).expect("noted");
-        // Two tokens, two failed spawns, one per fed slot.
-        lost(&mut sup, 0..2, LostCause::ChildDown);
-        let last_try = note("child_death");
-        assert!(last_try.contains("slot 1"), "{last_try}");
-        // Budget gone: the breaker opens and nothing is spawned.
-        lost(&mut sup, 2..12, LostCause::LameDuck);
-        assert_eq!(sup.breaker_state(), BreakerState::Open);
-        assert_eq!(sup.stats().breaker_openings, 1);
-        assert_eq!(note("child_death"), last_try);
-        // The half-open probe is the next attempt: it fails, re-opens,
-        // and nothing is tried for another full half-open wait.
-        for probe_at in [12, 22] {
-            lost(&mut sup, probe_at..probe_at + 10, LostCause::LameDuck);
-            let probe = format!("half-open probe failed at slot {probe_at}");
-            assert!(note("restart_breaker").contains(&probe), "{probe}");
-            assert_eq!(sup.breaker_state(), BreakerState::Open);
-        }
-        let stats = sup.stats();
-        assert_eq!((stats.slots_lost, stats.restarts_total), (32, 0));
     }
 }

@@ -33,7 +33,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The one seam at slot boundaries: every slot path (a pool job, a fleet
-/// shard's slot, a supervised child's slot) calls it once with the fed
+/// shard's slot, a test harness's child process) calls it once with the fed
 /// slot, before decoding. Fault injection lives in the caller's closure:
 /// a hook that panics is a crashing slot, one that sleeps a slow or hung
 /// one.

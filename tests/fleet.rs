@@ -5,8 +5,11 @@
 
 use nr_scope::gnb::{CellConfig, MultiCellSim};
 use nr_scope::phy::channel::ChannelProfile;
+use nr_scope::phy::types::Pci;
 use nr_scope::scope::fleet::{Fleet, ShardHealth, ShardSpec};
-use nr_scope::scope::{Capture, FleetConfig, NrScope, PersistConfig, ScopeConfig, SlotHook};
+use nr_scope::scope::{
+    Capture, DropReason, FleetConfig, NrScope, PersistConfig, ScopeConfig, SlotHook,
+};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
 use std::path::PathBuf;
@@ -557,4 +560,52 @@ fn stalled_disk_under_one_shard_never_demotes_its_sibling() {
     );
     fleet.finish();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A slot that has begun to unwind is a crash, however long the panic
+/// hooks take to print. A hook that sleeps twice the watchdog for this
+/// test's own panic (after the hook it chained to, so whichever of it and
+/// the fleet's hook was installed first) holds the shard busy past the
+/// deadline while the supervisor runs every millisecond: the shard is
+/// still recorded as one panic and no wedge, and restarts healthy.
+#[test]
+fn a_panicking_shard_is_a_crash_however_long_the_panic_hooks_take() {
+    const FAULT: &str = "shard fault under a slow panic hook";
+    const WATCHDOG_MS: u64 = 50;
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        previous(info);
+        if info.payload().downcast_ref::<&str>() == Some(&FAULT) {
+            std::thread::sleep(Duration::from_millis(2 * WATCHDOG_MS));
+        }
+    }));
+    let cfg = FleetConfig {
+        workers: 2,
+        watchdog_ms: WATCHDOG_MS,
+        ..FleetConfig::default()
+    };
+    let spec = ShardSpec::volatile("a", Some(Pci(1)), ScopeConfig::default());
+    let fleet = Fleet::new(cfg, vec![spec]).expect("fleet");
+    let fault = |slot| {
+        if slot == 0 {
+            std::panic::panic_any(FAULT);
+        }
+    };
+    fleet.set_slot_hook(0, Some(SlotHook::new(fault)));
+    let dropped = || Capture::Dropped(DropReason::Stall);
+    fleet.feed(0, 0, dropped());
+    let started = Instant::now();
+    while started.elapsed() < Duration::from_millis(4 * WATCHDOG_MS) {
+        fleet.supervise();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for s in 1..100 {
+        fleet.feed(0, s, dropped());
+    }
+    assert!(fleet.quiesce(Duration::from_secs(10)), "fleet drained");
+    let a = fleet.shard_status(0);
+    assert_eq!((a.panics, a.wedges), (1, 0), "a crash, not a hang");
+    assert!(a.restarts >= 1, "warm-restarted");
+    assert_eq!(a.health, ShardHealth::Healthy);
+    fleet.finish();
 }

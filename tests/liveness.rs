@@ -1,45 +1,48 @@
 //! Liveness-supervision integration tests: hang detection, restart-storm
 //! circuit breaking, honest durability demotion under a disk that stalls
-//! the journal writer, and the tolerant pipe framing.
+//! the journal writer, and the child's line protocol.
 //!
-//! The supervised-child tests re-invoke this very test binary as the
-//! child process: [`child_entry`] is an `#[ignore]`d test selected with
-//! `--exact --ignored`, so the child runs the real
-//! [`supervise::run_child`] loop over real pipes. The libtest banner the
-//! harness prints around it is absorbed by the parent's tolerant framing
-//! (which is itself part of what is under test).
+//! The child-process tests re-invoke this very test binary as the child,
+//! through `nrscope_bench::child::Harness`: [`child_entry`] is an
+//! `#[ignore]`d test selected with `--exact --ignored`, so the child runs
+//! the real [`child::serve`] loop over real pipes. The libtest banner the
+//! harness prints around it is skipped by the parent's line reader (which
+//! is itself part of what is under test).
 
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
-use nr_scope::phy::types::{Pci, Rnti};
-use nr_scope::scope::binfmt::{self, FrameKind};
-use nr_scope::scope::observe::{Capture, ObservedSlot, Observer};
+use nr_scope::phy::types::Pci;
+use nr_scope::scope::config::SuperviseConfig;
+use nr_scope::scope::observe::{Capture, Observer};
 use nr_scope::scope::persist::{
     DurabilityRung, FaultyBackend, PersistConfig, PersistentSession, SessionStore,
     StorageFaultSchedule,
 };
 use nr_scope::scope::restart::{Action, BreakerState, RestartBreaker, RestartCause};
-use nr_scope::scope::supervise::{
-    self, Ack, ChildMsg, FrameDecoder, Hello, ReportReply, SlotOutcome, Supervisor, WireError,
-    WireMsg, MAX_FRAME_BYTES,
-};
-use nr_scope::scope::{Metrics, ScopeConfig, SlotHook, StoragePolicy, SyncState};
+use nr_scope::scope::{ScopeConfig, SlotHook, StoragePolicy, SyncState};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::io::Read;
+use nrscope_bench::child::{self, air_digest, Ack, Harness, Hello, Line, SlotOutcome};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CHILD_DIR_ENV: &str = "NRSCOPE_LIVENESS_CHILD_DIR";
-const CHILD_PCI_ENV: &str = "NRSCOPE_LIVENESS_CHILD_PCI";
 const CHILD_HANG_SLOT_ENV: &str = "NRSCOPE_LIVENESS_CHILD_HANG_SLOT";
 
-/// Scheduling slop allowed on top of the hang deadline: pipe polls, the
-/// force-kill, and CI jitter.
+/// Slots of the child's air: every child-process test feeds a prefix.
+const TAPE_SLOTS: u64 = 120;
+
+/// The hang deadline of the child-process tests. Ten of it are the
+/// respawn's `Hello` budget: it must cover test-binary startup and
+/// recovery on a loaded CI machine, or a slow respawn is misread as a
+/// failed one.
+const HANG_DEADLINE: Duration = Duration::from_millis(1_000);
+
+/// Scheduling slop allowed on top of the hang deadline: the SIGKILL and
+/// CI jitter.
 const DETECT_SLOP_MS: u64 = 1_500;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -80,64 +83,37 @@ fn capture_tape(slots: u64) -> (Vec<Capture>, Pci) {
     (caps, cell.pci)
 }
 
-/// Tightened deadlines so the hang tests run in about a second. The
-/// hang deadline also sizes the respawn Hello budget (10×): it must
-/// cover test-binary startup + recovery on a loaded CI machine, or a
-/// slow respawn is misread as a failed one.
-fn tuned_config() -> ScopeConfig {
-    let mut cfg = ScopeConfig::default();
-    cfg.supervise.heartbeat_interval_ms = 50;
-    cfg.supervise.hang_deadline_ms = 1_000;
-    cfg
-}
-
-/// A supervisor whose child is this test binary re-running
-/// [`child_entry`], with the session directory, PCI and the fed slot its
-/// slot loop hangs at (if any) in the environment (the supervisor
-/// re-applies them on every warm restart).
-fn spawn_supervisor(dir: &Path, cfg: &ScopeConfig, pci: Pci, hang_slot: Option<u64>) -> Supervisor {
+/// A harness whose child is this test binary re-running [`child_entry`],
+/// with the session directory and the fed slot its slot loop hangs at (if
+/// any) in the environment (every respawn gets them again). `-q` keeps
+/// libtest from printing the test's name ahead of the child's first line.
+fn harness(dir: &Path, breaker: &SuperviseConfig, hang_slot: Option<u64>) -> Harness {
     let exe = std::env::current_exe().expect("test binary path");
-    let args: Vec<String> = [
-        "child_entry",
-        "--exact",
-        "--ignored",
-        "--nocapture",
-        "--test-threads=1",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let mut envs = vec![
-        (CHILD_DIR_ENV.to_string(), dir.display().to_string()),
-        (CHILD_PCI_ENV.to_string(), pci.0.to_string()),
-    ];
-    if let Some(slot) = hang_slot {
-        envs.push((CHILD_HANG_SLOT_ENV.to_string(), slot.to_string()));
-    }
-    Supervisor::new(
-        &exe,
-        &args,
-        &envs,
-        cfg.supervise,
-        Arc::new(Metrics::new(true)),
-    )
+    let dir = dir.to_path_buf();
+    let command = move |_from| {
+        let mut cmd = Command::new(&exe);
+        cmd.args(["child_entry", "--exact", "--ignored", "--nocapture", "-q"]);
+        cmd.env(CHILD_DIR_ENV, &dir);
+        if let Some(slot) = hang_slot {
+            cmd.env(CHILD_HANG_SLOT_ENV, slot.to_string());
+        }
+        cmd
+    };
+    Harness::new(command, HANG_DEADLINE, breaker)
 }
 
-/// Not a test: the supervised child's entry point, re-invoked by
-/// [`spawn_supervisor`] with `--exact --ignored`. A plain `cargo test`
-/// (no env, no `--ignored`) never runs the pipeline.
+/// Not a test: the child process's entry point, re-invoked by
+/// [`harness`] with `--exact --ignored`. A plain `cargo test` (no env, no
+/// `--ignored`) never runs the pipeline. Its air is the tape, which it
+/// indexes, so it needs no catching up.
 #[test]
 #[ignore = "child process entry point; re-invoked by the supervision tests"]
 fn child_entry() {
     let Ok(dir) = std::env::var(CHILD_DIR_ENV) else {
         return;
     };
-    let pci = std::env::var(CHILD_PCI_ENV)
-        .ok()
-        .and_then(|s| s.parse::<u16>().ok())
-        .map(Pci);
     // The slot loop stops dead at the hang slot, far past the deadline:
-    // only a force-kill can end it. Keyed on the fed slot, so it cannot
+    // only a SIGKILL can end it. Keyed on the fed slot, so it cannot
     // re-fire after the restart.
     let hang_slot = std::env::var(CHILD_HANG_SLOT_ENV).ok();
     let hook = hang_slot.and_then(|s| s.parse::<u64>().ok()).map(|at| {
@@ -147,25 +123,24 @@ fn child_entry() {
             }
         })
     });
-    supervise::run_child(PersistConfig::new(dir), pci, hook).expect("child pipeline");
+    let (caps, pci) = capture_tape(TAPE_SLOTS);
+    let air = |seq: u64| caps[seq as usize].clone();
+    child::serve(PersistConfig::new(dir), Some(pci), 0, air, hook).expect("child pipeline");
 }
 
-/// Tentpole contract: a child whose slot loop stops dead (no acks, no
-/// heartbeats) is classified as hung within the hang deadline,
-/// force-killed, and warm-restarted at exactly the slot the journal had
-/// made durable — the supervisor never blocks indefinitely and loses
-/// only the slot the hang was detected on.
+/// Tentpole contract: a child whose slot loop stops dead (no acks) is
+/// classified as hung within the hang deadline, SIGKILLed, and
+/// warm-restarted at exactly the slot the journal had made durable — the
+/// harness never blocks indefinitely and loses only the slot the hang was
+/// detected on. Every ack is of the capture the parent has for its slot.
 #[test]
 fn hung_child_is_detected_within_deadline_and_resumes_at_watermark() {
     const SLOTS: u64 = 120;
     const HANG_SLOT: u64 = 40;
 
     let dir = tmp_dir("hang");
-    let cfg = tuned_config();
-    std::fs::write(dir.join(supervise::CONFIG_FILE), cfg.to_json()).expect("write config");
-
-    let (caps, pci) = capture_tape(SLOTS);
-    let mut sup = spawn_supervisor(&dir, &cfg, pci, Some(HANG_SLOT));
+    let (caps, _) = capture_tape(SLOTS);
+    let mut sup = harness(&dir, &SuperviseConfig::default(), Some(HANG_SLOT));
     let hello = sup.start().expect("child starts");
     assert!(!hello.report.resumed, "first start must be a cold start");
 
@@ -175,41 +150,41 @@ fn hung_child_is_detected_within_deadline_and_resumes_at_watermark() {
     let mut lost = 0u64;
     for (seq, cap) in caps.iter().enumerate() {
         let seq = seq as u64;
-        let hangs_before = sup.stats().hangs_detected;
+        let hangs_before = sup.breaker().hangs();
         let fed_at = Instant::now();
-        match sup.feed_slot(seq, cap) {
+        match sup.feed(seq) {
             SlotOutcome::Acked(ack) => {
                 assert_eq!(
                     ack.watermark,
                     seq + 1,
                     "child must track the fed slot exactly"
                 );
+                assert_eq!(ack.air, air_digest(cap), "slot {seq}: another air");
                 if seq < HANG_SLOT {
                     pre_hang_ack = Some(ack);
                 }
                 acked += 1;
             }
-            SlotOutcome::Lost(_) => lost += 1,
+            SlotOutcome::ChildDown | SlotOutcome::LameDuck => lost += 1,
         }
-        if sup.stats().hangs_detected > hangs_before {
+        if sup.breaker().hangs() > hangs_before {
             assert_eq!(seq, HANG_SLOT, "hang classified at the scripted slot");
             detect_ms = Some(fed_at.elapsed().as_millis() as u64);
         }
     }
 
-    let stats = sup.stats();
-    assert_eq!(stats.hangs_detected, 1, "exactly the scripted hang");
+    assert_eq!(sup.breaker().hangs(), 1, "exactly the scripted hang");
     let detect_ms = detect_ms.expect("hang was classified during the run");
+    let deadline_ms = HANG_DEADLINE.as_millis() as u64;
     assert!(
-        detect_ms <= cfg.supervise.hang_deadline_ms + DETECT_SLOP_MS,
-        "hang detected in {detect_ms} ms, deadline {} ms",
-        cfg.supervise.hang_deadline_ms
+        detect_ms <= deadline_ms + DETECT_SLOP_MS,
+        "hang detected in {detect_ms} ms, deadline {deadline_ms} ms"
     );
     // Lost exactly the slot the hang was detected on: the next fed slot
     // respawned (the breaker had a token).
     assert_eq!(lost, 1);
     assert_eq!(acked + lost, SLOTS);
-    assert_eq!(stats.slots_lost, lost);
+    assert_eq!(sup.slots_lost(), lost);
 
     // The warm restart resumed from the durable watermark: at least what
     // the last ack promised, at most the hang slot (which was never
@@ -231,50 +206,67 @@ fn hung_child_is_detected_within_deadline_and_resumes_at_watermark() {
     );
 
     // A single scripted hang must not trip the breaker.
-    assert_eq!(stats.breaker_openings, 0);
-    assert_eq!(sup.breaker_state(), BreakerState::Closed);
-    assert!(sup.finish().is_some(), "clean shutdown after the soak");
+    assert_eq!(sup.breaker().openings(), 0);
+    assert_eq!(sup.breaker().state(), BreakerState::Closed);
+    assert!(sup.finish(), "clean shutdown after the soak");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A report request the child never answers is a hang, exactly like a
-/// silent slot: counted, the child torn down within the deadline, and the
-/// next fed slot respawns it with the hang as the cause. The child is a
-/// shell that announces a sealed `Hello` and then sleeps.
+/// A stdout line that is no message — a libtest banner, binary garbage, a
+/// torn message — is skipped, and the `Hello` and the ack behind it still
+/// arrive. The child is a shell that writes them around the noise.
 #[test]
-fn unanswered_report_request_is_a_hang_and_the_next_slot_respawns() {
-    let dir = tmp_dir("report-hang");
+fn a_stdout_line_that_is_no_message_is_skipped() {
+    let dir = tmp_dir("lines");
     let (_, report) = SessionStore::new(dir.join("session"))
         .expect("store")
         .recover(ScopeConfig::default(), None);
-    let hello = ChildMsg::Hello(Hello {
+    let hello = Line::Hello(Hello {
         tracked: Vec::new(),
         report,
     });
-    let hello_file = dir.join("hello.bin");
-    std::fs::write(&hello_file, pipe_frame(&hello)).expect("write hello");
-    let mut cfg = tuned_config();
-    cfg.supervise.hang_deadline_ms = 300;
-    let script = format!("cat '{}'; exec sleep 30", hello_file.display());
-    let args = ["-c".to_string(), script];
-    let metrics = Arc::new(Metrics::new(true));
-    let mut sup = Supervisor::new(Path::new("/bin/sh"), &args, &[], cfg.supervise, metrics);
-    sup.start().expect("the shell announces its Hello");
-
-    let asked_at = Instant::now();
-    assert!(sup.request_report(vec![(0, 10)]).is_none());
-    let waited_ms = asked_at.elapsed().as_millis() as u64;
-    assert!(
-        waited_ms <= cfg.supervise.hang_deadline_ms + DETECT_SLOP_MS,
-        "gave up after {waited_ms} ms"
+    let ack = Line::Ack(Ack {
+        seq: 0,
+        watermark: 1,
+        sync: SyncState::Synced,
+        produced: 0,
+        tracked: Vec::new(),
+        durable: 0,
+        durability_rung: 0,
+        loss_window: Some(1_280),
+        si_dcis: 0,
+        air: 7,
+    });
+    let lines = |noise: &[u8], msg: &Line| {
+        let mut out = noise.to_vec();
+        out.extend(serde_json::to_string(msg).expect("json").into_bytes());
+        out.push(b'\n');
+        out
+    };
+    let hello_file = dir.join("hello.txt");
+    let noise = b"\nrunning 1 test\n\xff\xfe{not json\n{\"Hello\":{\"tracked\":[]\n";
+    std::fs::write(&hello_file, lines(noise, &hello)).expect("write hello");
+    let ack_file = dir.join("ack.txt");
+    let noise = b"test child_entry ... ok\n\x00\x01\x7f\n{\"Ack\":{}}\n";
+    std::fs::write(&ack_file, lines(noise, &ack)).expect("write ack");
+    let script = format!(
+        "cat '{}'; read slot; cat '{}'; cat > /dev/null",
+        hello_file.display(),
+        ack_file.display()
     );
-    assert_eq!(sup.stats().hangs_detected, 1, "the silence was a hang");
-
-    let (caps, _) = capture_tape(1);
-    sup.feed_slot(0, &caps[0]);
-    let causes: Vec<_> = sup.restart_log().iter().map(|e| e.cause).collect();
-    assert_eq!(causes, [RestartCause::Initial, RestartCause::Hang]);
-    sup.finish();
+    let command = move |_| {
+        let mut cmd = Command::new("/bin/sh");
+        cmd.args(["-c", &script]);
+        cmd
+    };
+    let mut sup = Harness::new(command, HANG_DEADLINE, &SuperviseConfig::default());
+    let hello = sup.start().expect("the Hello behind the noise");
+    assert!(hello.tracked.is_empty() && !hello.report.resumed);
+    match sup.feed(0) {
+        SlotOutcome::Acked(ack) => assert_eq!((ack.seq, ack.air), (0, 7)),
+        other => panic!("the ack behind the noise, not {other:?}"),
+    }
+    assert!(sup.finish(), "the shell exits at EOF");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -464,35 +456,32 @@ fn a_closing_probe_refunds_exactly_one_rebuild() {
 }
 
 /// End-to-end storm breaking: repeated kills exhaust the restart budget,
-/// the supervisor parks lame-duck (slots honestly reported lost, not
+/// the harness parks lame-duck (slots honestly reported lost, not
 /// blocked on), and the half-open probe brings the pipeline back.
 #[test]
 fn restart_storm_trips_breaker_and_halfopen_probe_restores_service() {
     const SLOTS: u64 = 110;
 
     let dir = tmp_dir("storm");
-    let mut cfg = tuned_config();
-    cfg.supervise.restart_budget = 1;
-    cfg.supervise.restart_budget_window_slots = 100_000; // no meaningful refill
-    cfg.supervise.breaker_halfopen_after_slots = 40;
-    std::fs::write(dir.join(supervise::CONFIG_FILE), cfg.to_json()).expect("write config");
-
-    let (caps, pci) = capture_tape(SLOTS);
-    let mut sup = spawn_supervisor(&dir, &cfg, pci, None);
+    let breaker = SuperviseConfig {
+        restart_budget: 1,
+        restart_budget_window_slots: 100_000, // no meaningful refill
+        breaker_halfopen_after_slots: 40,
+    };
+    let mut sup = harness(&dir, &breaker, None);
     sup.start().expect("child starts");
 
     let mut lame_duck_slots = 0u64;
     let mut first_lame_duck = None;
     let mut acked_after_probe = 0u64;
-    for (seq, cap) in caps.iter().enumerate() {
-        let seq = seq as u64;
+    for seq in 0..SLOTS {
         // Two kills: the first consumes the whole budget on its restart,
         // the second finds the bucket empty and must open the breaker.
         if seq == 10 || seq == 20 {
-            sup.kill_now(seq);
+            sup.kill_now();
         }
-        match sup.feed_slot(seq, cap) {
-            SlotOutcome::Lost(nr_scope::scope::supervise::LostCause::LameDuck) => {
+        match sup.feed(seq) {
+            SlotOutcome::LameDuck => {
                 lame_duck_slots += 1;
                 first_lame_duck.get_or_insert(seq);
             }
@@ -501,9 +490,9 @@ fn restart_storm_trips_breaker_and_halfopen_probe_restores_service() {
         }
     }
 
-    let stats = sup.stats();
     assert_eq!(
-        stats.breaker_openings, 1,
+        sup.breaker().openings(),
+        1,
         "storm must open the breaker once"
     );
     let opened_at = first_lame_duck.expect("breaker parked some slots lame-duck");
@@ -515,16 +504,16 @@ fn restart_storm_trips_breaker_and_halfopen_probe_restores_service() {
         "no slot acked after the half-open probe window"
     );
     assert!(
-        lame_duck_slots <= cfg.supervise.breaker_halfopen_after_slots + 4,
+        lame_duck_slots <= breaker.breaker_halfopen_after_slots + 4,
         "parked {lame_duck_slots} slots, half-open after {} (from slot {opened_at})",
-        cfg.supervise.breaker_halfopen_after_slots
+        breaker.breaker_halfopen_after_slots
     );
     assert_eq!(
-        sup.breaker_state(),
+        sup.breaker().state(),
         BreakerState::Closed,
         "successful probe closes the breaker"
     );
-    assert!(sup.finish().is_some());
+    assert!(sup.finish());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -614,190 +603,4 @@ fn wedged_journal_writer_demotes_durability_honestly() {
     );
     assert!(session.reported_loss_window().is_some());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `msg` sealed as one pipe frame.
-fn pipe_frame(msg: &impl serde::Serialize) -> Vec<u8> {
-    let mut frame = Vec::new();
-    binfmt::seal(FrameKind::Pipe, &mut frame, |b| binfmt::put_value(b, msg));
-    frame
-}
-
-/// An in-memory pipe end: `.0` served in seeded reads of 1 to `.1` bytes.
-struct Pipe<'a>(&'a [u8], usize, StdRng);
-
-impl Read for Pipe<'_> {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.2.gen_range(1..self.1 + 1).min(out.len());
-        self.0.read(&mut out[..n])
-    }
-}
-
-/// Every message a [`FrameDecoder`] reads out of `pipe`, and every fault
-/// it met on the way.
-fn decode_pipe<T: serde::Deserialize>(mut pipe: Pipe) -> (Vec<T>, Vec<WireError>) {
-    let (mut frames, mut msgs, mut faults) = (FrameDecoder::default(), Vec::new(), Vec::new());
-    while let Ok(Some(msg)) = frames.read_from(&mut pipe, |e| faults.push(e)) {
-        msgs.push(msg);
-    }
-    (msgs, faults)
-}
-
-/// Tolerant framing regression: a frame split across reads, text noise (a
-/// libtest banner) and binary garbage between frames, a frame whose length
-/// is over the bound, a CRC-valid frame that is no message, a damaged
-/// frame and a torn final frame are each skipped — the text silently, the
-/// rest as one typed wire error each, however many frame-start bytes
-/// (0xFE) they hold — and every intact frame still decodes, in order.
-#[test]
-fn frame_decoder_survives_garbage_bytes() {
-    let starts = pipe_frame(&[0xFEu64; 8]);
-    let mut stream = b"\nrunning 1 test\n".to_vec();
-    stream.extend(pipe_frame(&ChildMsg::Heartbeat));
-    stream.extend(b"\x00\xff\x7f\xfenot a frame\n");
-    stream.extend(pipe_frame(&"running"));
-    stream.extend(pipe_frame(&"a".repeat(MAX_FRAME_BYTES)));
-    stream.extend(pipe_frame(&ChildMsg::Done { final_slot: 11 }));
-    stream.extend(&starts);
-    *stream.last_mut().unwrap() ^= 0x10;
-    stream.extend(pipe_frame(&ChildMsg::Done { final_slot: 12 }));
-    stream.extend(&starts[..starts.len() - 1]);
-
-    let (msgs, faults) = decode_pipe::<ChildMsg>(Pipe(&stream, 7, StdRng::seed_from_u64(1)));
-    let done = "Done { final_slot: 11 }, Done { final_slot: 12 }";
-    assert_eq!(format!("{msgs:?}"), format!("[Heartbeat, {done}]"));
-    use WireError::{Corrupt, Malformed, Truncated};
-    assert_eq!(faults, [Corrupt, Malformed, Corrupt, Corrupt, Truncated]);
-}
-
-/// Append noise a pipe can carry between frames: a line of text, or
-/// random bytes.
-fn garbage(out: &mut Vec<u8>, rng: &mut StdRng) {
-    if rng.gen_bool(0.5) {
-        out.extend_from_slice(b"test child_entry ... ok\nrunning 1 test\n");
-    } else {
-        let n = rng.gen_range(1..64);
-        out.extend((0..n).map(|_| rng.gen::<u8>()));
-    }
-}
-
-/// Frame `msgs` into one stream, with seeded garbage between frames, 20
-/// flipped bytes and a final truncation; decode it in random read sizes
-/// and check the decoder yields exactly the frames no flip or cut
-/// touched, in order.
-fn check_damaged_stream<T: serde::Serialize + serde::Deserialize>(msgs: &[T], seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (mut stream, mut spans) = (Vec::new(), Vec::new());
-    for (i, msg) in msgs.iter().enumerate() {
-        if rng.gen_bool(0.2) {
-            garbage(&mut stream, &mut rng);
-        }
-        let start = stream.len();
-        stream.extend(pipe_frame(msg));
-        spans.push((start..stream.len(), i));
-    }
-    let flips: Vec<usize> = (0..20).map(|_| rng.gen_range(0..stream.len())).collect();
-    for &at in &flips {
-        stream[at] ^= rng.gen_range(1..256u16) as u8;
-    }
-    let cut = rng.gen_range(stream.len() * 9 / 10..stream.len());
-    stream.truncate(cut);
-
-    let untouched: Vec<Vec<u8>> = spans
-        .iter()
-        .filter(|(span, _)| span.end <= cut && !flips.iter().any(|f| span.contains(f)))
-        .map(|(_, i)| binfmt::encode_value(&msgs[*i]))
-        .collect();
-    let (got, _) = decode_pipe::<T>(Pipe(&stream, 4096, rng));
-    let got: Vec<Vec<u8>> = got.iter().map(binfmt::encode_value).collect();
-    let (n, sent) = (got.len(), untouched.len());
-    assert!(
-        got == untouched,
-        "seed {seed}: {n} decoded, {sent} sent untouched"
-    );
-}
-
-/// Seeded property test of the pipe decoder in both directions: 200
-/// frames of every message kind, with garbage, flips and a truncation. It
-/// never panics, never yields a message that was not sent, and yields
-/// every untouched frame, in order.
-#[test]
-fn pipe_decoder_yields_exactly_the_untouched_frames_in_order() {
-    let (caps, _) = capture_tape(200);
-    let dir = tmp_dir("pipe-report");
-    let (_, report) = SessionStore::new(&dir)
-        .expect("store")
-        .recover(ScopeConfig::default(), None);
-    let _ = std::fs::remove_dir_all(&dir);
-    let wire: Vec<WireMsg> = (0..200u64)
-        .zip(caps)
-        .flat_map(|(seq, capture)| {
-            let ranges = vec![(0, seq), (seq, 2 * seq)];
-            [
-                WireMsg::Slot { seq, capture },
-                WireMsg::Report { ranges },
-                WireMsg::Finish,
-            ]
-        })
-        .collect();
-    let child: Vec<ChildMsg> = (0..200u64)
-        .flat_map(|i| {
-            [
-                ChildMsg::Hello(Hello {
-                    tracked: vec![Rnti(i as u16)],
-                    report: report.clone(),
-                }),
-                ChildMsg::Ack(Ack {
-                    seq: i,
-                    watermark: i + 1,
-                    sync: SyncState::Synced,
-                    produced: i % 3,
-                    tracked: vec![Rnti(0x4601)],
-                    durable: i / 2,
-                    durability_rung: 0,
-                    loss_window: Some(1280),
-                    si_dcis: i,
-                }),
-                ChildMsg::Report(ReportReply {
-                    per_ue: vec![(Rnti(0x4601), vec![i, 8 * i])],
-                    total_discovered: i,
-                }),
-                ChildMsg::Heartbeat,
-                ChildMsg::Done { final_slot: i },
-            ]
-        })
-        .collect();
-    for seed in 0..4 {
-        check_damaged_stream(&wire, seed);
-        check_damaged_stream(&child, seed);
-    }
-}
-
-/// An IQ slot crosses the pipe in one frame under `MAX_FRAME_BYTES` and
-/// arrives bit for bit: one of `srsran_n41` (FFT 1024, 15,360 samples),
-/// and one of a 100 MHz, 273-PRB µ1 cell — FFT 4096, 61,440 samples, the
-/// largest slot the numerology admits.
-#[test]
-fn an_iq_slot_crosses_the_pipe_in_one_frame() {
-    let wide = CellConfig {
-        bandwidth_hz: 100e6,
-        carrier_prbs: 273,
-        ..CellConfig::srsran_n41()
-    };
-    for (cell, n_samples) in [(CellConfig::srsran_n41(), 15_360), (wide, 61_440)] {
-        let mut gnb = Gnb::new(cell.clone(), Box::new(RoundRobin::new()), 17);
-        let mut obs = Observer::new(&cell, 30.0, true, 9);
-        let capture = obs.capture(&gnb.step(), 0.0);
-        let Capture::Slot(ObservedSlot::Iq { samples, .. }) = &capture else {
-            panic!("an IQ capture");
-        };
-        assert_eq!(samples.len(), n_samples);
-        let msg = WireMsg::Slot { seq: 7, capture };
-        let frame = pipe_frame(&msg);
-        assert!(frame.len() <= MAX_FRAME_BYTES, "{} B", frame.len());
-        let (got, faults) = decode_pipe::<WireMsg>(Pipe(&frame, 8192, StdRng::seed_from_u64(1)));
-        assert!(faults.is_empty(), "{faults:?}");
-        assert_eq!(got.len(), 1);
-        assert_eq!(binfmt::encode_value(&got[0]), binfmt::encode_value(&msg));
-    }
 }

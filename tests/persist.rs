@@ -767,13 +767,11 @@ fn resealed_checkpoint(payload: &[u8]) -> Vec<u8> {
 
 /// The checkpoint fixture's payload: one binfmt-encoded `SessionState`.
 fn checkpoint_payload() -> &'static [u8] {
-    use nr_scope::scope::binfmt::{open, FrameKind, Opened};
+    use nr_scope::scope::binfmt::{open, FrameKind};
 
     let (bytes, _) = checkpoint_fixture();
-    match open(FrameKind::Snapshot, bytes, usize::MAX) {
-        Opened::Frame(payload, _) => payload,
-        other => panic!("the fixture is one snapshot frame: {other:?}"),
-    }
+    let frame = open(FrameKind::Snapshot, bytes);
+    frame.expect("the fixture is one snapshot frame").0
 }
 
 /// The checkpoint fixture re-encoded, with `extra` cells appended to
